@@ -131,14 +131,6 @@ class ModeResult:
     cache_hits: int
     cache_misses: int
     cache_hit_rate: float
-    recoveries: int = 0
-    """Supervised crash recoveries rolled up across observers — zero in
-    every unfaulted leg; reported so a faulted measurement can never
-    masquerade as a clean one."""
-    duplicates_dropped: int = 0
-    """Redelivered observations rejected by dedup (at-least-once surplus)."""
-    quarantined_observations: int = 0
-    """Corrupt deliveries dead-lettered before reaching the engine."""
 
 
 def _observers(system) -> list:
@@ -221,9 +213,6 @@ def _mode_result(wall: float, scenario) -> ModeResult:
         cache_hits=stats.cache_hits,
         cache_misses=stats.cache_misses,
         cache_hit_rate=round(stats.cache_hit_rate, 4),
-        recoveries=stats.recoveries,
-        duplicates_dropped=stats.duplicates_dropped,
-        quarantined_observations=stats.quarantined_observations,
     )
 
 
@@ -446,15 +435,15 @@ def streaming_report(
                     obs_name
                 ], f"{name}/{obs_name}: streamed replay diverged from live run"
                 stats_parts.append(stats)
-            merged = EngineStats.merge(stats_parts)
+            offered = sum(s.entities_submitted for s in stats_parts)
             return {
                 "wall_s": round(wall, 6),
-                "observations": merged.entities_submitted,
-                "obs_per_s": round(merged.entities_submitted / wall, 1)
-                if wall
-                else 0.0,
-                "reorder_peak": merged.reorder_peak,
-                "matches": merged.matches,
+                "observations": offered,
+                "obs_per_s": round(offered / wall, 1) if wall else 0.0,
+                # Occupancy is a level, not a flow: keep the worst
+                # single buffer, not a meaningless sum.
+                "reorder_peak": max(s.reorder_peak for s in stats_parts),
+                "matches": sum(s.matches for s in stats_parts),
             }
 
         def best_of(jitter: bool, shard_count: int) -> dict:

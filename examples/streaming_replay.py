@@ -113,8 +113,9 @@ def main() -> None:
     print(
         f"checkpoint after {half}/{len(groups)} delivery steps: "
         f"{checkpoint.emitted_count} instances emitted, "
-        f"{len(checkpoint.runtime.pending)} observations still in the "
-        f"reorder buffer"
+        f"{len(checkpoint.runtime.stages['reorder'].pending)} observations "
+        f"still in the reorder buffer (checkpointed parts: "
+        f"{', '.join(checkpoint.runtime.stages)})"
     )
     resumed = ReplayObserver(profile, lateness=LATENESS)
     resumed.restore(checkpoint)
@@ -260,11 +261,20 @@ def main() -> None:
         f"{[i.key for i in traced.emitted] == [i.key for i in sink.emitted]} "
         f"(telemetry reads the pipeline, never perturbs it)"
     )
+    # The registry's stream series are set *from* runtime.stats at every
+    # step boundary, so the export and the stats are the same numbers.
+    t_stats = traced.runtime.stats
     released = registry.counter("stream_observations_released_total").value
+    late = registry.counter("stream_observations_late_total").value
     completed = registry.counter("obs_traces_completed_total").value
+    agrees = (released, late) == (
+        t_stats.released_items,
+        t_stats.late_observations,
+    )
     print(
         f"registry: {len(registry)} series — "
-        f"{released:.0f} observations released, "
+        f"{released:.0f} observations released, {late:.0f} late "
+        f"(runtime.stats agrees: {agrees}), "
         f"{completed:.0f} stage traces completed"
     )
     for stage in (Stage.REORDER, Stage.WATERMARK_HOLD):

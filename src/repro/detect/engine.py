@@ -43,9 +43,9 @@ Evaluation properties worth knowing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.conditions import Binding
 from repro.core.entity import (
@@ -128,69 +128,11 @@ class EngineStats:
     evaluation_errors: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    late_observations: int = 0
-    """Observations that arrived beyond the streaming lateness bound —
-    counted and reported by :class:`repro.stream.runtime.StreamingDetectionRuntime`,
-    never silently dropped."""
-    reorder_peak: int = 0
-    """High-water mark of the streaming reorder buffer's occupancy: the
-    state a consumer had to hold to absorb the transport's disorder."""
-    shed_observations: int = 0
-    """Observations rejected by the admission layer under load — at the
-    occupancy cap (policy eviction or incoming shed) or on deferral-queue
-    overflow.  Always zero without an admission controller."""
-    deferred_observations: int = 0
-    """Observations parked by the per-source rate limiter to await
-    token-bucket refill (each counted once, when first deferred)."""
-    backpressure_events: int = 0
-    """Delivery steps that ended with the backpressure signal engaged —
-    the steps at which a cooperating source is asked to slow down."""
-    recoveries: int = 0
-    """Supervised crash recoveries absorbed so far: each is one caught
-    :class:`~repro.stream.resilience.faults.SourceCrash` followed by a
-    checkpoint restore and a source reconnect.  Always zero outside
-    :class:`~repro.stream.resilience.supervisor.SupervisedRuntime`."""
-    duplicates_dropped: int = 0
-    """Redelivered observations rejected by the dedup record — the
-    at-least-once surplus (crash redelivery overlap, retransmit bursts)
-    that never reached the watermark or the engine.  Always zero
-    without a :class:`~repro.stream.resilience.dedup.RedeliveryDeduper`."""
-    quarantined_observations: int = 0
-    """Corrupt or unparseable deliveries intercepted by the quarantine's
-    validator and dead-lettered — measured poison, never a crash and
-    never a silent drop.  Always zero without a
-    :class:`~repro.stream.resilience.quarantine.Quarantine`."""
     evaluation_time_s: float = 0.0
     """Wall-clock seconds spent inside :meth:`DetectionEngine.submit_batch`
     (selector routing, window/index maintenance, enumeration and condition
     evaluation) — the detection path the compiled/interpreted benchmark
     comparison isolates from the rest of the simulation."""
-
-    #: How each field rolls up across engines: flows sum, levels keep
-    #: the worst single value.  Every dataclass field MUST appear here
-    #: (a completeness test enforces it), so a new counter cannot be
-    #: silently dropped from multi-shard / multi-observer aggregation.
-    MERGE_RULES: ClassVar[Mapping[str, str]] = {
-        "entities_submitted": "sum",
-        "batches_submitted": "sum",
-        "bindings_evaluated": "sum",
-        "candidates_pruned": "sum",
-        "matches": "sum",
-        "evaluation_errors": "sum",
-        "cache_hits": "sum",
-        "cache_misses": "sum",
-        "late_observations": "sum",
-        # Occupancy is a level, not a flow: the roll-up keeps the
-        # worst single buffer, not a meaningless sum.
-        "reorder_peak": "max",
-        "shed_observations": "sum",
-        "deferred_observations": "sum",
-        "backpressure_events": "sum",
-        "recoveries": "sum",
-        "duplicates_dropped": "sum",
-        "quarantined_observations": "sum",
-        "evaluation_time_s": "sum",
-    }
 
     @property
     def cache_hit_rate(self) -> float:
@@ -220,20 +162,15 @@ class EngineStats:
         stats inside :class:`~repro.shard.engine.ShardedDetectionEngine`
         and per-observer stats in the benchmark harness — so
         ``cache_hits``/``evaluation_time_s`` totals never need ad-hoc
-        dict math.  Each field follows its :attr:`MERGE_RULES` entry
-        (``"sum"`` or ``"max"``); derived values (:attr:`cache_hit_rate`)
-        recompute from the rolled-up counters.
+        dict math.  Every field is a flow, so every field sums; derived
+        values (:attr:`cache_hit_rate`) recompute from the rolled-up
+        counters.
         """
         total = cls()
-        rules = cls.MERGE_RULES
+        names = [spec.name for spec in fields(cls)]
         for part in parts:
-            for name, rule in rules.items():
-                value = getattr(part, name)
-                if rule == "max":
-                    if value > getattr(total, name):
-                        setattr(total, name, value)
-                else:
-                    setattr(total, name, getattr(total, name) + value)
+            for name in names:
+                setattr(total, name, getattr(total, name) + getattr(part, name))
         return total
 
 

@@ -5,8 +5,7 @@ Three layers, one import surface:
 * :mod:`repro.obs.registry` — the labeled metric store
   (:class:`MetricsRegistry`: counters, gauges, fixed-bucket histograms;
   deterministic iteration; ``snapshot()``/``merge()`` for checkpoints
-  and shard roll-up; the :class:`~repro.detect.engine.EngineStats`
-  compatibility shim);
+  and shard roll-up);
 * :mod:`repro.obs.tracing` — sampled tick-domain stage spans
   (:class:`PipelineTracer`, :class:`StageTrace`,
   ``ADMISSION → REORDER → WATERMARK_HOLD → ENGINE → MERGE → EMIT``)

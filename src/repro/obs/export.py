@@ -262,7 +262,7 @@ def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
         lines.append("-- stream --")
         lines.append(
             f"offered={stats.entities_submitted} "
-            f"released={runtime.released_items} "
+            f"released={stats.released_items} "
             f"batches={stats.batches_submitted} "
             f"late={stats.late_observations} "
             f"shed={stats.shed_observations} "
@@ -274,21 +274,12 @@ def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
             f"duplicates_dropped={stats.duplicates_dropped} "
             f"quarantined={stats.quarantined_observations}"
         )
-        steps = stats.batches_submitted
-        if telemetry is not None:
-            registry = telemetry.registry
-            step_counter = registry.counter("stream_delivery_steps_total")
-            engaged = registry.counter("stream_backpressure_steps_total")
-            steps = step_counter.value or steps
-            duty = engaged.value / steps if steps else 0.0
-            lines.append(
-                f"backpressure: engaged_steps={engaged.value} "
-                f"steps={step_counter.value} duty_cycle={_fmt_rate(duty)}"
-            )
-        elif stats.backpressure_events:
-            lines.append(
-                f"backpressure_events={stats.backpressure_events}"
-            )
+        steps = stats.delivery_steps
+        duty = stats.backpressure_events / steps if steps else 0.0
+        lines.append(
+            f"backpressure: engaged_steps={stats.backpressure_events} "
+            f"steps={steps} duty_cycle={_fmt_rate(duty)}"
+        )
         admission = getattr(runtime, "admission", None)
         if admission is not None and hasattr(admission, "metrics_view"):
             view = admission.metrics_view()

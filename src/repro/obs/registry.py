@@ -26,28 +26,15 @@ constraints, in priority order:
 
 Label keys are free-form, but the canonical ones used by the built-in
 instrumentation are ``spec``, ``source``, ``shard`` and ``priority``.
-
-The :meth:`MetricsRegistry.publish_engine_stats` /
-:meth:`MetricsRegistry.engine_stats_view` pair is the compatibility
-shim between the registry and the legacy flat
-:class:`~repro.detect.engine.EngineStats` counters: every stats field
-mirrors into a ``engine_stats_<field>`` gauge (merge mode taken from
-:attr:`~repro.detect.engine.EngineStats.MERGE_RULES`, so registry
-roll-ups agree with :meth:`~repro.detect.engine.EngineStats.merge`),
-and the view reconstructs a fully typed ``EngineStats`` — derived
-properties included — from those gauges.  Existing tests and benchmark
-readers keep reading ``EngineStats`` unchanged; report code can read
-either surface.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.errors import ObserverError
-from repro.detect.engine import EngineStats
 
 __all__ = [
     "DEFAULT_TICK_BUCKETS",
@@ -67,8 +54,6 @@ bucket is implicit).  Fixed at creation: histograms never resize, so
 bucket counts merge exactly across shards and checkpoints."""
 
 _GAUGE_MODES = ("max", "sum", "last")
-
-ENGINE_STATS_PREFIX = "engine_stats_"
 
 
 def _label_set(labels: Mapping[str, object]) -> LabelSet:
@@ -360,7 +345,7 @@ class MetricsRegistry:
 
         Instrument objects are mutated, never replaced: instrumentation
         points cache their series handles (the tracer's residency
-        histograms, the runtime's step counters), and those handles must
+        histograms, the runtime's stream series), and those handles must
         stay live across a checkpoint restore.  Series that exist here
         but not in the snapshot reset to zero — that is exactly the
         value they implicitly held when the snapshot was taken.  A
@@ -459,46 +444,3 @@ class MetricsRegistry:
         for part in parts:
             total.merge(part)
         return total
-
-    # -- EngineStats compatibility shim --------------------------------
-
-    def publish_engine_stats(self, stats: EngineStats, **labels: object) -> None:
-        """Mirror a flat :class:`~repro.detect.engine.EngineStats` here.
-
-        Every dataclass field lands in an ``engine_stats_<field>`` gauge
-        whose merge mode follows
-        :attr:`~repro.detect.engine.EngineStats.MERGE_RULES`, so merging
-        per-shard registries and merging per-shard ``EngineStats`` agree
-        by construction.  ``evaluation_time_s`` is wall-clock-derived
-        and published volatile.
-        """
-        rules = EngineStats.MERGE_RULES
-        for spec in fields(EngineStats):
-            self.gauge(
-                ENGINE_STATS_PREFIX + spec.name,
-                mode="max" if rules.get(spec.name) == "max" else "sum",
-                volatile=spec.name == "evaluation_time_s",
-                **labels,
-            ).set(getattr(stats, spec.name))
-
-    def engine_stats_view(self, **labels: object) -> EngineStats:
-        """The typed :class:`~repro.detect.engine.EngineStats` view.
-
-        Reconstructs a stats object (derived properties included) from
-        the mirrored ``engine_stats_*`` gauges for one label set; fields
-        never published read as their dataclass defaults.
-        """
-        values = {}
-        key = _label_set(labels)
-        for spec in fields(EngineStats):
-            family = self._families.get(ENGINE_STATS_PREFIX + spec.name)
-            if family is None:
-                continue
-            instrument = family.series.get(key)
-            if instrument is None:
-                continue
-            value = instrument.value
-            values[spec.name] = (
-                float(value) if spec.name == "evaluation_time_s" else int(value)
-            )
-        return EngineStats(**values)

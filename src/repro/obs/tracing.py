@@ -384,6 +384,8 @@ class Telemetry:
         )
 
     def restore(self, snapshot: TelemetrySnapshot) -> None:
-        self.registry.restore(snapshot.registry)
+        # The tracer goes first: it is the part that refuses a snapshot
+        # (stride or ring mismatch), and it does so before it mutates.
         self.tracer.restore(snapshot.tracer)
+        self.registry.restore(snapshot.registry)
         self.now = snapshot.now

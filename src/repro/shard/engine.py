@@ -80,8 +80,8 @@ class ShardedEngineSnapshot:
     telemetry: tuple[RegistrySnapshot, ...] | None = None
     """Per-shard child-registry states, in shard-id order (the sharded
     level's own counters live in the *attached* parent registry, which
-    the owning runtime's checkpoint captures); ``None`` in
-    pre-observability checkpoints or when no telemetry is attached."""
+    the owning runtime's checkpoint captures); ``None`` when no
+    telemetry is attached."""
 
 
 class ShardedDetectionEngine:
@@ -422,16 +422,11 @@ class ShardedDetectionEngine:
         ``matches`` tallies (see :meth:`shard_stats`) include the
         halo duplicates and same-tick race losers the merger removed.
         """
-        shard = EngineStats.merge(engine.stats for engine in self._engines)
-        return EngineStats(
+        return replace(
+            EngineStats.merge(engine.stats for engine in self._engines),
             entities_submitted=self._own.entities_submitted,
             batches_submitted=self._own.batches_submitted,
-            bindings_evaluated=shard.bindings_evaluated,
-            candidates_pruned=shard.candidates_pruned,
             matches=self._own.matches,
-            evaluation_errors=shard.evaluation_errors,
-            cache_hits=shard.cache_hits,
-            cache_misses=shard.cache_misses,
             evaluation_time_s=self._own.evaluation_time_s,
         )
 

@@ -69,6 +69,7 @@ from repro.stream.resilience import (
 from repro.stream.runtime import (
     RuntimeCheckpoint,
     StreamingDetectionRuntime,
+    StreamStats,
     arrival_groups,
 )
 from repro.stream.source import (
@@ -88,6 +89,7 @@ __all__ = [
     "WatermarkTracker",
     "StreamingDetectionRuntime",
     "RuntimeCheckpoint",
+    "StreamStats",
     "arrival_groups",
     "StreamTap",
     "ObserverProfile",

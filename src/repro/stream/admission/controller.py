@@ -103,7 +103,6 @@ class Intake:
     """One delivery step's admission verdicts."""
 
     admitted: tuple[StreamItem, ...]
-    shed: tuple[StreamItem, ...]
     deferred: int
     """Items newly parked in the deferral queue this step."""
 
@@ -187,18 +186,17 @@ class AdmissionController:
 
         Previously deferred items are re-considered first (their
         sources' buckets have refilled by the step's arrival tick), so
-        the deferral queue drains FIFO as capacity appears.  Shed items
-        are returned, not just counted — the caller owns the stream
-        counters, this controller owns the per-class breakdown.
+        the deferral queue drains FIFO as capacity appears.  Items shed
+        on deferral overflow are counted here (:meth:`note_shed`), the
+        one shed count there is.
         """
         admitted: list[StreamItem] = []
-        shed: list[StreamItem] = []
         deferred_now = 0
         if self.limits.rate is None:
             admitted.extend(self._deferred)  # rate lifted: drain all
             self._deferred.clear()
             admitted.extend(items)
-            return Intake(tuple(admitted), (), 0)
+            return Intake(tuple(admitted), 0)
         if items and self._deferred:
             now = items[0].arrival_tick
             still: deque[StreamItem] = deque()
@@ -219,8 +217,7 @@ class AdmissionController:
                 deferred_now += 1
             else:
                 self.note_shed(item)
-                shed.append(item)
-        return Intake(tuple(admitted), tuple(shed), deferred_now)
+        return Intake(tuple(admitted), deferred_now)
 
     def flush_deferred(self) -> list[StreamItem]:
         """Hand back everything still deferred (end of stream).

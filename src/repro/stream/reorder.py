@@ -24,17 +24,33 @@ the eviction hooks (:meth:`ReorderBuffer.evict_oldest` /
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+from dataclasses import dataclass
 
 from repro.core.errors import ObserverError
 from repro.stream.source import StreamItem
 
-__all__ = ["ReorderBuffer", "DEFAULT_LATE_RETENTION"]
+__all__ = ["ReorderBuffer", "ReorderSnapshot", "DEFAULT_LATE_RETENTION"]
 
 DEFAULT_LATE_RETENTION = 256
 """Default cap on *retained* late items.  The exact count is always
 kept in :attr:`ReorderBuffer.late_count`; only the sample of concrete
 items in :attr:`ReorderBuffer.late` is bounded (newest retained)."""
+
+
+@dataclass(frozen=True)
+class ReorderSnapshot:
+    """Checkpoint of a :class:`ReorderBuffer`: the buffered items in
+    release order, the retained lates with their exact count (which may
+    exceed ``len(late)`` once the retention window has dropped old
+    ones), the release frontier, the end-of-stream frontier and the
+    occupancy high-water mark."""
+
+    pending: tuple[StreamItem, ...]
+    late: tuple[StreamItem, ...]
+    late_count: int
+    released_through: int | None
+    highest_offered: int | None
+    peak_occupancy: int
 
 
 class ReorderBuffer:
@@ -210,38 +226,34 @@ class ReorderBuffer:
         """Buffered items in event-time order (checkpoint view)."""
         return [item for _, _, item in sorted(self._heap)]
 
-    def restore(
-        self,
-        pending: Iterable[StreamItem],
-        late: Iterable[StreamItem],
-        released_through: int | None,
-        peak_occupancy: int = 0,
-        late_count: int | None = None,
-        highest_offered: int | None = None,
-    ) -> None:
+    # -- checkpoint / restore ------------------------------------------
+
+    def snapshot(self) -> ReorderSnapshot:
+        """Capture the buffered items, the lates and both frontiers."""
+        return ReorderSnapshot(
+            pending=tuple(self.pending()),
+            late=tuple(self.late),
+            late_count=self._late_count,
+            released_through=self._released_through,
+            highest_offered=self._highest_offered,
+            peak_occupancy=self.peak_occupancy,
+        )
+
+    def restore(self, snapshot: ReorderSnapshot) -> None:
         """Reload buffer state from a checkpoint (replaces everything).
 
-        ``pending`` must be in the order :meth:`pending` produced —
-        re-numbering the insertion counters from it preserves the
-        arrival-order tie-break across the round trip.  ``late_count``
-        defaults to the retained sample's length and ``highest_offered``
-        to the highest tick visible in the checkpoint (exact values come
-        from :class:`~repro.stream.runtime.RuntimeCheckpoint`).
+        Re-numbering the insertion counters from ``snapshot.pending``
+        (the order :meth:`pending` produced) preserves the arrival-order
+        tie-break across the round trip.
         """
         self._heap = [
             (item.order_key, position, item)
-            for position, item in enumerate(pending)
+            for position, item in enumerate(snapshot.pending)
         ]
         heapq.heapify(self._heap)
         self._counter = len(self._heap)
-        self.late = list(late)
-        self._late_count = late_count if late_count is not None else len(self.late)
-        self._released_through = released_through
-        if highest_offered is None:
-            candidates = [released_through]
-            candidates.extend(key[0] for key, _, _ in self._heap)
-            candidates.extend(item.event_tick for item in self.late)
-            known = [tick for tick in candidates if tick is not None]
-            highest_offered = max(known) if known else None
-        self._highest_offered = highest_offered
-        self.peak_occupancy = max(peak_occupancy, len(self._heap))
+        self.late = list(snapshot.late)
+        self._late_count = snapshot.late_count
+        self._released_through = snapshot.released_through
+        self._highest_offered = snapshot.highest_offered
+        self.peak_occupancy = snapshot.peak_occupancy

@@ -36,10 +36,11 @@ __all__ = ["RedeliveryDeduper", "DedupSnapshot"]
 @dataclass(frozen=True)
 class DedupSnapshot:
     """Checkpoint of the acceptance record (per-source high waters and
-    the accepted sequence numbers above them)."""
+    the accepted sequence numbers above them) and its exact count."""
 
     high_water: Mapping[str, int]
     in_flight: Mapping[str, tuple[int, ...]]
+    duplicates_dropped: int
 
 
 class RedeliveryDeduper:
@@ -49,10 +50,9 @@ class RedeliveryDeduper:
         self._high: dict[str, int] = {}
         self._seen: dict[str, set[int]] = {}
         self.duplicates_dropped = 0
-        """Lifetime redeliveries rejected, rolled-back history included
-        (the checkpoint-consistent count is
-        :attr:`~repro.detect.engine.EngineStats.duplicates_dropped`,
-        which the runtime maintains and restores with its stats)."""
+        """Redeliveries rejected so far.  Checkpointed with the
+        acceptance record, so a rollback also forgets the rejections of
+        the rolled-back steps."""
 
     def is_duplicate(self, item: StreamItem) -> bool:
         """Whether ``item`` was already accepted (no state change)."""
@@ -91,8 +91,7 @@ class RedeliveryDeduper:
     # -- checkpoint / restore ------------------------------------------
 
     def snapshot(self) -> DedupSnapshot:
-        """Capture the acceptance record (counters excluded — those
-        live in the runtime's stats and roll back with them)."""
+        """Capture the acceptance record and the rejection count."""
         return DedupSnapshot(
             high_water=dict(self._high),
             in_flight={
@@ -100,6 +99,7 @@ class RedeliveryDeduper:
                 for source, seen in self._seen.items()
                 if seen
             },
+            duplicates_dropped=self.duplicates_dropped,
         )
 
     def restore(self, snapshot: DedupSnapshot) -> None:
@@ -109,3 +109,4 @@ class RedeliveryDeduper:
             source: set(seqs)
             for source, seqs in snapshot.in_flight.items()
         }
+        self.duplicates_dropped = snapshot.duplicates_dropped

@@ -179,8 +179,7 @@ class SupervisedRuntime:
 
     After :meth:`run`, :attr:`recoveries`, :attr:`checkpoints_taken`
     and :attr:`backoff_delays` record the supervision history;
-    ``runtime.stats.recoveries`` carries the recovery count into the
-    engine-stats roll-up.
+    ``runtime.stats.recoveries`` reads the recovery count from here.
     """
 
     def __init__(
@@ -192,6 +191,7 @@ class SupervisedRuntime:
     ):
         self.host = host
         self.runtime = getattr(host, "runtime", host)
+        self.runtime.supervisor = self
         self.checkpoints = (
             checkpoints if checkpoints is not None else CheckpointPolicy()
         )
@@ -247,11 +247,6 @@ class SupervisedRuntime:
                 delay = self.backoff.delay(attempt)
                 self.backoff_delays.append(delay)
                 self._restore(checkpoint)
-                self.runtime.stats.recoveries = self.recoveries
-                self._publish("resilience_recoveries_total", self.recoveries)
-                self._publish(
-                    "resilience_backoff_ticks_total", sum(self.backoff_delays)
-                )
                 step = int(reconnect(delay))
         self._outputs.extend(self.host.finish())
         return list(self._outputs)
@@ -273,21 +268,26 @@ class SupervisedRuntime:
             state=self.host.snapshot(),
         )
         self.checkpoints_taken += 1
-        self._publish("resilience_checkpoints_total", self.checkpoints_taken)
+        self._publish()
         return checkpoint
 
-    def _publish(self, name: str, value: int) -> None:
-        """Mirror a supervision counter into the host's telemetry.
+    def _publish(self) -> None:
+        """Set the supervision gauges from the supervisor's own tallies.
 
-        Gauges set to the supervisor's own tally (mode ``"max"``), not
-        incremented: a crash-recovery rollback restores the registry to
-        the checkpointed values, and re-setting from the authoritative
-        counter keeps the published figure correct across rollbacks —
-        the same reason ``runtime.stats.recoveries`` is assigned, not
-        added.
+        Runs after every checkpoint and after every rollback: the host's
+        checkpoint captures the registry *before* the checkpoint is
+        counted, and a rollback reinstalls those captured values, so the
+        gauges are re-set from the authoritative attributes each time
+        instead of incremented.
         """
         telemetry = getattr(self.runtime, "telemetry", None)
-        if telemetry is not None:
+        if telemetry is None:
+            return
+        for name, value in (
+            ("resilience_checkpoints_total", self.checkpoints_taken),
+            ("resilience_recoveries_total", self.recoveries),
+            ("resilience_backoff_ticks_total", sum(self.backoff_delays)),
+        ):
             telemetry.registry.gauge(
                 name, "Supervision history (crash recovery)", mode="max"
             ).set(value)
@@ -304,3 +304,4 @@ class SupervisedRuntime:
         else:
             self.host.restore(checkpoint.state)
         del self._outputs[checkpoint.outputs :]
+        self._publish()

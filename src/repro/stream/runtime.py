@@ -14,10 +14,13 @@ never been disordered.  Observations beyond the lateness bound are
 counted and retained (:attr:`StreamingDetectionRuntime.late_items`),
 never silently dropped.
 
-The runtime also owns the stream-level checkpoint: a
-:class:`RuntimeCheckpoint` captures the engine snapshot *plus* the
-in-flight reorder buffer, watermark state and counters, so a stream can
-resume mid-flight with an identical remaining match stream.
+The runtime also owns the stream-level checkpoint.  The state-bearing
+parts it was built with sit in one ordered table
+(:attr:`StreamingDetectionRuntime.stages`: quarantine, dedup, admission,
+reorder, watermark, engine, telemetry — an absent part is simply not
+listed), and a :class:`RuntimeCheckpoint` is that table's
+``{name: snapshot}`` image plus the runtime's own counters, so a stream
+can resume mid-flight with an identical remaining match stream.
 
 Ingestion can be **bounded**: pass an
 :class:`~repro.stream.admission.AdmissionController` and every delivery
@@ -26,32 +29,24 @@ bounded deferral), an occupancy cap on the reorder buffer enforced by a
 pluggable shedding policy, and a
 :class:`~repro.stream.admission.Backpressure` signal handed to sources
 that expose ``throttle()``.  Every shed or deferred observation is
-counted (:attr:`~repro.detect.engine.EngineStats.shed_observations`,
-:attr:`~repro.detect.engine.EngineStats.deferred_observations`); with no
+counted (:attr:`StreamStats.shed_observations`,
+:attr:`StreamStats.deferred_observations`); with no
 limits configured the bounded runtime is behavior-identical to the
 unbounded one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ObserverError
-from repro.detect.engine import (
-    DetectionEngine,
-    EngineSnapshot,
-    EngineStats,
-    Match,
-)
-from repro.obs.tracing import Telemetry, TelemetrySnapshot
-from repro.shard.engine import ShardedDetectionEngine, ShardedEngineSnapshot
+from repro.detect.engine import DetectionEngine, Match
+from repro.obs.tracing import Telemetry
+from repro.shard.engine import ShardedDetectionEngine
 from repro.stream.admission.backpressure import Backpressure
-from repro.stream.admission.controller import (
-    AdmissionController,
-    AdmissionSnapshot,
-)
+from repro.stream.admission.controller import AdmissionController
 from repro.stream.reorder import DEFAULT_LATE_RETENTION, ReorderBuffer
 from repro.stream.source import ObservationSource, StreamItem
 from repro.stream.watermark import WatermarkTracker
@@ -59,6 +54,7 @@ from repro.stream.watermark import WatermarkTracker
 __all__ = [
     "StreamingDetectionRuntime",
     "RuntimeCheckpoint",
+    "StreamStats",
     "arrival_groups",
 ]
 
@@ -93,56 +89,110 @@ def arrival_groups(
         yield pending_tick, pending
 
 
-@dataclass(frozen=True)
-class RuntimeCheckpoint:
-    """Everything a mid-stream resume needs, engine included.
+def _exported(series: str, help_text: str, kind: str = "counter"):
+    """A :class:`StreamStats` field the runtime publishes as ``series``."""
+    return field(
+        default=0, metadata={"series": series, "help": help_text, "kind": kind}
+    )
 
-    ``engine`` is the engine-level snapshot
-    (:class:`~repro.detect.engine.EngineSnapshot` or
-    :class:`~repro.shard.engine.ShardedEngineSnapshot`, matching the
-    runtime's engine); the rest is the stream-level state: buffered
-    out-of-order items, recorded lates, the release frontier, per-source
-    watermark progress and the runtime counters.
+
+@dataclass
+class StreamStats:
+    """Stream-level counters of one :class:`StreamingDetectionRuntime`.
+
+    Every fact has exactly one writer.  The runtime counts what it does
+    itself — offers, releases, matches, delivery steps, deferrals,
+    backpressure steps, wall time.  What a part of the pipeline observes
+    stays with that part: :attr:`StreamingDetectionRuntime.stats` reads
+    ``late_observations`` and ``reorder_peak`` from the reorder buffer,
+    ``shed_observations`` from the admission controller,
+    ``duplicates_dropped`` from the deduper,
+    ``quarantined_observations`` from the quarantine and ``recoveries``
+    from the supervisor each time it is asked (zero where that part is
+    absent), so there is no second copy to keep in step.
     """
 
-    engine: EngineSnapshot | ShardedEngineSnapshot | None
-    pending: tuple[StreamItem, ...]
-    late: tuple[StreamItem, ...]
-    released_through: int | None
-    peak_occupancy: int
-    source_max_seen: Mapping[str, int | None]
-    closed_sources: frozenset[str]
-    released_items: int
-    stats: EngineStats
-    late_count: int | None = None
-    """Exact late count (may exceed ``len(late)`` once the retention
-    window has dropped old retained lates; ``None`` in pre-admission
-    checkpoints, where the retained sample *is* the count)."""
-    highest_offered: int | None = None
-    """Highest event tick ever offered — the end-of-stream release
-    frontier (``None`` in pre-admission checkpoints: restore infers it
-    from the visible items)."""
-    admission: AdmissionSnapshot | None = None
-    """Admission-controller state (deferred items, bucket levels, policy
-    state, shed counters); ``None`` when the runtime ran unbounded."""
-    lateness: int | None = None
+    delivery_steps: int = _exported(
+        "stream_delivery_steps_total", "Delivery steps ingested"
+    )
+    backpressure_events: int = _exported(
+        "stream_backpressure_steps_total",
+        "Delivery steps that ended with backpressure engaged",
+    )
+    entities_submitted: int = _exported(
+        "stream_observations_offered_total",
+        "Observations accepted by the reorder buffer",
+    )
+    released_items: int = _exported(
+        "stream_observations_released_total",
+        "Observations released to the engine in event-time order",
+    )
+    batches_submitted: int = _exported(
+        "stream_batches_released_total",
+        "Event-tick groups released to the engine",
+    )
+    matches: int = _exported(
+        "stream_matches_total", "Matches the engine returned"
+    )
+    late_observations: int = _exported(
+        "stream_observations_late_total",
+        "Observations that arrived beyond the lateness bound",
+    )
+    reorder_peak: int = _exported(
+        "stream_reorder_occupancy_peak",
+        "Reorder-buffer occupancy high-water mark",
+        kind="gauge",
+    )
+    shed_observations: int = _exported(
+        "stream_observations_shed_total",
+        "Observations rejected under load, at the occupancy cap or on "
+        "deferral-queue overflow",
+    )
+    deferred_observations: int = _exported(
+        "stream_observations_deferred_total",
+        "Observations parked to await token-bucket refill, each counted "
+        "once",
+    )
+    duplicates_dropped: int = _exported(
+        "stream_duplicates_dropped_total",
+        "Redelivered observations rejected by the dedup record",
+    )
+    quarantined_observations: int = _exported(
+        "stream_observations_quarantined_total",
+        "Corrupt deliveries dead-lettered by the quarantine",
+    )
+    recoveries: int = 0
+    """Supervised crash recoveries absorbed so far.  Not published
+    here: the supervisor exports its own tallies."""
+    evaluation_time_s: float = 0.0
+    """Wall-clock seconds spent inside ``ingest`` / ``close_source`` /
+    ``finish``, the engine's share included; never exported."""
+
+    @property
+    def observations_per_s(self) -> float:
+        """Sustained ingestion throughput (``0.0`` before any time was
+        measured)."""
+        if not self.evaluation_time_s:
+            return 0.0
+        return self.entities_submitted / self.evaluation_time_s
+
+
+@dataclass(frozen=True)
+class RuntimeCheckpoint:
+    """Everything a mid-stream resume needs, engine included."""
+
+    stages: Mapping[str, object]
+    """Each part's own snapshot, keyed like
+    :attr:`StreamingDetectionRuntime.stages`.  A checkpoint restores
+    only into a runtime built with the same set of parts."""
+    lateness: int
     """Lateness bound the checkpoint was taken under.  Restoring into a
     runtime with a different bound would silently change watermark
     semantics mid-stream, so :meth:`StreamingDetectionRuntime.restore`
-    rejects a mismatch (``None`` in pre-resilience checkpoints, which
-    restore without the check)."""
-    dedup: object | None = None
-    """Redelivery-dedup acceptance record
-    (:class:`~repro.stream.resilience.dedup.DedupSnapshot`); ``None``
-    when the runtime ran without a deduper."""
-    quarantine: object | None = None
-    """Dead-letter queue state
-    (:class:`~repro.stream.resilience.quarantine.QuarantineSnapshot`);
-    ``None`` when the runtime ran without a quarantine."""
-    telemetry: TelemetrySnapshot | None = None
-    """Metrics-registry values, in-flight and completed stage traces and
-    the telemetry step clock (:class:`~repro.obs.tracing.TelemetrySnapshot`);
-    ``None`` when the runtime ran without telemetry."""
+    rejects a mismatch."""
+    stats: StreamStats
+    """The counters the runtime itself writes (the stage-owned fields
+    are left at zero: those travel inside their stage's snapshot)."""
 
 
 class StreamingDetectionRuntime:
@@ -169,35 +219,33 @@ class StreamingDetectionRuntime:
             is behavior-identical to ``None``.
         quarantine: Optional
             :class:`~repro.stream.resilience.quarantine.Quarantine` (or
-            any object with ``admit(item) -> bool`` plus
+            any object with ``admit(item) -> bool``, a ``count`` and
             ``snapshot()``/``restore()``) screening every delivery for
             structural validity *before* anything else sees it —
             rejected items are dead-lettered and counted
             (``stats.quarantined_observations``), never offered.
         dedup: Optional
             :class:`~repro.stream.resilience.dedup.RedeliveryDeduper`
-            (same duck-typed protocol) dropping redelivered
+            (same duck-typed protocol, counting in
+            ``duplicates_dropped``) dropping redelivered
             ``(source, seq)`` identities after quarantine and before
             admission — at-least-once transports become effectively
             exactly-once, with every drop counted
             (``stats.duplicates_dropped``).
         telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
             bundle (metrics registry + stage tracer).  The runtime
-            mirrors its stream-level counters into the registry, stamps
-            sampled :class:`~repro.obs.tracing.StageTrace` spans in the
-            tick domain, and attaches the registry to the engine (via
+            sets the registry's stream series from its counters at every
+            step boundary, stamps sampled
+            :class:`~repro.obs.tracing.StageTrace` spans in the tick
+            domain, and attaches the registry to the engine (via
             ``attach_telemetry``, unless one is already attached).
             Telemetry only *reads* the pipeline — no randomness, no
             ordering effects — so every golden digest is reproduced
             byte-for-byte with it enabled; checkpoints carry its state.
 
-    The runtime's :attr:`stats` is an
-    :class:`~repro.detect.engine.EngineStats` over the *stream* level:
-    ``entities_submitted`` counts offered observations,
-    ``batches_submitted`` counts released tick groups,
-    ``late_observations`` / ``reorder_peak`` expose the disorder
-    absorbed, and ``observations_per_s`` is the sustained ingestion
-    throughput the streaming benchmarks report.
+    The runtime's :attr:`stats` is a :class:`StreamStats`; its
+    ``observations_per_s`` is the sustained ingestion throughput the
+    streaming benchmarks report.
     """
 
     def __init__(
@@ -227,42 +275,41 @@ class StreamingDetectionRuntime:
         )
         self.buffer = ReorderBuffer(late_retention=retention)
         self.tracker = WatermarkTracker(lateness)
-        self.stats = EngineStats()
-        self.released_items = 0
+        self.stages: dict[str, object] = {
+            name: part
+            for name, part in (
+                ("quarantine", quarantine),
+                ("dedup", dedup),
+                ("admission", admission),
+                ("reorder", self.buffer),
+                ("watermark", self.tracker),
+                ("engine", engine),
+                ("telemetry", telemetry),
+            )
+            if part is not None
+        }
+        """The state-bearing parts this runtime was built with, in
+        pipeline order — the only thing :meth:`snapshot` and
+        :meth:`restore` walk."""
+        self.supervisor = None
+        """The :class:`~repro.stream.resilience.supervisor.SupervisedRuntime`
+        driving this runtime, if any (it announces itself)."""
+        self._counts = StreamStats()
         self.last_backpressure: Backpressure | None = None
+        self._series: tuple = ()
         if telemetry is not None:
-            # Series handles are cached once; registry restore mutates
+            # Series handles are looked up once; registry restore mutates
             # instruments in place, so these stay live across restores.
             registry = telemetry.registry
-            self._m_steps = registry.counter(
-                "stream_delivery_steps_total", "Delivery steps ingested"
-            )
-            self._m_backpressure_steps = registry.counter(
-                "stream_backpressure_steps_total",
-                "Delivery steps that ended with backpressure engaged",
-            )
-            self._m_offered = registry.counter(
-                "stream_observations_offered_total",
-                "Observations accepted by the reorder buffer",
-            )
-            self._m_released = registry.counter(
-                "stream_observations_released_total",
-                "Observations released to the engine in event-time order",
-            )
-            self._m_watermark = registry.gauge(
-                "stream_watermark",
-                "Merged event-time watermark after the last step",
-                mode="last",
-            )
-            self._m_occupancy = registry.gauge(
-                "stream_reorder_occupancy",
-                "Reorder-buffer occupancy after the last step",
-                mode="last",
-            )
-            self._m_occupancy_peak = registry.gauge(
-                "stream_reorder_occupancy_peak",
-                "Reorder-buffer occupancy high-water mark",
-                mode="max",
+            self._series = tuple(
+                (
+                    spec.name,
+                    getattr(registry, spec.metadata["kind"])(
+                        spec.metadata["series"], spec.metadata["help"]
+                    ),
+                )
+                for spec in fields(StreamStats)
+                if spec.metadata
             )
             attach = getattr(engine, "attach_telemetry", None)
             if (
@@ -270,6 +317,62 @@ class StreamingDetectionRuntime:
                 and getattr(engine, "telemetry_registry", None) is None
             ):
                 attach(registry)
+
+    # -- counters ------------------------------------------------------
+
+    @property
+    def stats(self) -> StreamStats:
+        """A fresh reading of every stream-level counter, each taken
+        from its one owner (see :class:`StreamStats`)."""
+        # An absent part (``None``) has no such attribute: it reads zero.
+        return replace(
+            self._counts,
+            late_observations=self.buffer.late_count,
+            reorder_peak=self.buffer.peak_occupancy,
+            shed_observations=getattr(self.admission, "shed_total", 0),
+            duplicates_dropped=getattr(self.dedup, "duplicates_dropped", 0),
+            quarantined_observations=getattr(self.quarantine, "count", 0),
+            recoveries=getattr(self.supervisor, "recoveries", 0),
+        )
+
+    @property
+    def released_items(self) -> int:
+        """Observations released to the engine so far."""
+        return self._counts.released_items
+
+    def _end_step(self, watermark: int | None, *, delivery: bool = False) -> None:
+        """Refresh what a step boundary leaves behind.
+
+        ``ingest``, ``close_source``, ``finish`` and ``restore`` all end
+        here, so the backpressure signal and the exported series always
+        describe the buffer as it is now: a drained stream reads empty
+        and released, not as its last delivery step left it.  Only a
+        delivery step counts towards ``backpressure_events`` — the duty
+        cycle is a fraction of delivery steps.
+        """
+        if self.admission is not None:
+            signal = self.admission.backpressure(
+                self.buffer.occupancy, watermark
+            )
+            self.last_backpressure = signal
+            if delivery and signal.engaged:
+                self._counts.backpressure_events += 1
+        if self.telemetry is not None:
+            stats = self.stats
+            for name, instrument in self._series:
+                instrument.value = getattr(stats, name)
+            registry = self.telemetry.registry
+            registry.gauge(
+                "stream_reorder_occupancy",
+                "Reorder-buffer occupancy after the last step",
+                mode="last",
+            ).set(self.buffer.occupancy)
+            if watermark is not None:
+                registry.gauge(
+                    "stream_watermark",
+                    "Merged event-time watermark after the last step",
+                    mode="last",
+                ).set(watermark)
 
     # -- ingestion -----------------------------------------------------
 
@@ -292,8 +395,10 @@ class StreamingDetectionRuntime:
         """
         started = perf_counter()
         self.tracker.close(name)
-        matches = self._release(self.tracker.watermark())
-        self.stats.evaluation_time_s += perf_counter() - started
+        watermark = self.tracker.watermark()
+        matches = self._release(watermark)
+        self._end_step(watermark)
+        self._counts.evaluation_time_s += perf_counter() - started
         return matches
 
     def ingest(self, items: Sequence[StreamItem]) -> list[Match]:
@@ -317,15 +422,14 @@ class StreamingDetectionRuntime:
         """
         started = perf_counter()
         self.tracker.ensure_open({item.source for item in items})
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if items:
-                # The step clock is a monotone max: one observation of
-                # the batch maximum equals observing every arrival.
-                telemetry.observe_step(
-                    max(item.arrival_tick for item in items)
-                )
-            self._m_steps.inc()
+        counts = self._counts
+        counts.delivery_steps += 1
+        if self.telemetry is not None and items:
+            # The step clock is a monotone max: one observation of
+            # the batch maximum equals observing every arrival.
+            self.telemetry.observe_step(
+                max(item.arrival_tick for item in items)
+            )
         if self.quarantine is not None or self.dedup is not None:
             items = self._screen(items)
         if self.admission is None:
@@ -333,29 +437,13 @@ class StreamingDetectionRuntime:
                 self._offer(item)
         else:
             intake = self.admission.intake(items)
-            self.stats.shed_observations += len(intake.shed)
-            self.stats.deferred_observations += intake.deferred
+            counts.deferred_observations += intake.deferred
             for item in intake.admitted:
                 self._offer(item)
-        if self.buffer.peak_occupancy > self.stats.reorder_peak:
-            self.stats.reorder_peak = self.buffer.peak_occupancy
         watermark = self.tracker.watermark()
         matches = self._release(watermark)
-        if self.admission is not None:
-            signal = self.admission.backpressure(
-                self.buffer.occupancy, watermark
-            )
-            self.last_backpressure = signal
-            if signal.engaged:
-                self.stats.backpressure_events += 1
-                if telemetry is not None:
-                    self._m_backpressure_steps.inc()
-        if telemetry is not None:
-            if watermark is not None:
-                self._m_watermark.set(watermark)
-            self._m_occupancy.set(self.buffer.occupancy)
-            self._m_occupancy_peak.set(self.buffer.peak_occupancy)
-        self.stats.evaluation_time_s += perf_counter() - started
+        self._end_step(watermark, delivery=True)
+        counts.evaluation_time_s += perf_counter() - started
         return matches
 
     def _screen(self, items: Sequence[StreamItem]) -> list[StreamItem]:
@@ -365,21 +453,19 @@ class StreamingDetectionRuntime:
         seq)`` must never reach the dedup record, or it would shadow
         the intact retransmission arriving right behind it.  Neither
         gate may touch the watermark — a quarantined or redelivered
-        item promises nothing about event time.
+        item promises nothing about event time.  Each gate counts its
+        own rejections.
         """
         quarantine_admit = (
             self.quarantine.admit if self.quarantine is not None else None
         )
         dedup_admit = self.dedup.admit if self.dedup is not None else None
-        stats = self.stats
         kept: list[StreamItem] = []
         keep = kept.append
         for item in items:
             if quarantine_admit is not None and not quarantine_admit(item):
-                stats.quarantined_observations += 1
                 continue
             if dedup_admit is not None and not dedup_admit(item):
-                stats.duplicates_dropped += 1
                 continue
             keep(item)
         return kept
@@ -396,8 +482,8 @@ class StreamingDetectionRuntime:
         At the cap (bounded runtimes only, and never for late items —
         those land in the separately-bounded late list) the shedding
         policy names a buffered victim to evict, or sheds the incoming
-        item.  Either loser is counted in ``stats.shed_observations``
-        and the controller's per-class breakdown.
+        item.  Either loser is counted by the controller, per priority
+        class (:meth:`~repro.stream.admission.AdmissionController.note_shed`).
         """
         telemetry = self.telemetry
         trace = None
@@ -426,7 +512,6 @@ class StreamingDetectionRuntime:
                 victim = self.admission.make_room(item, self.buffer)
                 if victim is None:
                     self.admission.note_shed(item)
-                    self.stats.shed_observations += 1
                     if trace is not None:
                         telemetry.tracer.discard(trace, "shed")
                     return
@@ -436,7 +521,6 @@ class StreamingDetectionRuntime:
                         "the reorder buffer"
                     )
                 self.admission.note_shed(victim)
-                self.stats.shed_observations += 1
                 if telemetry is not None:
                     victim_trace = telemetry.tracer.lookup(
                         victim.source, victim.seq
@@ -444,13 +528,9 @@ class StreamingDetectionRuntime:
                     if victim_trace is not None:
                         telemetry.tracer.discard(victim_trace, "evicted")
         if self.buffer.offer(item):
-            self.stats.entities_submitted += 1
-            if telemetry is not None:
-                self._m_offered.inc()
-        else:
-            self.stats.late_observations += 1
-            if trace is not None:
-                telemetry.tracer.discard(trace, "late")
+            self._counts.entities_submitted += 1
+        elif trace is not None:
+            telemetry.tracer.discard(trace, "late")
 
     def run(self, source: ObservationSource | Iterable[StreamItem]) -> list[Match]:
         """Drain one source completely (arrival order), then flush.
@@ -497,11 +577,11 @@ class StreamingDetectionRuntime:
                 # its flushed stragglers are offered (and usually found
                 # late) without re-opening it.
                 self._offer(item)
-            if self.buffer.peak_occupancy > self.stats.reorder_peak:
-                self.stats.reorder_peak = self.buffer.peak_occupancy
         self.tracker.close_all()
         matches = self._flush(self.buffer.release_all())
-        self.stats.evaluation_time_s += perf_counter() - started
+        # Every source is closed now: there is no merged watermark left.
+        self._end_step(None)
+        self._counts.evaluation_time_s += perf_counter() - started
         return matches
 
     def _release(self, watermark: int | None) -> list[Match]:
@@ -515,6 +595,7 @@ class StreamingDetectionRuntime:
         """Submit released items to the engine, one batch per event tick."""
         telemetry = self.telemetry
         tracing = telemetry is not None and telemetry.tracer.enabled
+        counts = self._counts
         matches: list[Match] = []
         start = 0
         while start < len(released):
@@ -524,10 +605,8 @@ class StreamingDetectionRuntime:
                 end += 1
             group = released[start:end]
             start = end
-            self.released_items += len(group)
-            self.stats.batches_submitted += 1
-            if telemetry is not None:
-                self._m_released.inc(len(group))
+            counts.released_items += len(group)
+            counts.batches_submitted += 1
             if tracing:
                 self._trace_release(telemetry, group)
             if self.on_release is not None:
@@ -537,7 +616,7 @@ class StreamingDetectionRuntime:
             batch_matches = self.engine.submit_batch(
                 [item.entity for item in group], tick
             )
-            self.stats.matches += len(batch_matches)
+            counts.matches += len(batch_matches)
             if self.on_match is not None:
                 for match in batch_matches:
                     self.on_match(match)
@@ -571,110 +650,55 @@ class StreamingDetectionRuntime:
 
     def snapshot(self) -> RuntimeCheckpoint:
         """Capture stream + engine state between delivery steps."""
-        max_seen, closed = self.tracker.snapshot()
         return RuntimeCheckpoint(
-            engine=self.engine.snapshot() if self.engine is not None else None,
-            pending=tuple(self.buffer.pending()),
-            late=tuple(self.buffer.late),
-            released_through=self.buffer.released_through,
-            peak_occupancy=self.buffer.peak_occupancy,
-            source_max_seen=max_seen,
-            closed_sources=closed,
-            released_items=self.released_items,
-            stats=replace(self.stats),
-            late_count=self.buffer.late_count,
-            highest_offered=self.buffer.highest_offered,
-            admission=(
-                self.admission.snapshot()
-                if self.admission is not None
-                else None
-            ),
+            stages={
+                name: part.snapshot() for name, part in self.stages.items()
+            },
             lateness=self.lateness,
-            dedup=(
-                self.dedup.snapshot() if self.dedup is not None else None
-            ),
-            quarantine=(
-                self.quarantine.snapshot()
-                if self.quarantine is not None
-                else None
-            ),
-            telemetry=(
-                self.telemetry.snapshot()
-                if self.telemetry is not None
-                else None
-            ),
+            stats=replace(self._counts),
         )
 
     def restore(self, checkpoint: RuntimeCheckpoint) -> None:
-        """Resume from a checkpoint (engine must match its snapshot's
-        configuration — same specs, same shard count).
+        """Resume from a checkpoint taken on an equivalently built
+        runtime (same parts, same lateness; every part checks its own
+        configuration — same specs, same shard count, same trace stride).
 
         After restore, feeding the delivery steps the checkpointed
         runtime had not yet seen produces the identical remaining match
-        stream.
+        stream.  A rejected checkpoint raises
+        :class:`~repro.core.errors.ObserverError` and leaves the runtime
+        exactly as it was.
         """
-        if (checkpoint.engine is None) != (self.engine is None):
+        if checkpoint.stages.keys() != self.stages.keys():
+            differing = sorted(checkpoint.stages.keys() ^ self.stages.keys())
             raise ObserverError(
-                "checkpoint and runtime disagree about having an engine"
+                f"checkpoint and runtime disagree about having "
+                f"{differing}: a checkpoint restores only into a runtime "
+                f"built with the same parts"
             )
-        if (checkpoint.admission is None) != (self.admission is None):
-            raise ObserverError(
-                "checkpoint and runtime disagree about having an "
-                "admission controller"
-            )
-        if (checkpoint.dedup is None) != (self.dedup is None):
-            raise ObserverError(
-                "checkpoint and runtime disagree about having a "
-                "redelivery deduper"
-            )
-        if (checkpoint.quarantine is None) != (self.quarantine is None):
-            raise ObserverError(
-                "checkpoint and runtime disagree about having a quarantine"
-            )
-        if (checkpoint.telemetry is None) != (self.telemetry is None):
-            raise ObserverError(
-                "checkpoint and runtime disagree about having telemetry"
-            )
-        if (
-            checkpoint.lateness is not None
-            and checkpoint.lateness != self.lateness
-        ):
+        if checkpoint.lateness != self.lateness:
             raise ObserverError(
                 f"checkpoint was taken under lateness "
                 f"{checkpoint.lateness} but this runtime uses "
                 f"{self.lateness}; restoring would change watermark "
                 f"semantics mid-stream"
             )
-        if self.engine is not None:
-            self.engine.restore(checkpoint.engine)
-        if self.admission is not None:
-            self.admission.restore(checkpoint.admission)
-        if self.dedup is not None:
-            self.dedup.restore(checkpoint.dedup)
-        if self.quarantine is not None:
-            self.quarantine.restore(checkpoint.quarantine)
-        if self.telemetry is not None:
-            self.telemetry.restore(checkpoint.telemetry)
-        self.buffer.restore(
-            checkpoint.pending,
-            checkpoint.late,
-            checkpoint.released_through,
-            checkpoint.peak_occupancy,
-            late_count=checkpoint.late_count,
-            highest_offered=checkpoint.highest_offered,
-        )
-        self.tracker.restore(
-            dict(checkpoint.source_max_seen), checkpoint.closed_sources
-        )
-        self.released_items = checkpoint.released_items
-        self.stats = replace(checkpoint.stats)
-        if self.admission is not None:
-            # Recompute the signal from the restored occupancy and
-            # deferral state: a paced source resuming from a checkpoint
-            # taken under pressure must see that pressure immediately,
-            # not run unthrottled for its first post-restore step.
-            self.last_backpressure = self.admission.backpressure(
-                self.buffer.occupancy, self.tracker.watermark()
-            )
-        else:
-            self.last_backpressure = None
+        undo = self.snapshot()
+        try:
+            self._install(checkpoint)
+        except Exception:
+            # A part can refuse its snapshot after earlier parts took
+            # theirs (trace stride, bucket state without a rate limit,
+            # engine specs): put everything back before re-raising.
+            self._install(undo)
+            raise
+        # Recompute the backpressure signal from the restored occupancy
+        # and deferral state: a paced source resuming from a checkpoint
+        # taken under pressure must see that pressure immediately, not
+        # run unthrottled for its first post-restore step.
+        self._end_step(self.tracker.watermark())
+
+    def _install(self, checkpoint: RuntimeCheckpoint) -> None:
+        for name, part in self.stages.items():
+            part.restore(checkpoint.stages[name])
+        self._counts = replace(checkpoint.stats)

@@ -121,27 +121,14 @@ class WatermarkTracker:
             return None
         return min(lows)
 
-    def metrics_view(self) -> dict[str, object]:
-        """Tracker state as a flat metric mapping (read-only).
-
-        The observability layer's sampling surface: merged watermark,
-        per-source progress and the closed set, in registration order —
-        reading never advances or closes anything.
-        """
-        return {
-            "watermark": self.watermark(),
-            "sources": len(self._max_seen),
-            "closed": len(self._closed),
-            "max_seen": dict(self._max_seen),
-        }
-
     def snapshot(self) -> tuple[dict[str, int | None], frozenset[str]]:
         """Checkpoint view: ``(max_seen per source, closed set)``."""
         return dict(self._max_seen), frozenset(self._closed)
 
     def restore(
-        self, max_seen: dict[str, int | None], closed: frozenset[str]
+        self, snapshot: tuple[dict[str, int | None], frozenset[str]]
     ) -> None:
-        """Reload tracker state from a checkpoint (replaces everything)."""
+        """Reload what :meth:`snapshot` returned (replaces everything)."""
+        max_seen, closed = snapshot
         self._max_seen = dict(max_seen)
         self._closed = set(closed)

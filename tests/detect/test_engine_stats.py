@@ -1,10 +1,9 @@
-"""EngineStats hardening: derived-ratio guards and merge completeness.
+"""EngineStats hardening: derived-ratio guards and the field-wise merge.
 
-Satellites of the observability PR: ``observations_per_s`` (and every
-other derived ratio) must read 0.0 instead of dividing by a zero or
-``None`` denominator, and ``EngineStats.merge`` must have an explicit
-roll-up rule for **every** dataclass field so a newly added counter can
-never silently vanish from multi-shard aggregation.
+``observations_per_s`` (and every other derived ratio) must read 0.0
+instead of dividing by a zero or ``None`` denominator, and
+``EngineStats.merge`` sums **every** dataclass field, so a newly added
+counter can never silently vanish from multi-shard aggregation.
 """
 
 from __future__ import annotations
@@ -49,31 +48,31 @@ class TestDerivedRatioGuards:
         assert stats.cache_hit_rate == 0.75
 
 
-class TestMergeCompleteness:
-    def test_every_field_has_a_merge_rule(self):
-        """Adding an EngineStats field without a MERGE_RULES entry must
-        fail here, not silently drop the field from shard roll-ups."""
-        field_names = {spec.name for spec in fields(EngineStats)}
-        assert set(EngineStats.MERGE_RULES) == field_names
-
-    def test_rules_are_known_kinds(self):
-        assert set(EngineStats.MERGE_RULES.values()) <= {"sum", "max"}
+class TestMerge:
+    def test_only_engine_facts_remain(self):
+        """Stream-level facts live in ``repro.stream.StreamStats``; every
+        field left here is a flow an engine sets, so merge is a sum."""
+        assert [spec.name for spec in fields(EngineStats)] == [
+            "entities_submitted",
+            "batches_submitted",
+            "bindings_evaluated",
+            "candidates_pruned",
+            "matches",
+            "evaluation_errors",
+            "cache_hits",
+            "cache_misses",
+            "evaluation_time_s",
+        ]
 
     @pytest.mark.parametrize("name", [spec.name for spec in fields(EngineStats)])
-    def test_merge_actually_applies_each_field(self, name):
-        rule = EngineStats.MERGE_RULES[name]
+    def test_merge_sums_each_field(self, name):
         base_value = 2.0 if name == "evaluation_time_s" else 2
         other_value = 5.0 if name == "evaluation_time_s" else 5
         a = replace(EngineStats(), **{name: base_value})
         b = replace(EngineStats(), **{name: other_value})
         total = EngineStats.merge([a, b])
-        expected = (
-            max(base_value, other_value)
-            if rule == "max"
-            else base_value + other_value
-        )
-        assert getattr(total, name) == expected
+        assert getattr(total, name) == base_value + other_value
 
     def test_merge_of_defaults_is_identity(self):
-        stats = EngineStats(matches=3, reorder_peak=4)
+        stats = EngineStats(matches=3, cache_hits=4)
         assert EngineStats.merge([stats, EngineStats()]) == stats

@@ -1,0 +1,107 @@
+"""Tier-1 guard for the surface the performance ledger patches and reads.
+
+``benchmarks/ledger`` lives outside ``testpaths`` and is frozen by
+``BENCHMARK.json``: it wraps 31 public methods *by name on their
+defining class* (``SpanRecorder.patch`` reads ``cls.__dict__``, so a
+renamed **or merely inherited** method is a ``KeyError``) and its
+correctness gate reads a fixed set of attributes off a finished replay.
+Without this file, a refactor that moves one of them would first fail
+inside the benchmark run.  The tests below run the ledger's own code —
+``install_spans`` and ``gate_replay`` — against the current ``src/``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.stream import (
+    CheckpointPolicy,
+    FaultPlan,
+    FaultySource,
+    JitteredSource,
+    Quarantine,
+    RedeliveryDeduper,
+    ReplayObserver,
+    SupervisedRuntime,
+    arrival_groups,
+    profile_of,
+)
+
+from tests.integration.test_stream_conformance import _observer, _run
+
+LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger"
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    """The ledger's modules, imported the way ``run.py`` finds them."""
+    monkeypatch.syspath_prepend(str(LEDGER))
+    import harness
+    import run
+    from spans import SpanRecorder
+
+    return harness, run, SpanRecorder
+
+
+def test_every_span_names_a_method_its_class_defines(ledger):
+    _, run, SpanRecorder = ledger
+    recorder = SpanRecorder()
+    try:
+        run.install_spans(recorder)
+    finally:
+        recorder.unpatch()
+
+
+def test_gate_reads_a_finished_supervised_replay(ledger):
+    harness, _, _ = ledger
+    scenario, taps = _run("jittery_corridor")
+    tap = max(taps.values(), key=lambda t: t.observation_count)
+    observer = _observer(scenario.system, tap.name)
+    source = JitteredSource(tap, max_delay=harness.LATENESS, seed=0)
+    feed = harness.Feed(
+        name=tap.name,
+        profile=profile_of(observer),
+        source=source,
+        steps=[group for _, group in arrival_groups(source)],
+        observations=tap.observation_count,
+        reference=[instance.key for instance in observer.emitted],
+    )
+    plan = FaultPlan.seeded(
+        0, len(feed.steps), crashes=2, duplicate_bursts=2, corruptions=2
+    )
+    supervisor = SupervisedRuntime(
+        ReplayObserver(
+            feed.profile,
+            lateness=harness.LATENESS,
+            quarantine=Quarantine(),
+            dedup=RedeliveryDeduper(),
+        ),
+        checkpoints=CheckpointPolicy(
+            every_steps=harness.CHECKPOINT_EVERY_STEPS
+        ),
+    )
+    supervisor.run(FaultySource(feed.source, plan, redelivery_overlap=1))
+
+    result = harness.PassResult(
+        wall_s=0.0,
+        raw_wall_s=0.0,
+        cpu_s=0.0,
+        observations=feed.observations,
+        step_us=[],
+    )
+    harness.gate_replay(feed, supervisor.host, result, lossless=True)
+    assert result.failed == 0, result.problems
+    assert result.recall == 1.0
+    # What the faulted workload reads off the supervisor itself.
+    assert supervisor.recoveries == len(plan.crashes)
+    assert supervisor.checkpoints_taken > supervisor.recoveries
+    # The counters the gate collected are the runtime's own.
+    stats = supervisor.host.runtime.stats
+    assert result.counts["reorder_peak"] == stats.reorder_peak
+    assert result.counts["duplicates_dropped"] == stats.duplicates_dropped > 0
+    assert (
+        result.counts["quarantined"] == stats.quarantined_observations > 0
+    )
+    assert result.counts["entities"] == stats.released_items

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ObserverError
-from repro.detect.engine import EngineStats
 from repro.obs.registry import (
     DEFAULT_TICK_BUCKETS,
     Histogram,
@@ -208,36 +207,6 @@ class TestMerge:
         assert b.counter("flow_total").value == 2
 
 
-class TestEngineStatsShim:
-    def test_publish_then_view_round_trips(self):
-        registry = MetricsRegistry()
-        stats = EngineStats(
-            entities_submitted=10,
-            matches=3,
-            reorder_peak=7,
-            evaluation_time_s=0.25,
-        )
-        registry.publish_engine_stats(stats, shard="0")
-        view = registry.engine_stats_view(shard="0")
-        assert view == stats
-        assert view.cache_hit_rate == stats.cache_hit_rate
-
-    def test_registry_roll_up_agrees_with_stats_merge(self):
-        # The shim's whole point: merging mirrored registries and
-        # merging the flat dataclasses are the same operation.
-        a_stats = EngineStats(matches=2, reorder_peak=9, cache_hits=4)
-        b_stats = EngineStats(matches=5, reorder_peak=3, cache_misses=1)
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.publish_engine_stats(a_stats)
-        b.publish_engine_stats(b_stats)
-        a.merge(b)
-        assert a.engine_stats_view() == EngineStats.merge([a_stats, b_stats])
-
-    def test_unpublished_fields_read_as_defaults(self):
-        registry = MetricsRegistry()
-        view = registry.engine_stats_view()
-        assert view == EngineStats()
-
+class TestDefaults:
     def test_default_buckets_strictly_increasing(self):
         assert list(DEFAULT_TICK_BUCKETS) == sorted(set(DEFAULT_TICK_BUCKETS))

@@ -1,7 +1,5 @@
 """Unit tests for engine snapshot/restore and runtime checkpoints."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.composite import all_of
@@ -19,8 +17,12 @@ from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine
+from repro.obs.export import to_prometheus
+from repro.obs.tracing import Telemetry
 from repro.shard.engine import ShardedDetectionEngine
 from repro.stream import (
+    AdmissionController,
+    AdmissionLimits,
     JitteredSource,
     Quarantine,
     RedeliveryDeduper,
@@ -263,7 +265,7 @@ class TestRuntimeCheckpoint:
         assert resumed.released_items == first.released_items
         # Rewinding the continued runtime also resets the counter.
         first.restore(checkpoint)
-        assert first.released_items == checkpoint.released_items
+        assert first.released_items == checkpoint.stats.released_items
 
     def test_checkpoint_preserves_buffered_disorder(self):
         runtime = StreamingDetectionRuntime(None, lateness=10)
@@ -283,44 +285,135 @@ class TestRuntimeCheckpoint:
         resumed.finish()
         assert released == list(range(12))
 
-    def test_engine_presence_must_match(self):
-        with_engine = StreamingDetectionRuntime(
-            DetectionEngine([hot_spec()]), lateness=1
-        )
-        engineless = StreamingDetectionRuntime(None, lateness=1)
-        with pytest.raises(ObserverError, match="engine"):
-            engineless.restore(with_engine.snapshot())
 
-    def test_lateness_mismatch_rejected(self):
-        checkpoint = StreamingDetectionRuntime(None, lateness=5).snapshot()
-        other = StreamingDetectionRuntime(None, lateness=6)
-        with pytest.raises(ObserverError, match="lateness"):
-            other.restore(checkpoint)
+def _half_run(steps, *, lateness=4, engine=None, **parts):
+    """A runtime built with ``parts`` that has ingested ``steps`` steps."""
+    runtime = StreamingDetectionRuntime(engine, lateness=lateness, **parts)
+    runtime.register_source("t")
+    groups = list(arrival_groups(ReplaySource(stream(12), name="t")))
+    for _, group in groups[:steps]:
+        runtime.ingest(group)
+    return runtime
 
-    def test_pre_resilience_checkpoint_skips_the_lateness_check(self):
-        # Checkpoints from before the bound was recorded carry
-        # lateness=None; they must keep restoring (no check possible).
-        runtime = StreamingDetectionRuntime(None, lateness=5)
-        runtime.register_source("t")
-        runtime.ingest(list(ReplaySource(stream(6), name="t"))[:3])
-        legacy = replace(runtime.snapshot(), lateness=None)
-        other = StreamingDetectionRuntime(None, lateness=9)
-        other.restore(legacy)
-        assert other.released_items == runtime.released_items
 
-    def test_resilience_gate_presence_must_match(self):
-        plain = StreamingDetectionRuntime(None, lateness=4)
-        deduped = StreamingDetectionRuntime(
-            None, lateness=4, dedup=RedeliveryDeduper()
+def _sharded(shards):
+    return ShardedDetectionEngine([hot_spec()], bounds=BOUNDS, shards=shards)
+
+
+_PARTS = {
+    "quarantine": Quarantine,
+    "dedup": RedeliveryDeduper,
+    "admission": AdmissionController,
+    "telemetry": lambda: Telemetry.create(trace_every=1),
+    "engine": lambda: DetectionEngine([hot_spec()]),
+}
+
+# (how the checkpointed runtime was built, how the restoring one was,
+# what the ObserverError names).  Builders are called per test: parts
+# are stateful.  The late refusals carry a dedup record too, so a part
+# ahead of the refusing one has already taken its snapshot by then.
+_REFUSALS = [
+    *(
+        pytest.param(lambda: {}, lambda f=f, n=n: {n: f()}, n, id=f"missing-{n}")
+        for n, f in _PARTS.items()
+    ),
+    *(
+        pytest.param(lambda f=f, n=n: {n: f()}, lambda: {}, n, id=f"extra-{n}")
+        for n, f in _PARTS.items()
+    ),
+    pytest.param(
+        lambda: {"lateness": 5}, lambda: {"lateness": 6}, "lateness",
+        id="lateness",
+    ),
+    pytest.param(
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "telemetry": Telemetry.create(trace_every=4),
+        },
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "telemetry": Telemetry.create(trace_every=1),
+        },
+        "trace_every",
+        id="trace-stride",
+    ),
+    pytest.param(
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "telemetry": Telemetry.create(trace_every=1, ring=8),
+        },
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "telemetry": Telemetry.create(trace_every=1, ring=16),
+        },
+        "ring",
+        id="trace-ring",
+    ),
+    pytest.param(
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "admission": AdmissionController(
+                AdmissionLimits(rate=1.0, burst=1)
+            ),
+            "engine": DetectionEngine([hot_spec()]),
+        },
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "admission": AdmissionController(),
+            "engine": DetectionEngine([hot_spec()]),
+        },
+        "rate limit",
+        id="buckets-without-rate",
+    ),
+    pytest.param(
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "engine": DetectionEngine([hot_spec()]),
+        },
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "engine": DetectionEngine([pair_spec()]),
+        },
+        "watches",
+        id="engine-specs",
+    ),
+    pytest.param(
+        lambda: {"dedup": RedeliveryDeduper(), "engine": _sharded(4)},
+        lambda: {"dedup": RedeliveryDeduper(), "engine": _sharded(2)},
+        "shards",
+        id="shard-count",
+    ),
+]
+
+
+class TestRejectedRestoreChangesNothing:
+    """One case per way a checkpoint can be refused: each raises a typed
+    error and leaves the restoring runtime exactly as it was."""
+
+    @pytest.mark.parametrize("checkpointed, restoring, names", _REFUSALS)
+    def test_typed_error_and_unchanged_state(
+        self, checkpointed, restoring, names
+    ):
+        checkpoint = _half_run(6, **checkpointed()).snapshot()
+        runtime = _half_run(3, **restoring())
+        before = runtime.snapshot()
+        with pytest.raises(ObserverError, match=names):
+            runtime.restore(checkpoint)
+        assert runtime.snapshot() == before
+        # Still usable: the stream continues from where it stood.
+        runtime.ingest(
+            list(arrival_groups(ReplaySource(stream(12), name="t")))[3][1]
         )
-        quarantined = StreamingDetectionRuntime(
-            None, lateness=4, quarantine=Quarantine()
+
+    def test_refused_restore_keeps_the_exported_series(self):
+        telemetry = Telemetry.create(trace_every=1)
+        runtime = _half_run(3, dedup=RedeliveryDeduper(), telemetry=telemetry)
+        exported = to_prometheus(telemetry.registry)
+        sparse = _half_run(
+            6,
+            dedup=RedeliveryDeduper(),
+            telemetry=Telemetry.create(trace_every=4),
         )
-        with pytest.raises(ObserverError, match="deduper"):
-            plain.restore(deduped.snapshot())
-        with pytest.raises(ObserverError, match="deduper"):
-            deduped.restore(plain.snapshot())
-        with pytest.raises(ObserverError, match="quarantine"):
-            plain.restore(quarantined.snapshot())
-        with pytest.raises(ObserverError, match="quarantine"):
-            quarantined.restore(plain.snapshot())
+        with pytest.raises(ObserverError, match="trace_every"):
+            runtime.restore(sparse.snapshot())
+        assert to_prometheus(telemetry.registry) == exported

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.errors import ObserverError
+from repro.obs.export import parse_prometheus, to_prometheus
+from repro.obs.tracing import Telemetry
 from repro.stream import (
+    AdmissionController,
+    AdmissionLimits,
     BackoffPolicy,
     CheckpointPolicy,
     CorruptObservation,
@@ -53,14 +57,13 @@ class RecordingHost:
     """Minimal supervised host: an engineless runtime plus an output log
     that genuinely rolls back (the exactly-once contract under test)."""
 
-    def __init__(self, lateness=4, dedup=None, quarantine=None):
+    def __init__(self, lateness=4, **parts):
         self.records = []
         self.runtime = StreamingDetectionRuntime(
             None,
             lateness=lateness,
             on_release=lambda tick, group: self.records.extend(keys(group)),
-            dedup=dedup,
-            quarantine=quarantine,
+            **parts,
         )
 
     def ingest(self, items):
@@ -516,3 +519,80 @@ class TestSupervisedRuntime:
             FaultySource(items, FaultPlan(crashes=((5, 1),)), name="s")
         )
         assert outputs == unfaulted_records(items)
+
+    def test_exported_supervision_gauges_survive_a_late_recovery(self):
+        # Regression: the checkpoint captured the registry before the
+        # checkpoint was counted, so a recovery after the last
+        # checkpoint rolled the exported gauge back one short.
+        host = RecordingHost(
+            dedup=RedeliveryDeduper(), telemetry=Telemetry.create()
+        )
+        supervisor = SupervisedRuntime(
+            host, checkpoints=CheckpointPolicy(every_steps=4)
+        )
+        supervisor.run(
+            FaultySource(
+                stream(11, per_step=1),
+                FaultPlan(crashes=((10, 0),)),
+                name="s",
+            )
+        )
+        registry = host.runtime.telemetry.registry
+        assert supervisor.checkpoints_taken == 3
+        assert (
+            registry.gauge("resilience_checkpoints_total").value
+            == supervisor.checkpoints_taken
+        )
+        assert (
+            registry.gauge("resilience_recoveries_total").value
+            == supervisor.recoveries
+            == 1
+        )
+        assert registry.gauge(
+            "resilience_backoff_ticks_total"
+        ).value == sum(supervisor.backoff_delays)
+
+    def test_export_carries_every_loss_counter(self):
+        """A faulted, overloaded replay's Prometheus export reads the
+        same late / shed / duplicate / quarantined counts as
+        ``runtime.stats`` — the registry is set from the counters'
+        owners, not incremented beside them."""
+        items = stream(30, per_step=2)
+        # Stragglers far behind the released frontier: counted late.
+        items += [
+            item(30 + n, tick=0, arrival=items[-1].arrival_tick + 1 + n)
+            for n in range(3)
+        ]
+        host = RecordingHost(
+            dedup=RedeliveryDeduper(),
+            quarantine=Quarantine(),
+            admission=AdmissionController(AdmissionLimits(max_pending=3)),
+            telemetry=Telemetry.create(trace_every=1),
+        )
+        SupervisedRuntime(
+            host, checkpoints=CheckpointPolicy(every_steps=3)
+        ).run(FaultySource(items, PLAN, name="s"))
+        stats = host.runtime.stats
+        exported = parse_prometheus(
+            to_prometheus(host.runtime.telemetry.registry)
+        )
+        for series, value in (
+            ("stream_observations_late_total", stats.late_observations),
+            ("stream_observations_shed_total", stats.shed_observations),
+            ("stream_duplicates_dropped_total", stats.duplicates_dropped),
+            (
+                "stream_observations_quarantined_total",
+                stats.quarantined_observations,
+            ),
+            ("stream_observations_released_total", stats.released_items),
+            ("resilience_recoveries_total", stats.recoveries),
+        ):
+            assert value > 0, series
+            assert exported[(series, ())] == value, series
+        # Conservation, read off the export alone.
+        assert (
+            exported[("stream_observations_released_total", ())]
+            + exported[("stream_observations_late_total", ())]
+            + exported[("stream_observations_shed_total", ())]
+            == len(items)
+        )

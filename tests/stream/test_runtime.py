@@ -17,7 +17,10 @@ from repro.core.space_model import PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine
+from repro.obs.tracing import Telemetry
 from repro.stream import (
+    AdmissionController,
+    AdmissionLimits,
     JitteredSource,
     ReplaySource,
     StreamingDetectionRuntime,
@@ -189,6 +192,53 @@ class TestRuntimeLateness:
         assert stats.observations_per_s > 0
         assert stats.batches_submitted > 0
         assert stats.matches == 30
+
+
+class TestStepBoundaryRefresh:
+    """Regression: ``finish()`` and ``close_source()`` released items
+    without refreshing the exported occupancy gauge or the backpressure
+    signal, so a drained stream still read full and under pressure."""
+
+    def occupancy_gauge(self, runtime):
+        return runtime.telemetry.registry.gauge(
+            "stream_reorder_occupancy", mode="last"
+        ).value
+
+    def test_finish_leaves_an_empty_released_reading(self):
+        runtime = StreamingDetectionRuntime(
+            lateness=30,  # wide bound: nothing releases before finish()
+            admission=AdmissionController(AdmissionLimits(max_pending=4)),
+            telemetry=Telemetry.create(),
+        )
+        runtime.register_source("t")
+        for item in ReplaySource(batches(4), name="t"):
+            runtime.ingest([item])
+        assert self.occupancy_gauge(runtime) == 4
+        assert runtime.last_backpressure.engaged
+        runtime.finish()
+        assert runtime.buffer.occupancy == 0
+        assert self.occupancy_gauge(runtime) == 0
+        assert not runtime.last_backpressure.engaged
+        # finish() is not a delivery step: the duty cycle's numerator
+        # and denominator both stay where the four steps left them.
+        assert runtime.stats.delivery_steps == 4
+        assert runtime.stats.backpressure_events == 2
+
+    def test_close_source_refreshes_the_gauges(self):
+        runtime = StreamingDetectionRuntime(
+            lateness=0, telemetry=Telemetry.create()
+        )
+        runtime.register_source("live")
+        runtime.register_source("silent")  # pins the watermark
+        runtime.ingest(list(ReplaySource(batches(1), name="live")))
+        assert self.occupancy_gauge(runtime) == 1
+        runtime.close_source("silent")
+        assert runtime.buffer.occupancy == 0
+        assert self.occupancy_gauge(runtime) == 0
+        released = runtime.telemetry.registry.counter(
+            "stream_observations_released_total"
+        )
+        assert released.value == runtime.released_items == 1
 
 
 class TestAtomicIngest:

@@ -96,7 +96,7 @@ class TestReorderBuffer:
         buffer.offer(item(5, 0, source="a"))
         buffer.offer(item(5, 0, source="b"))
         clone = ReorderBuffer()
-        clone.restore(buffer.pending(), [], None)
+        clone.restore(buffer.snapshot())
         clone.offer(item(5, 0, source="c"))
         assert [i.source for i in clone.release_all()] == ["a", "b", "c"]
 
@@ -140,10 +140,7 @@ class TestReorderBuffer:
             buffer.offer(it)
         buffer.release(6)
         clone = ReorderBuffer()
-        clone.restore(
-            buffer.pending(), buffer.late, buffer.released_through,
-            buffer.peak_occupancy,
-        )
+        clone.restore(buffer.snapshot())
         assert [i.order_key for i in clone.release_all()] == [(7, 1), (9, 2)]
         assert clone.peak_occupancy == buffer.peak_occupancy
 
@@ -192,11 +189,7 @@ class TestLateRetentionRegression:
         for seq in range(5):
             buffer.offer(item(3, 10 + seq, arrival=60))
         clone = ReorderBuffer(late_retention=2)
-        clone.restore(
-            buffer.pending(), buffer.late, buffer.released_through,
-            buffer.peak_occupancy, late_count=buffer.late_count,
-            highest_offered=buffer.highest_offered,
-        )
+        clone.restore(buffer.snapshot())
         assert clone.late_count == 5
         assert clone.late == buffer.late
 
@@ -231,11 +224,7 @@ class TestReleaseAllFrontierRegression:
         buffer.offer(item(10, 0))
         buffer.evict_oldest()
         clone = ReorderBuffer()
-        clone.restore(
-            buffer.pending(), buffer.late, buffer.released_through,
-            buffer.peak_occupancy, late_count=buffer.late_count,
-            highest_offered=buffer.highest_offered,
-        )
+        clone.restore(buffer.snapshot())
         assert clone.release_all() == []
         assert clone.released_through == 10
 

@@ -56,9 +56,8 @@ class TestWatermarkTracker:
         tracker.observe("a", 12)
         tracker.observe("b", 30)
         tracker.close("b")
-        max_seen, closed = tracker.snapshot()
         clone = WatermarkTracker(lateness=4)
-        clone.restore(max_seen, closed)
+        clone.restore(tracker.snapshot())
         assert clone.watermark() == tracker.watermark() == 8
         clone.observe("a", 40)
         assert clone.watermark() == 36
