@@ -12,11 +12,14 @@ registered families appear here automatically.
 
 import pytest
 
+from repro.shard import EngineConfig
 from repro.workloads import build_scenario, scenario_names
 
 
 def run_scenario(name: str, preset: str, use_planner: bool):
-    scenario = build_scenario(name, preset=preset, use_planner=use_planner)
+    scenario = build_scenario(
+        name, preset=preset, engine=EngineConfig(use_planner=use_planner)
+    )
     scenario.system.run(until=scenario.params["horizon"])
     return scenario
 

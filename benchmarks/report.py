@@ -3,12 +3,12 @@
 This module is the reusable half of the perf-trajectory tooling: it runs
 registered scenarios end-to-end in both engine modes —
 
-* **compiled** — ``use_planner=True``: plan-driven pruning plus the
-  compiled condition evaluators and the per-batch predicate memo cache
-  (:mod:`repro.detect.compiler`);
-* **interpreted** — ``use_planner=False``: exhaustive enumeration with
-  recursive ``Condition.evaluate`` dispatch, the differential baseline
-  the conformance goldens pin —
+* **compiled** — the default ``EngineConfig()``: plan-driven pruning
+  plus the compiled condition evaluators and the per-batch predicate
+  memo cache (:mod:`repro.detect.compiler`);
+* **interpreted** — ``EngineConfig(use_planner=False)``: exhaustive
+  enumeration with recursive ``Condition.evaluate`` dispatch, the
+  differential baseline the conformance goldens pin —
 
 and aggregates wall time, bindings evaluated, bindings/second and
 predicate-cache hit rates across every observer in the system.
@@ -39,6 +39,7 @@ if str(_SRC) not in sys.path:  # allow `python benchmarks/...` without env
         sys.path.insert(0, str(_SRC))
 
 from repro.detect.engine import EngineStats  # noqa: E402
+from repro.shard import EngineConfig  # noqa: E402
 from repro.workloads import build_scenario, scenario_names  # noqa: E402
 
 __all__ = [
@@ -141,25 +142,15 @@ def _observers(system) -> list:
     ]
 
 
-def _run_once(
-    name: str,
-    preset: str,
-    use_planner: bool,
-    seed: int | None,
-    shards: int = 1,
-    partition: str = "grid",
-):
+PLANNED = EngineConfig()
+NAIVE = EngineConfig(use_planner=False)
+
+
+def _run_once(name: str, preset: str, engine: EngineConfig, seed: int | None):
     # Collect before the timer starts: garbage from the previous run
     # must not be paid for inside this one's measurement window.
     gc.collect()
-    scenario = build_scenario(
-        name,
-        preset=preset,
-        seed=seed,
-        use_planner=use_planner,
-        shards=shards,
-        partition=partition,
-    )
+    scenario = build_scenario(name, preset=preset, seed=seed, engine=engine)
     start = time.perf_counter()
     scenario.system.run(until=scenario.params["horizon"])
     return time.perf_counter() - start, scenario
@@ -168,25 +159,21 @@ def _run_once(
 def measure_mode(
     name: str,
     preset: str,
-    use_planner: bool,
+    engine: EngineConfig,
     repeats: int = 3,
     seed: int | None = None,
-    shards: int = 1,
-    partition: str = "grid",
 ) -> ModeResult:
     """Best-of-``repeats`` measurement of one scenario in one mode.
 
     Wall time takes the fastest repeat (the usual noise-robust choice
     for deterministic workloads); the counters are identical across
     repeats by construction (deterministic seeds), so they come from
-    the fastest run too.  ``shards > 1`` runs every sink/CCU on the
-    sharded backend (:mod:`repro.shard`).
+    the fastest run too.  An ``engine`` with ``shards > 1`` runs every
+    sink/CCU on the sharded backend (:mod:`repro.shard`).
     """
     best: tuple[float, ModeResult] | None = None
     for _ in range(max(1, repeats)):
-        wall, scenario = _run_once(
-            name, preset, use_planner, seed, shards, partition
-        )
+        wall, scenario = _run_once(name, preset, engine, seed)
         # Reduce to the small result record immediately: holding whole
         # scenario objects across repeats inflates the live heap (and
         # therefore every later run's GC pauses) by millions of objects.
@@ -234,10 +221,8 @@ def hotpath_report(
         names = scenario_names()
     rows: dict[str, dict] = {}
     for name in names:
-        compiled = measure_mode(name, preset, use_planner=True, repeats=repeats)
-        interpreted = measure_mode(
-            name, preset, use_planner=False, repeats=repeats
-        )
+        compiled = measure_mode(name, preset, PLANNED, repeats=repeats)
+        interpreted = measure_mode(name, preset, NAIVE, repeats=repeats)
         rows[name] = {
             "compiled": asdict(compiled),
             "interpreted": asdict(interpreted),
@@ -288,18 +273,18 @@ def shard_scaling_report(
     """
     rows: dict[str, dict] = {}
     for name in names:
-        modes: list[tuple[str, dict]] = [
-            ("single_planned", {"use_planner": True}),
-            ("single_naive", {"use_planner": False}),
+        modes: list[tuple[str, EngineConfig]] = [
+            ("single_planned", PLANNED),
+            ("single_naive", NAIVE),
         ]
         modes += [
-            (f"sharded_{count}", {"use_planner": True, "shards": count})
+            (f"sharded_{count}", EngineConfig(shards=count))
             for count in shard_counts
         ]
         best: dict[str, tuple[float, ModeResult]] = {}
         for _ in range(max(1, repeats)):
-            for label, kwargs in modes:
-                wall, scenario = _run_once(name, preset, seed=None, **kwargs)
+            for label, engine in modes:
+                wall, scenario = _run_once(name, preset, engine, seed=None)
                 # Keep only the small result record (see measure_mode).
                 result = _mode_result(wall, scenario)
                 del scenario

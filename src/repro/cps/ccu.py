@@ -30,6 +30,7 @@ from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
 from repro.cps.actions import ActionRule, ActuatorCommand
 from repro.cps.component import ObserverComponent
+from repro.shard.engine import Engine
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -53,12 +54,8 @@ class ControlUnit(ObserverComponent):
         dispatch: Command delivery toward dispatch nodes.
         processing_ticks: Decision latency between a match and the
             instance/command leaving the CCU.
-        use_planner: Engine evaluation mode (see
+        engine: Empty engine to install ``specs`` into (see
             :class:`~repro.cps.component.ObserverComponent`).
-        shards: Spatial detection shards (>1 installs the sharded
-            backend; see :class:`~repro.cps.component.ObserverComponent`).
-        partition: Shard layout (``"grid"`` or ``"stripes"``).
-        shard_bounds: World extent for the shard partitioner.
         trace: Optional trace recorder.
     """
 
@@ -72,10 +69,7 @@ class ControlUnit(ObserverComponent):
         publish: PublishCallback | None = None,
         dispatch: DispatchCallback | None = None,
         processing_ticks: int = 0,
-        use_planner: bool = True,
-        shards: int = 1,
-        partition: str = "grid",
-        shard_bounds=None,
+        engine: Engine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(
@@ -86,10 +80,7 @@ class ControlUnit(ObserverComponent):
             layer=EventLayer.CYBER,
             instance_cls=CyberEventInstance,
             specs=specs,
-            use_planner=use_planner,
-            shards=shards,
-            partition=partition,
-            shard_bounds=shard_bounds,
+            engine=engine,
             trace=trace,
         )
         self.rules = list(rules)

@@ -7,10 +7,10 @@ on event conditions, and output the according event instance".
 
 :class:`CPSComponent` carries the shared identity/position/trace
 plumbing.  :class:`ObserverComponent` adds the observer machinery: a
-:class:`~repro.detect.engine.DetectionEngine` loaded with event
-specifications, per-event sequence counters, and the emit path that
-builds the Eq. 4.7 instance tuple and hands it to the concrete
-component's distribution logic.
+detection engine (either backend — the observer never asks which)
+loaded with event specifications, per-event sequence counters, and the
+emit path that builds the Eq. 4.7 instance tuple and hands it to the
+concrete component's distribution logic.
 
 Ingestion is batch-first: :meth:`ObserverComponent.ingest_batch` feeds
 a whole per-tick entity batch to the engine in one
@@ -31,10 +31,10 @@ from repro.core.entity import Entity
 from repro.core.errors import ComponentError
 from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId, ObserverKind
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.engine import DetectionEngine, Match, build_instance
-from repro.shard.engine import ShardedDetectionEngine
+from repro.detect.engine import DetectionEngine, Match, build_instance, emit_payload
+from repro.shard.engine import Engine
 from repro.sim.kernel import PRIORITY_INGEST, Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -85,17 +85,9 @@ class ObserverComponent(CPSComponent):
         layer: Hierarchy layer of emitted instances.
         instance_cls: Concrete instance dataclass to emit.
         specs: Event specifications to install.
-        use_planner: Evaluate through compiled plans (default); ``False``
-            forces the engine's exhaustive baseline — same match sets —
-            which the conformance suite runs whole systems on.
-        shards: Number of spatial detection shards; values above 1
-            install a :class:`~repro.shard.engine.ShardedDetectionEngine`
-            (same match stream, partitioned state) instead of a single
-            :class:`~repro.detect.engine.DetectionEngine`.
-        partition: Shard layout (``"grid"`` or ``"stripes"``); only
-            meaningful with ``shards > 1``.
-        shard_bounds: World extent the shard partitioner tiles;
-            required when ``shards > 1``.
+        engine: An empty engine to install ``specs`` into, as built by
+            :meth:`~repro.shard.engine.EngineConfig.build`; defaults to
+            a planned :class:`~repro.detect.engine.DetectionEngine`.
         trace: Optional trace recorder.
     """
 
@@ -108,33 +100,16 @@ class ObserverComponent(CPSComponent):
         layer: EventLayer,
         instance_cls: type[EventInstance],
         specs: Sequence[EventSpecification] = (),
-        use_planner: bool = True,
-        shards: int = 1,
-        partition: str = "grid",
-        shard_bounds: BoundingBox | None = None,
+        engine: Engine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(name, location, sim, trace)
         self.observer_id = ObserverId(kind, name)
         self.layer = layer
         self.instance_cls = instance_cls
-        if shards > 1:
-            if shard_bounds is None:
-                raise ComponentError(
-                    f"observer {name!r}: shards={shards} needs shard_bounds "
-                    f"(set PhysicalWorld bounds or build a sensor network)"
-                )
-            self.engine: DetectionEngine | ShardedDetectionEngine = (
-                ShardedDetectionEngine(
-                    specs,
-                    bounds=shard_bounds,
-                    shards=shards,
-                    partition=partition,
-                    use_planner=use_planner,
-                )
-            )
-        else:
-            self.engine = DetectionEngine(specs, use_planner=use_planner)
+        self.engine: Engine = DetectionEngine() if engine is None else engine
+        for spec in specs:
+            self.engine.add_spec(spec)
         self._seq: dict[str, int] = {}
         self._inbox: list[Entity] = []
         self._flush_scheduled = False
@@ -218,16 +193,7 @@ class ObserverComponent(CPSComponent):
             instance_cls=self.instance_cls,
         )
         instance = self.refine_instance(instance, match)
-        self.emitted.append(instance)
-        self.record(
-            "instance.emit",
-            event_id=instance.event_id,
-            seq=instance.seq,
-            layer=instance.layer.name,
-            edl=instance.detection_latency,
-            rho=instance.confidence,
-        )
-        self.distribute(instance)
+        self.emit_direct(instance)
         return instance
 
     def refine_instance(
@@ -241,19 +207,13 @@ class ObserverComponent(CPSComponent):
         """Hook: where emitted instances go (network, bus, rules)."""
 
     def emit_direct(self, instance: EventInstance) -> None:
-        """Emit an externally constructed instance (interval events).
+        """Log, trace and distribute one finished instance.
 
-        Used by components that build instances outside the binding
-        engine — e.g. the mote's interval tracker — so distribution and
-        tracing stay uniform.
+        The tail of every emission: engine matches arrive here through
+        :meth:`_emit_match`, and components that build instances outside
+        the binding engine — e.g. the mote's interval tracker — call it
+        themselves, so distribution and tracing stay uniform.
         """
         self.emitted.append(instance)
-        self.record(
-            "instance.emit",
-            event_id=instance.event_id,
-            seq=instance.seq,
-            layer=instance.layer.name,
-            edl=instance.detection_latency,
-            rho=instance.confidence,
-        )
+        self.record("instance.emit", **emit_payload(instance))
         self.distribute(instance)

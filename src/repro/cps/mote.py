@@ -48,6 +48,7 @@ from repro.detect.interval_builder import IntervalBuilder, TransitionKind
 from repro.network.fabric import WirelessNetwork
 from repro.network.packet import Packet, PacketKind
 from repro.physical.world import PhysicalWorld
+from repro.shard.engine import Engine
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -103,7 +104,7 @@ class SensorMote(ObserverComponent):
         interval_events: Interval event configurations.
         sampling_offset: First sampling tick (stagger motes to avoid
             synchronized storms); defaults to one period.
-        use_planner: Engine evaluation mode (see
+        engine: Empty engine to install ``specs`` into (see
             :class:`~repro.cps.component.ObserverComponent`).
         trace: Optional trace recorder.
     """
@@ -120,7 +121,7 @@ class SensorMote(ObserverComponent):
         specs: Sequence[EventSpecification] = (),
         interval_events: Sequence[IntervalEventConfig] = (),
         sampling_offset: int | None = None,
-        use_planner: bool = True,
+        engine: Engine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(
@@ -131,7 +132,7 @@ class SensorMote(ObserverComponent):
             layer=EventLayer.SENSOR,
             instance_cls=SensorEventInstance,
             specs=specs,
-            use_planner=use_planner,
+            engine=engine,
             trace=trace,
         )
         if sampling_period < 1:

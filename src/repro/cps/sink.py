@@ -38,6 +38,7 @@ from repro.detect.engine import Match
 from repro.detect.localize import trilaterate
 from repro.network.fabric import WirelessNetwork
 from repro.network.packet import Packet, PacketKind
+from repro.shard.engine import Engine
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -93,12 +94,8 @@ class SinkNode(ObserverComponent):
             wiring time via :attr:`publish` if not given here.
         trilaterate_attribute: Range attribute used for multilateration
             refinement (``None`` disables).
-        use_planner: Engine evaluation mode (see
+        engine: Empty engine to install ``specs`` into (see
             :class:`~repro.cps.component.ObserverComponent`).
-        shards: Spatial detection shards (>1 installs the sharded
-            backend; see :class:`~repro.cps.component.ObserverComponent`).
-        partition: Shard layout (``"grid"`` or ``"stripes"``).
-        shard_bounds: World extent for the shard partitioner.
         trace: Optional trace recorder.
     """
 
@@ -111,10 +108,7 @@ class SinkNode(ObserverComponent):
         network: WirelessNetwork | None = None,
         publish: PublishCallback | None = None,
         trilaterate_attribute: str | None = None,
-        use_planner: bool = True,
-        shards: int = 1,
-        partition: str = "grid",
-        shard_bounds=None,
+        engine: Engine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(
@@ -125,10 +119,7 @@ class SinkNode(ObserverComponent):
             layer=EventLayer.CYBER_PHYSICAL,
             instance_cls=CyberPhysicalEventInstance,
             specs=specs,
-            use_planner=use_planner,
-            shards=shards,
-            partition=partition,
-            shard_bounds=shard_bounds,
+            engine=engine,
             trace=trace,
         )
         self.publish = publish

@@ -23,10 +23,12 @@ scenario fails at construction, not mid-run.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro.core.errors import ComponentError
 from repro.core.event import EventLayer
+from repro.core.space_model import BoundingBox
 from repro.core.spec import EventSpecification
 from repro.cps.actions import ActionRule
 from repro.cps.actuator import Actuator
@@ -43,6 +45,7 @@ from repro.network.packet import PacketKind
 from repro.network.routing import RoutingTree
 from repro.network.topology import Topology
 from repro.physical.world import PhysicalWorld
+from repro.shard.engine import Engine, EngineConfig
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -57,21 +60,12 @@ class CPSSystem:
         bus_latency: Event bus delivery latency in ticks.
         backbone_latency: Wired backbone latency in ticks.
         world_step_period: Ticks between physical-world dynamics steps.
-        use_planner: Engine evaluation mode installed in every observer
-            this system builds; ``False`` runs the whole deployment on
-            the exhaustive baseline engine (identical behavior, more
-            bindings evaluated), which the conformance harness compares
-            against the plan-driven default.
-        shards: Spatial detection shards installed at every sink and
-            CCU this system builds (``1`` = the classic single engine;
-            ``>1`` = the :mod:`repro.shard` backend — identical match
-            streams, partitioned state).  Motes stay single-engine:
-            a mote is itself a spatial shard of the deployment.
-        partition: Shard layout, ``"grid"`` or ``"stripes"``.
-        shard_bounds: Explicit world extent for the shard partitioner;
-            defaults to :attr:`PhysicalWorld.bounds
-            <repro.physical.world.PhysicalWorld.bounds>` when set, else
-            the sensor topology's extent.
+        engine: Detection backend of every observer this system builds
+            (identical behavior whichever is chosen — the conformance
+            harness compares them).  Sinks and CCUs get exactly this
+            config, tiling :meth:`detection_bounds` when it is sharded;
+            motes get it at ``shards=1``: a mote is itself a spatial
+            shard of the deployment.
     """
 
     def __init__(
@@ -80,19 +74,12 @@ class CPSSystem:
         bus_latency: int = 1,
         backbone_latency: int = 1,
         world_step_period: int = 1,
-        use_planner: bool = True,
-        shards: int = 1,
-        partition: str = "grid",
-        shard_bounds=None,
+        engine: EngineConfig = EngineConfig(),
     ):
         if world_step_period < 1:
             raise ComponentError("world step period must be >= 1")
-        if shards < 1:
-            raise ComponentError(f"shards must be >= 1, got {shards}")
-        self.use_planner = use_planner
-        self.shards = shards
-        self.partition = partition
-        self.shard_bounds = shard_bounds
+        self.engine = engine
+        self._mote_engine = replace(engine, shards=1)
         self.sim = Simulator(seed)
         self.trace = TraceRecorder()
         self.world = PhysicalWorld()
@@ -165,19 +152,14 @@ class CPSSystem:
 
     # -- sharding ------------------------------------------------------
 
-    def detection_bounds(self):
+    def detection_bounds(self) -> BoundingBox:
         """World extent the sharded backend partitions.
 
-        Preference order: the explicit ``shard_bounds`` constructor
-        argument, the physical world's declared bounds, then the sensor
-        topology's spatial extent.  Bounds only shape load balance —
-        locations outside them clamp to edge shards — so the topology
-        fallback is always correct.
+        Preference order: the physical world's declared bounds, then
+        the sensor topology's spatial extent.  Bounds only shape load
+        balance — locations outside them clamp to edge shards — so the
+        topology fallback is always correct.
         """
-        from repro.core.space_model import BoundingBox
-
-        if self.shard_bounds is not None:
-            return self.shard_bounds
         if self.world.bounds is not None:
             return self.world.bounds
         if self.sensor_network is not None:
@@ -193,22 +175,16 @@ class CPSSystem:
                     max(p.y for p in positions),
                 )
         raise ComponentError(
-            "sharded detection needs bounds: pass shard_bounds, call "
-            "world.set_bounds(), or build_sensor_network() first"
+            "sharded detection needs bounds: call world.set_bounds() or "
+            "build_sensor_network() first"
         )
 
-    def _shard_kwargs(self, shards: int | None, partition: str | None) -> dict:
-        """Observer constructor kwargs for the selected shard config."""
-        effective = self.shards if shards is None else shards
-        if effective < 1:
-            raise ComponentError(f"shards must be >= 1, got {effective}")
-        if effective == 1:
-            return {}
-        return {
-            "shards": effective,
-            "partition": self.partition if partition is None else partition,
-            "shard_bounds": self.detection_bounds(),
-        }
+    def _observer_engine(self) -> Engine:
+        """A fresh, empty engine for one sink or CCU."""
+        sharded = self.engine.shards > 1
+        return self.engine.build(
+            bounds=self.detection_bounds() if sharded else None
+        )
 
     # -- components ----------------------------------------------------
 
@@ -238,7 +214,7 @@ class CPSSystem:
             specs=specs,
             interval_events=interval_events,
             sampling_offset=sampling_offset,
-            use_planner=self.use_planner,
+            engine=self._mote_engine.build(),
             trace=self.trace,
         )
         self.motes[name] = mote
@@ -249,14 +225,8 @@ class CPSSystem:
         name: str,
         specs: Sequence[EventSpecification] = (),
         trilaterate_attribute: str | None = None,
-        shards: int | None = None,
-        partition: str | None = None,
     ) -> SinkNode:
-        """Create a sink node; it publishes to the event bus.
-
-        ``shards`` / ``partition`` override the system-level sharding
-        knobs for this sink only (``None`` inherits them).
-        """
+        """Create a sink node; it publishes to the event bus."""
         if self.sensor_network is None:
             raise ComponentError("build_sensor_network() first")
         if name in self.sinks:
@@ -270,9 +240,8 @@ class CPSSystem:
             network=self.sensor_network,
             publish=self.bus.publish,
             trilaterate_attribute=trilaterate_attribute,
-            use_planner=self.use_planner,
+            engine=self._observer_engine(),
             trace=self.trace,
-            **self._shard_kwargs(shards, partition),
         )
         self.sinks[name] = sink
         return sink
@@ -285,14 +254,8 @@ class CPSSystem:
         rules: Sequence[ActionRule] = (),
         processing_ticks: int = 1,
         subscribe_event_ids: Sequence[str] | None = None,
-        shards: int | None = None,
-        partition: str | None = None,
     ) -> ControlUnit:
-        """Create a CCU subscribed to CP and cyber events on the bus.
-
-        ``shards`` / ``partition`` override the system-level sharding
-        knobs for this CCU only (``None`` inherits them).
-        """
+        """Create a CCU subscribed to CP and cyber events on the bus."""
         if name in self.ccus:
             raise ComponentError(f"CCU {name!r} already exists")
         ccu = ControlUnit(
@@ -304,9 +267,8 @@ class CPSSystem:
             publish=self.bus.publish,
             dispatch=self._make_dispatch_callback(name),
             processing_ticks=processing_ticks,
-            use_planner=self.use_planner,
+            engine=self._observer_engine(),
             trace=self.trace,
-            **self._shard_kwargs(shards, partition),
         )
         self.bus.subscribe(
             name,

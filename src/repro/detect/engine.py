@@ -74,7 +74,7 @@ from repro.detect.compiler import (
     compile_condition,
 )
 from repro.detect.confidence import fuse
-from repro.detect.index import DEFAULT_CELL_SIZE, RoleIndex
+from repro.detect.index import RoleIndex
 from repro.detect.planner import EvaluationPlan, compile_plan
 from repro.detect.windows import TickWindow
 
@@ -84,6 +84,7 @@ __all__ = [
     "EngineSnapshot",
     "DetectionEngine",
     "build_instance",
+    "emit_payload",
 ]
 
 
@@ -209,8 +210,6 @@ class DetectionEngine:
             (default).  ``False`` forces exhaustive enumeration — same
             match sets, more bindings evaluated — which the benchmarks
             use as the naive baseline.
-        index_cell_size: Hash-grid cell edge for the per-role spatial
-            indexes.
     """
 
     def __init__(
@@ -218,7 +217,6 @@ class DetectionEngine:
         specs: Sequence[EventSpecification] = (),
         *,
         use_planner: bool = True,
-        index_cell_size: float = DEFAULT_CELL_SIZE,
     ):
         self._specs: dict[str, EventSpecification] = {}
         self._pools: dict[str, dict[str, TickWindow[Entity]]] = {}
@@ -230,7 +228,6 @@ class DetectionEngine:
         self._cache = PredicateCache()
         self._watermark: int | None = None
         self.use_planner = use_planner
-        self.index_cell_size = index_cell_size
         self.stats = EngineStats()
         self.telemetry_registry = None
         self._spec_obs: dict[str, tuple] | None = None
@@ -290,7 +287,7 @@ class DetectionEngine:
         self._compiled[spec.event_id] = compile_condition(spec.condition)
         indexes: dict[str, RoleIndex] = {}
         if self.use_planner and plan.prunable:
-            indexes = plan.build_indexes(self.index_cell_size)
+            indexes = plan.build_indexes()
             for role, index in indexes.items():
                 # Keep the index mirroring its window: both evict FIFO,
                 # so a pop-count is enough to stay in lockstep.
@@ -813,3 +810,16 @@ def build_instance(
         layer=layer,
         sources=keys_of(entities),
     )
+
+
+def emit_payload(instance: EventInstance) -> dict[str, object]:
+    """The ``instance.emit`` trace-row payload.  Live observers and the
+    streaming replay both write it from here: the conformance suite
+    splices replayed rows into live traces and compares digests."""
+    return {
+        "event_id": instance.event_id,
+        "seq": instance.seq,
+        "layer": instance.layer.name,
+        "edl": instance.detection_latency,
+        "rho": instance.confidence,
+    }

@@ -152,9 +152,9 @@ class EvaluationPlan:
             self.distances or self.regions or self.near_constants or self.orders
         )
 
-    def build_indexes(self, cell_size: float) -> dict[str, RoleIndex]:
+    def build_indexes(self) -> dict[str, RoleIndex]:
         """Fresh role indexes for every role the plan can prune."""
-        return {role: RoleIndex(cell_size) for role in self.indexed_roles}
+        return {role: RoleIndex() for role in self.indexed_roles}
 
     def describe(self) -> str:
         """Human-readable clause summary (for tracing and docs)."""

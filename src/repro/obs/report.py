@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
+from repro.core.errors import ReproError
 from repro.obs.export import render_report, to_json, to_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Telemetry
@@ -43,9 +44,13 @@ def traced_replay(
     Returns the finished :class:`~repro.stream.replay.ReplayObserver`
     (``.runtime.telemetry`` holds the registry and tracer).
     """
+    from repro.shard import EngineConfig
     from repro.stream import JitteredSource, ReplayObserver, profile_of
     from repro.workloads import build_scenario
 
+    # ReplayObserver checks the shard count too, but only after the
+    # scenario has been built and run; a bad one should fail first.
+    shards = EngineConfig(shards=shards).shards
     scenario = build_scenario(name, preset=preset)
     taps = scenario.system.attach_stream_taps()
     scenario.system.run(until=scenario.params["horizon"])
@@ -109,14 +114,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    replayer = traced_replay(
-        args.scenario,
-        preset=args.preset,
-        shards=args.shards,
-        trace_every=args.trace_every,
-        lateness=args.lateness,
-        seed=args.seed,
-    )
+    try:
+        replayer = traced_replay(
+            args.scenario,
+            preset=args.preset,
+            shards=args.shards,
+            trace_every=args.trace_every,
+            lateness=args.lateness,
+            seed=args.seed,
+        )
+    except ReproError as error:
+        parser.error(str(error))
     runtime = replayer.runtime
     telemetry = runtime.telemetry
     if args.format == "text":

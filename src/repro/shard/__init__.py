@@ -27,17 +27,23 @@ evaluated per-region, provided the regions overlap by that reach.
 
 :class:`~repro.shard.engine.ShardedDetectionEngine` packages the four
 parts behind the exact ``submit_batch``/``matches``/``stats`` surface
-of :class:`~repro.detect.engine.DetectionEngine`, selectable on any
-observer via the ``shards=N`` / ``partition="grid"|"stripes"`` knobs of
-:class:`~repro.cps.system.CPSSystem` and its sink/CCU builders.
+of :class:`~repro.detect.engine.DetectionEngine`.  Which of the two an
+observer runs is one :class:`~repro.shard.engine.EngineConfig` value:
+``CPSSystem(engine=EngineConfig(shards=4, partition="stripes"))``, or
+the same ``engine=`` on any scenario builder.
 """
 
-from repro.shard.engine import ShardedDetectionEngine, ShardedEngineSnapshot
+from repro.shard.engine import (
+    EngineConfig,
+    ShardedDetectionEngine,
+    ShardedEngineSnapshot,
+)
 from repro.shard.merger import MatchMerger
 from repro.shard.partitioner import WorldPartitioner
 from repro.shard.router import ObservationRouter, RouterStats
 
 __all__ = [
+    "EngineConfig",
     "ShardedDetectionEngine",
     "ShardedEngineSnapshot",
     "MatchMerger",

@@ -28,6 +28,9 @@ merged match count and wall time are measured at the sharded level
 counters (bindings, pruning, cache, errors) sum over the shard engines
 via :meth:`~repro.detect.engine.EngineStats.merge`.  Per-shard detail
 stays available through :meth:`shard_stats`.
+
+:class:`EngineConfig` (end of this module) is the one place that
+chooses between the two engine classes.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ from repro.detect.engine import (
     EngineStats,
     Match,
 )
-from repro.detect.index import DEFAULT_CELL_SIZE
 from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 from repro.shard.merger import MatchMerger
-from repro.shard.partitioner import WorldPartitioner
+from repro.shard.partitioner import PARTITION_STRATEGIES, WorldPartitioner
 from repro.shard.router import ObservationRouter
 
-__all__ = ["ShardedDetectionEngine", "ShardedEngineSnapshot"]
+__all__ = ["Engine", "EngineConfig", "ShardedDetectionEngine", "ShardedEngineSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,6 @@ class ShardedDetectionEngine:
         use_planner: Evaluation mode of the per-shard engines (the
             compiled/planned path by default; ``False`` runs every
             shard on the exhaustive baseline — still exact).
-        index_cell_size: Hash-grid cell edge for the per-shard role
-            indexes.
     """
 
     def __init__(
@@ -109,16 +109,12 @@ class ShardedDetectionEngine:
         shards: int = 4,
         partition: str = "grid",
         use_planner: bool = True,
-        index_cell_size: float = DEFAULT_CELL_SIZE,
     ):
         self.partitioner = WorldPartitioner(bounds, shards, partition)
         self.router = ObservationRouter(self.partitioner)
         self.use_planner = use_planner
-        self.index_cell_size = index_cell_size
         self._engines = tuple(
-            DetectionEngine(
-                use_planner=use_planner, index_cell_size=index_cell_size
-            )
+            DetectionEngine(use_planner=use_planner)
             for _ in range(self.partitioner.shard_count)
         )
         self._merger = MatchMerger()
@@ -436,3 +432,60 @@ class ShardedDetectionEngine:
             engine.clear()
         self._merger.clear()
         self._seq_map.clear()
+
+
+Engine = DetectionEngine | ShardedDetectionEngine
+"""Either backend: same ``submit_batch``/``stats``/``snapshot`` surface."""
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Which detection backend an observer runs.
+
+    The choice never changes behaviour — naive, planned and sharded
+    engines emit byte-identical traces, which the conformance goldens
+    pin — so it is one value handed to
+    :class:`~repro.cps.system.CPSSystem` or a scenario builder, and
+    :meth:`build` is the only code that picks an engine class.
+
+    Args:
+        use_planner: ``False`` runs the exhaustive baseline the
+            differential tests compare against.
+        shards: ``1`` builds a single
+            :class:`~repro.detect.engine.DetectionEngine`, more a
+            :class:`ShardedDetectionEngine` of that many spatial shards
+            (partitioned state, not more throughput).
+        partition: Shard layout, ``"grid"`` or ``"stripes"``.
+    """
+
+    use_planner: bool = True
+    shards: int = 1
+    partition: str = "grid"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.shards, int) or self.shards < 1:
+            raise ObserverError(f"shards must be an int >= 1, got {self.shards!r}")
+        if self.partition not in PARTITION_STRATEGIES:
+            raise ObserverError(
+                f"unknown partition {self.partition!r}; "
+                f"choose from {PARTITION_STRATEGIES}"
+            )
+
+    def build(
+        self,
+        specs: Sequence[EventSpecification] = (),
+        bounds: BoundingBox | None = None,
+    ) -> Engine:
+        """A fresh engine loaded with ``specs``; a sharded one tiles
+        ``bounds``, a single one ignores them."""
+        if self.shards == 1:
+            return DetectionEngine(specs, use_planner=self.use_planner)
+        if bounds is None:
+            raise ObserverError(f"shards={self.shards} needs bounds to tile")
+        return ShardedDetectionEngine(
+            specs,
+            bounds=bounds,
+            shards=self.shards,
+            partition=self.partition,
+            use_planner=self.use_planner,
+        )

@@ -29,9 +29,8 @@ from repro.core.instance import EventInstance, ObserverId
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EventSpecification
 from repro.core.time_model import TimePoint
-from repro.detect.engine import DetectionEngine, Match, build_instance
-from repro.detect.index import DEFAULT_CELL_SIZE
-from repro.shard.engine import ShardedDetectionEngine
+from repro.detect.engine import Match, build_instance, emit_payload
+from repro.shard.engine import EngineConfig
 from repro.sim.trace import TraceRecord
 from repro.stream.admission.controller import AdmissionController
 from repro.stream.runtime import (
@@ -61,7 +60,6 @@ class ObserverProfile:
     instance_cls: type[EventInstance]
     specs: tuple[EventSpecification, ...]
     use_planner: bool = True
-    index_cell_size: float = DEFAULT_CELL_SIZE
     refine: Refinement | None = None
 
 
@@ -92,7 +90,6 @@ def profile_of(observer) -> ObserverProfile:
         instance_cls=observer.instance_cls,
         specs=tuple(engine.specs),
         use_planner=engine.use_planner,
-        index_cell_size=engine.index_cell_size,
         refine=refine,
     )
 
@@ -154,30 +151,9 @@ class ReplayObserver:
 
     def __post_init__(self) -> None:
         profile = self.profile
-        if self.shards > 1:
-            if self.bounds is None:
-                raise ObserverError(
-                    f"replaying {profile.name!r} with shards={self.shards} "
-                    "needs bounds"
-                )
-            engine: DetectionEngine | ShardedDetectionEngine = (
-                ShardedDetectionEngine(
-                    profile.specs,
-                    bounds=self.bounds,
-                    shards=self.shards,
-                    partition=self.partition,
-                    use_planner=profile.use_planner,
-                    index_cell_size=profile.index_cell_size,
-                )
-            )
-        else:
-            engine = DetectionEngine(
-                profile.specs,
-                use_planner=profile.use_planner,
-                index_cell_size=profile.index_cell_size,
-            )
+        config = EngineConfig(profile.use_planner, self.shards, self.partition)
         self.runtime = StreamingDetectionRuntime(
-            engine,
+            config.build(profile.specs, self.bounds),
             lateness=self.lateness,
             on_match=self._emit,
             admission=self.admission,
@@ -234,13 +210,7 @@ class ReplayObserver:
                 match.tick,
                 "instance.emit",
                 profile.name,
-                {
-                    "event_id": instance.event_id,
-                    "seq": instance.seq,
-                    "layer": instance.layer.name,
-                    "edl": instance.detection_latency,
-                    "rho": instance.confidence,
-                },
+                emit_payload(instance),
             )
         )
 

@@ -42,9 +42,9 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ObserverError
-from repro.detect.engine import DetectionEngine, Match
+from repro.detect.engine import Match
 from repro.obs.tracing import Telemetry
-from repro.shard.engine import ShardedDetectionEngine
+from repro.shard.engine import Engine
 from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.controller import AdmissionController
 from repro.stream.reorder import DEFAULT_LATE_RETENTION, ReorderBuffer
@@ -57,8 +57,6 @@ __all__ = [
     "StreamStats",
     "arrival_groups",
 ]
-
-Engine = DetectionEngine | ShardedDetectionEngine
 
 
 def arrival_groups(

@@ -35,9 +35,11 @@ that exercise the spatial index, reordering transports and overload:
   behind the chaos-conformance suite.
 
 Every builder is deterministic given its seed, returns a
-:class:`~repro.workloads.scenarios.Scenario`, accepts ``use_planner``
-(the conformance harness runs each family on both engine paths), and
-closes the full Figure 1 loop: motes → sink(s) → CCU → actuation.
+:class:`~repro.workloads.scenarios.Scenario`, accepts one ``engine``
+(:class:`~repro.shard.engine.EngineConfig`, handed straight to
+:class:`~repro.cps.system.CPSSystem`; the conformance harness runs each
+family naive, planned and sharded), and closes the full Figure 1 loop:
+motes → sink(s) → CCU → actuation.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from repro.network.topology import grid_topology
 from repro.physical.fields import GaussianPlumeField, PlumeSource, UniformField
 from repro.physical.mobility import PatrolTrajectory, WaypointTrajectory
 from repro.physical.objects import PhysicalObject
+from repro.shard.engine import EngineConfig
 from repro.workloads.scenarios import Scenario
 
 __all__ = [
@@ -119,9 +122,7 @@ def build_convoy_pursuit(
     horizon: int = 420,
     pursuit_window_rounds: int = 8,
     pursuit_cooldown_rounds: int = 4,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """A pursuer chases a convoy leader across the sensed corridor.
 
@@ -137,9 +138,7 @@ def build_convoy_pursuit(
     medium registry preset widens the window for benchmark pressure;
     defaults preserve the golden-pinned small behavior).
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     mid_y = (rows - 1) * spacing / 2.0
     entry = PointLocation(-6.0, mid_y)
@@ -280,9 +279,7 @@ def build_urban_campus(
     sampling_period: int = 3,
     patrol_speed: float = 0.9,
     horizon: int = 500,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """A patrol vehicle crosses a campus served by two sink nodes.
 
@@ -294,9 +291,7 @@ def build_urban_campus(
     activity instances into a ``campus_sweep`` cyber event: an event
     hierarchy that no single sink can observe alone.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     height = (rows - 1) * spacing
     vehicle = PhysicalObject(
@@ -448,9 +443,7 @@ def build_sensor_failure_storm(
     storm_end: int = 300,
     max_retries: int = 2,
     horizon: int = 450,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """Detection through a mid-run sensor-failure storm on a lossy WSN.
 
@@ -461,9 +454,7 @@ def build_sensor_failure_storm(
     out, composite detections degrade, and everything must recover after
     the storm without corrupted state.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     system.world.add_field("temperature", UniformField(80.0))
     vent_log: list[int] = []
     system.world.on_actuation(
@@ -609,9 +600,7 @@ def build_high_density(
     horizon: int = 240,
     pair_window_rounds: int = 5,
     pair_cooldown_rounds: int = 1,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """Clustered warm bursts on a dense grid stress the role index.
 
@@ -628,9 +617,7 @@ def build_high_density(
     benchmark rows exercise real window pressure instead of the
     cooldown-gated trickle the small conformance preset pins.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     height = (rows - 1) * spacing
     third = horizon // 3
@@ -771,9 +758,7 @@ def build_jittery_corridor(
     horizon: int = 360,
     cluster_window_rounds: int = 8,
     cluster_cooldown_rounds: int = 2,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """A patrol drone on a corridor whose radio reorders deliveries.
 
@@ -793,9 +778,7 @@ def build_jittery_corridor(
     :class:`~repro.stream.runtime.StreamingDetectionRuntime` against
     the golden digest.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     mid_y = (rows - 1) * spacing / 2.0
     drone = PhysicalObject(
@@ -935,9 +918,7 @@ def build_sharded_metro(
     crossing_cooldown_rounds: int = 2,
     surge_window_rounds: int = 60,
     surge_cooldown_rounds: int = 30,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """Two counter-rotating trams sweep a wide two-sink metro corridor.
 
@@ -959,9 +940,7 @@ def build_sharded_metro(
     sampling rounds; the medium registry preset widens the window and
     drops the cooldown for benchmark-scale window pressure.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     height = (rows - 1) * spacing
     mid_y = height / 2.0
@@ -1131,9 +1110,7 @@ def build_overload_surge(
     horizon: int = 240,
     pair_window_rounds: int = 4,
     pair_cooldown_rounds: int = 2,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """A field-wide heat surge floods the sink through a jittery fabric.
 
@@ -1156,9 +1133,7 @@ def build_overload_surge(
     like every other family, which is what proves the admission layer
     inert when no limit triggers.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     height = (rows - 1) * spacing
     field = GaussianPlumeField(
@@ -1304,9 +1279,7 @@ def build_flaky_uplink(
     horizon: int = 320,
     cluster_window_rounds: int = 10,
     cluster_cooldown_rounds: int = 2,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """A survey rover reports over an uplink that drops *and* reorders.
 
@@ -1328,9 +1301,7 @@ def build_flaky_uplink(
     the transport's jitter *and* its retransmission delays, and the CCU
     promotes confident clusters to ``uplink_alert``, keying a relay.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     mid_y = (rows - 1) * spacing / 2.0
     rover = PhysicalObject(

@@ -61,8 +61,9 @@ class ScenarioSpec:
 
     Args:
         name: Stable registry key.
-        builder: Scenario factory; must accept ``seed`` and
-            ``use_planner`` keywords plus the preset parameters.
+        builder: Scenario factory; must accept ``seed`` and ``engine``
+            (an :class:`~repro.shard.engine.EngineConfig`) keywords
+            plus the preset parameters.
         description: One-line summary (README catalog row).
         layers: Subsystem layers the scenario exercises (catalog row).
         paper_section: Paper section the workload traces back to
@@ -136,7 +137,6 @@ def build_scenario(
     name: str,
     preset: str = "small",
     seed: int | None = None,
-    use_planner: bool = True,
     **overrides: object,
 ) -> Scenario:
     """Build one registered scenario at a size preset.
@@ -146,15 +146,15 @@ def build_scenario(
         preset: Size preset (``small`` / ``medium`` / ``large``).
         seed: Root random seed; defaults to the family's registered
             deterministic seed.
-        use_planner: Engine evaluation mode for every observer.
-        overrides: Extra builder keywords layered over the preset.
+        overrides: Extra builder keywords layered over the preset —
+            ``engine=EngineConfig(...)`` picks the detection backend.
     """
     spec = get_scenario(name)
     params = spec.params_for(preset)
     params.update(overrides)
     if seed is None:
         seed = spec.default_seed
-    return spec.builder(seed=seed, use_planner=use_planner, **params)
+    return spec.builder(seed=seed, **params)
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,7 @@ from repro.network.topology import grid_topology
 from repro.physical.fire import FireModel, FireTemperatureField
 from repro.physical.mobility import PatrolTrajectory, WaypointTrajectory
 from repro.physical.objects import PhysicalObject
+from repro.shard.engine import EngineConfig
 
 __all__ = [
     "Scenario",
@@ -92,9 +93,7 @@ def build_smart_building(
     approach_tick: int = 100,
     leave_tick: int = 600,
     horizon: int = 900,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """The paper's running example as a closed-loop system.
 
@@ -104,9 +103,7 @@ def build_smart_building(
     ``long_stay`` cyber-physical events; the CCU's rule issues an
     ``adjust_hvac`` command.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     window_pos = PointLocation(20.0, 20.0)
     far = PointLocation(0.0, 0.0)
     user = PhysicalObject(
@@ -233,9 +230,7 @@ def build_forest_fire(
     suppress: bool = True,
     spread_probability: float = 0.35,
     horizon: int = 800,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """Forest-fire detection with an actuated suppression loop.
 
@@ -245,9 +240,7 @@ def build_forest_fire(
     reporting motes); the CCU commands suppression, which zeroes the
     spread probability — measurably bounding the burned fraction.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     extent = BoundingBox(
         -spacing, -spacing, cols * spacing + spacing, rows * spacing + spacing
     )
@@ -416,9 +409,7 @@ def build_intrusion(
     sampling_period: int = 2,
     patrol_speed: float = 0.8,
     horizon: int = 600,
-    use_planner: bool = True,
-    shards: int = 1,
-    partition: str = "grid",
+    engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
     """Intruder tracking with spatio-temporal fusion and trilateration.
 
@@ -428,9 +419,7 @@ def build_intrusion(
     distance (condition S1 extended to three entities), trilaterates
     the position, and the CCU raises ``intruder_alarm``.
     """
-    system = CPSSystem(
-        seed=seed, use_planner=use_planner, shards=shards, partition=partition
-    )
+    system = CPSSystem(seed=seed, engine=engine)
     width = (cols - 1) * spacing
     height = (rows - 1) * spacing
     intruder = PhysicalObject(

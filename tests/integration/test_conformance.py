@@ -4,13 +4,13 @@ The contract this suite pins down, for *every* scenario in the registry
 (small preset, registered seed):
 
 * **planner/naive equivalence** — running the whole system with
-  plan-driven engines (``use_planner=True``) and with the exhaustive
-  baseline (``use_planner=False``) produces identical behavior: the
-  same emitted instances at every observer, the same actuations, the
-  same behavioral trace digest.  Pruning may only reduce
-  ``bindings_evaluated``, never change a match set.
+  plan-driven engines (the default ``EngineConfig()``) and with the
+  exhaustive baseline (``EngineConfig(use_planner=False)``) produces
+  identical behavior: the same emitted instances at every observer, the
+  same actuations, the same behavioral trace digest.  Pruning may only
+  reduce ``bindings_evaluated``, never change a match set.
 * **sharded equivalence** — the third differential leg: the spatially
-  sharded backend (``shards=4``, both grid and stripes partitions at
+  sharded backend (``EngineConfig(shards=4)``, grid and stripes, at
   every sink/CCU) reproduces the same match sets and the same golden
   digests; halo routing plus exact merge may never change behavior,
   only distribute it.
@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.event import EventLayer
+from repro.shard import EngineConfig
 from repro.sim.trace import trace_digest
 from repro.workloads import build_scenario, scenario_names
 
@@ -49,6 +50,12 @@ actuator command executed against the physical world."""
 
 ALT_SEED = 20260729
 """Seed used to show digests are seed-sensitive, not constants."""
+
+PLANNED = EngineConfig()
+NAIVE = EngineConfig(use_planner=False)
+SHARDED = EngineConfig(shards=4)
+STRIPES = EngineConfig(shards=4, partition="stripes")
+"""The differential legs: every registered scenario runs on all four."""
 
 
 def _observers(system):
@@ -86,23 +93,12 @@ def _match_set(scenario):
 _cache: dict[tuple, object] = {}
 
 
-def _run(
-    name: str,
-    use_planner: bool = True,
-    seed: int | None = None,
-    shards: int = 1,
-    partition: str = "grid",
-):
+def _run(name: str, engine: EngineConfig = PLANNED, seed: int | None = None):
     """Build+run one registered scenario (memoized per session)."""
-    key = (name, use_planner, seed, shards, partition)
+    key = (name, engine, seed)
     if key not in _cache:
         scenario = build_scenario(
-            name,
-            preset="small",
-            seed=seed,
-            use_planner=use_planner,
-            shards=shards,
-            partition=partition,
+            name, preset="small", seed=seed, engine=engine
         )
         scenario.system.run(until=scenario.params["horizon"])
         _cache[key] = scenario
@@ -137,18 +133,18 @@ def _golden_payload(name: str, scenario) -> dict:
 @pytest.mark.parametrize("name", scenario_names())
 class TestPlannerNaiveEquivalence:
     def test_match_sets_equal(self, name):
-        planner = _run(name, use_planner=True)
-        naive = _run(name, use_planner=False)
+        planner = _run(name)
+        naive = _run(name, NAIVE)
         assert _match_set(planner) == _match_set(naive)
 
     def test_behavior_digests_equal(self, name):
-        planner = _run(name, use_planner=True)
-        naive = _run(name, use_planner=False)
+        planner = _run(name)
+        naive = _run(name, NAIVE)
         assert _behavior_digest(planner) == _behavior_digest(naive)
 
     def test_planner_never_evaluates_more_bindings(self, name):
-        planner = _run(name, use_planner=True)
-        naive = _run(name, use_planner=False)
+        planner = _run(name)
+        naive = _run(name, NAIVE)
         for p_obs, n_obs in zip(
             _observers(planner.system), _observers(naive.system)
         ):
@@ -164,7 +160,7 @@ class TestPlannerNaiveEquivalence:
 class TestShardedConformance:
     """The sharded backend as the third differential leg.
 
-    ``shards=4`` installs a ShardedDetectionEngine at every sink and
+    ``SHARDED`` installs a ShardedDetectionEngine at every sink and
     CCU; halo routing plus exact cross-shard merge must reproduce the
     single-engine behavior byte-for-byte on every registered scenario.
     """
@@ -172,12 +168,12 @@ class TestShardedConformance:
     def test_sharded_vs_naive_match_sets(self, name):
         # The CI conformance-matrix leg: partitioned + planned versus
         # the exhaustive single-engine baseline.
-        sharded = _run(name, shards=4)
-        naive = _run(name, use_planner=False)
+        sharded = _run(name, SHARDED)
+        naive = _run(name, NAIVE)
         assert _match_set(sharded) == _match_set(naive)
 
     def test_sharded_digest_matches_golden(self, name):
-        sharded = _run(name, shards=4)
+        sharded = _run(name, SHARDED)
         path = _golden_path(name)
         if not path.exists():
             pytest.skip("golden not generated yet")
@@ -188,12 +184,12 @@ class TestShardedConformance:
         )
 
     def test_stripes_partition_same_behavior(self, name):
-        grid = _run(name, shards=4)
-        stripes = _run(name, shards=4, partition="stripes")
+        grid = _run(name, SHARDED)
+        stripes = _run(name, STRIPES)
         assert _behavior_digest(grid) == _behavior_digest(stripes)
 
     def test_sharded_engine_counter_laws(self, name):
-        sharded = _run(name, shards=4)
+        sharded = _run(name, SHARDED)
         single = _run(name)
         for sh_obs, si_obs in zip(
             _observers(sharded.system), _observers(single.system)
@@ -211,8 +207,8 @@ class TestShardedConformance:
 @pytest.mark.parametrize("name", scenario_names())
 class TestMetricsInvariants:
     def test_engine_counter_laws(self, name):
-        planner = _run(name, use_planner=True)
-        naive = _run(name, use_planner=False)
+        planner = _run(name)
+        naive = _run(name, NAIVE)
         for scenario in (planner, naive):
             for observer in _observers(scenario.system):
                 stats = observer.engine.stats
@@ -224,7 +220,7 @@ class TestMetricsInvariants:
             assert observer.engine.stats.candidates_pruned == 0
 
     def test_instance_field_laws(self, name):
-        scenario = _run(name, use_planner=True)
+        scenario = _run(name)
         for observer in _observers(scenario.system):
             for instance in observer.emitted:
                 assert 0.0 <= instance.confidence <= 1.0
@@ -232,7 +228,7 @@ class TestMetricsInvariants:
                 assert instance.layer is observer.layer
 
     def test_every_layer_reached(self, name):
-        scenario = _run(name, use_planner=True)
+        scenario = _run(name)
         layers = scenario.system.instances_by_layer()
         for layer in (
             EventLayer.SENSOR,
@@ -242,14 +238,14 @@ class TestMetricsInvariants:
             assert layers.get(layer, 0) >= 1, f"{name} never reached {layer}"
 
     def test_loop_closed_by_actuation(self, name):
-        scenario = _run(name, use_planner=True)
+        scenario = _run(name)
         assert scenario.system.trace.count("command.executed") >= 1
 
 
 @pytest.mark.parametrize("name", scenario_names())
 class TestGoldenTraces:
     def test_digest_matches_golden(self, name, request):
-        scenario = _run(name, use_planner=True)
+        scenario = _run(name)
         payload = _golden_payload(name, scenario)
         path = _golden_path(name)
         if request.config.getoption("--update-golden"):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.shard import ShardedDetectionEngine
 from repro.stream import (
     CheckpointPolicy,
     FaultPlan,
@@ -105,3 +106,24 @@ def test_gate_reads_a_finished_supervised_replay(ledger):
         result.counts["quarantined"] == stats.quarantined_observations > 0
     )
     assert result.counts["entities"] == stats.released_items
+
+
+def test_sharded_workload_builds_and_gates_its_replayers(ledger):
+    """``build_scenario`` → ``detection_bounds()`` → ``profile_of`` →
+    ``ReplayObserver(shards=4, bounds=...)``, as the harness chains them."""
+    harness, _, _ = ledger
+    from speed import SpeedMeter
+
+    workload = harness.WORKLOADS["stream_enum_shard4"]
+    meter = SpeedMeter()
+    inputs = harness.capture(workload, 0, "small", meter)
+    replayers = workload.replayers(inputs)
+    assert len(replayers) == len(inputs.feeds) > 0
+    for replayer in replayers:
+        engine = replayer.runtime.engine
+        assert type(engine) is ShardedDetectionEngine
+        assert engine.shard_count == 4
+        assert engine.partitioner.bounds == inputs.bounds
+    result = workload.run_pass(inputs, meter)
+    assert result.failed == 0, result.problems
+    assert result.recall == 1.0

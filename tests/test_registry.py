@@ -1,8 +1,17 @@
 """Unit tests for the scenario registry."""
 
+import inspect
+
 import pytest
 
 from repro.core.errors import ReproError
+from repro.cps.ccu import ControlUnit
+from repro.cps.component import ObserverComponent
+from repro.cps.mote import SensorMote
+from repro.cps.sink import SinkNode
+from repro.cps.system import CPSSystem
+from repro.detect.engine import DetectionEngine
+from repro.shard import EngineConfig, ShardedDetectionEngine
 from repro.workloads import (
     SIZE_PRESETS,
     Scenario,
@@ -89,22 +98,60 @@ class TestLookupAndBuild:
         scenario = build_scenario("intrusion", preset="small", horizon=77)
         assert scenario.params["horizon"] == 77
 
-    def test_use_planner_reaches_every_engine(self):
-        scenario = build_scenario("intrusion", preset="small", use_planner=False)
-        system = scenario.system
-        observers = [
-            *system.motes.values(),
-            *system.sinks.values(),
-            *system.ccus.values(),
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            EngineConfig(),
+            EngineConfig(use_planner=False),
+            EngineConfig(shards=4, partition="stripes"),
+        ],
+        ids=["default", "naive", "stripes4"],
+    )
+    def test_engine_config_reaches_every_engine(self, engine):
+        system = build_scenario(
+            "intrusion", preset="small", engine=engine
+        ).system
+        motes = list(system.motes.values())
+        hubs = [*system.sinks.values(), *system.ccus.values()]
+        assert motes and hubs
+        for observer in [*motes, *hubs]:
+            assert observer.engine.use_planner is engine.use_planner
+        # A mote is itself a spatial shard: always one single engine.
+        assert all(type(m.engine) is DetectionEngine for m in motes)
+        for hub in hubs:
+            if engine.shards == 1:
+                assert type(hub.engine) is DetectionEngine
+            else:
+                assert type(hub.engine) is ShardedDetectionEngine
+                assert hub.engine.shard_count == engine.shards
+                assert hub.engine.partitioner.strategy == engine.partition
+                assert hub.engine.partitioner.bounds == system.detection_bounds()
+
+
+THREADED = ("planner", "shard", "partition", "cell_size")
+"""Marks of the five keywords `EngineConfig` replaced (and of any
+respelling of them); none may grow back on the signatures below."""
+
+
+def test_engine_choice_is_not_threaded_through_signatures():
+    builders = [spec.builder for spec in iter_scenarios()]
+    for fn in (
+        CPSSystem.__init__,
+        CPSSystem.add_mote,
+        CPSSystem.add_sink,
+        CPSSystem.add_ccu,
+        ObserverComponent.__init__,
+        SensorMote.__init__,
+        SinkNode.__init__,
+        ControlUnit.__init__,
+        build_scenario,
+        *builders,
+    ):
+        threaded = [
+            name
+            for name in inspect.signature(fn).parameters
+            if any(mark in name for mark in THREADED)
         ]
-        assert observers
-        assert all(not o.engine.use_planner for o in observers)
-        default = build_scenario("intrusion", preset="small")
-        assert all(
-            o.engine.use_planner
-            for o in [
-                *default.system.motes.values(),
-                *default.system.sinks.values(),
-                *default.system.ccus.values(),
-            ]
-        )
+        assert not threaded, f"{fn.__qualname__} takes {threaded}"
+    for builder in builders:
+        assert "engine" in inspect.signature(builder).parameters, builder
