@@ -60,6 +60,12 @@ class PointLocation:
     x: float
     y: float
 
+    def __post_init__(self) -> None:
+        # Every engine, index and router downstream does arithmetic on
+        # these; a NaN or infinity refused here cannot half-enter one.
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise SpatialError(f"non-finite coordinate ({self.x}, {self.y})")
+
     def distance_to(self, other: "PointLocation") -> float:
         """Euclidean distance to another point."""
         return math.hypot(self.x - other.x, self.y - other.y)

@@ -129,11 +129,6 @@ class EngineStats:
     evaluation_errors: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    evaluation_time_s: float = 0.0
-    """Wall-clock seconds spent inside :meth:`DetectionEngine.submit_batch`
-    (selector routing, window/index maintenance, enumeration and condition
-    evaluation) — the detection path the compiled/interpreted benchmark
-    comparison isolates from the rest of the simulation."""
 
     @property
     def cache_hit_rate(self) -> float:
@@ -142,27 +137,14 @@ class EngineStats:
         total = hits + (self.cache_misses or 0)
         return hits / total if total else 0.0
 
-    @property
-    def observations_per_s(self) -> float:
-        """Sustained ingestion throughput over the measured detection path.
-
-        Defensive against a zero *or* ``None`` elapsed time (a stats
-        object deserialized from a partial report, or a run measured
-        entirely outside the detection path): both yield ``0.0`` instead
-        of a ``ZeroDivisionError``/``TypeError``.
-        """
-        if not self.evaluation_time_s:
-            return 0.0
-        return (self.entities_submitted or 0) / self.evaluation_time_s
-
     @classmethod
     def merge(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
         """Roll up a collection of engine stats field by field.
 
         The canonical roll-up for multi-engine aggregation — per-shard
         stats inside :class:`~repro.shard.engine.ShardedDetectionEngine`
-        and per-observer stats in the benchmark harness — so
-        ``cache_hits``/``evaluation_time_s`` totals never need ad-hoc
+        and per-observer stats in the benchmark ledger — so
+        ``cache_hits``/``bindings_evaluated`` totals never need ad-hoc
         dict math.  Every field is a flow, so every field sums; derived
         values (:attr:`cache_hit_rate`) recompute from the rolled-up
         counters.
@@ -371,7 +353,6 @@ class DetectionEngine:
                 f"repro.stream.StreamingDetectionRuntime instead"
             )
         self._watermark = now
-        started = perf_counter()
         batch = list(entities)
         flags = None if evaluate is None else list(evaluate)
         self.stats.entities_submitted += len(batch)
@@ -422,7 +403,6 @@ class DetectionEngine:
                 seconds.inc(perf_counter() - spec_started)
         self.stats.cache_hits = cache.hits
         self.stats.cache_misses = cache.misses
-        self.stats.evaluation_time_s += perf_counter() - started
         return matches
 
     def _evaluate_spec(

@@ -15,13 +15,14 @@ Grammar (keywords case-insensitive; ``#`` starts a line comment)::
     predicate := call rel_op NUMBER            -- attribute / measure / rho
                | call TEMPORAL_OP call         -- temporal relation
                | call SPATIAL_OP call          -- spatial relation
-    call      := IDENT "(" arg ("," arg)* ")" [("+"|"-") NUMBER]
+    call      := IDENT "(" arg ("," arg)* ")" [("+"|"-") TICKS]
     arg       := IDENT ["." IDENT] | NUMBER
-    window    := "WINDOW" NUMBER
-    cooldown  := "COOLDOWN" NUMBER
+    window    := "WINDOW" TICKS
+    cooldown  := "COOLDOWN" TICKS
     emit      := "EMIT" (IDENT "=" IDENT)+
     attr      := "ATTR" IDENT "=" IDENT "(" term ("," term)* ")"
     term      := IDENT "." IDENT
+    TICKS     := NUMBER                         -- no fractional part
 
 Example::
 
@@ -67,11 +68,18 @@ _AMBIGUOUS_KEYWORDS = {"CONTAINS"}  # resolved by operand family
 _TEMPORAL_CALLS = {"time", "at", "interval", "earliest", "latest", "span"}
 _SPATIAL_CALLS = {"location", "region", "point", "centroid", "hull", "box"}
 
+MAX_NESTING = 100
+"""Deepest ``NOT`` / parenthesis nesting a condition may have.  Far above
+any real specification, and low enough that neither this parser nor the
+recursive walks behind it (DSL compiler, condition compiler,
+``ConditionNode.evaluate``) can exhaust the interpreter stack."""
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token plumbing ------------------------------------------------
 
@@ -114,6 +122,16 @@ class _Parser:
         self._advance()
         return float(token.value)
 
+    def _expect_ticks(self, what: str) -> int:
+        token = self.current
+        value = self._expect_number()
+        if not value.is_integer():
+            raise self._error(
+                f"{what} expects a whole number of ticks, got {token.value}",
+                token,
+            )
+        return int(value)
+
     # -- grammar ---------------------------------------------------------
 
     def parse_specs(self) -> list[SpecAst]:
@@ -137,16 +155,16 @@ class _Parser:
             token = self.current
             if token.is_keyword("WHEN"):
                 self._advance()
-                roles.extend(self._parse_roles())
+                self._parse_roles(roles)
             elif token.is_keyword("IF"):
                 self._advance()
                 condition = self._parse_or()
             elif token.is_keyword("WINDOW"):
                 self._advance()
-                window = int(self._expect_number())
+                window = self._expect_ticks("WINDOW")
             elif token.is_keyword("COOLDOWN"):
                 self._advance()
-                cooldown = int(self._expect_number())
+                cooldown = self._expect_ticks("COOLDOWN")
             elif token.is_keyword("EMIT"):
                 self._advance()
                 emit.update(self._parse_emit())
@@ -169,19 +187,22 @@ class _Parser:
             attrs=tuple(attrs),
         )
 
-    def _parse_roles(self) -> list[RoleDecl]:
-        roles = [self._parse_role()]
+    def _parse_roles(self, roles: list[RoleDecl]) -> None:
+        """Append one WHEN clause's declarations to the spec's ``roles``."""
+        roles.append(self._parse_role(roles))
         while self.current.type is TokenType.SYMBOL and self.current.value == ",":
             self._advance()
-            roles.append(self._parse_role())
-        return roles
+            roles.append(self._parse_role(roles))
 
-    def _parse_role(self) -> RoleDecl:
+    def _parse_role(self, declared: list[RoleDecl]) -> RoleDecl:
         group = False
         if self.current.is_keyword("GROUP"):
             group = True
             self._advance()
+        token = self.current
         name = self._expect_ident()
+        if any(name == role.name for role in declared):
+            raise self._error(f"role {name!r} declared twice", token)
         self._expect_symbol(":")
         kinds: list[str] = []
         if self.current.type is TokenType.SYMBOL and self.current.value == "*":
@@ -275,15 +296,24 @@ class _Parser:
         return children[0] if len(children) == 1 else AndExpr(tuple(children))
 
     def _parse_unary(self) -> object:
-        if self.current.is_keyword("NOT"):
-            self._advance()
-            return NotExpr(self._parse_unary())
-        if self.current.type is TokenType.SYMBOL and self.current.value == "(":
-            self._advance()
+        negated = self.current.is_keyword("NOT")
+        if not negated and not (
+            self.current.type is TokenType.SYMBOL and self.current.value == "("
+        ):
+            return self._parse_predicate()
+        if self._depth == MAX_NESTING:
+            raise self._error(
+                f"condition nests deeper than {MAX_NESTING} levels"
+            )
+        self._depth += 1
+        self._advance()
+        if negated:
+            inner = NotExpr(self._parse_unary())
+        else:
             inner = self._parse_or()
             self._expect_symbol(")")
-            return inner
-        return self._parse_predicate()
+        self._depth -= 1
+        return inner
 
     def _parse_predicate(self) -> object:
         call = self._parse_call()
@@ -329,7 +359,7 @@ class _Parser:
         offset = 0
         if self.current.type is TokenType.SYMBOL and self.current.value in "+-":
             sign = 1 if self._advance().value == "+" else -1
-            offset = sign * int(self._expect_number())
+            offset = sign * self._expect_ticks("time offset")
         return CallExpr(
             name, tuple(args), offset, line=token.line, column=token.column
         )

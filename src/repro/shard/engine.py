@@ -22,8 +22,8 @@ over ``shards`` internal engines partitioned by space:
   produces — the conformance goldens run every registered scenario on
   this backend to pin that.
 
-:attr:`ShardedDetectionEngine.stats` aggregates: submission counters,
-merged match count and wall time are measured at the sharded level
+:attr:`ShardedDetectionEngine.stats` aggregates: submission counters
+and the merged match count are taken at the sharded level
 (entities routed to several shards count once), while enumeration-side
 counters (bindings, pruning, cache, errors) sum over the shard engines
 via :meth:`~repro.detect.engine.EngineStats.merge`.  Per-shard detail
@@ -36,7 +36,6 @@ chooses between the two engine classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.entity import Entity
@@ -232,7 +231,6 @@ class ShardedDetectionEngine:
                 f"{mark}; feed out-of-order observations through "
                 f"repro.stream.StreamingDetectionRuntime instead"
             )
-        started = perf_counter()
         batch = list(entities)
         own = self._own
         own.entities_submitted += len(batch)
@@ -289,7 +287,6 @@ class ShardedDetectionEngine:
             )
             self._sync_cooldowns(candidates)
         own.matches += len(merged)
-        own.evaluation_time_s += perf_counter() - started
         return merged
 
     def _sync_cooldowns(self, candidates: Sequence[Match]) -> None:
@@ -411,7 +408,7 @@ class ShardedDetectionEngine:
     def stats(self) -> EngineStats:
         """Aggregated counters matching the single-engine surface.
 
-        Submission counts, merged matches and wall time come from the
+        Submission counts and merged matches come from the
         sharded level (an entity mirrored into three shards still
         counts once; ``matches`` counts post-merge emissions);
         enumeration-side counters sum over the shard engines, whose raw
@@ -423,7 +420,6 @@ class ShardedDetectionEngine:
             entities_submitted=self._own.entities_submitted,
             batches_submitted=self._own.batches_submitted,
             matches=self._own.matches,
-            evaluation_time_s=self._own.evaluation_time_s,
         )
 
     def clear(self) -> None:

@@ -38,7 +38,6 @@ unbounded one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ObserverError
@@ -100,7 +99,7 @@ class StreamStats:
 
     Every fact has exactly one writer.  The runtime counts what it does
     itself — offers, releases, matches, delivery steps, deferrals,
-    backpressure steps, wall time.  What a part of the pipeline observes
+    backpressure steps.  What a part of the pipeline observes
     stays with that part: :attr:`StreamingDetectionRuntime.stats` reads
     ``late_observations`` and ``reorder_peak`` from the reorder buffer,
     ``shed_observations`` from the admission controller,
@@ -162,17 +161,6 @@ class StreamStats:
     recoveries: int = 0
     """Supervised crash recoveries absorbed so far.  Not published
     here: the supervisor exports its own tallies."""
-    evaluation_time_s: float = 0.0
-    """Wall-clock seconds spent inside ``ingest`` / ``close_source`` /
-    ``finish``, the engine's share included; never exported."""
-
-    @property
-    def observations_per_s(self) -> float:
-        """Sustained ingestion throughput (``0.0`` before any time was
-        measured)."""
-        if not self.evaluation_time_s:
-            return 0.0
-        return self.entities_submitted / self.evaluation_time_s
 
 
 @dataclass(frozen=True)
@@ -240,10 +228,6 @@ class StreamingDetectionRuntime:
             Telemetry only *reads* the pipeline — no randomness, no
             ordering effects — so every golden digest is reproduced
             byte-for-byte with it enabled; checkpoints carry its state.
-
-    The runtime's :attr:`stats` is a :class:`StreamStats`; its
-    ``observations_per_s`` is the sustained ingestion throughput the
-    streaming benchmarks report.
     """
 
     def __init__(
@@ -391,12 +375,10 @@ class StreamingDetectionRuntime:
         forever, buffering the live sources' items unboundedly; closing
         it hands the frontier to the remaining open sources.
         """
-        started = perf_counter()
         self.tracker.close(name)
         watermark = self.tracker.watermark()
         matches = self._release(watermark)
         self._end_step(watermark)
-        self._counts.evaluation_time_s += perf_counter() - started
         return matches
 
     def ingest(self, items: Sequence[StreamItem]) -> list[Match]:
@@ -418,7 +400,6 @@ class StreamingDetectionRuntime:
         are offered without moving the watermark (see :meth:`_offer`)
         rather than poisoning this step mid-mutation.
         """
-        started = perf_counter()
         self.tracker.ensure_open({item.source for item in items})
         counts = self._counts
         counts.delivery_steps += 1
@@ -441,7 +422,6 @@ class StreamingDetectionRuntime:
         watermark = self.tracker.watermark()
         matches = self._release(watermark)
         self._end_step(watermark, delivery=True)
-        counts.evaluation_time_s += perf_counter() - started
         return matches
 
     def _screen(self, items: Sequence[StreamItem]) -> list[StreamItem]:
@@ -568,7 +548,6 @@ class StreamingDetectionRuntime:
         waited is classified late here, which is the measured cost of
         deferring it.
         """
-        started = perf_counter()
         if self.admission is not None:
             for item in self.admission.flush_deferred():
                 # A source closed mid-run no longer moves the watermark;
@@ -579,7 +558,6 @@ class StreamingDetectionRuntime:
         matches = self._flush(self.buffer.release_all())
         # Every source is closed now: there is no merged watermark left.
         self._end_step(None)
-        self._counts.evaluation_time_s += perf_counter() - started
         return matches
 
     def _release(self, watermark: int | None) -> list[Match]:

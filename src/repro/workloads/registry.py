@@ -282,8 +282,8 @@ register_scenario(
             # Benchmark scale: a longer corridor, denser sampling and a
             # wide uncooled crossing window keep both sinks' pair
             # windows loaded while the load (the tram meeting point)
-            # sweeps every spatial partition — the shard-scaling
-            # workload behind the BENCH_PR4 rows.
+            # sweeps every spatial partition — the input of the ledger
+            # workloads stream_enum and stream_enum_shard4.
             "medium": {"rows": 3, "cols": 20, "sampling_period": 2,
                        "horizon": 900, "crossing_window_rounds": 40,
                        "crossing_cooldown_rounds": 0},
@@ -305,8 +305,9 @@ register_scenario(
             "small": {"rows": 3, "cols": 10, "horizon": 360},
             # Benchmark scale: a longer corridor, denser sampling and a
             # wide uncooled pair window keep the sink's windows loaded
-            # while the fabric's jitter stays at full strength — the
-            # streaming-replay throughput workload behind BENCH_PR5.
+            # while the fabric's jitter stays at full strength (the
+            # ledger measures streamed throughput on high_density
+            # instead, as stream_dense).
             "medium": {"rows": 3, "cols": 16, "sampling_period": 2,
                        "horizon": 720, "cluster_window_rounds": 24,
                        "cluster_cooldown_rounds": 0},
@@ -328,8 +329,8 @@ register_scenario(
             "small": {"rows": 4, "cols": 6, "horizon": 240},
             # Benchmark scale: a wider grid, denser sampling and a
             # longer surge window sustain the all-motes-every-round
-            # flood — the bounded-ingestion workload behind the
-            # BENCH_PR7 admission rows.
+            # flood; the ledger workload stream_overload replays the
+            # large preset.
             "medium": {"rows": 5, "cols": 8, "sampling_period": 2,
                        "horizon": 480, "surge_start": 90,
                        "surge_end": 330},
@@ -352,8 +353,8 @@ register_scenario(
             "small": {"rows": 3, "cols": 8, "horizon": 320},
             # Benchmark scale: a longer corridor, denser sampling and a
             # wide uncooled pair window keep the sink loaded while the
-            # fabric drops and reorders at full strength — the
-            # supervised-recovery workload behind the BENCH_PR8 rows.
+            # fabric drops and reorders at full strength; the ledger
+            # workload stream_faulted replays the large preset.
             "medium": {"rows": 3, "cols": 14, "sampling_period": 2,
                        "horizon": 640, "cluster_window_rounds": 18,
                        "cluster_cooldown_rounds": 0},
@@ -375,8 +376,8 @@ register_scenario(
             "small": {"rows": 6, "cols": 6, "horizon": 210},
             # Benchmark scale: a denser grid, a longer run and a wide
             # uncooled pair window flood the sink with co-located warm
-            # readings — the hash-grid/memo stress workload behind the
-            # BENCH_* hot-path rows.
+            # readings — the input of the ledger workloads live_dense
+            # and stream_dense.
             "medium": {"rows": 10, "cols": 10, "horizon": 360,
                        "sampling_period": 3, "pair_window_rounds": 12,
                        "pair_cooldown_rounds": 0},

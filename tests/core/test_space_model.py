@@ -48,6 +48,18 @@ class TestPointLocation:
         x, y = PointLocation(2, 7)
         assert (x, y) == (2, 7)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinate_rejected(self, bad):
+        for x, y in ((bad, 2.0), (1.0, bad)):
+            with pytest.raises(SpatialError, match="non-finite"):
+                PointLocation(x, y)
+
+    def test_huge_finite_coordinate_accepted(self):
+        point = PointLocation(1e308, -1e308)
+        assert point.x == 1e308
+        with pytest.raises(SpatialError):
+            point.translate(1e308, 0.0)  # overflows to inf
+
 
 class TestGeometryHelpers:
     def test_segments_crossing(self):

@@ -11,7 +11,7 @@ from repro.core.conditions import (
     TemporalMeasureCondition,
     TimeOf,
 )
-from repro.core.errors import ObserverError
+from repro.core.errors import ObserverError, ReproError, SpatialError
 from repro.core.event import EventLayer
 from repro.core.instance import (
     ObserverId,
@@ -120,6 +120,32 @@ class TestMonotoneSubmission:
         # The engine keeps working after the rejected batch.
         matches = engine.submit(obs(seq=2, tick=6, temp=50.0), now=6)
         assert len(matches) == 1
+
+
+class TestNonFiniteCoordinates:
+    """Regression: a NaN or infinite coordinate reached the role index's
+    cell arithmetic *after* the entity was windowed and counted, escaped
+    as a raw ``ValueError`` / ``OverflowError``, and made every later
+    ``restore(snapshot())`` re-raise it after ``clear()`` had run."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_refused_with_a_typed_error_and_unchanged_state(self, bad):
+        engine = DetectionEngine([pair_spec()])
+        engine.submit(obs(seq=0, x=1.0, y=2.0), now=0)
+        before = engine.snapshot()
+        with pytest.raises(SpatialError) as excinfo:
+            engine.submit(obs(seq=1, x=bad, y=2.0), now=0)
+        assert isinstance(excinfo.value, ReproError)
+        assert engine.snapshot() == before
+        engine.restore(engine.snapshot())
+        assert engine.snapshot() == before
+
+    def test_huge_finite_coordinate_still_accepted(self):
+        engine = DetectionEngine([pair_spec()])
+        engine.submit(obs(seq=0, x=1.0, y=2.0), now=0)
+        assert engine.submit(obs(seq=1, tick=1, x=1e308, y=2.0), now=1) == []
+        engine.restore(engine.snapshot())
+        assert engine.stats.entities_submitted == 2
 
 
 class TestSingleRole:
@@ -524,13 +550,11 @@ class TestEngineStatsMerge:
                 entities_submitted=3, batches_submitted=1,
                 bindings_evaluated=10, candidates_pruned=4, matches=2,
                 evaluation_errors=1, cache_hits=5, cache_misses=3,
-                evaluation_time_s=0.25,
             ),
             self._stats(
                 entities_submitted=7, batches_submitted=2,
                 bindings_evaluated=20, candidates_pruned=6, matches=5,
                 evaluation_errors=0, cache_hits=15, cache_misses=5,
-                evaluation_time_s=0.5,
             ),
         ]
         total = EngineStats.merge(parts)
@@ -542,7 +566,6 @@ class TestEngineStatsMerge:
         assert total.evaluation_errors == 1
         assert total.cache_hits == 20
         assert total.cache_misses == 8
-        assert total.evaluation_time_s == pytest.approx(0.75)
         # Derived rate recomputes from the summed counters.
         assert total.cache_hit_rate == pytest.approx(20 / 28)
 

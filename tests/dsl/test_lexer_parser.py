@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import DslSyntaxError
 from repro.dsl.ast_nodes import AndExpr, NotExpr, OrExpr, RelPredicate, RolePredicate
 from repro.dsl.lexer import TokenType, tokenize
-from repro.dsl.parser import parse, parse_many
+from repro.dsl.parser import MAX_NESTING, parse, parse_many
 
 
 class TestLexer:
@@ -158,3 +158,74 @@ class TestParser:
     def test_rho_filter_requires_ge(self):
         with pytest.raises(DslSyntaxError, match=">="):
             parse("EVENT e WHEN x: t RHO <= 0.5 IF rho(x) >= 0")
+
+    @pytest.mark.parametrize(
+        "source, message, column",
+        [
+            # Last-wins would silently drop the first declaration.
+            ("EVENT e WHEN x: t, x: u IF avg(x.v) > 1", "role 'x' declared twice", 20),
+            ("EVENT e WHEN x: t WHEN x: u IF avg(x.v) > 1", "role 'x' declared twice", 24),
+            # int() would silently truncate to 1 / 2 / 1.
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 1.5 COOLDOWN 2",
+                "WINDOW expects a whole number of ticks, got 1.5",
+                42,
+            ),
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 1 COOLDOWN 2.7",
+                "COOLDOWN expects a whole number of ticks, got 2.7",
+                53,
+            ),
+            (
+                "EVENT e WHEN x: t, y: t IF time(x) + 1.5 BEFORE time(y)",
+                "time offset expects a whole number of ticks, got 1.5",
+                38,
+            ),
+        ],
+        ids=[
+            "duplicate-role",
+            "duplicate-role-across-when",
+            "fractional-window",
+            "fractional-cooldown",
+            "fractional-offset",
+        ],
+    )
+    def test_silently_rewritten_input_rejected(self, source, message, column):
+        with pytest.raises(DslSyntaxError, match=message) as excinfo:
+            parse(source)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_whole_number_written_as_a_float_is_accepted(self):
+        assert parse("EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 3.0").window == 3
+
+    @pytest.mark.parametrize(
+        "opener, closer",
+        [("(", ")"), ("NOT ", ""), ("NOT (", ")")],
+        ids=["parentheses", "negations", "mixed"],
+    )
+    def test_nesting_bomb_is_a_syntax_error(self, opener, closer):
+        source = (
+            "EVENT e WHEN x: t IF " + opener * 5000 + "avg(x.v) > 1" + closer * 5000
+        )
+        with pytest.raises(DslSyntaxError, match="nests deeper") as excinfo:
+            parse(source)
+        assert excinfo.value.line == 1 and excinfo.value.column > 1
+
+    def test_nesting_up_to_the_bound_parses(self):
+        parens = parse(
+            "EVENT e WHEN x: t IF "
+            + "(" * MAX_NESTING + "avg(x.v) > 1" + ")" * MAX_NESTING
+        )
+        assert isinstance(parens.condition, RelPredicate)
+        negations = parse(
+            "EVENT e WHEN x: t IF " + "NOT " * MAX_NESTING + "avg(x.v) > 1"
+        )
+        depth, node = 0, negations.condition
+        while isinstance(node, NotExpr):
+            depth, node = depth + 1, node.child
+        assert depth == MAX_NESTING
+        with pytest.raises(DslSyntaxError, match="nests deeper"):
+            parse(
+                "EVENT e WHEN x: t IF "
+                + "NOT " * (MAX_NESTING + 1) + "avg(x.v) > 1"
+            )

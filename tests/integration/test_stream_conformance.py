@@ -29,7 +29,7 @@ registered scenario (small preset, registered seed):
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -40,6 +40,7 @@ from repro.stream import (
     AdmissionController,
     AdmissionLimits,
     JitteredSource,
+    PacedSource,
     ReplayObserver,
     profile_of,
 )
@@ -312,9 +313,45 @@ class TestOverloadSurgeBounded:
 
     CAP = 32
 
+    POLICIES = ("drop_oldest_late", "drop_lowest_priority", "degrade_to_sampling")
+
+    _replays: dict = {}
+
     def _sink_tap(self):
         scenario, taps = _run("overload_surge")
         return scenario, taps["MT0_0"]
+
+    def _jittered(self) -> JitteredSource:
+        _, tap = self._sink_tap()
+        return JitteredSource(tap, max_delay=LATENESS, seed=JITTER_SEED)
+
+    def _replay(self, admission=None, source=None) -> ReplayObserver:
+        """Replay the jittered surge feed (or ``source``) through the
+        sink's specs."""
+        scenario, tap = self._sink_tap()
+        replayer = ReplayObserver(
+            profile_of(_observer(scenario.system, tap.name)),
+            lateness=LATENESS,
+            admission=admission,
+        )
+        replayer.replay(self._jittered() if source is None else source)
+        return replayer
+
+    def _half_peak_replay(self, policy: str | None) -> ReplayObserver:
+        """Replay capped at half the unbounded peak under ``policy``
+        (``None``: the unbounded reference), memoized per session."""
+        if policy not in self._replays:
+            controller = None
+            if policy is not None:
+                peak = self._half_peak_replay(None).runtime.stats.reorder_peak
+                controller = AdmissionController(
+                    AdmissionLimits(max_pending=peak // 2), shedding=policy
+                )
+            self._replays[policy] = self._replay(controller)
+        return self._replays[policy]
+
+    def _emitted_keys(self, policy: str | None) -> Counter:
+        return Counter(i.key for i in self._half_peak_replay(policy).emitted)
 
     def test_surge_feed_overloads_an_unbounded_buffer(self):
         scenario, tap = self._sink_tap()
@@ -326,16 +363,13 @@ class TestOverloadSurgeBounded:
             "or the bounded leg proves nothing"
         )
 
-    def test_bounded_replay_holds_the_cap_and_counts_losses(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bounded_replay_holds_the_cap_and_counts_losses(self, policy):
         scenario, tap = self._sink_tap()
-        source = JitteredSource(tap, max_delay=LATENESS, seed=JITTER_SEED)
-        controller = AdmissionController(AdmissionLimits(max_pending=self.CAP))
-        runtime = StreamingDetectionRuntime(
-            lateness=LATENESS, admission=controller
-        )
-        runtime.run(source)
+        runtime = self._half_peak_replay(policy).runtime
+        controller = runtime.admission
         stats = runtime.stats
-        assert stats.reorder_peak <= self.CAP
+        assert stats.reorder_peak <= controller.limits.max_pending
         assert stats.shed_observations > 0
         assert stats.backpressure_events > 0
         offered = sum(len(entities) for _, entities in tap.batches)
@@ -346,6 +380,26 @@ class TestOverloadSurgeBounded:
             == offered
         )
         assert stats.shed_observations == controller.shed_total
+        # Shedding loses matches; it never invents one.
+        assert not self._emitted_keys(policy) - self._emitted_keys(None)
+
+    def test_best_policy_keeps_half_the_matches_under_a_half_peak_cap(self):
+        golden = self._emitted_keys(None)
+        kept = max(
+            sum((self._emitted_keys(policy) & golden).values())
+            for policy in self.POLICIES
+        )
+        assert kept >= 0.5 * sum(golden.values())
+
+    def test_paced_source_sheds_no_more_than_an_unpaced_one(self):
+        limits = AdmissionLimits(rate=3.0, burst=6.0, max_deferred=16)
+        unpaced = self._replay(AdmissionController(limits))
+        source = PacedSource(self._jittered(), slowdown=2)
+        paced = self._replay(AdmissionController(limits), source)
+        unpaced_shed = unpaced.runtime.stats.shed_observations
+        assert unpaced_shed > 0, "the rate limit never shed: comparing zeros"
+        assert source.throttle_count > 0
+        assert paced.runtime.stats.shed_observations <= unpaced_shed
 
     def test_sharded_bounded_replay_holds_the_cap(self):
         scenario, tap = self._sink_tap()

@@ -188,8 +188,6 @@ class TestRuntimeLateness:
         )
         runtime.run(JitteredSource(ReplaySource(batches(30), name="t"), 3))
         stats = runtime.stats
-        assert stats.evaluation_time_s > 0
-        assert stats.observations_per_s > 0
         assert stats.batches_submitted > 0
         assert stats.matches == 30
 
