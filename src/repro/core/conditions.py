@@ -27,9 +27,7 @@ Every condition additionally knows how to **lower** itself
 (:meth:`Condition.lower`) into a pre-bound closure for the compiled
 evaluation path (:mod:`repro.detect.compiler`): aggregate and operator
 lookups are resolved once at specification-install time instead of once
-per binding, and pairwise spatial/temporal predicates read through an
-optional per-batch memo cache so the same entity pair is never measured
-twice within a batch.  Lowered evaluators are semantically equivalent to
+per binding.  Lowered evaluators are semantically equivalent to
 :meth:`Condition.evaluate` — same booleans, same raised error classes.
 """
 
@@ -82,16 +80,8 @@ __all__ = [
 Binding = Mapping[str, Union[Entity, Sequence[Entity]]]
 """Evaluation context: role name -> entity or group of entities."""
 
-LoweredPredicate = Callable[[Binding, object], bool]
-"""A lowered condition evaluator: ``(binding, cache) -> bool``.
-
-The second argument is an optional predicate memo cache (duck-typed to
-:class:`repro.detect.compiler.PredicateCache`; ``None`` disables
-memoization).  A lowered side expression resolves to
-``(cache_key | None, entity)`` — the key is ``None`` whenever the
-resolved value is not uniquely determined by one bound entity (groups,
-aggregates), which simply opts that evaluation out of the memo.
-"""
+LoweredPredicate = Callable[[Binding], bool]
+"""A lowered condition evaluator: ``binding -> bool``."""
 
 
 def entities_for(name: str, binding: Binding) -> list[Entity]:
@@ -126,15 +116,13 @@ class Condition(ABC):
         """Role names the condition references."""
 
     def lower(self) -> LoweredPredicate:
-        """Lower to a pre-bound ``(binding, cache) -> bool`` closure.
+        """Lower to a pre-bound ``binding -> bool`` closure.
 
-        The default wraps :meth:`evaluate` unchanged (correct for any
+        The default is :meth:`evaluate` itself (correct for any
         subclass); the built-in condition types override it to resolve
-        aggregates/operators once and to route pairwise predicates
-        through the memo cache.
+        aggregates/operators once.
         """
-        evaluate = self.evaluate
-        return lambda binding, cache: evaluate(binding)
+        return self.evaluate
 
     @abstractmethod
     def describe(self) -> str:
@@ -211,7 +199,7 @@ class AttributeCondition(Condition):
         constant = self.constant
         pairs = tuple((term.role, term.attribute) for term in self.terms)
 
-        def run(binding: Binding, cache: object) -> bool:
+        def run(binding: Binding) -> bool:
             values: list[float] = []
             for role, attribute in pairs:
                 for entity in entities_for(role, binding):
@@ -239,16 +227,9 @@ class TimeExpr(ABC):
     @abstractmethod
     def resolve(self, binding: Binding) -> TemporalEntity: ...
 
-    def lower(self) -> Callable[[Binding], tuple[object, TemporalEntity]]:
-        """Pre-bound resolver returning ``(cache_key | None, value)``.
-
-        The key uniquely identifies the resolved value within one
-        detection batch (entity identity plus any static shift); it is
-        ``None`` when no such key exists (aggregates, groups), which
-        opts the evaluation out of relation memoization.
-        """
-        resolve = self.resolve
-        return lambda binding: (None, resolve(binding))
+    def lower(self) -> Callable[[Binding], TemporalEntity]:
+        """Pre-bound resolver (default: :meth:`resolve` itself)."""
+        return self.resolve
 
     @property
     @abstractmethod
@@ -284,27 +265,23 @@ class TimeOf(TimeExpr):
             )
         return when
 
-    def lower(self) -> Callable[[Binding], tuple[object, TemporalEntity]]:
+    def lower(self) -> Callable[[Binding], TemporalEntity]:
         role, offset = self.role, self.offset
         span = time_aggregate("span")
 
-        def resolve(binding: Binding) -> tuple[object, TemporalEntity]:
+        def resolve(binding: Binding) -> TemporalEntity:
             entities = entities_for(role, binding)
             if len(entities) == 1:
-                entity = entities[0]
-                when: TemporalEntity = entity.occurrence_time
-                # id() is the batch-stable entity key (see PredicateCache).
-                key: object = (id(entity), offset) if offset else id(entity)
+                when: TemporalEntity = entities[0].occurrence_time
             else:
                 when = span([e.occurrence_time for e in entities])
-                key = None
             if offset:
                 when = (
                     when.shift(offset)
                     if isinstance(when, TimeInterval)
                     else when + offset
                 )
-            return key, when
+            return when
 
         return resolve
 
@@ -327,12 +304,6 @@ class TimeConst(TimeExpr):
 
     def resolve(self, binding: Binding) -> TemporalEntity:
         return self.value
-
-    def lower(self) -> Callable[[Binding], tuple[object, TemporalEntity]]:
-        # The constant is one fixed object for the condition's lifetime,
-        # so its id() is a valid within-batch cache key.
-        result = (("const", id(self.value)), self.value)
-        return lambda binding: result
 
     @property
     def roles(self) -> frozenset[str]:
@@ -360,17 +331,17 @@ class TimeAgg(TimeExpr):
             times.extend(e.occurrence_time for e in entities_for(role, binding))
         return time_aggregate(self.aggregate)(times)
 
-    def lower(self) -> Callable[[Binding], tuple[object, TemporalEntity]]:
+    def lower(self) -> Callable[[Binding], TemporalEntity]:
         aggregate = time_aggregate(self.aggregate)
         arg_roles = self.arg_roles
 
-        def resolve(binding: Binding) -> tuple[object, TemporalEntity]:
+        def resolve(binding: Binding) -> TemporalEntity:
             times: list[TemporalEntity] = []
             for role in arg_roles:
                 times.extend(
                     e.occurrence_time for e in entities_for(role, binding)
                 )
-            return None, aggregate(times)
+            return aggregate(times)
 
         return resolve
 
@@ -409,13 +380,10 @@ class TemporalCondition(Condition):
         # skips the per-evaluation frozenset (enum hash) membership.
         only = next(iter(admits)) if len(admits) == 1 else None
 
-        def run(binding: Binding, cache: object) -> bool:
-            key_a, a = resolve_lhs(binding)
-            key_b, b = resolve_rhs(binding)
-            if cache is not None and key_a is not None and key_b is not None:
-                relation = cache.temporal_relation(key_a, a, key_b, b)
-            else:
-                relation = temporal_relation(a, b)
+        def run(binding: Binding) -> bool:
+            relation = temporal_relation(
+                resolve_lhs(binding), resolve_rhs(binding)
+            )
             if only is not None:
                 return relation is only
             return relation in admits
@@ -464,7 +432,7 @@ class TemporalMeasureCondition(Condition):
         constant = self.constant
         arg_roles = self.arg_roles
 
-        def run(binding: Binding, cache: object) -> bool:
+        def run(binding: Binding) -> bool:
             times: list[TemporalEntity] = []
             for role in arg_roles:
                 times.extend(
@@ -493,13 +461,9 @@ class SpaceExpr(ABC):
     @abstractmethod
     def resolve(self, binding: Binding) -> SpatialEntity: ...
 
-    def lower(self) -> Callable[[Binding], tuple[object, SpatialEntity]]:
-        """Pre-bound resolver returning ``(cache_key | None, value)``.
-
-        Same contract as :meth:`TimeExpr.lower`, over locations.
-        """
-        resolve = self.resolve
-        return lambda binding: (None, resolve(binding))
+    def lower(self) -> Callable[[Binding], SpatialEntity]:
+        """Pre-bound resolver (default: :meth:`resolve` itself)."""
+        return self.resolve
 
     @property
     @abstractmethod
@@ -526,16 +490,15 @@ class LocationOf(SpaceExpr):
             return locations[0]
         return space_aggregate("hull")(locations)
 
-    def lower(self) -> Callable[[Binding], tuple[object, SpatialEntity]]:
+    def lower(self) -> Callable[[Binding], SpatialEntity]:
         role = self.role
         hull = space_aggregate("hull")
 
-        def resolve(binding: Binding) -> tuple[object, SpatialEntity]:
+        def resolve(binding: Binding) -> SpatialEntity:
             entities = entities_for(role, binding)
             if len(entities) == 1:
-                entity = entities[0]
-                return id(entity), entity.occurrence_location
-            return None, hull([e.occurrence_location for e in entities])
+                return entities[0].occurrence_location
+            return hull([e.occurrence_location for e in entities])
 
         return resolve
 
@@ -555,10 +518,6 @@ class LocationConst(SpaceExpr):
 
     def resolve(self, binding: Binding) -> SpatialEntity:
         return self.value
-
-    def lower(self) -> Callable[[Binding], tuple[object, SpatialEntity]]:
-        result = (("const", id(self.value)), self.value)
-        return lambda binding: result
 
     @property
     def roles(self) -> frozenset[str]:
@@ -588,17 +547,17 @@ class SpaceAgg(SpaceExpr):
             )
         return space_aggregate(self.aggregate)(locations)
 
-    def lower(self) -> Callable[[Binding], tuple[object, SpatialEntity]]:
+    def lower(self) -> Callable[[Binding], SpatialEntity]:
         aggregate = space_aggregate(self.aggregate)
         arg_roles = self.arg_roles
 
-        def resolve(binding: Binding) -> tuple[object, SpatialEntity]:
+        def resolve(binding: Binding) -> SpatialEntity:
             locations: list[SpatialEntity] = []
             for role in arg_roles:
                 locations.extend(
                     e.occurrence_location for e in entities_for(role, binding)
                 )
-            return None, aggregate(locations)
+            return aggregate(locations)
 
         return resolve
 
@@ -635,13 +594,10 @@ class SpatialCondition(Condition):
         admits = self.op.admits
         only = next(iter(admits)) if len(admits) == 1 else None
 
-        def run(binding: Binding, cache: object) -> bool:
-            key_a, a = resolve_lhs(binding)
-            key_b, b = resolve_rhs(binding)
-            if cache is not None and key_a is not None and key_b is not None:
-                relation = cache.spatial_relation(key_a, a, key_b, b)
-            else:
-                relation = spatial_relation(a, b)
+        def run(binding: Binding) -> bool:
+            relation = spatial_relation(
+                resolve_lhs(binding), resolve_rhs(binding)
+            )
             if only is not None:
                 return relation is only
             return relation in admits
@@ -697,7 +653,7 @@ class SpatialMeasureCondition(Condition):
         arg_roles = self.arg_roles
         constant_location = self.constant_location
 
-        def generic(binding: Binding, cache: object) -> bool:
+        def run(binding: Binding) -> bool:
             locations: list[SpatialEntity] = []
             for role in arg_roles:
                 locations.extend(
@@ -707,54 +663,7 @@ class SpatialMeasureCondition(Condition):
                 locations.append(constant_location)
             return compare(measure(locations), constant)
 
-        if self.measure != "distance":
-            return generic
-
-        # ``g_distance`` over exactly two single entities (or one entity
-        # and a constant point) is the planner-prunable hot predicate;
-        # it reads through the per-batch memo so a distance computed by
-        # index pruning is never recomputed during evaluation.
-        if constant_location is None and len(arg_roles) == 2:
-            role_a, role_b = arg_roles
-
-            def run_pair(binding: Binding, cache: object) -> bool:
-                bound_a = entities_for(role_a, binding)
-                bound_b = entities_for(role_b, binding)
-                if cache is not None and len(bound_a) == 1 and len(bound_b) == 1:
-                    a, b = bound_a[0], bound_b[0]
-                    value = cache.distance(
-                        id(a), a.occurrence_location,
-                        id(b), b.occurrence_location,
-                    )
-                else:
-                    locations = [e.occurrence_location for e in bound_a]
-                    locations.extend(e.occurrence_location for e in bound_b)
-                    value = measure(locations)
-                return compare(value, constant)
-
-            return run_pair
-
-        if constant_location is not None and len(arg_roles) == 1:
-            role = arg_roles[0]
-            const_key = ("const", id(constant_location))
-
-            def run_const(binding: Binding, cache: object) -> bool:
-                bound = entities_for(role, binding)
-                if cache is not None and len(bound) == 1:
-                    entity = bound[0]
-                    value = cache.distance(
-                        id(entity), entity.occurrence_location,
-                        const_key, constant_location,
-                    )
-                else:
-                    locations = [e.occurrence_location for e in bound]
-                    locations.append(constant_location)
-                    value = measure(locations)
-                return compare(value, constant)
-
-            return run_const
-
-        return generic
+        return run
 
     @property
     def roles(self) -> frozenset[str]:
@@ -795,7 +704,7 @@ class ConfidenceCondition(Condition):
         compare = self.op.resolve()
         constant = self.constant
 
-        def run(binding: Binding, cache: object) -> bool:
+        def run(binding: Binding) -> bool:
             rho = min(confidence_of(e) for e in entities_for(role, binding))
             return compare(rho, constant)
 

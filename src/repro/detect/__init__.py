@@ -1,13 +1,8 @@
-"""Detection engine: windows, indexes, plans, intervals, localization."""
+"""Detection engine: role windows, plans, intervals, localization."""
 
-from repro.detect.compiler import (
-    CompiledCondition,
-    PredicateCache,
-    compile_condition,
-)
+from repro.detect.compiler import CompiledCondition, compile_condition
 from repro.detect.confidence import FUSION_METHODS, confidence_from_margin, fuse
 from repro.detect.engine import DetectionEngine, EngineStats, Match, build_instance
-from repro.detect.index import DEFAULT_CELL_SIZE, RoleIndex
 from repro.detect.planner import (
     DistanceClause,
     EvaluationPlan,
@@ -28,7 +23,7 @@ from repro.detect.localize import (
     trilaterate,
     weighted_centroid,
 )
-from repro.detect.windows import CountWindow, TickWindow
+from repro.detect.role_window import RoleWindow
 
 __all__ = [
     "DetectionEngine",
@@ -36,17 +31,13 @@ __all__ = [
     "Match",
     "build_instance",
     "CompiledCondition",
-    "PredicateCache",
     "compile_condition",
-    "RoleIndex",
-    "DEFAULT_CELL_SIZE",
+    "RoleWindow",
     "EvaluationPlan",
     "DistanceClause",
     "RegionClause",
     "OrderClause",
     "compile_plan",
-    "TickWindow",
-    "CountWindow",
     "IntervalBuilder",
     "Transition",
     "TransitionKind",

@@ -1,9 +1,10 @@
-"""Condition-tree compilation: flat evaluators + memoized predicate cache.
+"""Condition-tree compilation: flat, pre-bound evaluators.
 
-PR 1 made binding *enumeration* plan-driven (indexes prune candidates);
-this module removes the remaining per-binding interpretation overhead.
-:func:`compile_condition` lowers a specification's composite condition
-tree (Eq. 4.5) into a flat, closure-based evaluator:
+PR 1 made binding *enumeration* plan-driven (column masks reject
+candidates); this module removes the remaining per-binding
+interpretation overhead.  :func:`compile_condition` lowers a
+specification's composite condition tree (Eq. 4.5) into a flat,
+closure-based evaluator:
 
 * every leaf becomes a pre-bound callable — attribute getters,
   aggregation functions and comparison operators are resolved once at
@@ -11,13 +12,11 @@ tree (Eq. 4.5) into a flat, closure-based evaluator:
   (:meth:`~repro.core.conditions.Condition.lower`);
 * conjunctions are flattened into short-circuiting lists ordered
   cheapest-first by each leaf's static
-  :attr:`~repro.core.conditions.Condition.COST` rank;
-* pairwise spatial/temporal predicates (distance, containment relations,
-  interval relations) read through a :class:`PredicateCache` — a
-  per-batch memo keyed by ``(predicate, entity_key, entity_key)`` owned
-  by :meth:`~repro.detect.engine.DetectionEngine.submit_batch`, so a
-  distance computed while pruning (``RoleIndex.near``) or for one
-  binding is never recomputed for another binding in the same batch.
+  :attr:`~repro.core.conditions.Condition.COST` rank.
+
+The closures are the *judge*: whatever the planner's masks let through
+is decided here, one binding at a time, by the same scalar arithmetic
+the interpreted tree uses.
 
 Semantics versus the interpreted tree (``ConditionNode.evaluate``,
 the ``use_planner=False`` differential baseline):
@@ -46,9 +45,7 @@ observable behavior is identical to the interpreter's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.core.aggregates import space_measure
 from repro.core.composite import And, ConditionNode, Leaf, Not, Or
 from repro.core.conditions import Binding, Condition, LoweredPredicate
 from repro.core.errors import (
@@ -57,128 +54,11 @@ from repro.core.errors import (
     SpatialError,
     TemporalError,
 )
-from repro.core.space_model import SpatialEntity, spatial_relation
-from repro.core.time_model import TemporalEntity, temporal_relation
 
-__all__ = ["PredicateCache", "CompiledCondition", "compile_condition"]
+__all__ = ["CompiledCondition", "compile_condition"]
 
 #: Error classes the engine treats as "binding is a non-match".
 EVALUATION_ERRORS = (BindingError, ConditionError, TemporalError, SpatialError)
-
-_MISS = object()
-_distance = space_measure("distance")
-
-
-class PredicateCache:
-    """Per-batch memo for pairwise spatial/temporal predicate results.
-
-    One cache instance lives on the :class:`DetectionEngine`;
-    ``submit_batch`` calls :meth:`reset` before evaluating a batch, so
-    entries never outlive the batch that computed them (window mutation
-    between batches can therefore never serve a stale value).  Keys are
-    ``(predicate, entity_key, entity_key)`` tuples where the entity key
-    is the entity's *batch-stable identity* — ``id(entity)`` for bound
-    entities (every keyed entity is referenced by a window or the batch
-    for the whole evaluation, so ids cannot be recycled mid-batch;
-    hashing an int is also several times cheaper than hashing a
-    provenance tuple) and ``("const", id(value))`` for condition
-    constants.  Values are pure functions of the keyed entities'
-    immutable time/location, so intra-batch reuse is exact.
-
-    ``hits`` / ``misses`` accumulate across batches (they are mirrored
-    into :class:`~repro.detect.engine.EngineStats` for the benchmark
-    harness); :meth:`reset` clears only the memo store.
-    """
-
-    __slots__ = ("_store", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def reset(self) -> None:
-        """Drop every memo entry (start of a new batch)."""
-        self._store.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        """Lifetime fraction of lookups answered from the memo."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def distance(
-        self,
-        key_a: object,
-        loc_a: SpatialEntity,
-        key_b: object,
-        loc_b: SpatialEntity,
-    ) -> float:
-        """Memoized ``g_distance(loc_a, loc_b)`` (symmetric)."""
-        store = self._store
-        key = ("dist", key_a, key_b)
-        value = store.get(key, _MISS)
-        if value is not _MISS:
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = _distance((loc_a, loc_b))
-        store[key] = value
-        store[("dist", key_b, key_a)] = value
-        return value
-
-    def store_distance(self, key_a: object, key_b: object, value: float) -> None:
-        """Pre-seed a (symmetric) distance computed outside the cache.
-
-        Used by :meth:`~repro.detect.index.RoleIndex.near`: pruning
-        measures every candidate's distance anyway, and the accepted
-        candidates are exactly the ones condition evaluation will ask
-        about again.
-        """
-        store = self._store
-        store[("dist", key_a, key_b)] = value
-        store[("dist", key_b, key_a)] = value
-
-    def temporal_relation(
-        self,
-        key_a: object,
-        a: TemporalEntity,
-        key_b: object,
-        b: TemporalEntity,
-    ) -> object:
-        """Memoized :func:`~repro.core.time_model.temporal_relation`."""
-        store = self._store
-        key = ("trel", key_a, key_b)
-        value = store.get(key, _MISS)
-        if value is not _MISS:
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = temporal_relation(a, b)
-        store[key] = value
-        return value
-
-    def spatial_relation(
-        self,
-        key_a: object,
-        a: SpatialEntity,
-        key_b: object,
-        b: SpatialEntity,
-    ) -> object:
-        """Memoized :func:`~repro.core.space_model.spatial_relation`."""
-        store = self._store
-        key = ("srel", key_a, key_b)
-        value = store.get(key, _MISS)
-        if value is not _MISS:
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = spatial_relation(a, b)
-        store[key] = value
-        return value
 
 
 @dataclass(frozen=True)
@@ -186,8 +66,7 @@ class CompiledCondition:
     """A condition tree lowered to one flat evaluator closure.
 
     Attributes:
-        fn: The evaluator; call as ``fn(binding, cache)`` where ``cache``
-            is a :class:`PredicateCache` or ``None``.
+        fn: The evaluator; call as ``fn(binding)``.
         cost: Total static cost rank (sum of leaf costs).
         conjunction_order: When the root is a conjunction: the flattened
             conjunct descriptions in *evaluation* (cheapest-first) order,
@@ -198,8 +77,8 @@ class CompiledCondition:
     cost: float
     conjunction_order: tuple[str, ...] | None = None
 
-    def __call__(self, binding: Binding, cache: PredicateCache | None = None) -> bool:
-        return self.fn(binding, cache)
+    def __call__(self, binding: Binding) -> bool:
+        return self.fn(binding)
 
 
 def _flatten_and(node: And) -> list[ConditionNode]:
@@ -220,8 +99,8 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
     if isinstance(node, Not):
         child_fn, cost = _compile(node.child, False)
 
-        def run_not(binding: Binding, cache: object) -> bool:
-            return not child_fn(binding, cache)
+        def run_not(binding: Binding) -> bool:
+            return not child_fn(binding)
 
         return run_not, cost
 
@@ -232,10 +111,10 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
         # Mirrors the interpreter exactly: every child evaluates in
         # source order (no short-circuit), so the first raising child
         # propagates regardless of earlier ``True`` children.
-        def run_or(binding: Binding, cache: object) -> bool:
+        def run_or(binding: Binding) -> bool:
             result = False
             for fn in fns:
-                if fn(binding, cache):
+                if fn(binding):
                     result = True
             return result
 
@@ -249,10 +128,10 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
         if not lenient:
             strict_fns = tuple(fn for fn, _ in compiled)
 
-            def run_and_strict(binding: Binding, cache: object) -> bool:
+            def run_and_strict(binding: Binding) -> bool:
                 result = True
                 for fn in strict_fns:
-                    if not fn(binding, cache):
+                    if not fn(binding):
                         result = False
                 return result
 
@@ -269,12 +148,12 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
         ordered = tuple((i, compiled[i][0]) for i in order)
         sentinel = len(compiled)
 
-        def run_and(binding: Binding, cache: object) -> bool:
+        def run_and(binding: Binding) -> bool:
             first_error: BaseException | None = None
             first_index = sentinel
             for index, fn in ordered:
                 try:
-                    if not fn(binding, cache):
+                    if not fn(binding):
                         return False
                 except EVALUATION_ERRORS as exc:
                     if index < first_index:
@@ -286,8 +165,7 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
         return run_and, total
 
     if isinstance(node, ConditionNode):  # user-defined node type
-        evaluate = node.evaluate
-        return (lambda binding, cache: evaluate(binding)), 10.0
+        return node.evaluate, 10.0
 
     raise ConditionError(f"cannot compile non-condition node {node!r}")
 

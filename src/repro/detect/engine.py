@@ -15,9 +15,10 @@ specification's :class:`~repro.core.spec.OutputPolicy`.
 Enumeration is *plan-driven*: every installed specification is compiled
 by :func:`repro.detect.planner.compile_plan` into an
 :class:`~repro.detect.planner.EvaluationPlan` whose prunable clauses
-(spatial distance/containment, temporal ordering) are answered by
-per-role :class:`~repro.detect.index.RoleIndex` structures instead of
-scanning full window contents.  Specifications with no prunable clause
+(spatial distance/containment, temporal ordering) are answered as
+boolean masks over the columns of each role's
+:class:`~repro.detect.role_window.RoleWindow` instead of judging every
+window entry in Python.  Specifications with no prunable clause
 fall back to exhaustive enumeration with identical semantics; pruning
 never changes the match set, only ``stats.bindings_evaluated``
 (pass ``use_planner=False`` to force the brute-force path, which the
@@ -68,15 +69,10 @@ from repro.core.space_model import PointLocation, SpatialEntity
 from repro.core.spec import EventSpecification
 from repro.core.time_model import TemporalEntity, TimePoint
 from repro.core.aggregates import space_aggregate, time_aggregate, value_aggregate
-from repro.detect.compiler import (
-    CompiledCondition,
-    PredicateCache,
-    compile_condition,
-)
+from repro.detect.compiler import CompiledCondition, compile_condition
 from repro.detect.confidence import fuse
-from repro.detect.index import RoleIndex
 from repro.detect.planner import EvaluationPlan, compile_plan
-from repro.detect.windows import TickWindow
+from repro.detect.role_window import RoleWindow
 
 __all__ = [
     "Match",
@@ -127,15 +123,16 @@ class EngineStats:
     candidates_pruned: int = 0
     matches: int = 0
     evaluation_errors: int = 0
+    # The predicate memo is gone; the frozen ledger still reads these by name.
     cache_hits: int = 0
     cache_misses: int = 0
 
     @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of predicate-memo lookups answered from the cache."""
-        hits = self.cache_hits or 0
-        total = hits + (self.cache_misses or 0)
-        return hits / total if total else 0.0
+    def pruned_ratio(self) -> float:
+        """Share of considered candidates the plan rejected unevaluated."""
+        pruned = self.candidates_pruned or 0
+        total = pruned + (self.bindings_evaluated or 0)
+        return pruned / total if total else 0.0
 
     @classmethod
     def merge(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
@@ -144,10 +141,10 @@ class EngineStats:
         The canonical roll-up for multi-engine aggregation — per-shard
         stats inside :class:`~repro.shard.engine.ShardedDetectionEngine`
         and per-observer stats in the benchmark ledger — so
-        ``cache_hits``/``bindings_evaluated`` totals never need ad-hoc
-        dict math.  Every field is a flow, so every field sums; derived
-        values (:attr:`cache_hit_rate`) recompute from the rolled-up
-        counters.
+        ``candidates_pruned``/``bindings_evaluated`` totals never need
+        ad-hoc dict math.  Every field is a flow, so every field sums;
+        derived values (:attr:`pruned_ratio`) recompute from the
+        rolled-up counters.
         """
         total = cls()
         names = [spec.name for spec in fields(cls)]
@@ -165,9 +162,9 @@ class EngineSnapshot:
     (with arrival ticks), the insertion-ordered dedup store, cooldown
     clocks, the event-time watermark and the counter state — keyed by
     the installed specification ids so a snapshot can only be restored
-    into an engine watching the same specifications.  Role indexes are
-    *not* captured: they mirror window contents FIFO, so restore
-    rebuilds them exactly by re-adding the window entries in order.
+    into an engine watching the same specifications.  The windows'
+    columns are *not* captured: they are derived from the entities, so
+    restore rebuilds them exactly by re-adding the entries in order.
 
     Entities are shared by reference (they are immutable), which makes
     snapshots cheap: cost is proportional to live window content, not
@@ -201,13 +198,11 @@ class DetectionEngine:
         use_planner: bool = True,
     ):
         self._specs: dict[str, EventSpecification] = {}
-        self._pools: dict[str, dict[str, TickWindow[Entity]]] = {}
+        self._pools: dict[str, dict[str, RoleWindow]] = {}
         self._seen: dict[str, dict[frozenset, int]] = {}
         self._last_match: dict[str, int] = {}
         self._plans: dict[str, EvaluationPlan] = {}
         self._compiled: dict[str, CompiledCondition] = {}
-        self._indexes: dict[str, dict[str, RoleIndex]] = {}
-        self._cache = PredicateCache()
         self._watermark: int | None = None
         self.use_planner = use_planner
         self.stats = EngineStats()
@@ -261,22 +256,12 @@ class DetectionEngine:
         if spec.event_id in self._specs:
             raise ObserverError(f"duplicate specification {spec.event_id!r}")
         self._specs[spec.event_id] = spec
-        pools = {role: TickWindow(spec.window) for role in spec.roles}
-        self._pools[spec.event_id] = pools
+        self._pools[spec.event_id] = {
+            role: RoleWindow(spec.window) for role in spec.roles
+        }
         self._seen[spec.event_id] = {}
-        plan = compile_plan(spec)
-        self._plans[spec.event_id] = plan
+        self._plans[spec.event_id] = compile_plan(spec)
         self._compiled[spec.event_id] = compile_condition(spec.condition)
-        indexes: dict[str, RoleIndex] = {}
-        if self.use_planner and plan.prunable:
-            indexes = plan.build_indexes()
-            for role, index in indexes.items():
-                # Keep the index mirroring its window: both evict FIFO,
-                # so a pop-count is enough to stay in lockstep.
-                pools[role].on_evict(
-                    lambda evicted, idx=index: idx.evict(len(evicted))
-                )
-        self._indexes[spec.event_id] = indexes
         if self._spec_obs is not None:
             self._install_spec_obs(spec.event_id)
 
@@ -334,7 +319,7 @@ class DetectionEngine:
             now: Shared arrival tick.
             evaluate: Optional per-entity flags (aligned with
                 ``entities``).  A ``False`` entry inserts the entity
-                into its role windows and indexes *without* enumerating
+                into its role windows *without* enumerating
                 the bindings it triggers — the sharded backend marks
                 halo mirrors this way, because a mirrored entity's own
                 matches are enumerated by its owner shard while this
@@ -352,17 +337,16 @@ class DetectionEngine:
                 f"{self._watermark}; feed out-of-order observations through "
                 f"repro.stream.StreamingDetectionRuntime instead"
             )
-        self._watermark = now
         batch = list(entities)
         flags = None if evaluate is None else list(evaluate)
+        if flags is not None and len(flags) != len(batch):
+            raise ObserverError(
+                f"evaluate has {len(flags)} flags for a batch of "
+                f"{len(batch)} entities"
+            )
+        self._watermark = now
         self.stats.entities_submitted += len(batch)
         self.stats.batches_submitted += 1
-        # The predicate memo is scoped to this batch: entities are
-        # immutable while the batch evaluates, so memoized pairwise
-        # results are exact; resetting here makes cross-batch staleness
-        # structurally impossible.
-        cache = self._cache
-        cache.reset()
         matches: list[Match] = []
         spec_obs = self._spec_obs
         for spec in self._specs.values():
@@ -380,29 +364,19 @@ class DetectionEngine:
                 bindings_before = self.stats.bindings_evaluated
                 matches_before = self.stats.matches
             pools = self._pools[spec.event_id]
-            indexes = self._indexes[spec.event_id]
             for window in pools.values():
-                # One eviction sweep per batch (listeners keep the
-                # role indexes mirrored).
-                window.evict(now)
+                window.evict(now)  # one eviction sweep per batch
             self._prune_seen(self._seen[spec.event_id], now, spec.window)
             for entity, roles, run in staged:
                 for role in roles:
                     pools[role].add(entity, now)
-                    index = indexes.get(role)
-                    if index is not None:
-                        index.add(entity)
                 if run:
-                    matches.extend(
-                        self._evaluate_spec(spec, entity, roles, now, cache)
-                    )
+                    matches.extend(self._evaluate_spec(spec, entity, roles, now))
             if spec_obs is not None:
                 bindings, matched, seconds = spec_obs[spec.event_id]
                 bindings.inc(self.stats.bindings_evaluated - bindings_before)
                 matched.inc(self.stats.matches - matches_before)
                 seconds.inc(perf_counter() - spec_started)
-        self.stats.cache_hits = cache.hits
-        self.stats.cache_misses = cache.misses
         return matches
 
     def _evaluate_spec(
@@ -411,7 +385,6 @@ class DetectionEngine:
         entity: Entity,
         candidate_roles: tuple[str, ...],
         now: int,
-        cache: PredicateCache,
     ) -> list[Match]:
         seen = self._seen[spec.event_id]
         last = self._last_match.get(spec.event_id)
@@ -422,13 +395,13 @@ class DetectionEngine:
         ):
             return []
         # The planner path evaluates through the compiled flat closure
-        # (memoized predicates, pre-resolved operators); the naive path
-        # keeps interpreting the raw tree as the differential baseline.
+        # (pre-resolved operators, cheapest conjunct first); the naive
+        # path keeps interpreting the raw tree as the differential baseline.
         evaluator = self._compiled[spec.event_id].fn if self.use_planner else None
         matches: list[Match] = []
         cooling = False
         for target_role in candidate_roles:
-            for binding in self._enumerate(spec, target_role, entity, now, cache):
+            for binding in self._enumerate(spec, target_role, entity):
                 if not self._distinct(binding, spec):
                     continue
                 key = self._binding_key(binding)
@@ -437,7 +410,7 @@ class DetectionEngine:
                 self.stats.bindings_evaluated += 1
                 try:
                     if evaluator is not None:
-                        holds = evaluator(binding, cache)
+                        holds = evaluator(binding)
                     else:
                         holds = spec.condition.evaluate(binding)
                 except (BindingError, ConditionError, TemporalError, SpatialError):
@@ -467,8 +440,6 @@ class DetectionEngine:
         spec: EventSpecification,
         target_role: str,
         entity: Entity,
-        now: int,
-        cache: PredicateCache | None = None,
     ) -> Iterator[dict[str, Entity | tuple[Entity, ...]]]:
         """Candidate bindings pinning ``entity`` to ``target_role``.
 
@@ -477,18 +448,18 @@ class DetectionEngine:
         plan's prunable clauses filtering each role's candidates against
         already-pinned roles.  The pruned sequence is always an ordered
         subsequence of the exhaustive one, so match ordering is
-        preserved.
+        preserved.  ``submit_batch`` has already evicted every window
+        at the current tick.
         """
         pools = self._pools[spec.event_id]
         plan = self._plans[spec.event_id]
-        indexes = self._indexes[spec.event_id]
-        planned = self.use_planner and plan.prunable and bool(indexes)
+        planned = self.use_planner and plan.prunable
         if planned and not plan.target_feasible(target_role, entity):
             full = 1
             for role in spec.roles:
                 if role == target_role or role in spec.group_roles:
                     continue
-                full *= len(pools[role].items(now))
+                full *= len(pools[role])
             self.stats.candidates_pruned += full
             return
 
@@ -496,25 +467,25 @@ class DetectionEngine:
         pinned: dict[str, Entity] = {target_role: entity}
 
         def options(role: str) -> Sequence[object] | None:
+            window = pools[role]
             if role in spec.group_roles:
-                group = tuple(pools[role].items(now))
+                group = tuple(window.entities())
                 return (group,) if group else None
             if role == target_role:
                 return (entity,)
-            live = pools[role].items(now)
-            if not live:
+            if not len(window):
                 return None
             if planned:
-                pruned = plan.candidates(role, pinned, indexes.get(role), cache)
+                pruned = plan.candidates(role, pinned, window)
                 if pruned is not None:
-                    self.stats.candidates_pruned += len(live) - len(pruned)
+                    self.stats.candidates_pruned += len(window) - len(pruned)
                     return pruned if pruned else None
-            return live
+            return window.entities()
 
         # Candidates depend on the recursion state only for roles with a
         # prunable clause against an earlier-enumerated single role; all
-        # other option lists (group tuples, static region queries, full
-        # window views, clauses against the pinned target) are computed
+        # other option lists (group tuples, static region masks, full
+        # window copies, clauses against the pinned target) are computed
         # once per enumeration, not once per partial binding.
         volatile: set[str] = set()
         if planned:
@@ -654,27 +625,30 @@ class DetectionEngine:
         """Reset this engine to a snapshot taken from an equivalent one.
 
         The engine must watch exactly the snapshot's specifications (by
-        id, in installation order) — restore rebuilds windows, role
-        indexes (by re-adding window entries in FIFO order, the same
-        sequence of operations the original submissions performed),
-        dedup stores and cooldown clocks, after which the engine's
-        future match stream is indistinguishable from the snapshotted
-        engine's.
+        id, in installation order, with the same roles) — restore
+        rebuilds windows (by re-adding their entries in FIFO order, the
+        same sequence of operations the original submissions
+        performed), dedup stores and cooldown clocks, after which the
+        engine's future match stream is indistinguishable from the
+        snapshotted engine's.  A refused snapshot changes nothing.
         """
         if tuple(self._specs) != snapshot.spec_ids:
             raise ObserverError(
                 f"snapshot watches specs {snapshot.spec_ids}, this engine "
                 f"watches {tuple(self._specs)}"
             )
+        for event_id, pools in self._pools.items():
+            roles = snapshot.windows.get(event_id, ())
+            if set(roles) != set(pools):
+                raise ObserverError(
+                    f"snapshot of spec {event_id!r} has roles "
+                    f"{sorted(roles)}, this engine's has {sorted(pools)}"
+                )
         self.clear()
         for event_id, pools in self._pools.items():
-            indexes = self._indexes[event_id]
             for role, window in pools.items():
-                index = indexes.get(role)
                 for tick, entity in snapshot.windows[event_id][role]:
                     window.add(entity, tick)
-                    if index is not None:
-                        index.add(entity)
         for event_id, entries in snapshot.seen.items():
             self._seen[event_id].update(entries)
         self._last_match.update(snapshot.last_match)
@@ -699,14 +673,13 @@ class DetectionEngine:
             self._last_match[event_id] = tick
 
     def clear(self) -> None:
-        """Drop all windows, indexes and dedup state (specs stay)."""
+        """Drop all windows and dedup state (specs stay)."""
         for pools in self._pools.values():
             for window in pools.values():
-                window.clear()  # eviction listeners flush the indexes
+                window.clear()
         for seen in self._seen.values():
             seen.clear()
         self._last_match.clear()
-        self._cache.reset()
         self._watermark = None
 
 

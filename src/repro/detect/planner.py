@@ -13,16 +13,20 @@ candidates that can possibly match.
 Extraction is deliberately conservative — a clause is prunable only
 when it is **conjunctively necessary** (reachable from the condition
 root through ``AND`` nodes only, never under ``OR`` or ``NOT``) and its
-shape maps onto an index query:
+shape maps onto a column comparison of the role's
+:class:`~repro.detect.role_window.RoleWindow`:
 
-* ``SpatialMeasureCondition("distance", (a, b), <|<=, d)`` — grid range
-  query of radius ``d`` around the pinned role's location;
+* ``SpatialMeasureCondition("distance", (a, b), <|<=, d)`` — *within*:
+  rows farther than ``d`` from the pinned role's location are rejected;
+* ``SpatialMeasureCondition("distance", (a, b), >|>=, d)`` — *beyond*:
+  rows nearer than ``d`` to the pinned role's location are rejected;
 * ``SpatialMeasureCondition("distance", (r,), <|<=, d, constant_location=p)``
-  — static range query around the constant point;
+  — *near-constant*: rows farther than ``d`` from the constant point;
 * ``SpatialCondition(LocationOf(r) INSIDE LocationConst(field))`` (and
-  the mirrored ``CONTAINS`` form) — static containment query;
+  the mirrored ``CONTAINS`` form) — *region*: rows outside the field's
+  bounding box, then the exact containment test on the survivors;
 * ``TemporalCondition(TimeOf(a) Before/After TimeOf(b))`` (offsets
-  supported) — tick-bound window slicing.
+  supported) — *order*: rows whose tick bounds rule the ordering out.
 
 Everything else — disjunctions, negations, attribute conditions,
 aggregate measures, group roles — is left to exact evaluation; a spec
@@ -36,7 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Mapping, Sequence
 
 from repro.core.composite import And, ConditionNode, Leaf
 from repro.core.conditions import (
@@ -52,10 +58,7 @@ from repro.core.entity import Entity
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import BoundingBox, Field, PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.index import RoleIndex, tick_bounds
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.detect.compiler import PredicateCache
+from repro.detect.role_window import RoleWindow, tick_bounds
 
 __all__ = [
     "DistanceClause",
@@ -68,7 +71,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DistanceClause:
-    """Necessary clause ``distance(l_a, l_b) <= radius``."""
+    """Necessary clause on ``distance(l_a, l_b)`` against ``radius``.
+
+    The plan field holding it names the side: ``distances`` are
+    *within* clauses (``<= radius``), ``beyonds`` are ``>= radius``.
+    """
 
     role_a: str
     role_b: str
@@ -131,8 +138,8 @@ class EvaluationPlan:
     * :meth:`target_feasible` — static clauses over the newly arrived
       (pinned) entity; a failed check skips the whole enumeration;
     * :meth:`candidates` — the role's admissible window subset given the
-      already-pinned roles, computed from the role's
-      :class:`~repro.detect.index.RoleIndex`.
+      already-pinned roles, computed from the columns of the role's
+      :class:`~repro.detect.role_window.RoleWindow`.
 
     Both are superset guards: an entity is excluded only when a
     conjunctively-necessary clause provably cannot hold for it.
@@ -140,26 +147,27 @@ class EvaluationPlan:
 
     spec: EventSpecification
     distances: tuple[DistanceClause, ...] = ()
+    beyonds: tuple[DistanceClause, ...] = ()
     regions: tuple[RegionClause, ...] = ()
     near_constants: tuple[NearConstantClause, ...] = ()
     orders: tuple[OrderClause, ...] = ()
-    indexed_roles: frozenset[str] = frozenset()
 
     @property
     def prunable(self) -> bool:
         """Whether any clause was extracted (else: exhaustive fallback)."""
         return bool(
-            self.distances or self.regions or self.near_constants or self.orders
+            self.distances
+            or self.beyonds
+            or self.regions
+            or self.near_constants
+            or self.orders
         )
-
-    def build_indexes(self) -> dict[str, RoleIndex]:
-        """Fresh role indexes for every role the plan can prune."""
-        return {role: RoleIndex() for role in self.indexed_roles}
 
     def describe(self) -> str:
         """Human-readable clause summary (for tracing and docs)."""
         parts = [
             *(f"dist({c.role_a},{c.role_b})<={c.radius:g}" for c in self.distances),
+            *(f"dist({c.role_a},{c.role_b})>={c.radius:g}" for c in self.beyonds),
             *(f"{c.role} in {c.region!r}" for c in self.regions),
             *(
                 f"dist({c.role},{c.point!r})<={c.radius:g}"
@@ -178,7 +186,8 @@ class EvaluationPlan:
         each other, every match is fully contained in some constituent's
         home shard, which is what makes shard-local evaluation exact.
 
-        Derivation, over the conjunctively-necessary clauses only:
+        Derivation, over the conjunctively-necessary clauses only
+        (``beyonds`` bound nothing from above and take no part):
 
         * a specification with group roles has no bound (a group binds
           the whole window regardless of location) — ``None``;
@@ -260,7 +269,7 @@ class EvaluationPlan:
         enumeration order) versus hoisted out and computed once.
         """
         peers: set[str] = set()
-        for clause in self.distances:
+        for clause in self.distances + self.beyonds:
             if role in (clause.role_a, clause.role_b):
                 peers.add(clause.other(role))
         for clause in self.orders:
@@ -290,126 +299,99 @@ class EvaluationPlan:
         self,
         role: str,
         pinned: Mapping[str, Entity],
-        index: RoleIndex | None,
-        cache: "PredicateCache | None" = None,
+        window: RoleWindow,
     ) -> Sequence[Entity] | None:
-        """Admissible window subset for ``role`` given pinned roles.
+        """Admissible subset of ``window`` for ``role`` given pinned roles.
 
         Returns ``None`` when no clause restricts this role (the caller
-        then enumerates the full window view), an ordered entity list
-        otherwise.  Order always matches window arrival order, so pruned
-        enumeration visits the same bindings as exhaustive enumeration,
-        minus provable non-matches.
-
-        When ``cache`` (a :class:`~repro.detect.compiler.PredicateCache`)
-        is given, range-query distances are computed through it, so the
-        compiled evaluator later reuses every distance the pruning pass
-        already measured.
+        then enumerates the full window), an ordered entity list
+        otherwise.  Every clause contributes one reject mask over the
+        window's live rows; the masks are OR-ed and the rows left
+        standing are returned in arrival order, so pruned enumeration
+        visits the same bindings as exhaustive enumeration, minus
+        provable non-matches.
         """
-        if index is None:
-            return None
-        allowed: set[int] | None = None
-        for clause in self.distances:
-            if role not in (clause.role_a, clause.role_b):
-                continue
-            other = pinned.get(clause.other(role))
-            if other is None:
-                continue
-            anchor = other.occurrence_location
-            if not isinstance(anchor, PointLocation):
-                continue  # field anchor: distance bound not point-reducible
-            found = index.near(
-                anchor, clause.radius,
-                cache=cache, anchor_key=id(other),
-            )
-            allowed = found if allowed is None else allowed & found
-        for clause in self.regions:
-            if clause.role == role:
-                found = index.covered_by(clause.region)
-                allowed = found if allowed is None else allowed & found
+        masks = []
+        for clauses, reject in (
+            (self.distances, window.farther_than),
+            (self.beyonds, window.nearer_than),
+        ):
+            for clause in clauses:
+                if role not in (clause.role_a, clause.role_b):
+                    continue
+                other = pinned.get(clause.other(role))
+                if other is None:
+                    continue
+                anchor = other.occurrence_location
+                if not isinstance(anchor, PointLocation):
+                    continue  # field anchor: distance bound not point-reducible
+                masks.append(reject(anchor, clause.radius))
         for clause in self.near_constants:
             if clause.role == role:
-                found = index.near(
-                    clause.point, clause.radius,
-                    cache=cache, anchor_key=("const", id(clause.point)),
-                )
-                allowed = found if allowed is None else allowed & found
+                masks.append(window.farther_than(clause.point, clause.radius))
+        regions = [c.region for c in self.regions if c.role == role]
+        for region in regions:
+            masks.append(window.outside(region.bounding_box()))
 
-        # Temporal ordering constraints against pinned roles become
-        # per-entry tick-bound predicates (window slicing).
-        lo_caps: list[int] = []  # candidate.hi must be < cap
-        hi_floors: list[int] = []  # candidate.lo must be > floor
-        infeasible = False
+        # Temporal ordering constraints against pinned roles compare the
+        # candidates' tick-bound columns with the pinned entity's bounds.
         for clause in self.orders:
             if clause.earlier == role and clause.later in pinned:
-                lo_b, _ = tick_bounds(pinned[clause.later])
-                if lo_b is not None:
-                    lo_caps.append(lo_b - clause.slack)
+                pinned_lo, _ = tick_bounds(pinned[clause.later])
+                if pinned_lo is not None:
+                    masks.append(window.not_over_before(pinned_lo - clause.slack))
             elif clause.later == role and clause.earlier in pinned:
                 pinned_lo, pinned_hi = tick_bounds(pinned[clause.earlier])
                 if pinned_hi is not None:
-                    hi_floors.append(pinned_hi + clause.slack)
+                    masks.append(window.not_begun_after(pinned_hi + clause.slack))
                 elif pinned_lo is not None:
                     # Open interval pinned as the earlier operand: Before
                     # can never hold, so no candidate can complete a match.
-                    infeasible = True
-        if infeasible:
-            return ()
-        if allowed is None and not lo_caps and not hi_floors:
+                    return ()
+        if not masks:
             return None
-
-        def admit(lo: int | None, hi: int | None) -> bool:
-            if lo is None and hi is None:
-                return True  # exotic temporal entity: never prune
-            for cap in lo_caps:
-                # hi=None with lo set = open interval: Before cannot hold.
-                if hi is None or hi >= cap:
-                    return False
-            for floor in hi_floors:
-                if lo is None or lo <= floor:
-                    return False
-            return True
-
-        out: list[Entity] = []
-        if allowed is not None:
-            for seq in sorted(allowed):
-                entry = index.entry(seq)
-                if admit(entry.lo, entry.hi):
-                    out.append(entry.entity)
-        else:
-            for entry in index.entries():
-                if admit(entry.lo, entry.hi):
-                    out.append(entry.entity)
-        return out
+        survivors = window.surviving(reduce(or_, masks))
+        for region in regions:
+            # The box mask is only the cheap first cut; field-located
+            # entities are the exact condition's to judge, not ours.
+            survivors = [
+                entity
+                for entity in survivors
+                if not isinstance(entity.occurrence_location, PointLocation)
+                or region.contains_point(entity.occurrence_location)
+            ]
+        return survivors
 
 
 def compile_plan(spec: EventSpecification) -> EvaluationPlan:
     """Compile a specification's condition tree into an evaluation plan."""
     singles = frozenset(spec.roles) - spec.group_roles
     distances: list[DistanceClause] = []
+    beyonds: list[DistanceClause] = []
     regions: list[RegionClause] = []
     near_constants: list[NearConstantClause] = []
     orders: list[OrderClause] = []
 
     for cond in _conjunctive_leaves(spec.condition):
         if isinstance(cond, SpatialMeasureCondition):
-            if cond.measure != "distance" or cond.op not in (
-                RelationalOp.LT,
-                RelationalOp.LE,
-            ):
+            if cond.measure != "distance":
                 continue
+            within = cond.op in (RelationalOp.LT, RelationalOp.LE)
+            beyond = cond.op in (RelationalOp.GT, RelationalOp.GE)
             roles = cond.arg_roles
             if (
-                cond.constant_location is None
+                (within or beyond)
+                and cond.constant_location is None
                 and len(roles) == 2
                 and roles[0] != roles[1]
                 and set(roles) <= singles
             ):
-                distances.append(
+                (distances if within else beyonds).append(
                     DistanceClause(roles[0], roles[1], cond.constant)
                 )
             elif (
-                isinstance(cond.constant_location, PointLocation)
+                within
+                and isinstance(cond.constant_location, PointLocation)
                 and len(roles) == 1
                 and roles[0] in singles
             ):
@@ -454,20 +436,11 @@ def compile_plan(spec: EventSpecification) -> EvaluationPlan:
                     OrderClause(rhs.role, lhs.role, rhs.offset - lhs.offset)
                 )
 
-    indexed: set[str] = set()
-    for clause in distances:
-        indexed.update((clause.role_a, clause.role_b))
-    indexed.update(clause.role for clause in regions)
-    indexed.update(clause.role for clause in near_constants)
-    for clause in orders:
-        indexed.update((clause.earlier, clause.later))
-    indexed &= singles
-
     return EvaluationPlan(
         spec=spec,
         distances=tuple(distances),
+        beyonds=tuple(beyonds),
         regions=tuple(regions),
         near_constants=tuple(near_constants),
         orders=tuple(orders),
-        indexed_roles=frozenset(indexed),
     )

@@ -319,7 +319,7 @@ def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
             f"pruned={stats.candidates_pruned} "
             f"matches={stats.matches} "
             f"errors={stats.evaluation_errors} "
-            f"cache_hit_rate={_fmt_rate(stats.cache_hit_rate)}"
+            f"pruned_ratio={_fmt_rate(stats.pruned_ratio)}"
         )
         shard_stats = getattr(engine, "shard_stats", None)
         if callable(shard_stats):
@@ -328,7 +328,7 @@ def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
                     f"shard[{shard}] entities={per.entities_submitted} "
                     f"bindings={per.bindings_evaluated} "
                     f"matches={per.matches} "
-                    f"cache_hit_rate={_fmt_rate(per.cache_hit_rate)}"
+                    f"pruned_ratio={_fmt_rate(per.pruned_ratio)}"
                 )
         spec_rows = _per_spec_rows(engine, telemetry)
         if spec_rows:

@@ -32,9 +32,9 @@ bound (:meth:`spatial_reach` returning ``None``):
   produces — full windows everywhere make every shard's group matches
   identical, and dedup keeps one;
 * entities without a point location (field events) broadcast to all
-  shards, mirroring the unlocated-overflow rule of
-  :class:`~repro.detect.index.RoleIndex` — with no position there is no
-  home shard, and they must be able to bind anywhere;
+  shards, mirroring the never-reject rule for unlocated rows of
+  :class:`~repro.detect.role_window.RoleWindow` — with no position there
+  is no home shard, and they must be able to bind anywhere;
 * entities no specification selects are dropped before routing — they
   are no-ops in every engine.
 """
@@ -144,7 +144,7 @@ class ObservationRouter:
         location = entity.occurrence_location
         if not isinstance(location, PointLocation):
             # No home shard: mirror and evaluate everywhere, the merger
-            # deduplicates (mirrors the RoleIndex unlocated-overflow rule).
+            # deduplicates (mirrors the RoleWindow unlocated-row rule).
             self.stats.broadcasts += 1
             self.stats.halo_copies += len(self._everywhere) - 1
             return self._everywhere

@@ -19,8 +19,8 @@ that exercise the spatial index, reordering transports and overload:
   recovers), exercising confidence fusion and detection under
   degradation without crashes;
 * :func:`build_high_density` — a dense mote grid with pulsing plume
-  sources producing clustered warm readings, stressing the hash-grid
-  role index with pair conditions over large windows;
+  sources producing clustered warm readings, stressing the role
+  windows' distance masks with pair conditions over large windows;
 * :func:`build_jittery_corridor` — a heavy-backoff fabric that delivers
   sightings out of event-time order, the streaming runtime's workload;
 * :func:`build_sharded_metro` — a wide multi-sink corridor whose load
@@ -585,7 +585,7 @@ def build_sensor_failure_storm(
 
 
 # ----------------------------------------------------------------------
-# high density: hash-grid index stress under clustered event bursts
+# high density: role-window stress under clustered event bursts
 # ----------------------------------------------------------------------
 
 def build_high_density(
@@ -602,14 +602,14 @@ def build_high_density(
     pair_cooldown_rounds: int = 1,
     engine: EngineConfig = EngineConfig(),
 ) -> Scenario:
-    """Clustered warm bursts on a dense grid stress the role index.
+    """Clustered warm bursts on a dense grid stress the role windows.
 
     Plume sources pulse at three spots across the run; each active
     source turns the surrounding patch of the (densely packed) grid
     warm, flooding the sink's pair-condition windows with co-located
-    events — the workload shape where hash-grid candidate pruning pays
-    and where an index/window desynchronization would instantly diverge
-    from the naive engine.
+    events — the workload shape where distance-mask candidate pruning
+    pays and where an unsound mask would instantly diverge from the
+    naive engine.
 
     ``pair_window_rounds`` / ``pair_cooldown_rounds`` size the sink's
     ``warm_pair`` window and cooldown in sampling rounds; the medium

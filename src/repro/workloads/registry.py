@@ -369,7 +369,7 @@ register_scenario(
     ScenarioSpec(
         name="high_density",
         builder=build_high_density,
-        description="pulsing plumes on a dense grid stress the hash-grid role index",
+        description="pulsing plumes on a dense grid stress the role-window masks",
         layers=("plume field", "dense WSN", "mote", "sink", "ccu"),
         paper_section="-",
         presets={

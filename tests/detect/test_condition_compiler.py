@@ -1,4 +1,4 @@
-"""Compiled condition evaluation: differential equivalence + memo cache.
+"""Compiled condition evaluation: differential equivalence.
 
 The compiled evaluator's contract against the interpreted tree
 (:mod:`repro.detect.compiler` module docstring):
@@ -13,9 +13,7 @@ The compiled evaluator's contract against the interpreted tree
 
 The hypothesis suite below drives random condition trees against random
 (including deliberately broken) bindings and checks exactly that
-relation, with and without a :class:`PredicateCache`.  The cache tests
-pin the per-batch reset semantics: window mutation between batches can
-never serve a stale memo entry.
+relation.
 """
 
 import pytest
@@ -46,11 +44,7 @@ from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimeInterval, TimePoint
-from repro.detect.compiler import (
-    EVALUATION_ERRORS,
-    PredicateCache,
-    compile_condition,
-)
+from repro.detect.compiler import EVALUATION_ERRORS, compile_condition
 from repro.detect.engine import DetectionEngine
 
 ROLES = ("x", "y")
@@ -227,12 +221,7 @@ class TestDifferential:
     def test_compiled_agrees_with_interpreted(self, tree, binding):
         compiled = compile_condition(tree)
         interpreted = outcome(lambda: tree.evaluate(binding))
-        plain = outcome(lambda: compiled.fn(binding, None))
-        cache = PredicateCache()
-        cached = outcome(lambda: compiled.fn(binding, cache))
-
-        # Caching never changes the outcome.
-        assert plain == cached
+        plain = outcome(lambda: compiled.fn(binding))
 
         kind_i, value_i = interpreted
         kind_c, value_c = plain
@@ -250,17 +239,6 @@ class TestDifferential:
             # The one permitted divergence: a conjunction short-circuit
             # returned False where the interpreter raised.
             assert value_c is False
-
-    @settings(max_examples=150, deadline=None)
-    @given(tree=trees(), binding=bindings())
-    def test_cache_reuse_across_bindings_is_pure(self, tree, binding):
-        # One shared cache across repeated evaluations of the same
-        # binding must be idempotent (pure memoization).
-        compiled = compile_condition(tree)
-        cache = PredicateCache()
-        first = outcome(lambda: compiled.fn(binding, cache))
-        second = outcome(lambda: compiled.fn(binding, cache))
-        assert first == second
 
 
 # ----------------------------------------------------------------------
@@ -293,27 +271,9 @@ class TestCompilationStructure:
         assert compiled.conjunction_order[0] == cheap.describe()
         assert len(compiled.conjunction_order) == 3
 
-    def test_cache_counts_hits_and_misses(self):
-        condition = SpatialMeasureCondition(
-            "distance", ("x", "y"), RelationalOp.LT, 100.0
-        )
-        compiled = compile_condition(Leaf(condition))
-        a = PhysicalObservation("m0", "s", 0, TimePoint(0), PointLocation(0, 0))
-        b = PhysicalObservation("m1", "s", 0, TimePoint(0), PointLocation(3, 4))
-        cache = PredicateCache()
-        assert compiled.fn({"x": a, "y": b}, cache) is True
-        assert (cache.hits, cache.misses) == (0, 1)
-        # Same pair in either role order hits the symmetric memo.
-        assert compiled.fn({"x": b, "y": a}, cache) is True
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
-        cache.reset()
-        assert compiled.fn({"x": a, "y": b}, cache) is True
-        assert cache.misses == 2  # reset cleared the store, not counters
-
 
 # ----------------------------------------------------------------------
-# engine-level cache correctness
+# engine-level error policy
 # ----------------------------------------------------------------------
 
 def _near_spec(window: int = 0) -> EventSpecification:
@@ -341,49 +301,7 @@ def _obs(mote: str, seq: int, tick: int, x: float, y: float = 0.0):
     )
 
 
-class TestEngineCacheCorrectness:
-    def test_stale_entries_never_cross_batches(self):
-        """Same provenance keys, new locations: batch 2 must re-measure.
-
-        Batch 1 binds a far-apart pair (distance 100, no match, memo
-        populated); batch 2 re-submits entities with the *same
-        provenance keys* but close together.  A cache leaking across
-        batches would serve the stale distance and miss the match.
-        """
-        engine = DetectionEngine([_near_spec(window=0)])
-        far = [_obs("a", 0, 0, 0.0), _obs("b", 0, 0, 100.0)]
-        assert engine.submit_batch(far, now=0) == []
-        close = [_obs("a", 0, 1, 0.0), _obs("b", 0, 1, 3.0)]
-        matches = engine.submit_batch(close, now=1)
-        # The symmetric condition matches both role orderings.
-        assert len(matches) == 2
-
-    def test_reverse_direction_no_phantom_match(self):
-        # Close pair matches in batch 1; the same keys far apart in
-        # batch 2 must NOT match again off a stale "close" memo entry.
-        engine = DetectionEngine([_near_spec(window=0)])
-        close = [_obs("a", 0, 0, 0.0), _obs("b", 0, 0, 3.0)]
-        assert len(engine.submit_batch(close, now=0)) == 2
-        far = [_obs("a", 0, 5, 0.0), _obs("b", 0, 5, 100.0)]
-        assert engine.submit_batch(far, now=5) == []
-
-    def test_cache_stats_flow_into_engine_stats(self):
-        engine = DetectionEngine([_near_spec(window=10)])
-        batch = [_obs("a", 0, 0, 0.0), _obs("b", 0, 0, 3.0), _obs("c", 0, 0, 4.0)]
-        matches = engine.submit_batch(batch, now=0)
-        assert matches  # close cluster pairs up
-        stats = engine.stats
-        assert stats.cache_hits > 0
-        assert stats.cache_misses >= 0
-        assert 0.0 < stats.cache_hit_rate <= 1.0
-
-    def test_interpreted_baseline_never_touches_cache(self):
-        engine = DetectionEngine([_near_spec(window=10)], use_planner=False)
-        batch = [_obs("a", 0, 0, 0.0), _obs("b", 0, 0, 3.0)]
-        assert len(engine.submit_batch(batch, now=0)) == 2
-        assert engine.stats.cache_hits == 0
-        assert engine.stats.cache_misses == 0
-
+class TestEngineErrorPolicy:
     def test_compiled_error_policy_matches_interpreted(self):
         # A binding the condition cannot judge is a counted non-match
         # on both paths (the engine-level error contract).

@@ -414,11 +414,24 @@ class TestEngineEdgeCases:
         assert engine.submit_batch([], now=0) == []
         assert engine.stats.entities_submitted == 0
 
-    def test_planner_disabled_engine_builds_no_indexes(self):
+    @pytest.mark.parametrize("flags", [[True], [True, False, True]])
+    def test_wrong_length_evaluate_refused_before_any_mutation(self, flags):
+        """Regression: a short mask raised a raw IndexError after the
+        watermark and counters had moved; a long one was truncated."""
+        engine = DetectionEngine([pair_spec(window=10)])
+        engine.submit(obs("MT1", tick=1), now=1)
+        before = engine.snapshot()
+        batch = [obs("MT2", tick=5), obs("MT3", tick=5)]
+        with pytest.raises(ObserverError, match="evaluate has"):
+            engine.submit_batch(batch, 5, evaluate=flags)
+        assert engine.snapshot() == before
+
+    def test_planner_disabled_engine_never_prunes(self):
         engine = DetectionEngine([pair_spec(window=10)], use_planner=False)
-        assert engine._indexes["pair"] == {}
         assert len(engine.submit(obs("MT1", tick=0), now=0)) == 0
         assert len(engine.submit(obs("MT2", tick=1, x=2.0), now=1)) == 1
+        assert engine.submit(obs("MT3", tick=2, x=90.0), now=2) == []
+        assert engine.stats.candidates_pruned == 0
 
     def test_plan_accessor(self):
         engine = DetectionEngine([pair_spec(window=10)])
@@ -426,12 +439,11 @@ class TestEngineEdgeCases:
         with pytest.raises(ObserverError):
             engine.plan("ghost")
 
-    def test_clear_flushes_indexes(self):
+    def test_clear_flushes_windows(self):
         engine = DetectionEngine([pair_spec(window=50)])
         engine.submit(obs("MT1", tick=1), now=1)
         engine.clear()
-        for index in engine._indexes["pair"].values():
-            assert len(index) == 0
+        assert all(not roles for roles in engine.snapshot().windows["pair"].values())
         assert engine.submit(obs("MT2", tick=2, x=1.0), now=2) == []
 
 
@@ -566,15 +578,15 @@ class TestEngineStatsMerge:
         assert total.evaluation_errors == 1
         assert total.cache_hits == 20
         assert total.cache_misses == 8
-        # Derived rate recomputes from the summed counters.
-        assert total.cache_hit_rate == pytest.approx(20 / 28)
+        # Derived ratio recomputes from the summed counters.
+        assert total.pruned_ratio == pytest.approx(10 / 40)
 
     def test_empty_merge_is_zero(self):
         from repro.detect.engine import EngineStats
 
         total = EngineStats.merge([])
         assert total == EngineStats()
-        assert total.cache_hit_rate == 0.0
+        assert total.pruned_ratio == 0.0
 
     def test_merge_matches_live_engine_totals(self):
         # Regression: rolling up real engines through merge() must agree

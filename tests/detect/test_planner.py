@@ -1,4 +1,4 @@
-"""Planner compilation, role-index, and planned-vs-exhaustive equivalence.
+"""Planner compilation and planned-vs-exhaustive equivalence.
 
 The load-bearing property is *semantic transparency*: for any
 specification and any workload, the plan-driven engine must produce
@@ -25,18 +25,20 @@ from repro.core.conditions import (
     TimeOf,
 )
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
-from repro.core.space_model import BoundingBox, Circle, PointLocation
+from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.detect.engine import DetectionEngine
-from repro.detect.index import RoleIndex
 from repro.detect.planner import compile_plan
 from repro.workloads import synthetic_observations
 
 BOUNDS = BoundingBox(0, 0, 100, 100)
 
 
-def distance_cond(a="a", b="b", radius=15.0):
-    return SpatialMeasureCondition("distance", (a, b), RelationalOp.LT, radius)
+def distance_cond(a="a", b="b", radius=15.0, op=RelationalOp.LT):
+    return SpatialMeasureCondition("distance", (a, b), op, radius)
+
+
+DISTANCE_OPS = [RelationalOp.LT, RelationalOp.LE, RelationalOp.GT, RelationalOp.GE]
 
 
 def before_cond(a="a", b="b", offset=0):
@@ -64,7 +66,58 @@ class TestPlanCompilation:
         assert plan.distances[0].radius == 15.0
         assert len(plan.orders) == 1
         assert plan.orders[0].earlier == "a" and plan.orders[0].later == "b"
-        assert plan.indexed_roles == {"a", "b"}
+        assert plan.beyonds == ()
+
+    @pytest.mark.parametrize("op", [RelationalOp.GT, RelationalOp.GE])
+    def test_beyond_clause_extracted_printed_and_kept_out_of_reach(self, op):
+        spec = EventSpecification(
+            event_id="e",
+            selectors={
+                "w": EntitySelector(kinds={"value"}),
+                "e": EntitySelector(kinds={"value"}),
+            },
+            condition=all_of(
+                before_cond("w", "e"), distance_cond("w", "e", 30.0, op)
+            ),
+            window=20,
+        )
+        plan = compile_plan(spec)
+        assert plan.prunable
+        assert plan.distances == ()
+        assert [(c.role_a, c.role_b, c.radius) for c in plan.beyonds] == [
+            ("w", "e", 30.0)
+        ]
+        assert plan.peer_roles("w") == {"e"}
+        assert "dist(w,e)>=30" in plan.describe()
+        # spatial_reach() ignores beyond clauses: a lower bound on a
+        # distance connects nothing, so the router must still broadcast.
+        assert plan.spatial_reach() is None
+
+    def test_beyond_clause_next_to_within_keeps_the_within_reach(self):
+        spec = EventSpecification(
+            event_id="e",
+            selectors=pair_selectors(),
+            condition=all_of(
+                distance_cond(radius=15.0),
+                distance_cond(radius=5.0, op=RelationalOp.GT),
+            ),
+            window=20,
+        )
+        plan = compile_plan(spec)
+        assert plan.spatial_reach() == 15.0
+        assert plan.describe() == "dist(a,b)<=15 & dist(a,b)>=5"
+
+    def test_distance_to_a_constant_point_has_no_beyond_form(self):
+        spec = EventSpecification(
+            event_id="e",
+            selectors={"x": EntitySelector(kinds={"value"})},
+            condition=SpatialMeasureCondition(
+                "distance", ("x",), RelationalOp.GT, 10.0,
+                constant_location=PointLocation(50, 50),
+            ),
+            window=10,
+        )
+        assert not compile_plan(spec).prunable
 
     def test_after_swaps_order_clause(self):
         spec = EventSpecification(
@@ -105,9 +158,7 @@ class TestPlanCompilation:
             window=20,
             group_roles={"a"},
         )
-        plan = compile_plan(spec)
-        assert not plan.prunable
-        assert plan.indexed_roles == frozenset()
+        assert not compile_plan(spec).prunable
 
     def test_region_clause_from_inside_constant(self):
         region = BoundingBox(0, 0, 30, 30)
@@ -151,53 +202,6 @@ class TestPlanCompilation:
         assert not compile_plan(spec).prunable
 
 
-class TestRoleIndex:
-    def _obs(self, x, y, tick=0, mote="MT1", seq=0):
-        from repro.core.instance import PhysicalObservation
-        from repro.core.time_model import TimePoint
-
-        return PhysicalObservation(
-            mote, "SR1", seq, TimePoint(tick), PointLocation(x, y), {"value": 1.0}
-        )
-
-    def test_near_returns_only_reachable_points(self):
-        index = RoleIndex(cell_size=10.0)
-        close = self._obs(5, 5)
-        far = self._obs(90, 90, seq=1)
-        s_close = index.add(close)
-        index.add(far)
-        found = index.near(PointLocation(0, 0), 10.0)
-        assert found == {s_close}
-
-    def test_field_located_entities_always_candidates(self):
-        from repro.core.instance import PhysicalObservation
-        from repro.core.time_model import TimePoint
-
-        field_located = PhysicalObservation(
-            "MT1", "SR1", 0, TimePoint(0), Circle(PointLocation(90, 90), 5.0),
-            {"value": 1.0},
-        )
-        index = RoleIndex(cell_size=10.0)
-        seq = index.add(field_located)
-        assert seq in index.near(PointLocation(0, 0), 1.0)
-        assert seq in index.covered_by(BoundingBox(0, 0, 1, 1))
-
-    def test_eviction_mirrors_fifo(self):
-        index = RoleIndex(cell_size=10.0)
-        seqs = [index.add(self._obs(i, i, seq=i)) for i in range(5)]
-        index.evict(2)
-        assert len(index) == 3
-        live = [entry.seq for entry in index.entries()]
-        assert live == seqs[2:]
-        assert index.near(PointLocation(0, 0), 200.0) == set(seqs[2:])
-
-    def test_covered_by_filters_exactly(self):
-        index = RoleIndex(cell_size=10.0)
-        inside = index.add(self._obs(10, 10))
-        index.add(self._obs(50, 50, seq=1))
-        assert index.covered_by(BoundingBox(0, 0, 20, 20)) == {inside}
-
-
 def run_engines(specs, observations):
     """Match-key sets and stats for planned vs exhaustive evaluation."""
     results = []
@@ -216,21 +220,29 @@ def run_engines(specs, observations):
 class TestDifferentialEquivalence:
     """Planner-pruned matches == exhaustive matches, randomized workloads."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_spatial_temporal_pair(self, seed):
+    @pytest.mark.parametrize(
+        "seed, op",
+        [(seed, RelationalOp.LT) for seed in (0, 1, 2, 3)]
+        + [(seed, op) for op in DISTANCE_OPS[1:] for seed in (0, 1)],
+    )
+    def test_spatial_temporal_pair(self, seed, op):
         observations = synthetic_observations(
             400, rate=1.0, bounds=BOUNDS, rng=random.Random(seed)
         )
+        within = op in (RelationalOp.LT, RelationalOp.LE)
         spec = EventSpecification(
             event_id="pair",
             selectors=pair_selectors(),
-            condition=all_of(distance_cond(radius=18.0), before_cond()),
+            condition=all_of(
+                distance_cond(radius=18.0 if within else 60.0, op=op),
+                before_cond(),
+            ),
             window=30,
         )
         (planned, p_stats), (naive, n_stats) = run_engines([spec], observations)
         assert planned == naive
-        assert p_stats.matches == n_stats.matches
-        assert p_stats.bindings_evaluated <= n_stats.bindings_evaluated
+        assert p_stats.matches == n_stats.matches > 0
+        assert p_stats.bindings_evaluated * 2 < n_stats.bindings_evaluated
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_offset_temporal_orders(self, seed):
@@ -331,10 +343,24 @@ class TestDifferentialEquivalence:
         (planned, _), (naive, _) = run_engines([spec], observations)
         assert planned == naive
 
-    def test_three_role_chain(self):
+    @pytest.mark.parametrize(
+        "op_ab, op_bc",
+        [
+            (RelationalOp.LT, RelationalOp.LT),
+            (RelationalOp.LE, RelationalOp.GT),
+            (RelationalOp.GE, RelationalOp.LE),
+            (RelationalOp.GT, RelationalOp.GE),
+        ],
+    )
+    def test_three_role_chain(self, op_ab, op_bc):
         observations = synthetic_observations(
-            250, rate=1.0, bounds=BOUNDS, rng=random.Random(12)
+            160, rate=1.0, bounds=BOUNDS, rng=random.Random(12)
         )
+
+        def link(a, b, op):
+            within = op in (RelationalOp.LT, RelationalOp.LE)
+            return distance_cond(a, b, 20.0 if within else 55.0, op)
+
         spec = EventSpecification(
             event_id="chain",
             selectors={
@@ -343,14 +369,15 @@ class TestDifferentialEquivalence:
                 "c": EntitySelector(kinds={"value"}),
             },
             condition=all_of(
-                distance_cond("a", "b", 20.0),
-                distance_cond("b", "c", 20.0),
+                link("a", "b", op_ab),
+                link("b", "c", op_bc),
                 before_cond("a", "c"),
             ),
             window=15,
         )
         (planned, p_stats), (naive, n_stats) = run_engines([spec], observations)
         assert planned == naive
+        assert p_stats.matches == n_stats.matches > 0
         assert p_stats.bindings_evaluated < n_stats.bindings_evaluated
 
     def test_batched_equals_sequential(self):

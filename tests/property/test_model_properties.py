@@ -1,5 +1,5 @@
-"""Property-based tests for composite conditions, interval building,
-windows and the STN (hypothesis)."""
+"""Property-based tests for composite conditions, interval building
+and the STN (hypothesis)."""
 
 from hypothesis import given, strategies as st
 
@@ -7,7 +7,6 @@ from repro.analysis.stn import SimpleTemporalNetwork
 from repro.core.composite import And, Leaf, Not, Or
 from repro.core.conditions import Condition
 from repro.detect.interval_builder import IntervalBuilder, TransitionKind
-from repro.detect.windows import TickWindow
 
 
 class _FlagCondition(Condition):
@@ -135,20 +134,6 @@ class TestIntervalBuilderProperties:
         if start is not None:
             runs.append((start, len(stream) - 1))
         assert [(i.start.tick, i.end.tick) for i in intervals] == runs
-
-
-class TestWindowProperties:
-    @given(
-        st.lists(st.integers(0, 100), min_size=1, max_size=50).map(sorted),
-        st.integers(0, 20),
-    )
-    def test_live_items_are_exactly_the_recent_ones(self, arrival_ticks, width):
-        window = TickWindow(width)
-        for tick in arrival_ticks:
-            window.add(tick, tick)
-        now = arrival_ticks[-1]
-        live = window.items(now)
-        assert live == [t for t in arrival_ticks if t >= now - width]
 
 
 class TestStnProperties:

@@ -151,12 +151,31 @@ class TestEngineSnapshotRestore:
         assert resumed.stats.entities_submitted == 10
         assert resumed.stats.matches == engine.stats.matches
 
-    def test_spec_mismatch_rejected(self):
-        engine = DetectionEngine([hot_spec()])
-        snapshot = engine.snapshot()
-        other = DetectionEngine([pair_spec()])
-        with pytest.raises(ObserverError, match="watches"):
-            other.restore(snapshot)
+    @pytest.mark.parametrize(
+        "foreign, complaint",
+        [
+            (hot_spec(), "watches"),
+            # Same id, other roles: used to pass the id check, clear()
+            # the engine and only then die with a KeyError.
+            (
+                EventSpecification(
+                    event_id="pair",
+                    selectors={"x": EntitySelector(kinds={"temp"})},
+                    condition=hot_spec().condition,
+                ),
+                "spec 'pair' has roles",
+            ),
+        ],
+        ids=["other ids", "same id, other roles"],
+    )
+    def test_rejected_restore_changes_nothing(self, foreign, complaint):
+        snapshot = DetectionEngine([foreign]).snapshot()
+        engine = DetectionEngine([pair_spec()])
+        feed(engine, stream(10))
+        before = engine.snapshot()
+        with pytest.raises(ObserverError, match=complaint):
+            engine.restore(snapshot)
+        assert engine.snapshot() == before
 
 
 class TestShardedSnapshotRestore:
