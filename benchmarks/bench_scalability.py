@@ -29,7 +29,7 @@ from repro.core.conditions import (
 from repro.core.operators import RelationalOp, TemporalOp
 from repro.core.space_model import BoundingBox
 from repro.core.spec import EntitySelector, EventSpecification
-from repro.detect.engine import DetectionEngine
+from repro.detect.engine import DetectionEngine, binding_identity
 from repro.workloads import synthetic_observations
 from repro.cps import CPSSystem, Sensor
 from repro.network import UnitDiskRadio, grid_topology
@@ -128,7 +128,7 @@ class TestE9EngineScaling:
 
 def match_keys(engine, matches):
     return {
-        (match.spec.event_id, engine._binding_key(match.binding))
+        (match.spec.event_id, binding_identity(match.spec)(match.binding))
         for match in matches
     }
 

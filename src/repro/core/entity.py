@@ -9,7 +9,7 @@ uses, so the rest of the library never type-switches on entity classes.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.errors import BindingError
 from repro.core.event import Event
@@ -88,8 +88,3 @@ def entity_key(entity: Entity) -> object:
     if isinstance(entity, Event):
         return (entity.kind, entity.event_id)
     return id(entity)
-
-
-def keys_of(entities: Iterable[Entity]) -> tuple:
-    """Provenance keys for a collection of entities, in order."""
-    return tuple(entity_key(entity) for entity in entities)

@@ -111,9 +111,13 @@ def spatial_class_of(where: SpatialEntity) -> SpatialClass:
     raise ReproError(f"not a spatial entity: {where!r}")
 
 
+_NO_ATTRIBUTES: Mapping[str, object] = MappingProxyType({})
+
+
 def freeze_attributes(attributes: Mapping[str, object] | None) -> Mapping[str, object]:
-    """Read-only view of an attribute mapping (``V`` in the paper)."""
-    return MappingProxyType(dict(attributes or {}))
+    """Read-only view of an attribute mapping (``V`` in the paper); every
+    empty ``V`` is one shared mapping."""
+    return MappingProxyType(dict(attributes)) if attributes else _NO_ATTRIBUTES
 
 
 @dataclass(frozen=True)

@@ -107,14 +107,12 @@ class PhysicalObservation:
     time: TimePoint
     location: PointLocation
     attributes: Mapping[str, object] = field(default_factory=dict)
+    key: tuple[str, str, int] = field(init=False, repr=False, compare=False)
+    """The identifying 3-tuple ``(MT_id, SR_id, i)``, built once."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", freeze_attributes(self.attributes))
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        """The identifying 3-tuple ``(MT_id, SR_id, i)``."""
-        return (self.mote_id, self.sensor_id, self.seq)
+        object.__setattr__(self, "key", (self.mote_id, self.sensor_id, self.seq))
 
     @property
     def occurrence_time(self) -> TimePoint:
@@ -192,9 +190,12 @@ class EventInstance:
     confidence: float = 1.0
     layer: EventLayer = EventLayer.SENSOR
     sources: tuple = ()
+    key: tuple[ObserverId, str, int] = field(init=False, repr=False, compare=False)
+    """The identifying 3-tuple ``(OB_id, E_id, i)`` (Eq. 4.6), built once."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", freeze_attributes(self.attributes))
+        object.__setattr__(self, "key", (self.observer, self.event_id, self.seq))
         if not 0.0 <= self.confidence <= 1.0:
             raise ObserverError(
                 f"confidence rho must be in [0, 1], got {self.confidence}"
@@ -204,11 +205,6 @@ class EventInstance:
                 f"event instances exist only at layers {INSTANCE_LAYERS}, "
                 f"got {self.layer!r}"
             )
-
-    @property
-    def key(self) -> tuple[ObserverId, str, int]:
-        """The identifying 3-tuple ``(OB_id, E_id, i)`` (Eq. 4.6)."""
-        return (self.observer, self.event_id, self.seq)
 
     @property
     def occurrence_time(self) -> TemporalEntity:

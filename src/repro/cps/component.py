@@ -8,9 +8,10 @@ on event conditions, and output the according event instance".
 :class:`CPSComponent` carries the shared identity/position/trace
 plumbing.  :class:`ObserverComponent` adds the observer machinery: a
 detection engine (either backend — the observer never asks which)
-loaded with event specifications, per-event sequence counters, and the
-emit path that builds the Eq. 4.7 instance tuple and hands it to the
-concrete component's distribution logic.
+loaded with event specifications, and the emit path that hands each
+match's Eq. 4.7 instance (numbered and built by the shared
+:class:`~repro.detect.engine.InstanceSequence`) to the concrete
+component's distribution logic.
 
 Ingestion is batch-first: :meth:`ObserverComponent.ingest_batch` feeds
 a whole per-tick entity batch to the engine in one
@@ -33,7 +34,12 @@ from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId, ObserverKind
 from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.engine import DetectionEngine, Match, build_instance, emit_payload
+from repro.detect.engine import (
+    DetectionEngine,
+    InstanceSequence,
+    Match,
+    emit_payload,
+)
 from repro.shard.engine import Engine
 from repro.sim.kernel import PRIORITY_INGEST, Simulator
 from repro.sim.trace import TraceRecorder
@@ -110,7 +116,7 @@ class ObserverComponent(CPSComponent):
         self.engine: Engine = DetectionEngine() if engine is None else engine
         for spec in specs:
             self.engine.add_spec(spec)
-        self._seq: dict[str, int] = {}
+        self._sequence = InstanceSequence(self)
         self._inbox: list[Entity] = []
         self._flush_scheduled = False
         self._stream_tap = None
@@ -122,9 +128,7 @@ class ObserverComponent(CPSComponent):
 
     def next_seq(self, event_id: str) -> int:
         """Next instance sequence number ``i`` for an event id."""
-        seq = self._seq.get(event_id, 0)
-        self._seq[event_id] = seq + 1
-        return seq
+        return self._sequence.next_seq(event_id)
 
     def ingest(self, entity: Entity) -> list[EventInstance]:
         """Evaluate one input entity; emit instances for new matches."""
@@ -183,16 +187,7 @@ class ObserverComponent(CPSComponent):
             self.ingest_batch(batch)
 
     def _emit_match(self, match: Match) -> EventInstance:
-        instance = build_instance(
-            match,
-            observer=self.observer_id,
-            seq=self.next_seq(match.spec.event_id),
-            generated_time=self.sim.now,
-            generated_location=self.location,
-            layer=self.layer,
-            instance_cls=self.instance_cls,
-        )
-        instance = self.refine_instance(instance, match)
+        instance = self.refine_instance(self._sequence.emit(match), match)
         self.emit_direct(instance)
         return instance
 

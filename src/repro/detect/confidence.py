@@ -17,11 +17,11 @@ this substitution.  We provide:
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.core.errors import ConditionError
 
-__all__ = ["confidence_from_margin", "fuse", "FUSION_METHODS"]
+__all__ = ["confidence_from_margin", "fuse", "fusion_rule", "FUSION_METHODS"]
 
 
 def confidence_from_margin(measured: float, threshold: float, sigma: float) -> float:
@@ -74,26 +74,35 @@ FUSION_METHODS = {
 """Available fusion rules, keyed by the OutputPolicy name."""
 
 
-def fuse(method: str, confidences: Iterable[float]) -> float:
-    """Combine input confidences into the emitted instance's ``rho``.
+def fusion_rule(method: str) -> Callable[[Iterable[float]], float]:
+    """The fusion function of one method, resolved by name once.
 
     Args:
         method: One of ``min``, ``mean``, ``product``, ``noisy_or``.
-        confidences: Input ``rho`` values (at least one).
 
     Returns:
-        The fused confidence, clamped to ``[0, 1]``.
+        ``confidences -> rho``: input ``rho`` values (at least one) in,
+        the fused confidence, clamped to ``[0, 1]``, out.
     """
-    values = [float(v) for v in confidences]
-    if not values:
-        raise ConditionError("cannot fuse zero confidences")
-    bad = [v for v in values if not 0.0 <= v <= 1.0]
-    if bad:
-        raise ConditionError(f"confidences outside [0, 1]: {bad}")
     try:
         rule = FUSION_METHODS[method]
     except KeyError:
         raise ConditionError(
             f"unknown fusion method {method!r}; known: {sorted(FUSION_METHODS)}"
         ) from None
-    return min(1.0, max(0.0, rule(values)))
+
+    def fused(confidences: Iterable[float]) -> float:
+        values = [float(v) for v in confidences]
+        if not values:
+            raise ConditionError("cannot fuse zero confidences")
+        bad = [v for v in values if not 0.0 <= v <= 1.0]
+        if bad:
+            raise ConditionError(f"confidences outside [0, 1]: {bad}")
+        return min(1.0, max(0.0, rule(values)))
+
+    return fused
+
+
+def fuse(method: str, confidences: Iterable[float]) -> float:
+    """Combine input confidences into one ``rho``: :func:`fusion_rule`, once."""
+    return fusion_rule(method)(confidences)

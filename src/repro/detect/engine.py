@@ -26,8 +26,12 @@ scalability benchmarks use as the comparison baseline).
 
 Evaluation properties worth knowing:
 
-* **dedup** — a binding (as a set of role/entity pairs) fires at most
-  once per specification, so re-evaluations triggered by later arrivals
+* **identity** — a binding is identified by the tuple of its entities'
+  provenance keys over ``spec.roles``, single roles first, then a
+  frozenset of keys per group role.  Equal keys mean the same entity,
+  however many objects carry them; both rules below read that tuple;
+* **dedup** — a binding fires at most once per specification, so
+  re-evaluations triggered by later arrivals (or redelivered copies)
   cannot re-emit old matches;
 * **distinctness** — one entity cannot fill two single-entity roles of
   the same binding (the paper's ``x before y`` never pairs an entity
@@ -46,16 +50,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.conditions import Binding
-from repro.core.entity import (
-    Entity,
-    confidence_of,
-    entity_key,
-    keys_of,
-    numeric_attribute,
+from repro.core.aggregates import (
+    _end_of,
+    _point_of,
+    _start_of,
+    space_aggregate,
+    time_aggregate,
+    value_aggregate,
 )
+from repro.core.conditions import Binding
+from repro.core.entity import Entity, confidence_of, entity_key, numeric_attribute
 from repro.core.errors import (
     BindingError,
     ConditionError,
@@ -65,12 +71,11 @@ from repro.core.errors import (
 )
 from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
-from repro.core.space_model import PointLocation, SpatialEntity
+from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.core.time_model import TemporalEntity, TimePoint
-from repro.core.aggregates import space_aggregate, time_aggregate, value_aggregate
+from repro.core.time_model import EPOCH, TimePoint
 from repro.detect.compiler import CompiledCondition, compile_condition
-from repro.detect.confidence import fuse
+from repro.detect.confidence import fusion_rule
 from repro.detect.planner import EvaluationPlan, compile_plan
 from repro.detect.role_window import RoleWindow
 
@@ -81,6 +86,9 @@ __all__ = [
     "DetectionEngine",
     "build_instance",
     "emit_payload",
+    "InstanceSequence",
+    "binding_identity",
+    "drop_expired_prefix",
 ]
 
 
@@ -93,13 +101,7 @@ class Match:
     tick: int
 
     def entities(self) -> list[Entity]:
-        """All bound entities, groups flattened, in ``spec.roles`` order.
-
-        ``spec.roles`` is already the canonical sorted role order, so
-        iterating it avoids re-sorting the binding keys on every
-        materialized match (instance ``sources`` ordering is pinned by
-        a regression test).
-        """
+        """All bound entities, groups flattened, in ``spec.roles`` order."""
         out: list[Entity] = []
         binding = self.binding
         for role in self.spec.roles:
@@ -159,7 +161,8 @@ class EngineSnapshot:
     """Checkpoint of one :class:`DetectionEngine`'s mutable state.
 
     Captures everything a mid-stream resume needs — window contents
-    (with arrival ticks), the insertion-ordered dedup store, cooldown
+    (with arrival ticks), the insertion-ordered dedup store (binding
+    identity tuple -> match tick, see the module docstring), cooldown
     clocks, the event-time watermark and the counter state — keyed by
     the installed specification ids so a snapshot can only be restored
     into an engine watching the same specifications.  The windows'
@@ -173,7 +176,7 @@ class EngineSnapshot:
 
     spec_ids: tuple[str, ...]
     windows: Mapping[str, Mapping[str, tuple[tuple[int, Entity], ...]]]
-    seen: Mapping[str, tuple[tuple[frozenset, int], ...]]
+    seen: Mapping[str, tuple[tuple[tuple, int], ...]]
     last_match: Mapping[str, int]
     watermark: int | None
     stats: EngineStats
@@ -199,10 +202,12 @@ class DetectionEngine:
     ):
         self._specs: dict[str, EventSpecification] = {}
         self._pools: dict[str, dict[str, RoleWindow]] = {}
-        self._seen: dict[str, dict[frozenset, int]] = {}
+        self._seen: dict[str, dict[tuple, int]] = {}
         self._last_match: dict[str, int] = {}
         self._plans: dict[str, EvaluationPlan] = {}
         self._compiled: dict[str, CompiledCondition] = {}
+        self._identity: dict[str, Callable[[Binding], tuple | None]] = {}
+        self._volatile: dict[str, dict[str, frozenset[str]]] = {}
         self._watermark: int | None = None
         self.use_planner = use_planner
         self.stats = EngineStats()
@@ -260,8 +265,21 @@ class DetectionEngine:
             role: RoleWindow(spec.window) for role in spec.roles
         }
         self._seen[spec.event_id] = {}
-        self._plans[spec.event_id] = compile_plan(spec)
+        plan = self._plans[spec.event_id] = compile_plan(spec)
         self._compiled[spec.event_id] = compile_condition(spec.condition)
+        self._identity[spec.event_id] = binding_identity(spec)
+        # Per target role, the roles whose candidates depend on the partial
+        # binding: a prunable clause ties them to an earlier single role.
+        volatile = self._volatile[spec.event_id] = dict.fromkeys(spec.roles, frozenset())
+        if self.use_planner and len(spec.roles) > 2:  # else there is no such role
+            singles = [r for r in spec.roles if r not in spec.group_roles]
+            for target in spec.roles:
+                earlier = [r for r in singles if r != target]
+                volatile[target] = frozenset(
+                    role
+                    for i, role in enumerate(earlier)
+                    if plan.peer_roles(role) & set(earlier[:i])
+                )
         if self._spec_obs is not None:
             self._install_spec_obs(spec.event_id)
 
@@ -366,7 +384,11 @@ class DetectionEngine:
             pools = self._pools[spec.event_id]
             for window in pools.values():
                 window.evict(now)  # one eviction sweep per batch
-            self._prune_seen(self._seen[spec.event_id], now, spec.window)
+            # Two windows on, a binding can never be enumerated again.
+            horizon = now - 2 * (spec.window + 1)
+            drop_expired_prefix(
+                self._seen[spec.event_id], lambda tick: tick < horizon
+            )
             for entity, roles, run in staged:
                 for role in roles:
                     pools[role].add(entity, now)
@@ -398,14 +420,13 @@ class DetectionEngine:
         # (pre-resolved operators, cheapest conjunct first); the naive
         # path keeps interpreting the raw tree as the differential baseline.
         evaluator = self._compiled[spec.event_id].fn if self.use_planner else None
+        identify = self._identity[spec.event_id]
         matches: list[Match] = []
         cooling = False
         for target_role in candidate_roles:
             for binding in self._enumerate(spec, target_role, entity):
-                if not self._distinct(binding, spec):
-                    continue
-                key = self._binding_key(binding)
-                if key in seen:
+                key = identify(binding)
+                if key is None or key in seen:
                     continue
                 self.stats.bindings_evaluated += 1
                 try:
@@ -464,11 +485,12 @@ class DetectionEngine:
             return
 
         roles = spec.roles
+        groups = spec.group_roles
         pinned: dict[str, Entity] = {target_role: entity}
 
         def options(role: str) -> Sequence[object] | None:
             window = pools[role]
-            if role in spec.group_roles:
+            if role in groups:
                 group = tuple(window.entities())
                 return (group,) if group else None
             if role == target_role:
@@ -482,85 +504,35 @@ class DetectionEngine:
                     return pruned if pruned else None
             return window.entities()
 
-        # Candidates depend on the recursion state only for roles with a
-        # prunable clause against an earlier-enumerated single role; all
-        # other option lists (group tuples, static region masks, full
-        # window copies, clauses against the pinned target) are computed
-        # once per enumeration, not once per partial binding.
-        volatile: set[str] = set()
-        if planned:
-            earlier_dynamic: set[str] = set()
-            for role in roles:
-                if role == target_role or role in spec.group_roles:
-                    continue
-                if plan.peer_roles(role) & earlier_dynamic:
-                    volatile.add(role)
-                earlier_dynamic.add(role)
-        static_options = {
-            role: options(role) for role in roles if role not in volatile
-        }
-
+        # Every option list but a volatile role's (group tuples, static
+        # region masks, full window copies, clauses against the pinned
+        # target) is computed once per enumeration; a volatile role's
+        # when — and only when — a partial binding reaches it, walking
+        # depth-first with one candidate iterator per depth.
+        volatile = self._volatile[spec.event_id][target_role]
+        static = {role: options(role) for role in roles if role not in volatile}
+        last = len(roles) - 1
         binding: dict[str, Entity | tuple[Entity, ...]] = {}
-
-        def rec(position: int) -> Iterator[dict]:
-            if position == len(roles):
-                yield dict(binding)
-                return
-            role = roles[position]
-            choices = (
-                options(role) if role in volatile else static_options[role]
-            )
-            if choices is None:
-                return
-            single = role not in spec.group_roles and role != target_role
-            for choice in choices:
+        stack = [iter(static[roles[0]] or ())]
+        while stack:
+            depth = len(stack) - 1
+            role = roles[depth]
+            for choice in stack[-1]:
                 binding[role] = choice
-                if single:
+                if role != target_role and role not in groups:
                     pinned[role] = choice
-                yield from rec(position + 1)
-            binding.pop(role, None)
-            if single:
-                pinned.pop(role, None)
-
-        yield from rec(0)
-
-    @staticmethod
-    def _distinct(binding: Binding, spec: EventSpecification) -> bool:
-        singles = [
-            entity_key(bound)
-            for role, bound in binding.items()
-            if role not in spec.group_roles
-        ]
-        return len(singles) == len(set(singles))
-
-    @staticmethod
-    def _binding_key(binding: Mapping[str, object]) -> frozenset:
-        parts = []
-        for role, bound in binding.items():
-            if isinstance(bound, tuple):
-                parts.append((role, frozenset(entity_key(e) for e in bound)))
+                if depth == last:
+                    yield dict(binding)
+                    continue
+                deeper = roles[depth + 1]
+                found = options(deeper) if deeper in volatile else static[deeper]
+                if found is not None:
+                    stack.append(iter(found))
+                    break
             else:
-                parts.append((role, entity_key(bound)))
-        return frozenset(parts)
-
-    @staticmethod
-    def _prune_seen(seen: dict[frozenset, int], now: int, window: int) -> None:
-        """Drop dedup entries too old to ever be re-enumerated.
-
-        ``seen`` is insertion-ordered with non-decreasing match ticks
-        (``now`` never runs backwards in a live system), so expired keys
-        cluster at the front: popping from the head until a live entry
-        appears is amortized O(1) per submit and keeps the dict bounded
-        by the number of matches inside the retention horizon — the old
-        implementation rescanned every key once the dict passed 1024
-        entries, O(n) per submit.
-        """
-        horizon = now - 2 * (window + 1)
-        while seen:
-            key = next(iter(seen))
-            if seen[key] >= horizon:
-                break
-            del seen[key]
+                stack.pop()
+                if role != target_role:
+                    pinned.pop(role, None)
 
     # -- event-time progress -------------------------------------------
 
@@ -684,19 +656,124 @@ class DetectionEngine:
 
 
 # ----------------------------------------------------------------------
-# instance construction (Eq. 4.7 via the OutputPolicy)
+# lowering: per-specification closures, built once
 # ----------------------------------------------------------------------
 
-def _estimate_time(policy_time: str, entities: Sequence[Entity]) -> TemporalEntity:
-    times = [e.occurrence_time for e in entities]
-    return time_aggregate(policy_time)(times)
+def binding_identity(spec: EventSpecification) -> Callable[[Binding], tuple | None]:
+    """``binding -> identity`` for one specification (module docstring),
+    ``None`` when two single roles hold the same entity."""
+    singles = [role for role in spec.roles if role not in spec.group_roles]
+    groups = [role for role in spec.roles if role in spec.group_roles]
+
+    if len(singles) == 2 and not groups:
+        first, second = singles
+
+        def pair(binding: Binding) -> tuple | None:
+            a, b = entity_key(binding[first]), entity_key(binding[second])
+            return None if a == b else (a, b)
+
+        return pair
+
+    def identity(binding: Binding) -> tuple | None:
+        key = [entity_key(binding[role]) for role in singles]
+        if len(set(key)) != len(key):
+            return None
+        key += [frozenset(map(entity_key, binding[role])) for role in groups]
+        return tuple(key)
+
+    return identity
 
 
-def _estimate_location(
-    policy_space: str, entities: Sequence[Entity]
-) -> SpatialEntity:
-    locations = [e.occurrence_location for e in entities]
-    return space_aggregate(policy_space)(locations)
+def drop_expired_prefix(entries: dict, expired: Callable[[object], bool]) -> None:
+    """Drop the leading entries of an insertion-ordered dict whose value
+    ``expired`` accepts, in one scan per call: popping the head entry by
+    entry re-walks, per pop, the slots earlier pops left in the dict."""
+    doomed = []
+    for key, value in entries.items():
+        if not expired(value):
+            break
+        doomed.append(key)
+    for key in doomed:
+        del entries[key]
+
+
+def _compile_emitter(spec: EventSpecification):
+    """Lower ``spec.output`` into one closure with :func:`build_instance`'s
+    signature: aggregates, fusion rule and recipes are resolved by name
+    here, once, and a binding of one or two entities takes ``earliest`` /
+    ``latest`` / ``centroid`` as the aggregates' arithmetic written out."""
+    policy, event_id = spec.output, spec.event_id
+    recipes = [
+        (r.name, value_aggregate(r.aggregate), [(t.role, t.attribute) for t in r.terms])
+        for r in policy.attributes
+    ]
+    fused = fusion_rule(policy.confidence)
+    time_of = time_aggregate(policy.time)
+    earliest, span = policy.time == "earliest", policy.time == "span"
+    edge = _start_of if earliest else _end_of
+    # "location" is the identity aggregate; over several entities it
+    # degrades to their centroid.
+    identity = policy.space == "location"
+    place_of = space_aggregate("centroid" if identity else policy.space)
+    centroid = policy.space in ("location", "centroid")
+
+    def emit(
+        match, observer, seq, generated_time, generated_location, layer,
+        instance_cls=EventInstance,
+    ):
+        entities = match.entities()
+        count = len(entities)
+        attributes: dict[str, object] = {}
+        for name, aggregate, terms in recipes:
+            values: list[float] = []
+            for role, attribute in terms:
+                bound = match.binding.get(role)
+                if bound is None:
+                    raise ObserverError(
+                        f"output attribute {name!r} references unbound "
+                        f"role {role!r}"
+                    )
+                group = bound if isinstance(bound, tuple) else (bound,)
+                values.extend([numeric_attribute(e, attribute) for e in group])
+            attributes[name] = aggregate(values)
+        rho = fused([confidence_of(e) for e in entities])
+        place = entities[0].occurrence_location
+        if identity and count == 1:
+            pass  # the one entity's own location
+        elif count > 2 or not centroid:
+            place = place_of([e.occurrence_location for e in entities])
+        else:
+            # centroid_of_points' sums, term by term: the same floats.
+            p = place if type(place) is PointLocation else _point_of(place)
+            if count == 2:
+                q = entities[1].occurrence_location
+                if type(q) is not PointLocation:
+                    q = _point_of(q)
+                place = PointLocation((0 + p.x + q.x) / 2, (0 + p.y + q.y) / 2)
+            else:
+                place = PointLocation((0 + p.x) / 1, (0 + p.y) / 1)
+        if count > 2 or span:
+            when = time_of([e.occurrence_time for e in entities])
+        else:
+            when = entities[0].occurrence_time
+            if type(when) is not TimePoint:
+                when = edge(when)
+            if count == 2:
+                other = entities[1].occurrence_time
+                if type(other) is not TimePoint:
+                    other = edge(other)
+                # Like min() / max(): of two equal operands, the first.
+                if other < when if earliest else other > when:
+                    when = other
+        # Positional, in field order: matching eleven keywords costs a
+        # microsecond per instance.
+        return instance_cls(
+            observer, event_id, seq, generated_time, generated_location,
+            when, place, attributes, rho, layer,
+            tuple([entity_key(e) for e in entities]),
+        )
+
+    return emit
 
 
 def build_instance(
@@ -713,7 +790,8 @@ def build_instance(
     Applies the specification's :class:`~repro.core.spec.OutputPolicy`:
     ``t_eo`` from the policy's time aggregate over the bound entities,
     ``l_eo`` from its space aggregate, output attributes from their
-    recipes, and ``rho`` by fusing the inputs' confidences.
+    recipes, and ``rho`` by fusing the inputs' confidences.  The policy
+    is lowered on first use and cached on the (immutable) specification.
 
     Args:
         match: The satisfied binding.
@@ -726,42 +804,14 @@ def build_instance(
             (:class:`~repro.core.instance.SensorEventInstance`, ...).
     """
     spec = match.spec
-    entities = match.entities()
-    policy = spec.output
-
-    attributes: dict[str, object] = {}
-    for recipe in policy.attributes:
-        values: list[float] = []
-        for term in recipe.terms:
-            bound = match.binding.get(term.role)
-            if bound is None:
-                raise ObserverError(
-                    f"output attribute {recipe.name!r} references unbound "
-                    f"role {term.role!r}"
-                )
-            group = bound if isinstance(bound, tuple) else (bound,)
-            values.extend(numeric_attribute(e, term.attribute) for e in group)
-        attributes[recipe.name] = value_aggregate(recipe.aggregate)(values)
-
-    rho = fuse(policy.confidence, [confidence_of(e) for e in entities])
-    space_policy = "centroid" if policy.space == "location" and len(entities) > 1 else policy.space
-    if space_policy == "location":
-        estimated_location = entities[0].occurrence_location
-    else:
-        estimated_location = _estimate_location(space_policy, entities)
-
-    return instance_cls(
-        observer=observer,
-        event_id=spec.event_id,
-        seq=seq,
-        generated_time=generated_time,
-        generated_location=generated_location,
-        estimated_time=_estimate_time(policy.time, entities),
-        estimated_location=estimated_location,
-        attributes=attributes,
-        confidence=rho,
-        layer=layer,
-        sources=keys_of(entities),
+    try:
+        emit = spec._emitter
+    except AttributeError:
+        emit = _compile_emitter(spec)
+        object.__setattr__(spec, "_emitter", emit)
+    return emit(
+        match, observer, seq, generated_time, generated_location, layer,
+        instance_cls,
     )
 
 
@@ -776,3 +826,33 @@ def emit_payload(instance: EventInstance) -> dict[str, object]:
         "edl": instance.detection_latency,
         "rho": instance.confidence,
     }
+
+
+class InstanceSequence:
+    """One observer's emission sequence — match in, numbered instance
+    out — for live components and the streaming replay alike.  Owns the
+    per-event sequence counters ``i`` of Eq. 4.6 and stamps every
+    instance of one tick with the same ``t_g`` object.  ``observer`` is
+    anything with ``observer_id``, ``location``, ``layer`` and
+    ``instance_cls``: a live component or a replay's profile."""
+
+    def __init__(self, observer):
+        self.observer = observer
+        self.counters: dict[str, int] = {}
+        self._stamp = EPOCH
+
+    def next_seq(self, event_id: str) -> int:
+        """Next instance sequence number ``i`` for an event id."""
+        seq = self.counters.get(event_id, 0)
+        self.counters[event_id] = seq + 1
+        return seq
+
+    def emit(self, match: Match) -> EventInstance:
+        """The instance of one match, generated at the match's tick."""
+        if self._stamp.tick != match.tick:
+            self._stamp = TimePoint(match.tick)
+        who = self.observer
+        return build_instance(
+            match, who.observer_id, self.next_seq(match.spec.event_id),
+            self._stamp, who.location, who.layer, who.instance_cls,
+        )

@@ -63,6 +63,8 @@ class Token:
 _TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
 _ONE_CHAR_OPS = ("<", ">")
 _SYMBOLS = set("(),.:|*=+-")
+_DIGITS = frozenset("0123456789")
+"""``str.isdigit`` also admits ``²`` or ``①``, which ``float()`` refuses."""
 
 
 def tokenize(source: str) -> list[Token]:
@@ -103,11 +105,11 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             column += 1
             continue
-        if ch.isdigit() or (
-            ch == "-" and i + 1 < n and source[i + 1].isdigit() and _numeric_context(tokens)
+        if ch in _DIGITS or (
+            ch == "-" and i + 1 < n and source[i + 1] in _DIGITS and _numeric_context(tokens)
         ):
             j = i + 1
-            while j < n and (source[j].isdigit() or source[j] == "."):
+            while j < n and (source[j] in _DIGITS or source[j] == "."):
                 j += 1
             text = source[i:j]
             if text.count(".") > 1:

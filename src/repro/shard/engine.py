@@ -47,6 +47,7 @@ from repro.detect.engine import (
     EngineSnapshot,
     EngineStats,
     Match,
+    drop_expired_prefix,
 )
 from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 from repro.shard.merger import MatchMerger
@@ -309,19 +310,13 @@ class ShardedDetectionEngine:
         """Drop arrival stamps too old to appear in any live window.
 
         Entries are insertion-ordered with non-decreasing ticks, so
-        expired stamps cluster at the front (same amortized head-prune
-        as the engine's dedup store).  Any entity still inside a window
-        arrived within the widest spec window and keeps its stamp; a
-        recycled ``id`` is re-stamped at submission before it can ever
-        be looked up.
+        expired stamps are a prefix (as in the engine's dedup store).
+        Any entity still inside a window arrived within the widest spec
+        window and keeps its stamp; a recycled ``id`` is re-stamped at
+        submission before it can ever be looked up.
         """
         horizon = now - (self._max_window + 1)
-        seq_map = self._seq_map
-        while seq_map:
-            key = next(iter(seq_map))
-            if seq_map[key][1] >= horizon:
-                break
-            del seq_map[key]
+        drop_expired_prefix(self._seq_map, lambda stamp: stamp[1] < horizon)
 
     # -- event-time progress -------------------------------------------
 

@@ -28,8 +28,7 @@ from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EventSpecification
-from repro.core.time_model import TimePoint
-from repro.detect.engine import Match, build_instance, emit_payload
+from repro.detect.engine import InstanceSequence, Match, emit_payload
 from repro.shard.engine import EngineConfig
 from repro.sim.trace import TraceRecord
 from repro.stream.admission.controller import AdmissionController
@@ -147,10 +146,10 @@ class ReplayObserver:
     dedup: object | None = None
     telemetry: object | None = None
     emitted: list[EventInstance] = field(default_factory=list)
-    trace_rows: list[TraceRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         profile = self.profile
+        self._sequence = InstanceSequence(profile)
         config = EngineConfig(profile.use_planner, self.shards, self.partition)
         self.runtime = StreamingDetectionRuntime(
             config.build(profile.specs, self.bounds),
@@ -161,7 +160,6 @@ class ReplayObserver:
             dedup=self.dedup,
             telemetry=self.telemetry,
         )
-        self._seq: dict[str, int] = {}
 
     # -- feeding -------------------------------------------------------
 
@@ -184,35 +182,23 @@ class ReplayObserver:
         self.runtime.finish()
         return self.emitted[before:]
 
-    # -- emission (mirrors ObserverComponent._emit_match) --------------
-
-    def _next_seq(self, event_id: str) -> int:
-        seq = self._seq.get(event_id, 0)
-        self._seq[event_id] = seq + 1
-        return seq
+    # -- emission ------------------------------------------------------
 
     def _emit(self, match: Match) -> None:
-        profile = self.profile
-        instance = build_instance(
-            match,
-            observer=profile.observer_id,
-            seq=self._next_seq(match.spec.event_id),
-            generated_time=TimePoint(match.tick),
-            generated_location=profile.location,
-            layer=profile.layer,
-            instance_cls=profile.instance_cls,
-        )
-        if profile.refine is not None:
-            instance = profile.refine(instance, match)
+        instance = self._sequence.emit(match)
+        if self.profile.refine is not None:
+            instance = self.profile.refine(instance, match)
         self.emitted.append(instance)
-        self.trace_rows.append(
-            TraceRecord(
-                match.tick,
-                "instance.emit",
-                profile.name,
-                emit_payload(instance),
-            )
-        )
+
+    @property
+    def trace_rows(self) -> list[TraceRecord]:
+        """The ``instance.emit`` row of every instance in :attr:`emitted`,
+        exactly as the live observer traced it."""
+        name = self.profile.name
+        return [
+            TraceRecord(i.generated_time.tick, "instance.emit", name, emit_payload(i))
+            for i in self.emitted
+        ]
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -220,7 +206,7 @@ class ReplayObserver:
         """Checkpoint the replay between delivery steps."""
         return ReplayCheckpoint(
             runtime=self.runtime.snapshot(),
-            seq=dict(self._seq),
+            seq=dict(self._sequence.counters),
             emitted_count=len(self.emitted),
         )
 
@@ -228,24 +214,23 @@ class ReplayObserver:
         """Resume a replay from a checkpoint taken on an equivalently
         configured observer.
 
-        ``emitted`` / ``trace_rows`` restart **empty** — they collect
+        ``emitted`` restarts **empty** — it collects
         only post-restore emissions (whether this observer is fresh or
         is being rewound past later work); ``checkpoint.emitted_count``
         records how many instances the checkpointed leg had produced,
         which is the offset to line the tail up against.
         """
         self.runtime.restore(checkpoint.runtime)
-        self._seq = dict(checkpoint.seq)
+        self._sequence.counters = dict(checkpoint.seq)
         self.emitted.clear()
-        self.trace_rows.clear()
 
     def rollback(self, checkpoint: ReplayCheckpoint) -> None:
         """Rewind *this* observer to one of its own earlier checkpoints.
 
         Unlike :meth:`restore` (which starts the emission log empty for
-        a fresh resume leg), a rollback *truncates* ``emitted`` /
-        ``trace_rows`` to the checkpoint's count: post-checkpoint
-        emissions are discarded and will be re-produced on redelivery.
+        a fresh resume leg), a rollback *truncates* ``emitted`` to the
+        checkpoint's count: post-checkpoint emissions are discarded and
+        will be re-produced on redelivery.
         This is the crash-recovery path —
         :class:`~repro.stream.resilience.supervisor.SupervisedRuntime`
         prefers it when present, which is what keeps a recovered
@@ -259,6 +244,5 @@ class ReplayObserver:
                 f"use restore() for resume legs)"
             )
         self.runtime.restore(checkpoint.runtime)
-        self._seq = dict(checkpoint.seq)
+        self._sequence.counters = dict(checkpoint.seq)
         del self.emitted[checkpoint.emitted_count:]
-        del self.trace_rows[checkpoint.emitted_count:]

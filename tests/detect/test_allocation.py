@@ -1,0 +1,238 @@
+"""The allocation contract of the match-to-instance path, as counts.
+
+Every emitted instance stays alive in an output log, so what the path
+*retains* per instance is what the cyclic collector re-walks on every
+full collection, and what it *leaks into cycles* only the collector can
+free.  Neither shows in a test of values, and a timing would not say
+why, so this file counts: unreachable objects after a run with the
+collector off, identities (``is``) of the objects that are meant to be
+shared, scans of the dedup store.
+"""
+
+import gc
+
+import pytest
+
+from repro.core.composite import all_of
+from repro.core.conditions import (
+    AttributeCondition,
+    AttributeTerm,
+    SpatialMeasureCondition,
+)
+from repro.core.event import EventLayer
+from repro.core.instance import (
+    CyberPhysicalEventInstance,
+    ObserverId,
+    ObserverKind,
+    PhysicalObservation,
+)
+from repro.core.operators import RelationalOp
+from repro.core.space_model import PointLocation
+from repro.core.spec import EntitySelector, EventSpecification
+from repro.core.time_model import TimePoint
+from repro.detect.engine import InstanceSequence, emit_payload
+from repro.detect.engine import DetectionEngine, drop_expired_prefix
+from repro.sim.trace import TraceRecord
+from repro.stream import ObserverProfile, ReplayObserver, ReplaySource
+from repro.stream.runtime import arrival_groups
+
+SINK = ObserverId(ObserverKind.SINK_NODE, "SK")
+
+
+def obs(index, tick):
+    return PhysicalObservation(
+        f"MT{index}", "SR", 0, TimePoint(tick),
+        PointLocation(float(index % 7), 0.0), {"v": 1.0},
+    )
+
+
+def near(a, b):
+    return SpatialMeasureCondition("distance", (a, b), RelationalOp.LT, 3.0)
+
+
+def spec_of(roles, groups=(), window=6):
+    clauses = [near(a, b) for a, b in zip(roles, roles[1:])]
+    if groups:
+        clauses.append(
+            AttributeCondition(
+                "count", (AttributeTerm(groups[0], "v"),), RelationalOp.GE, 1.0
+            )
+        )
+    return EventSpecification(
+        event_id="+".join(roles + groups),
+        selectors={role: EntitySelector(kinds={"v"}) for role in roles + groups},
+        condition=all_of(*clauses) if len(clauses) > 1 else clauses[0],
+        window=window,
+        group_roles=groups,
+    )
+
+
+@pytest.mark.parametrize("use_planner", [True, False], ids=["planned", "naive"])
+@pytest.mark.parametrize(
+    "roles, groups, window",
+    [(("a", "b"), (), 6), (("a", "b", "c"), ("g",), 1)],
+    ids=["two-roles", "three-roles-and-a-group"],
+)
+def test_enumeration_leaves_nothing_for_the_collector(
+    roles, groups, window, use_planner
+):
+    spec = spec_of(roles, groups, window)
+    engine = DetectionEngine([spec], use_planner=use_planner)
+    entities = [obs(i, i // 4) for i in range(200)]
+    gc.collect()
+    gc.disable()
+    try:
+        matches = 0
+        for entity in entities:
+            matches += len(engine.submit(entity, entity.time.tick))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert matches > 200  # the run enumerated, matched and abandoned plenty
+    assert unreachable == 0
+
+
+def pair_profile():
+    return ObserverProfile(
+        name="SK",
+        observer_id=SINK,
+        location=PointLocation(0.0, 0.0),
+        layer=EventLayer.CYBER_PHYSICAL,
+        instance_cls=CyberPhysicalEventInstance,
+        specs=(spec_of(("a", "b")),),
+    )
+
+
+def steps(count=40):
+    source = ReplaySource([(i // 4, [obs(i, i // 4)]) for i in range(count)])
+    return [group for _, group in arrival_groups(source)]
+
+
+def test_an_entity_key_is_built_once_and_shared():
+    a, b = obs(1, 1), obs(2, 1)
+    assert a.key is a.key
+    engine = DetectionEngine([spec_of(("a", "b"))])
+    matches = engine.submit_batch([a, b], 1)
+    assert len(matches) == 2  # (a, b) and (b, a)
+    sequence = InstanceSequence(pair_profile())
+    for match in matches:
+        instance = sequence.emit(match)
+        assert instance.key is instance.key
+        bound = match.entities()
+        assert len(instance.sources) == len(bound) == 2
+        for source, entity in zip(instance.sources, bound):
+            assert source is entity.key
+    # The dedup store holds the same tuples, not copies.
+    for identity, _ in engine.snapshot().seen["a+b"]:
+        assert {id(key) for key in identity} == {id(a.key), id(b.key)}
+
+
+def test_instances_share_what_does_not_differ_between_them():
+    replayer = ReplayObserver(pair_profile(), lateness=0)
+    replayer.runtime.register_source("replay")
+    per_step = [replayer.ingest(group) for group in steps()]
+    per_step.append(replayer.finish())
+    first, second = replayer.emitted[:2]
+    # No output recipe: one empty, read-only V for all of them.
+    assert first.attributes is second.attributes and not first.attributes
+    with pytest.raises(TypeError):
+        first.attributes["v"] = 1.0
+    # One generation stamp per tick, however many instances it emits.
+    assert any(len(instances) > 1 for instances in per_step)
+    for instances in per_step:
+        stamps = {}
+        for instance in instances:
+            t_g = instance.generated_time
+            assert stamps.setdefault(t_g.tick, t_g) is t_g
+
+
+def rows_of(replayer):
+    return [
+        TraceRecord(
+            instance.generated_time.tick, "instance.emit", "SK", emit_payload(instance)
+        )
+        for instance in replayer.emitted
+    ]
+
+
+def test_trace_rows_follow_the_emission_log_through_rollback_and_restore():
+    groups = steps()
+    whole = ReplayObserver(pair_profile(), lateness=0)
+    whole.replay(ReplaySource([(g[0].event_tick, [i.entity for i in g]) for g in groups]))
+    assert whole.trace_rows == rows_of(whole) and len(whole.trace_rows) > 20
+
+    replayer = ReplayObserver(pair_profile(), lateness=0)
+    replayer.runtime.register_source("replay")
+    for group in groups[:5]:
+        replayer.ingest(group)
+    checkpoint = replayer.snapshot()
+    kept = replayer.trace_rows
+    for group in groups[5:8]:
+        replayer.ingest(group)
+    assert len(replayer.trace_rows) > len(kept)
+    replayer.rollback(checkpoint)
+    assert replayer.trace_rows == kept == rows_of(replayer)
+    for group in groups[5:]:
+        replayer.ingest(group)
+    replayer.finish()
+    assert replayer.trace_rows == whole.trace_rows
+
+    resumed = ReplayObserver(pair_profile(), lateness=0)
+    resumed.restore(checkpoint)
+    assert resumed.trace_rows == []
+    for group in groups[5:]:
+        resumed.ingest(group)
+    resumed.finish()
+    assert resumed.trace_rows == whole.trace_rows[checkpoint.emitted_count:]
+
+
+class CountingDict(dict):
+    """Counts how the prune helper touches the store."""
+
+    def __init__(self):
+        super().__init__()
+        self.scans = self.deletions = self.lookups = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __delitem__(self, key):
+        self.deletions += 1
+        super().__delitem__(key)
+
+
+def head_pop(entries, horizon):
+    """The loop ``drop_expired_prefix`` replaced."""
+    while entries:
+        key = next(iter(entries))
+        if entries[key] >= horizon:
+            break
+        del entries[key]
+
+
+def test_expired_prefix_is_dropped_in_one_scan_per_call():
+    counted, reference = CountingDict(), {}
+    calls = 0
+    for i in range(20_000):
+        tick = i // 7
+        counted[i] = reference[i] = tick
+        if i % 5 == 0:
+            horizon = tick - 40
+            drop_expired_prefix(counted, lambda value: value < horizon)
+            head_pop(reference, horizon)
+            calls += 1
+            assert len(counted) == len(reference)
+    assert list(counted.items()) == list(reference.items())
+    assert 0 < len(counted) < 400
+    assert counted.scans == calls + 1  # + the comparison just above
+    assert counted.deletions == 20_000 - len(counted)  # each expired key once
+    assert counted.lookups == 0

@@ -28,7 +28,7 @@ from repro.core.spec import (
     OutputPolicy,
 )
 from repro.core.time_model import TimeInterval, TimePoint
-from repro.detect.engine import DetectionEngine, build_instance
+from repro.detect.engine import DetectionEngine, binding_identity, build_instance
 
 MOTE = ObserverId(ObserverKind.SENSOR_MOTE, "MT9")
 
@@ -397,9 +397,9 @@ class TestEngineEdgeCases:
         batch_matches = batched.submit_batch([a, b], 2)
 
         assert len(seq_matches) == len(batch_matches) == 1
-        assert (
-            DetectionEngine._binding_key(seq_matches[0].binding)
-            == DetectionEngine._binding_key(batch_matches[0].binding)
+        identify = binding_identity(seq_matches[0].spec)
+        assert identify(seq_matches[0].binding) == identify(
+            batch_matches[0].binding
         )
         assert {
             role: bound.mote_id

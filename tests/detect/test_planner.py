@@ -27,7 +27,7 @@ from repro.core.conditions import (
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
-from repro.detect.engine import DetectionEngine
+from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.planner import compile_plan
 from repro.workloads import synthetic_observations
 
@@ -211,7 +211,7 @@ def run_engines(specs, observations):
         for obs in observations:
             for match in engine.submit(obs, obs.time.tick):
                 keys.add(
-                    (match.spec.event_id, engine._binding_key(match.binding))
+                    (match.spec.event_id, binding_identity(match.spec)(match.binding))
                 )
         results.append((keys, engine.stats))
     return results
@@ -402,7 +402,7 @@ class TestDifferentialEquivalence:
         seq_keys = set()
         for obs in observations:
             for match in sequential.submit(obs, obs.time.tick):
-                seq_keys.add(sequential._binding_key(match.binding))
+                seq_keys.add(binding_identity(spec)(match.binding))
 
         import itertools
 
@@ -412,7 +412,7 @@ class TestDifferentialEquivalence:
             observations, key=lambda o: o.time.tick
         ):
             for match in batched.submit_batch(list(group), tick):
-                batch_keys.add(batched._binding_key(match.binding))
+                batch_keys.add(binding_identity(spec)(match.binding))
 
         assert batch_keys == seq_keys
         assert batched.stats.batches_submitted < sequential.stats.batches_submitted

@@ -32,7 +32,7 @@ from repro.core.operators import RelationalOp, TemporalOp
 from repro.core.space_model import BoundingBox, Circle, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimeInterval, TimePoint
-from repro.detect.engine import DetectionEngine
+from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.planner import compile_plan
 from repro.detect.role_window import RoleWindow, tick_bounds
 
@@ -358,6 +358,6 @@ class TestAtTheRadius:
                     PointLocation(x, y), {"v": 1.0},
                 )
                 for match in engine.submit(entity, tick):
-                    keys.add(engine._binding_key(match.binding))
+                    keys.add(binding_identity(spec)(match.binding))
             counts.append(keys)
         assert counts[0] == counts[1] and counts[0]

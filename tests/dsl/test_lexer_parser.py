@@ -181,6 +181,18 @@ class TestParser:
                 "time offset expects a whole number of ticks, got 1.5",
                 38,
             ),
+            # str.isdigit() admits both; float() would die on either
+            # with a raw ValueError.
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 1\u00b2",
+                "unexpected character '\u00b2'",
+                43,
+            ),
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > \u2460",
+                "unexpected character '\u2460'",
+                33,
+            ),
         ],
         ids=[
             "duplicate-role",
@@ -188,6 +200,8 @@ class TestParser:
             "fractional-window",
             "fractional-cooldown",
             "fractional-offset",
+            "superscript-digit",
+            "circled-digit",
         ],
     )
     def test_silently_rewritten_input_rejected(self, source, message, column):

@@ -108,6 +108,37 @@ def test_gate_reads_a_finished_supervised_replay(ledger):
     assert result.counts["entities"] == stats.released_items
 
 
+def test_an_on_match_bound_after_construction_sees_every_match(ledger):
+    """``harness.trace_emit`` re-binds ``runtime.on_match`` on a built
+    replayer to span ``stream.emit``: the runtime must read the callback
+    when it calls it, once per match."""
+    harness, _, _ = ledger
+    scenario, taps = _run("jittery_corridor")
+    tap = max(taps.values(), key=lambda t: t.observation_count)
+    replayer = ReplayObserver(
+        profile_of(_observer(scenario.system, tap.name)),
+        lateness=harness.LATENESS,
+    )
+
+    class Recorder:
+        calls = 0
+
+        def wrap(self, function, name):
+            assert name == "stream.emit"
+
+            def counted(match):
+                self.calls += 1
+                return function(match)
+
+            return counted
+
+    recorder = Recorder()
+    harness.trace_emit(replayer, recorder)
+    replayer.replay(JitteredSource(tap, max_delay=harness.LATENESS, seed=0))
+    stats = replayer.runtime.engine.stats
+    assert recorder.calls == stats.matches == len(replayer.emitted) > 0
+
+
 def test_sharded_workload_builds_and_gates_its_replayers(ledger):
     """``build_scenario`` → ``detection_bounds()`` → ``profile_of`` →
     ``ReplayObserver(shards=4, bounds=...)``, as the harness chains them."""

@@ -39,7 +39,7 @@ from repro.core.operators import RelationalOp, TemporalOp
 from repro.core.space_model import BoundingBox, Circle, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
-from repro.detect.engine import DetectionEngine
+from repro.detect.engine import DetectionEngine, binding_identity
 from repro.shard.engine import ShardedDetectionEngine
 
 BOUNDS = BoundingBox(0.0, 0.0, 100.0, 100.0)
@@ -105,7 +105,7 @@ def match_stream(engine, batches):
             out.append(
                 (
                     match.spec.event_id,
-                    DetectionEngine._binding_key(match.binding),
+                    binding_identity(match.spec)(match.binding),
                     match.tick,
                 )
             )
