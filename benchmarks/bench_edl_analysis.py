@@ -171,10 +171,12 @@ class TestE6EdlVsNetworkSize:
 
 class TestE7EndToEnd:
     def test_occurrence_to_actuation(self, benchmark, report):
-        from repro.workloads import build_forest_fire
+        from repro.workloads import build_scenario
 
         def run():
-            scenario = build_forest_fire(seed=41, horizon=800)
+            scenario = build_scenario(
+                "forest_fire", "medium", seed=41, horizon=800,
+            )
             scenario.system.run(until=800)
             return scenario
 

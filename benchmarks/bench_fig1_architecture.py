@@ -8,11 +8,13 @@ The timing row measures one complete closed-loop simulation.
 
 import pytest
 
-from repro.workloads import build_forest_fire
+from repro.workloads import build_scenario
 
 
 def run_loop(seed=21, horizon=800, suppress=True):
-    scenario = build_forest_fire(seed=seed, suppress=suppress, horizon=horizon)
+    scenario = build_scenario(
+        "forest_fire", "medium", seed=seed, suppress=suppress, horizon=horizon,
+    )
     scenario.system.run(until=horizon)
     return scenario
 

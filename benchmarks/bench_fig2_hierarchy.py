@@ -11,11 +11,13 @@ import pytest
 
 from repro.core.event import EventLayer
 from repro.sim.trace import summarize
-from repro.workloads import build_forest_fire
+from repro.workloads import build_scenario
 
 
 def run(seed=31, horizon=800):
-    scenario = build_forest_fire(seed=seed, horizon=horizon)
+    scenario = build_scenario(
+        "forest_fire", "medium", seed=seed, horizon=horizon,
+    )
     scenario.system.run(until=horizon)
     return scenario
 

@@ -21,13 +21,13 @@ from repro.core.space_model import PointLocation
 from repro.core.time_model import TimePoint
 from repro.metrics import interval_iou, region_iou
 from repro.physical import proximity_intervals
-from repro.workloads import build_forest_fire, build_smart_building
+from repro.workloads import build_scenario
 
 
 class TestE3NearbyWindow:
     def test_punctual_and_interval_readings(self, benchmark, report):
         def run():
-            scenario = build_smart_building(seed=5)
+            scenario = build_scenario("smart_building", "medium", seed=5)
             scenario.system.run(until=scenario.params["horizon"])
             return scenario
 
@@ -104,7 +104,9 @@ class TestE4ConditionS1:
 class TestE5FieldEvent:
     def test_field_event_from_point_events(self, benchmark, report):
         def run():
-            scenario = build_forest_fire(seed=17, suppress=False, horizon=600)
+            scenario = build_scenario(
+                "forest_fire", "medium", seed=17, suppress=False, horizon=600,
+            )
             scenario.system.run(until=600)
             return scenario
 

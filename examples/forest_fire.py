@@ -15,11 +15,13 @@ Run:  python examples/forest_fire.py
 
 from repro.metrics import region_iou
 from repro.physical import exceedance_region
-from repro.workloads import build_forest_fire
+from repro.workloads import build_scenario
 
 
 def run_once(suppress: bool):
-    scenario = build_forest_fire(seed=17, suppress=suppress)
+    scenario = build_scenario(
+        "forest_fire", "medium", seed=17, suppress=suppress,
+    )
     scenario.system.run(until=scenario.params["horizon"])
     return scenario
 

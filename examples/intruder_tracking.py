@@ -13,11 +13,11 @@ Run:  python examples/intruder_tracking.py
 
 from repro.core.space_model import PointLocation
 from repro.sim.trace import summarize
-from repro.workloads import build_intrusion
+from repro.workloads import build_scenario
 
 
 def main() -> None:
-    scenario = build_intrusion(seed=23)
+    scenario = build_scenario("intrusion", "medium", seed=23)
     system = scenario.system
     system.run(until=scenario.params["horizon"])
     intruder = scenario.handles["intruder"]

@@ -19,14 +19,15 @@ Run:  python examples/smart_building.py
 from repro.core.time_model import Clock
 from repro.metrics import interval_iou
 from repro.physical import proximity_intervals
-from repro.workloads import build_smart_building
+from repro.workloads import build_scenario
 
 
 def main() -> None:
     # One tick = one second; a 300 s stay threshold keeps the demo quick
     # (use 1800 for literal 30 minutes).
     clock = Clock(tick_seconds=1.0)
-    scenario = build_smart_building(
+    scenario = build_scenario(
+        "smart_building", "medium",
         seed=7,
         nearby_radius=8.0,
         stay_ticks=clock.ticks(300),

@@ -26,9 +26,9 @@ Workshops 2009), plus every substrate the paper depends on:
 
 Quickstart::
 
-    from repro.workloads import build_forest_fire
+    from repro.workloads import build_scenario
 
-    scenario = build_forest_fire(seed=1)
+    scenario = build_scenario("forest_fire", "medium", seed=1)
     scenario.system.run(until=800)
     print(scenario.system.instances_by_layer())
 """

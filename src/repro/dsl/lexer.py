@@ -9,6 +9,7 @@ syntax errors point at the offending source location.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import DslSyntaxError
@@ -111,9 +112,21 @@ def tokenize(source: str) -> list[Token]:
             j = i + 1
             while j < n and (source[j] in _DIGITS or source[j] == "."):
                 j += 1
+            # Exponent form, so that every finite repr(float) is one
+            # token: 1e-05, 1.5e+16.  A bare "1e" stays NUMBER + IDENT.
+            if j < n and source[j] in "eE":
+                k = j + 2 if source[j + 1 : j + 2] in ("+", "-") else j + 1
+                if k < n and source[k] in _DIGITS:
+                    j = k + 1
+                    while j < n and source[j] in _DIGITS:
+                        j += 1
             text = source[i:j]
             if text.count(".") > 1:
                 raise DslSyntaxError(f"malformed number {text!r}", line, start_col)
+            if math.isinf(float(text)):
+                raise DslSyntaxError(
+                    f"number {text!r} is out of range", line, start_col
+                )
             tokens.append(Token(TokenType.NUMBER, text, line, start_col))
             column += j - i
             i = j

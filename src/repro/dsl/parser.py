@@ -7,7 +7,7 @@ Grammar (keywords case-insensitive; ``#`` starts a line comment)::
     when      := "WHEN" role ("," role)*
     role      := ["GROUP"] IDENT ":" kinds
                  ["IN" "region" "(" IDENT ")"] ["RHO" ">=" NUMBER]
-    kinds     := "*" | IDENT ("|" IDENT)*
+    kinds     := "*" | kind ("|" kind)*
     if        := "IF" or_expr
     or_expr   := and_expr ("OR" and_expr)*
     and_expr  := unary ("AND" unary)*
@@ -16,13 +16,19 @@ Grammar (keywords case-insensitive; ``#`` starts a line comment)::
                | call TEMPORAL_OP call         -- temporal relation
                | call SPATIAL_OP call          -- spatial relation
     call      := IDENT "(" arg ("," arg)* ")" [("+"|"-") TICKS]
-    arg       := IDENT ["." IDENT] | NUMBER
+    arg       := IDENT ["." kind] | NUMBER
     window    := "WINDOW" TICKS
     cooldown  := "COOLDOWN" TICKS
     emit      := "EMIT" (IDENT "=" IDENT)+
-    attr      := "ATTR" IDENT "=" IDENT "(" term ("," term)* ")"
-    term      := IDENT "." IDENT
+    attr      := "ATTR" kind "=" IDENT "(" term ("," term)* ")"
+    term      := IDENT "." kind
+    kind      := IDENT (":" IDENT)*             -- range:userA
     TICKS     := NUMBER                         -- no fractional part
+
+``IF``, ``WINDOW`` and ``COOLDOWN`` may each appear once per EVENT, and
+so may each ``EMIT`` key and each ``ATTR`` name: a repeated one is an
+error, not an override.  NUMBER covers every finite ``repr(float)``
+(``7.199999999999999``, ``1e-05``, ``1.5e+16``).
 
 Example::
 
@@ -151,8 +157,15 @@ class _Parser:
         cooldown = 0
         emit: dict[str, str] = {}
         attrs: list[AttrRecipe] = []
+        seen: set[str] = set()
         while True:
             token = self.current
+            if token.is_keyword("IF", "WINDOW", "COOLDOWN"):
+                # WHEN, EMIT and ATTR accumulate; these three would
+                # silently replace the earlier clause.
+                if token.value in seen:
+                    raise self._error(f"{token.value} clause given twice")
+                seen.add(token.value)
             if token.is_keyword("WHEN"):
                 self._advance()
                 self._parse_roles(roles)
@@ -167,10 +180,10 @@ class _Parser:
                 cooldown = self._expect_ticks("COOLDOWN")
             elif token.is_keyword("EMIT"):
                 self._advance()
-                emit.update(self._parse_emit())
+                self._parse_emit(emit)
             elif token.is_keyword("ATTR"):
                 self._advance()
-                attrs.append(self._parse_attr())
+                attrs.append(self._parse_attr(attrs))
             else:
                 break
         if not roles:
@@ -250,19 +263,23 @@ class _Parser:
             parts.append(self._expect_ident())
         return ":".join(parts)
 
-    def _parse_emit(self) -> dict[str, str]:
-        settings: dict[str, str] = {}
-        while self.current.type is TokenType.IDENT:
-            key = self._expect_ident()
-            self._expect_symbol("=")
-            value = self._expect_ident()
-            settings[key] = value
-        if not settings:
+    def _parse_emit(self, settings: dict[str, str]) -> None:
+        """Add one EMIT clause's settings to the spec's ``settings``."""
+        if self.current.type is not TokenType.IDENT:
             raise self._error("EMIT clause lists no settings")
-        return settings
+        while self.current.type is TokenType.IDENT:
+            token = self.current
+            key = self._expect_ident()
+            if key in settings:
+                raise self._error(f"EMIT setting {key!r} given twice", token)
+            self._expect_symbol("=")
+            settings[key] = self._expect_ident()
 
-    def _parse_attr(self) -> AttrRecipe:
-        name = self._expect_ident()
+    def _parse_attr(self, declared: list[AttrRecipe]) -> AttrRecipe:
+        token = self.current
+        name = self._parse_kind_name()
+        if any(name == recipe.name for recipe in declared):
+            raise self._error(f"ATTR {name!r} defined twice", token)
         self._expect_symbol("=")
         aggregate = self._expect_ident()
         self._expect_symbol("(")

@@ -1,49 +1,21 @@
-"""Workloads: scenario builders, the scenario registry and generators."""
+"""Workloads: scenario families, the scenario registry and generators."""
 
-from repro.workloads.families import (
-    build_convoy_pursuit,
-    build_flaky_uplink,
-    build_high_density,
-    build_jittery_corridor,
-    build_overload_surge,
-    build_sensor_failure_storm,
-    build_sharded_metro,
-    build_urban_campus,
-)
+from repro.workloads.families import SIZE_PRESETS, Scenario, ScenarioSpec
 from repro.workloads.generators import (
     burst_observations,
     poisson_ticks,
     synthetic_observations,
 )
 from repro.workloads.registry import (
-    SIZE_PRESETS,
-    ScenarioSpec,
     build_scenario,
     get_scenario,
     iter_scenarios,
     register_scenario,
     scenario_names,
 )
-from repro.workloads.scenarios import (
-    Scenario,
-    build_forest_fire,
-    build_intrusion,
-    build_smart_building,
-)
 
 __all__ = [
     "Scenario",
-    "build_smart_building",
-    "build_forest_fire",
-    "build_intrusion",
-    "build_convoy_pursuit",
-    "build_urban_campus",
-    "build_sensor_failure_storm",
-    "build_high_density",
-    "build_sharded_metro",
-    "build_jittery_corridor",
-    "build_overload_surge",
-    "build_flaky_uplink",
     "SIZE_PRESETS",
     "ScenarioSpec",
     "register_scenario",

@@ -1,8 +1,11 @@
 """Unit tests for the DSL lexer and parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import DslSyntaxError
+from repro.dsl import compile_source
 from repro.dsl.ast_nodes import AndExpr, NotExpr, OrExpr, RelPredicate, RolePredicate
 from repro.dsl.lexer import TokenType, tokenize
 from repro.dsl.parser import MAX_NESTING, parse, parse_many
@@ -58,6 +61,51 @@ class TestLexer:
         with pytest.raises(DslSyntaxError):
             tokenize("x > 1.2.3")
 
+    @pytest.mark.parametrize(
+        "text", ["1e-05", "1.5e+16", "2E3", "7.199999999999999", "-2.5e-3"]
+    )
+    def test_exponent_literal_is_one_number(self, text):
+        tokens = tokenize(f"x > {text}")
+        assert [(t.type, t.value) for t in tokens[2:-1]] == [
+            (TokenType.NUMBER, text)
+        ]
+
+    def test_exponent_needs_digits(self):
+        # Not an exponent: the number ends before the letter, as before.
+        tokens = tokenize("x > 1e WINDOW")
+        assert [t.value for t in tokens[2:-1]] == ["1", "e", "WINDOW"]
+
+    def test_offset_minus_before_exponent_literal_is_symbol(self):
+        tokens = tokenize("time(a) - 2e1")
+        assert [t.value for t in tokens[-3:-1]] == ["-", "2e1"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("inf", "expected number, got 'inf'"),
+            ("nan", "expected number, got 'nan'"),
+            ("-inf", "expected number, got '-'"),
+            # float() would quietly hand the engine an infinite threshold.
+            ("1e999", "number '1e999' is out of range"),
+            ("-1e999", "number '-1e999' is out of range"),
+        ],
+    )
+    def test_non_finite_constant_refused_with_position(self, text, message):
+        with pytest.raises(DslSyntaxError, match=message) as excinfo:
+            parse(f"EVENT e WHEN a: t, b: t IF distance(a, b) < {text}")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 45)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_every_finite_float_repr_round_trips(self, value):
+        """Scenario thresholds are interpolated with ``!r``: whatever
+        ``repr`` prints for a finite float must come back ``==``."""
+        (spec,) = compile_source(
+            f"EVENT e WHEN a: t, b: t IF distance(a, b) < {value!r}"
+        )
+        constant = spec.condition.condition.constant
+        assert constant == value and type(constant) is float
+
 
 FULL_SOURCE = """
 EVENT fire_suspected
@@ -97,6 +145,17 @@ class TestParser:
     def test_wildcard_kind(self):
         ast = parse("EVENT e WHEN x: * IF rho(x) >= 0")
         assert ast.roles[0].kinds == ()
+
+    def test_attr_name_with_colon_segments(self):
+        # An output attribute is usually named after the quantity it
+        # carries, so ATTR takes the same kind-name syntax as its terms.
+        spec = parse(
+            "EVENT seen WHEN x: range:leader IF last(x.range:leader) < 9 "
+            "ATTR range:leader = last(x.range:leader)"
+        )
+        (recipe,) = spec.attrs
+        assert recipe.name == "range:leader"
+        assert recipe.terms == (("x", "range:leader"),)
 
     def test_kind_with_colon_segments(self):
         ast = parse("EVENT e WHEN x: range:userA IF avg(x.range:userA) < 5")
@@ -193,6 +252,32 @@ class TestParser:
                 "unexpected character '\u2460'",
                 33,
             ),
+            # Last-wins would silently drop the earlier clause.
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 IF avg(x.v) > 2",
+                "IF clause given twice",
+                35,
+            ),
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 3 WINDOW 9",
+                "WINDOW clause given twice",
+                44,
+            ),
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 COOLDOWN 3 WINDOW 1 COOLDOWN 9",
+                "COOLDOWN clause given twice",
+                55,
+            ),
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 EMIT time=latest EMIT time=span",
+                "EMIT setting 'time' given twice",
+                57,
+            ),
+            (
+                "EVENT e WHEN x: t IF avg(x.v) > 1 ATTR t = max(x.v) ATTR t = min(x.v)",
+                "ATTR 't' defined twice",
+                58,
+            ),
         ],
         ids=[
             "duplicate-role",
@@ -202,12 +287,33 @@ class TestParser:
             "fractional-offset",
             "superscript-digit",
             "circled-digit",
+            "second-if",
+            "second-window",
+            "second-cooldown",
+            "repeated-emit-key",
+            "repeated-attr-name",
         ],
     )
     def test_silently_rewritten_input_rejected(self, source, message, column):
         with pytest.raises(DslSyntaxError, match=message) as excinfo:
             parse(source)
         assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_clauses_that_accumulate_may_repeat(self):
+        spec = parse(
+            "EVENT e WHEN x: t WHEN y: t IF avg(x.v) > 1 "
+            "EMIT time=latest EMIT space=hull ATTR a = max(x.v) ATTR b = min(y.v)"
+        )
+        assert [role.name for role in spec.roles] == ["x", "y"]
+        assert spec.emit == {"time": "latest", "space": "hull"}
+        assert [recipe.name for recipe in spec.attrs] == ["a", "b"]
+
+    def test_each_event_block_has_its_own_clauses(self):
+        first, second = parse_many(
+            "EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 3 "
+            "EVENT f WHEN x: t IF avg(x.v) > 2 WINDOW 9"
+        )
+        assert (first.window, second.window) == (3, 9)
 
     def test_whole_number_written_as_a_float_is_accepted(self):
         assert parse("EVENT e WHEN x: t IF avg(x.v) > 1 WINDOW 3.0").window == 3

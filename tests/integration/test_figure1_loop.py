@@ -10,16 +10,20 @@ subsequent sensing.
 import pytest
 
 from repro.core.event import EventLayer
-from repro.workloads.scenarios import build_forest_fire, build_smart_building
+from repro.workloads import build_scenario
 
 
 class TestFireSuppressionLoop:
     def test_suppression_bounds_fire_spread(self):
         """With the loop closed, the burned fraction must be strictly
         smaller than with detection-only (no actuation)."""
-        closed = build_forest_fire(seed=21, suppress=True)
+        closed = build_scenario(
+            "forest_fire", "medium", seed=21, suppress=True,
+        )
         closed.system.run(until=closed.params["horizon"])
-        open_loop = build_forest_fire(seed=21, suppress=False)
+        open_loop = build_scenario(
+            "forest_fire", "medium", seed=21, suppress=False,
+        )
         open_loop.system.run(until=open_loop.params["horizon"])
 
         assert closed.handles["suppress_log"], "no suppression command executed"
@@ -31,7 +35,7 @@ class TestFireSuppressionLoop:
         assert burned_closed < burned_open
 
     def test_loop_latency_is_bounded(self):
-        scenario = build_forest_fire(seed=21)
+        scenario = build_scenario("forest_fire", "medium", seed=21)
         scenario.system.run(until=scenario.params["horizon"])
         ignition = scenario.params["ignition_tick"]
         first_command = scenario.handles["suppress_log"][0]
@@ -39,7 +43,7 @@ class TestFireSuppressionLoop:
         assert 0 < reaction < 200, f"loop reaction {reaction} ticks"
 
     def test_all_stages_traced(self):
-        scenario = build_forest_fire(seed=21)
+        scenario = build_scenario("forest_fire", "medium", seed=21)
         scenario.system.run(until=scenario.params["horizon"])
         trace = scenario.system.trace
         assert trace.count("sample.ok") > 0
@@ -50,7 +54,7 @@ class TestFireSuppressionLoop:
         assert trace.count("command.executed") > 0
 
     def test_publish_subscribe_fanout(self):
-        scenario = build_forest_fire(seed=21)
+        scenario = build_scenario("forest_fire", "medium", seed=21)
         scenario.system.run(until=scenario.params["horizon"])
         bus = scenario.system.bus
         # CP events fan out to the CCU and the database at least.
@@ -60,7 +64,7 @@ class TestFireSuppressionLoop:
 
 class TestBuildingComfortLoop:
     def test_long_stay_triggers_hvac(self):
-        scenario = build_smart_building(seed=4)
+        scenario = build_scenario("smart_building", "medium", seed=4)
         scenario.system.run(until=scenario.params["horizon"])
         commands = scenario.handles["hvac_commands"]
         assert len(commands) >= 1
@@ -70,7 +74,8 @@ class TestBuildingComfortLoop:
         assert tick >= scenario.params["approach_tick"] + scenario.params["stay_ticks"]
 
     def test_short_stay_triggers_nothing(self):
-        scenario = build_smart_building(
+        scenario = build_scenario(
+            "smart_building", "medium",
             seed=4, approach_tick=100, leave_tick=180, stay_ticks=300,
             horizon=600,
         )
@@ -78,7 +83,7 @@ class TestBuildingComfortLoop:
         assert scenario.handles["hvac_commands"] == []
 
     def test_hierarchy_counts(self):
-        scenario = build_smart_building(seed=4)
+        scenario = build_scenario("smart_building", "medium", seed=4)
         scenario.system.run(until=scenario.params["horizon"])
         layers = scenario.system.instances_by_layer()
         assert layers.get(EventLayer.SENSOR, 0) >= 1

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.event import EventLayer
 from repro.core.space_model import PointLocation
-from repro.workloads.scenarios import build_intrusion
+from repro.workloads import build_scenario
 
 
 class TestIntrusionScenario:
     @pytest.fixture(scope="class")
     def ran(self):
-        scenario = build_intrusion(seed=13)
+        scenario = build_scenario("intrusion", "medium", seed=13)
         scenario.system.run(until=scenario.params["horizon"])
         return scenario
 
@@ -56,7 +56,9 @@ class TestIntrusionScenario:
 
     def test_determinism(self):
         def run(seed):
-            scenario = build_intrusion(seed=seed, horizon=300)
+            scenario = build_scenario(
+                "intrusion", "medium", seed=seed, horizon=300,
+            )
             scenario.system.run(until=300)
             return (
                 len(scenario.handles["alarm_log"]),

@@ -1,6 +1,9 @@
 """Unit tests for the scenario registry."""
 
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.workloads import (
     register_scenario,
     scenario_names,
 )
+from repro.workloads.families import deploy
 
 
 class TestRegistryContents:
@@ -74,12 +78,39 @@ class TestLookupAndBuild:
         with pytest.raises(ReproError, match="lacks presets"):
             ScenarioSpec(
                 name="broken",
-                builder=lambda **kw: None,
+                plan=lambda p, rng: None,
                 description="x",
                 layers=("a",),
                 paper_section="-",
+                defaults={},
                 presets={"small": {}},
             )
+
+    def test_preset_naming_an_undeclared_parameter_rejected(self):
+        with pytest.raises(ReproError, match=r"no parameter \['colz'\]"):
+            ScenarioSpec(
+                name="broken",
+                plan=lambda p, rng: None,
+                description="x",
+                layers=("a",),
+                paper_section="-",
+                defaults={"cols": 3},
+                presets={"small": {}, "medium": {}, "large": {"colz": 9}},
+            )
+
+    def test_undeclared_override_refused_before_anything_is_built(
+        self, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(
+            CPSSystem, "__init__", lambda self, **kw: built.append(kw)
+        )
+        with pytest.raises(ReproError, match=r"no parameter \['rowz'\]") as info:
+            build_scenario("intrusion", rowz=3)
+        # The refusal names what the family does take.
+        for parameter in get_scenario("intrusion").defaults:
+            assert parameter in str(info.value)
+        assert built == []
 
     def test_build_returns_runnable_scenario(self):
         scenario = build_scenario("intrusion", preset="small")
@@ -97,6 +128,40 @@ class TestLookupAndBuild:
     def test_overrides_layer_over_preset(self):
         scenario = build_scenario("intrusion", preset="small", horizon=77)
         assert scenario.params["horizon"] == 77
+
+    @pytest.mark.parametrize("preset", SIZE_PRESETS)
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_family_builds_at_every_preset(self, name, preset):
+        """Built, not run: every observer holds its layer's specs and the
+        layers chain (a sink selects what motes emit, the CCU what sinks
+        emit, the rule what the CCU emits)."""
+        system = build_scenario(name, preset=preset).system
+        motes = list(system.motes.values())
+        sinks = list(system.sinks.values())
+        (ccu,) = system.ccus.values()
+        assert motes and sinks
+        shared = [id(spec) for spec in motes[0].engine.specs]
+        for mote in motes:
+            # The layer's frozen spec objects themselves, not copies.
+            assert [id(spec) for spec in mote.engine.specs] == shared
+            assert mote.engine.specs or mote.interval_events
+        mote_events = {s.event_id for s in motes[0].engine.specs} | {
+            config.event_id for config in motes[0].interval_events
+        }
+        sink_events = set()
+        for sink in sinks:
+            assert sink.engine.specs
+            for spec in sink.engine.specs:
+                sink_events.add(spec.event_id)
+                for selector in spec.selectors.values():
+                    assert selector.kinds <= mote_events
+        assert ccu.engine.specs
+        for spec in ccu.engine.specs:
+            for selector in spec.selectors.values():
+                assert selector.kinds <= sink_events
+        (rule,) = ccu.rules
+        assert rule.event_id in {s.event_id for s in ccu.engine.specs}
+        assert len(system.actor_motes) == 1
 
     @pytest.mark.parametrize(
         "engine",
@@ -134,7 +199,7 @@ respelling of them); none may grow back on the signatures below."""
 
 
 def test_engine_choice_is_not_threaded_through_signatures():
-    builders = [spec.builder for spec in iter_scenarios()]
+    plans = [spec.plan for spec in iter_scenarios()]
     for fn in (
         CPSSystem.__init__,
         CPSSystem.add_mote,
@@ -145,7 +210,8 @@ def test_engine_choice_is_not_threaded_through_signatures():
         SinkNode.__init__,
         ControlUnit.__init__,
         build_scenario,
-        *builders,
+        deploy,
+        *plans,
     ):
         threaded = [
             name
@@ -153,5 +219,43 @@ def test_engine_choice_is_not_threaded_through_signatures():
             if any(mark in name for mark in THREADED)
         ]
         assert not threaded, f"{fn.__qualname__} takes {threaded}"
-    for builder in builders:
-        assert "engine" in inspect.signature(builder).parameters, builder
+    for fn in (build_scenario, deploy):
+        assert "engine" in inspect.signature(fn).parameters, fn
+    # A plan describes a deployment; it never sees the engine choice.
+    for plan in plans:
+        assert list(inspect.signature(plan).parameters) == ["p", "rng"], plan
+
+
+SPEC_MODULES = (
+    "repro.core.spec",
+    "repro.core.conditions",
+    "repro.core.composite",
+)
+"""What a scenario would need in order to build a specification from
+Python objects again instead of from DSL text."""
+
+
+def test_workloads_import_no_specification_classes():
+    """The DSL stays the one specification surface of `repro.workloads`:
+    no module there imports `EventSpecification`, `EntitySelector`,
+    `OutputPolicy`, a condition class or a combinator, under any path."""
+    import repro.workloads
+
+    banned = set(SPEC_MODULES)
+    for module in SPEC_MODULES:
+        banned |= set(importlib.import_module(module).__all__)
+    for path in sorted(Path(repro.workloads.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported = {node.module} | {
+                    name
+                    for alias in node.names
+                    for name in (alias.name, f"{node.module}.{alias.name}")
+                }
+            elif isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not imported & banned, (
+                f"{path.name} imports {sorted(imported & banned)}"
+            )

@@ -5,15 +5,11 @@ import random
 import pytest
 
 from repro.core.space_model import BoundingBox
+from repro.workloads import build_scenario
 from repro.workloads.generators import (
     burst_observations,
     poisson_ticks,
     synthetic_observations,
-)
-from repro.workloads.scenarios import (
-    build_forest_fire,
-    build_intrusion,
-    build_smart_building,
 )
 
 BOUNDS = BoundingBox(0, 0, 100, 100)
@@ -110,7 +106,8 @@ class TestBurstObservations:
 
 class TestScenarioBuilders:
     def test_smart_building_parameters_respected(self):
-        scenario = build_smart_building(
+        scenario = build_scenario(
+            "smart_building", "medium",
             seed=1, nearby_radius=5.0, stay_ticks=100,
             approach_tick=50, leave_tick=200, horizon=400,
         )
@@ -120,7 +117,9 @@ class TestScenarioBuilders:
         assert scenario.system.ccus
 
     def test_forest_fire_ignites_at_configured_tick(self):
-        scenario = build_forest_fire(seed=2, ignition_tick=50, horizon=120)
+        scenario = build_scenario(
+            "forest_fire", "medium", seed=2, ignition_tick=50, horizon=120,
+        )
         fire = scenario.handles["fire"]
         scenario.system.run(until=49)
         assert fire.burning_cells() == []
@@ -128,15 +127,28 @@ class TestScenarioBuilders:
         assert fire.burning_cells()
 
     def test_intrusion_grid_size(self):
-        scenario = build_intrusion(seed=3, rows=3, cols=3)
+        scenario = build_scenario(
+            "intrusion", "medium", seed=3, rows=3, cols=3,
+        )
         # 9 grid positions: 8 sensing motes + 1 sink.
         assert len(scenario.system.motes) == 8
         assert "MT0_0" in scenario.system.sinks
 
     def test_scenarios_share_no_state(self):
-        a = build_forest_fire(seed=4)
-        b = build_forest_fire(seed=4)
+        a = build_scenario("forest_fire", "medium", seed=4)
+        b = build_scenario("forest_fire", "medium", seed=4)
         a.system.run(until=300)
         # b must be unaffected by running a.
         assert b.system.sim.tick == 0
         assert b.handles["fire"].burning_cells() == []
+        # Identical DSL text is compiled once per process, so all three
+        # systems evaluate the very same specification objects: one built
+        # (or first run) after another has run must behave as it did.
+        c = build_scenario("forest_fire", "medium", seed=4)
+        (spec_a,) = a.system.sinks["MT0_0"].engine.specs
+        (spec_c,) = c.system.sinks["MT0_0"].engine.specs
+        assert spec_c is spec_a
+        for later in (b, c):
+            later.system.run(until=300)
+            assert later.system.trace.digest() == a.system.trace.digest()
+        assert a.system.trace.count("instance.emit") > 0
