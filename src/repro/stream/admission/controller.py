@@ -59,7 +59,12 @@ class AdmissionLimits:
             count is never capped; see
             :attr:`~repro.stream.reorder.ReorderBuffer.late_count`).
         rate: Per-source token-bucket refill in admissions per arrival
-            tick (``None`` = no rate limiting).
+            tick (``None`` = no rate limiting).  A rate limit adds a
+            precondition on every delivery step: arrival ticks must be
+            non-decreasing along the step (across sources too) and no
+            earlier than the buckets they touch last saw — see
+            :meth:`AdmissionController.ensure_clock`; a step that breaks
+            it is refused whole.
         burst: Per-source bucket capacity (largest co-arriving group
             admitted after a quiet period).
         max_deferred: Cap on the deferral FIFO holding over-rate
@@ -180,6 +185,49 @@ class AdmissionController:
             bucket = TokenBucket(self.limits.rate, self.limits.burst)
             self._buckets[source] = bucket
         return bucket
+
+    def ensure_clock(self, items: Sequence[StreamItem]) -> None:
+        """Validate that this step runs no token bucket's clock
+        backwards (raise otherwise).
+
+        The pre-mutation check :meth:`StreamingDetectionRuntime.ingest`
+        runs next to ``ensure_open``: a token bucket refuses a
+        regressing clock, and would refuse it from inside
+        :meth:`intake` — after the screens ahead of admission recorded
+        the step and after earlier items took their tokens.  Under a
+        rate limit a step must therefore satisfy, whatever part of it
+        survives screening (any survivor may come first, and the first
+        one's tick is the ``now`` the deferred items are re-offered at):
+        arrival ticks do not decrease along the step, across sources as
+        well as within one; no deferred item's bucket is ahead of the
+        step's first tick; no item's own bucket is ahead of the item.
+        Without a rate limit there are no clocks and nothing is checked.
+        """
+        if self.limits.rate is None or not items:
+            return
+        now = items[0].arrival_tick
+        for source in {item.source for item in self._deferred}:
+            self._ensure_not_ahead(source, now)
+        for item in items:
+            if item.arrival_tick < now:
+                raise ObserverError(
+                    f"arrival ticks regress from {now} to "
+                    f"{item.arrival_tick} within one delivery step; the "
+                    "step was rejected before any item was admitted"
+                )
+            now = item.arrival_tick
+            self._ensure_not_ahead(item.source, now)
+
+    def _ensure_not_ahead(self, source: str, now: int) -> None:
+        bucket = self._buckets.get(source)
+        if bucket is None or bucket.last_tick is None:
+            return
+        if bucket.last_tick > now:
+            raise ObserverError(
+                f"source {source!r}'s token bucket clock would regress "
+                f"from {bucket.last_tick} to {now}; the delivery step was "
+                "rejected before any item was admitted"
+            )
 
     def intake(self, items: Sequence[StreamItem]) -> Intake:
         """Classify one delivery step: admit, defer or shed each item.

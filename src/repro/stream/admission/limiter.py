@@ -46,6 +46,12 @@ class TokenBucket:
         """Tokens currently available (before any refill)."""
         return self._tokens
 
+    @property
+    def last_tick(self) -> int | None:
+        """The tick the bucket's clock stands at (``None`` before the
+        first take): no later take may name an earlier one."""
+        return self._last_tick
+
     def refill(self, now: int) -> None:
         """Advance the bucket's clock to ``now`` (monotone)."""
         if self._last_tick is None:

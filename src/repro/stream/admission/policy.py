@@ -4,11 +4,21 @@ A policy is consulted only when the reorder buffer sits at its
 occupancy cap and one more observation wants in.  It answers one
 question — *who loses?* — by returning either a buffered victim to
 evict (the incoming item is admitted in its place) or ``None`` (the
-incoming item itself is shed).  Every decision is deterministic, every
-shed observation is counted, and the benchmark harness quantifies each
-policy's effect on match recall against the unshedded golden run
-(:func:`benchmarks.report.admission_report`) — shedding is a measured
-trade, never a silent one.
+incoming item itself is shed).  Every decision is deterministic and
+every shed observation is counted; the performance ledger's
+``stream_overload`` workload prices the decision itself
+(``stream.admission.make_room.us_per_shed`` at
+``stream.admission.shed_share``) and gates the recall of what survives
+against the unshedded reference — shedding is a measured trade, never a
+silent one.
+
+The decision must not cost more the fuller the buffer it protects is, so
+the built-in policies only use the buffer's O(1) reads
+(:meth:`~repro.stream.reorder.ReorderBuffer.oldest_pending`,
+:meth:`~repro.stream.reorder.ReorderBuffer.weakest`), and evicting the
+victim they name is O(1) as well.  A custom policy may still walk
+:meth:`~repro.stream.reorder.ReorderBuffer.pending` — the checkpoint
+view, O(n log n) per call — and pays for it on every at-cap offer.
 
 Built-in policies (resolvable by name):
 
@@ -88,6 +98,11 @@ class DropLowestPriority:
     longest).  When nothing buffered is strictly weaker than the
     incoming item, the incoming item is shed — ties never displace
     already-admitted data.
+
+    Buffered items are compared by the class the buffer filed them under
+    when they were offered (its ``rank``, which the runtime wires to the
+    controller's own :class:`PriorityMap`); ``priorities`` classifies
+    only the incoming item.
     """
 
     name: str = "drop_lowest_priority"
@@ -99,16 +114,9 @@ class DropLowestPriority:
         priorities: PriorityMap,
         state: MutableMapping[str, int],
     ) -> StreamItem | None:
-        weakest: StreamItem | None = None
-        weakest_rank: tuple[int, tuple[int, int]] | None = None
-        for item in buffer.pending():
-            rank = (int(priorities.of(item)), item.order_key)
-            if weakest_rank is None or rank > weakest_rank:
-                weakest, weakest_rank = item, rank
-        if weakest is None or weakest_rank is None:
-            return None
-        if int(priorities.of(incoming)) < weakest_rank[0]:
-            return weakest
+        found = buffer.weakest()
+        if found is not None and priorities.of(incoming) < found[0]:
+            return found[1]
         return None
 
 

@@ -33,6 +33,13 @@ class Priority(IntEnum):
 class PriorityMap:
     """Resolve an item's admission class.
 
+    An item's class is fixed when it is offered to the reorder buffer:
+    the buffer files it under the class this map gave it then, and
+    class-aware shedding compares buffered items by that filed class.  A
+    ``classify`` whose answer for one item changes over time therefore
+    affects only items offered afterwards (and a checkpoint restore,
+    which files every pending item afresh).
+
     Args:
         default: Class of anything not otherwise classified.
         sources: Per-source-name overrides (a whole feed's class).

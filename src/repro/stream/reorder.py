@@ -14,17 +14,38 @@ retained lates.
 
 Occupancy is tracked with a high-water mark
 (:attr:`ReorderBuffer.peak_occupancy`), the backpressure number the
-streaming benchmarks report: it bounds the state a consumer must hold
-to absorb a transport's disorder.  The admission layer
-(:mod:`repro.stream.admission`) additionally caps live occupancy via
-the eviction hooks (:meth:`ReorderBuffer.evict_oldest` /
-:meth:`ReorderBuffer.evict_item`).
+performance ledger reports as ``stream.reorder.peak``: it bounds the
+state a consumer must hold to absorb a transport's disorder.  The
+admission layer (:mod:`repro.stream.admission`) additionally caps live
+occupancy via the eviction hooks (:meth:`ReorderBuffer.evict_oldest` /
+:meth:`ReorderBuffer.evict_item`) and, for class-aware shedding, asks
+:meth:`ReorderBuffer.weakest` who would lose.
+
+What each operation costs, with ``n`` items buffered — none of it grows
+with the cap the admission layer enforces, so shedding stays cheap
+exactly when the buffer is full:
+
+* ``offer`` — one heap push, O(log n); a second push into the item's
+  class heap when the buffer was built with ``rank``;
+* ``release`` — O(log n) per released item;
+* ``evict_item`` / ``evict_oldest`` — O(1): the victim's liveness record
+  is dropped and its heap entries stay behind as **tombstones**, skipped
+  (O(log n) each, once) when they surface at the top of a heap;
+* ``oldest_pending`` / ``weakest`` — O(1) plus the tombstones they skip;
+* ``pending`` / ``snapshot`` / ``restore`` — O(n log n), the checkpoint
+  path;
+* compaction — a heap is rebuilt, O(n), only once its tombstones
+  outnumber its live entries, i.e. amortized O(1) per removal.  Neither
+  a stream that only ever evicts nor one that only ever releases can
+  pin more than a small multiple of the live items.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.errors import ObserverError
 from repro.stream.source import StreamItem
@@ -56,13 +77,36 @@ class ReorderSnapshot:
 class ReorderBuffer:
     """Min-heap over ``(event_tick, seq)`` with a release frontier.
 
+    Removal is lazy.  An item is buffered exactly while the liveness
+    table carries the insertion counter of its heap entry; releasing or
+    evicting it drops that record, and whatever entry a heap still holds
+    for it is from then on a tombstone — skipped when it surfaces,
+    swept out when tombstones outnumber live entries.  Occupancy, the
+    high-water mark, :meth:`metrics_view` and :meth:`pending` count live
+    items only.
+
     Args:
         late_retention: How many late items to *retain* for inspection
             (the newest ones; ``None`` retains everything).  The exact
             late count is tracked separately and is never capped.
+        rank: Optional classifier ``item -> class`` (any orderable,
+            hashable value; larger = weaker, shed first).  With one, the
+            buffer also keeps a per-class index behind :meth:`weakest`.
+            It is called once per item, when the item is offered (and
+            once more per pending item on :meth:`restore`): an item's
+            class is fixed from then on.
     """
 
-    def __init__(self, late_retention: int | None = DEFAULT_LATE_RETENTION):
+    _COMPACT_SLACK = 64
+    """Tombstones a heap may carry beyond its live entries before it is
+    rebuilt: keeps a nearly empty buffer from compacting on every
+    release."""
+
+    def __init__(
+        self,
+        late_retention: int | None = DEFAULT_LATE_RETENTION,
+        rank: Callable[[StreamItem], object] | None = None,
+    ):
         if late_retention is not None and late_retention < 0:
             raise ObserverError(
                 f"late retention cannot be negative: {late_retention}"
@@ -74,6 +118,25 @@ class ReorderBuffer:
         # release in arrival order, deterministically.
         self._heap: list[tuple[tuple[int, int], int, StreamItem]] = []
         self._counter = 0
+        # id(item) -> counter of the item's buffered entry.  Items are
+        # matched by identity (as eviction always did), and an entry pins
+        # its item, so an id cannot be reused while a counter is filed
+        # under it.  The same object buffered twice (a redelivery with no
+        # deduper in front) files its earliest copy here and queues the
+        # rest, in arrival order, in ``_later`` (id(item) -> counters of
+        # the further copies; ``_chained`` is the set of all of those, so
+        # "is this counter live?" stays one lookup).  Every removal takes
+        # the earliest copy, which is also the first of them to surface
+        # in the main heap.
+        self._live: dict[int, int] = {}
+        self._later: dict[int, deque[int]] = {}
+        self._chained: set[int] = set()
+        self._rank = rank
+        # class -> max-heap of (-event_tick, -seq, counter, item): the
+        # top of the weakest class is the event-time-newest of that
+        # class, the earliest arrival among equal keys.
+        self._classes: dict[object, list] = {}
+        self._indexed = 0  # entries across ``_classes``, live or not
         self._released_through: int | None = None
         self._highest_offered: int | None = None
         self._late_count = 0
@@ -83,8 +146,8 @@ class ReorderBuffer:
 
     @property
     def occupancy(self) -> int:
-        """Items currently buffered (excluding lates)."""
-        return len(self._heap)
+        """Items currently buffered (excluding lates and tombstones)."""
+        return len(self._live) + len(self._chained)
 
     @property
     def released_through(self) -> int | None:
@@ -114,7 +177,7 @@ class ReorderBuffer:
         the heap or the counters.
         """
         return {
-            "occupancy": len(self._heap),
+            "occupancy": self.occupancy,
             "peak_occupancy": self.peak_occupancy,
             "late_count": self._late_count,
             "late_retained": len(self.late),
@@ -154,15 +217,99 @@ class ReorderBuffer:
                 # the ones worth inspecting or re-routing.
                 del self.late[: len(self.late) - self.late_retention]
             return False
-        heapq.heappush(self._heap, (item.order_key, self._counter, item))
-        self._counter += 1
-        if len(self._heap) > self.peak_occupancy:
-            self.peak_occupancy = len(self._heap)
+        counter = self._counter
+        self._counter = counter + 1
+        heapq.heappush(self._heap, (item.order_key, counter, item))
+        if self._live.setdefault(id(item), counter) != counter:
+            # This very object is already buffered: queue the new copy.
+            self._later.setdefault(id(item), deque()).append(counter)
+            self._chained.add(counter)
+        if self._rank is not None:
+            cls = self._rank(item)
+            heap = self._classes.get(cls)
+            if heap is None:
+                heap = self._classes[cls] = []
+            heapq.heappush(
+                heap, (-item.event_tick, -item.seq, counter, item)
+            )
+            self._indexed += 1
+        occupancy = len(self._live) + len(self._chained)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         return True
+
+    def _promote(self, key: int) -> None:
+        """The earliest copy of the object ``key`` identifies has just
+        been removed: the next copy, if any, is the earliest now."""
+        copies = self._later[key]
+        counter = copies.popleft()
+        self._chained.discard(counter)
+        self._live[key] = counter
+        if not copies:
+            del self._later[key]
+
+    def _live_counters(self) -> set[int]:
+        """The insertion counters of every buffered entry."""
+        return {*self._live.values(), *self._chained}
+
+    def _compact(self) -> None:
+        """Rebuild a heap whose tombstones outnumber its live entries."""
+        bound = 2 * self.occupancy + self._COMPACT_SLACK
+        if len(self._heap) <= bound and self._indexed <= bound:
+            return
+        alive = self._live_counters()
+        if len(self._heap) > bound:
+            self._heap = [entry for entry in self._heap if entry[1] in alive]
+            heapq.heapify(self._heap)
+        if self._indexed > bound:
+            self._classes = {
+                cls: kept
+                for cls, heap in self._classes.items()
+                if (kept := [entry for entry in heap if entry[2] in alive])
+            }
+            for heap in self._classes.values():
+                heapq.heapify(heap)
+            self._indexed = len(alive)
 
     def oldest_pending(self) -> StreamItem | None:
         """The buffered item next in event-time order (no removal)."""
-        return self._heap[0][2] if self._heap else None
+        heap = self._heap
+        live = self._live
+        while heap:
+            _, counter, item = heap[0]
+            # Copies of one object surface in counter order here, so the
+            # earliest-copy record decides without walking the chain.
+            if live.get(id(item)) == counter:
+                return item
+            heapq.heappop(heap)
+        return None
+
+    def weakest(self) -> tuple[object, StreamItem] | None:
+        """The buffered item class-aware shedding would evict, with its
+        class: of the weakest (largest) class buffered, the
+        event-time-newest item, the earliest arrival among equal
+        ``(event_tick, seq)``.  ``None`` when nothing is buffered.
+
+        Needs the class index (``rank=`` at construction).
+        """
+        if self._rank is None:
+            raise ObserverError(
+                "this reorder buffer was built without a classifier "
+                "(rank=...): it has no admission classes to compare"
+            )
+        live = self._live
+        chained = self._chained
+        for cls in sorted(self._classes, reverse=True):
+            heap = self._classes[cls]
+            while heap:
+                _, _, counter, item = heap[0]
+                # Live as its object's earliest copy, or as a later one
+                # (a classifier may file two copies under two classes).
+                if live.get(id(item)) == counter or counter in chained:
+                    return cls, item
+                heapq.heappop(heap)
+                self._indexed -= 1
+        return None
 
     def evict_oldest(self) -> StreamItem | None:
         """Remove and return the event-time-oldest buffered item.
@@ -171,23 +318,24 @@ class ReorderBuffer:
         entirely (it will never be released and is *not* recorded
         late); the caller owns counting it as shed.
         """
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
+        item = self.oldest_pending()
+        if item is not None:
+            self.evict_item(item)
+        return item
 
     def evict_item(self, item: StreamItem) -> bool:
         """Remove one specific buffered item (identity match).
 
-        Load-shedding hook for priority-aware policies; returns whether
-        the item was found.  O(n) — shedding is the rare, measured path.
+        Load-shedding hook for the shedding policies; returns whether
+        the item was found.  O(1): no scan, no re-heapify — the entries
+        left behind are tombstones (see the module docstring).
         """
-        for position, (_, _, candidate) in enumerate(self._heap):
-            if candidate is item:
-                self._heap[position] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                return True
-        return False
+        if self._live.pop(id(item), None) is None:
+            return False
+        if id(item) in self._later:
+            self._promote(id(item))
+        self._compact()
+        return True
 
     def release(self, watermark: int) -> list[StreamItem]:
         """Remove and return every item with ``event_tick <= watermark``.
@@ -204,8 +352,27 @@ class ReorderBuffer:
         self._released_through = watermark
         released: list[StreamItem] = []
         heap = self._heap
+        live = self._live
+        later = self._later
         while heap and heap[0][0][0] <= watermark:
-            released.append(heapq.heappop(heap)[2])
+            _, counter, item = heapq.heappop(heap)
+            # One lookup on the path every observation takes: take the
+            # record out, and put it back in the rare case it was not
+            # this entry's.
+            held = live.pop(id(item), None)
+            if held != counter:
+                # A tombstone: evicted while it waited (and, if a record
+                # was there, the same object has been offered again).
+                if held is not None:
+                    live[id(item)] = held
+                continue
+            if later and id(item) in later:
+                self._promote(id(item))
+            released.append(item)
+        if released and self._rank is not None:
+            # What was released stays behind in the class index; the main
+            # heap needs no sweep here, its tombstones surface by tick.
+            self._compact()
         return released
 
     def release_all(self) -> list[StreamItem]:
@@ -224,7 +391,11 @@ class ReorderBuffer:
 
     def pending(self) -> list[StreamItem]:
         """Buffered items in event-time order (checkpoint view)."""
-        return [item for _, _, item in sorted(self._heap)]
+        entries = self._heap
+        if len(entries) > self.occupancy:
+            alive = self._live_counters()
+            entries = [entry for entry in entries if entry[1] in alive]
+        return [item for _, _, item in sorted(entries)]
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -244,14 +415,22 @@ class ReorderBuffer:
 
         Re-numbering the insertion counters from ``snapshot.pending``
         (the order :meth:`pending` produced) preserves the arrival-order
-        tie-break across the round trip.
+        tie-break across the round trip.  The snapshot carries no
+        classes: the class index is rebuilt by classifying every pending
+        item again with this buffer's ``rank``.
         """
-        self._heap = [
-            (item.order_key, position, item)
-            for position, item in enumerate(snapshot.pending)
-        ]
-        heapq.heapify(self._heap)
-        self._counter = len(self._heap)
+        self._heap = []
+        self._counter = 0
+        self._live = {}
+        self._later = {}
+        self._chained = set()
+        self._classes = {}
+        self._indexed = 0
+        # With no frontier nothing offered is late: every pending item is
+        # filed the way an arrival is, then the frontiers are put back.
+        self._released_through = None
+        for item in snapshot.pending:
+            self.offer(item)
         self.late = list(snapshot.late)
         self._late_count = snapshot.late_count
         self._released_through = snapshot.released_through

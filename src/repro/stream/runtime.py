@@ -46,7 +46,7 @@ from repro.obs.tracing import Telemetry
 from repro.shard.engine import Engine
 from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.controller import AdmissionController
-from repro.stream.reorder import DEFAULT_LATE_RETENTION, ReorderBuffer
+from repro.stream.reorder import ReorderBuffer
 from repro.stream.source import ObservationSource, StreamItem
 from repro.stream.watermark import WatermarkTracker
 
@@ -250,12 +250,20 @@ class StreamingDetectionRuntime:
         self.quarantine = quarantine
         self.dedup = dedup
         self.telemetry = telemetry
-        retention = (
-            admission.limits.late_retention
-            if admission is not None
-            else DEFAULT_LATE_RETENTION
-        )
-        self.buffer = ReorderBuffer(late_retention=retention)
+        if admission is None:
+            self.buffer = ReorderBuffer()
+        else:
+            # The buffer files every item under the controller's own
+            # classes, which is what lets a class-aware shedding policy
+            # ask it who is weakest without walking it.  Every controller
+            # gets the index, even one that cannot shed as configured:
+            # ``admission.limits`` may be replaced between steps (intake
+            # drains the deferral queue when a rate is lifted), and a cap
+            # introduced that way must find the buffered items filed.
+            self.buffer = ReorderBuffer(
+                late_retention=admission.limits.late_retention,
+                rank=admission.priorities.of,
+            )
         self.tracker = WatermarkTracker(lateness)
         self.stages: dict[str, object] = {
             name: part
@@ -385,10 +393,16 @@ class StreamingDetectionRuntime:
         """Process one delivery step (co-arriving items) and release.
 
         The whole step is validated before anything mutates — a step
-        naming a closed source raises with the buffer, tracker and
-        counters untouched, so the caller can drop the bad step and
-        continue from consistent state.  Then every item clears
-        admission (rate limits, occupancy cap) and the survivors are
+        naming a closed source, or one whose arrival tick would run a
+        rate limiter's clock backwards, raises with the screens, the
+        buffer, the tracker and the counters untouched, so the caller
+        can drop or fix the bad step and continue from consistent
+        state.  (Under a rate limit, and only then, that makes
+        non-decreasing arrival ticks along the step — across sources as
+        well — a precondition, checked before screening: a duplicate or
+        quarantine-bound item that breaks it gets the step refused too.
+        See :meth:`AdmissionController.ensure_clock`.)  Then every item
+        clears admission (rate limits, occupancy cap) and the survivors are
         offered to the reorder buffer and noted by the watermark
         tracker; only then does the (possibly advanced) merged watermark
         release buffered observations to the engine, in event-time
@@ -401,6 +415,8 @@ class StreamingDetectionRuntime:
         rather than poisoning this step mid-mutation.
         """
         self.tracker.ensure_open({item.source for item in items})
+        if self.admission is not None:
+            self.admission.ensure_clock(items)
         counts = self._counts
         counts.delivery_steps += 1
         if self.telemetry is not None and items:

@@ -1,0 +1,404 @@
+"""Differential oracle for *who loses* under load (hypothesis, stateful).
+
+The conservation and cap properties in ``test_admission_properties``
+hold for any victim; nothing there pins *which* observation is shed.
+This file does.  The reference below is the buffer and the class-aware
+policy as they stood before the reorder buffer learnt lazy deletion and
+a per-class index: eviction is a linear identity scan plus a full
+re-heapify, and ``drop_lowest_priority`` sorts the whole buffer and
+classifies every item in it on every at-cap offer.  Slow, and obviously
+right.  A state machine drives it and the real
+:class:`~repro.stream.reorder.ReorderBuffer` through the same offers,
+at-cap offers (all three built-in policies), releases, evictions and
+snapshot -> restore-into-a-fresh-buffer round trips, and requires the
+same victim *object*, the same released sequence and the same
+``pending()`` / occupancy / high-water mark / late count after every
+operation.
+
+Streams draw ``seq`` from a handful of values across three sources, so
+cross-source ``(event_tick, seq)`` ties — which the globally unique
+``seq`` of ``bounded_cases`` never produces — are the common case, and
+with them the arrival-order tie-break, before and after a restore.
+
+One thing is deliberately not generated: the *same object* buffered
+twice.  The reference evicts whichever copy its heap array happens to
+list first, which is not a rule to be faithful to; the real buffer's
+rule (the earliest copy goes first) is pinned by example at the bottom.
+"""
+
+import heapq
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.stream import (
+    Priority,
+    PriorityMap,
+    StreamItem,
+)
+from repro.stream.admission import resolve_policy
+from repro.stream.reorder import ReorderBuffer, ReorderSnapshot
+
+SOURCES = ("s0", "s1", "s2")
+POLICIES = ("drop_oldest_late", "drop_lowest_priority", "degrade_to_sampling")
+
+
+class ReferenceBuffer:
+    """The eager reorder buffer: every removal really removes."""
+
+    def __init__(self, late_retention=256):
+        self._heap = []
+        self._counter = 0
+        self.released_through = None
+        self.highest_offered = None
+        self.late_count = 0
+        self.late_retention = late_retention
+        self.late = []
+        self.peak_occupancy = 0
+
+    @property
+    def occupancy(self):
+        return len(self._heap)
+
+    def is_late(self, item):
+        return (
+            self.released_through is not None
+            and item.event_tick <= self.released_through
+        )
+
+    def offer(self, item):
+        if (
+            self.highest_offered is None
+            or item.event_tick > self.highest_offered
+        ):
+            self.highest_offered = item.event_tick
+        if self.is_late(item):
+            self.late_count += 1
+            self.late.append(item)
+            if len(self.late) > self.late_retention:
+                del self.late[: len(self.late) - self.late_retention]
+            return False
+        heapq.heappush(self._heap, (item.order_key, self._counter, item))
+        self._counter += 1
+        self.peak_occupancy = max(self.peak_occupancy, len(self._heap))
+        return True
+
+    def oldest_pending(self):
+        return self._heap[0][2] if self._heap else None
+
+    def evict_oldest(self):
+        return heapq.heappop(self._heap)[2] if self._heap else None
+
+    def evict_item(self, item):
+        for position, (_, _, candidate) in enumerate(self._heap):
+            if candidate is item:
+                self._heap[position] = self._heap[-1]
+                self._heap.pop()
+                heapq.heapify(self._heap)
+                return True
+        return False
+
+    def release(self, watermark):
+        if (
+            self.released_through is not None
+            and watermark <= self.released_through
+        ):
+            return []
+        self.released_through = watermark
+        released = []
+        while self._heap and self._heap[0][0][0] <= watermark:
+            released.append(heapq.heappop(self._heap)[2])
+        return released
+
+    def release_all(self):
+        if self.highest_offered is None:
+            return []
+        return self.release(self.highest_offered)
+
+    def pending(self):
+        return [item for _, _, item in sorted(self._heap)]
+
+    def snapshot(self):
+        return ReorderSnapshot(
+            pending=tuple(self.pending()),
+            late=tuple(self.late),
+            late_count=self.late_count,
+            released_through=self.released_through,
+            highest_offered=self.highest_offered,
+            peak_occupancy=self.peak_occupancy,
+        )
+
+    def restore(self, snapshot):
+        self._heap = [
+            (item.order_key, position, item)
+            for position, item in enumerate(snapshot.pending)
+        ]
+        heapq.heapify(self._heap)
+        self._counter = len(self._heap)
+        self.late = list(snapshot.late)
+        self.late_count = snapshot.late_count
+        self.released_through = snapshot.released_through
+        self.highest_offered = snapshot.highest_offered
+        self.peak_occupancy = snapshot.peak_occupancy
+
+
+class ScanLowestPriority:
+    """``drop_lowest_priority`` by sorting and classifying the buffer."""
+
+    name = "drop_lowest_priority"
+
+    def make_room(self, incoming, buffer, priorities, state):
+        weakest = None
+        weakest_rank = None
+        for item in buffer.pending():
+            rank = (int(priorities.of(item)), item.order_key)
+            if weakest_rank is None or rank > weakest_rank:
+                weakest, weakest_rank = item, rank
+        if weakest is None:
+            return None
+        if int(priorities.of(incoming)) < weakest_rank[0]:
+            return weakest
+        return None
+
+
+def same_objects(left, right):
+    return len(left) == len(right) and all(
+        a is b for a, b in zip(left, right)
+    )
+
+
+class WhoLoses(RuleBasedStateMachine):
+    @initialize(
+        policy=st.sampled_from(POLICIES),
+        default=st.sampled_from(list(Priority)),
+        classes=st.dictionaries(
+            st.sampled_from(SOURCES), st.sampled_from(list(Priority))
+        ),
+        cap=st.integers(min_value=1, max_value=8),
+        late_retention=st.integers(min_value=0, max_value=3),
+    )
+    def configure(self, policy, default, classes, cap, late_retention):
+        self.priorities = PriorityMap(default=default, sources=classes)
+        self.policy = resolve_policy(policy)
+        self.oracle = (
+            ScanLowestPriority()
+            if policy == "drop_lowest_priority"
+            else self.policy
+        )
+        self.cap = cap
+        self.late_retention = late_retention
+        self.real = self.fresh_real()
+        self.reference = ReferenceBuffer(late_retention)
+        self.real_state = {}
+        self.reference_state = {}
+        self.entities = 0
+
+    def fresh_real(self):
+        return ReorderBuffer(
+            late_retention=self.late_retention, rank=self.priorities.of
+        )
+
+    def make(self, ahead, seq, source):
+        """A fresh object a few ticks around the release frontier."""
+        frontier = self.reference.released_through
+        tick = max(0, (frontier if frontier is not None else 0) + ahead)
+        self.entities += 1
+        return StreamItem(
+            entity=self.entities,
+            event_tick=tick,
+            seq=seq,
+            arrival_tick=tick,
+            source=source,
+        )
+
+    @rule(
+        ahead=st.integers(min_value=-1, max_value=3),
+        seq=st.integers(min_value=0, max_value=2),
+        source=st.sampled_from(SOURCES),
+    )
+    def offer(self, ahead, seq, source):
+        """What the runtime's ``_offer`` does, on both buffers."""
+        item = self.make(ahead, seq, source)
+        assert self.real.is_late(item) == self.reference.is_late(item)
+        if (
+            self.reference.occupancy >= self.cap
+            and not self.reference.is_late(item)
+        ):
+            victim = self.policy.make_room(
+                item, self.real, self.priorities, self.real_state
+            )
+            expected = self.oracle.make_room(
+                item, self.reference, self.priorities, self.reference_state
+            )
+            assert victim is expected, (victim, expected)
+            assert self.real_state == self.reference_state
+            if victim is None:
+                return  # the incoming item is the one shed
+            assert self.real.evict_item(victim)
+            assert self.reference.evict_item(victim)
+            assert not self.real.evict_item(victim), "evicted twice"
+        assert self.real.offer(item) == self.reference.offer(item)
+
+    @rule(advance=st.integers(min_value=-1, max_value=3))
+    def release(self, advance):
+        frontier = self.reference.released_through
+        watermark = (frontier if frontier is not None else -1) + advance
+        assert same_objects(
+            self.real.release(watermark), self.reference.release(watermark)
+        )
+
+    @rule()
+    def release_all(self):
+        assert same_objects(
+            self.real.release_all(), self.reference.release_all()
+        )
+
+    @rule()
+    def evict_oldest(self):
+        assert self.real.oldest_pending() is self.reference.oldest_pending()
+        assert self.real.evict_oldest() is self.reference.evict_oldest()
+
+    @precondition(lambda self: self.reference.occupancy > 0)
+    @rule(position=st.integers(min_value=0, max_value=7))
+    def evict_any(self, position):
+        """A custom policy may name any buffered item."""
+        pending = self.reference.pending()
+        victim = pending[position % len(pending)]
+        assert self.real.evict_item(victim)
+        assert self.reference.evict_item(victim)
+
+    @rule()
+    def checkpoint_into_fresh_buffers(self):
+        snapshot = self.real.snapshot()
+        assert snapshot == self.reference.snapshot()
+        self.real = self.fresh_real()
+        self.real.restore(snapshot)
+        self.reference = ReferenceBuffer(self.late_retention)
+        self.reference.restore(snapshot)
+
+    @invariant()
+    def buffers_agree(self):
+        if not hasattr(self, "real"):
+            return  # before configure()
+        real, reference = self.real, self.reference
+        assert same_objects(real.pending(), reference.pending())
+        assert real.occupancy == reference.occupancy
+        assert real.peak_occupancy == reference.peak_occupancy
+        assert real.late_count == reference.late_count
+        assert same_objects(real.late, reference.late)
+        assert real.released_through == reference.released_through
+        assert real.highest_offered == reference.highest_offered
+        view = real.metrics_view()
+        assert view["occupancy"] == reference.occupancy
+        assert view["peak_occupancy"] == reference.peak_occupancy
+        # weakest() against a scan, whichever policy is being driven:
+        # largest class, then newest (event_tick, seq), then the
+        # earliest arrival among equals.
+        ranked = [
+            ((int(self.priorities.of(item)), item.order_key, -position), item)
+            for position, item in enumerate(reference.pending())
+        ]
+        weakest = real.weakest()
+        if not ranked:
+            assert weakest is None
+        else:
+            (cls, _, _), expected = max(ranked, key=lambda pair: pair[0])
+            assert weakest[0] == cls and weakest[1] is expected
+
+
+class WhoLosesSweepingEagerly(WhoLoses):
+    """The same machine sweeping both heaps on every removal.  At these
+    sizes the buffer would otherwise never compact (tombstones must
+    outnumber live entries by a slack first), and the sweep — of the
+    main heap and of the class index — is exactly the code that must
+    not lose, resurrect or misorder an entry."""
+
+    def fresh_real(self):
+        buffer = super().fresh_real()
+        buffer._COMPACT_SLACK = -1_000_000
+        return buffer
+
+
+WhoLoses.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=50, deadline=None
+)
+# A sweep that misorders a heap shows only when a tombstone sat between
+# live entries that then surface in the wrong order: rarer, so look longer.
+WhoLosesSweepingEagerly.TestCase.settings = settings(
+    max_examples=400, stateful_step_count=50, deadline=None
+)
+TestWhoLoses = WhoLoses.TestCase
+TestWhoLosesSweepingEagerly = WhoLosesSweepingEagerly.TestCase
+
+
+class TestTheSameObjectBufferedTwice:
+    """A redelivery with no deduper in front buffers one object twice.
+    Each removal takes its earliest copy; the other stays buffered."""
+
+    def item(self, tick, seq, entity=0):
+        return StreamItem(
+            entity=entity, event_tick=tick, seq=seq, arrival_tick=tick
+        )
+
+    def test_each_eviction_takes_one_copy(self):
+        buffer = ReorderBuffer(rank=PriorityMap().of)
+        twice = self.item(5, 0)
+        other = self.item(5, 0, entity=1)  # ties with it, arrives between
+        for offered in (twice, other, twice):
+            assert buffer.offer(offered)
+        assert buffer.occupancy == buffer.peak_occupancy == 3
+        assert buffer.evict_item(twice)
+        assert buffer.occupancy == 2
+        # The earliest copy went: the survivor now follows ``other``.
+        assert same_objects(buffer.pending(), [other, twice])
+        assert buffer.weakest() == (Priority.OPERATIONAL, other)
+        assert buffer.evict_item(twice)
+        assert not buffer.evict_item(twice)
+        assert same_objects(buffer.release_all(), [other])
+        assert buffer.occupancy == 0
+
+    def test_both_copies_release_and_restore(self):
+        buffer = ReorderBuffer(rank=PriorityMap().of)
+        twice = self.item(3, 1)
+        for offered in (twice, twice, self.item(4, 0, entity=1)):
+            buffer.offer(offered)
+        clone = ReorderBuffer(rank=PriorityMap().of)
+        clone.restore(buffer.snapshot())
+        assert clone.occupancy == 3
+        assert same_objects(clone.release(3), [twice, twice])
+        assert clone.occupancy == 1
+        assert same_objects(buffer.release(3), [twice, twice])
+
+    def test_many_copies_leave_one_at_a_time(self):
+        buffer = ReorderBuffer(rank=PriorityMap().of)
+        often = self.item(4, 0)
+        other = self.item(6, 0, entity=1)
+        for offered in (often, often, other, often, often):
+            buffer.offer(offered)
+        for left in (4, 3):
+            assert buffer.weakest() == (Priority.OPERATIONAL, other)
+            assert buffer.evict_item(often)
+            assert buffer.occupancy == left
+        assert same_objects(buffer.release(5), [often, often])
+        assert same_objects(buffer.pending(), [other])
+        assert not buffer.evict_item(often)
+
+    def test_a_class_that_changes_between_copies(self):
+        # The classifier may answer differently for the second copy; the
+        # index must still know both are buffered.
+        answers = iter([Priority.OPERATIONAL, Priority.ANALYTICS])
+        buffer = ReorderBuffer(rank=lambda item: next(answers))
+        twice = self.item(2, 0)
+        buffer.offer(twice)
+        buffer.offer(twice)
+        assert buffer.weakest() == (Priority.ANALYTICS, twice)
+        assert buffer.evict_item(twice)
+        assert buffer.weakest() is not None
+        assert buffer.evict_item(twice)
+        assert buffer.weakest() is None

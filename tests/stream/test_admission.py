@@ -103,7 +103,8 @@ class TestPriorityMap:
 
 class TestSheddingPolicies:
     def _full_buffer(self, ticks=(5, 9, 3)):
-        buffer = ReorderBuffer()
+        # Filed under the default map's classes, as the runtime wires it.
+        buffer = ReorderBuffer(rank=PriorityMap().of)
         items = [item(t) for t in ticks]
         for it in items:
             buffer.offer(it)
@@ -115,17 +116,17 @@ class TestSheddingPolicies:
         assert victim is items[2]  # tick 3
 
     def test_drop_lowest_priority_prefers_weaker_class(self):
-        buffer = ReorderBuffer()
-        weak = item(4, source="analytics")
-        strong = item(2, source="safety")
-        buffer.offer(weak)
-        buffer.offer(strong)
         priorities = PriorityMap(
             sources={
                 "safety": Priority.SAFETY_CRITICAL,
                 "analytics": Priority.ANALYTICS,
             }
         )
+        buffer = ReorderBuffer(rank=priorities.of)
+        weak = item(4, source="analytics")
+        strong = item(2, source="safety")
+        buffer.offer(weak)
+        buffer.offer(strong)
         incoming = item(9, source="safety")
         victim = DropLowestPriority().make_room(
             incoming, buffer, priorities, {}
@@ -138,6 +139,15 @@ class TestSheddingPolicies:
             DropLowestPriority().make_room(item(9), buffer, PriorityMap(), {})
             is None
         )
+
+    def test_drop_lowest_priority_refuses_a_buffer_without_classes(self):
+        # The policy reads the classes the buffer filed its items under;
+        # a buffer built without a classifier has none, and saying so
+        # beats silently shedding the wrong item.
+        buffer = ReorderBuffer()
+        buffer.offer(item(4))
+        with pytest.raises(ObserverError, match="without a classifier"):
+            DropLowestPriority().make_room(item(9), buffer, PriorityMap(), {})
 
     def test_degrade_to_sampling_admits_every_stride_th(self):
         buffer, _ = self._full_buffer()
@@ -429,6 +439,32 @@ class TestBoundedRuntime:
         kept = {it.source for it in runtime.buffer.pending()}
         assert kept == {"safety"}
         assert controller.shed_by_priority == {"ANALYTICS": 3}
+
+    def test_a_cap_introduced_between_steps_finds_the_buffer_classified(self):
+        # ``controller.limits`` may be replaced while the runtime runs, so
+        # even a controller that cannot shed as built keeps the buffer's
+        # class index: items buffered before the cap existed lose by class.
+        controller = AdmissionController(
+            priorities=PriorityMap(
+                sources={
+                    "safety": Priority.SAFETY_CRITICAL,
+                    "analytics": Priority.ANALYTICS,
+                }
+            ),
+            shedding="drop_lowest_priority",
+        )
+        runtime = StreamingDetectionRuntime(lateness=100, admission=controller)
+        runtime.register_source("analytics")
+        runtime.register_source("safety")
+        runtime.ingest(
+            [item(t, seq=t, arrival=10, source="analytics") for t in range(3)]
+        )
+        controller.limits = AdmissionLimits(max_pending=3)
+        runtime.ingest(
+            [item(5, seq=10, arrival=11, source="safety")]
+        )
+        assert controller.shed_by_priority == {"ANALYTICS": 1}
+        assert [it.seq for it in runtime.buffer.pending()] == [0, 1, 10]
 
     def test_backpressure_throttles_paced_source(self):
         def bounded(source):

@@ -22,6 +22,8 @@ from repro.stream import (
     AdmissionController,
     AdmissionLimits,
     JitteredSource,
+    Quarantine,
+    RedeliveryDeduper,
     ReplaySource,
     StreamingDetectionRuntime,
     StreamItem,
@@ -242,7 +244,84 @@ class TestStepBoundaryRefresh:
 class TestAtomicIngest:
     """Regression: a delivery step naming a closed source used to fail
     *mid-loop*, leaving earlier items buffered and the watermark moved —
-    a half-applied step.  The whole step is now validated up front."""
+    a half-applied step.  The whole step is now validated up front, and
+    each way a step can be refused leaves ``runtime.snapshot()`` as it
+    was."""
+
+    @staticmethod
+    def _stamped(seq, event, arrival, source="a"):
+        return StreamItem(entity=obs(seq, event), event_tick=event, seq=seq,
+                          arrival_tick=arrival, source=source)
+
+    @pytest.mark.parametrize(
+        "step, complaint",
+        [
+            # The whole step arrives before the bucket's last take.
+            pytest.param([(1, 3, 4), (2, 4, 4)], "clock would regress",
+                         id="step-behind-its-bucket"),
+            # Only the deferred item's bucket ("a") is ahead of the step.
+            pytest.param([(1, 3, 4, "b")], "clock would regress",
+                         id="step-behind-a-deferred-source"),
+            # In step order the second arrival precedes the first.
+            pytest.param([(1, 5, 6), (2, 5, 5)], "arrival ticks regress",
+                         id="arrivals-regress-within-the-step"),
+            # Across two sources neither of which has anything deferred:
+            # each bucket alone would have taken this step (a narrowing,
+            # on purpose — whichever item survives screening first sets
+            # the tick the deferred items are re-offered at).
+            pytest.param([(1, 6, 7, "b"), (2, 6, 6, "c")],
+                         "arrival ticks regress",
+                         id="arrivals-regress-across-sources"),
+        ],
+    )
+    def test_rate_limited_step_with_a_regressing_clock_changes_nothing(
+        self, step, complaint
+    ):
+        """Regression: the token bucket refused the regressing clock from
+        inside ``intake`` — after ``delivery_steps`` had moved and the
+        deduper had recorded the step's seqs, so the caller's corrected
+        retry was dropped as duplicates: lost without being late, shed
+        or released."""
+        runtime = StreamingDetectionRuntime(
+            lateness=4,
+            admission=AdmissionController(AdmissionLimits(rate=1.0, burst=1)),
+            quarantine=Quarantine(),
+            dedup=RedeliveryDeduper(),
+        )
+        for source in "abc":
+            runtime.register_source(source)
+        # Tick 5: one token, so the second item waits in the deferral
+        # queue and "a"'s bucket clock stands at 5.
+        runtime.ingest([self._stamped(0, 5, 5), self._stamped(9, 5, 5)])
+        assert runtime.admission.deferred_depth == 1
+        before = runtime.snapshot()
+        bad = [self._stamped(*fields) for fields in step]
+        with pytest.raises(ObserverError, match=complaint):
+            runtime.ingest(bad)
+        assert runtime.snapshot() == before
+        # The corrected step is admitted, not dropped as a redelivery.
+        retry = [
+            self._stamped(it.seq, it.event_tick, 6, it.source) for it in bad
+        ]
+        runtime.ingest(retry)
+        runtime.finish()
+        stats = runtime.stats
+        assert stats.duplicates_dropped == 0
+        assert (
+            stats.released_items + stats.late_observations
+            == 2 + len(retry)
+        )
+
+    def test_arrival_order_is_a_precondition_only_under_a_rate_limit(self):
+        # No rate, no bucket clocks: the same cross-source step is fine.
+        runtime = StreamingDetectionRuntime(
+            lateness=4,
+            admission=AdmissionController(AdmissionLimits(max_pending=8)),
+        )
+        runtime.ingest(
+            [self._stamped(1, 6, 7, "b"), self._stamped(2, 6, 6, "c")]
+        )
+        assert runtime.buffer.occupancy == 2
 
     def test_bad_step_rejected_before_any_mutation(self):
         runtime = StreamingDetectionRuntime(lateness=2)
