@@ -74,16 +74,29 @@ class ObserverKind(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class ObserverId:
-    """Identifier ``OB_id`` of an observer (Definition 4.3)."""
+    """Identifier ``OB_id`` of an observer (Definition 4.3).
+
+    An id is hashed inside every instance key it is part of (tuples do
+    not cache hashes) and printed into every trace row that names it, so
+    both answers are computed once, here; equality and order stay the
+    generated ``(kind, name)`` comparisons.
+    """
 
     kind: ObserverKind
     name: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+        object.__setattr__(self, "_text", f"{self.kind.value}:{self.name}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
-        return f"{self.kind.value}:{self.name}"
+        return self._text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhysicalObservation:
     """A physical observation ``O(MT_id, SR_id, i) {t_o, l_o, V}`` (Eq. 5.2).
 
@@ -157,7 +170,7 @@ INSTANCE_LAYERS = (
 """Layers at which observers emit event instances (Figure 2)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventInstance:
     """An event instance ``E(OB_id, E_id, i)`` with its 6-tuple (Eq. 4.7).
 
@@ -262,7 +275,7 @@ class EventInstance:
         return f"E({self.observer!r},{self.event_id},{self.seq})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorEventInstance(EventInstance):
     """A sensor event ``S(MT_id, S_id, i)`` (Eq. 5.3).
 
@@ -273,7 +286,7 @@ class SensorEventInstance(EventInstance):
     layer: EventLayer = EventLayer.SENSOR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyberPhysicalEventInstance(EventInstance):
     """A cyber-physical event ``CP(MT_id, CP_id, i)`` (Eq. 5.4).
 
@@ -284,7 +297,7 @@ class CyberPhysicalEventInstance(EventInstance):
     layer: EventLayer = EventLayer.CYBER_PHYSICAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyberEventInstance(EventInstance):
     """A cyber event ``E(CCU_id, E_id, i)`` (Eq. 5.5).
 

@@ -53,7 +53,7 @@ EPS = 1e-9
 """Tolerance used for floating-point coincidence tests."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointLocation:
     """A location point ``(x, y)`` in the 2-D Cartesian plane."""
 

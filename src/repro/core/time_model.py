@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TimePoint:
     """A single discrete instant: the ``tick``-th step of the global clock.
 

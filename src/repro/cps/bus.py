@@ -15,7 +15,6 @@ participates in the end-to-end latency analysis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -29,7 +28,6 @@ from repro.sim.trace import TraceRecorder
 __all__ = ["Subscription", "EventBus"]
 
 Callback = Callable[[EventInstance], None]
-_subscription_ids = itertools.count(1)
 
 
 @dataclass
@@ -42,7 +40,6 @@ class Subscription:
     layers: frozenset[EventLayer] | None
     region: Field | None
     min_confidence: float
-    subscription_id: int
 
     def matches(self, instance: EventInstance) -> bool:
         """Whether this subscription wants the instance."""
@@ -103,7 +100,6 @@ class EventBus:
             layers=frozenset(layers) if layers is not None else None,
             region=region,
             min_confidence=min_confidence,
-            subscription_id=next(_subscription_ids),
         )
         self._subscriptions.append(subscription)
         return subscription
@@ -124,12 +120,11 @@ class EventBus:
         self.published_count += 1
         matched = [s for s in self._subscriptions if s.matches(instance)]
         if self.trace is not None:
-            self.trace.record(
+            self.trace.append(
                 self.sim.tick,
                 "bus.publish",
                 repr(instance.observer),
-                event_id=instance.event_id,
-                matched=len(matched),
+                {"event_id": instance.event_id, "matched": len(matched)},
             )
         for subscription in matched:
             def deliver(sub: Subscription = subscription) -> None:

@@ -99,10 +99,13 @@ class ControlUnit(ObserverComponent):
         """Accept a CP instance from a sink or a cyber instance from a
         peer CCU (never our own — avoids self-feedback loops).
 
-        Arrivals are coalesced per tick: the bus delivers instances one
-        callback at a time, so they buffer in the observer inbox and are
-        ingested as one batch at
-        :data:`~repro.sim.kernel.PRIORITY_INGEST` later the same tick.
+        Arrivals go through the observer inbox
+        (:meth:`~repro.cps.component.ObserverComponent.enqueue`) and are
+        ingested at :data:`~repro.sim.kernel.PRIORITY_INGEST` later the
+        same tick — but the bus delivers at ``PRIORITY_DEFAULT``, so the
+        flush of one delivery runs before the next delivery arrives and
+        a CCU on the bus ingests its instances one per batch (44 854
+        batches for 44 854 instances in a ``high_density`` medium run).
         """
         if instance.observer == self.observer_id:
             return

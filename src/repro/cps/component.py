@@ -18,10 +18,13 @@ a whole per-tick entity batch to the engine in one
 :meth:`~repro.detect.engine.DetectionEngine.submit_batch` call
 (:meth:`ObserverComponent.ingest` is the single-entity convenience).
 Components fed by per-entity callbacks (packet handlers, bus
-subscriptions) coalesce arrivals with :meth:`ObserverComponent.enqueue`:
-entities buffer in an inbox and a flush scheduled at
-:data:`~repro.sim.kernel.PRIORITY_INGEST` ingests everything that
-arrived this tick as one batch.
+subscriptions) hand arrivals to :meth:`ObserverComponent.enqueue`:
+entities buffer in an inbox and the first of them schedules a flush at
+:data:`~repro.sim.kernel.PRIORITY_INGEST`.  That coalesces a tick's
+*packets* (delivered at ``PRIORITY_NETWORK``, before the flush) into one
+batch; bus deliveries run at ``PRIORITY_DEFAULT``, after it, so on the
+bus path nearly every arrival is flushed alone (the counts are on
+:meth:`~ObserverComponent.enqueue`).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class CPSComponent:
     def record(self, category: str, **payload: object) -> None:
         """Write a trace record attributed to this component."""
         if self.trace is not None:
-            self.trace.record(self.sim.tick, category, self.name, **payload)
+            self.trace.append(self.sim.tick, category, self.name, payload)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -168,12 +171,20 @@ class ObserverComponent(CPSComponent):
         self._stream_tap = tap
 
     def enqueue(self, entity: Entity) -> None:
-        """Buffer an entity for batched ingestion later this tick.
+        """Buffer an entity for ingestion later this tick.
 
-        The first enqueue of a tick schedules a flush at
-        :data:`~repro.sim.kernel.PRIORITY_INGEST`, so every entity
-        delivered during the tick's packet/bus phase lands in a single
-        :meth:`ingest_batch` call.
+        The first enqueue after a flush schedules the next one at
+        :data:`~repro.sim.kernel.PRIORITY_INGEST`.  Packet deliveries
+        run before that priority, so a tick's converge-cast burst lands
+        in a single :meth:`ingest_batch` call.  Bus deliveries run after
+        it (``PRIORITY_DEFAULT``): the flush the first one schedules
+        pre-empts the tick's remaining deliveries, each of which then
+        schedules its own.  One ``high_density`` medium run makes 45 178
+        flushes for 46 235 enqueues — 57 058 ``submit_batch`` calls for
+        58 115 entities, the CCU's 44 854 arriving one per batch.
+        Running bus deliveries ahead of the flush would change the count
+        and order of kernel events every golden trace pins (ROADMAP,
+        "bus deliveries defeat batch ingestion").
         """
         self._inbox.append(entity)
         if not self._flush_scheduled:
@@ -210,5 +221,8 @@ class ObserverComponent(CPSComponent):
         themselves, so distribution and tracing stay uniform.
         """
         self.emitted.append(instance)
-        self.record("instance.emit", **emit_payload(instance))
+        if self.trace is not None:
+            self.trace.append(
+                self.sim.tick, "instance.emit", self.name, emit_payload(instance)
+            )
         self.distribute(instance)

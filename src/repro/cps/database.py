@@ -32,6 +32,11 @@ __all__ = ["DatabaseServer"]
 class DatabaseServer:
     """Queryable event-instance log.
 
+    Rows are kept sorted by the tick they become visible.  The clock is
+    monotone, so with a fixed ``transfer_delay`` that is arrival order
+    and :meth:`store` appends; it searches for the place only when a
+    row would land below the last one.
+
     Args:
         name: Server identifier.
         sim: Simulation kernel (for ingest timestamps and the transfer
@@ -61,8 +66,12 @@ class DatabaseServer:
         if instance.key in self._keys:
             return False
         self._keys.add(instance.key)
-        visible_from = self.sim.tick + self.transfer_delay
-        insort(self._rows, (visible_from, instance), key=lambda row: row[0])
+        row = (self.sim.tick + self.transfer_delay, instance)
+        if self._rows and row[0] < self._rows[-1][0]:
+            # Only after ``transfer_delay`` was lowered mid-run.
+            insort(self._rows, row, key=lambda other: other[0])
+        else:
+            self._rows.append(row)
         return True
 
     def __len__(self) -> int:

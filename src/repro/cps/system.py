@@ -46,7 +46,7 @@ from repro.network.routing import RoutingTree
 from repro.network.topology import Topology
 from repro.physical.world import PhysicalWorld
 from repro.shard.engine import Engine, EngineConfig
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PRIORITY_WORLD, Simulator
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["CPSSystem"]
@@ -348,7 +348,7 @@ class CPSSystem:
         if name in self.databases:
             raise ComponentError(f"database {name!r} already exists")
         database = DatabaseServer(name, self.sim, transfer_delay)
-        self.bus.subscribe(name, lambda instance: database.store(instance))
+        self.bus.subscribe(name, database.store)
         self.databases[name] = database
         return database
 
@@ -363,7 +363,7 @@ class CPSSystem:
             self.world_step_period,
             lambda: self.world.step(self.sim.tick),
             start=self.sim.tick + 1,
-            priority=5,
+            priority=PRIORITY_WORLD,
         )
         for mote in self.motes.values():
             mote.start()

@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """One satisfied binding of a specification."""
 

@@ -10,10 +10,17 @@ and the benchmark harness rely on.
 
 Design notes:
 
-* Ties are broken by (priority, insertion order), so two callbacks at
-  the same tick run in a well-defined order — network deliveries default
-  to a higher priority (lower number) than sampling so a mote sees all
-  packets for tick *t* before its own tick-*t* sensing.
+* Within a tick callbacks run by (priority, insertion order), lowest
+  priority number first: packet deliveries (:data:`PRIORITY_NETWORK`,
+  0), observer batch-ingest flushes (:data:`PRIORITY_INGEST`, 1), the
+  physical world's step (:data:`PRIORITY_WORLD`, 5), then ordinary work
+  (:data:`PRIORITY_DEFAULT`, 10: sampling, bus deliveries, actuation).
+  So a flush ingests every *packet* of its tick as one batch and a mote
+  samples a world already stepped; bus deliveries are ordinary work, so
+  the flush the first one schedules pre-empts the rest (see
+  :meth:`repro.cps.component.ObserverComponent.enqueue`).
+* The heap holds ``(tick, priority, seq, handle)`` tuples: sifts compare
+  in C and never reach the handle, because ``seq`` is unique.
 * Handles returned by :meth:`Simulator.schedule` support cancellation;
   cancelled entries are dropped lazily when popped.
 * :meth:`Simulator.every` installs a periodic process; the callback may
@@ -34,6 +41,7 @@ __all__ = [
     "EventHandle",
     "PRIORITY_NETWORK",
     "PRIORITY_INGEST",
+    "PRIORITY_WORLD",
     "PRIORITY_DEFAULT",
 ]
 
@@ -41,63 +49,51 @@ PRIORITY_NETWORK = 0
 """Queue priority for packet deliveries (run first within a tick)."""
 
 PRIORITY_INGEST = 1
-"""Queue priority for observer batch-ingest flushes: after every packet
-delivery of the tick (entities coalesce into one
-:meth:`~repro.detect.engine.DetectionEngine.submit_batch` call) but
-before ordinary work such as sampling reads the resulting instances."""
+"""Queue priority for observer batch-ingest flushes."""
+
+PRIORITY_WORLD = 5
+"""Queue priority for the physical world's dynamics step."""
 
 PRIORITY_DEFAULT = 10
 """Queue priority for ordinary scheduled work."""
 
 
-class _QueueEntry:
-    """One heap node, ordered by a precomputed ``(tick, priority, seq)``.
+class EventHandle:
+    """One scheduled callback: queue entry and cancellation handle in one.
 
-    A plain ``__slots__`` class comparing through one tuple key: heap
-    sifts do a single tuple comparison instead of the field-by-field
-    ``@dataclass(order=True)`` protocol, and the slots drop the
-    per-entry ``__dict__``.  ``popped`` marks entries that left the heap
-    so the simulator's live-entry counter never double-decrements when
-    a handle is cancelled after its callback already ran.
+    A handle owns its callback exactly while it is queued and live —
+    firing takes it, :meth:`cancel` drops it (a cancelled far-future
+    entry pins nothing), a periodic process gets it back when it is
+    pushed again — so :attr:`Simulator.pending` counts the handles that
+    hold one.
+
+    Attributes:
+        tick: Tick of the (next) firing.
+        cancelled: Whether :meth:`cancel` has been called.
     """
 
-    __slots__ = ("key", "tick", "callback", "cancelled", "popped")
+    __slots__ = ("tick", "cancelled", "_sim", "_callback", "_every")
 
     def __init__(
-        self, tick: int, priority: int, seq: int, callback: Callable[[], None]
+        self,
+        sim: "Simulator",
+        tick: int,
+        callback: Callable[[], object],
+        every: tuple[int, int] | None = None,
     ):
-        self.key = (tick, priority, seq)
         self.tick = tick
-        self.callback = callback
         self.cancelled = False
-        self.popped = False
-
-    def __lt__(self, other: "_QueueEntry") -> bool:
-        return self.key < other.key
-
-
-class EventHandle:
-    """Cancellation handle for a scheduled callback."""
-
-    __slots__ = ("_sim", "_entry")
-
-    def __init__(self, sim: "Simulator", entry: _QueueEntry):
         self._sim = sim
-        self._entry = entry
-
-    @property
-    def tick(self) -> int:
-        """Tick the callback is scheduled for."""
-        return self._entry.tick
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._entry.cancelled
+        self._callback = callback
+        self._every = every  # (period, priority) of a periodic process
 
     def cancel(self) -> None:
-        """Prevent the callback from running (idempotent)."""
-        self._sim._cancel(self._entry)
+        """Prevent the callback from running again (idempotent); on a
+        periodic handle, end the process."""
+        self.cancelled = True
+        if self._callback is not None:
+            self._callback = None
+            self._sim._live -= 1
 
 
 class Simulator:
@@ -113,26 +109,27 @@ class Simulator:
 
         self.seed = seed
         self.rng = RngStreams(seed)
-        self._queue: list[_QueueEntry] = []
+        self._queue: list[tuple[int, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._tick = 0
         self._running = False
         self._stopped = False
         self._processed = 0
-        self._live = 0  # queued, not-cancelled entries (O(1) `pending`)
+        self._live = 0  # queued, not-cancelled handles (O(1) `pending`)
 
-    # -- queue accounting --------------------------------------------
-
-    def _push(self, entry: _QueueEntry) -> None:
-        heapq.heappush(self._queue, entry)
+    def _push(self, handle: EventHandle, priority: int) -> EventHandle:
+        # With run(until) refusing to rewind, this check at every way in
+        # is why the loop never pops an entry from the past.
+        if handle.tick < self._tick:
+            raise SchedulingError(
+                f"cannot schedule at tick {handle.tick}; "
+                f"current tick is {self._tick}"
+            )
+        heapq.heappush(
+            self._queue, (handle.tick, priority, next(self._seq), handle)
+        )
         self._live += 1
-
-    def _cancel(self, entry: _QueueEntry) -> None:
-        if entry.cancelled:
-            return
-        entry.cancelled = True
-        if not entry.popped:
-            self._live -= 1
+        return handle
 
     # -- time --------------------------------------------------------
 
@@ -171,7 +168,9 @@ class Simulator:
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay} ticks in the past")
-        return self.schedule_at(self._tick + delay, callback, priority)
+        return self._push(
+            EventHandle(self, self._tick + delay, callback), priority
+        )
 
     def schedule_at(
         self,
@@ -180,13 +179,7 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
         """Run ``callback`` at absolute ``tick`` (must not be in the past)."""
-        if tick < self._tick:
-            raise SchedulingError(
-                f"cannot schedule at tick {tick}; current tick is {self._tick}"
-            )
-        entry = _QueueEntry(tick, priority, next(self._seq), callback)
-        self._push(entry)
-        return EventHandle(self, entry)
+        return self._push(EventHandle(self, tick, callback), priority)
 
     def every(
         self,
@@ -201,54 +194,57 @@ class Simulator:
             period: Positive tick period.
             callback: Called each firing; returning ``False`` (exactly)
                 stops the process.
-            start: Absolute tick of the first firing (defaults to
-                ``now + period``).
+            start: Absolute tick of the first firing, not in the past
+                (defaults to ``now + period``).
             priority: Within-tick ordering.
 
         Returns:
-            Handle for the *next* pending firing; cancelling it stops
+            The process's one handle, pushed again after each firing:
+            its ``tick`` follows the next firing and cancelling it stops
             the whole process.
         """
         if period <= 0:
             raise SchedulingError(f"period must be positive, got {period}")
         first = self._tick + period if start is None else start
-        # A one-element list lets the closure rebind the live entry so
-        # the same handle keeps controlling future firings.
-        cell: list[_QueueEntry] = []
-
-        def fire() -> None:
-            result = callback()
-            if result is False or cell[0].cancelled:
-                return
-            entry = _QueueEntry(
-                self._tick + period, priority, next(self._seq), fire
-            )
-            cell[0] = entry
-            self._push(entry)
-
-        entry = _QueueEntry(first, priority, next(self._seq), fire)
-        cell.append(entry)
-        self._push(entry)
-
-        sim = self
-
-        class _PeriodicHandle(EventHandle):
-            __slots__ = ()
-
-            @property
-            def tick(self_inner) -> int:  # noqa: N805
-                return cell[0].tick
-
-            @property
-            def cancelled(self_inner) -> bool:  # noqa: N805
-                return cell[0].cancelled
-
-            def cancel(self_inner) -> None:  # noqa: N805
-                sim._cancel(cell[0])
-
-        return _PeriodicHandle(self, cell[0])
+        return self._push(
+            EventHandle(self, first, callback, (period, priority)), priority
+        )
 
     # -- run loop ----------------------------------------------------
+
+    def _drain(self, until: int | None, limit: int) -> int:
+        """Fire due callbacks in queue order; return how many ran.
+
+        Stops at the first live entry later than ``until``, after
+        ``limit`` callbacks (negative: no limit), or on :meth:`stop`.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        fired = 0
+        while queue and fired != limit:
+            tick, _, _, handle = queue[0]
+            callback = handle._callback
+            if callback is None:  # cancelled; already uncounted
+                pop(queue)
+                continue
+            if until is not None and tick > until:
+                break
+            pop(queue)
+            handle._callback = None
+            self._live -= 1
+            self._tick = tick
+            self._processed += 1
+            fired += 1
+            if handle._every is None:
+                callback()
+            elif callback() is not False and not handle.cancelled:
+                period, priority = handle._every
+                handle.tick = self._tick + period
+                handle._callback = callback
+                self._push(handle, priority)
+            if self._stopped:
+                break
+        return fired
 
     def step(self) -> bool:
         """Execute the next pending callback.
@@ -256,46 +252,36 @@ class Simulator:
         Returns:
             ``True`` if a callback ran, ``False`` if the queue is empty.
         """
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            entry.popped = True
-            if entry.cancelled:
-                continue  # already uncounted by _cancel()
-            self._live -= 1
-            if entry.tick < self._tick:
-                raise SimulationError("queue yielded an entry from the past")
-            self._tick = entry.tick
-            self._processed += 1
-            entry.callback()
-            return True
-        return False
+        return self._drain(None, 1) == 1
 
     def run(self, until: int | None = None) -> int:
         """Run until the queue drains, ``until`` is reached, or stopped.
 
         Args:
-            until: Inclusive tick bound; callbacks scheduled later stay
-                queued (resumable).
+            until: Inclusive tick bound, not below the current tick;
+                callbacks scheduled later stay queued (resumable).  The
+                clock ends on ``until`` unless the run was stopped.
 
         Returns:
             The tick at which the run stopped.
+
+        Raises:
+            SchedulingError: If ``until`` is in the past (nothing moves).
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is not None and until < self._tick:
+            raise SchedulingError(
+                f"cannot run until tick {until}; current tick is {self._tick}"
+            )
         self._running = True
         self._stopped = False
         try:
-            while self._queue and not self._stopped:
-                next_tick = self._queue[0].tick
-                if until is not None and next_tick > until:
-                    self._tick = until
-                    break
-                self.step()
-            else:
-                if until is not None and self._tick < until:
-                    self._tick = until
+            self._drain(until, -1)
         finally:
             self._running = False
+        if until is not None and not self._stopped:
+            self._tick = until
         return self._tick
 
     def stop(self) -> None:
@@ -304,9 +290,5 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of queued, not-cancelled entries.
-
-        Maintained as a live counter on push/pop/cancel — O(1) instead
-        of the previous O(n) sweep over the whole queue.
-        """
+        """Number of queued, not-cancelled entries (a live counter)."""
         return self._live

@@ -40,9 +40,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One traced occurrence inside the simulation."""
+    """One traced occurrence inside the simulation.
+
+    A row owns the ``payload`` mapping it is given — nothing copies it
+    — so whoever builds a row hands its dict over and keeps no other
+    reference.  Rows are plain data: read them, do not write them.
+    """
 
     tick: int
     category: str
@@ -61,6 +66,20 @@ class TraceRecorder:
         self._records: list[TraceRecord] = []
         self._listeners: list[Callable[[TraceRecord], None]] = []
 
+    def append(
+        self, tick: int, category: str, source: str, payload: dict[str, object]
+    ) -> TraceRecord:
+        """Append a record built around ``payload`` and notify listeners.
+
+        The row takes ownership of ``payload`` (see :class:`TraceRecord`):
+        pass a dict built for this call.
+        """
+        rec = TraceRecord(tick, category, source, payload)
+        self._records.append(rec)
+        for listener in self._listeners:
+            listener(rec)
+        return rec
+
     def record(
         self,
         tick: int,
@@ -68,12 +87,9 @@ class TraceRecorder:
         source: str,
         **payload: object,
     ) -> TraceRecord:
-        """Append a record and notify listeners."""
-        rec = TraceRecord(tick, category, source, dict(payload))
-        self._records.append(rec)
-        for listener in self._listeners:
-            listener(rec)
-        return rec
+        """:meth:`append` with the payload spelt as keywords (the dict
+        the call collects them into is the row's own)."""
+        return self.append(tick, category, source, payload)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Call ``listener`` for every future record."""

@@ -144,8 +144,72 @@ class TestLayerAliases:
 
 
 class TestObserverId:
+    NAMES = ["", "A", "B", "MT1", "MT10", "MT2", "a", "sink:1", "\u00fc"]
+
     def test_repr_and_ordering(self):
         a = ObserverId(ObserverKind.SENSOR_MOTE, "A")
         b = ObserverId(ObserverKind.SENSOR_MOTE, "B")
         assert repr(a) == "mote:A"
         assert a < b
+
+    def test_hash_and_repr_are_stored_answers_to_the_same_questions(self):
+        # Both are computed once at construction; what they say is what
+        # the generated dataclass methods said.
+        for kind in ObserverKind:
+            for name in self.NAMES:
+                one, other = ObserverId(kind, name), ObserverId(kind, name)
+                assert one == other and one is not other
+                assert hash(one) == hash(other) == hash((kind, name))
+                assert repr(one) == str(one) == f"{kind.value}:{name}"
+        everyone = {
+            ObserverId(kind, name)
+            for kind in ObserverKind for name in self.NAMES for _ in range(2)
+        }
+        assert len(everyone) == len(ObserverKind) * len(self.NAMES)
+
+    def test_order_is_by_name_within_a_kind_and_undefined_across_kinds(self):
+        for kind in ObserverKind:
+            ids = [ObserverId(kind, name) for name in reversed(self.NAMES)]
+            assert [i.name for i in sorted(ids)] == sorted(self.NAMES)
+        a = ObserverId(ObserverKind.CCU, "a")
+        assert a <= ObserverId(ObserverKind.CCU, "a")
+        assert a > ObserverId(ObserverKind.CCU, "B")
+        with pytest.raises(TypeError):
+            sorted([a, ObserverId(ObserverKind.SENSOR_MOTE, "a")])
+        with pytest.raises(TypeError):
+            a < "ccu:a"
+
+    def test_equality_is_by_kind_and_name_and_only_with_its_own_class(self):
+        a = ObserverId(ObserverKind.CCU, "a")
+        assert a != ObserverId(ObserverKind.SINK_NODE, "a")
+        assert a != ObserverId(ObserverKind.CCU, "b")
+        assert a != "ccu:a" and a != (ObserverKind.CCU, "a")
+        assert a.__eq__("ccu:a") is NotImplemented
+
+    def test_still_a_frozen_two_field_dataclass(self):
+        import dataclasses
+
+        a = ObserverId(ObserverKind.CCU, "a")
+        assert [f.name for f in dataclasses.fields(a)] == ["kind", "name"]
+        renamed = dataclasses.replace(a, name="z")
+        assert repr(renamed) == "ccu:z" and hash(renamed) != hash(a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.name = "b"
+
+    def test_identifies_instances_wherever_a_key_is_hashed(self):
+        from repro.cps.database import DatabaseServer
+        from repro.sim.kernel import Simulator
+
+        first = instance(observer=ObserverId(ObserverKind.SINK_NODE, "S1"))
+        again = instance(observer=ObserverId(ObserverKind.SINK_NODE, "S1"))
+        other = instance(observer=ObserverId(ObserverKind.SINK_NODE, "S2"))
+        assert first.key == again.key != other.key
+        assert {first.key: 1}[again.key] == 1
+        database = DatabaseServer("DB", Simulator())
+        assert database.store(first)
+        assert not database.store(again)  # the same key, a different object
+        assert database.store(other)
+        assert len(database) == 2
+        assert database.query(observer=ObserverId(ObserverKind.SINK_NODE, "S2")) == [
+            other
+        ]

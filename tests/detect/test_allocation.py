@@ -6,9 +6,13 @@ full collection, and what it *leaks into cycles* only the collector can
 free.  Neither shows in a test of values, and a timing would not say
 why, so this file counts: unreachable objects after a run with the
 collector off, identities (``is``) of the objects that are meant to be
-shared, scans of the dedup store.
+shared, scans of the dedup store.  The same goes for what the loop
+around the engine makes by the hundred thousand: the value objects carry
+no ``__dict__``, and a trace row is its row object and the one payload
+dict its caller built.
 """
 
+import dataclasses
 import gc
 
 import pytest
@@ -21,10 +25,13 @@ from repro.core.conditions import (
 )
 from repro.core.event import EventLayer
 from repro.core.instance import (
+    CyberEventInstance,
     CyberPhysicalEventInstance,
+    EventInstance,
     ObserverId,
     ObserverKind,
     PhysicalObservation,
+    SensorEventInstance,
 )
 from repro.core.operators import RelationalOp
 from repro.core.space_model import PointLocation
@@ -32,7 +39,9 @@ from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import InstanceSequence, emit_payload
 from repro.detect.engine import DetectionEngine, drop_expired_prefix
-from repro.sim.trace import TraceRecord
+from repro.cps.component import ObserverComponent
+from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.stream import ObserverProfile, ReplayObserver, ReplaySource
 from repro.stream.runtime import arrival_groups
 
@@ -236,3 +245,137 @@ def test_expired_prefix_is_dropped_in_one_scan_per_call():
     assert counted.scans == calls + 1  # + the comparison just above
     assert counted.deletions == 20_000 - len(counted)  # each expired key once
     assert counted.lookups == 0
+
+
+# -- the value objects and trace rows of the live loop ---------------------
+
+
+def instance_of(cls, observer=SINK, seq=0, **overrides):
+    fields = dict(
+        observer=observer, event_id="e", seq=seq,
+        generated_time=TimePoint(3), generated_location=PointLocation(0.0, 0.0),
+        estimated_time=TimePoint(2), estimated_location=PointLocation(1.0, 0.0),
+    )
+    fields.update(overrides)
+    return cls(**fields)
+
+
+def slotted_values():
+    a, b = obs(1, 1), obs(2, 1)
+    match = DetectionEngine([spec_of(("a", "b"))]).submit_batch([a, b], 1)[0]
+    return [
+        instance_of(EventInstance),
+        instance_of(SensorEventInstance),
+        instance_of(CyberPhysicalEventInstance),
+        instance_of(CyberEventInstance),
+        a,
+        a.location,
+        a.time,
+        match,
+    ]
+
+
+def test_value_objects_carry_no_dict():
+    values = slotted_values()
+    assert len({type(value) for value in values}) == 8
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises((AttributeError, TypeError)):
+            value.scratch = 1  # frozen, and nowhere to put it
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+
+
+def test_slotted_instances_still_copy_and_keep_their_layer_defaults():
+    layers = {
+        EventInstance: EventLayer.SENSOR,
+        SensorEventInstance: EventLayer.SENSOR,
+        CyberPhysicalEventInstance: EventLayer.CYBER_PHYSICAL,
+        CyberEventInstance: EventLayer.CYBER,
+    }
+    for cls, layer in layers.items():
+        instance = instance_of(cls, attributes={"v": 1.0}, confidence=0.5)
+        assert instance.layer is layer
+        renumbered = instance.with_seq(7)
+        assert type(renumbered) is cls and renumbered.layer is layer
+        assert renumbered.key == (SINK, "e", 7) and instance.key == (SINK, "e", 0)
+        assert renumbered.attributes == {"v": 1.0}
+        moved = dataclasses.replace(
+            instance, estimated_location=PointLocation(5.0, 5.0)
+        )
+        assert moved.key == instance.key and moved != instance
+        assert moved.estimated_location == PointLocation(5.0, 5.0)
+    observation = obs(1, 1)
+    later = dataclasses.replace(observation, seq=4, time=TimePoint(9))
+    assert later.key == ("MT1", "SR", 4) and later.time - observation.time == 8
+    assert dataclasses.replace(PointLocation(1.0, 2.0), y=3.0) == PointLocation(1.0, 3.0)
+
+
+def test_an_equal_observer_id_finds_the_same_binding_in_the_dedup_store():
+    spec = EventSpecification(
+        event_id="pair",
+        selectors={role: EntitySelector(kinds={"e"}) for role in ("a", "b")},
+        condition=near("a", "b"),
+        window=6,
+    )
+    engine = DetectionEngine([spec])
+    other = ObserverId(ObserverKind.SINK_NODE, "S2")
+    first = engine.submit_batch(
+        [instance_of(CyberPhysicalEventInstance),
+         instance_of(CyberPhysicalEventInstance, observer=other)], 3,
+    )
+    assert len(first) == 2  # (a, b) and (b, a)
+    # The same instance again, under an equal id that is another object:
+    # both bindings are already in the store.
+    twin = instance_of(
+        CyberPhysicalEventInstance, observer=ObserverId(ObserverKind.SINK_NODE, "SK")
+    )
+    assert twin.observer is not SINK and twin.key == (SINK, "e", 0)
+    assert engine.submit_batch([twin], 3) == []
+
+
+def test_a_trace_row_is_a_row_and_the_payload_it_was_handed():
+    trace = TraceRecorder()
+    payload = {"event_id": "e", "rho": 0.5}
+    row = trace.append(4, "instance.emit", "SK", payload)
+    assert row.payload is payload and not hasattr(row, "__dict__")
+    # The keyword spelling: the dict the call collected is the row's
+    # own, not the caller's and not a copy of one.
+    mine = {"value": 1.0, "sensor": "SR"}
+    row = trace.record(5, "sample.ok", "MT1", **mine)
+    assert row.payload == mine and row.payload is not mine
+    mine["value"] = 2.0
+    assert row.payload["value"] == 1.0
+    assert row == TraceRecord(5, "sample.ok", "MT1", {"value": 1.0, "sensor": "SR"})
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for tick in range(1_000):
+            trace.record(tick, "sample.ok", "MT1", value=1.5, sensor="SR")
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert tracked <= 2 * 1_000 + 8  # row + payload; + the loop's own few
+
+
+def test_live_and_replayed_rows_of_one_instance_share_nothing():
+    profile = pair_profile()
+    trace = TraceRecorder()
+    live = ObserverComponent(
+        profile.name, profile.location, Simulator(), ObserverKind.SINK_NODE,
+        profile.layer, profile.instance_cls, trace=trace,
+    )
+    instance = instance_of(CyberPhysicalEventInstance, generated_time=TimePoint(0))
+    live.emit_direct(instance)
+    held = {"kind": "x"}
+    live.record("custom", **held)
+    assert trace.by_category("custom")[0].payload is not held
+    replayer = ReplayObserver(profile, lateness=0)
+    replayer.emitted.append(instance)
+    (live_row,) = trace.by_category("instance.emit")
+    (replayed_row,) = replayer.trace_rows
+    assert live_row == replayed_row
+    assert live_row is not replayed_row
+    assert live_row.payload is not replayed_row.payload

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.event import EventLayer
+from repro.detect.engine import EngineStats
 from repro.shard import ShardedDetectionEngine
 from repro.stream import (
     CheckpointPolicy,
@@ -29,6 +31,7 @@ from repro.stream import (
     arrival_groups,
     profile_of,
 )
+from repro.workloads import build_scenario
 
 from tests.integration.test_stream_conformance import _observer, _run
 
@@ -158,3 +161,32 @@ def test_sharded_workload_builds_and_gates_its_replayers(ledger):
     result = workload.run_pass(inputs, meter)
     assert result.failed == 0, result.problems
     assert result.recall == 1.0
+
+
+def test_the_live_loop_keeps_its_counts():
+    """The ledger pins ``sim_events`` / ``instances`` / ``entities`` of
+    ``live_dense`` at preset medium, but only inside a benchmark run.
+    These are the same facts at preset small, stepped the way the ledger
+    steps (``run(until=tick)``, one tick at a time), read off the commit
+    before the kernel, the trace rows and the value classes were made
+    cheaper: a kernel event, a trace row, an instance or an engine call
+    appearing or vanishing is a behaviour change, whatever it costs."""
+    built = build_scenario("high_density", preset="small", seed=0)
+    system = built.system
+    for tick in range(1, built.params["horizon"] + 1):
+        assert system.run(until=tick) == tick
+    observers = [
+        *system.motes.values(), *system.sinks.values(), *system.ccus.values()
+    ]
+    stats = EngineStats.merge(o.engine.stats for o in observers)
+    assert system.sim.events_processed == 2_754
+    assert len(system.trace) == 3_244
+    assert system.instances_by_layer() == {
+        EventLayer.SENSOR: 438,
+        EventLayer.CYBER_PHYSICAL: 42,
+        EventLayer.CYBER: 3,
+    }
+    assert stats.batches_submitted == 2_022  # one per submit_batch call
+    assert stats.entities_submitted == 2_285
+    assert system.sim.pending == 51
+    assert len(system.databases["DB1"]) == 45
