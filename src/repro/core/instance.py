@@ -76,16 +76,18 @@ class ObserverKind(enum.Enum):
 class ObserverId:
     """Identifier ``OB_id`` of an observer (Definition 4.3).
 
-    An id is hashed inside every instance key it is part of (tuples do
-    not cache hashes) and printed into every trace row that names it, so
-    both answers are computed once, here; equality and order stay the
-    generated ``(kind, name)`` comparisons.
+    Its canonical text ``kind:name`` (its ``repr``) names it inside every
+    instance key and trace row, so text and hash are computed once, here;
+    equality and order stay the generated ``(kind, name)`` comparisons.
+    A name may not contain ``:``, so the text splits one way only.
     """
 
     kind: ObserverKind
     name: str
 
     def __post_init__(self) -> None:
+        if ":" in self.name:
+            raise ObserverError(f"observer name {self.name!r} contains ':'")
         object.__setattr__(self, "_hash", hash((self.kind, self.name)))
         object.__setattr__(self, "_text", f"{self.kind.value}:{self.name}")
 
@@ -189,7 +191,8 @@ class EventInstance:
         confidence: ``rho`` in ``[0, 1]``.
         layer: Which hierarchy layer this instance belongs to.
         sources: Keys of the entities the observer evaluated (provenance;
-            keeps the original physical event traceable up the stack).
+            keeps the original physical event traceable up the stack;
+            an instance among them is named by its observer's text).
     """
 
     observer: ObserverId
@@ -203,12 +206,15 @@ class EventInstance:
     confidence: float = 1.0
     layer: EventLayer = EventLayer.SENSOR
     sources: tuple = ()
-    key: tuple[ObserverId, str, int] = field(init=False, repr=False, compare=False)
-    """The identifying 3-tuple ``(OB_id, E_id, i)`` (Eq. 4.6), built once."""
+    key: tuple[str, str, int] = field(init=False, repr=False, compare=False)
+    """The identifying 3-tuple ``(str(OB_id), E_id, i)`` (Eq. 4.6), built
+    once: strings and ints only, so the cyclic collector stops tracking it."""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.observer, ObserverId):
+            raise ObserverError(f"observer {self.observer!r} is not an ObserverId")
         object.__setattr__(self, "attributes", freeze_attributes(self.attributes))
-        object.__setattr__(self, "key", (self.observer, self.event_id, self.seq))
+        object.__setattr__(self, "key", (self.observer._text, self.event_id, self.seq))
         if not 0.0 <= self.confidence <= 1.0:
             raise ObserverError(
                 f"confidence rho must be in [0, 1], got {self.confidence}"

@@ -16,8 +16,7 @@ only once that delay has elapsed.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Iterable
+from bisect import bisect_right
 
 from repro.core.errors import DatabaseError
 from repro.core.event import EventLayer
@@ -32,9 +31,10 @@ __all__ = ["DatabaseServer"]
 class DatabaseServer:
     """Queryable event-instance log.
 
-    Rows are kept sorted by the tick they become visible.  The clock is
-    monotone, so with a fixed ``transfer_delay`` that is arrival order
-    and :meth:`store` appends; it searches for the place only when a
+    Rows are kept sorted by the tick they become visible, in two columns
+    (ticks, instances) so a row adds no object the collector tracks.  The
+    clock is monotone, so with a fixed ``transfer_delay`` that is arrival
+    order and :meth:`store` appends; it searches for the place only when a
     row would land below the last one.
 
     Args:
@@ -51,8 +51,8 @@ class DatabaseServer:
         self.name = name
         self.sim = sim
         self.transfer_delay = transfer_delay
-        # Rows: (visible_from_tick, instance); kept sorted by visibility.
-        self._rows: list[tuple[int, EventInstance]] = []
+        self._ticks: list[int] = []
+        self._instances: list[EventInstance] = []
         self._keys: set = set()
 
     # -- ingest --------------------------------------------------------
@@ -66,25 +66,24 @@ class DatabaseServer:
         if instance.key in self._keys:
             return False
         self._keys.add(instance.key)
-        row = (self.sim.tick + self.transfer_delay, instance)
-        if self._rows and row[0] < self._rows[-1][0]:
+        ticks, visible = self._ticks, self.sim.tick + self.transfer_delay
+        if ticks and visible < ticks[-1]:
             # Only after ``transfer_delay`` was lowered mid-run.
-            insort(self._rows, row, key=lambda other: other[0])
+            at = bisect_right(ticks, visible)
+            ticks.insert(at, visible)
+            self._instances.insert(at, instance)
         else:
-            self._rows.append(row)
+            ticks.append(visible)
+            self._instances.append(instance)
         return True
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ticks)
 
     # -- queries -------------------------------------------------------
 
-    def _visible(self) -> Iterable[EventInstance]:
-        now = self.sim.tick
-        for visible_from, instance in self._rows:
-            if visible_from > now:
-                break
-            yield instance
+    def _visible(self) -> list[EventInstance]:
+        return self._instances[: bisect_right(self._ticks, self.sim.tick)]
 
     def query(
         self,

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "TraceRecord",
@@ -44,9 +44,8 @@ __all__ = [
 class TraceRecord:
     """One traced occurrence inside the simulation.
 
-    A row owns the ``payload`` mapping it is given — nothing copies it
-    — so whoever builds a row hands its dict over and keeps no other
-    reference.  Rows are plain data: read them, do not write them.
+    Each :class:`TraceRecorder` read builds its records, ``payload`` dict
+    included, fresh from the stored rows.  Read them, do not write them.
     """
 
     tick: int
@@ -59,92 +58,84 @@ class TraceRecord:
         return self.payload.get(key, default)
 
 
+def _record(row: tuple) -> TraceRecord:
+    tick, category, source, names, values = row
+    return TraceRecord(tick, category, source, dict(zip(names, values)))
+
+
 class TraceRecorder:
-    """Append-only in-memory trace with category filters and listeners."""
+    """Append-only in-memory trace with category filters.
+
+    A run keeps every row, so a row is one plain tuple ``(tick, category,
+    source, names, values)`` — the payload's keys (one shared tuple per
+    payload shape) and its values — which the cyclic collector stops
+    tracking once it holds only strings and numbers.  Reads build a
+    :class:`TraceRecord` for the rows they return only.
+    """
 
     def __init__(self):
-        self._records: list[TraceRecord] = []
-        self._listeners: list[Callable[[TraceRecord], None]] = []
+        self._rows: list[tuple] = []
+        self._shapes: dict[tuple, tuple] = {}
 
     def append(
-        self, tick: int, category: str, source: str, payload: dict[str, object]
-    ) -> TraceRecord:
-        """Append a record built around ``payload`` and notify listeners.
+        self, tick: int, category: str, source: str, payload: Mapping[str, object]
+    ) -> None:
+        """Append one row; the row keeps ``payload``'s keys and values,
+        never the mapping itself."""
+        names = tuple(payload)
+        names = self._shapes.setdefault(names, names)
+        self._rows.append((tick, category, source, names, tuple(payload.values())))
 
-        The row takes ownership of ``payload`` (see :class:`TraceRecord`):
-        pass a dict built for this call.
-        """
-        rec = TraceRecord(tick, category, source, payload)
-        self._records.append(rec)
-        for listener in self._listeners:
-            listener(rec)
-        return rec
-
-    def record(
-        self,
-        tick: int,
-        category: str,
-        source: str,
-        **payload: object,
-    ) -> TraceRecord:
-        """:meth:`append` with the payload spelt as keywords (the dict
-        the call collects them into is the row's own)."""
-        return self.append(tick, category, source, payload)
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Call ``listener`` for every future record."""
-        self._listeners.append(listener)
+    def record(self, tick: int, category: str, source: str, **payload: object) -> None:
+        """:meth:`append` with the payload spelt as keywords."""
+        self.append(tick, category, source, payload)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(_record, self._rows)
 
     def by_category(self, category: str) -> list[TraceRecord]:
         """All records with the given category, in time order."""
-        return [r for r in self._records if r.category == category]
+        return [_record(r) for r in self._rows if r[1] == category]
 
     def by_source(self, source: str) -> list[TraceRecord]:
         """All records from the given source, in time order."""
-        return [r for r in self._records if r.source == source]
+        return [_record(r) for r in self._rows if r[2] == source]
 
     def count(self, category: str | None = None) -> int:
         """Number of records (optionally of one category)."""
         if category is None:
-            return len(self._records)
-        return sum(1 for r in self._records if r.category == category)
+            return len(self._rows)
+        return sum(1 for r in self._rows if r[1] == category)
 
     def filtered(self, categories: Iterable[str]) -> list[TraceRecord]:
         """All records whose category is in ``categories``, in time order."""
         wanted = frozenset(categories)
-        return [r for r in self._records if r.category in wanted]
+        return [_record(r) for r in self._rows if r[1] in wanted]
 
     def clear(self) -> None:
-        """Drop all records (listeners stay subscribed)."""
-        self._records.clear()
+        """Drop all records."""
+        self._rows.clear()
 
     def replay(self, records: Iterable[TraceRecord]) -> None:
-        """Append pre-built records (a loaded trace), notifying listeners.
+        """Append pre-built records (a loaded trace).
 
         Lets trace consumers (analysis, summaries) run against a trace
         saved by :func:`to_jsonl` exactly as they would against a live
         run.
         """
         for rec in records:
-            self._records.append(rec)
-            for listener in self._listeners:
-                listener(rec)
+            self.append(rec.tick, rec.category, rec.source, rec.payload)
 
     def to_jsonl(self, categories: Iterable[str] | None = None) -> str:
         """Canonical JSON Lines serialization of the (filtered) trace."""
-        records = self._records if categories is None else self.filtered(categories)
-        return to_jsonl(records)
+        return to_jsonl(self if categories is None else self.filtered(categories))
 
     def digest(self, categories: Iterable[str] | None = None) -> str:
         """Stable SHA-256 fingerprint of the (filtered) trace."""
-        records = self._records if categories is None else self.filtered(categories)
-        return trace_digest(records)
+        return trace_digest(self if categories is None else self.filtered(categories))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for observations and event instances (Defs 4.3-4.4)."""
 
+import gc
+
 import pytest
 
 from repro.core.errors import ObserverError
@@ -24,6 +26,12 @@ def observation(seq=0, value=21.5):
         "MT1", "SR1", seq, TimePoint(10), PointLocation(1, 2),
         {"temperature": value},
     )
+
+
+def live(cls):
+    """Objects of exactly ``cls`` the collector can still see."""
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is cls)
 
 
 def instance(**overrides):
@@ -72,7 +80,16 @@ class TestPhysicalObservation:
 
 class TestEventInstance:
     def test_key_is_paper_3_tuple(self):
-        assert instance(seq=7).key == (MOTE, "hot", 7)
+        # The observer is named by its canonical text: a key holds only
+        # strings and ints.
+        assert instance(seq=7).key == (str(MOTE), "hot", 7) == ("mote:MT1", "hot", 7)
+
+    def test_observer_must_be_an_observer_id(self):
+        before = live(EventInstance)
+        for observer in ("mote:MT1", ("mote", "MT1"), None):
+            with pytest.raises(ObserverError, match="is not an ObserverId"):
+                instance(observer=observer)
+        assert live(EventInstance) == before
 
     def test_confidence_bounds_enforced(self):
         with pytest.raises(ObserverError):
@@ -144,7 +161,19 @@ class TestLayerAliases:
 
 
 class TestObserverId:
-    NAMES = ["", "A", "B", "MT1", "MT10", "MT2", "a", "sink:1", "\u00fc"]
+    NAMES = ["", "A", "B", "MT1", "MT10", "MT2", "a", "sink-1", "\u00fc"]
+
+    def test_a_name_with_a_colon_is_rejected(self):
+        # The canonical text ``kind:name`` splits one way only, so an
+        # instance key never equals an observation key (mote names are
+        # observer names).
+        for name in (":", "sink:1", "MT1:"):
+            with pytest.raises(ObserverError, match="contains ':'"):
+                ObserverId(ObserverKind.SENSOR_MOTE, name)
+            assert not [
+                o for o in gc.get_objects()
+                if type(o) is ObserverId and o.name == name
+            ]
 
     def test_repr_and_ordering(self):
         a = ObserverId(ObserverKind.SENSOR_MOTE, "A")

@@ -39,7 +39,12 @@ from repro.core.errors import (
     SpatialError,
     TemporalError,
 )
-from repro.core.instance import PhysicalObservation, SensorEventInstance
+from repro.core.instance import (
+    ObserverId,
+    ObserverKind,
+    PhysicalObservation,
+    SensorEventInstance,
+)
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
@@ -48,6 +53,7 @@ from repro.detect.compiler import EVALUATION_ERRORS, compile_condition
 from repro.detect.engine import DetectionEngine
 
 ROLES = ("x", "y")
+OBSERVER = ObserverId(ObserverKind.SENSOR_MOTE, "ob")
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +84,7 @@ def interval_instance(draw, seq: int):
     end = draw(st.one_of(st.none(), st.integers(start, start + 20)))
     when = TimeInterval(TimePoint(start), None if end is None else TimePoint(end))
     return SensorEventInstance(
-        observer="ob",
+        observer=OBSERVER,
         event_id="ev",
         seq=seq,
         generated_time=TimePoint(start),

@@ -466,7 +466,7 @@ class TestBuildInstance:
             layer=EventLayer.SENSOR,
             instance_cls=SensorEventInstance,
         )
-        assert instance.key == (MOTE, "pair", 3)
+        assert instance.key == (str(MOTE), "pair", 3)
         assert instance.generated_time == TimePoint(6)
         assert instance.generated_location == PointLocation(9, 9)
         assert instance.estimated_time == TimePoint(1)         # earliest

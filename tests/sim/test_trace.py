@@ -35,29 +35,23 @@ class TestTraceRecorder:
         trace.record(3, "b", "x")
         assert trace.count() == 3
         assert trace.count("a") == 2
+        trace.clear()
+        assert len(trace) == trace.count() == 0 and list(trace) == []
 
     def test_payload_access(self):
         trace = TraceRecorder()
-        rec = trace.record(1, "sample", "MT1", value=20.0)
+        assert trace.record(1, "sample", "MT1", value=20.0) is None
+        (rec,) = trace
         assert rec.value("value") == 20.0
         assert rec.value("missing", -1) == -1
-
-    def test_listeners_notified(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.record(1, "a", "x")
-        assert len(seen) == 1 and seen[0].category == "a"
-
-    def test_clear_keeps_listeners(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.record(1, "a", "x")
-        trace.clear()
-        assert len(trace) == 0
-        trace.record(2, "b", "y")
-        assert len(seen) == 2
+        # Each read builds its own record from the stored row: equal, and
+        # writing to one changes neither the row nor the next read.
+        (again,) = trace.by_source("MT1")
+        assert again == rec and again is not rec and again.payload is not rec.payload
+        rec.payload["value"] = 0.0
+        assert trace.by_category("sample")[0].value("value") == 20.0
+        # The row keeps no dict: not the keyword dict, not a copy.
+        assert not any(isinstance(part, dict) for part in trace._rows[0])
 
 
 class _Color(enum.Enum):
@@ -133,14 +127,6 @@ class TestJsonlRoundTrip:
     def test_blank_lines_ignored(self):
         text = to_jsonl(_sample_records())
         assert from_jsonl(text + "\n\n") == from_jsonl(text)
-
-    def test_replay_feeds_listeners(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.replay(_sample_records())
-        assert len(trace) == 3
-        assert [r.category for r in seen] == ["sample", "emit", "deliver"]
 
 
 class TestTraceDigest:
