@@ -604,6 +604,21 @@ class DetectionEngine:
         engine's future match stream is indistinguishable from the
         snapshotted engine's.  A refused snapshot changes nothing.
         """
+        self.ensure_restorable(snapshot)
+        self.clear()
+        for event_id, pools in self._pools.items():
+            for role, window in pools.items():
+                for tick, entity in snapshot.windows[event_id][role]:
+                    window.add(entity, tick)
+        for event_id, entries in snapshot.seen.items():
+            self._seen[event_id].update(entries)
+        self._last_match.update(snapshot.last_match)
+        self._watermark = snapshot.watermark
+        self.stats = replace(snapshot.stats)
+
+    def ensure_restorable(self, snapshot: EngineSnapshot) -> None:
+        """Raise :class:`ObserverError` if :meth:`restore` would refuse
+        ``snapshot`` (other specs, or a spec with other roles)."""
         if tuple(self._specs) != snapshot.spec_ids:
             raise ObserverError(
                 f"snapshot watches specs {snapshot.spec_ids}, this engine "
@@ -616,16 +631,6 @@ class DetectionEngine:
                     f"snapshot of spec {event_id!r} has roles "
                     f"{sorted(roles)}, this engine's has {sorted(pools)}"
                 )
-        self.clear()
-        for event_id, pools in self._pools.items():
-            for role, window in pools.items():
-                for tick, entity in snapshot.windows[event_id][role]:
-                    window.add(entity, tick)
-        for event_id, entries in snapshot.seen.items():
-            self._seen[event_id].update(entries)
-        self._last_match.update(snapshot.last_match)
-        self._watermark = snapshot.watermark
-        self.stats = replace(snapshot.stats)
 
     def set_last_match(self, event_id: str, tick: int | None) -> None:
         """Override one specification's cooldown clock.

@@ -366,7 +366,9 @@ class ShardedDetectionEngine:
         sharded engine (same specs, same shard count, same spatial
         layout — restored windows hold entities placed by the
         snapshotted router, so a different partition/bounds would
-        silently evaluate against wrong window contents)."""
+        silently evaluate against wrong window contents).  Every shard
+        snapshot is checked before any shard is touched, so a refused
+        snapshot changes nothing."""
         if len(snapshot.shards) != len(self._engines):
             raise ObserverError(
                 f"snapshot has {len(snapshot.shards)} shards, this engine "
@@ -384,7 +386,10 @@ class ShardedDetectionEngine:
                 "checkpoint and sharded engine disagree about having "
                 "telemetry attached"
             )
-        for engine, shard_snapshot in zip(self._engines, snapshot.shards):
+        shards = tuple(zip(self._engines, snapshot.shards))
+        for engine, shard_snapshot in shards:
+            engine.ensure_restorable(shard_snapshot)
+        for engine, shard_snapshot in shards:
             engine.restore(shard_snapshot)
         if self._shard_registries is not None:
             for child, registry_snapshot in zip(

@@ -20,7 +20,6 @@ from repro.stream.admission.controller import (
     AdmissionController,
     AdmissionLimits,
     AdmissionSnapshot,
-    Intake,
 )
 from repro.stream.admission.limiter import TokenBucket
 from repro.stream.admission.policy import (
@@ -40,7 +39,6 @@ __all__ = [
     "DegradeToSampling",
     "DropLowestPriority",
     "DropOldestLate",
-    "Intake",
     "PacedSource",
     "Priority",
     "PriorityMap",

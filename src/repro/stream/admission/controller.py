@@ -6,14 +6,14 @@ observation, one of four fates — **admit** (offer to the buffer now),
 **defer** (hold in a bounded FIFO until the source's token bucket
 refills), **shed** (reject, counted, never silent) — with the fourth,
 **late**, decided downstream by the buffer's release frontier.  The
-controller also owns the policy consulted when the buffer is at its
-occupancy cap (:meth:`AdmissionController.make_room`), the per-class
-shed accounting, and the :class:`~repro.stream.admission.backpressure.Backpressure`
+controller also owns the whole step taken when the buffer is at its
+occupancy cap (:meth:`AdmissionController.make_room`: policy, eviction,
+per-class shed accounting), and the :class:`~repro.stream.admission.backpressure.Backpressure`
 signal handed back to producers.
 
 Everything is deterministic (tick-driven buckets, seedless policies)
 and everything is checkpointable: :meth:`AdmissionController.snapshot`
-captures deferred items, bucket levels, policy state and shed counters,
+captures deferred items, bucket levels, policy state and its counters,
 so a :class:`~repro.stream.runtime.RuntimeCheckpoint` taken from an
 actively shedding runtime restores to an identical remaining stream.
 
@@ -42,7 +42,6 @@ __all__ = [
     "AdmissionLimits",
     "AdmissionController",
     "AdmissionSnapshot",
-    "Intake",
 ]
 
 
@@ -104,15 +103,6 @@ class AdmissionLimits:
 
 
 @dataclass(frozen=True)
-class Intake:
-    """One delivery step's admission verdicts."""
-
-    admitted: tuple[StreamItem, ...]
-    deferred: int
-    """Items newly parked in the deferral queue this step."""
-
-
-@dataclass(frozen=True)
 class AdmissionSnapshot:
     """Checkpoint of a controller's mutable state (config excluded —
     the restoring controller must be configured equivalently, like the
@@ -122,6 +112,7 @@ class AdmissionSnapshot:
     buckets: Mapping[str, tuple[float, int | None]]
     policy_state: Mapping[str, int]
     shed_by_priority: Mapping[str, int]
+    deferred_total: int
 
 
 @dataclass
@@ -145,6 +136,9 @@ class AdmissionController:
         self.policy = resolve_policy(self.shedding)
         self.policy_state: dict[str, int] = {}
         self.shed_by_priority: dict[str, int] = {}
+        self.deferred_total = 0
+        """Observations parked in the deferral queue so far, each
+        counted once."""
         self._deferred: deque[StreamItem] = deque()
         self._buckets: dict[str, TokenBucket] = {}
 
@@ -229,22 +223,21 @@ class AdmissionController:
                 "rejected before any item was admitted"
             )
 
-    def intake(self, items: Sequence[StreamItem]) -> Intake:
-        """Classify one delivery step: admit, defer or shed each item.
+    def intake(self, items: Sequence[StreamItem]) -> list[StreamItem]:
+        """Classify one delivery step: the items admitted now, in order.
 
         Previously deferred items are re-considered first (their
         sources' buckets have refilled by the step's arrival tick), so
-        the deferral queue drains FIFO as capacity appears.  Items shed
-        on deferral overflow are counted here (:meth:`note_shed`), the
-        one shed count there is.
+        the deferral queue drains FIFO as capacity appears.  The rest
+        are deferred (:attr:`deferred_total`) or, on deferral overflow,
+        shed (:meth:`note_shed`) — both counted here, the one count of
+        each there is.
         """
-        admitted: list[StreamItem] = []
-        deferred_now = 0
         if self.limits.rate is None:
-            admitted.extend(self._deferred)  # rate lifted: drain all
+            admitted = [*self._deferred, *items]  # rate lifted: drain all
             self._deferred.clear()
-            admitted.extend(items)
-            return Intake(tuple(admitted), 0)
+            return admitted
+        admitted: list[StreamItem] = []
         if items and self._deferred:
             now = items[0].arrival_tick
             still: deque[StreamItem] = deque()
@@ -262,10 +255,10 @@ class AdmissionController:
                 or len(self._deferred) < self.limits.max_deferred
             ):
                 self._deferred.append(item)
-                deferred_now += 1
+                self.deferred_total += 1
             else:
                 self.note_shed(item)
-        return Intake(tuple(admitted), deferred_now)
+        return admitted
 
     def flush_deferred(self) -> list[StreamItem]:
         """Hand back everything still deferred (end of stream).
@@ -284,15 +277,24 @@ class AdmissionController:
     def make_room(
         self, incoming: StreamItem, buffer: ReorderBuffer
     ) -> StreamItem | None:
-        """Consult the policy at the occupancy cap.
-
-        Returns a buffered victim to evict (admit ``incoming``), or
-        ``None`` (shed ``incoming``).  Counting the loser is the
-        caller's job via :meth:`note_shed`.
-        """
-        return self.policy.make_room(
+        """Take the whole at-cap step for ``incoming``: evict and return
+        the buffered victim the policy names (offer ``incoming`` now), or
+        shed ``incoming`` and return ``None`` (not ``incoming``: without
+        a deduper the same object may also sit in the buffer).  Either
+        loser is counted (:meth:`note_shed`)."""
+        victim = self.policy.make_room(
             incoming, buffer, self.priorities, self.policy_state
         )
+        if victim is None:
+            self.note_shed(incoming)
+            return None
+        if not buffer.evict_item(victim):
+            raise ObserverError(
+                "shedding policy named a victim that is not in the "
+                "reorder buffer"
+            )
+        self.note_shed(victim)
+        return victim
 
     def note_shed(self, item: StreamItem) -> None:
         """Record one shed observation in the per-class breakdown."""
@@ -352,6 +354,7 @@ class AdmissionController:
             },
             policy_state=dict(self.policy_state),
             shed_by_priority=dict(self.shed_by_priority),
+            deferred_total=self.deferred_total,
         )
 
     def restore(self, snapshot: AdmissionSnapshot) -> None:
@@ -370,3 +373,4 @@ class AdmissionController:
             self._buckets[source] = bucket
         self.policy_state = dict(snapshot.policy_state)
         self.shed_by_priority = dict(snapshot.shed_by_priority)
+        self.deferred_total = snapshot.deferred_total

@@ -15,8 +15,8 @@ Per source the deduper keeps the classic two-part acceptance record:
   water (bounded by the stream's disorder: once the gap fills, the
   prefix compacts into the high water and the set drains).
 
-:meth:`RedeliveryDeduper.admit` is the whole protocol: ``True`` exactly
-once per identity, ``False`` for every redelivery.  The state is
+:meth:`RedeliveryDeduper.admit` is the whole decision (``intake`` runs
+it over a step): ``True`` once per identity, ``False`` after.  The state is
 checkpointable (:meth:`snapshot` / :meth:`restore`) and travels inside
 :class:`~repro.stream.runtime.RuntimeCheckpoint`, so a restored runtime
 re-accepts exactly the deliveries its checkpoint had not seen — which
@@ -26,7 +26,7 @@ is what makes supervised crash recovery effectively exactly-once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.stream.source import StreamItem
 
@@ -59,6 +59,10 @@ class RedeliveryDeduper:
         if item.seq <= self._high.get(item.source, -1):
             return True
         return item.seq in self._seen.get(item.source, ())
+
+    def intake(self, items: Sequence[StreamItem]) -> list[StreamItem]:
+        """A delivery step's first deliveries, in order (see :meth:`admit`)."""
+        return list(filter(self.admit, items))
 
     def admit(self, item: StreamItem) -> bool:
         """Accept a first delivery (``True``) or reject a redelivery.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.errors import ObserverError
 from repro.stream.resilience.faults import CorruptObservation
@@ -87,6 +87,10 @@ class Quarantine:
         self._items: deque[StreamItem] = deque(maxlen=retention)
         self.count = 0
         """Exact rejections so far (never capped by retention)."""
+
+    def intake(self, items: Sequence[StreamItem]) -> list[StreamItem]:
+        """One delivery step's valid items, in order (see :meth:`admit`)."""
+        return list(filter(self.admit, items))
 
     def admit(self, item: StreamItem) -> bool:
         """``True`` for a valid item; otherwise record and reject."""

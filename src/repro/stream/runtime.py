@@ -14,25 +14,28 @@ never been disordered.  Observations beyond the lateness bound are
 counted and retained (:attr:`StreamingDetectionRuntime.late_items`),
 never silently dropped.
 
-The runtime also owns the stream-level checkpoint.  The state-bearing
-parts it was built with sit in one ordered table
+The parts the runtime was built with sit in one ordered table
 (:attr:`StreamingDetectionRuntime.stages`: quarantine, dedup, admission,
 reorder, watermark, engine, telemetry — an absent part is simply not
-listed), and a :class:`RuntimeCheckpoint` is that table's
-``{name: snapshot}`` image plus the runtime's own counters, so a stream
-can resume mid-flight with an identical remaining match stream.
+listed).  The stages ahead of the reorder buffer share one shape,
+``intake(items) -> list`` (a delivery step in, its survivors out, in
+order, each stage counting its own losses), so ``ingest`` is one loop
+over them.  Every part has ``snapshot()`` / ``restore()`` and refuses a
+snapshot taken under another configuration of its own; a
+:class:`RuntimeCheckpoint` is the table's ``{name: snapshot}`` image
+plus the runtime's own counters, so a stream can resume mid-flight with
+an identical remaining match stream.
 
 Ingestion can be **bounded**: pass an
 :class:`~repro.stream.admission.AdmissionController` and every delivery
-step first clears admission — per-source token-bucket rate limits (with
+step clears admission — per-source token-bucket rate limits (with
 bounded deferral), an occupancy cap on the reorder buffer enforced by a
 pluggable shedding policy, and a
 :class:`~repro.stream.admission.Backpressure` signal handed to sources
-that expose ``throttle()``.  Every shed or deferred observation is
-counted (:attr:`StreamStats.shed_observations`,
-:attr:`StreamStats.deferred_observations`); with no
-limits configured the bounded runtime is behavior-identical to the
-unbounded one.
+that expose ``throttle()``.  The controller counts every shed or
+deferred observation (:attr:`StreamStats.shed_observations`,
+:attr:`StreamStats.deferred_observations`); with no limits configured
+the bounded runtime is behavior-identical to the unbounded one.
 """
 
 from __future__ import annotations
@@ -98,11 +101,12 @@ class StreamStats:
     """Stream-level counters of one :class:`StreamingDetectionRuntime`.
 
     Every fact has exactly one writer.  The runtime counts what it does
-    itself — offers, releases, matches, delivery steps, deferrals,
-    backpressure steps.  What a part of the pipeline observes
+    itself — offers, releases, matches, delivery steps, backpressure
+    steps.  What a part of the pipeline observes
     stays with that part: :attr:`StreamingDetectionRuntime.stats` reads
     ``late_observations`` and ``reorder_peak`` from the reorder buffer,
-    ``shed_observations`` from the admission controller,
+    ``shed_observations`` and ``deferred_observations`` from the
+    admission controller,
     ``duplicates_dropped`` from the deduper,
     ``quarantined_observations`` from the quarantine and ``recoveries``
     from the supervisor each time it is asked (zero where that part is
@@ -171,11 +175,6 @@ class RuntimeCheckpoint:
     """Each part's own snapshot, keyed like
     :attr:`StreamingDetectionRuntime.stages`.  A checkpoint restores
     only into a runtime built with the same set of parts."""
-    lateness: int
-    """Lateness bound the checkpoint was taken under.  Restoring into a
-    runtime with a different bound would silently change watermark
-    semantics mid-stream, so :meth:`StreamingDetectionRuntime.restore`
-    rejects a mismatch."""
     stats: StreamStats
     """The counters the runtime itself writes (the stage-owned fields
     are left at zero: those travel inside their stage's snapshot)."""
@@ -205,19 +204,22 @@ class StreamingDetectionRuntime:
             is behavior-identical to ``None``.
         quarantine: Optional
             :class:`~repro.stream.resilience.quarantine.Quarantine` (or
-            any object with ``admit(item) -> bool``, a ``count`` and
+            any object with ``intake(items) -> list``, a ``count`` and
             ``snapshot()``/``restore()``) screening every delivery for
             structural validity *before* anything else sees it —
             rejected items are dead-lettered and counted
             (``stats.quarantined_observations``), never offered.
         dedup: Optional
             :class:`~repro.stream.resilience.dedup.RedeliveryDeduper`
-            (same duck-typed protocol, counting in
+            (same duck-typed shape, counting in
             ``duplicates_dropped``) dropping redelivered
             ``(source, seq)`` identities after quarantine and before
             admission — at-least-once transports become effectively
             exactly-once, with every drop counted
-            (``stats.duplicates_dropped``).
+            (``stats.duplicates_dropped``).  The order matters: a
+            corrupt copy of a not-yet-seen identity must never reach
+            the dedup record, or it would shadow the intact
+            retransmission right behind it.
         telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
             bundle (metrics registry + stage tracer).  The runtime
             sets the registry's stream series from its counters at every
@@ -243,7 +245,6 @@ class StreamingDetectionRuntime:
         telemetry: Telemetry | None = None,
     ):
         self.engine = engine
-        self.lateness = lateness
         self.on_match = on_match
         self.on_release = on_release
         self.admission = admission
@@ -278,9 +279,12 @@ class StreamingDetectionRuntime:
             )
             if part is not None
         }
-        """The state-bearing parts this runtime was built with, in
-        pipeline order — the only thing :meth:`snapshot` and
-        :meth:`restore` walk."""
+        """The parts this runtime was built with, in pipeline order —
+        the only thing :meth:`snapshot` and :meth:`restore` walk."""
+        parts = list(self.stages.values())
+        self._front = tuple(parts[: parts.index(self.buffer)])
+        """The stages ahead of the reorder buffer: each ``intake`` takes
+        a delivery step's survivors and returns its own."""
         self.supervisor = None
         """The :class:`~repro.stream.resilience.supervisor.SupervisedRuntime`
         driving this runtime, if any (it announces itself)."""
@@ -320,6 +324,7 @@ class StreamingDetectionRuntime:
             late_observations=self.buffer.late_count,
             reorder_peak=self.buffer.peak_occupancy,
             shed_observations=getattr(self.admission, "shed_total", 0),
+            deferred_observations=getattr(self.admission, "deferred_total", 0),
             duplicates_dropped=getattr(self.dedup, "duplicates_dropped", 0),
             quarantined_observations=getattr(self.quarantine, "count", 0),
             recoveries=getattr(self.supervisor, "recoveries", 0),
@@ -401,8 +406,11 @@ class StreamingDetectionRuntime:
         non-decreasing arrival ticks along the step — across sources as
         well — a precondition, checked before screening: a duplicate or
         quarantine-bound item that breaks it gets the step refused too.
-        See :meth:`AdmissionController.ensure_clock`.)  Then every item
-        clears admission (rate limits, occupancy cap) and the survivors are
+        See :meth:`AdmissionController.ensure_clock`.)  Then the step
+        passes the front stages in order (quarantine, dedup, admission:
+        each ``intake`` returns its survivors and counts its own
+        losses; none of them touches the watermark, since a rejected
+        item promises nothing about event time), and the survivors are
         offered to the reorder buffer and noted by the watermark
         tracker; only then does the (possibly advanced) merged watermark
         release buffered observations to the engine, in event-time
@@ -417,52 +425,21 @@ class StreamingDetectionRuntime:
         self.tracker.ensure_open({item.source for item in items})
         if self.admission is not None:
             self.admission.ensure_clock(items)
-        counts = self._counts
-        counts.delivery_steps += 1
+        self._counts.delivery_steps += 1
         if self.telemetry is not None and items:
             # The step clock is a monotone max: one observation of
             # the batch maximum equals observing every arrival.
             self.telemetry.observe_step(
                 max(item.arrival_tick for item in items)
             )
-        if self.quarantine is not None or self.dedup is not None:
-            items = self._screen(items)
-        if self.admission is None:
-            for item in items:
-                self._offer(item)
-        else:
-            intake = self.admission.intake(items)
-            counts.deferred_observations += intake.deferred
-            for item in intake.admitted:
-                self._offer(item)
+        for stage in self._front:
+            items = stage.intake(items)
+        for item in items:
+            self._offer(item)
         watermark = self.tracker.watermark()
         matches = self._release(watermark)
         self._end_step(watermark, delivery=True)
         return matches
-
-    def _screen(self, items: Sequence[StreamItem]) -> list[StreamItem]:
-        """Quarantine, then dedup — before admission or the watermark.
-
-        Order matters: a corrupt copy of a not-yet-seen ``(source,
-        seq)`` must never reach the dedup record, or it would shadow
-        the intact retransmission arriving right behind it.  Neither
-        gate may touch the watermark — a quarantined or redelivered
-        item promises nothing about event time.  Each gate counts its
-        own rejections.
-        """
-        quarantine_admit = (
-            self.quarantine.admit if self.quarantine is not None else None
-        )
-        dedup_admit = self.dedup.admit if self.dedup is not None else None
-        kept: list[StreamItem] = []
-        keep = kept.append
-        for item in items:
-            if quarantine_admit is not None and not quarantine_admit(item):
-                continue
-            if dedup_admit is not None and not dedup_admit(item):
-                continue
-            keep(item)
-        return kept
 
     def _offer(self, item: StreamItem) -> None:
         """Offer one admitted item, enforcing the occupancy cap.
@@ -474,10 +451,11 @@ class StreamingDetectionRuntime:
         everything — and is simply classified in-order or late below.
 
         At the cap (bounded runtimes only, and never for late items —
-        those land in the separately-bounded late list) the shedding
-        policy names a buffered victim to evict, or sheds the incoming
-        item.  Either loser is counted by the controller, per priority
-        class (:meth:`~repro.stream.admission.AdmissionController.note_shed`).
+        those land in the separately-bounded late list) the controller
+        takes the whole step
+        (:meth:`~repro.stream.admission.AdmissionController.make_room`:
+        evict a buffered victim or shed the incoming item, and count the
+        loser); the runtime only retires the loser's trace.
         """
         telemetry = self.telemetry
         trace = None
@@ -505,16 +483,9 @@ class StreamingDetectionRuntime:
             ):
                 victim = self.admission.make_room(item, self.buffer)
                 if victim is None:
-                    self.admission.note_shed(item)
                     if trace is not None:
                         telemetry.tracer.discard(trace, "shed")
                     return
-                if not self.buffer.evict_item(victim):
-                    raise ObserverError(
-                        "shedding policy named a victim that is not in "
-                        "the reorder buffer"
-                    )
-                self.admission.note_shed(victim)
                 if telemetry is not None:
                     victim_trace = telemetry.tracer.lookup(
                         victim.source, victim.seq
@@ -646,14 +617,13 @@ class StreamingDetectionRuntime:
             stages={
                 name: part.snapshot() for name, part in self.stages.items()
             },
-            lateness=self.lateness,
             stats=replace(self._counts),
         )
 
     def restore(self, checkpoint: RuntimeCheckpoint) -> None:
         """Resume from a checkpoint taken on an equivalently built
-        runtime (same parts, same lateness; every part checks its own
-        configuration — same specs, same shard count, same trace stride).
+        runtime (same parts; every part checks its own configuration —
+        same lateness, same specs, same shard count, same trace stride).
 
         After restore, feeding the delivery steps the checkpointed
         runtime had not yet seen produces the identical remaining match
@@ -668,20 +638,14 @@ class StreamingDetectionRuntime:
                 f"{differing}: a checkpoint restores only into a runtime "
                 f"built with the same parts"
             )
-        if checkpoint.lateness != self.lateness:
-            raise ObserverError(
-                f"checkpoint was taken under lateness "
-                f"{checkpoint.lateness} but this runtime uses "
-                f"{self.lateness}; restoring would change watermark "
-                f"semantics mid-stream"
-            )
         undo = self.snapshot()
         try:
             self._install(checkpoint)
         except Exception:
             # A part can refuse its snapshot after earlier parts took
-            # theirs (trace stride, bucket state without a rate limit,
-            # engine specs): put everything back before re-raising.
+            # theirs (lateness, trace stride, bucket state without a
+            # rate limit, engine specs): put everything back before
+            # re-raising.
             self._install(undo)
             raise
         # Recompute the backpressure signal from the restored occupancy

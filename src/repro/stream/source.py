@@ -39,10 +39,16 @@ class StreamItem:
     Args:
         entity: The observation (any engine-submittable entity).
         event_tick: Tick the in-order system submitted it at.
-        seq: Position in the original in-order stream (total order).
+        seq: Position in the original in-order stream (total order,
+            non-negative).
         arrival_tick: Tick the stream delivers it (>= ``event_tick``
-            for causal transports; validated).
+            for causal transports).
         source: Name of the producing source (per-source watermarks).
+
+    Raises:
+        ObserverError: If a tick or ``seq`` is not an ``int`` (a NaN
+            slips past every ordering check), ``seq`` is negative, or the
+            item arrives before it occurred.
     """
 
     entity: Entity
@@ -52,6 +58,15 @@ class StreamItem:
     source: str = "replay"
 
     def __post_init__(self) -> None:
+        if not (
+            type(self.event_tick) is type(self.seq) is type(self.arrival_tick)
+            is int
+            and self.seq >= 0
+        ):
+            raise ObserverError(
+                f"ticks must be ints and seq a non-negative int, got "
+                f"{self.event_tick!r}, {self.seq!r}, {self.arrival_tick!r}"
+            )
         if self.arrival_tick < self.event_tick:
             raise ObserverError(
                 f"observation {self.seq} arrives at tick {self.arrival_tick} "

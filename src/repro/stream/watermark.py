@@ -121,14 +121,21 @@ class WatermarkTracker:
             return None
         return min(lows)
 
-    def snapshot(self) -> tuple[dict[str, int | None], frozenset[str]]:
-        """Checkpoint view: ``(max_seen per source, closed set)``."""
-        return dict(self._max_seen), frozenset(self._closed)
+    def snapshot(self) -> tuple[int, dict[str, int | None], frozenset[str]]:
+        """Checkpoint view: ``(lateness, max_seen per source, closed set)``."""
+        return self.lateness, dict(self._max_seen), frozenset(self._closed)
 
     def restore(
-        self, snapshot: tuple[dict[str, int | None], frozenset[str]]
+        self, snapshot: tuple[int, dict[str, int | None], frozenset[str]]
     ) -> None:
-        """Reload what :meth:`snapshot` returned (replaces everything)."""
-        max_seen, closed = snapshot
+        """Reload what :meth:`snapshot` returned (replaces everything);
+        a snapshot taken under another lateness bound is refused."""
+        lateness, max_seen, closed = snapshot
+        if lateness != self.lateness:
+            raise ObserverError(
+                f"checkpoint was taken under lateness {lateness}, this "
+                f"tracker uses {self.lateness}: watermark semantics would "
+                f"change mid-stream"
+            )
         self._max_seen = dict(max_seen)
         self._closed = set(closed)

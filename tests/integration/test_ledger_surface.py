@@ -58,6 +58,40 @@ def test_every_span_names_a_method_its_class_defines(ledger):
         recorder.unpatch()
 
 
+def test_front_stage_spans_count_what_their_metrics_divide_by(ledger):
+    """``stream.quarantine.admit.us_per_obs`` and ``.dedup.admit.us_per_obs``
+    divide by the span's calls, ``stream.admission.intake.us_per_obs`` by
+    the offered observations and ``.make_room.us_per_shed`` by the shed
+    count: each span must fire once per delivered item, once per delivery
+    step and once per at-cap offer (every one of which sheds exactly one
+    observation, the incoming one or a buffered victim)."""
+    harness, run, SpanRecorder = ledger
+    from speed import SpeedMeter
+
+    workload = harness.WORKLOADS["stream_overload"]
+    meter = SpeedMeter()
+    inputs = workload.setup(0, "small", meter)
+    (feed,) = inputs.feeds
+    recorder = SpanRecorder()
+    run.install_spans(recorder)
+    try:
+        result = workload.run_pass(inputs, meter, recorder)
+    finally:
+        recorder.unpatch()
+    assert result.failed == 0, result.problems
+    totals = recorder.totals()
+    replays = harness.OVERLOAD_REPLAYS
+    delivered = replays * sum(len(group) for group in feed.steps)
+    assert totals["stream.quarantine.admit"].calls == delivered
+    assert totals["stream.dedup.admit"].calls == delivered
+    assert totals["stream.admission.intake"].calls == replays * len(feed.steps)
+    assert (
+        totals["stream.admission.make_room"].calls
+        == result.counts["shed"]
+        > 0
+    )
+
+
 def test_gate_reads_a_finished_supervised_replay(ledger):
     harness, _, _ = ledger
     scenario, taps = _run("jittery_corridor")

@@ -191,27 +191,29 @@ class TestAdmissionLimits:
 class TestAdmissionController:
     def test_no_rate_admits_everything(self):
         controller = AdmissionController()
-        intake = controller.intake([item(t) for t in range(10)])
-        assert len(intake.admitted) == 10
-        assert controller.shed_total == 0 and intake.deferred == 0
+        assert len(controller.intake([item(t) for t in range(10)])) == 10
+        assert controller.shed_total == 0 and controller.deferred_total == 0
 
     def test_over_rate_defers_then_drains_on_refill(self):
         controller = AdmissionController(AdmissionLimits(rate=1.0, burst=2))
         first = controller.intake([item(0, seq=s, arrival=0) for s in range(4)])
-        assert len(first.admitted) == 2 and first.deferred == 2
-        assert controller.deferred_depth == 2
+        assert [i.seq for i in first] == [0, 1]
+        assert controller.deferred_depth == controller.deferred_total == 2
         second = controller.intake([item(0, seq=9, arrival=3)])
         # 3 ticks refill 3 tokens, capped at burst 2: both deferred items
         # drain, the new arrival waits its turn behind them.
-        assert len(second.admitted) == 2 and second.deferred == 1
+        assert [i.seq for i in second] == [2, 3]
+        assert controller.deferred_total == 3
 
     def test_deferral_overflow_sheds_and_counts_class(self):
         controller = AdmissionController(
             AdmissionLimits(rate=1.0, burst=1, max_deferred=1)
         )
-        intake = controller.intake([item(0, seq=s, arrival=0) for s in range(4)])
-        assert len(intake.admitted) == 1
-        assert intake.deferred == 1
+        admitted = controller.intake(
+            [item(0, seq=s, arrival=0) for s in range(4)]
+        )
+        assert len(admitted) == 1
+        assert controller.deferred_total == 1
         assert controller.shed_by_priority == {"OPERATIONAL": 2}
         assert controller.shed_total == 2
 
@@ -268,9 +270,10 @@ class TestAdmissionController:
         assert clone.deferred_depth == controller.deferred_depth
         assert clone.shed_by_priority == controller.shed_by_priority
         assert clone.policy_state == controller.policy_state
+        assert clone.deferred_total == controller.deferred_total == 3
         left = clone.intake([item(0, seq=50, arrival=10)])
         right = controller.intake([item(0, seq=50, arrival=10)])
-        assert [i.seq for i in left.admitted] == [i.seq for i in right.admitted]
+        assert [i.seq for i in left] == [i.seq for i in right]
 
     def test_restore_rejects_bucket_state_without_rate(self):
         limited = AdmissionController(AdmissionLimits(rate=1.0))

@@ -1,5 +1,7 @@
 """Unit tests for engine snapshot/restore and runtime checkpoints."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.composite import all_of
@@ -229,6 +231,21 @@ class TestShardedSnapshotRestore:
         with pytest.raises(ObserverError, match="layout"):
             other_bounds.restore(snapshot)
 
+    def test_rejected_restore_changes_nothing(self):
+        # Shards 0-1 are valid; 2-3 come from an engine with other specs.
+        # Every shard is checked before the first one is rewritten.
+        engine = self.make()
+        feed(engine, stream(10))
+        donor = self.make().snapshot()
+        foreign = ShardedDetectionEngine(
+            [hot_spec()], bounds=BOUNDS, shards=4
+        ).snapshot()
+        mixed = replace(donor, shards=donor.shards[:2] + foreign.shards[2:])
+        before = engine.snapshot()
+        with pytest.raises(ObserverError, match="watches"):
+            engine.restore(mixed)
+        assert engine.snapshot() == before
+
     def test_regressing_tick_rejected_before_any_mutation(self):
         engine = self.make()
         engine.submit(obs(0, 5), now=5)
@@ -341,7 +358,9 @@ _REFUSALS = [
         for n, f in _PARTS.items()
     ),
     pytest.param(
-        lambda: {"lateness": 5}, lambda: {"lateness": 6}, "lateness",
+        lambda: {"lateness": 5, "dedup": RedeliveryDeduper()},
+        lambda: {"lateness": 6, "dedup": RedeliveryDeduper()},
+        "lateness",
         id="lateness",
     ),
     pytest.param(

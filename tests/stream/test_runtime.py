@@ -379,3 +379,77 @@ class TestUncooperativeSources:
         )
         runtime.run(OddSource())
         assert released == list(range(10))
+
+
+_OPTIONAL_PARTS = {
+    "quarantine": Quarantine,
+    "dedup": RedeliveryDeduper,
+    "admission": AdmissionController,
+    "telemetry": lambda: Telemetry.create(trace_every=1),
+}
+
+
+def _subsets():
+    names = list(_OPTIONAL_PARTS)
+    for mask in range(1 << len(names)):
+        chosen = tuple(n for i, n in enumerate(names) if mask >> i & 1)
+        yield pytest.param(chosen, id="+".join(chosen) or "bare")
+
+
+class TestAbsentStageIsANoOpStage:
+    """Every optional part, built with its defaults, changes nothing on
+    a clean feed: the stage table may list it or not."""
+
+    GROUPS = list(
+        arrival_groups(
+            JitteredSource(
+                ReplaySource(batches(40), name="t"), max_delay=6, seed=3
+            )
+        )
+    )
+
+    def _runtime(self, parts):
+        runtime = StreamingDetectionRuntime(
+            DetectionEngine([pair_spec(), hot_spec()]),
+            lateness=6,
+            **{name: _OPTIONAL_PARTS[name]() for name in parts},
+        )
+        runtime.register_source("t")
+        return runtime
+
+    @staticmethod
+    def _keys(matches):
+        return [(m.spec.event_id, m.tick, m.binding) for m in matches]
+
+    def _drive(self, runtime, groups):
+        matches = []
+        for _, group in groups:
+            matches.extend(runtime.ingest(group))
+        return matches
+
+    @pytest.mark.parametrize("parts", _subsets())
+    def test_same_matches_balance_and_resume(self, parts):
+        bare = self._runtime(())
+        expected = self._drive(bare, self.GROUPS) + bare.finish()
+
+        half = len(self.GROUPS) // 2
+        runtime = self._runtime(parts)
+        head = self._drive(runtime, self.GROUPS[:half])
+        checkpoint = runtime.snapshot()
+        tail = self._drive(runtime, self.GROUPS[half:]) + runtime.finish()
+        assert self._keys(head + tail) == self._keys(expected)
+
+        stats = runtime.stats
+        offered = sum(len(group) for _, group in self.GROUPS)
+        assert offered == (
+            stats.released_items
+            + stats.late_observations
+            + stats.shed_observations
+            + stats.duplicates_dropped
+            + stats.quarantined_observations
+        )
+
+        resumed = self._runtime(parts)
+        resumed.restore(checkpoint)
+        again = self._drive(resumed, self.GROUPS[half:]) + resumed.finish()
+        assert self._keys(again) == self._keys(tail)

@@ -17,9 +17,23 @@ def item(tick, seq, arrival=None, source="s"):
 
 
 class TestStreamItem:
-    def test_arrival_before_event_rejected(self):
-        with pytest.raises(ObserverError, match="before it occurred"):
-            item(5, 0, arrival=4)
+    @pytest.mark.parametrize(
+        "fields, complaint",
+        [
+            ({"arrival_tick": 4}, "before it occurred"),
+            ({"event_tick": float("nan")}, "must be ints"),
+            ({"event_tick": 5.0}, "must be ints"),
+            ({"arrival_tick": "5"}, "must be ints"),
+            ({"seq": True}, "non-negative int"),
+            ({"seq": -1}, "non-negative int"),
+        ],
+        ids=["arrives-early", "nan-tick", "float-tick", "str-tick",
+             "bool-seq", "negative-seq"],
+    )
+    def test_hostile_fields_rejected(self, fields, complaint):
+        valid = {"event_tick": 5, "seq": 0, "arrival_tick": 5}
+        with pytest.raises(ObserverError, match=complaint):
+            StreamItem(entity=("obs", 0), **{**valid, **fields})
 
     def test_order_key(self):
         assert item(3, 7).order_key == (3, 7)
