@@ -22,11 +22,11 @@ with a stream tap, then:
    from its last checkpoint through at-least-once redelivery, with the
    dedup gate and the quarantine turning that into an exactly-once,
    byte-identical emission;
-6. replays with full telemetry attached — a metrics registry plus
-   ``trace_every=1`` stage tracing — and shows the emission is still
-   byte-identical (telemetry reads the pipeline, never perturbs it)
-   while the registry reports stream counters, per-stage residency
-   percentiles and a Prometheus-text export.
+6. replays with ``trace_every=1`` stage tracing and shows the emission
+   is still byte-identical (telemetry reads the pipeline, never
+   perturbs it), then exports: ``collect`` reads the stream counters
+   from their owners, the telemetry reports per-stage residency
+   percentiles, and the samples render as Prometheus text.
 
 Run:  PYTHONPATH=src python examples/streaming_replay.py
 """
@@ -36,8 +36,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.export import to_prometheus
-from repro.obs.tracing import Stage, Telemetry
+from repro.obs import Stage, Telemetry, collect, to_prometheus
+from repro.obs.tracing import STAGES
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
@@ -247,7 +247,7 @@ def main() -> None:
             f"entity={dead.entity!r}"
         )
 
-    # -- 6) telemetry: metrics registry + stage tracing ----------------
+    # -- 6) telemetry: stage tracing, and an export read from the parts --
     traced = ReplayObserver(
         profile,
         lateness=LATENESS,
@@ -255,38 +255,36 @@ def main() -> None:
     )
     traced.replay(JitteredSource(tap, max_delay=LATENESS, seed=7))
     telemetry = traced.runtime.telemetry
-    registry = telemetry.registry
     print(
         f"fully traced replay identical to live run: "
         f"{[i.key for i in traced.emitted] == [i.key for i in sink.emitted]} "
         f"(telemetry reads the pipeline, never perturbs it)"
     )
-    # The registry's stream series are set *from* runtime.stats at every
-    # step boundary, so the export and the stats are the same numbers.
+    # collect() reads every series from the part that owns it when asked,
+    # so the export and runtime.stats are the same numbers by construction.
+    samples = collect(traced.runtime)
+    exported = {sample.name: sample.value for sample in samples}
     t_stats = traced.runtime.stats
-    released = registry.counter("stream_observations_released_total").value
-    late = registry.counter("stream_observations_late_total").value
-    completed = registry.counter("obs_traces_completed_total").value
+    released = exported["stream_observations_released_total"]
+    late = exported["stream_observations_late_total"]
     agrees = (released, late) == (
         t_stats.released_items,
         t_stats.late_observations,
     )
     print(
-        f"registry: {len(registry)} series — "
-        f"{released:.0f} observations released, {late:.0f} late "
+        f"export: {len(samples)} series — "
+        f"{released} observations released, {late} late "
         f"(runtime.stats agrees: {agrees}), "
-        f"{completed:.0f} stage traces completed"
+        f"{telemetry.finished} stage traces completed"
     )
     for stage in (Stage.REORDER, Stage.WATERMARK_HOLD):
-        residency = registry.histogram(
-            "obs_stage_residency_ticks", stage=stage.value
-        )
+        residency = telemetry.residency[STAGES.index(stage)]
         print(
             f"  {stage.value:<14} residency p50={residency.quantile(0.5):g} "
             f"p95={residency.quantile(0.95):g} ticks "
             f"(n={residency.count})"
         )
-    exposition = to_prometheus(registry)
+    exposition = to_prometheus(samples)
     print(
         f"prometheus export: {len(exposition.splitlines())} lines, e.g. "
         f"{next(line for line in exposition.splitlines() if line.startswith('stream_observations_released_total'))!r}"

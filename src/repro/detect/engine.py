@@ -49,7 +49,6 @@ Evaluation properties worth knowing:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.aggregates import (
@@ -180,6 +179,9 @@ class EngineSnapshot:
     last_match: Mapping[str, int]
     watermark: int | None
     stats: EngineStats
+    tallies: Mapping[str, tuple[int, int]]
+    """Per-specification ``(bindings, matches)``, see
+    :meth:`DetectionEngine.tallies`."""
 
 
 class DetectionEngine:
@@ -211,50 +213,9 @@ class DetectionEngine:
         self._watermark: int | None = None
         self.use_planner = use_planner
         self.stats = EngineStats()
-        self.telemetry_registry = None
-        self._spec_obs: dict[str, tuple] | None = None
-        self._obs_labels: dict[str, str] = {}
+        self._tallies: dict[str, list[int]] = {}
         for spec in specs:
             self.add_spec(spec)
-
-    def attach_telemetry(self, registry, **labels: object) -> None:
-        """Route per-spec evaluation counters into a metrics registry.
-
-        Installs three series per specification —
-        ``engine_spec_bindings_total``, ``engine_spec_matches_total``
-        and ``engine_spec_evaluation_seconds_total`` (volatile:
-        wall-clock-derived) — labeled ``spec=<event id>`` plus any extra
-        labels (the sharded backend passes ``shard=<i>``).  Pure
-        observation: attaching never changes evaluation order, match
-        sets or the flat :attr:`stats`; detached engines pay nothing.
-        """
-        self.telemetry_registry = registry
-        self._obs_labels = {str(k): str(v) for k, v in labels.items()}
-        self._spec_obs = {}
-        for event_id in self._specs:
-            self._install_spec_obs(event_id)
-
-    def _install_spec_obs(self, event_id: str) -> None:
-        registry = self.telemetry_registry
-        labels = dict(self._obs_labels, spec=event_id)
-        self._spec_obs[event_id] = (
-            registry.counter(
-                "engine_spec_bindings_total",
-                "Candidate bindings evaluated, per specification",
-                **labels,
-            ),
-            registry.counter(
-                "engine_spec_matches_total",
-                "Satisfied bindings, per specification",
-                **labels,
-            ),
-            registry.counter(
-                "engine_spec_evaluation_seconds_total",
-                "Wall-clock seconds spent evaluating, per specification",
-                volatile=True,
-                **labels,
-            ),
-        )
 
     def add_spec(self, spec: EventSpecification) -> None:
         """Install another specification (ids must be unique)."""
@@ -265,6 +226,7 @@ class DetectionEngine:
             role: RoleWindow(spec.window) for role in spec.roles
         }
         self._seen[spec.event_id] = {}
+        self._tallies[spec.event_id] = [0, 0]
         plan = self._plans[spec.event_id] = compile_plan(spec)
         self._compiled[spec.event_id] = compile_condition(spec.condition)
         self._identity[spec.event_id] = binding_identity(spec)
@@ -280,8 +242,6 @@ class DetectionEngine:
                     for i, role in enumerate(earlier)
                     if plan.peer_roles(role) & set(earlier[:i])
                 )
-        if self._spec_obs is not None:
-            self._install_spec_obs(spec.event_id)
 
     def plan(self, event_id: str) -> EvaluationPlan:
         """Compiled evaluation plan of an installed specification."""
@@ -301,6 +261,11 @@ class DetectionEngine:
     def specs(self) -> tuple[EventSpecification, ...]:
         """Installed specifications."""
         return tuple(self._specs.values())
+
+    def tallies(self) -> dict[str, tuple[int, int]]:
+        """``(bindings evaluated, matches)`` per installed specification,
+        in installation order; they sum to :attr:`stats`' two counts."""
+        return {event_id: tuple(t) for event_id, t in self._tallies.items()}
 
     def spec(self, event_id: str) -> EventSpecification:
         """Installed specification by event id."""
@@ -366,7 +331,6 @@ class DetectionEngine:
         self.stats.entities_submitted += len(batch)
         self.stats.batches_submitted += 1
         matches: list[Match] = []
-        spec_obs = self._spec_obs
         for spec in self._specs.values():
             staged: list[tuple[Entity, tuple[str, ...], bool]] = []
             for position, entity in enumerate(batch):
@@ -377,10 +341,6 @@ class DetectionEngine:
                     )
             if not staged:
                 continue
-            if spec_obs is not None:
-                spec_started = perf_counter()
-                bindings_before = self.stats.bindings_evaluated
-                matches_before = self.stats.matches
             pools = self._pools[spec.event_id]
             for window in pools.values():
                 window.evict(now)  # one eviction sweep per batch
@@ -394,11 +354,6 @@ class DetectionEngine:
                     pools[role].add(entity, now)
                 if run:
                     matches.extend(self._evaluate_spec(spec, entity, roles, now))
-            if spec_obs is not None:
-                bindings, matched, seconds = spec_obs[spec.event_id]
-                bindings.inc(self.stats.bindings_evaluated - bindings_before)
-                matched.inc(self.stats.matches - matches_before)
-                seconds.inc(perf_counter() - spec_started)
         return matches
 
     def _evaluate_spec(
@@ -422,13 +377,14 @@ class DetectionEngine:
         evaluator = self._compiled[spec.event_id].fn if self.use_planner else None
         identify = self._identity[spec.event_id]
         matches: list[Match] = []
+        evaluated = 0
         cooling = False
         for target_role in candidate_roles:
             for binding in self._enumerate(spec, target_role, entity):
                 key = identify(binding)
                 if key is None or key in seen:
                     continue
-                self.stats.bindings_evaluated += 1
+                evaluated += 1
                 try:
                     if evaluator is not None:
                         holds = evaluator(binding)
@@ -443,7 +399,6 @@ class DetectionEngine:
                     continue
                 if holds:
                     seen[key] = now
-                    self.stats.matches += 1
                     matches.append(Match(spec, binding, now))
                     self._last_match[spec.event_id] = now
                     if spec.cooldown:
@@ -454,6 +409,16 @@ class DetectionEngine:
                         break
             if cooling:
                 break
+        if evaluated:
+            # Counted once per call, not per binding: the engine-wide
+            # stats and this spec's tally take the same two numbers.
+            found = len(matches)
+            stats = self.stats
+            stats.bindings_evaluated += evaluated
+            stats.matches += found
+            tally = self._tallies[spec.event_id]
+            tally[0] += evaluated
+            tally[1] += found
         return matches
 
     def _enumerate(
@@ -591,6 +556,7 @@ class DetectionEngine:
             last_match=dict(self._last_match),
             watermark=self._watermark,
             stats=replace(self.stats),
+            tallies=self.tallies(),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
@@ -615,6 +581,9 @@ class DetectionEngine:
         self._last_match.update(snapshot.last_match)
         self._watermark = snapshot.watermark
         self.stats = replace(snapshot.stats)
+        self._tallies = {
+            event_id: list(t) for event_id, t in snapshot.tallies.items()
+        }
 
     def ensure_restorable(self, snapshot: EngineSnapshot) -> None:
         """Raise :class:`ObserverError` if :meth:`restore` would refuse

@@ -1,8 +1,8 @@
 """Exporters: Prometheus text, canonical JSON, digests, text report.
 
-Two machine formats plus one human format, all derived from the same
-deterministic :meth:`~repro.obs.registry.MetricsRegistry.collect`
-iteration:
+Two machine formats plus one human format, all taking the
+:class:`~repro.obs.metrics.MetricSample` rows that
+:func:`~repro.obs.metrics.collect` reads from a runtime's parts:
 
 * :func:`to_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le=...}``
@@ -10,30 +10,29 @@ iteration:
   parser the exporter tests round-trip through.
 * :func:`to_json` — canonical JSON: samples sorted by ``(name,
   labels)``, labels as sorted key/value pairs, ``sort_keys`` and fixed
-  separators, so the output is independent of metric creation order
-  and byte-stable across identical runs.  ``deterministic_only=True``
-  drops volatile (wall-clock-derived) families, which is what
-  :func:`registry_digest` hashes.
+  separators, so the output is independent of sample order and
+  byte-stable across identical runs.
 * :func:`render_report` — the pretty-printed runtime introspection the
   ``repro.obs.report`` CLI shows: stage residency percentiles,
-  shed/late/recovery counts, per-spec bindings and cache hit rates,
-  and the backpressure duty cycle.
+  shed/late/recovery counts, per-spec bindings and matches, and the
+  backpressure duty cycle.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from hashlib import sha256
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.core.errors import ObserverError
-from repro.obs.registry import MetricSample, MetricsRegistry
+from repro.obs.metrics import MetricSample, spec_samples
+from repro.obs.tracing import STAGES
 
 __all__ = [
     "to_prometheus",
     "parse_prometheus",
     "to_json",
-    "registry_digest",
     "trace_rows_digest",
     "render_report",
 ]
@@ -68,11 +67,11 @@ def _format_bound(bound: float) -> str:
     return repr(as_float)
 
 
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format."""
+def to_prometheus(samples: Iterable[MetricSample]) -> str:
+    """The samples in Prometheus text exposition format."""
     lines: list[str] = []
     seen_headers: set[str] = set()
-    for sample in registry.collect():
+    for sample in samples:
         if sample.name not in seen_headers:
             seen_headers.add(sample.name)
             if sample.help:
@@ -108,6 +107,22 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
+# name, optional {label set} (greedy to the last brace: values may hold
+# braces, the sample value cannot), whitespace, value
+_SAMPLE_LINE = re.compile(
+    r"([A-Za-z_:][A-Za-z0-9_:]*)(?:\{(.*)\})?[ \t]+(\S+)"
+)
+_LABEL_PAIR = re.compile(
+    r'([A-Za-z_][A-Za-z0-9_]*)="((?:[^"\\]|\\.)*)"(?:,|$)'
+)
+_ESCAPED = re.compile(r"\\(.)")
+
+
+def _unescape(escape: re.Match) -> str:
+    char = escape.group(1)
+    return "\n" if char == "n" else char
+
+
 def parse_prometheus(
     text: str,
 ) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
@@ -123,8 +138,20 @@ def parse_prometheus(
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        name, labels, rest = _parse_name_labels(line)
-        value_text = rest.strip()
+        sample = _SAMPLE_LINE.fullmatch(line)
+        if sample is None:
+            raise ObserverError(f"malformed sample line {raw!r}")
+        name, body, value_text = sample.groups()
+        body = body or ""
+        labels = []
+        position = 0
+        while position < len(body):
+            pair = _LABEL_PAIR.match(body, position)
+            if pair is None:
+                raise ObserverError(f"malformed label set in line {raw!r}")
+            key, quoted = pair.groups()
+            labels.append((key, _ESCAPED.sub(_unescape, quoted)))
+            position = pair.end()
         try:
             value = float(value_text)
         except ValueError:
@@ -133,35 +160,6 @@ def parse_prometheus(
             ) from None
         out[(name, tuple(sorted(labels)))] = value
     return out
-
-
-def _parse_name_labels(line: str):
-    brace = line.find("{")
-    if brace == -1:
-        name, _, rest = line.partition(" ")
-        return name, (), rest
-    name = line[:brace]
-    labels: list[tuple[str, str]] = []
-    i = brace + 1
-    while i < len(line) and line[i] != "}":
-        eq = line.index("=", i)
-        key = line[i:eq].strip(", ")
-        if line[eq + 1] != '"':
-            raise ObserverError(f"unquoted label value in line {line!r}")
-        j = eq + 2
-        chars: list[str] = []
-        while line[j] != '"':
-            if line[j] == "\\":
-                j += 1
-                chars.append(
-                    {"n": "\n", "\\": "\\", '"': '"'}.get(line[j], line[j])
-                )
-            else:
-                chars.append(line[j])
-            j += 1
-        labels.append((key, "".join(chars)))
-        i = j + 1
-    return name, tuple(labels), line[i + 1:]
 
 
 def _sample_payload(sample: MetricSample) -> dict:
@@ -183,39 +181,19 @@ def _sample_payload(sample: MetricSample) -> dict:
     return payload
 
 
-def to_json(
-    registry: MetricsRegistry,
-    *,
-    deterministic_only: bool = False,
-    indent: int | None = None,
-) -> str:
-    """Canonical JSON export: creation-order independent, byte-stable.
+def to_json(samples: Iterable[MetricSample], *, indent: int | None = None) -> str:
+    """Canonical JSON export: sample-order independent, byte-stable.
 
     Samples sort by ``(name, labels)``; labels are sorted pairs; keys
-    sort; separators are fixed.  ``deterministic_only=True`` excludes
-    volatile (wall-clock-derived) families so two identical runs export
-    identical bytes — the contract :func:`registry_digest` hashes.
+    sort; separators are fixed, so two identical runs export identical
+    bytes.
     """
-    samples = sorted(
-        (
-            sample
-            for sample in registry.collect()
-            if not (deterministic_only and sample.volatile)
-        ),
-        key=lambda sample: (sample.name, sample.labels),
-    )
-    payload = {"metrics": [_sample_payload(sample) for sample in samples]}
+    ordered = sorted(samples, key=lambda sample: (sample.name, sample.labels))
+    payload = {"metrics": [_sample_payload(sample) for sample in ordered]}
     separators = (",", ": ") if indent else (",", ":")
     return json.dumps(
         payload, sort_keys=True, indent=indent, separators=separators
     )
-
-
-def registry_digest(registry: MetricsRegistry) -> str:
-    """SHA-256 of the deterministic canonical-JSON export."""
-    return sha256(
-        to_json(registry, deterministic_only=True).encode()
-    ).hexdigest()
 
 
 def trace_rows_digest(rows: Iterable) -> str:
@@ -229,32 +207,23 @@ def trace_rows_digest(rows: Iterable) -> str:
 # the human-readable report
 # ----------------------------------------------------------------------
 
-_STAGE_METRIC = "obs_stage_residency_ticks"
-
 
 def _fmt_rate(value: float) -> str:
     return f"{value * 100:.1f}%"
 
 
-def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
-    """Pretty-print a live runtime / engine / telemetry introspection.
+def render_report(runtime=None, *, engine=None) -> str:
+    """Pretty-print a live runtime or a bare engine.
 
-    Any combination works: a
-    :class:`~repro.stream.runtime.StreamingDetectionRuntime` (its
-    engine and telemetry are picked up automatically), a bare
-    :class:`~repro.detect.engine.DetectionEngine` /
-    :class:`~repro.shard.engine.ShardedDetectionEngine`, or a
-    standalone :class:`~repro.obs.tracing.Telemetry`.
+    Given a :class:`~repro.stream.runtime.StreamingDetectionRuntime`,
+    its engine and telemetry are picked up too; ``engine=`` alone
+    reports a bare :class:`~repro.detect.engine.DetectionEngine` /
+    :class:`~repro.shard.engine.ShardedDetectionEngine`.
     """
-    from repro.obs.tracing import STAGES  # local: avoid import cycle
-
+    telemetry = None
     if runtime is not None:
-        engine = engine if engine is not None else runtime.engine
-        telemetry = (
-            telemetry
-            if telemetry is not None
-            else getattr(runtime, "telemetry", None)
-        )
+        engine = runtime.engine
+        telemetry = runtime.telemetry
     lines: list[str] = ["== repro.obs runtime report =="]
 
     if runtime is not None:
@@ -280,26 +249,21 @@ def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
             f"backpressure: engaged_steps={stats.backpressure_events} "
             f"steps={steps} duty_cycle={_fmt_rate(duty)}"
         )
-        admission = getattr(runtime, "admission", None)
-        if admission is not None and hasattr(admission, "metrics_view"):
-            view = admission.metrics_view()
+        if runtime.admission is not None:
+            view = runtime.admission.metrics_view()
             lines.append(
                 "admission: "
                 + " ".join(f"{key}={value}" for key, value in view.items())
             )
 
-    if telemetry is not None and telemetry.tracer.enabled:
-        tracer = telemetry.tracer
+    if telemetry is not None and telemetry.enabled:
         lines.append(
             f"-- stage residency (ticks; trace_every="
-            f"{tracer.trace_every}, completed="
-            f"{len(tracer.completed_rows())}, in_flight="
-            f"{tracer.active_count}) --"
+            f"{telemetry.trace_every}, completed="
+            f"{len(telemetry.completed_rows())}, in_flight="
+            f"{telemetry.active_count}) --"
         )
-        for stage in STAGES:
-            histogram = telemetry.registry.histogram(
-                _STAGE_METRIC, stage=stage.value
-            )
+        for stage, histogram in zip(STAGES, telemetry.residency):
             if not histogram.count:
                 continue
             lines.append(
@@ -330,48 +294,17 @@ def render_report(runtime=None, *, engine=None, telemetry=None) -> str:
                     f"matches={per.matches} "
                     f"pruned_ratio={_fmt_rate(per.pruned_ratio)}"
                 )
-        spec_rows = _per_spec_rows(engine, telemetry)
-        if spec_rows:
+        # Summed over shards: the per-shard split is in the machine export.
+        rows: dict[str, dict[str, int]] = {}
+        for sample in spec_samples(engine):
+            row = rows.setdefault(dict(sample.labels)["spec"], {})
+            row[sample.name] = row.get(sample.name, 0) + sample.value
+        if rows:
             lines.append("-- per-spec --")
-            lines.extend(spec_rows)
+            lines.extend(
+                f"{spec}: bindings={row['engine_spec_bindings_total']} "
+                f"matches={row['engine_spec_matches_total']}"
+                for spec, row in sorted(rows.items())
+            )
 
     return "\n".join(lines)
-
-
-def _per_spec_rows(engine, telemetry) -> list[str]:
-    registry = _engine_registry(engine, telemetry)
-    if registry is None:
-        return []
-    rows: dict[str, dict[str, float]] = {}
-    for sample in registry.collect():
-        if sample.name not in (
-            "engine_spec_bindings_total",
-            "engine_spec_matches_total",
-            "engine_spec_evaluation_seconds_total",
-        ):
-            continue
-        labels = dict(sample.labels)
-        spec = labels.get("spec")
-        if spec is None:
-            continue
-        row = rows.setdefault(spec, {})
-        short = sample.name.removeprefix("engine_spec_").removesuffix("_total")
-        row[short] = row.get(short, 0) + sample.value
-    return [
-        f"{spec}: bindings={int(row.get('bindings', 0))} "
-        f"matches={int(row.get('matches', 0))} "
-        f"eval_s={row.get('evaluation_seconds', 0.0):.4f}"
-        for spec, row in sorted(rows.items())
-    ]
-
-
-def _engine_registry(engine, telemetry) -> MetricsRegistry | None:
-    merged = getattr(engine, "merged_telemetry", None)
-    if callable(merged):
-        registry = merged()
-        if registry is not None:
-            return registry
-    registry = getattr(engine, "telemetry_registry", None)
-    if isinstance(registry, MetricsRegistry):
-        return registry
-    return telemetry.registry if telemetry is not None else None

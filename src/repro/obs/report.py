@@ -3,10 +3,10 @@
 Builds a registered scenario, captures its busiest observer feed,
 replays it (optionally sharded) through a telemetry-enabled
 :class:`~repro.stream.runtime.StreamingDetectionRuntime`, and
-pretty-prints the resulting snapshot: stage residency percentiles,
-shed/late/recovery counts, per-spec bindings and cache hit rates, and
-the backpressure duty cycle.  ``--format prometheus`` / ``--format
-json`` dump the raw registry in the machine formats instead.
+pretty-prints what its parts hold: stage residency percentiles,
+shed/late/recovery counts, per-spec bindings and matches, and the
+backpressure duty cycle.  ``--format prometheus`` / ``--format json``
+dump every collected series in the machine formats instead.
 
 Examples::
 
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.core.errors import ReproError
 from repro.obs.export import render_report, to_json, to_prometheus
-from repro.obs.registry import MetricsRegistry
+from repro.obs.metrics import collect
 from repro.obs.tracing import Telemetry
 
 DEFAULT_LATENESS = 8
@@ -42,7 +42,7 @@ def traced_replay(
     """Replay one scenario's busiest tapped feed under full telemetry.
 
     Returns the finished :class:`~repro.stream.replay.ReplayObserver`
-    (``.runtime.telemetry`` holds the registry and tracer).
+    (``collect(replayer.runtime)`` reads its series).
     """
     from repro.shard import EngineConfig
     from repro.stream import JitteredSource, ReplayObserver, profile_of
@@ -126,36 +126,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as error:
         parser.error(str(error))
     runtime = replayer.runtime
-    telemetry = runtime.telemetry
     if args.format == "text":
         print(render_report(runtime))
+    elif args.format == "prometheus":
+        print(to_prometheus(collect(runtime)), end="")
     else:
-        # The runtime auto-attached the engine to its own registry, so
-        # naive merging would double-count: a single engine writes into
-        # ``telemetry.registry`` directly, and a sharded engine's
-        # ``merged_telemetry()`` already folds that parent registry in
-        # with the per-shard children.  Pick whichever view is complete.
-        registry = telemetry.registry
-        merged = getattr(runtime.engine, "merged_telemetry", None)
-        if callable(merged):
-            merged_registry = merged()
-            if merged_registry is not None:
-                registry = merged_registry
-        else:
-            engine_registry = getattr(
-                runtime.engine, "telemetry_registry", None
-            )
-            if (
-                isinstance(engine_registry, MetricsRegistry)
-                and engine_registry is not telemetry.registry
-            ):
-                registry = MetricsRegistry.merged(
-                    [telemetry.registry, engine_registry]
-                )
-        if args.format == "prometheus":
-            print(to_prometheus(registry), end="")
-        else:
-            print(to_json(registry, indent=2))
+        print(to_json(collect(runtime), indent=2))
     return 0
 
 

@@ -32,31 +32,32 @@ obs-conformance suite and :func:`repro.obs.export.trace_rows_digest`).
 Cost discipline: traces are sampled by ``trace_every=k`` — every k-th
 observation admitted to the stream is traced (``k=1`` traces all,
 ``0``/default disables tracing).  When disabled,
-:meth:`PipelineTracer.admit` is a single integer truthiness check; when
+:meth:`Telemetry.admit` is a single integer truthiness check; when
 sampling, untraced observations additionally pay one counter increment
 and one modulo.  Completed traces land in a bounded ring buffer and
-feed per-stage residency histograms in the registry.
+feed the per-stage residency histograms the :class:`Telemetry` owns —
+the one piece of telemetry state no other part of the pipeline keeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ObserverError
-from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.stream.source import StreamItem
 
 __all__ = [
+    "DEFAULT_TICK_BUCKETS",
     "DEFAULT_TRACE_RING",
+    "Histogram",
     "Stage",
     "StageTrace",
-    "PipelineTracer",
-    "TracerSnapshot",
     "Telemetry",
     "TelemetrySnapshot",
 ]
@@ -64,6 +65,67 @@ __all__ = [
 DEFAULT_TRACE_RING = 256
 """Completed-trace ring capacity: old traces fall off, memory stays
 bounded no matter how long the stream runs."""
+
+DEFAULT_TICK_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
+"""Residency-histogram upper bounds, in ticks (a final +Inf bucket is
+implicit).  Fixed at creation: histograms never resize, so a
+checkpoint's bucket counts always fit the histogram they restore into."""
+
+
+class Histogram:
+    """Fixed-bucket histogram with cumulative-``le`` export semantics.
+
+    ``bounds`` are inclusive upper edges; one overflow (+Inf) bucket is
+    appended.  ``counts`` are per-bucket (not cumulative); exporters
+    cumulate on the way out.
+    """
+
+    __slots__ = ("bounds", "counts", "total", "count")
+
+    def __init__(self, bounds: tuple[float, ...] = DEFAULT_TICK_BUCKETS):
+        ordered = tuple(bounds)
+        if not ordered or list(ordered) != sorted(set(ordered)):
+            raise ObserverError(
+                f"histogram bounds must be non-empty and strictly "
+                f"increasing: {bounds}"
+            )
+        self.bounds = ordered
+        self.counts = [0] * (len(ordered) + 1)
+        self.total: int | float = 0
+        self.count = 0
+
+    def observe(self, value: int | float) -> None:
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.total += value
+        self.count += 1
+
+    def cumulative(self) -> tuple[int, ...]:
+        """Cumulative counts per bound, +Inf last (Prometheus ``le``)."""
+        running = 0
+        out = []
+        for bucket in self.counts:
+            running += bucket
+            out.append(running)
+        return tuple(out)
+
+    def quantile(self, q: float) -> float:
+        """Upper bound of the bucket holding the ``q``-quantile.
+
+        A bucketed estimate (exact only up to bucket resolution), which
+        is what the report CLI prints as p50/p95/p99.  Empty histogram
+        reports ``0.0``.
+        """
+        if not 0 <= q <= 1:
+            raise ObserverError(f"quantile must be in [0, 1]: {q}")
+        if not self.count:
+            return 0.0
+        rank = q * self.count
+        running = 0
+        for bound, bucket in zip(self.bounds, self.counts):
+            running += bucket
+            if running >= rank:
+                return float(bound)
+        return float("inf")
 
 
 class Stage(Enum):
@@ -171,61 +233,84 @@ class StageTrace:
 
 
 @dataclass(frozen=True)
-class TracerSnapshot:
-    """Exact tracer state: sampling cursor, in-flight and completed traces."""
+class TelemetrySnapshot:
+    """Exact telemetry state: sampling cursor, in-flight and completed
+    traces, the residency histograms and trace tallies, and the clock."""
 
     trace_every: int
     ring: int
     offered: int
     active: tuple[TraceRow, ...]
     completed: tuple[TraceRow, ...]
+    residency: tuple[tuple[tuple[int, ...], int | float, int], ...]
+    """Per stage, in :data:`STAGES` order: ``(counts, total, count)``."""
+    sampled: int
+    finished: int
+    discarded: tuple[tuple[str, int], ...]
+    now: int | None
 
 
-class PipelineTracer:
-    """Sampling stage tracer feeding residency histograms in a registry.
+class Telemetry:
+    """Sampled stage tracing plus a monotone step clock for one pipeline.
+
+    Handed to :class:`~repro.stream.runtime.StreamingDetectionRuntime`
+    as a single optional object, so the disabled configuration is
+    literally ``None`` and costs one identity check per instrumentation
+    point.  It keeps only what nothing else in the pipeline owns: the
+    traces, their per-stage residency histograms and the trace tallies
+    (:attr:`sampled`, :attr:`finished`, :attr:`discarded` by reason).
+    Every other exported series is read from its owner when asked
+    (:func:`repro.obs.metrics.collect`).
 
     Args:
-        registry: Destination for the per-stage residency histograms and
-            trace bookkeeping counters.
         trace_every: Sample every k-th admitted observation (``1`` =
             all, ``0`` = disabled — the default, costing one integer
             check per observation).
         ring: Completed-trace ring-buffer capacity.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        *,
-        trace_every: int = 0,
-        ring: int = DEFAULT_TRACE_RING,
-    ):
+    __slots__ = (
+        "trace_every",
+        "ring",
+        "now",
+        "residency",
+        "sampled",
+        "finished",
+        "discarded",
+        "_offered",
+        "_active",
+        "_completed",
+    )
+
+    def __init__(self, *, trace_every: int = 0, ring: int = DEFAULT_TRACE_RING):
         if trace_every < 0:
             raise ObserverError(
                 f"trace_every cannot be negative: {trace_every}"
             )
         if ring < 1:
             raise ObserverError(f"trace ring must hold at least 1: {ring}")
-        self.registry = registry
         self.trace_every = trace_every
         self.ring = ring
+        self.now: int | None = None
+        self.residency = tuple(Histogram() for _ in STAGES)
+        """One residency histogram per stage, in :data:`STAGES` order."""
+        self.sampled = 0
+        """Observations picked for tracing."""
+        self.finished = 0
+        """Traces that reached EMIT."""
+        self.discarded: dict[str, int] = {}
+        """Sampled observations that left the pipeline before EMIT, by
+        reason (shed, evicted, late)."""
         self._offered = 0
         self._active: dict[tuple[str, int], StageTrace] = {}
         self._completed: deque[StageTrace] = deque(maxlen=ring)
-        self._residency = tuple(
-            registry.histogram(
-                "obs_stage_residency_ticks",
-                "Tick-domain residency per pipeline stage",
-                stage=stage.value,
-            )
-            for stage in STAGES
-        )
-        self._sampled = registry.counter(
-            "obs_traces_sampled_total", "Observations picked for tracing"
-        )
-        self._finished = registry.counter(
-            "obs_traces_completed_total", "Traces that reached EMIT"
-        )
+
+    @classmethod
+    def create(
+        cls, *, trace_every: int = 0, ring: int = DEFAULT_TRACE_RING
+    ) -> "Telemetry":
+        """The constructor under the name existing callers use."""
+        return cls(trace_every=trace_every, ring=ring)
 
     @property
     def enabled(self) -> bool:
@@ -244,14 +329,19 @@ class PipelineTracer:
         """
         return tuple(trace.as_row() for trace in self._completed)
 
+    def observe_step(self, tick: int) -> None:
+        """Advance the monotone step clock (stage stamps read it)."""
+        if self.now is None or tick > self.now:
+            self.now = tick
+
     # -- the sampling hot path -----------------------------------------
 
     def admit(self, item: "StreamItem") -> StageTrace | None:
         """Sampling decision for one admitted observation.
 
-        Disabled tracers return after a single integer check; sampling
-        tracers count every observation (the deterministic cursor) and
-        open a :class:`StageTrace` for each k-th one.
+        Disabled telemetry returns after a single integer check;
+        sampling telemetry counts every observation (the deterministic
+        cursor) and opens a :class:`StageTrace` for each k-th one.
         """
         every = self.trace_every
         if not every:
@@ -262,7 +352,7 @@ class PipelineTracer:
             return None
         trace = StageTrace(item.source, item.seq)
         self._active[trace.key] = trace
-        self._sampled.inc()
+        self.sampled += 1
         return trace
 
     def lookup(self, source: str, seq: int) -> StageTrace | None:
@@ -273,28 +363,24 @@ class PipelineTracer:
         """Drop an in-flight trace whose observation left the pipeline
         (shed, evicted, late) — counted per reason, never silently."""
         self._active.pop(trace.key, None)
-        self.registry.counter(
-            "obs_traces_discarded_total",
-            "Sampled observations that left the pipeline before EMIT",
-            reason=reason,
-        ).inc()
+        self.discarded[reason] = self.discarded.get(reason, 0) + 1
 
     def complete(self, trace: StageTrace) -> None:
         """Retire a trace at EMIT: feed histograms, append to the ring."""
         self._active.pop((trace.source, trace.seq), None)
         stamps = trace._stamps
-        for index, histogram in enumerate(self._residency):
+        for index, histogram in enumerate(self.residency):
             enter = stamps[2 * index]
             exit_ = stamps[2 * index + 1]
             if enter is not None and exit_ is not None:
                 histogram.observe(exit_ - enter)
         self._completed.append(trace)
-        self._finished.inc()
+        self.finished += 1
 
     # -- checkpoint / restore ------------------------------------------
 
-    def snapshot(self) -> TracerSnapshot:
-        return TracerSnapshot(
+    def snapshot(self) -> TelemetrySnapshot:
+        return TelemetrySnapshot(
             trace_every=self.trace_every,
             ring=self.ring,
             offered=self._offered,
@@ -302,15 +388,23 @@ class PipelineTracer:
                 trace.as_row() for trace in self._active.values()
             ),
             completed=self.completed_rows(),
+            residency=tuple(
+                (tuple(h.counts), h.total, h.count) for h in self.residency
+            ),
+            sampled=self.sampled,
+            finished=self.finished,
+            discarded=tuple(self.discarded.items()),
+            now=self.now,
         )
 
-    def restore(self, snapshot: TracerSnapshot) -> None:
-        """Reinstall the exact trace state.
+    def restore(self, snapshot: TelemetrySnapshot) -> None:
+        """Reinstall the exact telemetry state.
 
         The sampling configuration must match — restoring a
         ``trace_every=4`` checkpoint into a ``trace_every=1`` tracer
         would silently change which observations get sampled mid-stream,
-        the same class of bug the runtime's lateness check rejects.
+        the same class of bug the watermark's lateness check rejects.
+        A refused snapshot changes nothing.
         """
         if snapshot.trace_every != self.trace_every:
             raise ObserverError(
@@ -333,59 +427,13 @@ class PipelineTracer:
             (StageTrace.from_row(row) for row in snapshot.completed),
             maxlen=self.ring,
         )
-
-
-@dataclass(frozen=True)
-class TelemetrySnapshot:
-    """Registry + tracer + clock state, carried by stream checkpoints."""
-
-    registry: RegistrySnapshot
-    tracer: TracerSnapshot
-    now: int | None
-
-
-class Telemetry:
-    """The telemetry bundle one pipeline (runtime + engine) shares.
-
-    One registry, one tracer, one monotone step clock.  Handed to
-    :class:`~repro.stream.runtime.StreamingDetectionRuntime` (and via
-    ``attach_telemetry`` to engines) as a single optional object, so
-    the disabled configuration is literally ``None`` and costs one
-    identity check per instrumentation point.
-    """
-
-    __slots__ = ("registry", "tracer", "now")
-
-    def __init__(self, registry: MetricsRegistry, tracer: PipelineTracer):
-        self.registry = registry
-        self.tracer = tracer
-        self.now: int | None = None
-
-    @classmethod
-    def create(
-        cls, *, trace_every: int = 0, ring: int = DEFAULT_TRACE_RING
-    ) -> "Telemetry":
-        """A fresh registry with a tracer wired into it."""
-        registry = MetricsRegistry()
-        return cls(registry, PipelineTracer(
-            registry, trace_every=trace_every, ring=ring
-        ))
-
-    def observe_step(self, tick: int) -> None:
-        """Advance the monotone step clock (stage stamps read it)."""
-        if self.now is None or tick > self.now:
-            self.now = tick
-
-    def snapshot(self) -> TelemetrySnapshot:
-        return TelemetrySnapshot(
-            registry=self.registry.snapshot(),
-            tracer=self.tracer.snapshot(),
-            now=self.now,
-        )
-
-    def restore(self, snapshot: TelemetrySnapshot) -> None:
-        # The tracer goes first: it is the part that refuses a snapshot
-        # (stride or ring mismatch), and it does so before it mutates.
-        self.tracer.restore(snapshot.tracer)
-        self.registry.restore(snapshot.registry)
+        for histogram, (counts, total, count) in zip(
+            self.residency, snapshot.residency
+        ):
+            histogram.counts = list(counts)
+            histogram.total = total
+            histogram.count = count
+        self.sampled = snapshot.sampled
+        self.finished = snapshot.finished
+        self.discarded = dict(snapshot.discarded)
         self.now = snapshot.now

@@ -49,7 +49,6 @@ from repro.detect.engine import (
     Match,
     drop_expired_prefix,
 )
-from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 from repro.shard.merger import MatchMerger
 from repro.shard.partitioner import PARTITION_STRATEGIES, WorldPartitioner
 from repro.shard.router import ObservationRouter
@@ -63,8 +62,8 @@ class ShardedEngineSnapshot:
 
     Per-shard :class:`~repro.detect.engine.EngineSnapshot` plus the
     sharded level's own state: the merger's authoritative cooldown
-    clocks, the global arrival-sequence stamps and counter, and the
-    sharded-level stats.  The sequence stamps are keyed by entity
+    clocks and counts, the global arrival-sequence stamps and counter,
+    and the sharded-level stats.  The sequence stamps are keyed by entity
     identity (``id``), so a snapshot is restorable **within the process
     that took it** while the stamped entities are alive — which window
     snapshots guarantee for every entity that still matters.  That is
@@ -79,11 +78,8 @@ class ShardedEngineSnapshot:
     seq_map: tuple[tuple[int, tuple[int, int]], ...]
     next_seq: int
     own_stats: EngineStats
-    telemetry: tuple[RegistrySnapshot, ...] | None = None
-    """Per-shard child-registry states, in shard-id order (the sharded
-    level's own counters live in the *attached* parent registry, which
-    the owning runtime's checkpoint captures); ``None`` when no
-    telemetry is attached."""
+    merger_counts: tuple[int, int, int, int]
+    """The merger's candidates, deduped, suppressed and emitted counts."""
 
 
 class ShardedDetectionEngine:
@@ -117,47 +113,15 @@ class ShardedDetectionEngine:
             DetectionEngine(use_planner=use_planner)
             for _ in range(self.partitioner.shard_count)
         )
-        self._merger = MatchMerger()
+        self.merger = MatchMerger()
         self._originals: dict[str, EventSpecification] = {}
         self._spec_index: dict[str, int] = {}
         self._seq_map: dict[int, tuple[int, int]] = {}  # id(entity) -> (seq, tick)
         self._next_seq = 0
         self._max_window = 0
         self._own = EngineStats()
-        self.telemetry_registry: MetricsRegistry | None = None
-        self._shard_registries: tuple[MetricsRegistry, ...] | None = None
         for spec in specs:
             self.add_spec(spec)
-
-    def attach_telemetry(self, registry: MetricsRegistry) -> None:
-        """Wire per-shard metrics: one child registry per shard engine.
-
-        Each shard engine records its per-spec counters into its own
-        child registry (labeled ``shard=<i>``), the merger's
-        dedup/suppression counters land in the attached parent
-        ``registry``, and :meth:`merged_telemetry` rolls everything up
-        through :meth:`~repro.obs.registry.MetricsRegistry.merge` — the
-        same per-shard roll-up discipline as
-        :meth:`~repro.detect.engine.EngineStats.merge`.
-        """
-        self.telemetry_registry = registry
-        self._shard_registries = tuple(
-            MetricsRegistry() for _ in self._engines
-        )
-        for shard, (engine, child) in enumerate(
-            zip(self._engines, self._shard_registries)
-        ):
-            engine.attach_telemetry(child, shard=shard)
-        self._merger.attach_telemetry(registry)
-
-    def merged_telemetry(self) -> MetricsRegistry | None:
-        """Parent + per-shard registries rolled into one fresh registry
-        (``None`` until telemetry is attached)."""
-        if self._shard_registries is None:
-            return None
-        return MetricsRegistry.merged(
-            (self.telemetry_registry, *self._shard_registries)
-        )
 
     # -- specification management --------------------------------------
 
@@ -278,12 +242,12 @@ class ShardedDetectionEngine:
             # is already deduplicated, canonically ordered and
             # cooldown-filtered — it IS the exact merged stream.
             merged = candidates
-            last = self._merger.last_match
+            last = self.merger.last_match
             for match in merged:
                 last[match.spec.event_id] = now
             self._sync_cooldowns(candidates)
         else:
-            merged = self._merger.merge(
+            merged = self.merger.merge(
                 candidates, now, self._spec_index, self._seq_of
             )
             self._sync_cooldowns(candidates)
@@ -297,7 +261,7 @@ class ShardedDetectionEngine:
         drifted (a losing shard stamped its own local match); everything
         else is already in sync.
         """
-        last = self._merger.last_match
+        last = self.merger.last_match
         for event_id in {match.spec.event_id for match in candidates}:
             authoritative = last.get(event_id)
             for engine in self._engines:
@@ -346,18 +310,18 @@ class ShardedDetectionEngine:
     def snapshot(self) -> ShardedEngineSnapshot:
         """Capture the sharded backend's mutable state (see
         :class:`ShardedEngineSnapshot` for the in-process scope)."""
+        merger = self.merger
         return ShardedEngineSnapshot(
             shards=tuple(engine.snapshot() for engine in self._engines),
             partition=self.partitioner.strategy,
             bounds=self.partitioner.bounds,
-            merger_last_match=dict(self._merger.last_match),
+            merger_last_match=dict(merger.last_match),
             seq_map=tuple(self._seq_map.items()),
             next_seq=self._next_seq,
             own_stats=replace(self._own),
-            telemetry=(
-                tuple(child.snapshot() for child in self._shard_registries)
-                if self._shard_registries is not None
-                else None
+            merger_counts=(
+                merger.candidates, merger.deduped, merger.suppressed,
+                merger.emitted,
             ),
         )
 
@@ -381,23 +345,18 @@ class ShardedDetectionEngine:
                 f"{(snapshot.partition, snapshot.bounds)}, this engine "
                 f"tiles {layout}"
             )
-        if (snapshot.telemetry is None) != (self._shard_registries is None):
-            raise ObserverError(
-                "checkpoint and sharded engine disagree about having "
-                "telemetry attached"
-            )
         shards = tuple(zip(self._engines, snapshot.shards))
         for engine, shard_snapshot in shards:
             engine.ensure_restorable(shard_snapshot)
         for engine, shard_snapshot in shards:
             engine.restore(shard_snapshot)
-        if self._shard_registries is not None:
-            for child, registry_snapshot in zip(
-                self._shard_registries, snapshot.telemetry
-            ):
-                child.restore(registry_snapshot)
-        self._merger.last_match.clear()
-        self._merger.last_match.update(snapshot.merger_last_match)
+        merger = self.merger
+        merger.last_match.clear()
+        merger.last_match.update(snapshot.merger_last_match)
+        (
+            merger.candidates, merger.deduped, merger.suppressed,
+            merger.emitted,
+        ) = snapshot.merger_counts
         self._seq_map = dict(snapshot.seq_map)
         self._next_seq = snapshot.next_seq
         self._own = replace(snapshot.own_stats)
@@ -426,7 +385,7 @@ class ShardedDetectionEngine:
         """Drop all windows, stamps and merge state (specs stay)."""
         for engine in self._engines:
             engine.clear()
-        self._merger.clear()
+        self.merger.clear()
         self._seq_map.clear()
 
 

@@ -54,30 +54,16 @@ class MatchMerger:
 
     def __init__(self):
         self.last_match: dict[str, int] = {}
-        self._obs: tuple | None = None
-
-    def attach_telemetry(self, registry) -> None:
-        """Count merge outcomes in a metrics registry: candidates in,
-        halo duplicates collapsed, cooldown-suppressed, emitted.
-        Counters only — attaching cannot change the merged stream."""
-        self._obs = (
-            registry.counter(
-                "shard_merge_candidates_total",
-                "Per-shard candidate matches entering the merger",
-            ),
-            registry.counter(
-                "shard_merge_deduped_total",
-                "Halo-duplicate candidates collapsed by the canonical key",
-            ),
-            registry.counter(
-                "shard_merge_suppressed_total",
-                "Candidates suppressed by cooldown arbitration",
-            ),
-            registry.counter(
-                "shard_merge_emitted_total",
-                "Matches emitted in canonical single-engine order",
-            ),
-        )
+        # What merge() saw, which a batch with one contributing shard
+        # skips; clear() keeps these, as it keeps an engine's stats.
+        self.candidates = 0
+        """Per-shard candidate matches entering the merger."""
+        self.deduped = 0
+        """Halo-duplicate candidates collapsed by the canonical key."""
+        self.suppressed = 0
+        """Candidates suppressed by cooldown arbitration."""
+        self.emitted = 0
+        """Matches emitted in canonical single-engine order."""
 
     def clear(self) -> None:
         """Forget cooldown state (windows cleared)."""
@@ -121,12 +107,10 @@ class MatchMerger:
                     continue
             last[match.spec.event_id] = now
             merged.append(match)
-        if self._obs is not None:
-            candidates_in, deduped, suppressed, emitted = self._obs
-            candidates_in.inc(offered)
-            deduped.inc(offered - len(chosen))
-            suppressed.inc(len(chosen) - len(merged))
-            emitted.inc(len(merged))
+        self.candidates += offered
+        self.deduped += offered - len(chosen)
+        self.suppressed += len(chosen) - len(merged)
+        self.emitted += len(merged)
         return merged
 
     @staticmethod

@@ -171,10 +171,7 @@ class ReorderBuffer:
     def metrics_view(self) -> dict[str, int | None]:
         """The buffer's state as a flat metric mapping (read-only).
 
-        The observability layer's sampling surface: the streaming
-        runtime publishes these into its metrics registry and the
-        ``repro.obs.report`` CLI prints them — reading never touches
-        the heap or the counters.
+        Reading never touches the heap or the counters.
         """
         return {
             "occupancy": self.occupancy,

@@ -130,8 +130,8 @@ class ReplayObserver:
             handed to the runtime — at-least-once redelivery (the
             supervised-recovery transport) replays exactly-once.
         telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
-            bundle handed to the runtime — metrics and sampled stage
-            traces for the replay, with the zero-perturbation guarantee
+            bundle handed to the runtime — sampled stage traces for the
+            replay, with the zero-perturbation guarantee
             (the obs-conformance suite replays every golden under full
             tracing).
     """

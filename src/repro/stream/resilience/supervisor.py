@@ -179,7 +179,8 @@ class SupervisedRuntime:
 
     After :meth:`run`, :attr:`recoveries`, :attr:`checkpoints_taken`
     and :attr:`backoff_delays` record the supervision history;
-    ``runtime.stats.recoveries`` reads the recovery count from here.
+    ``runtime.stats.recoveries`` and :func:`repro.obs.metrics.collect`
+    read it from here.
     """
 
     def __init__(
@@ -268,29 +269,7 @@ class SupervisedRuntime:
             state=self.host.snapshot(),
         )
         self.checkpoints_taken += 1
-        self._publish()
         return checkpoint
-
-    def _publish(self) -> None:
-        """Set the supervision gauges from the supervisor's own tallies.
-
-        Runs after every checkpoint and after every rollback: the host's
-        checkpoint captures the registry *before* the checkpoint is
-        counted, and a rollback reinstalls those captured values, so the
-        gauges are re-set from the authoritative attributes each time
-        instead of incremented.
-        """
-        telemetry = getattr(self.runtime, "telemetry", None)
-        if telemetry is None:
-            return
-        for name, value in (
-            ("resilience_checkpoints_total", self.checkpoints_taken),
-            ("resilience_recoveries_total", self.recoveries),
-            ("resilience_backoff_ticks_total", sum(self.backoff_delays)),
-        ):
-            telemetry.registry.gauge(
-                name, "Supervision history (crash recovery)", mode="max"
-            ).set(value)
 
     def _ack(self, source, step: int) -> None:
         ack = getattr(source, "ack", None)
@@ -304,4 +283,3 @@ class SupervisedRuntime:
         else:
             self.host.restore(checkpoint.state)
         del self._outputs[checkpoint.outputs :]
-        self._publish()

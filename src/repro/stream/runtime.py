@@ -40,7 +40,7 @@ the bounded runtime is behavior-identical to the unbounded one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ObserverError
@@ -90,7 +90,8 @@ def arrival_groups(
 
 
 def _exported(series: str, help_text: str, kind: str = "counter"):
-    """A :class:`StreamStats` field the runtime publishes as ``series``."""
+    """A :class:`StreamStats` field exported as ``series`` (see
+    :func:`repro.obs.metrics.collect`)."""
     return field(
         default=0, metadata={"series": series, "help": help_text, "kind": kind}
     )
@@ -221,15 +222,14 @@ class StreamingDetectionRuntime:
             the dedup record, or it would shadow the intact
             retransmission right behind it.
         telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
-            bundle (metrics registry + stage tracer).  The runtime
-            sets the registry's stream series from its counters at every
-            step boundary, stamps sampled
+            (stage tracer + step clock).  The runtime stamps sampled
             :class:`~repro.obs.tracing.StageTrace` spans in the tick
-            domain, and attaches the registry to the engine (via
-            ``attach_telemetry``, unless one is already attached).
-            Telemetry only *reads* the pipeline — no randomness, no
-            ordering effects — so every golden digest is reproduced
-            byte-for-byte with it enabled; checkpoints carry its state.
+            domain.  Telemetry only *reads* the pipeline — no
+            randomness, no ordering effects — so every golden digest is
+            reproduced byte-for-byte with it enabled; checkpoints carry
+            its state.  Exporting needs none:
+            :func:`repro.obs.metrics.collect` reads every series from
+            the parts that own it.
     """
 
     def __init__(
@@ -290,27 +290,6 @@ class StreamingDetectionRuntime:
         driving this runtime, if any (it announces itself)."""
         self._counts = StreamStats()
         self.last_backpressure: Backpressure | None = None
-        self._series: tuple = ()
-        if telemetry is not None:
-            # Series handles are looked up once; registry restore mutates
-            # instruments in place, so these stay live across restores.
-            registry = telemetry.registry
-            self._series = tuple(
-                (
-                    spec.name,
-                    getattr(registry, spec.metadata["kind"])(
-                        spec.metadata["series"], spec.metadata["help"]
-                    ),
-                )
-                for spec in fields(StreamStats)
-                if spec.metadata
-            )
-            attach = getattr(engine, "attach_telemetry", None)
-            if (
-                callable(attach)
-                and getattr(engine, "telemetry_registry", None) is None
-            ):
-                attach(registry)
 
     # -- counters ------------------------------------------------------
 
@@ -336,14 +315,14 @@ class StreamingDetectionRuntime:
         return self._counts.released_items
 
     def _end_step(self, watermark: int | None, *, delivery: bool = False) -> None:
-        """Refresh what a step boundary leaves behind.
+        """Refresh the backpressure signal a step boundary leaves behind.
 
         ``ingest``, ``close_source``, ``finish`` and ``restore`` all end
-        here, so the backpressure signal and the exported series always
-        describe the buffer as it is now: a drained stream reads empty
-        and released, not as its last delivery step left it.  Only a
-        delivery step counts towards ``backpressure_events`` — the duty
-        cycle is a fraction of delivery steps.
+        here, so the signal always describes the buffer as it is now: a
+        drained stream is under no pressure, whatever its last delivery
+        step left.  Only a delivery step counts towards
+        ``backpressure_events`` — the duty cycle is a fraction of
+        delivery steps.
         """
         if self.admission is not None:
             signal = self.admission.backpressure(
@@ -352,22 +331,6 @@ class StreamingDetectionRuntime:
             self.last_backpressure = signal
             if delivery and signal.engaged:
                 self._counts.backpressure_events += 1
-        if self.telemetry is not None:
-            stats = self.stats
-            for name, instrument in self._series:
-                instrument.value = getattr(stats, name)
-            registry = self.telemetry.registry
-            registry.gauge(
-                "stream_reorder_occupancy",
-                "Reorder-buffer occupancy after the last step",
-                mode="last",
-            ).set(self.buffer.occupancy)
-            if watermark is not None:
-                registry.gauge(
-                    "stream_watermark",
-                    "Merged event-time watermark after the last step",
-                    mode="last",
-                ).set(watermark)
 
     # -- ingestion -----------------------------------------------------
 
@@ -460,7 +423,7 @@ class StreamingDetectionRuntime:
         telemetry = self.telemetry
         trace = None
         if telemetry is not None:
-            trace = telemetry.tracer.admit(item)
+            trace = telemetry.admit(item)
             if trace is not None:
                 # A deferred item cleared admission in a later step than
                 # it arrived: the span between the two IS the measured
@@ -484,18 +447,16 @@ class StreamingDetectionRuntime:
                 victim = self.admission.make_room(item, self.buffer)
                 if victim is None:
                     if trace is not None:
-                        telemetry.tracer.discard(trace, "shed")
+                        telemetry.discard(trace, "shed")
                     return
                 if telemetry is not None:
-                    victim_trace = telemetry.tracer.lookup(
-                        victim.source, victim.seq
-                    )
+                    victim_trace = telemetry.lookup(victim.source, victim.seq)
                     if victim_trace is not None:
-                        telemetry.tracer.discard(victim_trace, "evicted")
+                        telemetry.discard(victim_trace, "evicted")
         if self.buffer.offer(item):
             self._counts.entities_submitted += 1
         elif trace is not None:
-            telemetry.tracer.discard(trace, "late")
+            telemetry.discard(trace, "late")
 
     def run(self, source: ObservationSource | Iterable[StreamItem]) -> list[Match]:
         """Drain one source completely (arrival order), then flush.
@@ -557,7 +518,7 @@ class StreamingDetectionRuntime:
     def _flush(self, released: Sequence[StreamItem]) -> list[Match]:
         """Submit released items to the engine, one batch per event tick."""
         telemetry = self.telemetry
-        tracing = telemetry is not None and telemetry.tracer.enabled
+        tracing = telemetry is not None and telemetry.enabled
         counts = self._counts
         matches: list[Match] = []
         start = 0
@@ -597,9 +558,8 @@ class StreamingDetectionRuntime:
         in the tick domain (evaluation, merge arbitration and emission
         all happen within the releasing step).
         """
-        tracer = telemetry.tracer
-        lookup = tracer.lookup
-        complete = tracer.complete
+        lookup = telemetry.lookup
+        complete = telemetry.complete
         step_now = telemetry.now
         for item in group:
             trace = lookup(item.source, item.seq)

@@ -3,20 +3,22 @@
 The contract of the :mod:`repro.obs` layer, pinned for *every*
 registered scenario (small preset, registered seed):
 
-* **zero perturbation** — a jittered replay with full telemetry
-  (metrics registry attached, ``trace_every=1`` stage tracing) emits
-  byte-for-byte the checked-in golden digest, at shards 1 **and** 4.
-  Telemetry draws no randomness and installs no ordering effects, so
-  turning it on cannot move a single emitted row;
-* **accounting exactness** — the registry's stream counters equal the
-  runtime's own stats, and completed stage traces cover exactly the
-  sampled observations (offered = completed + discarded + in-flight);
-* **checkpoint exactness** — a mid-stream
-  :class:`~repro.stream.runtime.RuntimeCheckpoint` carries the
-  registry and trace state: the restored runtime's telemetry digest
-  and completed-trace ring match the original's at the checkpoint, and
-  after draining the identical tail both runtimes' deterministic
-  registry digests and trace rows are identical.
+* **zero perturbation** — a jittered replay with ``trace_every=1``
+  stage tracing emits byte-for-byte the checked-in golden digest, at
+  shards 1 **and** 4.  Telemetry draws no randomness and installs no
+  ordering effects, so turning it on cannot move a single emitted row;
+* **the export is a view of the parts** — every series
+  :func:`~repro.obs.metrics.collect` returns is read from its owner:
+  the ``stream_*`` series equal ``runtime.stats``, the per-spec engine
+  tallies sum to the engine's stats, completed stage traces cover
+  exactly the sampled observations (sampled = completed + discarded +
+  in-flight), and a telemetry-off replay exports every non-``obs_*``
+  series a telemetry-on one does;
+* **checkpoint exactness** — a runtime restored from a mid-stream
+  :class:`~repro.stream.runtime.RuntimeCheckpoint` exports the
+  original's canonical JSON byte for byte, with telemetry and without,
+  and after draining the identical tail both runtimes' exports and
+  trace rings are identical again.
 
 (That a telemetry-bearing checkpoint refuses to restore into a bare
 runtime, and vice versa, is one row of the stage-mismatch table in
@@ -25,10 +27,11 @@ runtime, and vice versa, is one row of the stage-mismatch table in
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.obs.export import registry_digest, trace_rows_digest
-from repro.obs.tracing import Telemetry
+from repro.obs import Telemetry, collect, to_json, trace_rows_digest
 from repro.stream import JitteredSource, ReplayObserver, profile_of
 from repro.stream.runtime import arrival_groups
 from repro.workloads import scenario_names
@@ -43,7 +46,7 @@ from tests.integration.test_stream_conformance import (
 )
 
 
-def _traced_replay_all(scenario, taps, shards: int = 1):
+def _replay_all(scenario, taps, shards: int = 1, telemetry: bool = True):
     bounds = scenario.system.detection_bounds() if shards > 1 else None
     replays: dict[str, ReplayObserver] = {}
     for name, tap in taps.items():
@@ -53,11 +56,18 @@ def _traced_replay_all(scenario, taps, shards: int = 1):
             lateness=LATENESS,
             shards=shards,
             bounds=bounds,
-            telemetry=Telemetry.create(trace_every=1),
+            telemetry=Telemetry.create(trace_every=1) if telemetry else None,
         )
         replayer.replay(source)
         replays[name] = replayer
     return replays
+
+
+def _values(runtime) -> dict:
+    return {
+        (sample.name, sample.labels): sample.value
+        for sample in collect(runtime)
+    }
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -65,46 +75,60 @@ def _traced_replay_all(scenario, taps, shards: int = 1):
 class TestTelemetryZeroPerturbation:
     def test_fully_traced_replay_matches_golden(self, name, shards):
         scenario, taps = _run(name)
-        replays = _traced_replay_all(scenario, taps, shards=shards)
+        replays = _replay_all(scenario, taps, shards=shards)
         assert _spliced_digest(scenario, replays) == _golden_digest(name)
 
-    def test_registry_counters_agree_with_runtime_stats(self, name, shards):
+    def test_export_is_a_view_of_the_parts(self, name, shards):
         scenario, taps = _run(name)
-        for replayer in _traced_replay_all(
-            scenario, taps, shards=shards
-        ).values():
-            runtime = replayer.runtime
-            registry = runtime.telemetry.registry
+        traced = _replay_all(scenario, taps, shards=shards)
+        bare = _replay_all(scenario, taps, shards=shards, telemetry=False)
+        for tap in taps:
+            runtime = traced[tap].runtime
+            values = _values(runtime)
             stats = runtime.stats
-            assert (
-                registry.counter("stream_observations_released_total").value
-                == runtime.released_items
-            )
-            offered = registry.counter(
-                "stream_observations_offered_total"
-            ).value
-            assert offered == runtime.released_items + runtime.buffer.occupancy
-
-            tracer = runtime.telemetry.tracer
-            sampled = registry.counter("obs_traces_sampled_total").value
-            completed = registry.counter("obs_traces_completed_total").value
-            discarded = sum(
-                sample.value
-                for sample in registry.collect()
-                if sample.name == "obs_traces_discarded_total"
-            )
-            assert sampled == completed + discarded + tracer.active_count
-            assert completed == len(tracer.completed_rows()) or (
-                completed > len(tracer.completed_rows())  # ring capped
-            )
+            for field in fields(stats):
+                if field.metadata:
+                    assert values[(field.metadata["series"], ())] == getattr(
+                        stats, field.name
+                    ), field.name
+            assert values[("stream_reorder_occupancy", ())] == 0
+            assert ("stream_watermark", ()) not in values  # finished
             assert stats.late_observations == 0
+
+            engine = runtime.engine
+            # Per shard, matches count before the merger's dedup.
+            raw = engine.shard_stats() if shards > 1 else [engine.stats]
+            for series, total in (
+                ("engine_spec_bindings_total", engine.stats.bindings_evaluated),
+                ("engine_spec_matches_total", sum(s.matches for s in raw)),
+            ):
+                assert total == sum(
+                    value for (key, _), value in values.items()
+                    if key == series
+                ), series
+
+            telemetry = runtime.telemetry
+            discarded = sum(
+                value for (key, _), value in values.items()
+                if key == "obs_traces_discarded_total"
+            )
+            completed = values[("obs_traces_completed_total", ())]
+            assert values[("obs_traces_sampled_total", ())] == (
+                completed + discarded + telemetry.active_count
+            )
+            assert completed >= len(telemetry.completed_rows())  # ring cap
+
+            assert _values(bare[tap].runtime) == {
+                key: value for key, value in values.items()
+                if not key[0].startswith("obs_")
+            }
 
 
 @pytest.mark.parametrize("name", scenario_names())
 class TestTelemetryRunStability:
-    def test_deterministic_digest_identical_across_two_runs(self, name):
+    def test_export_identical_across_two_runs(self, name):
         """Two identical traced replays export identical bytes — the
-        registry digest and the completed-trace ring both."""
+        canonical JSON and the completed-trace ring both."""
         scenario, taps = _run(name)
         tap = max(taps.values(), key=lambda t: t.observation_count)
 
@@ -117,20 +141,21 @@ class TestTelemetryRunStability:
             replayer.replay(
                 JitteredSource(tap, max_delay=LATENESS, seed=JITTER_SEED)
             )
-            telemetry = replayer.runtime.telemetry
+            runtime = replayer.runtime
             return (
-                registry_digest(telemetry.registry),
-                trace_rows_digest(telemetry.tracer.completed_rows()),
+                to_json(collect(runtime)),
+                trace_rows_digest(runtime.telemetry.completed_rows()),
             )
 
         assert run_once() == run_once()
 
 
+@pytest.mark.parametrize("telemetry", [True, False], ids=["traced", "bare"])
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("name", scenario_names())
 class TestTelemetryCheckpoint:
-    def test_mid_stream_checkpoint_restores_registry_and_traces(
-        self, name, shards
+    def test_restored_runtime_exports_identical_bytes(
+        self, name, shards, telemetry
     ):
         scenario, taps = _run(name)
         tap = max(taps.values(), key=lambda t: t.observation_count)
@@ -143,10 +168,17 @@ class TestTelemetryCheckpoint:
                 lateness=LATENESS,
                 shards=shards,
                 bounds=bounds,
-                telemetry=Telemetry.create(trace_every=1),
+                telemetry=(
+                    Telemetry.create(trace_every=1) if telemetry else None
+                ),
             )
             rep.runtime.register_source(tap.name)
             return rep
+
+        def exported(rep: ReplayObserver) -> tuple:
+            runtime = rep.runtime
+            rows = runtime.telemetry.completed_rows() if telemetry else ()
+            return to_json(collect(runtime)), rows
 
         groups = list(
             arrival_groups(
@@ -158,30 +190,21 @@ class TestTelemetryCheckpoint:
         for _, group in groups[:half]:
             first.ingest(group)
         checkpoint = first.snapshot()
-        assert "telemetry" in checkpoint.runtime.stages
-        mid_digest = registry_digest(first.runtime.telemetry.registry)
-        mid_rows = first.runtime.telemetry.tracer.completed_rows()
+        assert ("telemetry" in checkpoint.runtime.stages) == telemetry
+        at_checkpoint = exported(first)
 
         resumed = replayer()
         resumed.restore(checkpoint)
-        telemetry = resumed.runtime.telemetry
-        assert registry_digest(telemetry.registry) == mid_digest
-        assert telemetry.tracer.completed_rows() == mid_rows
+        assert exported(resumed) == at_checkpoint
 
-        # Both runtimes drain the identical tail: their deterministic
-        # registry exports and trace rings must stay byte-identical.
+        # Both runtimes drain the identical tail: their exports and
+        # trace rings must stay byte-identical.
         for _, group in groups[half:]:
             first.ingest(group)
             resumed.ingest(group)
         first.finish()
         resumed.finish()
-        assert registry_digest(
-            resumed.runtime.telemetry.registry
-        ) == registry_digest(first.runtime.telemetry.registry)
-        assert (
-            resumed.runtime.telemetry.tracer.completed_rows()
-            == first.runtime.telemetry.tracer.completed_rows()
-        )
+        assert exported(resumed) == exported(first)
         assert resumed.trace_rows == first.trace_rows[
             checkpoint.emitted_count:
         ]

@@ -1,10 +1,9 @@
 """Exporter tests: Prometheus round-trip, canonical JSON, digests.
 
-Satellite of the observability PR: the Prometheus text output must
-survive a round trip through the minimal line parser, and the JSON
-export must be canonical — sorted keys, stable label order, byte- and
-digest-stable across two identical runs regardless of metric creation
-order.
+The Prometheus text output must survive a round trip through the
+minimal line parser, the parser must refuse anything malformed with a
+typed error, and the JSON export must be canonical — sorted keys,
+stable label order, byte-stable whatever order the samples come in.
 """
 
 from __future__ import annotations
@@ -16,40 +15,41 @@ import pytest
 from repro.core.errors import ObserverError
 from repro.obs.export import (
     parse_prometheus,
-    registry_digest,
     to_json,
     to_prometheus,
     trace_rows_digest,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.metrics import MetricSample
+from repro.obs.tracing import Histogram
 
 
-def _populated(order_swapped: bool = False) -> MetricsRegistry:
-    """A registry with every instrument kind; creation order may vary."""
-    registry = MetricsRegistry()
-    creators = [
-        lambda: registry.counter(
-            "events_total", "Things that happened", source="s0"
-        ).inc(4),
-        lambda: registry.gauge("peak", "High-water mark", mode="max").set(9),
-    ]
-    if order_swapped:
-        creators.reverse()
-    for create in creators:
-        create()
-    registry.counter("events_total", source="s1").inc(2)
-    histogram = registry.histogram(
-        "lat_ticks", "Latency", buckets=(1, 2, 4)
+def _counter(name, value, help_text="", **labels) -> MetricSample:
+    return MetricSample(
+        name, "counter", help_text, tuple(sorted(labels.items())), value=value
     )
+
+
+def _samples(order_swapped: bool = False) -> list[MetricSample]:
+    """Samples of every kind, one family after another (or reversed)."""
+    histogram = Histogram(bounds=(1, 2, 4))
     for value in (0, 1, 3, 99):
         histogram.observe(value)
-    return registry
+    samples = [
+        _counter("events_total", 4, "Things that happened", source="s0"),
+        _counter("events_total", 2, "Things that happened", source="s1"),
+        MetricSample("peak", "gauge", "High-water mark", (), value=9),
+        MetricSample(
+            "lat_ticks", "histogram", "Latency", (),
+            bounds=histogram.bounds, counts=tuple(histogram.counts),
+            total=histogram.total, count=histogram.count,
+        ),
+    ]
+    return samples[::-1] if order_swapped else samples
 
 
 class TestPrometheusRoundTrip:
     def test_every_series_survives_the_parser(self):
-        registry = _populated()
-        parsed = parse_prometheus(to_prometheus(registry))
+        parsed = parse_prometheus(to_prometheus(_samples()))
         assert parsed[("events_total", (("source", "s0"),))] == 4
         assert parsed[("events_total", (("source", "s1"),))] == 2
         assert parsed[("peak", ())] == 9
@@ -62,66 +62,46 @@ class TestPrometheusRoundTrip:
         assert parsed[("lat_ticks_count", ())] == 4
 
     def test_headers_emitted_once_per_family(self):
-        text = to_prometheus(_populated())
+        text = to_prometheus(_samples())
         assert text.count("# TYPE events_total counter") == 1
         assert text.count("# HELP events_total Things that happened") == 1
         assert text.count("# TYPE lat_ticks histogram") == 1
 
     def test_label_escaping_round_trips(self):
-        registry = MetricsRegistry()
-        tricky = 'quote " slash \\ newline \n done'
-        registry.counter("weird_total", spec=tricky).inc()
-        parsed = parse_prometheus(to_prometheus(registry))
+        tricky = 'quote " slash \\ newline \n done } {'
+        text = to_prometheus([_counter("weird_total", 1, spec=tricky)])
+        parsed = parse_prometheus(text)
         assert parsed[("weird_total", (("spec", tricky),))] == 1
 
-    def test_parser_rejects_malformed_lines(self):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "metric_total not-a-number",
+            "metric_total{label=unquoted} 1",
+            'm{a="1" 3',  # label set never closed
+            "m{a} 3",  # label without a value
+            'm{a="x',  # value never closed
+            'm{="1"} 2',  # empty label name
+            'm{a="1"b="2"} 3',  # pairs without a comma
+            "m{} ",  # no value
+        ],
+    )
+    def test_parser_rejects_malformed_lines(self, line):
         with pytest.raises(ObserverError):
-            parse_prometheus("metric_total not-a-number")
-        with pytest.raises(ObserverError):
-            parse_prometheus("metric_total{label=unquoted} 1")
+            parse_prometheus(line)
 
 
 class TestCanonicalJson:
-    def test_creation_order_does_not_change_bytes(self):
-        assert to_json(_populated()) == to_json(_populated(order_swapped=True))
-
-    def test_digest_stable_across_identical_runs(self):
-        assert registry_digest(_populated()) == registry_digest(_populated())
+    def test_sample_order_does_not_change_bytes(self):
+        assert to_json(_samples()) == to_json(_samples(order_swapped=True))
 
     def test_keys_sorted_and_labels_ordered(self):
-        payload = json.loads(to_json(_populated()))
+        payload = json.loads(to_json(_samples()))
         names = [entry["name"] for entry in payload["metrics"]]
         assert names == sorted(names)
         for entry in payload["metrics"]:
             assert list(entry) == sorted(entry)
             assert entry["labels"] == sorted(entry["labels"])
-
-    def test_volatile_families_excluded_from_deterministic_export(self):
-        registry = _populated()
-        registry.counter(
-            "wallclock_seconds_total", volatile=True, spec="e"
-        ).inc(0.125)
-        full = json.loads(to_json(registry))
-        deterministic = json.loads(
-            to_json(registry, deterministic_only=True)
-        )
-        full_names = {entry["name"] for entry in full["metrics"]}
-        det_names = {entry["name"] for entry in deterministic["metrics"]}
-        assert "wallclock_seconds_total" in full_names
-        assert "wallclock_seconds_total" not in det_names
-
-    def test_digest_ignores_volatile_values(self):
-        a = _populated()
-        b = _populated()
-        a.counter("t_seconds_total", volatile=True).inc(0.001)
-        b.counter("t_seconds_total", volatile=True).inc(99.9)
-        assert registry_digest(a) == registry_digest(b)
-
-    def test_digest_sees_deterministic_changes(self):
-        a = _populated()
-        b = _populated()
-        b.counter("events_total", source="s0").inc()
-        assert registry_digest(a) != registry_digest(b)
 
 
 class TestTraceRowsDigest:

@@ -7,14 +7,7 @@ from collections import namedtuple
 import pytest
 
 from repro.core.errors import ObserverError
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import (
-    STAGES,
-    PipelineTracer,
-    Stage,
-    StageTrace,
-    Telemetry,
-)
+from repro.obs.tracing import STAGES, Stage, StageTrace, Telemetry
 
 Item = namedtuple("Item", ["source", "seq"])
 
@@ -47,28 +40,28 @@ class TestStageTrace:
 
 class TestSampling:
     def test_disabled_tracer_samples_nothing(self):
-        tracer = PipelineTracer(MetricsRegistry(), trace_every=0)
+        tracer = Telemetry.create(trace_every=0)
         assert not tracer.enabled
         for seq in range(10):
             assert tracer.admit(Item("s", seq)) is None
         assert tracer.active_count == 0
 
     def test_trace_every_k_is_deterministic(self):
-        tracer = PipelineTracer(MetricsRegistry(), trace_every=3)
+        tracer = Telemetry.create(trace_every=3)
         picks = [
             tracer.admit(Item("s", seq)) is not None for seq in range(9)
         ]
         assert picks == [True, False, False] * 3
 
     def test_trace_every_one_samples_everything(self):
-        tracer = PipelineTracer(MetricsRegistry(), trace_every=1)
+        tracer = Telemetry.create(trace_every=1)
         traces = [tracer.admit(Item("s", seq)) for seq in range(5)]
         assert all(trace is not None for trace in traces)
         assert tracer.active_count == 5
 
     def test_same_cursor_same_picks_across_runs(self):
         def picks():
-            tracer = PipelineTracer(MetricsRegistry(), trace_every=4)
+            tracer = Telemetry.create(trace_every=4)
             return [
                 tracer.admit(Item("s", seq)) is not None
                 for seq in range(17)
@@ -78,52 +71,35 @@ class TestSampling:
 
 
 class TestLifecycle:
-    def _tracer(self) -> tuple[MetricsRegistry, PipelineTracer]:
-        registry = MetricsRegistry()
-        return registry, PipelineTracer(registry, trace_every=1)
-
     def test_complete_feeds_residency_histograms_and_ring(self):
-        registry, tracer = self._tracer()
+        tracer = Telemetry.create(trace_every=1)
         trace = tracer.admit(Item("s", 0))
         trace.enter(Stage.REORDER, 0)
         trace.exit(Stage.REORDER, 5)
         tracer.complete(trace)
         assert tracer.active_count == 0
         assert len(tracer.completed_rows()) == 1
-        histogram = registry.histogram(
-            "obs_stage_residency_ticks", stage=Stage.REORDER.value
-        )
+        assert (tracer.sampled, tracer.finished) == (1, 1)
+        histogram = tracer.residency[STAGES.index(Stage.REORDER)]
         assert histogram.count == 1
         assert histogram.total == 5
 
     def test_lookup_finds_in_flight_traces(self):
-        _, tracer = self._tracer()
+        tracer = Telemetry.create(trace_every=1)
         trace = tracer.admit(Item("s", 7))
         assert tracer.lookup("s", 7) is trace
         assert tracer.lookup("s", 8) is None
 
     def test_discard_counts_per_reason(self):
-        registry, tracer = self._tracer()
+        tracer = Telemetry.create(trace_every=1)
         tracer.discard(tracer.admit(Item("s", 0)), "shed")
         tracer.discard(tracer.admit(Item("s", 1)), "late")
         tracer.discard(tracer.admit(Item("s", 2)), "shed")
         assert tracer.active_count == 0
-        assert (
-            registry.counter(
-                "obs_traces_discarded_total", reason="shed"
-            ).value
-            == 2
-        )
-        assert (
-            registry.counter(
-                "obs_traces_discarded_total", reason="late"
-            ).value
-            == 1
-        )
+        assert tracer.discarded == {"shed": 2, "late": 1}
 
     def test_ring_is_bounded(self):
-        registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, trace_every=1, ring=2)
+        tracer = Telemetry.create(trace_every=1, ring=2)
         for seq in range(5):
             tracer.complete(tracer.admit(Item("s", seq)))
         rows = tracer.completed_rows()
@@ -132,37 +108,46 @@ class TestLifecycle:
 
     def test_ring_must_hold_at_least_one(self):
         with pytest.raises(ObserverError):
-            PipelineTracer(MetricsRegistry(), trace_every=1, ring=0)
+            Telemetry.create(trace_every=1, ring=0)
 
 
 class TestSnapshotRestore:
-    def test_round_trip_restores_cursor_active_and_ring(self):
-        telemetry = Telemetry.create(trace_every=2)
-        tracer = telemetry.tracer
+    def test_round_trip_restores_cursor_active_ring_and_tallies(self):
+        tracer = Telemetry.create(trace_every=2)
         done = tracer.admit(Item("s", 0))  # 1st offer: sampled
+        done.stamp_released(0, 3)
         tracer.complete(done)
         assert tracer.admit(Item("s", 1)) is None  # 2nd offer: skipped
         tracer.admit(Item("s", 2))  # 3rd offer: sampled, in flight
-        telemetry.observe_step(9)
-        snapshot = telemetry.snapshot()
+        assert tracer.admit(Item("s", 3)) is None  # 4th offer: skipped
+        tracer.discard(tracer.admit(Item("s", 4)), "late")  # 5th: sampled
+        tracer.observe_step(9)
+        snapshot = tracer.snapshot()
 
         resumed = Telemetry.create(trace_every=2)
         resumed.restore(snapshot)
+        assert resumed.snapshot() == snapshot
         assert resumed.now == 9
-        assert resumed.tracer._offered == tracer._offered
-        assert resumed.tracer.completed_rows() == tracer.completed_rows()
-        assert resumed.tracer.lookup("s", 2) is not None
+        assert resumed.completed_rows() == tracer.completed_rows()
+        assert resumed.lookup("s", 2) is not None
+        assert (resumed.sampled, resumed.finished) == (3, 1)
+        assert resumed.discarded == {"late": 1}
+        assert [h.counts for h in resumed.residency] == [
+            h.counts for h in tracer.residency
+        ]
         # Post-restore sampling continues the cursor identically.
-        for seq in range(4, 8):
+        for seq in range(5, 9):
             a = tracer.admit(Item("s", seq)) is not None
-            b = resumed.tracer.admit(Item("s", seq)) is not None
+            b = resumed.admit(Item("s", seq)) is not None
             assert a == b
 
     def test_restore_rejects_trace_every_mismatch(self):
         snapshot = Telemetry.create(trace_every=4).snapshot()
         other = Telemetry.create(trace_every=1)
+        before = other.snapshot()
         with pytest.raises(ObserverError):
             other.restore(snapshot)
+        assert other.snapshot() == before
 
     def test_restore_rejects_ring_mismatch(self):
         snapshot = Telemetry.create(trace_every=1, ring=8).snapshot()

@@ -95,7 +95,7 @@ class TestSurfaceParity:
         engine.submit(obs(1, 12.0, 10.0, 1), 1)
         assert engine.stats.matches == 1
         engine.clear()
-        assert engine._merger.last_match == {}
+        assert engine.merger.last_match == {}
         # Fresh pair after clear: windows were dropped, so it re-fires.
         engine.submit(obs(2, 10.0, 10.0, 5), 5)
         matches = engine.submit(obs(3, 12.0, 10.0, 6), 6)

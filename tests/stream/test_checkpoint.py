@@ -19,7 +19,7 @@ from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine
-from repro.obs.export import to_prometheus
+from repro.obs import collect, to_prometheus
 from repro.obs.tracing import Telemetry
 from repro.shard.engine import ShardedDetectionEngine
 from repro.stream import (
@@ -152,6 +152,7 @@ class TestEngineSnapshotRestore:
         resumed.restore(engine.snapshot())
         assert resumed.stats.entities_submitted == 10
         assert resumed.stats.matches == engine.stats.matches
+        assert resumed.tallies() == engine.tallies() == {"hot": (10, 10)}
 
     @pytest.mark.parametrize(
         "foreign, complaint",
@@ -446,7 +447,7 @@ class TestRejectedRestoreChangesNothing:
     def test_refused_restore_keeps_the_exported_series(self):
         telemetry = Telemetry.create(trace_every=1)
         runtime = _half_run(3, dedup=RedeliveryDeduper(), telemetry=telemetry)
-        exported = to_prometheus(telemetry.registry)
+        exported = to_prometheus(collect(runtime))
         sparse = _half_run(
             6,
             dedup=RedeliveryDeduper(),
@@ -454,4 +455,4 @@ class TestRejectedRestoreChangesNothing:
         )
         with pytest.raises(ObserverError, match="trace_every"):
             runtime.restore(sparse.snapshot())
-        assert to_prometheus(telemetry.registry) == exported
+        assert to_prometheus(collect(runtime)) == exported

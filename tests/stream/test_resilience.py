@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ObserverError
-from repro.obs.export import parse_prometheus, to_prometheus
+from repro.obs import collect, parse_prometheus, to_prometheus
 from repro.obs.tracing import Telemetry
 from repro.stream import (
     AdmissionController,
@@ -520,10 +520,10 @@ class TestSupervisedRuntime:
         )
         assert outputs == unfaulted_records(items)
 
-    def test_exported_supervision_gauges_survive_a_late_recovery(self):
-        # Regression: the checkpoint captured the registry before the
-        # checkpoint was counted, so a recovery after the last
-        # checkpoint rolled the exported gauge back one short.
+    def test_exported_supervision_history_survives_a_late_recovery(self):
+        # Regression: the checkpoint captured the exported copy before
+        # the checkpoint was counted, so a recovery after the last
+        # checkpoint rolled the exported count back one short.
         host = RecordingHost(
             dedup=RedeliveryDeduper(), telemetry=Telemetry.create()
         )
@@ -537,26 +537,28 @@ class TestSupervisedRuntime:
                 name="s",
             )
         )
-        registry = host.runtime.telemetry.registry
+        exported = {
+            sample.name: sample.value for sample in collect(host.runtime)
+        }
         assert supervisor.checkpoints_taken == 3
         assert (
-            registry.gauge("resilience_checkpoints_total").value
+            exported["resilience_checkpoints_total"]
             == supervisor.checkpoints_taken
         )
         assert (
-            registry.gauge("resilience_recoveries_total").value
+            exported["resilience_recoveries_total"]
             == supervisor.recoveries
             == 1
         )
-        assert registry.gauge(
-            "resilience_backoff_ticks_total"
-        ).value == sum(supervisor.backoff_delays)
+        assert exported["resilience_backoff_ticks_total"] == sum(
+            supervisor.backoff_delays
+        )
 
     def test_export_carries_every_loss_counter(self):
         """A faulted, overloaded replay's Prometheus export reads the
         same late / shed / duplicate / quarantined counts as
-        ``runtime.stats`` — the registry is set from the counters'
-        owners, not incremented beside them."""
+        ``runtime.stats`` — the export reads the counters' owners, it
+        keeps no count beside them."""
         items = stream(30, per_step=2)
         # Stragglers far behind the released frontier: counted late.
         items += [
@@ -573,9 +575,7 @@ class TestSupervisedRuntime:
             host, checkpoints=CheckpointPolicy(every_steps=3)
         ).run(FaultySource(items, PLAN, name="s"))
         stats = host.runtime.stats
-        exported = parse_prometheus(
-            to_prometheus(host.runtime.telemetry.registry)
-        )
+        exported = parse_prometheus(to_prometheus(collect(host.runtime)))
         for series, value in (
             ("stream_observations_late_total", stats.late_observations),
             ("stream_observations_shed_total", stats.shed_observations),

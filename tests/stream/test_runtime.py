@@ -17,7 +17,7 @@ from repro.core.space_model import PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine
-from repro.obs.tracing import Telemetry
+from repro.obs import Telemetry, collect
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
@@ -197,12 +197,14 @@ class TestRuntimeLateness:
 class TestStepBoundaryRefresh:
     """Regression: ``finish()`` and ``close_source()`` released items
     without refreshing the exported occupancy gauge or the backpressure
-    signal, so a drained stream still read full and under pressure."""
+    signal, so a drained stream still read full and under pressure; and
+    the exported watermark kept its last value after ``finish()`` had
+    closed every source and left no merged watermark."""
 
-    def occupancy_gauge(self, runtime):
-        return runtime.telemetry.registry.gauge(
-            "stream_reorder_occupancy", mode="last"
-        ).value
+    @staticmethod
+    def exported(runtime, name):
+        values = [s.value for s in collect(runtime) if s.name == name]
+        return values[0] if values else None
 
     def test_finish_leaves_an_empty_released_reading(self):
         runtime = StreamingDetectionRuntime(
@@ -213,16 +215,28 @@ class TestStepBoundaryRefresh:
         runtime.register_source("t")
         for item in ReplaySource(batches(4), name="t"):
             runtime.ingest([item])
-        assert self.occupancy_gauge(runtime) == 4
+        assert self.exported(runtime, "stream_reorder_occupancy") == 4
         assert runtime.last_backpressure.engaged
         runtime.finish()
         assert runtime.buffer.occupancy == 0
-        assert self.occupancy_gauge(runtime) == 0
+        assert self.exported(runtime, "stream_reorder_occupancy") == 0
         assert not runtime.last_backpressure.engaged
         # finish() is not a delivery step: the duty cycle's numerator
         # and denominator both stay where the four steps left them.
         assert runtime.stats.delivery_steps == 4
         assert runtime.stats.backpressure_events == 2
+
+    def test_finish_leaves_no_watermark(self):
+        runtime = StreamingDetectionRuntime(
+            lateness=0, telemetry=Telemetry.create()
+        )
+        runtime.register_source("t")
+        for item in ReplaySource(batches(4), name="t"):
+            runtime.ingest([item])
+        assert self.exported(runtime, "stream_watermark") == 3
+        runtime.finish()
+        assert runtime.tracker.watermark() is None
+        assert self.exported(runtime, "stream_watermark") is None
 
     def test_close_source_refreshes_the_gauges(self):
         runtime = StreamingDetectionRuntime(
@@ -231,14 +245,12 @@ class TestStepBoundaryRefresh:
         runtime.register_source("live")
         runtime.register_source("silent")  # pins the watermark
         runtime.ingest(list(ReplaySource(batches(1), name="live")))
-        assert self.occupancy_gauge(runtime) == 1
+        assert self.exported(runtime, "stream_reorder_occupancy") == 1
         runtime.close_source("silent")
         assert runtime.buffer.occupancy == 0
-        assert self.occupancy_gauge(runtime) == 0
-        released = runtime.telemetry.registry.counter(
-            "stream_observations_released_total"
-        )
-        assert released.value == runtime.released_items == 1
+        assert self.exported(runtime, "stream_reorder_occupancy") == 0
+        released = self.exported(runtime, "stream_observations_released_total")
+        assert released == runtime.released_items == 1
 
 
 class TestAtomicIngest:
