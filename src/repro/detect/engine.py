@@ -5,8 +5,9 @@ loaded with its event specifications.  Arriving entities (physical
 observations or event instances) are :meth:`submitted
 <DetectionEngine.submit>` one at a time or, preferably, as per-tick
 batches via :meth:`DetectionEngine.submit_batch`; the engine maintains
-per-role windows, enumerates candidate bindings that include each new
-entity, evaluates each specification's composite condition tree
+one window per distinct selector of a specification, enumerates
+candidate bindings that include each new entity, evaluates each
+specification's composite condition tree
 (Eq. 4.5), and returns the satisfied bindings as :class:`Match`
 objects.  :func:`build_instance` then materializes the observer's
 output — the event instance 6-tuple of Eq. 4.7 — according to the
@@ -164,9 +165,11 @@ class EngineSnapshot:
     identity tuple -> match tick, see the module docstring), cooldown
     clocks, the event-time watermark and the counter state — keyed by
     the installed specification ids so a snapshot can only be restored
-    into an engine watching the same specifications.  The windows'
-    columns are *not* captured: they are derived from the entities, so
-    restore rebuilds them exactly by re-adding the entries in order.
+    into an engine watching the same specifications.  Windows are listed
+    per role; roles that share one window carry the same entries.  The
+    windows' columns are *not* captured: they are derived from the
+    entities, so restore rebuilds them exactly by re-adding the entries
+    in order.
 
     Entities are shared by reference (they are immutable), which makes
     snapshots cheap: cost is proportional to live window content, not
@@ -203,7 +206,11 @@ class DetectionEngine:
         use_planner: bool = True,
     ):
         self._specs: dict[str, EventSpecification] = {}
+        # Per spec: role -> its window, and the distinct windows keyed by
+        # the first role that selects into each (roles whose selectors
+        # compare equal share one window, see add_spec).
         self._pools: dict[str, dict[str, RoleWindow]] = {}
+        self._windows: dict[str, dict[str, RoleWindow]] = {}
         self._seen: dict[str, dict[tuple, int]] = {}
         self._last_match: dict[str, int] = {}
         self._plans: dict[str, EvaluationPlan] = {}
@@ -222,9 +229,19 @@ class DetectionEngine:
         if spec.event_id in self._specs:
             raise ObserverError(f"duplicate specification {spec.event_id!r}")
         self._specs[spec.event_id] = spec
-        self._pools[spec.event_id] = {
-            role: RoleWindow(spec.window) for role in spec.roles
-        }
+        # A window's content is which entities were added when, and
+        # equal selectors admit the same entities at the same ticks: the
+        # twin roles of an S1 pair read one window, filled once.
+        selectors = spec.selectors
+        pools = self._pools[spec.event_id] = {}
+        windows = self._windows[spec.event_id] = {}
+        for role in spec.roles:
+            twin = next(
+                (r for r in windows if selectors[r] == selectors[role]), role
+            )
+            if twin == role:
+                windows[role] = RoleWindow(spec.window)
+            pools[role] = windows[twin]
         self._seen[spec.event_id] = {}
         self._tallies[spec.event_id] = [0, 0]
         plan = self._plans[spec.event_id] = compile_plan(spec)
@@ -341,8 +358,8 @@ class DetectionEngine:
                     )
             if not staged:
                 continue
-            pools = self._pools[spec.event_id]
-            for window in pools.values():
+            windows = self._windows[spec.event_id]
+            for window in windows.values():
                 window.evict(now)  # one eviction sweep per batch
             # Two windows on, a binding can never be enumerated again.
             horizon = now - 2 * (spec.window + 1)
@@ -351,7 +368,10 @@ class DetectionEngine:
             )
             for entity, roles, run in staged:
                 for role in roles:
-                    pools[role].add(entity, now)
+                    # A twin role's window is its first twin's: added to once.
+                    window = windows.get(role)
+                    if window is not None:
+                        window.add(entity, now)
                 if run:
                     matches.extend(self._evaluate_spec(spec, entity, roles, now))
         return matches
@@ -541,14 +561,19 @@ class DetectionEngine:
         *configuration*, not state — they are identified by id and must
         already be installed in the engine a snapshot is restored into.
         """
+        windows = {}
+        for event_id, pools in self._pools.items():
+            # Twin roles carry the one tuple of their shared window.
+            entries = {
+                id(window): window.entries()
+                for window in self._windows[event_id].values()
+            }
+            windows[event_id] = {
+                role: entries[id(window)] for role, window in pools.items()
+            }
         return EngineSnapshot(
             spec_ids=tuple(self._specs),
-            windows={
-                event_id: {
-                    role: window.entries() for role, window in pools.items()
-                }
-                for event_id, pools in self._pools.items()
-            },
+            windows=windows,
             seen={
                 event_id: tuple(seen.items())
                 for event_id, seen in self._seen.items()
@@ -572,8 +597,8 @@ class DetectionEngine:
         """
         self.ensure_restorable(snapshot)
         self.clear()
-        for event_id, pools in self._pools.items():
-            for role, window in pools.items():
+        for event_id, windows in self._windows.items():
+            for role, window in windows.items():
                 for tick, entity in snapshot.windows[event_id][role]:
                     window.add(entity, tick)
         for event_id, entries in snapshot.seen.items():
@@ -587,19 +612,30 @@ class DetectionEngine:
 
     def ensure_restorable(self, snapshot: EngineSnapshot) -> None:
         """Raise :class:`ObserverError` if :meth:`restore` would refuse
-        ``snapshot`` (other specs, or a spec with other roles)."""
+        ``snapshot`` (other specs, a spec with other roles, or twin roles
+        with different windows)."""
         if tuple(self._specs) != snapshot.spec_ids:
             raise ObserverError(
                 f"snapshot watches specs {snapshot.spec_ids}, this engine "
                 f"watches {tuple(self._specs)}"
             )
         for event_id, pools in self._pools.items():
-            roles = snapshot.windows.get(event_id, ())
-            if set(roles) != set(pools):
+            saved = snapshot.windows.get(event_id, {})
+            if set(saved) != set(pools):
                 raise ObserverError(
                     f"snapshot of spec {event_id!r} has roles "
-                    f"{sorted(roles)}, this engine's has {sorted(pools)}"
+                    f"{sorted(saved)}, this engine's has {sorted(pools)}"
                 )
+            windows = self._windows[event_id]
+            for role, window in pools.items():
+                twin = next(r for r, w in windows.items() if w is window)
+                if saved[role] != saved[twin]:
+                    # One shared window could hold only one of the two.
+                    raise ObserverError(
+                        f"snapshot of spec {event_id!r} gives roles "
+                        f"{twin!r} and {role!r} different windows, but "
+                        f"their selectors admit the same entities"
+                    )
 
     def set_last_match(self, event_id: str, tick: int | None) -> None:
         """Override one specification's cooldown clock.
@@ -620,8 +656,8 @@ class DetectionEngine:
 
     def clear(self) -> None:
         """Drop all windows and dedup state (specs stay)."""
-        for pools in self._pools.values():
-            for window in pools.values():
+        for windows in self._windows.values():
+            for window in windows.values():
                 window.clear()
         for seen in self._seen.values():
             seen.clear()

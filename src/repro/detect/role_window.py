@@ -1,8 +1,9 @@
-"""One role's detection window: a FIFO of entities beside numpy columns.
+"""One detection window: a FIFO of entities beside numpy columns.
 
 Observers evaluate conditions over recent entities; a
-:class:`RoleWindow` bounds that state for one ``(specification, role)``
-and is, at the same time, the structure the planner
+:class:`RoleWindow` bounds that state for one distinct selector of a
+specification (roles whose selectors compare equal share it) and is,
+at the same time, the structure the planner
 (:mod:`repro.detect.planner`) prunes candidates with.  Slot ``i`` of the
 entity list is row ``i`` of four columns:
 

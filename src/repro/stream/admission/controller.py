@@ -26,6 +26,7 @@ of the unbounded runtime.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -58,14 +59,14 @@ class AdmissionLimits:
             count is never capped; see
             :attr:`~repro.stream.reorder.ReorderBuffer.late_count`).
         rate: Per-source token-bucket refill in admissions per arrival
-            tick (``None`` = no rate limiting).  A rate limit adds a
-            precondition on every delivery step: arrival ticks must be
-            non-decreasing along the step (across sources too) and no
-            earlier than the buckets they touch last saw — see
-            :meth:`AdmissionController.ensure_clock`; a step that breaks
-            it is refused whole.
+            tick, positive and finite (``None`` = no rate limiting).  A
+            rate limit adds a precondition on every delivery step:
+            arrival ticks must be non-decreasing along the step (across
+            sources too) and no earlier than the buckets they touch last
+            saw — see :meth:`AdmissionController.ensure_clock`; a step
+            that breaks it is refused whole.
         burst: Per-source bucket capacity (largest co-arriving group
-            admitted after a quiet period).
+            admitted after a quiet period); finite and at least 1.
         max_deferred: Cap on the deferral FIFO holding over-rate
             arrivals (``None`` = unbounded deferral; ``0`` = shed
             immediately instead of deferring).
@@ -98,8 +99,16 @@ class AdmissionLimits:
                 "backpressure_ratio must be in (0, 1]: "
                 f"{self.backpressure_ratio}"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise ObserverError(f"rate must be positive: {self.rate}")
+        # Checked here, not when the first token bucket is built: by then
+        # the screens ahead of admission have recorded the step.
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ObserverError(
+                f"rate must be positive and finite: {self.rate}"
+            )
+        if not 1 <= self.burst < math.inf:
+            raise ObserverError(
+                f"burst must be finite and at least 1: {self.burst}"
+            )
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ What each operation costs, with ``n`` items buffered — none of it grows
 with the cap the admission layer enforces, so shedding stays cheap
 exactly when the buffer is full:
 
-* ``offer`` — one heap push, O(log n); a second push into the item's
-  class heap when the buffer was built with ``rank``;
+* ``offer_many`` — one heap push per item, O(log n); a second push into
+  the item's class heap when the buffer was built with ``rank``
+  (``offer`` is a run of one);
 * ``release`` — O(log n) per released item;
 * ``evict_item`` / ``evict_oldest`` — O(1): the victim's liveness record
   is dropped and its heap entries stay behind as **tombstones**, skipped
@@ -45,7 +46,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.errors import ObserverError
 from repro.stream.source import StreamItem
@@ -190,22 +191,49 @@ class ReorderBuffer:
         )
 
     def offer(self, item: StreamItem) -> bool:
-        """Buffer one arrival; ``False`` if it is late.
+        """Buffer one arrival; ``False`` if it is late."""
+        return not self.offer_many((item,))
+
+    def offer_many(self, items: Iterable[StreamItem]) -> list[StreamItem]:
+        """Buffer a run of arrivals, in order; return the late ones.
 
         An item is late when its event tick falls at or below the
         frontier already released — emitting it now would regress the
         consumer's clock.  Late items are counted exactly and retained
         (newest first to go stale) up to the retention window;
-        everything else is heap-ordered for release.
+        everything else is heap-ordered for release.  The frontier does
+        not move while a run is offered, so the run is classified
+        exactly as offering its items one by one would classify them.
         """
-        if (
-            self._highest_offered is None
-            or item.event_tick > self._highest_offered
-        ):
-            self._highest_offered = item.event_tick
-        if self.is_late(item):
-            self._late_count += 1
-            self.late.append(item)
+        frontier = self._released_through
+        heap, live, rank = self._heap, self._live, self._rank
+        late: list[StreamItem] = []
+        for item in items:
+            tick = item.event_tick
+            if self._highest_offered is None or tick > self._highest_offered:
+                self._highest_offered = tick
+            if frontier is not None and tick <= frontier:
+                late.append(item)
+                continue
+            counter = self._counter
+            self._counter = counter + 1
+            heapq.heappush(heap, (item.order_key, counter, item))
+            if live.setdefault(id(item), counter) != counter:
+                # This very object is already buffered: queue the new copy.
+                self._later.setdefault(id(item), deque()).append(counter)
+                self._chained.add(counter)
+            if rank is not None:
+                cls = rank(item)
+                index = self._classes.get(cls)
+                if index is None:
+                    index = self._classes[cls] = []
+                heapq.heappush(index, (-tick, -item.seq, counter, item))
+                self._indexed += 1
+        # Nothing leaves during a run: its last occupancy is its peak.
+        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
+        if late:
+            self._late_count += len(late)
+            self.late.extend(late)
             if (
                 self.late_retention is not None
                 and len(self.late) > self.late_retention
@@ -213,27 +241,7 @@ class ReorderBuffer:
                 # Drop-oldest-late retention: the most recent lates are
                 # the ones worth inspecting or re-routing.
                 del self.late[: len(self.late) - self.late_retention]
-            return False
-        counter = self._counter
-        self._counter = counter + 1
-        heapq.heappush(self._heap, (item.order_key, counter, item))
-        if self._live.setdefault(id(item), counter) != counter:
-            # This very object is already buffered: queue the new copy.
-            self._later.setdefault(id(item), deque()).append(counter)
-            self._chained.add(counter)
-        if self._rank is not None:
-            cls = self._rank(item)
-            heap = self._classes.get(cls)
-            if heap is None:
-                heap = self._classes[cls] = []
-            heapq.heappush(
-                heap, (-item.event_tick, -item.seq, counter, item)
-            )
-            self._indexed += 1
-        occupancy = len(self._live) + len(self._chained)
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
-        return True
+        return late
 
     def _promote(self, key: int) -> None:
         """The earliest copy of the object ``key`` identifies has just
@@ -426,8 +434,7 @@ class ReorderBuffer:
         # With no frontier nothing offered is late: every pending item is
         # filed the way an arrival is, then the frontiers are put back.
         self._released_through = None
-        for item in snapshot.pending:
-            self.offer(item)
+        self.offer_many(snapshot.pending)
         self.late = list(snapshot.late)
         self._late_count = snapshot.late_count
         self._released_through = snapshot.released_through

@@ -41,6 +41,8 @@ the bounded runtime is behavior-identical to the unbounded one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ObserverError
@@ -59,6 +61,8 @@ __all__ = [
     "StreamStats",
     "arrival_groups",
 ]
+
+_EVENT_TICK = attrgetter("event_tick")
 
 
 def arrival_groups(
@@ -375,15 +379,13 @@ class StreamingDetectionRuntime:
         losses; none of them touches the watermark, since a rejected
         item promises nothing about event time), and the survivors are
         offered to the reorder buffer and noted by the watermark
-        tracker; only then does the (possibly advanced) merged watermark
-        release buffered observations to the engine, in event-time
-        order, grouped by event tick.
+        tracker (:meth:`_take`); only then does the (possibly advanced)
+        merged watermark release buffered observations to the engine,
+        in event-time order, grouped by event tick.
 
         Admission may also re-admit previously deferred items whose
-        buckets have refilled.  Those passed validation in their own
-        step; if their source was closed while they sat deferred they
-        are offered without moving the watermark (see :meth:`_offer`)
-        rather than poisoning this step mid-mutation.
+        buckets have refilled.  They passed validation in their own
+        step; one whose source has closed since moves no watermark.
         """
         self.tracker.ensure_open({item.source for item in items})
         if self.admission is not None:
@@ -397,66 +399,69 @@ class StreamingDetectionRuntime:
             )
         for stage in self._front:
             items = stage.intake(items)
-        for item in items:
-            self._offer(item)
+        self._take(items)
         watermark = self.tracker.watermark()
         matches = self._release(watermark)
         self._end_step(watermark, delivery=True)
         return matches
 
-    def _offer(self, item: StreamItem) -> None:
-        """Offer one admitted item, enforcing the occupancy cap.
+    def _take(self, items: Sequence[StreamItem]) -> None:
+        """Offer one step's admitted items to the buffer, in order.
 
-        The watermark notes the arrival only while the item's source is
-        still open: an item drained from the deferral queue after its
-        source closed (the step it arrived in was validated back then)
-        no longer moves the frontier — a closed source already promised
-        everything — and is simply classified in-order or late below.
-
-        At the cap (bounded runtimes only, and never for late items —
-        those land in the separately-bounded late list) the controller
-        takes the whole step
-        (:meth:`~repro.stream.admission.AdmissionController.make_room`:
-        evict a buffered victim or shed the incoming item, and count the
-        loser); the runtime only retires the loser's trace.
+        The watermark notes each open source's newest event tick once
+        per step (a monotone max); a source closed while its items sat
+        deferred has already promised everything.  Below the occupancy
+        cap the items go to the buffer in one run.  From the cap on
+        (never for late items: those land in the separately bounded late
+        list) each item takes the controller's whole at-cap step, one at
+        a time (:meth:`~repro.stream.admission.AdmissionController.make_room`:
+        evict a victim or shed the item, and count the loser), as every
+        item does while telemetry samples: the runtime stamps and
+        retires each sampled trace as it goes.
         """
-        telemetry = self.telemetry
-        trace = None
-        if telemetry is not None:
-            trace = telemetry.admit(item)
+        newest: dict[str, int] = {}
+        for item in items:
+            if newest.get(item.source, item.event_tick) <= item.event_tick:
+                newest[item.source] = item.event_tick
+        for source, tick in newest.items():
+            if self.tracker.is_open(source):
+                self.tracker.observe(source, tick)
+        buffer, counts = self.buffer, self._counts
+        admission, telemetry = self.admission, self.telemetry
+        cap = None if admission is None else admission.limits.max_pending
+        if telemetry is None or not telemetry.enabled:
+            # Nothing to sample: the room left below the cap takes one run.
+            room = len(items) if cap is None else max(0, cap - buffer.occupancy)
+            run, items, telemetry = items[:room], items[room:], None
+            counts.entities_submitted += len(run) - len(buffer.offer_many(run))
+        for item in items:
+            trace = None if telemetry is None else telemetry.admit(item)
             if trace is not None:
                 # A deferred item cleared admission in a later step than
                 # it arrived: the span between the two IS the measured
-                # deferral cost.  The reorder span opens as the item
-                # reaches the buffer.
-                now = (
-                    telemetry.now
-                    if telemetry.now is not None
-                    else item.arrival_tick
+                # deferral cost.  The reorder span opens here.
+                now = telemetry.now
+                trace.stamp_admitted(
+                    item.arrival_tick, item.arrival_tick if now is None else now
                 )
-                trace.stamp_admitted(item.arrival_tick, now)
-        if self.tracker.is_open(item.source):
-            self.tracker.observe(item.source, item.event_tick)
-        if self.admission is not None:
-            cap = self.admission.limits.max_pending
             if (
                 cap is not None
-                and self.buffer.occupancy >= cap
-                and not self.buffer.is_late(item)
+                and buffer.occupancy >= cap
+                and not buffer.is_late(item)
             ):
-                victim = self.admission.make_room(item, self.buffer)
+                victim = admission.make_room(item, buffer)
                 if victim is None:
                     if trace is not None:
                         telemetry.discard(trace, "shed")
-                    return
+                    continue
                 if telemetry is not None:
-                    victim_trace = telemetry.lookup(victim.source, victim.seq)
-                    if victim_trace is not None:
-                        telemetry.discard(victim_trace, "evicted")
-        if self.buffer.offer(item):
-            self._counts.entities_submitted += 1
-        elif trace is not None:
-            telemetry.discard(trace, "late")
+                    lost = telemetry.lookup(victim.source, victim.seq)
+                    if lost is not None:
+                        telemetry.discard(lost, "evicted")
+            if not buffer.offer_many((item,)):
+                counts.entities_submitted += 1
+            elif trace is not None:
+                telemetry.discard(trace, "late")
 
     def run(self, source: ObservationSource | Iterable[StreamItem]) -> list[Match]:
         """Drain one source completely (arrival order), then flush.
@@ -497,11 +502,10 @@ class StreamingDetectionRuntime:
         deferring it.
         """
         if self.admission is not None:
-            for item in self.admission.flush_deferred():
-                # A source closed mid-run no longer moves the watermark;
-                # its flushed stragglers are offered (and usually found
-                # late) without re-opening it.
-                self._offer(item)
+            # A source closed mid-run no longer moves the watermark; its
+            # flushed stragglers are offered (and usually found late)
+            # without re-opening it.
+            self._take(self.admission.flush_deferred())
         self.tracker.close_all()
         matches = self._flush(self.buffer.release_all())
         # Every source is closed now: there is no merged watermark left.
@@ -521,14 +525,8 @@ class StreamingDetectionRuntime:
         tracing = telemetry is not None and telemetry.enabled
         counts = self._counts
         matches: list[Match] = []
-        start = 0
-        while start < len(released):
-            tick = released[start].event_tick
-            end = start
-            while end < len(released) and released[end].event_tick == tick:
-                end += 1
-            group = released[start:end]
-            start = end
+        for tick, run in groupby(released, key=_EVENT_TICK):
+            group = list(run)
             counts.released_items += len(group)
             counts.batches_submitted += 1
             if tracing:

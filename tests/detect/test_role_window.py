@@ -1,7 +1,7 @@
 """Soundness of the columnar role window (unit + hypothesis).
 
 :class:`~repro.detect.role_window.RoleWindow` is both the bounded FIFO
-an engine keeps per ``(spec, role)`` and the structure the planner
+an engine keeps per distinct selector of a spec and the structure the planner
 prunes with.  Two contracts, each checked against a scalar reference
 kept in this file:
 

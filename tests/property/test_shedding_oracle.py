@@ -15,6 +15,15 @@ same victim *object*, the same released sequence and the same
 ``pending()`` / occupancy / high-water mark / late count after every
 operation.
 
+The real buffer is the one inside a bounded
+:class:`~repro.stream.runtime.StreamingDetectionRuntime`, and whole
+delivery steps go through its ``ingest``: one ``offer_many`` run below
+the cap, then ``make_room`` per item, then a release at the watermark.
+The reference offers the same step item by item and tracks each source's
+newest event tick itself.  Steps of up to a dozen items against caps of
+1 to 8, a tick either side of the frontier, cross the cap partway and
+mix late with in-order items.
+
 Streams draw ``seq`` from a handful of values across three sources, so
 cross-source ``(event_tick, seq)`` ties — which the globally unique
 ``seq`` of ``bounded_cases`` never produces — are the common case, and
@@ -38,8 +47,11 @@ from hypothesis.stateful import (
 )
 
 from repro.stream import (
+    AdmissionController,
+    AdmissionLimits,
     Priority,
     PriorityMap,
+    StreamingDetectionRuntime,
     StreamItem,
 )
 from repro.stream.admission import resolve_policy
@@ -182,8 +194,9 @@ class WhoLoses(RuleBasedStateMachine):
         ),
         cap=st.integers(min_value=1, max_value=8),
         late_retention=st.integers(min_value=0, max_value=3),
+        lateness=st.integers(min_value=0, max_value=2),
     )
-    def configure(self, policy, default, classes, cap, late_retention):
+    def configure(self, policy, default, classes, cap, late_retention, lateness):
         self.priorities = PriorityMap(default=default, sources=classes)
         self.policy = resolve_policy(policy)
         self.oracle = (
@@ -193,16 +206,41 @@ class WhoLoses(RuleBasedStateMachine):
         )
         self.cap = cap
         self.late_retention = late_retention
-        self.real = self.fresh_real()
-        self.reference = ReferenceBuffer(late_retention)
+        self.lateness = lateness
         self.real_state = {}
         self.reference_state = {}
+        self.losers = []  # the runtime's make_room outcomes, in order
+        self.released = []  # what the runtime's steps released
+        self.fresh_runtime()
+        self.reference = ReferenceBuffer(late_retention)
         self.entities = 0
 
-    def fresh_real(self):
-        return ReorderBuffer(
-            late_retention=self.late_retention, rank=self.priorities.of
+    def fresh_runtime(self):
+        """A bounded runtime whose buffer is ``self.real``; its tracker
+        starts empty, and so does the reference's (``self.newest``)."""
+        controller = AdmissionController(
+            AdmissionLimits(
+                max_pending=self.cap, late_retention=self.late_retention
+            ),
+            priorities=self.priorities,
+            shedding=self.policy,
         )
+        controller.policy_state = self.real_state
+        make_room = controller.make_room
+
+        def recorded(incoming, buffer):
+            victim = make_room(incoming, buffer)
+            self.losers.append(incoming if victim is None else victim)
+            return victim
+
+        controller.make_room = recorded
+        self.runtime = StreamingDetectionRuntime(
+            lateness=self.lateness,
+            admission=controller,
+            on_release=lambda tick, group: self.released.extend(group),
+        )
+        self.real = self.runtime.buffer
+        self.newest = {}
 
     def make(self, ahead, seq, source):
         """A fresh object a few ticks around the release frontier."""
@@ -223,7 +261,7 @@ class WhoLoses(RuleBasedStateMachine):
         source=st.sampled_from(SOURCES),
     )
     def offer(self, ahead, seq, source):
-        """What the runtime's ``_offer`` does, on both buffers."""
+        """What the runtime does with one at-cap item, on both buffers."""
         item = self.make(ahead, seq, source)
         assert self.real.is_late(item) == self.reference.is_late(item)
         if (
@@ -244,6 +282,43 @@ class WhoLoses(RuleBasedStateMachine):
             assert self.reference.evict_item(victim)
             assert not self.real.evict_item(victim), "evicted twice"
         assert self.real.offer(item) == self.reference.offer(item)
+
+    @rule(
+        step=st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=3),
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(SOURCES),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def ingest_step(self, step):
+        """One delivery step through the runtime; the reference offers
+        it item by item, then releases at the per-item watermark."""
+        items = [self.make(*drawn) for drawn in step]
+        reference, losers = self.reference, []
+        for item in items:
+            newest = self.newest.get(item.source, item.event_tick)
+            self.newest[item.source] = max(newest, item.event_tick)
+            if reference.occupancy >= self.cap and not reference.is_late(item):
+                victim = self.oracle.make_room(
+                    item, reference, self.priorities, self.reference_state
+                )
+                losers.append(item if victim is None else victim)
+                if victim is None:
+                    continue
+                assert reference.evict_item(victim)
+            reference.offer(item)
+        watermark = min(tick - self.lateness for tick in self.newest.values())
+        expected = reference.release(watermark)
+        self.losers.clear()
+        self.released.clear()
+        self.runtime.ingest(items)
+        assert same_objects(self.losers, losers)
+        assert self.real_state == self.reference_state
+        assert same_objects(self.released, expected)
 
     @rule(advance=st.integers(min_value=-1, max_value=3))
     def release(self, advance):
@@ -277,7 +352,7 @@ class WhoLoses(RuleBasedStateMachine):
     def checkpoint_into_fresh_buffers(self):
         snapshot = self.real.snapshot()
         assert snapshot == self.reference.snapshot()
-        self.real = self.fresh_real()
+        self.fresh_runtime()
         self.real.restore(snapshot)
         self.reference = ReferenceBuffer(self.late_retention)
         self.reference.restore(snapshot)
@@ -319,10 +394,9 @@ class WhoLosesSweepingEagerly(WhoLoses):
     main heap and of the class index — is exactly the code that must
     not lose, resurrect or misorder an entry."""
 
-    def fresh_real(self):
-        buffer = super().fresh_real()
-        buffer._COMPACT_SLACK = -1_000_000
-        return buffer
+    def fresh_runtime(self):
+        super().fresh_runtime()
+        self.real._COMPACT_SLACK = -1_000_000
 
 
 WhoLoses.TestCase.settings = settings(

@@ -187,6 +187,26 @@ class TestAdmissionLimits:
         with pytest.raises(ObserverError, match="rate"):
             AdmissionLimits(rate=-1.0)
 
+    @pytest.mark.parametrize(
+        "limits, complaint",
+        [
+            ({"rate": 1.0, "burst": 0.5}, "burst"),
+            ({"rate": 1.0, "burst": float("nan")}, "burst"),
+            ({"rate": 1.0, "burst": float("inf")}, "burst"),
+            ({"rate": float("nan")}, "rate"),
+            ({"rate": float("inf")}, "rate"),
+        ],
+        ids=["burst below 1", "nan burst", "inf burst", "nan rate", "inf rate"],
+    )
+    def test_a_bucket_that_cannot_be_built_is_refused_up_front(
+        self, limits, complaint
+    ):
+        # A bucket is built at the first rate-limited intake, after the
+        # screens ahead of admission recorded the step: refusing it there
+        # would lose the step's items to the dedup record.
+        with pytest.raises(ObserverError, match=complaint):
+            AdmissionLimits(**limits)
+
 
 class TestAdmissionController:
     def test_no_rate_admits_everything(self):

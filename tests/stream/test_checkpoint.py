@@ -180,6 +180,25 @@ class TestEngineSnapshotRestore:
             engine.restore(snapshot)
         assert engine.snapshot() == before
 
+    def test_twin_roles_share_one_window_and_refuse_two(self):
+        # pair_spec's roles select alike, so they share one window: a
+        # snapshot lists it under both, and one that gives them two
+        # different windows could only be restored by dropping one.
+        engine = DetectionEngine([pair_spec()])
+        feed(engine, stream(10))
+        before = engine.snapshot()
+        a, b = before.windows["pair"]["a"], before.windows["pair"]["b"]
+        assert a is b and len(a) > 1
+        torn = replace(before, windows={"pair": {"a": a, "b": a[1:]}})
+        with pytest.raises(ObserverError, match="different windows"):
+            engine.restore(torn)
+        assert engine.snapshot() == before
+        # Equal entries in two tuples (one window per role) still restore.
+        equal = replace(before, windows={"pair": {"a": a, "b": tuple(list(a))}})
+        resumed = DetectionEngine([pair_spec()])
+        resumed.restore(equal)
+        assert resumed.snapshot() == before
+
 
 class TestShardedSnapshotRestore:
     def make(self, shards=4):
