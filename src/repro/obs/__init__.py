@@ -17,7 +17,7 @@ Three layers, one import surface:
 The zero-perturbation guarantee: telemetry *reads* the pipeline and
 never perturbs it — no randomness, no wall clocks, no ordering
 effects — so every registered scenario reproduces its golden digest
-byte-for-byte with tracing enabled (the obs-conformance suite pins this
+byte-for-byte with tracing enabled (the traced conformance legs pin this
 at shards 1 and 4).
 """
 

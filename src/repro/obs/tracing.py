@@ -27,7 +27,7 @@ observation crosses:
 Stamps are **ticks, never wall clocks**, and the tracer draws no
 randomness: enabling tracing cannot perturb a golden digest, and two
 identical runs produce byte-identical trace rows (pinned by the
-obs-conformance suite and :func:`repro.obs.export.trace_rows_digest`).
+conformance harness and :func:`repro.obs.export.trace_rows_digest`).
 
 Cost discipline: traces are sampled by ``trace_every=k`` — every k-th
 observation admitted to the stream is traced (``k=1`` traces all,
@@ -189,14 +189,14 @@ class StageTrace:
             return None
         return exit_ - enter
 
-    def stamp_admitted(self, arrival_tick: int, now: int) -> None:
-        """Fused admission stamps: the ADMISSION span covers arrival →
-        the clearing step (non-zero = token-bucket deferral cost) and
-        the REORDER span opens as the item reaches the buffer."""
+    def stamp_admitted(self, arrival_tick: int, now: int | None) -> None:
+        """Fused admission stamps: ADMISSION spans arrival → the clearing
+        step ``now`` (non-zero = deferral cost; no step clock yet = the
+        arrival) and REORDER opens as the item reaches the buffer."""
         stamps = self._stamps
         stamps[_ADMISSION_ENTER] = arrival_tick
-        stamps[_ADMISSION_ENTER + 1] = now
-        stamps[_REORDER_ENTER] = now
+        now = arrival_tick if now is None else now
+        stamps[_ADMISSION_ENTER + 1] = stamps[_REORDER_ENTER] = now
 
     def stamp_released(self, event_tick: int, now: int) -> None:
         """Fused release stamps: REORDER closes at the releasing step,
@@ -341,7 +341,8 @@ class Telemetry:
 
         Disabled telemetry returns after a single integer check;
         sampling telemetry counts every observation (the deterministic
-        cursor) and opens a :class:`StageTrace` for each k-th one.
+        cursor) and opens a :class:`StageTrace` for each k-th one,
+        stamped admitted at the step clock.
         """
         every = self.trace_every
         if not every:
@@ -351,6 +352,7 @@ class Telemetry:
         if offered % every:
             return None
         trace = StageTrace(item.source, item.seq)
+        trace.stamp_admitted(item.arrival_tick, self.now)
         self._active[trace.key] = trace
         self.sampled += 1
         return trace

@@ -26,7 +26,7 @@ streaming toolkit:
 * :mod:`repro.stream.replay` — :class:`ObserverProfile` /
   :class:`ReplayObserver`, reconstructing an observer's emitted
   instances (and their trace rows) from a replayed stream, which is how
-  the stream-conformance suite proves jittered replay reproduces the
+  the conformance harness proves jittered replay reproduces the
   golden digests byte-for-byte;
 * :mod:`repro.stream.admission` — bounded ingestion: per-source
   token-bucket rate limits, priority classes, occupancy caps with

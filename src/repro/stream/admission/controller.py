@@ -86,14 +86,12 @@ class AdmissionLimits:
     backpressure_ratio: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.max_pending is not None and self.max_pending < 0:
-            raise ObserverError(
-                f"max_pending cannot be negative: {self.max_pending}"
-            )
-        if self.max_deferred is not None and self.max_deferred < 0:
-            raise ObserverError(
-                f"max_deferred cannot be negative: {self.max_deferred}"
-            )
+        for name in ("max_pending", "late_retention", "max_deferred"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 0):
+                raise ObserverError(
+                    f"{name} must be a non-negative int or None: {value!r}"
+                )
         if not 0.0 < self.backpressure_ratio <= 1.0:
             raise ObserverError(
                 "backpressure_ratio must be in (0, 1]: "

@@ -8,7 +8,7 @@ records every engine submission the observer performs — the exact
 :class:`~repro.stream.source.ObservationSource`: iterating it yields
 the in-order stream, which :class:`~repro.stream.source.JitteredSource`
 can then disorder and :class:`~repro.stream.runtime.StreamingDetectionRuntime`
-replay.  This is how the stream-conformance suite turns any registered
+replay.  This is how the conformance harness turns any registered
 scenario into an out-of-order ingestion workload without re-simulating
 physics or radio.
 

@@ -132,7 +132,7 @@ class ReplayObserver:
         telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
             bundle handed to the runtime — sampled stage traces for the
             replay, with the zero-perturbation guarantee
-            (the obs-conformance suite replays every golden under full
+            (the conformance harness replays every golden under full
             tracing).
     """
 

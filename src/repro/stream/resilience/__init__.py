@@ -22,7 +22,7 @@ The reliability layer the paper's unreliable-CPS setting demands:
   conservation invariant to
   ``released + late + shed + duplicates_dropped + quarantined == offered``.
 
-The contract, pinned by the chaos-conformance suite: a supervised,
+The contract, pinned by the conformance harness's chaos legs: a supervised,
 fault-injected replay of any registered scenario reproduces the
 unfaulted golden digest byte-for-byte, at shards 1 and 4.
 """

@@ -24,8 +24,8 @@ Plans are plain data and therefore reproducible: the same plan against
 the same base stream injects byte-identical faults.  The seeded
 constructor (:meth:`FaultPlan.seeded`) draws a schedule with guaranteed
 minimum coverage — at least the requested number of crashes, duplicate
-bursts, corruptions and stalls — which is what the chaos-conformance
-suite uses to prove every registered scenario recovers exactly.
+bursts, corruptions and stalls — which is what the chaos conformance
+legs use to prove every registered scenario recovers exactly.
 """
 
 from __future__ import annotations

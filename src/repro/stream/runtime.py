@@ -410,14 +410,14 @@ class StreamingDetectionRuntime:
 
         The watermark notes each open source's newest event tick once
         per step (a monotone max); a source closed while its items sat
-        deferred has already promised everything.  Below the occupancy
-        cap the items go to the buffer in one run.  From the cap on
+        deferred has already promised everything.  The room left below
+        the occupancy cap goes to the buffer in one run.  From the cap on
         (never for late items: those land in the separately bounded late
         list) each item takes the controller's whole at-cap step, one at
         a time (:meth:`~repro.stream.admission.AdmissionController.make_room`:
-        evict a victim or shed the item, and count the loser), as every
-        item does while telemetry samples: the runtime stamps and
-        retires each sampled trace as it goes.
+        evict a victim or shed the item, and count the loser).  Sampled
+        traces open in arrival order either way; a late item's is
+        retired at once.
         """
         newest: dict[str, int] = {}
         for item in items:
@@ -429,21 +429,18 @@ class StreamingDetectionRuntime:
         buffer, counts = self.buffer, self._counts
         admission, telemetry = self.admission, self.telemetry
         cap = None if admission is None else admission.limits.max_pending
-        if telemetry is None or not telemetry.enabled:
-            # Nothing to sample: the room left below the cap takes one run.
-            room = len(items) if cap is None else max(0, cap - buffer.occupancy)
-            run, items, telemetry = items[:room], items[room:], None
-            counts.entities_submitted += len(run) - len(buffer.offer_many(run))
+        room = len(items) if cap is None else max(0, cap - buffer.occupancy)
+        run, items = items[:room], items[room:]
+        late = buffer.offer_many(run)
+        counts.entities_submitted += len(run) - len(late)
+        if telemetry is not None and telemetry.enabled:
+            late = {id(item) for item in late}
+            for item in run:
+                trace = telemetry.admit(item)
+                if trace is not None and id(item) in late:
+                    telemetry.discard(trace, "late")
         for item in items:
             trace = None if telemetry is None else telemetry.admit(item)
-            if trace is not None:
-                # A deferred item cleared admission in a later step than
-                # it arrived: the span between the two IS the measured
-                # deferral cost.  The reorder span opens here.
-                now = telemetry.now
-                trace.stamp_admitted(
-                    item.arrival_tick, item.arrival_tick if now is None else now
-                )
             if (
                 cap is not None
                 and buffer.occupancy >= cap

@@ -30,8 +30,10 @@ class WatermarkTracker:
     """
 
     def __init__(self, lateness: int):
-        if lateness < 0:
-            raise ObserverError(f"lateness bound cannot be negative: {lateness}")
+        if type(lateness) is not int or lateness < 0:
+            raise ObserverError(
+                f"lateness bound cannot be negative or a non-int: {lateness!r}"
+            )
         self.lateness = lateness
         self._max_seen: dict[str, int] = {}
         self._closed: set[str] = set()

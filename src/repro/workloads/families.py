@@ -1028,7 +1028,7 @@ def _jittery_corridor(p, rng):
     the sink swapped: real disorder in *event time*, not a synthetic
     shuffle, while the simulator's clock stays monotone.  The sink
     fuses close-by pairs over a window wide enough to absorb the
-    jitter.  The stream-conformance suite captures these feeds, checks
+    jitter.  The conformance harness captures these feeds, checks
     they are genuinely disordered, and replays them with more seeded
     jitter against the golden digest.
     """
@@ -1110,7 +1110,7 @@ def _overload_surge(p, rng):
     backoff fabric (``jitter_backoff``) disorders delivery at the same
     time, so the burst arrives late, swapped and bunched.  Replayed
     through a bounded streaming runtime it drives genuine shedding
-    (the overload legs of the stream-conformance suite); run unbounded
+    (the overload tests of the conformance harness); run unbounded
     it pins a golden digest like every family, which is what proves
     the admission layer inert when no limit triggers.
     """
@@ -1188,7 +1188,7 @@ def _overload_surge(p, rng):
     },
 )
 def _flaky_uplink(p, rng):
-    """The fault-injection workload behind the chaos-conformance suite.
+    """The fault-injection workload behind the chaos conformance legs.
 
     The fabric combines the corridor's CSMA jitter (``uplink_backoff``
     ticks per hop attempt) with the storm's log-distance lossy radio,

@@ -16,7 +16,7 @@ import pytest
 from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.role_window import RoleWindow
 
-from tests.integration.test_stream_conformance import _run
+from tests.integration.test_conformance import _run
 
 
 def replay(monkeypatch, spec, batches, use_planner):

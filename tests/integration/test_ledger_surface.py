@@ -33,7 +33,7 @@ from repro.stream import (
 )
 from repro.workloads import build_scenario
 
-from tests.integration.test_stream_conformance import _observer, _run
+from tests.integration.test_conformance import _observer, _run
 
 LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger"
 

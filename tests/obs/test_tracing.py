@@ -9,7 +9,7 @@ import pytest
 from repro.core.errors import ObserverError
 from repro.obs.tracing import STAGES, Stage, StageTrace, Telemetry
 
-Item = namedtuple("Item", ["source", "seq"])
+Item = namedtuple("Item", ["source", "seq", "arrival_tick"], defaults=[0])
 
 
 class TestStageTrace:

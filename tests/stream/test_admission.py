@@ -195,15 +195,33 @@ class TestAdmissionLimits:
             ({"rate": 1.0, "burst": float("inf")}, "burst"),
             ({"rate": float("nan")}, "rate"),
             ({"rate": float("inf")}, "rate"),
+            ({"max_pending": 1.5}, "max_pending"),
+            ({"max_pending": True}, "max_pending"),
+            ({"max_deferred": 2.5}, "max_deferred"),
+            ({"late_retention": -1}, "late_retention"),
+            ({"late_retention": 4.0}, "late_retention"),
         ],
-        ids=["burst below 1", "nan burst", "inf burst", "nan rate", "inf rate"],
+        ids=[
+            "burst below 1",
+            "nan burst",
+            "inf burst",
+            "nan rate",
+            "inf rate",
+            "fractional cap",
+            "bool cap",
+            "fractional deferral cap",
+            "negative late retention",
+            "float late retention",
+        ],
     )
     def test_a_bucket_that_cannot_be_built_is_refused_up_front(
         self, limits, complaint
     ):
-        # A bucket is built at the first rate-limited intake, after the
-        # screens ahead of admission recorded the step: refusing it there
-        # would lose the step's items to the dedup record.
+        # A bucket is built at the first rate-limited intake, and a cap
+        # or a retention is first used when the runtime builds its buffer
+        # or takes a step, after the screens ahead of admission recorded
+        # it: refusing either there would lose the step's items to the
+        # dedup record.
         with pytest.raises(ObserverError, match=complaint):
             AdmissionLimits(**limits)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ObserverError
-from repro.stream import WatermarkTracker
+from repro.stream import StreamingDetectionRuntime, WatermarkTracker
 
 
 class TestWatermarkTracker:
@@ -47,9 +47,18 @@ class TestWatermarkTracker:
         with pytest.raises(ObserverError, match="closed"):
             tracker.observe("a", 2)
 
-    def test_negative_lateness_rejected(self):
-        with pytest.raises(ObserverError):
-            WatermarkTracker(lateness=-1)
+    @pytest.mark.parametrize(
+        "lateness",
+        [-1, 1.5, 2.0, True],
+        ids=["negative", "fraction", "float", "bool"],
+    )
+    def test_lateness_must_be_a_non_negative_int(self, lateness):
+        # A fractional bound would release at fractional watermarks
+        # (ticks 5 and 9 under 1.5 read 7.5).
+        with pytest.raises(ObserverError, match="lateness"):
+            WatermarkTracker(lateness=lateness)
+        with pytest.raises(ObserverError, match="lateness"):
+            StreamingDetectionRuntime(lateness=lateness)
 
     def test_snapshot_restore_round_trip(self):
         tracker = WatermarkTracker(lateness=4)
