@@ -11,8 +11,9 @@ Workshops 2009), plus every substrate the paper depends on:
   sink/dispatch nodes, CCUs, event bus, database servers (Section 3,
   Figure 1);
 * :mod:`repro.detect` — the windowed detection engine observers run;
-* :mod:`repro.shard` — spatially sharded detection: partitioned
-  engines with halo routing and exact cross-shard merge;
+* :mod:`repro.shard` — spatially sharded detection, a replay backend
+  only: partitioned engines with halo routing and exact cross-shard
+  merge, built by :class:`~repro.stream.replay.ReplayObserver`;
 * :mod:`repro.network` — the wireless sensor/actor network substrate;
 * :mod:`repro.physical` — the simulated physical world;
 * :mod:`repro.sim` — the deterministic discrete-event kernel;

@@ -30,7 +30,7 @@ from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
 from repro.cps.actions import ActionRule, ActuatorCommand
 from repro.cps.component import ObserverComponent
-from repro.shard.engine import Engine
+from repro.detect.engine import DetectionEngine
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -69,7 +69,7 @@ class ControlUnit(ObserverComponent):
         publish: PublishCallback | None = None,
         dispatch: DispatchCallback | None = None,
         processing_ticks: int = 0,
-        engine: Engine | None = None,
+        engine: DetectionEngine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(

@@ -43,7 +43,6 @@ from repro.detect.engine import (
     Match,
     emit_payload,
 )
-from repro.shard.engine import Engine
 from repro.sim.kernel import PRIORITY_INGEST, Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -94,9 +93,8 @@ class ObserverComponent(CPSComponent):
         layer: Hierarchy layer of emitted instances.
         instance_cls: Concrete instance dataclass to emit.
         specs: Event specifications to install.
-        engine: An empty engine to install ``specs`` into, as built by
-            :meth:`~repro.shard.engine.EngineConfig.build`; defaults to
-            a planned :class:`~repro.detect.engine.DetectionEngine`.
+        engine: An empty :class:`~repro.detect.engine.DetectionEngine`
+            to install ``specs`` into; defaults to a planned one.
         trace: Optional trace recorder.
     """
 
@@ -109,14 +107,14 @@ class ObserverComponent(CPSComponent):
         layer: EventLayer,
         instance_cls: type[EventInstance],
         specs: Sequence[EventSpecification] = (),
-        engine: Engine | None = None,
+        engine: DetectionEngine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(name, location, sim, trace)
         self.observer_id = ObserverId(kind, name)
         self.layer = layer
         self.instance_cls = instance_cls
-        self.engine: Engine = DetectionEngine() if engine is None else engine
+        self.engine = DetectionEngine() if engine is None else engine
         for spec in specs:
             self.engine.add_spec(spec)
         self._sequence = InstanceSequence(self)

@@ -44,11 +44,11 @@ from repro.cps.actuator import Actuator
 from repro.cps.component import ObserverComponent
 from repro.cps.sensor import Sensor
 from repro.detect.confidence import confidence_from_margin
+from repro.detect.engine import DetectionEngine
 from repro.detect.interval_builder import IntervalBuilder, TransitionKind
 from repro.network.fabric import WirelessNetwork
 from repro.network.packet import Packet, PacketKind
 from repro.physical.world import PhysicalWorld
-from repro.shard.engine import Engine
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -121,7 +121,7 @@ class SensorMote(ObserverComponent):
         specs: Sequence[EventSpecification] = (),
         interval_events: Sequence[IntervalEventConfig] = (),
         sampling_offset: int | None = None,
-        engine: Engine | None = None,
+        engine: DetectionEngine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(

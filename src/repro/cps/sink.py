@@ -34,11 +34,10 @@ from repro.core.instance import (
 from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
 from repro.cps.component import ObserverComponent
-from repro.detect.engine import Match
+from repro.detect.engine import DetectionEngine, Match
 from repro.detect.localize import trilaterate
 from repro.network.fabric import WirelessNetwork
 from repro.network.packet import Packet, PacketKind
-from repro.shard.engine import Engine
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -108,7 +107,7 @@ class SinkNode(ObserverComponent):
         network: WirelessNetwork | None = None,
         publish: PublishCallback | None = None,
         trilaterate_attribute: str | None = None,
-        engine: Engine | None = None,
+        engine: DetectionEngine | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(

@@ -23,7 +23,6 @@ scenario fails at construction, not mid-run.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.core.errors import ComponentError
@@ -39,13 +38,13 @@ from repro.cps.dispatch import DispatchNode
 from repro.cps.mote import ActorMote, IntervalEventConfig, SensorMote
 from repro.cps.sensor import Sensor
 from repro.cps.sink import SinkNode
+from repro.detect.engine import DetectionEngine
 from repro.network.fabric import DutyCycleMac, WiredBackbone, WirelessNetwork
 from repro.network.link import LinkModel
 from repro.network.packet import PacketKind
 from repro.network.routing import RoutingTree
 from repro.network.topology import Topology
 from repro.physical.world import PhysicalWorld
-from repro.shard.engine import Engine, EngineConfig
 from repro.sim.kernel import PRIORITY_WORLD, Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -60,12 +59,11 @@ class CPSSystem:
         bus_latency: Event bus delivery latency in ticks.
         backbone_latency: Wired backbone latency in ticks.
         world_step_period: Ticks between physical-world dynamics steps.
-        engine: Detection backend of every observer this system builds
-            (identical behavior whichever is chosen — the conformance
-            harness compares them).  Sinks and CCUs get exactly this
-            config, tiling :meth:`detection_bounds` when it is sharded;
-            motes get it at ``shards=1``: a mote is itself a spatial
-            shard of the deployment.
+        use_planner: Evaluation mode of every observer's
+            :class:`~repro.detect.engine.DetectionEngine` (motes, sinks
+            and CCUs alike).  ``False`` runs the exhaustive baseline;
+            behavior is identical either way — the conformance harness
+            compares the two.
     """
 
     def __init__(
@@ -74,12 +72,11 @@ class CPSSystem:
         bus_latency: int = 1,
         backbone_latency: int = 1,
         world_step_period: int = 1,
-        engine: EngineConfig = EngineConfig(),
+        use_planner: bool = True,
     ):
         if world_step_period < 1:
             raise ComponentError("world step period must be >= 1")
-        self.engine = engine
-        self._mote_engine = replace(engine, shards=1)
+        self.use_planner = use_planner
         self.sim = Simulator(seed)
         self.trace = TraceRecorder()
         self.world = PhysicalWorld()
@@ -150,10 +147,10 @@ class CPSSystem:
         )
         return self.actor_network
 
-    # -- sharding ------------------------------------------------------
+    # -- detection bounds ----------------------------------------------
 
     def detection_bounds(self) -> BoundingBox:
-        """World extent the sharded backend partitions.
+        """World extent a sharded replay of this system's feeds tiles.
 
         Preference order: the physical world's declared bounds, then
         the sensor topology's spatial extent.  Bounds only shape load
@@ -177,13 +174,6 @@ class CPSSystem:
         raise ComponentError(
             "sharded detection needs bounds: call world.set_bounds() or "
             "build_sensor_network() first"
-        )
-
-    def _observer_engine(self) -> Engine:
-        """A fresh, empty engine for one sink or CCU."""
-        sharded = self.engine.shards > 1
-        return self.engine.build(
-            bounds=self.detection_bounds() if sharded else None
         )
 
     # -- components ----------------------------------------------------
@@ -214,7 +204,7 @@ class CPSSystem:
             specs=specs,
             interval_events=interval_events,
             sampling_offset=sampling_offset,
-            engine=self._mote_engine.build(),
+            engine=DetectionEngine(use_planner=self.use_planner),
             trace=self.trace,
         )
         self.motes[name] = mote
@@ -240,7 +230,7 @@ class CPSSystem:
             network=self.sensor_network,
             publish=self.bus.publish,
             trilaterate_attribute=trilaterate_attribute,
-            engine=self._observer_engine(),
+            engine=DetectionEngine(use_planner=self.use_planner),
             trace=self.trace,
         )
         self.sinks[name] = sink
@@ -267,7 +257,7 @@ class CPSSystem:
             publish=self.bus.publish,
             dispatch=self._make_dispatch_callback(name),
             processing_ticks=processing_ticks,
-            engine=self._observer_engine(),
+            engine=DetectionEngine(use_planner=self.use_planner),
             trace=self.trace,
         )
         self.bus.subscribe(

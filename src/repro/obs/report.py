@@ -1,7 +1,7 @@
 """``python -m repro.obs.report`` — live runtime introspection CLI.
 
 Builds a registered scenario, captures its busiest observer feed,
-replays it (optionally sharded) through a telemetry-enabled
+replays it through a telemetry-enabled
 :class:`~repro.stream.runtime.StreamingDetectionRuntime`, and
 pretty-prints what its parts hold: stage residency percentiles,
 shed/late/recovery counts, per-spec bindings and matches, and the
@@ -12,7 +12,7 @@ Examples::
 
     PYTHONPATH=src python -m repro.obs.report
     PYTHONPATH=src python -m repro.obs.report --scenario high_density \\
-        --shards 4 --trace-every 1 --format text
+        --trace-every 1 --format text
     PYTHONPATH=src python -m repro.obs.report --format prometheus
 """
 
@@ -34,7 +34,6 @@ def traced_replay(
     name: str,
     *,
     preset: str = "small",
-    shards: int = 1,
     trace_every: int = 1,
     lateness: int = DEFAULT_LATENESS,
     seed: int = DEFAULT_JITTER_SEED,
@@ -44,13 +43,9 @@ def traced_replay(
     Returns the finished :class:`~repro.stream.replay.ReplayObserver`
     (``collect(replayer.runtime)`` reads its series).
     """
-    from repro.shard import EngineConfig
     from repro.stream import JitteredSource, ReplayObserver, profile_of
     from repro.workloads import build_scenario
 
-    # ReplayObserver checks the shard count too, but only after the
-    # scenario has been built and run; a bad one should fail first.
-    shards = EngineConfig(shards=shards).shards
     scenario = build_scenario(name, preset=preset)
     taps = scenario.system.attach_stream_taps()
     scenario.system.run(until=scenario.params["horizon"])
@@ -62,8 +57,6 @@ def traced_replay(
     replayer = ReplayObserver(
         profile_of(observer),
         lateness=lateness,
-        shards=shards,
-        bounds=scenario.system.detection_bounds() if shards > 1 else None,
         telemetry=Telemetry.create(trace_every=trace_every),
     )
     replayer.replay(JitteredSource(tap, max_delay=lateness, seed=seed))
@@ -81,12 +74,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--preset", default="small", help="scenario preset (default: small)"
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="detection backend shards (1 = single engine)",
     )
     parser.add_argument(
         "--trace-every",
@@ -118,7 +105,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         replayer = traced_replay(
             args.scenario,
             preset=args.preset,
-            shards=args.shards,
             trace_every=args.trace_every,
             lateness=args.lateness,
             seed=args.seed,

@@ -283,12 +283,14 @@ class Telemetry:
     )
 
     def __init__(self, *, trace_every: int = 0, ring: int = DEFAULT_TRACE_RING):
-        if trace_every < 0:
+        if type(trace_every) is not int or trace_every < 0:
             raise ObserverError(
-                f"trace_every cannot be negative: {trace_every}"
+                f"trace_every cannot be negative or a non-int: {trace_every!r}"
             )
-        if ring < 1:
-            raise ObserverError(f"trace ring must hold at least 1: {ring}")
+        if type(ring) is not int or ring < 1:
+            raise ObserverError(
+                f"trace ring must be an int holding at least 1: {ring!r}"
+            )
         self.trace_every = trace_every
         self.ring = ring
         self.now: int | None = None

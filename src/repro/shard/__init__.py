@@ -10,7 +10,7 @@ evaluated per-region, provided the regions overlap by that reach.
 
 * :class:`~repro.shard.partitioner.WorldPartitioner` — tiles the world
   bounds (:attr:`repro.physical.world.PhysicalWorld.bounds` or the
-  sensor topology's extent) into uniform grid cells or stripes;
+  sensor topology's extent) into uniform grid cells;
 * :class:`~repro.shard.router.ObservationRouter` — assigns each batch
   entity a *home* shard plus the *halo* shards within the maximum
   spatial reach any selecting specification can correlate over
@@ -27,23 +27,19 @@ evaluated per-region, provided the regions overlap by that reach.
 
 :class:`~repro.shard.engine.ShardedDetectionEngine` packages the four
 parts behind the exact ``submit_batch``/``matches``/``stats`` surface
-of :class:`~repro.detect.engine.DetectionEngine`.  Which of the two an
-observer runs is one :class:`~repro.shard.engine.EngineConfig` value:
-``CPSSystem(engine=EngineConfig(shards=4, partition="stripes"))``, or
-the same ``engine=`` on any scenario builder.
+of :class:`~repro.detect.engine.DetectionEngine`.  It is a replay
+backend only: live observers run a single engine, and
+``ReplayObserver(shards=4, bounds=...)`` is the one place that builds a
+sharded one — what the performance ledger's ``stream_enum_shard4``
+workload prices against ``stream_enum``.
 """
 
-from repro.shard.engine import (
-    EngineConfig,
-    ShardedDetectionEngine,
-    ShardedEngineSnapshot,
-)
+from repro.shard.engine import ShardedDetectionEngine, ShardedEngineSnapshot
 from repro.shard.merger import MatchMerger
 from repro.shard.partitioner import WorldPartitioner
 from repro.shard.router import ObservationRouter, RouterStats
 
 __all__ = [
-    "EngineConfig",
     "ShardedDetectionEngine",
     "ShardedEngineSnapshot",
     "MatchMerger",

@@ -19,8 +19,8 @@ over ``shards`` internal engines partitioned by space:
 * the merged match stream (and therefore every emitted instance, seq
   number and trace record downstream) is identical to what one
   :class:`~repro.detect.engine.DetectionEngine` over the same stream
-  produces — the conformance goldens run every registered scenario on
-  this backend to pin that.
+  produces — the conformance goldens replay every registered scenario
+  on this backend to pin that.
 
 :attr:`ShardedDetectionEngine.stats` aggregates: submission counters
 and the merged match count are taken at the sharded level
@@ -29,8 +29,8 @@ counters (bindings, pruning, cache, errors) sum over the shard engines
 via :meth:`~repro.detect.engine.EngineStats.merge`.  Per-shard detail
 stays available through :meth:`shard_stats`.
 
-:class:`EngineConfig` (end of this module) is the one place that
-chooses between the two engine classes.
+:class:`~repro.stream.replay.ReplayObserver` is the one place that
+builds this backend (``shards > 1``).
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from repro.detect.engine import (
     drop_expired_prefix,
 )
 from repro.shard.merger import MatchMerger
-from repro.shard.partitioner import PARTITION_STRATEGIES, WorldPartitioner
+from repro.shard.partitioner import WorldPartitioner
 from repro.shard.router import ObservationRouter
 
-__all__ = ["Engine", "EngineConfig", "ShardedDetectionEngine", "ShardedEngineSnapshot"]
+__all__ = ["ShardedDetectionEngine", "ShardedEngineSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ class ShardedEngineSnapshot:
     """
 
     shards: tuple[EngineSnapshot, ...]
-    partition: str
     bounds: BoundingBox
     merger_last_match: Mapping[str, int]
     seq_map: tuple[tuple[int, tuple[int, int]], ...]
@@ -90,8 +89,7 @@ class ShardedDetectionEngine:
         bounds: World extent the partitioner tiles (see
             :class:`~repro.shard.partitioner.WorldPartitioner`; any box
             covering the bulk of observed locations is correct).
-        shards: Number of spatial shards (>= 1).
-        partition: ``"grid"`` or ``"stripes"``.
+        shards: Number of spatial shards (>= 1), tiled as a grid.
         use_planner: Evaluation mode of the per-shard engines (the
             compiled/planned path by default; ``False`` runs every
             shard on the exhaustive baseline — still exact).
@@ -103,10 +101,9 @@ class ShardedDetectionEngine:
         *,
         bounds: BoundingBox,
         shards: int = 4,
-        partition: str = "grid",
         use_planner: bool = True,
     ):
-        self.partitioner = WorldPartitioner(bounds, shards, partition)
+        self.partitioner = WorldPartitioner(bounds, shards)
         self.router = ObservationRouter(self.partitioner)
         self.use_planner = use_planner
         self._engines = tuple(
@@ -313,7 +310,6 @@ class ShardedDetectionEngine:
         merger = self.merger
         return ShardedEngineSnapshot(
             shards=tuple(engine.snapshot() for engine in self._engines),
-            partition=self.partitioner.strategy,
             bounds=self.partitioner.bounds,
             merger_last_match=dict(merger.last_match),
             seq_map=tuple(self._seq_map.items()),
@@ -327,23 +323,20 @@ class ShardedDetectionEngine:
 
     def restore(self, snapshot: ShardedEngineSnapshot) -> None:
         """Reset to a snapshot taken from an equivalently configured
-        sharded engine (same specs, same shard count, same spatial
-        layout — restored windows hold entities placed by the
-        snapshotted router, so a different partition/bounds would
-        silently evaluate against wrong window contents).  Every shard
-        snapshot is checked before any shard is touched, so a refused
-        snapshot changes nothing."""
+        sharded engine (same specs, same shard count, same bounds —
+        restored windows hold entities placed by the snapshotted
+        router, so a different tiling would silently evaluate against
+        wrong window contents).  Every shard snapshot is checked before
+        any shard is touched, so a refused snapshot changes nothing."""
         if len(snapshot.shards) != len(self._engines):
             raise ObserverError(
                 f"snapshot has {len(snapshot.shards)} shards, this engine "
                 f"has {len(self._engines)}"
             )
-        layout = (self.partitioner.strategy, self.partitioner.bounds)
-        if (snapshot.partition, snapshot.bounds) != layout:
+        if snapshot.bounds != self.partitioner.bounds:
             raise ObserverError(
-                f"snapshot was taken under partition layout "
-                f"{(snapshot.partition, snapshot.bounds)}, this engine "
-                f"tiles {layout}"
+                f"snapshot was taken over bounds {snapshot.bounds!r}, "
+                f"this engine tiles {self.partitioner.bounds!r}"
             )
         shards = tuple(zip(self._engines, snapshot.shards))
         for engine, shard_snapshot in shards:
@@ -388,59 +381,3 @@ class ShardedDetectionEngine:
         self.merger.clear()
         self._seq_map.clear()
 
-
-Engine = DetectionEngine | ShardedDetectionEngine
-"""Either backend: same ``submit_batch``/``stats``/``snapshot`` surface."""
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Which detection backend an observer runs.
-
-    The choice never changes behaviour — naive, planned and sharded
-    engines emit byte-identical traces, which the conformance goldens
-    pin — so it is one value handed to
-    :class:`~repro.cps.system.CPSSystem` or a scenario builder, and
-    :meth:`build` is the only code that picks an engine class.
-
-    Args:
-        use_planner: ``False`` runs the exhaustive baseline the
-            differential tests compare against.
-        shards: ``1`` builds a single
-            :class:`~repro.detect.engine.DetectionEngine`, more a
-            :class:`ShardedDetectionEngine` of that many spatial shards
-            (partitioned state, not more throughput).
-        partition: Shard layout, ``"grid"`` or ``"stripes"``.
-    """
-
-    use_planner: bool = True
-    shards: int = 1
-    partition: str = "grid"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ObserverError(f"shards must be an int >= 1, got {self.shards!r}")
-        if self.partition not in PARTITION_STRATEGIES:
-            raise ObserverError(
-                f"unknown partition {self.partition!r}; "
-                f"choose from {PARTITION_STRATEGIES}"
-            )
-
-    def build(
-        self,
-        specs: Sequence[EventSpecification] = (),
-        bounds: BoundingBox | None = None,
-    ) -> Engine:
-        """A fresh engine loaded with ``specs``; a sharded one tiles
-        ``bounds``, a single one ignores them."""
-        if self.shards == 1:
-            return DetectionEngine(specs, use_planner=self.use_planner)
-        if bounds is None:
-            raise ObserverError(f"shards={self.shards} needs bounds to tile")
-        return ShardedDetectionEngine(
-            specs,
-            bounds=bounds,
-            shards=self.shards,
-            partition=self.partition,
-            use_planner=self.use_planner,
-        )

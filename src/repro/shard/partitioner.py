@@ -17,13 +17,9 @@ every pairwise-distance guarantee the router derives from specification
 clauses survives clamping — entities far outside the declared bounds
 still merge exactly, they just all land in edge shards.
 
-Strategies:
-
-* ``"grid"`` — rows x cols uniform cells, factored as near-square as
-  the shard count allows and oriented so the longer world axis gets
-  the larger factor;
-* ``"stripes"`` — ``shards`` parallel slices along the longer axis
-  (the natural choice for corridor deployments).
+The tiling is a grid of rows x cols uniform cells, factored as
+near-square as the shard count allows and oriented so the longer world
+axis gets the larger factor.
 """
 
 from __future__ import annotations
@@ -33,10 +29,7 @@ import math
 from repro.core.errors import SpatialError
 from repro.core.space_model import BoundingBox, PointLocation
 
-__all__ = ["WorldPartitioner", "PARTITION_STRATEGIES"]
-
-PARTITION_STRATEGIES = ("grid", "stripes")
-"""Supported partitioning strategy names."""
+__all__ = ["WorldPartitioner"]
 
 
 def _near_square_factors(shards: int) -> tuple[int, int]:
@@ -48,7 +41,7 @@ def _near_square_factors(shards: int) -> tuple[int, int]:
 
 
 class WorldPartitioner:
-    """Uniform rectangular partition of a world extent.
+    """Uniform grid partition of a world extent.
 
     Args:
         bounds: The world extent to tile.  Any box containing the bulk
@@ -56,30 +49,15 @@ class WorldPartitioner:
             only load balance, never correctness (outside points clamp
             to edge shards).
         shards: Number of shards (>= 1).
-        strategy: ``"grid"`` or ``"stripes"``.
     """
 
-    def __init__(
-        self,
-        bounds: BoundingBox,
-        shards: int,
-        strategy: str = "grid",
-    ):
+    def __init__(self, bounds: BoundingBox, shards: int):
         if shards < 1:
             raise SpatialError(f"shard count must be >= 1, got {shards}")
-        if strategy not in PARTITION_STRATEGIES:
-            raise SpatialError(
-                f"unknown partition strategy {strategy!r}; "
-                f"choose from {PARTITION_STRATEGIES}"
-            )
         self.bounds = bounds
-        self.strategy = strategy
+        small, large = _near_square_factors(shards)
         wide = bounds.width >= bounds.height
-        if strategy == "stripes":
-            rows, cols = (1, shards) if wide else (shards, 1)
-        else:
-            small, large = _near_square_factors(shards)
-            rows, cols = (small, large) if wide else (large, small)
+        rows, cols = (small, large) if wide else (large, small)
         self.rows = rows
         self.cols = cols
         self._cell_w = bounds.width / cols
@@ -167,9 +145,7 @@ class WorldPartitioner:
 
     def describe(self) -> str:
         """Human-readable layout summary (for tracing and docs)."""
-        return (
-            f"{self.strategy}:{self.rows}x{self.cols} over {self.bounds!r}"
-        )
+        return f"grid:{self.rows}x{self.cols} over {self.bounds!r}"
 
     def __repr__(self) -> str:
         return f"WorldPartitioner({self.describe()})"

@@ -108,9 +108,12 @@ class ReorderBuffer:
         late_retention: int | None = DEFAULT_LATE_RETENTION,
         rank: Callable[[StreamItem], object] | None = None,
     ):
-        if late_retention is not None and late_retention < 0:
+        if late_retention is not None and (
+            type(late_retention) is not int or late_retention < 0
+        ):
             raise ObserverError(
-                f"late retention cannot be negative: {late_retention}"
+                f"late_retention must be a non-negative int or None: "
+                f"{late_retention!r}"
             )
         # Heap entries carry an insertion counter after the order key:
         # ``seq`` is only unique per source, so two sources' items can

@@ -28,8 +28,8 @@ from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.engine import InstanceSequence, Match, emit_payload
-from repro.shard.engine import EngineConfig
+from repro.detect.engine import DetectionEngine, InstanceSequence, Match, emit_payload
+from repro.shard.engine import ShardedDetectionEngine
 from repro.sim.trace import TraceRecord
 from repro.stream.admission.controller import AdmissionController
 from repro.stream.runtime import (
@@ -113,9 +113,10 @@ class ReplayObserver:
             :class:`~repro.detect.engine.DetectionEngine`; ``>1``
             installs the spatially sharded backend — the conformance
             suite runs both to prove the streamed shard merge exact.
-        bounds: World extent for the shard partitioner (required when
+            This is the one place that builds a
+            :class:`~repro.shard.engine.ShardedDetectionEngine`.
+        bounds: World extent the shard grid tiles (required when
             ``shards > 1``).
-        partition: Shard layout (``"grid"`` or ``"stripes"``).
         admission: Optional
             :class:`~repro.stream.admission.AdmissionController` handed
             straight to the runtime — replays under resource bounds,
@@ -140,7 +141,6 @@ class ReplayObserver:
     lateness: int
     shards: int = 1
     bounds: BoundingBox | None = None
-    partition: str = "grid"
     admission: AdmissionController | None = None
     quarantine: object | None = None
     dedup: object | None = None
@@ -148,11 +148,23 @@ class ReplayObserver:
     emitted: list[EventInstance] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        profile = self.profile
+        shards, profile = self.shards, self.profile
+        if type(shards) is not int or shards < 1:
+            raise ObserverError(f"shards must be an int >= 1, got {shards!r}")
+        if shards == 1:
+            engine = DetectionEngine(profile.specs, use_planner=profile.use_planner)
+        elif self.bounds is None:
+            raise ObserverError(f"shards={shards} needs bounds to tile")
+        else:
+            engine = ShardedDetectionEngine(
+                profile.specs,
+                bounds=self.bounds,
+                shards=shards,
+                use_planner=profile.use_planner,
+            )
         self._sequence = InstanceSequence(profile)
-        config = EngineConfig(profile.use_planner, self.shards, self.partition)
         self.runtime = StreamingDetectionRuntime(
-            config.build(profile.specs, self.bounds),
+            engine,
             lateness=self.lateness,
             on_match=self._emit,
             admission=self.admission,

@@ -69,9 +69,10 @@ class FaultySource:
         name: str | None = None,
         redelivery_overlap: int = 1,
     ):
-        if redelivery_overlap < 0:
+        if type(redelivery_overlap) is not int or redelivery_overlap < 0:
             raise ObserverError(
-                f"redelivery_overlap cannot be negative: {redelivery_overlap}"
+                f"redelivery_overlap must be a non-negative int: "
+                f"{redelivery_overlap!r}"
             )
         base_name = getattr(base, "name", None)
         self.name = name if name is not None else (

@@ -78,9 +78,10 @@ class Quarantine:
     ):
         if not callable(validator):
             raise ObserverError("quarantine validator must be callable")
-        if retention is not None and retention < 0:
+        if retention is not None and (type(retention) is not int or retention < 0):
             raise ObserverError(
-                f"quarantine retention cannot be negative: {retention}"
+                f"quarantine retention must be a non-negative int or None: "
+                f"{retention!r}"
             )
         self.validator = validator
         self.retention = retention

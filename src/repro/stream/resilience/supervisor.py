@@ -82,8 +82,10 @@ class CheckpointPolicy:
             ("every_steps", self.every_steps),
             ("every_released", self.every_released),
         ):
-            if value is not None and value <= 0:
-                raise ObserverError(f"{label} must be positive: {value}")
+            if value is not None and (type(value) is not int or value <= 0):
+                raise ObserverError(
+                    f"{label} must be a positive int or None: {value!r}"
+                )
 
     def due(self, steps_since: int, released_since: int) -> bool:
         """Whether progress since the last checkpoint triggers a new one."""
@@ -113,6 +115,10 @@ class BackoffPolicy:
     max_attempts: int = 6
 
     def __post_init__(self) -> None:
+        for name in ("base_delay", "factor", "max_delay", "max_attempts"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ObserverError(f"{name} must be an int: {value!r}")
         if self.base_delay < 0:
             raise ObserverError(
                 f"base_delay cannot be negative: {self.base_delay}"

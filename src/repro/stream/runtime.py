@@ -46,9 +46,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ObserverError
-from repro.detect.engine import Match
+from repro.detect.engine import DetectionEngine, Match
 from repro.obs.tracing import Telemetry
-from repro.shard.engine import Engine
 from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.controller import AdmissionController
 from repro.stream.reorder import ReorderBuffer
@@ -238,7 +237,7 @@ class StreamingDetectionRuntime:
 
     def __init__(
         self,
-        engine: Engine | None = None,
+        engine: DetectionEngine | None = None,
         *,
         lateness: int,
         on_match: Callable[[Match], None] | None = None,

@@ -51,7 +51,6 @@ from repro.physical.fields import (
 from repro.physical.fire import FireModel, FireTemperatureField
 from repro.physical.mobility import PatrolTrajectory, WaypointTrajectory
 from repro.physical.objects import PhysicalObject
-from repro.shard.engine import EngineConfig
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -259,7 +258,7 @@ def _compile(text: str) -> tuple:
 
 
 def deploy(
-    plan: Plan, params: Mapping[str, object], seed: int, engine: EngineConfig
+    plan: Plan, params: Mapping[str, object], seed: int, use_planner: bool
 ) -> Scenario:
     """Wire one family's deployment into a runnable Figure 1 loop.
 
@@ -267,7 +266,7 @@ def deploy(
     CCU with its rule → dispatch → actor mote → database, in that order
     for every family.
     """
-    system = CPSSystem(seed=seed, engine=engine)
+    system = CPSSystem(seed=seed, use_planner=use_planner)
     d = plan(SimpleNamespace(**params), system.sim.rng)
     command = d.command
     for obj in d.objects:

@@ -20,7 +20,6 @@ Usage::
 from __future__ import annotations
 
 from repro.core.errors import ReproError
-from repro.shard.engine import EngineConfig
 from repro.workloads.families import FAMILIES, Scenario, ScenarioSpec, deploy
 
 __all__ = [
@@ -66,7 +65,7 @@ def build_scenario(
     name: str,
     preset: str = "small",
     seed: int | None = None,
-    engine: EngineConfig = EngineConfig(),
+    use_planner: bool = True,
     **overrides: object,
 ) -> Scenario:
     """Build one registered scenario at a size preset.
@@ -76,8 +75,8 @@ def build_scenario(
         preset: Size preset (``small`` / ``medium`` / ``large``).
         seed: Root random seed; defaults to the family's registered
             deterministic seed.
-        engine: Detection backend of every observer (handed straight to
-            :class:`~repro.cps.system.CPSSystem`).
+        use_planner: Evaluation mode of every observer's engine (handed
+            straight to :class:`~repro.cps.system.CPSSystem`).
         overrides: Parameter values layered over the preset; a name the
             family does not declare is refused before anything is built.
     """
@@ -87,7 +86,7 @@ def build_scenario(
     params.update(overrides)
     if seed is None:
         seed = spec.default_seed
-    return deploy(spec.plan, params, seed, engine)
+    return deploy(spec.plan, params, seed, use_planner)
 
 
 for _spec in FAMILIES:

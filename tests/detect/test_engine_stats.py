@@ -18,9 +18,9 @@ from repro.core.operators import RelationalOp
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
-from repro.detect.engine import EngineStats
+from repro.detect.engine import DetectionEngine, EngineStats
 from repro.obs.export import render_report
-from repro.shard import EngineConfig
+from repro.shard import ShardedDetectionEngine
 
 
 class TestDerivedRatioGuards:
@@ -55,8 +55,12 @@ class TestReportSaysWhetherThePlanPays:
             ),
             window=10,
         )
-        engine = EngineConfig(shards=shards).build(
-            [spec], BoundingBox(0.0, 0.0, 100.0, 100.0)
+        engine = (
+            DetectionEngine([spec])
+            if shards == 1
+            else ShardedDetectionEngine(
+                [spec], bounds=BoundingBox(0.0, 0.0, 100.0, 100.0), shards=shards
+            )
         )
         for seq, x in enumerate((0.0, 1.0, 2.0, 90.0)):
             entity = PhysicalObservation(

@@ -4,17 +4,17 @@ The paper's claim is that every observer turns the same inputs into the
 same event instances.  This module pins it for *every* scenario in the
 registry (small preset, registered seed) as a few invariants checked
 over tables of configurations.  All of them read one capture per
-``(scenario, engine, seed)``: a whole-system run with a
+``(scenario, use_planner, seed)``: a whole-system run with a
 :class:`~repro.stream.capture.StreamTap` on every sink's and CCU's
 engine feed.  Taps only observe, so the tapped run is the live golden
 run as well.
 
-* **live legs** (:data:`LIVE`) — the system on the planned, naive,
-  grid-sharded and stripe-sharded backends reproduces the checked-in
-  golden digest and the exhaustive baseline's match set.  Pruning may
-  only reduce ``bindings_evaluated``; engine counters and instance
-  fields keep their structural laws; every layer is reached and the
-  loop is closed by an actuation.
+* **live legs** (:data:`LIVE`) — the system on the planned engine and
+  on the exhaustive baseline reproduces the checked-in golden digest
+  and the baseline's match set.  Pruning may only reduce
+  ``bindings_evaluated``; engine counters and instance fields keep
+  their structural laws; every layer is reached and the loop is closed
+  by an actuation.
 * **replay legs** (:data:`LEGS`) — every captured feed, disordered by
   seeded jitter within the lateness bound, is replayed through a
   :class:`~repro.stream.replay.ReplayObserver` on 1 or 4 shards, behind
@@ -56,7 +56,6 @@ import pytest
 from repro.core.event import EventLayer
 from repro.core.time_model import TimeInterval
 from repro.obs import Telemetry, collect, to_json, trace_rows_digest
-from repro.shard import EngineConfig
 from repro.sim.trace import trace_digest
 from repro.stream import (
     AdmissionController,
@@ -98,15 +97,9 @@ small enough that every crash lands several steps past a checkpoint."""
 
 NAMES = scenario_names()
 
-PLANNED = EngineConfig()
-NAIVE = EngineConfig(use_planner=False)
-LIVE = (
-    PLANNED,
-    NAIVE,
-    EngineConfig(shards=4),
-    EngineConfig(shards=4, partition="stripes"),
-)
-"""The live legs: every registered scenario runs whole on all four."""
+LIVE = (True, False)
+"""The live legs, as ``use_planner``: every registered scenario runs
+whole on the planned engine and on the exhaustive baseline."""
 
 
 @dataclass(frozen=True)
@@ -271,15 +264,15 @@ def _plan_for(scenario_name: str, tap_name: str, steps: int) -> FaultPlan:
 _captures: dict[tuple, tuple] = {}
 
 
-def _run(name: str, engine: EngineConfig = PLANNED, seed: int | None = None):
+def _run(name: str, use_planner: bool = True, seed: int | None = None):
     """Build, tap and run one registered scenario (memoized per session).
 
     Returns ``(scenario, taps)``, the taps keyed by observer name.
     """
-    key = (name, engine, seed)
+    key = (name, use_planner, seed)
     if key not in _captures:
         scenario = build_scenario(
-            name, preset="small", seed=seed, engine=engine
+            name, preset="small", seed=seed, use_planner=use_planner
         )
         taps = scenario.system.attach_stream_taps()
         scenario.system.run(until=scenario.params["horizon"])
@@ -343,30 +336,26 @@ def replay(name: str, leg: Leg) -> dict[str, ReplayObserver]:
 # -- live legs, goldens, determinism -----------------------------------
 
 
-@pytest.mark.parametrize(
-    "engine", LIVE, ids=["planned", "naive", "sharded", "stripes"]
-)
+@pytest.mark.parametrize("use_planner", LIVE, ids=["planned", "naive"])
 @pytest.mark.parametrize("name", NAMES)
-def test_live_leg(name, engine):
-    scenario, _ = _run(name, engine)
-    baseline, _ = _run(name, NAIVE)
+def test_live_leg(name, use_planner):
+    scenario, _ = _run(name, use_planner)
+    baseline, _ = _run(name, False)
     assert _behavior_digest(scenario) == _golden_digest(name), (
-        f"{engine} diverged from the golden trace of {name!r}; a backend "
-        f"may only redistribute or prune detection, never change it"
+        f"use_planner={use_planner} diverged from the golden trace of "
+        f"{name!r}; the planner may only prune detection, never change it"
     )
     assert _match_set(scenario) == _match_set(baseline)
 
 
-@pytest.mark.parametrize(
-    "engine", LIVE, ids=["planned", "naive", "sharded", "stripes"]
-)
+@pytest.mark.parametrize("use_planner", LIVE, ids=["planned", "naive"])
 @pytest.mark.parametrize("name", NAMES)
-def test_live_leg_laws(name, engine):
+def test_live_leg_laws(name, use_planner):
     """Engine counters and instance fields keep their structural laws
     against the exhaustive baseline; every layer is reached and the loop
     is closed by an actuation."""
-    scenario, _ = _run(name, engine)
-    baseline, _ = _run(name, NAIVE)
+    scenario, _ = _run(name, use_planner)
+    baseline, _ = _run(name, False)
     for observer, reference in zip(
         _observers(scenario.system), _observers(baseline.system), strict=True
     ):
@@ -376,9 +365,8 @@ def test_live_leg_laws(name, engine):
         assert stats.matches == exhaustive.matches
         assert stats.entities_submitted == exhaustive.entities_submitted
         assert stats.evaluation_errors == 0
-        if engine.shards == 1:
-            assert stats.bindings_evaluated <= exhaustive.bindings_evaluated
-        if not engine.use_planner:
+        assert stats.bindings_evaluated <= exhaustive.bindings_evaluated
+        if not use_planner:
             assert stats.candidates_pruned == 0
         for instance in observer.emitted:
             assert 0.0 <= instance.confidence <= 1.0

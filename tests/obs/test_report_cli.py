@@ -14,7 +14,6 @@ from repro.obs.report import main
         (["--preset", "huge"], "unknown preset 'huge'"),
         (["--lateness", "-1"], "lateness bound cannot be negative"),
         (["--trace-every", "-2"], "trace_every cannot be negative"),
-        (["--shards", "0"], "shards must be an int >= 1, got 0"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, message, capsys):
@@ -27,18 +26,12 @@ def test_bad_input_exits_2_with_one_line(argv, message, capsys):
     assert "Traceback" not in captured.err
 
 
-def _released(argv, capsys) -> int:
-    assert main([*argv, "--preset", "small", "--format", "json"]) == 0
+def test_json_report_counts_released_observations(capsys):
+    assert main(["--preset", "small", "--format", "json"]) == 0
     metrics = json.loads(capsys.readouterr().out)["metrics"]
     (released,) = [
         m["value"]
         for m in metrics
         if m["name"] == "stream_observations_released_total"
     ]
-    return released
-
-
-def test_sharded_json_report_releases_what_the_single_engine_does(capsys):
-    single = _released([], capsys)
-    assert single > 0
-    assert _released(["--shards", "4"], capsys) == single
+    assert released > 0

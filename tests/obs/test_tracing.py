@@ -110,6 +110,14 @@ class TestLifecycle:
         with pytest.raises(ObserverError):
             Telemetry.create(trace_every=1, ring=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trace_every", 0.5), ("trace_every", True), ("ring", 1.5), ("ring", True)],
+    )
+    def test_stage_sizes_must_be_ints(self, field, value):
+        with pytest.raises(ObserverError, match=field):
+            Telemetry.create(**{"trace_every": 1, field: value})
+
 
 class TestSnapshotRestore:
     def test_round_trip_restores_cursor_active_ring_and_tallies(self):

@@ -4,10 +4,9 @@ The load-bearing contract of :mod:`repro.shard` is *exactness*: for any
 specification set and any entity stream, the sharded engine must
 produce the identical match stream — same bindings, same ticks, same
 order — as one :class:`~repro.detect.engine.DetectionEngine`, for every
-shard count and partition strategy.  These properties drive randomized
-specs and placements through both backends and compare the full
-streams, with the adversarial cases sharding can get wrong generated on
-purpose:
+shard count.  These properties drive randomized specs and placements
+through both backends and compare the full streams, with the
+adversarial cases sharding can get wrong generated on purpose:
 
 * matches whose constituents straddle shard borders (entity pairs
   placed across a boundary at controlled separations);
@@ -112,12 +111,12 @@ def match_stream(engine, batches):
     return out
 
 
-def assert_exact(specs_factory, entities, shards, partition="grid"):
+def assert_exact(specs_factory, entities, shards):
     """Single vs sharded full-stream equality (order included)."""
     batches = stream_of(entities)
     single = DetectionEngine(specs_factory())
     sharded = ShardedDetectionEngine(
-        specs_factory(), bounds=BOUNDS, shards=shards, partition=partition
+        specs_factory(), bounds=BOUNDS, shards=shards
     )
     expected = match_stream(single, batches)
     actual = match_stream(sharded, batches)
@@ -130,7 +129,6 @@ coords = st.floats(
     min_value=-20.0, max_value=120.0, allow_nan=False, allow_infinity=False
 )
 shard_counts = st.integers(min_value=2, max_value=6)
-partitions = st.sampled_from(["grid", "stripes"])
 
 
 @st.composite
@@ -164,18 +162,15 @@ def boundary_entities(draw):
 
 
 class TestRandomizedExactness:
-    @given(scattered_entities(), shard_counts, partitions,
-           st.sampled_from([0, 3, 9]))
+    @given(scattered_entities(), shard_counts, st.sampled_from([0, 3, 9]))
     @settings(max_examples=60, deadline=None)
-    def test_pair_spec_streams_equal(self, entities, shards, partition, cooldown):
-        assert_exact(
-            lambda: [pair_spec(cooldown=cooldown)], entities, shards, partition
-        )
+    def test_pair_spec_streams_equal(self, entities, shards, cooldown):
+        assert_exact(lambda: [pair_spec(cooldown=cooldown)], entities, shards)
 
-    @given(boundary_entities(), shard_counts, partitions)
+    @given(boundary_entities(), shard_counts)
     @settings(max_examples=60, deadline=None)
-    def test_border_straddling_matches_survive(self, entities, shards, partition):
-        assert_exact(lambda: [pair_spec()], entities, shards, partition)
+    def test_border_straddling_matches_survive(self, entities, shards):
+        assert_exact(lambda: [pair_spec()], entities, shards)
 
     @given(scattered_entities(), shard_counts)
     @settings(max_examples=40, deadline=None)

@@ -11,26 +11,20 @@ BOUNDS = BoundingBox(0.0, 0.0, 100.0, 60.0)
 
 class TestLayout:
     def test_grid_factors_near_square_toward_wide_axis(self):
-        part = WorldPartitioner(BOUNDS, 4, "grid")
+        part = WorldPartitioner(BOUNDS, 4)
         assert (part.rows, part.cols) == (2, 2)
-        part = WorldPartitioner(BOUNDS, 6, "grid")
+        part = WorldPartitioner(BOUNDS, 6)
         assert (part.rows, part.cols) == (2, 3)  # wider world: cols > rows
-        tall = WorldPartitioner(BoundingBox(0, 0, 60, 100), 6, "grid")
+        tall = WorldPartitioner(BoundingBox(0, 0, 60, 100), 6)
         assert (tall.rows, tall.cols) == (3, 2)
 
-    def test_stripes_follow_longer_axis(self):
-        part = WorldPartitioner(BOUNDS, 5, "stripes")
-        assert (part.rows, part.cols) == (1, 5)
-        tall = WorldPartitioner(BoundingBox(0, 0, 60, 100), 5, "stripes")
-        assert (tall.rows, tall.cols) == (5, 1)
-
     def test_prime_shard_count_degrades_to_stripes_layout(self):
-        part = WorldPartitioner(BOUNDS, 7, "grid")
+        part = WorldPartitioner(BOUNDS, 7)
         assert part.shard_count == 7
         assert (part.rows, part.cols) == (1, 7)
 
     def test_regions_tile_bounds_exactly(self):
-        part = WorldPartitioner(BOUNDS, 6, "grid")
+        part = WorldPartitioner(BOUNDS, 6)
         regions = part.regions()
         assert len(regions) == 6
         assert sum(r.area() for r in regions) == pytest.approx(BOUNDS.area())
@@ -43,29 +37,27 @@ class TestLayout:
         with pytest.raises(SpatialError):
             WorldPartitioner(BOUNDS, 0)
         with pytest.raises(SpatialError):
-            WorldPartitioner(BOUNDS, 4, "hexagons")
-        with pytest.raises(SpatialError):
             WorldPartitioner(BOUNDS, 4).region(4)
 
 
 class TestHomeAssignment:
     def test_interior_points_land_in_their_region(self):
-        part = WorldPartitioner(BOUNDS, 6, "grid")
+        part = WorldPartitioner(BOUNDS, 6)
         for x in (1.0, 30.0, 55.0, 99.0):
             for y in (1.0, 29.0, 59.0):
                 shard = part.shard_of(PointLocation(x, y))
                 assert part.region(shard).contains_point(PointLocation(x, y))
 
     def test_outside_points_clamp_to_edge_shards(self):
-        part = WorldPartitioner(BOUNDS, 4, "grid")
+        part = WorldPartitioner(BOUNDS, 4)
         assert part.shard_of(PointLocation(-50.0, -50.0)) == 0
         far = part.shard_of(PointLocation(500.0, 500.0))
         assert far == part.shard_count - 1
 
     def test_degenerate_bounds_are_total(self):
-        line = WorldPartitioner(BoundingBox(0, 5, 100, 5), 4, "grid")
+        line = WorldPartitioner(BoundingBox(0, 5, 100, 5), 4)
         assert line.shard_of(PointLocation(50.0, 5.0)) in range(4)
-        point = WorldPartitioner(BoundingBox(3, 3, 3, 3), 2, "stripes")
+        point = WorldPartitioner(BoundingBox(3, 3, 3, 3), 2)
         assert point.shard_of(PointLocation(99.0, 99.0)) in (0, 1)
 
 
@@ -83,7 +75,7 @@ class TestShardsWithin:
         return found
 
     def test_never_wider_than_closed_region_distance(self):
-        part = WorldPartitioner(BOUNDS, 8, "grid")
+        part = WorldPartitioner(BOUNDS, 8)
         for x in (-10.0, 0.0, 24.9, 25.0, 50.0, 77.7, 100.0, 140.0):
             for y in (-5.0, 0.0, 15.0, 30.0, 59.9, 80.0):
                 for radius in (0.0, 1.0, 9.0, 26.0, 200.0):
@@ -99,7 +91,7 @@ class TestShardsWithin:
         import itertools
         import random
 
-        part = WorldPartitioner(BOUNDS, 8, "grid")
+        part = WorldPartitioner(BOUNDS, 8)
         rng = random.Random(7)
         anchors = [
             PointLocation(rng.uniform(-20, 120), rng.uniform(-20, 80))
@@ -123,19 +115,19 @@ class TestShardsWithin:
             assert part.shard_of(q) in part.shards_within(p, radius)
 
     def test_zero_radius_is_exactly_home(self):
-        part = WorldPartitioner(BOUNDS, 6, "grid")
+        part = WorldPartitioner(BOUNDS, 6)
         for x in (3.0, 49.0, 96.0, -20.0, 300.0):
             point = PointLocation(x, 31.0)
             assert part.shards_within(point, 0.0) == (part.shard_of(point),)
 
     def test_always_contains_home(self):
-        part = WorldPartitioner(BOUNDS, 5, "stripes")
+        part = WorldPartitioner(BOUNDS, 5)
         for x in (-30.0, 10.0, 50.0, 130.0):
             point = PointLocation(x, 10.0)
             assert part.shard_of(point) in part.shards_within(point, 7.5)
 
     def test_radius_covering_world_returns_all(self):
-        part = WorldPartitioner(BOUNDS, 4, "grid")
+        part = WorldPartitioner(BOUNDS, 4)
         assert part.shards_within(PointLocation(50.0, 30.0), 1000.0) == (
             0, 1, 2, 3,
         )

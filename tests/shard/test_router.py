@@ -145,7 +145,7 @@ class TestSpatialReach:
 
 class TestRoutingModes:
     def _router(self, specs, shards=4):
-        partitioner = WorldPartitioner(BOUNDS, shards, "grid")
+        partitioner = WorldPartitioner(BOUNDS, shards)
         router = ObservationRouter(partitioner)
         for spec in specs:
             router.add_spec(spec, compile_plan(spec))

@@ -259,6 +259,11 @@ class TestFaultySource:
         with pytest.raises(ObserverError, match="delay"):
             src.reconnect(delay=-1)
 
+    @pytest.mark.parametrize("overlap", [1.5, True, "1"])
+    def test_non_int_overlap_rejected(self, overlap):
+        with pytest.raises(ObserverError, match="redelivery_overlap"):
+            FaultySource(stream(2), redelivery_overlap=overlap)
+
 
 class TestRedeliveryDeduper:
     def test_first_delivery_once(self):
@@ -353,6 +358,11 @@ class TestQuarantine:
         with pytest.raises(ObserverError, match="retention"):
             Quarantine(retention=-1)
 
+    @pytest.mark.parametrize("retention", [1.5, True, "2"])
+    def test_non_int_retention_rejected(self, retention):
+        with pytest.raises(ObserverError, match="retention"):
+            Quarantine(retention=retention)
+
 
 class TestPolicies:
     def test_checkpoint_policy_needs_a_trigger(self):
@@ -362,6 +372,12 @@ class TestPolicies:
             CheckpointPolicy(every_steps=0)
         with pytest.raises(ObserverError, match="positive"):
             CheckpointPolicy(every_steps=None, every_released=-1)
+
+    @pytest.mark.parametrize("value", [4.5, True, "4"])
+    @pytest.mark.parametrize("trigger", ["every_steps", "every_released"])
+    def test_checkpoint_triggers_must_be_ints(self, trigger, value):
+        with pytest.raises(ObserverError, match=trigger):
+            CheckpointPolicy(**{trigger: value})
 
     def test_either_trigger_suffices(self):
         policy = CheckpointPolicy(every_steps=4, every_released=10)
@@ -385,6 +401,14 @@ class TestPolicies:
             BackoffPolicy(base_delay=5, max_delay=4)
         with pytest.raises(ObserverError, match="max_attempts"):
             BackoffPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("value", [2.0, 1.5, True])
+    @pytest.mark.parametrize(
+        "field", ["base_delay", "factor", "max_delay", "max_attempts"]
+    )
+    def test_backoff_fields_must_be_ints(self, field, value):
+        with pytest.raises(ObserverError, match=field):
+            BackoffPolicy(**{field: value})
 
 
 PLAN = FaultPlan(

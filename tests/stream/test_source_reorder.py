@@ -196,6 +196,11 @@ class TestLateRetentionRegression:
         with pytest.raises(ObserverError, match="retention"):
             ReorderBuffer(late_retention=-1)
 
+    @pytest.mark.parametrize("retention", [1.5, True, "8"])
+    def test_non_int_retention_rejected(self, retention):
+        with pytest.raises(ObserverError, match="retention"):
+            ReorderBuffer(late_retention=retention)
+
     def test_exact_count_survives_restore(self):
         buffer = ReorderBuffer(late_retention=2)
         buffer.offer(item(50, 0))

@@ -14,7 +14,6 @@ from repro.cps.mote import SensorMote
 from repro.cps.sink import SinkNode
 from repro.cps.system import CPSSystem
 from repro.detect.engine import DetectionEngine
-from repro.shard import EngineConfig, ShardedDetectionEngine
 from repro.workloads import (
     SIZE_PRESETS,
     Scenario,
@@ -164,44 +163,30 @@ class TestLookupAndBuild:
         assert len(system.actor_motes) == 1
 
     @pytest.mark.parametrize(
-        "engine",
-        [
-            EngineConfig(),
-            EngineConfig(use_planner=False),
-            EngineConfig(shards=4, partition="stripes"),
-        ],
-        ids=["default", "naive", "stripes4"],
+        "use_planner", [True, False], ids=["default", "naive"]
     )
-    def test_engine_config_reaches_every_engine(self, engine):
+    def test_engine_config_reaches_every_engine(self, use_planner):
         system = build_scenario(
-            "intrusion", preset="small", engine=engine
+            "intrusion", preset="small", use_planner=use_planner
         ).system
         motes = list(system.motes.values())
         hubs = [*system.sinks.values(), *system.ccus.values()]
         assert motes and hubs
         for observer in [*motes, *hubs]:
-            assert observer.engine.use_planner is engine.use_planner
-        # A mote is itself a spatial shard: always one single engine.
-        assert all(type(m.engine) is DetectionEngine for m in motes)
-        for hub in hubs:
-            if engine.shards == 1:
-                assert type(hub.engine) is DetectionEngine
-            else:
-                assert type(hub.engine) is ShardedDetectionEngine
-                assert hub.engine.shard_count == engine.shards
-                assert hub.engine.partitioner.strategy == engine.partition
-                assert hub.engine.partitioner.bounds == system.detection_bounds()
+            assert type(observer.engine) is DetectionEngine
+            assert observer.engine.use_planner is use_planner
 
 
 THREADED = ("planner", "shard", "partition", "cell_size")
-"""Marks of the five keywords `EngineConfig` replaced (and of any
-respelling of them); none may grow back on the signatures below."""
+"""Marks of engine-choice keywords (and of any respelling of them):
+only the three entry points below take one, ``use_planner``."""
 
 
 def test_engine_choice_is_not_threaded_through_signatures():
     plans = [spec.plan for spec in iter_scenarios()]
+    entry_points = (CPSSystem.__init__, build_scenario, deploy)
     for fn in (
-        CPSSystem.__init__,
+        *entry_points,
         CPSSystem.add_mote,
         CPSSystem.add_sink,
         CPSSystem.add_ccu,
@@ -209,8 +194,6 @@ def test_engine_choice_is_not_threaded_through_signatures():
         SensorMote.__init__,
         SinkNode.__init__,
         ControlUnit.__init__,
-        build_scenario,
-        deploy,
         *plans,
     ):
         threaded = [
@@ -218,9 +201,8 @@ def test_engine_choice_is_not_threaded_through_signatures():
             for name in inspect.signature(fn).parameters
             if any(mark in name for mark in THREADED)
         ]
-        assert not threaded, f"{fn.__qualname__} takes {threaded}"
-    for fn in (build_scenario, deploy):
-        assert "engine" in inspect.signature(fn).parameters, fn
+        expected = ["use_planner"] if fn in entry_points else []
+        assert threaded == expected, f"{fn.__qualname__} takes {threaded}"
     # A plan describes a deployment; it never sees the engine choice.
     for plan in plans:
         assert list(inspect.signature(plan).parameters) == ["p", "rng"], plan
