@@ -48,12 +48,14 @@ class WorldPartitioner:
             of the observed locations works — partition choice affects
             only load balance, never correctness (outside points clamp
             to edge shards).
-        shards: Number of shards (>= 1).
+        shards: Number of shards, an ``int`` >= 1 (a bool is refused).
     """
 
     def __init__(self, bounds: BoundingBox, shards: int):
-        if shards < 1:
-            raise SpatialError(f"shard count must be >= 1, got {shards}")
+        if type(shards) is not int or shards < 1:
+            raise SpatialError(
+                f"shard count must be an int >= 1, got {shards!r}"
+            )
         self.bounds = bounds
         small, large = _near_square_factors(shards)
         wide = bounds.width >= bounds.height

@@ -20,7 +20,8 @@ run as well.
   :class:`~repro.stream.replay.ReplayObserver` on 1 or 4 shards, behind
   a no-op admission controller, under full stage tracing, or through
   seeded crashes, duplicates, corruption and stalls recovered by a
-  supervisor.  Every leg re-emits each observer's live instances and
+  supervisor; each of the last three also runs on 4 shards, so the
+  admission, tracing and recovery paths feed the sharded backend too.  Every leg re-emits each observer's live instances and
   trace rows exactly, with no late observation and a balanced
   conservation ledger, and splicing its rows into the behavioral trace
   reproduces the golden digest byte for byte.
@@ -121,6 +122,7 @@ LEGS = {
     "jittered": Leg(),
     "jittered/4": Leg(shards=4),
     "zero-limit": Leg(admission=True),
+    "zero-limit/4": Leg(shards=4, admission=True),
     "traced": Leg(telemetry=True),
     "traced/4": Leg(shards=4, telemetry=True),
     "chaos": Leg(faults=True),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import SpatialError
 from repro.core.space_model import EPS, BoundingBox, PointLocation
+from repro.shard import ShardedDetectionEngine
 from repro.shard.partitioner import WorldPartitioner
 
 BOUNDS = BoundingBox(0.0, 0.0, 100.0, 60.0)
@@ -38,6 +39,23 @@ class TestLayout:
             WorldPartitioner(BOUNDS, 0)
         with pytest.raises(SpatialError):
             WorldPartitioner(BOUNDS, 4).region(4)
+
+    # A float or string used to escape as a bare TypeError (from
+    # ``math.isqrt`` or ``<``) and ``True`` silently tiled one shard.
+    # The sharded engine builds its partitioner first, so it refuses
+    # the same counts before any shard engine exists.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda shards: WorldPartitioner(BOUNDS, shards),
+            lambda shards: ShardedDetectionEngine(bounds=BOUNDS, shards=shards),
+        ],
+        ids=["partitioner", "engine"],
+    )
+    @pytest.mark.parametrize("shards", [0, -3, 2.5, "4", None, True])
+    def test_bad_shard_count_rejected(self, build, shards):
+        with pytest.raises(SpatialError, match="must be an int >= 1"):
+            build(shards)
 
 
 class TestHomeAssignment:
