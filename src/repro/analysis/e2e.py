@@ -8,9 +8,12 @@ model for CPSs".  The actuation path extends the detection path of
     hops to the actor mote -> mechanical actuation delay.
 
 :class:`EndToEndModel` composes both halves and yields expected and
-worst-case occurrence-to-actuation latency, validated against the
-simulator's :class:`~repro.detect.latency.EndToEndTracker` by the E7
-benchmark.
+worst-case occurrence-to-actuation latency.  The E7 benchmark
+(``benchmarks/bench_edl_analysis.py``) checks it against a forest fire
+run: the first ``command.executed`` trace row must come at least half
+the expected latency after ignition, and less than 200 ticks past the
+worst case (plus three sampling periods).  It does not use
+:class:`~repro.detect.latency.EndToEndTracker`.
 """
 
 from __future__ import annotations

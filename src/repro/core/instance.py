@@ -213,6 +213,14 @@ class EventInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.observer, ObserverId):
             raise ObserverError(f"observer {self.observer!r} is not an ObserverId")
+        if not isinstance(self.event_id, str):
+            raise ObserverError(f"event id {self.event_id!r} is not a str")
+        if type(self.seq) is not int or self.seq < 0:
+            raise ObserverError(f"seq must be an int >= 0, got {self.seq!r}")
+        if not isinstance(self.generated_time, TimePoint):
+            raise ObserverError(
+                f"generated time t_g {self.generated_time!r} is not a TimePoint"
+            )
         object.__setattr__(self, "attributes", freeze_attributes(self.attributes))
         object.__setattr__(self, "key", (self.observer._text, self.event_id, self.seq))
         if not 0.0 <= self.confidence <= 1.0:

@@ -9,9 +9,9 @@ on event conditions, and output the according event instance".
 plumbing.  :class:`ObserverComponent` adds the observer machinery: a
 detection engine (either backend — the observer never asks which)
 loaded with event specifications, and the emit path that hands each
-match's Eq. 4.7 instance (numbered and built by the shared
-:class:`~repro.detect.engine.InstanceSequence`) to the concrete
-component's distribution logic.
+match's Eq. 4.7 instance (numbered and built by the observer's
+:class:`~repro.detect.output.InstanceLog`, which then keeps it as a
+row) to the concrete component's distribution logic.
 
 Ingestion is batch-first: :meth:`ObserverComponent.ingest_batch` feeds
 a whole per-tick entity batch to the engine in one
@@ -37,12 +37,8 @@ from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId, ObserverKind
 from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.engine import (
-    DetectionEngine,
-    InstanceSequence,
-    Match,
-    emit_payload,
-)
+from repro.detect.engine import DetectionEngine, Match
+from repro.detect.output import InstanceLog, emit_payload
 from repro.sim.kernel import PRIORITY_INGEST, Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -117,11 +113,10 @@ class ObserverComponent(CPSComponent):
         self.engine = DetectionEngine() if engine is None else engine
         for spec in specs:
             self.engine.add_spec(spec)
-        self._sequence = InstanceSequence(self)
         self._inbox: list[Entity] = []
         self._flush_scheduled = False
         self._stream_tap = None
-        self.emitted: list[EventInstance] = []
+        self.emitted = InstanceLog.of(self)
 
     def add_spec(self, spec: EventSpecification) -> None:
         """Install another event specification at runtime."""
@@ -129,7 +124,7 @@ class ObserverComponent(CPSComponent):
 
     def next_seq(self, event_id: str) -> int:
         """Next instance sequence number ``i`` for an event id."""
-        return self._sequence.next_seq(event_id)
+        return self.emitted.next_seq(event_id)
 
     def ingest(self, entity: Entity) -> list[EventInstance]:
         """Evaluate one input entity; emit instances for new matches."""
@@ -196,7 +191,7 @@ class ObserverComponent(CPSComponent):
             self.ingest_batch(batch)
 
     def _emit_match(self, match: Match) -> EventInstance:
-        instance = self.refine_instance(self._sequence.emit(match), match)
+        instance = self.refine_instance(self.emitted.build(match), match)
         self.emit_direct(instance)
         return instance
 
@@ -216,7 +211,8 @@ class ObserverComponent(CPSComponent):
         The tail of every emission: engine matches arrive here through
         :meth:`_emit_match`, and components that build instances outside
         the binding engine — e.g. the mote's interval tracker — call it
-        themselves, so distribution and tracing stay uniform.
+        themselves, so distribution and tracing stay uniform.  The log
+        keeps the instance as a row, not as the object.
         """
         self.emitted.append(instance)
         if self.trace is not None:

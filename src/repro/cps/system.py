@@ -399,8 +399,9 @@ class CPSSystem:
             *self.ccus.values(),
         ]
         for observer in observers:
-            for instance in observer.emitted:
-                counts[instance.layer] = counts.get(instance.layer, 0) + 1
+            log = observer.emitted
+            if log:
+                counts[log.layer] = counts.get(log.layer, 0) + len(log)
         return counts
 
     def observation_count(self) -> int:

@@ -2,7 +2,7 @@
 
 from repro.detect.compiler import CompiledCondition, compile_condition
 from repro.detect.confidence import FUSION_METHODS, confidence_from_margin, fuse
-from repro.detect.engine import DetectionEngine, EngineStats, Match, build_instance
+from repro.detect.engine import DetectionEngine, EngineStats, Match
 from repro.detect.planner import (
     DistanceClause,
     EvaluationPlan,
@@ -23,6 +23,7 @@ from repro.detect.localize import (
     trilaterate,
     weighted_centroid,
 )
+from repro.detect.output import InstanceLog, build_instance
 from repro.detect.role_window import RoleWindow
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "EngineStats",
     "Match",
     "build_instance",
+    "InstanceLog",
     "CompiledCondition",
     "compile_condition",
     "RoleWindow",

@@ -95,9 +95,10 @@ def fusion_rule(method: str) -> Callable[[Iterable[float]], float]:
         values = [float(v) for v in confidences]
         if not values:
             raise ConditionError("cannot fuse zero confidences")
-        bad = [v for v in values if not 0.0 <= v <= 1.0]
-        if bad:
-            raise ConditionError(f"confidences outside [0, 1]: {bad}")
+        for v in values:
+            if not 0.0 <= v <= 1.0:
+                bad = [v for v in values if not 0.0 <= v <= 1.0]
+                raise ConditionError(f"confidences outside [0, 1]: {bad}")
         return min(1.0, max(0.0, rule(values)))
 
     return fused

@@ -9,9 +9,9 @@ one window per distinct selector of a specification, enumerates
 candidate bindings that include each new entity, evaluates each
 specification's composite condition tree
 (Eq. 4.5), and returns the satisfied bindings as :class:`Match`
-objects.  :func:`build_instance` then materializes the observer's
-output — the event instance 6-tuple of Eq. 4.7 — according to the
-specification's :class:`~repro.core.spec.OutputPolicy`.
+objects.  :mod:`repro.detect.output` then turns them into the
+observer's output — the event instance 6-tuple of Eq. 4.7 — according
+to the specification's :class:`~repro.core.spec.OutputPolicy`.
 
 Enumeration is *plan-driven*: every installed specification is compiled
 by :func:`repro.detect.planner.compile_plan` into an
@@ -52,16 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.aggregates import (
-    _end_of,
-    _point_of,
-    _start_of,
-    space_aggregate,
-    time_aggregate,
-    value_aggregate,
-)
 from repro.core.conditions import Binding
-from repro.core.entity import Entity, confidence_of, entity_key, numeric_attribute
+from repro.core.entity import Entity, entity_key
 from repro.core.errors import (
     BindingError,
     ConditionError,
@@ -69,13 +61,8 @@ from repro.core.errors import (
     SpatialError,
     TemporalError,
 )
-from repro.core.event import EventLayer
-from repro.core.instance import EventInstance, ObserverId
-from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.core.time_model import EPOCH, TimePoint
 from repro.detect.compiler import CompiledCondition, compile_condition
-from repro.detect.confidence import fusion_rule
 from repro.detect.planner import EvaluationPlan, compile_plan
 from repro.detect.role_window import RoleWindow
 
@@ -84,9 +71,6 @@ __all__ = [
     "EngineStats",
     "EngineSnapshot",
     "DetectionEngine",
-    "build_instance",
-    "emit_payload",
-    "InstanceSequence",
     "binding_identity",
     "drop_expired_prefix",
 ]
@@ -705,164 +689,3 @@ def drop_expired_prefix(entries: dict, expired: Callable[[object], bool]) -> Non
         doomed.append(key)
     for key in doomed:
         del entries[key]
-
-
-def _compile_emitter(spec: EventSpecification):
-    """Lower ``spec.output`` into one closure with :func:`build_instance`'s
-    signature: aggregates, fusion rule and recipes are resolved by name
-    here, once, and a binding of one or two entities takes ``earliest`` /
-    ``latest`` / ``centroid`` as the aggregates' arithmetic written out."""
-    policy, event_id = spec.output, spec.event_id
-    recipes = [
-        (r.name, value_aggregate(r.aggregate), [(t.role, t.attribute) for t in r.terms])
-        for r in policy.attributes
-    ]
-    fused = fusion_rule(policy.confidence)
-    time_of = time_aggregate(policy.time)
-    earliest, span = policy.time == "earliest", policy.time == "span"
-    edge = _start_of if earliest else _end_of
-    # "location" is the identity aggregate; over several entities it
-    # degrades to their centroid.
-    identity = policy.space == "location"
-    place_of = space_aggregate("centroid" if identity else policy.space)
-    centroid = policy.space in ("location", "centroid")
-
-    def emit(
-        match, observer, seq, generated_time, generated_location, layer,
-        instance_cls=EventInstance,
-    ):
-        entities = match.entities()
-        count = len(entities)
-        attributes: dict[str, object] = {}
-        for name, aggregate, terms in recipes:
-            values: list[float] = []
-            for role, attribute in terms:
-                bound = match.binding.get(role)
-                if bound is None:
-                    raise ObserverError(
-                        f"output attribute {name!r} references unbound "
-                        f"role {role!r}"
-                    )
-                group = bound if isinstance(bound, tuple) else (bound,)
-                values.extend([numeric_attribute(e, attribute) for e in group])
-            attributes[name] = aggregate(values)
-        rho = fused([confidence_of(e) for e in entities])
-        place = entities[0].occurrence_location
-        if identity and count == 1:
-            pass  # the one entity's own location
-        elif count > 2 or not centroid:
-            place = place_of([e.occurrence_location for e in entities])
-        else:
-            # centroid_of_points' sums, term by term: the same floats.
-            p = place if type(place) is PointLocation else _point_of(place)
-            if count == 2:
-                q = entities[1].occurrence_location
-                if type(q) is not PointLocation:
-                    q = _point_of(q)
-                place = PointLocation((0 + p.x + q.x) / 2, (0 + p.y + q.y) / 2)
-            else:
-                place = PointLocation((0 + p.x) / 1, (0 + p.y) / 1)
-        if count > 2 or span:
-            when = time_of([e.occurrence_time for e in entities])
-        else:
-            when = entities[0].occurrence_time
-            if type(when) is not TimePoint:
-                when = edge(when)
-            if count == 2:
-                other = entities[1].occurrence_time
-                if type(other) is not TimePoint:
-                    other = edge(other)
-                # Like min() / max(): of two equal operands, the first.
-                if other < when if earliest else other > when:
-                    when = other
-        # Positional, in field order: matching eleven keywords costs a
-        # microsecond per instance.
-        return instance_cls(
-            observer, event_id, seq, generated_time, generated_location,
-            when, place, attributes, rho, layer,
-            tuple([entity_key(e) for e in entities]),
-        )
-
-    return emit
-
-
-def build_instance(
-    match: Match,
-    observer: ObserverId,
-    seq: int,
-    generated_time: TimePoint,
-    generated_location: PointLocation,
-    layer: EventLayer,
-    instance_cls: type[EventInstance] = EventInstance,
-) -> EventInstance:
-    """Materialize the observer's output instance from a match.
-
-    Applies the specification's :class:`~repro.core.spec.OutputPolicy`:
-    ``t_eo`` from the policy's time aggregate over the bound entities,
-    ``l_eo`` from its space aggregate, output attributes from their
-    recipes, and ``rho`` by fusing the inputs' confidences.  The policy
-    is lowered on first use and cached on the (immutable) specification.
-
-    Args:
-        match: The satisfied binding.
-        observer: Identity of the emitting observer (``OB_id``).
-        seq: Instance sequence number ``i`` at this observer.
-        generated_time: ``t_g`` (the observer's current time).
-        generated_location: ``l_g`` (the observer's position).
-        layer: Hierarchy layer of the emitted instance.
-        instance_cls: Concrete instance class
-            (:class:`~repro.core.instance.SensorEventInstance`, ...).
-    """
-    spec = match.spec
-    try:
-        emit = spec._emitter
-    except AttributeError:
-        emit = _compile_emitter(spec)
-        object.__setattr__(spec, "_emitter", emit)
-    return emit(
-        match, observer, seq, generated_time, generated_location, layer,
-        instance_cls,
-    )
-
-
-def emit_payload(instance: EventInstance) -> dict[str, object]:
-    """The ``instance.emit`` trace-row payload.  Live observers and the
-    streaming replay both write it from here: the conformance suite
-    splices replayed rows into live traces and compares digests."""
-    return {
-        "event_id": instance.event_id,
-        "seq": instance.seq,
-        "layer": instance.layer.name,
-        "edl": instance.detection_latency,
-        "rho": instance.confidence,
-    }
-
-
-class InstanceSequence:
-    """One observer's emission sequence — match in, numbered instance
-    out — for live components and the streaming replay alike.  Owns the
-    per-event sequence counters ``i`` of Eq. 4.6 and stamps every
-    instance of one tick with the same ``t_g`` object.  ``observer`` is
-    anything with ``observer_id``, ``location``, ``layer`` and
-    ``instance_cls``: a live component or a replay's profile."""
-
-    def __init__(self, observer):
-        self.observer = observer
-        self.counters: dict[str, int] = {}
-        self._stamp = EPOCH
-
-    def next_seq(self, event_id: str) -> int:
-        """Next instance sequence number ``i`` for an event id."""
-        seq = self.counters.get(event_id, 0)
-        self.counters[event_id] = seq + 1
-        return seq
-
-    def emit(self, match: Match) -> EventInstance:
-        """The instance of one match, generated at the match's tick."""
-        if self._stamp.tick != match.tick:
-            self._stamp = TimePoint(match.tick)
-        who = self.observer
-        return build_instance(
-            match, who.observer_id, self.next_seq(match.spec.event_id),
-            self._stamp, who.location, who.layer, who.instance_cls,
-        )

@@ -1,9 +1,13 @@
 """Event Detection Latency (EDL) measurement.
 
 The paper's stated future work is "a formal temporal analysis of Event
-Detection Latency (EDL)".  The measurement side lives here; the
-analytical model lives in :mod:`repro.analysis.edl` and is validated
-against these measurements by the E6 benchmark.
+Detection Latency (EDL)".  This module is a measurement side for the
+analytical model in :mod:`repro.analysis.edl`, but nothing outside its
+own tests calls it: the E6 benchmark
+(``benchmarks/bench_edl_analysis.py``) validates the model against
+latencies it reads itself, from the motes' emitted instances and the
+sinks' ``sink.receive`` trace rows.  Whether this module becomes that
+measured side or goes is an open item of the roadmap.
 
 EDL of an instance is ``t_g - t_eo``: how long after the (estimated)
 occurrence the observer generated the instance.  The probe groups

@@ -59,16 +59,15 @@ class TraceRecord:
 
 
 def _record(row: tuple) -> TraceRecord:
-    tick, category, source, names, values = row
-    return TraceRecord(tick, category, source, dict(zip(names, values)))
+    return TraceRecord(row[0], row[1], row[2], dict(zip(row[3], row[4:])))
 
 
 class TraceRecorder:
     """Append-only in-memory trace with category filters.
 
     A run keeps every row, so a row is one plain tuple ``(tick, category,
-    source, names, values)`` — the payload's keys (one shared tuple per
-    payload shape) and its values — which the cyclic collector stops
+    source, names, *values)`` — the payload's keys (one shared tuple per
+    payload shape), then its values — which the cyclic collector stops
     tracking once it holds only strings and numbers.  Reads build a
     :class:`TraceRecord` for the rows they return only.
     """
@@ -84,7 +83,7 @@ class TraceRecorder:
         never the mapping itself."""
         names = tuple(payload)
         names = self._shapes.setdefault(names, names)
-        self._rows.append((tick, category, source, names, tuple(payload.values())))
+        self._rows.append((tick, category, source, names, *payload.values()))
 
     def record(self, tick: int, category: str, source: str, **payload: object) -> None:
         """:meth:`append` with the payload spelt as keywords."""

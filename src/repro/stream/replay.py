@@ -10,9 +10,12 @@ A :class:`ReplayObserver` pairs a profile with a fresh engine behind a
 :class:`~repro.stream.runtime.StreamingDetectionRuntime` and rebuilds
 the observer's outputs from any (possibly jittered) replay of its
 captured stream: matches emit as the watermark releases their event
-tick, instances are materialized with event-time generation stamps and
-per-event sequence numbers exactly like the live emit path, and each
-emission is rendered as the identical ``instance.emit`` trace row.
+tick, each into one row of the observer's
+:class:`~repro.detect.output.InstanceLog` with its event-time
+generation tick and per-event sequence number exactly like the live
+emit path, and each row renders as the identical ``instance.emit``
+trace row.  Without a refinement no instance object is built until
+something reads the log.
 That row-level identity is the conformance suite's lever: splicing the
 replayed rows into the original behavioral trace must reproduce the
 checked-in golden digest byte-for-byte.
@@ -20,7 +23,7 @@ checked-in golden digest byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.errors import ObserverError
@@ -28,7 +31,8 @@ from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.engine import DetectionEngine, InstanceSequence, Match, emit_payload
+from repro.detect.engine import DetectionEngine, Match
+from repro.detect.output import InstanceLog, LogView
 from repro.shard.engine import ShardedDetectionEngine
 from repro.sim.trace import TraceRecord
 from repro.stream.admission.controller import AdmissionController
@@ -135,6 +139,9 @@ class ReplayObserver:
             replay, with the zero-perturbation guarantee
             (the conformance harness replays every golden under full
             tracing).
+
+    After construction, :attr:`emitted` is the observer's
+    :class:`~repro.detect.output.InstanceLog`.
     """
 
     profile: ObserverProfile
@@ -145,7 +152,6 @@ class ReplayObserver:
     quarantine: object | None = None
     dedup: object | None = None
     telemetry: object | None = None
-    emitted: list[EventInstance] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         shards, profile = self.shards, self.profile
@@ -162,11 +168,13 @@ class ReplayObserver:
                 shards=shards,
                 use_planner=profile.use_planner,
             )
-        self._sequence = InstanceSequence(profile)
+        self.emitted = InstanceLog.of(profile)
         self.runtime = StreamingDetectionRuntime(
             engine,
             lateness=self.lateness,
-            on_match=self._emit,
+            on_match=(
+                self.emitted.write if profile.refine is None else self._emit_refined
+            ),
             admission=self.admission,
             quarantine=self.quarantine,
             dedup=self.dedup,
@@ -177,40 +185,34 @@ class ReplayObserver:
 
     def replay(
         self, source: ObservationSource | Iterable[StreamItem]
-    ) -> list[EventInstance]:
-        """Drain a source end-to-end; return every emitted instance."""
+    ) -> InstanceLog:
+        """Drain a source end-to-end; return the emission log."""
         self.runtime.run(source)
         return self.emitted
 
-    def ingest(self, items: Sequence[StreamItem]) -> list[EventInstance]:
-        """Process one delivery step; return the instances it emitted."""
+    def ingest(self, items: Sequence[StreamItem]) -> LogView:
+        """Process one delivery step; return the rows it emitted."""
         before = len(self.emitted)
         self.runtime.ingest(items)
-        return self.emitted[before:]
+        return self.emitted.since(before)
 
-    def finish(self) -> list[EventInstance]:
-        """Flush the stream; return the final instances."""
+    def finish(self) -> LogView:
+        """Flush the stream; return the final rows."""
         before = len(self.emitted)
         self.runtime.finish()
-        return self.emitted[before:]
+        return self.emitted.since(before)
 
     # -- emission ------------------------------------------------------
 
-    def _emit(self, match: Match) -> None:
-        instance = self._sequence.emit(match)
-        if self.profile.refine is not None:
-            instance = self.profile.refine(instance, match)
-        self.emitted.append(instance)
+    def _emit_refined(self, match: Match) -> None:
+        log = self.emitted
+        log.append(self.profile.refine(log.build(match), match))
 
     @property
     def trace_rows(self) -> list[TraceRecord]:
-        """The ``instance.emit`` row of every instance in :attr:`emitted`,
+        """The ``instance.emit`` row of every row in :attr:`emitted`,
         exactly as the live observer traced it."""
-        name = self.profile.name
-        return [
-            TraceRecord(i.generated_time.tick, "instance.emit", name, emit_payload(i))
-            for i in self.emitted
-        ]
+        return self.emitted.trace_rows(self.profile.name)
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -218,7 +220,7 @@ class ReplayObserver:
         """Checkpoint the replay between delivery steps."""
         return ReplayCheckpoint(
             runtime=self.runtime.snapshot(),
-            seq=dict(self._sequence.counters),
+            seq=dict(self.emitted.counters),
             emitted_count=len(self.emitted),
         )
 
@@ -232,8 +234,9 @@ class ReplayObserver:
         records how many instances the checkpointed leg had produced,
         which is the offset to line the tail up against.
         """
+        counters = _checked_counts(checkpoint)
         self.runtime.restore(checkpoint.runtime)
-        self._sequence.counters = dict(checkpoint.seq)
+        self.emitted.counters = counters
         self.emitted.clear()
 
     def rollback(self, checkpoint: ReplayCheckpoint) -> None:
@@ -248,6 +251,7 @@ class ReplayObserver:
         prefers it when present, which is what keeps a recovered
         replay's output log exactly-once.
         """
+        counters = _checked_counts(checkpoint)
         if checkpoint.emitted_count > len(self.emitted):
             raise ObserverError(
                 f"cannot roll back to a checkpoint with "
@@ -256,5 +260,33 @@ class ReplayObserver:
                 f"use restore() for resume legs)"
             )
         self.runtime.restore(checkpoint.runtime)
-        self._sequence.counters = dict(checkpoint.seq)
-        del self.emitted[checkpoint.emitted_count:]
+        self.emitted.counters = counters
+        self.emitted.truncate(checkpoint.emitted_count)
+
+
+def _natural(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _checked_counts(checkpoint: ReplayCheckpoint) -> dict[str, int]:
+    """The checkpoint's seq counters, once its counts are known to be
+    non-negative ints; :class:`ObserverError` before anything changes
+    otherwise."""
+    if not _natural(checkpoint.emitted_count):
+        raise ObserverError(
+            f"checkpoint emitted_count must be an int >= 0, got "
+            f"{checkpoint.emitted_count!r}"
+        )
+    if not isinstance(checkpoint.seq, Mapping):
+        raise ObserverError(
+            f"checkpoint seq must map event ids to counters, got "
+            f"{checkpoint.seq!r}"
+        )
+    counters = dict(checkpoint.seq)
+    for event_id, seq in counters.items():
+        if not _natural(seq):
+            raise ObserverError(
+                f"checkpoint seq counter of {event_id!r} must be an int "
+                f">= 0, got {seq!r}"
+            )
+    return counters

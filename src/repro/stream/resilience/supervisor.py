@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.errors import ObserverError
+from repro.detect.output import InstanceLog
 from repro.stream.resilience.faults import SourceCrash
 from repro.stream.runtime import arrival_groups
 from repro.stream.source import ObservationSource, StreamItem
@@ -179,6 +180,9 @@ class SupervisedRuntime:
             ``snapshot()`` and ``restore(state)`` (or ``rollback(state)``,
             preferred when present: a rollback additionally truncates
             host-internal output logs so recovery stays exactly-once).
+            A host whose ``emitted`` is an
+            :class:`~repro.detect.output.InstanceLog` keeps its own
+            output: the supervisor collects nothing beside it.
         checkpoints: When to checkpoint (default: every 8 steps).
         backoff: Crash-retry policy (default: 1, 2, 4, ... capped at 32
             arrival ticks, 6 consecutive attempts).
@@ -209,6 +213,8 @@ class SupervisedRuntime:
         """Delay applied at each recovery, in order — the deterministic
         backoff schedule the property suite pins."""
         self._outputs: list = []
+        log = getattr(host, "emitted", None)
+        self._log = log if isinstance(log, InstanceLog) else None
 
     # -- the supervision loop ------------------------------------------
 
@@ -216,12 +222,15 @@ class SupervisedRuntime:
         """Drain ``source`` to completion, recovering from crashes.
 
         Returns the host's outputs (matches or instances) exactly once
-        each, rolled-back emissions excluded.
+        each, rolled-back emissions excluded: for a host that owns an
+        :class:`~repro.detect.output.InstanceLog`, a view of the rows the
+        run appended to it.
         """
         name = getattr(source, "name", None)
         if isinstance(name, str):
             self.runtime.register_source(name)
         self._outputs = []
+        start = 0 if self._log is None else len(self._log)
         checkpoint = self._take_checkpoint(0)
         self._ack(source, 0)
         step = 0
@@ -229,7 +238,7 @@ class SupervisedRuntime:
         while True:
             try:
                 for _, group in arrival_groups(source):
-                    self._outputs.extend(self.host.ingest(group))
+                    self._collect(self.host.ingest(group))
                     step += 1
                     attempt = 0
                     if self.checkpoints.due(
@@ -255,15 +264,21 @@ class SupervisedRuntime:
                 self.backoff_delays.append(delay)
                 self._restore(checkpoint)
                 step = int(reconnect(delay))
-        self._outputs.extend(self.host.finish())
+        self._collect(self.host.finish())
+        if self._log is not None:
+            return self._log.since(start)
         return list(self._outputs)
 
     def ingest(self, items: Sequence[StreamItem]) -> list:
         """Pass-through ingest for callers driving steps manually
         (no crash supervision outside :meth:`run`)."""
         out = self.host.ingest(items)
-        self._outputs.extend(out)
+        self._collect(out)
         return out
+
+    def _collect(self, outputs) -> None:
+        if self._log is None:
+            self._outputs.extend(outputs)
 
     # -- checkpointing and recovery ------------------------------------
 

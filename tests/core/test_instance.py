@@ -91,6 +91,27 @@ class TestEventInstance:
                 instance(observer=observer)
         assert live(EventInstance) == before
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seq", -1),
+            ("seq", 2.5),
+            ("seq", True),
+            ("seq", "3"),
+            ("event_id", 5),
+            ("generated_time", None),
+            ("generated_time", 1),
+        ],
+    )
+    def test_the_name_and_t_g_are_refused_at_construction(self, field, value):
+        # A bad seq or event id would key the instance wrongly, and a t_g
+        # that is not a TimePoint failed only later, inside
+        # detection_latency.
+        before = live(EventInstance)
+        with pytest.raises(ObserverError):
+            instance(**{field: value})
+        assert live(EventInstance) == before
+
     def test_confidence_bounds_enforced(self):
         with pytest.raises(ObserverError):
             instance(confidence=1.5)

@@ -1,18 +1,21 @@
 """The allocation contract of the match-to-instance path, as counts.
 
-Every emitted instance stays alive in an output log, so what the path
-*retains* per instance is what the cyclic collector re-walks on every
-full collection, and what it *leaks into cycles* only the collector can
-free.  Neither shows in a test of values, and a timing would not say
-why, so this file counts: unreachable objects after a run with the
-collector off, identities (``is``) of the objects that are meant to be
-shared, scans of the dedup store.  The same goes for what the loop
-around the engine makes by the hundred thousand: the value objects carry
-no ``__dict__``, and a trace row is one plain tuple.  And for what a
-live run keeps to the end: instance keys, ``sources``, trace rows of
+Every emission stays alive in an output log, so what the path
+*retains* per row is what the cyclic collector re-walks on every full
+collection, and what it *leaks into cycles* only the collector can
+free.  The log keeps rows, not instances: a refine-free replay builds
+no instance and no centroid at all, retains next to nothing per row,
+and a supervisor keeps no second copy of its host's output.  Neither
+shows in a test of values, and a timing would not say why, so this
+file counts: instances and centroids built, unreachable objects after a
+run with the collector off, identities (``is``) of the objects that are
+meant to be shared, scans of the dedup store.  The same goes for what
+the loop around the engine makes by the hundred thousand: the value
+objects carry no ``__dict__``, and a trace row is one plain tuple.  And
+for what a live run keeps to the end: ``sources``, trace rows of
 strings and numbers and database rows are objects the collector no
 longer tracks (``gc.is_tracked``), and the tracked objects left behind
-per emitted instance stay bounded.
+per emitted row stay bounded.
 """
 
 import dataclasses
@@ -40,13 +43,22 @@ from repro.core.operators import RelationalOp
 from repro.core.space_model import PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
-from repro.detect.engine import InstanceSequence, emit_payload
 from repro.detect.engine import DetectionEngine, drop_expired_prefix
+from repro.detect.output import InstanceLog, emit_payload
 from repro.cps.component import ObserverComponent
 from repro.cps.database import DatabaseServer
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecord, TraceRecorder
-from repro.stream import ObserverProfile, ReplayObserver, ReplaySource
+from repro.stream import (
+    CheckpointPolicy,
+    FaultPlan,
+    FaultySource,
+    ObserverProfile,
+    RedeliveryDeduper,
+    ReplayObserver,
+    ReplaySource,
+    SupervisedRuntime,
+)
 from repro.stream.runtime import arrival_groups
 from repro.workloads import build_scenario
 
@@ -128,36 +140,48 @@ def test_an_entity_key_is_built_once_and_shared():
     engine = DetectionEngine([spec_of(("a", "b"))])
     matches = engine.submit_batch([a, b], 1)
     assert len(matches) == 2  # (a, b) and (b, a)
-    sequence = InstanceSequence(pair_profile())
+    log = InstanceLog.of(pair_profile())
     for match in matches:
-        instance = sequence.emit(match)
-        assert instance.key is instance.key
-        bound = match.entities()
-        assert len(instance.sources) == len(bound) == 2
-        for source, entity in zip(instance.sources, bound):
-            assert source is entity.key
+        built = log.build(match)
+        log.write(match)
+        # A row's sources are the tuple the instances it materializes carry.
+        for instance in (built, log[-1]):
+            assert instance.key is instance.key
+            bound = match.entities()
+            assert len(instance.sources) == len(bound) == 2
+            for source, entity in zip(instance.sources, bound):
+                assert source is entity.key
     # The dedup store holds the same tuples, not copies.
     for identity, _ in engine.snapshot().seen["a+b"]:
         assert {id(key) for key in identity} == {id(a.key), id(b.key)}
 
 
-def test_instances_share_what_does_not_differ_between_them():
+def test_rows_share_what_does_not_differ_between_them():
     replayer = ReplayObserver(pair_profile(), lateness=0)
     replayer.runtime.register_source("replay")
     per_step = [replayer.ingest(group) for group in steps()]
     per_step.append(replayer.finish())
-    first, second = replayer.emitted[:2]
-    # No output recipe: one empty, read-only V for all of them.
-    assert first.attributes is second.attributes and not first.attributes
+    log = replayer.emitted
+    # No output recipe: every row holds the one empty, read-only V.
+    empty = log._attributes[0]
+    assert len(log) > 20 and not empty
+    assert all(attributes is empty for attributes in log._attributes)
     with pytest.raises(TypeError):
-        first.attributes["v"] = 1.0
-    # One generation stamp per tick, however many instances it emits.
-    assert any(len(instances) > 1 for instances in per_step)
-    for instances in per_step:
-        stamps = {}
-        for instance in instances:
-            t_g = instance.generated_time
-            assert stamps.setdefault(t_g.tick, t_g) is t_g
+        log[0].attributes["v"] = 1.0
+    # One generation stamp per tick: a row's t_g (and its point t_eo) is
+    # its tick, a plain int, so no row holds a TimePoint of its own.
+    assert any(len(rows) > 1 for rows in per_step)
+    assert [type(tick) for tick in log._ticks] == [int] * len(log)
+    assert [type(when) for when in log._times] == [int] * len(log)
+    # The computed centroids live in the coordinate columns.
+    assert log._places == [None] * len(log)
+    # Two reads of a row: equal instances, distinct objects, one key
+    # tuple (a reader that keeps keys keeps the row's, not copies).
+    first, again = log[3], log[3]
+    assert first == again and first is not again
+    assert first.key is again.key is log.keys()[3]
+    assert first.sources is again.sources
+    assert list(log) == [row for rows in per_step for row in rows]
 
 
 def rows_of(replayer):
@@ -198,6 +222,89 @@ def test_trace_rows_follow_the_emission_log_through_rollback_and_restore():
         resumed.ingest(group)
     resumed.finish()
     assert resumed.trace_rows == whole.trace_rows[checkpoint.emitted_count:]
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts every ``EventInstance`` and ``PointLocation`` built from
+    the moment the test calls ``start()`` (subclasses included: they
+    inherit the hook)."""
+    class Counts(dict):
+        def start(self):
+            self.update(dict.fromkeys(self, 0))
+
+    counts = Counts({EventInstance: 0, PointLocation: 0})
+    for cls in counts:
+        original = cls.__post_init__
+
+        def counted(self, cls=cls, original=original):
+            counts[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_a_refine_free_replay_builds_no_instance_and_no_centroid(constructions):
+    groups = steps()
+    replayer = ReplayObserver(pair_profile(), lateness=0)
+    replayer.runtime.register_source("replay")
+    constructions.start()
+    for group in groups:
+        replayer.ingest(group)
+    replayer.finish()
+    assert len(replayer.emitted) > 20
+    assert replayer.trace_rows and replayer.emitted.keys()
+    assert constructions == {EventInstance: 0, PointLocation: 0}
+    # A read builds one of each: the instance and its centroid.
+    replayer.emitted[0]
+    assert constructions == {EventInstance: 1, PointLocation: 1}
+
+
+def test_a_supervised_replay_holds_no_second_copy_of_its_output(constructions):
+    groups = steps(80)
+    source = ReplaySource(
+        [(g[0].event_tick, [item.entity for item in g]) for g in groups],
+        name="replay",
+    )
+    replayer = ReplayObserver(
+        pair_profile(), lateness=0, dedup=RedeliveryDeduper()
+    )
+    supervisor = SupervisedRuntime(
+        replayer, checkpoints=CheckpointPolicy(every_steps=4)
+    )
+    constructions.start()
+    outputs = supervisor.run(
+        FaultySource(source, FaultPlan(crashes=((9, 0), (15, 1))))
+    )
+    assert supervisor.recoveries == 2
+    assert constructions == {EventInstance: 0, PointLocation: 0}
+    assert supervisor._outputs == []
+    # What it returns is a view of the host's log, read on demand.
+    assert len(outputs) == len(replayer.emitted) > 40
+    plain = ReplayObserver(pair_profile(), lateness=0)
+    plain.replay(source)
+    assert replayer.trace_rows == plain.trace_rows
+    assert outputs == plain.emitted
+
+
+def test_a_replay_retains_no_tracked_object_per_row():
+    groups = steps(400)
+    replayer = ReplayObserver(pair_profile(), lateness=0)
+    replayer.runtime.register_source("replay")
+    settle()
+    before = len(gc.get_objects())
+    for group in groups:
+        replayer.ingest(group)
+    replayer.finish()
+    settle()
+    retained = len(gc.get_objects()) - before
+    # A row is ints, floats in arrays, the shared empty V and a sources
+    # tuple of key tuples the collector stops tracking: what stays is the
+    # engine's and the runtime's own bounded state: 24 objects for 11 268
+    # rows.  An instance and its centroid kept 2.0 per row.
+    assert len(replayer.emitted) > 10_000
+    assert retained / len(replayer.emitted) <= 0.01
 
 
 class CountingDict(dict):
@@ -425,9 +532,12 @@ def live_run():
     return built.system, len(gc.get_objects()) - before
 
 
+def observers_of(system):
+    return [*system.motes.values(), *system.sinks.values(), *system.ccus.values()]
+
+
 def emitted_by(system):
-    observers = [*system.motes.values(), *system.sinks.values(), *system.ccus.values()]
-    return [instance for o in observers for instance in o.emitted]
+    return [instance for o in observers_of(system) for instance in o.emitted]
 
 
 def atomic(value):
@@ -436,8 +546,19 @@ def atomic(value):
 
 def test_a_live_run_keeps_keys_and_sources_untracked(live_run):
     system, _ = live_run
+    logs = [o.emitted for o in observers_of(system)]
+    # A log's key and sources columns hold tuples the collector has
+    # stopped tracking.
+    assert sum(map(len, logs)) > 400
+    assert any(any(log._sources) for log in logs)
+    for log in logs:
+        for key, sources in zip(log._keys, log._sources):
+            assert not gc.is_tracked(key), key
+            assert not gc.is_tracked(sources), sources
+    # A key a read builds is a tuple of atoms: the next collection
+    # stops tracking it.
     instances = emitted_by(system)
-    assert len(instances) > 400 and any(i.sources for i in instances)
+    settle()
     for instance in instances:
         assert not gc.is_tracked(instance.key), instance.key
         assert not gc.is_tracked(instance.sources), instance.sources
@@ -446,7 +567,7 @@ def test_a_live_run_keeps_keys_and_sources_untracked(live_run):
 def test_a_live_run_keeps_its_plain_trace_rows_untracked(live_run):
     system, _ = live_run
     rows = system.trace._rows
-    plain = [row for row in rows if all(map(atomic, row[4]))]
+    plain = [row for row in rows if all(map(atomic, row[4:]))]
     assert len(plain) > 0.9 * len(rows) > 2_000
     assert not [row for row in plain if gc.is_tracked(row)]
 
@@ -468,9 +589,12 @@ def test_database_storage_adds_no_tracked_object_per_row(live_run):
 
 def test_a_live_run_retains_few_tracked_objects_per_instance(live_run):
     system, retained = live_run
-    # The instance itself, its centroid, a TimePoint per tick and the
-    # motes' observations, each with its own time and attribute map (the
-    # small preset keeps ~4 per instance): 15.8, against 23.8 while keys
-    # held an ObserverId and trace rows were records (2.9 against 9.4 on
-    # the medium preset).
-    assert retained / len(emitted_by(system)) <= 17.0
+    # The instance itself (no longer by its observer's log, which keeps
+    # rows, but by the sinks' and the CCU's arrival lists and the
+    # database), its centroid, a TimePoint per tick and the motes'
+    # observations, each with its own time and attribute map (the small
+    # preset keeps ~4 per instance): 15.8, against 23.8 while keys held
+    # an ObserverId and trace rows were records (2.9 against 9.4 on the
+    # medium preset).
+    rows = sum(len(o.emitted) for o in observers_of(system))
+    assert retained / rows <= 17.0

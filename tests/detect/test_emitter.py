@@ -1,6 +1,6 @@
 """The compiled emitter against a plain by-name reference.
 
-:func:`repro.detect.engine.build_instance` lowers an
+:func:`repro.detect.output.build_instance` lowers an
 :class:`~repro.core.spec.OutputPolicy` once per specification into a
 closure that writes one- and two-entity bindings out as straight-line
 arithmetic.  ``reference_instance`` below is the interpreter it
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.aggregates import space_aggregate, time_aggregate, value_aggregate
 from repro.core.conditions import AttributeTerm, ConfidenceCondition
 from repro.core.entity import confidence_of, entity_key, numeric_attribute
-from repro.core.errors import ObserverError
+from repro.core.errors import ObserverError, SpatialError
 from repro.core.event import EventLayer
 from repro.core.instance import (
     CyberPhysicalEventInstance,
@@ -38,8 +38,8 @@ from repro.core.spec import (
 )
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.confidence import fuse
-from repro.detect.engine import InstanceSequence, build_instance
 from repro.detect.engine import Match
+from repro.detect.output import InstanceLog, build_instance
 from repro.stream import ObserverProfile
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -237,6 +237,71 @@ def test_emitter_equals_the_by_name_reference(match):
     assert dict(got.attributes) == dict(want.attributes)
 
 
+def written(match, observer, seq, generated_time, location, layer, instance_cls):
+    """:func:`build_instance`'s signature through a log's row writer: the
+    row of the match, read back.  A refused match leaves the log as it
+    was."""
+    log = InstanceLog(observer, location, layer, instance_cls)
+    log.counters[match.spec.event_id] = seq
+    try:
+        log.write(match)
+    except Exception:
+        assert len(log) == 0 and log.counters == {match.spec.event_id: seq}
+        raise
+    try:
+        (instance,) = log
+    except Exception as error:  # the writer must refuse what cannot be read
+        raise AssertionError(f"a written row does not read back: {error!r}")
+    return instance
+
+
+@settings(max_examples=600, deadline=None)
+@given(matches())
+def test_a_written_row_reads_back_as_the_by_name_reference(match):
+    got = outcome(written, match)
+    want = outcome(reference_instance, match)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got == want and type(got) is type(want)
+    assert got.sources == want.sources and got.key == want.key
+
+
+@pytest.mark.parametrize("build", [build_instance, written], ids=["built", "written"])
+def test_a_centroid_that_overflows_is_refused_like_a_point(build):
+    # Written, it is refused by the writer: no row, nothing numbered.
+    spec = EventSpecification(
+        event_id="far",
+        selectors={role: EntitySelector() for role in ("a", "b")},
+        condition=ConfidenceCondition("a", RelationalOp.GE, 0.0),
+    )
+    far = [
+        PhysicalObservation(
+            f"MT{i}", "SR", 0, TimePoint(1), PointLocation(1.5e308, 0.0), {}
+        )
+        for i in range(2)
+    ]
+    match = Match(spec, dict(zip("ab", far)), 1)
+    assert outcome(reference_instance, match) is SpatialError
+    assert outcome(build, match) is SpatialError
+
+
+@pytest.mark.parametrize("build", [build_instance, written], ids=["built", "written"])
+def test_the_identity_policy_passes_a_missing_location_through(build):
+    # A row tells a computed centroid from a kept location by its
+    # coordinates, not by the location being None.
+    spec = EventSpecification(
+        event_id="bare",
+        selectors={"a": EntitySelector()},
+        condition=ConfidenceCondition("a", RelationalOp.GE, 0.0),
+        output=OutputPolicy(space="location"),
+    )
+    match = Match(spec, {"a": Probe(TimePoint(1), None, {}, 0.5)}, 3)
+    want = outcome(reference_instance, match)
+    assert want.estimated_location is None
+    assert outcome(build, match) == want
+
+
 def test_the_emitter_is_compiled_once_per_specification():
     spec = EventSpecification(
         event_id="one",
@@ -247,15 +312,15 @@ def test_the_emitter_is_compiled_once_per_specification():
         "MT", "SR", 0, TimePoint(1), PointLocation(0.0, 0.0), {"v": 1.0}
     )
     match = Match(spec, {"a": entity}, 1)
-    sequence = InstanceSequence(
+    log = InstanceLog.of(
         ObserverProfile(
             "MT", MOTE, PointLocation(0.0, 0.0), EventLayer.SENSOR,
             SensorEventInstance, (spec,),
         )
     )
-    first = sequence.emit(match)
+    first = log.build(match)
     emitter = spec._emitter
-    second = sequence.emit(match)
+    second = log.build(match)
     assert spec._emitter is emitter
     assert (first.seq, second.seq) == (0, 1)
     assert isinstance(first, EventInstance) and first.sources == (entity.key,)

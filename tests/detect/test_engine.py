@@ -28,7 +28,8 @@ from repro.core.spec import (
     OutputPolicy,
 )
 from repro.core.time_model import TimeInterval, TimePoint
-from repro.detect.engine import DetectionEngine, binding_identity, build_instance
+from repro.detect.engine import DetectionEngine, binding_identity
+from repro.detect.output import build_instance
 
 MOTE = ObserverId(ObserverKind.SENSOR_MOTE, "MT9")
 

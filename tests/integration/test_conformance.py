@@ -25,6 +25,10 @@ run as well.
   trace rows exactly, with no late observation and a balanced
   conservation ledger, and splicing its rows into the behavioral trace
   reproduces the golden digest byte for byte.
+* **rows** — every observer's output log, live and replayed, reads
+  back as the instances ``build_instance`` makes of its matches (refined
+  where the observer refines), and the trace rows it writes from its
+  columns are the ones ``emit_payload`` makes of those instances.
 * **checkpoint** — a runtime restored from a mid-stream checkpoint (1
   and 4 shards, with and without telemetry) exports the original's
   bytes and replays the identical tail, and so does the original
@@ -55,9 +59,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.event import EventLayer
-from repro.core.time_model import TimeInterval
+from repro.core.time_model import TimeInterval, TimePoint
+from repro.cps.component import ObserverComponent
+from repro.detect.output import build_instance, emit_payload
 from repro.obs import Telemetry, collect, to_json, trace_rows_digest
-from repro.sim.trace import trace_digest
+from repro.sim.trace import TraceRecord, trace_digest
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
@@ -421,6 +427,105 @@ def test_same_seed_byte_identical(name):
 def test_different_seed_different_digest(name):
     other, _ = _run(name, seed=ALT_SEED)
     assert _behavior_digest(other) != _behavior_digest(_run(name)[0])
+
+
+# -- rows ----------------------------------------------------------------
+
+
+def _same(got, want) -> None:
+    """Equal the way an output log promises: ``==``, class, sources, key."""
+    assert got == want and type(got) is type(want)
+    assert got.sources == want.sources and got.key == want.key
+
+
+def _numbered(observer, matches) -> list:
+    """``build_instance`` of each match, numbered per event id and
+    refined as the observer refines: what the log used to keep."""
+    refine = profile_of(observer).refine
+    counters: dict[str, int] = {}
+    out = []
+    for match in matches:
+        seq = counters.get(match.spec.event_id, 0)
+        counters[match.spec.event_id] = seq + 1
+        instance = build_instance(
+            match, observer.observer_id, seq, TimePoint(match.tick),
+            observer.location, observer.layer, observer.instance_cls,
+        )
+        out.append(instance if refine is None else refine(instance, match))
+    return out
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rows_read_back_as_the_instances_build_instance_makes(name, monkeypatch):
+    """Every spec's rows, on the live leg and on the replay leg, read back
+    as the instances :func:`build_instance` makes of their matches (or,
+    for the mote's interval tracker, as the instance it appended), and
+    the trace rows a log writes from its columns are the rows
+    :func:`emit_payload` makes of those instances."""
+    appended: dict[str, list] = {}
+    matched: dict[str, list] = {}
+
+    def emit_match(self, match, original=ObserverComponent._emit_match):
+        instance = original(self, match)
+        matched.setdefault(self.name, []).append((match, instance))
+        return instance
+
+    def emit_direct(self, instance, original=ObserverComponent.emit_direct):
+        appended.setdefault(self.name, []).append(instance)
+        original(self, instance)
+
+    monkeypatch.setattr(ObserverComponent, "_emit_match", emit_match)
+    monkeypatch.setattr(ObserverComponent, "emit_direct", emit_direct)
+    scenario = build_scenario(name, preset="small")
+    taps = scenario.system.attach_stream_taps()
+    scenario.system.run(until=scenario.params["horizon"])
+    monkeypatch.undo()
+
+    specs = set()
+    for observer in _observers(scenario.system):
+        log = observer.emitted
+        want = appended.get(observer.name, [])
+        assert len(log) == len(want)
+        for got, instance in zip(log, want):
+            _same(got, instance)
+        pairs = matched.get(observer.name, [])
+        built = _numbered(observer, [match for match, _ in pairs])
+        for (_, instance), expected in zip(pairs, built, strict=True):
+            _same(instance, expected)
+        assert log.trace_rows(observer.name) == [
+            TraceRecord(
+                i.generated_time.tick, "instance.emit", observer.name,
+                emit_payload(i),
+            )
+            for i in want
+        ]
+        specs.update((observer.name, i.event_id) for i in want)
+
+        if observer.name not in taps:
+            continue
+        replayer = ReplayObserver(profile_of(observer), lateness=LATENESS)
+        replayed = []
+        on_match = replayer.runtime.on_match
+
+        def record(match, on_match=on_match):
+            replayed.append(match)
+            on_match(match)
+
+        replayer.runtime.on_match = record
+        replayer.replay(_jittered(taps[observer.name]))
+        want = _numbered(observer, replayed)
+        assert len(replayer.emitted) == len(want)
+        for got, instance in zip(replayer.emitted, want):
+            _same(got, instance)
+        assert replayer.trace_rows == [
+            TraceRecord(
+                i.generated_time.tick, "instance.emit", observer.name,
+                emit_payload(i),
+            )
+            for i in want
+        ]
+        assert replayer.emitted == log
+    assert specs  # every scenario emits
 
 
 # -- replay legs -------------------------------------------------------

@@ -233,7 +233,7 @@ class TestFieldEventConstruction:
         engine.submit(obs("MT2", 2, 10.0, 0.0, t=61.0), now=2)
         matches = engine.submit(obs("MT3", 3, 5.0, 8.0, t=62.0), now=3)
         assert matches
-        from repro.detect.engine import build_instance
+        from repro.detect.output import build_instance
         from repro.core.instance import ObserverId, ObserverKind
         from repro.core.event import EventLayer
 
