@@ -73,6 +73,7 @@ def motion_instance(seq, tick, zone):
         generated_location=zone,
         estimated_time=TimePoint(tick),
         estimated_location=zone,
+        attributes={"motion": 1.0},
         layer=EventLayer.SENSOR,
     )
 
@@ -199,16 +200,26 @@ def run_snoop(entities):
 
 
 def run_eca(entities):
-    engine = EcaEngine([EcaRule("motion_seen", "any", RelationalOp.GE, 0.0)])
+    engine = EcaEngine(
+        [EcaRule("motion_seen", "motion", RelationalOp.GE, 1.0)]
+    )
     detected = set()
-    for name, entity in entities:
-        if name == "motion":
-            detected.add(entity.estimated_time.tick)
+    for _, entity in entities:
+        when = entity.estimated_time
+        tick = when.end.tick if isinstance(when, TimeInterval) else when.tick
+        for trigger in engine.submit(entity, tick):
+            detected.add(trigger.time.tick)
     return detected
 
 
 def run_rtl(entities, window=40):
-    """RTL approximation: motion within `window` ticks after door start."""
+    """RTL approximation: motion within `window` ticks after door start.
+
+    Written out by hand rather than through
+    :class:`~repro.baselines.rtl.RtlMonitor`: the monitor names the i-th
+    occurrence of each event, so "some door start" would need one
+    constraint pair per (door, motion) pair.
+    """
     detected = set()
     door_starts = [
         e.estimated_time.start.tick

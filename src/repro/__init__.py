@@ -20,8 +20,8 @@ Workshops 2009), plus every substrate the paper depends on:
 * :mod:`repro.dsl` — a text language for event specifications;
 * :mod:`repro.baselines` — ECA / Snoop / SnoopIB / RTL comparators
   (Section 2);
-* :mod:`repro.analysis` — EDL and end-to-end latency models plus STN
-  consistency (the paper's future work, Section 6);
+* :mod:`repro.analysis` — EDL and end-to-end latency models (the
+  paper's future work, Section 6);
 * :mod:`repro.workloads` — ready-made scenarios;
 * :mod:`repro.metrics` — detection scoring against ground truth.
 

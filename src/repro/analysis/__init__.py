@@ -1,12 +1,10 @@
-"""Formal analyses: EDL model, end-to-end latency, temporal networks."""
+"""Formal analyses: the EDL model and the end-to-end latency model."""
 
 from repro.analysis.e2e import EndToEndModel
 from repro.analysis.edl import EdlBreakdown, EdlModel
-from repro.analysis.stn import SimpleTemporalNetwork
 
 __all__ = [
     "EdlModel",
     "EdlBreakdown",
     "EndToEndModel",
-    "SimpleTemporalNetwork",
 ]

@@ -12,8 +12,12 @@ each registered constraint as soon as both occurrences it names are
 known, reporting satisfactions and violations.  As Section 2 notes,
 "since interval-based events are not supported in [the] RTL-based event
 model, the interval-based temporal relationships such as 'During,
-Overlap' are not addressed" — this monitor has no interval type at all,
-which is exactly what the E8 comparison exercises.
+Overlap' are not addressed" — this monitor has no interval type at all.
+The E8 comparison (``benchmarks/bench_baseline_comparison.py``) does
+not run it: its RTL row writes the same point-deadline check out by
+hand, because the monitor names the i-th occurrence of each event and
+"a motion within a window after *some* door start" would need one
+constraint pair per (door, motion) pair.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from repro.core.aggregates import (
     TIME_AGGREGATES,
     TIME_MEASURES,
     VALUE_AGGREGATES,
-    register_value_aggregate,
 )
 from repro.core.composite import (
     And,
@@ -45,14 +44,7 @@ from repro.core.conditions import (
     TimeConst,
     TimeOf,
 )
-from repro.core.entity import (
-    Entity,
-    attribute_value,
-    confidence_of,
-    entity_key,
-    occurrence_location,
-    occurrence_time,
-)
+from repro.core.entity import Entity, confidence_of, entity_key
 from repro.core.errors import (
     AnalysisError,
     BindingError,
@@ -136,13 +128,12 @@ __all__ = [
     "PhysicalObservation", "EventInstance", "SensorEventInstance",
     "CyberPhysicalEventInstance", "CyberEventInstance",
     # entity access
-    "Entity", "occurrence_time", "occurrence_location", "attribute_value",
-    "confidence_of", "entity_key",
+    "Entity", "confidence_of", "entity_key",
     # operators
     "RelationalOp", "TemporalOp", "SpatialOp", "LogicalOp",
     # aggregates
     "VALUE_AGGREGATES", "TIME_AGGREGATES", "TIME_MEASURES",
-    "SPACE_AGGREGATES", "SPACE_MEASURES", "register_value_aggregate",
+    "SPACE_AGGREGATES", "SPACE_MEASURES",
     # conditions
     "Condition", "Binding", "AttributeTerm", "AttributeCondition",
     "TemporalCondition", "TemporalMeasureCondition", "SpatialCondition",

@@ -47,7 +47,6 @@ __all__ = [
     "time_measure",
     "space_aggregate",
     "space_measure",
-    "register_value_aggregate",
 ]
 
 ValueAggregate = Callable[[Sequence[float]], float]
@@ -101,19 +100,6 @@ VALUE_AGGREGATES: dict[str, ValueAggregate] = {
     "last": lambda v: _require_values(v, "last")[-1],
 }
 """Registry of ``g_v`` functions, keyed by lower-case name."""
-
-
-def register_value_aggregate(name: str, func: ValueAggregate) -> None:
-    """Register a custom ``g_v`` aggregation function.
-
-    Applications may extend the aggregate vocabulary (for example a
-    domain-specific percentile); registered names become available to
-    both programmatic conditions and the DSL.
-    """
-    key = name.lower()
-    if key in VALUE_AGGREGATES:
-        raise ConditionError(f"value aggregate {name!r} already registered")
-    VALUE_AGGREGATES[key] = func
 
 
 def value_aggregate(name: str) -> ValueAggregate:

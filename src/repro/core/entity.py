@@ -3,8 +3,8 @@
 The paper repeatedly notes that "an entity in CPS can be a physical
 observation or an event instance" — event conditions must evaluate over
 either interchangeably.  This module defines the :class:`Entity`
-protocol both satisfy and the accessor functions condition evaluation
-uses, so the rest of the library never type-switches on entity classes.
+protocol both satisfy and the few helpers condition evaluation uses,
+so the rest of the library never type-switches on entity classes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from repro.core.time_model import TemporalEntity
 
 __all__ = [
     "Entity",
-    "occurrence_time",
-    "occurrence_location",
-    "attribute_value",
     "confidence_of",
     "numeric_attribute",
     "entity_key",
@@ -30,7 +27,13 @@ __all__ = [
 
 @runtime_checkable
 class Entity(Protocol):
-    """Anything a condition can bind: observation, instance or event."""
+    """Anything a condition can bind: observation, instance or event.
+
+    ``occurrence_time`` is the sampling time ``t_o`` of an observation,
+    the estimated occurrence time ``t_eo`` of an instance and the true
+    ``t_o`` of an event; ``occurrence_location`` is ``l_o`` / ``l_eo``
+    likewise.
+    """
 
     @property
     def occurrence_time(self) -> TemporalEntity: ...
@@ -39,25 +42,6 @@ class Entity(Protocol):
     def occurrence_location(self) -> SpatialEntity: ...
 
     attributes: object
-
-
-def occurrence_time(entity: Entity) -> TemporalEntity:
-    """The entity's (estimated) occurrence time.
-
-    For observations this is the sampling time ``t_o``; for instances
-    the estimated occurrence time ``t_eo``; for events the true ``t_o``.
-    """
-    return entity.occurrence_time
-
-
-def occurrence_location(entity: Entity) -> SpatialEntity:
-    """The entity's (estimated) occurrence location (``l_o`` / ``l_eo``)."""
-    return entity.occurrence_location
-
-
-def attribute_value(entity: Entity, name: str, default: object = None) -> object:
-    """Value of the named attribute from the entity's ``V`` set."""
-    return entity.attributes.get(name, default)
 
 
 def numeric_attribute(entity: Entity, name: str) -> float:

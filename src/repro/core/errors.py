@@ -90,4 +90,4 @@ class DatabaseError(ReproError):
 
 
 class AnalysisError(ReproError):
-    """A formal analysis (EDL model, STN consistency) failed."""
+    """A formal analysis (EDL or end-to-end latency model) failed."""

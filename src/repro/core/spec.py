@@ -238,10 +238,12 @@ class EventSpecification:
             raise SpecificationError(
                 f"specification {self.event_id!r} declares no roles"
             )
-        if self.window < 0:
-            raise SpecificationError(f"negative window {self.window}")
-        if self.cooldown < 0:
-            raise SpecificationError(f"negative cooldown {self.cooldown}")
+        for name in ("window", "cooldown"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise SpecificationError(
+                    f"{name} must be a non-negative int: {value!r}"
+                )
         missing = self.condition.roles - set(self.selectors)
         if missing:
             raise SpecificationError(

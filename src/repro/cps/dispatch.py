@@ -4,10 +4,10 @@
 nodes.  Both [sink and dispatch] nodes serve as a gateway to connect a
 sensor and actor network to the rest of the CPS network" (Section 3).
 
-The :class:`DispatchNode` receives actuator commands from CCUs (via the
-backbone or a direct callback) and forwards them over the actor
-network's wireless fabric to each target actor mote — or to its default
-target group when the command names none.
+The :class:`DispatchNode` receives actuator commands from CCUs over the
+backbone and hands them to each directly connected target actor mote —
+or to its default target group when the command names none.  The
+simulated actor network has no wireless hop.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.errors import ComponentError
 from repro.core.space_model import PointLocation
 from repro.cps.actions import ActuatorCommand
 from repro.cps.component import CPSComponent
-from repro.network.fabric import WirelessNetwork
 from repro.network.packet import Packet, PacketKind
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
@@ -30,12 +29,9 @@ class DispatchNode(CPSComponent):
     """Gateway from the CPS network into the actor network.
 
     Args:
-        name: Dispatch node identifier (a node of the actor topology
-            when wireless dissemination is used).
+        name: Dispatch node identifier.
         location: Deployment position.
         sim: Simulation kernel.
-        network: Actor-network wireless fabric (``None`` = deliver via
-            direct callbacks registered with :meth:`connect_direct`).
         default_targets: Actor motes addressed when a command has no
             explicit targets.
         trace: Optional trace recorder.
@@ -46,12 +42,10 @@ class DispatchNode(CPSComponent):
         name: str,
         location: PointLocation,
         sim: Simulator,
-        network: WirelessNetwork | None = None,
         default_targets: Sequence[str] = (),
         trace: TraceRecorder | None = None,
     ):
         super().__init__(name, location, sim, trace)
-        self.network = network
         self.default_targets = tuple(default_targets)
         self._direct: dict[str, object] = {}
         self.dispatched: list[ActuatorCommand] = []
@@ -89,12 +83,6 @@ class DispatchNode(CPSComponent):
                     0, lambda r=receiver: r.receive_command(command)
                 )
                 self.record("dispatch.direct", target=target,
-                            command_id=command.command_id)
-            elif self.network is not None:
-                self.network.unicast(
-                    self.name, target, command, PacketKind.COMMAND
-                )
-                self.record("dispatch.wireless", target=target,
                             command_id=command.command_id)
             else:
                 self.record("dispatch.unreachable", target=target,

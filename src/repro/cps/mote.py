@@ -38,7 +38,7 @@ from repro.core.instance import (
 from repro.core.operators import RelationalOp
 from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
-from repro.core.time_model import TimeInterval, TimePoint
+from repro.core.time_model import TimeInterval
 from repro.cps.actions import ActuatorCommand
 from repro.cps.actuator import Actuator
 from repro.cps.component import ObserverComponent
@@ -47,7 +47,7 @@ from repro.detect.confidence import confidence_from_margin
 from repro.detect.engine import DetectionEngine
 from repro.detect.interval_builder import IntervalBuilder, TransitionKind
 from repro.network.fabric import WirelessNetwork
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import PacketKind
 from repro.physical.world import PhysicalWorld
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
@@ -275,8 +275,7 @@ class ActorMote(ObserverComponent):
     """Actuation-side mote: receives commands, drives actuators.
 
     Args:
-        name: Mote identifier (must match its topology node when
-            wireless delivery is used).
+        name: Mote identifier.
         location: Deployment position.
         sim: Simulation kernel.
         world: The physical world commands act on.
@@ -312,12 +311,6 @@ class ActorMote(ObserverComponent):
         self.actuators = list(actuators)
         self.on_executed = on_executed
         self.commands_received: list[ActuatorCommand] = []
-
-    def handle_packet(self, packet: Packet) -> None:
-        """Wireless receive handler (register with the actor network)."""
-        if packet.kind is not PacketKind.COMMAND:
-            return
-        self.receive_command(packet.payload)
 
     def receive_command(self, command: ActuatorCommand) -> None:
         """Queue a command for execution on a matching actuator."""

@@ -11,8 +11,8 @@ paper's default dataflow:
   events), evaluate cyber event conditions, publish their cyber events,
   and run Event-Action rules whose commands travel over the wired
   backbone to dispatch nodes;
-* dispatch nodes disseminate commands into the actor network, where
-  actor motes execute them against the physical world — closing the
+* dispatch nodes hand commands to their directly connected actor
+  motes, which execute them against the physical world — closing the
   loop;
 * database servers subscribe to everything and log it for retrieval.
 
@@ -86,7 +86,6 @@ class CPSSystem:
         )
         self.world_step_period = world_step_period
         self.sensor_network: WirelessNetwork | None = None
-        self.actor_network: WirelessNetwork | None = None
         self.motes: dict[str, SensorMote] = {}
         self.sinks: dict[str, SinkNode] = {}
         self.ccus: dict[str, ControlUnit] = {}
@@ -123,29 +122,6 @@ class CPSSystem:
             trace=self.trace,
         )
         return self.sensor_network
-
-    def build_actor_network(
-        self,
-        topology: Topology,
-        dispatch_names: Sequence[str],
-        mac_period: int = 1,
-        max_retries: int = 3,
-    ) -> WirelessNetwork:
-        """Create the actor-network fabric rooted at the dispatch nodes."""
-        routing = RoutingTree(topology, dispatch_names)
-        link = LinkModel(
-            self.sim.rng.stream("actor-link"),
-            max_retries=max_retries,
-        )
-        self.actor_network = WirelessNetwork(
-            self.sim,
-            topology,
-            link,
-            routing,
-            mac=DutyCycleMac(mac_period),
-            trace=self.trace,
-        )
-        return self.actor_network
 
     # -- detection bounds ----------------------------------------------
 
@@ -294,7 +270,6 @@ class CPSSystem:
             name,
             location,
             self.sim,
-            network=self.actor_network,
             default_targets=default_targets,
             trace=self.trace,
         )
@@ -308,15 +283,15 @@ class CPSSystem:
         actuators: Sequence[Actuator],
         location=None,
     ) -> ActorMote:
-        """Create an actor mote (wireless when an actor network exists)."""
+        """Create an actor mote wired directly to every dispatch node.
+
+        Add the dispatch nodes first: a dispatch node added later does
+        not reach this mote.
+        """
         if name in self.actor_motes:
             raise ComponentError(f"actor mote {name!r} already exists")
         if location is None:
-            if self.actor_network is None:
-                raise ComponentError(
-                    "provide a location or build_actor_network() first"
-                )
-            location = self.actor_network.topology.position(name)
+            raise ComponentError(f"actor mote {name!r} needs a location")
         mote = ActorMote(
             name,
             location,
@@ -325,11 +300,8 @@ class CPSSystem:
             actuators,
             trace=self.trace,
         )
-        if self.actor_network is not None and name in self.actor_network.topology:
-            self.actor_network.register(name, mote.handle_packet)
-        else:
-            for node in self.dispatchers.values():
-                node.connect_direct(name, mote)
+        for node in self.dispatchers.values():
+            node.connect_direct(name, mote)
         self.actor_motes[name] = mote
         return mote
 

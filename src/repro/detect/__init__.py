@@ -15,11 +15,8 @@ from repro.detect.interval_builder import (
     Transition,
     TransitionKind,
 )
-from repro.detect.latency import EndToEndTracker, LatencyProbe
 from repro.detect.localize import (
-    box_estimate,
     centroid_estimate,
-    hull_estimate,
     trilaterate,
     weighted_centroid,
 )
@@ -48,9 +45,5 @@ __all__ = [
     "FUSION_METHODS",
     "centroid_estimate",
     "weighted_centroid",
-    "hull_estimate",
-    "box_estimate",
     "trilaterate",
-    "LatencyProbe",
-    "EndToEndTracker",
 ]

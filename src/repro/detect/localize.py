@@ -8,8 +8,6 @@ estimators:
 * :func:`centroid_estimate` / :func:`weighted_centroid` — fuse reporting
   entities' positions, optionally weighted by confidence or signal
   strength (point-event estimates);
-* :func:`hull_estimate` / :func:`box_estimate` — spatial extent of the
-  reporting set (field-event estimates, e.g. a fire front);
 * :func:`trilaterate` — least-squares multilateration from anchor
   positions and range measurements (the intro's example).
 """
@@ -22,20 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import SpatialError
-from repro.core.space_model import (
-    BoundingBox,
-    PointLocation,
-    Polygon,
-    SpatialEntity,
-    convex_hull,
-    min_enclosing_box,
-)
+from repro.core.space_model import PointLocation
 
 __all__ = [
     "centroid_estimate",
     "weighted_centroid",
-    "hull_estimate",
-    "box_estimate",
     "trilaterate",
 ]
 
@@ -74,28 +63,6 @@ def weighted_centroid(
         sum(p.x * w for p, w in zip(points, weights)) / total,
         sum(p.y * w for p, w in zip(points, weights)) / total,
     )
-
-
-def hull_estimate(points: Sequence[PointLocation]) -> SpatialEntity:
-    """Convex hull of reporting positions (field-event extent).
-
-    Degenerates gracefully: one point -> that point; collinear points ->
-    their centroid (no polygon exists).
-    """
-    if not points:
-        raise SpatialError("hull estimate of no points")
-    hull = convex_hull(points)
-    if len(hull) >= 3:
-        return Polygon(hull)
-    if len(hull) == 1:
-        return hull[0]
-    return centroid_estimate(points)
-
-
-def box_estimate(points: Sequence[PointLocation], margin: float = 0.0) -> BoundingBox:
-    """Axis-aligned box around the reporting positions, grown by ``margin``."""
-    box = min_enclosing_box(points)
-    return box.expand(margin) if margin > 0 else box
 
 
 def trilaterate(

@@ -5,12 +5,7 @@ from repro.network.link import HopOutcome, LinkModel
 from repro.network.packet import Packet, PacketKind
 from repro.network.radio import LogDistanceRadio, RadioModel, UnitDiskRadio
 from repro.network.routing import RoutingTree
-from repro.network.topology import (
-    Topology,
-    cluster_topology,
-    grid_topology,
-    random_topology,
-)
+from repro.network.topology import Topology, grid_topology
 
 __all__ = [
     "Packet",
@@ -20,8 +15,6 @@ __all__ = [
     "LogDistanceRadio",
     "Topology",
     "grid_topology",
-    "random_topology",
-    "cluster_topology",
     "LinkModel",
     "HopOutcome",
     "RoutingTree",

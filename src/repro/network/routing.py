@@ -10,7 +10,7 @@ cheapest sink.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 
@@ -47,7 +47,6 @@ class RoutingTree:
             raise RoutingError(f"unknown weight {weight!r}; use 'etx' or 'hops'")
         self.weight = weight
         self._paths: dict[str, list[str]] = {}
-        self._costs: dict[str, float] = {}
         self._compute()
 
     def _compute(self) -> None:
@@ -68,7 +67,6 @@ class RoutingTree:
                     # Dijkstra paths run root -> node; we store node -> root.
                     best_path[node] = list(reversed(paths[node]))
         self._paths = best_path
-        self._costs = best_cost
 
     # -- queries -------------------------------------------------------
 
@@ -99,13 +97,6 @@ class RoutingTree:
     def hops_to_root(self, node: str) -> int:
         """Number of hops from the node to its root."""
         return len(self.path_to_root(node)) - 1
-
-    def cost_to_root(self, node: str) -> float:
-        """Accumulated path cost (ETX or hops) to the assigned root."""
-        try:
-            return self._costs[node]
-        except KeyError:
-            raise RoutingError(f"node {node!r} cannot reach any root") from None
 
     def point_to_point(self, src: str, dst: str) -> list[str]:
         """Cheapest path between two arbitrary nodes (for CCU links)."""

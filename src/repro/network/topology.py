@@ -2,9 +2,9 @@
 
 A :class:`Topology` holds named node positions and derives the
 connectivity graph induced by a radio model (edges where the PRR clears
-a floor).  Builders cover the standard deployment patterns: regular
-grids, uniform-random scatter with a minimum separation, and clustered
-placement around sink positions.
+a floor).  :func:`grid_topology` builds the regular grid every
+scenario deploys; any other placement is a ``{name: position}`` mapping
+handed to :class:`Topology` directly.
 
 The graph is a :mod:`networkx` graph with PRR edge attributes, so the
 routing layer can run shortest-path algorithms with
@@ -13,20 +13,17 @@ expected-transmission-count (ETX = 1/PRR) weights directly.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import networkx as nx
 
 from repro.core.errors import NetworkError
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 from repro.network.radio import RadioModel
 
 __all__ = [
     "Topology",
     "grid_topology",
-    "random_topology",
-    "cluster_topology",
 ]
 
 
@@ -140,65 +137,3 @@ def grid_topology(
     }
     return Topology(positions, radio, prr_floor)
 
-
-def random_topology(
-    count: int,
-    bounds: BoundingBox,
-    radio: RadioModel,
-    rng: random.Random,
-    min_separation: float = 0.0,
-    prefix: str = "MT",
-    prr_floor: float = 0.1,
-    max_attempts: int = 10_000,
-) -> Topology:
-    """Uniform-random scatter of ``count`` nodes with a separation floor.
-
-    Raises:
-        NetworkError: When the separation constraint cannot be met in
-            ``max_attempts`` draws (area too dense).
-    """
-    positions: dict[str, PointLocation] = {}
-    attempts = 0
-    while len(positions) < count:
-        attempts += 1
-        if attempts > max_attempts:
-            raise NetworkError(
-                f"could not place {count} nodes with separation "
-                f"{min_separation} in {max_attempts} attempts"
-            )
-        candidate = PointLocation(
-            rng.uniform(bounds.min_x, bounds.max_x),
-            rng.uniform(bounds.min_y, bounds.max_y),
-        )
-        if min_separation > 0 and any(
-            candidate.distance_to(p) < min_separation for p in positions.values()
-        ):
-            continue
-        positions[f"{prefix}{len(positions)}"] = candidate
-    return Topology(positions, radio, prr_floor)
-
-
-def cluster_topology(
-    cluster_centers: Iterable[PointLocation],
-    nodes_per_cluster: int,
-    cluster_radius: float,
-    radio: RadioModel,
-    rng: random.Random,
-    prefix: str = "MT",
-    prr_floor: float = 0.1,
-) -> Topology:
-    """Nodes scattered around each center (one WSN patch per sink)."""
-    positions: dict[str, PointLocation] = {}
-    for c_index, center in enumerate(cluster_centers):
-        for n_index in range(nodes_per_cluster):
-            angle = rng.uniform(0.0, 6.283185307179586)
-            radius = cluster_radius * rng.random() ** 0.5
-            import math
-
-            positions[f"{prefix}{c_index}_{n_index}"] = PointLocation(
-                center.x + radius * math.cos(angle),
-                center.y + radius * math.sin(angle),
-            )
-    if not positions:
-        raise NetworkError("cluster topology produced no nodes")
-    return Topology(positions, radio, prr_floor)

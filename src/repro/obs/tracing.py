@@ -1,11 +1,12 @@
 """Stage-level tracing: where an observation's ticks actually go.
 
-The paper's Event Detection Latency is measured at the instance layer
-(:mod:`repro.detect.latency`); nothing there says *where inside the
-runtime* a given observation spent its time.  Following the
-value-age argument of Kopetz & Steiner (arXiv 2409.19309) — temporal
-consistency is only assessable when the age of every value is tracked
-through each processing stage — a :class:`StageTrace` records
+The paper's Event Detection Latency is a per-instance number
+(:attr:`~repro.core.instance.EventInstance.detection_latency`); it does
+not say *where inside the runtime* a given observation spent its time.
+Following the value-age argument of Kopetz & Steiner (arXiv
+2409.19309) — temporal consistency is only assessable when the age of
+every value is tracked through each processing stage — this module is
+the measured side of that latency, and a :class:`StageTrace` records
 **tick-domain** enter/exit stamps for each pipeline stage an
 observation crosses:
 

@@ -1,8 +1,6 @@
 """Physical-world substrate: phenomena, objects, mobility, ground truth."""
 
 from repro.physical.fields import (
-    CompositeField,
-    DiffusionGridField,
     GaussianPlumeField,
     PlumeSource,
     ScalarField,
@@ -18,7 +16,6 @@ from repro.physical.ground_truth import (
 )
 from repro.physical.mobility import (
     PatrolTrajectory,
-    RandomWalk,
     StaticPosition,
     Trajectory,
     WaypointTrajectory,
@@ -31,15 +28,12 @@ __all__ = [
     "UniformField",
     "PlumeSource",
     "GaussianPlumeField",
-    "DiffusionGridField",
-    "CompositeField",
     "FireModel",
     "FireTemperatureField",
     "CellState",
     "Trajectory",
     "StaticPosition",
     "WaypointTrajectory",
-    "RandomWalk",
     "PatrolTrajectory",
     "PhysicalObject",
     "PhysicalWorld",

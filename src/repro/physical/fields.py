@@ -8,10 +8,10 @@ examples need:
 * :class:`UniformField` — a spatially constant ambient value with an
   optional deterministic trend (e.g. ambient temperature);
 * :class:`GaussianPlumeField` — superposition of radially decaying
-  sources (heat sources, gas leaks, light);
-* :class:`DiffusionGridField` — an explicit finite-difference diffusion
-  grid for phenomena that spread and decay over time;
-* :class:`CompositeField` — pointwise sum of other fields.
+  sources (heat sources, gas leaks, light).
+
+:class:`~repro.physical.fire.FireTemperatureField` is the one field
+with dynamics: it turns a fire model's burning cells into temperature.
 
 Fields are *deterministic*; measurement noise belongs to the sensor
 model (:class:`repro.cps.sensor.Sensor`), mirroring reality where the
@@ -25,16 +25,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.errors import ReproError
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 
 __all__ = [
     "ScalarField",
     "UniformField",
     "PlumeSource",
     "GaussianPlumeField",
-    "DiffusionGridField",
-    "CompositeField",
 ]
 
 
@@ -128,107 +125,3 @@ class GaussianPlumeField(ScalarField):
             source.contribution(location, tick) for source in self.sources
         )
 
-
-class DiffusionGridField(ScalarField):
-    """Finite-difference diffusion of a scalar on a regular grid.
-
-    The grid covers ``bounds`` with ``nx`` x ``ny`` cells.  Each call to
-    :meth:`step` applies one explicit diffusion-decay update:
-
-    ``u += alpha * laplacian(u) - decay * (u - base)``
-
-    Values off the grid clamp to the nearest cell.  Injection
-    (:meth:`inject`) adds heat/concentration at a location, which is how
-    the fire model couples into the temperature field.
-
-    Args:
-        bounds: Spatial extent of the grid.
-        nx: Cells along x.
-        ny: Cells along y.
-        base: Ambient value cells relax toward.
-        alpha: Diffusion coefficient (stable for ``alpha <= 0.25``).
-        decay: Relaxation rate toward ``base``.
-    """
-
-    def __init__(
-        self,
-        bounds: BoundingBox,
-        nx: int = 32,
-        ny: int = 32,
-        base: float = 0.0,
-        alpha: float = 0.2,
-        decay: float = 0.01,
-    ):
-        if nx < 2 or ny < 2:
-            raise ReproError("diffusion grid needs at least 2x2 cells")
-        if alpha > 0.25:
-            raise ReproError(f"alpha {alpha} unstable; must be <= 0.25")
-        self.bounds = bounds
-        self.nx = nx
-        self.ny = ny
-        self.base = base
-        self.alpha = alpha
-        self.decay = decay
-        self._cells = [[base for _ in range(ny)] for _ in range(nx)]
-        self._last_step = -1
-
-    def _index(self, location: PointLocation) -> tuple[int, int]:
-        fx = (location.x - self.bounds.min_x) / max(self.bounds.width, 1e-12)
-        fy = (location.y - self.bounds.min_y) / max(self.bounds.height, 1e-12)
-        i = min(self.nx - 1, max(0, int(fx * self.nx)))
-        j = min(self.ny - 1, max(0, int(fy * self.ny)))
-        return i, j
-
-    def cell_center(self, i: int, j: int) -> PointLocation:
-        """Center coordinates of cell ``(i, j)``."""
-        return PointLocation(
-            self.bounds.min_x + (i + 0.5) * self.bounds.width / self.nx,
-            self.bounds.min_y + (j + 0.5) * self.bounds.height / self.ny,
-        )
-
-    def inject(self, location: PointLocation, amount: float) -> None:
-        """Add ``amount`` to the cell containing ``location``."""
-        i, j = self._index(location)
-        self._cells[i][j] += amount
-
-    def value_at(self, location: PointLocation, tick: int) -> float:
-        i, j = self._index(location)
-        return self._cells[i][j]
-
-    def step(self, tick: int) -> None:
-        """One explicit diffusion-decay update (idempotent per tick)."""
-        if tick <= self._last_step:
-            return
-        self._last_step = tick
-        old = self._cells
-        new = [[0.0] * self.ny for _ in range(self.nx)]
-        for i in range(self.nx):
-            for j in range(self.ny):
-                center = old[i][j]
-                north = old[i][j + 1] if j + 1 < self.ny else center
-                south = old[i][j - 1] if j - 1 >= 0 else center
-                east = old[i + 1][j] if i + 1 < self.nx else center
-                west = old[i - 1][j] if i - 1 >= 0 else center
-                laplacian = north + south + east + west - 4.0 * center
-                new[i][j] = (
-                    center
-                    + self.alpha * laplacian
-                    - self.decay * (center - self.base)
-                )
-        self._cells = new
-
-
-class CompositeField(ScalarField):
-    """Pointwise sum of component fields (stepped together)."""
-
-    def __init__(self, components: Sequence[ScalarField]):
-        if not components:
-            raise ReproError("composite field needs at least one component")
-        self.components = list(components)
-
-    def value_at(self, location: PointLocation, tick: int) -> float:
-        return sum(c.value_at(location, tick) for c in self.components)
-
-    def step(self, tick: int) -> None:
-        for component in self.components:
-            component.step(tick)

@@ -3,27 +3,24 @@
 The paper's running example — "user A is nearby window B for the last
 30 minutes" — needs a moving user; the intruder-tracking workload needs
 adversarial motion.  A :class:`Trajectory` maps a tick to a position;
-implementations cover scripted waypoint tours, bounded random walks and
+implementations cover scripted waypoint tours, cyclic patrols and
 static placement.  All trajectories are deterministic given their
-parameters (random walks take an explicit ``random.Random``), keeping
-simulation runs replayable.
+parameters, keeping simulation runs replayable.
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from typing import Sequence
 
 from repro.core.errors import ReproError
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 
 __all__ = [
     "Trajectory",
     "StaticPosition",
     "WaypointTrajectory",
-    "RandomWalk",
     "PatrolTrajectory",
 ]
 
@@ -80,62 +77,6 @@ class WaypointTrajectory(Trajectory):
         return PointLocation(
             p0.x + frac * (p1.x - p0.x), p0.y + frac * (p1.y - p0.y)
         )
-
-
-class RandomWalk(Trajectory):
-    """Bounded random walk with a fixed per-tick step length.
-
-    Positions are generated lazily, cached, and reproducible: asking for
-    tick *t* materializes the walk up to *t* using only the supplied
-    generator, so interleaved queries return consistent paths.
-
-    Args:
-        start: Initial position.
-        step: Distance moved per tick.
-        bounds: Reflecting boundary box.
-        rng: Dedicated random stream for this walker.
-    """
-
-    def __init__(
-        self,
-        start: PointLocation,
-        step: float,
-        bounds: BoundingBox,
-        rng: random.Random,
-    ):
-        if step < 0:
-            raise ReproError(f"negative step {step}")
-        if not bounds.contains_point(start):
-            raise ReproError(f"start {start!r} outside bounds {bounds!r}")
-        self.step = step
-        self.bounds = bounds
-        self._rng = rng
-        self._path = [start]
-
-    def position(self, tick: int) -> PointLocation:
-        if tick < 0:
-            tick = 0
-        while len(self._path) <= tick:
-            self._path.append(self._advance(self._path[-1]))
-        return self._path[tick]
-
-    def _advance(self, current: PointLocation) -> PointLocation:
-        angle = self._rng.uniform(0.0, 6.283185307179586)
-        import math
-
-        x = current.x + self.step * math.cos(angle)
-        y = current.y + self.step * math.sin(angle)
-        x = self._reflect(x, self.bounds.min_x, self.bounds.max_x)
-        y = self._reflect(y, self.bounds.min_y, self.bounds.max_y)
-        return PointLocation(x, y)
-
-    @staticmethod
-    def _reflect(value: float, low: float, high: float) -> float:
-        if value < low:
-            return min(high, 2 * low - value)
-        if value > high:
-            return max(low, 2 * high - value)
-        return value
 
 
 class PatrolTrajectory(Trajectory):

@@ -77,6 +77,11 @@ class CorruptObservation:
     payload: bytes = b"\x00\xde\xad\xbe\xef"
 
 
+def _count(value: object) -> bool:
+    """Whether ``value`` is a non-negative int (a bool is not)."""
+    return type(value) is int and value >= 0
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic schedule of injected transport faults.
@@ -107,9 +112,10 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for step, delivered in self.crashes:
-            if step < 0 or delivered < 0:
+            if not (_count(step) and _count(delivered)):
                 raise ObserverError(
-                    f"crash entry ({step}, {delivered}) is negative"
+                    f"crash entry ({step!r}, {delivered!r}) must be two "
+                    "non-negative ints"
                 )
         for label, schedule in (
             ("duplicates", self.duplicates),
@@ -117,11 +123,13 @@ class FaultPlan:
             ("stalls", self.stalls),
         ):
             for step, amount in schedule.items():
-                if step < 0:
-                    raise ObserverError(f"{label} step {step} is negative")
-                if amount <= 0:
+                if not _count(step):
                     raise ObserverError(
-                        f"{label}[{step}] must be positive: {amount}"
+                        f"{label} step must be a non-negative int: {step!r}"
+                    )
+                if type(amount) is not int or amount < 1:
+                    raise ObserverError(
+                        f"{label}[{step}] must be a positive int: {amount!r}"
                     )
 
     @property

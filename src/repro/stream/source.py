@@ -159,8 +159,10 @@ class JitteredSource:
         seed: int = 0,
         name: str | None = None,
     ):
-        if max_delay < 0:
-            raise ObserverError(f"max_delay cannot be negative: {max_delay}")
+        if type(max_delay) is not int or max_delay < 0:
+            raise ObserverError(
+                f"max_delay must be a non-negative int: {max_delay!r}"
+            )
         self.name = name if name is not None else base.name
         self.max_delay = max_delay
         rng = random.Random(seed)

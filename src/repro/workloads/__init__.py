@@ -2,7 +2,6 @@
 
 from repro.workloads.families import SIZE_PRESETS, Scenario, ScenarioSpec
 from repro.workloads.generators import (
-    burst_observations,
     poisson_ticks,
     synthetic_observations,
 )
@@ -25,5 +24,4 @@ __all__ = [
     "build_scenario",
     "poisson_ticks",
     "synthetic_observations",
-    "burst_observations",
 ]

@@ -9,13 +9,13 @@ generators are deterministic given their random stream.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.instance import PhysicalObservation
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.time_model import TimePoint
 
-__all__ = ["poisson_ticks", "synthetic_observations", "burst_observations"]
+__all__ = ["poisson_ticks", "synthetic_observations"]
 
 
 def poisson_ticks(rate: float, rng: random.Random, start: int = 0) -> Iterator[int]:
@@ -78,60 +78,3 @@ def synthetic_observations(
         )
     return observations
 
-
-def burst_observations(
-    bursts: int,
-    burst_size: int,
-    gap: int,
-    bounds: BoundingBox,
-    rng: random.Random,
-    quantity: str = "value",
-    hot_value: float = 90.0,
-    cold_value: float = 20.0,
-) -> list[PhysicalObservation]:
-    """Alternating hot bursts and cold background (threshold workloads).
-
-    Each burst emits ``burst_size`` co-located hot observations in
-    consecutive ticks, followed by ``gap`` ticks of one cold observation
-    per tick — a stream that exercises window eviction and cooldowns.
-    """
-    observations: list[PhysicalObservation] = []
-    tick = 1
-    seq = 0
-    for burst in range(bursts):
-        center = PointLocation(
-            rng.uniform(bounds.min_x, bounds.max_x),
-            rng.uniform(bounds.min_y, bounds.max_y),
-        )
-        for k in range(burst_size):
-            observations.append(
-                PhysicalObservation(
-                    mote_id=f"MT{k % 8}",
-                    sensor_id="SR0",
-                    seq=seq,
-                    time=TimePoint(tick),
-                    location=center.translate(
-                        rng.uniform(-1, 1), rng.uniform(-1, 1)
-                    ),
-                    attributes={quantity: hot_value + rng.gauss(0, 2)},
-                )
-            )
-            seq += 1
-            tick += 1
-        for _ in range(gap):
-            observations.append(
-                PhysicalObservation(
-                    mote_id=f"MT{seq % 8}",
-                    sensor_id="SR0",
-                    seq=seq,
-                    time=TimePoint(tick),
-                    location=PointLocation(
-                        rng.uniform(bounds.min_x, bounds.max_x),
-                        rng.uniform(bounds.min_y, bounds.max_y),
-                    ),
-                    attributes={quantity: cold_value + rng.gauss(0, 2)},
-                )
-            )
-            seq += 1
-            tick += 1
-    return observations

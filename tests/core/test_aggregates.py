@@ -1,7 +1,5 @@
 """Unit tests for the aggregation functions g_v, g_t, g_s (Def. 4.2)."""
 
-import math
-
 import pytest
 
 from repro.core.aggregates import (
@@ -10,7 +8,6 @@ from repro.core.aggregates import (
     TIME_AGGREGATES,
     TIME_MEASURES,
     VALUE_AGGREGATES,
-    register_value_aggregate,
     space_aggregate,
     space_measure,
     time_aggregate,
@@ -67,13 +64,6 @@ class TestValueAggregates:
     def test_unknown_name(self):
         with pytest.raises(ConditionError, match="unknown value aggregate"):
             value_aggregate("p99")
-
-    def test_registration(self):
-        register_value_aggregate("test_product", lambda v: math.prod(v))
-        assert value_aggregate("test_product")([2, 3, 4]) == 24
-        with pytest.raises(ConditionError, match="already registered"):
-            register_value_aggregate("test_product", lambda v: 0.0)
-        del VALUE_AGGREGATES["test_product"]  # keep the registry clean
 
 
 class TestTimeAggregates:

@@ -149,21 +149,31 @@ class TestEventSpecification:
                 event_id="hot", selectors={}, condition=SIMPLE_CONDITION
             )
 
-    def test_negative_window_and_cooldown_rejected(self):
-        with pytest.raises(SpecificationError):
+    # Both are tick counts.  Accepted, a nan window would never evict,
+    # a nan cooldown would never hold a match back and True would act
+    # as 1.
+    @pytest.mark.parametrize("field", ["window", "cooldown"])
+    @pytest.mark.parametrize(
+        "value", [-1, True, 2.5, 5.0, float("nan"), float("inf"), "5"]
+    )
+    def test_window_and_cooldown_must_be_non_negative_ints(self, field, value):
+        with pytest.raises(SpecificationError, match=field):
             EventSpecification(
                 event_id="hot",
                 selectors={"x": EntitySelector()},
                 condition=SIMPLE_CONDITION,
-                window=-1,
+                **{field: value},
             )
-        with pytest.raises(SpecificationError):
-            EventSpecification(
-                event_id="hot",
-                selectors={"x": EntitySelector()},
-                condition=SIMPLE_CONDITION,
-                cooldown=-1,
-            )
+
+    @pytest.mark.parametrize("field", ["window", "cooldown"])
+    def test_window_and_cooldown_accept_zero(self, field):
+        spec = EventSpecification(
+            event_id="hot",
+            selectors={"x": EntitySelector()},
+            condition=SIMPLE_CONDITION,
+            **{field: 0},
+        )
+        assert getattr(spec, field) == 0
 
     def test_group_roles_must_be_declared(self):
         with pytest.raises(SpecificationError, match="group_roles"):

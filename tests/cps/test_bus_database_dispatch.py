@@ -18,6 +18,7 @@ from repro.cps.database import DatabaseServer
 from repro.cps.dispatch import DispatchNode
 from repro.network.packet import Packet, PacketKind
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecorder
 
 ORIGIN = PointLocation(0, 0)
 
@@ -224,6 +225,18 @@ class TestDispatchNode:
         node = DispatchNode("D1", ORIGIN, sim)
         node.dispatch(ActuatorCommand("open", {}, (), 0))
         assert node.dispatched == []
+
+    def test_unconnected_target_traced_not_raised(self):
+        sim = Simulator()
+        trace = TraceRecorder()
+        node = DispatchNode("D1", ORIGIN, sim, trace=trace)
+        receiver = self.FakeReceiver()
+        node.connect_direct("AM1", receiver)
+        node.dispatch(ActuatorCommand("open", {}, ("AM1", "AM2"), 0))
+        sim.run()
+        assert len(receiver.commands) == 1
+        [record] = trace.by_category("dispatch.unreachable")
+        assert record.value("target") == "AM2"
 
     def test_backbone_handler_filters_kinds(self):
         sim = Simulator()

@@ -8,12 +8,15 @@ from repro.core.event import EventLayer
 from repro.core.operators import RelationalOp
 from repro.core.space_model import PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
+from repro.cps.actions import ActuatorCommand
 from repro.cps.actuator import Actuator
 from repro.cps.sensor import Sensor
 from repro.cps.system import CPSSystem
 from repro.network.radio import UnitDiskRadio
 from repro.network.topology import grid_topology
 from repro.physical.fields import UniformField
+
+HERE = PointLocation(0.0, 0.0)
 
 
 def hot_spec():
@@ -71,8 +74,14 @@ class TestBuilderValidation:
 
     def test_actor_mote_needs_location_without_network(self):
         system = build_minimal()
-        with pytest.raises(ComponentError):
+        with pytest.raises(ComponentError, match="'AM1' needs a location"):
             system.add_actor_mote("AM1", [Actuator("A", "open")])
+
+    def test_duplicate_actor_mote_rejected(self):
+        system = build_minimal()
+        system.add_actor_mote("AM1", [Actuator("A", "open")], HERE)
+        with pytest.raises(ComponentError, match="already exists"):
+            system.add_actor_mote("AM1", [Actuator("A", "open")], HERE)
 
     def test_double_start_rejected(self):
         system = build_minimal()
@@ -83,6 +92,39 @@ class TestBuilderValidation:
     def test_invalid_world_period(self):
         with pytest.raises(ComponentError):
             CPSSystem(world_step_period=0)
+
+
+class TestActorWiring:
+    """Actor motes hang directly off the dispatch nodes added before them."""
+
+    @staticmethod
+    def system_with_opened():
+        system = CPSSystem(seed=0)
+        opened = []
+        system.world.on_actuation("open", lambda payload, tick: opened.append(tick))
+        return system, opened
+
+    def test_every_earlier_dispatch_node_reaches_the_mote(self):
+        system, opened = self.system_with_opened()
+        nodes = [system.add_dispatch(name, HERE) for name in ("D1", "D2")]
+        mote = system.add_actor_mote("AM1", [Actuator("A", "open")], HERE)
+        for node in nodes:
+            node.dispatch(ActuatorCommand("open", {}, ("AM1",), 0))
+        system.sim.run()
+        assert len(mote.commands_received) == 2
+        assert len(opened) == 2
+        assert len(system.trace.by_category("dispatch.direct")) == 2
+
+    def test_a_later_dispatch_node_does_not_reach_the_mote(self):
+        system, opened = self.system_with_opened()
+        mote = system.add_actor_mote("AM1", [Actuator("A", "open")], HERE)
+        node = system.add_dispatch("D1", HERE)
+        node.dispatch(ActuatorCommand("open", {}, ("AM1",), 0))
+        system.sim.run()
+        assert mote.commands_received == []
+        assert opened == []
+        [record] = system.trace.by_category("dispatch.unreachable")
+        assert record.value("target") == "AM1"
 
 
 class TestRuntime:

@@ -6,12 +6,10 @@ import random
 import pytest
 
 from repro.core.errors import ConditionError, SpatialError
-from repro.core.space_model import BoundingBox, PointLocation, Polygon
+from repro.core.space_model import PointLocation
 from repro.detect.confidence import confidence_from_margin, fuse
 from repro.detect.localize import (
-    box_estimate,
     centroid_estimate,
-    hull_estimate,
     trilaterate,
     weighted_centroid,
 )
@@ -42,29 +40,6 @@ class TestCentroidEstimates:
             weighted_centroid(points, [0.0, 0.0])
         with pytest.raises(SpatialError):
             weighted_centroid(points, [-1.0, 2.0])
-
-
-class TestExtentEstimates:
-    def test_hull_polygon(self):
-        estimate = hull_estimate(
-            [PointLocation(0, 0), PointLocation(4, 0), PointLocation(2, 5)]
-        )
-        assert isinstance(estimate, Polygon)
-
-    def test_hull_degenerate_single_point(self):
-        assert hull_estimate([PointLocation(1, 1)]) == PointLocation(1, 1)
-
-    def test_hull_collinear_falls_back_to_centroid(self):
-        estimate = hull_estimate(
-            [PointLocation(0, 0), PointLocation(2, 0), PointLocation(4, 0)]
-        )
-        assert isinstance(estimate, PointLocation)
-
-    def test_box_estimate_with_margin(self):
-        estimate = box_estimate(
-            [PointLocation(0, 0), PointLocation(4, 2)], margin=1.0
-        )
-        assert estimate == BoundingBox(-1, -1, 5, 3)
 
 
 class TestTrilateration:

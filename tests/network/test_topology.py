@@ -1,18 +1,11 @@
 """Unit tests for radio models and topology builders."""
 
-import random
-
 import pytest
 
 from repro.core.errors import NetworkError
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 from repro.network.radio import LogDistanceRadio, UnitDiskRadio
-from repro.network.topology import (
-    Topology,
-    cluster_topology,
-    grid_topology,
-    random_topology,
-)
+from repro.network.topology import Topology, grid_topology
 
 
 class TestUnitDiskRadio:
@@ -102,69 +95,3 @@ class TestTopology:
                 {"a": PointLocation(0, 0)}, UnitDiskRadio(5.0), prr_floor=0.0
             )
 
-
-class TestRandomTopology:
-    def test_count_and_bounds(self):
-        bounds = BoundingBox(0, 0, 100, 100)
-        topo = random_topology(
-            20, bounds, UnitDiskRadio(30.0), random.Random(1)
-        )
-        assert len(topo) == 20
-        for name in topo.names:
-            assert bounds.contains_point(topo.position(name))
-
-    def test_min_separation(self):
-        topo = random_topology(
-            10,
-            BoundingBox(0, 0, 100, 100),
-            UnitDiskRadio(50.0),
-            random.Random(2),
-            min_separation=10.0,
-        )
-        names = topo.names
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                assert topo.position(a).distance_to(topo.position(b)) >= 10.0
-
-    def test_impossible_separation_fails(self):
-        with pytest.raises(NetworkError):
-            random_topology(
-                100,
-                BoundingBox(0, 0, 10, 10),
-                UnitDiskRadio(5.0),
-                random.Random(3),
-                min_separation=5.0,
-                max_attempts=500,
-            )
-
-    def test_reproducible(self):
-        def build(seed):
-            topo = random_topology(
-                5, BoundingBox(0, 0, 50, 50), UnitDiskRadio(30.0),
-                random.Random(seed),
-            )
-            return [topo.position(n) for n in topo.names]
-
-        assert build(7) == build(7)
-
-
-class TestClusterTopology:
-    def test_nodes_near_centers(self):
-        centers = [PointLocation(0, 0), PointLocation(100, 100)]
-        topo = cluster_topology(
-            centers, nodes_per_cluster=5, cluster_radius=10.0,
-            radio=UnitDiskRadio(30.0), rng=random.Random(4),
-        )
-        assert len(topo) == 10
-        for name in topo.names:
-            pos = topo.position(name)
-            assert (
-                pos.distance_to(centers[0]) <= 10.0
-                or pos.distance_to(centers[1]) <= 10.0
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(NetworkError):
-            cluster_topology(
-                [], 5, 10.0, UnitDiskRadio(10.0), random.Random(0)
-            )

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.errors import ReproError
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 from repro.physical.fields import (
-    CompositeField,
-    DiffusionGridField,
     GaussianPlumeField,
     PlumeSource,
     UniformField,
@@ -69,77 +66,3 @@ class TestGaussianPlumeField:
         middle = field.value_at(ORIGIN, 0)
         assert middle > field.value_at(PointLocation(50, 0), 0)
 
-
-class TestDiffusionGridField:
-    def bounds(self):
-        return BoundingBox(0, 0, 10, 10)
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            DiffusionGridField(self.bounds(), nx=1, ny=5)
-        with pytest.raises(ReproError):
-            DiffusionGridField(self.bounds(), alpha=0.5)
-
-    def test_injection_read_back(self):
-        field = DiffusionGridField(self.bounds(), nx=10, ny=10, base=0.0)
-        field.inject(PointLocation(5, 5), 100.0)
-        assert field.value_at(PointLocation(5, 5), 0) == pytest.approx(100.0)
-        assert field.value_at(PointLocation(0.5, 0.5), 0) == 0.0
-
-    def test_diffusion_spreads_heat(self):
-        field = DiffusionGridField(
-            self.bounds(), nx=10, ny=10, base=0.0, alpha=0.2, decay=0.0
-        )
-        field.inject(PointLocation(5, 5), 100.0)
-        for tick in range(1, 6):
-            field.step(tick)
-        center = field.value_at(PointLocation(5, 5), 5)
-        neighbour = field.value_at(PointLocation(6.5, 5), 5)
-        assert center < 100.0
-        assert neighbour > 0.0
-
-    def test_decay_relaxes_to_base(self):
-        field = DiffusionGridField(
-            self.bounds(), nx=4, ny=4, base=20.0, alpha=0.0, decay=0.1
-        )
-        field.inject(PointLocation(5, 5), 100.0)
-        start = field.value_at(PointLocation(5, 5), 0)
-        for tick in range(1, 50):
-            field.step(tick)
-        end = field.value_at(PointLocation(5, 5), 50)
-        assert start > end > 20.0
-
-    def test_step_idempotent_per_tick(self):
-        field = DiffusionGridField(self.bounds(), nx=4, ny=4, base=0.0)
-        field.inject(PointLocation(5, 5), 100.0)
-        field.step(1)
-        snapshot = field.value_at(PointLocation(5, 5), 1)
-        field.step(1)  # repeated step at the same tick must not advance
-        assert field.value_at(PointLocation(5, 5), 1) == snapshot
-
-    def test_off_grid_clamps(self):
-        field = DiffusionGridField(self.bounds(), nx=4, ny=4, base=7.0)
-        assert field.value_at(PointLocation(-100, -100), 0) == 7.0
-
-
-class TestCompositeField:
-    def test_sum_of_components(self):
-        composite = CompositeField(
-            [UniformField(10.0), UniformField(5.0)]
-        )
-        assert composite.value_at(ORIGIN, 0) == 15.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            CompositeField([])
-
-    def test_step_propagates(self):
-        grid = DiffusionGridField(
-            BoundingBox(0, 0, 10, 10), nx=4, ny=4, base=0.0, decay=0.5
-        )
-        grid.inject(PointLocation(5, 5), 100.0)
-        composite = CompositeField([UniformField(1.0), grid])
-        before = composite.value_at(PointLocation(5, 5), 0)
-        composite.step(1)
-        after = composite.value_at(PointLocation(5, 5), 1)
-        assert after < before

@@ -1,14 +1,11 @@
 """Unit tests for mobility models."""
 
-import random
-
 import pytest
 
 from repro.core.errors import ReproError
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 from repro.physical.mobility import (
     PatrolTrajectory,
-    RandomWalk,
     StaticPosition,
     WaypointTrajectory,
 )
@@ -49,48 +46,6 @@ class TestWaypointTrajectory:
         with pytest.raises(ReproError):
             WaypointTrajectory(
                 [(5, PointLocation(0, 0)), (5, PointLocation(1, 1))]
-            )
-
-
-class TestRandomWalk:
-    def walk(self, seed=1):
-        return RandomWalk(
-            PointLocation(5, 5),
-            step=1.0,
-            bounds=BoundingBox(0, 0, 10, 10),
-            rng=random.Random(seed),
-        )
-
-    def test_stays_in_bounds(self):
-        walk = self.walk()
-        bounds = BoundingBox(0, 0, 10, 10)
-        for tick in range(500):
-            assert bounds.contains_point(walk.position(tick))
-
-    def test_step_length_respected(self):
-        walk = self.walk()
-        a = walk.position(10)
-        b = walk.position(11)
-        assert a.distance_to(b) <= 2.0 + 1e-9  # may reflect off a wall
-
-    def test_reproducible_and_consistent(self):
-        first = [self.walk(3).position(t) for t in range(20)]
-        second_walk = self.walk(3)
-        # Query out of order: the cached path must agree.
-        second_walk.position(19)
-        second = [second_walk.position(t) for t in range(20)]
-        assert first == second
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            RandomWalk(
-                PointLocation(50, 50), 1.0,
-                BoundingBox(0, 0, 10, 10), random.Random(0),
-            )
-        with pytest.raises(ReproError):
-            RandomWalk(
-                PointLocation(5, 5), -1.0,
-                BoundingBox(0, 0, 10, 10), random.Random(0),
             )
 
 

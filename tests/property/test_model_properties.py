@@ -1,9 +1,8 @@
-"""Property-based tests for composite conditions, interval building
-and the STN (hypothesis)."""
+"""Property-based tests for composite conditions and interval building
+(hypothesis)."""
 
 from hypothesis import given, strategies as st
 
-from repro.analysis.stn import SimpleTemporalNetwork
 from repro.core.composite import And, Leaf, Not, Or
 from repro.core.conditions import Condition
 from repro.detect.interval_builder import IntervalBuilder, TransitionKind
@@ -135,41 +134,3 @@ class TestIntervalBuilderProperties:
             runs.append((start, len(stream) - 1))
         assert [(i.start.tick, i.end.tick) for i in intervals] == runs
 
-
-class TestStnProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 10),   # min delay
-                st.integers(0, 10),   # extra slack (max = min + slack)
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_chains_of_forward_constraints_are_consistent(self, legs):
-        stn = SimpleTemporalNetwork()
-        for index, (low, slack) in enumerate(legs):
-            stn.add_constraint(f"e{index}", f"e{index + 1}", low, low + slack)
-        assert stn.consistent()
-        low_total = sum(low for low, _ in legs)
-        high_total = sum(low + slack for low, slack in legs)
-        bounds = stn.implied_bounds("e0", f"e{len(legs)}")
-        assert bounds == (low_total, high_total)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 10), st.integers(0, 10)),
-            min_size=1,
-            max_size=6,
-        ),
-        st.integers(0, 200),
-    )
-    def test_deadline_consistency_matches_min_path(self, legs, deadline):
-        stn = SimpleTemporalNetwork()
-        for index, (low, slack) in enumerate(legs):
-            stn.add_constraint(f"e{index}", f"e{index + 1}", low, low + slack)
-        last = f"e{len(legs)}"
-        stn.deadline("e0", last, deadline)
-        min_path = sum(low for low, _ in legs)
-        assert stn.consistent() == (deadline >= min_path)

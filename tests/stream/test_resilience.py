@@ -138,6 +138,45 @@ class TestFaultPlan:
         with pytest.raises(ObserverError, match="positive"):
             FaultPlan.seeded(1, steps=0)
 
+    # Steps and counts index the delivered stream.  Accepted, a
+    # fractional crash step would never fire, a fractional delivered
+    # count would crash early, a fractional burst would fail mid-stream
+    # on a slice and True would count as 1.
+    @pytest.mark.parametrize(
+        "plan, complaint",
+        [
+            (dict(crashes=((2.5, 1),)), "crash entry"),
+            (dict(crashes=((True, 1),)), "crash entry"),
+            (dict(crashes=((1, 1.5),)), "crash entry"),
+            (dict(crashes=((1, float("nan")),)), "crash entry"),
+            (dict(duplicates={1: 2.5}), "duplicates"),
+            (dict(duplicates={1: True}), "duplicates"),
+            (dict(duplicates={1.5: 2}), "duplicates"),
+            (dict(corruptions={1: float("inf")}), "corruptions"),
+            (dict(corruptions={False: 1}), "corruptions"),
+            (dict(stalls={1: 2.0}), "stalls"),
+            (dict(stalls={1: "3"}), "stalls"),
+        ],
+    )
+    def test_non_int_steps_and_counts_rejected(self, plan, complaint):
+        with pytest.raises(ObserverError, match=complaint):
+            FaultPlan(**plan)
+
+    # The least each field takes: a crash at step 0 may deliver
+    # nothing, and a burst, corruption or stall is at least one.
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            dict(crashes=((0, 0),)),
+            dict(duplicates={0: 1}),
+            dict(corruptions={0: 1}),
+            dict(stalls={0: 1}),
+        ],
+        ids=["crashes", "duplicates", "corruptions", "stalls"],
+    )
+    def test_least_steps_and_counts_accepted(self, plan):
+        assert FaultPlan(**plan).fault_count == 1
+
 
 class TestFaultySource:
     def test_no_plan_is_passthrough(self):

@@ -78,10 +78,15 @@ class TestJitteredSource:
         base = ReplaySource([(t, ["x"]) for t in range(100)])
         assert JitteredSource(base, 6, seed=1).is_shuffled()
 
-    def test_negative_delay_rejected(self):
+    # Accepted, a fractional or nan bound would fail inside the random
+    # draw, and True would draw delays from {0, 1}.
+    @pytest.mark.parametrize(
+        "max_delay", [-1, 2.5, 3.0, float("nan"), True, "3"]
+    )
+    def test_delay_must_be_a_non_negative_int(self, max_delay):
         base = ReplaySource([(0, ["x"])])
-        with pytest.raises(ObserverError):
-            JitteredSource(base, -1)
+        with pytest.raises(ObserverError, match="max_delay"):
+            JitteredSource(base, max_delay)
 
 
 class TestReorderBuffer:

@@ -7,7 +7,6 @@ import pytest
 from repro.core.space_model import BoundingBox
 from repro.workloads import build_scenario
 from repro.workloads.generators import (
-    burst_observations,
     poisson_ticks,
     synthetic_observations,
 )
@@ -79,29 +78,6 @@ class TestSyntheticObservations:
             per_mote.setdefault(obs.mote_id, []).append(obs.seq)
         for seqs in per_mote.values():
             assert seqs == list(range(len(seqs)))
-
-
-class TestBurstObservations:
-    def test_hot_and_cold_phases(self):
-        observations = burst_observations(
-            bursts=3, burst_size=5, gap=10, bounds=BOUNDS,
-            rng=random.Random(8),
-        )
-        assert len(observations) == 3 * (5 + 10)
-        hot = [o for o in observations if o.value("value") > 60.0]
-        cold = [o for o in observations if o.value("value") < 40.0]
-        assert len(hot) == 15
-        assert len(cold) == 30
-
-    def test_burst_cohesion(self):
-        observations = burst_observations(
-            bursts=1, burst_size=6, gap=0, bounds=BOUNDS,
-            rng=random.Random(9),
-        )
-        xs = [o.location.x for o in observations]
-        ys = [o.location.y for o in observations]
-        assert max(xs) - min(xs) <= 2.0
-        assert max(ys) - min(ys) <= 2.0
 
 
 class TestScenarioBuilders:
