@@ -14,10 +14,14 @@ from repro.sim.trace import summarize
 from repro.workloads import build_scenario
 
 
-def run(seed=31, horizon=800):
+def run(seed=31, horizon=800, taps=None):
+    """Build and run the scenario; ``taps``, if given, receives a stream
+    tap per observer, motes included, recording what each took in."""
     scenario = build_scenario(
         "forest_fire", "medium", seed=seed, horizon=horizon,
     )
+    if taps is not None:
+        taps.update(scenario.system.attach_stream_taps(include_motes=True))
     scenario.system.run(until=horizon)
     return scenario
 
@@ -64,7 +68,10 @@ class TestFigure2Hierarchy:
         assert cp_mean > sensor_mean
 
     def test_provenance_depth(self, benchmark, report):
-        scenario = benchmark.pedantic(run, rounds=1, iterations=1)
+        taps = {}
+        scenario = benchmark.pedantic(
+            run, kwargs={"taps": taps}, rounds=1, iterations=1
+        )
         system = scenario.system
         sink_emitted = {
             i.key: i for s in system.sinks.values() for i in s.emitted
@@ -73,7 +80,10 @@ class TestFigure2Hierarchy:
             i.key: i for m in system.motes.values() for i in m.emitted
         }
         observation_keys = {
-            o.key for m in system.motes.values() for o in m.observations
+            o.key
+            for name in system.motes
+            for _, batch in taps[name].batches
+            for o in batch
         }
         traced = 0
         for ccu in system.ccus.values():

@@ -39,8 +39,10 @@ class Actuator:
     """
 
     def __init__(self, actuator_id: str, kind: str, actuation_ticks: int = 0):
-        if actuation_ticks < 0:
-            raise ComponentError("actuation delay cannot be negative")
+        if type(actuation_ticks) is not int or actuation_ticks < 0:
+            raise ComponentError(
+                f"actuation_ticks must be an int >= 0, got {actuation_ticks!r}"
+            )
         self.actuator_id = actuator_id
         self.kind = kind
         self.actuation_ticks = actuation_ticks

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Sequence
 
+from repro.core.errors import ComponentError
 from repro.core.event import EventLayer
 from repro.core.instance import CyberEventInstance, EventInstance, ObserverKind
 from repro.core.space_model import PointLocation
@@ -83,12 +84,14 @@ class ControlUnit(ObserverComponent):
             engine=engine,
             trace=trace,
         )
+        if type(processing_ticks) is not int or processing_ticks < 0:
+            raise ComponentError(
+                f"processing_ticks must be an int >= 0, got {processing_ticks!r}"
+            )
         self.rules = list(rules)
         self.publish = publish
         self.dispatch = dispatch
-        self.processing_ticks = max(0, processing_ticks)
-        self.received_instances: list[EventInstance] = []
-        self.issued_commands: list[ActuatorCommand] = []
+        self.processing_ticks = processing_ticks
         self._next_command_id = 1
 
     def add_rule(self, rule: ActionRule) -> None:
@@ -109,7 +112,6 @@ class ControlUnit(ObserverComponent):
         """
         if instance.observer == self.observer_id:
             return
-        self.received_instances.append(instance)
         self.record(
             "ccu.receive",
             event_id=instance.event_id,
@@ -140,7 +142,6 @@ class ControlUnit(ObserverComponent):
                 # trace byte-identically (the golden-trace contract).
                 command = replace(command, command_id=self._next_command_id)
                 self._next_command_id += 1
-                self.issued_commands.append(command)
                 self.record(
                     "ccu.command",
                     kind=command.kind,

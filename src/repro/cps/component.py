@@ -7,11 +7,15 @@ on event conditions, and output the according event instance".
 
 :class:`CPSComponent` carries the shared identity/position/trace
 plumbing.  :class:`ObserverComponent` adds the observer machinery: a
-detection engine (either backend — the observer never asks which)
-loaded with event specifications, and the emit path that hands each
-match's Eq. 4.7 instance (numbered and built by the observer's
-:class:`~repro.detect.output.InstanceLog`, which then keeps it as a
-row) to the concrete component's distribution logic.
+detection engine loaded with event specifications, and the emit path.
+Each match becomes one row of the observer's
+:class:`~repro.detect.output.InstanceLog`, written by
+:meth:`~repro.detect.output.InstanceLog.write` exactly as a replay
+writes it (a sink's trilateration enters as the :attr:`locate` hook's
+estimate); the ``instance.emit`` trace row is rendered from that row,
+and the Eq. 4.7 instance read back from it goes to the concrete
+component's distribution logic.  What an observer received is in the
+trace; it keeps no list of its own.
 
 Ingestion is batch-first: :meth:`ObserverComponent.ingest_batch` feeds
 a whole per-tick entity batch to the engine in one
@@ -29,7 +33,7 @@ bus path nearly every arrival is flushed alone (the counts are on
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.entity import Entity
 from repro.core.errors import ComponentError
@@ -38,7 +42,7 @@ from repro.core.instance import EventInstance, ObserverId, ObserverKind
 from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
 from repro.detect.engine import DetectionEngine, Match
-from repro.detect.output import InstanceLog, emit_payload
+from repro.detect.output import InstanceLog
 from repro.sim.kernel import PRIORITY_INGEST, Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -190,33 +194,32 @@ class ObserverComponent(CPSComponent):
         if batch:
             self.ingest_batch(batch)
 
-    def _emit_match(self, match: Match) -> EventInstance:
-        instance = self.refine_instance(self.emitted.build(match), match)
-        self.emit_direct(instance)
-        return instance
+    locate: Callable[[Match], PointLocation | None] | None = None
+    """Hook: ``None``, or ``match -> l_eo`` estimate (``None`` keeps the
+    output policy's); a sink's trilateration."""
 
-    def refine_instance(
-        self, instance: EventInstance, match: Match
-    ) -> EventInstance:
-        """Hook for subclasses to post-process an instance (e.g. better
-        localization at a sink).  Default: identity."""
-        return instance
+    def _emit_match(self, match: Match) -> EventInstance:
+        self.emitted.write(match, self.locate)
+        return self._publish(self.emitted[-1])
 
     def distribute(self, instance: EventInstance) -> None:
         """Hook: where emitted instances go (network, bus, rules)."""
 
     def emit_direct(self, instance: EventInstance) -> None:
-        """Log, trace and distribute one finished instance.
+        """Log, trace and distribute an instance made without a match.
 
-        The tail of every emission: engine matches arrive here through
-        :meth:`_emit_match`, and components that build instances outside
-        the binding engine — e.g. the mote's interval tracker — call it
-        themselves, so distribution and tracing stay uniform.  The log
-        keeps the instance as a row, not as the object.
+        For the one emitter outside the binding engine, the mote's
+        interval tracker: the log appends the finished instance as a
+        row, and the trace row and distribution follow as for a match.
         """
         self.emitted.append(instance)
+        self._publish(instance)
+
+    def _publish(self, instance: EventInstance) -> EventInstance:
+        """Trace the log's last row and distribute its instance."""
         if self.trace is not None:
             self.trace.append(
-                self.sim.tick, "instance.emit", self.name, emit_payload(instance)
+                self.sim.tick, "instance.emit", self.name, self.emitted.payload(-1)
             )
         self.distribute(instance)
+        return instance

@@ -46,8 +46,10 @@ class DatabaseServer:
     """
 
     def __init__(self, name: str, sim: Simulator, transfer_delay: int = 0):
-        if transfer_delay < 0:
-            raise DatabaseError("transfer delay cannot be negative")
+        if type(transfer_delay) is not int or transfer_delay < 0:
+            raise DatabaseError(
+                f"transfer_delay must be an int >= 0, got {transfer_delay!r}"
+            )
         self.name = name
         self.sim = sim
         self.transfer_delay = transfer_delay

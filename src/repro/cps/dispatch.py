@@ -48,7 +48,6 @@ class DispatchNode(CPSComponent):
         super().__init__(name, location, sim, trace)
         self.default_targets = tuple(default_targets)
         self._direct: dict[str, object] = {}
-        self.dispatched: list[ActuatorCommand] = []
 
     def connect_direct(self, target: str, receiver: object) -> None:
         """Register a directly connected actor mote (no wireless hop).
@@ -75,7 +74,6 @@ class DispatchNode(CPSComponent):
         if not targets:
             self.record("dispatch.no_targets", kind=command.kind)
             return
-        self.dispatched.append(command)
         for target in targets:
             if target in self._direct:
                 receiver = self._direct[target]

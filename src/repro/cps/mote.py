@@ -155,7 +155,6 @@ class SensorMote(ObserverComponent):
         # attribute/confidence must reflect the event, not the sample
         # that ended it.
         self._active_values: dict[str, float] = {}
-        self.observations: list[PhysicalObservation] = []
         self._started = False
 
     # -- lifecycle -----------------------------------------------------
@@ -187,7 +186,6 @@ class SensorMote(ObserverComponent):
                 self.record("sample.failed", sensor=sensor.sensor_id)
                 continue
             round_observations.append(observation)
-            self.observations.append(observation)
             self.record(
                 "sample.ok",
                 sensor=sensor.sensor_id,
@@ -310,11 +308,9 @@ class ActorMote(ObserverComponent):
         self.world = world
         self.actuators = list(actuators)
         self.on_executed = on_executed
-        self.commands_received: list[ActuatorCommand] = []
 
     def receive_command(self, command: ActuatorCommand) -> None:
         """Queue a command for execution on a matching actuator."""
-        self.commands_received.append(command)
         actuator = next(
             (a for a in self.actuators if a.can_execute(command)), None
         )

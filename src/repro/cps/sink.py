@@ -12,16 +12,15 @@ cyber-physical instances are handed to the publish callback installed
 by the system wiring (normally the CPS event bus, reaching CCUs and the
 database server).
 
-Localization: when ``trilaterate_attribute`` is set, any emitted
-instance whose match bound three or more entities carrying that range
-attribute gets its ``l_eo`` refined by least-squares multilateration
-over the reporting motes' positions — the paper's introduction example
+Localization: when ``trilaterate_attribute`` is set, the row of a match
+that bound three or more entities carrying that range attribute gets
+its ``l_eo`` by least-squares multilateration over the reporting motes'
+positions (:meth:`SinkNode.locate`) — the paper's introduction example
 of a sink computing a user location from range measurements.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.core.errors import SpatialError
@@ -41,23 +40,22 @@ from repro.network.packet import Packet, PacketKind
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
-__all__ = ["SinkNode", "trilaterated_refinement"]
+__all__ = ["SinkNode", "trilaterated_location"]
 
 PublishCallback = Callable[[EventInstance], None]
 
 
-def trilaterated_refinement(
-    instance: EventInstance, match: Match, attribute: str
-) -> tuple[EventInstance, int] | None:
-    """Refine ``l_eo`` by multilateration over the match's range reports.
+def trilaterated_location(
+    match: Match, attribute: str
+) -> tuple[PointLocation, int] | None:
+    """Estimate ``l_eo`` by multilateration over the match's range reports.
 
-    Pure function of the instance and its match — shared by the live
-    :class:`SinkNode` path and the streaming replay observers
-    (:mod:`repro.stream.replay`), so a replayed stream reproduces the
-    sink's localization byte-for-byte.  Returns the refined instance
-    plus the anchor count, or ``None`` when fewer than three usable
-    anchors exist or the solver rejects the geometry (the caller keeps
-    the unrefined instance).
+    Pure function of the match — shared by the live :class:`SinkNode`
+    and the streaming replay observers (:mod:`repro.stream.replay`), so
+    a replayed stream reproduces the sink's localization byte-for-byte.
+    Returns the estimate plus the anchor count, or ``None`` when fewer
+    than three usable anchors exist or the solver rejects the geometry
+    (the row keeps the output policy's location).
     """
     anchors: list[PointLocation] = []
     ranges: list[float] = []
@@ -76,7 +74,7 @@ def trilaterated_refinement(
         estimate = trilaterate(anchors, ranges)
     except SpatialError:
         return None
-    return replace(instance, estimated_location=estimate), len(anchors)
+    return estimate, len(anchors)
 
 
 class SinkNode(ObserverComponent):
@@ -91,8 +89,8 @@ class SinkNode(ObserverComponent):
             happens in :meth:`attach`).
         publish: Downstream delivery (event bus / backbone), set at
             wiring time via :attr:`publish` if not given here.
-        trilaterate_attribute: Range attribute used for multilateration
-            refinement (``None`` disables).
+        trilaterate_attribute: Range attribute :meth:`locate`
+            multilaterates from (``None`` disables).
         engine: Empty engine to install ``specs`` into (see
             :class:`~repro.cps.component.ObserverComponent`).
         trace: Optional trace recorder.
@@ -123,7 +121,6 @@ class SinkNode(ObserverComponent):
         )
         self.publish = publish
         self.trilaterate_attribute = trilaterate_attribute
-        self.received_instances: list[EventInstance] = []
         if network is not None:
             self.attach(network)
 
@@ -159,33 +156,28 @@ class SinkNode(ObserverComponent):
         self.ingest(instance)
 
     def _note_arrival(self, instance: EventInstance) -> None:
-        self.received_instances.append(instance)
         self.record(
             "sink.receive",
             event_id=instance.event_id,
             from_observer=repr(instance.observer),
         )
 
-    # -- localization refinement -------------------------------------------
+    # -- localization -----------------------------------------------------
 
-    def refine_instance(
-        self, instance: EventInstance, match: Match
-    ) -> EventInstance:
+    def locate(self, match: Match) -> PointLocation | None:
         """Multilaterate ``l_eo`` when range measurements are available."""
         if self.trilaterate_attribute is None:
-            return instance
-        refined = trilaterated_refinement(
-            instance, match, self.trilaterate_attribute
-        )
-        if refined is None:
-            return instance
-        refined_instance, anchors = refined
+            return None
+        located = trilaterated_location(match, self.trilaterate_attribute)
+        if located is None:
+            return None
+        estimate, anchors = located
         self.record(
             "sink.trilaterated",
-            event_id=instance.event_id,
+            event_id=match.spec.event_id,
             anchors=anchors,
         )
-        return refined_instance
+        return estimate
 
     def distribute(self, instance: EventInstance) -> None:
         """Publish emitted CP instances downstream (bus / backbone)."""

@@ -377,5 +377,6 @@ class CPSSystem:
         return counts
 
     def observation_count(self) -> int:
-        """Total physical observations taken by all motes."""
-        return sum(len(m.observations) for m in self.motes.values())
+        """Total physical observations taken by all motes: every one
+        goes to its mote's engine, which counts it."""
+        return sum(m.engine.stats.entities_submitted for m in self.motes.values())

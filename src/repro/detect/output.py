@@ -20,14 +20,14 @@ is
 There is one writer and one materializer.  The compiled emitter
 (:func:`_compile_emitter`) turns a :class:`~repro.detect.engine.Match`
 into the fields of one row, and :meth:`InstanceLog.write` appends them
-without building an object.  :func:`build_instance`, ``log[i]``,
-slices and iteration build the :class:`~repro.core.instance.EventInstance`
-from those fields, so two reads of a row are equal, distinct objects.
-Live components materialize every instance because they refine and
-distribute it; a refine-free replay never builds one.
-:meth:`InstanceLog.append` turns a finished instance back into a row
-(the mote's interval tracker, refined instances).  Keys, trace rows and
-per-layer counts read the columns directly.
+without building an object, live and in replay; a ``locate(match)``
+hook (a sink's trilateration) fills the row's ``x`` / ``y``.
+:func:`build_instance`, ``log[i]``, slices and iteration build the
+:class:`~repro.core.instance.EventInstance` from those fields, so two
+reads of a row are equal, distinct objects; a live component reads its
+new row back to distribute it.  :meth:`InstanceLog.append` turns a
+finished instance into a row (the mote's interval tracker, which has no
+match).  Keys, trace rows and per-layer counts read the columns.
 
 The row writer keeps every check the object path makes: the fusion
 rule's ``[0, 1]`` range and the finiteness of a computed centroid per
@@ -59,7 +59,7 @@ from repro.core.time_model import EPOCH, TimeInterval, TimePoint
 from repro.detect.confidence import fusion_rule
 from repro.sim.trace import TraceRecord
 
-__all__ = ["build_instance", "emit_payload", "InstanceLog", "LogView"]
+__all__ = ["build_instance", "InstanceLog", "LogView"]
 
 _NAN = math.nan
 
@@ -169,11 +169,11 @@ def _materialize(
 ) -> EventInstance:
     """The instance of one row: the only place rows become objects.
     Positional, in field order: matching eleven keywords costs a
-    microsecond per instance.  A NaN ``x`` means ``place`` holds
-    ``l_eo``, whatever it is (``None`` included)."""
+    microsecond per instance.  ``when`` is the ``t_eo`` object (a row's
+    int tick is read back as a point first).  A NaN ``x`` means
+    ``place`` holds ``l_eo``, whatever it is (``None`` included)."""
     return cls(
-        observer, event_id, seq, generated_time, generated_location,
-        TimePoint(when) if isinstance(when, int) else when,
+        observer, event_id, seq, generated_time, generated_location, when,
         PointLocation(x, y) if x == x else place,
         attributes, rho, layer, sources,
     )
@@ -210,20 +210,6 @@ def build_instance(
         instance_cls, observer, spec.event_id, seq, generated_time,
         generated_location, layer, *_emitter_of(spec)(match),
     )
-
-
-def emit_payload(instance: EventInstance) -> dict[str, object]:
-    """The ``instance.emit`` trace-row payload.  Live observers write it
-    from here; :meth:`InstanceLog.trace_rows` writes the same payload
-    from the columns, and the conformance suite splices replayed rows
-    into live traces and compares digests."""
-    return {
-        "event_id": instance.event_id,
-        "seq": instance.seq,
-        "layer": instance.layer.name,
-        "edl": instance.detection_latency,
-        "rho": instance.confidence,
-    }
 
 
 def _latency(tick: int, when) -> int:
@@ -295,8 +281,9 @@ class InstanceLog(_Rows):
     """One observer's emitted instances, as rows across columns.
 
     Owns the emission sequence too: the per-event counters ``i`` of
-    Eq. 4.6 (:meth:`next_seq`) and one ``t_g`` object per tick for the
-    instances :meth:`build` makes.  A row keeps its instance's key
+    Eq. 4.6 (:meth:`next_seq`) and, for the instances its rows
+    materialize as, one ``t_g`` object per tick and one point ``t_eo``
+    object per run of equal ones.  A row keeps its instance's key
     ``(str(OB_id), E_id, i)``, and every instance read from the row
     carries that one tuple.
 
@@ -326,7 +313,7 @@ class InstanceLog(_Rows):
         self.layer = layer
         self.instance_cls = instance_cls
         self.counters: dict[str, int] = {}
-        self._stamp = EPOCH
+        self._stamp = self._when = EPOCH
         self._keys: list[tuple[str, str, int]] = []
         self._ticks: list[int] = []
         self._times: list = []
@@ -361,11 +348,16 @@ class InstanceLog(_Rows):
         self.counters[event_id] = seq + 1
         return seq
 
-    def write(self, match) -> None:
+    def write(self, match, locate=None) -> None:
         """Append the row of one match, generated at the match's tick,
-        without building an instance."""
+        without building an instance.  A point ``locate(match)`` returns
+        is the row's ``l_eo``; ``None`` keeps the output policy's."""
         spec = match.spec
         when, x, y, place, attributes, rho, sources = _emitter_of(spec)(match)
+        if locate is not None:
+            estimate = locate(match)
+            if estimate is not None:
+                x, y, place = estimate.x, estimate.y, None
         event_id = spec.event_id
         counters = self.counters
         seq = counters.get(event_id, 0)
@@ -379,20 +371,6 @@ class InstanceLog(_Rows):
         self._attributes.append(attributes)
         self._rhos.append(rho)
         self._sources.append(sources)
-
-    def build(self, match) -> EventInstance:
-        """The numbered instance of one match, generated at the match's
-        tick, for a caller that refines or distributes it before it
-        :meth:`append` s it."""
-        spec = match.spec
-        row = _emitter_of(spec)(match)
-        if self._stamp.tick != match.tick:
-            self._stamp = TimePoint(match.tick)
-        return _materialize(
-            self.instance_cls, self.observer_id, spec.event_id,
-            self.next_seq(spec.event_id), self._stamp, self.location,
-            self.layer, *row,
-        )
 
     def append(self, instance: EventInstance) -> None:
         """Append a finished instance as a row.  It must be this log's
@@ -427,6 +405,12 @@ class InstanceLog(_Rows):
         stamp = self._stamp
         if stamp.tick != tick:
             stamp = self._stamp = TimePoint(tick)
+        if type(when) is int:
+            # Runs of rows share a point t_eo (a sink's burst of matches
+            # of one earliest event): read them as one object too.
+            if self._when.tick != when:
+                self._when = TimePoint(when)
+            when = self._when
         instance = _materialize(
             self.instance_cls, self.observer_id, key[1], key[2], stamp,
             self.location, self.layer, when, x, y, place, attributes, rho,
@@ -436,7 +420,11 @@ class InstanceLog(_Rows):
         return instance
 
     def _instance(self, i: int) -> EventInstance:
-        return self._row(*[column[i] for column in self._columns()])
+        return self._row(
+            self._keys[i], self._ticks[i], self._times[i], self._x[i],
+            self._y[i], self._places[i], self._attributes[i], self._rhos[i],
+            self._sources[i],
+        )
 
     def __iter__(self):
         return map(self._row, *self._columns())
@@ -449,25 +437,24 @@ class InstanceLog(_Rows):
         """Every row's instance key ``(str(OB_id), E_id, i)``."""
         return list(self._keys)
 
+    def payload(self, i: int) -> dict[str, object]:
+        """Row ``i``'s ``instance.emit`` trace payload, as a live
+        observer traces it and :meth:`trace_rows` renders it."""
+        key = self._keys[i]
+        return {
+            "event_id": key[1],
+            "seq": key[2],
+            "layer": self.layer.name,
+            "edl": _latency(self._ticks[i], self._times[i]),
+            "rho": self._rhos[i],
+        }
+
     def trace_rows(self, source: str) -> list[TraceRecord]:
         """Every row's ``instance.emit`` trace row, attributed to
-        ``source``: equal to the rows :func:`emit_payload` makes of the
-        materialized instances."""
-        layer = self.layer.name
+        ``source``: the rows a live observer traced as it wrote them."""
         return [
-            TraceRecord(
-                tick, "instance.emit", source,
-                {
-                    "event_id": key[1],
-                    "seq": key[2],
-                    "layer": layer,
-                    "edl": _latency(tick, when),
-                    "rho": rho,
-                },
-            )
-            for key, tick, when, rho in zip(
-                self._keys, self._ticks, self._times, self._rhos
-            )
+            TraceRecord(tick, "instance.emit", source, self.payload(i))
+            for i, tick in enumerate(self._ticks)
         ]
 
     # -- rewinding -----------------------------------------------------

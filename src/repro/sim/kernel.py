@@ -119,10 +119,10 @@ class Simulator:
 
     def _push(self, handle: EventHandle, priority: int) -> EventHandle:
         # With run(until) refusing to rewind, this check at every way in
-        # is why the loop never pops an entry from the past.
-        if handle.tick < self._tick:
+        # is why the loop never pops an entry from the past or off the ints.
+        if type(handle.tick) is not int or handle.tick < self._tick:
             raise SchedulingError(
-                f"cannot schedule at tick {handle.tick}; "
+                f"cannot schedule at tick {handle.tick!r}; "
                 f"current tick is {self._tick}"
             )
         heapq.heappush(
@@ -164,10 +164,10 @@ class Simulator:
             priority: Within-tick ordering; lower runs first.
 
         Raises:
-            SchedulingError: If ``delay`` is negative.
+            SchedulingError: If ``delay`` is negative or not an int.
         """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {delay} ticks in the past")
+        if type(delay) is not int or delay < 0:
+            raise SchedulingError(f"delay must be an int >= 0, got {delay!r}")
         return self._push(
             EventHandle(self, self._tick + delay, callback), priority
         )
@@ -203,8 +203,8 @@ class Simulator:
             its ``tick`` follows the next firing and cancelling it stops
             the whole process.
         """
-        if period <= 0:
-            raise SchedulingError(f"period must be positive, got {period}")
+        if type(period) is not int or period <= 0:
+            raise SchedulingError(f"period must be an int >= 1, got {period!r}")
         first = self._tick + period if start is None else start
         return self._push(
             EventHandle(self, first, callback, (period, priority)), priority

@@ -134,8 +134,10 @@ class DegradeToSampling:
     name: str = "degrade_to_sampling"
 
     def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise ObserverError(f"sampling stride must be >= 1: {self.stride}")
+        if type(self.stride) is not int or self.stride < 1:
+            raise ObserverError(
+                f"sampling stride must be an int >= 1, got {self.stride!r}"
+            )
 
     def make_room(
         self,

@@ -2,7 +2,7 @@
 
 An :class:`ObserverProfile` is the *configuration* of a live observer —
 identity, position, layer, instance class, specifications, engine mode
-and refinement — everything that, together with the observer's input
+and location hook — everything that, together with the observer's input
 stream, determines its emitted instances.  :func:`profile_of` extracts
 it from a running :class:`~repro.cps.component.ObserverComponent`.
 
@@ -11,11 +11,11 @@ A :class:`ReplayObserver` pairs a profile with a fresh engine behind a
 the observer's outputs from any (possibly jittered) replay of its
 captured stream: matches emit as the watermark releases their event
 tick, each into one row of the observer's
-:class:`~repro.detect.output.InstanceLog` with its event-time
-generation tick and per-event sequence number exactly like the live
-emit path, and each row renders as the identical ``instance.emit``
-trace row.  Without a refinement no instance object is built until
-something reads the log.
+:class:`~repro.detect.output.InstanceLog` through the writer the live
+observer uses (:meth:`~repro.detect.output.InstanceLog.write`), with
+its event-time generation tick and per-event sequence number, and each
+row renders as the identical ``instance.emit`` trace row.  No instance
+object is built until something reads the log.
 That row-level identity is the conformance suite's lever: splicing the
 replayed rows into the original behavioral trace must reproduce the
 checked-in golden digest byte-for-byte.
@@ -24,6 +24,7 @@ checked-in golden digest byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.errors import ObserverError
@@ -49,12 +50,14 @@ __all__ = [
     "ReplayCheckpoint",
 ]
 
-Refinement = Callable[[EventInstance, Match], EventInstance]
+Locator = Callable[[Match], PointLocation | None]
 
 
 @dataclass(frozen=True)
 class ObserverProfile:
-    """Everything but the input stream that fixes an observer's output."""
+    """Everything but the input stream that fixes an observer's output.
+    ``locate`` is the live observer's location hook as a pure function
+    of the match (see :meth:`~repro.detect.output.InstanceLog.write`)."""
 
     name: str
     observer_id: ObserverId
@@ -63,27 +66,27 @@ class ObserverProfile:
     instance_cls: type[EventInstance]
     specs: tuple[EventSpecification, ...]
     use_planner: bool = True
-    refine: Refinement | None = None
+    locate: Locator | None = None
 
 
 def profile_of(observer) -> ObserverProfile:
     """Extract the replay profile of a live observer component.
 
-    Works for any :class:`~repro.cps.component.ObserverComponent`;
-    sink-style trilateration refinement is carried over as the pure
-    :func:`~repro.cps.sink.trilaterated_refinement`, so replays refine
+    Works for any :class:`~repro.cps.component.ObserverComponent`; a
+    sink's trilateration is carried over as the pure
+    :func:`~repro.cps.sink.trilaterated_location`, so replays place rows
     identically without touching the live component or its trace.
     """
-    from repro.cps.sink import SinkNode, trilaterated_refinement
+    from repro.cps.sink import SinkNode, trilaterated_location
 
     engine = observer.engine
-    refine: Refinement | None = None
+    locate: Locator | None = None
     if isinstance(observer, SinkNode) and observer.trilaterate_attribute:
         attribute = observer.trilaterate_attribute
 
-        def refine(instance: EventInstance, match: Match) -> EventInstance:
-            refined = trilaterated_refinement(instance, match, attribute)
-            return instance if refined is None else refined[0]
+        def locate(match: Match) -> PointLocation | None:
+            located = trilaterated_location(match, attribute)
+            return None if located is None else located[0]
 
     return ObserverProfile(
         name=observer.name,
@@ -93,7 +96,7 @@ def profile_of(observer) -> ObserverProfile:
         instance_cls=observer.instance_cls,
         specs=tuple(engine.specs),
         use_planner=engine.use_planner,
-        refine=refine,
+        locate=locate,
     )
 
 
@@ -169,12 +172,13 @@ class ReplayObserver:
                 use_planner=profile.use_planner,
             )
         self.emitted = InstanceLog.of(profile)
+        on_match = self.emitted.write
+        if profile.locate is not None:
+            on_match = partial(on_match, locate=profile.locate)
         self.runtime = StreamingDetectionRuntime(
             engine,
             lateness=self.lateness,
-            on_match=(
-                self.emitted.write if profile.refine is None else self._emit_refined
-            ),
+            on_match=on_match,
             admission=self.admission,
             quarantine=self.quarantine,
             dedup=self.dedup,
@@ -203,10 +207,6 @@ class ReplayObserver:
         return self.emitted.since(before)
 
     # -- emission ------------------------------------------------------
-
-    def _emit_refined(self, match: Match) -> None:
-        log = self.emitted
-        log.append(self.profile.refine(log.build(match), match))
 
     @property
     def trace_rows(self) -> list[TraceRecord]:

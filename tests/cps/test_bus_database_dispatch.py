@@ -189,9 +189,15 @@ class TestDatabaseServer:
         assert db.latest("hot").seq == 1
         assert db.latest("missing") is None
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(DatabaseError):
-            DatabaseServer("DB1", Simulator(), transfer_delay=-1)
+    @pytest.mark.parametrize(
+        "value", [-1, True, False, 2.5, 5.0, float("nan"), float("inf"), "5", None]
+    )
+    def test_transfer_delay_must_be_a_non_negative_int(self, value):
+        with pytest.raises(DatabaseError, match="transfer_delay"):
+            DatabaseServer("DB1", Simulator(), transfer_delay=value)
+
+    def test_transfer_delay_accepts_zero(self):
+        assert DatabaseServer("DB1", Simulator(), transfer_delay=0).transfer_delay == 0
 
 
 class TestDispatchNode:
@@ -222,9 +228,13 @@ class TestDispatchNode:
 
     def test_no_targets_traced_not_raised(self):
         sim = Simulator()
-        node = DispatchNode("D1", ORIGIN, sim)
+        trace = TraceRecorder()
+        node = DispatchNode("D1", ORIGIN, sim, trace=trace)
         node.dispatch(ActuatorCommand("open", {}, (), 0))
-        assert node.dispatched == []
+        sim.run()
+        [record] = trace
+        assert record.category == "dispatch.no_targets"
+        assert record.value("kind") == "open"
 
     def test_unconnected_target_traced_not_raised(self):
         sim = Simulator()

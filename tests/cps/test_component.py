@@ -91,22 +91,31 @@ class TestObserverComponent:
         assert observer.next_seq("a") == 1
         assert observer.next_seq("b") == 0
 
-    def test_refine_hook_applied(self):
-        class Refining(ObserverComponent):
-            def refine_instance(self, instance, match):
-                from dataclasses import replace
+    def test_locate_hook_places_the_row(self):
+        seen = []
+        there = PointLocation(7.5, -2.0)
 
-                return replace(instance, confidence=0.5)
+        class Locating(ObserverComponent):
+            def locate(self, match):
+                seen.append(match)
+                return there if len(seen) == 1 else None
 
-        observer = Refining(
+        observer = Locating(
             "R1", HERE, Simulator(),
             kind=ObserverKind.SENSOR_MOTE,
             layer=EventLayer.SENSOR,
             instance_cls=SensorEventInstance,
             specs=[spec()],
         )
-        emitted = observer.ingest(obs(60.0))
-        assert emitted[0].confidence == 0.5
+        elsewhere = PhysicalObservation(
+            "MT1", "SR1", 1, TimePoint(5), PointLocation(3, 4), {"t": 61.0}
+        )
+        first, second = observer.ingest_batch([obs(60.0), elsewhere])
+        assert [m.entities()[0] for m in seen] == [obs(60.0), elsewhere]
+        # A location replaces the policy's; None keeps it.
+        assert first.estimated_location == there
+        assert second.estimated_location == PointLocation(3, 4)
+        assert observer.emitted == [first, second]
 
     def test_distribute_hook_called(self):
         distributed = []

@@ -17,6 +17,8 @@ from repro.cps.sensor import Sensor
 from repro.physical.fields import GaussianPlumeField, PlumeSource, UniformField
 from repro.physical.world import PhysicalWorld
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecorder
+from repro.stream import StreamTap
 
 HERE = PointLocation(5, 5)
 
@@ -61,21 +63,39 @@ def make_mote(sim, world, **kwargs):
     return SensorMote("MT1", HERE, sim, world, **defaults)
 
 
+def sampled(mote):
+    """The observations a mote takes, as its engine receives them."""
+    tap = StreamTap(mote.name)
+    mote.attach_stream_tap(tap)
+    return tap
+
+
 class TestSampling:
     def test_periodic_observations(self):
         sim = Simulator()
-        mote = make_mote(sim, make_world())
+        trace = TraceRecorder()
+        mote = make_mote(sim, make_world(), trace=trace)
+        tap = sampled(mote)
         mote.start()
         sim.run(until=55)
-        assert len(mote.observations) == 5
-        assert [o.time.tick for o in mote.observations] == [10, 20, 30, 40, 50]
+        observations = [o for _, batch in tap.batches for o in batch]
+        assert len(observations) == 5
+        assert [o.time.tick for o in observations] == [10, 20, 30, 40, 50]
+        assert [tick for tick, _ in tap.batches] == [10, 20, 30, 40, 50]
+        assert [r.tick for r in trace.by_category("sample.ok")] == [
+            10, 20, 30, 40, 50
+        ]
+        assert mote.engine.stats.entities_submitted == 5
 
     def test_sampling_offset(self):
         sim = Simulator()
         mote = make_mote(sim, make_world(), sampling_offset=3)
+        tap = sampled(mote)
         mote.start()
         sim.run(until=25)
-        assert [o.time.tick for o in mote.observations] == [3, 13, 23]
+        assert [o.time.tick for _, batch in tap.batches for o in batch] == [
+            3, 13, 23
+        ]
 
     def test_double_start_rejected(self):
         sim = Simulator()
@@ -208,10 +228,15 @@ class TestActorMote:
     def test_unsupported_command_ignored(self):
         sim = Simulator()
         world = PhysicalWorld()
-        mote = ActorMote("AM1", HERE, sim, world, [Actuator("AR1", "open")])
+        trace = TraceRecorder()
+        actuator = Actuator("AR1", "open")
+        mote = ActorMote("AM1", HERE, sim, world, [actuator], trace=trace)
         mote.receive_command(ActuatorCommand("close", {}, ("AM1",), 0))
         sim.run()
-        assert len(mote.commands_received) == 1
+        (record,) = trace.by_source("AM1")
+        assert record.category == "command.unsupported"
+        assert record.value("kind") == "close"
+        assert actuator.executed == []
 
     def test_on_executed_callback(self):
         sim = Simulator()

@@ -138,9 +138,15 @@ class TestActuator:
         with pytest.raises(ComponentError):
             actuator.execute(command, PhysicalWorld(), 0)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ComponentError):
-            Actuator("AR1", "open", actuation_ticks=-1)
+    @pytest.mark.parametrize(
+        "value", [-1, True, False, 2.5, 5.0, float("nan"), float("inf"), "5", None]
+    )
+    def test_actuation_ticks_must_be_a_non_negative_int(self, value):
+        with pytest.raises(ComponentError, match="actuation_ticks"):
+            Actuator("AR1", "open", actuation_ticks=value)
+
+    def test_actuation_ticks_accept_zero(self):
+        assert Actuator("AR1", "open", actuation_ticks=0).actuation_ticks == 0
 
 
 def cyber_instance(event_id="alarm", rho=0.9):

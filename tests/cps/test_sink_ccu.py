@@ -1,5 +1,7 @@
 """Unit tests for sink nodes and CPS control units."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.composite import all_of
@@ -9,6 +11,7 @@ from repro.core.conditions import (
     ConfidenceCondition,
     SpatialMeasureCondition,
 )
+from repro.core.errors import ComponentError, SpatialError
 from repro.core.event import EventLayer
 from repro.core.instance import (
     CyberEventInstance,
@@ -29,7 +32,11 @@ from repro.core.time_model import TimePoint
 from repro.cps.actions import ActionRule, ActuatorCommand
 from repro.cps.ccu import ControlUnit
 from repro.cps.sink import SinkNode
+from repro.detect.localize import trilaterate
+from repro.detect.output import build_instance
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecorder
+from repro.workloads import build_scenario
 
 ORIGIN = PointLocation(0, 0)
 
@@ -148,9 +155,74 @@ class TestSinkNode:
         from repro.network.packet import Packet, PacketKind
 
         sim = Simulator()
-        sink = SinkNode("S1", ORIGIN, sim, specs=[cp_spec()])
+        trace = TraceRecorder()
+        sink = SinkNode("S1", ORIGIN, sim, specs=[cp_spec()], trace=trace)
         sink.handle_packet(Packet("a", "S1", PacketKind.COMMAND, "junk", 0))
-        assert sink.received_instances == []
+        sink.handle_packet(Packet("a", "S1", PacketKind.EVENT_INSTANCE, "junk", 0))
+        sim.run()
+        assert trace.count("sink.receive") == 0
+        assert sink.engine.stats.entities_submitted == 0
+        sink.handle_packet(
+            Packet("a", "S1", PacketKind.EVENT_INSTANCE, sensor_instance("MT1"), 0)
+        )
+        sim.run()
+        assert trace.count("sink.receive") == 1
+        assert sink.engine.stats.entities_submitted == 1
+
+
+class TestTrilateratedRows:
+    """On ``intrusion`` the sinks trilaterate: each row written with an
+    estimate reads back as the instance of its match with ``l_eo`` set
+    to what :func:`~repro.detect.localize.trilaterate` makes of the
+    match's range reports, worked out here by hand."""
+
+    @staticmethod
+    def expected_estimate(match, attribute):
+        anchors, ranges = [], []
+        for entity in match.entities():
+            value = entity.attributes.get(attribute)
+            if value is not None:
+                anchors.append(entity.generated_location)
+                ranges.append(float(value))
+        if len(anchors) < 3:
+            return None
+        try:
+            return trilaterate(anchors, ranges)
+        except SpatialError:
+            return None
+
+    def test_rows_carry_the_trilaterated_location(self):
+        built = build_scenario("intrusion", "small", seed=0)
+        system = built.system
+        matches = {}
+        for sink in system.sinks.values():
+            assert sink.trilaterate_attribute is not None
+
+            def locate(match, sink=sink, original=sink.locate):
+                matches.setdefault(sink.name, []).append(match)
+                return original(match)
+
+            sink.locate = locate
+        system.run(until=built.params["horizon"])
+
+        located = 0
+        for name, sink in system.sinks.items():
+            seqs = {}
+            assert len(sink.emitted) == len(matches.get(name, []))
+            for row, match in zip(sink.emitted, matches.get(name, [])):
+                event_id = match.spec.event_id
+                seq = seqs[event_id] = seqs.get(event_id, -1) + 1
+                want = build_instance(
+                    match, sink.observer_id, seq, TimePoint(match.tick),
+                    sink.location, sink.layer, sink.instance_cls,
+                )
+                estimate = self.expected_estimate(match, sink.trilaterate_attribute)
+                if estimate is not None:
+                    assert want.estimated_location != estimate
+                    want = replace(want, estimated_location=estimate)
+                    located += 1
+                assert row == want and row.key == want.key
+        assert located == system.trace.count("sink.trilaterated") > 0
 
 
 def cyber_spec():
@@ -205,15 +277,19 @@ class TestControlUnit:
                 ActuatorCommand("siren", {}, ("AM1",), tick, cause=instance.key)
             ],
         )
+        trace = TraceRecorder()
         ccu = ControlUnit(
             "CCU1", ORIGIN, sim, specs=[cyber_spec()], rules=[rule],
-            dispatch=dispatched.append,
+            dispatch=dispatched.append, trace=trace,
         )
         ccu.receive_instance(cp_instance())
         sim.run()
         assert len(dispatched) == 1
         assert dispatched[0].kind == "siren"
-        assert ccu.issued_commands == dispatched
+        assert [
+            (r.value("kind"), r.value("command_id"), r.value("cause_event"))
+            for r in trace.by_category("ccu.command")
+        ] == [(c.kind, c.command_id, "alarm") for c in dispatched]
 
     def test_processing_delay_defers_output(self):
         sim = Simulator()
@@ -227,6 +303,17 @@ class TestControlUnit:
         sim.run()
         assert published_at == [15]
 
+    @pytest.mark.parametrize(
+        "value", [-3, True, False, 2.5, 5.0, float("nan"), float("inf"), "5", None]
+    )
+    def test_processing_ticks_must_be_a_non_negative_int(self, value):
+        with pytest.raises(ComponentError, match="processing_ticks"):
+            ControlUnit("CCU1", ORIGIN, Simulator(), processing_ticks=value)
+
+    def test_processing_ticks_accept_zero(self):
+        ccu = ControlUnit("CCU1", ORIGIN, Simulator(), processing_ticks=0)
+        assert ccu.processing_ticks == 0
+
     def test_own_instances_not_reingested(self):
         sim = Simulator()
         ccu = ControlUnit("CCU1", ORIGIN, sim, specs=[cyber_spec()])
@@ -239,8 +326,13 @@ class TestControlUnit:
             estimated_time=TimePoint(1),
             estimated_location=ORIGIN,
         )
+        trace = TraceRecorder()
+        ccu.trace = trace
         ccu.receive_instance(own)
-        assert ccu.received_instances == []
+        sim.run()
+        assert trace.count("ccu.receive") == 0
+        assert ccu.engine.stats.entities_submitted == 0
+        assert ccu.emitted == []
 
     def test_peer_cyber_events_accepted(self):
         sim = Simulator()

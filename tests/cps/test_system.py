@@ -111,9 +111,14 @@ class TestActorWiring:
         for node in nodes:
             node.dispatch(ActuatorCommand("open", {}, ("AM1",), 0))
         system.sim.run()
-        assert len(mote.commands_received) == 2
+        direct = system.trace.by_category("dispatch.direct")
+        assert [(r.source, r.value("target")) for r in direct] == [
+            ("D1", "AM1"), ("D2", "AM1")
+        ]
+        assert [r.source for r in system.trace.by_category("command.executed")] == [
+            mote.name, mote.name
+        ]
         assert len(opened) == 2
-        assert len(system.trace.by_category("dispatch.direct")) == 2
 
     def test_a_later_dispatch_node_does_not_reach_the_mote(self):
         system, opened = self.system_with_opened()
@@ -121,7 +126,8 @@ class TestActorWiring:
         node = system.add_dispatch("D1", HERE)
         node.dispatch(ActuatorCommand("open", {}, ("AM1",), 0))
         system.sim.run()
-        assert mote.commands_received == []
+        assert system.trace.by_source(mote.name) == []
+        assert system.trace.count("dispatch.direct") == 0
         assert opened == []
         [record] = system.trace.by_category("dispatch.unreachable")
         assert record.value("target") == "AM1"
@@ -132,10 +138,11 @@ class TestRuntime:
         system = build_minimal()
         system.run(until=100)
         assert system.observation_count() == 30   # 3 motes x 10 rounds
+        assert system.trace.count("sample.ok") == 30
         layers = system.instances_by_layer()
         assert layers[EventLayer.SENSOR] == 30    # every sample is hot
-        sink = system.sinks["MT0_0"]
-        assert len(sink.received_instances) > 0
+        received = system.trace.by_category("sink.receive")
+        assert received and {r.source for r in received} == {"MT0_0"}
 
     def test_cold_world_generates_nothing(self):
         system = build_minimal(base_temp=10.0)

@@ -44,7 +44,7 @@ from repro.core.space_model import PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine, drop_expired_prefix
-from repro.detect.output import InstanceLog, emit_payload
+from repro.detect.output import InstanceLog, build_instance
 from repro.cps.component import ObserverComponent
 from repro.cps.database import DatabaseServer
 from repro.sim.kernel import Simulator
@@ -140,9 +140,13 @@ def test_an_entity_key_is_built_once_and_shared():
     engine = DetectionEngine([spec_of(("a", "b"))])
     matches = engine.submit_batch([a, b], 1)
     assert len(matches) == 2  # (a, b) and (b, a)
-    log = InstanceLog.of(pair_profile())
+    profile = pair_profile()
+    log = InstanceLog.of(profile)
     for match in matches:
-        built = log.build(match)
+        built = build_instance(
+            match, profile.observer_id, 0, TimePoint(match.tick),
+            profile.location, profile.layer, profile.instance_cls,
+        )
         log.write(match)
         # A row's sources are the tuple the instances it materializes carry.
         for instance in (built, log[-1]):
@@ -185,9 +189,18 @@ def test_rows_share_what_does_not_differ_between_them():
 
 
 def rows_of(replayer):
+    """The ``instance.emit`` rows of the replayer's instances, read off
+    each instance by name."""
     return [
         TraceRecord(
-            instance.generated_time.tick, "instance.emit", "SK", emit_payload(instance)
+            instance.generated_time.tick, "instance.emit", "SK",
+            {
+                "event_id": instance.event_id,
+                "seq": instance.seq,
+                "layer": instance.layer.name,
+                "edl": instance.detection_latency,
+                "rho": instance.confidence,
+            },
         )
         for instance in replayer.emitted
     ]
@@ -589,12 +602,33 @@ def test_database_storage_adds_no_tracked_object_per_row(live_run):
 
 def test_a_live_run_retains_few_tracked_objects_per_instance(live_run):
     system, retained = live_run
-    # The instance itself (no longer by its observer's log, which keeps
-    # rows, but by the sinks' and the CCU's arrival lists and the
-    # database), its centroid, a TimePoint per tick and the motes'
-    # observations, each with its own time and attribute map (the small
-    # preset keeps ~4 per instance): 15.8, against 23.8 while keys held
-    # an ObserverId and trace rows were records (2.9 against 9.4 on the
-    # medium preset).
+    # The instances the database keeps and the engines' windows hold,
+    # with their centroids and TimePoints: 3.6 per row.  It was 15.8
+    # while every mote kept its observations and the sinks and the CCU
+    # kept their arrivals in lists, and 23.8 while keys held an
+    # ObserverId and trace rows were records.
     rows = sum(len(o.emitted) for o in observers_of(system))
-    assert retained / rows <= 17.0
+    assert retained / rows <= 5.0
+
+
+def observations_alive():
+    settle()
+    return {id(o) for o in gc.get_objects() if type(o) is PhysicalObservation}
+
+
+def test_a_live_run_keeps_only_the_observations_its_windows_hold():
+    built = build_scenario("high_density", "small", seed=0)
+    system = built.system
+    before = observations_alive()
+    system.run(until=built.params["horizon"])
+    held = {
+        id(entity)
+        for mote in system.motes.values()
+        for windows in mote.engine.snapshot().windows.values()
+        for entries in windows.values()
+        for _, entity in entries
+    }
+    # Observations other tests left alive are not this run's.
+    live = observations_alive() - before
+    assert system.observation_count() == system.trace.count("sample.ok") > 1_000
+    assert len(live) <= len(held) < system.observation_count() / 10

@@ -318,9 +318,10 @@ def test_the_emitter_is_compiled_once_per_specification():
             SensorEventInstance, (spec,),
         )
     )
-    first = log.build(match)
+    log.write(match)
     emitter = spec._emitter
-    second = log.build(match)
+    log.write(match)
     assert spec._emitter is emitter
+    first, second = log
     assert (first.seq, second.seq) == (0, 1)
     assert isinstance(first, EventInstance) and first.sources == (entity.key,)

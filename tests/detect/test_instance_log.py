@@ -3,13 +3,15 @@
 :class:`~repro.detect.output.InstanceLog` keeps rows and builds an
 instance only when something reads one.  Its oracle is the list the
 log replaced: every match turned into an object by
-:func:`~repro.detect.output.build_instance`, every finished instance
-appended as it is.  Whatever the log is asked to do — write a row from
-a match, append a refined or interval instance, refuse a match it
-cannot emit, truncate to a checkpoint's count, clear — every read
-(index, slice, iteration, keys, trace rows) must give what the list
-gives: equal instances (``==``) of the same class, with the same
-``sources`` and the same key.
+:func:`~repro.detect.output.build_instance` (its location replaced by
+the ``locate`` hook's estimate when there is one), every finished
+instance appended as it is.  Whatever the log is asked to do — write a
+row from a match with or without a location hook, append an interval
+instance, refuse a match it cannot emit, truncate to a checkpoint's
+count, clear — every read (index, slice, iteration, keys, trace rows)
+must give what the list gives: equal instances (``==``) of the same
+class, with the same ``sources`` and the same key.  The trace rows'
+oracle reads each instance's fields by name.
 
 The second property runs the log where it recovers from crashes: a
 supervised replay over a faulted delivery of a random stream ends with
@@ -52,7 +54,7 @@ from repro.core.spec import (
 )
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.engine import DetectionEngine, Match
-from repro.detect.output import InstanceLog, build_instance, emit_payload
+from repro.detect.output import InstanceLog, build_instance
 from repro.sim.trace import TraceRecord
 from repro.stream import (
     CheckpointPolicy,
@@ -147,7 +149,16 @@ def same(got, want):
 
 def rows_of(instances):
     return [
-        TraceRecord(i.generated_time.tick, "instance.emit", "SK", emit_payload(i))
+        TraceRecord(
+            i.generated_time.tick, "instance.emit", "SK",
+            {
+                "event_id": i.event_id,
+                "seq": i.seq,
+                "layer": i.layer.name,
+                "edl": i.detection_latency,
+                "rho": i.confidence,
+            },
+        )
         for i in instances
     ]
 
@@ -184,26 +195,34 @@ class LogAgainstAList(RuleBasedStateMachine):
         self.log.write(match)
         self.model.append(want)
 
-    @rule(match=matches(), rho=st.floats(0.0, 1.0), moved=st.none() | locations)
-    def append_refined(self, match, rho, moved):
-        # What a live sink does: build, refine, append.
+    @rule(match=matches(), moved=st.none() | points)
+    def write_located(self, match, moved):
+        # What a live sink does: write the row with its trilateration's
+        # estimate, or with the policy's location when it has none.
+        asked = []
+
+        def locate(m):
+            asked.append(m)
+            return moved
+
         seq = self.counters.get(match.spec.event_id, 0)
         try:
             want = build_instance(
                 match, SINK, seq, TimePoint(match.tick), HERE, LAYER, CLS
             )
         except ConditionError:
+            before = list(self.log), dict(self.log.counters)
             with pytest.raises(ConditionError):
-                self.log.build(match)
+                self.log.write(match, locate)
+            assert (list(self.log), dict(self.log.counters)) == before
+            assert asked == []
             return
-        built = self.log.build(match)
+        self.log.write(match, locate)
+        assert len(asked) == 1 and asked[0] is match
         self.next_seq(match.spec.event_id)
-        same(built, want)
-        refined = replace(built, confidence=rho)
         if moved is not None:
-            refined = replace(refined, estimated_location=moved)
-        self.log.append(refined)
-        self.model.append(refined)
+            want = replace(want, estimated_location=moved)
+        self.model.append(want)
 
     @rule(start=ticks, length=st.none() | st.integers(0, 9), tick=ticks)
     def append_interval(self, start, length, tick):

@@ -26,9 +26,10 @@ run as well.
   conservation ledger, and splicing its rows into the behavioral trace
   reproduces the golden digest byte for byte.
 * **rows** — every observer's output log, live and replayed, reads
-  back as the instances ``build_instance`` makes of its matches (refined
-  where the observer refines), and the trace rows it writes from its
-  columns are the ones ``emit_payload`` makes of those instances.
+  back as the instances ``build_instance`` makes of its matches (placed
+  where the observer's ``locate`` hook places them), and the trace rows
+  it writes from its columns are the ones read off those instances by
+  name.
 * **checkpoint** — a runtime restored from a mid-stream checkpoint (1
   and 4 shards, with and without telemetry) exports the original's
   bytes and replays the identical tail, and so does the original
@@ -52,7 +53,7 @@ from __future__ import annotations
 import json
 import zlib
 from collections import Counter, deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -61,7 +62,7 @@ import pytest
 from repro.core.event import EventLayer
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.cps.component import ObserverComponent
-from repro.detect.output import build_instance, emit_payload
+from repro.detect.output import build_instance
 from repro.obs import Telemetry, collect, to_json, trace_rows_digest
 from repro.sim.trace import TraceRecord, trace_digest
 from repro.stream import (
@@ -440,8 +441,8 @@ def _same(got, want) -> None:
 
 def _numbered(observer, matches) -> list:
     """``build_instance`` of each match, numbered per event id and
-    refined as the observer refines: what the log used to keep."""
-    refine = profile_of(observer).refine
+    placed as the observer places it: what the log used to keep."""
+    locate = profile_of(observer).locate
     counters: dict[str, int] = {}
     out = []
     for match in matches:
@@ -451,8 +452,22 @@ def _numbered(observer, matches) -> list:
             match, observer.observer_id, seq, TimePoint(match.tick),
             observer.location, observer.layer, observer.instance_cls,
         )
-        out.append(instance if refine is None else refine(instance, match))
+        estimate = None if locate is None else locate(match)
+        if estimate is not None:
+            instance = replace(instance, estimated_location=estimate)
+        out.append(instance)
     return out
+
+
+def _payload(instance) -> dict:
+    """The ``instance.emit`` payload, read off an instance by name."""
+    return {
+        "event_id": instance.event_id,
+        "seq": instance.seq,
+        "layer": instance.layer.name,
+        "edl": instance.detection_latency,
+        "rho": instance.confidence,
+    }
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -460,18 +475,19 @@ def test_rows_read_back_as_the_instances_build_instance_makes(name, monkeypatch)
     """Every spec's rows, on the live leg and on the replay leg, read back
     as the instances :func:`build_instance` makes of their matches (or,
     for the mote's interval tracker, as the instance it appended), and
-    the trace rows a log writes from its columns are the rows
-    :func:`emit_payload` makes of those instances."""
-    appended: dict[str, list] = {}
+    the trace rows a log writes from its columns, and the live observer
+    traced, are the rows :func:`_payload` makes of those instances."""
+    emitted: dict[str, list] = {}
     matched: dict[str, list] = {}
 
     def emit_match(self, match, original=ObserverComponent._emit_match):
         instance = original(self, match)
         matched.setdefault(self.name, []).append((match, instance))
+        emitted.setdefault(self.name, []).append(instance)
         return instance
 
     def emit_direct(self, instance, original=ObserverComponent.emit_direct):
-        appended.setdefault(self.name, []).append(instance)
+        emitted.setdefault(self.name, []).append(instance)
         original(self, instance)
 
     monkeypatch.setattr(ObserverComponent, "_emit_match", emit_match)
@@ -482,9 +498,10 @@ def test_rows_read_back_as_the_instances_build_instance_makes(name, monkeypatch)
     monkeypatch.undo()
 
     specs = set()
+    traced = scenario.system.trace.by_category("instance.emit")
     for observer in _observers(scenario.system):
         log = observer.emitted
-        want = appended.get(observer.name, [])
+        want = emitted.get(observer.name, [])
         assert len(log) == len(want)
         for got, instance in zip(log, want):
             _same(got, instance)
@@ -495,10 +512,10 @@ def test_rows_read_back_as_the_instances_build_instance_makes(name, monkeypatch)
         assert log.trace_rows(observer.name) == [
             TraceRecord(
                 i.generated_time.tick, "instance.emit", observer.name,
-                emit_payload(i),
+                _payload(i),
             )
             for i in want
-        ]
+        ] == [row for row in traced if row.source == observer.name]
         specs.update((observer.name, i.event_id) for i in want)
 
         if observer.name not in taps:
@@ -520,7 +537,7 @@ def test_rows_read_back_as_the_instances_build_instance_makes(name, monkeypatch)
         assert replayer.trace_rows == [
             TraceRecord(
                 i.generated_time.tick, "instance.emit", observer.name,
-                emit_payload(i),
+                _payload(i),
             )
             for i in want
         ]

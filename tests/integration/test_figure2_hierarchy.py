@@ -42,7 +42,8 @@ from repro.physical.fields import GaussianPlumeField, PlumeSource
 
 
 @pytest.fixture(scope="module")
-def ran_system():
+def ran():
+    """The finished system and the stream taps on all its observers."""
     system = CPSSystem(seed=11)
     field = GaussianPlumeField(base=20.0)
     field.add_source(
@@ -100,8 +101,14 @@ def ran_system():
     )
     system.add_ccu("CCU1", PointLocation(-5, -5), specs=[alarm])
     system.add_database("DB1")
+    taps = system.attach_stream_taps(include_motes=True)
     system.run(until=400)
-    return system
+    return system, taps
+
+
+@pytest.fixture(scope="module")
+def ran_system(ran):
+    return ran[0]
 
 
 class TestLayerFlow:
@@ -168,8 +175,9 @@ class TestLayerFlow:
 
 
 class TestProvenance:
-    def test_cyber_event_traceable_to_observations(self, ran_system):
+    def test_cyber_event_traceable_to_observations(self, ran):
         """Walk sources from a cyber instance back to raw observations."""
+        ran_system, taps = ran
         ccu = ran_system.ccus["CCU1"]
         assert ccu.emitted
         cyber = ccu.emitted[0]
@@ -181,8 +189,12 @@ class TestProvenance:
             i.key: i for m in ran_system.motes.values() for i in m.emitted
         }
         observation_keys = {
-            o.key for m in ran_system.motes.values() for o in m.observations
+            o.key
+            for name in ran_system.motes
+            for _, batch in taps[name].batches
+            for o in batch
         }
+        assert len(observation_keys) == ran_system.observation_count()
 
         assert cyber.sources
         for cp_key in cyber.sources:

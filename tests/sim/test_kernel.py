@@ -46,6 +46,47 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             sim.schedule_at(5, lambda: None)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.schedule(2.5, lambda: None),
+            lambda sim: sim.schedule(3.0, lambda: None),
+            lambda sim: sim.schedule(True, lambda: None),
+            lambda sim: sim.schedule(float("nan"), lambda: None),
+            lambda sim: sim.schedule_at(7.5, lambda: None),
+            lambda sim: sim.schedule_at(True, lambda: None),
+            lambda sim: sim.schedule_at(float("inf"), lambda: None),
+            lambda sim: sim.every(2.5, lambda: None),
+            lambda sim: sim.every(True, lambda: None),
+            lambda sim: sim.every(2.0, lambda: None),
+            lambda sim: sim.every(2, lambda: None, start=4.5),
+            lambda sim: sim.every(2, lambda: None, start=True),
+        ],
+        ids=[
+            "schedule-2.5", "schedule-3.0", "schedule-True", "schedule-nan",
+            "schedule_at-7.5", "schedule_at-True", "schedule_at-inf",
+            "every-2.5", "every-True", "every-2.0", "every-start-4.5",
+            "every-start-True",
+        ],
+    )
+    def test_ticks_and_periods_must_be_ints(self, call):
+        sim = Simulator()
+        sim.run(until=1)
+        with pytest.raises(SchedulingError):
+            call(sim)
+        assert sim.pending == 0
+        assert sim.run() == 1 and sim.events_processed == 0
+
+    def test_least_int_tick_delay_and_period_accepted(self):
+        sim = Simulator()
+        ticks = []
+        sim.schedule(0, lambda: ticks.append(("schedule", sim.tick)))
+        sim.schedule_at(0, lambda: ticks.append(("schedule_at", sim.tick)))
+        sim.every(1, lambda: ticks.append(("every", sim.tick)) or False)
+        sim.run()
+        assert ticks == [("schedule", 0), ("schedule_at", 0), ("every", 1)]
+        assert all(type(tick) is int for _, tick in ticks)
+
     def test_zero_delay_runs_this_tick(self):
         sim = Simulator()
         seen = []

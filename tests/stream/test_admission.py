@@ -160,6 +160,16 @@ class TestSheddingPolicies:
         ]
         assert verdicts == [True, False, False, True, False, False]
 
+    @pytest.mark.parametrize(
+        "value", [0, -1, True, False, 2.5, 2.0, float("nan"), float("inf"), "2", None]
+    )
+    def test_sampling_stride_must_be_a_positive_int(self, value):
+        with pytest.raises(ObserverError, match="stride"):
+            DegradeToSampling(stride=value)
+
+    def test_sampling_stride_accepts_one(self):
+        assert DegradeToSampling(stride=1).stride == 1
+
     def test_sampling_counters_are_per_source(self):
         buffer, _ = self._full_buffer()
         policy = DegradeToSampling(stride=2)
