@@ -74,8 +74,12 @@ class EventBus:
         latency: int = 1,
         trace: TraceRecorder | None = None,
     ):
-        if latency < 0:
-            raise ComponentError("bus latency cannot be negative")
+        # Refused here, not by the kernel at the first publish: by then
+        # the publish is counted and traced.
+        if type(latency) is not int or latency < 0:
+            raise ComponentError(
+                f"bus latency must be an int >= 0, got {latency!r}"
+            )
         self.sim = sim
         self.latency = latency
         self.trace = trace

@@ -220,8 +220,12 @@ class WiredBackbone:
         latency: int = 1,
         trace: TraceRecorder | None = None,
     ):
-        if latency < 0:
-            raise NetworkError("backbone latency cannot be negative")
+        # Refused here, not by the kernel at the first send: by then the
+        # packet has taken an id.
+        if type(latency) is not int or latency < 0:
+            raise NetworkError(
+                f"backbone latency must be an int >= 0, got {latency!r}"
+            )
         self.sim = sim
         self.latency = latency
         self.trace = trace

@@ -29,8 +29,9 @@ streaming toolkit:
   the conformance harness proves jittered replay reproduces the
   golden digests byte-for-byte;
 * :mod:`repro.stream.admission` — bounded ingestion: per-source
-  token-bucket rate limits, priority classes, occupancy caps with
-  pluggable shedding policies, and backpressure signaling
+  token-bucket rate limits with bounded deferral, an occupancy cap
+  enforced by one of two shedding rules (evict the oldest buffered
+  item, or shed the arrival), and backpressure signaling
   (:class:`AdmissionController` installed via the runtime's
   ``admission=`` argument);
 * :mod:`repro.stream.resilience` — fault injection and supervised
@@ -48,8 +49,6 @@ from repro.stream.admission import (
     AdmissionSnapshot,
     Backpressure,
     PacedSource,
-    Priority,
-    PriorityMap,
 )
 from repro.stream.capture import StreamTap
 from repro.stream.reorder import ReorderBuffer
@@ -100,8 +99,6 @@ __all__ = [
     "AdmissionSnapshot",
     "Backpressure",
     "PacedSource",
-    "Priority",
-    "PriorityMap",
     "FaultPlan",
     "FaultySource",
     "SourceCrash",

@@ -1,13 +1,14 @@
 """Bounded ingestion for the streaming runtime.
 
 A mempool-style admission front end: per-source token-bucket rate
-limiting (:mod:`~repro.stream.admission.limiter`), priority classes
-(:mod:`~repro.stream.admission.priority`), pluggable shedding policies
-consulted at the reorder buffer's occupancy cap
-(:mod:`~repro.stream.admission.policy`), backpressure signaling to
+limiting (:mod:`~repro.stream.admission.limiter`), an occupancy cap on
+the reorder buffer enforced by one of two shedding rules
+(``drop_oldest_late`` evicts the event-time-oldest buffered item,
+``drop_lowest_priority`` sheds the arrival), backpressure signaling to
 cooperating sources (:mod:`~repro.stream.admission.backpressure`), and
 the controller tying them together
-(:mod:`~repro.stream.admission.controller`).
+(:mod:`~repro.stream.admission.controller`).  Every observation is in
+one admission class.
 
 Install one on a :class:`~repro.stream.runtime.StreamingDetectionRuntime`
 via its ``admission=`` argument.  With no limits configured the runtime
@@ -22,27 +23,12 @@ from repro.stream.admission.controller import (
     AdmissionSnapshot,
 )
 from repro.stream.admission.limiter import TokenBucket
-from repro.stream.admission.policy import (
-    DegradeToSampling,
-    DropLowestPriority,
-    DropOldestLate,
-    SheddingPolicy,
-    resolve_policy,
-)
-from repro.stream.admission.priority import Priority, PriorityMap
 
 __all__ = [
     "AdmissionController",
     "AdmissionLimits",
     "AdmissionSnapshot",
     "Backpressure",
-    "DegradeToSampling",
-    "DropLowestPriority",
-    "DropOldestLate",
     "PacedSource",
-    "Priority",
-    "PriorityMap",
-    "SheddingPolicy",
     "TokenBucket",
-    "resolve_policy",
 ]

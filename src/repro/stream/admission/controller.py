@@ -7,15 +7,16 @@ observation, one of four fates — **admit** (offer to the buffer now),
 refills), **shed** (reject, counted, never silent) — with the fourth,
 **late**, decided downstream by the buffer's release frontier.  The
 controller also owns the whole step taken when the buffer is at its
-occupancy cap (:meth:`AdmissionController.make_room`: policy, eviction,
-per-class shed accounting), and the :class:`~repro.stream.admission.backpressure.Backpressure`
-signal handed back to producers.
+occupancy cap (:meth:`AdmissionController.make_room`: the shedding
+rule, the eviction, the shed count), and the
+:class:`~repro.stream.admission.backpressure.Backpressure` signal handed
+back to producers.
 
-Everything is deterministic (tick-driven buckets, seedless policies)
-and everything is checkpointable: :meth:`AdmissionController.snapshot`
-captures deferred items, bucket levels, policy state and its counters,
-so a :class:`~repro.stream.runtime.RuntimeCheckpoint` taken from an
-actively shedding runtime restores to an identical remaining stream.
+Everything is deterministic (tick-driven buckets, stateless rules) and
+everything is checkpointable: :meth:`AdmissionController.snapshot`
+captures deferred items, bucket levels and its counters, so a
+:class:`~repro.stream.runtime.RuntimeCheckpoint` taken from an actively
+shedding runtime restores to an identical remaining stream.
 
 With no limits configured (the default :class:`AdmissionLimits`), the
 controller admits everything unconditionally — installing it is
@@ -29,14 +30,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping, Sequence
 
 from repro.core.errors import ObserverError
 from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.limiter import TokenBucket
-from repro.stream.admission.policy import SheddingPolicy, resolve_policy
-from repro.stream.admission.priority import PriorityMap
-from repro.stream.reorder import DEFAULT_LATE_RETENTION, ReorderBuffer
+from repro.stream.reorder import ReorderBuffer
 from repro.stream.source import StreamItem
 
 __all__ = [
@@ -45,6 +45,16 @@ __all__ = [
     "AdmissionSnapshot",
 ]
 
+SHEDDING_RULES = ("drop_oldest_late", "drop_lowest_priority")
+"""The two at-cap rules: evict the event-time-oldest buffered item and
+offer the arrival in its place, or shed the arrival itself (every
+observation is in one class, so nothing buffered ranks below it)."""
+
+BACKPRESSURE_RATIO = 0.75
+"""Fill fraction at which the backpressure signal engages: of
+``max_pending`` on the occupancy path, of ``max_deferred`` on the
+deferral path."""
+
 
 @dataclass(frozen=True)
 class AdmissionLimits:
@@ -52,12 +62,9 @@ class AdmissionLimits:
 
     Args:
         max_pending: Reorder-buffer occupancy cap (``None`` =
-            unbounded).  At the cap the shedding policy picks who loses;
+            unbounded).  At the cap the shedding rule picks who loses;
             a cap of ``0`` sheds every in-order observation and reads as
             permanently saturated backpressure.
-        late_retention: Cap on *retained* late items (the exact late
-            count is never capped; see
-            :attr:`~repro.stream.reorder.ReorderBuffer.late_count`).
         rate: Per-source token-bucket refill in admissions per arrival
             tick, positive and finite (``None`` = no rate limiting).  A
             rate limit adds a precondition on every delivery step:
@@ -70,35 +77,30 @@ class AdmissionLimits:
         max_deferred: Cap on the deferral FIFO holding over-rate
             arrivals (``None`` = unbounded deferral; ``0`` = shed
             immediately instead of deferring).
-        backpressure_ratio: Fill fraction at which the backpressure
-            signal engages — of ``max_pending`` on the occupancy path
-            and of ``max_deferred`` on the deferral path.  With
-            unbounded deferral (``max_deferred=None``) any parked item
-            engages the signal: nothing but bucket refill drains the
-            queue, so a cooperating producer should slow down at once.
     """
 
     max_pending: int | None = None
-    late_retention: int | None = DEFAULT_LATE_RETENTION
     rate: float | None = None
     burst: float = 1.0
     max_deferred: int | None = None
-    backpressure_ratio: float = 0.75
 
     def __post_init__(self) -> None:
-        for name in ("max_pending", "late_retention", "max_deferred"):
+        for name in ("max_pending", "max_deferred"):
             value = getattr(self, name)
             if value is not None and (type(value) is not int or value < 0):
                 raise ObserverError(
                     f"{name} must be a non-negative int or None: {value!r}"
                 )
-        if not 0.0 < self.backpressure_ratio <= 1.0:
-            raise ObserverError(
-                "backpressure_ratio must be in (0, 1]: "
-                f"{self.backpressure_ratio}"
-            )
         # Checked here, not when the first token bucket is built: by then
         # the screens ahead of admission have recorded the step.
+        numbers = {"burst": self.burst}
+        if self.rate is not None:
+            numbers["rate"] = self.rate
+        for name, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ObserverError(
+                    f"{name} must be a real number, not {value!r}"
+                )
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise ObserverError(
                 f"rate must be positive and finite: {self.rate}"
@@ -117,8 +119,7 @@ class AdmissionSnapshot:
 
     deferred: tuple[StreamItem, ...]
     buckets: Mapping[str, tuple[float, int | None]]
-    policy_state: Mapping[str, int]
-    shed_by_priority: Mapping[str, int]
+    shed_total: int
     deferred_total: int
 
 
@@ -128,21 +129,26 @@ class AdmissionController:
 
     Args:
         limits: The resource envelope (see :class:`AdmissionLimits`).
-        priorities: Admission classes per item (default: everything
-            ``OPERATIONAL``).
-        shedding: A :class:`~repro.stream.admission.policy.SheddingPolicy`
-            instance or built-in name (``drop_oldest_late`` /
-            ``drop_lowest_priority`` / ``degrade_to_sampling``).
+        shedding: The at-cap rule, one of :data:`SHEDDING_RULES`:
+            ``drop_oldest_late`` (the default) evicts the
+            event-time-oldest buffered item, ``drop_lowest_priority``
+            sheds the arrival.
     """
 
     limits: AdmissionLimits = field(default_factory=AdmissionLimits)
-    priorities: PriorityMap = field(default_factory=PriorityMap)
-    shedding: SheddingPolicy | str = "drop_oldest_late"
+    shedding: str = "drop_oldest_late"
 
     def __post_init__(self) -> None:
-        self.policy = resolve_policy(self.shedding)
-        self.policy_state: dict[str, int] = {}
-        self.shed_by_priority: dict[str, int] = {}
+        if type(self.shedding) is not str or (
+            self.shedding not in SHEDDING_RULES
+        ):
+            raise ObserverError(
+                f"unknown shedding rule {self.shedding!r}; "
+                f"built-ins: {', '.join(SHEDDING_RULES)}"
+            )
+        self.shed_total = 0
+        """Observations shed so far, at the cap or on deferral
+        overflow."""
         self.deferred_total = 0
         """Observations parked in the deferral queue so far, each
         counted once."""
@@ -156,23 +162,16 @@ class AdmissionController:
         """Items currently parked in the deferral queue."""
         return len(self._deferred)
 
-    @property
-    def shed_total(self) -> int:
-        """Observations shed so far, across every priority class."""
-        return sum(self.shed_by_priority.values())
-
     def metrics_view(self) -> dict[str, object]:
         """Controller state as a flat metric mapping (read-only).
 
         The observability layer's sampling surface — deferral depth,
-        per-priority shed counts (sorted for deterministic export) and
-        per-source token-bucket levels; reading never admits, defers or
-        refills anything.
+        the shed count and per-source token-bucket levels; reading never
+        admits, defers or refills anything.
         """
         return {
             "deferred_depth": len(self._deferred),
             "shed_total": self.shed_total,
-            "shed_by_priority": dict(sorted(self.shed_by_priority.items())),
             "bucket_levels": {
                 source: self._buckets[source].tokens
                 for source in sorted(self._buckets)
@@ -237,7 +236,7 @@ class AdmissionController:
         sources' buckets have refilled by the step's arrival tick), so
         the deferral queue drains FIFO as capacity appears.  The rest
         are deferred (:attr:`deferred_total`) or, on deferral overflow,
-        shed (:meth:`note_shed`) — both counted here, the one count of
+        shed (:attr:`shed_total`) — both counted here, the one count of
         each there is.
         """
         if self.limits.rate is None:
@@ -264,7 +263,7 @@ class AdmissionController:
                 self._deferred.append(item)
                 self.deferred_total += 1
             else:
-                self.note_shed(item)
+                self.shed_total += 1
         return admitted
 
     def flush_deferred(self) -> list[StreamItem]:
@@ -284,29 +283,17 @@ class AdmissionController:
     def make_room(
         self, incoming: StreamItem, buffer: ReorderBuffer
     ) -> StreamItem | None:
-        """Take the whole at-cap step for ``incoming``: evict and return
-        the buffered victim the policy names (offer ``incoming`` now), or
-        shed ``incoming`` and return ``None`` (not ``incoming``: without
-        a deduper the same object may also sit in the buffer).  Either
-        loser is counted (:meth:`note_shed`)."""
-        victim = self.policy.make_room(
-            incoming, buffer, self.priorities, self.policy_state
-        )
-        if victim is None:
-            self.note_shed(incoming)
-            return None
-        if not buffer.evict_item(victim):
-            raise ObserverError(
-                "shedding policy named a victim that is not in the "
-                "reorder buffer"
-            )
-        self.note_shed(victim)
-        return victim
-
-    def note_shed(self, item: StreamItem) -> None:
-        """Record one shed observation in the per-class breakdown."""
-        name = self.priorities.of(item).name
-        self.shed_by_priority[name] = self.shed_by_priority.get(name, 0) + 1
+        """Take the whole at-cap step for ``incoming``: under
+        ``drop_oldest_late`` evict and return the event-time-oldest
+        buffered item (offer ``incoming`` now); under
+        ``drop_lowest_priority``, or with nothing buffered, shed
+        ``incoming`` and return ``None`` (not ``incoming``: without a
+        deduper the same object may also sit in the buffer).  Either
+        loser is counted in :attr:`shed_total`."""
+        self.shed_total += 1
+        if self.shedding == "drop_oldest_late":
+            return buffer.evict_oldest()
+        return None
 
     # -- backpressure --------------------------------------------------
 
@@ -320,9 +307,9 @@ class AdmissionController:
         so it is saturated by configuration), deferral depth against
         ``max_deferred`` (saturated the moment anything is parked when
         deferral is unbounded).  The signal engages when either level
-        reaches :attr:`AdmissionLimits.backpressure_ratio`.
+        reaches :data:`BACKPRESSURE_RATIO`.
         """
-        ratio = self.limits.backpressure_ratio
+        ratio = BACKPRESSURE_RATIO
         occupancy_level = 0.0
         if self.limits.max_pending is not None:
             occupancy_level = (
@@ -352,15 +339,14 @@ class AdmissionController:
     # -- checkpoint / restore ------------------------------------------
 
     def snapshot(self) -> AdmissionSnapshot:
-        """Capture deferred items, bucket levels, policy state, counters."""
+        """Capture deferred items, bucket levels and counters."""
         return AdmissionSnapshot(
             deferred=tuple(self._deferred),
             buckets={
                 source: bucket.state()
                 for source, bucket in self._buckets.items()
             },
-            policy_state=dict(self.policy_state),
-            shed_by_priority=dict(self.shed_by_priority),
+            shed_total=self.shed_total,
             deferred_total=self.deferred_total,
         )
 
@@ -378,6 +364,5 @@ class AdmissionController:
             bucket = TokenBucket(self.limits.rate, self.limits.burst)
             bucket.restore(state)
             self._buckets[source] = bucket
-        self.policy_state = dict(snapshot.policy_state)
-        self.shed_by_priority = dict(snapshot.shed_by_priority)
+        self.shed_total = snapshot.shed_total
         self.deferred_total = snapshot.deferred_total

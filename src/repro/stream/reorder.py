@@ -17,28 +17,25 @@ Occupancy is tracked with a high-water mark
 performance ledger reports as ``stream.reorder.peak``: it bounds the
 state a consumer must hold to absorb a transport's disorder.  The
 admission layer (:mod:`repro.stream.admission`) additionally caps live
-occupancy via the eviction hooks (:meth:`ReorderBuffer.evict_oldest` /
-:meth:`ReorderBuffer.evict_item`) and, for class-aware shedding, asks
-:meth:`ReorderBuffer.weakest` who would lose.
+occupancy via the eviction hook (:meth:`ReorderBuffer.evict_oldest`).
 
 What each operation costs, with ``n`` items buffered — none of it grows
 with the cap the admission layer enforces, so shedding stays cheap
 exactly when the buffer is full:
 
-* ``offer_many`` — one heap push per item, O(log n); a second push into
-  the item's class heap when the buffer was built with ``rank``
-  (``offer`` is a run of one);
+* ``offer_many`` — one heap push per item, O(log n) (``offer`` is a run
+  of one);
 * ``release`` — O(log n) per released item;
 * ``evict_item`` / ``evict_oldest`` — O(1): the victim's liveness record
-  is dropped and its heap entries stay behind as **tombstones**, skipped
-  (O(log n) each, once) when they surface at the top of a heap;
-* ``oldest_pending`` / ``weakest`` — O(1) plus the tombstones they skip;
+  is dropped and its heap entry stays behind as a **tombstone**, skipped
+  (O(log n), once) when it surfaces at the top of the heap;
+* ``oldest_pending`` — O(1) plus the tombstones it skips;
 * ``pending`` / ``snapshot`` / ``restore`` — O(n log n), the checkpoint
   path;
-* compaction — a heap is rebuilt, O(n), only once its tombstones
-  outnumber its live entries, i.e. amortized O(1) per removal.  Neither
-  a stream that only ever evicts nor one that only ever releases can
-  pin more than a small multiple of the live items.
+* compaction — the heap is rebuilt, O(n), only once an eviction finds
+  its tombstones outnumbering its live entries, i.e. amortized O(1) per
+  removal.  Released items leave no tombstones, and a stream that only
+  ever evicts pins no more than a small multiple of the live items.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.core.errors import ObserverError
 from repro.stream.source import StreamItem
@@ -79,35 +76,24 @@ class ReorderBuffer:
     """Min-heap over ``(event_tick, seq)`` with a release frontier.
 
     Removal is lazy.  An item is buffered exactly while the liveness
-    table carries the insertion counter of its heap entry; releasing or
-    evicting it drops that record, and whatever entry a heap still holds
-    for it is from then on a tombstone — skipped when it surfaces,
-    swept out when tombstones outnumber live entries.  Occupancy, the
-    high-water mark, :meth:`metrics_view` and :meth:`pending` count live
-    items only.
+    table carries the insertion counter of its heap entry; evicting it
+    drops that record, and the entry the heap still holds for it is from
+    then on a tombstone — skipped when it surfaces, swept out when
+    tombstones outnumber live entries.  Occupancy, the high-water mark,
+    :meth:`metrics_view` and :meth:`pending` count live items only.
 
     Args:
         late_retention: How many late items to *retain* for inspection
             (the newest ones; ``None`` retains everything).  The exact
             late count is tracked separately and is never capped.
-        rank: Optional classifier ``item -> class`` (any orderable,
-            hashable value; larger = weaker, shed first).  With one, the
-            buffer also keeps a per-class index behind :meth:`weakest`.
-            It is called once per item, when the item is offered (and
-            once more per pending item on :meth:`restore`): an item's
-            class is fixed from then on.
     """
 
     _COMPACT_SLACK = 64
-    """Tombstones a heap may carry beyond its live entries before it is
+    """Tombstones the heap may carry beyond its live entries before it is
     rebuilt: keeps a nearly empty buffer from compacting on every
     release."""
 
-    def __init__(
-        self,
-        late_retention: int | None = DEFAULT_LATE_RETENTION,
-        rank: Callable[[StreamItem], object] | None = None,
-    ):
+    def __init__(self, late_retention: int | None = DEFAULT_LATE_RETENTION):
         if late_retention is not None and (
             type(late_retention) is not int or late_retention < 0
         ):
@@ -135,12 +121,6 @@ class ReorderBuffer:
         self._live: dict[int, int] = {}
         self._later: dict[int, deque[int]] = {}
         self._chained: set[int] = set()
-        self._rank = rank
-        # class -> max-heap of (-event_tick, -seq, counter, item): the
-        # top of the weakest class is the event-time-newest of that
-        # class, the earliest arrival among equal keys.
-        self._classes: dict[object, list] = {}
-        self._indexed = 0  # entries across ``_classes``, live or not
         self._released_through: int | None = None
         self._highest_offered: int | None = None
         self._late_count = 0
@@ -209,7 +189,7 @@ class ReorderBuffer:
         exactly as offering its items one by one would classify them.
         """
         frontier = self._released_through
-        heap, live, rank = self._heap, self._live, self._rank
+        heap, live = self._heap, self._live
         late: list[StreamItem] = []
         for item in items:
             tick = item.event_tick
@@ -225,13 +205,6 @@ class ReorderBuffer:
                 # This very object is already buffered: queue the new copy.
                 self._later.setdefault(id(item), deque()).append(counter)
                 self._chained.add(counter)
-            if rank is not None:
-                cls = rank(item)
-                index = self._classes.get(cls)
-                if index is None:
-                    index = self._classes[cls] = []
-                heapq.heappush(index, (-tick, -item.seq, counter, item))
-                self._indexed += 1
         # Nothing leaves during a run: its last occupancy is its peak.
         self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
         if late:
@@ -261,23 +234,13 @@ class ReorderBuffer:
         return {*self._live.values(), *self._chained}
 
     def _compact(self) -> None:
-        """Rebuild a heap whose tombstones outnumber its live entries."""
-        bound = 2 * self.occupancy + self._COMPACT_SLACK
-        if len(self._heap) <= bound and self._indexed <= bound:
+        """Rebuild the heap once its tombstones outnumber its live
+        entries."""
+        if len(self._heap) <= 2 * self.occupancy + self._COMPACT_SLACK:
             return
         alive = self._live_counters()
-        if len(self._heap) > bound:
-            self._heap = [entry for entry in self._heap if entry[1] in alive]
-            heapq.heapify(self._heap)
-        if self._indexed > bound:
-            self._classes = {
-                cls: kept
-                for cls, heap in self._classes.items()
-                if (kept := [entry for entry in heap if entry[2] in alive])
-            }
-            for heap in self._classes.values():
-                heapq.heapify(heap)
-            self._indexed = len(alive)
+        self._heap = [entry for entry in self._heap if entry[1] in alive]
+        heapq.heapify(self._heap)
 
     def oldest_pending(self) -> StreamItem | None:
         """The buffered item next in event-time order (no removal)."""
@@ -290,33 +253,6 @@ class ReorderBuffer:
             if live.get(id(item)) == counter:
                 return item
             heapq.heappop(heap)
-        return None
-
-    def weakest(self) -> tuple[object, StreamItem] | None:
-        """The buffered item class-aware shedding would evict, with its
-        class: of the weakest (largest) class buffered, the
-        event-time-newest item, the earliest arrival among equal
-        ``(event_tick, seq)``.  ``None`` when nothing is buffered.
-
-        Needs the class index (``rank=`` at construction).
-        """
-        if self._rank is None:
-            raise ObserverError(
-                "this reorder buffer was built without a classifier "
-                "(rank=...): it has no admission classes to compare"
-            )
-        live = self._live
-        chained = self._chained
-        for cls in sorted(self._classes, reverse=True):
-            heap = self._classes[cls]
-            while heap:
-                _, _, counter, item = heap[0]
-                # Live as its object's earliest copy, or as a later one
-                # (a classifier may file two copies under two classes).
-                if live.get(id(item)) == counter or counter in chained:
-                    return cls, item
-                heapq.heappop(heap)
-                self._indexed -= 1
         return None
 
     def evict_oldest(self) -> StreamItem | None:
@@ -334,9 +270,9 @@ class ReorderBuffer:
     def evict_item(self, item: StreamItem) -> bool:
         """Remove one specific buffered item (identity match).
 
-        Load-shedding hook for the shedding policies; returns whether
-        the item was found.  O(1): no scan, no re-heapify — the entries
-        left behind are tombstones (see the module docstring).
+        Returns whether the item was found.  O(1): no scan, no
+        re-heapify — the entry left behind is a tombstone (see the module
+        docstring).
         """
         if self._live.pop(id(item), None) is None:
             return False
@@ -377,10 +313,6 @@ class ReorderBuffer:
             if later and id(item) in later:
                 self._promote(id(item))
             released.append(item)
-        if released and self._rank is not None:
-            # What was released stays behind in the class index; the main
-            # heap needs no sweep here, its tombstones surface by tick.
-            self._compact()
         return released
 
     def release_all(self) -> list[StreamItem]:
@@ -423,17 +355,13 @@ class ReorderBuffer:
 
         Re-numbering the insertion counters from ``snapshot.pending``
         (the order :meth:`pending` produced) preserves the arrival-order
-        tie-break across the round trip.  The snapshot carries no
-        classes: the class index is rebuilt by classifying every pending
-        item again with this buffer's ``rank``.
+        tie-break across the round trip.
         """
         self._heap = []
         self._counter = 0
         self._live = {}
         self._later = {}
         self._chained = set()
-        self._classes = {}
-        self._indexed = 0
         # With no frontier nothing offered is late: every pending item is
         # filed the way an arrival is, then the frontiers are put back.
         self._released_through = None

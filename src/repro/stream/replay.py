@@ -127,8 +127,8 @@ class ReplayObserver:
         admission: Optional
             :class:`~repro.stream.admission.AdmissionController` handed
             straight to the runtime — replays under resource bounds,
-            which is how the benchmark harness measures each shedding
-            policy's recall cost against the unbounded golden replay.
+            which is how the benchmark harness measures a shedding
+            rule's recall cost against the unbounded golden replay.
         quarantine: Optional
             :class:`~repro.stream.resilience.quarantine.Quarantine`
             handed to the runtime — corrupt deliveries are dead-lettered

@@ -29,8 +29,8 @@ an identical remaining match stream.
 Ingestion can be **bounded**: pass an
 :class:`~repro.stream.admission.AdmissionController` and every delivery
 step clears admission — per-source token-bucket rate limits (with
-bounded deferral), an occupancy cap on the reorder buffer enforced by a
-pluggable shedding policy, and a
+bounded deferral), an occupancy cap on the reorder buffer enforced by
+one of two shedding rules, and a
 :class:`~repro.stream.admission.Backpressure` signal handed to sources
 that expose ``throttle()``.  The controller counts every shed or
 deferred observation (:attr:`StreamStats.shed_observations`,
@@ -202,7 +202,7 @@ class StreamingDetectionRuntime:
             ``(tick, items)`` before the engine sees it.
         admission: Optional
             :class:`~repro.stream.admission.AdmissionController` bounding
-            ingestion — rate limits, occupancy cap, shedding policy and
+            ingestion — rate limits, occupancy cap, shedding rule and
             backpressure.  ``None`` (the default) runs unbounded; a
             controller with default :class:`~repro.stream.admission.AdmissionLimits`
             is behavior-identical to ``None``.
@@ -254,20 +254,7 @@ class StreamingDetectionRuntime:
         self.quarantine = quarantine
         self.dedup = dedup
         self.telemetry = telemetry
-        if admission is None:
-            self.buffer = ReorderBuffer()
-        else:
-            # The buffer files every item under the controller's own
-            # classes, which is what lets a class-aware shedding policy
-            # ask it who is weakest without walking it.  Every controller
-            # gets the index, even one that cannot shed as configured:
-            # ``admission.limits`` may be replaced between steps (intake
-            # drains the deferral queue when a rate is lifted), and a cap
-            # introduced that way must find the buffered items filed.
-            self.buffer = ReorderBuffer(
-                late_retention=admission.limits.late_retention,
-                rank=admission.priorities.of,
-            )
+        self.buffer = ReorderBuffer()
         self.tracker = WatermarkTracker(lateness)
         self.stages: dict[str, object] = {
             name: part
@@ -484,7 +471,7 @@ class StreamingDetectionRuntime:
             ):
                 # Cooperative backpressure: a source exposing throttle()
                 # is asked to slow down while pressure is on; sources
-                # without one simply keep the shedding policy busy.
+                # without one simply keep the shedding rule busy.
                 throttle(self.last_backpressure)
         matches.extend(self.finish())
         return matches

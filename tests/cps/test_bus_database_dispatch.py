@@ -119,9 +119,29 @@ class TestEventBus:
         bus.subscribe("b", lambda i: None, event_ids={"other"})
         assert bus.publish(instance()) == 1
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ComponentError):
-            EventBus(Simulator(), latency=-1)
+    @pytest.mark.parametrize(
+        "latency",
+        [-1, 0.5, 1.0, True, False, "1", None, float("nan")],
+        ids=["negative", "fraction", "integral float", "true", "false",
+             "text", "none", "nan"],
+    )
+    def test_latency_must_be_a_non_negative_int(self, latency):
+        # Refused at construction: the kernel would refuse it only at the
+        # first publish, after the publish was counted and traced.
+        with pytest.raises(ComponentError, match="bus latency"):
+            EventBus(Simulator(), latency=latency)
+
+    def test_latency_accepts_zero(self):
+        sim = Simulator()
+        trace = TraceRecorder()
+        bus = EventBus(sim, latency=0, trace=trace)
+        got = []
+        bus.subscribe("db", lambda i: got.append(sim.tick))
+        sim.schedule(5, lambda: bus.publish(instance()))
+        sim.run()
+        assert got == [5]
+        assert bus.published_count == bus.delivered_count == 1
+        assert len(trace.by_category("bus.publish")) == 1
 
 
 class TestDatabaseServer:

@@ -162,9 +162,30 @@ class TestWiredBackbone:
         with pytest.raises(NetworkError):
             backbone.send("a", "nowhere", {}, PacketKind.COMMAND)
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(NetworkError):
-            WiredBackbone(Simulator(), latency=-1)
+    @pytest.mark.parametrize(
+        "latency",
+        [-1, 0.5, 1.0, True, False, "1", None, float("nan")],
+        ids=["negative", "fraction", "integral float", "true", "false",
+             "text", "none", "nan"],
+    )
+    def test_latency_must_be_a_non_negative_int(self, latency):
+        # Refused at construction: the kernel would refuse it only at the
+        # first send, after the packet had taken an id.
+        with pytest.raises(NetworkError, match="backbone latency"):
+            WiredBackbone(Simulator(), latency=latency)
+
+    def test_latency_accepts_zero(self):
+        sim = Simulator()
+        backbone = WiredBackbone(sim, latency=0)
+        got = []
+        backbone.register("CCU1", lambda p: got.append((sim.tick, p.packet_id)))
+        sent = [
+            backbone.send("sink", "CCU1", {}, PacketKind.EVENT_INSTANCE)
+            for _ in range(2)
+        ]
+        sim.run()
+        assert [p.packet_id for p in sent] == [1, 2]
+        assert got == [(0, 1), (0, 2)]
 
 
 class TestPacket:

@@ -1,21 +1,21 @@
 """Property-based tests for bounded ingestion (hypothesis).
 
-The admission contract, over randomized streams, limits, priorities and
-shedding policies:
+The admission contract, over randomized streams, limits and both
+shedding rules:
 
 * **conservation** — after ``finish()``, every offered observation has
   exactly one fate: ``released + late + shed == offered``.  Nothing is
   silently parked in a deferral queue or dropped off the books,
-  whatever combination of occupancy cap, rate limit, deferral bound,
-  priority map and policy is active;
+  whatever combination of occupancy cap, rate limit, deferral bound and
+  shedding rule is active;
 * **the cap holds** — peak reorder occupancy never exceeds
   ``max_pending``;
 * **zero-limit identity** — a controller with no limits configured
   releases the identical stream (same seqs, same order, same counters)
   as a runtime with no controller at all;
 * **checkpoint transparency under shedding** — cutting the delivery
-  steps anywhere, snapshotting (buckets, deferral queue, policy state,
-  shed counters included) and resuming in a fresh bounded runtime
+  steps anywhere, snapshotting (buckets, deferral queue and shed
+  counter included) and resuming in a fresh bounded runtime
   yields the same released stream and the same final accounting as the
   uninterrupted run.
 """
@@ -25,14 +25,12 @@ from hypothesis import given, settings, strategies as st
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
-    Priority,
-    PriorityMap,
     StreamingDetectionRuntime,
     StreamItem,
 )
 from repro.stream.runtime import arrival_groups
 
-POLICIES = ("drop_oldest_late", "drop_lowest_priority", "degrade_to_sampling")
+RULES = ("drop_oldest_late", "drop_lowest_priority")
 
 SOURCES = ("s0", "s1")
 
@@ -79,12 +77,8 @@ def bounded_cases(draw):
             st.one_of(st.none(), st.integers(min_value=0, max_value=8))
         ),
     )
-    priorities = PriorityMap(
-        default=draw(st.sampled_from(list(Priority))),
-        sources={"s0": draw(st.sampled_from(list(Priority)))},
-    )
-    policy = draw(st.sampled_from(POLICIES))
-    return items, lateness, limits, priorities, policy
+    rule = draw(st.sampled_from(RULES))
+    return items, lateness, limits, rule
 
 
 def run_bounded(items, lateness, controller):
@@ -110,10 +104,8 @@ class TestConservation:
     @settings(max_examples=150, deadline=None)
     @given(bounded_cases())
     def test_released_late_shed_partition_the_offer(self, case):
-        items, lateness, limits, priorities, policy = case
-        controller = AdmissionController(
-            limits, priorities=priorities, shedding=policy
-        )
+        items, lateness, limits, rule = case
+        controller = AdmissionController(limits, shedding=rule)
         released, runtime = run_bounded(items, lateness, controller)
         stats = runtime.stats
         assert (
@@ -135,10 +127,8 @@ class TestConservation:
     @settings(max_examples=150, deadline=None)
     @given(bounded_cases())
     def test_occupancy_cap_holds(self, case):
-        items, lateness, limits, priorities, policy = case
-        controller = AdmissionController(
-            limits, priorities=priorities, shedding=policy
-        )
+        items, lateness, limits, rule = case
+        controller = AdmissionController(limits, shedding=rule)
         _, runtime = run_bounded(items, lateness, controller)
         if limits.max_pending is not None:
             assert runtime.stats.reorder_peak <= limits.max_pending
@@ -146,11 +136,11 @@ class TestConservation:
     @settings(max_examples=100, deadline=None)
     @given(bounded_cases())
     def test_zero_limit_identity(self, case):
-        items, lateness, _, priorities, policy = case
+        items, lateness, _, rule = case
         bounded_released, bounded = run_bounded(
             items,
             lateness,
-            AdmissionController(priorities=priorities, shedding=policy),
+            AdmissionController(shedding=rule),
         )
         plain_released, plain = run_bounded(items, lateness, None)
         assert bounded_released == plain_released
@@ -166,7 +156,7 @@ class TestCheckpointUnderShedding:
     @settings(max_examples=100, deadline=None)
     @given(bounded_cases(), st.integers(min_value=0, max_value=1_000_000))
     def test_cut_anywhere_resume_identical(self, case, cut_seed):
-        items, lateness, limits, priorities, policy = case
+        items, lateness, limits, rule = case
 
         def fresh():
             released: list[int] = []
@@ -176,9 +166,7 @@ class TestCheckpointUnderShedding:
                 on_release=lambda tick, group: released.extend(
                     item.seq for item in group
                 ),
-                admission=AdmissionController(
-                    limits, priorities=priorities, shedding=policy
-                ),
+                admission=AdmissionController(limits, shedding=rule),
             )
             for source in SOURCES:
                 runtime.register_source(source)

@@ -2,18 +2,17 @@
 
 The conservation and cap properties in ``test_admission_properties``
 hold for any victim; nothing there pins *which* observation is shed.
-This file does.  The reference below is the buffer and the class-aware
-policy as they stood before the reorder buffer learnt lazy deletion and
-a per-class index: eviction is a linear identity scan plus a full
-re-heapify, and ``drop_lowest_priority`` sorts the whole buffer and
-classifies every item in it on every at-cap offer.  Slow, and obviously
-right.  A state machine drives it and the real
+This file does.  The reference below is the buffer as it stood before
+it learnt lazy deletion: eviction is a linear identity scan plus a full
+re-heapify.  Slow, and obviously right.  The two shedding rules are
+written out beside it: ``drop_oldest_late`` evicts the reference's
+oldest pending item, ``drop_lowest_priority`` sheds the arrival.  A
+state machine drives the reference and the real
 :class:`~repro.stream.reorder.ReorderBuffer` through the same offers,
-at-cap offers (all three built-in policies), releases, evictions and
-snapshot -> restore-into-a-fresh-buffer round trips, and requires the
-same victim *object*, the same released sequence and the same
-``pending()`` / occupancy / high-water mark / late count after every
-operation.
+at-cap offers (both rules), releases, evictions and snapshot ->
+restore-into-a-fresh-buffer round trips, and requires the same victim
+*object*, the same released sequence and the same ``pending()`` /
+occupancy / high-water mark / late count after every operation.
 
 The real buffer is the one inside a bounded
 :class:`~repro.stream.runtime.StreamingDetectionRuntime`, and whole
@@ -49,16 +48,13 @@ from hypothesis.stateful import (
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
-    Priority,
-    PriorityMap,
     StreamingDetectionRuntime,
     StreamItem,
 )
-from repro.stream.admission import resolve_policy
 from repro.stream.reorder import ReorderBuffer, ReorderSnapshot
 
 SOURCES = ("s0", "s1", "s2")
-POLICIES = ("drop_oldest_late", "drop_lowest_priority", "degrade_to_sampling")
+RULES = ("drop_oldest_late", "drop_lowest_priority")
 
 
 class ReferenceBuffer:
@@ -160,23 +156,12 @@ class ReferenceBuffer:
         self.peak_occupancy = snapshot.peak_occupancy
 
 
-class ScanLowestPriority:
-    """``drop_lowest_priority`` by sorting and classifying the buffer."""
-
-    name = "drop_lowest_priority"
-
-    def make_room(self, incoming, buffer, priorities, state):
-        weakest = None
-        weakest_rank = None
-        for item in buffer.pending():
-            rank = (int(priorities.of(item)), item.order_key)
-            if weakest_rank is None or rank > weakest_rank:
-                weakest, weakest_rank = item, rank
-        if weakest is None:
-            return None
-        if int(priorities.of(incoming)) < weakest_rank[0]:
-            return weakest
-        return None
+def reference_victim(rule, buffer):
+    """The buffered item ``rule`` evicts at the cap, or ``None`` when
+    the arrival itself is shed."""
+    if rule == "drop_oldest_late":
+        return buffer.oldest_pending()
+    return None
 
 
 def same_objects(left, right):
@@ -187,28 +172,16 @@ def same_objects(left, right):
 
 class WhoLoses(RuleBasedStateMachine):
     @initialize(
-        policy=st.sampled_from(POLICIES),
-        default=st.sampled_from(list(Priority)),
-        classes=st.dictionaries(
-            st.sampled_from(SOURCES), st.sampled_from(list(Priority))
-        ),
+        rule=st.sampled_from(RULES),
         cap=st.integers(min_value=1, max_value=8),
         late_retention=st.integers(min_value=0, max_value=3),
         lateness=st.integers(min_value=0, max_value=2),
     )
-    def configure(self, policy, default, classes, cap, late_retention, lateness):
-        self.priorities = PriorityMap(default=default, sources=classes)
-        self.policy = resolve_policy(policy)
-        self.oracle = (
-            ScanLowestPriority()
-            if policy == "drop_lowest_priority"
-            else self.policy
-        )
+    def configure(self, rule, cap, late_retention, lateness):
+        self.rule = rule
         self.cap = cap
         self.late_retention = late_retention
         self.lateness = lateness
-        self.real_state = {}
-        self.reference_state = {}
         self.losers = []  # the runtime's make_room outcomes, in order
         self.released = []  # what the runtime's steps released
         self.fresh_runtime()
@@ -219,13 +192,8 @@ class WhoLoses(RuleBasedStateMachine):
         """A bounded runtime whose buffer is ``self.real``; its tracker
         starts empty, and so does the reference's (``self.newest``)."""
         controller = AdmissionController(
-            AdmissionLimits(
-                max_pending=self.cap, late_retention=self.late_retention
-            ),
-            priorities=self.priorities,
-            shedding=self.policy,
+            AdmissionLimits(max_pending=self.cap), shedding=self.rule
         )
-        controller.policy_state = self.real_state
         make_room = controller.make_room
 
         def recorded(incoming, buffer):
@@ -240,6 +208,7 @@ class WhoLoses(RuleBasedStateMachine):
             on_release=lambda tick, group: self.released.extend(group),
         )
         self.real = self.runtime.buffer
+        self.real.late_retention = self.late_retention
         self.newest = {}
 
     def make(self, ahead, seq, source):
@@ -268,17 +237,11 @@ class WhoLoses(RuleBasedStateMachine):
             self.reference.occupancy >= self.cap
             and not self.reference.is_late(item)
         ):
-            victim = self.policy.make_room(
-                item, self.real, self.priorities, self.real_state
-            )
-            expected = self.oracle.make_room(
-                item, self.reference, self.priorities, self.reference_state
-            )
+            expected = reference_victim(self.rule, self.reference)
+            victim = self.runtime.admission.make_room(item, self.real)
             assert victim is expected, (victim, expected)
-            assert self.real_state == self.reference_state
             if victim is None:
                 return  # the incoming item is the one shed
-            assert self.real.evict_item(victim)
             assert self.reference.evict_item(victim)
             assert not self.real.evict_item(victim), "evicted twice"
         assert self.real.offer(item) == self.reference.offer(item)
@@ -303,9 +266,7 @@ class WhoLoses(RuleBasedStateMachine):
             newest = self.newest.get(item.source, item.event_tick)
             self.newest[item.source] = max(newest, item.event_tick)
             if reference.occupancy >= self.cap and not reference.is_late(item):
-                victim = self.oracle.make_room(
-                    item, reference, self.priorities, self.reference_state
-                )
+                victim = reference_victim(self.rule, reference)
                 losers.append(item if victim is None else victim)
                 if victim is None:
                     continue
@@ -317,7 +278,6 @@ class WhoLoses(RuleBasedStateMachine):
         self.released.clear()
         self.runtime.ingest(items)
         assert same_objects(self.losers, losers)
-        assert self.real_state == self.reference_state
         assert same_objects(self.released, expected)
 
     @rule(advance=st.integers(min_value=-1, max_value=3))
@@ -342,7 +302,8 @@ class WhoLoses(RuleBasedStateMachine):
     @precondition(lambda self: self.reference.occupancy > 0)
     @rule(position=st.integers(min_value=0, max_value=7))
     def evict_any(self, position):
-        """A custom policy may name any buffered item."""
+        """``evict_item`` may name any buffered item, leaving a
+        tombstone in the middle of the heap."""
         pending = self.reference.pending()
         victim = pending[position % len(pending)]
         assert self.real.evict_item(victim)
@@ -372,27 +333,13 @@ class WhoLoses(RuleBasedStateMachine):
         view = real.metrics_view()
         assert view["occupancy"] == reference.occupancy
         assert view["peak_occupancy"] == reference.peak_occupancy
-        # weakest() against a scan, whichever policy is being driven:
-        # largest class, then newest (event_tick, seq), then the
-        # earliest arrival among equals.
-        ranked = [
-            ((int(self.priorities.of(item)), item.order_key, -position), item)
-            for position, item in enumerate(reference.pending())
-        ]
-        weakest = real.weakest()
-        if not ranked:
-            assert weakest is None
-        else:
-            (cls, _, _), expected = max(ranked, key=lambda pair: pair[0])
-            assert weakest[0] == cls and weakest[1] is expected
 
 
 class WhoLosesSweepingEagerly(WhoLoses):
-    """The same machine sweeping both heaps on every removal.  At these
+    """The same machine sweeping the heap on every eviction.  At these
     sizes the buffer would otherwise never compact (tombstones must
-    outnumber live entries by a slack first), and the sweep — of the
-    main heap and of the class index — is exactly the code that must
-    not lose, resurrect or misorder an entry."""
+    outnumber live entries by a slack first), and the sweep is exactly
+    the code that must not lose, resurrect or misorder an entry."""
 
     def fresh_runtime(self):
         super().fresh_runtime()
@@ -421,7 +368,7 @@ class TestTheSameObjectBufferedTwice:
         )
 
     def test_each_eviction_takes_one_copy(self):
-        buffer = ReorderBuffer(rank=PriorityMap().of)
+        buffer = ReorderBuffer()
         twice = self.item(5, 0)
         other = self.item(5, 0, entity=1)  # ties with it, arrives between
         for offered in (twice, other, twice):
@@ -431,18 +378,18 @@ class TestTheSameObjectBufferedTwice:
         assert buffer.occupancy == 2
         # The earliest copy went: the survivor now follows ``other``.
         assert same_objects(buffer.pending(), [other, twice])
-        assert buffer.weakest() == (Priority.OPERATIONAL, other)
+        assert buffer.oldest_pending() is other
         assert buffer.evict_item(twice)
         assert not buffer.evict_item(twice)
         assert same_objects(buffer.release_all(), [other])
         assert buffer.occupancy == 0
 
     def test_both_copies_release_and_restore(self):
-        buffer = ReorderBuffer(rank=PriorityMap().of)
+        buffer = ReorderBuffer()
         twice = self.item(3, 1)
         for offered in (twice, twice, self.item(4, 0, entity=1)):
             buffer.offer(offered)
-        clone = ReorderBuffer(rank=PriorityMap().of)
+        clone = ReorderBuffer()
         clone.restore(buffer.snapshot())
         assert clone.occupancy == 3
         assert same_objects(clone.release(3), [twice, twice])
@@ -450,29 +397,15 @@ class TestTheSameObjectBufferedTwice:
         assert same_objects(buffer.release(3), [twice, twice])
 
     def test_many_copies_leave_one_at_a_time(self):
-        buffer = ReorderBuffer(rank=PriorityMap().of)
+        buffer = ReorderBuffer()
         often = self.item(4, 0)
         other = self.item(6, 0, entity=1)
         for offered in (often, often, other, often, often):
             buffer.offer(offered)
         for left in (4, 3):
-            assert buffer.weakest() == (Priority.OPERATIONAL, other)
+            assert buffer.oldest_pending() is often
             assert buffer.evict_item(often)
             assert buffer.occupancy == left
         assert same_objects(buffer.release(5), [often, often])
         assert same_objects(buffer.pending(), [other])
         assert not buffer.evict_item(often)
-
-    def test_a_class_that_changes_between_copies(self):
-        # The classifier may answer differently for the second copy; the
-        # index must still know both are buffered.
-        answers = iter([Priority.OPERATIONAL, Priority.ANALYTICS])
-        buffer = ReorderBuffer(rank=lambda item: next(answers))
-        twice = self.item(2, 0)
-        buffer.offer(twice)
-        buffer.offer(twice)
-        assert buffer.weakest() == (Priority.ANALYTICS, twice)
-        assert buffer.evict_item(twice)
-        assert buffer.weakest() is not None
-        assert buffer.evict_item(twice)
-        assert buffer.weakest() is None

@@ -1,5 +1,7 @@
 """Unit tests for the bounded-ingestion admission layer."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.errors import ObserverError
@@ -9,19 +11,11 @@ from repro.stream import (
     AdmissionLimits,
     Backpressure,
     PacedSource,
-    Priority,
-    PriorityMap,
     ReplaySource,
     StreamingDetectionRuntime,
     StreamItem,
 )
-from repro.stream.admission import (
-    DegradeToSampling,
-    DropLowestPriority,
-    DropOldestLate,
-    TokenBucket,
-    resolve_policy,
-)
+from repro.stream.admission import TokenBucket
 from repro.stream.reorder import ReorderBuffer
 from repro.stream.runtime import arrival_groups
 
@@ -77,113 +71,60 @@ class TestTokenBucket:
         assert clone.state() == bucket.state()
 
 
-class TestPriorityMap:
-    def test_default_class(self):
-        assert PriorityMap().of(item(0)) is Priority.OPERATIONAL
-
-    def test_source_override(self):
-        priorities = PriorityMap(sources={"safety": Priority.SAFETY_CRITICAL})
-        assert priorities.of(item(0, source="safety")) is (
-            Priority.SAFETY_CRITICAL
-        )
-        assert priorities.of(item(0, source="other")) is Priority.OPERATIONAL
-
-    def test_classifier_wins_and_none_falls_through(self):
-        priorities = PriorityMap(
-            default=Priority.ANALYTICS,
-            sources={"s": Priority.OPERATIONAL},
-            classify=lambda it: (
-                Priority.SAFETY_CRITICAL if it.event_tick == 7 else None
-            ),
-        )
-        assert priorities.of(item(7, source="s")) is Priority.SAFETY_CRITICAL
-        assert priorities.of(item(3, source="s")) is Priority.OPERATIONAL
-        assert priorities.of(item(3, source="x")) is Priority.ANALYTICS
-
-
-class TestSheddingPolicies:
+class TestSheddingRules:
     def _full_buffer(self, ticks=(5, 9, 3)):
-        # Filed under the default map's classes, as the runtime wires it.
-        buffer = ReorderBuffer(rank=PriorityMap().of)
+        buffer = ReorderBuffer()
         items = [item(t) for t in ticks]
         for it in items:
             buffer.offer(it)
         return buffer, items
 
-    def test_drop_oldest_late_names_event_time_oldest(self):
+    def test_drop_oldest_late_evicts_the_event_time_oldest(self):
         buffer, items = self._full_buffer()
-        victim = DropOldestLate().make_room(item(20), buffer, PriorityMap(), {})
-        assert victim is items[2]  # tick 3
+        controller = AdmissionController()
+        assert controller.make_room(item(20), buffer) is items[2]  # tick 3
+        assert buffer.pending() == [items[0], items[1]]
+        assert controller.shed_total == 1
 
-    def test_drop_lowest_priority_prefers_weaker_class(self):
-        priorities = PriorityMap(
-            sources={
-                "safety": Priority.SAFETY_CRITICAL,
-                "analytics": Priority.ANALYTICS,
-            }
+    def test_drop_lowest_priority_sheds_every_at_cap_arrival(self):
+        # One class: nothing buffered ranks below an arrival, so the
+        # arrival is the loser every time, whatever its event tick.
+        cap = 3
+        controller = AdmissionController(
+            AdmissionLimits(max_pending=cap), shedding="drop_lowest_priority"
         )
-        buffer = ReorderBuffer(rank=priorities.of)
-        weak = item(4, source="analytics")
-        strong = item(2, source="safety")
-        buffer.offer(weak)
-        buffer.offer(strong)
-        incoming = item(9, source="safety")
-        victim = DropLowestPriority().make_room(
-            incoming, buffer, priorities, {}
-        )
-        assert victim is weak
-
-    def test_drop_lowest_priority_never_displaces_equal_class(self):
-        buffer, _ = self._full_buffer()
-        assert (
-            DropLowestPriority().make_room(item(9), buffer, PriorityMap(), {})
-            is None
-        )
-
-    def test_drop_lowest_priority_refuses_a_buffer_without_classes(self):
-        # The policy reads the classes the buffer filed its items under;
-        # a buffer built without a classifier has none, and saying so
-        # beats silently shedding the wrong item.
-        buffer = ReorderBuffer()
-        buffer.offer(item(4))
-        with pytest.raises(ObserverError, match="without a classifier"):
-            DropLowestPriority().make_room(item(9), buffer, PriorityMap(), {})
-
-    def test_degrade_to_sampling_admits_every_stride_th(self):
-        buffer, _ = self._full_buffer()
-        policy = DegradeToSampling(stride=3)
-        state = {}
-        verdicts = [
-            policy.make_room(item(20 + i), buffer, PriorityMap(), state)
-            is not None
-            for i in range(6)
-        ]
-        assert verdicts == [True, False, False, True, False, False]
+        runtime = StreamingDetectionRuntime(lateness=100, admission=controller)
+        runtime.register_source("replay")
+        runtime.ingest([item(t, arrival=10) for t in (5, 9, 3)])
+        held = runtime.buffer.pending()
+        assert runtime.buffer.occupancy == cap
+        arrivals = [item(t, seq=20 + t, arrival=40) for t in (0, 4, 7, 30)]
+        for shed, arrival in enumerate(arrivals, start=1):
+            runtime.ingest([arrival])
+            assert controller.shed_total == shed
+            assert runtime.buffer.occupancy == cap
+            pending = runtime.buffer.pending()
+            assert len(pending) == len(held)
+            assert all(a is b for a, b in zip(pending, held))
+        assert runtime.stats.shed_observations == len(arrivals)
+        assert runtime.stats.reorder_peak == cap
 
     @pytest.mark.parametrize(
-        "value", [0, -1, True, False, 2.5, 2.0, float("nan"), float("inf"), "2", None]
+        "shedding",
+        [
+            "degrade_to_sampling",
+            object(),
+            None,
+            "",
+            "DROP_OLDEST_LATE",
+        ],
+        ids=["removed rule", "policy object", "none", "empty", "wrong case"],
     )
-    def test_sampling_stride_must_be_a_positive_int(self, value):
-        with pytest.raises(ObserverError, match="stride"):
-            DegradeToSampling(stride=value)
-
-    def test_sampling_stride_accepts_one(self):
-        assert DegradeToSampling(stride=1).stride == 1
-
-    def test_sampling_counters_are_per_source(self):
-        buffer, _ = self._full_buffer()
-        policy = DegradeToSampling(stride=2)
-        state = {}
-        assert policy.make_room(item(20, source="a"), buffer, PriorityMap(), state)
-        assert policy.make_room(item(21, source="b"), buffer, PriorityMap(), state)
-        assert state == {"sample:a": 1, "sample:b": 1}
-
-    def test_resolve_policy(self):
-        assert resolve_policy("drop_oldest_late").name == "drop_oldest_late"
-        custom = DegradeToSampling(stride=5)
-        assert resolve_policy(custom) is custom
-        with pytest.raises(ObserverError, match="unknown shedding policy"):
-            resolve_policy("nope")
+    def test_only_the_two_built_in_rules_are_accepted(self, shedding):
+        with pytest.raises(
+            ObserverError, match="drop_oldest_late, drop_lowest_priority"
+        ):
+            AdmissionController(shedding=shedding)
 
 
 class TestAdmissionLimits:
@@ -192,8 +133,6 @@ class TestAdmissionLimits:
             AdmissionLimits(max_pending=-1)
         with pytest.raises(ObserverError, match="max_deferred"):
             AdmissionLimits(max_deferred=-2)
-        with pytest.raises(ObserverError, match="backpressure_ratio"):
-            AdmissionLimits(backpressure_ratio=0.0)
         with pytest.raises(ObserverError, match="rate"):
             AdmissionLimits(rate=-1.0)
 
@@ -203,37 +142,56 @@ class TestAdmissionLimits:
             ({"rate": 1.0, "burst": 0.5}, "burst"),
             ({"rate": 1.0, "burst": float("nan")}, "burst"),
             ({"rate": 1.0, "burst": float("inf")}, "burst"),
+            ({"rate": 1.0, "burst": None}, "burst"),
             ({"rate": float("nan")}, "rate"),
             ({"rate": float("inf")}, "rate"),
             ({"max_pending": 1.5}, "max_pending"),
             ({"max_pending": True}, "max_pending"),
             ({"max_deferred": 2.5}, "max_deferred"),
-            ({"late_retention": -1}, "late_retention"),
-            ({"late_retention": 4.0}, "late_retention"),
         ],
         ids=[
             "burst below 1",
             "nan burst",
             "inf burst",
+            "no burst",
             "nan rate",
             "inf rate",
             "fractional cap",
             "bool cap",
             "fractional deferral cap",
-            "negative late retention",
-            "float late retention",
         ],
     )
     def test_a_bucket_that_cannot_be_built_is_refused_up_front(
         self, limits, complaint
     ):
         # A bucket is built at the first rate-limited intake, and a cap
-        # or a retention is first used when the runtime builds its buffer
-        # or takes a step, after the screens ahead of admission recorded
-        # it: refusing either there would lose the step's items to the
-        # dedup record.
+        # is first used when the runtime takes a step, after the screens
+        # ahead of admission recorded it: refusing either there would
+        # lose the step's items to the dedup record.
         with pytest.raises(ObserverError, match=complaint):
             AdmissionLimits(**limits)
+
+    @pytest.mark.parametrize("name", ["rate", "burst"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "2", b"2", 2 + 0j, [2.0]],
+        ids=["true", "false", "text", "bytes", "complex", "list"],
+    )
+    def test_rate_and_burst_must_be_real_numbers(self, name, value):
+        # Checked before the range: ``True`` would pass it as 1, and
+        # text would fail it with a bare TypeError.
+        with pytest.raises(ObserverError, match=f"{name} must be a real"):
+            AdmissionLimits(**{name: value})
+
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [(1e-9, 1), (2, 1.0), (Fraction(1, 3), Fraction(3, 2))],
+        ids=["tiny rate, smallest burst", "int rate", "fractions"],
+    )
+    def test_rate_and_burst_accept_the_bounds(self, rate, burst):
+        limits = AdmissionLimits(rate=rate, burst=burst)
+        controller = AdmissionController(limits)
+        assert len(controller.intake([item(0)])) == 1
 
 
 class TestAdmissionController:
@@ -253,7 +211,7 @@ class TestAdmissionController:
         assert [i.seq for i in second] == [2, 3]
         assert controller.deferred_total == 3
 
-    def test_deferral_overflow_sheds_and_counts_class(self):
+    def test_deferral_overflow_sheds_and_counts(self):
         controller = AdmissionController(
             AdmissionLimits(rate=1.0, burst=1, max_deferred=1)
         )
@@ -262,7 +220,6 @@ class TestAdmissionController:
         )
         assert len(admitted) == 1
         assert controller.deferred_total == 1
-        assert controller.shed_by_priority == {"OPERATIONAL": 2}
         assert controller.shed_total == 2
 
     def test_flush_deferred_empties_the_queue(self):
@@ -273,7 +230,7 @@ class TestAdmissionController:
 
     def test_backpressure_levels(self):
         controller = AdmissionController(
-            AdmissionLimits(max_pending=10, backpressure_ratio=0.75)
+            AdmissionLimits(max_pending=10)
         )
         calm = controller.backpressure(occupancy=5, watermark=3)
         assert not calm.engaged and calm.level == 0.5
@@ -289,7 +246,7 @@ class TestAdmissionController:
         signal = controller.backpressure(occupancy=0, watermark=None)
         assert signal.engaged and signal.level == 1.0 and signal.deferred == 2
 
-    def test_deferral_depth_is_gated_by_backpressure_ratio(self):
+    def test_deferral_depth_is_gated_at_three_quarters(self):
         controller = AdmissionController(
             AdmissionLimits(rate=1.0, burst=1, max_deferred=4)
         )
@@ -308,17 +265,14 @@ class TestAdmissionController:
         assert signal.engaged and signal.level == 1.0
 
     def test_snapshot_restore_round_trip(self):
-        limits = AdmissionLimits(rate=0.5, burst=2, max_deferred=8)
-        controller = AdmissionController(limits, shedding="degrade_to_sampling")
+        limits = AdmissionLimits(rate=0.5, burst=2, max_deferred=2)
+        controller = AdmissionController(limits)
         controller.intake([item(0, seq=s, arrival=0) for s in range(5)])
-        controller.note_shed(item(1, seq=90, arrival=1))
-        controller.policy_state["sample:replay"] = 3
-        clone = AdmissionController(limits, shedding="degrade_to_sampling")
+        clone = AdmissionController(limits)
         clone.restore(controller.snapshot())
-        assert clone.deferred_depth == controller.deferred_depth
-        assert clone.shed_by_priority == controller.shed_by_priority
-        assert clone.policy_state == controller.policy_state
-        assert clone.deferred_total == controller.deferred_total == 3
+        assert clone.deferred_depth == controller.deferred_depth == 2
+        assert clone.shed_total == controller.shed_total == 1
+        assert clone.deferred_total == controller.deferred_total == 2
         left = clone.intake([item(0, seq=50, arrival=10)])
         right = controller.intake([item(0, seq=50, arrival=10)])
         assert [i.seq for i in left] == [i.seq for i in right]
@@ -462,60 +416,17 @@ class TestBoundedRuntime:
             == 3
         )
 
-    def test_priority_protects_safety_critical_under_cap(self):
-        priorities = PriorityMap(
-            sources={
-                "safety": Priority.SAFETY_CRITICAL,
-                "analytics": Priority.ANALYTICS,
-            }
-        )
-        controller = AdmissionController(
-            AdmissionLimits(max_pending=3),
-            priorities=priorities,
-            shedding="drop_lowest_priority",
-        )
-        runtime = StreamingDetectionRuntime(
-            lateness=100, admission=controller
-        )
-        runtime.register_source("analytics")
-        runtime.register_source("safety")
-        analytics = [
-            item(t, seq=t, arrival=10, source="analytics") for t in range(3)
-        ]
-        safety = [
-            item(5 + t, seq=10 + t, arrival=10, source="safety")
-            for t in range(3)
-        ]
-        runtime.ingest(analytics + safety)
-        kept = {it.source for it in runtime.buffer.pending()}
-        assert kept == {"safety"}
-        assert controller.shed_by_priority == {"ANALYTICS": 3}
-
-    def test_a_cap_introduced_between_steps_finds_the_buffer_classified(self):
-        # ``controller.limits`` may be replaced while the runtime runs, so
-        # even a controller that cannot shed as built keeps the buffer's
-        # class index: items buffered before the cap existed lose by class.
-        controller = AdmissionController(
-            priorities=PriorityMap(
-                sources={
-                    "safety": Priority.SAFETY_CRITICAL,
-                    "analytics": Priority.ANALYTICS,
-                }
-            ),
-            shedding="drop_lowest_priority",
-        )
+    def test_a_cap_introduced_between_steps_takes_effect(self):
+        # ``controller.limits`` may be replaced while the runtime runs:
+        # items buffered before the cap existed are the ones it evicts.
+        controller = AdmissionController()
         runtime = StreamingDetectionRuntime(lateness=100, admission=controller)
-        runtime.register_source("analytics")
-        runtime.register_source("safety")
-        runtime.ingest(
-            [item(t, seq=t, arrival=10, source="analytics") for t in range(3)]
-        )
+        runtime.register_source("replay")
+        runtime.ingest([item(t, seq=t, arrival=10) for t in range(3)])
         controller.limits = AdmissionLimits(max_pending=3)
-        runtime.ingest(
-            [item(5, seq=10, arrival=11, source="safety")]
-        )
-        assert controller.shed_by_priority == {"ANALYTICS": 1}
-        assert [it.seq for it in runtime.buffer.pending()] == [0, 1, 10]
+        runtime.ingest([item(5, seq=10, arrival=11)])
+        assert controller.shed_total == 1
+        assert [it.seq for it in runtime.buffer.pending()] == [1, 2, 10]
 
     def test_backpressure_throttles_paced_source(self):
         def bounded(source):
@@ -542,7 +453,7 @@ class TestBoundedRuntime:
         # A checkpoint taken under pressure must surface that pressure
         # immediately on restore — a paced source resuming from it
         # would otherwise run unthrottled for its first step.
-        limits = AdmissionLimits(max_pending=4, backpressure_ratio=0.5)
+        limits = AdmissionLimits(max_pending=4)
 
         def runtime():
             return StreamingDetectionRuntime(

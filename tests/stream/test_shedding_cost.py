@@ -5,11 +5,10 @@ cost must not grow with the bound it enforces.  Wall-clock thresholds
 say nothing on a shared runner (the fixed-ratio timing gates were
 removed for that reason); the quantities below repeat exactly:
 
-* classifier calls per at-cap offer — a constant, the same at a cap of
-  16 and of 4 096 (walking the buffer made it ``1 + cap``) — and heap
-  pops per at-cap offer (the tombstones a decision skips), likewise,
-  also when every object is buffered twice (a redelivering feed with no
-  deduper in front);
+* heap pops per at-cap offer (the tombstones a decision skips) — a
+  constant, the same at a cap of 16 and of 4 096 (walking the buffer
+  made the decision ``1 + cap``), also when every object is buffered
+  twice (a redelivering feed with no deduper in front);
 * objects kept alive by a buffer that only ever evicts, or only ever
   releases — a small multiple of the live items, not the stream length
   (a tombstone that is never swept pins its payload for good).
@@ -24,34 +23,23 @@ import pytest
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
-    Priority,
-    PriorityMap,
     StreamingDetectionRuntime,
     StreamItem,
 )
 from repro.stream.reorder import ReorderBuffer
 
-POLICIES = ("drop_oldest_late", "drop_lowest_priority", "degrade_to_sampling")
+RULES = ("drop_oldest_late", "drop_lowest_priority")
 
 
-def item(seq, tick, source="weak"):
+def item(seq, tick, source="live"):
     return StreamItem(
         entity=seq, event_tick=tick, seq=seq, arrival_tick=tick, source=source
     )
 
 
 class TestWorkPerAtCapOffer:
-    def work_per_offer(self, monkeypatch, policy, cap, copies, offers=16):
-        calls = pops = 0
-
-        def classify(it):
-            nonlocal calls
-            calls += 1
-            return (
-                Priority.SAFETY_CRITICAL
-                if it.source == "strong"
-                else Priority.ANALYTICS
-            )
+    def pops_per_offer(self, monkeypatch, rule, cap, copies, offers=16):
+        pops = 0
 
         def heappop(heap):
             nonlocal pops
@@ -63,17 +51,13 @@ class TestWorkPerAtCapOffer:
         runtime = StreamingDetectionRuntime(
             lateness=0,
             admission=AdmissionController(
-                AdmissionLimits(max_pending=cap),
-                priorities=PriorityMap(classify=classify),
-                shedding=policy,
+                AdmissionLimits(max_pending=cap), shedding=rule
             ),
         )
-        for source in ("weak", "strong", "silent"):
+        for source in ("live", "silent"):
             runtime.register_source(source)  # "silent" pins the watermark
-        # Fill with the weak class (each object ``copies`` times), then
-        # offer at the cap — few enough that weak items remain to lose
-        # at either cap: under the class-aware policy a strong arrival
-        # evicts a weak one and a weak arrival is itself shed.
+        # Fill to the cap (each object ``copies`` times), then offer at
+        # the cap.
         runtime.ingest(
             [
                 it
@@ -82,32 +66,25 @@ class TestWorkPerAtCapOffer:
             ]
         )
         assert runtime.buffer.occupancy == cap
-        calls = pops = 0
-        arrivals = [
-            item(cap + n, cap + n, "strong" if n % 2 else "weak")
-            for n in range(offers // copies)
-        ]
+        pops = 0
+        arrivals = [item(cap + n, cap + n) for n in range(offers // copies)]
         runtime.ingest([it for it in arrivals for _ in range(copies)])
         monkeypatch.undo()
         assert runtime.buffer.occupancy == cap
         assert runtime.stats.shed_observations == offers
-        return calls / offers, pops / offers
+        return pops / offers
 
     @pytest.mark.parametrize("copies", (1, 2))
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("rule", RULES)
     def test_constant_and_independent_of_the_cap(
-        self, monkeypatch, policy, copies
+        self, monkeypatch, rule, copies
     ):
-        small = self.work_per_offer(monkeypatch, policy, 16, copies)
-        large = self.work_per_offer(monkeypatch, policy, 4_096, copies)
+        small = self.pops_per_offer(monkeypatch, rule, 16, copies)
+        large = self.pops_per_offer(monkeypatch, rule, 4_096, copies)
         assert small == large
-        calls, pops = small
-        # At most: classify the incoming item, file it in the buffer,
-        # book the loser under its class.
-        assert calls <= 3
-        # A victim leaves one entry at the top of the heap it was found
-        # through; the next decision pops it.
-        assert pops <= 1
+        # A victim leaves one entry at the top of the heap; the next
+        # decision pops it.  Shedding the arrival touches no heap.
+        assert small <= (1 if rule == "drop_oldest_late" else 0)
 
 
 class TestTombstonesPinNothing:
@@ -120,13 +97,13 @@ class TestTombstonesPinNothing:
 
     def test_evicting_the_oldest_without_ever_releasing(self):
         # drop_oldest_late under a pinned watermark: each at-cap offer
-        # evicts through the main heap, leaving its class-index entry
-        # behind.
+        # evicts the top of the heap, and the next one pops that
+        # tombstone.
         runtime = StreamingDetectionRuntime(
             lateness=0,
             admission=AdmissionController(AdmissionLimits(max_pending=self.CAP)),
         )
-        runtime.register_source("weak")
+        runtime.register_source("live")
         runtime.register_source("silent")
         refs = []
         for seq in range(self.CAP + self.ROUNDS):
@@ -138,16 +115,15 @@ class TestTombstonesPinNothing:
         assert runtime.released_items == 0
         assert self.alive(refs) <= 4 * self.CAP
 
-    def test_evicting_the_weakest_without_ever_releasing(self):
-        # Class-aware eviction goes through the index, leaving the main
-        # heap's entry behind; nothing is ever released to surface it.
-        buffer = ReorderBuffer(rank=PriorityMap().of)
+    def test_evicting_the_newest_without_ever_releasing(self):
+        # Evicting the last arrival leaves its entry deep in the heap,
+        # and nothing is ever released to surface it: only the sweep
+        # lets it go.
+        buffer = ReorderBuffer()
         refs = []
         for seq in range(self.CAP + self.ROUNDS):
             if buffer.occupancy == self.CAP:
-                _, victim = buffer.weakest()
-                assert buffer.evict_item(victim)
-                del victim
+                assert buffer.evict_item(refs[-1]())
             offered = item(seq, seq)
             refs.append(weakref.ref(offered))
             assert buffer.offer(offered)
@@ -156,8 +132,8 @@ class TestTombstonesPinNothing:
         assert self.alive(refs) <= 4 * self.CAP
 
     def test_releasing_without_ever_shedding(self):
-        # A bounded runtime that is never full still files every item in
-        # the class index; a release must not leave it there for good.
+        # A bounded runtime that is never full: what it releases leaves
+        # nothing behind.
         runtime = StreamingDetectionRuntime(
             lateness=0,
             admission=AdmissionController(AdmissionLimits(max_pending=self.CAP)),
