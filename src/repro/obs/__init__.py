@@ -31,7 +31,7 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricSample, collect
 from repro.obs.tracing import (
     DEFAULT_TICK_BUCKETS,
-    DEFAULT_TRACE_RING,
+    TRACE_RING,
     Histogram,
     Stage,
     StageTrace,
@@ -41,7 +41,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "DEFAULT_TICK_BUCKETS",
-    "DEFAULT_TRACE_RING",
+    "TRACE_RING",
     "Histogram",
     "MetricSample",
     "Stage",

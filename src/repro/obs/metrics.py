@@ -127,15 +127,14 @@ def collect(runtime) -> list[MetricSample]:
                     sum(supervisor.backoff_delays)),
         ]
     engine = runtime.engine
-    if engine is not None:
-        samples += spec_samples(engine)
-        merger = getattr(engine, "merger", None)
-        if merger is not None:
-            samples += [
-                _sample(f"shard_merge_{count}_total", help_text,
-                        getattr(merger, count))
-                for count, help_text in _MERGER_SERIES
-            ]
+    samples += spec_samples(engine)
+    merger = getattr(engine, "merger", None)
+    if merger is not None:
+        samples += [
+            _sample(f"shard_merge_{count}_total", help_text,
+                    getattr(merger, count))
+            for count, help_text in _MERGER_SERIES
+        ]
     telemetry = runtime.telemetry
     if telemetry is not None:
         samples += [

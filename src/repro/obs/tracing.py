@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 __all__ = [
     "DEFAULT_TICK_BUCKETS",
-    "DEFAULT_TRACE_RING",
+    "TRACE_RING",
     "Histogram",
     "Stage",
     "StageTrace",
@@ -63,35 +63,29 @@ __all__ = [
     "TelemetrySnapshot",
 ]
 
-DEFAULT_TRACE_RING = 256
+TRACE_RING = 256
 """Completed-trace ring capacity: old traces fall off, memory stays
 bounded no matter how long the stream runs."""
 
 DEFAULT_TICK_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 """Residency-histogram upper bounds, in ticks (a final +Inf bucket is
-implicit).  Fixed at creation: histograms never resize, so a
+implicit).  Every histogram has these: they never resize, so a
 checkpoint's bucket counts always fit the histogram they restore into."""
 
 
 class Histogram:
     """Fixed-bucket histogram with cumulative-``le`` export semantics.
 
-    ``bounds`` are inclusive upper edges; one overflow (+Inf) bucket is
-    appended.  ``counts`` are per-bucket (not cumulative); exporters
-    cumulate on the way out.
+    ``bounds`` (:data:`DEFAULT_TICK_BUCKETS`) are inclusive upper edges;
+    one overflow (+Inf) bucket is appended.  ``counts`` are per-bucket
+    (not cumulative); exporters cumulate on the way out.
     """
 
     __slots__ = ("bounds", "counts", "total", "count")
 
-    def __init__(self, bounds: tuple[float, ...] = DEFAULT_TICK_BUCKETS):
-        ordered = tuple(bounds)
-        if not ordered or list(ordered) != sorted(set(ordered)):
-            raise ObserverError(
-                f"histogram bounds must be non-empty and strictly "
-                f"increasing: {bounds}"
-            )
-        self.bounds = ordered
-        self.counts = [0] * (len(ordered) + 1)
+    def __init__(self) -> None:
+        self.bounds = DEFAULT_TICK_BUCKETS
+        self.counts = [0] * (len(DEFAULT_TICK_BUCKETS) + 1)
         self.total: int | float = 0
         self.count = 0
 
@@ -239,7 +233,6 @@ class TelemetrySnapshot:
     traces, the residency histograms and trace tallies, and the clock."""
 
     trace_every: int
-    ring: int
     offered: int
     active: tuple[TraceRow, ...]
     completed: tuple[TraceRow, ...]
@@ -265,14 +258,13 @@ class Telemetry:
 
     Args:
         trace_every: Sample every k-th admitted observation (``1`` =
-            all, ``0`` = disabled — the default, costing one integer
-            check per observation).
-        ring: Completed-trace ring-buffer capacity.
+            all, ``0`` = disabled, costing one integer check per
+            observation).  Completed traces keep the newest
+            :data:`TRACE_RING`.
     """
 
     __slots__ = (
         "trace_every",
-        "ring",
         "now",
         "residency",
         "sampled",
@@ -283,17 +275,12 @@ class Telemetry:
         "_completed",
     )
 
-    def __init__(self, *, trace_every: int = 0, ring: int = DEFAULT_TRACE_RING):
+    def __init__(self, *, trace_every: int):
         if type(trace_every) is not int or trace_every < 0:
             raise ObserverError(
                 f"trace_every cannot be negative or a non-int: {trace_every!r}"
             )
-        if type(ring) is not int or ring < 1:
-            raise ObserverError(
-                f"trace ring must be an int holding at least 1: {ring!r}"
-            )
         self.trace_every = trace_every
-        self.ring = ring
         self.now: int | None = None
         self.residency = tuple(Histogram() for _ in STAGES)
         """One residency histogram per stage, in :data:`STAGES` order."""
@@ -306,14 +293,13 @@ class Telemetry:
         reason (shed, evicted, late)."""
         self._offered = 0
         self._active: dict[tuple[str, int], StageTrace] = {}
-        self._completed: deque[StageTrace] = deque(maxlen=ring)
+        self._completed: deque[StageTrace] = deque(maxlen=TRACE_RING)
 
     @classmethod
-    def create(
-        cls, *, trace_every: int = 0, ring: int = DEFAULT_TRACE_RING
-    ) -> "Telemetry":
-        """The constructor under the name existing callers use."""
-        return cls(trace_every=trace_every, ring=ring)
+    def create(cls, *, trace_every: int = 0) -> "Telemetry":
+        """The constructor under the name existing callers use
+        (``trace_every`` defaults to 0: tracing off)."""
+        return cls(trace_every=trace_every)
 
     @property
     def enabled(self) -> bool:
@@ -327,7 +313,8 @@ class Telemetry:
         """The ring buffer's completed traces, oldest first.
 
         Rows materialize here, not on the hot path: retired traces sit
-        in the ring as-is and only the survivors (at most ``ring``)
+        in the ring as-is and only the survivors (at most
+        :data:`TRACE_RING`)
         ever pay row construction.
         """
         return tuple(trace.as_row() for trace in self._completed)
@@ -387,7 +374,6 @@ class Telemetry:
     def snapshot(self) -> TelemetrySnapshot:
         return TelemetrySnapshot(
             trace_every=self.trace_every,
-            ring=self.ring,
             offered=self._offered,
             active=tuple(
                 trace.as_row() for trace in self._active.values()
@@ -418,11 +404,6 @@ class Telemetry:
                 f"{self.trace_every}; restoring would change sampling "
                 f"mid-stream"
             )
-        if snapshot.ring != self.ring:
-            raise ObserverError(
-                f"checkpoint ring capacity {snapshot.ring} differs from "
-                f"this tracer's {self.ring}"
-            )
         self._offered = snapshot.offered
         self._active = {
             (row[0], row[1]): StageTrace.from_row(row)
@@ -430,7 +411,7 @@ class Telemetry:
         }
         self._completed = deque(
             (StageTrace.from_row(row) for row in snapshot.completed),
-            maxlen=self.ring,
+            maxlen=TRACE_RING,
         )
         for histogram, (counts, total, count) in zip(
             self.residency, snapshot.residency

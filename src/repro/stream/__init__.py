@@ -54,7 +54,6 @@ from repro.stream.capture import StreamTap
 from repro.stream.reorder import ReorderBuffer
 from repro.stream.replay import ObserverProfile, ReplayObserver, profile_of
 from repro.stream.resilience import (
-    BackoffPolicy,
     CheckpointPolicy,
     CorruptObservation,
     FaultPlan,
@@ -107,6 +106,5 @@ __all__ = [
     "Quarantine",
     "SupervisedRuntime",
     "CheckpointPolicy",
-    "BackoffPolicy",
     "RecoveryExhausted",
 ]

@@ -55,9 +55,9 @@ class PacedSource:
 
     Args:
         base: The wrapped source (consumed eagerly, like
-            :class:`~repro.stream.source.JitteredSource`).
+            :class:`~repro.stream.source.JitteredSource`, whose name
+            it keeps).
         slowdown: Arrival-tick delay added per ``throttle`` call.
-        name: Source name (defaults to the base source's).
 
     Each :meth:`throttle` grows a cumulative offset applied to every
     item not yet yielded; already-delivered items are untouched.  The
@@ -70,11 +70,10 @@ class PacedSource:
         self,
         base: ObservationSource,
         slowdown: int = 1,
-        name: str | None = None,
     ):
         if slowdown < 1:
             raise ObserverError(f"slowdown must be >= 1 tick: {slowdown}")
-        self.name = name if name is not None else base.name
+        self.name = base.name
         self.slowdown = slowdown
         self.throttle_count = 0
         self._offset = 0

@@ -191,7 +191,7 @@ class AdmissionController:
         backwards (raise otherwise).
 
         The pre-mutation check :meth:`StreamingDetectionRuntime.ingest`
-        runs next to ``ensure_open``: a token bucket refuses a
+        runs after ``ensure_live``: a token bucket refuses a
         regressing clock, and would refuse it from inside
         :meth:`intake` — after the screens ahead of admission recorded
         the step and after earlier items took their tokens.  Under a

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.errors import ObserverError
-from repro.stream.source import StreamItem
+from repro.stream.source import StreamItem, is_count
 
 __all__ = ["ReorderBuffer", "ReorderSnapshot", "DEFAULT_LATE_RETENTION"]
 
@@ -94,9 +94,7 @@ class ReorderBuffer:
     release."""
 
     def __init__(self, late_retention: int | None = DEFAULT_LATE_RETENTION):
-        if late_retention is not None and (
-            type(late_retention) is not int or late_retention < 0
-        ):
+        if late_retention is not None and not is_count(late_retention):
             raise ObserverError(
                 f"late_retention must be a non-negative int or None: "
                 f"{late_retention!r}"
@@ -355,8 +353,30 @@ class ReorderBuffer:
 
         Re-numbering the insertion counters from ``snapshot.pending``
         (the order :meth:`pending` produced) preserves the arrival-order
-        tie-break across the round trip.
+        tie-break across the round trip.  A snapshot whose counts are
+        not ints >= 0 (``late_count`` at least the retained lates), whose
+        frontiers are not ints or ``None``, or whose entries are not
+        :class:`~repro.stream.source.StreamItem` is refused with
+        :class:`~repro.core.errors.ObserverError` and changes nothing.
         """
+        pending, late = tuple(snapshot.pending), tuple(snapshot.late)
+        if not (
+            is_count(snapshot.late_count)
+            and snapshot.late_count >= len(late)
+            and is_count(snapshot.peak_occupancy)
+            and all(
+                tick is None or type(tick) is int
+                for tick in (snapshot.released_through, snapshot.highest_offered)
+            )
+            and all(isinstance(item, StreamItem) for item in pending + late)
+        ):
+            raise ObserverError(
+                f"not a reorder snapshot: late_count="
+                f"{snapshot.late_count!r} ({len(late)} retained), "
+                f"peak_occupancy={snapshot.peak_occupancy!r}, "
+                f"released_through={snapshot.released_through!r}, "
+                f"highest_offered={snapshot.highest_offered!r}"
+            )
         self._heap = []
         self._counter = 0
         self._live = {}
@@ -365,8 +385,8 @@ class ReorderBuffer:
         # With no frontier nothing offered is late: every pending item is
         # filed the way an arrival is, then the frontiers are put back.
         self._released_through = None
-        self.offer_many(snapshot.pending)
-        self.late = list(snapshot.late)
+        self.offer_many(pending)
+        self.late = list(late)
         self._late_count = snapshot.late_count
         self._released_through = snapshot.released_through
         self._highest_offered = snapshot.highest_offered

@@ -41,7 +41,7 @@ from repro.stream.runtime import (
     RuntimeCheckpoint,
     StreamingDetectionRuntime,
 )
-from repro.stream.source import ObservationSource, StreamItem
+from repro.stream.source import ObservationSource, StreamItem, is_count
 
 __all__ = [
     "ObserverProfile",
@@ -65,8 +65,8 @@ class ObserverProfile:
     layer: EventLayer
     instance_cls: type[EventInstance]
     specs: tuple[EventSpecification, ...]
-    use_planner: bool = True
-    locate: Locator | None = None
+    use_planner: bool
+    locate: Locator | None
 
 
 def profile_of(observer) -> ObserverProfile:
@@ -264,15 +264,11 @@ class ReplayObserver:
         self.emitted.truncate(checkpoint.emitted_count)
 
 
-def _natural(value: object) -> bool:
-    return type(value) is int and value >= 0
-
-
 def _checked_counts(checkpoint: ReplayCheckpoint) -> dict[str, int]:
     """The checkpoint's seq counters, once its counts are known to be
     non-negative ints; :class:`ObserverError` before anything changes
     otherwise."""
-    if not _natural(checkpoint.emitted_count):
+    if not is_count(checkpoint.emitted_count):
         raise ObserverError(
             f"checkpoint emitted_count must be an int >= 0, got "
             f"{checkpoint.emitted_count!r}"
@@ -284,7 +280,7 @@ def _checked_counts(checkpoint: ReplayCheckpoint) -> dict[str, int]:
         )
     counters = dict(checkpoint.seq)
     for event_id, seq in counters.items():
-        if not _natural(seq):
+        if not is_count(seq):
             raise ObserverError(
                 f"checkpoint seq counter of {event_id!r} must be an int "
                 f">= 0, got {seq!r}"

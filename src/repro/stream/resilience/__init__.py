@@ -11,9 +11,9 @@ The reliability layer the paper's unreliable-CPS setting demands:
   a plan around any base source and re-delivers acknowledged suffixes
   on reconnect (at-least-once);
 * :mod:`repro.stream.resilience.supervisor` —
-  :class:`SupervisedRuntime` with a :class:`CheckpointPolicy` and
-  bounded deterministic :class:`BackoffPolicy`: catch the crash,
-  restore the last checkpoint, reconnect, resume;
+  :class:`SupervisedRuntime` with a :class:`CheckpointPolicy` and a
+  bounded deterministic backoff: catch the crash, roll the host back to
+  the last checkpoint, reconnect, resume;
 * :mod:`repro.stream.resilience.dedup` — :class:`RedeliveryDeduper`,
   per-source sequence high-water + in-flight set, turning at-least-once
   redelivery into effectively exactly-once;
@@ -35,13 +35,12 @@ from repro.stream.resilience.faults import (
 )
 from repro.stream.resilience.faulty import FaultySource
 from repro.stream.resilience.quarantine import (
-    DEFAULT_QUARANTINE_RETENTION,
+    QUARANTINE_RETENTION,
     Quarantine,
     QuarantineSnapshot,
     default_validator,
 )
 from repro.stream.resilience.supervisor import (
-    BackoffPolicy,
     CheckpointPolicy,
     RecoveryExhausted,
     SupervisedRuntime,
@@ -58,10 +57,9 @@ __all__ = [
     "Quarantine",
     "QuarantineSnapshot",
     "default_validator",
-    "DEFAULT_QUARANTINE_RETENTION",
+    "QUARANTINE_RETENTION",
     "SupervisedRuntime",
     "SupervisorCheckpoint",
     "CheckpointPolicy",
-    "BackoffPolicy",
     "RecoveryExhausted",
 ]

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.stream.source import StreamItem
+from repro.core.errors import ObserverError
+from repro.stream.source import StreamItem, is_count
 
 __all__ = ["RedeliveryDeduper", "DedupSnapshot"]
 
@@ -107,10 +108,31 @@ class RedeliveryDeduper:
         )
 
     def restore(self, snapshot: DedupSnapshot) -> None:
-        """Reload the acceptance record from a checkpoint."""
-        self._high = dict(snapshot.high_water)
-        self._seen = {
-            source: set(seqs)
-            for source, seqs in snapshot.in_flight.items()
-        }
+        """Reload the acceptance record from a checkpoint.
+
+        High waters must be ints >= -1, in-flight sequence numbers and
+        the rejection count ints >= 0; anything else is refused with
+        :class:`~repro.core.errors.ObserverError` and changes nothing.
+        """
+        try:
+            high = dict(snapshot.high_water)
+            seen = {
+                source: set(seqs)
+                for source, seqs in snapshot.in_flight.items()
+            }
+        except (AttributeError, TypeError, ValueError):
+            raise ObserverError(
+                f"not a dedup snapshot: {snapshot!r}"
+            ) from None
+        if not (
+            all(type(mark) is int and mark >= -1 for mark in high.values())
+            and all(map(is_count, set().union(*seen.values())))
+            and is_count(snapshot.duplicates_dropped)
+        ):
+            raise ObserverError(
+                f"dedup snapshot holds a high water below -1, a negative "
+                f"or non-int seq or rejection count: {snapshot!r}"
+            )
+        self._high = high
+        self._seen = seen
         self.duplicates_dropped = snapshot.duplicates_dropped

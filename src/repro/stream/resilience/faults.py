@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.errors import ObserverError
+from repro.stream.source import is_count
 
 __all__ = [
     "SourceCrash",
@@ -77,11 +78,6 @@ class CorruptObservation:
     payload: bytes = b"\x00\xde\xad\xbe\xef"
 
 
-def _count(value: object) -> bool:
-    """Whether ``value`` is a non-negative int (a bool is not)."""
-    return type(value) is int and value >= 0
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic schedule of injected transport faults.
@@ -112,7 +108,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for step, delivered in self.crashes:
-            if not (_count(step) and _count(delivered)):
+            if not (is_count(step) and is_count(delivered)):
                 raise ObserverError(
                     f"crash entry ({step!r}, {delivered!r}) must be two "
                     "non-negative ints"
@@ -123,7 +119,7 @@ class FaultPlan:
             ("stalls", self.stalls),
         ):
             for step, amount in schedule.items():
-                if not _count(step):
+                if not is_count(step):
                     raise ObserverError(
                         f"{label} step must be a non-negative int: {step!r}"
                     )
@@ -153,21 +149,35 @@ class FaultPlan:
         duplicate_bursts: int = 1,
         corruptions: int = 1,
         stalls: int = 1,
-        max_burst: int = 4,
-        max_corrupt: int = 2,
-        max_stall: int = 5,
-        max_crash_offset: int = 3,
     ) -> "FaultPlan":
         """Draw a deterministic plan with guaranteed minimum coverage.
 
         Exactly ``crashes`` crash entries, ``duplicate_bursts`` bursts,
         ``corruptions`` corruption entries and ``stalls`` stall entries
         are placed at seeded-random steps of ``[0, steps)`` (same-kind
-        entries collapse onto distinct steps where possible).  The same
-        ``(seed, steps, ...)`` always yields the identical plan.
+        entries collapse onto distinct steps where possible).  A crash
+        delivers up to 3 of its step's items first, a burst re-sends up
+        to 4, a corruption mangles up to 2 and a stall adds up to 5
+        ticks.  The same ``(seed, steps, ...)`` always yields the
+        identical plan.
+
+        Raises:
+            ObserverError: If ``steps`` is not a positive int or a count
+                is not a non-negative int (a bool is neither).
         """
-        if steps <= 0:
-            raise ObserverError(f"steps must be positive: {steps}")
+        if not (is_count(steps) and steps > 0):
+            raise ObserverError(f"steps must be a positive int: {steps!r}")
+        counts = {
+            "crashes": crashes,
+            "duplicate_bursts": duplicate_bursts,
+            "corruptions": corruptions,
+            "stalls": stalls,
+        }
+        for label, count in counts.items():
+            if not is_count(count):
+                raise ObserverError(
+                    f"{label} must be a non-negative int: {count!r}"
+                )
         rng = random.Random(seed)
 
         def draw_steps(count: int) -> list[int]:
@@ -177,19 +187,19 @@ class FaultPlan:
             return sorted(rng.randrange(steps) for _ in range(count))
 
         crash_entries = tuple(
-            (step, rng.randint(0, max_crash_offset))
+            (step, rng.randint(0, 3))
             for step in draw_steps(crashes)
         )
         duplicate_entries = {
-            step: rng.randint(1, max_burst)
+            step: rng.randint(1, 4)
             for step in draw_steps(duplicate_bursts)
         }
         corruption_entries = {
-            step: rng.randint(1, max_corrupt)
+            step: rng.randint(1, 2)
             for step in draw_steps(corruptions)
         }
         stall_entries = {
-            step: rng.randint(1, max_stall) for step in draw_steps(stalls)
+            step: rng.randint(1, 5) for step in draw_steps(stalls)
         }
         return cls(
             crashes=crash_entries,

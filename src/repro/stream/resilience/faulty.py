@@ -38,7 +38,7 @@ from repro.stream.resilience.faults import (
     SourceCrash,
 )
 from repro.stream.runtime import arrival_groups
-from repro.stream.source import ObservationSource, StreamItem
+from repro.stream.source import ObservationSource, StreamItem, is_count
 
 __all__ = ["FaultySource", "RECENT_WINDOW"]
 
@@ -54,8 +54,6 @@ class FaultySource:
         base: Source to wrap (consumed eagerly, grouped by arrival
             tick; must yield in arrival order).
         plan: The deterministic fault schedule.
-        name: Source name (defaults to the base source's — faults never
-            change an item's identity).
         redelivery_overlap: Extra already-acknowledged delivery steps
             re-sent on every reconnect (acks lost in flight); the
             at-least-once duplicates the dedup layer must absorb.
@@ -66,18 +64,17 @@ class FaultySource:
         base: ObservationSource | Iterable[StreamItem],
         plan: FaultPlan | None = None,
         *,
-        name: str | None = None,
         redelivery_overlap: int = 1,
     ):
-        if type(redelivery_overlap) is not int or redelivery_overlap < 0:
+        if not is_count(redelivery_overlap):
             raise ObserverError(
                 f"redelivery_overlap must be a non-negative int: "
                 f"{redelivery_overlap!r}"
             )
+        # Faults never change an item's identity: the source keeps the
+        # base source's name.
         base_name = getattr(base, "name", None)
-        self.name = name if name is not None else (
-            base_name if isinstance(base_name, str) else "faulty"
-        )
+        self.name = base_name if isinstance(base_name, str) else "faulty"
         self.plan = plan if plan is not None else FaultPlan()
         self.redelivery_overlap = redelivery_overlap
         self._groups: list[list[StreamItem]] = [

@@ -4,11 +4,11 @@ A corrupt observation must never reach the watermark tracker (it would
 move the release frontier), the dedup record (it would shadow the
 intact retransmission of the same ``(source, seq)``) or the engine (it
 is not an entity).  The :class:`Quarantine` intercepts it at the very
-front of the ingest path: a pluggable validator decides, and rejected
-items land in a bounded dead-letter queue — newest retained for
-inspection, *every* rejection counted exactly (the retained sample may
-be smaller than the count, mirroring the reorder buffer's
-late-retention contract).
+front of the ingest path: :func:`default_validator` decides, and
+rejected items land in a bounded dead-letter queue — the newest
+:data:`QUARANTINE_RETENTION` retained for inspection, *every* rejection
+counted exactly (the retained sample may be smaller than the count,
+mirroring the reorder buffer's late-retention contract).
 
 The quarantine extends the streaming conservation invariant to::
 
@@ -21,24 +21,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.errors import ObserverError
 from repro.stream.resilience.faults import CorruptObservation
-from repro.stream.source import StreamItem
+from repro.stream.source import StreamItem, is_count
 
 __all__ = [
     "Quarantine",
     "QuarantineSnapshot",
     "default_validator",
-    "DEFAULT_QUARANTINE_RETENTION",
+    "QUARANTINE_RETENTION",
 ]
 
-DEFAULT_QUARANTINE_RETENTION = 64
+QUARANTINE_RETENTION = 64
 """Dead-letter items retained for inspection (the exact rejection count
 is never capped)."""
-
-Validator = Callable[[StreamItem], bool]
 
 
 def default_validator(item: StreamItem) -> bool:
@@ -46,8 +44,7 @@ def default_validator(item: StreamItem) -> bool:
 
     Rejects items with no payload at all and items whose payload is a
     :class:`~repro.stream.resilience.faults.CorruptObservation` (the
-    fault model's bit-flipped frame).  Domain-specific checks plug in by
-    passing any ``StreamItem -> bool`` callable to :class:`Quarantine`.
+    fault model's bit-flipped frame).
     """
     entity = item.entity
     return entity is not None and not isinstance(entity, CorruptObservation)
@@ -62,30 +59,11 @@ class QuarantineSnapshot:
 
 
 class Quarantine:
-    """Validation gate with bounded dead-letter retention.
+    """Validation gate (:func:`default_validator`) with bounded
+    dead-letter retention (:data:`QUARANTINE_RETENTION`)."""
 
-    Args:
-        validator: ``StreamItem -> bool``; ``False`` quarantines.
-        retention: Dead-letter items retained (``None`` = unbounded,
-            ``0`` = count only).
-    """
-
-    def __init__(
-        self,
-        validator: Validator = default_validator,
-        *,
-        retention: int | None = DEFAULT_QUARANTINE_RETENTION,
-    ):
-        if not callable(validator):
-            raise ObserverError("quarantine validator must be callable")
-        if retention is not None and (type(retention) is not int or retention < 0):
-            raise ObserverError(
-                f"quarantine retention must be a non-negative int or None: "
-                f"{retention!r}"
-            )
-        self.validator = validator
-        self.retention = retention
-        self._items: deque[StreamItem] = deque(maxlen=retention)
+    def __init__(self) -> None:
+        self._items: deque[StreamItem] = deque(maxlen=QUARANTINE_RETENTION)
         self.count = 0
         """Exact rejections so far (never capped by retention)."""
 
@@ -95,11 +73,10 @@ class Quarantine:
 
     def admit(self, item: StreamItem) -> bool:
         """``True`` for a valid item; otherwise record and reject."""
-        if self.validator(item):
+        if default_validator(item):
             return True
         self.count += 1
-        if self.retention != 0:
-            self._items.append(item)
+        self._items.append(item)
         return False
 
     @property
@@ -114,6 +91,17 @@ class Quarantine:
         return QuarantineSnapshot(items=tuple(self._items), count=self.count)
 
     def restore(self, snapshot: QuarantineSnapshot) -> None:
-        """Reload the dead-letter queue from a checkpoint."""
-        self._items = deque(snapshot.items, maxlen=self.retention)
+        """Reload the dead-letter queue from a checkpoint.
+
+        A count that is not an int at least the retained items' number
+        is refused with :class:`~repro.core.errors.ObserverError` and
+        changes nothing.
+        """
+        items = deque(snapshot.items, maxlen=QUARANTINE_RETENTION)
+        if not (is_count(snapshot.count) and snapshot.count >= len(items)):
+            raise ObserverError(
+                f"quarantine snapshot count {snapshot.count!r} is not an "
+                f"int covering its {len(items)} retained dead letters"
+            )
+        self._items = items
         self.count = snapshot.count

@@ -16,11 +16,11 @@ never silently dropped.
 
 The parts the runtime was built with sit in one ordered table
 (:attr:`StreamingDetectionRuntime.stages`: quarantine, dedup, admission,
-reorder, watermark, engine, telemetry — an absent part is simply not
-listed).  The stages ahead of the reorder buffer share one shape,
-``intake(items) -> list`` (a delivery step in, its survivors out, in
-order, each stage counting its own losses), so ``ingest`` is one loop
-over them.  Every part has ``snapshot()`` / ``restore()`` and refuses a
+reorder, watermark, engine, telemetry — an absent optional part is
+simply not listed; the engine is always there).  The stages ahead of
+the reorder buffer share one shape, ``intake(items) -> list`` (a
+delivery step in, its survivors out, in order, each stage counting its
+own losses), so ``ingest`` is one loop over them.  Every part has ``snapshot()`` / ``restore()`` and refuses a
 snapshot taken under another configuration of its own; a
 :class:`RuntimeCheckpoint` is the table's ``{name: snapshot}`` image
 plus the runtime's own counters, so a stream can resume mid-flight with
@@ -190,16 +190,13 @@ class StreamingDetectionRuntime:
     Args:
         engine: The consuming engine — a
             :class:`~repro.detect.engine.DetectionEngine` or
-            :class:`~repro.shard.engine.ShardedDetectionEngine` — or
-            ``None`` for a detection-less reorder pipeline (the
-            property suite uses this to test ordering in isolation).
+            :class:`~repro.shard.engine.ShardedDetectionEngine`
+            (required).
         lateness: Bounded-disorder assumption in ticks: an observation
             may trail the newest one seen from its source by at most
             this much and still be released in order.
         on_match: Optional callback invoked per match, in emission
             order (the replay observers build instances here).
-        on_release: Optional callback invoked per released tick group
-            ``(tick, items)`` before the engine sees it.
         admission: Optional
             :class:`~repro.stream.admission.AdmissionController` bounding
             ingestion — rate limits, occupancy cap, shedding rule and
@@ -237,19 +234,19 @@ class StreamingDetectionRuntime:
 
     def __init__(
         self,
-        engine: DetectionEngine | None = None,
+        engine: DetectionEngine,
         *,
         lateness: int,
         on_match: Callable[[Match], None] | None = None,
-        on_release: Callable[[int, Sequence[StreamItem]], None] | None = None,
         admission: AdmissionController | None = None,
         quarantine: object | None = None,
         dedup: object | None = None,
         telemetry: Telemetry | None = None,
     ):
+        if engine is None:
+            raise ObserverError("a streaming runtime needs an engine")
         self.engine = engine
         self.on_match = on_match
-        self.on_release = on_release
         self.admission = admission
         self.quarantine = quarantine
         self.dedup = dedup
@@ -307,10 +304,10 @@ class StreamingDetectionRuntime:
     def _end_step(self, watermark: int | None, *, delivery: bool = False) -> None:
         """Refresh the backpressure signal a step boundary leaves behind.
 
-        ``ingest``, ``close_source``, ``finish`` and ``restore`` all end
-        here, so the signal always describes the buffer as it is now: a
-        drained stream is under no pressure, whatever its last delivery
-        step left.  Only a delivery step counts towards
+        ``ingest``, ``finish`` and ``restore`` all end here, so the
+        signal always describes the buffer as it is now: a drained
+        stream is under no pressure, whatever its last delivery step
+        left.  Only a delivery step counts towards
         ``backpressure_events`` — the duty cycle is a fraction of
         delivery steps.
         """
@@ -330,28 +327,15 @@ class StreamingDetectionRuntime:
         return self.buffer.late
 
     def register_source(self, name: str) -> None:
-        """Pre-declare a source so its silence holds the watermark."""
+        """Pre-declare a source so its silence holds the watermark
+        (refused after :meth:`finish`)."""
         self.tracker.register(name)
-
-    def close_source(self, name: str) -> list[Match]:
-        """Mark one source exhausted and release what that unblocks.
-
-        In the multi-source ingest pattern an exhausted source would
-        otherwise pin the min-merged watermark at its last promise
-        forever, buffering the live sources' items unboundedly; closing
-        it hands the frontier to the remaining open sources.
-        """
-        self.tracker.close(name)
-        watermark = self.tracker.watermark()
-        matches = self._release(watermark)
-        self._end_step(watermark)
-        return matches
 
     def ingest(self, items: Sequence[StreamItem]) -> list[Match]:
         """Process one delivery step (co-arriving items) and release.
 
         The whole step is validated before anything mutates — a step
-        naming a closed source, or one whose arrival tick would run a
+        after :meth:`finish`, or one whose arrival tick would run a
         rate limiter's clock backwards, raises with the screens, the
         buffer, the tracker and the counters untouched, so the caller
         can drop or fix the bad step and continue from consistent
@@ -370,10 +354,9 @@ class StreamingDetectionRuntime:
         in event-time order, grouped by event tick.
 
         Admission may also re-admit previously deferred items whose
-        buckets have refilled.  They passed validation in their own
-        step; one whose source has closed since moves no watermark.
+        buckets have refilled; they passed validation in their own step.
         """
-        self.tracker.ensure_open({item.source for item in items})
+        self.tracker.ensure_live()
         if self.admission is not None:
             self.admission.ensure_clock(items)
         self._counts.delivery_steps += 1
@@ -387,16 +370,18 @@ class StreamingDetectionRuntime:
             items = stage.intake(items)
         self._take(items)
         watermark = self.tracker.watermark()
-        matches = self._release(watermark)
+        matches = (
+            [] if watermark is None
+            else self._flush(self.buffer.release(watermark))
+        )
         self._end_step(watermark, delivery=True)
         return matches
 
     def _take(self, items: Sequence[StreamItem]) -> None:
         """Offer one step's admitted items to the buffer, in order.
 
-        The watermark notes each open source's newest event tick once
-        per step (a monotone max); a source closed while its items sat
-        deferred has already promised everything.  The room left below
+        The watermark notes each source's newest event tick once per
+        step (a monotone max).  The room left below
         the occupancy cap goes to the buffer in one run.  From the cap on
         (never for late items: those land in the separately bounded late
         list) each item takes the controller's whole at-cap step, one at
@@ -410,8 +395,7 @@ class StreamingDetectionRuntime:
             if newest.get(item.source, item.event_tick) <= item.event_tick:
                 newest[item.source] = item.event_tick
         for source, tick in newest.items():
-            if self.tracker.is_open(source):
-                self.tracker.observe(source, tick)
+            self.tracker.observe(source, tick)
         buffer, counts = self.buffer, self._counts
         admission, telemetry = self.admission, self.telemetry
         cap = None if admission is None else admission.limits.max_pending
@@ -485,22 +469,12 @@ class StreamingDetectionRuntime:
         deferring it.
         """
         if self.admission is not None:
-            # A source closed mid-run no longer moves the watermark; its
-            # flushed stragglers are offered (and usually found late)
-            # without re-opening it.
             self._take(self.admission.flush_deferred())
-        self.tracker.close_all()
+        self.tracker.end()
         matches = self._flush(self.buffer.release_all())
         # Every source is closed now: there is no merged watermark left.
         self._end_step(None)
         return matches
-
-    def _release(self, watermark: int | None) -> list[Match]:
-        if watermark is None:
-            if not self.tracker.all_closed:
-                return []
-            return self._flush(self.buffer.release_all())
-        return self._flush(self.buffer.release(watermark))
 
     def _flush(self, released: Sequence[StreamItem]) -> list[Match]:
         """Submit released items to the engine, one batch per event tick."""
@@ -514,10 +488,6 @@ class StreamingDetectionRuntime:
             counts.batches_submitted += 1
             if tracing:
                 self._trace_release(telemetry, group)
-            if self.on_release is not None:
-                self.on_release(tick, group)
-            if self.engine is None:
-                continue
             batch_matches = self.engine.submit_batch(
                 [item.entity for item in group], tick
             )
@@ -572,28 +542,32 @@ class StreamingDetectionRuntime:
         :class:`~repro.core.errors.ObserverError` and leaves the runtime
         exactly as it was.
         """
-        if checkpoint.stages.keys() != self.stages.keys():
-            differing = sorted(checkpoint.stages.keys() ^ self.stages.keys())
-            raise ObserverError(
-                f"checkpoint and runtime disagree about having "
-                f"{differing}: a checkpoint restores only into a runtime "
-                f"built with the same parts"
-            )
         undo = self.snapshot()
         try:
+            if checkpoint.stages.keys() != self.stages.keys():
+                differing = sorted(
+                    checkpoint.stages.keys() ^ self.stages.keys()
+                )
+                raise ObserverError(
+                    f"checkpoint and runtime disagree about having "
+                    f"{differing}: a checkpoint restores only into a "
+                    f"runtime built with the same parts"
+                )
             self._install(checkpoint)
-        except Exception:
+            # Recompute the backpressure signal from the restored
+            # occupancy and deferral state: a paced source resuming from
+            # a checkpoint taken under pressure must see that pressure
+            # immediately, not run unthrottled for its first step.
+            self._end_step(self.tracker.watermark())
+        except Exception as error:
             # A part can refuse its snapshot after earlier parts took
             # theirs (lateness, trace stride, bucket state without a
-            # rate limit, engine specs): put everything back before
-            # re-raising.
+            # rate limit, engine specs, a malformed value): put
+            # everything back before raising.
             self._install(undo)
-            raise
-        # Recompute the backpressure signal from the restored occupancy
-        # and deferral state: a paced source resuming from a checkpoint
-        # taken under pressure must see that pressure immediately, not
-        # run unthrottled for its first post-restore step.
-        self._end_step(self.tracker.watermark())
+            if isinstance(error, ObserverError):
+                raise
+            raise ObserverError(f"checkpoint refused: {error!r}") from error
 
     def _install(self, checkpoint: RuntimeCheckpoint) -> None:
         for name, part in self.stages.items():

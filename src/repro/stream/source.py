@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def is_count(value: object) -> bool:
+    """Whether ``value`` is a non-negative int (a bool is not)."""
+    return type(value) is int and value >= 0
+
+
 @dataclass(frozen=True)
 class StreamItem:
     """One stamped observation travelling through a stream.
@@ -149,7 +154,8 @@ class JitteredSource:
         base: Source to jitter (consumed eagerly).
         max_delay: Inclusive upper bound of the per-item delay.
         seed: Seed of the dedicated jitter stream.
-        name: Source name (defaults to the base source's).
+
+    The jittered source keeps the base source's name.
     """
 
     def __init__(
@@ -157,13 +163,12 @@ class JitteredSource:
         base: ObservationSource,
         max_delay: int,
         seed: int = 0,
-        name: str | None = None,
     ):
-        if type(max_delay) is not int or max_delay < 0:
+        if not is_count(max_delay):
             raise ObserverError(
                 f"max_delay must be a non-negative int: {max_delay!r}"
             )
-        self.name = name if name is not None else base.name
+        self.name = base.name
         self.max_delay = max_delay
         rng = random.Random(seed)
         jittered = [

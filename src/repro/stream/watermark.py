@@ -3,19 +3,20 @@
 A source's *low-watermark* is the promise "no future arrival from me
 will carry an event tick at or below W".  Under the bounded-lateness
 model a source that has shown event tick ``t`` promises
-``W = t - lateness``; a closed (exhausted) source promises everything.
-The merged watermark over several sources is the **minimum** of the
-open sources' promises — one slow source holds the whole frontier, the
-standard discipline that keeps multi-input streaming exact (and the
-same min-merge :class:`~repro.shard.engine.ShardedDetectionEngine`
-applies across its shard engines' clocks).
+``W = t - lateness``.  The merged watermark over several sources is the
+**minimum** of their promises — one slow source holds the whole
+frontier, the standard discipline that keeps multi-input streaming
+exact (and the same min-merge
+:class:`~repro.shard.engine.ShardedDetectionEngine` applies across its
+shard engines' clocks).  Sources close together, once, at the end of
+the stream (:meth:`WatermarkTracker.end`): from then on every source has
+promised everything and there is no merged watermark left.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.errors import ObserverError
+from repro.stream.source import is_count
 
 __all__ = ["WatermarkTracker"]
 
@@ -30,114 +31,93 @@ class WatermarkTracker:
     """
 
     def __init__(self, lateness: int):
-        if type(lateness) is not int or lateness < 0:
+        if not is_count(lateness):
             raise ObserverError(
                 f"lateness bound cannot be negative or a non-int: {lateness!r}"
             )
         self.lateness = lateness
-        self._max_seen: dict[str, int] = {}
-        self._closed: set[str] = set()
+        self._max_seen: dict[str, int | None] = {}
+        self.ended = False
+        """Whether the stream has ended (:meth:`end`)."""
+
+    def ensure_live(self) -> None:
+        """Refuse any change once the stream has ended."""
+        if self.ended:
+            raise ObserverError(
+                "the stream has ended: finish() closed every source, so "
+                "nothing more can be ingested or registered"
+            )
 
     def register(self, source: str) -> None:
         """Declare a source before its first observation.
 
         A registered-but-silent source pins the merged watermark at
         ``None`` (no release), which is what makes late joiners safe.
-
-        Raises:
-            ObserverError: If the name was already closed.  A closed
-                source has promised "everything" and stopped holding the
-                frontier — re-registering it would *look* like silence
-                holds the watermark while it never does, so reuse of an
-                exhausted name is rejected loudly instead of silently
-                no-op'ing.  Closed names are never re-opened; a late
-                joiner must pick a fresh source name.
+        Refused once the stream has ended.
         """
-        if source in self._closed:
-            raise ObserverError(
-                f"source {source!r} is already closed; a closed source "
-                "cannot be re-registered — use a fresh source name"
-            )
-        self._max_seen.setdefault(source, None)  # type: ignore[arg-type]
-
-    def is_open(self, source: str) -> bool:
-        """Whether ``source`` has not been closed (unknown counts open)."""
-        return source not in self._closed
-
-    def ensure_open(self, sources: Iterable[str]) -> None:
-        """Validate that none of ``sources`` is closed (raise otherwise).
-
-        The pre-mutation check :meth:`StreamingDetectionRuntime.ingest`
-        runs over a whole delivery step before touching any state, so a
-        bad step is rejected atomically instead of mid-loop.
-        """
-        closed = sorted({name for name in sources if name in self._closed})
-        if closed:
-            raise ObserverError(
-                f"sources {closed} already closed; the delivery step was "
-                "rejected before any item was buffered"
-            )
+        self.ensure_live()
+        self._max_seen.setdefault(source, None)
 
     def observe(self, source: str, event_tick: int) -> None:
-        """Note one arrival from ``source`` (re-opens nothing)."""
-        if source in self._closed:
-            raise ObserverError(f"source {source!r} already closed")
+        """Note one arrival from ``source``."""
         current = self._max_seen.get(source)
         if current is None or event_tick > current:
             self._max_seen[source] = event_tick
 
-    def close(self, source: str) -> None:
-        """Mark a source exhausted; it stops holding the frontier."""
-        self._max_seen.setdefault(source, None)  # type: ignore[arg-type]
-        self._closed.add(source)
-
-    def close_all(self) -> None:
-        """Mark every known source exhausted (end of stream)."""
-        for source in self._max_seen:
-            self._closed.add(source)
-
-    @property
-    def all_closed(self) -> bool:
-        """Whether no open source remains (flush everything)."""
-        return all(source in self._closed for source in self._max_seen)
+    def end(self) -> None:
+        """Close every source (end of stream): the frontier is gone."""
+        self.ended = True
 
     def watermark(self) -> int | None:
         """The merged release frontier.
 
-        ``None`` means "cannot promise anything yet" — either no source
-        is known, or some open source has not produced an observation.
-        When every source is closed the caller should flush
-        unconditionally (see
+        ``None`` means "cannot promise anything" — no source is known,
+        some source has not produced an observation yet, or the stream
+        has ended (the caller flushes everything then, see
         :meth:`~repro.stream.reorder.ReorderBuffer.release_all`).
         """
-        if not self._max_seen:
+        if self.ended or not self._max_seen:
             return None
         lows: list[int] = []
-        for source, seen in self._max_seen.items():
-            if source in self._closed:
-                continue
+        for seen in self._max_seen.values():
             if seen is None:
                 return None
             lows.append(seen - self.lateness)
-        if not lows:
-            return None
         return min(lows)
 
-    def snapshot(self) -> tuple[int, dict[str, int | None], frozenset[str]]:
-        """Checkpoint view: ``(lateness, max_seen per source, closed set)``."""
-        return self.lateness, dict(self._max_seen), frozenset(self._closed)
+    def snapshot(self) -> tuple[int, dict[str, int | None], bool]:
+        """Checkpoint view: ``(lateness, max_seen per source, ended)``."""
+        return self.lateness, dict(self._max_seen), self.ended
 
-    def restore(
-        self, snapshot: tuple[int, dict[str, int | None], frozenset[str]]
-    ) -> None:
-        """Reload what :meth:`snapshot` returned (replaces everything);
-        a snapshot taken under another lateness bound is refused."""
-        lateness, max_seen, closed = snapshot
+    def restore(self, snapshot: tuple[int, dict[str, int | None], bool]) -> None:
+        """Reload what :meth:`snapshot` returned (replaces everything).
+
+        A snapshot taken under another lateness bound, or one whose
+        ticks are not ints, is refused with
+        :class:`~repro.core.errors.ObserverError` and changes nothing.
+        """
+        try:
+            lateness, max_seen, ended = snapshot
+            max_seen = dict(max_seen)
+        except (TypeError, ValueError):
+            raise ObserverError(
+                f"not a watermark snapshot: {snapshot!r}"
+            ) from None
         if lateness != self.lateness:
             raise ObserverError(
                 f"checkpoint was taken under lateness {lateness}, this "
                 f"tracker uses {self.lateness}: watermark semantics would "
                 f"change mid-stream"
             )
-        self._max_seen = dict(max_seen)
-        self._closed = set(closed)
+        for source, tick in max_seen.items():
+            if not isinstance(source, str) or not (
+                tick is None or type(tick) is int
+            ):
+                raise ObserverError(
+                    f"watermark snapshot maps {source!r} to {tick!r}: "
+                    f"sources are names and ticks ints or None"
+                )
+        if type(ended) is not bool:
+            raise ObserverError(f"watermark snapshot ended flag {ended!r}")
+        self._max_seen = max_seen
+        self.ended = ended

@@ -315,7 +315,7 @@ def test_the_emitter_is_compiled_once_per_specification():
     log = InstanceLog.of(
         ObserverProfile(
             "MT", MOTE, PointLocation(0.0, 0.0), EventLayer.SENSOR,
-            SensorEventInstance, (spec,),
+            SensorEventInstance, (spec,), True, None,
         )
     )
     log.write(match)

@@ -31,7 +31,7 @@ def _counter(name, value, help_text="", **labels) -> MetricSample:
 
 def _samples(order_swapped: bool = False) -> list[MetricSample]:
     """Samples of every kind, one family after another (or reversed)."""
-    histogram = Histogram(bounds=(1, 2, 4))
+    histogram = Histogram()
     for value in (0, 1, 3, 99):
         histogram.observe(value)
     samples = [

@@ -7,7 +7,7 @@ from collections import namedtuple
 import pytest
 
 from repro.core.errors import ObserverError
-from repro.obs.tracing import STAGES, Stage, StageTrace, Telemetry
+from repro.obs.tracing import TRACE_RING, STAGES, Stage, StageTrace, Telemetry
 
 Item = namedtuple("Item", ["source", "seq", "arrival_tick"], defaults=[0])
 
@@ -99,24 +99,18 @@ class TestLifecycle:
         assert tracer.discarded == {"shed": 2, "late": 1}
 
     def test_ring_is_bounded(self):
-        tracer = Telemetry.create(trace_every=1, ring=2)
-        for seq in range(5):
+        tracer = Telemetry.create(trace_every=1)
+        for seq in range(TRACE_RING + 3):
             tracer.complete(tracer.admit(Item("s", seq)))
         rows = tracer.completed_rows()
-        assert len(rows) == 2
-        assert [row[1] for row in rows] == [3, 4]  # newest kept
+        assert tracer.finished == TRACE_RING + 3
+        # The newest are kept.
+        assert [row[1] for row in rows] == list(range(3, TRACE_RING + 3))
 
-    def test_ring_must_hold_at_least_one(self):
-        with pytest.raises(ObserverError):
-            Telemetry.create(trace_every=1, ring=0)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("trace_every", 0.5), ("trace_every", True), ("ring", 1.5), ("ring", True)],
-    )
-    def test_stage_sizes_must_be_ints(self, field, value):
-        with pytest.raises(ObserverError, match=field):
-            Telemetry.create(**{"trace_every": 1, field: value})
+    @pytest.mark.parametrize("value", [0.5, True, -1])
+    def test_stride_must_be_a_non_negative_int(self, value):
+        with pytest.raises(ObserverError, match="trace_every"):
+            Telemetry.create(trace_every=value)
 
 
 class TestSnapshotRestore:
@@ -156,12 +150,6 @@ class TestSnapshotRestore:
         with pytest.raises(ObserverError):
             other.restore(snapshot)
         assert other.snapshot() == before
-
-    def test_restore_rejects_ring_mismatch(self):
-        snapshot = Telemetry.create(trace_every=1, ring=8).snapshot()
-        other = Telemetry.create(trace_every=1, ring=16)
-        with pytest.raises(ObserverError):
-            other.restore(snapshot)
 
 
 class TestTelemetryClock:

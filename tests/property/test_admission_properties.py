@@ -29,6 +29,7 @@ from repro.stream import (
     StreamItem,
 )
 from repro.stream.runtime import arrival_groups
+from tests.stream.test_runtime import RecordingEngine
 
 RULES = ("drop_oldest_late", "drop_lowest_priority")
 
@@ -82,15 +83,12 @@ def bounded_cases(draw):
 
 
 def run_bounded(items, lateness, controller):
-    """Drive an engineless bounded runtime over the items' steps."""
-    released: list[int] = []
+    """Drive a recording bounded runtime over the items' steps; return
+    (released seqs, runtime).  Each item's entity is its seq."""
+    engine = RecordingEngine()
+    released = engine.released
     runtime = StreamingDetectionRuntime(
-        None,
-        lateness=lateness,
-        on_release=lambda tick, group: released.extend(
-            item.seq for item in group
-        ),
-        admission=controller,
+        engine, lateness=lateness, admission=controller
     )
     for source in SOURCES:
         runtime.register_source(source)
@@ -159,13 +157,11 @@ class TestCheckpointUnderShedding:
         items, lateness, limits, rule = case
 
         def fresh():
-            released: list[int] = []
+            engine = RecordingEngine()
+            released = engine.released
             runtime = StreamingDetectionRuntime(
-                None,
+                engine,
                 lateness=lateness,
-                on_release=lambda tick, group: released.extend(
-                    item.seq for item in group
-                ),
                 admission=AdmissionController(limits, shedding=rule),
             )
             for source in SOURCES:

@@ -5,8 +5,7 @@ fault plans and randomized checkpoint intervals:
 
 * **recovery exactness** — a supervised, fault-injected run (crashes,
   duplicate bursts, corrupt payloads, stalls, overlap redelivery)
-  releases the identical ``(source, seq, event tick)`` sequence as the
-  unfaulted run;
+  releases the identical entity sequence as the unfaulted run;
 * **conservation** — every *original* observation is accounted released,
   late or shed exactly once, while every injected extra is measured as a
   dropped duplicate or a quarantined dead letter;
@@ -14,22 +13,25 @@ fault plans and randomized checkpoint intervals:
   it has not accepted before;
 * **deterministic backoff** — the same seed yields the same fault plan,
   the same recovery count and the same backoff-delay schedule.
+
+At most 3 crashes are drawn, under the supervisor's budget of
+:data:`~repro.stream.resilience.supervisor.MAX_ATTEMPTS` consecutive
+recoveries, so every drawn plan recovers.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.stream import (
-    BackoffPolicy,
     CheckpointPolicy,
     FaultPlan,
     FaultySource,
     Quarantine,
     RedeliveryDeduper,
-    StreamingDetectionRuntime,
     StreamItem,
     SupervisedRuntime,
 )
-from repro.stream.runtime import arrival_groups
+from repro.stream.resilience.supervisor import MAX_ATTEMPTS, backoff_delay
+from tests.stream.test_resilience import Feed, RecordingHost
 
 
 @st.composite
@@ -38,7 +40,7 @@ def faulted_cases(draw):
     n = draw(st.integers(min_value=1, max_value=60))
     per_step = draw(st.integers(min_value=1, max_value=4))
     lateness = draw(st.integers(min_value=0, max_value=8))
-    items = [
+    items = Feed(
         StreamItem(
             entity=("obs", seq),
             event_tick=seq,
@@ -47,7 +49,7 @@ def faulted_cases(draw):
             source="s",
         )
         for seq in range(n)
-    ]
+    )
     steps = len({item.arrival_tick for item in items})
     plan_seed = draw(st.integers(min_value=0, max_value=10_000))
     counts = dict(
@@ -62,44 +64,9 @@ def faulted_cases(draw):
     return items, lateness, plan, every_steps, overlap, (plan_seed, counts)
 
 
-class RecordingHost:
-    """Engineless runtime plus an output log that rolls back."""
-
-    def __init__(self, lateness, dedup=None, quarantine=None):
-        self.records = []
-        self.runtime = StreamingDetectionRuntime(
-            None,
-            lateness=lateness,
-            on_release=lambda tick, group: self.records.extend(
-                (item.source, item.seq, item.event_tick) for item in group
-            ),
-            dedup=dedup,
-            quarantine=quarantine,
-        )
-
-    def ingest(self, items):
-        self.runtime.ingest(items)
-        return []
-
-    def finish(self):
-        self.runtime.finish()
-        return []
-
-    def snapshot(self):
-        return (self.runtime.snapshot(), len(self.records))
-
-    def rollback(self, state):
-        checkpoint, count = state
-        self.runtime.restore(checkpoint)
-        del self.records[count:]
-
-
 def unfaulted(items, lateness):
     host = RecordingHost(lateness)
-    host.runtime.register_source("s")
-    for _, group in arrival_groups(items):
-        host.ingest(group)
-    host.finish()
+    host.runtime.run(items)
     return host.records
 
 
@@ -108,13 +75,9 @@ def supervised(items, lateness, plan, every_steps, overlap):
         lateness, dedup=RedeliveryDeduper(), quarantine=Quarantine()
     )
     supervisor = SupervisedRuntime(
-        host,
-        checkpoints=CheckpointPolicy(every_steps=every_steps),
-        backoff=BackoffPolicy(max_attempts=len(plan.crashes) + 1),
+        host, checkpoints=CheckpointPolicy(every_steps=every_steps)
     )
-    supervisor.run(
-        FaultySource(items, plan, name="s", redelivery_overlap=overlap)
-    )
+    supervisor.run(FaultySource(items, plan, redelivery_overlap=overlap))
     return host, supervisor
 
 
@@ -172,7 +135,7 @@ class TestRecoveryExactness:
         host, _ = supervised(items, lateness, plan, every_steps, overlap)
         # Every original identity made it through the gates exactly
         # once: the release log holds no duplicates and no gaps.
-        released = sorted(seq for _, seq, _ in host.records)
+        released = sorted(seq for _, seq in host.records)
         late = sorted(
             item.seq for item in host.runtime.late_items
         )
@@ -197,7 +160,6 @@ class TestDeterminism:
         assert first.recoveries == second.recoveries
         assert first.checkpoints_taken == second.checkpoints_taken
         assert first_host.records == second_host.records
-        expected = BackoffPolicy(
-            max_attempts=len(plan.crashes) + 1
-        ).schedule()
-        assert all(delay in expected for delay in first.backoff_delays)
+        assert len(plan.crashes) <= 3 < MAX_ATTEMPTS
+        expected = {backoff_delay(attempt) for attempt in (1, 2, 3)}
+        assert set(first.backoff_delays) <= expected

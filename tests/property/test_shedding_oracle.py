@@ -52,6 +52,7 @@ from repro.stream import (
     StreamItem,
 )
 from repro.stream.reorder import ReorderBuffer, ReorderSnapshot
+from tests.stream.test_runtime import RecordingEngine
 
 SOURCES = ("s0", "s1", "s2")
 RULES = ("drop_oldest_late", "drop_lowest_priority")
@@ -202,10 +203,10 @@ class WhoLoses(RuleBasedStateMachine):
             return victim
 
         controller.make_room = recorded
+        engine = RecordingEngine()
+        self.released = engine.released
         self.runtime = StreamingDetectionRuntime(
-            lateness=self.lateness,
-            admission=controller,
-            on_release=lambda tick, group: self.released.extend(group),
+            engine, lateness=self.lateness, admission=controller
         )
         self.real = self.runtime.buffer
         self.real.late_retention = self.late_retention
@@ -278,7 +279,9 @@ class WhoLoses(RuleBasedStateMachine):
         self.released.clear()
         self.runtime.ingest(items)
         assert same_objects(self.losers, losers)
-        assert same_objects(self.released, expected)
+        assert same_objects(
+            self.released, [item.entity for item in expected]
+        )
 
     @rule(advance=st.integers(min_value=-1, max_value=3))
     def release(self, advance):

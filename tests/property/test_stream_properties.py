@@ -19,6 +19,7 @@ randomized jitter:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.detect.engine import DetectionEngine
 from repro.stream import (
     JitteredSource,
     ReplaySource,
@@ -26,6 +27,7 @@ from repro.stream import (
     StreamItem,
 )
 from repro.stream.runtime import arrival_groups
+from tests.stream.test_runtime import RecordingEngine
 
 
 @st.composite
@@ -61,20 +63,15 @@ def jittered_streams(draw, max_delay_past_bound: int = 0):
 
 
 def run_pipeline(items, lateness):
-    """Drive an engineless runtime; return (released seqs, runtime)."""
-    released: list[int] = []
-    runtime = StreamingDetectionRuntime(
-        None,
-        lateness=lateness,
-        on_release=lambda tick, group: released.extend(
-            item.seq for item in group
-        ),
-    )
+    """Drive a recording runtime; return (released seqs, runtime).
+    Each item's entity is its seq."""
+    engine = RecordingEngine()
+    runtime = StreamingDetectionRuntime(engine, lateness=lateness)
     runtime.register_source("s")
     for _, group in arrival_groups(items):
         runtime.ingest(group)
     runtime.finish()
-    return released, runtime
+    return engine.released, runtime
 
 
 class TestWithinBound:
@@ -116,7 +113,9 @@ class TestBeyondBound:
     @given(jittered_streams(max_delay_past_bound=25))
     def test_every_late_item_genuinely_missed_the_frontier(self, case):
         items, lateness = case
-        runtime = StreamingDetectionRuntime(None, lateness=lateness)
+        runtime = StreamingDetectionRuntime(
+            DetectionEngine(), lateness=lateness
+        )
         runtime.register_source("s")
         late_checked = 0
         for _, group in arrival_groups(items):
@@ -139,35 +138,29 @@ class TestCheckpointTransparency:
         groups = list(arrival_groups(items))
         cut = cut_seed % (len(groups) + 1)
 
-        def runtime(sink):
-            r = StreamingDetectionRuntime(
-                None,
-                lateness=lateness,
-                on_release=lambda tick, group: sink.extend(
-                    item.seq for item in group
-                ),
-            )
+        def runtime():
+            r = StreamingDetectionRuntime(RecordingEngine(), lateness=lateness)
             r.register_source("s")
             return r
 
-        uninterrupted: list[int] = []
-        reference = runtime(uninterrupted)
+        reference = runtime()
         for _, group in groups:
             reference.ingest(group)
         reference.finish()
 
-        head: list[int] = []
-        first = runtime(head)
+        first = runtime()
         for _, group in groups[:cut]:
             first.ingest(group)
         checkpoint = first.snapshot()
-        tail: list[int] = []
-        resumed = runtime(tail)
+        resumed = runtime()
         resumed.restore(checkpoint)
         for _, group in groups[cut:]:
             resumed.ingest(group)
         resumed.finish()
-        assert head + tail == uninterrupted
+        assert (
+            first.engine.released + resumed.engine.released
+            == reference.engine.released
+        )
         # The restored runtime carries the head's late records forward.
         assert resumed.stats.late_observations >= first.stats.late_observations
 
@@ -181,14 +174,8 @@ class TestJitteredSourceModel:
     )
     def test_jittered_replay_through_runtime_is_exact(self, n, bound, seed):
         base = ReplaySource([(tick, [f"e{tick}"]) for tick in range(n)])
-        released: list[int] = []
-        runtime = StreamingDetectionRuntime(
-            None,
-            lateness=bound,
-            on_release=lambda tick, group: released.extend(
-                item.seq for item in group
-            ),
-        )
+        engine = RecordingEngine()
+        runtime = StreamingDetectionRuntime(engine, lateness=bound)
         runtime.run(JitteredSource(base, max_delay=bound, seed=seed))
-        assert released == list(range(n))
+        assert engine.released == [f"e{tick}" for tick in range(n)]
         assert runtime.stats.late_observations == 0

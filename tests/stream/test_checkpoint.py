@@ -25,13 +25,18 @@ from repro.shard.engine import ShardedDetectionEngine
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
+    CorruptObservation,
     JitteredSource,
     Quarantine,
     RedeliveryDeduper,
+    ReorderBuffer,
     ReplaySource,
     StreamingDetectionRuntime,
+    StreamItem,
+    WatermarkTracker,
 )
 from repro.stream.runtime import arrival_groups
+from tests.stream.test_runtime import RecordingEngine
 
 BOUNDS = BoundingBox(0.0, 0.0, 100.0, 10.0)
 
@@ -316,26 +321,26 @@ class TestRuntimeCheckpoint:
         assert first.released_items == checkpoint.stats.released_items
 
     def test_checkpoint_preserves_buffered_disorder(self):
-        runtime = StreamingDetectionRuntime(None, lateness=10)
+        runtime = StreamingDetectionRuntime(RecordingEngine(), lateness=10)
         runtime.register_source("t")
         base = ReplaySource(stream(12), name="t")
         items = list(base)
         runtime.ingest(items[:8])  # bound 10: everything still buffered
         assert runtime.buffer.occupancy > 0
         checkpoint = runtime.snapshot()
-        resumed = StreamingDetectionRuntime(None, lateness=10)
-        released = []
-        resumed.on_release = lambda tick, group: released.extend(
-            item.seq for item in group
-        )
+        engine = RecordingEngine()
+        resumed = StreamingDetectionRuntime(engine, lateness=10)
         resumed.restore(checkpoint)
         resumed.ingest(items[8:])
         resumed.finish()
-        assert released == list(range(12))
+        assert engine.released == [item.entity for item in items]
 
 
 def _half_run(steps, *, lateness=4, engine=None, **parts):
-    """A runtime built with ``parts`` that has ingested ``steps`` steps."""
+    """A runtime built with ``parts`` (and an engine watching nothing
+    unless one is given) that has ingested ``steps`` steps."""
+    if engine is None:
+        engine = DetectionEngine()
     runtime = StreamingDetectionRuntime(engine, lateness=lateness, **parts)
     runtime.register_source("t")
     groups = list(arrival_groups(ReplaySource(stream(12), name="t")))
@@ -353,26 +358,67 @@ _PARTS = {
     "dedup": RedeliveryDeduper,
     "admission": AdmissionController,
     "telemetry": lambda: Telemetry.create(trace_every=1),
-    "engine": lambda: DetectionEngine([hot_spec()]),
 }
 
+
+def _stage(name, **changes):
+    """A checkpoint edit: the ``name`` stage's snapshot with ``changes``."""
+
+    def edit(checkpoint):
+        stages = dict(checkpoint.stages)
+        stages[name] = replace(stages[name], **changes)
+        return replace(checkpoint, stages=stages)
+
+    return edit
+
+
+def _watermark(snapshot):
+    def edit(checkpoint):
+        return replace(
+            checkpoint, stages={**checkpoint.stages, "watermark": snapshot}
+        )
+
+    return edit
+
+
+_FULL = dict(dedup=RedeliveryDeduper, quarantine=Quarantine)
+
+
+def _corrupt(edit, names, id):
+    """A checkpoint of a dedup + quarantine runtime whose ``edit``-ed
+    copy the same build must refuse."""
+    return pytest.param(
+        lambda: {n: f() for n, f in _FULL.items()},
+        lambda: {n: f() for n, f in _FULL.items()},
+        names,
+        edit,
+        id=id,
+    )
+
+
 # (how the checkpointed runtime was built, how the restoring one was,
-# what the ObserverError names).  Builders are called per test: parts
-# are stateful.  The late refusals carry a dedup record too, so a part
-# ahead of the refusing one has already taken its snapshot by then.
+# what the ObserverError names, an edit made to the checkpoint before it
+# is restored).  Builders are called per test: parts are stateful.  The
+# late refusals carry a dedup record too, so a part ahead of the
+# refusing one has already taken its snapshot by then.
 _REFUSALS = [
     *(
-        pytest.param(lambda: {}, lambda f=f, n=n: {n: f()}, n, id=f"missing-{n}")
+        pytest.param(
+            lambda: {}, lambda f=f, n=n: {n: f()}, n, None, id=f"missing-{n}"
+        )
         for n, f in _PARTS.items()
     ),
     *(
-        pytest.param(lambda f=f, n=n: {n: f()}, lambda: {}, n, id=f"extra-{n}")
+        pytest.param(
+            lambda f=f, n=n: {n: f()}, lambda: {}, n, None, id=f"extra-{n}"
+        )
         for n, f in _PARTS.items()
     ),
     pytest.param(
         lambda: {"lateness": 5, "dedup": RedeliveryDeduper()},
         lambda: {"lateness": 6, "dedup": RedeliveryDeduper()},
         "lateness",
+        None,
         id="lateness",
     ),
     pytest.param(
@@ -385,19 +431,8 @@ _REFUSALS = [
             "telemetry": Telemetry.create(trace_every=1),
         },
         "trace_every",
+        None,
         id="trace-stride",
-    ),
-    pytest.param(
-        lambda: {
-            "dedup": RedeliveryDeduper(),
-            "telemetry": Telemetry.create(trace_every=1, ring=8),
-        },
-        lambda: {
-            "dedup": RedeliveryDeduper(),
-            "telemetry": Telemetry.create(trace_every=1, ring=16),
-        },
-        "ring",
-        id="trace-ring",
     ),
     pytest.param(
         lambda: {
@@ -413,6 +448,7 @@ _REFUSALS = [
             "engine": DetectionEngine([hot_spec()]),
         },
         "rate limit",
+        None,
         id="buckets-without-rate",
     ),
     pytest.param(
@@ -425,14 +461,43 @@ _REFUSALS = [
             "engine": DetectionEngine([pair_spec()]),
         },
         "watches",
+        None,
         id="engine-specs",
     ),
     pytest.param(
         lambda: {"dedup": RedeliveryDeduper(), "engine": _sharded(4)},
         lambda: {"dedup": RedeliveryDeduper(), "engine": _sharded(2)},
         "shards",
+        None,
         id="shard-count",
     ),
+    # A malformed value inside a stage's snapshot.  Each of these used
+    # to install (or half-install) and leave the runtime holding it.
+    _corrupt(_watermark((4, {"t": "x"}, False)), "watermark snapshot",
+             "watermark-tick-not-an-int"),
+    _corrupt(_watermark((4, {"t": 2.5}, False)), "watermark snapshot",
+             "watermark-tick-a-float"),
+    _corrupt(_watermark((4, {"t": 2}, frozenset())), "ended flag",
+             "watermark-ended-not-a-flag"),
+    _corrupt(_watermark((4, {"t": 2})), "not a watermark snapshot",
+             "watermark-short-tuple"),
+    _corrupt(_stage("reorder", late_count=-1), "reorder snapshot",
+             "reorder-negative-late-count"),
+    _corrupt(_stage("reorder", peak_occupancy=-1), "reorder snapshot",
+             "reorder-negative-peak"),
+    _corrupt(_stage("reorder", released_through="x"), "reorder snapshot",
+             "reorder-frontier-not-an-int"),
+    _corrupt(_stage("dedup", in_flight={"t": 5}), "not a dedup snapshot",
+             "dedup-in-flight-not-iterable"),
+    _corrupt(_stage("dedup", high_water={"t": "x"}), "dedup snapshot",
+             "dedup-high-water-not-an-int"),
+    _corrupt(_stage("dedup", duplicates_dropped=-1), "dedup snapshot",
+             "dedup-negative-drops"),
+    _corrupt(_stage("quarantine", count=-1), "quarantine snapshot",
+             "quarantine-negative-count"),
+    _corrupt(lambda c: replace(c, stats="x"), "checkpoint refused",
+             "stats-not-counters"),
+    _corrupt(lambda c: object(), "checkpoint refused", "not-a-checkpoint"),
 ]
 
 
@@ -440,11 +505,15 @@ class TestRejectedRestoreChangesNothing:
     """One case per way a checkpoint can be refused: each raises a typed
     error and leaves the restoring runtime exactly as it was."""
 
-    @pytest.mark.parametrize("checkpointed, restoring, names", _REFUSALS)
+    @pytest.mark.parametrize(
+        "checkpointed, restoring, names, edit", _REFUSALS
+    )
     def test_typed_error_and_unchanged_state(
-        self, checkpointed, restoring, names
+        self, checkpointed, restoring, names, edit
     ):
         checkpoint = _half_run(6, **checkpointed()).snapshot()
+        if edit is not None:
+            checkpoint = edit(checkpoint)
         runtime = _half_run(3, **restoring())
         before = runtime.snapshot()
         with pytest.raises(ObserverError, match=names):
@@ -467,3 +536,106 @@ class TestRejectedRestoreChangesNothing:
         with pytest.raises(ObserverError, match="trace_every"):
             runtime.restore(sparse.snapshot())
         assert to_prometheus(collect(runtime)) == exported
+
+
+def _item(seq, entity=None):
+    return StreamItem(
+        entity=("obs", seq) if entity is None else entity,
+        event_tick=seq,
+        seq=seq,
+        arrival_tick=seq,
+        source="s",
+    )
+
+
+def _dedup():
+    dedup = RedeliveryDeduper()
+    for seq in (0, 1, 5):
+        dedup.admit(_item(seq))
+    dedup.admit(_item(1))
+    return dedup
+
+
+def _quarantine():
+    quarantine = Quarantine()
+    for seq in range(3):
+        quarantine.admit(_item(seq, CorruptObservation(source="s", seq=seq)))
+    return quarantine
+
+
+def _reorder():
+    buffer = ReorderBuffer()
+    buffer.offer_many([_item(seq) for seq in (3, 1, 2)])
+    buffer.release(1)
+    buffer.offer(_item(0))  # late
+    return buffer
+
+
+def _tracker():
+    tracker = WatermarkTracker(lateness=2)
+    tracker.observe("s", 7)
+    tracker.register("quiet")
+    return tracker
+
+
+# (the stage, how its snapshot is spoiled, what the ObserverError names).
+_STAGE_REFUSALS = [
+    pytest.param(_dedup, lambda s: replace(s, in_flight={"s": 5}),
+                 "not a dedup snapshot", id="dedup-in-flight-not-iterable"),
+    pytest.param(_dedup, lambda s: replace(s, in_flight={"s": (-3,)}),
+                 "dedup snapshot", id="dedup-negative-seq"),
+    pytest.param(_dedup, lambda s: replace(s, in_flight={"s": (6.0,)}),
+                 "dedup snapshot", id="dedup-float-seq"),
+    pytest.param(_dedup, lambda s: replace(s, high_water={"s": "x"}),
+                 "dedup snapshot", id="dedup-high-water-not-an-int"),
+    pytest.param(_dedup, lambda s: replace(s, high_water={"s": True}),
+                 "dedup snapshot", id="dedup-high-water-a-bool"),
+    pytest.param(_dedup, lambda s: replace(s, high_water={"s": -2}),
+                 "dedup snapshot", id="dedup-high-water-below-none"),
+    pytest.param(_dedup, lambda s: replace(s, duplicates_dropped=-1),
+                 "dedup snapshot", id="dedup-negative-drops"),
+    pytest.param(_quarantine, lambda s: replace(s, count=-1),
+                 "quarantine snapshot", id="quarantine-negative-count"),
+    pytest.param(_quarantine, lambda s: replace(s, count="3"),
+                 "quarantine snapshot", id="quarantine-count-not-an-int"),
+    pytest.param(_quarantine, lambda s: replace(s, count=2),
+                 "quarantine snapshot", id="quarantine-count-below-retained"),
+    pytest.param(_reorder, lambda s: replace(s, late_count=-1),
+                 "reorder snapshot", id="reorder-negative-late-count"),
+    pytest.param(_reorder, lambda s: replace(s, late_count=0),
+                 "reorder snapshot", id="reorder-late-count-below-retained"),
+    pytest.param(_reorder, lambda s: replace(s, peak_occupancy=-1),
+                 "reorder snapshot", id="reorder-negative-peak"),
+    pytest.param(_reorder, lambda s: replace(s, released_through="x"),
+                 "reorder snapshot", id="reorder-frontier-not-an-int"),
+    pytest.param(_reorder, lambda s: replace(s, highest_offered=1.5),
+                 "reorder snapshot", id="reorder-highest-a-float"),
+    pytest.param(_reorder, lambda s: replace(s, pending=("x",)),
+                 "reorder snapshot", id="reorder-pending-not-items"),
+    pytest.param(_tracker, lambda s: (s[0], {"s": "x"}, s[2]),
+                 "watermark snapshot", id="watermark-tick-not-an-int"),
+    pytest.param(_tracker, lambda s: (s[0], {"s": 7.0}, s[2]),
+                 "watermark snapshot", id="watermark-tick-a-float"),
+    pytest.param(_tracker, lambda s: (s[0], {"s": True}, s[2]),
+                 "watermark snapshot", id="watermark-tick-a-bool"),
+    pytest.param(_tracker, lambda s: (s[0], {7: 7}, s[2]),
+                 "watermark snapshot", id="watermark-source-not-a-name"),
+    pytest.param(_tracker, lambda s: (s[0], s[1], "no"),
+                 "ended flag", id="watermark-ended-not-a-flag"),
+]
+
+
+class TestStageRestoreChecksFirst:
+    """Every stage checks a snapshot before it changes anything: a
+    malformed value raises ObserverError and leaves the stage as it
+    was."""
+
+    @pytest.mark.parametrize("build, spoil, names", _STAGE_REFUSALS)
+    def test_refused_and_unchanged(self, build, spoil, names):
+        stage = build()
+        before = stage.snapshot()
+        with pytest.raises(ObserverError, match=names):
+            stage.restore(spoil(before))
+        assert stage.snapshot() == before
+        stage.restore(before)  # the stage's own snapshot still restores
+        assert stage.snapshot() == before

@@ -40,6 +40,7 @@ PROFILE = ObserverProfile(
     instance_cls=CyberPhysicalEventInstance,
     specs=(),
     use_planner=False,
+    locate=None,
 )
 
 

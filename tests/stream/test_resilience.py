@@ -8,7 +8,6 @@ from repro.obs.tracing import Telemetry
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
-    BackoffPolicy,
     CheckpointPolicy,
     CorruptObservation,
     FaultPlan,
@@ -22,8 +21,13 @@ from repro.stream import (
     SupervisedRuntime,
 )
 from repro.stream.resilience.faulty import RECENT_WINDOW
-from repro.stream.resilience.quarantine import default_validator
+from repro.stream.resilience.quarantine import (
+    QUARANTINE_RETENTION,
+    default_validator,
+)
+from repro.stream.resilience.supervisor import MAX_ATTEMPTS, backoff_delay
 from repro.stream.runtime import arrival_groups
+from tests.stream.test_runtime import RecordingEngine
 
 
 def item(seq, tick=None, arrival=None, source="s", entity=None):
@@ -37,6 +41,12 @@ def item(seq, tick=None, arrival=None, source="s", entity=None):
     )
 
 
+class Feed(list):
+    """Stream items in arrival order, from the source named ``s``."""
+
+    name = "s"
+
+
 def stream(n, per_step=2):
     """``n`` in-order items, ``per_step`` sharing each arrival tick.
 
@@ -44,35 +54,28 @@ def stream(n, per_step=2):
     event tick (a StreamItem invariant) while step structure stays
     ``seq // per_step``.
     """
-    return [
+    return Feed(
         item(seq, tick=seq, arrival=seq // per_step + n) for seq in range(n)
-    ]
-
-
-def keys(items):
-    return [(it.source, it.seq, it.event_tick) for it in items]
+    )
 
 
 class RecordingHost:
-    """Minimal supervised host: an engineless runtime plus an output log
-    that genuinely rolls back (the exactly-once contract under test)."""
+    """Minimal supervised host: a runtime whose engine records every
+    released entity, plus a rollback that truncates that record (the
+    exactly-once contract under test)."""
 
     def __init__(self, lateness=4, **parts):
-        self.records = []
+        engine = RecordingEngine()
+        self.records = engine.released
         self.runtime = StreamingDetectionRuntime(
-            None,
-            lateness=lateness,
-            on_release=lambda tick, group: self.records.extend(keys(group)),
-            **parts,
+            engine, lateness=lateness, **parts
         )
 
     def ingest(self, items):
         self.runtime.ingest(items)
-        return []
 
     def finish(self):
         self.runtime.finish()
-        return []
 
     def snapshot(self):
         return (self.runtime.snapshot(), len(self.records))
@@ -137,6 +140,44 @@ class TestFaultPlan:
     def test_seeded_needs_positive_steps(self):
         with pytest.raises(ObserverError, match="positive"):
             FaultPlan.seeded(1, steps=0)
+
+    # Accepted, steps=True drew a one-step plan, a negative count raised
+    # a bare ValueError from the sampler and a fractional one a
+    # TypeError.
+    @pytest.mark.parametrize(
+        "arguments, complaint",
+        [
+            (dict(steps=True), "steps"),
+            (dict(steps=2.0), "steps"),
+            (dict(steps="10"), "steps"),
+            (dict(crashes=-1), "crashes"),
+            (dict(crashes=1.5), "crashes"),
+            (dict(crashes=True), "crashes"),
+            (dict(duplicate_bursts=-1), "duplicate_bursts"),
+            (dict(corruptions=0.5), "corruptions"),
+            (dict(stalls=False), "stalls"),
+            (dict(stalls="1"), "stalls"),
+        ],
+    )
+    def test_seeded_refuses_bad_steps_and_counts(self, arguments, complaint):
+        with pytest.raises(ObserverError, match=complaint):
+            FaultPlan.seeded(1, **{"steps": 10, **arguments})
+
+    # The least each input takes: one step, and no fault of a kind.
+    @pytest.mark.parametrize(
+        "arguments, faults",
+        [
+            (dict(steps=1), 4),
+            (dict(crashes=0), 3),
+            (dict(duplicate_bursts=0), 3),
+            (dict(corruptions=0), 3),
+            (dict(stalls=0), 3),
+        ],
+        ids=["steps", "crashes", "duplicate_bursts", "corruptions", "stalls"],
+    )
+    def test_seeded_accepts_the_bounds(self, arguments, faults):
+        plan = FaultPlan.seeded(1, **{"steps": 10, **arguments})
+        assert plan.fault_count == faults
 
     # Steps and counts index the delivered stream.  Accepted, a
     # fractional crash step would never fire, a fractional delivered
@@ -359,28 +400,19 @@ class TestQuarantine:
         assert not default_validator(bad)
 
     def test_count_is_exact_beyond_retention(self):
-        quarantine = Quarantine(retention=2)
-        for seq in range(5):
+        quarantine = Quarantine()
+        total = QUARANTINE_RETENTION + 3
+        for seq in range(total):
             assert not quarantine.admit(
                 item(seq, entity=CorruptObservation(source="s", seq=seq))
             )
-        assert quarantine.count == 5
-        assert [it.seq for it in quarantine.items] == [3, 4]  # newest kept
-
-    def test_zero_retention_counts_only(self):
-        quarantine = Quarantine(retention=0)
-        quarantine.admit(item(0, entity=CorruptObservation(source="s", seq=0)))
-        assert quarantine.count == 1
-        assert quarantine.items == []
-
-    def test_custom_validator(self):
-        quarantine = Quarantine(lambda it: it.seq % 2 == 0)
-        assert quarantine.admit(item(0))
-        assert not quarantine.admit(item(1))
-        assert quarantine.count == 1
+        assert quarantine.admit(item(total))
+        assert quarantine.count == total
+        # The newest are kept.
+        assert [it.seq for it in quarantine.items] == list(range(3, total))
 
     def test_snapshot_restore_round_trip(self):
-        quarantine = Quarantine(retention=2)
+        quarantine = Quarantine()
         for seq in range(3):
             quarantine.admit(
                 item(seq, entity=CorruptObservation(source="s", seq=seq))
@@ -389,65 +421,19 @@ class TestQuarantine:
         quarantine.admit(item(9, entity=CorruptObservation(source="s", seq=9)))
         quarantine.restore(snapshot)
         assert quarantine.count == 3
-        assert [it.seq for it in quarantine.items] == [1, 2]
-
-    def test_validation(self):
-        with pytest.raises(ObserverError, match="callable"):
-            Quarantine("not-a-validator")
-        with pytest.raises(ObserverError, match="retention"):
-            Quarantine(retention=-1)
-
-    @pytest.mark.parametrize("retention", [1.5, True, "2"])
-    def test_non_int_retention_rejected(self, retention):
-        with pytest.raises(ObserverError, match="retention"):
-            Quarantine(retention=retention)
+        assert [it.seq for it in quarantine.items] == [0, 1, 2]
 
 
 class TestPolicies:
-    def test_checkpoint_policy_needs_a_trigger(self):
+    @pytest.mark.parametrize("value", [0, -1, None, 4.5, True, "4"])
+    def test_checkpoint_interval_must_be_a_positive_int(self, value):
         with pytest.raises(ObserverError, match="every_steps"):
-            CheckpointPolicy(every_steps=None, every_released=None)
-        with pytest.raises(ObserverError, match="positive"):
-            CheckpointPolicy(every_steps=0)
-        with pytest.raises(ObserverError, match="positive"):
-            CheckpointPolicy(every_steps=None, every_released=-1)
-
-    @pytest.mark.parametrize("value", [4.5, True, "4"])
-    @pytest.mark.parametrize("trigger", ["every_steps", "every_released"])
-    def test_checkpoint_triggers_must_be_ints(self, trigger, value):
-        with pytest.raises(ObserverError, match=trigger):
-            CheckpointPolicy(**{trigger: value})
-
-    def test_either_trigger_suffices(self):
-        policy = CheckpointPolicy(every_steps=4, every_released=10)
-        assert not policy.due(3, 9)
-        assert policy.due(4, 0)
-        assert policy.due(0, 10)
+            CheckpointPolicy(every_steps=value)
 
     def test_backoff_schedule_is_clamped_exponential(self):
-        policy = BackoffPolicy(base_delay=2, factor=3, max_delay=10,
-                               max_attempts=4)
-        assert policy.schedule() == (2, 6, 10, 10)
-        with pytest.raises(ObserverError, match="1-based"):
-            policy.delay(0)
-
-    def test_backoff_validation(self):
-        with pytest.raises(ObserverError, match="base_delay"):
-            BackoffPolicy(base_delay=-1)
-        with pytest.raises(ObserverError, match="factor"):
-            BackoffPolicy(factor=0)
-        with pytest.raises(ObserverError, match="max_delay"):
-            BackoffPolicy(base_delay=5, max_delay=4)
-        with pytest.raises(ObserverError, match="max_attempts"):
-            BackoffPolicy(max_attempts=0)
-
-    @pytest.mark.parametrize("value", [2.0, 1.5, True])
-    @pytest.mark.parametrize(
-        "field", ["base_delay", "factor", "max_delay", "max_attempts"]
-    )
-    def test_backoff_fields_must_be_ints(self, field, value):
-        with pytest.raises(ObserverError, match=field):
-            BackoffPolicy(**{field: value})
+        assert [
+            backoff_delay(attempt) for attempt in range(1, MAX_ATTEMPTS + 2)
+        ] == [1, 2, 4, 8, 16, 32, 32]
 
 
 PLAN = FaultPlan(
@@ -466,7 +452,7 @@ class TestSupervisedRuntime:
         supervisor = SupervisedRuntime(
             host, checkpoints=CheckpointPolicy(every_steps=3)
         )
-        supervisor.run(FaultySource(items, PLAN, name="s"))
+        supervisor.run(FaultySource(items, PLAN))
         assert host.records == golden
         assert supervisor.recoveries == 2
         assert host.runtime.stats.recoveries == 2
@@ -484,7 +470,7 @@ class TestSupervisedRuntime:
 
     def test_checkpoints_ack_the_redelivery_floor(self):
         items = stream(24, per_step=2)
-        src = FaultySource(items, FaultPlan(crashes=((10, 0),)), name="s")
+        src = FaultySource(items, FaultPlan(crashes=((10, 0),)))
         host = RecordingHost(dedup=RedeliveryDeduper())
         supervisor = SupervisedRuntime(
             host, checkpoints=CheckpointPolicy(every_steps=4)
@@ -496,56 +482,39 @@ class TestSupervisedRuntime:
         assert src.reconnect_count == 1
         assert supervisor.checkpoints_taken >= 3
 
-    def test_released_trigger_checkpoints_between_steps(self):
-        items = stream(20, per_step=2)
-        host = RecordingHost()
-        supervisor = SupervisedRuntime(
-            host,
-            checkpoints=CheckpointPolicy(every_steps=None, every_released=4),
-        )
-        supervisor.run(FaultySource(items, name="s"))
-        assert host.records == unfaulted_records(items)
-        assert supervisor.checkpoints_taken > 2
-
     def test_consecutive_crashes_grow_backoff_then_exhaust(self):
-        crashes = tuple((0, 0) for _ in range(4))
+        crashes = tuple((0, 0) for _ in range(MAX_ATTEMPTS + 1))
         host = RecordingHost()
-        supervisor = SupervisedRuntime(
-            host,
-            backoff=BackoffPolicy(base_delay=2, factor=3, max_delay=10,
-                                  max_attempts=3),
+        supervisor = SupervisedRuntime(host)
+        supervisor.run(
+            FaultySource(stream(6), FaultPlan(crashes=crashes[:-1]))
         )
-        supervisor.run(FaultySource(stream(6), FaultPlan(crashes=crashes[:3])))
-        assert supervisor.backoff_delays == [2, 6, 10]
-        assert supervisor.recoveries == 3
+        assert supervisor.backoff_delays == [1, 2, 4, 8, 16, 32]
+        assert supervisor.recoveries == MAX_ATTEMPTS
+        assert host.records == unfaulted_records(stream(6))
 
-        host = RecordingHost()
-        supervisor = SupervisedRuntime(
-            host, backoff=BackoffPolicy(max_attempts=3)
-        )
+        supervisor = SupervisedRuntime(RecordingHost())
         with pytest.raises(RecoveryExhausted):
             supervisor.run(FaultySource(stream(6), FaultPlan(crashes=crashes)))
+        assert supervisor.recoveries == MAX_ATTEMPTS
 
     def test_delivered_step_resets_the_attempt_budget(self):
-        # One recovery attempt allowed per crash; crashes at distinct
-        # steps each succeed because progress resets the counter.  The
+        # More crashes than the consecutive budget, at distinct steps:
+        # each succeeds because progress resets the counter.  The
         # deduper absorbs the overlap redeliveries each recovery sends.
         host = RecordingHost(dedup=RedeliveryDeduper())
         supervisor = SupervisedRuntime(
-            host,
-            checkpoints=CheckpointPolicy(every_steps=1),
-            backoff=BackoffPolicy(max_attempts=1),
+            host, checkpoints=CheckpointPolicy(every_steps=1)
         )
-        items = stream(12, per_step=2)
-        supervisor.run(
-            FaultySource(
-                items,
-                FaultPlan(crashes=((1, 0), (3, 0), (5, 0))),
-                name="s",
-            )
+        items = stream(2 * (2 * MAX_ATTEMPTS + 4), per_step=2)
+        crashes = tuple(
+            (step, 0) for step in range(1, 2 * MAX_ATTEMPTS + 3, 2)
         )
+        assert len(crashes) > MAX_ATTEMPTS
+        supervisor.run(FaultySource(items, FaultPlan(crashes=crashes)))
         assert host.records == unfaulted_records(items)
-        assert supervisor.recoveries == 3
+        assert supervisor.recoveries == len(crashes)
+        assert set(supervisor.backoff_delays) == {1}
 
     def test_non_reconnectable_crash_is_fatal(self):
         class BrittleSource:
@@ -558,30 +527,6 @@ class TestSupervisedRuntime:
         supervisor = SupervisedRuntime(RecordingHost())
         with pytest.raises(SourceCrash):
             supervisor.run(BrittleSource())
-
-    def test_run_returns_outputs_exactly_once(self):
-        released = []
-
-        class MatchyHost(RecordingHost):
-            def ingest(self, items):
-                before = len(self.records)
-                self.runtime.ingest(items)
-                return self.records[before:]
-
-            def finish(self):
-                before = len(self.records)
-                self.runtime.finish()
-                return self.records[before:]
-
-        items = stream(20, per_step=2)
-        host = MatchyHost(dedup=RedeliveryDeduper())
-        supervisor = SupervisedRuntime(
-            host, checkpoints=CheckpointPolicy(every_steps=2)
-        )
-        outputs = supervisor.run(
-            FaultySource(items, FaultPlan(crashes=((5, 1),)), name="s")
-        )
-        assert outputs == unfaulted_records(items)
 
     def test_exported_supervision_history_survives_a_late_recovery(self):
         # Regression: the checkpoint captured the exported copy before
@@ -597,7 +542,6 @@ class TestSupervisedRuntime:
             FaultySource(
                 stream(11, per_step=1),
                 FaultPlan(crashes=((10, 0),)),
-                name="s",
             )
         )
         exported = {
@@ -636,7 +580,7 @@ class TestSupervisedRuntime:
         )
         SupervisedRuntime(
             host, checkpoints=CheckpointPolicy(every_steps=3)
-        ).run(FaultySource(items, PLAN, name="s"))
+        ).run(FaultySource(items, PLAN))
         stats = host.runtime.stats
         exported = parse_prometheus(to_prometheus(collect(host.runtime)))
         for series, value in (

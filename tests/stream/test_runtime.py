@@ -71,6 +71,28 @@ def batches(n, period=1):
     return [(tick * period, [obs(tick, tick * period)]) for tick in range(n)]
 
 
+class RecordingEngine:
+    """A detection-less engine: it records every entity the runtime
+    releases, in release order, and matches nothing.  Its snapshot is
+    empty, so a restored runtime's recording starts where it is."""
+
+    def __init__(self):
+        self.released = []
+
+    def submit_batch(self, entities, tick):
+        self.released.extend(entities)
+        return []
+
+    def snapshot(self):
+        return None
+
+    def restore(self, snapshot):
+        pass
+
+    def tallies(self):
+        return {}
+
+
 class TestArrivalGroups:
     def test_groups_by_arrival_tick(self):
         source = ReplaySource([(0, ["a", "b"]), (0, ["c"]), (2, ["d"])])
@@ -119,18 +141,16 @@ class TestRuntimeOrdering:
         ]
         assert got == expected
 
-    def test_engineless_pipeline_releases_in_order(self):
-        released = []
-        runtime = StreamingDetectionRuntime(
-            None,
-            lateness=4,
-            on_release=lambda tick, items: released.extend(
-                item.seq for item in items
-            ),
-        )
+    def test_pipeline_releases_in_order(self):
+        engine = RecordingEngine()
+        runtime = StreamingDetectionRuntime(engine, lateness=4)
         source = ReplaySource(batches(25), name="t")
         runtime.run(JitteredSource(source, 4, seed=7))
-        assert released == list(range(25))
+        assert engine.released == [item.entity for item in source]
+
+    def test_an_engine_is_required(self):
+        with pytest.raises(ObserverError, match="needs an engine"):
+            StreamingDetectionRuntime(None, lateness=4)
 
     def test_on_match_fires_in_emission_order(self):
         seen = []
@@ -148,7 +168,7 @@ class TestRuntimeOrdering:
 class TestRuntimeLateness:
     def test_beyond_bound_jitter_is_counted_not_dropped(self):
         source = ReplaySource(batches(60), name="t")
-        runtime = StreamingDetectionRuntime(None, lateness=2)
+        runtime = StreamingDetectionRuntime(DetectionEngine(), lateness=2)
         # Jitter up to 12 against a bound of 2: lates are likely.
         runtime.run(JitteredSource(source, 12, seed=3))
         assert runtime.stats.late_observations == len(runtime.late_items) > 0
@@ -158,31 +178,22 @@ class TestRuntimeLateness:
     def test_within_bound_jitter_never_late(self):
         source = ReplaySource(batches(60), name="t")
         for seed in range(5):
-            runtime = StreamingDetectionRuntime(None, lateness=9)
+            runtime = StreamingDetectionRuntime(DetectionEngine(), lateness=9)
             runtime.run(JitteredSource(source, 9, seed=seed))
             assert runtime.stats.late_observations == 0
             assert runtime.released_items == 60
 
-    def test_close_source_releases_held_frontier(self):
-        released = []
-        runtime = StreamingDetectionRuntime(
-            None,
-            lateness=0,
-            on_release=lambda tick, group: released.extend(
-                item.seq for item in group
-            ),
-        )
+    def test_silent_source_holds_the_frontier_until_finish(self):
+        engine = RecordingEngine()
+        runtime = StreamingDetectionRuntime(engine, lateness=0)
         runtime.register_source("live")
-        runtime.register_source("exhausted")
+        runtime.register_source("silent")
         items = list(ReplaySource(batches(6), name="live"))
         runtime.ingest(items[:3])
         # The silent second source pins the watermark: nothing released.
-        assert released == []
-        runtime.close_source("exhausted")
-        assert released == [0, 1, 2]  # frontier handed to the live source
-        runtime.ingest(items[3:])
+        assert engine.released == []
         runtime.finish()
-        assert released == list(range(6))
+        assert engine.released == [item.entity for item in items[:3]]
 
     def test_throughput_counters_populated(self):
         runtime = StreamingDetectionRuntime(
@@ -195,8 +206,7 @@ class TestRuntimeLateness:
 
 
 class TestStepBoundaryRefresh:
-    """Regression: ``finish()`` and ``close_source()`` released items
-    without refreshing the exported occupancy gauge or the backpressure
+    """Regression: ``finish()`` released items without refreshing the exported occupancy gauge or the backpressure
     signal, so a drained stream still read full and under pressure; and
     the exported watermark kept its last value after ``finish()`` had
     closed every source and left no merged watermark."""
@@ -208,6 +218,7 @@ class TestStepBoundaryRefresh:
 
     def test_finish_leaves_an_empty_released_reading(self):
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=30,  # wide bound: nothing releases before finish()
             admission=AdmissionController(AdmissionLimits(max_pending=4)),
             telemetry=Telemetry.create(),
@@ -228,6 +239,7 @@ class TestStepBoundaryRefresh:
 
     def test_finish_leaves_no_watermark(self):
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=0, telemetry=Telemetry.create()
         )
         runtime.register_source("t")
@@ -238,15 +250,15 @@ class TestStepBoundaryRefresh:
         assert runtime.tracker.watermark() is None
         assert self.exported(runtime, "stream_watermark") is None
 
-    def test_close_source_refreshes_the_gauges(self):
+    def test_finish_refreshes_the_gauges(self):
         runtime = StreamingDetectionRuntime(
-            lateness=0, telemetry=Telemetry.create()
+            DetectionEngine(), lateness=0, telemetry=Telemetry.create()
         )
         runtime.register_source("live")
         runtime.register_source("silent")  # pins the watermark
         runtime.ingest(list(ReplaySource(batches(1), name="live")))
         assert self.exported(runtime, "stream_reorder_occupancy") == 1
-        runtime.close_source("silent")
+        runtime.finish()
         assert runtime.buffer.occupancy == 0
         assert self.exported(runtime, "stream_reorder_occupancy") == 0
         released = self.exported(runtime, "stream_observations_released_total")
@@ -254,11 +266,8 @@ class TestStepBoundaryRefresh:
 
 
 class TestAtomicIngest:
-    """Regression: a delivery step naming a closed source used to fail
-    *mid-loop*, leaving earlier items buffered and the watermark moved —
-    a half-applied step.  The whole step is now validated up front, and
-    each way a step can be refused leaves ``runtime.snapshot()`` as it
-    was."""
+    """Each way a delivery step can be refused raises before anything
+    mutates and leaves ``runtime.snapshot()`` as it was."""
 
     @staticmethod
     def _stamped(seq, event, arrival, source="a"):
@@ -295,6 +304,7 @@ class TestAtomicIngest:
         retry was dropped as duplicates: lost without being late, shed
         or released."""
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=4,
             admission=AdmissionController(AdmissionLimits(rate=1.0, burst=1)),
             quarantine=Quarantine(),
@@ -327,6 +337,7 @@ class TestAtomicIngest:
     def test_arrival_order_is_a_precondition_only_under_a_rate_limit(self):
         # No rate, no bucket clocks: the same cross-source step is fine.
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=4,
             admission=AdmissionController(AdmissionLimits(max_pending=8)),
         )
@@ -335,38 +346,37 @@ class TestAtomicIngest:
         )
         assert runtime.buffer.occupancy == 2
 
-    def test_bad_step_rejected_before_any_mutation(self):
-        runtime = StreamingDetectionRuntime(lateness=2)
-        runtime.register_source("a")
-        runtime.register_source("b")
-        runtime.ingest([
-            StreamItem(entity=obs(0, 0), event_tick=0, seq=0,
-                       arrival_tick=0, source="a"),
-        ])
-        runtime.close_source("a")
-        good = StreamItem(entity=obs(1, 5), event_tick=5, seq=1,
-                          arrival_tick=5, source="b")
-        bad = StreamItem(entity=obs(2, 5), event_tick=5, seq=2,
-                         arrival_tick=5, source="a")
-        before_pending = runtime.buffer.pending()
-        before_stats = (
-            runtime.stats.entities_submitted,
-            runtime.stats.late_observations,
+    @pytest.mark.parametrize(
+        "late",
+        [
+            pytest.param(lambda r: r.ingest([TestAtomicIngest._stamped(
+                1, 5, 5)]), id="ingest-known-source"),
+            pytest.param(lambda r: r.ingest([TestAtomicIngest._stamped(
+                1, 5, 5, "new")]), id="ingest-new-source"),
+            pytest.param(lambda r: r.ingest([]), id="ingest-empty-step"),
+            pytest.param(lambda r: r.register_source("new"),
+                         id="register-new-source"),
+            pytest.param(lambda r: r.register_source("a"),
+                         id="register-known-source"),
+        ],
+    )
+    def test_nothing_enters_after_finish(self, late):
+        """Regression: after ``finish()`` a step naming a source the
+        runtime had never seen was still accepted: it was buffered,
+        counted and never released."""
+        runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
+            lateness=2,
+            admission=AdmissionController(AdmissionLimits(max_pending=8)),
+            dedup=RedeliveryDeduper(),
         )
-        before_watermark = runtime.tracker.watermark()
-        with pytest.raises(ObserverError, match="rejected before any item"):
-            runtime.ingest([good, bad])  # good precedes bad in the step
-        # Nothing moved: the good item was not buffered, the watermark
-        # did not advance, no counter ticked.
-        assert runtime.buffer.pending() == before_pending
-        assert (
-            runtime.stats.entities_submitted,
-            runtime.stats.late_observations,
-        ) == before_stats
-        assert runtime.tracker.watermark() == before_watermark
-        # The cleaned-up step is accepted afterwards.
-        runtime.ingest([good])
-        assert runtime.stats.entities_submitted == 2
+        runtime.register_source("a")
+        runtime.ingest([self._stamped(0, 0, 0)])
+        runtime.finish()
+        before = runtime.snapshot()
+        with pytest.raises(ObserverError, match="stream has ended"):
+            late(runtime)
+        assert runtime.snapshot() == before
 
 
 class TestUncooperativeSources:
@@ -381,16 +391,12 @@ class TestUncooperativeSources:
             def __iter__(self):
                 return iter(ReplaySource(batches(10), name="t"))
 
-        released = []
-        runtime = StreamingDetectionRuntime(
-            None,
-            lateness=4,
-            on_release=lambda tick, items: released.extend(
-                item.seq for item in items
-            ),
-        )
+        engine = RecordingEngine()
+        runtime = StreamingDetectionRuntime(engine, lateness=4)
         runtime.run(OddSource())
-        assert released == list(range(10))
+        assert engine.released == [
+            item.entity for item in ReplaySource(batches(10), name="t")
+        ]
 
 
 _OPTIONAL_PARTS = {

@@ -20,6 +20,7 @@ import weakref
 
 import pytest
 
+from repro.detect.engine import DetectionEngine
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
@@ -49,6 +50,7 @@ class TestWorkPerAtCapOffer:
         real_heappop = heapq.heappop
         monkeypatch.setattr(heapq, "heappop", heappop)
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=0,
             admission=AdmissionController(
                 AdmissionLimits(max_pending=cap), shedding=rule
@@ -100,6 +102,7 @@ class TestTombstonesPinNothing:
         # evicts the top of the heap, and the next one pops that
         # tombstone.
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=0,
             admission=AdmissionController(AdmissionLimits(max_pending=self.CAP)),
         )
@@ -135,6 +138,7 @@ class TestTombstonesPinNothing:
         # A bounded runtime that is never full: what it releases leaves
         # nothing behind.
         runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
             lateness=0,
             admission=AdmissionController(AdmissionLimits(max_pending=self.CAP)),
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import ObserverError
+from repro.detect.engine import DetectionEngine
 from repro.stream import StreamingDetectionRuntime, WatermarkTracker
 
 
@@ -29,23 +30,23 @@ class TestWatermarkTracker:
         tracker.observe("late-joiner", 5)
         assert tracker.watermark() == 5
 
-    def test_closed_source_releases_frontier(self):
+    def test_end_of_stream_leaves_no_frontier(self):
         tracker = WatermarkTracker(lateness=1)
         tracker.observe("a", 30)
         tracker.observe("b", 6)
-        tracker.close("b")
-        assert tracker.watermark() == 29
-        assert not tracker.all_closed
-        tracker.close_all()
-        assert tracker.all_closed
+        assert tracker.watermark() == 5
+        tracker.end()
+        assert tracker.ended
         assert tracker.watermark() is None  # flush unconditionally
 
-    def test_observe_after_close_rejected(self):
+    def test_register_after_the_end_rejected(self):
         tracker = WatermarkTracker(lateness=0)
-        tracker.observe("a", 1)
-        tracker.close("a")
-        with pytest.raises(ObserverError, match="closed"):
-            tracker.observe("a", 2)
+        tracker.register("a")
+        tracker.end()
+        for name in ("a", "b"):
+            with pytest.raises(ObserverError, match="stream has ended"):
+                tracker.register(name)
+        assert tracker.snapshot() == (0, {"a": None}, True)
 
     @pytest.mark.parametrize(
         "lateness",
@@ -58,45 +59,17 @@ class TestWatermarkTracker:
         with pytest.raises(ObserverError, match="lateness"):
             WatermarkTracker(lateness=lateness)
         with pytest.raises(ObserverError, match="lateness"):
-            StreamingDetectionRuntime(lateness=lateness)
+            StreamingDetectionRuntime(DetectionEngine(), lateness=lateness)
 
     def test_snapshot_restore_round_trip(self):
         tracker = WatermarkTracker(lateness=4)
         tracker.observe("a", 12)
         tracker.observe("b", 30)
-        tracker.close("b")
         clone = WatermarkTracker(lateness=4)
         clone.restore(tracker.snapshot())
         assert clone.watermark() == tracker.watermark() == 8
         clone.observe("a", 40)
-        assert clone.watermark() == 36
-
-
-class TestClosedSourceRegistration:
-    """Regression: ``register`` on a closed name used to silently no-op,
-    making a late joiner *look* watermark-held while it never was."""
-
-    def test_register_closed_source_raises(self):
-        tracker = WatermarkTracker(lateness=2)
-        tracker.register("a")
-        tracker.close("a")
-        with pytest.raises(ObserverError, match="cannot be re-registered"):
-            tracker.register("a")
-
-    def test_fresh_name_still_registers(self):
-        tracker = WatermarkTracker(lateness=2)
-        tracker.register("a")
-        tracker.close("a")
-        tracker.register("a2")
-        # The fresh silent source pins the frontier, as registration must.
-        assert tracker.watermark() is None
-
-    def test_is_open_and_ensure_open(self):
-        tracker = WatermarkTracker(lateness=2)
-        tracker.register("a")
-        tracker.close("a")
-        assert not tracker.is_open("a")
-        assert tracker.is_open("b")  # unknown counts open
-        tracker.ensure_open(["b", "c"])
-        with pytest.raises(ObserverError, match="rejected before any item"):
-            tracker.ensure_open(["b", "a"])
+        assert clone.watermark() == 26
+        tracker.end()
+        clone.restore(tracker.snapshot())
+        assert clone.ended and clone.watermark() is None
