@@ -15,8 +15,8 @@ closure-based evaluator:
   :attr:`~repro.core.conditions.Condition.COST` rank.
 
 The closures are the *judge*: whatever the planner's masks let through
-is decided here, one binding at a time, by the same scalar arithmetic
-the interpreted tree uses.
+and a decisive plan does not prove is decided here, one binding at a
+time, by the same scalar arithmetic the interpreted tree uses.
 
 Semantics versus the interpreted tree (``ConditionNode.evaluate``,
 the ``use_planner=False`` differential baseline):

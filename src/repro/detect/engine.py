@@ -23,7 +23,11 @@ window entry in Python.  Specifications with no prunable clause
 fall back to exhaustive enumeration with identical semantics; pruning
 never changes the match set, only ``stats.bindings_evaluated``
 (pass ``use_planner=False`` to force the brute-force path, which the
-scalability benchmarks use as the comparison baseline).
+scalability benchmarks use as the comparison baseline).  The masks
+reject, prove or leave to the judge: a *decisive* plan (the S1 pair
+shape, see :mod:`repro.detect.planner`) matches a candidate whose
+columns satisfy every clause without running the compiled condition
+(``stats.bindings_proven``); every other binding is judged by it.
 
 Evaluation properties worth knowing:
 
@@ -63,7 +67,7 @@ from repro.core.errors import (
 )
 from repro.core.spec import EventSpecification
 from repro.detect.compiler import CompiledCondition, compile_condition
-from repro.detect.planner import EvaluationPlan, compile_plan
+from repro.detect.planner import EvaluationPlan, Survivors, compile_plan
 from repro.detect.role_window import RoleWindow
 
 __all__ = [
@@ -106,6 +110,8 @@ class EngineStats:
     entities_submitted: int = 0
     batches_submitted: int = 0
     bindings_evaluated: int = 0
+    # Of bindings_evaluated: matched on the columns' proof, not judged.
+    bindings_proven: int = 0
     candidates_pruned: int = 0
     matches: int = 0
     evaluation_errors: int = 0
@@ -379,28 +385,38 @@ class DetectionEngine:
         # (pre-resolved operators, cheapest conjunct first); the naive
         # path keeps interpreting the raw tree as the differential baseline.
         evaluator = self._compiled[spec.event_id].fn if self.use_planner else None
+        decisive = self.use_planner and self._plans[spec.event_id].decisive
         identify = self._identity[spec.event_id]
         matches: list[Match] = []
-        evaluated = 0
+        evaluated = proven = 0
         cooling = False
         for target_role in candidate_roles:
-            for binding in self._enumerate(spec, target_role, entity):
+            if decisive:
+                bindings, proof = self._pair_bindings(spec, target_role, entity)
+            else:
+                bindings, proof = self._enumerate(spec, target_role, entity), None
+            for position, binding in enumerate(bindings):
                 key = identify(binding)
                 if key is None or key in seen:
                     continue
                 evaluated += 1
-                try:
-                    if evaluator is not None:
-                        holds = evaluator(binding)
-                    else:
-                        holds = spec.condition.evaluate(binding)
-                except (BindingError, ConditionError, TemporalError, SpatialError):
-                    # A binding the condition cannot judge (missing
-                    # attribute, open interval in a closed-interval
-                    # relation, ...) is a non-match, not an observer
-                    # crash; the tally keeps it visible.
-                    self.stats.evaluation_errors += 1
-                    continue
+                if proof is not None and proof.proves(position):
+                    # The columns settle every clause: the judge would agree.
+                    proven += 1
+                    holds = True
+                else:
+                    try:
+                        if evaluator is not None:
+                            holds = evaluator(binding)
+                        else:
+                            holds = spec.condition.evaluate(binding)
+                    except (BindingError, ConditionError, TemporalError, SpatialError):
+                        # A binding the condition cannot judge (missing
+                        # attribute, open interval in a closed-interval
+                        # relation, ...) is a non-match, not an observer
+                        # crash; the tally keeps it visible.
+                        self.stats.evaluation_errors += 1
+                        continue
                 if holds:
                     seen[key] = now
                     matches.append(Match(spec, binding, now))
@@ -419,11 +435,43 @@ class DetectionEngine:
             found = len(matches)
             stats = self.stats
             stats.bindings_evaluated += evaluated
+            stats.bindings_proven += proven
             stats.matches += found
             tally = self._tallies[spec.event_id]
             tally[0] += evaluated
             tally[1] += found
         return matches
+
+    def _pair_bindings(
+        self,
+        spec: EventSpecification,
+        target_role: str,
+        entity: Entity,
+    ) -> tuple[Iterable[dict[str, Entity]], Survivors | None]:
+        """:meth:`_enumerate` for a decisive plan's two roles, plus the
+        candidates when they can prove (else ``None``).
+
+        The same bindings in the same order, with the same pruning
+        count: the target's role holds ``entity``, the other role each
+        candidate of its window in arrival order.
+        """
+        first, second = spec.roles
+        other = second if target_role == first else first
+        window = self._pools[spec.event_id][other]
+        if not len(window):
+            return (), None
+        found = self._plans[spec.event_id].candidates(
+            other, {target_role: entity}, window
+        )
+        if found is None:
+            found = window.entities()
+        else:
+            self.stats.candidates_pruned += len(window) - len(found)
+        if target_role == first:
+            bindings = ({first: entity, second: choice} for choice in found)
+        else:
+            bindings = ({first: choice, second: entity} for choice in found)
+        return bindings, found if isinstance(found, Survivors) else None
 
     def _enumerate(
         self,
@@ -596,8 +644,13 @@ class DetectionEngine:
 
     def ensure_restorable(self, snapshot: EngineSnapshot) -> None:
         """Raise :class:`ObserverError` if :meth:`restore` would refuse
-        ``snapshot`` (other specs, a spec with other roles, or twin roles
-        with different windows)."""
+        ``snapshot``: other specs, a spec with other roles, twin roles
+        with different windows, or state no run of this engine leaves —
+        window entries that are not ``(tick, entity)`` pairs, ticks out of
+        arrival order or past the watermark, dedup entries or cooldown
+        clocks that are not ticks of installed specs, or tallies other
+        than two counts per installed spec.  Checked in full before
+        :meth:`restore` changes anything."""
         if tuple(self._specs) != snapshot.spec_ids:
             raise ObserverError(
                 f"snapshot watches specs {snapshot.spec_ids}, this engine "
@@ -620,6 +673,80 @@ class DetectionEngine:
                         f"{twin!r} and {role!r} different windows, but "
                         f"their selectors admit the same entities"
                     )
+        watermark = snapshot.watermark
+        if watermark is not None and not _is_tick(watermark):
+            raise ObserverError(f"snapshot watermark {watermark!r} is not a tick")
+        for event_id, windows in self._windows.items():
+            for role in windows:
+                arrived = None
+                for entry in snapshot.windows[event_id][role]:
+                    if not (
+                        isinstance(entry, tuple)
+                        and len(entry) == 2
+                        and _is_tick(entry[0])
+                        and isinstance(entry[1], Entity)
+                    ):
+                        raise ObserverError(
+                            f"snapshot window of spec {event_id!r} role "
+                            f"{role!r} holds {entry!r}, not a (tick, entity) pair"
+                        )
+                    tick = entry[0]
+                    if watermark is None or tick > watermark:
+                        raise ObserverError(
+                            f"snapshot window of spec {event_id!r} holds tick "
+                            f"{tick}, past the watermark {watermark}"
+                        )
+                    if arrived is not None and tick < arrived:
+                        raise ObserverError(
+                            f"snapshot window of spec {event_id!r} holds tick "
+                            f"{tick} after {arrived}: not in arrival order"
+                        )
+                    arrived = tick
+        for name, clocks in (
+            ("dedup store", snapshot.seen),
+            ("cooldown clocks", snapshot.last_match),
+        ):
+            unknown = sorted(set(clocks) - set(self._specs), key=repr)
+            if unknown:
+                raise ObserverError(
+                    f"snapshot {name} name specs this engine does not "
+                    f"watch: {unknown}"
+                )
+        for event_id, entries in snapshot.seen.items():
+            if not all(
+                isinstance(entry, tuple) and len(entry) == 2 and _is_tick(entry[1])
+                for entry in entries
+            ):
+                raise ObserverError(
+                    f"snapshot dedup store of spec {event_id!r} holds an "
+                    f"entry that is not a (binding identity, tick) pair"
+                )
+        for event_id, tick in snapshot.last_match.items():
+            if not _is_tick(tick):
+                raise ObserverError(
+                    f"snapshot cooldown clock of spec {event_id!r} is "
+                    f"{tick!r}, not a tick"
+                )
+        if not isinstance(snapshot.stats, EngineStats):
+            raise ObserverError(
+                f"snapshot stats {snapshot.stats!r} are not EngineStats"
+            )
+        tallies = snapshot.tallies
+        if set(tallies) != set(self._specs):
+            raise ObserverError(
+                f"snapshot tallies {sorted(tallies, key=repr)} do not name "
+                f"each of this engine's specs {sorted(self._specs)} once"
+            )
+        for event_id, tally in tallies.items():
+            if not (
+                isinstance(tally, (tuple, list))
+                and len(tally) == 2
+                and all(_is_tick(count) and count >= 0 for count in tally)
+            ):
+                raise ObserverError(
+                    f"snapshot tally of spec {event_id!r} is {tally!r}, not "
+                    f"two non-negative counts"
+                )
 
     def set_last_match(self, event_id: str, tick: int | None) -> None:
         """Override one specification's cooldown clock.
@@ -647,6 +774,11 @@ class DetectionEngine:
             seen.clear()
         self._last_match.clear()
         self._watermark = None
+
+
+def _is_tick(value: object) -> bool:
+    """Whether ``value`` is an int a snapshot may carry as a tick or count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,16 @@ with no extractable clause gets a plan with ``prunable == False`` and
 the engine falls back to exhaustive enumeration.  Pruning therefore
 never changes the match set, only the number of bindings evaluated
 (verified by the differential tests in ``tests/detect/test_planner.py``).
+
+A plan is **decisive** when its clauses are the whole condition: two
+single roles, no group role, and an ``AND`` / leaf tree in which every
+leaf became a within, beyond or order clause (the paper's S1 pair
+shape).  Its candidates then also say which survivors satisfy *every*
+clause on the columns alone — a distance clear of the radius by the
+reject masks' margin, an order between known, closed tick bounds —
+and the engine matches those without running the compiled condition.
+Any other survivor, and every binding of every other plan, is judged
+exactly as before.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.core.composite import And, ConditionNode, Leaf
 from repro.core.conditions import (
@@ -58,13 +70,14 @@ from repro.core.entity import Entity
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import BoundingBox, Field, PointLocation
 from repro.core.spec import EventSpecification
-from repro.detect.role_window import RoleWindow, tick_bounds
+from repro.detect.role_window import RoleWindow, farther_sq, nearer_sq, tick_bounds
 
 __all__ = [
     "DistanceClause",
     "RegionClause",
     "OrderClause",
     "EvaluationPlan",
+    "Survivors",
     "compile_plan",
 ]
 
@@ -117,6 +130,58 @@ class OrderClause:
     slack: int
 
 
+def _conjunction_only(node: ConditionNode) -> bool:
+    """Whether ``node`` is built of ``AND`` nodes and leaves alone."""
+    if isinstance(node, Leaf):
+        return True
+    return isinstance(node, And) and all(map(_conjunction_only, node.children))
+
+
+class Survivors(list):
+    """A decisive plan's candidates: the window rows no clause rejects,
+    in arrival order, which can also say which of them satisfy every
+    clause.
+
+    The proof is worked out on the first :meth:`proves` call, over the
+    survivors only, from the squared distances the reject masks already
+    computed — so an enumeration whose bindings all fall to identity or
+    dedup never pays for it.
+    """
+
+    __slots__ = ("_window", "_rows", "_distances", "_ordered", "_proven")
+
+    def __init__(
+        self,
+        window: RoleWindow,
+        rows: np.ndarray,
+        distances: list[tuple[np.ndarray, float, bool]],
+        ordered: bool,
+    ):
+        super().__init__(window.take(rows))
+        self._window = window
+        self._rows = rows
+        # (squared distances over the live slice, proof bound, within?)
+        self._distances = distances
+        self._ordered = ordered
+        self._proven: list[bool] | None = None
+
+    def proves(self, position: int) -> bool:
+        """Whether the survivor at ``position`` satisfies every clause."""
+        proven = self._proven
+        if proven is None:
+            rows = self._rows
+            holds = (
+                self._window.closed(rows)
+                if self._ordered
+                else np.ones(len(rows), dtype=bool)
+            )
+            for squared, bound, within in self._distances:
+                kept = squared[rows]
+                holds &= kept < bound if within else kept > bound
+            proven = self._proven = holds.tolist()
+        return proven[position]
+
+
 def _conjunctive_leaves(node: ConditionNode) -> list[Condition]:
     """Leaf conditions that must hold for *any* satisfying binding."""
     if isinstance(node, Leaf):
@@ -142,7 +207,9 @@ class EvaluationPlan:
       :class:`~repro.detect.role_window.RoleWindow`.
 
     Both are superset guards: an entity is excluded only when a
-    conjunctively-necessary clause provably cannot hold for it.
+    conjunctively-necessary clause provably cannot hold for it.  A
+    ``decisive`` plan's candidates are :class:`Survivors`, which also
+    prove (module docstring).
     """
 
     spec: EventSpecification
@@ -151,6 +218,7 @@ class EvaluationPlan:
     regions: tuple[RegionClause, ...] = ()
     near_constants: tuple[NearConstantClause, ...] = ()
     orders: tuple[OrderClause, ...] = ()
+    decisive: bool = False
 
     @property
     def prunable(self) -> bool:
@@ -309,35 +377,55 @@ class EvaluationPlan:
         window's live rows; the masks are OR-ed and the rows left
         standing are returned in arrival order, so pruned enumeration
         visits the same bindings as exhaustive enumeration, minus
-        provable non-matches.
+        provable non-matches.  A decisive plan returns them as
+        :class:`Survivors` when every clause can be proven against the
+        pinned entity: a point anchor, and known, closed tick bounds.
         """
         masks = []
-        for clauses, reject in (
-            (self.distances, window.farther_than),
-            (self.beyonds, window.nearer_than),
-        ):
+        # Proof material, kept for decisive plans only; None once some
+        # clause cannot be proven against this pinned entity.
+        proofs: list[tuple[np.ndarray, float, bool]] | None = (
+            [] if self.decisive else None
+        )
+        for clauses, within in ((self.distances, True), (self.beyonds, False)):
             for clause in clauses:
                 if role not in (clause.role_a, clause.role_b):
+                    proofs = None
                     continue
                 other = pinned.get(clause.other(role))
                 if other is None:
+                    proofs = None
                     continue
                 anchor = other.occurrence_location
                 if not isinstance(anchor, PointLocation):
+                    proofs = None
                     continue  # field anchor: distance bound not point-reducible
-                masks.append(reject(anchor, clause.radius))
+                # One distance pass serves the reject and the proof side.
+                squared = window.distance_sq(anchor)
+                radius = clause.radius
+                if within:
+                    masks.append(squared > farther_sq(radius))
+                else:
+                    masks.append(squared < nearer_sq(radius))
+                if proofs is not None:
+                    bound = nearer_sq(radius) if within else farther_sq(radius)
+                    proofs.append((squared, bound, within))
         for clause in self.near_constants:
             if clause.role == role:
-                masks.append(window.farther_than(clause.point, clause.radius))
+                squared = window.distance_sq(clause.point)
+                masks.append(squared > farther_sq(clause.radius))
         regions = [c.region for c in self.regions if c.role == role]
         for region in regions:
             masks.append(window.outside(region.bounding_box()))
 
         # Temporal ordering constraints against pinned roles compare the
         # candidates' tick-bound columns with the pinned entity's bounds.
+        # An order mask is exact on known, closed rows, so a survivor it
+        # kept is proven once its own bounds are known and closed — if
+        # the pinned entity's are too (an open one makes the relation raise).
         for clause in self.orders:
             if clause.earlier == role and clause.later in pinned:
-                pinned_lo, _ = tick_bounds(pinned[clause.later])
+                pinned_lo, pinned_hi = tick_bounds(pinned[clause.later])
                 if pinned_lo is not None:
                     masks.append(window.not_over_before(pinned_lo - clause.slack))
             elif clause.later == role and clause.earlier in pinned:
@@ -348,9 +436,18 @@ class EvaluationPlan:
                     # Open interval pinned as the earlier operand: Before
                     # can never hold, so no candidate can complete a match.
                     return ()
+            else:
+                pinned_hi = None
+            if pinned_hi is None:
+                proofs = None
         if not masks:
             return None
-        survivors = window.surviving(reduce(or_, masks))
+        rejected = reduce(or_, masks)
+        if proofs is not None:
+            return Survivors(
+                window, np.flatnonzero(~rejected), proofs, bool(self.orders)
+            )
+        survivors = window.surviving(rejected)
         for region in regions:
             # The box mask is only the cheap first cut; field-located
             # entities are the exact condition's to judge, not ours.
@@ -372,7 +469,8 @@ def compile_plan(spec: EventSpecification) -> EvaluationPlan:
     near_constants: list[NearConstantClause] = []
     orders: list[OrderClause] = []
 
-    for cond in _conjunctive_leaves(spec.condition):
+    leaves = _conjunctive_leaves(spec.condition)
+    for cond in leaves:
         if isinstance(cond, SpatialMeasureCondition):
             if cond.measure != "distance":
                 continue
@@ -443,4 +541,9 @@ def compile_plan(spec: EventSpecification) -> EvaluationPlan:
         regions=tuple(regions),
         near_constants=tuple(near_constants),
         orders=tuple(orders),
+        decisive=(
+            len(singles) == len(spec.roles) == 2
+            and _conjunction_only(spec.condition)
+            and len(distances) + len(beyonds) + len(orders) == len(leaves)
+        ),
     )

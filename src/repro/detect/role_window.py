@@ -23,8 +23,14 @@ cannot hold.  Distances are compared with an explicit float margin
 (never an equality between a vectorised and a :func:`math.hypot`
 distance), every comparison against ``NaN`` is ``False``, and the tick
 sentinels sit on the admitting side of every order comparison — so
-unlocated, huge or temporally exotic entities are never rejected and
-the compiled condition stays the only judge of a surviving binding.
+unlocated, huge or temporally exotic entities are never rejected.
+
+The same columns also *prove*: :func:`nearer_sq` and :func:`farther_sq`
+bound a squared distance on either side of a radius with that margin,
+so one :meth:`RoleWindow.distance_sq` array answers a distance clause
+three ways — provably outside (reject), provably inside (prove), or
+too close to the radius to tell (left to the compiled condition).  An
+order comparison is exact wherever :meth:`RoleWindow.closed` holds.
 
 Arrival order is slot order: :meth:`RoleWindow.surviving` maps
 ``np.flatnonzero`` of the kept rows back to entities, which is why
@@ -43,7 +49,7 @@ from repro.core.errors import ConditionError
 from repro.core.space_model import EPS, BoundingBox, PointLocation
 from repro.core.time_model import TimeInterval, TimePoint
 
-__all__ = ["RoleWindow", "tick_bounds"]
+__all__ = ["RoleWindow", "farther_sq", "nearer_sq", "tick_bounds"]
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -74,6 +80,20 @@ def _margin(radius: float) -> float:
     """Slack that absorbs any rounding gap between the vectorised and
     the scalar distance (a few ulps, relative) with orders to spare."""
     return EPS * (1.0 + abs(radius))
+
+
+def farther_sq(radius: float) -> float:
+    """Squared distance past which a point is provably farther than
+    ``radius``: ``math.hypot`` of the same two points exceeds it too."""
+    bound = radius + _margin(radius)
+    return bound * bound
+
+
+def nearer_sq(radius: float) -> float:
+    """Squared distance below which a point is provably nearer than
+    ``radius`` (nothing is nearer than a non-positive radius)."""
+    bound = max(radius - _margin(radius), 0.0)
+    return bound * bound
 
 
 def _squarable(coordinate: float) -> float:
@@ -185,23 +205,15 @@ class RoleWindow:
 
     # -- reject masks over the live slice ------------------------------
 
-    def _distance_sq(self, point: PointLocation) -> np.ndarray:
-        """Squared distances to ``point`` (NaN where either end is NaN)."""
+    def distance_sq(self, point: PointLocation) -> np.ndarray:
+        """Squared distances to ``point`` (NaN where either end is NaN).
+
+        ``> farther_sq(r)`` marks the rows provably farther than ``r``,
+        ``< nearer_sq(r)`` the rows provably nearer."""
         live = slice(self._head, len(self._entities))
         dx = self._x[live] - _squarable(point.x)
         dy = self._y[live] - _squarable(point.y)
         return dx * dx + dy * dy
-
-    def farther_than(self, point: PointLocation, radius: float) -> np.ndarray:
-        """Rows provably farther than ``radius`` from ``point``."""
-        bound = radius + _margin(radius)
-        return self._distance_sq(point) > bound * bound
-
-    def nearer_than(self, point: PointLocation, radius: float) -> np.ndarray:
-        """Rows provably nearer than ``radius`` to ``point``."""
-        # Every distance reaches a non-positive radius: reject nothing.
-        bound = max(radius - _margin(radius), 0.0)
-        return self._distance_sq(point) < bound * bound
 
     def outside(self, box: BoundingBox) -> np.ndarray:
         """Rows provably outside ``box`` padded by the containment tolerance.
@@ -229,7 +241,18 @@ class RoleWindow:
         floor = max(_INT64_MIN, min(floor, _INT64_MAX - 1))
         return self._lo[self._head:len(self._entities)] <= floor
 
+    def closed(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the live ``rows`` have known, closed tick bounds: the
+        rows an order comparison decides exactly (the unknown and open
+        sentinels sit on its admitting side)."""
+        lo, hi = self._lo[self._head:][rows], self._hi[self._head:][rows]
+        return (lo <= hi) & (hi < _INT64_MAX)
+
     def surviving(self, rejected: np.ndarray) -> list[Entity]:
         """Live entities a reject mask left standing, in arrival order."""
+        return self.take(np.flatnonzero(~rejected))
+
+    def take(self, rows: np.ndarray) -> list[Entity]:
+        """The entities of the live ``rows``, in the order given."""
         entities, head = self._entities, self._head
-        return [entities[head + i] for i in np.flatnonzero(~rejected).tolist()]
+        return [entities[head + i] for i in rows.tolist()]

@@ -280,6 +280,7 @@ def render_report(runtime=None, *, engine=None) -> str:
         lines.append(
             f"entities={stats.entities_submitted} "
             f"bindings={stats.bindings_evaluated} "
+            f"proven={stats.bindings_proven} "
             f"pruned={stats.candidates_pruned} "
             f"matches={stats.matches} "
             f"errors={stats.evaluation_errors} "

@@ -1,5 +1,7 @@
 """Unit tests for the detection engine and instance construction."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.composite import all_of
@@ -30,6 +32,8 @@ from repro.core.spec import (
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.output import build_instance
+
+from tests.integration.test_conformance import _run
 
 MOTE = ObserverId(ObserverKind.SENSOR_MOTE, "MT9")
 
@@ -147,6 +151,79 @@ class TestNonFiniteCoordinates:
         assert engine.submit(obs(seq=1, tick=1, x=1e308, y=2.0), now=1) == []
         engine.restore(engine.snapshot())
         assert engine.stats.entities_submitted == 2
+
+
+def _window(snapshot):
+    """The entries of the first spec's (shared) window."""
+    return next(iter(snapshot.windows[snapshot.spec_ids[0]].values()))
+
+
+def _with_window(snapshot, entries):
+    """``snapshot`` with every role of its first spec holding ``entries``."""
+    event_id = snapshot.spec_ids[0]
+    roles = snapshot.windows[event_id]
+    return replace(
+        snapshot,
+        windows={**snapshot.windows, event_id: dict.fromkeys(roles, entries)},
+    )
+
+
+REFUSALS = {
+    "window entry that is no entity": lambda s: _with_window(
+        s, ((s.watermark, object()),) + _window(s)
+    ),
+    "window ticks out of arrival order": lambda s: _with_window(
+        s, _window(s)[::-1]
+    ),
+    "window tick past the watermark": lambda s: _with_window(
+        s, _window(s) + ((s.watermark + 1, _window(s)[-1][1]),)
+    ),
+    "window entries under no watermark": lambda s: replace(s, watermark=None),
+    "watermark that is no tick": lambda s: replace(s, watermark="x"),
+    "dedup store of an unknown spec": lambda s: replace(
+        s, seen={**s.seen, "nope": ()}
+    ),
+    "dedup entry that is no (identity, tick) pair": lambda s: replace(
+        s, seen={event_id: ((1, 2, 3),) for event_id in s.seen}
+    ),
+    "cooldown clock of an unknown spec": lambda s: replace(
+        s, last_match={"nope": 3}
+    ),
+    "cooldown clock that is no tick": lambda s: replace(
+        s, last_match=dict.fromkeys(s.last_match, "x")
+    ),
+    "stats that are no EngineStats": lambda s: replace(s, stats=None),
+    "no tallies": lambda s: replace(s, tallies={}),
+    "negative tally": lambda s: replace(
+        s, tallies=dict.fromkeys(s.tallies, (-1, 0))
+    ),
+}
+
+
+class TestRestoreRefusals:
+    """Regression: ``ensure_restorable`` checked only spec ids and roles,
+    and ``restore`` clears the engine before it re-adds entries.  So a
+    snapshot no run could leave was either accepted, or raised a bare
+    ``AttributeError`` / ``KeyError`` after the engine had been wiped.
+    Each row is a live ``high_density`` sink snapshot with one fault."""
+
+    @pytest.fixture(scope="class")
+    def sink(self):
+        scenario, _ = _run("high_density")
+        engine = next(iter(scenario.system.sinks.values())).engine
+        snapshot = engine.snapshot()
+        assert _window(snapshot) and snapshot.seen[snapshot.spec_ids[0]]
+        return engine.specs, snapshot
+
+    @pytest.mark.parametrize("row", list(REFUSALS))
+    def test_refused_before_anything_changes(self, sink, row):
+        specs, snapshot = sink
+        engine = DetectionEngine(specs)
+        engine.restore(snapshot)
+        before = engine.snapshot()
+        with pytest.raises(ObserverError):
+            engine.restore(REFUSALS[row](snapshot))
+        assert engine.snapshot() == before
 
 
 class TestSingleRole:

@@ -70,6 +70,11 @@ class TestReportSaysWhetherThePlanPays:
         stats = engine.stats
         assert stats.matches == 6 and 0.0 < stats.pruned_ratio < 1.0
         lines = render_report(engine=engine).splitlines()
+        # A bare beyond clause is decisive: every match is proven.
+        assert stats.bindings_proven == 6
+        assert sum(
+            f"proven={stats.bindings_proven} " in line for line in lines
+        ) == 1
         ratio = f"pruned_ratio={stats.pruned_ratio * 100:.1f}%"
         assert sum(ratio in line for line in lines if not line.startswith("shard[")) == 1
         per_shard = [line for line in lines if line.startswith("shard[")]
@@ -85,6 +90,7 @@ class TestMerge:
             "entities_submitted",
             "batches_submitted",
             "bindings_evaluated",
+            "bindings_proven",
             "candidates_pruned",
             "matches",
             "evaluation_errors",

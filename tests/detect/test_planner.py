@@ -10,6 +10,7 @@ planner knows how to extract, plus shapes it must refuse to prune
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,9 +28,11 @@ from repro.core.conditions import (
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
+from repro.detect import engine as engine_module
+from repro.detect.compiler import compile_condition
 from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.planner import compile_plan
-from repro.workloads import synthetic_observations
+from repro.workloads import build_scenario, scenario_names, synthetic_observations
 
 BOUNDS = BoundingBox(0, 0, 100, 100)
 
@@ -438,3 +441,95 @@ class TestPruningEffectiveness:
         assert planned == naive
         assert p_stats.bindings_evaluated * 2 <= n_stats.bindings_evaluated
         assert p_stats.candidates_pruned > 0
+
+
+class TestDecisivePlans:
+    """Where the masks prove as well as reject: the S1 pair shape."""
+
+    def test_sink_shaped_pair_proves_what_it_can_and_judges_the_rest(
+        self, monkeypatch
+    ):
+        """Cooldown 0 and about 30 matches per reading, as at a dense
+        sink.  Every 25th reading and the next one lie exactly the
+        radius apart: the proof must leave that binding to the judge."""
+        calls = 0
+
+        def counted(node):
+            compiled = compile_condition(node)
+
+            def fn(binding):
+                nonlocal calls
+                calls += 1
+                return compiled.fn(binding)
+
+            return replace(compiled, fn=fn)
+
+        monkeypatch.setattr(engine_module, "compile_condition", counted)
+        observations = synthetic_observations(
+            300, rate=1.0, bounds=BOUNDS, rng=random.Random(14)
+        )
+        for index in range(0, len(observations) - 1, 25):
+            first, second = observations[index], observations[index + 1]
+            observations[index] = replace(first, location=PointLocation(10, 10))
+            observations[index + 1] = replace(
+                second, location=PointLocation(52, 66)  # 70 away
+            )
+        spec = EventSpecification(
+            event_id="dense_pair",
+            selectors=pair_selectors(),
+            condition=all_of(before_cond(), distance_cond(radius=70.0)),
+            window=60,
+        )
+        assert compile_plan(spec).decisive
+        streams, stats = [], []
+        for use_planner in (True, False):
+            engine = DetectionEngine([spec], use_planner=use_planner)
+            identify = binding_identity(spec)
+            streams.append(
+                [
+                    (match.tick, identify(match.binding))
+                    for obs in observations
+                    for match in engine.submit(obs, obs.time.tick)
+                ]
+            )
+            stats.append(engine.stats)
+        (planned, naive), (p_stats, n_stats) = streams, stats
+        assert planned == naive
+        assert p_stats.matches >= 25 * len(observations)
+        assert n_stats.bindings_proven == 0
+        assert 0 < calls < p_stats.bindings_proven
+        assert p_stats.bindings_proven + calls == p_stats.bindings_evaluated
+
+
+# Per registered family, the event ids whose plan is decisive: exactly
+# its two-role specs, each an S1 pair of a within or beyond clause and
+# an order clause.
+DECISIVE = {
+    "smart_building": set(),
+    "forest_fire": set(),
+    "intrusion": set(),
+    "convoy_pursuit": {"pursuit"},
+    "urban_campus": {"zone_activity", "campus_sweep"},
+    "sensor_failure_storm": set(),
+    "sharded_metro": {"tram_crossing", "metro_surge"},
+    "jittery_corridor": {"drone_cluster"},
+    "overload_surge": {"surge_pair"},
+    "flaky_uplink": {"uplink_cluster"},
+    "high_density": {"warm_pair"},
+}
+
+
+def test_the_decisive_table_covers_the_registry():
+    assert list(DECISIVE) == list(scenario_names())
+
+
+@pytest.mark.parametrize("family", list(DECISIVE))
+def test_exactly_the_registered_pair_specs_are_decisive(family):
+    system = build_scenario(family, "small").system
+    observers = [*system.motes.values(), *system.sinks.values(), *system.ccus.values()]
+    specs = {spec.event_id: spec for o in observers for spec in o.engine.specs}
+    assert {
+        event_id for event_id, spec in specs.items() if compile_plan(spec).decisive
+    } == {
+        event_id for event_id, spec in specs.items() if len(spec.roles) == 2
+    } == DECISIVE[family]

@@ -11,7 +11,9 @@ kept in this file:
 * **superset guard** — a reject mask is ``True`` only where the clause
   provably cannot hold: everything the brute-force scalar test admits
   (and everything it cannot judge: field locations, huge coordinates,
-  open or exotic occurrence times) is left standing.
+  open or exotic occurrence times) is left standing;
+* **proof** — a decisive plan's survivor is proven only where the
+  scalar condition holds, and evaluates without raising.
 
 The whole module runs with warnings as errors: a mask that overflows or
 compares invalid values on its way to the right answer is a defect.
@@ -32,9 +34,10 @@ from repro.core.operators import RelationalOp, TemporalOp
 from repro.core.space_model import BoundingBox, Circle, PointLocation
 from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimeInterval, TimePoint
+from repro.detect.compiler import compile_condition
 from repro.detect.engine import DetectionEngine, binding_identity
-from repro.detect.planner import compile_plan
-from repro.detect.role_window import RoleWindow, tick_bounds
+from repro.detect.planner import Survivors, compile_plan
+from repro.detect.role_window import RoleWindow, farther_sq, nearer_sq, tick_bounds
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -103,7 +106,7 @@ class TestWindow:
         assert [e.occurrence_time.tick for e in live] == list(range(393, 400))
         assert len(window._x) == 64  # never grew past the first burst
         origin = PointLocation(0, 0)
-        assert standing(window, window.farther_than(origin, 396 * math.sqrt(2))) == {
+        assert standing(window, farther_than(window, origin, 396 * math.sqrt(2))) == {
             e.name for e in live[:4]
         }
 
@@ -199,14 +202,43 @@ def point_of(entity):
     return location if isinstance(location, PointLocation) else None
 
 
+def farther_than(window, point, radius):
+    """The reject mask of a within clause."""
+    return window.distance_sq(point) > farther_sq(radius)
+
+
+def nearer_than(window, point, radius):
+    """The reject mask of a beyond clause."""
+    return window.distance_sq(point) < nearer_sq(radius)
+
+
 def standing(window, rejected):
     """Names of the entities a reject mask leaves standing."""
     assert len(rejected) == len(window)
     return {entity.name for entity in window.surviving(rejected)}
 
 
+DISTANCE_OPS = [RelationalOp.LT, RelationalOp.LE, RelationalOp.GT, RelationalOp.GE]
+
+
+def pair(op, radius, order, offsets):
+    """A decisive pair spec: one distance and one order clause."""
+    offset_a, offset_b = offsets
+    return EventSpecification(
+        event_id="pair",
+        selectors={"a": EntitySelector(), "b": EntitySelector()},
+        condition=all_of(
+            SpatialMeasureCondition("distance", ("a", "b"), op, radius),
+            TemporalCondition(
+                TimeOf("a", offset=offset_a), order, TimeOf("b", offset=offset_b)
+            ),
+        ),
+        window=10,
+    )
+
+
 # ----------------------------------------------------------------------
-# the two contracts, under one random history
+# the contracts, under one random history
 # ----------------------------------------------------------------------
 
 class TestSoundness:
@@ -232,8 +264,8 @@ class TestSoundness:
     def test_distance_masks_contain_the_scalar_answer(self, history, qx, qy, radius):
         window, live = replay(*history)
         query = PointLocation(qx, qy)
-        within = standing(window, window.farther_than(query, radius))
-        beyond = standing(window, window.nearer_than(query, radius))
+        within = standing(window, farther_than(window, query, radius))
+        beyond = standing(window, nearer_than(window, query, radius))
         for entity in live:
             point = point_of(entity)
             distance = None if point is None else point.distance_to(query)
@@ -276,15 +308,76 @@ class TestSoundness:
         for entity in (near, far, field, ongoing):
             window.add(entity, 0)
         origin = PointLocation(0, 0)
-        assert standing(window, window.farther_than(origin, 5.0)) == {1, 3, 4}
-        assert standing(window, window.nearer_than(origin, 5.0)) == {1, 2, 3}
-        assert standing(window, window.nearer_than(origin, 5.1)) == {2, 3}
+        assert standing(window, farther_than(window, origin, 5.0)) == {1, 3, 4}
+        assert standing(window, nearer_than(window, origin, 5.0)) == {1, 2, 3}
+        assert standing(window, nearer_than(window, origin, 5.1)) == {2, 3}
         assert standing(window, window.outside(BoundingBox(0, 0, 10, 10))) == {1, 3, 4}
         assert standing(window, window.not_over_before(10)) == {1, 3}
         assert standing(window, window.not_begun_after(10)) == {2, 3}
         # Anchors too far out to square have no opinion.
-        assert not window.farther_than(PointLocation(1e200, 0), 5.0).any()
-        assert not window.nearer_than(origin, -1.0).any()
+        assert not farther_than(window, PointLocation(1e200, 0), 5.0).any()
+        assert not nearer_than(window, origin, -1.0).any()
+
+    @pytest.mark.parametrize("op", DISTANCE_OPS)
+    @pytest.mark.parametrize("order", [TemporalOp.BEFORE, TemporalOp.AFTER])
+    @given(
+        history=histories(),
+        anchor=stubs,
+        radius=radii,
+        offsets=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        pinned=st.sampled_from("ab"),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_proven_row_satisfies_the_scalar_condition(
+        self, op, order, history, anchor, radius, offsets, pinned
+    ):
+        spec = pair(op, radius, order, offsets)
+        plan = compile_plan(spec)
+        window, live = replay(*history)
+        role = "b" if pinned == "a" else "a"
+        found = plan.candidates(role, {pinned: anchor}, window)
+        if not isinstance(found, Survivors):
+            return
+        judge = compile_condition(spec.condition)
+        for position, entity in enumerate(found):
+            if found.proves(position):
+                binding = {pinned: anchor, role: entity}
+                assert spec.condition.evaluate(binding) is True
+                assert judge(binding) is True
+
+    def test_proofs_do_prove(self):
+        """The guard above holds for a proof that accepts nothing; this
+        pins that ordinary rows *are* proven, on each side of the pinned
+        entity, and the rows only the judge can settle are not."""
+        window = RoleWindow(100)
+        rows = [
+            at(2, 3, tick=2, name=1),  # near, earlier
+            at(1, 1, tick=9, name=2),  # near, later
+            at(60, 80, tick=2, name=3),  # far
+            at(0, 6, tick=5, name=4),  # same tick: never Before
+            Stub(Circle(PointLocation(1, 1), 2.0), TimePoint(2), 5),
+            Stub(PointLocation(1, 1), TimeInterval(TimePoint(1), None), 6),
+            Stub(PointLocation(1, 1), TimeInterval(TimePoint(1), TimePoint(3)), 7),
+            Stub(PointLocation(1, 1), "whenever", 8),
+            at(4, 3, tick=2, name=9),  # exactly at the radius
+        ]
+        for entity in rows:
+            window.add(entity, 0)
+        spec = pair(RelationalOp.LT, 5.0, TemporalOp.BEFORE, (0, 0))
+        plan = compile_plan(spec)
+        pinned = at(0, 0, tick=5, name=0)
+
+        def proven(role, other):
+            found = plan.candidates(role, {other: pinned}, window)
+            return {e.name for i, e in enumerate(found) if found.proves(i)}
+
+        assert proven("a", "b") == {1, 7}
+        assert proven("b", "a") == {2}
+        # An open or unknown pinned entity proves nothing.
+        for when in (TimeInterval(TimePoint(0), None), "whenever"):
+            ongoing = Stub(PointLocation(0, 0), when, 0)
+            found = plan.candidates("b", {"a": ongoing}, window)
+            assert not isinstance(found, Survivors)
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +388,7 @@ TRIANGLES = [(3, 4), (4, 3), (-3, 4), (0, 5), (5, 0), (-4, -3)]  # all at 5
 
 
 class TestAtTheRadius:
-    @pytest.mark.parametrize(
-        "op", [RelationalOp.LT, RelationalOp.LE, RelationalOp.GT, RelationalOp.GE]
-    )
+    @pytest.mark.parametrize("op", DISTANCE_OPS)
     @given(ox=st.integers(-1000, 1000), oy=st.integers(-1000, 1000))
     @settings(max_examples=40, deadline=None)
     def test_candidates_contain_every_scalar_match(self, op, ox, oy):
@@ -330,10 +421,18 @@ class TestAtTheRadius:
                 assert entity.name in names
         # ... and the mask is worth having: one ring of three is gone.
         assert len(names) <= 2 * len(TRIANGLES)
+        # The ring at the radius is left to the judge under every
+        # operator; the matching ring clear of it is proven.
+        assert isinstance(survivors, Survivors)
+        proven = {
+            entity.name
+            for position, entity in enumerate(survivors)
+            if survivors.proves(position)
+        }
+        at_radius = set(range(len(TRIANGLES), 2 * len(TRIANGLES)))
+        assert proven == set(names) - at_radius
 
-    @pytest.mark.parametrize(
-        "op", [RelationalOp.LT, RelationalOp.LE, RelationalOp.GT, RelationalOp.GE]
-    )
+    @pytest.mark.parametrize("op", DISTANCE_OPS)
     def test_planned_engine_matches_naive_at_the_radius(self, op):
         spec = EventSpecification(
             event_id="ring",
