@@ -6,7 +6,7 @@ Three layers, one import surface:
   (:class:`StageTrace`,
   ``ADMISSION → REORDER → WATERMARK_HOLD → ENGINE → MERGE → EMIT``)
   and their residency histograms, kept by one :class:`Telemetry`
-  object the streaming runtime accepts;
+  object every streaming runtime holds;
 * :mod:`repro.obs.metrics` — :func:`collect`, which reads every
   exported series from the part that owns it (runtime, engine, merger,
   supervisor, telemetry) when asked;

@@ -216,17 +216,15 @@ def render_report(runtime=None, *, engine=None) -> str:
     """Pretty-print a live runtime or a bare engine.
 
     Given a :class:`~repro.stream.runtime.StreamingDetectionRuntime`,
-    its engine and telemetry are picked up too; ``engine=`` alone
+    its engine, admission controller and telemetry are picked up too
+    (the stage residencies when the telemetry traces); ``engine=`` alone
     reports a bare :class:`~repro.detect.engine.DetectionEngine` /
     :class:`~repro.shard.engine.ShardedDetectionEngine`.
     """
-    telemetry = None
-    if runtime is not None:
-        engine = runtime.engine
-        telemetry = runtime.telemetry
     lines: list[str] = ["== repro.obs runtime report =="]
 
     if runtime is not None:
+        engine = runtime.engine
         stats = runtime.stats
         lines.append("-- stream --")
         lines.append(
@@ -249,30 +247,29 @@ def render_report(runtime=None, *, engine=None) -> str:
             f"backpressure: engaged_steps={stats.backpressure_events} "
             f"steps={steps} duty_cycle={_fmt_rate(duty)}"
         )
-        if runtime.admission is not None:
-            view = runtime.admission.metrics_view()
-            lines.append(
-                "admission: "
-                + " ".join(f"{key}={value}" for key, value in view.items())
-            )
-
-    if telemetry is not None and telemetry.enabled:
+        view = runtime.admission.metrics_view()
         lines.append(
-            f"-- stage residency (ticks; trace_every="
-            f"{telemetry.trace_every}, completed="
-            f"{len(telemetry.completed_rows())}, in_flight="
-            f"{telemetry.active_count}) --"
+            "admission: "
+            + " ".join(f"{key}={value}" for key, value in view.items())
         )
-        for stage, histogram in zip(STAGES, telemetry.residency):
-            if not histogram.count:
-                continue
+        telemetry = runtime.telemetry
+        if telemetry.enabled:
             lines.append(
-                f"{stage.value:<15} n={histogram.count:<6} "
-                f"p50<={_format_bound(histogram.quantile(0.5))} "
-                f"p95<={_format_bound(histogram.quantile(0.95))} "
-                f"p99<={_format_bound(histogram.quantile(0.99))} "
-                f"mean={histogram.total / histogram.count:.2f}"
+                f"-- stage residency (ticks; trace_every="
+                f"{telemetry.trace_every}, completed="
+                f"{len(telemetry.completed_rows())}, in_flight="
+                f"{telemetry.active_count}) --"
             )
+            for stage, histogram in zip(STAGES, telemetry.residency):
+                if not histogram.count:
+                    continue
+                lines.append(
+                    f"{stage.value:<15} n={histogram.count:<6} "
+                    f"p50<={_format_bound(histogram.quantile(0.5))} "
+                    f"p95<={_format_bound(histogram.quantile(0.95))} "
+                    f"p99<={_format_bound(histogram.quantile(0.99))} "
+                    f"mean={histogram.total / histogram.count:.2f}"
+                )
 
     if engine is not None:
         stats = engine.stats

@@ -89,8 +89,8 @@ def collect(runtime) -> list[MetricSample]:
     * ``engine_spec_*`` / ``shard_merge_*`` — the engine's
       per-specification tallies and, on the sharded backend, the
       merger's counts;
-    * ``obs_*`` — the telemetry bundle's trace tallies and residency
-      histograms, when one is attached.
+    * ``obs_*`` — the telemetry's trace tallies and residency
+      histograms, when it traces (``trace_every`` above 0).
     """
     stats = runtime.stats
     samples = [
@@ -136,7 +136,7 @@ def collect(runtime) -> list[MetricSample]:
             for count, help_text in _MERGER_SERIES
         ]
     telemetry = runtime.telemetry
-    if telemetry is not None:
+    if telemetry.enabled:
         samples += [
             _sample("obs_traces_sampled_total",
                     "Observations picked for tracing", telemetry.sampled),

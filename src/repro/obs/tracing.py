@@ -46,7 +46,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import ObserverError
 
@@ -247,10 +247,11 @@ class TelemetrySnapshot:
 class Telemetry:
     """Sampled stage tracing plus a monotone step clock for one pipeline.
 
-    Handed to :class:`~repro.stream.runtime.StreamingDetectionRuntime`
-    as a single optional object, so the disabled configuration is
-    literally ``None`` and costs one identity check per instrumentation
-    point.  It keeps only what nothing else in the pipeline owns: the
+    Every :class:`~repro.stream.runtime.StreamingDetectionRuntime`
+    holds one; the disabled configuration is ``trace_every=0`` (what the
+    runtime builds when given ``None``), and it costs one integer check
+    per instrumentation point.  It keeps only what nothing else in the
+    pipeline owns: the
     traces, their per-stage residency histograms and the trace tallies
     (:attr:`sampled`, :attr:`finished`, :attr:`discarded` by reason).
     Every other exported series is read from its owner when asked
@@ -351,11 +352,16 @@ class Telemetry:
         """The in-flight trace of ``(source, seq)``, if it was sampled."""
         return self._active.get((source, seq))
 
-    def discard(self, trace: StageTrace, reason: str) -> None:
-        """Drop an in-flight trace whose observation left the pipeline
-        (shed, evicted, late) — counted per reason, never silently."""
-        self._active.pop(trace.key, None)
-        self.discarded[reason] = self.discarded.get(reason, 0) + 1
+    def lost(self, items: Iterable["StreamItem"], reason: str) -> None:
+        """Retire the in-flight traces of observations that left the
+        pipeline before EMIT (shed, evicted, late) — each counted under
+        ``reason``, never silently.  An unsampled item has no trace to
+        retire, and with tracing off this returns at once."""
+        if not self.trace_every:
+            return
+        for item in items:
+            if self._active.pop((item.source, item.seq), None) is not None:
+                self.discarded[reason] = self.discarded.get(reason, 0) + 1
 
     def complete(self, trace: StageTrace) -> None:
         """Retire a trace at EMIT: feed histograms, append to the ring."""

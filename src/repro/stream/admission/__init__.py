@@ -10,9 +10,10 @@ the controller tying them together
 (:mod:`~repro.stream.admission.controller`).  Every observation is in
 one admission class.
 
-Install one on a :class:`~repro.stream.runtime.StreamingDetectionRuntime`
-via its ``admission=`` argument.  With no limits configured the runtime
-is behavior-identical to an unbounded one — every shed, deferral and
+Every :class:`~repro.stream.runtime.StreamingDetectionRuntime` holds
+one: the controller passed as its ``admission=`` argument, or
+``AdmissionController()``, which sets no limits, admits every
+observation and costs nothing per step.  Every shed, deferral and
 backpressure event is an explicit, counted decision.
 """
 

@@ -18,18 +18,18 @@ captures deferred items, bucket levels and its counters, so a
 :class:`~repro.stream.runtime.RuntimeCheckpoint` taken from an actively
 shedding runtime restores to an identical remaining stream.
 
-With no limits configured (the default :class:`AdmissionLimits`), the
-controller admits everything unconditionally — installing it is
-behavior-identical to running without one, which is what lets the
-golden-trace conformance suite pin that admission is a strict superset
-of the unbounded runtime.
+Every runtime holds one controller.  With no limits configured (the
+default :class:`AdmissionLimits`) it admits everything unconditionally
+and costs nothing per step: :meth:`AdmissionController.intake` hands the
+step back as it came, and the per-step backpressure test reads two
+``None`` limits.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -113,10 +113,13 @@ class AdmissionLimits:
 
 @dataclass(frozen=True)
 class AdmissionSnapshot:
-    """Checkpoint of a controller's mutable state (config excluded —
-    the restoring controller must be configured equivalently, like the
-    engine behind an :class:`~repro.detect.engine.EngineSnapshot`)."""
+    """Checkpoint of a controller's mutable state, with the limits and
+    shedding rule it was taken under: the restoring controller must be
+    configured the same (:meth:`AdmissionController.restore` refuses
+    other settings)."""
 
+    limits: AdmissionLimits
+    shedding: str
     deferred: tuple[StreamItem, ...]
     buckets: Mapping[str, tuple[float, int | None]]
     shed_total: int
@@ -229,8 +232,9 @@ class AdmissionController:
                 "rejected before any item was admitted"
             )
 
-    def intake(self, items: Sequence[StreamItem]) -> list[StreamItem]:
-        """Classify one delivery step: the items admitted now, in order.
+    def intake(self, items: Sequence[StreamItem]) -> Sequence[StreamItem]:
+        """Classify one delivery step: the items admitted now, in order
+        (the step itself when there is no rate limit).
 
         Previously deferred items are re-considered first (their
         sources' buckets have refilled by the step's arrival tick), so
@@ -240,9 +244,7 @@ class AdmissionController:
         each there is.
         """
         if self.limits.rate is None:
-            admitted = [*self._deferred, *items]  # rate lifted: drain all
-            self._deferred.clear()
-            return admitted
+            return items  # nothing defers without a rate limit
         admitted: list[StreamItem] = []
         if items and self._deferred:
             now = items[0].arrival_tick
@@ -297,38 +299,32 @@ class AdmissionController:
 
     # -- backpressure --------------------------------------------------
 
+    def _level(self, occupancy: int) -> float:
+        """The worse fill level: occupancy against ``max_pending`` (a cap
+        of 0 sheds every in-order offer: saturated by configuration),
+        deferral depth against ``max_deferred`` (saturated once anything
+        is parked when deferral is unbounded); ``0.0`` with no limits."""
+        level = 0.0
+        cap = self.limits.max_pending
+        if cap is not None:
+            level = occupancy / cap if cap else 1.0
+        if self._deferred:
+            cap = self.limits.max_deferred
+            level = max(level, len(self._deferred) / cap if cap else 1.0)
+        return level
+
+    def engaged(self, occupancy: int) -> bool:
+        """Whether :meth:`backpressure` would engage, without building
+        the record (the runtime's per-step test)."""
+        return self._level(occupancy) >= BACKPRESSURE_RATIO
+
     def backpressure(
         self, occupancy: int, watermark: int | None
     ) -> Backpressure:
-        """The pressure signal for the current buffer/deferral state.
-
-        Each bounded dimension reports its own fill level — occupancy
-        against ``max_pending`` (a cap of 0 sheds every in-order offer,
-        so it is saturated by configuration), deferral depth against
-        ``max_deferred`` (saturated the moment anything is parked when
-        deferral is unbounded).  The signal engages when either level
-        reaches :data:`BACKPRESSURE_RATIO`.
-        """
-        ratio = BACKPRESSURE_RATIO
-        occupancy_level = 0.0
-        if self.limits.max_pending is not None:
-            occupancy_level = (
-                occupancy / self.limits.max_pending
-                if self.limits.max_pending
-                else 1.0
-            )
-        deferral_level = 0.0
-        if self._deferred:
-            if self.limits.max_deferred:
-                deferral_level = len(self._deferred) / self.limits.max_deferred
-            else:
-                deferral_level = 1.0  # unbounded deferral piling up
-        engaged = (
-            self.limits.max_pending is not None and occupancy_level >= ratio
-        ) or (bool(self._deferred) and deferral_level >= ratio)
-        level = max(occupancy_level, deferral_level)
+        """The pressure signal for the current buffer/deferral state."""
+        level = self._level(occupancy)
         return Backpressure(
-            engaged=engaged,
+            engaged=level >= BACKPRESSURE_RATIO,
             level=min(1.0, level),
             occupancy=occupancy,
             pending_limit=self.limits.max_pending,
@@ -341,6 +337,8 @@ class AdmissionController:
     def snapshot(self) -> AdmissionSnapshot:
         """Capture deferred items, bucket levels and counters."""
         return AdmissionSnapshot(
+            limits=self.limits,
+            shedding=self.shedding,
             deferred=tuple(self._deferred),
             buckets={
                 source: bucket.state()
@@ -351,12 +349,23 @@ class AdmissionController:
         )
 
     def restore(self, snapshot: AdmissionSnapshot) -> None:
-        """Reload controller state (the config must match the one the
-        snapshot was taken under, as with engine snapshots)."""
-        if snapshot.buckets and self.limits.rate is None:
+        """Reload controller state.  A snapshot taken under other limits
+        or another shedding rule is refused before anything changes:
+        restoring it would move a cap or a rate limit mid-stream."""
+        theirs = {**asdict(snapshot.limits), "shedding": snapshot.shedding}
+        mine = {**asdict(self.limits), "shedding": self.shedding}
+        for name, value in mine.items():
+            if theirs[name] != value:
+                raise ObserverError(
+                    f"checkpoint was admitted under {name}="
+                    f"{theirs[name]!r}, this controller uses {value!r}: "
+                    f"a cap, rate limit or shedding rule cannot change "
+                    f"mid-stream"
+                )
+        if (snapshot.buckets or snapshot.deferred) and self.limits.rate is None:
             raise ObserverError(
-                "checkpoint carries token-bucket state but this "
-                "controller has no rate limit configured"
+                "checkpoint carries token-bucket or deferral state but "
+                "this controller has no rate limit configured"
             )
         self._deferred = deque(snapshot.deferred)
         self._buckets = {}

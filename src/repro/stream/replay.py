@@ -124,11 +124,13 @@ class ReplayObserver:
             :class:`~repro.shard.engine.ShardedDetectionEngine`.
         bounds: World extent the shard grid tiles (required when
             ``shards > 1``).
-        admission: Optional
+        admission: The
             :class:`~repro.stream.admission.AdmissionController` handed
             straight to the runtime — replays under resource bounds,
             which is how the benchmark harness measures a shedding
             rule's recall cost against the unbounded golden replay.
+            ``None`` leaves the runtime its default controller (no
+            limits).
         quarantine: Optional
             :class:`~repro.stream.resilience.quarantine.Quarantine`
             handed to the runtime — corrupt deliveries are dead-lettered
@@ -137,11 +139,11 @@ class ReplayObserver:
             :class:`~repro.stream.resilience.dedup.RedeliveryDeduper`
             handed to the runtime — at-least-once redelivery (the
             supervised-recovery transport) replays exactly-once.
-        telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
-            bundle handed to the runtime — sampled stage traces for the
-            replay, with the zero-perturbation guarantee
-            (the conformance harness replays every golden under full
-            tracing).
+        telemetry: The :class:`~repro.obs.tracing.Telemetry` handed to
+            the runtime — sampled stage traces for the replay, with the
+            zero-perturbation guarantee (the conformance harness replays
+            every golden under full tracing).  ``None`` leaves the
+            runtime its default, which traces nothing.
 
     After construction, :attr:`emitted` is the observer's
     :class:`~repro.detect.output.InstanceLog`.

@@ -14,28 +14,28 @@ never been disordered.  Observations beyond the lateness bound are
 counted and retained (:attr:`StreamingDetectionRuntime.late_items`),
 never silently dropped.
 
-The parts the runtime was built with sit in one ordered table
+The parts sit in one ordered table
 (:attr:`StreamingDetectionRuntime.stages`: quarantine, dedup, admission,
-reorder, watermark, engine, telemetry — an absent optional part is
-simply not listed; the engine is always there).  The stages ahead of
-the reorder buffer share one shape, ``intake(items) -> list`` (a
-delivery step in, its survivors out, in order, each stage counting its
-own losses), so ``ingest`` is one loop over them.  Every part has ``snapshot()`` / ``restore()`` and refuses a
-snapshot taken under another configuration of its own; a
-:class:`RuntimeCheckpoint` is the table's ``{name: snapshot}`` image
-plus the runtime's own counters, so a stream can resume mid-flight with
-an identical remaining match stream.
+reorder, watermark, engine, telemetry).  Admission, reorder, watermark,
+engine and telemetry are always there; the two screens, quarantine and
+dedup, are listed only when the runtime was given them.  The stages
+ahead of the reorder buffer share one shape, ``intake(items) -> list``
+(a delivery step in, its survivors out, in order, each stage counting
+its own losses), so ``ingest`` is one loop over them.  Every part has
+``snapshot()`` / ``restore()`` and refuses a snapshot taken under
+another configuration of its own; a :class:`RuntimeCheckpoint` is the
+table's ``{name: snapshot}`` image plus the runtime's own counters, so a
+stream can resume mid-flight with an identical remaining match stream.
 
-Ingestion can be **bounded**: pass an
-:class:`~repro.stream.admission.AdmissionController` and every delivery
-step clears admission — per-source token-bucket rate limits (with
-bounded deferral), an occupancy cap on the reorder buffer enforced by
-one of two shedding rules, and a
+Every delivery step clears admission
+(:class:`~repro.stream.admission.AdmissionController`): per-source
+token-bucket rate limits (with bounded deferral), an occupancy cap on
+the reorder buffer enforced by one of two shedding rules, and a
 :class:`~repro.stream.admission.Backpressure` signal handed to sources
 that expose ``throttle()``.  The controller counts every shed or
 deferred observation (:attr:`StreamStats.shed_observations`,
-:attr:`StreamStats.deferred_observations`); with no limits configured
-the bounded runtime is behavior-identical to the unbounded one.
+:attr:`StreamStats.deferred_observations`); the default controller sets
+no limits, admits everything and costs nothing per step.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ class StreamStats:
     admission controller,
     ``duplicates_dropped`` from the deduper,
     ``quarantined_observations`` from the quarantine and ``recoveries``
-    from the supervisor each time it is asked (zero where that part is
-    absent), so there is no second copy to keep in step.
+    from the supervisor each time it is asked (zero for a screen or
+    supervisor the runtime does not have), so there is no second copy to
+    keep in step.
     """
 
     delivery_steps: int = _exported(
@@ -178,7 +179,7 @@ class RuntimeCheckpoint:
     stages: Mapping[str, object]
     """Each part's own snapshot, keyed like
     :attr:`StreamingDetectionRuntime.stages`.  A checkpoint restores
-    only into a runtime built with the same set of parts."""
+    only into a runtime built with the same screens."""
     stats: StreamStats
     """The counters the runtime itself writes (the stage-owned fields
     are left at zero: those travel inside their stage's snapshot)."""
@@ -197,12 +198,11 @@ class StreamingDetectionRuntime:
             this much and still be released in order.
         on_match: Optional callback invoked per match, in emission
             order (the replay observers build instances here).
-        admission: Optional
+        admission: The
             :class:`~repro.stream.admission.AdmissionController` bounding
             ingestion — rate limits, occupancy cap, shedding rule and
-            backpressure.  ``None`` (the default) runs unbounded; a
-            controller with default :class:`~repro.stream.admission.AdmissionLimits`
-            is behavior-identical to ``None``.
+            backpressure.  ``None`` (the default) builds
+            ``AdmissionController()``, which sets no limits.
         quarantine: Optional
             :class:`~repro.stream.resilience.quarantine.Quarantine` (or
             any object with ``intake(items) -> list``, a ``count`` and
@@ -221,8 +221,10 @@ class StreamingDetectionRuntime:
             corrupt copy of a not-yet-seen identity must never reach
             the dedup record, or it would shadow the intact
             retransmission right behind it.
-        telemetry: Optional :class:`~repro.obs.tracing.Telemetry`
-            (stage tracer + step clock).  The runtime stamps sampled
+        telemetry: The :class:`~repro.obs.tracing.Telemetry` (stage
+            tracer + step clock).  ``None`` (the default) builds
+            ``Telemetry.create()``, which traces nothing.  The runtime
+            stamps sampled
             :class:`~repro.obs.tracing.StageTrace` spans in the tick
             domain.  Telemetry only *reads* the pipeline — no
             randomness, no ordering effects — so every golden digest is
@@ -247,9 +249,13 @@ class StreamingDetectionRuntime:
             raise ObserverError("a streaming runtime needs an engine")
         self.engine = engine
         self.on_match = on_match
+        if admission is None:
+            admission = AdmissionController()
         self.admission = admission
         self.quarantine = quarantine
         self.dedup = dedup
+        if telemetry is None:
+            telemetry = Telemetry.create()
         self.telemetry = telemetry
         self.buffer = ReorderBuffer()
         self.tracker = WatermarkTracker(lateness)
@@ -276,7 +282,6 @@ class StreamingDetectionRuntime:
         """The :class:`~repro.stream.resilience.supervisor.SupervisedRuntime`
         driving this runtime, if any (it announces itself)."""
         self._counts = StreamStats()
-        self.last_backpressure: Backpressure | None = None
 
     # -- counters ------------------------------------------------------
 
@@ -284,13 +289,13 @@ class StreamingDetectionRuntime:
     def stats(self) -> StreamStats:
         """A fresh reading of every stream-level counter, each taken
         from its one owner (see :class:`StreamStats`)."""
-        # An absent part (``None``) has no such attribute: it reads zero.
+        # A screen or supervisor not installed (``None``) reads zero.
         return replace(
             self._counts,
             late_observations=self.buffer.late_count,
             reorder_peak=self.buffer.peak_occupancy,
-            shed_observations=getattr(self.admission, "shed_total", 0),
-            deferred_observations=getattr(self.admission, "deferred_total", 0),
+            shed_observations=self.admission.shed_total,
+            deferred_observations=self.admission.deferred_total,
             duplicates_dropped=getattr(self.dedup, "duplicates_dropped", 0),
             quarantined_observations=getattr(self.quarantine, "count", 0),
             recoveries=getattr(self.supervisor, "recoveries", 0),
@@ -301,23 +306,15 @@ class StreamingDetectionRuntime:
         """Observations released to the engine so far."""
         return self._counts.released_items
 
-    def _end_step(self, watermark: int | None, *, delivery: bool = False) -> None:
-        """Refresh the backpressure signal a step boundary leaves behind.
-
-        ``ingest``, ``finish`` and ``restore`` all end here, so the
-        signal always describes the buffer as it is now: a drained
-        stream is under no pressure, whatever its last delivery step
-        left.  Only a delivery step counts towards
-        ``backpressure_events`` — the duty cycle is a fraction of
-        delivery steps.
-        """
-        if self.admission is not None:
-            signal = self.admission.backpressure(
-                self.buffer.occupancy, watermark
-            )
-            self.last_backpressure = signal
-            if delivery and signal.engaged:
-                self._counts.backpressure_events += 1
+    @property
+    def last_backpressure(self) -> Backpressure:
+        """The backpressure signal for the buffer and the deferral queue
+        as they stand, built when read.  Only delivery steps change
+        them, or ``finish`` and ``restore``: a drained stream is under
+        no pressure, whatever its last delivery step left."""
+        return self.admission.backpressure(
+            self.buffer.occupancy, self.tracker.watermark()
+        )
 
     # -- ingestion -----------------------------------------------------
 
@@ -335,8 +332,10 @@ class StreamingDetectionRuntime:
         """Process one delivery step (co-arriving items) and release.
 
         The whole step is validated before anything mutates — a step
-        after :meth:`finish`, or one whose arrival tick would run a
-        rate limiter's clock backwards, raises with the screens, the
+        after :meth:`finish`, one that is not a list or tuple of
+        :class:`~repro.stream.source.StreamItem`, or one whose arrival
+        tick would run a rate limiter's clock backwards, raises
+        :class:`~repro.core.errors.ObserverError` with the screens, the
         buffer, the tracker and the counters untouched, so the caller
         can drop or fix the bad step and continue from consistent
         state.  (Under a rate limit, and only then, that makes
@@ -357,10 +356,16 @@ class StreamingDetectionRuntime:
         buckets have refilled; they passed validation in their own step.
         """
         self.tracker.ensure_live()
-        if self.admission is not None:
-            self.admission.ensure_clock(items)
+        if not isinstance(items, (list, tuple)) or any(
+            type(item) is not StreamItem for item in items
+        ):
+            raise ObserverError(
+                "a delivery step is a list or tuple of StreamItem; the "
+                "step was rejected before any item was admitted"
+            )
+        self.admission.ensure_clock(items)
         self._counts.delivery_steps += 1
-        if self.telemetry is not None and items:
+        if self.telemetry.enabled and items:
             # The step clock is a monotone max: one observation of
             # the batch maximum equals observing every arrival.
             self.telemetry.observe_step(
@@ -374,21 +379,23 @@ class StreamingDetectionRuntime:
             [] if watermark is None
             else self._flush(self.buffer.release(watermark))
         )
-        self._end_step(watermark, delivery=True)
+        if self.admission.engaged(self.buffer.occupancy):
+            self._counts.backpressure_events += 1
         return matches
 
     def _take(self, items: Sequence[StreamItem]) -> None:
         """Offer one step's admitted items to the buffer, in order.
 
         The watermark notes each source's newest event tick once per
-        step (a monotone max).  The room left below
-        the occupancy cap goes to the buffer in one run.  From the cap on
-        (never for late items: those land in the separately bounded late
-        list) each item takes the controller's whole at-cap step, one at
-        a time (:meth:`~repro.stream.admission.AdmissionController.make_room`:
-        evict a victim or shed the item, and count the loser).  Sampled
-        traces open in arrival order either way; a late item's is
-        retired at once.
+        step (a monotone max), and sampled traces open in arrival order.
+        The room left below the occupancy cap goes to the buffer in one
+        run.  From the cap on (never for late items: those land in the
+        separately bounded late list) each item takes the controller's
+        whole at-cap step, one at a time
+        (:meth:`~repro.stream.admission.AdmissionController.make_room`:
+        evict a victim or shed the item, and count the loser).  The
+        late, shed and evicted items retire their traces
+        (:meth:`~repro.obs.tracing.Telemetry.lost`).
         """
         newest: dict[str, int] = {}
         for item in items:
@@ -396,39 +403,26 @@ class StreamingDetectionRuntime:
                 newest[item.source] = item.event_tick
         for source, tick in newest.items():
             self.tracker.observe(source, tick)
-        buffer, counts = self.buffer, self._counts
-        admission, telemetry = self.admission, self.telemetry
-        cap = None if admission is None else admission.limits.max_pending
+        telemetry, buffer = self.telemetry, self.buffer
+        if telemetry.enabled:
+            for item in items:
+                telemetry.admit(item)
+        cap = self.admission.limits.max_pending
         room = len(items) if cap is None else max(0, cap - buffer.occupancy)
-        run, items = items[:room], items[room:]
-        late = buffer.offer_many(run)
-        counts.entities_submitted += len(run) - len(late)
-        if telemetry is not None and telemetry.enabled:
-            late = {id(item) for item in late}
-            for item in run:
-                trace = telemetry.admit(item)
-                if trace is not None and id(item) in late:
-                    telemetry.discard(trace, "late")
-        for item in items:
-            trace = None if telemetry is None else telemetry.admit(item)
-            if (
-                cap is not None
-                and buffer.occupancy >= cap
-                and not buffer.is_late(item)
-            ):
-                victim = admission.make_room(item, buffer)
+        late = buffer.offer_many(items[:room])
+        shed, evicted = [], []
+        for item in items[room:]:
+            if buffer.occupancy >= cap and not buffer.is_late(item):
+                victim = self.admission.make_room(item, buffer)
                 if victim is None:
-                    if trace is not None:
-                        telemetry.discard(trace, "shed")
+                    shed.append(item)
                     continue
-                if telemetry is not None:
-                    lost = telemetry.lookup(victim.source, victim.seq)
-                    if lost is not None:
-                        telemetry.discard(lost, "evicted")
-            if not buffer.offer_many((item,)):
-                counts.entities_submitted += 1
-            elif trace is not None:
-                telemetry.discard(trace, "late")
+                evicted.append(victim)
+            late += buffer.offer_many((item,))
+        self._counts.entities_submitted += len(items) - len(shed) - len(late)
+        telemetry.lost(late, "late")
+        telemetry.lost(shed, "shed")
+        telemetry.lost(evicted, "evicted")
 
     def run(self, source: ObservationSource | Iterable[StreamItem]) -> list[Match]:
         """Drain one source completely (arrival order), then flush.
@@ -448,10 +442,8 @@ class StreamingDetectionRuntime:
         matches: list[Match] = []
         for _, group in arrival_groups(source):
             matches.extend(self.ingest(group))
-            if (
-                throttle is not None
-                and self.last_backpressure is not None
-                and self.last_backpressure.engaged
+            if throttle is not None and self.admission.engaged(
+                self.buffer.occupancy
             ):
                 # Cooperative backpressure: a source exposing throttle()
                 # is asked to slow down while pressure is on; sources
@@ -468,19 +460,14 @@ class StreamingDetectionRuntime:
         waited is classified late here, which is the measured cost of
         deferring it.
         """
-        if self.admission is not None:
-            self._take(self.admission.flush_deferred())
+        self._take(self.admission.flush_deferred())
         self.tracker.end()
-        matches = self._flush(self.buffer.release_all())
-        # Every source is closed now: there is no merged watermark left.
-        self._end_step(None)
-        return matches
+        return self._flush(self.buffer.release_all())
 
     def _flush(self, released: Sequence[StreamItem]) -> list[Match]:
         """Submit released items to the engine, one batch per event tick."""
-        telemetry = self.telemetry
-        tracing = telemetry is not None and telemetry.enabled
-        counts = self._counts
+        telemetry, counts = self.telemetry, self._counts
+        tracing = telemetry.enabled
         matches: list[Match] = []
         for tick, run in groupby(released, key=_EVENT_TICK):
             group = list(run)
@@ -533,8 +520,9 @@ class StreamingDetectionRuntime:
 
     def restore(self, checkpoint: RuntimeCheckpoint) -> None:
         """Resume from a checkpoint taken on an equivalently built
-        runtime (same parts; every part checks its own configuration —
-        same lateness, same specs, same shard count, same trace stride).
+        runtime (same screens; every part checks its own configuration —
+        same lateness, same specs, same shard count, same trace stride,
+        same admission limits and shedding rule).
 
         After restore, feeding the delivery steps the checkpointed
         runtime had not yet seen produces the identical remaining match
@@ -554,15 +542,10 @@ class StreamingDetectionRuntime:
                     f"runtime built with the same parts"
                 )
             self._install(checkpoint)
-            # Recompute the backpressure signal from the restored
-            # occupancy and deferral state: a paced source resuming from
-            # a checkpoint taken under pressure must see that pressure
-            # immediately, not run unthrottled for its first step.
-            self._end_step(self.tracker.watermark())
         except Exception as error:
             # A part can refuse its snapshot after earlier parts took
-            # theirs (lateness, trace stride, bucket state without a
-            # rate limit, engine specs, a malformed value): put
+            # theirs (lateness, trace stride, admission limits, engine
+            # specs, a malformed value): put
             # everything back before raising.
             self._install(undo)
             if isinstance(error, ObserverError):

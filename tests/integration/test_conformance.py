@@ -116,7 +116,9 @@ class Leg:
 
     shards: int = 1
     admission: bool = False
-    """Behind an :class:`AdmissionController` whose limits never trigger."""
+    """Behind an :class:`AdmissionController` whose limits are set but
+    never bind (:data:`SLACK_LIMITS`): the cap, token-bucket and room
+    arithmetic run on every step and change nothing."""
     telemetry: bool = False
     """Under stage tracing of every observation (``trace_every=1``)."""
     faults: bool = False
@@ -125,11 +127,14 @@ class Leg:
     redelivery dedup and a quarantine."""
 
 
+SLACK_LIMITS = AdmissionLimits(max_pending=10**6, rate=1e6, burst=1e6)
+"""A cap, a rate and a burst above anything a captured feed reaches."""
+
 LEGS = {
     "jittered": Leg(),
     "jittered/4": Leg(shards=4),
-    "zero-limit": Leg(admission=True),
-    "zero-limit/4": Leg(shards=4, admission=True),
+    "slack-limits": Leg(admission=True),
+    "slack-limits/4": Leg(shards=4, admission=True),
     "traced": Leg(telemetry=True),
     "traced/4": Leg(shards=4, telemetry=True),
     "chaos": Leg(faults=True),
@@ -297,7 +302,9 @@ def _replayer(scenario, name: str, leg: Leg = Leg(), **parts):
         "bounds": (
             scenario.system.detection_bounds() if leg.shards > 1 else None
         ),
-        "admission": AdmissionController() if leg.admission else None,
+        "admission": (
+            AdmissionController(SLACK_LIMITS) if leg.admission else None
+        ),
         "telemetry": (
             Telemetry.create(trace_every=1) if leg.telemetry else None
         ),
@@ -655,7 +662,7 @@ def test_checkpoint_restores_identical_tail(name, shards, telemetry):
     for group in groups[:half]:
         first.ingest(group)
     checkpoint = first.snapshot()
-    assert ("telemetry" in checkpoint.runtime.stages) == telemetry
+    assert checkpoint.runtime.stages["telemetry"].trace_every == int(telemetry)
     resumed = replayer()
     resumed.restore(checkpoint)
     assert _export(resumed.runtime) == _export(first.runtime)

@@ -90,13 +90,30 @@ class TestLifecycle:
         assert tracer.lookup("s", 7) is trace
         assert tracer.lookup("s", 8) is None
 
-    def test_discard_counts_per_reason(self):
+    def test_lost_counts_per_reason(self):
         tracer = Telemetry.create(trace_every=1)
-        tracer.discard(tracer.admit(Item("s", 0)), "shed")
-        tracer.discard(tracer.admit(Item("s", 1)), "late")
-        tracer.discard(tracer.admit(Item("s", 2)), "shed")
+        items = [Item("s", seq) for seq in range(3)]
+        for item in items:
+            tracer.admit(item)
+        tracer.lost([items[0], items[2]], "shed")
+        tracer.lost([items[1]], "late")
         assert tracer.active_count == 0
         assert tracer.discarded == {"shed": 2, "late": 1}
+
+    def test_lost_skips_unsampled_items(self):
+        tracer = Telemetry.create(trace_every=2)
+        items = [Item("s", seq) for seq in range(4)]
+        for item in items:
+            tracer.admit(item)  # seqs 0 and 2 are sampled
+        tracer.lost(items, "evicted")
+        assert tracer.active_count == 0
+        assert tracer.discarded == {"evicted": 2}
+
+    def test_lost_is_a_no_op_when_tracing_is_off(self):
+        tracer = Telemetry.create()
+        tracer.admit(Item("s", 0))
+        tracer.lost([Item("s", 0)], "shed")
+        assert tracer.discarded == {}
 
     def test_ring_is_bounded(self):
         tracer = Telemetry.create(trace_every=1)
@@ -122,7 +139,8 @@ class TestSnapshotRestore:
         assert tracer.admit(Item("s", 1)) is None  # 2nd offer: skipped
         tracer.admit(Item("s", 2))  # 3rd offer: sampled, in flight
         assert tracer.admit(Item("s", 3)) is None  # 4th offer: skipped
-        tracer.discard(tracer.admit(Item("s", 4)), "late")  # 5th: sampled
+        assert tracer.admit(Item("s", 4)) is not None  # 5th: sampled
+        tracer.lost([Item("s", 4)], "late")
         tracer.observe_step(9)
         snapshot = tracer.snapshot()
 

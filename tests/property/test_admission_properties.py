@@ -10,9 +10,10 @@ shedding rules:
   shedding rule is active;
 * **the cap holds** — peak reorder occupancy never exceeds
   ``max_pending``;
-* **zero-limit identity** — a controller with no limits configured
-  releases the identical stream (same seqs, same order, same counters)
-  as a runtime with no controller at all;
+* **slack-limit identity** — a controller whose cap, rate and burst
+  are set above anything a case reaches releases the identical stream
+  (same seqs, same order, same counters) as the default controller,
+  which sets no limits;
 * **checkpoint transparency under shedding** — cutting the delivery
   steps anywhere, snapshotting (buckets, deferral queue and shed
   counter included) and resuming in a fresh bounded runtime
@@ -133,12 +134,13 @@ class TestConservation:
 
     @settings(max_examples=100, deadline=None)
     @given(bounded_cases())
-    def test_zero_limit_identity(self, case):
+    def test_slack_limit_identity(self, case):
         items, lateness, _, rule = case
+        slack = AdmissionLimits(max_pending=10**6, rate=1e6, burst=1e6)
         bounded_released, bounded = run_bounded(
             items,
             lateness,
-            AdmissionController(shedding=rule),
+            AdmissionController(slack, shedding=rule),
         )
         plain_released, plain = run_bounded(items, lateness, None)
         assert bounded_released == plain_released

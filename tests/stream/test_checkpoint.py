@@ -353,12 +353,13 @@ def _sharded(shards):
     return ShardedDetectionEngine([hot_spec()], bounds=BOUNDS, shards=shards)
 
 
-_PARTS = {
-    "quarantine": Quarantine,
-    "dedup": RedeliveryDeduper,
-    "admission": AdmissionController,
-    "telemetry": lambda: Telemetry.create(trace_every=1),
-}
+_SCREENS = {"quarantine": Quarantine, "dedup": RedeliveryDeduper}
+"""The parts a runtime may be built without (admission and telemetry
+are always there: their presence rows are setting mismatches below)."""
+
+
+def _capped(**shedding):
+    return AdmissionController(AdmissionLimits(max_pending=8), **shedding)
 
 
 def _stage(name, **changes):
@@ -406,13 +407,47 @@ _REFUSALS = [
         pytest.param(
             lambda: {}, lambda f=f, n=n: {n: f()}, n, None, id=f"missing-{n}"
         )
-        for n, f in _PARTS.items()
+        for n, f in _SCREENS.items()
     ),
     *(
         pytest.param(
             lambda f=f, n=n: {n: f()}, lambda: {}, n, None, id=f"extra-{n}"
         )
-        for n, f in _PARTS.items()
+        for n, f in _SCREENS.items()
+    ),
+    pytest.param(
+        lambda: {"dedup": RedeliveryDeduper()},
+        lambda: {"dedup": RedeliveryDeduper(), "admission": _capped()},
+        "max_pending",
+        None,
+        id="admission-limits-added",
+    ),
+    pytest.param(
+        lambda: {"dedup": RedeliveryDeduper(), "admission": _capped()},
+        lambda: {"dedup": RedeliveryDeduper()},
+        "max_pending",
+        None,
+        id="admission-limits-dropped",
+    ),
+    pytest.param(
+        lambda: {"dedup": RedeliveryDeduper(), "admission": _capped()},
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "admission": _capped(shedding="drop_lowest_priority"),
+        },
+        "shedding",
+        None,
+        id="admission-shedding-rule",
+    ),
+    pytest.param(
+        lambda: {"dedup": RedeliveryDeduper()},
+        lambda: {
+            "dedup": RedeliveryDeduper(),
+            "telemetry": Telemetry.create(trace_every=1),
+        },
+        "trace_every",
+        None,
+        id="trace-stride-0-vs-1",
     ),
     pytest.param(
         lambda: {"lateness": 5, "dedup": RedeliveryDeduper()},

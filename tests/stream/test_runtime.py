@@ -334,6 +334,43 @@ class TestAtomicIngest:
             == 2 + len(retry)
         )
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            pytest.param([object()], id="an-object"),
+            pytest.param([None], id="none"),
+            pytest.param(5, id="not-a-sequence"),
+            pytest.param("ab", id="a-string"),
+            pytest.param(
+                lambda: [TestAtomicIngest._stamped(1, 1, 1), None],
+                id="a-bad-item-after-a-good-one",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "quarantine", [None, Quarantine], ids=["bare", "quarantined"]
+    )
+    def test_a_malformed_step_is_refused_whole(self, step, quarantine):
+        runtime = StreamingDetectionRuntime(
+            DetectionEngine(),
+            lateness=4,
+            quarantine=quarantine and quarantine(),
+        )
+        runtime.register_source("a")
+        runtime.ingest([self._stamped(0, 0, 0)])
+        before, stats = runtime.snapshot(), runtime.stats
+        with pytest.raises(ObserverError, match="list or tuple of StreamItem"):
+            runtime.ingest(step() if callable(step) else step)
+        assert runtime.snapshot() == before
+        assert runtime.stats == stats
+
+    def test_a_tuple_is_a_step(self):
+        runtime = StreamingDetectionRuntime(DetectionEngine(), lateness=0)
+        runtime.register_source("a")
+        runtime.ingest((self._stamped(0, 0, 1), self._stamped(1, 1, 1)))
+        runtime.finish()
+        assert runtime.stats.released_items == 2
+
     def test_arrival_order_is_a_precondition_only_under_a_rate_limit(self):
         # No rate, no bucket clocks: the same cross-source step is fine.
         runtime = StreamingDetectionRuntime(
@@ -399,12 +436,29 @@ class TestUncooperativeSources:
         ]
 
 
+class TestEveryRuntimeHasTheSameStages:
+    def test_admission_and_telemetry_are_always_stages(self):
+        runtime = StreamingDetectionRuntime(DetectionEngine(), lateness=4)
+        assert list(runtime.stages) == [
+            "admission", "reorder", "watermark", "engine", "telemetry",
+        ]
+        assert runtime.stages["admission"] is runtime.admission
+        assert runtime.stages["telemetry"] is runtime.telemetry
+        assert runtime.admission.limits == AdmissionLimits()
+        assert not runtime.telemetry.enabled
+        assert not runtime.last_backpressure.engaged
+
+
 _OPTIONAL_PARTS = {
     "quarantine": Quarantine,
     "dedup": RedeliveryDeduper,
-    "admission": AdmissionController,
+    "admission": lambda: AdmissionController(
+        AdmissionLimits(max_pending=10**6, rate=1e6, burst=1e6)
+    ),
     "telemetry": lambda: Telemetry.create(trace_every=1),
 }
+"""The screens, and the two parts every runtime has, set so they act on
+every step without changing anything on a clean feed."""
 
 
 def _subsets():
@@ -415,8 +469,9 @@ def _subsets():
 
 
 class TestAbsentStageIsANoOpStage:
-    """Every optional part, built with its defaults, changes nothing on
-    a clean feed: the stage table may list it or not."""
+    """Every part in :data:`_OPTIONAL_PARTS` changes nothing on a clean
+    feed: a screen may be listed in the stage table or not, admission
+    may have slack limits or none, telemetry may trace or not."""
 
     GROUPS = list(
         arrival_groups(

@@ -47,6 +47,12 @@ ALLOWED: dict[str, str] = {
 }
 
 
+OPTION_BUDGET = 32
+"""The most defaulted ``repro.stream`` / ``repro.obs`` constructor
+options there may be.  A change that needs another option raises this
+in its own diff."""
+
+
 def _is_record(name: str) -> bool:
     return name in RECORDS or name.endswith(("Snapshot", "Checkpoint"))
 
@@ -134,16 +140,23 @@ def calls(source: str) -> list[tuple[str, int, set[str]]]:
     return found
 
 
-def unset(root: Path = ROOT) -> set[str]:
-    """``"Callable.parameter"`` for each defaulted option nothing in the
-    searched tree sets outside its defining module."""
-    defined: dict[str, tuple[Path, list[str], list[str]]] = {}
+def constructors(root: Path = ROOT) -> dict[str, tuple[Path, list[str], list[str]]]:
+    """``{callable: (defining module, positional, defaulted)}`` over the
+    public constructors of :data:`PACKAGES`."""
+    found: dict[str, tuple[Path, list[str], list[str]]] = {}
     for package in PACKAGES:
         for path in sorted((root / "src" / "repro" / package).rglob("*.py")):
             for name, (positional, defaulted) in options(
                 path.read_text(encoding="utf-8")
             ).items():
-                defined[name] = (path, positional, defaulted)
+                found[name] = (path, positional, defaulted)
+    return found
+
+
+def unset(root: Path = ROOT) -> set[str]:
+    """``"Callable.parameter"`` for each defaulted option nothing in the
+    searched tree sets outside its defining module."""
+    defined = constructors(root)
     set_: set[str] = set()
     for directory in SEARCHED:
         for path in sorted((root / directory).rglob("*.py")):
@@ -235,3 +248,8 @@ def test_every_option_has_a_setter():
     # so does an allowed one that has since gained a setter.
     assert sorted(missing - ALLOWED.keys()) == []
     assert sorted(ALLOWED.keys() - missing) == []
+
+
+def test_the_option_count_stays_within_budget():
+    count = sum(len(defaulted) for _, _, defaulted in constructors().values())
+    assert count <= OPTION_BUDGET
