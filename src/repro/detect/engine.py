@@ -5,9 +5,10 @@ loaded with its event specifications.  Arriving entities (physical
 observations or event instances) are :meth:`submitted
 <DetectionEngine.submit>` one at a time or, preferably, as per-tick
 batches via :meth:`DetectionEngine.submit_batch`; the engine maintains
-one window per distinct selector of a specification, enumerates
-candidate bindings that include each new entity, evaluates each
-specification's composite condition tree
+one window per distinct selector of a specification with more than one
+role (a one-role specification binds only the arriving entity, so it
+keeps none), enumerates candidate bindings that include each new
+entity, evaluates each specification's composite condition tree
 (Eq. 4.5), and returns the satisfied bindings as :class:`Match`
 objects.  :mod:`repro.detect.output` then turns them into the
 observer's output — the event instance 6-tuple of Eq. 4.7 — according
@@ -44,6 +45,10 @@ Evaluation properties worth knowing:
 * **group roles** — a role declared in ``spec.group_roles`` binds the
   *entire current window content* as one group, which is how windowed
   aggregates ("average of the last 30 s of readings") are expressed;
+* **cooldown** — after a match, a specification with a cooldown
+  evaluates nothing until ``cooldown`` ticks have passed; a windowless
+  one that is cooling when a batch starts skips that batch outright
+  (no selector routing, no dedup prune), which changes no match;
 * **error policy** — a binding whose evaluation raises a
   :class:`~repro.core.errors.BindingError` (e.g. an entity lacking the
   aggregated attribute) counts as a non-match and is tallied in
@@ -156,7 +161,8 @@ class EngineSnapshot:
     clocks, the event-time watermark and the counter state — keyed by
     the installed specification ids so a snapshot can only be restored
     into an engine watching the same specifications.  Windows are listed
-    per role; roles that share one window carry the same entries.  The
+    per role; roles that share one window carry the same entries, and a
+    one-role specification, which keeps no window, lists no roles.  The
     windows' columns are *not* captured: they are derived from the
     entities, so restore rebuilds them exactly by re-adding the entries
     in order.
@@ -225,13 +231,16 @@ class DetectionEngine:
         selectors = spec.selectors
         pools = self._pools[spec.event_id] = {}
         windows = self._windows[spec.event_id] = {}
-        for role in spec.roles:
-            twin = next(
-                (r for r in windows if selectors[r] == selectors[role]), role
-            )
-            if twin == role:
-                windows[role] = RoleWindow(spec.window)
-            pools[role] = windows[twin]
+        # A one-role spec's binding is the arriving entity alone: it
+        # reads no window, so it keeps none.
+        if len(spec.roles) > 1 or spec.group_roles:
+            for role in spec.roles:
+                twin = next(
+                    (r for r in windows if selectors[r] == selectors[role]), role
+                )
+                if twin == role:
+                    windows[role] = RoleWindow(spec.window)
+                pools[role] = windows[twin]
         self._seen[spec.event_id] = {}
         self._tallies[spec.event_id] = [0, 0]
         plan = self._plans[spec.event_id] = compile_plan(spec)
@@ -298,10 +307,11 @@ class DetectionEngine:
 
         All entities share the arrival tick ``now``.  Selector routing,
         window eviction and dedup pruning are amortized once per spec
-        per batch; each entity is then inserted and evaluated in
-        submission order — exactly the sequence of operations an
-        equivalent series of single :meth:`submit` calls at the same
-        tick performs, so match sets, role assignments and cooldown
+        per batch, and skipped for a windowless spec that is cooling at
+        ``now`` (it can evaluate nothing); each entity is then inserted
+        and evaluated in submission order — exactly the sequence of
+        operations an equivalent series of single :meth:`submit` calls
+        at the same tick performs, so match sets, role assignments and cooldown
         behavior are identical to unbatched submission.
 
         Args:
@@ -339,6 +349,15 @@ class DetectionEngine:
         self.stats.batches_submitted += 1
         matches: list[Match] = []
         for spec in self._specs.values():
+            windows = self._windows[spec.event_id]
+            if not windows and spec.cooldown:
+                last = self._last_match.get(spec.event_id)
+                if last is not None and now - last < spec.cooldown:
+                    # A windowless spec cooling now cools for the whole
+                    # batch: _evaluate_spec would return for each entity
+                    # before touching state, and the dedup prune skipped
+                    # here drops the same prefix at the next one.
+                    continue
             staged: list[tuple[Entity, tuple[str, ...], bool]] = []
             for position, entity in enumerate(batch):
                 roles = spec.candidate_roles(entity)
@@ -348,7 +367,6 @@ class DetectionEngine:
                     )
             if not staged:
                 continue
-            windows = self._windows[spec.event_id]
             for window in windows.values():
                 window.evict(now)  # one eviction sweep per batch
             # Two windows on, a binding can never be enumerated again.
@@ -506,12 +524,12 @@ class DetectionEngine:
         pinned: dict[str, Entity] = {target_role: entity}
 
         def options(role: str) -> Sequence[object] | None:
-            window = pools[role]
             if role in groups:
-                group = tuple(window.entities())
+                group = tuple(pools[role].entities())
                 return (group,) if group else None
             if role == target_role:
                 return (entity,)
+            window = pools[role]
             if not len(window):
                 return None
             if planned:
@@ -644,13 +662,14 @@ class DetectionEngine:
 
     def ensure_restorable(self, snapshot: EngineSnapshot) -> None:
         """Raise :class:`ObserverError` if :meth:`restore` would refuse
-        ``snapshot``: other specs, a spec with other roles, twin roles
-        with different windows, or state no run of this engine leaves —
-        window entries that are not ``(tick, entity)`` pairs, ticks out of
-        arrival order or past the watermark, dedup entries or cooldown
-        clocks that are not ticks of installed specs, or tallies other
-        than two counts per installed spec.  Checked in full before
-        :meth:`restore` changes anything."""
+        ``snapshot``: other specs, a spec with other roles (a one-role
+        spec has none: it keeps no window), twin roles with different
+        windows, or state no run of this engine leaves — window entries
+        that are not ``(tick, entity)`` pairs, dedup entries or cooldown
+        clocks that are not ticks of installed specs, window or dedup
+        ticks out of order, any of those ticks past the watermark, or
+        tallies other than two counts per installed spec.  Checked in
+        full before :meth:`restore` changes anything."""
         if tuple(self._specs) != snapshot.spec_ids:
             raise ObserverError(
                 f"snapshot watches specs {snapshot.spec_ids}, this engine "
@@ -713,19 +732,41 @@ class DetectionEngine:
                     f"watch: {unknown}"
                 )
         for event_id, entries in snapshot.seen.items():
-            if not all(
-                isinstance(entry, tuple) and len(entry) == 2 and _is_tick(entry[1])
-                for entry in entries
-            ):
-                raise ObserverError(
-                    f"snapshot dedup store of spec {event_id!r} holds an "
-                    f"entry that is not a (binding identity, tick) pair"
-                )
+            matched = None
+            for entry in entries:
+                if not (
+                    isinstance(entry, tuple) and len(entry) == 2 and _is_tick(entry[1])
+                ):
+                    raise ObserverError(
+                        f"snapshot dedup store of spec {event_id!r} holds an "
+                        f"entry that is not a (binding identity, tick) pair"
+                    )
+                tick = entry[1]
+                # Matches are stored as they happen: the dedup prune and
+                # the cooling skip in submit_batch both rely on it.
+                if watermark is None or tick > watermark:
+                    raise ObserverError(
+                        f"snapshot dedup store of spec {event_id!r} holds "
+                        f"tick {tick}, past the watermark {watermark}"
+                    )
+                if matched is not None and tick < matched:
+                    raise ObserverError(
+                        f"snapshot dedup store of spec {event_id!r} holds "
+                        f"tick {tick} after {matched}: not in match order"
+                    )
+                matched = tick
         for event_id, tick in snapshot.last_match.items():
             if not _is_tick(tick):
                 raise ObserverError(
                     f"snapshot cooldown clock of spec {event_id!r} is "
                     f"{tick!r}, not a tick"
+                )
+            if watermark is None or tick > watermark:
+                # A clock ahead of the stream would silence the spec
+                # until the stream caught up with it.
+                raise ObserverError(
+                    f"snapshot cooldown clock of spec {event_id!r} is "
+                    f"{tick}, past the watermark {watermark}"
                 )
         if not isinstance(snapshot.stats, EngineStats):
             raise ObserverError(

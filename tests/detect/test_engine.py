@@ -186,6 +186,19 @@ REFUSALS = {
     "dedup entry that is no (identity, tick) pair": lambda s: replace(
         s, seen={event_id: ((1, 2, 3),) for event_id in s.seen}
     ),
+    "dedup ticks out of match order": lambda s: replace(
+        s, seen={event_id: entries[::-1] for event_id, entries in s.seen.items()}
+    ),
+    "dedup tick past the watermark": lambda s: replace(
+        s,
+        seen={
+            event_id: entries + ((("ghost",), s.watermark + 1),)
+            for event_id, entries in s.seen.items()
+        },
+    ),
+    "cooldown clock past the watermark": lambda s: replace(
+        s, last_match=dict.fromkeys(s.last_match, s.watermark + 1000)
+    ),
     "cooldown clock of an unknown spec": lambda s: replace(
         s, last_match={"nope": 3}
     ),
@@ -213,6 +226,9 @@ class TestRestoreRefusals:
         engine = next(iter(scenario.system.sinks.values())).engine
         snapshot = engine.snapshot()
         assert _window(snapshot) and snapshot.seen[snapshot.spec_ids[0]]
+        # The order and clock rows need distinct dedup ticks and a clock.
+        assert len(set(dict(snapshot.seen[snapshot.spec_ids[0]]).values())) > 1
+        assert snapshot.last_match
         return engine.specs, snapshot
 
     @pytest.mark.parametrize("row", list(REFUSALS))
