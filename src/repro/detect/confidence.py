@@ -97,11 +97,17 @@ def fusion_rule(method: str) -> Callable[[Iterable[float]], float]:
             raise ConditionError("cannot fuse zero confidences")
         for v in values:
             if not 0.0 <= v <= 1.0:
-                bad = [v for v in values if not 0.0 <= v <= 1.0]
-                raise ConditionError(f"confidences outside [0, 1]: {bad}")
+                raise outside_unit_interval(values)
         return min(1.0, max(0.0, rule(values)))
 
     return fused
+
+
+def outside_unit_interval(confidences: Iterable[float]) -> ConditionError:
+    """The error :func:`fusion_rule` raises for inputs outside ``[0, 1]``
+    (the emitter's straight-line fusion raises the same)."""
+    bad = [v for v in confidences if not 0.0 <= v <= 1.0]
+    return ConditionError(f"confidences outside [0, 1]: {bad}")
 
 
 def fuse(method: str, confidences: Iterable[float]) -> float:

@@ -58,7 +58,7 @@ Evaluation properties worth knowing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.conditions import Binding
@@ -87,11 +87,20 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Match:
-    """One satisfied binding of a specification."""
+    """One satisfied binding of a specification.
+
+    ``key`` is the binding's identity (:func:`binding_identity`), the
+    tuple the engine deduplicated it on; the engine fills it in, and a
+    hand-built match may leave it ``None``.  It is derived from ``spec``
+    and ``binding``, so it takes no part in equality.  For a spec without
+    a group role it is also the emitted row's ``sources``
+    (:mod:`repro.detect.output`), so the row keeps the dedup map's tuple.
+    """
 
     spec: EventSpecification
     binding: Mapping[str, Entity | tuple[Entity, ...]]
     tick: int
+    key: tuple | None = field(default=None, compare=False, repr=False)
 
     def entities(self) -> list[Entity]:
         """All bound entities, groups flattened, in ``spec.roles`` order."""
@@ -309,10 +318,14 @@ class DetectionEngine:
         window eviction and dedup pruning are amortized once per spec
         per batch, and skipped for a windowless spec that is cooling at
         ``now`` (it can evaluate nothing); each entity is then inserted
-        and evaluated in submission order — exactly the sequence of
-        operations an equivalent series of single :meth:`submit` calls
-        at the same tick performs, so match sets, role assignments and cooldown
-        behavior are identical to unbatched submission.
+        and evaluated in submission order.  The batch runs spec by spec,
+        in installation order, where single :meth:`submit` calls at the
+        same tick interleave the specs entity by entity; specs share no
+        state, so what a batch keeps of those calls is each spec's own
+        match sequence (role assignments and cooldown behavior
+        included), every :attr:`stats` counter but
+        ``batches_submitted``, and :meth:`tallies`.  The returned list is
+        those sequences, spec after spec.
 
         Args:
             entities: The co-arriving batch.
@@ -437,7 +450,7 @@ class DetectionEngine:
                         continue
                 if holds:
                     seen[key] = now
-                    matches.append(Match(spec, binding, now))
+                    matches.append(Match(spec, binding, now, key))
                     self._last_match[spec.event_id] = now
                     if spec.cooldown:
                         # Entering cooldown suppresses the rest of THIS

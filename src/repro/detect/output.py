@@ -21,7 +21,12 @@ There is one writer and one materializer.  The compiled emitter
 (:func:`_compile_emitter`) turns a :class:`~repro.detect.engine.Match`
 into the fields of one row, and :meth:`InstanceLog.write` appends them
 without building an object, live and in replay; a ``locate(match)``
-hook (a sink's trilateration) fills the row's ``x`` / ``y``.
+hook (a sink's trilateration) fills the row's ``x`` / ``y``.  The
+emitter is lowered to the spec's shape: a one- or two-role spec (every
+registered pair, gate and mote spec) reads its entities by role and
+fuses, times and locates them in straight-line code, and a spec without
+a group role keeps the engine's binding identity (``match.key``) as the
+row's ``sources``, so the dedup map and the log hold one tuple.
 :func:`build_instance`, ``log[i]``, slices and iteration build the
 :class:`~repro.core.instance.EventInstance` from those fields, so two
 reads of a row are equal, distinct objects; a live component reads its
@@ -56,7 +61,7 @@ from repro.core.instance import INSTANCE_LAYERS, EventInstance, ObserverId
 from repro.core.space_model import PointLocation
 from repro.core.spec import EventSpecification
 from repro.core.time_model import EPOCH, TimeInterval, TimePoint
-from repro.detect.confidence import fusion_rule
+from repro.detect.confidence import fusion_rule, outside_unit_interval
 from repro.sim.trace import TraceRecord
 
 __all__ = ["build_instance", "InstanceLog", "LogView"]
@@ -67,17 +72,33 @@ _NAN = math.nan
 def _compile_emitter(spec: EventSpecification):
     """Lower ``spec.output`` into one closure ``match -> row``, the row
     being ``(t_eo, x, y, place, V, rho, sources)`` as the module
-    docstring lays out (``t_eo`` still an object).  Aggregates, fusion
-    rule and recipes are resolved by name here, once, and a binding of
-    one or two entities takes ``earliest`` / ``latest`` / ``centroid`` as
-    the aggregates' arithmetic written out."""
+    docstring lays out (``t_eo`` still an object).
+
+    Aggregates, fusion rule and recipes are resolved by name here, once,
+    and so is the match's shape.  A spec without a group role binds
+    exactly ``len(spec.roles)`` entities, which the closure fetches by
+    role from ``match.binding``; with one or two roles it computes the
+    fusion rule, ``earliest`` / ``latest`` and the centroid as
+    straight-line arithmetic over that count: ``float()`` and the range
+    check on each confidence, then the rule and its clamp, the same
+    floats as :func:`~repro.detect.confidence.fusion_rule` and the
+    aggregates, and the same error classes in the same order.  Its
+    ``sources`` are ``match.key``, the binding identity the engine
+    deduplicated on, which for such a spec is the tuple of the entities'
+    provenance keys in role order; a hand-built match without one gets
+    it computed.  Three roles or more, and any spec with a group role,
+    go through the aggregates over :meth:`Match.entities
+    <repro.detect.engine.Match.entities>`' order, and a group role's
+    ``sources`` are always the flat provenance tuple."""
     policy = spec.output
+    roles = spec.roles
     recipes = [
         (r.name, value_aggregate(r.aggregate), [(t.role, t.attribute) for t in r.terms])
         for r in policy.attributes
     ]
     no_attributes = freeze_attributes(None)
-    fused = fusion_rule(policy.confidence)
+    method = policy.confidence
+    fused = fusion_rule(method)
     time_of = time_aggregate(policy.time)
     earliest, span = policy.time == "earliest", policy.time == "span"
     edge = _start_of if earliest else _end_of
@@ -88,65 +109,150 @@ def _compile_emitter(spec: EventSpecification):
     centroid = policy.space in ("location", "centroid")
     isfinite = math.isfinite
 
+    def attributes_of(binding):
+        attributes = {}
+        for name, aggregate, terms in recipes:
+            values: list[float] = []
+            for role, attribute in terms:
+                bound = binding.get(role)
+                if bound is None:
+                    raise ObserverError(
+                        f"output attribute {name!r} references unbound "
+                        f"role {role!r}"
+                    )
+                group = bound if isinstance(bound, tuple) else (bound,)
+                values.extend([numeric_attribute(e, attribute) for e in group])
+            attributes[name] = aggregate(values)
+        return MappingProxyType(attributes)
+
+    if spec.group_roles or len(roles) > 2:
+        grouped = bool(spec.group_roles)
+
+        def emit(match):
+            binding = match.binding
+            if grouped:
+                entities = match.entities()
+            else:
+                entities = [binding[role] for role in roles]
+            attributes = attributes_of(binding) if recipes else no_attributes
+            rho = fused([confidence_of(e) for e in entities])
+            if identity and len(entities) == 1:
+                place = entities[0].occurrence_location
+            else:
+                place = place_of([e.occurrence_location for e in entities])
+            when = time_of([e.occurrence_time for e in entities])
+            if not 0.0 <= rho <= 1.0:
+                raise ObserverError(f"confidence rho must be in [0, 1], got {rho}")
+            sources = None if grouped else match.key
+            if sources is None:
+                sources = tuple([entity_key(e) for e in entities])
+            return when, _NAN, _NAN, place, attributes, rho, sources
+
+        return emit
+
+    if len(roles) == 1:
+        (role,) = roles
+        noisy_or = method == "noisy_or"
+
+        def emit(match):
+            binding = match.binding
+            a = binding[role]
+            attributes = attributes_of(binding) if recipes else no_attributes
+            rho = float(getattr(a, "confidence", 1.0))
+            if not 0.0 <= rho <= 1.0:
+                raise outside_unit_interval((rho,))
+            if noisy_or:
+                rho = 1.0 - (1.0 - rho)  # not rho itself in floats
+            if not 0.0 < rho <= 1.0:
+                rho = min(1.0, max(0.0, rho))
+            place = a.occurrence_location
+            x = y = _NAN
+            if identity:
+                pass  # the one entity's own location
+            elif centroid:
+                # centroid_of_points' sum, from its int 0: -0.0 reads 0.0.
+                p = place if type(place) is PointLocation else _point_of(place)
+                x, y = 0 + p.x, 0 + p.y
+                if not (isfinite(x) and isfinite(y)):
+                    raise SpatialError(f"non-finite coordinate ({x}, {y})")
+                place = None
+            else:
+                place = place_of([place])
+            when = a.occurrence_time
+            if span:
+                when = time_of([when])
+            elif type(when) is not TimePoint:
+                when = edge(when)
+            if not 0.0 <= rho <= 1.0:
+                raise ObserverError(f"confidence rho must be in [0, 1], got {rho}")
+            sources = match.key
+            if sources is None:
+                sources = (entity_key(a),)
+            return when, x, y, place, attributes, rho, sources
+
+        return emit
+
+    first, second = roles
+    mean, least, product = method == "mean", method == "min", method == "product"
+
     def emit(match):
-        entities = match.entities()
-        count = len(entities)
-        attributes = no_attributes
-        if recipes:
-            attributes = {}
-            for name, aggregate, terms in recipes:
-                values: list[float] = []
-                for role, attribute in terms:
-                    bound = match.binding.get(role)
-                    if bound is None:
-                        raise ObserverError(
-                            f"output attribute {name!r} references unbound "
-                            f"role {role!r}"
-                        )
-                    group = bound if isinstance(bound, tuple) else (bound,)
-                    values.extend([numeric_attribute(e, attribute) for e in group])
-                attributes[name] = aggregate(values)
-            attributes = MappingProxyType(attributes)
-        rho = fused([confidence_of(e) for e in entities])
-        place = entities[0].occurrence_location
-        x = y = _NAN
-        if identity and count == 1:
-            pass  # the one entity's own location
-        elif count > 2 or not centroid:
-            place = place_of([e.occurrence_location for e in entities])
+        binding = match.binding
+        a = binding[first]
+        b = binding[second]
+        attributes = attributes_of(binding) if recipes else no_attributes
+        ra = float(getattr(a, "confidence", 1.0))
+        rb = float(getattr(b, "confidence", 1.0))
+        if not (0.0 <= ra <= 1.0 and 0.0 <= rb <= 1.0):
+            raise outside_unit_interval((ra, rb))
+        # The four rules over two values, then fusion_rule's clamp, which
+        # also reads a -0.0 (0.0 >= -0.0 passes the check) as 0.0.
+        if mean:
+            rho = (ra + rb) / 2
+        elif least:
+            rho = rb if rb < ra else ra  # like min(): of equals, the first
+        elif product:
+            rho = ra * rb
         else:
+            rho = 1.0 - (1.0 - ra) * (1.0 - rb)
+        if not 0.0 < rho <= 1.0:
+            rho = min(1.0, max(0.0, rho))
+        x = y = _NAN
+        if centroid:
             # centroid_of_points' sums, term by term: the same floats,
             # and PointLocation's refusal of a non-finite result.
-            p = place if type(place) is PointLocation else _point_of(place)
-            if count == 2:
-                q = entities[1].occurrence_location
-                if type(q) is not PointLocation:
-                    q = _point_of(q)
-                x, y = (0 + p.x + q.x) / 2, (0 + p.y + q.y) / 2
-            else:
-                x, y = (0 + p.x) / 1, (0 + p.y) / 1
+            p = a.occurrence_location
+            if type(p) is not PointLocation:
+                p = _point_of(p)
+            q = b.occurrence_location
+            if type(q) is not PointLocation:
+                q = _point_of(q)
+            x, y = (0 + p.x + q.x) / 2, (0 + p.y + q.y) / 2
             if not (isfinite(x) and isfinite(y)):
                 raise SpatialError(f"non-finite coordinate ({x}, {y})")
             place = None
-        if count > 2 or span:
-            when = time_of([e.occurrence_time for e in entities])
         else:
-            when = entities[0].occurrence_time
+            place = place_of([a.occurrence_location, b.occurrence_location])
+        when, other = a.occurrence_time, b.occurrence_time
+        if span:
+            when = time_of([when, other])
+        else:
             if type(when) is not TimePoint:
                 when = edge(when)
-            if count == 2:
-                other = entities[1].occurrence_time
-                if type(other) is not TimePoint:
-                    other = edge(other)
-                # Like min() / max(): of two equal operands, the first.
-                if other < when if earliest else other > when:
+            if type(other) is not TimePoint:
+                other = edge(other)
+            # Like min() / max(): of two equal operands, the first.  Two
+            # points order by tick, which is TimePoint's own order.
+            if type(when) is TimePoint and type(other) is TimePoint:
+                t, u = when.tick, other.tick
+                if u < t if earliest else u > t:
                     when = other
+            elif other < when if earliest else other > when:
+                when = other
         if not 0.0 <= rho <= 1.0:
             raise ObserverError(f"confidence rho must be in [0, 1], got {rho}")
-        if count == 2:
-            sources = (entity_key(entities[0]), entity_key(entities[1]))
-        else:
-            sources = tuple([entity_key(e) for e in entities])
+        sources = match.key
+        if sources is None:
+            sources = (entity_key(a), entity_key(b))
         return when, x, y, place, attributes, rho, sources
 
     return emit

@@ -162,6 +162,37 @@ def test_an_entity_key_is_built_once_and_shared():
         assert {id(key) for key in identity} == {id(a.key), id(b.key)}
 
 
+def test_a_pair_row_keeps_the_dedup_stores_tuple_as_its_sources():
+    # One keeper per fact: the binding identity the engine deduplicated
+    # on is the row's provenance, not a second tuple of the same keys.
+    engine = DetectionEngine([spec_of(("a", "b"))])
+    log = InstanceLog.of(pair_profile())
+    for i in range(12):
+        for match in engine.submit_batch([obs(i, i // 4)], i // 4):
+            log.write(match)
+    stored = {identity: identity for identity in engine._seen["a+b"]}
+    assert len(log) > 10 and len(stored) == len(log)
+    for sources in log._sources:
+        assert stored[sources] is sources
+
+
+def test_a_group_row_keeps_the_flat_provenance_tuple():
+    # A group role's identity holds a frozenset per group; its row's
+    # sources stay the keys of every bound entity, groups flattened.
+    spec = spec_of(("a", "b", "c"), ("g",), 1)
+    engine = DetectionEngine([spec])
+    log = InstanceLog.of(pair_profile())
+    matches = []
+    for i in range(12):
+        matches += engine.submit_batch([obs(i, i // 4)], i // 4)
+    for match in matches:
+        log.write(match)
+    assert len(log) > 10
+    for match, sources in zip(matches, log._sources):
+        assert isinstance(match.key[-1], frozenset)
+        assert sources == tuple(entity.key for entity in match.entities())
+
+
 def test_rows_share_what_does_not_differ_between_them():
     replayer = ReplayObserver(pair_profile(), lateness=0)
     replayer.runtime.register_source("replay")
