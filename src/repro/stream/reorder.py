@@ -19,29 +19,17 @@ state a consumer must hold to absorb a transport's disorder.  The
 admission layer (:mod:`repro.stream.admission`) additionally caps live
 occupancy via the eviction hook (:meth:`ReorderBuffer.evict_oldest`).
 
-What each operation costs, with ``n`` items buffered — none of it grows
-with the cap the admission layer enforces, so shedding stays cheap
-exactly when the buffer is full:
-
-* ``offer_many`` — one heap push per item, O(log n) (``offer`` is a run
-  of one);
-* ``release`` — O(log n) per released item;
-* ``evict_item`` / ``evict_oldest`` — O(1): the victim's liveness record
-  is dropped and its heap entry stays behind as a **tombstone**, skipped
-  (O(log n), once) when it surfaces at the top of the heap;
-* ``oldest_pending`` — O(1) plus the tombstones it skips;
-* ``pending`` / ``snapshot`` / ``restore`` — O(n log n), the checkpoint
-  path;
-* compaction — the heap is rebuilt, O(n), only once an eviction finds
-  its tombstones outnumbering its live entries, i.e. amortized O(1) per
-  removal.  Released items leave no tombstones, and a stream that only
-  ever evicts pins no more than a small multiple of the live items.
+One heap of ``(order_key, insertion counter, item)`` entries holds the
+buffered items.  Offering an item is one push, O(log n) with ``n``
+buffered; releasing or evicting one is one pop, also O(log n) — so
+shedding stays cheap exactly when the buffer is full.  ``pending`` /
+``snapshot`` / ``restore`` sort or rebuild the heap, O(n log n): the
+checkpoint path.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -75,61 +63,34 @@ class ReorderSnapshot:
 class ReorderBuffer:
     """Min-heap over ``(event_tick, seq)`` with a release frontier.
 
-    Removal is lazy.  An item is buffered exactly while the liveness
-    table carries the insertion counter of its heap entry; evicting it
-    drops that record, and the entry the heap still holds for it is from
-    then on a tombstone — skipped when it surfaces, swept out when
-    tombstones outnumber live entries.  Occupancy, the high-water mark,
-    :meth:`metrics_view` and :meth:`pending` count live items only.
-
-    Args:
-        late_retention: How many late items to *retain* for inspection
-            (the newest ones; ``None`` retains everything).  The exact
-            late count is tracked separately and is never capped.
+    Every removal takes the heap's top: :meth:`release` pops while the
+    top is at or below the watermark, :meth:`evict_oldest` pops once.
     """
 
-    _COMPACT_SLACK = 64
-    """Tombstones the heap may carry beyond its live entries before it is
-    rebuilt: keeps a nearly empty buffer from compacting on every
-    release."""
+    late_retention = DEFAULT_LATE_RETENTION
+    """How many late items to *retain* for inspection (the newest ones).
+    The exact late count is tracked separately and is never capped."""
 
-    def __init__(self, late_retention: int | None = DEFAULT_LATE_RETENTION):
-        if late_retention is not None and not is_count(late_retention):
-            raise ObserverError(
-                f"late_retention must be a non-negative int or None: "
-                f"{late_retention!r}"
-            )
+    def __init__(self):
         # Heap entries carry an insertion counter after the order key:
         # ``seq`` is only unique per source, so two sources' items can
         # tie on (event_tick, seq) and heapq must never fall through to
         # comparing StreamItems (which define no ordering).  Ties
-        # release in arrival order, deterministically.
+        # release in arrival order, deterministically, and of one object
+        # buffered twice (a redelivery with no deduper in front) the
+        # earliest copy leaves first.
         self._heap: list[tuple[tuple[int, int], int, StreamItem]] = []
         self._counter = 0
-        # id(item) -> counter of the item's buffered entry.  Items are
-        # matched by identity (as eviction always did), and an entry pins
-        # its item, so an id cannot be reused while a counter is filed
-        # under it.  The same object buffered twice (a redelivery with no
-        # deduper in front) files its earliest copy here and queues the
-        # rest, in arrival order, in ``_later`` (id(item) -> counters of
-        # the further copies; ``_chained`` is the set of all of those, so
-        # "is this counter live?" stays one lookup).  Every removal takes
-        # the earliest copy, which is also the first of them to surface
-        # in the main heap.
-        self._live: dict[int, int] = {}
-        self._later: dict[int, deque[int]] = {}
-        self._chained: set[int] = set()
         self._released_through: int | None = None
         self._highest_offered: int | None = None
         self._late_count = 0
-        self.late_retention = late_retention
         self.late: list[StreamItem] = []
         self.peak_occupancy = 0
 
     @property
     def occupancy(self) -> int:
-        """Items currently buffered (excluding lates and tombstones)."""
-        return len(self._live) + len(self._chained)
+        """Items currently buffered (excluding lates)."""
+        return len(self._heap)
 
     @property
     def released_through(self) -> int | None:
@@ -187,7 +148,7 @@ class ReorderBuffer:
         exactly as offering its items one by one would classify them.
         """
         frontier = self._released_through
-        heap, live = self._heap, self._live
+        heap = self._heap
         late: list[StreamItem] = []
         for item in items:
             tick = item.event_tick
@@ -199,59 +160,16 @@ class ReorderBuffer:
             counter = self._counter
             self._counter = counter + 1
             heapq.heappush(heap, (item.order_key, counter, item))
-            if live.setdefault(id(item), counter) != counter:
-                # This very object is already buffered: queue the new copy.
-                self._later.setdefault(id(item), deque()).append(counter)
-                self._chained.add(counter)
         # Nothing leaves during a run: its last occupancy is its peak.
-        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
+        self.peak_occupancy = max(self.peak_occupancy, len(heap))
         if late:
             self._late_count += len(late)
             self.late.extend(late)
-            if (
-                self.late_retention is not None
-                and len(self.late) > self.late_retention
-            ):
+            if len(self.late) > self.late_retention:
                 # Drop-oldest-late retention: the most recent lates are
                 # the ones worth inspecting or re-routing.
                 del self.late[: len(self.late) - self.late_retention]
         return late
-
-    def _promote(self, key: int) -> None:
-        """The earliest copy of the object ``key`` identifies has just
-        been removed: the next copy, if any, is the earliest now."""
-        copies = self._later[key]
-        counter = copies.popleft()
-        self._chained.discard(counter)
-        self._live[key] = counter
-        if not copies:
-            del self._later[key]
-
-    def _live_counters(self) -> set[int]:
-        """The insertion counters of every buffered entry."""
-        return {*self._live.values(), *self._chained}
-
-    def _compact(self) -> None:
-        """Rebuild the heap once its tombstones outnumber its live
-        entries."""
-        if len(self._heap) <= 2 * self.occupancy + self._COMPACT_SLACK:
-            return
-        alive = self._live_counters()
-        self._heap = [entry for entry in self._heap if entry[1] in alive]
-        heapq.heapify(self._heap)
-
-    def oldest_pending(self) -> StreamItem | None:
-        """The buffered item next in event-time order (no removal)."""
-        heap = self._heap
-        live = self._live
-        while heap:
-            _, counter, item = heap[0]
-            # Copies of one object surface in counter order here, so the
-            # earliest-copy record decides without walking the chain.
-            if live.get(id(item)) == counter:
-                return item
-            heapq.heappop(heap)
-        return None
 
     def evict_oldest(self) -> StreamItem | None:
         """Remove and return the event-time-oldest buffered item.
@@ -260,24 +178,7 @@ class ReorderBuffer:
         entirely (it will never be released and is *not* recorded
         late); the caller owns counting it as shed.
         """
-        item = self.oldest_pending()
-        if item is not None:
-            self.evict_item(item)
-        return item
-
-    def evict_item(self, item: StreamItem) -> bool:
-        """Remove one specific buffered item (identity match).
-
-        Returns whether the item was found.  O(1): no scan, no
-        re-heapify — the entry left behind is a tombstone (see the module
-        docstring).
-        """
-        if self._live.pop(id(item), None) is None:
-            return False
-        if id(item) in self._later:
-            self._promote(id(item))
-        self._compact()
-        return True
+        return heapq.heappop(self._heap)[2] if self._heap else None
 
     def release(self, watermark: int) -> list[StreamItem]:
         """Remove and return every item with ``event_tick <= watermark``.
@@ -294,23 +195,8 @@ class ReorderBuffer:
         self._released_through = watermark
         released: list[StreamItem] = []
         heap = self._heap
-        live = self._live
-        later = self._later
         while heap and heap[0][0][0] <= watermark:
-            _, counter, item = heapq.heappop(heap)
-            # One lookup on the path every observation takes: take the
-            # record out, and put it back in the rare case it was not
-            # this entry's.
-            held = live.pop(id(item), None)
-            if held != counter:
-                # A tombstone: evicted while it waited (and, if a record
-                # was there, the same object has been offered again).
-                if held is not None:
-                    live[id(item)] = held
-                continue
-            if later and id(item) in later:
-                self._promote(id(item))
-            released.append(item)
+            released.append(heapq.heappop(heap)[2])
         return released
 
     def release_all(self) -> list[StreamItem]:
@@ -329,11 +215,7 @@ class ReorderBuffer:
 
     def pending(self) -> list[StreamItem]:
         """Buffered items in event-time order (checkpoint view)."""
-        entries = self._heap
-        if len(entries) > self.occupancy:
-            alive = self._live_counters()
-            entries = [entry for entry in entries if entry[1] in alive]
-        return [item for _, _, item in sorted(entries)]
+        return [item for _, _, item in sorted(self._heap)]
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -379,9 +261,6 @@ class ReorderBuffer:
             )
         self._heap = []
         self._counter = 0
-        self._live = {}
-        self._later = {}
-        self._chained = set()
         # With no frontier nothing offered is late: every pending item is
         # filed the way an arrival is, then the frontiers are put back.
         self._released_through = None

@@ -84,11 +84,6 @@ class RedeliveryDeduper:
         self._high[item.source] = high
         return True
 
-    @property
-    def tracked_sources(self) -> tuple[str, ...]:
-        """Sources with acceptance state, in first-seen order."""
-        return tuple(self._high)
-
     def in_flight(self, source: str) -> int:
         """Accepted sequence numbers above the source's high water."""
         return len(self._seen.get(source, ()))

@@ -128,17 +128,6 @@ class FaultPlan:
                         f"{label}[{step}] must be a positive int: {amount!r}"
                     )
 
-    @property
-    def fault_count(self) -> int:
-        """Total scheduled fault events (crashes + bursts + corruptions
-        + stalls)."""
-        return (
-            len(self.crashes)
-            + len(self.duplicates)
-            + len(self.corruptions)
-            + len(self.stalls)
-        )
-
     @classmethod
     def seeded(
         cls,

@@ -424,12 +424,14 @@ class StreamingDetectionRuntime:
         telemetry.lost(shed, "shed")
         telemetry.lost(evicted, "evicted")
 
-    def run(self, source: ObservationSource | Iterable[StreamItem]) -> list[Match]:
+    def run(self, source: ObservationSource | Iterable[StreamItem]) -> None:
         """Drain one source completely (arrival order), then flush.
 
-        Multiple sources: ``register_source`` each, then interleave
-        :meth:`ingest` calls yourself (a delivery step may mix sources);
-        ``run`` is the common single-source convenience.
+        The matches go to ``on_match`` only: a whole-source drain keeps
+        no list of them.  Multiple sources: ``register_source`` each,
+        then interleave :meth:`ingest` calls yourself (a delivery step
+        may mix sources); ``run`` is the common single-source
+        convenience.
         """
         name = getattr(source, "name", None)
         if isinstance(name, str):
@@ -439,9 +441,8 @@ class StreamingDetectionRuntime:
             # A non-callable throttle attribute is a non-cooperating
             # source, not a crash waiting to happen.
             throttle = None
-        matches: list[Match] = []
         for _, group in arrival_groups(source):
-            matches.extend(self.ingest(group))
+            self.ingest(group)
             if throttle is not None and self.admission.engaged(
                 self.buffer.occupancy
             ):
@@ -449,8 +450,7 @@ class StreamingDetectionRuntime:
                 # is asked to slow down while pressure is on; sources
                 # without one simply keep the shedding rule busy.
                 throttle(self.last_backpressure)
-        matches.extend(self.finish())
-        return matches
+        self.finish()
 
     def finish(self) -> list[Match]:
         """Close every source and flush the buffer in event-time order.

@@ -2,17 +2,18 @@
 
 The conservation and cap properties in ``test_admission_properties``
 hold for any victim; nothing there pins *which* observation is shed.
-This file does.  The reference below is the buffer as it stood before
-it learnt lazy deletion: eviction is a linear identity scan plus a full
-re-heapify.  Slow, and obviously right.  The two shedding rules are
-written out beside it: ``drop_oldest_late`` evicts the reference's
-oldest pending item, ``drop_lowest_priority`` sheds the arrival.  A
-state machine drives the reference and the real
+This file does.  The reference below keeps its buffered items in a
+plain list in arrival order: the oldest is a ``min`` over it, a release
+sorts it.  Slow, and obviously right, and no heap in it.  The two
+shedding rules are written out beside it: ``drop_oldest_late`` evicts
+the reference's oldest pending item, ``drop_lowest_priority`` sheds the
+arrival.  A state machine drives the reference and the real
 :class:`~repro.stream.reorder.ReorderBuffer` through the same offers,
-at-cap offers (both rules), releases, evictions and snapshot ->
-restore-into-a-fresh-buffer round trips, and requires the same victim
-*object*, the same released sequence and the same ``pending()`` /
-occupancy / high-water mark / late count after every operation.
+at-cap offers (both rules), redeliveries, releases, evictions and
+snapshot -> restore-into-a-fresh-buffer round trips, and requires the
+same victim *object*, the same released sequence and the same
+``pending()`` / occupancy / high-water mark / late list and count /
+frontiers after every operation.
 
 The real buffer is the one inside a bounded
 :class:`~repro.stream.runtime.StreamingDetectionRuntime`, and whole
@@ -28,13 +29,12 @@ cross-source ``(event_tick, seq)`` ties — which the globally unique
 ``seq`` of ``bounded_cases`` never produces — are the common case, and
 with them the arrival-order tie-break, before and after a restore.
 
-One thing is deliberately not generated: the *same object* buffered
-twice.  The reference evicts whichever copy its heap array happens to
-list first, which is not a rule to be faithful to; the real buffer's
-rule (the earliest copy goes first) is pinned by example at the bottom.
+A redelivery offers an already buffered object again, so the *same
+object* is buffered twice.  Each removal must take its earliest copy:
+the reference's ``min`` breaks the tie by arrival, and the real
+buffer's heap top is that copy.  The rule is also pinned by example at
+the bottom.
 """
-
-import heapq
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -59,10 +59,10 @@ RULES = ("drop_oldest_late", "drop_lowest_priority")
 
 
 class ReferenceBuffer:
-    """The eager reorder buffer: every removal really removes."""
+    """The sort-and-scan reorder buffer: a list in arrival order."""
 
     def __init__(self, late_retention=256):
-        self._heap = []
+        self._entries = []  # (order_key, arrival counter, item)
         self._counter = 0
         self.released_through = None
         self.highest_offered = None
@@ -73,7 +73,7 @@ class ReferenceBuffer:
 
     @property
     def occupancy(self):
-        return len(self._heap)
+        return len(self._entries)
 
     def is_late(self, item):
         return (
@@ -93,25 +93,17 @@ class ReferenceBuffer:
             if len(self.late) > self.late_retention:
                 del self.late[: len(self.late) - self.late_retention]
             return False
-        heapq.heappush(self._heap, (item.order_key, self._counter, item))
+        self._entries.append((item.order_key, self._counter, item))
         self._counter += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._heap))
+        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return True
 
-    def oldest_pending(self):
-        return self._heap[0][2] if self._heap else None
-
     def evict_oldest(self):
-        return heapq.heappop(self._heap)[2] if self._heap else None
-
-    def evict_item(self, item):
-        for position, (_, _, candidate) in enumerate(self._heap):
-            if candidate is item:
-                self._heap[position] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                return True
-        return False
+        if not self._entries:
+            return None
+        oldest = min(self._entries)
+        self._entries.remove(oldest)
+        return oldest[2]
 
     def release(self, watermark):
         if (
@@ -120,10 +112,9 @@ class ReferenceBuffer:
         ):
             return []
         self.released_through = watermark
-        released = []
-        while self._heap and self._heap[0][0][0] <= watermark:
-            released.append(heapq.heappop(self._heap)[2])
-        return released
+        released = sorted(e for e in self._entries if e[0][0] <= watermark)
+        self._entries = [e for e in self._entries if e[0][0] > watermark]
+        return [item for _, _, item in released]
 
     def release_all(self):
         if self.highest_offered is None:
@@ -131,7 +122,7 @@ class ReferenceBuffer:
         return self.release(self.highest_offered)
 
     def pending(self):
-        return [item for _, _, item in sorted(self._heap)]
+        return [item for _, _, item in sorted(self._entries)]
 
     def snapshot(self):
         return ReorderSnapshot(
@@ -144,12 +135,11 @@ class ReferenceBuffer:
         )
 
     def restore(self, snapshot):
-        self._heap = [
+        self._entries = [
             (item.order_key, position, item)
             for position, item in enumerate(snapshot.pending)
         ]
-        heapq.heapify(self._heap)
-        self._counter = len(self._heap)
+        self._counter = len(self._entries)
         self.late = list(snapshot.late)
         self.late_count = snapshot.late_count
         self.released_through = snapshot.released_through
@@ -157,11 +147,11 @@ class ReferenceBuffer:
         self.peak_occupancy = snapshot.peak_occupancy
 
 
-def reference_victim(rule, buffer):
-    """The buffered item ``rule`` evicts at the cap, or ``None`` when
-    the arrival itself is shed."""
+def reference_make_room(rule, buffer):
+    """Evict and return the buffered item ``rule`` evicts at the cap,
+    or return ``None`` when the arrival itself is shed."""
     if rule == "drop_oldest_late":
-        return buffer.oldest_pending()
+        return buffer.evict_oldest()
     return None
 
 
@@ -225,27 +215,35 @@ class WhoLoses(RuleBasedStateMachine):
             source=source,
         )
 
+    def offer_at_cap(self, item):
+        """What the runtime does with one at-cap item, on both buffers."""
+        assert self.real.is_late(item) == self.reference.is_late(item)
+        if (
+            self.reference.occupancy >= self.cap
+            and not self.reference.is_late(item)
+        ):
+            expected = reference_make_room(self.rule, self.reference)
+            victim = self.runtime.admission.make_room(item, self.real)
+            assert victim is expected, (victim, expected)
+            if victim is None:
+                return  # the incoming item is the one shed
+        assert self.real.offer(item) == self.reference.offer(item)
+
     @rule(
         ahead=st.integers(min_value=-1, max_value=3),
         seq=st.integers(min_value=0, max_value=2),
         source=st.sampled_from(SOURCES),
     )
     def offer(self, ahead, seq, source):
-        """What the runtime does with one at-cap item, on both buffers."""
-        item = self.make(ahead, seq, source)
-        assert self.real.is_late(item) == self.reference.is_late(item)
-        if (
-            self.reference.occupancy >= self.cap
-            and not self.reference.is_late(item)
-        ):
-            expected = reference_victim(self.rule, self.reference)
-            victim = self.runtime.admission.make_room(item, self.real)
-            assert victim is expected, (victim, expected)
-            if victim is None:
-                return  # the incoming item is the one shed
-            assert self.reference.evict_item(victim)
-            assert not self.real.evict_item(victim), "evicted twice"
-        assert self.real.offer(item) == self.reference.offer(item)
+        self.offer_at_cap(self.make(ahead, seq, source))
+
+    @precondition(lambda self: self.reference.occupancy > 0)
+    @rule(position=st.integers(min_value=0, max_value=7))
+    def redeliver(self, position):
+        """Offer a buffered object again, as a redelivery with no
+        deduper in front does: the object is then buffered twice."""
+        pending = self.reference.pending()
+        self.offer_at_cap(pending[position % len(pending)])
 
     @rule(
         step=st.lists(
@@ -267,11 +265,10 @@ class WhoLoses(RuleBasedStateMachine):
             newest = self.newest.get(item.source, item.event_tick)
             self.newest[item.source] = max(newest, item.event_tick)
             if reference.occupancy >= self.cap and not reference.is_late(item):
-                victim = reference_victim(self.rule, reference)
+                victim = reference_make_room(self.rule, reference)
                 losers.append(item if victim is None else victim)
                 if victim is None:
                     continue
-                assert reference.evict_item(victim)
             reference.offer(item)
         watermark = min(tick - self.lateness for tick in self.newest.values())
         expected = reference.release(watermark)
@@ -299,18 +296,7 @@ class WhoLoses(RuleBasedStateMachine):
 
     @rule()
     def evict_oldest(self):
-        assert self.real.oldest_pending() is self.reference.oldest_pending()
         assert self.real.evict_oldest() is self.reference.evict_oldest()
-
-    @precondition(lambda self: self.reference.occupancy > 0)
-    @rule(position=st.integers(min_value=0, max_value=7))
-    def evict_any(self, position):
-        """``evict_item`` may name any buffered item, leaving a
-        tombstone in the middle of the heap."""
-        pending = self.reference.pending()
-        victim = pending[position % len(pending)]
-        assert self.real.evict_item(victim)
-        assert self.reference.evict_item(victim)
 
     @rule()
     def checkpoint_into_fresh_buffers(self):
@@ -338,27 +324,10 @@ class WhoLoses(RuleBasedStateMachine):
         assert view["peak_occupancy"] == reference.peak_occupancy
 
 
-class WhoLosesSweepingEagerly(WhoLoses):
-    """The same machine sweeping the heap on every eviction.  At these
-    sizes the buffer would otherwise never compact (tombstones must
-    outnumber live entries by a slack first), and the sweep is exactly
-    the code that must not lose, resurrect or misorder an entry."""
-
-    def fresh_runtime(self):
-        super().fresh_runtime()
-        self.real._COMPACT_SLACK = -1_000_000
-
-
 WhoLoses.TestCase.settings = settings(
     max_examples=200, stateful_step_count=50, deadline=None
 )
-# A sweep that misorders a heap shows only when a tombstone sat between
-# live entries that then surface in the wrong order: rarer, so look longer.
-WhoLosesSweepingEagerly.TestCase.settings = settings(
-    max_examples=400, stateful_step_count=50, deadline=None
-)
 TestWhoLoses = WhoLoses.TestCase
-TestWhoLosesSweepingEagerly = WhoLosesSweepingEagerly.TestCase
 
 
 class TestTheSameObjectBufferedTwice:
@@ -377,14 +346,14 @@ class TestTheSameObjectBufferedTwice:
         for offered in (twice, other, twice):
             assert buffer.offer(offered)
         assert buffer.occupancy == buffer.peak_occupancy == 3
-        assert buffer.evict_item(twice)
+        assert buffer.evict_oldest() is twice
         assert buffer.occupancy == 2
         # The earliest copy went: the survivor now follows ``other``.
         assert same_objects(buffer.pending(), [other, twice])
-        assert buffer.oldest_pending() is other
-        assert buffer.evict_item(twice)
-        assert not buffer.evict_item(twice)
-        assert same_objects(buffer.release_all(), [other])
+        assert buffer.evict_oldest() is other
+        assert buffer.evict_oldest() is twice
+        assert buffer.evict_oldest() is None
+        assert buffer.release_all() == []
         assert buffer.occupancy == 0
 
     def test_both_copies_release_and_restore(self):
@@ -406,9 +375,10 @@ class TestTheSameObjectBufferedTwice:
         for offered in (often, often, other, often, often):
             buffer.offer(offered)
         for left in (4, 3):
-            assert buffer.oldest_pending() is often
-            assert buffer.evict_item(often)
+            assert buffer.evict_oldest() is often
             assert buffer.occupancy == left
+        assert same_objects(buffer.pending(), [often, often, other])
         assert same_objects(buffer.release(5), [often, often])
         assert same_objects(buffer.pending(), [other])
-        assert not buffer.evict_item(often)
+        assert buffer.evict_oldest() is other
+        assert buffer.occupancy == 0

@@ -111,14 +111,16 @@ class TestArrivalGroups:
 class TestRuntimeOrdering:
     def test_jittered_run_equals_inorder_run(self):
         source = ReplaySource(batches(40), name="t")
+        expected, got = [], []
         inorder = StreamingDetectionRuntime(
-            DetectionEngine([pair_spec()]), lateness=6
+            DetectionEngine([pair_spec()]), lateness=6, on_match=expected.append
         )
-        expected = inorder.run(source)
+        # A whole-source drain keeps no list: on_match is its one channel.
+        assert inorder.run(source) is None
         jittered = StreamingDetectionRuntime(
-            DetectionEngine([pair_spec()]), lateness=6
+            DetectionEngine([pair_spec()]), lateness=6, on_match=got.append
         )
-        got = jittered.run(JitteredSource(source, max_delay=6, seed=5))
+        jittered.run(JitteredSource(source, max_delay=6, seed=5))
         assert [(m.spec.event_id, m.tick) for m in got] == [
             (m.spec.event_id, m.tick) for m in expected
         ]
@@ -129,16 +131,19 @@ class TestRuntimeOrdering:
 
     def test_cooldown_behavior_preserved_under_jitter(self):
         source = ReplaySource(batches(30), name="t")
+        expected, got = [], []
         inorder = StreamingDetectionRuntime(
-            DetectionEngine([hot_spec(cooldown=4)]), lateness=5
+            DetectionEngine([hot_spec(cooldown=4)]),
+            lateness=5,
+            on_match=lambda match: expected.append(match.tick),
         )
-        expected = [m.tick for m in inorder.run(source)]
+        inorder.run(source)
         jittered = StreamingDetectionRuntime(
-            DetectionEngine([hot_spec(cooldown=4)]), lateness=5
+            DetectionEngine([hot_spec(cooldown=4)]),
+            lateness=5,
+            on_match=lambda match: got.append(match.tick),
         )
-        got = [
-            m.tick for m in jittered.run(JitteredSource(source, 5, seed=2))
-        ]
+        jittered.run(JitteredSource(source, 5, seed=2))
         assert got == expected
 
     def test_pipeline_releases_in_order(self):
@@ -153,16 +158,19 @@ class TestRuntimeOrdering:
             StreamingDetectionRuntime(None, lateness=4)
 
     def test_on_match_fires_in_emission_order(self):
-        seen = []
+        seen, matches = [], []
         runtime = StreamingDetectionRuntime(
             DetectionEngine([hot_spec()]),
             lateness=3,
             on_match=lambda match: seen.append(match.tick),
         )
-        matches = runtime.run(
-            JitteredSource(ReplaySource(batches(12), name="t"), 3, seed=1)
-        )
+        source = JitteredSource(ReplaySource(batches(12), name="t"), 3, seed=1)
+        for _, group in arrival_groups(source):
+            matches += runtime.ingest(group)
+        matches += runtime.finish()
+        # The per-step lists carry the same matches the callback saw.
         assert seen == [m.tick for m in matches] == sorted(seen)
+        assert len(seen) == runtime.stats.matches > 0
 
 
 class TestRuntimeLateness:

@@ -5,13 +5,13 @@ cost must not grow with the bound it enforces.  Wall-clock thresholds
 say nothing on a shared runner (the fixed-ratio timing gates were
 removed for that reason); the quantities below repeat exactly:
 
-* heap pops per at-cap offer (the tombstones a decision skips) — a
-  constant, the same at a cap of 16 and of 4 096 (walking the buffer
-  made the decision ``1 + cap``), also when every object is buffered
-  twice (a redelivering feed with no deduper in front);
+* heap pops per at-cap offer — exactly one under ``drop_oldest_late``
+  (the victim is the heap's top) and none under ``drop_lowest_priority``
+  (the arrival is shed), the same at a cap of 16 and of 4 096 (walking
+  the buffer made the decision ``1 + cap``), also when every object is
+  buffered twice (a redelivering feed with no deduper in front);
 * objects kept alive by a buffer that only ever evicts, or only ever
-  releases — a small multiple of the live items, not the stream length
-  (a tombstone that is never swept pins its payload for good).
+  releases — a small multiple of the live items, not the stream length.
 """
 
 import gc
@@ -27,7 +27,6 @@ from repro.stream import (
     StreamingDetectionRuntime,
     StreamItem,
 )
-from repro.stream.reorder import ReorderBuffer
 
 RULES = ("drop_oldest_late", "drop_lowest_priority")
 
@@ -81,15 +80,14 @@ class TestWorkPerAtCapOffer:
     def test_constant_and_independent_of_the_cap(
         self, monkeypatch, rule, copies
     ):
-        small = self.pops_per_offer(monkeypatch, rule, 16, copies)
-        large = self.pops_per_offer(monkeypatch, rule, 4_096, copies)
-        assert small == large
-        # A victim leaves one entry at the top of the heap; the next
-        # decision pops it.  Shedding the arrival touches no heap.
-        assert small <= (1 if rule == "drop_oldest_late" else 0)
+        # Evicting the victim pops the heap's top once.  Shedding the
+        # arrival touches no heap.
+        expected = 1 if rule == "drop_oldest_late" else 0
+        for cap in (16, 4_096):
+            assert self.pops_per_offer(monkeypatch, rule, cap, copies) == expected
 
 
-class TestTombstonesPinNothing:
+class TestTheBufferPinsOnlyWhatItHolds:
     CAP = 64
     ROUNDS = 20_000
 
@@ -99,8 +97,7 @@ class TestTombstonesPinNothing:
 
     def test_evicting_the_oldest_without_ever_releasing(self):
         # drop_oldest_late under a pinned watermark: each at-cap offer
-        # evicts the top of the heap, and the next one pops that
-        # tombstone.
+        # evicts the top of the heap.
         runtime = StreamingDetectionRuntime(
             DetectionEngine(),
             lateness=0,
@@ -116,22 +113,6 @@ class TestTombstonesPinNothing:
             del offered
         assert runtime.stats.shed_observations == self.ROUNDS
         assert runtime.released_items == 0
-        assert self.alive(refs) <= 4 * self.CAP
-
-    def test_evicting_the_newest_without_ever_releasing(self):
-        # Evicting the last arrival leaves its entry deep in the heap,
-        # and nothing is ever released to surface it: only the sweep
-        # lets it go.
-        buffer = ReorderBuffer()
-        refs = []
-        for seq in range(self.CAP + self.ROUNDS):
-            if buffer.occupancy == self.CAP:
-                assert buffer.evict_item(refs[-1]())
-            offered = item(seq, seq)
-            refs.append(weakref.ref(offered))
-            assert buffer.offer(offered)
-            del offered
-        assert buffer.occupancy == self.CAP
         assert self.alive(refs) <= 4 * self.CAP
 
     def test_releasing_without_ever_shedding(self):

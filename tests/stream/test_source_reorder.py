@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ObserverError
 from repro.stream import JitteredSource, ReorderBuffer, ReplaySource, StreamItem
+from repro.stream.reorder import DEFAULT_LATE_RETENTION
 
 
 def item(tick, seq, arrival=None, source="s"):
@@ -173,7 +174,8 @@ class TestLateRetentionRegression:
     """
 
     def test_retention_caps_sample_but_not_count(self):
-        buffer = ReorderBuffer(late_retention=4)
+        buffer = ReorderBuffer()
+        buffer.late_retention = 4
         buffer.offer(item(100, 0))
         buffer.release(100)
         stragglers = [item(t, 1 + t, arrival=200) for t in range(10)]
@@ -183,36 +185,31 @@ class TestLateRetentionRegression:
         assert buffer.late == stragglers[-4:]  # newest retained
 
     def test_zero_retention_keeps_nothing_but_counts_everything(self):
-        buffer = ReorderBuffer(late_retention=0)
+        buffer = ReorderBuffer()
+        buffer.late_retention = 0
         buffer.offer(item(50, 0))
         buffer.release(50)
         assert not buffer.offer(item(1, 1, arrival=60))
         assert buffer.late == [] and buffer.late_count == 1
 
-    def test_none_retention_keeps_everything(self):
-        buffer = ReorderBuffer(late_retention=None)
+    def test_default_retention_keeps_the_newest(self):
+        buffer = ReorderBuffer()
         buffer.offer(item(50, 0))
         buffer.release(50)
-        for seq in range(300):
-            buffer.offer(item(2, 100 + seq, arrival=60))
-        assert len(buffer.late) == buffer.late_count == 300
-
-    def test_negative_retention_rejected(self):
-        with pytest.raises(ObserverError, match="retention"):
-            ReorderBuffer(late_retention=-1)
-
-    @pytest.mark.parametrize("retention", [1.5, True, "8"])
-    def test_non_int_retention_rejected(self, retention):
-        with pytest.raises(ObserverError, match="retention"):
-            ReorderBuffer(late_retention=retention)
+        stragglers = [item(2, 100 + seq, arrival=60) for seq in range(300)]
+        buffer.offer_many(stragglers)
+        assert buffer.late_count == 300
+        assert buffer.late == stragglers[-DEFAULT_LATE_RETENTION:]
 
     def test_exact_count_survives_restore(self):
-        buffer = ReorderBuffer(late_retention=2)
+        buffer = ReorderBuffer()
+        buffer.late_retention = 2
         buffer.offer(item(50, 0))
         buffer.release(50)
         for seq in range(5):
             buffer.offer(item(3, 10 + seq, arrival=60))
-        clone = ReorderBuffer(late_retention=2)
+        clone = ReorderBuffer()
+        clone.late_retention = 2
         clone.restore(buffer.snapshot())
         assert clone.late_count == 5
         assert clone.late == buffer.late
@@ -261,20 +258,5 @@ class TestEvictionHooks:
         assert buffer.evict_oldest().event_tick == 2
         assert buffer.occupancy == 2
         assert buffer.late_count == 0  # evicted, not late
-
-    def test_evict_item_removes_identity_match(self):
-        buffer = ReorderBuffer()
-        target = item(5, 1)
-        buffer.offer(item(3, 0))
-        buffer.offer(target)
-        buffer.offer(item(7, 2))
-        assert buffer.evict_item(target)
-        assert not buffer.evict_item(target)  # already gone
-        assert [i.event_tick for i in buffer.release_all()] == [3, 7]
-
-    def test_oldest_pending_peeks_without_removal(self):
-        buffer = ReorderBuffer()
-        assert buffer.oldest_pending() is None
-        buffer.offer(item(4, 0))
-        assert buffer.oldest_pending().event_tick == 4
-        assert buffer.occupancy == 1
+        assert [i.event_tick for i in buffer.release_all()] == [5, 8]
+        assert buffer.evict_oldest() is None
