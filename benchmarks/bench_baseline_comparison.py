@@ -215,10 +215,10 @@ def run_eca(entities):
 def run_rtl(entities, window=40):
     """RTL approximation: motion within `window` ticks after door start.
 
-    Written out by hand rather than through
-    :class:`~repro.baselines.rtl.RtlMonitor`: the monitor names the i-th
-    occurrence of each event, so "some door start" would need one
-    constraint pair per (door, motion) pair.
+    RTL (Mok et al., refs [11][12]) constrains the *i-th* occurrence of
+    each event, ``@(motion, j) - window <= @(door, i)``, so "some door
+    start" has no single constraint; the check is written out here, over
+    points only, because RTL has no interval type.
     """
     detected = set()
     door_starts = [

@@ -44,8 +44,10 @@ class TestFigure2Hierarchy:
         rows = [
             "",
             "[E2/Figure 2] per-layer entity counts and EDL (ticks)",
-            f"  {'layer':<22}{'count':>7}  {'EDL mean':>9}  {'EDL p95':>8}",
-            f"  {'PHYSICAL_OBSERVATION':<22}{observations:>7}  {'-':>9}  {'-':>8}",
+            f"  {'layer':<22}{'count':>7}  {'EDL mean':>9}  {'EDL p95':>8}"
+            "  observer",
+            f"  {'PHYSICAL_OBSERVATION':<22}{observations:>7}  {'-':>9}  {'-':>8}"
+            f"  {EventLayer.OBSERVATION.observer_description}",
         ]
         for layer in (
             EventLayer.SENSOR, EventLayer.CYBER_PHYSICAL, EventLayer.CYBER
@@ -55,6 +57,7 @@ class TestFigure2Hierarchy:
                 f"  {layer.name:<22}{layers.get(layer, 0):>7}  "
                 f"{stats.get('mean', float('nan')):>9.1f}  "
                 f"{stats.get('p95', float('nan')):>8.1f}"
+                f"  {layer.observer_description}"
             )
         report(*rows)
 

@@ -5,6 +5,9 @@
 * E4: composite condition S1 (Section 4.1) throughput and correctness;
 * E5: field event construction from point events (Section 4.2), scored
   as IoU against the true burning region.
+
+E3 and E5 also assert Section 4.2's classification of what they read:
+punctual or interval in time, point or field in space.
 """
 
 import pytest
@@ -15,6 +18,7 @@ from repro.core.conditions import (
     TemporalCondition,
     TimeOf,
 )
+from repro.core.event import Event, SpatialClass, TemporalClass
 from repro.core.instance import PhysicalObservation
 from repro.core.operators import RelationalOp, TemporalOp
 from repro.core.space_model import PointLocation
@@ -50,6 +54,10 @@ class TestE3NearbyWindow:
             abs(d.estimated_time.start.tick - truth[0].start.tick)
             for d in detected
         ]
+        window = scenario.handles["window"].position(0)
+        enter = Event("user_nearby", "enter", truth[0].start, window)
+        stay = Event("user_nearby", "stay", truth[0], window)
+        classes = {d.temporal_class for d in detected}
         report(
             "",
             "[E3] 'user A nearby window B' (punctual enter + interval stay)",
@@ -57,11 +65,19 @@ class TestE3NearbyWindow:
             f"  motes reporting the interval : {len(detected)}",
             f"  best interval IoU            : {best_iou:.2f}",
             f"  enter-detection error (min)  : {min(start_errors)} ticks",
+            f"  classes (enter / stay / motes): {enter.temporal_class.value}"
+            f" / {stay.temporal_class.value} / "
+            f"{', '.join(sorted(c.value for c in classes))}",
             f"  HVAC commands                : "
             f"{len(scenario.handles['hvac_commands'])}",
         )
         assert best_iou > 0.8
         assert scenario.handles["hvac_commands"]
+        # The two readings of one occurrence (Section 4.2): the enter
+        # instant is punctual, the stay and every mote's report interval.
+        assert enter.temporal_class is TemporalClass.PUNCTUAL
+        assert stay.temporal_class is TemporalClass.INTERVAL
+        assert classes == {TemporalClass.INTERVAL}
 
 
 class TestE4ConditionS1:
@@ -113,20 +129,34 @@ class TestE5FieldEvent:
         scenario = benchmark.pedantic(run, rounds=1, iterations=1)
         fire = scenario.handles["fire"]
         truth = fire.affected_region()
-        field_events = [
+        suspected = [
             i
             for s in scenario.system.sinks.values()
             for i in s.emitted
             if i.event_id == "fire_suspected"
-            and not isinstance(i.estimated_location, PointLocation)
         ]
+        field_events = [
+            i for i in suspected if i.spatial_class is SpatialClass.FIELD
+        ]
+        reports = {
+            i.spatial_class
+            for m in scenario.system.motes.values()
+            for i in m.emitted
+        }
         report(
             "",
             "[E5] field events from >= 2 point events (forest fire)",
-            f"  fire_suspected field events : {len(field_events)}",
+            f"  fire_suspected field events : {len(field_events)}"
+            f" of {len(suspected)}",
+            f"  mote report classes         : "
+            f"{', '.join(sorted(c.value for c in reports))}",
         )
         assert field_events, "no field event constructed"
+        # Point events in, field events out (Section 4.2).
+        assert reports == {SpatialClass.POINT}
         assert truth is not None
+        burn = Event("fire", "burn", TimePoint(600), truth)
+        assert burn.spatial_class is SpatialClass.FIELD
         ious = [
             region_iou(e.estimated_location, truth) for e in field_events
         ]

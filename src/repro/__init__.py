@@ -18,7 +18,7 @@ Workshops 2009), plus every substrate the paper depends on:
 * :mod:`repro.physical` — the simulated physical world;
 * :mod:`repro.sim` — the deterministic discrete-event kernel;
 * :mod:`repro.dsl` — a text language for event specifications;
-* :mod:`repro.baselines` — ECA / Snoop / SnoopIB / RTL comparators
+* :mod:`repro.baselines` — ECA / Snoop / SnoopIB comparators
   (Section 2);
 * :mod:`repro.analysis` — EDL and end-to-end latency models (the
   paper's future work, Section 6);
@@ -87,7 +87,6 @@ from repro.core import (
     TimeOf,
     TimePoint,
     all_of,
-    any_of,
     spatial_relation,
     temporal_relation,
 )
@@ -110,7 +109,7 @@ __all__ = [
     "AttributeCondition", "AttributeTerm", "TemporalCondition",
     "TemporalMeasureCondition", "SpatialCondition", "SpatialMeasureCondition",
     "ConfidenceCondition", "TimeOf", "LocationOf", "LocationConst",
-    "And", "Or", "Not", "Leaf", "all_of", "any_of",
+    "And", "Or", "Not", "Leaf", "all_of",
     "EntitySelector", "EventSpecification", "OutputAttribute", "OutputPolicy",
     "CPSSystem", "compile_source",
 ]

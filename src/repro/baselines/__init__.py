@@ -1,27 +1,22 @@
 """Related-work baseline engines the paper positions itself against
-(Section 2): point-based ECA, Snoop composite events, SnoopIB interval
-semantics and RTL timing constraints."""
+(Section 2): point-based ECA rules, Snoop's point-semantics conjunction
+and SnoopIB's interval relations.  These are the operators the E8
+comparison (``benchmarks/bench_baseline_comparison.py``) builds; its
+RTL row, a fixed post-door-start deadline, is written out there."""
 
 from repro.baselines.eca import EcaEngine, EcaRule, EcaTrigger
-from repro.baselines.rtl import ConstraintOutcome, RtlConstraint, RtlMonitor
 from repro.baselines.snoop import (
     CONTEXTS,
     Conj,
-    Disj,
     EventNode,
-    NotBetween,
     Occurrence,
     Primitive,
-    Seq,
     SnoopEngine,
 )
 from repro.baselines.snoopib import (
-    IntervalConj,
-    IntervalDisj,
     IntervalOccurrence,
     IntervalPrimitive,
     IntervalRelation,
-    IntervalSeq,
     SnoopIBEngine,
 )
 
@@ -32,20 +27,11 @@ __all__ = [
     "SnoopEngine",
     "EventNode",
     "Primitive",
-    "Seq",
     "Conj",
-    "Disj",
-    "NotBetween",
     "Occurrence",
     "CONTEXTS",
     "SnoopIBEngine",
     "IntervalPrimitive",
-    "IntervalSeq",
-    "IntervalConj",
-    "IntervalDisj",
     "IntervalRelation",
     "IntervalOccurrence",
-    "RtlMonitor",
-    "RtlConstraint",
-    "ConstraintOutcome",
 ]

@@ -76,10 +76,6 @@ class EcaEngine:
     def __init__(self, rules: Sequence[EcaRule] = ()):
         self.rules = list(rules)
 
-    def add_rule(self, rule: EcaRule) -> None:
-        """Install another rule."""
-        self.rules.append(rule)
-
     def submit(self, entity: Entity, now: int) -> list[EcaTrigger]:
         """Feed one entity; fire every rule whose condition holds.
 

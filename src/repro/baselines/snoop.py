@@ -8,13 +8,11 @@ notes the consequence this reproduction demonstrates: because composite
 occurrences collapse to points, interval relationships such as
 "During" or "Overlap" between composite events are not expressible.
 
-Operators implemented (the Snoop core):
+The operators the E8 comparison builds:
 
 * :class:`Primitive` — a named primitive event;
-* :class:`Seq` — left occurs strictly before right;
-* :class:`Conj` ("AND") — both occur, any order;
-* :class:`Disj` ("OR") — either occurs;
-* :class:`NotBetween` — ``Not(N)[L, R]``: L then R with no N between.
+* :class:`Conj` ("AND") — both occur, any order: the closest Snoop gets
+  to "motion during a door-open interval".
 
 Parameter contexts (how initiators pair with terminators):
 
@@ -39,10 +37,7 @@ __all__ = [
     "Occurrence",
     "EventNode",
     "Primitive",
-    "Seq",
     "Conj",
-    "Disj",
-    "NotBetween",
     "SnoopEngine",
     "CONTEXTS",
 ]
@@ -97,8 +92,8 @@ class Primitive(EventNode):
         pass
 
 
-class _Binary(EventNode):
-    """Shared buffering for two-operand operators."""
+class Conj(EventNode):
+    """Conjunction: both sides occur, in any order."""
 
     def __init__(self, left: EventNode, right: EventNode):
         self.left = left
@@ -132,29 +127,6 @@ class _Binary(EventNode):
                 except ValueError:
                     pass
 
-
-class Seq(_Binary):
-    """Sequence: left strictly before right (by occurrence point)."""
-
-    def feed(self, occurrence: Occurrence, name: str, context: str) -> list[Occurrence]:
-        completions: list[Occurrence] = []
-        for left_occ in self.left.feed(occurrence, name, context):
-            self._left_buffer.append(left_occ)
-        for right_occ in self.right.feed(occurrence, name, context):
-            candidates = [
-                left_occ
-                for left_occ in self._select(self._left_buffer, context)
-                if left_occ.time < right_occ.time
-            ]
-            for left_occ in candidates:
-                completions.append(left_occ.merge(right_occ, right_occ.time))
-            self._consume(self._left_buffer, candidates, context)
-        return completions
-
-
-class Conj(_Binary):
-    """Conjunction: both sides occur, in any order."""
-
     def feed(self, occurrence: Occurrence, name: str, context: str) -> list[Occurrence]:
         completions: list[Occurrence] = []
         lefts = self.left.feed(occurrence, name, context)
@@ -178,59 +150,6 @@ class Conj(_Binary):
                 )
             self._consume(self._left_buffer, partners, context)
             self._right_buffer.append(right_occ)
-        return completions
-
-
-class Disj(_Binary):
-    """Disjunction: either side's occurrence is a completion."""
-
-    def feed(self, occurrence: Occurrence, name: str, context: str) -> list[Occurrence]:
-        return self.left.feed(occurrence, name, context) + self.right.feed(
-            occurrence, name, context
-        )
-
-
-class NotBetween(EventNode):
-    """``Not(N)[L, R]``: L followed by R with no N in between."""
-
-    def __init__(self, initiator: EventNode, non_event: EventNode, terminator: EventNode):
-        self.initiator = initiator
-        self.non_event = non_event
-        self.terminator = terminator
-        self._open: list[Occurrence] = []
-
-    def reset(self) -> None:
-        self._open.clear()
-        self.initiator.reset()
-        self.non_event.reset()
-        self.terminator.reset()
-
-    def feed(self, occurrence: Occurrence, name: str, context: str) -> list[Occurrence]:
-        completions: list[Occurrence] = []
-        if self.non_event.feed(occurrence, name, context):
-            self._open.clear()
-        for terminator_occ in self.terminator.feed(occurrence, name, context):
-            survivors = [
-                initiator_occ
-                for initiator_occ in self._open
-                if initiator_occ.time < terminator_occ.time
-            ]
-            if context == "recent" and survivors:
-                survivors = [survivors[-1]]
-            elif context == "chronicle" and survivors:
-                survivors = [survivors[0]]
-            for initiator_occ in survivors:
-                completions.append(
-                    initiator_occ.merge(terminator_occ, terminator_occ.time)
-                )
-            if context == "chronicle":
-                for used in survivors:
-                    try:
-                        self._open.remove(used)
-                    except ValueError:
-                        pass
-        for initiator_occ in self.initiator.feed(occurrence, name, context):
-            self._open.append(initiator_occ)
         return completions
 
 

@@ -5,13 +5,10 @@ Adaikkalavan & Chakravarthy extend Snoop so an occurrence carries a
 terminating constituent]`` instead of a single detection point.  This
 fixes the classic point-semantics anomaly (a sequence detected inside
 another event appearing to "happen after" it) and makes interval
-relations between detected events expressible:
-
-* :class:`IntervalSeq` — left's interval wholly before right's;
-* :class:`IntervalConj` / :class:`IntervalDisj`;
-* :class:`IntervalRelation` — an explicit Allen-relation constraint
-  between the two sides (During, Overlaps, ...), the capability the CPS
-  event model inherits.
+relations between detected events expressible.  The E8 comparison
+builds :class:`IntervalRelation`, an explicit Allen-relation constraint
+between two sides (During, Overlaps, ...), the capability the CPS event
+model inherits.
 
 What SnoopIB still lacks — and the E8 benchmark shows it — is any
 *spatial* dimension: two fires overlapping in time but kilometres apart
@@ -36,9 +33,6 @@ __all__ = [
     "IntervalOccurrence",
     "IntervalNode",
     "IntervalPrimitive",
-    "IntervalSeq",
-    "IntervalConj",
-    "IntervalDisj",
     "IntervalRelation",
     "SnoopIBEngine",
 ]
@@ -92,66 +86,7 @@ class IntervalPrimitive(IntervalNode):
         pass
 
 
-class _IntervalBinary(IntervalNode):
-    def __init__(self, left: IntervalNode, right: IntervalNode):
-        self.left = left
-        self.right = right
-        self._left_buffer: list[IntervalOccurrence] = []
-        self._right_buffer: list[IntervalOccurrence] = []
-
-    def reset(self) -> None:
-        self._left_buffer.clear()
-        self._right_buffer.clear()
-        self.left.reset()
-        self.right.reset()
-
-
-class IntervalSeq(_IntervalBinary):
-    """Sequence with correct interval semantics: left ends before right
-    starts (Allen ``BEFORE`` or ``MEETS``)."""
-
-    def feed(self, occurrence, name):
-        completions: list[IntervalOccurrence] = []
-        for left_occ in self.left.feed(occurrence, name):
-            self._left_buffer.append(left_occ)
-        for right_occ in self.right.feed(occurrence, name):
-            for left_occ in self._left_buffer:
-                relation = allen_relation(left_occ.interval, right_occ.interval)
-                if relation in (TemporalRelation.BEFORE, TemporalRelation.MEETS):
-                    completions.append(left_occ.merge(right_occ))
-        return completions
-
-
-class IntervalConj(_IntervalBinary):
-    """Conjunction: both occur (any interval arrangement)."""
-
-    def feed(self, occurrence, name):
-        completions: list[IntervalOccurrence] = []
-        lefts = self.left.feed(occurrence, name)
-        rights = self.right.feed(occurrence, name)
-        for left_occ in lefts:
-            for right_occ in self._right_buffer:
-                completions.append(left_occ.merge(right_occ))
-            self._left_buffer.append(left_occ)
-        for right_occ in rights:
-            for left_occ in self._left_buffer:
-                if left_occ is right_occ:
-                    continue
-                completions.append(left_occ.merge(right_occ))
-            self._right_buffer.append(right_occ)
-        return completions
-
-
-class IntervalDisj(_IntervalBinary):
-    """Disjunction: either side's occurrence completes."""
-
-    def feed(self, occurrence, name):
-        return self.left.feed(occurrence, name) + self.right.feed(
-            occurrence, name
-        )
-
-
-class IntervalRelation(_IntervalBinary):
+class IntervalRelation(IntervalNode):
     """Explicit Allen-relation constraint between the two sides.
 
     ``IntervalRelation(a, b, {DURING})`` fires when an occurrence of
@@ -160,10 +95,19 @@ class IntervalRelation(_IntervalBinary):
     """
 
     def __init__(self, left, right, relations: set[TemporalRelation]):
-        super().__init__(left, right)
         if not relations:
             raise ConditionError("IntervalRelation needs at least one relation")
+        self.left = left
+        self.right = right
         self.relations = frozenset(relations)
+        self._left_buffer: list[IntervalOccurrence] = []
+        self._right_buffer: list[IntervalOccurrence] = []
+
+    def reset(self) -> None:
+        self._left_buffer.clear()
+        self._right_buffer.clear()
+        self.left.reset()
+        self.right.reset()
 
     def feed(self, occurrence, name):
         completions: list[IntervalOccurrence] = []

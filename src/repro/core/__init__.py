@@ -23,9 +23,7 @@ from repro.core.composite import (
     Not,
     Or,
     all_of,
-    any_of,
     as_node,
-    negation,
 )
 from repro.core.conditions import (
     AttributeCondition,
@@ -140,8 +138,7 @@ __all__ = [
     "SpatialMeasureCondition", "ConfidenceCondition", "TimeOf", "TimeConst",
     "TimeAgg", "LocationOf", "LocationConst", "SpaceAgg",
     # composite
-    "ConditionNode", "Leaf", "And", "Or", "Not", "all_of", "any_of",
-    "negation", "as_node",
+    "ConditionNode", "Leaf", "And", "Or", "Not", "all_of", "as_node",
     # specifications
     "EntitySelector", "EventSpecification", "OutputAttribute", "OutputPolicy",
     # errors

@@ -9,9 +9,9 @@ temporal and spatial conditions with the logical operators ``OP_L``
 This module provides the condition tree — :class:`Leaf`, :class:`And`,
 :class:`Or`, :class:`Not` — with evaluation over bindings, negation
 normal form (for the logical-equivalence property tests), and the
-convenience constructors :func:`all_of`, :func:`any_of` and
-:func:`negation`.  Trees are immutable and hashable so specifications
-can be deduplicated and used as dictionary keys.
+convenience constructor :func:`all_of`.  Trees are immutable and
+hashable so specifications can be deduplicated and used as dictionary
+keys.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "Or",
     "Not",
     "all_of",
-    "any_of",
-    "negation",
     "as_node",
 ]
 
@@ -209,14 +207,3 @@ def all_of(*conditions: "ConditionNode | Condition") -> ConditionNode:
     """Conjunction of conditions; a single operand passes through."""
     nodes = tuple(as_node(c) for c in conditions)
     return nodes[0] if len(nodes) == 1 else And(nodes)
-
-
-def any_of(*conditions: "ConditionNode | Condition") -> ConditionNode:
-    """Disjunction of conditions; a single operand passes through."""
-    nodes = tuple(as_node(c) for c in conditions)
-    return nodes[0] if len(nodes) == 1 else Or(nodes)
-
-
-def negation(condition: "ConditionNode | Condition") -> ConditionNode:
-    """Negation of a condition (sugar over :class:`Not`)."""
-    return Not(as_node(condition))

@@ -35,7 +35,7 @@ level that produced them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.errors import ObserverError
@@ -271,10 +271,6 @@ class EventInstance:
     def attribute(self, name: str, default: object = None) -> object:
         """Value of one estimated occurrence attribute."""
         return self.attributes.get(name, default)
-
-    def with_seq(self, seq: int) -> "EventInstance":
-        """Copy with a different sequence number (used by observers)."""
-        return replace(self, seq=seq)
 
     def describe(self) -> str:
         """One-line rendering mirroring Eq. 4.7."""

@@ -83,10 +83,6 @@ class TimePoint:
             return TimePoint(self.tick - other)
         return NotImplemented
 
-    def to_interval(self) -> "TimeInterval":
-        """Degenerate interval ``[tick, tick]`` covering only this point."""
-        return TimeInterval(self, self)
-
     def __repr__(self) -> str:
         return f"t{self.tick}"
 
@@ -134,12 +130,6 @@ class TimeInterval:
             raise TemporalError("an open interval has no duration yet")
         return self.end.tick - self.start.tick
 
-    def closed_at(self, end: TimePoint) -> "TimeInterval":
-        """Return a closed copy of an open interval ending at ``end``."""
-        if self.end is not None:
-            raise TemporalError("interval is already closed")
-        return TimeInterval(self.start, end)
-
     def contains_point(self, point: TimePoint, now: TimePoint | None = None) -> bool:
         """Whether ``point`` lies inside the interval.
 
@@ -151,10 +141,6 @@ class TimeInterval:
         if self.end is not None:
             return point <= self.end
         return now is None or point <= now
-
-    def elapsed(self, now: TimePoint) -> int:
-        """Ticks elapsed from start until ``now`` (for open intervals)."""
-        return max(0, now.tick - self.start.tick)
 
     def shift(self, ticks: int) -> "TimeInterval":
         """Interval translated by a signed number of ticks."""

@@ -108,13 +108,6 @@ class EventBus:
         self._subscriptions.append(subscription)
         return subscription
 
-    def unsubscribe(self, subscription: Subscription) -> None:
-        """Remove a subscription (unknown ones are ignored)."""
-        try:
-            self._subscriptions.remove(subscription)
-        except ValueError:
-            pass
-
     def publish(self, instance: EventInstance) -> int:
         """Fan the instance out to every matching subscription.
 

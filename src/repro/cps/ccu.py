@@ -94,10 +94,6 @@ class ControlUnit(ObserverComponent):
         self.processing_ticks = processing_ticks
         self._next_command_id = 1
 
-    def add_rule(self, rule: ActionRule) -> None:
-        """Install another Event-Action rule."""
-        self.rules.append(rule)
-
     def receive_instance(self, instance: EventInstance) -> None:
         """Accept a CP instance from a sink or a cyber instance from a
         peer CCU (never our own — avoids self-feedback loops).

@@ -251,13 +251,6 @@ class SensorMote(ObserverComponent):
         )
         self.emit_direct(instance)
 
-    def open_interval_elapsed(self, event_id: str) -> int | None:
-        """Ticks a configured interval event has currently been open."""
-        builder = self._builders.get(event_id)
-        if builder is None:
-            return None
-        return builder.elapsed(event_id, self.sim.tick)
-
     # -- distribution -----------------------------------------------------
 
     def distribute(self, instance: EventInstance) -> None:

@@ -126,15 +126,12 @@ class CPSSystem:
     # -- detection bounds ----------------------------------------------
 
     def detection_bounds(self) -> BoundingBox:
-        """World extent a sharded replay of this system's feeds tiles.
+        """World extent a sharded replay of this system's feeds tiles:
+        the sensor topology's spatial extent.
 
-        Preference order: the physical world's declared bounds, then
-        the sensor topology's spatial extent.  Bounds only shape load
-        balance — locations outside them clamp to edge shards — so the
-        topology fallback is always correct.
+        Bounds only shape load balance — locations outside them clamp to
+        edge shards — so any extent is correct.
         """
-        if self.world.bounds is not None:
-            return self.world.bounds
         if self.sensor_network is not None:
             positions = [
                 self.sensor_network.topology.position(name)
@@ -148,8 +145,8 @@ class CPSSystem:
                     max(p.y for p in positions),
                 )
         raise ComponentError(
-            "sharded detection needs bounds: call world.set_bounds() or "
-            "build_sensor_network() first"
+            "sharded detection needs bounds: call build_sensor_network() "
+            "first"
         )
 
     # -- components ----------------------------------------------------

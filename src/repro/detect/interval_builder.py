@@ -12,10 +12,10 @@ that state machine over a boolean condition stream, per tracked key:
 * intervals shorter than ``min_duration`` at close time are discarded
   (``DISCARDED``), filtering sensor glitches.
 
-Open intervals are queryable at any time, which is what conditions of
-the form "... for the last 30 minutes" evaluate against: the event has
-started, has not ended, and its elapsed duration is checked against the
-threshold.
+An ``OPENED`` transition carries the open interval ``[start, ...]``,
+which is what conditions of the form "... for the last 30 minutes"
+evaluate against: the event has started, has not ended, and its elapsed
+duration is checked against the threshold.
 """
 
 from __future__ import annotations
@@ -111,37 +111,3 @@ class IntervalBuilder:
         )
         self._tracks[key] = _TrackState()
         return Transition(key, kind, interval)
-
-    def flush(self, key: str, tick: int) -> list[Transition]:
-        """Force-close an open interval (end of experiment)."""
-        state = self._tracks.get(key)
-        if state is None or state.open_start is None:
-            return []
-        if state.last_true is None:
-            state.last_true = tick
-        return [self._close(key, state)]
-
-    def open_interval(self, key: str) -> TimeInterval | None:
-        """The currently open interval for ``key`` (or ``None``)."""
-        state = self._tracks.get(key)
-        if state is None or state.open_start is None:
-            return None
-        return TimeInterval(TimePoint(state.open_start), None)
-
-    def elapsed(self, key: str, now: int) -> int | None:
-        """Ticks the key's condition has currently been holding."""
-        open_iv = self.open_interval(key)
-        if open_iv is None:
-            return None
-        return open_iv.elapsed(TimePoint(now))
-
-    @property
-    def open_keys(self) -> tuple[str, ...]:
-        """Keys with a currently open interval."""
-        return tuple(
-            sorted(
-                key
-                for key, state in self._tracks.items()
-                if state.open_start is not None
-            )
-        )

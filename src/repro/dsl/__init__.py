@@ -13,13 +13,12 @@ from repro.dsl.ast_nodes import (
 )
 from repro.dsl.compiler import compile_source, compile_spec
 from repro.dsl.lexer import Token, TokenType, tokenize
-from repro.dsl.parser import parse, parse_many
+from repro.dsl.parser import parse_many
 
 __all__ = [
     "tokenize",
     "Token",
     "TokenType",
-    "parse",
     "parse_many",
     "compile_spec",
     "compile_source",

@@ -59,7 +59,7 @@ from repro.dsl.ast_nodes import (
 )
 from repro.dsl.lexer import Token, TokenType, tokenize
 
-__all__ = ["parse", "parse_many", "TEMPORAL_KEYWORDS", "SPATIAL_KEYWORDS"]
+__all__ = ["parse_many", "TEMPORAL_KEYWORDS", "SPATIAL_KEYWORDS"]
 
 TEMPORAL_KEYWORDS = {
     "BEFORE", "AFTER", "DURING", "MEETS", "MET_BY", "OVERLAPS",
@@ -389,16 +389,6 @@ class _Parser:
             self._advance()
             return (role, self._parse_kind_name())
         return (role, None)
-
-
-def parse(source: str) -> SpecAst:
-    """Parse source containing exactly one EVENT specification."""
-    specs = parse_many(source)
-    if len(specs) != 1:
-        raise DslSyntaxError(
-            f"expected exactly one EVENT, found {len(specs)}"
-        )
-    return specs[0]
 
 
 def parse_many(source: str) -> list[SpecAst]:

@@ -29,10 +29,6 @@ class RadioModel(ABC):
     def prr(self, a: PointLocation, b: PointLocation) -> float:
         """Packet reception ratio in ``[0, 1]`` for one transmission."""
 
-    def in_range(self, a: PointLocation, b: PointLocation) -> bool:
-        """Whether a link is usable at all (PRR above a small floor)."""
-        return self.prr(a, b) > 0.01
-
 
 class UnitDiskRadio(RadioModel):
     """Binary connectivity: PRR 1 within ``range``, 0 beyond.

@@ -70,10 +70,6 @@ class RoutingTree:
 
     # -- queries -------------------------------------------------------
 
-    def reachable(self, node: str) -> bool:
-        """Whether the node has a route to any root."""
-        return node in self._paths
-
     def path_to_root(self, node: str) -> list[str]:
         """Node sequence from ``node`` to its assigned root (inclusive).
 
@@ -84,15 +80,6 @@ class RoutingTree:
             return list(self._paths[node])
         except KeyError:
             raise RoutingError(f"node {node!r} cannot reach any root") from None
-
-    def next_hop(self, node: str) -> str | None:
-        """The neighbour toward the root, or ``None`` at a root."""
-        path = self.path_to_root(node)
-        return path[1] if len(path) > 1 else None
-
-    def assigned_root(self, node: str) -> str:
-        """Which root serves this node."""
-        return self.path_to_root(node)[-1]
 
     def hops_to_root(self, node: str) -> int:
         """Number of hops from the node to its root."""
@@ -107,16 +94,6 @@ class RoutingTree:
             )
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             raise RoutingError(f"no path from {src!r} to {dst!r}") from None
-
-    def descendants(self, root: str) -> tuple[str, ...]:
-        """All nodes whose assigned root is ``root`` (excluding itself)."""
-        return tuple(
-            sorted(
-                node
-                for node, path in self._paths.items()
-                if node != root and path[-1] == root
-            )
-        )
 
     def depth_histogram(self) -> dict[int, int]:
         """Map hop-distance -> node count (used by the EDL analysis)."""

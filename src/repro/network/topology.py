@@ -87,33 +87,10 @@ class Topology:
         except KeyError:
             raise NetworkError(f"unknown node {name!r}") from None
 
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        """Nodes with a usable link to ``name``."""
-        if name not in self._graph:
-            raise NetworkError(f"unknown node {name!r}")
-        return tuple(sorted(self._graph.neighbors(name)))
-
     def prr(self, a: str, b: str) -> float:
         """PRR of the direct link a-b (0 when no edge exists)."""
         data = self._graph.get_edge_data(a, b)
         return data["prr"] if data else 0.0
-
-    def is_connected(self) -> bool:
-        """Whether every node can reach every other node."""
-        return nx.is_connected(self._graph)
-
-    def add_node(self, name: str, location: PointLocation) -> None:
-        """Insert a node and its induced links."""
-        if name in self._positions:
-            raise NetworkError(f"node {name!r} already exists")
-        self._positions[name] = location
-        self._graph.add_node(name)
-        for other, other_pos in self._positions.items():
-            if other == name:
-                continue
-            prr = self.radio.prr(location, other_pos)
-            if prr >= self.prr_floor:
-                self._graph.add_edge(name, other, prr=prr, etx=1.0 / prr)
 
 
 def grid_topology(
@@ -136,4 +113,3 @@ def grid_topology(
         for c in range(cols)
     }
     return Topology(positions, radio, prr_floor)
-

@@ -217,9 +217,34 @@ class StageTrace:
 
     @classmethod
     def from_row(cls, row: TraceRow) -> "StageTrace":
-        trace = cls(row[0], row[1])
-        for stage_name, enter, exit_ in row[2]:
-            stage = Stage(stage_name)
+        """The trace :meth:`as_row` wrote.
+
+        Raises:
+            ObserverError: If ``row`` is not a source name, a ``seq``
+                that is an int >= 0 and ``(stage, enter, exit)`` stamps
+                that are ints or ``None``.
+        """
+        from repro.stream.source import is_count  # local import avoids a cycle
+
+        try:
+            source, seq, stages = row
+            spans = [
+                (Stage(name), enter, exit_) for name, enter, exit_ in stages
+            ]
+        except (TypeError, ValueError):
+            raise ObserverError(f"not a stage trace row: {row!r}") from None
+        if not (
+            type(source) is str
+            and is_count(seq)
+            and all(
+                stamp is None or type(stamp) is int
+                for _, enter, exit_ in spans
+                for stamp in (enter, exit_)
+            )
+        ):
+            raise ObserverError(f"not a stage trace row: {row!r}")
+        trace = cls(source, seq)
+        for stage, enter, exit_ in spans:
             if enter is not None:
                 trace.enter(stage, enter)
             if exit_ is not None:
@@ -401,8 +426,14 @@ class Telemetry:
         ``trace_every=4`` checkpoint into a ``trace_every=1`` tracer
         would silently change which observations get sampled mid-stream,
         the same class of bug the watermark's lateness check rejects.
-        A refused snapshot changes nothing.
+        The whole snapshot is checked first — counts are ints >= 0,
+        ``now`` an int or ``None``, one full histogram per stage, every
+        trace a row :meth:`StageTrace.from_row` reads — and a refused
+        snapshot raises :class:`~repro.core.errors.ObserverError` and
+        changes nothing.
         """
+        from repro.stream.source import is_count  # local import avoids a cycle
+
         if snapshot.trace_every != self.trace_every:
             raise ObserverError(
                 f"checkpoint was traced with trace_every="
@@ -410,22 +441,57 @@ class Telemetry:
                 f"{self.trace_every}; restoring would change sampling "
                 f"mid-stream"
             )
-        self._offered = snapshot.offered
-        self._active = {
-            (row[0], row[1]): StageTrace.from_row(row)
-            for row in snapshot.active
-        }
-        self._completed = deque(
-            (StageTrace.from_row(row) for row in snapshot.completed),
-            maxlen=TRACE_RING,
-        )
-        for histogram, (counts, total, count) in zip(
-            self.residency, snapshot.residency
+        try:
+            active = [StageTrace.from_row(row) for row in snapshot.active]
+            completed = [
+                StageTrace.from_row(row) for row in snapshot.completed
+            ]
+            residency = [
+                (list(counts), total, count)
+                for counts, total, count in snapshot.residency
+            ]
+            discarded = dict(snapshot.discarded)
+        except (TypeError, ValueError):
+            residency = discarded = None
+        if not (
+            residency is not None
+            and is_count(snapshot.offered)
+            and is_count(snapshot.sampled)
+            and is_count(snapshot.finished)
+            and (snapshot.now is None or type(snapshot.now) is int)
+            and len(residency) == len(STAGES)
+            and all(
+                len(counts) == len(DEFAULT_TICK_BUCKETS) + 1
+                and all(map(is_count, counts))
+                and is_count(count)
+                and type(total) in (int, float)
+                and total >= 0
+                for counts, total, count in residency
+            )
+            and all(
+                type(reason) is str and is_count(lost)
+                for reason, lost in discarded.items()
+            )
         ):
-            histogram.counts = list(counts)
+            raise ObserverError(
+                f"not a telemetry snapshot: offered={snapshot.offered!r}, "
+                f"sampled={snapshot.sampled!r}, "
+                f"finished={snapshot.finished!r}, now={snapshot.now!r}, "
+                f"active={snapshot.active!r}, "
+                f"completed={snapshot.completed!r}, "
+                f"residency={snapshot.residency!r}, "
+                f"discarded={snapshot.discarded!r}"
+            )
+        self._offered = snapshot.offered
+        self._active = {trace.key: trace for trace in active}
+        self._completed = deque(completed, maxlen=TRACE_RING)
+        for histogram, (counts, total, count) in zip(
+            self.residency, residency
+        ):
+            histogram.counts = counts
             histogram.total = total
             histogram.count = count
         self.sampled = snapshot.sampled
         self.finished = snapshot.finished
-        self.discarded = dict(snapshot.discarded)
+        self.discarded = discarded
         self.now = snapshot.now

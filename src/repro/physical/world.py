@@ -2,9 +2,9 @@
 
 Figure 1's left edge is "Some Aspects of the Physical World / Changing
 Physical World".  :class:`PhysicalWorld` is that box: it owns the
-scalar fields (one per sensed quantity), the physical objects, and any
-additional dynamic models (fire automata), and advances them together
-one tick at a time under the simulation kernel.
+scalar fields (one per sensed quantity) and the physical objects, and
+advances the fields together one tick at a time under the simulation
+kernel (a fire automaton steps with the field that renders it).
 
 Sensors read the world through :meth:`sample`; actuators write it
 through :meth:`apply_actuation`, closing the cyber-physical loop.
@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 from repro.core.errors import ReproError
 from repro.core.event import PhysicalEvent
-from repro.core.space_model import BoundingBox, PointLocation
+from repro.core.space_model import PointLocation
 from repro.physical.fields import ScalarField
 from repro.physical.objects import PhysicalObject
 
@@ -29,29 +29,9 @@ class PhysicalWorld:
     def __init__(self):
         self._fields: dict[str, ScalarField] = {}
         self._objects: dict[str, PhysicalObject] = {}
-        self._steppables: list[object] = []
         self._actuation_handlers: dict[str, Callable[[Mapping[str, object], int], None]] = {}
         self._ground_truth: list[PhysicalEvent] = []
         self._tick = 0
-        self._bounds: BoundingBox | None = None
-
-    # -- spatial extent -------------------------------------------------
-
-    def set_bounds(self, bounds: BoundingBox) -> None:
-        """Declare the world's spatial extent.
-
-        Sharded detection (:mod:`repro.shard`) partitions this box;
-        when unset, :class:`~repro.cps.system.CPSSystem` derives an
-        extent from the sensor topology instead.  The declaration only
-        shapes shard load balance — locations outside it clamp to edge
-        shards, never breaking exactness.
-        """
-        self._bounds = bounds
-
-    @property
-    def bounds(self) -> BoundingBox | None:
-        """Declared spatial extent, or ``None`` when never set."""
-        return self._bounds
 
     # -- construction --------------------------------------------------
 
@@ -66,12 +46,6 @@ class PhysicalWorld:
         if obj.name in self._objects:
             raise ReproError(f"object {obj.name!r} already registered")
         self._objects[obj.name] = obj
-
-    def add_steppable(self, model: object) -> None:
-        """Register a non-field dynamic model exposing ``step(tick)``."""
-        if not hasattr(model, "step"):
-            raise ReproError(f"{model!r} has no step() method")
-        self._steppables.append(model)
 
     def on_actuation(
         self,
@@ -91,11 +65,6 @@ class PhysicalWorld:
     def tick(self) -> int:
         """Tick the world dynamics have been advanced to."""
         return self._tick
-
-    @property
-    def quantities(self) -> tuple[str, ...]:
-        """All registered sensed-quantity names."""
-        return tuple(sorted(self._fields))
 
     def field(self, quantity: str) -> ScalarField:
         """The field backing a quantity."""
@@ -128,12 +97,10 @@ class PhysicalWorld:
     # -- dynamics --------------------------------------------------------
 
     def step(self, tick: int) -> None:
-        """Advance every dynamic model to ``tick``."""
+        """Advance every field to ``tick``."""
         self._tick = tick
         for field in self._fields.values():
             field.step(tick)
-        for model in self._steppables:
-            model.step(tick)
 
     def apply_actuation(
         self, command_kind: str, payload: Mapping[str, object], tick: int

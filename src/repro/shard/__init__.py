@@ -9,7 +9,7 @@ Nenzi et al.) exploits: properties with bounded spatial reach can be
 evaluated per-region, provided the regions overlap by that reach.
 
 * :class:`~repro.shard.partitioner.WorldPartitioner` — tiles the world
-  bounds (:attr:`repro.physical.world.PhysicalWorld.bounds` or the
+  bounds (:meth:`repro.cps.system.CPSSystem.detection_bounds`, the
   sensor topology's extent) into uniform grid cells;
 * :class:`~repro.shard.router.ObservationRouter` — assigns each batch
   entity a *home* shard plus the *halo* shards within the maximum

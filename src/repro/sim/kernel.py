@@ -21,8 +21,6 @@ Design notes:
   :meth:`repro.cps.component.ObserverComponent.enqueue`).
 * The heap holds ``(tick, priority, seq, handle)`` tuples: sifts compare
   in C and never reach the handle, because ``seq`` is unique.
-* Handles returned by :meth:`Simulator.schedule` support cancellation;
-  cancelled entries are dropped lazily when popped.
 * :meth:`Simulator.every` installs a periodic process; the callback may
   return ``False`` to stop rescheduling itself.
 """
@@ -59,41 +57,25 @@ PRIORITY_DEFAULT = 10
 
 
 class EventHandle:
-    """One scheduled callback: queue entry and cancellation handle in one.
+    """One scheduled callback: the queue entry of a firing.
 
-    A handle owns its callback exactly while it is queued and live —
-    firing takes it, :meth:`cancel` drops it (a cancelled far-future
-    entry pins nothing), a periodic process gets it back when it is
-    pushed again — so :attr:`Simulator.pending` counts the handles that
-    hold one.
+    A periodic process keeps one handle, pushed again after each firing.
 
     Attributes:
         tick: Tick of the (next) firing.
-        cancelled: Whether :meth:`cancel` has been called.
     """
 
-    __slots__ = ("tick", "cancelled", "_sim", "_callback", "_every")
+    __slots__ = ("tick", "_callback", "_every")
 
     def __init__(
         self,
-        sim: "Simulator",
         tick: int,
         callback: Callable[[], object],
         every: tuple[int, int] | None = None,
     ):
         self.tick = tick
-        self.cancelled = False
-        self._sim = sim
         self._callback = callback
         self._every = every  # (period, priority) of a periodic process
-
-    def cancel(self) -> None:
-        """Prevent the callback from running again (idempotent); on a
-        periodic handle, end the process."""
-        self.cancelled = True
-        if self._callback is not None:
-            self._callback = None
-            self._sim._live -= 1
 
 
 class Simulator:
@@ -115,7 +97,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._processed = 0
-        self._live = 0  # queued, not-cancelled handles (O(1) `pending`)
 
     def _push(self, handle: EventHandle, priority: int) -> EventHandle:
         # With run(until) refusing to rewind, this check at every way in
@@ -128,7 +109,6 @@ class Simulator:
         heapq.heappush(
             self._queue, (handle.tick, priority, next(self._seq), handle)
         )
-        self._live += 1
         return handle
 
     # -- time --------------------------------------------------------
@@ -169,7 +149,7 @@ class Simulator:
         if type(delay) is not int or delay < 0:
             raise SchedulingError(f"delay must be an int >= 0, got {delay!r}")
         return self._push(
-            EventHandle(self, self._tick + delay, callback), priority
+            EventHandle(self._tick + delay, callback), priority
         )
 
     def schedule_at(
@@ -179,7 +159,7 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
         """Run ``callback`` at absolute ``tick`` (must not be in the past)."""
-        return self._push(EventHandle(self, tick, callback), priority)
+        return self._push(EventHandle(tick, callback), priority)
 
     def every(
         self,
@@ -200,14 +180,13 @@ class Simulator:
 
         Returns:
             The process's one handle, pushed again after each firing:
-            its ``tick`` follows the next firing and cancelling it stops
-            the whole process.
+            its ``tick`` follows the next firing.
         """
         if type(period) is not int or period <= 0:
             raise SchedulingError(f"period must be an int >= 1, got {period!r}")
         first = self._tick + period if start is None else start
         return self._push(
-            EventHandle(self, first, callback, (period, priority)), priority
+            EventHandle(first, callback, (period, priority)), priority
         )
 
     # -- run loop ----------------------------------------------------
@@ -215,32 +194,25 @@ class Simulator:
     def _drain(self, until: int | None, limit: int) -> int:
         """Fire due callbacks in queue order; return how many ran.
 
-        Stops at the first live entry later than ``until``, after
-        ``limit`` callbacks (negative: no limit), or on :meth:`stop`.
+        Stops at the first entry later than ``until``, after ``limit``
+        callbacks (negative: no limit), or on :meth:`stop`.
         """
         queue = self._queue
         pop = heapq.heappop
         fired = 0
         while queue and fired != limit:
-            tick, _, _, handle = queue[0]
-            callback = handle._callback
-            if callback is None:  # cancelled; already uncounted
-                pop(queue)
-                continue
+            tick = queue[0][0]
             if until is not None and tick > until:
                 break
-            pop(queue)
-            handle._callback = None
-            self._live -= 1
+            handle = pop(queue)[3]
             self._tick = tick
             self._processed += 1
             fired += 1
             if handle._every is None:
-                callback()
-            elif callback() is not False and not handle.cancelled:
+                handle._callback()
+            elif handle._callback() is not False:
                 period, priority = handle._every
                 handle.tick = self._tick + period
-                handle._callback = callback
                 self._push(handle, priority)
             if self._stopped:
                 break
@@ -290,5 +262,5 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of queued, not-cancelled entries (a live counter)."""
-        return self._live
+        """Number of queued entries."""
+        return len(self._queue)

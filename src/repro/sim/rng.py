@@ -45,12 +45,3 @@ class RngStreams:
     def uniform(self, name: str, a: float = 0.0, b: float = 1.0) -> float:
         """One uniform draw from the named stream."""
         return self.stream(name).uniform(a, b)
-
-    def chance(self, name: str, probability: float) -> bool:
-        """Bernoulli draw from the named stream."""
-        return self.stream(name).random() < probability
-
-    def fork(self, name: str) -> "RngStreams":
-        """A child factory whose streams are independent of the parent's."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))

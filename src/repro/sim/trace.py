@@ -99,10 +99,6 @@ class TraceRecorder:
         """All records with the given category, in time order."""
         return [_record(r) for r in self._rows if r[1] == category]
 
-    def by_source(self, source: str) -> list[TraceRecord]:
-        """All records from the given source, in time order."""
-        return [_record(r) for r in self._rows if r[2] == source]
-
     def count(self, category: str | None = None) -> int:
         """Number of records (optionally of one category)."""
         if category is None:

@@ -37,7 +37,7 @@ from repro.core.errors import ObserverError
 from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.limiter import TokenBucket
 from repro.stream.reorder import ReorderBuffer
-from repro.stream.source import StreamItem
+from repro.stream.source import StreamItem, is_count
 
 __all__ = [
     "AdmissionLimits",
@@ -351,7 +351,11 @@ class AdmissionController:
     def restore(self, snapshot: AdmissionSnapshot) -> None:
         """Reload controller state.  A snapshot taken under other limits
         or another shedding rule is refused before anything changes:
-        restoring it would move a cap or a rate limit mid-stream."""
+        restoring it would move a cap or a rate limit mid-stream.  So is
+        one whose counters are not ints >= 0, whose deferral queue holds
+        anything but :class:`~repro.stream.source.StreamItem`, whose
+        buckets are not a map from source name to a state, or whose
+        bucket states :meth:`TokenBucket.restore` refuses."""
         theirs = {**asdict(snapshot.limits), "shedding": snapshot.shedding}
         mine = {**asdict(self.limits), "shedding": self.shedding}
         for name, value in mine.items():
@@ -367,11 +371,30 @@ class AdmissionController:
                 "checkpoint carries token-bucket or deferral state but "
                 "this controller has no rate limit configured"
             )
-        self._deferred = deque(snapshot.deferred)
-        self._buckets = {}
-        for source, state in snapshot.buckets.items():
+        try:
+            deferred = tuple(snapshot.deferred)
+            states = dict(snapshot.buckets)
+        except (TypeError, ValueError):
+            deferred = states = None
+        if not (
+            deferred is not None
+            and is_count(snapshot.shed_total)
+            and is_count(snapshot.deferred_total)
+            and all(isinstance(item, StreamItem) for item in deferred)
+            and all(type(source) is str for source in states)
+        ):
+            raise ObserverError(
+                f"not an admission snapshot: shed_total="
+                f"{snapshot.shed_total!r}, deferred_total="
+                f"{snapshot.deferred_total!r}, deferred="
+                f"{snapshot.deferred!r}, buckets={snapshot.buckets!r}"
+            )
+        buckets = {}
+        for source, state in states.items():
             bucket = TokenBucket(self.limits.rate, self.limits.burst)
             bucket.restore(state)
-            self._buckets[source] = bucket
+            buckets[source] = bucket
+        self._deferred = deque(deferred)
+        self._buckets = buckets
         self.shed_total = snapshot.shed_total
         self.deferred_total = snapshot.deferred_total

@@ -328,7 +328,7 @@ class StreamingDetectionRuntime:
         (refused after :meth:`finish`)."""
         self.tracker.register(name)
 
-    def ingest(self, items: Sequence[StreamItem]) -> list[Match]:
+    def ingest(self, items: Sequence[StreamItem]) -> None:
         """Process one delivery step (co-arriving items) and release.
 
         The whole step is validated before anything mutates — a step
@@ -350,7 +350,8 @@ class StreamingDetectionRuntime:
         offered to the reorder buffer and noted by the watermark
         tracker (:meth:`_take`); only then does the (possibly advanced)
         merged watermark release buffered observations to the engine,
-        in event-time order, grouped by event tick.
+        in event-time order, grouped by event tick; their matches go to
+        ``on_match``.
 
         Admission may also re-admit previously deferred items whose
         buckets have refilled; they passed validation in their own step.
@@ -375,13 +376,10 @@ class StreamingDetectionRuntime:
             items = stage.intake(items)
         self._take(items)
         watermark = self.tracker.watermark()
-        matches = (
-            [] if watermark is None
-            else self._flush(self.buffer.release(watermark))
-        )
+        if watermark is not None:
+            self._flush(self.buffer.release(watermark))
         if self.admission.engaged(self.buffer.occupancy):
             self._counts.backpressure_events += 1
-        return matches
 
     def _take(self, items: Sequence[StreamItem]) -> None:
         """Offer one step's admitted items to the buffer, in order.
@@ -427,11 +425,10 @@ class StreamingDetectionRuntime:
     def run(self, source: ObservationSource | Iterable[StreamItem]) -> None:
         """Drain one source completely (arrival order), then flush.
 
-        The matches go to ``on_match`` only: a whole-source drain keeps
-        no list of them.  Multiple sources: ``register_source`` each,
-        then interleave :meth:`ingest` calls yourself (a delivery step
-        may mix sources); ``run`` is the common single-source
-        convenience.
+        The matches go to ``on_match``.  Multiple sources:
+        ``register_source`` each, then interleave :meth:`ingest` calls
+        yourself (a delivery step may mix sources); ``run`` is the
+        common single-source convenience.
         """
         name = getattr(source, "name", None)
         if isinstance(name, str):
@@ -452,7 +449,7 @@ class StreamingDetectionRuntime:
                 throttle(self.last_backpressure)
         self.finish()
 
-    def finish(self) -> list[Match]:
+    def finish(self) -> None:
         """Close every source and flush the buffer in event-time order.
 
         Anything still parked in the admission deferral queue is offered
@@ -462,13 +459,13 @@ class StreamingDetectionRuntime:
         """
         self._take(self.admission.flush_deferred())
         self.tracker.end()
-        return self._flush(self.buffer.release_all())
+        self._flush(self.buffer.release_all())
 
-    def _flush(self, released: Sequence[StreamItem]) -> list[Match]:
-        """Submit released items to the engine, one batch per event tick."""
+    def _flush(self, released: Sequence[StreamItem]) -> None:
+        """Submit released items to the engine, one batch per event tick,
+        and hand each match to ``on_match``."""
         telemetry, counts = self.telemetry, self._counts
         tracing = telemetry.enabled
-        matches: list[Match] = []
         for tick, run in groupby(released, key=_EVENT_TICK):
             group = list(run)
             counts.released_items += len(group)
@@ -482,8 +479,6 @@ class StreamingDetectionRuntime:
             if self.on_match is not None:
                 for match in batch_matches:
                     self.on_match(match)
-            matches.extend(batch_matches)
-        return matches
 
     def _trace_release(
         self, telemetry: Telemetry, group: Sequence[StreamItem]

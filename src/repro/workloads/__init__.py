@@ -8,7 +8,6 @@ from repro.workloads.generators import (
 from repro.workloads.registry import (
     build_scenario,
     get_scenario,
-    iter_scenarios,
     register_scenario,
     scenario_names,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
-    "iter_scenarios",
     "build_scenario",
     "poisson_ticks",
     "synthetic_observations",

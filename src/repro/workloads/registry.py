@@ -5,7 +5,7 @@ Every end-to-end scenario family the repository ships
 name with three size presets and a deterministic default seed.  The
 registry is what makes the scenario matrix *enumerable*: the
 golden-trace conformance suite, the scenario benchmarks and the README
-catalog all iterate :func:`iter_scenarios` instead of hand-maintaining
+catalog all iterate :func:`scenario_names` instead of hand-maintaining
 parallel lists, so a newly registered family is automatically pinned by
 golden traces, exercised planner-vs-naive, and benchmarked.
 
@@ -26,7 +26,6 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
-    "iter_scenarios",
     "build_scenario",
 ]
 
@@ -54,11 +53,6 @@ def get_scenario(name: str) -> ScenarioSpec:
 def scenario_names() -> tuple[str, ...]:
     """All registered scenario names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def iter_scenarios() -> tuple[ScenarioSpec, ...]:
-    """All registered scenario specs, in registration order."""
-    return tuple(_REGISTRY.values())
 
 
 def build_scenario(

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.baselines.snoop import (
-    Conj,
-    Disj,
-    NotBetween,
-    Primitive,
-    Seq,
-    SnoopEngine,
-)
+from repro.baselines.snoop import Conj, Primitive, SnoopEngine
 from repro.core.errors import ConditionError
 from repro.core.time_model import TimePoint
 
@@ -26,34 +19,23 @@ class TestPrimitive:
         assert occurrence.time == TimePoint(7)
 
 
-class TestSeq:
-    def test_detects_in_order(self):
-        engine = SnoopEngine(Seq(Primitive("a"), Primitive("b")))
-        engine.submit("a", 1)
-        completions = engine.submit("b", 5)
-        assert len(completions) == 1
-        assert completions[0].time == TimePoint(5)  # terminator's point
-
-    def test_rejects_wrong_order(self):
-        engine = SnoopEngine(Seq(Primitive("a"), Primitive("b")))
+class TestConj:
+    def test_conjunction_any_order(self):
+        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
         engine.submit("b", 1)
-        assert engine.submit("a", 5) == []
-
-    def test_simultaneous_not_a_sequence(self):
-        engine = SnoopEngine(Seq(Primitive("a"), Primitive("b")))
-        engine.submit("a", 5)
-        # b at the same point is not strictly after a.
-        assert engine.submit("b", 5) == []
+        completions = engine.submit("a", 4)
+        assert len(completions) == 1
+        assert completions[0].time == TimePoint(4)
 
     def test_unrestricted_pairs_all_initiators(self):
-        engine = SnoopEngine(Seq(Primitive("a"), Primitive("b")))
+        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
         engine.submit("a", 1)
         engine.submit("a", 2)
         assert len(engine.submit("b", 5)) == 2
 
     def test_recent_context_uses_latest_initiator(self):
         engine = SnoopEngine(
-            Seq(Primitive("a"), Primitive("b")), context="recent"
+            Conj(Primitive("a"), Primitive("b")), context="recent"
         )
         engine.submit("a", 1)
         engine.submit("a", 2)
@@ -63,7 +45,7 @@ class TestSeq:
 
     def test_chronicle_context_consumes_oldest(self):
         engine = SnoopEngine(
-            Seq(Primitive("a"), Primitive("b")), context="chronicle"
+            Conj(Primitive("a"), Primitive("b")), context="chronicle"
         )
         engine.submit("a", 1)
         engine.submit("a", 2)
@@ -74,55 +56,6 @@ class TestSeq:
         assert engine.submit("b", 7) == []  # both initiators consumed
 
 
-class TestConjDisj:
-    def test_conjunction_any_order(self):
-        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
-        engine.submit("b", 1)
-        completions = engine.submit("a", 4)
-        assert len(completions) == 1
-        assert completions[0].time == TimePoint(4)
-
-    def test_disjunction_both_sides(self):
-        engine = SnoopEngine(Disj(Primitive("a"), Primitive("b")))
-        assert len(engine.submit("a", 1)) == 1
-        assert len(engine.submit("b", 2)) == 1
-        assert engine.submit("c", 3) == []
-
-    def test_nested_expression(self):
-        # Seq(a, Or(b, c))
-        engine = SnoopEngine(
-            Seq(Primitive("a"), Disj(Primitive("b"), Primitive("c")))
-        )
-        engine.submit("a", 1)
-        assert len(engine.submit("c", 3)) == 1
-
-
-class TestNotBetween:
-    def engine(self, context="unrestricted"):
-        return SnoopEngine(
-            NotBetween(Primitive("l"), Primitive("n"), Primitive("r")),
-            context=context,
-        )
-
-    def test_fires_without_blocker(self):
-        engine = self.engine()
-        engine.submit("l", 1)
-        assert len(engine.submit("r", 5)) == 1
-
-    def test_blocked_by_non_event(self):
-        engine = self.engine()
-        engine.submit("l", 1)
-        engine.submit("n", 3)
-        assert engine.submit("r", 5) == []
-
-    def test_new_initiator_after_blocker(self):
-        engine = self.engine()
-        engine.submit("l", 1)
-        engine.submit("n", 2)
-        engine.submit("l", 3)
-        assert len(engine.submit("r", 5)) == 1
-
-
 class TestEngineHousekeeping:
     def test_detections_accumulate(self):
         engine = SnoopEngine(Primitive("a"))
@@ -131,7 +64,7 @@ class TestEngineHousekeeping:
         assert len(engine.detections) == 2
 
     def test_reset(self):
-        engine = SnoopEngine(Seq(Primitive("a"), Primitive("b")))
+        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
         engine.submit("a", 1)
         engine.reset()
         assert engine.submit("b", 5) == []
@@ -148,7 +81,7 @@ class TestPointSemanticsAnomaly:
         [1, 9] is reported as occurring *at* 9, so a later point event at
         5 appears to come 'before' the composite even though it happened
         in the middle of it."""
-        engine = SnoopEngine(Seq(Primitive("a"), Primitive("b")))
+        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
         engine.submit("a", 1)
         composite = engine.submit("b", 9)[0]
         middle = TimePoint(5)

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.baselines.snoopib import (
-    IntervalConj,
-    IntervalDisj,
     IntervalPrimitive,
     IntervalRelation,
-    IntervalSeq,
     SnoopIBEngine,
 )
 from repro.core.errors import ConditionError
@@ -27,29 +24,25 @@ class TestIntervalPrimitive:
         assert spanning.interval == iv(10, 20)
 
 
-class TestIntervalSeq:
-    def test_requires_interval_precedence(self):
-        engine = SnoopIBEngine(
-            IntervalSeq(IntervalPrimitive("a"), IntervalPrimitive("b"))
+def relation(*relations):
+    return SnoopIBEngine(
+        IntervalRelation(
+            IntervalPrimitive("a"), IntervalPrimitive("b"), set(relations)
         )
-        engine.submit("a", 1, 4)
-        completions = engine.submit("b", 6, 9)
-        assert len(completions) == 1
-        assert completions[0].interval == iv(1, 9)
+    )
 
-    def test_overlapping_intervals_not_a_sequence(self):
-        engine = SnoopIBEngine(
-            IntervalSeq(IntervalPrimitive("a"), IntervalPrimitive("b"))
-        )
-        engine.submit("a", 1, 7)
-        assert engine.submit("b", 5, 9) == []
+
+class TestCompositeInterval:
+    def test_completion_spans_the_hull(self):
+        engine = relation(TemporalRelation.OVERLAPS)
+        engine.submit("a", 1, 3)
+        completions = engine.submit("b", 2, 8)
+        assert completions[0].interval == iv(1, 8)
 
     def test_fixes_point_semantics_anomaly(self):
-        """The inner sequence's interval [1, 9] correctly CONTAINS a point
+        """The composite's interval [1, 9] correctly CONTAINS a point
         event at 5 — impossible to express under point semantics."""
-        engine = SnoopIBEngine(
-            IntervalSeq(IntervalPrimitive("a"), IntervalPrimitive("b"))
-        )
+        engine = relation(TemporalRelation.BEFORE)
         engine.submit("a", 1)
         composite = engine.submit("b", 9)[0]
         from repro.core.time_model import temporal_relation
@@ -58,23 +51,6 @@ class TestIntervalSeq:
             temporal_relation(TimePoint(5), composite.interval)
             is TemporalRelation.DURING
         )
-
-
-class TestIntervalConjDisj:
-    def test_conjunction_hull(self):
-        engine = SnoopIBEngine(
-            IntervalConj(IntervalPrimitive("a"), IntervalPrimitive("b"))
-        )
-        engine.submit("a", 1, 3)
-        completions = engine.submit("b", 2, 8)
-        assert completions[0].interval == iv(1, 8)
-
-    def test_disjunction(self):
-        engine = SnoopIBEngine(
-            IntervalDisj(IntervalPrimitive("a"), IntervalPrimitive("b"))
-        )
-        assert len(engine.submit("a", 1)) == 1
-        assert len(engine.submit("b", 2, 5)) == 1
 
 
 class TestIntervalRelation:
@@ -136,9 +112,7 @@ class TestIntervalRelation:
 
 class TestHousekeeping:
     def test_reset(self):
-        engine = SnoopIBEngine(
-            IntervalSeq(IntervalPrimitive("a"), IntervalPrimitive("b"))
-        )
+        engine = relation(TemporalRelation.BEFORE)
         engine.submit("a", 1, 2)
         engine.reset()
         assert engine.submit("b", 5, 6) == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.composite import And, Leaf, Not, Or, all_of, any_of, as_node, negation
+from repro.core.composite import And, Leaf, Not, Or, all_of, as_node
 from repro.core.conditions import AttributeCondition, AttributeTerm
 from repro.core.errors import ConditionError
 from repro.core.instance import PhysicalObservation
@@ -76,10 +76,6 @@ class TestOperatorSugar:
 
     def test_single_condition_passthrough(self):
         assert isinstance(all_of(HOT), Leaf)
-        assert isinstance(any_of(HOT), Leaf)
-
-    def test_negation_helper(self):
-        assert negation(HOT).evaluate(binding(t=10))
 
     def test_as_node_rejects_garbage(self):
         with pytest.raises(ConditionError):

@@ -139,9 +139,6 @@ class TestEventInstance:
         assert inst.occurrence_time == TimePoint(10)
         assert inst.occurrence_location == PointLocation(1, 2)
 
-    def test_with_seq(self):
-        assert instance().with_seq(9).seq == 9
-
     def test_describe_contains_six_tuple(self):
         text = instance().describe()
         for token in ("t_g=", "l_g=", "t_eo=", "l_eo=", "V=", "rho="):

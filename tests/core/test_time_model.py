@@ -45,11 +45,6 @@ class TestTimePoint:
         with pytest.raises(TemporalError):
             TimePoint(1.5)
 
-    def test_to_interval_is_degenerate(self):
-        interval = TimePoint(5).to_interval()
-        assert interval.start == interval.end == TimePoint(5)
-        assert interval.duration == 0
-
     def test_epoch_is_zero(self):
         assert EPOCH.tick == 0
 
@@ -71,13 +66,6 @@ class TestTimeInterval:
         with pytest.raises(TemporalError):
             _ = open_iv.duration
 
-    def test_closed_at(self):
-        open_iv = TimeInterval(TimePoint(3), None)
-        closed = open_iv.closed_at(TimePoint(8))
-        assert closed.end == TimePoint(8)
-        with pytest.raises(TemporalError):
-            closed.closed_at(TimePoint(9))
-
     def test_contains_point_closed(self):
         assert iv(2, 5).contains_point(TimePoint(2))
         assert iv(2, 5).contains_point(TimePoint(5))
@@ -88,11 +76,6 @@ class TestTimeInterval:
         assert open_iv.contains_point(TimePoint(10))
         assert open_iv.contains_point(TimePoint(10), now=TimePoint(12))
         assert not open_iv.contains_point(TimePoint(10), now=TimePoint(8))
-
-    def test_elapsed(self):
-        open_iv = TimeInterval(TimePoint(3), None)
-        assert open_iv.elapsed(TimePoint(10)) == 7
-        assert open_iv.elapsed(TimePoint(1)) == 0
 
     def test_shift(self):
         assert iv(2, 5).shift(3) == iv(5, 8)

@@ -103,15 +103,6 @@ class TestEventBus:
         sim.run()
         assert got == [0]
 
-    def test_unsubscribe(self):
-        sim = Simulator()
-        bus = EventBus(sim, latency=0)
-        got = []
-        subscription = bus.subscribe("x", got.append)
-        bus.unsubscribe(subscription)
-        assert bus.publish(instance()) == 0
-        assert bus.subscription_count == 0
-
     def test_publish_returns_match_count(self):
         sim = Simulator()
         bus = EventBus(sim, latency=0)

@@ -65,7 +65,7 @@ class TestCPSComponent:
         component = CPSComponent("C1", HERE, sim, trace)
         sim.schedule(7, lambda: component.record("ping", value=3))
         sim.run()
-        records = trace.by_source("C1")
+        records = [r for r in trace if r.source == "C1"]
         assert len(records) == 1
         assert records[0].tick == 7
         assert records[0].value("value") == 3

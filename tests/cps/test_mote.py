@@ -199,15 +199,6 @@ class TestIntervalEvents:
         sim.run(until=150)
         assert [i for i in mote.emitted if i.event_id == "heatwave"] == []
 
-    def test_open_interval_elapsed_query(self):
-        sim = Simulator()
-        world = make_world(hot_from=15)
-        mote = make_mote(sim, world, interval_events=[self.config()])
-        mote.start()
-        sim.run(until=100)
-        assert mote.open_interval_elapsed("heatwave") == 100 - 20
-        assert mote.open_interval_elapsed("unknown") is None
-
 
 class TestActorMote:
     def test_command_execution_with_delay(self):
@@ -233,7 +224,7 @@ class TestActorMote:
         mote = ActorMote("AM1", HERE, sim, world, [actuator], trace=trace)
         mote.receive_command(ActuatorCommand("close", {}, ("AM1",), 0))
         sim.run()
-        (record,) = trace.by_source("AM1")
+        (record,) = trace
         assert record.category == "command.unsupported"
         assert record.value("kind") == "close"
         assert actuator.executed == []

@@ -126,7 +126,7 @@ class TestActorWiring:
         node = system.add_dispatch("D1", HERE)
         node.dispatch(ActuatorCommand("open", {}, ("AM1",), 0))
         system.sim.run()
-        assert system.trace.by_source(mote.name) == []
+        assert [r for r in system.trace if r.source == mote.name] == []
         assert system.trace.count("dispatch.direct") == 0
         assert opened == []
         [record] = system.trace.by_category("dispatch.unreachable")

@@ -464,7 +464,7 @@ def test_slotted_instances_still_copy_and_keep_their_layer_defaults():
     for cls, layer in layers.items():
         instance = instance_of(cls, attributes={"v": 1.0}, confidence=0.5)
         assert instance.layer is layer
-        renumbered = instance.with_seq(7)
+        renumbered = dataclasses.replace(instance, seq=7)
         assert type(renumbered) is cls and renumbered.layer is layer
         assert renumbered.key == (str(SINK), "e", 7)
         assert instance.key == ("sink:SK", "e", 0)

@@ -42,11 +42,11 @@ class TestBasicLifecycle:
 
     def test_keys_tracked_independently(self):
         builder = IntervalBuilder()
-        builder.update("a", True, 0)
-        builder.update("b", False, 0)
-        assert builder.open_keys == ("a",)
-        assert builder.open_interval("a").start == TimePoint(0)
-        assert builder.open_interval("b") is None
+        (opened,) = builder.update("a", True, 0)
+        assert opened.key == "a" and opened.interval.start == TimePoint(0)
+        assert builder.update("b", False, 0) == []
+        (closed,) = builder.update("a", False, 1)
+        assert closed.key == "a" and closed.kind is TransitionKind.CLOSED
 
 
 class TestMinDuration:
@@ -86,32 +86,7 @@ class TestGapTolerance:
         assert transitions[-1].kind is TransitionKind.CLOSED
 
 
-class TestQueries:
-    def test_elapsed_of_open_interval(self):
-        builder = IntervalBuilder()
-        builder.update("k", True, 10)
-        assert builder.elapsed("k", 25) == 15
-        assert builder.elapsed("unknown", 25) is None
-
-    def test_flush_closes_open_interval(self):
-        builder = IntervalBuilder()
-        builder.update("k", True, 3)
-        builder.update("k", True, 4)
-        transitions = builder.flush("k", 10)
-        assert transitions[0].kind is TransitionKind.CLOSED
-        assert transitions[0].interval == TimeInterval(TimePoint(3), TimePoint(4))
-
-    def test_flush_idle_key_is_noop(self):
-        builder = IntervalBuilder()
-        assert builder.flush("k", 10) == []
-
-    def test_paper_thirty_minute_condition(self):
-        # "user A is nearby window B for the last 30 minutes": the open
-        # interval's elapsed time answers the query before the event ends.
-        builder = IntervalBuilder()
-        builder.update("nearby", True, 100)
-        assert builder.elapsed("nearby", 1900) == 1800
-
+class TestValidation:
     def test_validation(self):
         with pytest.raises(ConditionError):
             IntervalBuilder(min_duration=-1)

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.composite import all_of, any_of, negation
+from repro.core.composite import Not, Or, all_of
 from repro.core.conditions import (
     AttributeCondition,
     AttributeTerm,
@@ -138,7 +138,7 @@ class TestPlanCompilation:
         spec = EventSpecification(
             event_id="e",
             selectors=pair_selectors(),
-            condition=any_of(distance_cond(), before_cond()),
+            condition=Or((distance_cond(), before_cond())),
             window=20,
         )
         plan = compile_plan(spec)
@@ -148,7 +148,7 @@ class TestPlanCompilation:
         spec = EventSpecification(
             event_id="e",
             selectors=pair_selectors(),
-            condition=negation(distance_cond()),
+            condition=Not(distance_cond()),
             window=20,
         )
         assert not compile_plan(spec).prunable
@@ -309,7 +309,7 @@ class TestDifferentialEquivalence:
         spec = EventSpecification(
             event_id="either",
             selectors=pair_selectors(),
-            condition=any_of(distance_cond(radius=10.0), before_cond()),
+            condition=Or((distance_cond(radius=10.0), before_cond())),
             window=15,
         )
         (planned, p_stats), (naive, n_stats) = run_engines([spec], observations)

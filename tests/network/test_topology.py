@@ -14,11 +14,6 @@ class TestUnitDiskRadio:
         assert radio.prr(PointLocation(0, 0), PointLocation(10, 0)) == 1.0
         assert radio.prr(PointLocation(0, 0), PointLocation(10.1, 0)) == 0.0
 
-    def test_in_range(self):
-        radio = UnitDiskRadio(10.0)
-        assert radio.in_range(PointLocation(0, 0), PointLocation(5, 0))
-        assert not radio.in_range(PointLocation(0, 0), PointLocation(15, 0))
-
     def test_validation(self):
         with pytest.raises(NetworkError):
             UnitDiskRadio(0.0)
@@ -50,9 +45,8 @@ class TestTopology:
 
     def test_grid_connectivity(self):
         topo = grid_topology(3, 3, 10.0, UnitDiskRadio(10.5))
-        assert topo.is_connected()
         # Only 4-neighbourhood links at this range.
-        assert set(topo.neighbors("MT1_1")) == {
+        assert set(topo.graph.neighbors("MT1_1")) == {
             "MT0_1", "MT1_0", "MT1_2", "MT2_1"
         }
 
@@ -66,15 +60,6 @@ class TestTopology:
         topo = grid_topology(2, 2, 5.0, UnitDiskRadio(6.0))
         with pytest.raises(NetworkError):
             topo.position("ghost")
-        with pytest.raises(NetworkError):
-            topo.neighbors("ghost")
-
-    def test_add_node_induces_links(self):
-        topo = grid_topology(1, 2, 5.0, UnitDiskRadio(6.0))
-        topo.add_node("sink", PointLocation(2.5, 3.0))
-        assert set(topo.neighbors("sink")) == {"MT0_0", "MT0_1"}
-        with pytest.raises(NetworkError):
-            topo.add_node("sink", PointLocation(0, 0))
 
     def test_prr_floor_prunes_weak_links(self):
         radio = LogDistanceRadio(d50=5.0, width=1.0)

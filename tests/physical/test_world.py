@@ -27,7 +27,6 @@ class TestPhysicalWorld:
         world = PhysicalWorld()
         world.add_field("temperature", UniformField(21.0))
         assert world.sample("temperature", PointLocation(0, 0), 5) == 21.0
-        assert world.quantities == ("temperature",)
 
     def test_duplicate_field_rejected(self):
         world = PhysicalWorld()
@@ -50,21 +49,16 @@ class TestPhysicalWorld:
         with pytest.raises(ReproError):
             world.object("nobody")
 
-    def test_steppable_requires_step(self):
-        world = PhysicalWorld()
-        with pytest.raises(ReproError):
-            world.add_steppable(object())
-
-    def test_step_advances_everything(self):
+    def test_step_advances_every_field(self):
         world = PhysicalWorld()
 
-        class Probe:
+        class Probe(UniformField):
             ticks = []
 
             def step(self, tick):
                 Probe.ticks.append(tick)
 
-        world.add_steppable(Probe())
+        world.add_field("t", Probe(1.0))
         world.step(5)
         assert world.tick == 5
         assert Probe.ticks == [5]

@@ -1,40 +1,27 @@
 """Differential oracle for the simulation kernel (hypothesis, stateful).
 
 The kernel's queue is a heap of ``(tick, priority, seq, handle)`` tuples
-with lazy cancellation, a live counter behind ``pending`` and one handle
-that a periodic process pushes again after every firing.  The reference
-below has none of that: a plain list kept sorted by ``(tick, priority,
-insertion)``, cancellation that really removes the entry, ``pending``
-that is the list's length.  Slow, and obviously right.  A state machine
+and one handle that a periodic process pushes again after every firing.
+The reference below has neither: a plain list kept sorted by ``(tick,
+priority, insertion)``.  Slow, and obviously right.  A state machine
 drives both through the same ``schedule`` / ``schedule_at`` / ``every``
-/ ``cancel`` / ``step`` / ``run(until)`` calls — with callbacks that
-cancel themselves or another handle, schedule more work or ``stop()``
-the run from inside a firing — and requires the same execution order,
-``tick``, ``events_processed``, ``pending`` and every handle's ``tick``
-and ``cancelled`` after each operation.
+/ ``step`` / ``run(until)`` calls — with callbacks that schedule more
+work or ``stop()`` the run from inside a firing — and requires the same
+execution order, ``tick``, ``events_processed``, ``pending`` and every
+handle's ``tick`` after each operation.
 
-A cancel lands wherever the draw puts it: before the firing, after it,
-from inside it (the ``cancel-self`` / ``cancel-other`` callbacks), or on
-a handle cancelled already.  Refused calls — a delay, an absolute tick,
-a first firing or an ``until`` in the past — must raise
-``SchedulingError`` on both sides and change nothing.
-
-One count row sits beside the machine: a cancelled far-future entry
-stays in the heap until its tick surfaces, so it must not keep its
-callback — or anything the callback captured — alive until then.
+Refused calls — a delay, an absolute tick, a first firing or an
+``until`` in the past — must raise ``SchedulingError`` on both sides and
+change nothing.
 """
 
 import bisect
 import functools
-import gc
-import weakref
 
-import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
@@ -50,27 +37,19 @@ from repro.sim.kernel import (
 PRIORITIES = (
     PRIORITY_NETWORK, PRIORITY_INGEST, PRIORITY_WORLD, PRIORITY_DEFAULT
 )
-ACTIONS = ("nothing", "cancel-self", "cancel-other", "schedule", "stop")
+ACTIONS = ("nothing", "schedule", "stop")
 
 
 class ReferenceHandle:
-    def __init__(self, kernel, tick, callback, period, priority):
-        self.kernel = kernel
+    def __init__(self, tick, callback, period, priority):
         self.tick = tick
         self.callback = callback
         self.period = period
         self.priority = priority
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-        self.kernel.entries = [
-            entry for entry in self.kernel.entries if entry[3] is not self
-        ]
 
 
 class ReferenceKernel:
-    """The eager kernel: a sorted list, and a cancel that removes."""
+    """The kernel as a sorted list."""
 
     def __init__(self):
         self.tick = 0
@@ -99,14 +78,14 @@ class ReferenceKernel:
         return self.schedule_at(self.tick + delay, callback, priority)
 
     def schedule_at(self, tick, callback, priority=PRIORITY_DEFAULT):
-        return self.push(ReferenceHandle(self, tick, callback, 0, priority))
+        return self.push(ReferenceHandle(tick, callback, 0, priority))
 
     def every(self, period, callback, start=None, priority=PRIORITY_DEFAULT):
         if period <= 0:
             raise SchedulingError("period must be positive")
         first = self.tick + period if start is None else start
         return self.push(
-            ReferenceHandle(self, first, callback, period, priority)
+            ReferenceHandle(first, callback, period, priority)
         )
 
     def step(self):
@@ -116,7 +95,7 @@ class ReferenceKernel:
         self.tick = tick
         self.events_processed += 1
         result = handle.callback()
-        if handle.period and result is not False and not handle.cancelled:
+        if handle.period and result is not False:
             handle.tick = self.tick + handle.period
             self.push(handle)
         return True
@@ -154,11 +133,7 @@ class Side:
             kernel = self.kernel
             self.log.append((job, kernel.tick))
             fired += 1
-            if action == "cancel-self":
-                self.handles[job].cancel()
-            elif action == "cancel-other":
-                self.handles[argument % len(self.handles)].cancel()
-            elif action == "schedule":
+            if action == "schedule":
                 child = len(self.handles)
                 self.handles.append(
                     kernel.schedule(
@@ -252,15 +227,6 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
             )
         )
 
-    @precondition(lambda self: self.sides[1].handles)
-    @rule(which=st.integers(min_value=0, max_value=40), twice=st.booleans())
-    def cancel(self, which, twice):
-        for side in self.sides:
-            handle = side.handles[which % len(side.handles)]
-            handle.cancel()
-            if twice:
-                handle.cancel()
-
     @rule()
     def step(self):
         both(self.sides, lambda side: side.kernel.step())
@@ -288,7 +254,6 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
         assert len(real.handles) == len(reference.handles)
         for mine, theirs in zip(real.handles, reference.handles):
             assert mine.tick == theirs.tick
-            assert mine.cancelled == theirs.cancelled
         # The clock never runs ahead of live work.
         assert all(
             entry[0] >= reference.kernel.tick
@@ -305,53 +270,13 @@ TestKernelAgainstASortedList = KernelAgainstASortedList.TestCase
 class TestOnePeriodicHandle:
     """The chain of firings by example: what the machine checks in bulk."""
 
-    def test_tick_follows_the_next_firing_and_one_cancel_ends_the_chain(self):
+    def test_tick_follows_the_next_firing(self):
         sim = Simulator()
         fired = []
-        handle = sim.every(3, lambda: fired.append(sim.tick), start=2)
+        handle = sim.every(3, lambda: fired.append(sim.tick) or len(fired) < 3,
+                           start=2)
         assert handle.tick == 2
         sim.run(until=2)
         assert fired == [2] and handle.tick == 5 and sim.pending == 1
-        sim.run(until=9)
-        assert fired == [2, 5, 8] and handle.tick == 11
-        handle.cancel()
-        assert handle.cancelled and sim.pending == 0
         sim.run(until=40)
-        assert fired == [2, 5, 8] and handle.tick == 11
-
-    def test_cancelling_from_inside_the_firing_ends_it_too(self):
-        sim = Simulator()
-        fired = []
-        handles = []
-
-        def fire():
-            fired.append(sim.tick)
-            if len(fired) == 2:
-                handles[0].cancel()
-
-        handles.append(sim.every(4, fire))
-        sim.run(until=50)
-        assert fired == [4, 8]
-        assert sim.pending == 0 and handles[0].tick == 8
-
-
-class Captured:
-    """Something a callback closes over (weakly referenceable)."""
-
-
-@pytest.mark.parametrize("periodic", [False, True], ids=["once", "periodic"])
-def test_a_cancelled_far_future_entry_pins_nothing(periodic):
-    sim = Simulator()
-    refs = []
-    for _ in range(10_000):
-        captured = Captured()
-        refs.append(weakref.ref(captured))
-        callback = functools.partial(id, captured)
-        if periodic:
-            sim.every(7, callback, start=1_000_000).cancel()
-        else:
-            sim.schedule(1_000_000, callback).cancel()
-        del captured, callback
-    gc.collect()
-    assert sim.pending == 0
-    assert sum(ref() is not None for ref in refs) == 0
+        assert fired == [2, 5, 8] and handle.tick == 8 and sim.pending == 0

@@ -88,15 +88,11 @@ class TestIntervalBuilderProperties:
     ):
         builder = IntervalBuilder(min_duration, gap_tolerance)
         closed = []
-        for tick, active in enumerate(stream):
+        # Trailing False updates past the tolerance close what is open.
+        for tick, active in enumerate(stream + [False] * (gap_tolerance + 1)):
             for transition in builder.update("k", active, tick):
                 if transition.kind is TransitionKind.CLOSED:
                     closed.append(transition.interval)
-        closed.extend(
-            t.interval
-            for t in builder.flush("k", len(stream))
-            if t.kind is TransitionKind.CLOSED
-        )
         previous_end = None
         for interval in closed:
             assert interval.end is not None
@@ -112,15 +108,10 @@ class TestIntervalBuilderProperties:
     def test_zero_tolerance_reconstructs_runs_exactly(self, stream):
         builder = IntervalBuilder(0, 0)
         intervals = []
-        for tick, active in enumerate(stream):
+        for tick, active in enumerate(stream + [False]):
             for transition in builder.update("k", active, tick):
                 if transition.kind is TransitionKind.CLOSED:
                     intervals.append(transition.interval)
-        intervals.extend(
-            t.interval
-            for t in builder.flush("k", len(stream))
-            if t.kind is TransitionKind.CLOSED
-        )
         # Reconstruct runs of True directly.
         runs = []
         start = None

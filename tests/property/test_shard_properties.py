@@ -25,7 +25,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composite import all_of, any_of
+from repro.core.composite import Or, all_of
 from repro.core.conditions import (
     AttributeCondition,
     AttributeTerm,
@@ -206,14 +206,14 @@ class TestRandomizedExactness:
                         "a": EntitySelector(kinds={"value"}),
                         "b": EntitySelector(kinds={"value"}),
                     },
-                    condition=any_of(
+                    condition=Or((
                         SpatialMeasureCondition(
                             "distance", ("a", "b"), RelationalOp.LT, 8.0
                         ),
                         TemporalCondition(
                             TimeOf("a"), TemporalOp.BEFORE, TimeOf("b")
                         ),
-                    ),
+                    )),
                     window=10,
                 )
             ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.composite import all_of, any_of
+from repro.core.composite import Or, all_of
 from repro.core.conditions import (
     AttributeCondition,
     AttributeTerm,
@@ -90,7 +90,7 @@ class TestSpatialReach:
         assert compile_plan(spec).spatial_reach() is None
 
     def test_disjunction_unbounded(self):
-        spec = spec_of(any_of(dist("a", "b", 5.0), dist("a", "b", 50.0)))
+        spec = spec_of(Or((dist("a", "b", 5.0), dist("a", "b", 50.0))))
         assert compile_plan(spec).spatial_reach() is None
 
     def test_gt_distance_unbounded(self):

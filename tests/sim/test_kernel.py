@@ -102,31 +102,6 @@ class TestScheduling:
         assert sim.now == TimePoint(7)
 
 
-class TestCancellation:
-    def test_cancelled_callback_skipped(self):
-        sim = Simulator()
-        ran = []
-        handle = sim.schedule(5, lambda: ran.append(1))
-        handle.cancel()
-        sim.run()
-        assert not ran
-        assert handle.cancelled
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(5, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
-
-    def test_pending_excludes_cancelled(self):
-        sim = Simulator()
-        sim.schedule(5, lambda: None)
-        handle = sim.schedule(6, lambda: None)
-        handle.cancel()
-        assert sim.pending == 1
-
-
 class TestRunControl:
     def test_run_until_stops_clock_at_bound(self):
         sim = Simulator()
@@ -165,15 +140,6 @@ class TestRunControl:
         sim.schedule(0, lambda: ran.append(sim.tick))
         sim.run()
         assert ran == [10, 20]
-
-    def test_a_cancelled_head_does_not_carry_the_run_past_its_bound(self):
-        sim = Simulator()
-        ran = []
-        head = sim.schedule(5, lambda: ran.append(5))
-        sim.schedule(20, lambda: ran.append(20))
-        head.cancel()
-        assert sim.run(until=10) == 10
-        assert not ran and sim.pending == 1
 
     def test_stop_inside_callback(self):
         sim = Simulator()
@@ -246,14 +212,6 @@ class TestPeriodic:
         sim.run(until=100)
         assert ticks == [5, 10, 15]
 
-    def test_cancel_handle_stops_future_firings(self):
-        sim = Simulator()
-        ticks = []
-        handle = sim.every(5, lambda: ticks.append(sim.tick))
-        sim.schedule(12, handle.cancel)
-        sim.run(until=40)
-        assert ticks == [5, 10]
-
     def test_invalid_period(self):
         with pytest.raises(SchedulingError):
             Simulator().every(0, lambda: None)
@@ -280,43 +238,28 @@ class TestDeterminism:
 
 
 class TestPendingCounter:
-    """`pending` is a live O(1) counter, by example; the state machine in
-    ``tests/property/test_kernel_oracle.py`` checks it against a queue
-    that really removes what is cancelled."""
+    """`pending` counts queued entries, by example; the state machine in
+    ``tests/property/test_kernel_oracle.py`` checks it against a sorted
+    list."""
 
-    def test_counter_tracks_schedule_cancel_and_run(self):
+    def test_counter_tracks_schedule_and_run(self):
         sim = Simulator()
-        handles = [sim.schedule(i + 1, lambda: None) for i in range(5)]
+        for i in range(5):
+            sim.schedule(i + 1, lambda: None)
         assert sim.pending == 5
-        handles[0].cancel()
-        handles[3].cancel()
-        assert sim.pending == 3
-        handles[3].cancel()  # idempotent: no double decrement
+        sim.run(until=2)
         assert sim.pending == 3
         sim.run()
         assert sim.pending == 0
-
-    def test_cancel_after_run_does_not_underflow(self):
-        sim = Simulator()
-        handle = sim.schedule(1, lambda: None)
-        sim.schedule(2, lambda: None)
-        sim.run(until=1)  # the first callback has run
-        assert sim.pending == 1
-        handle.cancel()  # its entry already popped: counter untouched
-        assert sim.pending == 1
 
     def test_periodic_process_keeps_single_pending_entry(self):
         sim = Simulator()
         ticks = []
-        handle = sim.every(3, lambda: ticks.append(sim.tick))
+        sim.every(3, lambda: ticks.append(sim.tick))
         assert sim.pending == 1
         sim.run(until=10)
         assert ticks == [3, 6, 9]
         assert sim.pending == 1  # the next firing is queued
-        handle.cancel()
-        assert sim.pending == 0
-        sim.run()
-        assert ticks == [3, 6, 9]
 
     def test_periodic_stopping_via_false_drains_counter(self):
         sim = Simulator()
@@ -325,17 +268,6 @@ class TestPendingCounter:
         assert sim.pending == 1
         sim.run()
         assert fired == [2]
-        assert sim.pending == 0
-
-    def test_cancelled_entries_pop_without_double_count(self):
-        sim = Simulator()
-        keep = []
-        cancel_me = sim.schedule(1, lambda: keep.append("cancelled ran"))
-        sim.schedule(1, lambda: keep.append("ran"))
-        cancel_me.cancel()
-        assert sim.pending == 1
-        sim.run()
-        assert keep == ["ran"]
         assert sim.pending == 0
 
 

@@ -36,17 +36,6 @@ class TestRngStreams:
         streams = RngStreams(3)
         value = streams.uniform("u", 5.0, 6.0)
         assert 5.0 <= value <= 6.0
-        draws = [streams.chance("c", 0.5) for _ in range(50)]
-        assert any(draws) and not all(draws)
         gauss_values = [streams.gauss("g", 0.0, 1.0) for _ in range(100)]
         assert -1.0 < sum(gauss_values) / len(gauss_values) < 1.0
 
-    def test_fork_independence(self):
-        parent = RngStreams(9)
-        child = parent.fork("worker-1")
-        parent_draws = [parent.stream("x").random() for _ in range(3)]
-        child_draws = [child.stream("x").random() for _ in range(3)]
-        assert parent_draws != child_draws
-        # Forks are themselves reproducible.
-        again = RngStreams(9).fork("worker-1")
-        assert child_draws == [again.stream("x").random() for _ in range(3)]

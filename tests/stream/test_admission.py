@@ -300,19 +300,21 @@ class TestBoundedRuntime:
 
     def test_zero_limit_controller_is_behavior_identical(self):
         groups = list(arrival_groups(ReplaySource(batches(30))))
+        plain_matches, bounded_matches = [], []
         plain = StreamingDetectionRuntime(
-            DetectionEngine([hot_spec()]), lateness=2
+            DetectionEngine([hot_spec()]), lateness=2,
+            on_match=plain_matches.append,
         )
         bounded = StreamingDetectionRuntime(
             DetectionEngine([hot_spec()]), lateness=2,
             admission=AdmissionController(),
+            on_match=bounded_matches.append,
         )
-        plain_matches, bounded_matches = [], []
         for _, group in groups:
-            plain_matches.extend(plain.ingest(group))
-            bounded_matches.extend(bounded.ingest(group))
-        plain_matches.extend(plain.finish())
-        bounded_matches.extend(bounded.finish())
+            plain.ingest(group)
+            bounded.ingest(group)
+        plain.finish()
+        bounded.finish()
         assert [
             (m.spec.event_id, m.tick, dict(m.binding))
             for m in bounded_matches

@@ -285,30 +285,32 @@ class TestRuntimeCheckpoint:
         groups = list(arrival_groups(jittered))
         half = len(groups) // 2
 
-        def runtime():
+        def runtime(matches):
             r = StreamingDetectionRuntime(
-                DetectionEngine([pair_spec(), hot_spec()]), lateness=5
+                DetectionEngine([pair_spec(), hot_spec()]), lateness=5,
+                on_match=matches.append,
             )
             r.register_source("t")
             return r
 
-        first = runtime()
+        seen = []
+        first = runtime(seen)
         for _, group in groups[:half]:
             first.ingest(group)
         checkpoint = first.snapshot()
-        tail_expected = []
+        head = len(seen)
         for _, group in groups[half:]:
-            tail_expected.extend(first.ingest(group))
-        tail_expected.extend(first.finish())
+            first.ingest(group)
+        first.finish()
 
-        resumed = runtime()
-        resumed.restore(checkpoint)
         tail = []
+        resumed = runtime(tail)
+        resumed.restore(checkpoint)
         for _, group in groups[half:]:
-            tail.extend(resumed.ingest(group))
-        tail.extend(resumed.finish())
+            resumed.ingest(group)
+        resumed.finish()
         assert [(m.spec.event_id, m.tick, m.binding) for m in tail] == [
-            (m.spec.event_id, m.tick, m.binding) for m in tail_expected
+            (m.spec.event_id, m.tick, m.binding) for m in seen[head:]
         ]
         assert resumed.stats.entities_submitted == first.stats.entities_submitted
         # Conservation survives the resume: the checkpoint carries the
@@ -613,6 +615,25 @@ def _tracker():
     return tracker
 
 
+def _admission():
+    controller = AdmissionController(
+        AdmissionLimits(rate=0.5, burst=1.0, max_deferred=1)
+    )
+    controller.intake([_item(seq) for seq in range(4)])
+    return controller
+
+
+def _telemetry():
+    telemetry = Telemetry.create(trace_every=1)
+    items = [_item(seq) for seq in range(3)]
+    telemetry.observe_step(2)
+    traces = [telemetry.admit(item) for item in items]
+    traces[0].stamp_released(0, 2)
+    telemetry.complete(traces[0])
+    telemetry.lost(items[1:2], "shed")
+    return telemetry
+
+
 # (the stage, how its snapshot is spoiled, what the ObserverError names).
 _STAGE_REFUSALS = [
     pytest.param(_dedup, lambda s: replace(s, in_flight={"s": 5}),
@@ -657,6 +678,28 @@ _STAGE_REFUSALS = [
                  "watermark snapshot", id="watermark-source-not-a-name"),
     pytest.param(_tracker, lambda s: (s[0], s[1], "no"),
                  "ended flag", id="watermark-ended-not-a-flag"),
+    pytest.param(_telemetry, lambda s: replace(s, sampled=-3),
+                 "telemetry snapshot", id="telemetry-negative-sampled"),
+    pytest.param(_telemetry, lambda s: replace(s, finished="q"),
+                 "telemetry snapshot", id="telemetry-finished-not-an-int"),
+    pytest.param(_telemetry, lambda s: replace(s, offered=-1),
+                 "telemetry snapshot", id="telemetry-negative-offered"),
+    pytest.param(_telemetry, lambda s: replace(s, residency=()),
+                 "telemetry snapshot", id="telemetry-residency-empty"),
+    pytest.param(_telemetry, lambda s: replace(s, active=(("s",),)),
+                 "stage trace row", id="telemetry-active-row-malformed"),
+    pytest.param(_telemetry, lambda s: replace(s, completed=5),
+                 "telemetry snapshot", id="telemetry-completed-not-rows"),
+    pytest.param(_admission, lambda s: replace(s, shed_total=-5),
+                 "admission snapshot", id="admission-negative-shed"),
+    pytest.param(_admission, lambda s: replace(s, deferred_total="x"),
+                 "admission snapshot", id="admission-deferred-not-an-int"),
+    pytest.param(_admission, lambda s: replace(s, deferred=("junk",)),
+                 "admission snapshot", id="admission-deferred-not-items"),
+    pytest.param(_admission, lambda s: replace(s, buckets=5),
+                 "admission snapshot", id="admission-buckets-not-a-map"),
+    pytest.param(_admission, lambda s: replace(s, buckets={"s": ("x", None)}),
+                 "token bucket state", id="admission-bucket-tokens-not-a-number"),
 ]
 
 

@@ -158,7 +158,7 @@ class TestRuntimeOrdering:
             StreamingDetectionRuntime(None, lateness=4)
 
     def test_on_match_fires_in_emission_order(self):
-        seen, matches = [], []
+        seen = []
         runtime = StreamingDetectionRuntime(
             DetectionEngine([hot_spec()]),
             lateness=3,
@@ -166,10 +166,9 @@ class TestRuntimeOrdering:
         )
         source = JitteredSource(ReplaySource(batches(12), name="t"), 3, seed=1)
         for _, group in arrival_groups(source):
-            matches += runtime.ingest(group)
-        matches += runtime.finish()
-        # The per-step lists carry the same matches the callback saw.
-        assert seen == [m.tick for m in matches] == sorted(seen)
+            assert runtime.ingest(group) is None
+        assert runtime.finish() is None
+        assert seen == sorted(seen)
         assert len(seen) == runtime.stats.matches > 0
 
 
@@ -489,10 +488,11 @@ class TestAbsentStageIsANoOpStage:
         )
     )
 
-    def _runtime(self, parts):
+    def _runtime(self, parts, matches):
         runtime = StreamingDetectionRuntime(
             DetectionEngine([pair_spec(), hot_spec()]),
             lateness=6,
+            on_match=matches.append,
             **{name: _OPTIONAL_PARTS[name]() for name in parts},
         )
         runtime.register_source("t")
@@ -502,23 +502,27 @@ class TestAbsentStageIsANoOpStage:
     def _keys(matches):
         return [(m.spec.event_id, m.tick, m.binding) for m in matches]
 
-    def _drive(self, runtime, groups):
-        matches = []
+    @staticmethod
+    def _drive(runtime, groups):
         for _, group in groups:
-            matches.extend(runtime.ingest(group))
-        return matches
+            runtime.ingest(group)
 
     @pytest.mark.parametrize("parts", _subsets())
     def test_same_matches_balance_and_resume(self, parts):
-        bare = self._runtime(())
-        expected = self._drive(bare, self.GROUPS) + bare.finish()
+        expected = []
+        bare = self._runtime((), expected)
+        self._drive(bare, self.GROUPS)
+        bare.finish()
 
         half = len(self.GROUPS) // 2
-        runtime = self._runtime(parts)
-        head = self._drive(runtime, self.GROUPS[:half])
+        matches = []
+        runtime = self._runtime(parts, matches)
+        self._drive(runtime, self.GROUPS[:half])
         checkpoint = runtime.snapshot()
-        tail = self._drive(runtime, self.GROUPS[half:]) + runtime.finish()
-        assert self._keys(head + tail) == self._keys(expected)
+        head = len(matches)
+        self._drive(runtime, self.GROUPS[half:])
+        runtime.finish()
+        assert self._keys(matches) == self._keys(expected)
 
         stats = runtime.stats
         offered = sum(len(group) for _, group in self.GROUPS)
@@ -530,7 +534,9 @@ class TestAbsentStageIsANoOpStage:
             + stats.quarantined_observations
         )
 
-        resumed = self._runtime(parts)
+        again = []
+        resumed = self._runtime(parts, again)
         resumed.restore(checkpoint)
-        again = self._drive(resumed, self.GROUPS[half:]) + resumed.finish()
-        assert self._keys(again) == self._keys(tail)
+        self._drive(resumed, self.GROUPS[half:])
+        resumed.finish()
+        assert self._keys(again) == self._keys(matches[head:])

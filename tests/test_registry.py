@@ -20,7 +20,6 @@ from repro.workloads import (
     ScenarioSpec,
     build_scenario,
     get_scenario,
-    iter_scenarios,
     register_scenario,
     scenario_names,
 )
@@ -45,18 +44,19 @@ class TestRegistryContents:
         } <= set(scenario_names())
 
     def test_every_spec_has_all_presets(self):
-        for spec in iter_scenarios():
+        for spec in map(get_scenario, scenario_names()):
             for preset in SIZE_PRESETS:
                 assert isinstance(spec.params_for(preset), dict)
 
     def test_catalog_metadata_complete(self):
-        for spec in iter_scenarios():
+        for spec in map(get_scenario, scenario_names()):
             assert spec.description
             assert spec.layers
             assert spec.paper_section
 
-    def test_iter_matches_names(self):
-        assert tuple(s.name for s in iter_scenarios()) == scenario_names()
+    def test_names_are_the_registered_specs(self):
+        for name in scenario_names():
+            assert get_scenario(name).name == name
 
 
 class TestLookupAndBuild:
@@ -183,7 +183,7 @@ only the three entry points below take one, ``use_planner``."""
 
 
 def test_engine_choice_is_not_threaded_through_signatures():
-    plans = [spec.plan for spec in iter_scenarios()]
+    plans = [get_scenario(name).plan for name in scenario_names()]
     entry_points = (CPSSystem.__init__, build_scenario, deploy)
     for fn in (
         *entry_points,
