@@ -18,6 +18,10 @@ class TestPrimitive:
         occurrence = engine.submit("a", 7)[0]
         assert occurrence.time == TimePoint(7)
 
+    def test_unnamed_primitive_rejected(self):
+        with pytest.raises(ConditionError, match="name"):
+            Primitive("")
+
 
 class TestConj:
     def test_conjunction_any_order(self):
@@ -54,6 +58,27 @@ class TestConj:
         second = engine.submit("b", 6)
         assert ("a", TimePoint(2)) in second[0].constituents
         assert engine.submit("b", 7) == []  # both initiators consumed
+
+    def test_simultaneous_constituents_complete_at_that_point(self):
+        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
+        assert engine.submit("a", 3) == []
+        completions = engine.submit("b", 3)
+        assert [c.time for c in completions] == [TimePoint(3)]
+
+    def test_nested_expression(self):
+        # Conj(Conj(a, b), c): the outer node completes once all three
+        # occurred, at the point of the last one.
+        engine = SnoopEngine(
+            Conj(Conj(Primitive("a"), Primitive("b")), Primitive("c"))
+        )
+        engine.submit("c", 1)
+        assert engine.submit("a", 2) == []
+        completions = engine.submit("b", 6)
+        assert len(completions) == 1
+        assert completions[0].time == TimePoint(6)
+        assert sorted(completions[0].constituents) == [
+            ("a", TimePoint(2)), ("b", TimePoint(6)), ("c", TimePoint(1)),
+        ]
 
 
 class TestEngineHousekeeping:

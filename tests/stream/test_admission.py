@@ -70,6 +70,18 @@ class TestTokenBucket:
         assert [clone.try_take(12), bucket.try_take(12)] == [True, True]
         assert clone.state() == bucket.state()
 
+    @pytest.mark.parametrize(
+        "state",
+        [(0, None), (0.0, 3), (4, 7), (4.0, 0)],
+        ids=["empty-never-ticked", "empty-float", "full-int", "full-float"],
+    )
+    def test_restore_accepts_every_state_in_bounds(self, state):
+        # 0 <= tokens <= burst, both ends included, int or float tokens.
+        bucket = TokenBucket(rate=0.25, burst=4)
+        bucket.restore(state)
+        assert bucket.state() == (float(state[0]), state[1])
+        assert bucket.tokens == float(state[0])
+
 
 class TestSheddingRules:
     def _full_buffer(self, ticks=(5, 9, 3)):

@@ -690,6 +690,50 @@ _STAGE_REFUSALS = [
                  "stage trace row", id="telemetry-active-row-malformed"),
     pytest.param(_telemetry, lambda s: replace(s, completed=5),
                  "telemetry snapshot", id="telemetry-completed-not-rows"),
+    pytest.param(_telemetry, lambda s: replace(s, offered=True),
+                 "telemetry snapshot", id="telemetry-offered-a-bool"),
+    pytest.param(_telemetry, lambda s: replace(s, now="2"),
+                 "telemetry snapshot", id="telemetry-now-not-an-int"),
+    pytest.param(_telemetry, lambda s: replace(s, now=2.0),
+                 "telemetry snapshot", id="telemetry-now-a-float"),
+    pytest.param(_telemetry, lambda s: replace(s, residency=s.residency[:-1]),
+                 "telemetry snapshot", id="telemetry-residency-a-stage-short"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, residency=tuple(
+                     (counts[:-1], total, count)
+                     for counts, total, count in s.residency)),
+                 "telemetry snapshot", id="telemetry-histogram-a-bucket-short"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, residency=tuple(
+                     ((-1,) + counts[1:], total, count)
+                     for counts, total, count in s.residency)),
+                 "telemetry snapshot", id="telemetry-histogram-negative-bucket"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, residency=tuple(
+                     (counts, -1, count)
+                     for counts, total, count in s.residency)),
+                 "telemetry snapshot", id="telemetry-histogram-negative-total"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, residency=tuple(
+                     (counts, total) for counts, total, _ in s.residency)),
+                 "telemetry snapshot", id="telemetry-histogram-not-a-triple"),
+    pytest.param(_telemetry, lambda s: replace(s, discarded=(("shed", -1),)),
+                 "telemetry snapshot", id="telemetry-negative-discarded"),
+    pytest.param(_telemetry, lambda s: replace(s, discarded=((5, 1),)),
+                 "telemetry snapshot", id="telemetry-discard-reason-not-a-name"),
+    pytest.param(_telemetry, lambda s: replace(s, discarded=(5,)),
+                 "telemetry snapshot", id="telemetry-discarded-not-pairs"),
+    pytest.param(_telemetry, lambda s: replace(s, completed=(("s", -1, ()),)),
+                 "stage trace row", id="telemetry-completed-row-negative-seq"),
+    pytest.param(_telemetry, lambda s: replace(s, active=((5, 0, ()),)),
+                 "stage trace row", id="telemetry-active-row-source-not-a-name"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, active=(("s", 0, (("nope", 0, 1),)),)),
+                 "stage trace row", id="telemetry-active-row-unknown-stage"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, active=(
+                     ("s", 0, ((s.active[0][2][0][0], 0.5, None),)),)),
+                 "stage trace row", id="telemetry-active-row-stamp-a-float"),
     pytest.param(_admission, lambda s: replace(s, shed_total=-5),
                  "admission snapshot", id="admission-negative-shed"),
     pytest.param(_admission, lambda s: replace(s, deferred_total="x"),
@@ -700,6 +744,27 @@ _STAGE_REFUSALS = [
                  "admission snapshot", id="admission-buckets-not-a-map"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": ("x", None)}),
                  "token bucket state", id="admission-bucket-tokens-not-a-number"),
+    pytest.param(_admission, lambda s: replace(s, shed_total="x"),
+                 "admission snapshot", id="admission-shed-not-an-int"),
+    pytest.param(_admission, lambda s: replace(s, shed_total=True),
+                 "admission snapshot", id="admission-shed-a-bool"),
+    pytest.param(_admission, lambda s: replace(s, deferred_total=-1),
+                 "admission snapshot", id="admission-negative-deferred"),
+    pytest.param(_admission, lambda s: replace(s, deferred=5),
+                 "admission snapshot", id="admission-deferred-not-iterable"),
+    pytest.param(_admission, lambda s: replace(s, buckets={5: (0.5, 3)}),
+                 "admission snapshot", id="admission-bucket-source-not-a-name"),
+    pytest.param(_admission, lambda s: replace(s, buckets={"s": (-0.5, 3)}),
+                 "token bucket state", id="admission-bucket-tokens-negative"),
+    pytest.param(_admission, lambda s: replace(s, buckets={"s": (1.5, 3)}),
+                 "token bucket state", id="admission-bucket-tokens-above-burst"),
+    pytest.param(_admission, lambda s: replace(s, buckets={"s": (0.5, 3.0)}),
+                 "token bucket state", id="admission-bucket-tick-a-float"),
+    pytest.param(_admission, lambda s: replace(s, buckets={"s": (0.5,)}),
+                 "token bucket state", id="admission-bucket-state-not-a-pair"),
+    pytest.param(_admission,
+                 lambda s: replace(s, buckets={"s": (0.5, 3), "t": (True, 3)}),
+                 "token bucket state", id="admission-second-bucket-tokens-a-bool"),
 ]
 
 
