@@ -61,6 +61,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.checkpoint import (
+    CONFIG,
+    COUNT,
+    TICK,
+    TICK_OR_NONE,
+    Domain,
+    by_name,
+    check,
+    counters,
+    declared,
+    shaped,
+)
 from repro.core.conditions import Binding
 from repro.core.entity import Entity, entity_key
 from repro.core.errors import (
@@ -70,6 +82,8 @@ from repro.core.errors import (
     SpatialError,
     TemporalError,
 )
+from repro.core.event import Event
+from repro.core.instance import EventInstance, PhysicalObservation
 from repro.core.spec import EventSpecification
 from repro.detect.compiler import CompiledCondition, compile_condition
 from repro.detect.planner import EvaluationPlan, Survivors, compile_plan
@@ -160,6 +174,40 @@ class EngineStats:
         return total
 
 
+def _tick_rows(text: str, kinds: type | tuple, *, tick_at: int) -> Domain:
+    """Pairs of a tick (at ``tick_at``) and a ``kinds`` instance, in tick
+    order; one loop with no call per row but the tick test."""
+    entry_at = 1 - tick_at
+
+    def within(rows: object) -> bool:
+        if type(rows) is not tuple:
+            return False
+        last = None
+        for row in rows:
+            if not (
+                type(row) is tuple
+                and len(row) == 2
+                and isinstance(row[entry_at], kinds)
+                and TICK.test(tick := row[tick_at])
+                and (last is None or last <= tick)
+            ):
+                return False
+            last = tick
+        return True
+
+    return Domain(text, within)
+
+
+# The concrete classes first: a protocol isinstance test walks the
+# protocol's members on every call.
+_WINDOW = _tick_rows(
+    "(tick, entity) rows in tick order",
+    (PhysicalObservation, EventInstance, Event, Entity),
+    tick_at=0,
+)
+_SEEN = _tick_rows("(identity, tick) rows in tick order", tuple, tick_at=1)
+
+
 @dataclass(frozen=True)
 class EngineSnapshot:
     """Checkpoint of one :class:`DetectionEngine`'s mutable state.
@@ -181,13 +229,19 @@ class EngineSnapshot:
     stream length.
     """
 
-    spec_ids: tuple[str, ...]
-    windows: Mapping[str, Mapping[str, tuple[tuple[int, Entity], ...]]]
-    seen: Mapping[str, tuple[tuple[tuple, int], ...]]
-    last_match: Mapping[str, int]
-    watermark: int | None
-    stats: EngineStats
-    tallies: Mapping[str, tuple[int, int]]
+    spec_ids: tuple[str, ...] = declared(CONFIG)
+    windows: Mapping[str, Mapping[str, tuple[tuple[int, Entity], ...]]] = (
+        declared(by_name(by_name(_WINDOW)))
+    )
+    seen: Mapping[str, tuple[tuple[tuple, int], ...]] = declared(
+        by_name(_SEEN)
+    )
+    last_match: Mapping[str, int] = declared(by_name(TICK))
+    watermark: int | None = declared(TICK_OR_NONE)
+    stats: EngineStats = declared(counters(EngineStats))
+    tallies: Mapping[str, tuple[int, int]] = declared(
+        by_name(shaped(COUNT, COUNT))
+    )
     """Per-specification ``(bindings, matches)``, see
     :meth:`DetectionEngine.tallies`."""
 
@@ -643,22 +697,22 @@ class DetectionEngine:
             },
             last_match=dict(self._last_match),
             watermark=self._watermark,
-            stats=replace(self.stats),
+            # A copy ~2 us cheaper than replace(): ~250 snapshots a pass.
+            stats=EngineStats(**vars(self.stats)),
             tallies=self.tallies(),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
-        """Reset this engine to a snapshot taken from an equivalent one.
-
-        The engine must watch exactly the snapshot's specifications (by
-        id, in installation order, with the same roles) — restore
-        rebuilds windows (by re-adding their entries in FIFO order, the
-        same sequence of operations the original submissions
-        performed), dedup stores and cooldown clocks, after which the
-        engine's future match stream is indistinguishable from the
-        snapshotted engine's.  A refused snapshot changes nothing.
-        """
+        """Reset this engine to a snapshot taken from an equivalent one,
+        once :meth:`ensure_restorable` has passed (a refused snapshot
+        changes nothing); its future match stream is then the
+        snapshotted engine's."""
         self.ensure_restorable(snapshot)
+        self.install(snapshot)
+
+    def install(self, snapshot: EngineSnapshot) -> None:
+        """Install an accepted snapshot.  Windows are rebuilt by re-adding
+        their entries in FIFO order, as the original submissions did."""
         self.clear()
         for event_id, windows in self._windows.items():
             for role, window in windows.items():
@@ -674,25 +728,19 @@ class DetectionEngine:
         }
 
     def ensure_restorable(self, snapshot: EngineSnapshot) -> None:
-        """Raise :class:`ObserverError` if :meth:`restore` would refuse
-        ``snapshot``: other specs, a spec with other roles (a one-role
-        spec has none: it keeps no window), twin roles with different
-        windows, or state no run of this engine leaves — window entries
-        that are not ``(tick, entity)`` pairs, dedup entries or cooldown
-        clocks that are not ticks of installed specs, window or dedup
-        ticks out of order, any of those ticks past the watermark, or
-        tallies other than two counts per installed spec.  Checked in
-        full before :meth:`restore` changes anything."""
-        if tuple(self._specs) != snapshot.spec_ids:
-            raise ObserverError(
-                f"snapshot watches specs {snapshot.spec_ids}, this engine "
-                f"watches {tuple(self._specs)}"
-            )
+        """Refuse a snapshot of other specs (by id, in installation
+        order) or one no run of this engine leaves: a spec with other
+        roles (a one-role spec has none), twin roles with different
+        windows, a window, dedup or cooldown tick past the watermark, or
+        dedup stores, cooldown clocks or tallies of specs it does not
+        watch (tallies name each spec once)."""
+        check(snapshot, EngineSnapshot, spec_ids=tuple(self._specs))
+        watermark = snapshot.watermark
         for event_id, pools in self._pools.items():
             saved = snapshot.windows.get(event_id, {})
-            if set(saved) != set(pools):
+            if saved.keys() != pools.keys():
                 raise ObserverError(
-                    f"snapshot of spec {event_id!r} has roles "
+                    f"EngineSnapshot.windows of spec {event_id!r} has roles "
                     f"{sorted(saved)}, this engine's has {sorted(pools)}"
                 )
             windows = self._windows[event_id]
@@ -701,106 +749,30 @@ class DetectionEngine:
                 if saved[role] != saved[twin]:
                     # One shared window could hold only one of the two.
                     raise ObserverError(
-                        f"snapshot of spec {event_id!r} gives roles "
-                        f"{twin!r} and {role!r} different windows, but "
+                        f"EngineSnapshot.windows of spec {event_id!r} gives "
+                        f"roles {twin!r} and {role!r} different windows, but "
                         f"their selectors admit the same entities"
                     )
-        watermark = snapshot.watermark
-        if watermark is not None and not _is_tick(watermark):
-            raise ObserverError(f"snapshot watermark {watermark!r} is not a tick")
-        for event_id, windows in self._windows.items():
-            for role in windows:
-                arrived = None
-                for entry in snapshot.windows[event_id][role]:
-                    if not (
-                        isinstance(entry, tuple)
-                        and len(entry) == 2
-                        and _is_tick(entry[0])
-                        and isinstance(entry[1], Entity)
-                    ):
-                        raise ObserverError(
-                            f"snapshot window of spec {event_id!r} role "
-                            f"{role!r} holds {entry!r}, not a (tick, entity) pair"
-                        )
-                    tick = entry[0]
-                    if watermark is None or tick > watermark:
-                        raise ObserverError(
-                            f"snapshot window of spec {event_id!r} holds tick "
-                            f"{tick}, past the watermark {watermark}"
-                        )
-                    if arrived is not None and tick < arrived:
-                        raise ObserverError(
-                            f"snapshot window of spec {event_id!r} holds tick "
-                            f"{tick} after {arrived}: not in arrival order"
-                        )
-                    arrived = tick
-        for name, clocks in (
-            ("dedup store", snapshot.seen),
-            ("cooldown clocks", snapshot.last_match),
-        ):
-            unknown = sorted(set(clocks) - set(self._specs), key=repr)
-            if unknown:
+            # Rows are in tick order (their domain): the last is newest.
+            # A clock ahead of the stream would silence the spec.
+            newest = [rows[-1][0] for rows in saved.values() if rows]
+            if snapshot.seen.get(event_id):
+                newest.append(snapshot.seen[event_id][-1][1])
+            if event_id in snapshot.last_match:
+                newest.append(snapshot.last_match[event_id])
+            if newest and (watermark is None or max(newest) > watermark):
                 raise ObserverError(
-                    f"snapshot {name} name specs this engine does not "
-                    f"watch: {unknown}"
+                    f"EngineSnapshot of spec {event_id!r} holds tick "
+                    f"{max(newest)}, past the watermark {watermark}"
                 )
-        for event_id, entries in snapshot.seen.items():
-            matched = None
-            for entry in entries:
-                if not (
-                    isinstance(entry, tuple) and len(entry) == 2 and _is_tick(entry[1])
-                ):
-                    raise ObserverError(
-                        f"snapshot dedup store of spec {event_id!r} holds an "
-                        f"entry that is not a (binding identity, tick) pair"
-                    )
-                tick = entry[1]
-                # Matches are stored as they happen: the dedup prune and
-                # the cooling skip in submit_batch both rely on it.
-                if watermark is None or tick > watermark:
-                    raise ObserverError(
-                        f"snapshot dedup store of spec {event_id!r} holds "
-                        f"tick {tick}, past the watermark {watermark}"
-                    )
-                if matched is not None and tick < matched:
-                    raise ObserverError(
-                        f"snapshot dedup store of spec {event_id!r} holds "
-                        f"tick {tick} after {matched}: not in match order"
-                    )
-                matched = tick
-        for event_id, tick in snapshot.last_match.items():
-            if not _is_tick(tick):
-                raise ObserverError(
-                    f"snapshot cooldown clock of spec {event_id!r} is "
-                    f"{tick!r}, not a tick"
-                )
-            if watermark is None or tick > watermark:
-                # A clock ahead of the stream would silence the spec
-                # until the stream caught up with it.
-                raise ObserverError(
-                    f"snapshot cooldown clock of spec {event_id!r} is "
-                    f"{tick}, past the watermark {watermark}"
-                )
-        if not isinstance(snapshot.stats, EngineStats):
+        specs = self._specs.keys()
+        named = snapshot.seen.keys() | snapshot.last_match.keys()
+        if not named <= specs or snapshot.tallies.keys() != specs:
             raise ObserverError(
-                f"snapshot stats {snapshot.stats!r} are not EngineStats"
+                f"EngineSnapshot.seen, .last_match and .tallies name specs "
+                f"{sorted(named | snapshot.tallies.keys())}, this engine "
+                f"watches {sorted(self._specs)} (tallies each once)"
             )
-        tallies = snapshot.tallies
-        if set(tallies) != set(self._specs):
-            raise ObserverError(
-                f"snapshot tallies {sorted(tallies, key=repr)} do not name "
-                f"each of this engine's specs {sorted(self._specs)} once"
-            )
-        for event_id, tally in tallies.items():
-            if not (
-                isinstance(tally, (tuple, list))
-                and len(tally) == 2
-                and all(_is_tick(count) and count >= 0 for count in tally)
-            ):
-                raise ObserverError(
-                    f"snapshot tally of spec {event_id!r} is {tally!r}, not "
-                    f"two non-negative counts"
-                )
 
     def set_last_match(self, event_id: str, tick: int | None) -> None:
         """Override one specification's cooldown clock.
@@ -828,11 +800,6 @@ class DetectionEngine:
             seen.clear()
         self._last_match.clear()
         self._watermark = None
-
-
-def _is_tick(value: object) -> bool:
-    """Whether ``value`` is an int a snapshot may carry as a tick or count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,20 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.checkpoint import (
+    CONFIG,
+    COUNT,
+    NAME,
+    REAL,
+    TICK_OR_NONE,
+    Domain,
+    Restorable,
+    check,
+    declared,
+    is_count,
+    shaped,
+    tuple_of,
+)
 from repro.core.errors import ObserverError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -93,15 +107,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
-
-    def cumulative(self) -> tuple[int, ...]:
-        """Cumulative counts per bound, +Inf last (Prometheus ``le``)."""
-        running = 0
-        out = []
-        for bucket in self.counts:
-            running += bucket
-            out.append(running)
-        return tuple(out)
 
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket holding the ``q``-quantile.
@@ -217,39 +222,30 @@ class StageTrace:
 
     @classmethod
     def from_row(cls, row: TraceRow) -> "StageTrace":
-        """The trace :meth:`as_row` wrote.
-
-        Raises:
-            ObserverError: If ``row`` is not a source name, a ``seq``
-                that is an int >= 0 and ``(stage, enter, exit)`` stamps
-                that are ints or ``None``.
-        """
-        from repro.stream.source import is_count  # local import avoids a cycle
-
-        try:
-            source, seq, stages = row
-            spans = [
-                (Stage(name), enter, exit_) for name, enter, exit_ in stages
-            ]
-        except (TypeError, ValueError):
-            raise ObserverError(f"not a stage trace row: {row!r}") from None
-        if not (
-            type(source) is str
-            and is_count(seq)
-            and all(
-                stamp is None or type(stamp) is int
-                for _, enter, exit_ in spans
-                for stamp in (enter, exit_)
-            )
-        ):
-            raise ObserverError(f"not a stage trace row: {row!r}")
+        """The trace :meth:`as_row` wrote."""
+        source, seq, stages = row
         trace = cls(source, seq)
-        for stage, enter, exit_ in spans:
-            if enter is not None:
-                trace.enter(stage, enter)
-            if exit_ is not None:
-                trace.exit(stage, exit_)
+        for name, enter, exit_ in stages:
+            trace.enter(Stage(name), enter)
+            trace.exit(Stage(name), exit_)
         return trace
+
+
+_STAGE_NAME = Domain("a stage name", lambda name: name in _STAGE_VALUES)
+_TRACE_ROWS = tuple_of(
+    shaped(
+        NAME,
+        COUNT,
+        tuple_of(shaped(_STAGE_NAME, TICK_OR_NONE, TICK_OR_NONE)),
+        text="a (source, seq, stamps) row",
+    )
+)
+_HISTOGRAM = shaped(
+    shaped(*[COUNT] * (len(DEFAULT_TICK_BUCKETS) + 1)),
+    Domain("a total >= 0", lambda total: REAL.test(total) and total >= 0),
+    COUNT,
+    text="a (bucket counts, total, count) histogram",
+)
 
 
 @dataclass(frozen=True)
@@ -257,19 +253,23 @@ class TelemetrySnapshot:
     """Exact telemetry state: sampling cursor, in-flight and completed
     traces, the residency histograms and trace tallies, and the clock."""
 
-    trace_every: int
-    offered: int
-    active: tuple[TraceRow, ...]
-    completed: tuple[TraceRow, ...]
-    residency: tuple[tuple[tuple[int, ...], int | float, int], ...]
+    trace_every: int = declared(CONFIG)
+    offered: int = declared(COUNT)
+    active: tuple[TraceRow, ...] = declared(_TRACE_ROWS)
+    completed: tuple[TraceRow, ...] = declared(_TRACE_ROWS)
+    residency: tuple[tuple[tuple[int, ...], int | float, int], ...] = declared(
+        shaped(*[_HISTOGRAM] * len(STAGES), text="one histogram per stage")
+    )
     """Per stage, in :data:`STAGES` order: ``(counts, total, count)``."""
-    sampled: int
-    finished: int
-    discarded: tuple[tuple[str, int], ...]
-    now: int | None
+    sampled: int = declared(COUNT)
+    finished: int = declared(COUNT)
+    discarded: tuple[tuple[str, int], ...] = declared(
+        tuple_of(shaped(NAME, COUNT))
+    )
+    now: int | None = declared(TICK_OR_NONE)
 
 
-class Telemetry:
+class Telemetry(Restorable):
     """Sampled stage tracing plus a monotone step clock for one pipeline.
 
     Every :class:`~repro.stream.runtime.StreamingDetectionRuntime`
@@ -302,7 +302,7 @@ class Telemetry:
     )
 
     def __init__(self, *, trace_every: int):
-        if type(trace_every) is not int or trace_every < 0:
+        if not is_count(trace_every):
             raise ObserverError(
                 f"trace_every cannot be negative or a non-int: {trace_every!r}"
             )
@@ -419,79 +419,28 @@ class Telemetry:
             now=self.now,
         )
 
-    def restore(self, snapshot: TelemetrySnapshot) -> None:
-        """Reinstall the exact telemetry state.
+    def ensure_restorable(self, snapshot: TelemetrySnapshot) -> None:
+        """Refuse a snapshot traced under another ``trace_every``:
+        restoring it would change which observations get sampled."""
+        check(snapshot, TelemetrySnapshot, trace_every=self.trace_every)
 
-        The sampling configuration must match — restoring a
-        ``trace_every=4`` checkpoint into a ``trace_every=1`` tracer
-        would silently change which observations get sampled mid-stream,
-        the same class of bug the watermark's lateness check rejects.
-        The whole snapshot is checked first — counts are ints >= 0,
-        ``now`` an int or ``None``, one full histogram per stage, every
-        trace a row :meth:`StageTrace.from_row` reads — and a refused
-        snapshot raises :class:`~repro.core.errors.ObserverError` and
-        changes nothing.
-        """
-        from repro.stream.source import is_count  # local import avoids a cycle
-
-        if snapshot.trace_every != self.trace_every:
-            raise ObserverError(
-                f"checkpoint was traced with trace_every="
-                f"{snapshot.trace_every} but this tracer uses "
-                f"{self.trace_every}; restoring would change sampling "
-                f"mid-stream"
-            )
-        try:
-            active = [StageTrace.from_row(row) for row in snapshot.active]
-            completed = [
-                StageTrace.from_row(row) for row in snapshot.completed
-            ]
-            residency = [
-                (list(counts), total, count)
-                for counts, total, count in snapshot.residency
-            ]
-            discarded = dict(snapshot.discarded)
-        except (TypeError, ValueError):
-            residency = discarded = None
-        if not (
-            residency is not None
-            and is_count(snapshot.offered)
-            and is_count(snapshot.sampled)
-            and is_count(snapshot.finished)
-            and (snapshot.now is None or type(snapshot.now) is int)
-            and len(residency) == len(STAGES)
-            and all(
-                len(counts) == len(DEFAULT_TICK_BUCKETS) + 1
-                and all(map(is_count, counts))
-                and is_count(count)
-                and type(total) in (int, float)
-                and total >= 0
-                for counts, total, count in residency
-            )
-            and all(
-                type(reason) is str and is_count(lost)
-                for reason, lost in discarded.items()
-            )
-        ):
-            raise ObserverError(
-                f"not a telemetry snapshot: offered={snapshot.offered!r}, "
-                f"sampled={snapshot.sampled!r}, "
-                f"finished={snapshot.finished!r}, now={snapshot.now!r}, "
-                f"active={snapshot.active!r}, "
-                f"completed={snapshot.completed!r}, "
-                f"residency={snapshot.residency!r}, "
-                f"discarded={snapshot.discarded!r}"
-            )
+    def install(self, snapshot: TelemetrySnapshot) -> None:
+        """Reinstall the exact state of an accepted snapshot."""
         self._offered = snapshot.offered
-        self._active = {trace.key: trace for trace in active}
-        self._completed = deque(completed, maxlen=TRACE_RING)
+        self._active = {
+            trace.key: trace
+            for trace in map(StageTrace.from_row, snapshot.active)
+        }
+        self._completed = deque(
+            map(StageTrace.from_row, snapshot.completed), maxlen=TRACE_RING
+        )
         for histogram, (counts, total, count) in zip(
-            self.residency, residency
+            self.residency, snapshot.residency
         ):
-            histogram.counts = counts
+            histogram.counts = list(counts)
             histogram.total = total
             histogram.count = count
         self.sampled = snapshot.sampled
         self.finished = snapshot.finished
-        self.discarded = discarded
+        self.discarded = dict(snapshot.discarded)
         self.now = snapshot.now

@@ -38,6 +38,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+from repro.core.checkpoint import (
+    CONFIG,
+    COUNT,
+    TICK,
+    Restorable,
+    by_name,
+    check,
+    counters,
+    declared,
+    instance_of,
+    shaped,
+    tuple_of,
+)
 from repro.core.entity import Entity
 from repro.core.errors import ObserverError
 from repro.core.space_model import BoundingBox
@@ -71,17 +84,21 @@ class ShardedEngineSnapshot:
     cross-process checkpoints would serialize entities instead.
     """
 
-    shards: tuple[EngineSnapshot, ...]
-    bounds: BoundingBox
-    merger_last_match: Mapping[str, int]
-    seq_map: tuple[tuple[int, tuple[int, int]], ...]
-    next_seq: int
-    own_stats: EngineStats
-    merger_counts: tuple[int, int, int, int]
+    shards: tuple[EngineSnapshot, ...] = declared(
+        tuple_of(instance_of(EngineSnapshot))
+    )
+    bounds: BoundingBox = declared(CONFIG)
+    merger_last_match: Mapping[str, int] = declared(by_name(TICK))
+    seq_map: tuple[tuple[int, tuple[int, int]], ...] = declared(
+        tuple_of(shaped(TICK, shaped(COUNT, TICK)))
+    )
+    next_seq: int = declared(COUNT)
+    own_stats: EngineStats = declared(counters(EngineStats))
+    merger_counts: tuple[int, int, int, int] = declared(shaped(*[COUNT] * 4))
     """The merger's candidates, deduped, suppressed and emitted counts."""
 
 
-class ShardedDetectionEngine:
+class ShardedDetectionEngine(Restorable):
     """Spatially partitioned, exactly-merged detection backend.
 
     Args:
@@ -321,28 +338,22 @@ class ShardedDetectionEngine:
             ),
         )
 
-    def restore(self, snapshot: ShardedEngineSnapshot) -> None:
-        """Reset to a snapshot taken from an equivalently configured
-        sharded engine (same specs, same shard count, same bounds —
-        restored windows hold entities placed by the snapshotted
-        router, so a different tiling would silently evaluate against
-        wrong window contents).  Every shard snapshot is checked before
-        any shard is touched, so a refused snapshot changes nothing."""
+    def ensure_restorable(self, snapshot: ShardedEngineSnapshot) -> None:
+        """Refuse other bounds or another shard count (windows hold what
+        the snapshotted router placed) and any shard's refusal."""
+        check(snapshot, ShardedEngineSnapshot, bounds=self.partitioner.bounds)
         if len(snapshot.shards) != len(self._engines):
             raise ObserverError(
-                f"snapshot has {len(snapshot.shards)} shards, this engine "
-                f"has {len(self._engines)}"
+                f"ShardedEngineSnapshot.shards holds {len(snapshot.shards)} "
+                f"shards, this engine has {len(self._engines)}"
             )
-        if snapshot.bounds != self.partitioner.bounds:
-            raise ObserverError(
-                f"snapshot was taken over bounds {snapshot.bounds!r}, "
-                f"this engine tiles {self.partitioner.bounds!r}"
-            )
-        shards = tuple(zip(self._engines, snapshot.shards))
-        for engine, shard_snapshot in shards:
+        for engine, shard_snapshot in zip(self._engines, snapshot.shards):
             engine.ensure_restorable(shard_snapshot)
-        for engine, shard_snapshot in shards:
-            engine.restore(shard_snapshot)
+
+    def install(self, snapshot: ShardedEngineSnapshot) -> None:
+        """Reset every shard and the merger to an accepted snapshot."""
+        for engine, shard_snapshot in zip(self._engines, snapshot.shards):
+            engine.install(shard_snapshot)
         merger = self.merger
         merger.last_match.clear()
         merger.last_match.update(snapshot.merger_last_match)

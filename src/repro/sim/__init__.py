@@ -3,7 +3,6 @@
 from repro.sim.kernel import (
     PRIORITY_DEFAULT,
     PRIORITY_NETWORK,
-    EventHandle,
     Simulator,
 )
 from repro.sim.rng import RngStreams
@@ -21,7 +20,6 @@ from repro.sim.trace import (
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "PRIORITY_NETWORK",
     "PRIORITY_DEFAULT",
     "RngStreams",

@@ -36,7 +36,6 @@ from repro.core.time_model import TimePoint
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "PRIORITY_NETWORK",
     "PRIORITY_INGEST",
     "PRIORITY_WORLD",
@@ -95,10 +94,9 @@ class Simulator:
         self._seq = itertools.count()
         self._tick = 0
         self._running = False
-        self._stopped = False
         self._processed = 0
 
-    def _push(self, handle: EventHandle, priority: int) -> EventHandle:
+    def _push(self, handle: EventHandle, priority: int) -> None:
         # With run(until) refusing to rewind, this check at every way in
         # is why the loop never pops an entry from the past or off the ints.
         if type(handle.tick) is not int or handle.tick < self._tick:
@@ -109,7 +107,6 @@ class Simulator:
         heapq.heappush(
             self._queue, (handle.tick, priority, next(self._seq), handle)
         )
-        return handle
 
     # -- time --------------------------------------------------------
 
@@ -135,7 +132,7 @@ class Simulator:
         delay: int,
         callback: Callable[[], None],
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> None:
         """Run ``callback`` ``delay`` ticks from now.
 
         Args:
@@ -148,18 +145,16 @@ class Simulator:
         """
         if type(delay) is not int or delay < 0:
             raise SchedulingError(f"delay must be an int >= 0, got {delay!r}")
-        return self._push(
-            EventHandle(self._tick + delay, callback), priority
-        )
+        self._push(EventHandle(self._tick + delay, callback), priority)
 
     def schedule_at(
         self,
         tick: int,
         callback: Callable[[], None],
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> None:
         """Run ``callback`` at absolute ``tick`` (must not be in the past)."""
-        return self._push(EventHandle(tick, callback), priority)
+        self._push(EventHandle(tick, callback), priority)
 
     def every(
         self,
@@ -167,7 +162,7 @@ class Simulator:
         callback: Callable[[], object],
         start: int | None = None,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> None:
         """Install a periodic process firing every ``period`` ticks.
 
         Args:
@@ -178,64 +173,45 @@ class Simulator:
                 (defaults to ``now + period``).
             priority: Within-tick ordering.
 
-        Returns:
-            The process's one handle, pushed again after each firing:
-            its ``tick`` follows the next firing.
+        The process keeps one queue entry, pushed again after each
+        firing.
         """
         if type(period) is not int or period <= 0:
             raise SchedulingError(f"period must be an int >= 1, got {period!r}")
         first = self._tick + period if start is None else start
-        return self._push(
-            EventHandle(first, callback, (period, priority)), priority
-        )
+        self._push(EventHandle(first, callback, (period, priority)), priority)
 
     # -- run loop ----------------------------------------------------
 
-    def _drain(self, until: int | None, limit: int) -> int:
-        """Fire due callbacks in queue order; return how many ran.
-
-        Stops at the first entry later than ``until``, after ``limit``
-        callbacks (negative: no limit), or on :meth:`stop`.
-        """
+    def _drain(self, until: int | None) -> None:
+        """Fire due callbacks in queue order, up to the first entry later
+        than ``until``."""
         queue = self._queue
         pop = heapq.heappop
-        fired = 0
-        while queue and fired != limit:
+        while queue:
             tick = queue[0][0]
             if until is not None and tick > until:
                 break
             handle = pop(queue)[3]
             self._tick = tick
             self._processed += 1
-            fired += 1
             if handle._every is None:
                 handle._callback()
             elif handle._callback() is not False:
                 period, priority = handle._every
                 handle.tick = self._tick + period
                 self._push(handle, priority)
-            if self._stopped:
-                break
-        return fired
-
-    def step(self) -> bool:
-        """Execute the next pending callback.
-
-        Returns:
-            ``True`` if a callback ran, ``False`` if the queue is empty.
-        """
-        return self._drain(None, 1) == 1
 
     def run(self, until: int | None = None) -> int:
-        """Run until the queue drains, ``until`` is reached, or stopped.
+        """Run until the queue drains or ``until`` is reached.
 
         Args:
             until: Inclusive tick bound, not below the current tick;
                 callbacks scheduled later stay queued (resumable).  The
-                clock ends on ``until`` unless the run was stopped.
+                clock ends on ``until``.
 
         Returns:
-            The tick at which the run stopped.
+            The tick at which the run ended.
 
         Raises:
             SchedulingError: If ``until`` is in the past (nothing moves).
@@ -247,18 +223,13 @@ class Simulator:
                 f"cannot run until tick {until}; current tick is {self._tick}"
             )
         self._running = True
-        self._stopped = False
         try:
-            self._drain(until, -1)
+            self._drain(until)
         finally:
             self._running = False
-        if until is not None and not self._stopped:
+        if until is not None:
             self._tick = until
         return self._tick
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the active callback."""
-        self._stopped = True
 
     @property
     def pending(self) -> int:

@@ -29,15 +29,27 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from numbers import Real
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.core.checkpoint import (
+    CONFIG,
+    COUNT,
+    REAL,
+    TICK_OR_NONE,
+    Domain,
+    Restorable,
+    by_name,
+    check,
+    declared,
+    is_count,
+    shaped,
+)
 from repro.core.errors import ObserverError
 from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.limiter import TokenBucket
 from repro.stream.reorder import ReorderBuffer
-from repro.stream.source import StreamItem, is_count
+from repro.stream.source import STREAM_ITEMS, StreamItem
 
 __all__ = [
     "AdmissionLimits",
@@ -54,6 +66,16 @@ BACKPRESSURE_RATIO = 0.75
 """Fill fraction at which the backpressure signal engages: of
 ``max_pending`` on the occupancy path, of ``max_deferred`` on the
 deferral path."""
+
+
+_CAP = Domain("a count or None", lambda v: v is None or is_count(v))
+_RATE = Domain(
+    "a positive finite real number or None",
+    lambda v: v is None or (REAL.test(v) and 0 < v < math.inf),
+)
+_BURST = Domain(
+    "a finite real number >= 1", lambda v: REAL.test(v) and 1 <= v < math.inf
+)
 
 
 @dataclass(frozen=True)
@@ -79,36 +101,15 @@ class AdmissionLimits:
             immediately instead of deferring).
     """
 
-    max_pending: int | None = None
-    rate: float | None = None
-    burst: float = 1.0
-    max_deferred: int | None = None
+    max_pending: int | None = declared(_CAP, default=None)
+    rate: float | None = declared(_RATE, default=None)
+    burst: float = declared(_BURST, default=1.0)
+    max_deferred: int | None = declared(_CAP, default=None)
 
     def __post_init__(self) -> None:
-        for name in ("max_pending", "max_deferred"):
-            value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 0):
-                raise ObserverError(
-                    f"{name} must be a non-negative int or None: {value!r}"
-                )
         # Checked here, not when the first token bucket is built: by then
         # the screens ahead of admission have recorded the step.
-        numbers = {"burst": self.burst}
-        if self.rate is not None:
-            numbers["rate"] = self.rate
-        for name, value in numbers.items():
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ObserverError(
-                    f"{name} must be a real number, not {value!r}"
-                )
-        if self.rate is not None and not 0 < self.rate < math.inf:
-            raise ObserverError(
-                f"rate must be positive and finite: {self.rate}"
-            )
-        if not 1 <= self.burst < math.inf:
-            raise ObserverError(
-                f"burst must be finite and at least 1: {self.burst}"
-            )
+        check(self, AdmissionLimits)
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,19 @@ class AdmissionSnapshot:
     configured the same (:meth:`AdmissionController.restore` refuses
     other settings)."""
 
-    limits: AdmissionLimits
-    shedding: str
-    deferred: tuple[StreamItem, ...]
-    buckets: Mapping[str, tuple[float, int | None]]
-    shed_total: int
-    deferred_total: int
+    limits: AdmissionLimits = declared(CONFIG)
+    shedding: str = declared(CONFIG)
+    deferred: tuple[StreamItem, ...] = declared(STREAM_ITEMS)
+    buckets: Mapping[str, tuple[float, int | None]] = declared(
+        by_name(shaped(REAL, TICK_OR_NONE))
+    )
+    """Per source, ``TokenBucket.state()``: ``(tokens, last_tick)``."""
+    shed_total: int = declared(COUNT)
+    deferred_total: int = declared(COUNT)
 
 
 @dataclass
-class AdmissionController:
+class AdmissionController(Restorable):
     """Per-source rate limiting, bounded deferral and measured shedding.
 
     Args:
@@ -348,53 +352,32 @@ class AdmissionController:
             deferred_total=self.deferred_total,
         )
 
-    def restore(self, snapshot: AdmissionSnapshot) -> None:
-        """Reload controller state.  A snapshot taken under other limits
-        or another shedding rule is refused before anything changes:
-        restoring it would move a cap or a rate limit mid-stream.  So is
-        one whose counters are not ints >= 0, whose deferral queue holds
-        anything but :class:`~repro.stream.source.StreamItem`, whose
-        buckets are not a map from source name to a state, or whose
-        bucket states :meth:`TokenBucket.restore` refuses."""
-        theirs = {**asdict(snapshot.limits), "shedding": snapshot.shedding}
-        mine = {**asdict(self.limits), "shedding": self.shedding}
-        for name, value in mine.items():
-            if theirs[name] != value:
-                raise ObserverError(
-                    f"checkpoint was admitted under {name}="
-                    f"{theirs[name]!r}, this controller uses {value!r}: "
-                    f"a cap, rate limit or shedding rule cannot change "
-                    f"mid-stream"
-                )
-        if (snapshot.buckets or snapshot.deferred) and self.limits.rate is None:
+    def ensure_restorable(self, snapshot: AdmissionSnapshot) -> None:
+        """Refuse other limits or shedding rule (a cap or rate limit would
+        move mid-stream), bucket or deferral state without a rate limit,
+        and a bucket outside ``0 <= tokens <= burst``."""
+        mine = {"limits": self.limits, "shedding": self.shedding}
+        check(snapshot, AdmissionSnapshot, **mine)
+        stateful = snapshot.buckets or snapshot.deferred
+        if stateful and self.limits.rate is None:
             raise ObserverError(
-                "checkpoint carries token-bucket or deferral state but "
+                "AdmissionSnapshot.buckets and .deferred hold state, but "
                 "this controller has no rate limit configured"
             )
-        try:
-            deferred = tuple(snapshot.deferred)
-            states = dict(snapshot.buckets)
-        except (TypeError, ValueError):
-            deferred = states = None
-        if not (
-            deferred is not None
-            and is_count(snapshot.shed_total)
-            and is_count(snapshot.deferred_total)
-            and all(isinstance(item, StreamItem) for item in deferred)
-            and all(type(source) is str for source in states)
-        ):
-            raise ObserverError(
-                f"not an admission snapshot: shed_total="
-                f"{snapshot.shed_total!r}, deferred_total="
-                f"{snapshot.deferred_total!r}, deferred="
-                f"{snapshot.deferred!r}, buckets={snapshot.buckets!r}"
-            )
-        buckets = {}
-        for source, state in states.items():
-            bucket = TokenBucket(self.limits.rate, self.limits.burst)
+        for source, (tokens, _) in snapshot.buckets.items():
+            if not 0 <= tokens <= self.limits.burst:
+                raise ObserverError(
+                    f"AdmissionSnapshot.buckets gives source {source!r} "
+                    f"{tokens!r} tokens, outside 0..{self.limits.burst}"
+                )
+
+    def install(self, snapshot: AdmissionSnapshot) -> None:
+        """Reload controller state from an accepted snapshot."""
+        rate, burst = self.limits.rate, self.limits.burst
+        self._buckets = {}
+        for source, state in snapshot.buckets.items():
+            self._buckets[source] = bucket = TokenBucket(rate, burst)
             bucket.restore(state)
-            buckets[source] = bucket
-        self._deferred = deque(deferred)
-        self._buckets = buckets
+        self._deferred = deque(snapshot.deferred)
         self.shed_total = snapshot.shed_total
         self.deferred_total = snapshot.deferred_total

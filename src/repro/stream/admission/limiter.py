@@ -81,22 +81,8 @@ class TokenBucket:
         return self._tokens, self._last_tick
 
     def restore(self, state: tuple[float, int | None]) -> None:
-        """Reload bucket state from a checkpoint.
-
-        Raises:
-            ObserverError: If ``state`` is not ``(tokens, last_tick)``
-                with ``0 <= tokens <= burst`` and ``last_tick`` an int
-                or ``None`` (nothing changes).
-        """
-        try:
-            tokens, last_tick = state
-        except (TypeError, ValueError):
-            tokens = last_tick = None
-        if not (
-            type(tokens) in (int, float)
-            and 0 <= tokens <= self.burst
-            and (last_tick is None or type(last_tick) is int)
-        ):
-            raise ObserverError(f"not a token bucket state: {state!r}")
+        """Reload a :meth:`state` the admission controller's
+        ``ensure_restorable`` accepted: ``(tokens, last_tick)`` with
+        ``0 <= tokens <= burst``."""
+        tokens, self._last_tick = state
         self._tokens = float(tokens)
-        self._last_tick = last_tick

@@ -33,8 +33,15 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.core.checkpoint import (
+    COUNT,
+    TICK_OR_NONE,
+    Restorable,
+    check,
+    declared,
+)
 from repro.core.errors import ObserverError
-from repro.stream.source import StreamItem, is_count
+from repro.stream.source import STREAM_ITEMS, StreamItem
 
 __all__ = ["ReorderBuffer", "ReorderSnapshot", "DEFAULT_LATE_RETENTION"]
 
@@ -52,15 +59,15 @@ class ReorderSnapshot:
     ones), the release frontier, the end-of-stream frontier and the
     occupancy high-water mark."""
 
-    pending: tuple[StreamItem, ...]
-    late: tuple[StreamItem, ...]
-    late_count: int
-    released_through: int | None
-    highest_offered: int | None
-    peak_occupancy: int
+    pending: tuple[StreamItem, ...] = declared(STREAM_ITEMS)
+    late: tuple[StreamItem, ...] = declared(STREAM_ITEMS)
+    late_count: int = declared(COUNT)
+    released_through: int | None = declared(TICK_OR_NONE)
+    highest_offered: int | None = declared(TICK_OR_NONE)
+    peak_occupancy: int = declared(COUNT)
 
 
-class ReorderBuffer:
+class ReorderBuffer(Restorable):
     """Min-heap over ``(event_tick, seq)`` with a release frontier.
 
     Every removal takes the heap's top: :meth:`release` pops while the
@@ -230,42 +237,26 @@ class ReorderBuffer:
             peak_occupancy=self.peak_occupancy,
         )
 
-    def restore(self, snapshot: ReorderSnapshot) -> None:
-        """Reload buffer state from a checkpoint (replaces everything).
-
-        Re-numbering the insertion counters from ``snapshot.pending``
-        (the order :meth:`pending` produced) preserves the arrival-order
-        tie-break across the round trip.  A snapshot whose counts are
-        not ints >= 0 (``late_count`` at least the retained lates), whose
-        frontiers are not ints or ``None``, or whose entries are not
-        :class:`~repro.stream.source.StreamItem` is refused with
-        :class:`~repro.core.errors.ObserverError` and changes nothing.
-        """
-        pending, late = tuple(snapshot.pending), tuple(snapshot.late)
-        if not (
-            is_count(snapshot.late_count)
-            and snapshot.late_count >= len(late)
-            and is_count(snapshot.peak_occupancy)
-            and all(
-                tick is None or type(tick) is int
-                for tick in (snapshot.released_through, snapshot.highest_offered)
-            )
-            and all(isinstance(item, StreamItem) for item in pending + late)
-        ):
+    def ensure_restorable(self, snapshot: ReorderSnapshot) -> None:
+        """Refuse a ``late_count`` below the retained lates'."""
+        check(snapshot, ReorderSnapshot)
+        if snapshot.late_count < len(snapshot.late):
             raise ObserverError(
-                f"not a reorder snapshot: late_count="
-                f"{snapshot.late_count!r} ({len(late)} retained), "
-                f"peak_occupancy={snapshot.peak_occupancy!r}, "
-                f"released_through={snapshot.released_through!r}, "
-                f"highest_offered={snapshot.highest_offered!r}"
+                f"ReorderSnapshot.late_count is {snapshot.late_count}, "
+                f"below its {len(snapshot.late)} retained lates"
             )
-        self._heap = []
-        self._counter = 0
-        # With no frontier nothing offered is late: every pending item is
-        # filed the way an arrival is, then the frontiers are put back.
-        self._released_through = None
-        self.offer_many(pending)
-        self.late = list(late)
+
+    def install(self, snapshot: ReorderSnapshot) -> None:
+        """Replace everything with an accepted snapshot.  Re-numbering
+        the insertion counters from ``snapshot.pending`` (the order
+        :meth:`pending` produced) keeps the arrival-order tie-break."""
+        self._heap = [
+            (item.order_key, counter, item)
+            for counter, item in enumerate(snapshot.pending)
+        ]
+        heapq.heapify(self._heap)
+        self._counter = len(self._heap)
+        self.late = list(snapshot.late)
         self._late_count = snapshot.late_count
         self._released_through = snapshot.released_through
         self._highest_offered = snapshot.highest_offered

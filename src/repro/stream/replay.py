@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.core.checkpoint import COUNT, by_name, check, declared, instance_of
 from repro.core.errors import ObserverError
 from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
@@ -41,7 +42,7 @@ from repro.stream.runtime import (
     RuntimeCheckpoint,
     StreamingDetectionRuntime,
 )
-from repro.stream.source import ObservationSource, StreamItem, is_count
+from repro.stream.source import ObservationSource, StreamItem
 
 __all__ = [
     "ObserverProfile",
@@ -104,9 +105,9 @@ def profile_of(observer) -> ObserverProfile:
 class ReplayCheckpoint:
     """Mid-replay checkpoint: runtime/engine state plus emission counters."""
 
-    runtime: RuntimeCheckpoint
-    seq: Mapping[str, int]
-    emitted_count: int
+    runtime: RuntimeCheckpoint = declared(instance_of(RuntimeCheckpoint))
+    seq: Mapping[str, int] = declared(by_name(COUNT))
+    emitted_count: int = declared(COUNT)
 
 
 @dataclass
@@ -234,12 +235,10 @@ class ReplayObserver:
         only post-restore emissions (whether this observer is fresh or
         is being rewound past later work); ``checkpoint.emitted_count``
         records how many instances the checkpointed leg had produced,
-        which is the offset to line the tail up against.
+        which is the offset to line the tail up against.  The whole
+        checkpoint is checked before anything changes.
         """
-        counters = _checked_counts(checkpoint)
-        self.runtime.restore(checkpoint.runtime)
-        self.emitted.counters = counters
-        self.emitted.clear()
+        self._rewind(checkpoint, truncate=False)
 
     def rollback(self, checkpoint: ReplayCheckpoint) -> None:
         """Rewind *this* observer to one of its own earlier checkpoints.
@@ -253,38 +252,19 @@ class ReplayObserver:
         prefers it when present, which is what keeps a recovered
         replay's output log exactly-once.
         """
-        counters = _checked_counts(checkpoint)
-        if checkpoint.emitted_count > len(self.emitted):
-            raise ObserverError(
-                f"cannot roll back to a checkpoint with "
-                f"{checkpoint.emitted_count} emissions: this observer "
-                f"has only {len(self.emitted)} (was it restored fresh? "
-                f"use restore() for resume legs)"
-            )
-        self.runtime.restore(checkpoint.runtime)
-        self.emitted.counters = counters
-        self.emitted.truncate(checkpoint.emitted_count)
+        self._rewind(checkpoint, truncate=True)
 
-
-def _checked_counts(checkpoint: ReplayCheckpoint) -> dict[str, int]:
-    """The checkpoint's seq counters, once its counts are known to be
-    non-negative ints; :class:`ObserverError` before anything changes
-    otherwise."""
-    if not is_count(checkpoint.emitted_count):
-        raise ObserverError(
-            f"checkpoint emitted_count must be an int >= 0, got "
-            f"{checkpoint.emitted_count!r}"
-        )
-    if not isinstance(checkpoint.seq, Mapping):
-        raise ObserverError(
-            f"checkpoint seq must map event ids to counters, got "
-            f"{checkpoint.seq!r}"
-        )
-    counters = dict(checkpoint.seq)
-    for event_id, seq in counters.items():
-        if not is_count(seq):
+    def _rewind(self, checkpoint: ReplayCheckpoint, *, truncate: bool) -> None:
+        """Check all, install, cut ``emitted`` to the count or to 0."""
+        check(checkpoint, ReplayCheckpoint)
+        keep = checkpoint.emitted_count if truncate else 0
+        if keep > len(self.emitted):
             raise ObserverError(
-                f"checkpoint seq counter of {event_id!r} must be an int "
-                f">= 0, got {seq!r}"
+                f"cannot roll back to a checkpoint with {keep} emissions: "
+                f"this observer has only {len(self.emitted)} (was it "
+                f"restored fresh? use restore() for resume legs)"
             )
-    return counters
+        self.runtime.ensure_restorable(checkpoint.runtime)
+        self.runtime.install(checkpoint.runtime)
+        self.emitted.counters = dict(checkpoint.seq)
+        self.emitted.truncate(keep)

@@ -28,10 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.errors import ObserverError
-from repro.stream.source import StreamItem, is_count
+from repro.core.checkpoint import (
+    COUNT,
+    TICK,
+    Domain,
+    Restorable,
+    by_name,
+    check,
+    declared,
+    tuple_of,
+)
+from repro.stream.source import StreamItem
 
 __all__ = ["RedeliveryDeduper", "DedupSnapshot"]
+
+
+_HIGH_WATER = Domain("an int >= -1", lambda v: TICK.test(v) and v >= -1)
 
 
 @dataclass(frozen=True)
@@ -39,12 +51,14 @@ class DedupSnapshot:
     """Checkpoint of the acceptance record (per-source high waters and
     the accepted sequence numbers above them) and its exact count."""
 
-    high_water: Mapping[str, int]
-    in_flight: Mapping[str, tuple[int, ...]]
-    duplicates_dropped: int
+    high_water: Mapping[str, int] = declared(by_name(_HIGH_WATER))
+    in_flight: Mapping[str, tuple[int, ...]] = declared(
+        by_name(tuple_of(COUNT))
+    )
+    duplicates_dropped: int = declared(COUNT)
 
 
-class RedeliveryDeduper:
+class RedeliveryDeduper(Restorable):
     """First-delivery filter over ``(source, seq)`` identities."""
 
     def __init__(self) -> None:
@@ -102,32 +116,14 @@ class RedeliveryDeduper:
             duplicates_dropped=self.duplicates_dropped,
         )
 
-    def restore(self, snapshot: DedupSnapshot) -> None:
-        """Reload the acceptance record from a checkpoint.
+    def ensure_restorable(self, snapshot: DedupSnapshot) -> None:
+        """Refuse a snapshot :func:`~repro.core.checkpoint.check` does."""
+        check(snapshot, DedupSnapshot)
 
-        High waters must be ints >= -1, in-flight sequence numbers and
-        the rejection count ints >= 0; anything else is refused with
-        :class:`~repro.core.errors.ObserverError` and changes nothing.
-        """
-        try:
-            high = dict(snapshot.high_water)
-            seen = {
-                source: set(seqs)
-                for source, seqs in snapshot.in_flight.items()
-            }
-        except (AttributeError, TypeError, ValueError):
-            raise ObserverError(
-                f"not a dedup snapshot: {snapshot!r}"
-            ) from None
-        if not (
-            all(type(mark) is int and mark >= -1 for mark in high.values())
-            and all(map(is_count, set().union(*seen.values())))
-            and is_count(snapshot.duplicates_dropped)
-        ):
-            raise ObserverError(
-                f"dedup snapshot holds a high water below -1, a negative "
-                f"or non-int seq or rejection count: {snapshot!r}"
-            )
-        self._high = high
-        self._seen = seen
+    def install(self, snapshot: DedupSnapshot) -> None:
+        """Reload the acceptance record from an accepted snapshot."""
+        self._high = dict(snapshot.high_water)
+        self._seen = {
+            source: set(seqs) for source, seqs in snapshot.in_flight.items()
+        }
         self.duplicates_dropped = snapshot.duplicates_dropped

@@ -34,8 +34,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.core.checkpoint import is_count
 from repro.core.errors import ObserverError
-from repro.stream.source import is_count
 
 __all__ = [
     "SourceCrash",

@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Iterable, Iterator
 
+from repro.core.checkpoint import is_count
 from repro.core.errors import ObserverError
 from repro.stream.resilience.faults import (
     CorruptObservation,
@@ -38,7 +39,7 @@ from repro.stream.resilience.faults import (
     SourceCrash,
 )
 from repro.stream.runtime import arrival_groups
-from repro.stream.source import ObservationSource, StreamItem, is_count
+from repro.stream.source import ObservationSource, StreamItem
 
 __all__ = ["FaultySource", "RECENT_WINDOW"]
 

@@ -23,9 +23,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.checkpoint import COUNT, Restorable, check, declared
 from repro.core.errors import ObserverError
 from repro.stream.resilience.faults import CorruptObservation
-from repro.stream.source import StreamItem, is_count
+from repro.stream.source import STREAM_ITEMS, StreamItem
 
 __all__ = [
     "Quarantine",
@@ -54,11 +55,11 @@ def default_validator(item: StreamItem) -> bool:
 class QuarantineSnapshot:
     """Checkpoint of the dead-letter queue and its exact count."""
 
-    items: tuple[StreamItem, ...]
-    count: int
+    items: tuple[StreamItem, ...] = declared(STREAM_ITEMS)
+    count: int = declared(COUNT)
 
 
-class Quarantine:
+class Quarantine(Restorable):
     """Validation gate (:func:`default_validator`) with bounded
     dead-letter retention (:data:`QUARANTINE_RETENTION`)."""
 
@@ -90,18 +91,16 @@ class Quarantine:
         """Capture the dead-letter queue and exact count."""
         return QuarantineSnapshot(items=tuple(self._items), count=self.count)
 
-    def restore(self, snapshot: QuarantineSnapshot) -> None:
-        """Reload the dead-letter queue from a checkpoint.
-
-        A count that is not an int at least the retained items' number
-        is refused with :class:`~repro.core.errors.ObserverError` and
-        changes nothing.
-        """
-        items = deque(snapshot.items, maxlen=QUARANTINE_RETENTION)
-        if not (is_count(snapshot.count) and snapshot.count >= len(items)):
+    def ensure_restorable(self, snapshot: QuarantineSnapshot) -> None:
+        """Refuse a count below the retained dead letters'."""
+        check(snapshot, QuarantineSnapshot)
+        if snapshot.count < len(snapshot.items):
             raise ObserverError(
-                f"quarantine snapshot count {snapshot.count!r} is not an "
-                f"int covering its {len(items)} retained dead letters"
+                f"QuarantineSnapshot.count is {snapshot.count}, below its "
+                f"{len(snapshot.items)} retained dead letters"
             )
-        self._items = items
+
+    def install(self, snapshot: QuarantineSnapshot) -> None:
+        """Reload the dead-letter queue from an accepted snapshot."""
+        self._items = deque(snapshot.items, maxlen=QUARANTINE_RETENTION)
         self.count = snapshot.count

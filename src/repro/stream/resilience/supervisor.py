@@ -36,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.core.checkpoint import Domain, check, declared, is_count
 from repro.core.errors import ObserverError
 from repro.stream.resilience.faults import SourceCrash
 from repro.stream.runtime import arrival_groups
-from repro.stream.source import ObservationSource, StreamItem, is_count
+from repro.stream.source import ObservationSource, StreamItem
 
 __all__ = [
     "CheckpointPolicy",
@@ -81,13 +82,12 @@ class CheckpointPolicy:
             last checkpoint.
     """
 
-    every_steps: int = 8
+    every_steps: int = declared(
+        Domain("a count >= 1", lambda v: is_count(v) and v > 0), default=8
+    )
 
     def __post_init__(self) -> None:
-        if not (is_count(self.every_steps) and self.every_steps > 0):
-            raise ObserverError(
-                f"every_steps must be a positive int: {self.every_steps!r}"
-            )
+        check(self, CheckpointPolicy)
 
 
 @dataclass(frozen=True)

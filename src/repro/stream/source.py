@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
+from repro.core.checkpoint import instance_of, is_count, tuple_of
 from repro.core.entity import Entity
 from repro.core.errors import ObserverError
 
@@ -30,11 +31,6 @@ __all__ = [
     "ReplaySource",
     "JitteredSource",
 ]
-
-
-def is_count(value: object) -> bool:
-    """Whether ``value`` is a non-negative int (a bool is not)."""
-    return type(value) is int and value >= 0
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,9 @@ class StreamItem:
     def order_key(self) -> tuple[int, int]:
         """Event-time total order: ``(event_tick, seq)``."""
         return (self.event_tick, self.seq)
+
+
+STREAM_ITEMS = tuple_of(instance_of(StreamItem))
 
 
 @runtime_checkable

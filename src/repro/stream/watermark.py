@@ -15,13 +15,37 @@ promised everything and there is no merged watermark left.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping
+
+from repro.core.checkpoint import (
+    CONFIG,
+    TICK_OR_NONE,
+    Restorable,
+    by_name,
+    check,
+    declared,
+    instance_of,
+    is_count,
+)
 from repro.core.errors import ObserverError
-from repro.stream.source import is_count
 
-__all__ = ["WatermarkTracker"]
+__all__ = ["WatermarkTracker", "WatermarkSnapshot"]
 
 
-class WatermarkTracker:
+@dataclass(frozen=True)
+class WatermarkSnapshot:
+    """Checkpoint of a :class:`WatermarkTracker`: the lateness bound it
+    was taken under (the restoring tracker must use the same), each
+    source's newest event tick (``None`` = registered, silent) and
+    whether the stream has ended."""
+
+    lateness: int = declared(CONFIG)
+    max_seen: Mapping[str, int | None] = declared(by_name(TICK_OR_NONE))
+    ended: bool = declared(instance_of(bool))
+
+
+class WatermarkTracker(Restorable):
     """Per-source max-event-tick tracking with a min-merged frontier.
 
     Args:
@@ -85,39 +109,18 @@ class WatermarkTracker:
             lows.append(seen - self.lateness)
         return min(lows)
 
-    def snapshot(self) -> tuple[int, dict[str, int | None], bool]:
-        """Checkpoint view: ``(lateness, max_seen per source, ended)``."""
-        return self.lateness, dict(self._max_seen), self.ended
+    def snapshot(self) -> WatermarkSnapshot:
+        """Checkpoint view (see :class:`WatermarkSnapshot`)."""
+        return WatermarkSnapshot(
+            self.lateness, dict(self._max_seen), self.ended
+        )
 
-    def restore(self, snapshot: tuple[int, dict[str, int | None], bool]) -> None:
-        """Reload what :meth:`snapshot` returned (replaces everything).
+    def ensure_restorable(self, snapshot: WatermarkSnapshot) -> None:
+        """Refuse a snapshot taken under another lateness bound (see
+        :func:`~repro.core.checkpoint.check`)."""
+        check(snapshot, WatermarkSnapshot, lateness=self.lateness)
 
-        A snapshot taken under another lateness bound, or one whose
-        ticks are not ints, is refused with
-        :class:`~repro.core.errors.ObserverError` and changes nothing.
-        """
-        try:
-            lateness, max_seen, ended = snapshot
-            max_seen = dict(max_seen)
-        except (TypeError, ValueError):
-            raise ObserverError(
-                f"not a watermark snapshot: {snapshot!r}"
-            ) from None
-        if lateness != self.lateness:
-            raise ObserverError(
-                f"checkpoint was taken under lateness {lateness}, this "
-                f"tracker uses {self.lateness}: watermark semantics would "
-                f"change mid-stream"
-            )
-        for source, tick in max_seen.items():
-            if not isinstance(source, str) or not (
-                tick is None or type(tick) is int
-            ):
-                raise ObserverError(
-                    f"watermark snapshot maps {source!r} to {tick!r}: "
-                    f"sources are names and ticks ints or None"
-                )
-        if type(ended) is not bool:
-            raise ObserverError(f"watermark snapshot ended flag {ended!r}")
-        self._max_seen = max_seen
-        self.ended = ended
+    def install(self, snapshot: WatermarkSnapshot) -> None:
+        """Replace everything with an accepted snapshot."""
+        self._max_seen = dict(snapshot.max_seen)
+        self.ended = snapshot.ended

@@ -5,10 +5,9 @@ and one handle that a periodic process pushes again after every firing.
 The reference below has neither: a plain list kept sorted by ``(tick,
 priority, insertion)``.  Slow, and obviously right.  A state machine
 drives both through the same ``schedule`` / ``schedule_at`` / ``every``
-/ ``step`` / ``run(until)`` calls — with callbacks that schedule more
-work or ``stop()`` the run from inside a firing — and requires the same
-execution order, ``tick``, ``events_processed``, ``pending`` and every
-handle's ``tick`` after each operation.
+/ ``run(until)`` calls — with callbacks that schedule more
+work from inside a firing — and requires the same execution order,
+``tick``, ``events_processed`` and ``pending`` after each operation.
 
 Refused calls — a delay, an absolute tick, a first firing or an
 ``until`` in the past — must raise ``SchedulingError`` on both sides and
@@ -37,7 +36,7 @@ from repro.sim.kernel import (
 PRIORITIES = (
     PRIORITY_NETWORK, PRIORITY_INGEST, PRIORITY_WORLD, PRIORITY_DEFAULT
 )
-ACTIONS = ("nothing", "schedule", "stop")
+ACTIONS = ("nothing", "schedule")
 
 
 class ReferenceHandle:
@@ -56,7 +55,6 @@ class ReferenceKernel:
         self.events_processed = 0
         self.entries = []  # (tick, priority, insertion, handle), sorted
         self.insertions = 0
-        self.stopped = False
 
     @property
     def pending(self):
@@ -70,23 +68,20 @@ class ReferenceKernel:
             (handle.tick, handle.priority, self.insertions, handle),
         )
         self.insertions += 1
-        return handle
 
     def schedule(self, delay, callback, priority=PRIORITY_DEFAULT):
         if delay < 0:
             raise SchedulingError("negative delay")
-        return self.schedule_at(self.tick + delay, callback, priority)
+        self.schedule_at(self.tick + delay, callback, priority)
 
     def schedule_at(self, tick, callback, priority=PRIORITY_DEFAULT):
-        return self.push(ReferenceHandle(tick, callback, 0, priority))
+        self.push(ReferenceHandle(tick, callback, 0, priority))
 
     def every(self, period, callback, start=None, priority=PRIORITY_DEFAULT):
         if period <= 0:
             raise SchedulingError("period must be positive")
         first = self.tick + period if start is None else start
-        return self.push(
-            ReferenceHandle(first, callback, period, priority)
-        )
+        self.push(ReferenceHandle(first, callback, period, priority))
 
     def step(self):
         if not self.entries:
@@ -103,25 +98,21 @@ class ReferenceKernel:
     def run(self, until=None):
         if until is not None and until < self.tick:
             raise SchedulingError("until is in the past")
-        self.stopped = False
-        while self.entries and not self.stopped:
+        while self.entries:
             if until is not None and self.entries[0][0] > until:
                 break
             self.step()
-        if until is not None and not self.stopped:
+        if until is not None:
             self.tick = until
         return self.tick
 
-    def stop(self):
-        self.stopped = True
-
 
 class Side:
-    """One kernel with the handles and the execution log of its run."""
+    """One kernel with its job count and the execution log of its run."""
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self.handles = []
+        self.jobs = 0
         self.log = []
 
     def callback(self, job, action, argument, fire_limit):
@@ -134,16 +125,13 @@ class Side:
             self.log.append((job, kernel.tick))
             fired += 1
             if action == "schedule":
-                child = len(self.handles)
-                self.handles.append(
-                    kernel.schedule(
-                        argument % 4,
-                        functools.partial(self.log.append, (child, "child")),
-                        PRIORITIES[argument % len(PRIORITIES)],
-                    )
+                child = self.jobs
+                self.jobs += 1
+                kernel.schedule(
+                    argument % 4,
+                    functools.partial(self.log.append, (child, "child")),
+                    PRIORITIES[argument % len(PRIORITIES)],
                 )
-            elif action == "stop":
-                kernel.stop()
             return fired < fire_limit  # False ends a periodic process
 
         return fire
@@ -154,7 +142,7 @@ def both(sides, call):
     outcomes = []
     for side in sides:
         before = (
-            side.kernel.tick, side.kernel.pending, len(side.handles),
+            side.kernel.tick, side.kernel.pending, side.jobs,
             side.kernel.events_processed,
         )
         try:
@@ -162,7 +150,7 @@ def both(sides, call):
         except SchedulingError:
             outcomes.append(("refused", None))
             after = (
-                side.kernel.tick, side.kernel.pending, len(side.handles),
+                side.kernel.tick, side.kernel.pending, side.jobs,
                 side.kernel.events_processed,
             )
             assert after == before, "a refused call moved something"
@@ -187,9 +175,8 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
         job)``; a refused call must be refused by both and adds none."""
 
         def call(side):
-            job = len(side.handles)
-            handle = schedule(side, job)
-            side.handles.append(handle)
+            schedule(side, side.jobs)
+            side.jobs += 1
 
         both(self.sides, call)
 
@@ -227,10 +214,6 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
             )
         )
 
-    @rule()
-    def step(self):
-        both(self.sides, lambda side: side.kernel.step())
-
     @rule(ahead=st.integers(min_value=-2, max_value=8))
     def run_until(self, ahead):
         both(self.sides, lambda side: side.kernel.run(side.kernel.tick + ahead))
@@ -251,9 +234,7 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
             real.kernel.events_processed == reference.kernel.events_processed
         )
         assert real.kernel.pending == reference.kernel.pending
-        assert len(real.handles) == len(reference.handles)
-        for mine, theirs in zip(real.handles, reference.handles):
-            assert mine.tick == theirs.tick
+        assert real.jobs == reference.jobs
         # The clock never runs ahead of live work.
         assert all(
             entry[0] >= reference.kernel.tick
@@ -273,10 +254,11 @@ class TestOnePeriodicHandle:
     def test_tick_follows_the_next_firing(self):
         sim = Simulator()
         fired = []
-        handle = sim.every(3, lambda: fired.append(sim.tick) or len(fired) < 3,
-                           start=2)
-        assert handle.tick == 2
+        sim.every(3, lambda: fired.append(sim.tick) or len(fired) < 3, start=2)
+        ((tick, _, _, handle),) = sim._queue
+        assert tick == handle.tick == 2
         sim.run(until=2)
-        assert fired == [2] and handle.tick == 5 and sim.pending == 1
+        assert fired == [2] and sim.pending == 1
+        assert sim._queue[0][3] is handle and handle.tick == 5
         sim.run(until=40)
         assert fired == [2, 5, 8] and handle.tick == 8 and sim.pending == 0

@@ -141,25 +141,6 @@ class TestRunControl:
         sim.run()
         assert ran == [10, 20]
 
-    def test_stop_inside_callback(self):
-        sim = Simulator()
-        ran = []
-        sim.schedule(1, lambda: (ran.append(1), sim.stop()))
-        sim.schedule(2, lambda: ran.append(2))
-        sim.run()
-        assert ran == [1]
-
-    def test_a_stopped_run_leaves_the_clock_where_it_stopped(self):
-        # Jumping to ``until`` over the work still queued made the next
-        # run pop an entry "from the past".
-        sim = Simulator()
-        ran = []
-        sim.schedule(1, sim.stop)
-        sim.schedule(2, lambda: ran.append(sim.tick))
-        assert sim.run(until=10) == 1
-        assert sim.run(until=10) == 10
-        assert ran == [2]
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         error = []
@@ -173,9 +154,6 @@ class TestRunControl:
         sim.schedule(1, reenter)
         sim.run()
         assert error == [True]
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
 
     def test_events_processed_counter(self):
         sim = Simulator()

@@ -194,7 +194,7 @@ class TestAdmissionLimits:
     def test_rate_and_burst_must_be_real_numbers(self, name, value):
         # Checked before the range: ``True`` would pass it as 1, and
         # text would fail it with a bare TypeError.
-        with pytest.raises(ObserverError, match=f"{name} must be a real"):
+        with pytest.raises(ObserverError, match=f"AdmissionLimits.{name} "):
             AdmissionLimits(**{name: value})
 
     @pytest.mark.parametrize(
@@ -295,7 +295,7 @@ class TestAdmissionController:
         limited = AdmissionController(AdmissionLimits(rate=1.0))
         limited.intake([item(0)])
         unlimited = AdmissionController()
-        with pytest.raises(ObserverError, match="rate limit"):
+        with pytest.raises(ObserverError, match="AdmissionSnapshot.limits"):
             unlimited.restore(limited.snapshot())
 
 

@@ -162,7 +162,7 @@ class TestEngineSnapshotRestore:
     @pytest.mark.parametrize(
         "foreign, complaint",
         [
-            (hot_spec(), "watches"),
+            (hot_spec(), "EngineSnapshot.spec_ids"),
             # Same id, other roles: used to pass the id check, clear()
             # the engine and only then die with a KeyError.
             (
@@ -259,7 +259,7 @@ class TestShardedSnapshotRestore:
         ).snapshot()
         mixed = replace(donor, shards=donor.shards[:2] + foreign.shards[2:])
         before = engine.snapshot()
-        with pytest.raises(ObserverError, match="watches"):
+        with pytest.raises(ObserverError, match="EngineSnapshot.spec_ids"):
             engine.restore(mixed)
         assert engine.snapshot() == before
 
@@ -484,7 +484,7 @@ _REFUSALS = [
             "admission": AdmissionController(),
             "engine": DetectionEngine([hot_spec()]),
         },
-        "rate limit",
+        "AdmissionSnapshot.limits",
         None,
         id="buckets-without-rate",
     ),
@@ -497,7 +497,7 @@ _REFUSALS = [
             "dedup": RedeliveryDeduper(),
             "engine": DetectionEngine([pair_spec()]),
         },
-        "watches",
+        "EngineSnapshot.spec_ids",
         None,
         id="engine-specs",
     ),
@@ -510,31 +510,34 @@ _REFUSALS = [
     ),
     # A malformed value inside a stage's snapshot.  Each of these used
     # to install (or half-install) and leave the runtime holding it.
-    _corrupt(_watermark((4, {"t": "x"}, False)), "watermark snapshot",
-             "watermark-tick-not-an-int"),
-    _corrupt(_watermark((4, {"t": 2.5}, False)), "watermark snapshot",
-             "watermark-tick-a-float"),
-    _corrupt(_watermark((4, {"t": 2}, frozenset())), "ended flag",
-             "watermark-ended-not-a-flag"),
-    _corrupt(_watermark((4, {"t": 2})), "not a watermark snapshot",
-             "watermark-short-tuple"),
-    _corrupt(_stage("reorder", late_count=-1), "reorder snapshot",
-             "reorder-negative-late-count"),
-    _corrupt(_stage("reorder", peak_occupancy=-1), "reorder snapshot",
-             "reorder-negative-peak"),
-    _corrupt(_stage("reorder", released_through="x"), "reorder snapshot",
+    _corrupt(_stage("watermark", max_seen={"t": "x"}),
+             "WatermarkSnapshot.max_seen", "watermark-tick-not-an-int"),
+    _corrupt(_stage("watermark", max_seen={"t": 2.5}),
+             "WatermarkSnapshot.max_seen", "watermark-tick-a-float"),
+    _corrupt(_stage("watermark", ended=frozenset()),
+             "WatermarkSnapshot.ended", "watermark-ended-not-a-flag"),
+    # The tuple the tracker's snapshot was before it became a record.
+    _corrupt(_watermark((4, {"t": 2}, False)), "not a WatermarkSnapshot",
+             "watermark-a-tuple"),
+    _corrupt(_stage("reorder", late_count=-1),
+             "ReorderSnapshot.late_count", "reorder-negative-late-count"),
+    _corrupt(_stage("reorder", peak_occupancy=-1),
+             "ReorderSnapshot.peak_occupancy", "reorder-negative-peak"),
+    _corrupt(_stage("reorder", released_through="x"),
+             "ReorderSnapshot.released_through",
              "reorder-frontier-not-an-int"),
-    _corrupt(_stage("dedup", in_flight={"t": 5}), "not a dedup snapshot",
-             "dedup-in-flight-not-iterable"),
-    _corrupt(_stage("dedup", high_water={"t": "x"}), "dedup snapshot",
-             "dedup-high-water-not-an-int"),
-    _corrupt(_stage("dedup", duplicates_dropped=-1), "dedup snapshot",
-             "dedup-negative-drops"),
-    _corrupt(_stage("quarantine", count=-1), "quarantine snapshot",
+    _corrupt(_stage("dedup", in_flight={"t": 5}),
+             "DedupSnapshot.in_flight", "dedup-in-flight-not-iterable"),
+    _corrupt(_stage("dedup", high_water={"t": "x"}),
+             "DedupSnapshot.high_water", "dedup-high-water-not-an-int"),
+    _corrupt(_stage("dedup", duplicates_dropped=-1),
+             "DedupSnapshot.duplicates_dropped", "dedup-negative-drops"),
+    _corrupt(_stage("quarantine", count=-1), "QuarantineSnapshot.count",
              "quarantine-negative-count"),
-    _corrupt(lambda c: replace(c, stats="x"), "checkpoint refused",
+    _corrupt(lambda c: replace(c, stats="x"), "RuntimeCheckpoint.stats",
              "stats-not-counters"),
-    _corrupt(lambda c: object(), "checkpoint refused", "not-a-checkpoint"),
+    _corrupt(lambda c: object(), "not a RuntimeCheckpoint",
+             "not-a-checkpoint"),
 ]
 
 
@@ -637,134 +640,173 @@ def _telemetry():
 # (the stage, how its snapshot is spoiled, what the ObserverError names).
 _STAGE_REFUSALS = [
     pytest.param(_dedup, lambda s: replace(s, in_flight={"s": 5}),
-                 "not a dedup snapshot", id="dedup-in-flight-not-iterable"),
+                 "DedupSnapshot.in_flight", id="dedup-in-flight-not-iterable"),
     pytest.param(_dedup, lambda s: replace(s, in_flight={"s": (-3,)}),
-                 "dedup snapshot", id="dedup-negative-seq"),
+                 "DedupSnapshot.in_flight", id="dedup-negative-seq"),
     pytest.param(_dedup, lambda s: replace(s, in_flight={"s": (6.0,)}),
-                 "dedup snapshot", id="dedup-float-seq"),
+                 "DedupSnapshot.in_flight", id="dedup-float-seq"),
     pytest.param(_dedup, lambda s: replace(s, high_water={"s": "x"}),
-                 "dedup snapshot", id="dedup-high-water-not-an-int"),
+                 "DedupSnapshot.high_water", id="dedup-high-water-not-an-int"),
     pytest.param(_dedup, lambda s: replace(s, high_water={"s": True}),
-                 "dedup snapshot", id="dedup-high-water-a-bool"),
+                 "DedupSnapshot.high_water", id="dedup-high-water-a-bool"),
     pytest.param(_dedup, lambda s: replace(s, high_water={"s": -2}),
-                 "dedup snapshot", id="dedup-high-water-below-none"),
+                 "DedupSnapshot.high_water", id="dedup-high-water-below-none"),
     pytest.param(_dedup, lambda s: replace(s, duplicates_dropped=-1),
-                 "dedup snapshot", id="dedup-negative-drops"),
+                 "DedupSnapshot.duplicates_dropped",
+                 id="dedup-negative-drops"),
     pytest.param(_quarantine, lambda s: replace(s, count=-1),
-                 "quarantine snapshot", id="quarantine-negative-count"),
+                 "QuarantineSnapshot.count", id="quarantine-negative-count"),
     pytest.param(_quarantine, lambda s: replace(s, count="3"),
-                 "quarantine snapshot", id="quarantine-count-not-an-int"),
+                 "QuarantineSnapshot.count", id="quarantine-count-not-an-int"),
     pytest.param(_quarantine, lambda s: replace(s, count=2),
-                 "quarantine snapshot", id="quarantine-count-below-retained"),
+                 "QuarantineSnapshot.count",
+                 id="quarantine-count-below-retained"),
     pytest.param(_reorder, lambda s: replace(s, late_count=-1),
-                 "reorder snapshot", id="reorder-negative-late-count"),
+                 "ReorderSnapshot.late_count",
+                 id="reorder-negative-late-count"),
     pytest.param(_reorder, lambda s: replace(s, late_count=0),
-                 "reorder snapshot", id="reorder-late-count-below-retained"),
+                 "ReorderSnapshot.late_count",
+                 id="reorder-late-count-below-retained"),
     pytest.param(_reorder, lambda s: replace(s, peak_occupancy=-1),
-                 "reorder snapshot", id="reorder-negative-peak"),
+                 "ReorderSnapshot.peak_occupancy", id="reorder-negative-peak"),
     pytest.param(_reorder, lambda s: replace(s, released_through="x"),
-                 "reorder snapshot", id="reorder-frontier-not-an-int"),
+                 "ReorderSnapshot.released_through",
+                 id="reorder-frontier-not-an-int"),
     pytest.param(_reorder, lambda s: replace(s, highest_offered=1.5),
-                 "reorder snapshot", id="reorder-highest-a-float"),
+                 "ReorderSnapshot.highest_offered",
+                 id="reorder-highest-a-float"),
     pytest.param(_reorder, lambda s: replace(s, pending=("x",)),
-                 "reorder snapshot", id="reorder-pending-not-items"),
-    pytest.param(_tracker, lambda s: (s[0], {"s": "x"}, s[2]),
-                 "watermark snapshot", id="watermark-tick-not-an-int"),
-    pytest.param(_tracker, lambda s: (s[0], {"s": 7.0}, s[2]),
-                 "watermark snapshot", id="watermark-tick-a-float"),
-    pytest.param(_tracker, lambda s: (s[0], {"s": True}, s[2]),
-                 "watermark snapshot", id="watermark-tick-a-bool"),
-    pytest.param(_tracker, lambda s: (s[0], {7: 7}, s[2]),
-                 "watermark snapshot", id="watermark-source-not-a-name"),
-    pytest.param(_tracker, lambda s: (s[0], s[1], "no"),
-                 "ended flag", id="watermark-ended-not-a-flag"),
+                 "ReorderSnapshot.pending", id="reorder-pending-not-items"),
+    pytest.param(_tracker, lambda s: replace(s, max_seen={"s": "x"}),
+                 "WatermarkSnapshot.max_seen", id="watermark-tick-not-an-int"),
+    pytest.param(_tracker, lambda s: replace(s, max_seen={"s": 7.0}),
+                 "WatermarkSnapshot.max_seen", id="watermark-tick-a-float"),
+    pytest.param(_tracker, lambda s: replace(s, max_seen={"s": True}),
+                 "WatermarkSnapshot.max_seen", id="watermark-tick-a-bool"),
+    pytest.param(_tracker, lambda s: replace(s, max_seen={7: 7}),
+                 "WatermarkSnapshot.max_seen",
+                 id="watermark-source-not-a-name"),
+    pytest.param(_tracker, lambda s: replace(s, ended="no"),
+                 "WatermarkSnapshot.ended", id="watermark-ended-not-a-flag"),
     pytest.param(_telemetry, lambda s: replace(s, sampled=-3),
-                 "telemetry snapshot", id="telemetry-negative-sampled"),
+                 "TelemetrySnapshot.sampled", id="telemetry-negative-sampled"),
     pytest.param(_telemetry, lambda s: replace(s, finished="q"),
-                 "telemetry snapshot", id="telemetry-finished-not-an-int"),
+                 "TelemetrySnapshot.finished",
+                 id="telemetry-finished-not-an-int"),
     pytest.param(_telemetry, lambda s: replace(s, offered=-1),
-                 "telemetry snapshot", id="telemetry-negative-offered"),
+                 "TelemetrySnapshot.offered", id="telemetry-negative-offered"),
     pytest.param(_telemetry, lambda s: replace(s, residency=()),
-                 "telemetry snapshot", id="telemetry-residency-empty"),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-residency-empty"),
     pytest.param(_telemetry, lambda s: replace(s, active=(("s",),)),
-                 "stage trace row", id="telemetry-active-row-malformed"),
+                 "TelemetrySnapshot.active",
+                 id="telemetry-active-row-malformed"),
     pytest.param(_telemetry, lambda s: replace(s, completed=5),
-                 "telemetry snapshot", id="telemetry-completed-not-rows"),
+                 "TelemetrySnapshot.completed",
+                 id="telemetry-completed-not-rows"),
     pytest.param(_telemetry, lambda s: replace(s, offered=True),
-                 "telemetry snapshot", id="telemetry-offered-a-bool"),
+                 "TelemetrySnapshot.offered", id="telemetry-offered-a-bool"),
     pytest.param(_telemetry, lambda s: replace(s, now="2"),
-                 "telemetry snapshot", id="telemetry-now-not-an-int"),
+                 "TelemetrySnapshot.now", id="telemetry-now-not-an-int"),
     pytest.param(_telemetry, lambda s: replace(s, now=2.0),
-                 "telemetry snapshot", id="telemetry-now-a-float"),
+                 "TelemetrySnapshot.now", id="telemetry-now-a-float"),
     pytest.param(_telemetry, lambda s: replace(s, residency=s.residency[:-1]),
-                 "telemetry snapshot", id="telemetry-residency-a-stage-short"),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-residency-a-stage-short"),
     pytest.param(_telemetry,
                  lambda s: replace(s, residency=tuple(
                      (counts[:-1], total, count)
                      for counts, total, count in s.residency)),
-                 "telemetry snapshot", id="telemetry-histogram-a-bucket-short"),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-histogram-a-bucket-short"),
     pytest.param(_telemetry,
                  lambda s: replace(s, residency=tuple(
                      ((-1,) + counts[1:], total, count)
                      for counts, total, count in s.residency)),
-                 "telemetry snapshot", id="telemetry-histogram-negative-bucket"),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-histogram-negative-bucket"),
     pytest.param(_telemetry,
                  lambda s: replace(s, residency=tuple(
                      (counts, -1, count)
                      for counts, total, count in s.residency)),
-                 "telemetry snapshot", id="telemetry-histogram-negative-total"),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-histogram-negative-total"),
     pytest.param(_telemetry,
                  lambda s: replace(s, residency=tuple(
                      (counts, total) for counts, total, _ in s.residency)),
-                 "telemetry snapshot", id="telemetry-histogram-not-a-triple"),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-histogram-not-a-triple"),
     pytest.param(_telemetry, lambda s: replace(s, discarded=(("shed", -1),)),
-                 "telemetry snapshot", id="telemetry-negative-discarded"),
+                 "TelemetrySnapshot.discarded",
+                 id="telemetry-negative-discarded"),
     pytest.param(_telemetry, lambda s: replace(s, discarded=((5, 1),)),
-                 "telemetry snapshot", id="telemetry-discard-reason-not-a-name"),
+                 "TelemetrySnapshot.discarded",
+                 id="telemetry-discard-reason-not-a-name"),
     pytest.param(_telemetry, lambda s: replace(s, discarded=(5,)),
-                 "telemetry snapshot", id="telemetry-discarded-not-pairs"),
+                 "TelemetrySnapshot.discarded",
+                 id="telemetry-discarded-not-pairs"),
     pytest.param(_telemetry, lambda s: replace(s, completed=(("s", -1, ()),)),
-                 "stage trace row", id="telemetry-completed-row-negative-seq"),
+                 "TelemetrySnapshot.completed",
+                 id="telemetry-completed-row-negative-seq"),
     pytest.param(_telemetry, lambda s: replace(s, active=((5, 0, ()),)),
-                 "stage trace row", id="telemetry-active-row-source-not-a-name"),
+                 "TelemetrySnapshot.active",
+                 id="telemetry-active-row-source-not-a-name"),
     pytest.param(_telemetry,
                  lambda s: replace(s, active=(("s", 0, (("nope", 0, 1),)),)),
-                 "stage trace row", id="telemetry-active-row-unknown-stage"),
+                 "TelemetrySnapshot.active",
+                 id="telemetry-active-row-unknown-stage"),
     pytest.param(_telemetry,
                  lambda s: replace(s, active=(
                      ("s", 0, ((s.active[0][2][0][0], 0.5, None),)),)),
-                 "stage trace row", id="telemetry-active-row-stamp-a-float"),
+                 "TelemetrySnapshot.active",
+                 id="telemetry-active-row-stamp-a-float"),
     pytest.param(_admission, lambda s: replace(s, shed_total=-5),
-                 "admission snapshot", id="admission-negative-shed"),
+                 "AdmissionSnapshot.shed_total", id="admission-negative-shed"),
     pytest.param(_admission, lambda s: replace(s, deferred_total="x"),
-                 "admission snapshot", id="admission-deferred-not-an-int"),
+                 "AdmissionSnapshot.deferred_total",
+                 id="admission-deferred-not-an-int"),
     pytest.param(_admission, lambda s: replace(s, deferred=("junk",)),
-                 "admission snapshot", id="admission-deferred-not-items"),
+                 "AdmissionSnapshot.deferred",
+                 id="admission-deferred-not-items"),
     pytest.param(_admission, lambda s: replace(s, buckets=5),
-                 "admission snapshot", id="admission-buckets-not-a-map"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-buckets-not-a-map"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": ("x", None)}),
-                 "token bucket state", id="admission-bucket-tokens-not-a-number"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-tokens-not-a-number"),
     pytest.param(_admission, lambda s: replace(s, shed_total="x"),
-                 "admission snapshot", id="admission-shed-not-an-int"),
+                 "AdmissionSnapshot.shed_total",
+                 id="admission-shed-not-an-int"),
     pytest.param(_admission, lambda s: replace(s, shed_total=True),
-                 "admission snapshot", id="admission-shed-a-bool"),
+                 "AdmissionSnapshot.shed_total", id="admission-shed-a-bool"),
     pytest.param(_admission, lambda s: replace(s, deferred_total=-1),
-                 "admission snapshot", id="admission-negative-deferred"),
+                 "AdmissionSnapshot.deferred_total",
+                 id="admission-negative-deferred"),
     pytest.param(_admission, lambda s: replace(s, deferred=5),
-                 "admission snapshot", id="admission-deferred-not-iterable"),
+                 "AdmissionSnapshot.deferred",
+                 id="admission-deferred-not-iterable"),
     pytest.param(_admission, lambda s: replace(s, buckets={5: (0.5, 3)}),
-                 "admission snapshot", id="admission-bucket-source-not-a-name"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-source-not-a-name"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": (-0.5, 3)}),
-                 "token bucket state", id="admission-bucket-tokens-negative"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-tokens-negative"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": (1.5, 3)}),
-                 "token bucket state", id="admission-bucket-tokens-above-burst"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-tokens-above-burst"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": (0.5, 3.0)}),
-                 "token bucket state", id="admission-bucket-tick-a-float"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-tick-a-float"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": (0.5,)}),
-                 "token bucket state", id="admission-bucket-state-not-a-pair"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-state-not-a-pair"),
+    pytest.param(lambda: AdmissionController(),
+                 lambda s: replace(s, buckets={"s": (1.0, 3)}),
+                 "no rate limit", id="admission-buckets-without-rate"),
     pytest.param(_admission,
                  lambda s: replace(s, buckets={"s": (0.5, 3), "t": (True, 3)}),
-                 "token bucket state", id="admission-second-bucket-tokens-a-bool"),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-second-bucket-tokens-a-bool"),
 ]
 
 

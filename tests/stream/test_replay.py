@@ -139,7 +139,8 @@ def test_a_bad_checkpoint_count_is_refused_before_anything_changes(
         replayer.ingest(group)
     before = state_of(replayer)
     assert before[1] > checkpoint.emitted_count > 0
-    with pytest.raises(ObserverError, match="checkpoint"):
+    (field,) = change
+    with pytest.raises(ObserverError, match=f"ReplayCheckpoint.{field}"):
         getattr(replayer, rewind)(replace(checkpoint, **change))
     assert state_of(replayer) == before
     # The good checkpoint still rewinds it.

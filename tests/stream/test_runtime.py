@@ -86,7 +86,10 @@ class RecordingEngine:
     def snapshot(self):
         return None
 
-    def restore(self, snapshot):
+    def ensure_restorable(self, snapshot):
+        pass
+
+    def install(self, snapshot):
         pass
 
     def tallies(self):

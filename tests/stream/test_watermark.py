@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import ObserverError
 from repro.detect.engine import DetectionEngine
 from repro.stream import StreamingDetectionRuntime, WatermarkTracker
+from repro.stream.watermark import WatermarkSnapshot
 
 
 class TestWatermarkTracker:
@@ -46,7 +47,7 @@ class TestWatermarkTracker:
         for name in ("a", "b"):
             with pytest.raises(ObserverError, match="stream has ended"):
                 tracker.register(name)
-        assert tracker.snapshot() == (0, {"a": None}, True)
+        assert tracker.snapshot() == WatermarkSnapshot(0, {"a": None}, True)
 
     @pytest.mark.parametrize(
         "lateness",

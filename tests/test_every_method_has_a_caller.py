@@ -6,12 +6,14 @@ should use it.  This scans ``src/``, ``examples/`` and ``benchmarks/``
 with :mod:`ast` for a reference to each public method and property of
 each public class (listed in its module's ``__all__``) of every module
 under ``src/repro`` except the packages in :data:`EXCLUDED`: a load of
-its name as a ``Name`` or an ``Attribute``, or a string constant equal
-to it (the performance ledger names the methods it wraps as strings).
-A reference inside the method's own definition does not count.  The
-scan matches names, not objects, so a method that shares its name with
-another one in use passes.  The few methods kept without a caller are
-listed in :data:`ALLOWED` with their reason.
+its name as an ``Attribute`` (``thing.method``), or a string constant
+equal to it (the performance ledger names the methods it wraps as
+strings).  A bare name does not count: a local variable or parameter
+that shares a method's name is not a call of it.  A reference inside
+the method's own definition does not count either.  The scan matches
+names, not objects, so a method that shares its name with another
+method or attribute in use passes.  The few methods kept without a
+caller are listed in :data:`ALLOWED` with their reason.
 """
 
 from __future__ import annotations
@@ -74,9 +76,7 @@ def references(source: str) -> set[tuple[str, str | None]]:
     }
     found: set[tuple[str, str | None]] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             name = node.value
@@ -141,16 +141,18 @@ def test_the_scan_reads_methods(source, expected):
 @pytest.mark.parametrize(
     "source, expected",
     [
-        ("box.put(1)", {("box", None), ("put", None)}),
-        ('patch(Box, "put")', {("patch", None), ("Box", None),
-                               ("put", None)}),
-        ("box.put = 1", {("box", None)}),
+        ("box.put(1)", {("put", None)}),
+        ('patch(Box, "put")', {("put", None)}),
+        ("box.put = 1", set()),
         ("class Box:\n    def put(self):\n        return self.put()\n",
-         {("self", None), ("put", "Box.put")}),
+         {("put", "Box.put")}),
         ("class Box:\n    def take(self):\n        return self.put()\n",
-         {("self", None), ("put", None)}),
+         {("put", None)}),
+        ("def take(put):\n    cumulative = put + 1\n    return cumulative\n",
+         set()),
     ],
-    ids=["attribute", "string", "store", "own-recursion", "sibling-call"],
+    ids=["attribute", "string", "store", "own-recursion", "sibling-call",
+         "local-variable"],
 )
 def test_the_scan_finds_references(source, expected):
     assert references(source) == expected
