@@ -30,6 +30,7 @@ __all__ = [
     "TICK",
     "TICK_OR_NONE",
     "NAME",
+    "NUMBER",
     "REAL",
     "CONFIG",
     "instance_of",
@@ -71,6 +72,9 @@ REAL = Domain(
     "a real number",
     lambda v: isinstance(v, Real) and not isinstance(v, bool),
 )
+NUMBER = Domain("an int or float", lambda v: type(v) in (int, float))
+"""A value a run computes (bucket tokens, a histogram total): exactly an
+``int`` or a ``float``, where a setting may be any :data:`REAL`."""
 CONFIG = Domain("the part's setting", lambda v: True)
 
 

@@ -174,9 +174,10 @@ class EngineStats:
         return total
 
 
-def _tick_rows(text: str, kinds: type | tuple, *, tick_at: int) -> Domain:
-    """Pairs of a tick (at ``tick_at``) and a ``kinds`` instance, in tick
-    order; one loop with no call per row but the tick test."""
+def _tick_rows(
+    text: str, entry: Callable[[object], bool], *, tick_at: int
+) -> Domain:
+    """Pairs of a tick (at ``tick_at``) and an ``entry``, in tick order."""
     entry_at = 1 - tick_at
 
     def within(rows: object) -> bool:
@@ -187,7 +188,7 @@ def _tick_rows(text: str, kinds: type | tuple, *, tick_at: int) -> Domain:
             if not (
                 type(row) is tuple
                 and len(row) == 2
-                and isinstance(row[entry_at], kinds)
+                and entry(row[entry_at])
                 and TICK.test(tick := row[tick_at])
                 and (last is None or last <= tick)
             ):
@@ -198,14 +199,28 @@ def _tick_rows(text: str, kinds: type | tuple, *, tick_at: int) -> Domain:
     return Domain(text, within)
 
 
+def _is_identity(value: object) -> bool:
+    """A binding identity: a tuple the dedup store can key on."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return type(value) is tuple
+
+
 # The concrete classes first: a protocol isinstance test walks the
 # protocol's members on every call.
+_ENTITIES = (PhysicalObservation, EventInstance, Event, Entity)
 _WINDOW = _tick_rows(
     "(tick, entity) rows in tick order",
-    (PhysicalObservation, EventInstance, Event, Entity),
+    lambda entity: isinstance(entity, _ENTITIES),
     tick_at=0,
 )
-_SEEN = _tick_rows("(identity, tick) rows in tick order", tuple, tick_at=1)
+_SEEN = _tick_rows(
+    "(identity, tick) rows in tick order, each identity a hashable tuple",
+    _is_identity,
+    tick_at=1,
+)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from repro.core.checkpoint import (
     CONFIG,
     COUNT,
     NAME,
-    REAL,
+    NUMBER,
     TICK_OR_NONE,
     Domain,
     Restorable,
@@ -242,7 +242,7 @@ _TRACE_ROWS = tuple_of(
 )
 _HISTOGRAM = shaped(
     shaped(*[COUNT] * (len(DEFAULT_TICK_BUCKETS) + 1)),
-    Domain("a total >= 0", lambda total: REAL.test(total) and total >= 0),
+    Domain("a total >= 0", lambda total: NUMBER.test(total) and total >= 0),
     COUNT,
     text="a (bucket counts, total, count) histogram",
 )

@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 from repro.core.checkpoint import (
     CONFIG,
     COUNT,
+    NUMBER,
     REAL,
     TICK_OR_NONE,
     Domain,
@@ -123,7 +124,7 @@ class AdmissionSnapshot:
     shedding: str = declared(CONFIG)
     deferred: tuple[StreamItem, ...] = declared(STREAM_ITEMS)
     buckets: Mapping[str, tuple[float, int | None]] = declared(
-        by_name(shaped(REAL, TICK_OR_NONE))
+        by_name(shaped(NUMBER, TICK_OR_NONE))
     )
     """Per source, ``TokenBucket.state()``: ``(tokens, last_tick)``."""
     shed_total: int = declared(COUNT)

@@ -264,7 +264,6 @@ class ReplayObserver:
                 f"this observer has only {len(self.emitted)} (was it "
                 f"restored fresh? use restore() for resume legs)"
             )
-        self.runtime.ensure_restorable(checkpoint.runtime)
-        self.runtime.install(checkpoint.runtime)
+        self.runtime.restore(checkpoint.runtime)
         self.emitted.counters = dict(checkpoint.seq)
         self.emitted.truncate(keep)

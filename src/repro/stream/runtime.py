@@ -23,7 +23,8 @@ ahead of the reorder buffer share one shape, ``intake(items) -> list``
 (a delivery step in, its survivors out, in order, each stage counting
 its own losses), so ``ingest`` is one loop over them.  Every part has
 ``snapshot()``, ``ensure_restorable()`` (refusing another configuration
-of its own, see :mod:`repro.core.checkpoint`) and ``install()``; a
+of its own, see :mod:`repro.core.checkpoint`) and ``install()``, and the
+engine a ``restore()`` that runs the two; a
 :class:`RuntimeCheckpoint` is the table's ``{name: snapshot}`` image
 plus the runtime's own counters, so a stream can resume mid-flight with
 an identical remaining match stream.
@@ -48,7 +49,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.checkpoint import (
     Domain,
-    Restorable,
     by_name,
     check,
     counters,
@@ -196,7 +196,7 @@ class RuntimeCheckpoint:
     are left at zero: those travel inside their stage's snapshot)."""
 
 
-class StreamingDetectionRuntime(Restorable):
+class StreamingDetectionRuntime:
     """Pull-driven, watermark-gated feeder for a detection engine.
 
     Args:
@@ -526,11 +526,19 @@ class StreamingDetectionRuntime(Restorable):
             stats=StreamStats(**vars(self._counts)),
         )
 
-    def ensure_restorable(self, checkpoint: RuntimeCheckpoint) -> None:
-        """Refuse a checkpoint of another stage set (the error names the
-        screens present on one side only) or one any part refuses.  All
-        are checked before :meth:`restore` installs any: a refused
-        checkpoint leaves the runtime exactly as it was."""
+    def restore(self, checkpoint: RuntimeCheckpoint) -> None:
+        """Resume from a checkpoint taken on an equivalently built
+        runtime (same screens; every part refuses another configuration
+        of its own).
+
+        Every part but the engine checks its snapshot first; the
+        engine's ``restore`` then checks its own before installing it,
+        and the other parts install only after that.  A refused
+        checkpoint raises :class:`~repro.core.errors.ObserverError` and
+        leaves the runtime exactly as it was.  Feeding the delivery
+        steps the checkpointed runtime had not yet seen then produces
+        the identical remaining match stream.
+        """
         check(checkpoint, RuntimeCheckpoint)
         if checkpoint.stages.keys() != self.stages.keys():
             differing = sorted(checkpoint.stages.keys() ^ self.stages.keys())
@@ -539,13 +547,14 @@ class StreamingDetectionRuntime(Restorable):
                 f"having {differing}: a checkpoint restores only into a "
                 f"runtime built with the same parts"
             )
-        for name, part in self.stages.items():
-            part.ensure_restorable(checkpoint.stages[name])
-
-    def install(self, checkpoint: RuntimeCheckpoint) -> None:
-        """Install every part of an accepted checkpoint.  Feeding the
-        delivery steps the checkpointed runtime had not yet seen then
-        produces the identical remaining match stream."""
-        for name, part in self.stages.items():
-            part.install(checkpoint.stages[name])
+        others = [
+            (part, checkpoint.stages[name])
+            for name, part in self.stages.items()
+            if name != "engine"
+        ]
+        for part, snapshot in others:
+            part.ensure_restorable(snapshot)
+        self.engine.restore(checkpoint.stages["engine"])
+        for part, snapshot in others:
+            part.install(snapshot)
         self._counts = replace(checkpoint.stats)

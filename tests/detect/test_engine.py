@@ -195,6 +195,12 @@ REFUSALS = {
     "dedup entry that is no (identity, tick) pair": lambda s: replace(
         s, seen={event_id: ((1, 2, 3),) for event_id in s.seen}
     ),
+    "dedup identity that is not hashable": lambda s: replace(
+        s,
+        seen={
+            event_id: ((([1],), s.watermark),) for event_id in s.seen
+        },
+    ),
     "dedup ticks out of match order": lambda s: replace(
         s, seen={event_id: entries[::-1] for event_id, entries in s.seen.items()}
     ),

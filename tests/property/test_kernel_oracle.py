@@ -5,7 +5,7 @@ and one handle that a periodic process pushes again after every firing.
 The reference below has neither: a plain list kept sorted by ``(tick,
 priority, insertion)``.  Slow, and obviously right.  A state machine
 drives both through the same ``schedule`` / ``schedule_at`` / ``every``
-/ ``run(until)`` calls — with callbacks that schedule more
+/ ``step`` / ``run(until)`` calls — with callbacks that schedule more
 work from inside a firing — and requires the same execution order,
 ``tick``, ``events_processed`` and ``pending`` after each operation.
 
@@ -213,6 +213,10 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
                 priority=priority,
             )
         )
+
+    @rule()
+    def step(self):
+        both(self.sides, lambda side: side.kernel.step())
 
     @rule(ahead=st.integers(min_value=-2, max_value=8))
     def run_until(self, ahead):

@@ -155,6 +155,9 @@ class TestRunControl:
         sim.run()
         assert error == [True]
 
+    def test_step_returns_false_when_empty(self):
+        assert Simulator().step() is False
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(5):

@@ -1,6 +1,7 @@
 """Unit tests for engine snapshot/restore and runtime checkpoints."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -534,6 +535,17 @@ _REFUSALS = [
              "DedupSnapshot.duplicates_dropped", "dedup-negative-drops"),
     _corrupt(_stage("quarantine", count=-1), "QuarantineSnapshot.count",
              "quarantine-negative-count"),
+    # The engine installs after every other part has been checked: its
+    # own check must refuse all its install cannot take.
+    pytest.param(
+        lambda: {"dedup": RedeliveryDeduper(), "engine": DetectionEngine(
+            [hot_spec()])},
+        lambda: {"dedup": RedeliveryDeduper(), "engine": DetectionEngine(
+            [hot_spec()])},
+        "EngineSnapshot.seen",
+        _stage("engine", seen={"hot": ((([1],), 0),)}),
+        id="engine-dedup-identity-unhashable",
+    ),
     _corrupt(lambda c: replace(c, stats="x"), "RuntimeCheckpoint.stats",
              "stats-not-counters"),
     _corrupt(lambda c: object(), "not a RuntimeCheckpoint",
@@ -733,6 +745,12 @@ _STAGE_REFUSALS = [
                  id="telemetry-histogram-negative-total"),
     pytest.param(_telemetry,
                  lambda s: replace(s, residency=tuple(
+                     (counts, Fraction(total), count)
+                     for counts, total, count in s.residency)),
+                 "TelemetrySnapshot.residency",
+                 id="telemetry-histogram-total-a-fraction"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, residency=tuple(
                      (counts, total) for counts, total, _ in s.residency)),
                  "TelemetrySnapshot.residency",
                  id="telemetry-histogram-not-a-triple"),
@@ -794,6 +812,10 @@ _STAGE_REFUSALS = [
     pytest.param(_admission, lambda s: replace(s, buckets={"s": (1.5, 3)}),
                  "AdmissionSnapshot.buckets",
                  id="admission-bucket-tokens-above-burst"),
+    pytest.param(_admission,
+                 lambda s: replace(s, buckets={"s": (Fraction(1, 2), 3)}),
+                 "AdmissionSnapshot.buckets",
+                 id="admission-bucket-tokens-a-fraction"),
     pytest.param(_admission, lambda s: replace(s, buckets={"s": (0.5, 3.0)}),
                  "AdmissionSnapshot.buckets",
                  id="admission-bucket-tick-a-float"),

@@ -86,10 +86,7 @@ class RecordingEngine:
     def snapshot(self):
         return None
 
-    def ensure_restorable(self, snapshot):
-        pass
-
-    def install(self, snapshot):
+    def restore(self, snapshot):
         pass
 
     def tallies(self):
