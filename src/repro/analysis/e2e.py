@@ -14,15 +14,15 @@ run: the first ``command.executed`` trace row must come at least half
 the expected latency after ignition, and less than 200 ticks past the
 worst case (plus three sampling periods).  The simulated system hands
 commands from a dispatch node straight to its actor motes, so the
-benchmark's expected total takes zero actor hops.
+benchmark's expected total takes zero actor hops; an actor-network hop
+is modelled as the detection side's link over an always-on, loss-free
+radio.
 """
 
 from __future__ import annotations
 
 from repro.analysis.edl import EdlModel
 from repro.core.errors import AnalysisError
-from repro.network.fabric import DutyCycleMac
-from repro.network.link import LinkModel
 
 __all__ = ["EndToEndModel"]
 
@@ -33,9 +33,6 @@ class EndToEndModel:
     Args:
         edl: The detection-side model (occurrence -> cyber event).
         backbone_latency: CCU -> dispatch delivery ticks.
-        actor_link: Actor-network per-hop link model.
-        actor_mac: Actor-network MAC (default always-on).
-        actor_prr: Representative actor-network per-hop PRR.
         actuation_ticks: Mechanical delay at the actuator.
     """
 
@@ -43,30 +40,19 @@ class EndToEndModel:
         self,
         edl: EdlModel,
         backbone_latency: int = 1,
-        actor_link: LinkModel | None = None,
-        actor_mac: DutyCycleMac | None = None,
-        actor_prr: float = 1.0,
         actuation_ticks: int = 0,
     ):
-        if not 0.0 < actor_prr <= 1.0:
-            raise AnalysisError(f"actor prr {actor_prr} not in (0, 1]")
         self.edl = edl
         self.backbone_latency = backbone_latency
-        self.actor_link = actor_link or edl.link
-        self.actor_mac = actor_mac or DutyCycleMac(1)
-        self.actor_prr = actor_prr
         self.actuation_ticks = actuation_ticks
 
     def expected_command_delay(self, actor_hops: int) -> float:
         """Expected CCU-to-actuation delay over ``actor_hops`` hops."""
         if actor_hops < 0:
             raise AnalysisError("hop count cannot be negative")
-        per_hop = self.actor_mac.expected_wait + self.actor_link.expected_hop_delay(
-            self.actor_prr
-        )
         return (
             self.backbone_latency
-            + actor_hops * per_hop
+            + actor_hops * self.edl.link.expected_hop_delay(1.0)
             + self.actuation_ticks
         )
 
@@ -78,13 +64,9 @@ class EndToEndModel:
 
     def worst_total(self, sensor_hops: int, actor_hops: int) -> float:
         """Worst-case occurrence-to-actuation latency."""
-        per_attempt = (
-            self.actor_link.transmission_ticks + self.actor_link.backoff_ticks
-        )
-        worst_hop = (
-            (self.actor_mac.period - 1)
-            + self.actor_link.max_retries * per_attempt
-            + self.actor_link.processing_ticks
+        link = self.edl.link
+        worst_hop = link.max_retries * (
+            link.transmission_ticks + link.backoff_ticks
         )
         return (
             self.edl.worst_cyber_edl(sensor_hops)
@@ -92,9 +74,3 @@ class EndToEndModel:
             + actor_hops * worst_hop
             + self.actuation_ticks
         )
-
-    def delivery_probability(self, sensor_hops: int, actor_hops: int) -> float:
-        """Probability the full sense-decide-act chain survives loss."""
-        sense = self.edl.path_delivery_probability(sensor_hops)
-        act = self.actor_link.delivery_probability(self.actor_prr) ** actor_hops
-        return sense * act

@@ -7,8 +7,8 @@ event model keeps ``t_eo`` (estimated occurrence) and ``t_g``
 per layer and decomposes along the hierarchy of Figure 2:
 
 * **sensor layer** — the mote cannot see an event before its next
-  sampling instant: expected delay ``T_s / 2`` (worst case ``T_s``)
-  plus the mote's processing time;
+  sampling instant: expected delay ``T_s / 2`` (worst case ``T_s``);
+  a mote evaluates its conditions in the sampling tick;
 * **cyber-physical layer** — adds the multi-hop WSN delay to the sink
   (per-hop expected MAC wait + retransmission-aware transmission time,
   from :meth:`~repro.network.link.LinkModel.expected_hop_delay`) and
@@ -36,7 +36,6 @@ class EdlBreakdown:
     """Per-stage latency contributions (ticks, expected values)."""
 
     sampling: float
-    mote_processing: float
     network: float
     sink_processing: float
     bus: float
@@ -45,7 +44,7 @@ class EdlBreakdown:
     @property
     def sensor_edl(self) -> float:
         """Expected EDL of sensor event instances (at the mote)."""
-        return self.sampling + self.mote_processing
+        return self.sampling
 
     @property
     def cyber_physical_edl(self) -> float:
@@ -66,7 +65,6 @@ class EdlModel:
         link: The WSN per-hop link model.
         mac: The WSN duty-cycle MAC.
         prr: Representative per-hop packet reception ratio.
-        mote_processing: Mote condition-evaluation time (ticks).
         sink_processing: Sink condition-evaluation time (ticks).
         bus_latency: Event-bus delivery latency (ticks).
         ccu_processing: CCU decision latency (ticks).
@@ -78,7 +76,6 @@ class EdlModel:
         link: LinkModel,
         mac: DutyCycleMac | None = None,
         prr: float = 1.0,
-        mote_processing: int = 0,
         sink_processing: int = 0,
         bus_latency: int = 1,
         ccu_processing: int = 0,
@@ -91,7 +88,6 @@ class EdlModel:
         self.link = link
         self.mac = mac or DutyCycleMac(1)
         self.prr = prr
-        self.mote_processing = mote_processing
         self.sink_processing = sink_processing
         self.bus_latency = bus_latency
         self.ccu_processing = ccu_processing
@@ -112,7 +108,6 @@ class EdlModel:
         """Expected per-stage EDL contributions for a mote at ``hops``."""
         return EdlBreakdown(
             sampling=self.sampling_period / 2.0,
-            mote_processing=float(self.mote_processing),
             network=self.expected_network_delay(hops),
             sink_processing=float(self.sink_processing),
             bus=float(self.bus_latency),
@@ -154,15 +149,12 @@ class EdlModel:
     def worst_hop_delay(self) -> float:
         """Worst-case one-hop delay (all retries, maximal backoff/wait)."""
         per_attempt = self.link.transmission_ticks + self.link.backoff_ticks
-        return (self.mac.period - 1) + self.link.max_retries * per_attempt + (
-            self.link.processing_ticks
-        )
+        return (self.mac.period - 1) + self.link.max_retries * per_attempt
 
     def worst_cp_edl(self, hops: int) -> float:
         """Worst-case EDL at the cyber-physical layer."""
         return (
             self.sampling_period
-            + self.mote_processing
             + hops * self.worst_hop_delay()
             + self.sink_processing
         )
@@ -170,9 +162,3 @@ class EdlModel:
     def worst_cyber_edl(self, hops: int) -> float:
         """Worst-case EDL at the cyber layer."""
         return self.worst_cp_edl(hops) + self.bus_latency + self.ccu_processing
-
-    # -- delivery ---------------------------------------------------------
-
-    def path_delivery_probability(self, hops: int) -> float:
-        """Probability a report survives every hop's retry budget."""
-        return self.link.delivery_probability(self.prr) ** hops

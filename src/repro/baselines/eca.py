@@ -4,7 +4,7 @@ McCarthy & Dayal's ECA model, as characterized in Section 2: "the event
 is generated by a single event source ... at a point in time" — no
 composition, no intervals, no spatial constraints.  The engine fires a
 rule whenever a single input entity satisfies the rule's *condition*
-(a predicate over that one entity's attributes), executing its action.
+(a predicate over that one entity's attributes) and records the firing.
 
 The baseline-comparison benchmark (E8) runs this engine on workloads
 whose target events need temporal or spatial composition; the expressiveness
@@ -15,7 +15,7 @@ event by firing on one of its constituents).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.entity import Entity, numeric_attribute
 from repro.core.errors import BindingError, ConditionError
@@ -47,15 +47,13 @@ class EcaRule:
         attribute: Entity attribute the condition reads.
         op: Relational comparison.
         constant: Comparison constant.
-        action: Optional callback run on every firing.
     """
 
     name: str
     attribute: str
     op: RelationalOp
     constant: float
-    action: Callable[[EcaTrigger], None] | None = None
-    fired: list[EcaTrigger] = field(default_factory=list)
+    fired: list[EcaTrigger] = field(default_factory=list, init=False)
 
     def matches(self, entity: Entity) -> bool:
         """Whether the single-entity condition holds."""
@@ -89,8 +87,6 @@ class EcaEngine:
                 trigger = EcaTrigger(rule.name, entity, TimePoint(now))
                 rule.fired.append(trigger)
                 triggers.append(trigger)
-                if rule.action is not None:
-                    rule.action(trigger)
         return triggers
 
     def fired(self, rule_name: str) -> list[EcaTrigger]:

@@ -34,7 +34,7 @@ per binding.  Lowered evaluators are semantically equivalent to
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from repro.core.aggregates import (
@@ -626,7 +626,6 @@ class SpatialMeasureCondition(Condition):
     arg_roles: tuple[str, ...]
     op: RelationalOp
     constant: float
-    constant_location: SpatialEntity | None = field(default=None)
 
     COST = 5.0
 
@@ -641,8 +640,6 @@ class SpatialMeasureCondition(Condition):
             locations.extend(
                 e.occurrence_location for e in entities_for(role, binding)
             )
-        if self.constant_location is not None:
-            locations.append(self.constant_location)
         value = space_measure(self.measure)(locations)
         return self.op.apply(value, self.constant)
 
@@ -651,7 +648,6 @@ class SpatialMeasureCondition(Condition):
         compare = self.op.resolve()
         constant = self.constant
         arg_roles = self.arg_roles
-        constant_location = self.constant_location
 
         def run(binding: Binding) -> bool:
             locations: list[SpatialEntity] = []
@@ -659,8 +655,6 @@ class SpatialMeasureCondition(Condition):
                 locations.extend(
                     e.occurrence_location for e in entities_for(role, binding)
                 )
-            if constant_location is not None:
-                locations.append(constant_location)
             return compare(measure(locations), constant)
 
         return run
@@ -671,8 +665,6 @@ class SpatialMeasureCondition(Condition):
 
     def describe(self) -> str:
         args = [f"l({r})" for r in self.arg_roles]
-        if self.constant_location is not None:
-            args.append(repr(self.constant_location))
         return f"{self.measure}({', '.join(args)}) {self.op.value} {self.constant:g}"
 
 

@@ -5,7 +5,7 @@ to turn input entities into event instances:
 
 * **roles with selectors** — the named entity slots of the condition
   (the ``x``, ``y`` of the paper's examples) and which entities may
-  bind them (by kind, layer, region and minimum confidence);
+  bind them (by kind, region and minimum confidence);
 * **a composite condition tree** (Eq. 4.5) over those roles;
 * **an output policy** — the aggregation functions used to derive the
   emitted instance's estimated occurrence time ``t_eo``, location
@@ -29,7 +29,6 @@ from repro.core.composite import ConditionNode, as_node
 from repro.core.conditions import AttributeTerm, Condition
 from repro.core.entity import Entity, confidence_of
 from repro.core.errors import SpecificationError
-from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, PhysicalObservation
 from repro.core.space_model import Field, PointLocation
 
@@ -53,27 +52,21 @@ class EntitySelector:
             the instance's ``event_id``; for physical observations it is
             a sensed-quantity name that must appear among the
             observation's attributes.  ``None`` accepts any kind.
-        layers: Acceptable event-model layers (``None`` = any).
         region: When given, the entity's occurrence location must lie
             inside (points) or intersect (fields) this region.
         min_confidence: Least acceptable observer confidence ``rho``.
     """
 
     kinds: frozenset[str] | None = None
-    layers: frozenset[EventLayer] | None = None
     region: Field | None = None
     min_confidence: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kinds is not None:
             object.__setattr__(self, "kinds", frozenset(self.kinds))
-        if self.layers is not None:
-            object.__setattr__(self, "layers", frozenset(self.layers))
 
     def matches(self, entity: Entity) -> bool:
         """Whether the entity satisfies every selector clause."""
-        if self.layers is not None and self._layer_of(entity) not in self.layers:
-            return False
         if self.kinds is not None and not self._kind_matches(entity):
             return False
         if confidence_of(entity) < self.min_confidence:
@@ -81,13 +74,6 @@ class EntitySelector:
         if self.region is not None and not self._in_region(entity):
             return False
         return True
-
-    def _layer_of(self, entity: Entity) -> EventLayer:
-        if isinstance(entity, PhysicalObservation):
-            return EventLayer.OBSERVATION
-        if isinstance(entity, EventInstance):
-            return entity.layer
-        return EventLayer.PHYSICAL
 
     def _kind_matches(self, entity: Entity) -> bool:
         assert self.kinds is not None
@@ -109,10 +95,10 @@ class EntitySelector:
         """Composed check of the clauses a routing signature cannot decide.
 
         ``EventSpecification`` routes entities by a cheap signature that
-        settles the layers clause (and, for event instances, the kinds
-        clause) up front; this returns a predicate covering only what
-        remains — ``None`` when nothing does, so fully decided selectors
-        cost zero per-entity work.
+        settles the kinds clause of an event instance up front; this
+        returns a predicate covering only what remains — ``None`` when
+        nothing does, so fully decided selectors cost zero per-entity
+        work.
         """
         checks = []
         if kinds_undecided and self.kinds is not None:
@@ -208,7 +194,6 @@ class EventSpecification:
         window: Ticks an input entity stays eligible for binding; 0
             means only co-arriving entities can bind (single-shot).
         output: Recipe for the emitted instance tuple.
-        description: Optional prose for documentation and tracing.
         group_roles: Roles that bind *all* matching entities currently
             in the window as a group (for windowed aggregates such as
             "the average of the last n readings") instead of one entity
@@ -224,7 +209,6 @@ class EventSpecification:
     condition: ConditionNode | Condition
     window: int = 0
     output: OutputPolicy = field(default_factory=OutputPolicy)
-    description: str = ""
     group_roles: frozenset[str] = frozenset()
     cooldown: int = 0
 
@@ -269,9 +253,9 @@ class EventSpecification:
         """Roles whose selector accepts the given entity.
 
         Routed through a per-spec table keyed by the entity's cheap
-        signature — ``(layer, event_id)`` for event instances, one
-        shared bucket for physical observations — so clauses decidable
-        from the signature alone (kinds, layers) are evaluated once per
+        signature — the ``event_id`` of an event instance, one shared
+        bucket for physical observations — so clauses decidable from
+        the signature alone (kinds) are evaluated once per
         distinct signature instead of once per entity per batch.  Roles
         whose selector needs entity state the signature cannot capture
         run only the undecided residual (region, confidence,
@@ -280,7 +264,7 @@ class EventSpecification:
         (pinned by tests and a micro-benchmark).
         """
         if isinstance(entity, EventInstance):
-            sig: object = (entity.layer, entity.event_id)
+            sig: object = entity.event_id
         elif isinstance(entity, PhysicalObservation):
             sig = _OBSERVATION_SIG
         else:
@@ -320,17 +304,9 @@ class EventSpecification:
         for role in self._roles:
             selector = self.selectors[role]
             if sig is _OBSERVATION_SIG:
-                if (
-                    selector.layers is not None
-                    and EventLayer.OBSERVATION not in selector.layers
-                ):
-                    continue
                 check = selector.residual_check(kinds_undecided=True)
             else:
-                layer, event_id = sig
-                if selector.layers is not None and layer not in selector.layers:
-                    continue
-                if selector.kinds is not None and event_id not in selector.kinds:
+                if selector.kinds is not None and sig not in selector.kinds:
                     continue
                 check = selector.residual_check(kinds_undecided=False)
             entries.append((role, check))

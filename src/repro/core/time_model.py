@@ -119,11 +119,6 @@ class TimeInterval:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def is_open(self) -> bool:
-        """True while the interval has started but not yet ended."""
-        return self.end is None
-
-    @property
     def duration(self) -> int:
         """Number of ticks spanned (0 for a degenerate point interval)."""
         if self.end is None:

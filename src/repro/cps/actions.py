@@ -62,7 +62,6 @@ class ActionRule:
         factory: Called with (instance, tick); returns the commands to
             issue.  A ``None`` return means "no action this time"
             (rules may be conditional on instance attributes).
-        min_confidence: Instances below this ``rho`` do not trigger.
         cooldown: Minimum ticks between two firings of this rule
             (guards against command storms from repeated detections).
     """
@@ -71,7 +70,6 @@ class ActionRule:
         self,
         event_id: str,
         factory: CommandFactory,
-        min_confidence: float = 0.0,
         cooldown: int = 0,
     ):
         if not event_id:
@@ -80,7 +78,6 @@ class ActionRule:
             raise ComponentError("cooldown cannot be negative")
         self.event_id = event_id
         self.factory = factory
-        self.min_confidence = min_confidence
         self.cooldown = cooldown
         self._last_fired: int | None = None
         self.fired_count = 0
@@ -90,8 +87,6 @@ class ActionRule:
     ) -> list[ActuatorCommand]:
         """Apply the rule to an instance; return commands (maybe none)."""
         if instance.event_id != self.event_id:
-            return []
-        if instance.confidence < self.min_confidence:
             return []
         if (
             self._last_fired is not None

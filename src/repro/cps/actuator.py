@@ -34,18 +34,11 @@ class Actuator:
     Args:
         actuator_id: Identifier ``AR_id`` (unique on its actor mote).
         kind: The command kind this actuator implements.
-        actuation_ticks: Mechanical delay between receiving a command
-            and the world change taking effect.
     """
 
-    def __init__(self, actuator_id: str, kind: str, actuation_ticks: int = 0):
-        if type(actuation_ticks) is not int or actuation_ticks < 0:
-            raise ComponentError(
-                f"actuation_ticks must be an int >= 0, got {actuation_ticks!r}"
-            )
+    def __init__(self, actuator_id: str, kind: str):
         self.actuator_id = actuator_id
         self.kind = kind
-        self.actuation_ticks = actuation_ticks
         self.executed: list[ExecutedCommand] = []
 
     def can_execute(self, command: ActuatorCommand) -> bool:

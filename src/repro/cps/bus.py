@@ -9,8 +9,9 @@ Cyber Events").
 :class:`EventBus` implements topic-based pub/sub with the filters the
 event model makes natural: event kind, layer, spatial region of the
 estimated occurrence, and minimum confidence.  Deliveries are scheduled
-on the simulator with the bus latency, so subscription delivery
-participates in the end-to-end latency analysis.
+on the simulator one tick after the publish (the end-to-end latency
+analysis's ``bus_latency`` term), so subscription delivery takes part
+in it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.core.errors import ComponentError
 from repro.core.event import EventLayer
 from repro.core.instance import EventInstance
 from repro.core.space_model import Field, PointLocation
@@ -62,26 +62,15 @@ class Subscription:
 class EventBus:
     """Topic/region/confidence-filtered pub/sub over the CPS network.
 
+    A delivery arrives one tick after its publish.
+
     Args:
         sim: Simulation kernel (deliveries are scheduled on it).
-        latency: Ticks between publish and delivery.
         trace: Optional trace recorder.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: int = 1,
-        trace: TraceRecorder | None = None,
-    ):
-        # Refused here, not by the kernel at the first publish: by then
-        # the publish is counted and traced.
-        if type(latency) is not int or latency < 0:
-            raise ComponentError(
-                f"bus latency must be an int >= 0, got {latency!r}"
-            )
+    def __init__(self, sim: Simulator, trace: TraceRecorder | None = None):
         self.sim = sim
-        self.latency = latency
         self.trace = trace
         self._subscriptions: list[Subscription] = []
         self.published_count = 0
@@ -128,7 +117,7 @@ class EventBus:
                 self.delivered_count += 1
                 sub.callback(instance)
 
-            self.sim.schedule(self.latency, deliver)
+            self.sim.schedule(1, deliver)
         return len(matched)
 
     @property

@@ -18,14 +18,14 @@ optional transceiver."  The :class:`SensorMote`:
   walks the routing tree through them).
 
 The :class:`ActorMote` is the actuation-side counterpart: it receives
-actuator commands and executes them against the physical world after
-the actuator's mechanical delay.
+actuator commands and executes them against the physical world later
+in the same tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.errors import ComponentError
 from repro.core.event import EventLayer
@@ -61,8 +61,8 @@ class IntervalEventConfig:
 
     The mote watches one sensed quantity against a threshold; the
     predicate's rising edge opens the interval, its falling edge closes
-    it.  The closed interval (optionally also the opening) is emitted as
-    an interval :class:`SensorEventInstance` whose ``t_eo`` is the full
+    it.  The closed interval is emitted as an interval
+    :class:`SensorEventInstance` whose ``t_eo`` is the full
     :class:`~repro.core.time_model.TimeInterval`.
 
     Args:
@@ -72,8 +72,6 @@ class IntervalEventConfig:
         threshold: Predicate constant.
         min_duration: Minimum interval length to report (ticks).
         gap_tolerance: Dropout length bridged without closing (ticks).
-        emit_open: Also emit an instance when the interval opens (with
-            an open-ended ``t_eo``).
         noise_sigma: Sensor noise used to derive the instance
             confidence from the measurement margin (0 = always 1.0).
     """
@@ -84,7 +82,6 @@ class IntervalEventConfig:
     threshold: float
     min_duration: int = 0
     gap_tolerance: int = 0
-    emit_open: bool = False
     noise_sigma: float = 0.0
 
 
@@ -210,9 +207,7 @@ class SensorMote(ObserverComponent):
                 self._active_values[config.event_id] = value
             builder = self._builders[config.event_id]
             for transition in builder.update(config.event_id, active, tick):
-                if transition.kind is TransitionKind.OPENED and config.emit_open:
-                    self._emit_interval(config, transition.interval, value)
-                elif transition.kind is TransitionKind.CLOSED:
+                if transition.kind is TransitionKind.CLOSED:
                     self._emit_interval(config, transition.interval, value)
 
     def _emit_interval(
@@ -243,9 +238,7 @@ class SensorMote(ObserverComponent):
             generated_location=self.location,
             estimated_time=interval,
             estimated_location=self.location,
-            attributes={config.quantity: margin_value, "phase": (
-                "open" if interval.is_open else "closed"
-            )},
+            attributes={config.quantity: margin_value, "phase": "closed"},
             confidence=rho,
             layer=EventLayer.SENSOR,
         )
@@ -271,8 +264,6 @@ class ActorMote(ObserverComponent):
         sim: Simulation kernel.
         world: The physical world commands act on.
         actuators: Installed actuation devices.
-        on_executed: Optional callback after each execution (Figure 1's
-            "Publish Executed Actuator Commands").
         trace: Optional trace recorder.
     """
 
@@ -283,7 +274,6 @@ class ActorMote(ObserverComponent):
         sim: Simulator,
         world: PhysicalWorld,
         actuators: Sequence[Actuator],
-        on_executed: Callable[[ActuatorCommand, int], None] | None = None,
         trace: TraceRecorder | None = None,
     ):
         super().__init__(
@@ -300,7 +290,6 @@ class ActorMote(ObserverComponent):
             raise ComponentError(f"actor mote {name!r} has no actuators")
         self.world = world
         self.actuators = list(actuators)
-        self.on_executed = on_executed
 
     def receive_command(self, command: ActuatorCommand) -> None:
         """Queue a command for execution on a matching actuator."""
@@ -320,7 +309,5 @@ class ActorMote(ObserverComponent):
                 issued=command.issued_tick,
                 latency=self.sim.tick - command.issued_tick,
             )
-            if self.on_executed is not None:
-                self.on_executed(command, self.sim.tick)
 
-        self.sim.schedule(actuator.actuation_ticks, execute)
+        self.sim.schedule(0, execute)

@@ -7,8 +7,8 @@ type of sensor is associated with a single physical phenomenon."
 
 A :class:`Sensor` samples one quantity from the
 :class:`~repro.physical.world.PhysicalWorld` with a Gaussian noise
-model, optional bias, quantization and failure probability; it returns
-a :class:`~repro.core.instance.PhysicalObservation` (Eq. 5.2).  Note a
+model and a failure probability; it returns a
+:class:`~repro.core.instance.PhysicalObservation` (Eq. 5.2).  Note a
 sensor is *not* an observer (Definition 4.3): it produces observations,
 never event instances — that is the mote's job.
 
@@ -37,8 +37,6 @@ class Sensor:
         quantity: The sensed phenomenon name (must match a registered
             world field, e.g. ``"temperature"``).
         noise_sigma: Std-dev of additive Gaussian measurement noise.
-        bias: Constant measurement offset.
-        resolution: Quantization step (0 = continuous).
         failure_probability: Chance a sample attempt yields nothing.
         rng: Dedicated random stream for this sensor.
     """
@@ -49,12 +47,10 @@ class Sensor:
         quantity: str,
         rng: random.Random,
         noise_sigma: float = 0.0,
-        bias: float = 0.0,
-        resolution: float = 0.0,
         failure_probability: float = 0.0,
     ):
-        if noise_sigma < 0 or resolution < 0:
-            raise ComponentError("noise_sigma and resolution must be >= 0")
+        if noise_sigma < 0:
+            raise ComponentError("noise_sigma must be >= 0")
         if not 0.0 <= failure_probability < 1.0:
             raise ComponentError(
                 f"failure probability {failure_probability} not in [0, 1)"
@@ -62,18 +58,14 @@ class Sensor:
         self.sensor_id = sensor_id
         self.quantity = quantity
         self.noise_sigma = noise_sigma
-        self.bias = bias
-        self.resolution = resolution
         self.failure_probability = failure_probability
         self._rng = rng
         self._seq = 0
 
     def _degrade(self, true_value: float) -> float:
-        value = true_value + self.bias
+        value = float(true_value)
         if self.noise_sigma > 0:
             value += self._rng.gauss(0.0, self.noise_sigma)
-        if self.resolution > 0:
-            value = round(value / self.resolution) * self.resolution
         return value
 
     def true_value(

@@ -56,9 +56,6 @@ class CPSSystem:
 
     Args:
         seed: Root random seed (all component streams derive from it).
-        bus_latency: Event bus delivery latency in ticks.
-        backbone_latency: Wired backbone latency in ticks.
-        world_step_period: Ticks between physical-world dynamics steps.
         use_planner: Evaluation mode of every observer's
             :class:`~repro.detect.engine.DetectionEngine` (motes, sinks
             and CCUs alike).  ``False`` runs the exhaustive baseline;
@@ -69,22 +66,14 @@ class CPSSystem:
     def __init__(
         self,
         seed: int = 0,
-        bus_latency: int = 1,
-        backbone_latency: int = 1,
-        world_step_period: int = 1,
         use_planner: bool = True,
     ):
-        if world_step_period < 1:
-            raise ComponentError("world step period must be >= 1")
         self.use_planner = use_planner
         self.sim = Simulator(seed)
         self.trace = TraceRecorder()
         self.world = PhysicalWorld()
-        self.bus = EventBus(self.sim, latency=bus_latency, trace=self.trace)
-        self.backbone = WiredBackbone(
-            self.sim, latency=backbone_latency, trace=self.trace
-        )
-        self.world_step_period = world_step_period
+        self.bus = EventBus(self.sim, trace=self.trace)
+        self.backbone = WiredBackbone(self.sim, trace=self.trace)
         self.sensor_network: WirelessNetwork | None = None
         self.motes: dict[str, SensorMote] = {}
         self.sinks: dict[str, SinkNode] = {}
@@ -314,12 +303,13 @@ class CPSSystem:
     # -- runtime ---------------------------------------------------------
 
     def start(self) -> None:
-        """Start sampling and world dynamics (idempotent guard)."""
+        """Start sampling and world dynamics, which step every tick
+        (idempotent guard)."""
         if self._started:
             raise ComponentError("system already started")
         self._started = True
         self.sim.every(
-            self.world_step_period,
+            1,
             lambda: self.world.step(self.sim.tick),
             start=self.sim.tick + 1,
             priority=PRIORITY_WORLD,

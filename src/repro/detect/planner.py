@@ -20,8 +20,6 @@ shape maps onto a column comparison of the role's
   rows farther than ``d`` from the pinned role's location are rejected;
 * ``SpatialMeasureCondition("distance", (a, b), >|>=, d)`` — *beyond*:
   rows nearer than ``d`` to the pinned role's location are rejected;
-* ``SpatialMeasureCondition("distance", (r,), <|<=, d, constant_location=p)``
-  — *near-constant*: rows farther than ``d`` from the constant point;
 * ``SpatialCondition(LocationOf(r) INSIDE LocationConst(field))`` (and
   the mirrored ``CONTAINS`` form) — *region*: rows outside the field's
   bounding box, then the exact containment test on the survivors;
@@ -104,15 +102,6 @@ class RegionClause:
 
     role: str
     region: Field
-
-
-@dataclass(frozen=True)
-class NearConstantClause:
-    """Necessary clause: the role's point lies within radius of a point."""
-
-    role: str
-    point: PointLocation
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -216,20 +205,13 @@ class EvaluationPlan:
     distances: tuple[DistanceClause, ...] = ()
     beyonds: tuple[DistanceClause, ...] = ()
     regions: tuple[RegionClause, ...] = ()
-    near_constants: tuple[NearConstantClause, ...] = ()
     orders: tuple[OrderClause, ...] = ()
     decisive: bool = False
 
     @property
     def prunable(self) -> bool:
         """Whether any clause was extracted (else: exhaustive fallback)."""
-        return bool(
-            self.distances
-            or self.beyonds
-            or self.regions
-            or self.near_constants
-            or self.orders
-        )
+        return bool(self.distances or self.beyonds or self.regions or self.orders)
 
     def describe(self) -> str:
         """Human-readable clause summary (for tracing and docs)."""
@@ -237,10 +219,6 @@ class EvaluationPlan:
             *(f"dist({c.role_a},{c.role_b})<={c.radius:g}" for c in self.distances),
             *(f"dist({c.role_a},{c.role_b})>={c.radius:g}" for c in self.beyonds),
             *(f"{c.role} in {c.region!r}" for c in self.regions),
-            *(
-                f"dist({c.role},{c.point!r})<={c.radius:g}"
-                for c in self.near_constants
-            ),
             *(f"{c.earlier}+{c.slack} before {c.later}" for c in self.orders),
         ]
         return " & ".join(parts) if parts else "<exhaustive>"
@@ -265,11 +243,10 @@ class EvaluationPlan:
           a clause path, so the sum of all clause radii bounds their
           distance;
         * otherwise each distance-connected component must carry a
-          static anchor (a :class:`RegionClause` or
-          :class:`NearConstantClause`): the component is then confined
-          to the anchor's bounding box inflated by the component's
-          radius sum, and the diagonal of the union's bounding box
-          bounds every cross-component distance;
+          static anchor (a :class:`RegionClause`): the component is
+          then confined to the anchor's bounding box inflated by the
+          component's radius sum, and the diagonal of the union's
+          bounding box bounds every cross-component distance;
         * any unanchored, unconnected role can match anywhere —
           ``None`` (the router falls back to broadcast).
 
@@ -310,12 +287,6 @@ class EvaluationPlan:
             box = clause.region.bounding_box()
             if root not in anchors or box.area() < anchors[root].area():
                 anchors[root] = box
-        for clause in self.near_constants:
-            root = find(clause.role)
-            p, r = clause.point, clause.radius
-            box = BoundingBox(p.x - r, p.y - r, p.x + r, p.y + r)
-            if root not in anchors or box.area() < anchors[root].area():
-                anchors[root] = box
         if roots - set(anchors):
             return None
         inflated = [
@@ -354,12 +325,6 @@ class EvaluationPlan:
             return True  # field-located entities are never pruned
         for clause in self.regions:
             if clause.role == role and not clause.region.contains_point(location):
-                return False
-        for clause in self.near_constants:
-            if (
-                clause.role == role
-                and location.distance_to(clause.point) > clause.radius
-            ):
                 return False
         return True
 
@@ -410,10 +375,6 @@ class EvaluationPlan:
                 if proofs is not None:
                     bound = nearer_sq(radius) if within else farther_sq(radius)
                     proofs.append((squared, bound, within))
-        for clause in self.near_constants:
-            if clause.role == role:
-                squared = window.distance_sq(clause.point)
-                masks.append(squared > farther_sq(clause.radius))
         regions = [c.region for c in self.regions if c.role == role]
         for region in regions:
             masks.append(window.outside(region.bounding_box()))
@@ -466,7 +427,6 @@ def compile_plan(spec: EventSpecification) -> EvaluationPlan:
     distances: list[DistanceClause] = []
     beyonds: list[DistanceClause] = []
     regions: list[RegionClause] = []
-    near_constants: list[NearConstantClause] = []
     orders: list[OrderClause] = []
 
     leaves = _conjunctive_leaves(spec.condition)
@@ -479,24 +439,12 @@ def compile_plan(spec: EventSpecification) -> EvaluationPlan:
             roles = cond.arg_roles
             if (
                 (within or beyond)
-                and cond.constant_location is None
                 and len(roles) == 2
                 and roles[0] != roles[1]
                 and set(roles) <= singles
             ):
                 (distances if within else beyonds).append(
                     DistanceClause(roles[0], roles[1], cond.constant)
-                )
-            elif (
-                within
-                and isinstance(cond.constant_location, PointLocation)
-                and len(roles) == 1
-                and roles[0] in singles
-            ):
-                near_constants.append(
-                    NearConstantClause(
-                        roles[0], cond.constant_location, cond.constant
-                    )
                 )
         elif isinstance(cond, SpatialCondition):
             if (
@@ -539,7 +487,6 @@ def compile_plan(spec: EventSpecification) -> EvaluationPlan:
         distances=tuple(distances),
         beyonds=tuple(beyonds),
         regions=tuple(regions),
-        near_constants=tuple(near_constants),
         orders=tuple(orders),
         decisive=(
             len(singles) == len(spec.roles) == 2

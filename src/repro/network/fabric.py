@@ -10,8 +10,8 @@ adds wake-up waits, and every delivery/drop is traced for the latency
 analyses.
 
 The *wired* CPS backbone of Figure 1 (sink <-> CCU <-> database) is
-modelled by :class:`WiredBackbone` — reliable delivery with a fixed
-latency — since the paper treats it as a conventional network.
+modelled by :class:`WiredBackbone` — reliable delivery one tick after
+a send — since the paper treats it as a conventional network.
 """
 
 from __future__ import annotations
@@ -206,28 +206,15 @@ class WiredBackbone:
 
     Sink nodes, CCUs and database servers talk over conventional
     networking; the paper's latency concern is the WSN, so the backbone
-    is modelled as lossless with constant delay.
+    is modelled as lossless with a delay of one tick.
 
     Args:
         sim: The simulation kernel.
-        latency: Ticks per delivery.
         trace: Optional recorder.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: int = 1,
-        trace: TraceRecorder | None = None,
-    ):
-        # Refused here, not by the kernel at the first send: by then the
-        # packet has taken an id.
-        if type(latency) is not int or latency < 0:
-            raise NetworkError(
-                f"backbone latency must be an int >= 0, got {latency!r}"
-            )
+    def __init__(self, sim: Simulator, trace: TraceRecorder | None = None):
         self.sim = sim
-        self.latency = latency
         self.trace = trace
         self._handlers: dict[str, ReceiveHandler] = {}
         self.delivered_count = 0
@@ -241,7 +228,7 @@ class WiredBackbone:
 
     def send(self, src: str, dst: str, payload: object, kind: PacketKind,
              size_bytes: int = 256) -> Packet:
-        """Deliver reliably after the fixed latency."""
+        """Deliver reliably one tick later."""
         if dst not in self._handlers:
             raise NetworkError(f"unknown backbone endpoint {dst!r}")
         packet = Packet(
@@ -267,5 +254,5 @@ class WiredBackbone:
                 )
             self._handlers[dst](packet)
 
-        self.sim.schedule(self.latency, deliver, priority=PRIORITY_NETWORK)
+        self.sim.schedule(1, deliver, priority=PRIORITY_NETWORK)
         return packet

@@ -36,8 +36,6 @@ class LinkModel:
         backoff_ticks: Upper bound of the uniform random backoff added
             per attempt (models contention).
         max_retries: Attempts before the packet is dropped.
-        processing_ticks: Fixed receive/forward processing time added
-            once per successful hop.
     """
 
     def __init__(
@@ -46,17 +44,15 @@ class LinkModel:
         transmission_ticks: int = 1,
         backoff_ticks: int = 2,
         max_retries: int = 3,
-        processing_ticks: int = 0,
     ):
         if transmission_ticks < 1:
             raise NetworkError("transmission_ticks must be >= 1")
-        if backoff_ticks < 0 or max_retries < 1 or processing_ticks < 0:
+        if backoff_ticks < 0 or max_retries < 1:
             raise NetworkError("invalid link model parameters")
         self._rng = rng
         self.transmission_ticks = transmission_ticks
         self.backoff_ticks = backoff_ticks
         self.max_retries = max_retries
-        self.processing_ticks = processing_ticks
 
     def attempt_hop(self, prr: float) -> HopOutcome:
         """Simulate one hop over a link with the given PRR."""
@@ -68,7 +64,7 @@ class LinkModel:
             if self.backoff_ticks:
                 delay += self._rng.randint(0, self.backoff_ticks)
             if self._rng.random() < prr:
-                return HopOutcome(True, attempt, delay + self.processing_ticks)
+                return HopOutcome(True, attempt, delay)
         return HopOutcome(False, self.max_retries, delay)
 
     def expected_hop_delay(self, prr: float) -> float:
@@ -76,8 +72,7 @@ class LinkModel:
 
         Expected attempts for success (truncated geometric, conditioned
         on success within ``max_retries``) times the mean per-attempt
-        time, plus processing.  Falls back to the retry cap for
-        unusable links.
+        time.  Falls back to the retry cap for unusable links.
         """
         per_attempt = self.transmission_ticks + self.backoff_ticks / 2.0
         if prr <= 0.0:
@@ -91,10 +86,4 @@ class LinkModel:
         expected_attempts = (
             sum(k * prr * q ** (k - 1) for k in range(1, n + 1)) / p_success
         )
-        return expected_attempts * per_attempt + self.processing_ticks
-
-    def delivery_probability(self, prr: float) -> float:
-        """Probability a hop succeeds within the retry budget."""
-        if not 0.0 <= prr <= 1.0:
-            raise NetworkError(f"prr {prr} not in [0, 1]")
-        return 1.0 - (1.0 - prr) ** self.max_retries
+        return expected_attempts * per_attempt

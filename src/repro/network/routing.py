@@ -26,16 +26,9 @@ class RoutingTree:
     Args:
         topology: The network topology.
         roots: Sink / dispatch node names (must exist in the topology).
-        weight: Edge attribute to minimize — ``"etx"`` (default,
-            quality-aware) or ``"hops"`` for pure hop count.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        roots: Iterable[str],
-        weight: str = "etx",
-    ):
+    def __init__(self, topology: Topology, roots: Iterable[str]):
         self.topology = topology
         self.roots = tuple(sorted(set(roots)))
         if not self.roots:
@@ -43,21 +36,17 @@ class RoutingTree:
         for root in self.roots:
             if root not in topology:
                 raise RoutingError(f"root {root!r} is not in the topology")
-        if weight not in ("etx", "hops"):
-            raise RoutingError(f"unknown weight {weight!r}; use 'etx' or 'hops'")
-        self.weight = weight
         self._paths: dict[str, list[str]] = {}
         self._compute()
 
     def _compute(self) -> None:
         graph = self.topology.graph
-        weight_attr = None if self.weight == "hops" else self.weight
         best_cost: dict[str, float] = {}
         best_path: dict[str, list[str]] = {}
         for root in self.roots:
             try:
                 costs, paths = nx.single_source_dijkstra(
-                    graph, root, weight=weight_attr
+                    graph, root, weight="etx"
                 )
             except nx.NodeNotFound:  # pragma: no cover - guarded in __init__
                 raise RoutingError(f"root {root!r} missing from graph") from None
@@ -87,11 +76,8 @@ class RoutingTree:
 
     def point_to_point(self, src: str, dst: str) -> list[str]:
         """Cheapest path between two arbitrary nodes (for CCU links)."""
-        weight_attr = None if self.weight == "hops" else self.weight
         try:
-            return nx.shortest_path(
-                self.topology.graph, src, dst, weight=weight_attr
-            )
+            return nx.shortest_path(self.topology.graph, src, dst, weight="etx")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             raise RoutingError(f"no path from {src!r} to {dst!r}") from None
 

@@ -1,8 +1,8 @@
 """Node placement and connectivity graphs for sensor/actor networks.
 
 A :class:`Topology` holds named node positions and derives the
-connectivity graph induced by a radio model (edges where the PRR clears
-a floor).  :func:`grid_topology` builds the regular grid every
+connectivity graph induced by a radio model (edges where the PRR is at
+least 0.1).  :func:`grid_topology` builds the regular grid every
 scenario deploys; any other placement is a ``{name: position}`` mapping
 handed to :class:`Topology` directly.
 
@@ -26,6 +26,9 @@ __all__ = [
     "grid_topology",
 ]
 
+_PRR_FLOOR = 0.1
+"""Minimum PRR for an edge to exist."""
+
 
 class Topology:
     """Named node positions plus the radio-induced connectivity graph.
@@ -33,22 +36,13 @@ class Topology:
     Args:
         positions: Node name -> location.
         radio: Radio model inducing links.
-        prr_floor: Minimum PRR for an edge to exist.
     """
 
-    def __init__(
-        self,
-        positions: Mapping[str, PointLocation],
-        radio: RadioModel,
-        prr_floor: float = 0.1,
-    ):
+    def __init__(self, positions: Mapping[str, PointLocation], radio: RadioModel):
         if not positions:
             raise NetworkError("topology needs at least one node")
-        if not 0.0 < prr_floor <= 1.0:
-            raise NetworkError(f"prr_floor {prr_floor} not in (0, 1]")
         self._positions = dict(positions)
         self.radio = radio
-        self.prr_floor = prr_floor
         self._graph = self._build_graph()
 
     def _build_graph(self) -> nx.Graph:
@@ -58,7 +52,7 @@ class Topology:
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 prr = self.radio.prr(self._positions[a], self._positions[b])
-                if prr >= self.prr_floor:
+                if prr >= _PRR_FLOOR:
                     graph.add_edge(a, b, prr=prr, etx=1.0 / prr)
         return graph
 
@@ -100,7 +94,6 @@ def grid_topology(
     radio: RadioModel,
     origin: PointLocation = PointLocation(0.0, 0.0),
     prefix: str = "MT",
-    prr_floor: float = 0.1,
 ) -> Topology:
     """Regular ``rows`` x ``cols`` grid named ``{prefix}{r}_{c}``."""
     if rows < 1 or cols < 1:
@@ -112,4 +105,4 @@ def grid_topology(
         for r in range(rows)
         for c in range(cols)
     }
-    return Topology(positions, radio, prr_floor)
+    return Topology(positions, radio)

@@ -178,17 +178,6 @@ class StageTrace:
     def exit(self, stage: Stage, tick: int) -> None:
         self._stamps[_STAGE_SLOT[stage] + 1] = tick
 
-    def span(self, stage: Stage) -> tuple[int | None, int | None]:
-        slot = _STAGE_SLOT[stage]
-        return (self._stamps[slot], self._stamps[slot + 1])
-
-    def residency(self, stage: Stage) -> int | None:
-        """Ticks spent in a stage (``None`` until both stamps exist)."""
-        enter, exit_ = self.span(stage)
-        if enter is None or exit_ is None:
-            return None
-        return exit_ - enter
-
     def stamp_admitted(self, arrival_tick: int, now: int | None) -> None:
         """Fused admission stamps: ADMISSION spans arrival → the clearing
         step ``now`` (non-zero = deferral cost; no step clock yet = the

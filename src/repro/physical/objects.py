@@ -1,15 +1,12 @@
 """Physical objects: the things events describe.
 
 Definition 4.1 speaks of "the state of one or more objects ... in the
-physical world".  A :class:`PhysicalObject` couples an identity, a
-trajectory and a bag of intrinsic attributes; the world tracks them so
-ground-truth extraction and range sensors can query "where is user A
-now?".
+physical world".  A :class:`PhysicalObject` couples an identity and a
+trajectory; the world tracks them so ground-truth extraction and range
+sensors can query "where is user A now?".
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from repro.core.space_model import PointLocation
 from repro.physical.mobility import StaticPosition, Trajectory
@@ -18,26 +15,19 @@ __all__ = ["PhysicalObject"]
 
 
 class PhysicalObject:
-    """A named object with a position over time and static attributes.
+    """A named object with a position over time.
 
     Args:
         name: Unique object name ("userA", "windowB").
         trajectory: Motion model; a bare :class:`PointLocation` may be
             passed for stationary objects.
-        attributes: Intrinsic attributes (mass, category, owner ...).
     """
 
-    def __init__(
-        self,
-        name: str,
-        trajectory: Trajectory | PointLocation,
-        attributes: Mapping[str, object] | None = None,
-    ):
+    def __init__(self, name: str, trajectory: Trajectory | PointLocation):
         self.name = name
         if isinstance(trajectory, PointLocation):
             trajectory = StaticPosition(trajectory)
         self.trajectory = trajectory
-        self.attributes = dict(attributes or {})
 
     def position(self, tick: int) -> PointLocation:
         """The object's true position at ``tick``."""

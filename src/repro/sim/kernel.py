@@ -183,38 +183,24 @@ class Simulator:
 
     # -- run loop ----------------------------------------------------
 
-    def _drain(self, until: int | None, limit: int) -> int:
-        """Fire due callbacks in queue order; return how many ran.
-
-        Stops at the first entry later than ``until`` or after ``limit``
-        callbacks (negative: no limit).
-        """
+    def _drain(self, until: int | None) -> None:
+        """Fire due callbacks in queue order, up to the first entry
+        later than ``until``."""
         queue = self._queue
         pop = heapq.heappop
-        fired = 0
-        while queue and fired != limit:
+        while queue:
             tick = queue[0][0]
             if until is not None and tick > until:
                 break
             handle = pop(queue)[3]
             self._tick = tick
             self._processed += 1
-            fired += 1
             if handle._every is None:
                 handle._callback()
             elif handle._callback() is not False:
                 period, priority = handle._every
                 handle.tick = self._tick + period
                 self._push(handle, priority)
-        return fired
-
-    def step(self) -> bool:
-        """Execute the next pending callback.
-
-        Returns:
-            ``True`` if a callback ran, ``False`` if the queue is empty.
-        """
-        return self._drain(None, 1) == 1
 
     def run(self, until: int | None = None) -> int:
         """Run until the queue drains or ``until`` is reached.
@@ -238,7 +224,7 @@ class Simulator:
             )
         self._running = True
         try:
-            self._drain(until, -1)
+            self._drain(until)
         finally:
             self._running = False
         if until is not None:

@@ -34,10 +34,8 @@ class TokenBucket:
     burst: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ObserverError(f"token rate must be positive: {self.rate}")
-        if self.burst < 1:
-            raise ObserverError(f"burst must be at least 1: {self.burst}")
+        # AdmissionLimits has refused a non-positive rate and a burst
+        # below 1 before any bucket is built.
         self._tokens = float(self.burst)
         self._last_tick: int | None = None
 

@@ -22,7 +22,6 @@ def model(**kwargs):
         sampling_period=10,
         link=link(),
         prr=0.9,
-        mote_processing=1,
         sink_processing=1,
         bus_latency=1,
         ccu_processing=1,
@@ -35,7 +34,7 @@ class TestEdlModel:
     def test_breakdown_composition(self):
         breakdown = model().breakdown(hops=3)
         assert breakdown.sampling == 5.0
-        assert breakdown.sensor_edl == 6.0
+        assert breakdown.sensor_edl == 5.0
         assert breakdown.cyber_physical_edl == pytest.approx(
             breakdown.sensor_edl + breakdown.network + 1.0
         )
@@ -72,6 +71,10 @@ class TestEdlModel:
             assert m.worst_cp_edl(hops) >= m.expected_cp_edl(hops)
             assert m.worst_cyber_edl(hops) >= m.expected_cyber_edl(hops)
 
+    def test_worst_hop_spends_the_wait_and_every_retry(self):
+        # (period - 1) wait + 3 retries of (1 transmission + 2 backoff).
+        assert model(mac=DutyCycleMac(5)).worst_hop_delay() == 13.0
+
     def test_tree_average(self):
         m = model()
         histogram = {0: 1, 1: 4, 2: 4}  # root ignored
@@ -82,11 +85,6 @@ class TestEdlModel:
     def test_tree_average_requires_motes(self):
         with pytest.raises(AnalysisError):
             model().expected_cp_edl_over_tree({0: 1})
-
-    def test_delivery_probability(self):
-        m = model(prr=0.5, link=link(max_retries=3))
-        per_hop = 1 - 0.5**3
-        assert m.path_delivery_probability(2) == pytest.approx(per_hop**2)
 
     def test_validation(self):
         with pytest.raises(AnalysisError):
@@ -102,7 +100,6 @@ class TestEndToEndModel:
         defaults = dict(
             edl=model(),
             backbone_latency=2,
-            actor_prr=0.9,
             actuation_ticks=3,
         )
         defaults.update(kwargs)
@@ -122,19 +119,24 @@ class TestEndToEndModel:
         three = e2e.expected_command_delay(3)
         assert two - one == pytest.approx(three - two)
 
+    @pytest.mark.parametrize("actor_hops", [0, 1, 3])
+    def test_actor_hop_is_a_loss_free_always_on_link_hop(self, actor_hops):
+        # backbone 2 + hops * (1 transmission + 2/2 backoff) + actuation 3
+        e2e = self.make()
+        assert e2e.expected_command_delay(actor_hops) == 5 + 2 * actor_hops
+
+    @pytest.mark.parametrize("actor_hops", [1, 4])
+    def test_worst_actor_hop_spends_every_retry(self, actor_hops):
+        # 3 retries of (1 transmission + 2 backoff), no MAC wait.
+        e2e = self.make()
+        assert e2e.worst_total(2, actor_hops) - e2e.worst_total(2, 0) == (
+            9 * actor_hops
+        )
+
     def test_worst_bounds_expected(self):
         e2e = self.make()
         assert e2e.worst_total(2, 2) >= e2e.expected_total(2, 2)
 
-    def test_delivery_probability_composes(self):
-        e2e = self.make(actor_prr=0.5)
-        combined = e2e.delivery_probability(sensor_hops=1, actor_hops=1)
-        sense = model().path_delivery_probability(1)
-        act = e2e.actor_link.delivery_probability(0.5)
-        assert combined == pytest.approx(sense * act)
-
     def test_validation(self):
-        with pytest.raises(AnalysisError):
-            self.make(actor_prr=0.0)
         with pytest.raises(AnalysisError):
             self.make().expected_command_delay(-1)

@@ -1,5 +1,7 @@
 """Unit tests for the ECA baseline engine."""
 
+import pytest
+
 from repro.baselines.eca import EcaEngine, EcaRule
 from repro.core.instance import PhysicalObservation
 from repro.core.operators import RelationalOp
@@ -26,14 +28,6 @@ class TestEcaEngine:
         engine = EcaEngine([EcaRule("hot", "temperature", RelationalOp.GT, 50.0)])
         assert engine.submit(obs(40.0), now=5) == []
 
-    def test_action_callback(self):
-        fired = []
-        rule = EcaRule(
-            "hot", "temperature", RelationalOp.GT, 50.0, action=fired.append
-        )
-        EcaEngine([rule]).submit(obs(60.0), now=1)
-        assert len(fired) == 1
-
     def test_missing_attribute_is_non_match(self):
         engine = EcaEngine([EcaRule("hot", "humidity", RelationalOp.GT, 0.0)])
         assert engine.submit(obs(), now=0) == []
@@ -44,6 +38,17 @@ class TestEcaEngine:
         engine.submit(obs(70.0), now=1)
         assert len(engine.fired("hot")) == 2
         assert engine.fired("unknown") == []
+
+    def test_fired_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            EcaRule("hot", "temperature", RelationalOp.GT, 50.0, fired=[])
+
+    def test_each_rule_keeps_its_own_history(self):
+        hot = EcaRule("hot", "temperature", RelationalOp.GT, 50.0)
+        cold = EcaRule("cold", "temperature", RelationalOp.LT, 50.0)
+        EcaEngine([hot, cold]).submit(obs(60.0), now=2)
+        assert [t.rule_name for t in hot.fired] == ["hot"]
+        assert cold.fired == []
 
     def test_point_semantics_loses_occurrence_time(self):
         # The defining ECA limitation: the trigger time is the processing

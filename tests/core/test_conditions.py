@@ -253,17 +253,6 @@ class TestSpatialMeasureCondition:
         assert cond.evaluate({"x": obs(x=0, y=0), "y": obs(mote="MT2", x=3, y=0)})
         assert not cond.evaluate({"x": obs(x=0, y=0), "y": obs(mote="MT2", x=9, y=0)})
 
-    def test_distance_to_constant_location(self):
-        cond = SpatialMeasureCondition(
-            "distance",
-            ("x",),
-            RelationalOp.LE,
-            5.0,
-            constant_location=PointLocation(10, 0),
-        )
-        assert cond.evaluate({"x": obs(x=6, y=0)})
-        assert not cond.evaluate({"x": obs(x=0, y=0)})
-
     def test_diameter_three_roles(self):
         cond = SpatialMeasureCondition(
             "diameter", ("a", "b", "c"), RelationalOp.LT, 10.0

@@ -58,11 +58,15 @@ class TestEntitySelector:
         assert selector.matches(obs("temperature"))
         assert not selector.matches(obs("humidity"))
 
-    def test_layer_filter(self):
-        selector = EntitySelector(layers={EventLayer.CYBER_PHYSICAL})
-        assert selector.matches(instance(layer=EventLayer.CYBER_PHYSICAL))
-        assert not selector.matches(instance(layer=EventLayer.SENSOR))
-        assert not selector.matches(obs())  # observations are OBSERVATION layer
+    @pytest.mark.parametrize(
+        "layer",
+        [EventLayer.SENSOR, EventLayer.CYBER_PHYSICAL, EventLayer.CYBER],
+        ids=lambda layer: layer.name.lower(),
+    )
+    def test_kind_selector_matches_every_layer(self, layer):
+        selector = EntitySelector(kinds={"hot"})
+        assert selector.matches(instance("hot", layer=layer))
+        assert not selector.matches(instance("cold", layer=layer))
 
     def test_region_filter_point(self):
         selector = EntitySelector(region=Circle(PointLocation(0, 0), 5))
@@ -218,7 +222,7 @@ class TestSelectorRouting:
         return EventSpecification(
             event_id="routed",
             selectors={
-                "a": EntitySelector(kinds={"hot"}, layers={EventLayer.SENSOR}),
+                "a": EntitySelector(kinds={"hot"}),
                 "b": EntitySelector(kinds={"hot", "cold"}),
                 "c": EntitySelector(),  # accepts anything
                 "d": EntitySelector(
@@ -263,7 +267,7 @@ class TestSelectorRouting:
             event_id="static",
             selectors={
                 "a": EntitySelector(kinds={"hot"}),
-                "b": EntitySelector(layers={EventLayer.SENSOR}),
+                "b": EntitySelector(),
             },
             condition=AttributeCondition(
                 "last", (AttributeTerm("a", "hot"),), RelationalOp.GT, 0.0

@@ -62,7 +62,6 @@ class TestTimeInterval:
 
     def test_open_interval_has_no_duration(self):
         open_iv = TimeInterval(TimePoint(3), None)
-        assert open_iv.is_open
         with pytest.raises(TemporalError):
             _ = open_iv.duration
 

@@ -50,16 +50,19 @@ def instance(event_id="hot", seq=0, tick=10, x=0.0, y=0.0, rho=0.9,
 class TestEventBus:
     def test_publish_delivers_after_latency(self):
         sim = Simulator()
-        bus = EventBus(sim, latency=3)
+        trace = TraceRecorder()
+        bus = EventBus(sim, trace=trace)
         got = []
         bus.subscribe("db", lambda i: got.append((sim.tick, i.event_id)))
         sim.schedule(5, lambda: bus.publish(instance()))
         sim.run()
-        assert got == [(8, "hot")]
+        assert got == [(6, "hot")]
+        assert bus.published_count == bus.delivered_count == 1
+        assert len(trace.by_category("bus.publish")) == 1
 
     def test_event_id_filter(self):
         sim = Simulator()
-        bus = EventBus(sim, latency=0)
+        bus = EventBus(sim)
         got = []
         bus.subscribe("x", lambda i: got.append(i.event_id), event_ids={"fire"})
         bus.publish(instance("hot"))
@@ -69,7 +72,7 @@ class TestEventBus:
 
     def test_layer_filter(self):
         sim = Simulator()
-        bus = EventBus(sim, latency=0)
+        bus = EventBus(sim)
         got = []
         bus.subscribe(
             "x", lambda i: got.append(i.layer),
@@ -82,7 +85,7 @@ class TestEventBus:
 
     def test_region_filter(self):
         sim = Simulator()
-        bus = EventBus(sim, latency=0)
+        bus = EventBus(sim)
         got = []
         bus.subscribe(
             "x", lambda i: got.append(i.seq),
@@ -95,7 +98,7 @@ class TestEventBus:
 
     def test_confidence_filter(self):
         sim = Simulator()
-        bus = EventBus(sim, latency=0)
+        bus = EventBus(sim)
         got = []
         bus.subscribe("x", lambda i: got.append(i.seq), min_confidence=0.5)
         bus.publish(instance(seq=0, rho=0.9))
@@ -103,36 +106,31 @@ class TestEventBus:
         sim.run()
         assert got == [0]
 
+    def test_publish_without_a_match_schedules_nothing(self):
+        sim = Simulator()
+        bus = EventBus(sim)
+        bus.subscribe("x", lambda i: None, event_ids={"fire"})
+        assert bus.publish(instance("hot")) == 0
+        assert sim.pending == 0
+        assert (bus.published_count, bus.delivered_count) == (1, 0)
+
+    def test_same_tick_publishes_arrive_together_in_order(self):
+        sim = Simulator()
+        bus = EventBus(sim)
+        got = []
+        bus.subscribe("db", lambda i: got.append((sim.tick, i.seq)))
+        sim.schedule(
+            3, lambda: [bus.publish(instance(seq=s)) for s in range(3)]
+        )
+        sim.run()
+        assert got == [(4, 0), (4, 1), (4, 2)]
+
     def test_publish_returns_match_count(self):
         sim = Simulator()
-        bus = EventBus(sim, latency=0)
+        bus = EventBus(sim)
         bus.subscribe("a", lambda i: None)
         bus.subscribe("b", lambda i: None, event_ids={"other"})
         assert bus.publish(instance()) == 1
-
-    @pytest.mark.parametrize(
-        "latency",
-        [-1, 0.5, 1.0, True, False, "1", None, float("nan")],
-        ids=["negative", "fraction", "integral float", "true", "false",
-             "text", "none", "nan"],
-    )
-    def test_latency_must_be_a_non_negative_int(self, latency):
-        # Refused at construction: the kernel would refuse it only at the
-        # first publish, after the publish was counted and traced.
-        with pytest.raises(ComponentError, match="bus latency"):
-            EventBus(Simulator(), latency=latency)
-
-    def test_latency_accepts_zero(self):
-        sim = Simulator()
-        trace = TraceRecorder()
-        bus = EventBus(sim, latency=0, trace=trace)
-        got = []
-        bus.subscribe("db", lambda i: got.append(sim.tick))
-        sim.schedule(5, lambda: bus.publish(instance()))
-        sim.run()
-        assert got == [5]
-        assert bus.published_count == bus.delivered_count == 1
-        assert len(trace.by_category("bus.publish")) == 1
 
 
 class TestDatabaseServer:

@@ -174,19 +174,13 @@ class TestIntervalEvents:
         assert interval.end.tick == 60     # last hot sample
         assert closed[0].confidence > 0.9  # margin is ~30 degrees
 
-    def test_emit_open_option(self):
+    def test_open_interval_emits_nothing(self):
         sim = Simulator()
         world = make_world(hot_from=20)
-        mote = make_mote(
-            sim, world, interval_events=[self.config(emit_open=True)]
-        )
+        mote = make_mote(sim, world, interval_events=[self.config()])
         mote.start()
         sim.run(until=60)
-        opened = [
-            i for i in mote.emitted if i.attribute("phase") == "open"
-        ]
-        assert len(opened) == 1
-        assert opened[0].estimated_time.is_open
+        assert [i for i in mote.emitted if i.event_id == "heatwave"] == []
 
     def test_min_duration_filters_blips(self):
         sim = Simulator()
@@ -201,20 +195,33 @@ class TestIntervalEvents:
 
 
 class TestActorMote:
-    def test_command_execution_with_delay(self):
+    def test_command_execution_in_the_receiving_tick(self):
         sim = Simulator()
         world = PhysicalWorld()
         log = []
         world.on_actuation("open", lambda payload, tick: log.append(tick))
-        mote = ActorMote(
-            "AM1", HERE, sim, world,
-            [Actuator("AR1", "open", actuation_ticks=3)],
-        )
+        mote = ActorMote("AM1", HERE, sim, world, [Actuator("AR1", "open")])
         sim.schedule(10, lambda: mote.receive_command(
             ActuatorCommand("open", {}, ("AM1",), 10)
         ))
         sim.run()
-        assert log == [13]
+        assert log == [10]
+
+    def test_execution_is_traced_with_its_latency(self):
+        sim = Simulator()
+        world = PhysicalWorld()
+        world.on_actuation("open", lambda payload, tick: None)
+        trace = TraceRecorder()
+        mote = ActorMote(
+            "AM1", HERE, sim, world, [Actuator("AR1", "open")], trace=trace
+        )
+        command = ActuatorCommand("open", {}, ("AM1",), 4)
+        sim.schedule(9, lambda: mote.receive_command(command))
+        sim.run()
+        (record,) = trace.by_category("command.executed")
+        assert record.tick == 9
+        assert record.value("issued") == 4
+        assert record.value("latency") == 5
 
     def test_unsupported_command_ignored(self):
         sim = Simulator()
@@ -228,19 +235,6 @@ class TestActorMote:
         assert record.category == "command.unsupported"
         assert record.value("kind") == "close"
         assert actuator.executed == []
-
-    def test_on_executed_callback(self):
-        sim = Simulator()
-        world = PhysicalWorld()
-        world.on_actuation("open", lambda payload, tick: None)
-        executed = []
-        mote = ActorMote(
-            "AM1", HERE, sim, world, [Actuator("AR1", "open")],
-            on_executed=lambda command, tick: executed.append(tick),
-        )
-        mote.receive_command(ActuatorCommand("open", {}, ("AM1",), 0))
-        sim.run()
-        assert executed == [0]
 
     def test_needs_actuators(self):
         with pytest.raises(ComponentError):

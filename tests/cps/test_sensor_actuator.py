@@ -36,6 +36,13 @@ class TestSensor:
         assert obs.location == HERE
         assert obs.key == ("MT1", "SR1", 0)
 
+    @pytest.mark.parametrize("value", [21.37, -3.3, 0.001])
+    def test_noise_free_sample_is_the_true_value(self, value):
+        # No offset and no quantization: the reading is the field's value.
+        sensor = Sensor("SR1", "temperature", random.Random(0))
+        obs = sensor.sample(world_with_temp(value), "MT1", HERE, 0)
+        assert obs.value("temperature") == value
+
     def test_sequence_numbers_increment(self):
         sensor = Sensor("SR1", "temperature", random.Random(0))
         world = world_with_temp()
@@ -55,13 +62,6 @@ class TestSensor:
         mean = sum(values) / len(values)
         assert abs(mean - 50.0) < 0.5
         assert any(abs(v - 50.0) > 1.0 for v in values)
-
-    def test_bias_and_resolution(self):
-        sensor = Sensor(
-            "SR1", "temperature", random.Random(0), bias=1.3, resolution=0.5
-        )
-        obs = sensor.sample(world_with_temp(20.0), "MT1", HERE, 0)
-        assert obs.value("temperature") == pytest.approx(21.5)
 
     def test_failure_probability(self):
         sensor = Sensor(
@@ -138,16 +138,6 @@ class TestActuator:
         with pytest.raises(ComponentError):
             actuator.execute(command, PhysicalWorld(), 0)
 
-    @pytest.mark.parametrize(
-        "value", [-1, True, False, 2.5, 5.0, float("nan"), float("inf"), "5", None]
-    )
-    def test_actuation_ticks_must_be_a_non_negative_int(self, value):
-        with pytest.raises(ComponentError, match="actuation_ticks"):
-            Actuator("AR1", "open", actuation_ticks=value)
-
-    def test_actuation_ticks_accept_zero(self):
-        assert Actuator("AR1", "open", actuation_ticks=0).actuation_ticks == 0
-
 
 def cyber_instance(event_id="alarm", rho=0.9):
     return EventInstance(
@@ -179,14 +169,14 @@ class TestActionRule:
         assert len(commands) == 1
         assert rule.fired_count == 1
 
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 1.0])
+    def test_fires_at_any_confidence(self, rho):
+        rule = self.make_rule()
+        assert len(rule.consider(cyber_instance(rho=rho), 10)) == 1
+
     def test_ignores_other_events(self):
         rule = self.make_rule()
         assert rule.consider(cyber_instance("other"), 10) == []
-
-    def test_confidence_gate(self):
-        rule = self.make_rule(min_confidence=0.8)
-        assert rule.consider(cyber_instance(rho=0.5), 10) == []
-        assert len(rule.consider(cyber_instance(rho=0.9), 10)) == 1
 
     def test_cooldown(self):
         rule = self.make_rule(cooldown=100)

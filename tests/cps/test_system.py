@@ -89,10 +89,6 @@ class TestBuilderValidation:
         with pytest.raises(ComponentError):
             system.start()
 
-    def test_invalid_world_period(self):
-        with pytest.raises(ComponentError):
-            CPSSystem(world_step_period=0)
-
 
 class TestActorWiring:
     """Actor motes hang directly off the dispatch nodes added before them."""
@@ -143,6 +139,19 @@ class TestRuntime:
         assert layers[EventLayer.SENSOR] == 30    # every sample is hot
         received = system.trace.by_category("sink.receive")
         assert received and {r.source for r in received} == {"MT0_0"}
+
+    def test_world_steps_every_tick(self):
+        stepped = []
+
+        class CountingField(UniformField):
+            def step(self, tick):
+                stepped.append(tick)
+
+        system = CPSSystem()
+        system.world.add_field("humidity", CountingField(0.0))
+        system.start()
+        system.run(until=5)
+        assert stepped == [1, 2, 3, 4, 5]
 
     def test_cold_world_generates_nothing(self):
         system = build_minimal(base_temp=10.0)

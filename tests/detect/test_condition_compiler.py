@@ -179,15 +179,9 @@ def leaves(draw):
             LocationOf(draw(ROLE)), draw(SPACE_OPS), LocationConst(REGION)
         )
     if kind == "smeasure":
-        if draw(st.booleans()):
-            return SpatialMeasureCondition(
-                "distance", ("x", "y"), draw(REL_OPS),
-                draw(st.floats(0, 60, allow_nan=False)),
-            )
         return SpatialMeasureCondition(
-            "distance", (draw(ROLE),), draw(REL_OPS),
+            "distance", ("x", "y"), draw(REL_OPS),
             draw(st.floats(0, 60, allow_nan=False)),
-            constant_location=PointLocation(0.0, 0.0),
         )
     return ConfidenceCondition(
         draw(ROLE), draw(REL_OPS), draw(st.floats(0, 1, allow_nan=False))

@@ -28,7 +28,7 @@ class TestBasicLifecycle:
         builder = IntervalBuilder()
         transitions = feed(builder, "k", "001")
         assert transitions[0].kind is TransitionKind.OPENED
-        assert transitions[0].interval.is_open
+        assert transitions[0].interval.end is None
         assert transitions[0].interval.start == TimePoint(2)
 
     def test_multiple_intervals(self):

@@ -25,7 +25,6 @@ from repro.core.conditions import (
     LocationConst,
     LocationOf,
     SpatialCondition,
-    SpatialMeasureCondition,
 )
 from repro.core.errors import ObserverError
 from repro.core.instance import PhysicalObservation
@@ -48,13 +47,6 @@ def hot(role):
 GATES = {
     "region": lambda role: SpatialCondition(
         LocationOf(role), SpatialOp.INSIDE, LocationConst(BoundingBox(-40, -40, 40, 40))
-    ),
-    "near point": lambda role: SpatialMeasureCondition(
-        "distance",
-        (role,),
-        RelationalOp.LT,
-        45.0,
-        constant_location=PointLocation(10.0, -10.0),
     ),
     "none": None,
 }

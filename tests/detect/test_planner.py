@@ -110,18 +110,6 @@ class TestPlanCompilation:
         assert plan.spatial_reach() == 15.0
         assert plan.describe() == "dist(a,b)<=15 & dist(a,b)>=5"
 
-    def test_distance_to_a_constant_point_has_no_beyond_form(self):
-        spec = EventSpecification(
-            event_id="e",
-            selectors={"x": EntitySelector(kinds={"value"})},
-            condition=SpatialMeasureCondition(
-                "distance", ("x",), RelationalOp.GT, 10.0,
-                constant_location=PointLocation(50, 50),
-            ),
-            window=10,
-        )
-        assert not compile_plan(spec).prunable
-
     def test_after_swaps_order_clause(self):
         spec = EventSpecification(
             event_id="e",
@@ -176,23 +164,6 @@ class TestPlanCompilation:
         plan = compile_plan(spec)
         assert len(plan.regions) == 1
         assert plan.regions[0].region is region
-
-    def test_near_constant_clause(self):
-        spec = EventSpecification(
-            event_id="e",
-            selectors={"x": EntitySelector(kinds={"value"})},
-            condition=SpatialMeasureCondition(
-                "distance",
-                ("x",),
-                RelationalOp.LE,
-                10.0,
-                constant_location=PointLocation(50, 50),
-            ),
-            window=10,
-        )
-        plan = compile_plan(spec)
-        assert len(plan.near_constants) == 1
-        assert plan.describe() != "<exhaustive>"
 
     def test_attribute_conditions_not_prunable(self):
         spec = EventSpecification(
@@ -264,7 +235,7 @@ class TestDifferentialEquivalence:
         assert planned == naive
 
     @pytest.mark.parametrize("seed", [6, 7])
-    def test_region_and_near_constant(self, seed):
+    def test_region(self, seed):
         observations = synthetic_observations(
             300, rate=1.0, bounds=BOUNDS, rng=random.Random(seed)
         )
@@ -283,20 +254,8 @@ class TestDifferentialEquivalence:
             ),
             window=10,
         )
-        near_spec = EventSpecification(
-            event_id="near_hq",
-            selectors={"x": EntitySelector(kinds={"value"})},
-            condition=SpatialMeasureCondition(
-                "distance",
-                ("x",),
-                RelationalOp.LT,
-                20.0,
-                constant_location=PointLocation(50, 50),
-            ),
-            window=10,
-        )
         (planned, p_stats), (naive, n_stats) = run_engines(
-            [region_spec, near_spec], observations
+            [region_spec], observations
         )
         assert planned == naive
         assert p_stats.bindings_evaluated < n_stats.bindings_evaluated
@@ -332,12 +291,10 @@ class TestDifferentialEquivalence:
                 AttributeCondition(
                     "average", (AttributeTerm("g", "value"),), RelationalOp.GT, 40.0
                 ),
-                SpatialMeasureCondition(
-                    "distance",
-                    ("x",),
-                    RelationalOp.LT,
-                    35.0,
-                    constant_location=PointLocation(50, 50),
+                SpatialCondition(
+                    LocationOf("x"),
+                    SpatialOp.INSIDE,
+                    LocationConst(BoundingBox(15, 15, 85, 85)),
                 ),
             ),
             window=12,

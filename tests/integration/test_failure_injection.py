@@ -17,9 +17,8 @@ from repro.core import (
     RelationalOp,
 )
 from repro.cps import CPSSystem, Sensor
-from repro.network import LinkModel, LogDistanceRadio, UnitDiskRadio, grid_topology
+from repro.network import LogDistanceRadio, UnitDiskRadio, grid_topology
 from repro.physical import UniformField
-import random
 
 
 def build(radio, sensor_failure=0.0, max_retries=3, seed=3, size=4):
@@ -82,9 +81,9 @@ class TestPacketLoss:
             for b in network.routing.path_to_root(a)[1:2]
             if a != "MT0_0"
         ]
-        link = LinkModel(random.Random(0), max_retries=2)
-        best = max(link.delivery_probability(p) for p in used_prrs if p > 0)
-        worst = min(link.delivery_probability(p) for p in used_prrs if p > 0)
+        # A hop fails only if both of its two attempts do.
+        per_hop = [1.0 - (1.0 - p) ** 2 for p in used_prrs if p > 0]
+        best, worst = max(per_hop), min(per_hop)
         # Multi-hop paths compound per-hop loss; measured delivery lies
         # below the best single-hop bound and above the worst
         # three-hop-compounded bound.

@@ -30,10 +30,6 @@ class TestLinkModel:
         assert outcome.attempts == 3
         assert outcome.delay == 3
 
-    def test_processing_ticks_added_on_success(self):
-        model = link(backoff_ticks=0, processing_ticks=2)
-        assert model.attempt_hop(1.0).delay == 3
-
     def test_prr_validation(self):
         with pytest.raises(NetworkError):
             link().attempt_hop(1.5)
@@ -43,6 +39,18 @@ class TestLinkModel:
             link(transmission_ticks=0)
         with pytest.raises(NetworkError):
             link(max_retries=0)
+
+    def test_negative_backoff_refused(self):
+        with pytest.raises(NetworkError):
+            link(backoff_ticks=-1)
+
+    def test_delay_on_success_is_the_attempts_alone(self):
+        # One tick per attempt and no backoff: a delivered hop's delay
+        # is its attempt count, with nothing added once per hop.
+        model = link(seed=1, backoff_ticks=0, max_retries=10)
+        outcomes = [model.attempt_hop(0.5) for _ in range(200)]
+        assert all(o.delay == o.attempts for o in outcomes if o.delivered)
+        assert model.expected_hop_delay(1.0) == 1.0
 
     def test_expected_delay_matches_monte_carlo(self):
         model = link(seed=11, backoff_ticks=2, max_retries=5)
@@ -55,12 +63,6 @@ class TestLinkModel:
                 samples.append(outcome.delay)
         empirical = sum(samples) / len(samples)
         assert empirical == pytest.approx(expected, rel=0.05)
-
-    def test_delivery_probability(self):
-        model = link(max_retries=3)
-        assert model.delivery_probability(1.0) == 1.0
-        assert model.delivery_probability(0.0) == 0.0
-        assert model.delivery_probability(0.5) == pytest.approx(0.875)
 
     def test_expected_delay_monotone_in_prr(self):
         model = link(backoff_ticks=2, max_retries=5)
@@ -109,11 +111,10 @@ class TestRoutingTree:
                     return 0.2
                 return 0.0
 
-        topo = Topology(positions, MixedRadio(10.0), prr_floor=0.1)
-        etx_tree = RoutingTree(topo, ["c"], weight="etx")
-        assert etx_tree.path_to_root("a") == ["a", "b", "c"]
-        hop_tree = RoutingTree(topo, ["c"], weight="hops")
-        assert hop_tree.path_to_root("a") == ["a", "c"]
+        topo = Topology(positions, MixedRadio(10.0))
+        tree = RoutingTree(topo, ["c"])
+        assert tree.path_to_root("a") == ["a", "b", "c"]
+        assert tree.point_to_point("a", "c") == ["a", "b", "c"]
 
     def test_disconnected_node(self):
         positions = {
@@ -134,10 +135,14 @@ class TestRoutingTree:
         with pytest.raises(RoutingError):
             tree.point_to_point("MT0_0", "ghost")
 
+    def test_point_to_point_without_a_path(self):
+        positions = {"a": PointLocation(0, 0), "island": PointLocation(99, 0)}
+        tree = RoutingTree(Topology(positions, UnitDiskRadio(10.0)), ["a"])
+        with pytest.raises(RoutingError):
+            tree.point_to_point("a", "island")
+
     def test_validation(self):
         with pytest.raises(RoutingError):
             RoutingTree(self.topo(), [])
         with pytest.raises(RoutingError):
             RoutingTree(self.topo(), ["ghost"])
-        with pytest.raises(RoutingError):
-            RoutingTree(self.topo(), ["MT0_0"], weight="luck")

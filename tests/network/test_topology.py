@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import NetworkError
 from repro.core.space_model import PointLocation
-from repro.network.radio import LogDistanceRadio, UnitDiskRadio
+from repro.network.radio import LogDistanceRadio, RadioModel, UnitDiskRadio
 from repro.network.topology import Topology, grid_topology
 
 
@@ -66,17 +66,29 @@ class TestTopology:
         positions = {
             "a": PointLocation(0, 0),
             "b": PointLocation(9, 0),   # PRR ~ 0.018
+            "c": PointLocation(0, 4),   # PRR above 0.5
         }
-        sparse = Topology(positions, radio, prr_floor=0.1)
-        assert sparse.prr("a", "b") == 0.0
-        dense = Topology(positions, radio, prr_floor=0.01)
-        assert dense.prr("a", "b") > 0.0
+        topology = Topology(positions, radio)
+        assert topology.prr("a", "b") == 0.0
+        assert topology.prr("a", "c") > 0.5
+
+    @pytest.mark.parametrize(
+        "prr, linked",
+        [(0.1, True), (0.0999, False), (1.0, True), (0.0, False)],
+        ids=["at the floor", "just below", "certain", "dead"],
+    )
+    def test_an_edge_needs_a_prr_of_at_least_the_floor(self, prr, linked):
+        class FixedRadio(RadioModel):
+            def prr(self, a, b):
+                return prr
+
+        topology = Topology(
+            {"a": PointLocation(0, 0), "b": PointLocation(1, 0)}, FixedRadio()
+        )
+        assert topology.graph.has_edge("a", "b") is linked
+        assert topology.prr("a", "b") == (prr if linked else 0.0)
 
     def test_validation(self):
         with pytest.raises(NetworkError):
             Topology({}, UnitDiskRadio(5.0))
-        with pytest.raises(NetworkError):
-            Topology(
-                {"a": PointLocation(0, 0)}, UnitDiskRadio(5.0), prr_floor=0.0
-            )
 

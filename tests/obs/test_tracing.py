@@ -13,13 +13,13 @@ Item = namedtuple("Item", ["source", "seq", "arrival_tick"], defaults=[0])
 
 
 class TestStageTrace:
-    def test_enter_exit_residency(self):
+    def test_enter_exit_stamps(self):
         trace = StageTrace("s", 0)
         trace.enter(Stage.REORDER, 3)
         trace.exit(Stage.REORDER, 10)
-        assert trace.span(Stage.REORDER) == (3, 10)
-        assert trace.residency(Stage.REORDER) == 7
-        assert trace.residency(Stage.ENGINE) is None
+        stamps = {stage: (enter, exit_) for stage, enter, exit_ in trace.as_row()[2]}
+        assert stamps[Stage.REORDER.value] == (3, 10)
+        assert stamps[Stage.ENGINE.value] == (None, None)
 
     def test_row_round_trip(self):
         trace = StageTrace("s", 4)

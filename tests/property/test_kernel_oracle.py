@@ -5,7 +5,7 @@ and one handle that a periodic process pushes again after every firing.
 The reference below has neither: a plain list kept sorted by ``(tick,
 priority, insertion)``.  Slow, and obviously right.  A state machine
 drives both through the same ``schedule`` / ``schedule_at`` / ``every``
-/ ``step`` / ``run(until)`` calls — with callbacks that schedule more
+/ ``run(until)`` calls — with callbacks that schedule more
 work from inside a firing — and requires the same execution order,
 ``tick``, ``events_processed`` and ``pending`` after each operation.
 
@@ -83,9 +83,7 @@ class ReferenceKernel:
         first = self.tick + period if start is None else start
         self.push(ReferenceHandle(first, callback, period, priority))
 
-    def step(self):
-        if not self.entries:
-            return False
+    def fire_first(self):
         tick, _, _, handle = self.entries.pop(0)
         self.tick = tick
         self.events_processed += 1
@@ -93,7 +91,6 @@ class ReferenceKernel:
         if handle.period and result is not False:
             handle.tick = self.tick + handle.period
             self.push(handle)
-        return True
 
     def run(self, until=None):
         if until is not None and until < self.tick:
@@ -101,7 +98,7 @@ class ReferenceKernel:
         while self.entries:
             if until is not None and self.entries[0][0] > until:
                 break
-            self.step()
+            self.fire_first()
         if until is not None:
             self.tick = until
         return self.tick
@@ -213,10 +210,6 @@ class KernelAgainstASortedList(RuleBasedStateMachine):
                 priority=priority,
             )
         )
-
-    @rule()
-    def step(self):
-        both(self.sides, lambda side: side.kernel.step())
 
     @rule(ahead=st.integers(min_value=-2, max_value=8))
     def run_until(self, ahead):

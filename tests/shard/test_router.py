@@ -125,23 +125,6 @@ class TestSpatialReach:
         reach = compile_plan(spec).spatial_reach()
         assert reach == pytest.approx((2 * 95.0**2) ** 0.5)
 
-    def test_near_constant_anchor(self):
-        spec = spec_of(
-            all_of(
-                SpatialMeasureCondition(
-                    "distance", ("a",), RelationalOp.LE, 4.0,
-                    constant_location=PointLocation(10.0, 10.0),
-                ),
-                SpatialMeasureCondition(
-                    "distance", ("b",), RelationalOp.LE, 4.0,
-                    constant_location=PointLocation(10.0, 20.0),
-                ),
-            ),
-        )
-        reach = compile_plan(spec).spatial_reach()
-        # Union bbox spans x in [6,14], y in [6,24].
-        assert reach == pytest.approx((8.0**2 + 18.0**2) ** 0.5)
-
 
 class TestRoutingModes:
     def _router(self, specs, shards=4):

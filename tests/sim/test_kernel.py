@@ -155,8 +155,10 @@ class TestRunControl:
         sim.run()
         assert error == [True]
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+    def test_run_on_an_empty_queue_processes_nothing(self):
+        sim = Simulator()
+        assert sim.run() == 0
+        assert (sim.tick, sim.events_processed, sim.pending) == (0, 0, 0)
 
     def test_events_processed_counter(self):
         sim = Simulator()

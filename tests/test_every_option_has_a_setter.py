@@ -1,20 +1,22 @@
-"""Every option has a setter: no ``repro.stream`` or ``repro.obs`` setting
-exists only for its tests.
+"""Every option has a setter: no ``repro`` setting exists only for its
+tests.
 
-A defaulted parameter of a public constructor is a configuration that
-tests must cover and the docs must explain, so some workload should set
-it.  This scans ``src/``, ``examples/`` and ``benchmarks/`` with
-:mod:`ast` for a call that sets each one, by keyword or by position,
-outside the module that defines it.  Public means listed in the
-module's ``__all__``.  The constructors are a class's ``__init__``
-(written out, or the one ``@dataclass`` generates from its fields) and
-each of its ``@classmethod``\\ s.  Calls are matched by name:
-``Name(...)`` and ``anything.Name(...)`` call the class ``Name``, and
-``Name.method(...)`` calls its classmethod.  The generated constructors
-of records (snapshots, checkpoints, counters, samples and the plain-data
-values in ``RECORDS``) are out of scope: their fields are data, not
-options.  An option kept without a setter would be listed in
-``ALLOWED`` with its reason; none is.
+A defaulted parameter of a public constructor of any module under
+``src/repro`` is a configuration that tests must cover and the docs
+must explain, so some workload should set it.  This scans ``src/``,
+``examples/`` and ``benchmarks/`` with :mod:`ast` for a call that sets
+each one, by keyword or by position, outside the module that defines
+it.  Public means listed in the module's ``__all__``.  The constructors
+are a class's ``__init__`` (written out, or the one ``@dataclass``
+generates from its fields) and each of its ``@classmethod``\\ s.  Calls
+are matched by name: ``Name(...)`` and ``anything.Name(...)`` call the
+class ``Name``, ``Name.method(...)`` calls its classmethod, and a
+``super().__init__(...)`` inside a class calls each base its ``class``
+statement names.  The generated constructors of records (snapshots,
+checkpoints, counters, samples and the plain-data values in
+``RECORDS``) are out of scope: their fields are data, not options.  An
+option kept without a setter would be listed in ``ALLOWED`` with its
+reason; none is.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from tests.test_every_export_has_a_caller import exports
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "examples", "benchmarks")
-PACKAGES = ("stream", "obs")
 
 RECORDS = {
     "StreamStats": "the runtime's counters",
@@ -36,6 +37,28 @@ RECORDS = {
     "StreamItem": "one stamped observation",
     "CorruptObservation": "the payload of a corrupted delivery",
     "FaultPlan": "a fault schedule is plain data; FaultPlan.seeded draws it",
+    "Event": "one spatio-temporal event (Eq. 4.1)",
+    "PhysicalObservation": "one sensor reading (Eq. 5.2)",
+    **dict.fromkeys(
+        (
+            "EventInstance",
+            "SensorEventInstance",
+            "CyberPhysicalEventInstance",
+            "CyberEventInstance",
+        ),
+        "one emitted event instance (Eq. 4.7)",
+    ),
+    "Match": "one satisfied binding",
+    "EngineStats": "the engine's counters",
+    "RouterStats": "the shard router's counters",
+    "CompiledCondition": "a condition tree lowered by compile_condition",
+    "EvaluationPlan": "the clauses compile_plan extracted from a spec",
+    "ActuatorCommand": "one command a rule's factory issues",
+    "Packet": "one unit of network traffic",
+    "TraceRecord": "one trace row as a reader sees it",
+    "ScenarioSpec": "one registered family; @family builds it",
+    "Deployment": "what one family deploys; its plan builds it",
+    "Scenario": "a built system and its handles; build_scenario builds it",
 }
 """Classes whose generated constructor is a record's, beside every
 ``*Snapshot`` and ``*Checkpoint``."""
@@ -43,10 +66,9 @@ RECORDS = {
 ALLOWED: dict[str, str] = {}
 
 
-OPTION_BUDGET = 31
-"""The most defaulted ``repro.stream`` / ``repro.obs`` constructor
-options there may be.  A change that needs another option raises this
-in its own diff."""
+OPTION_BUDGET = 129
+"""The most defaulted ``repro`` constructor options there may be.  A
+change that needs another option raises this in its own diff."""
 
 
 def _is_record(name: str) -> bool:
@@ -115,18 +137,40 @@ def options(source: str) -> dict[str, tuple[list[str], list[str]]]:
     return found
 
 
+def _is_super_init(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``super().__init__(...)`` call."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__"
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name)
+        and node.func.value.func.id == "super"
+    )
+
+
 def calls(source: str) -> list[tuple[str, int, set[str]]]:
     """``(callable, positional count, keywords)`` of each call in
     ``source``, under every name it may call (see the module doc)."""
+    tree = ast.parse(source)
+    bases: dict[int, list[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            named = [ast.unparse(base).split(".")[-1] for base in node.bases]
+            bases |= {
+                id(sub): named for sub in ast.walk(node) if _is_super_init(sub)
+            }
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         positional = sum(not isinstance(a, ast.Starred) for a in node.args)
         keywords = {keyword.arg for keyword in node.keywords if keyword.arg}
         func = node.func
         names = []
-        if isinstance(func, ast.Name):
+        if id(node) in bases:
+            names += bases[id(node)]
+        elif isinstance(func, ast.Name):
             names.append(func.id)
         elif isinstance(func, ast.Attribute):
             names.append(func.attr)
@@ -138,14 +182,13 @@ def calls(source: str) -> list[tuple[str, int, set[str]]]:
 
 def constructors(root: Path = ROOT) -> dict[str, tuple[Path, list[str], list[str]]]:
     """``{callable: (defining module, positional, defaulted)}`` over the
-    public constructors of :data:`PACKAGES`."""
+    public constructors of every module under ``src/repro``."""
     found: dict[str, tuple[Path, list[str], list[str]]] = {}
-    for package in PACKAGES:
-        for path in sorted((root / "src" / "repro" / package).rglob("*.py")):
-            for name, (positional, defaulted) in options(
-                path.read_text(encoding="utf-8")
-            ).items():
-                found[name] = (path, positional, defaulted)
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        for name, (positional, defaulted) in options(
+            path.read_text(encoding="utf-8")
+        ).items():
+            found[name] = (path, positional, defaulted)
     return found
 
 
@@ -191,8 +234,29 @@ _MODULE = '__all__ = ["Box", "TickSnapshot"]\n\n'
          {"TickSnapshot.of": (["b"], ["b"])}),
         (_MODULE + "class _Box:\n    def __init__(self, a=1):\n        pass",
          {}),
+        ('__all__ = ["Packet"]\n\n@dataclass\nclass Packet:\n'
+         "    hops: int = 0\n",
+         {}),
+        (_MODULE + "class Box:\n    def __init__(self, a, /, b=1):"
+         "\n        pass",
+         {"Box": (["a", "b"], ["b"])}),
+        ("from dataclasses import dataclass, field\n" + _MODULE
+         + "@dataclass\nclass Box:\n"
+         "    d: list = field(default_factory=list)\n",
+         {"Box": (["d"], ["d"])}),
+        ('__all__ = ["RunCheckpoint"]\n\nclass RunCheckpoint:\n'
+         "    def __init__(self, a=1):\n        pass",
+         {}),
+        (_MODULE + "class Box:\n    @staticmethod\n    def make(a=1):"
+         "\n        pass",
+         {}),
+        (_MODULE + "class Box:\n    class Inner:\n"
+         "        def __init__(self, a=1):\n            pass",
+         {}),
     ],
-    ids=["init", "classmethod", "dataclass", "record", "private"],
+    ids=["init", "classmethod", "dataclass", "record", "private",
+         "listed-record", "positional-only", "default-factory",
+         "checkpoint-init", "staticmethod", "inner-class"],
 )
 def test_the_scan_reads_constructors(source, expected):
     assert options(source) == expected
@@ -204,30 +268,58 @@ def test_the_scan_reads_constructors(source, expected):
         ("Box(1, *rest, c=3, **more)", [("Box", 1, {"c"})]),
         ("m.Box(b=2)", [("Box", 0, {"b"}), ("m.Box", 0, {"b"})]),
         ("Box.make(1)", [("make", 1, set()), ("Box.make", 1, set())]),
+        ("class Sub(m.Box, Mixin):\n    def __init__(self):\n"
+         "        super().__init__(b=2)",
+         [("Box", 0, {"b"}), ("Mixin", 0, {"b"}), ("super", 0, set())]),
+        ("class Outer(A):\n    class Inner(B):\n"
+         "        def __init__(self):\n            super().__init__(x=1)",
+         [("B", 0, {"x"}), ("super", 0, set())]),
+        ("def build(self):\n    super().__init__(1)",
+         [("__init__", 1, set()), ("super", 0, set())]),
+        ("Box(*rest, **more)", [("Box", 0, set())]),
+        ("a.b.Box(1)", [("Box", 1, set())]),
     ],
-    ids=["name", "attribute", "classmethod"],
+    ids=["name", "attribute", "classmethod", "super", "nested-super",
+         "super-outside-a-class", "splat-only", "deep-attribute"],
 )
 def test_the_scan_reads_calls(source, expected):
     assert calls(source) == expected
 
 
+_SUBCLASS = (
+    "from repro.stream.mod import Box\n\n\nclass Sub(Box):\n"
+    "    def __init__(self):\n        super().__init__(1, b=2)"
+)
+
+
 @pytest.mark.parametrize(
-    "caller, text, flagged",
+    "module, caller, text, flagged",
     [
-        ("examples/demo.py", "Box(1, 2)", set()),
-        ("benchmarks/bench_demo.py", "Box(1, b=2)", set()),
-        ("src/repro/user.py", "Box(1)", {"Box.b"}),
-        ("tests/test_demo.py", "Box(1, b=2)", {"Box.b"}),
-        ("src/repro/stream/mod.py", "Box(1, b=2)", {"Box.b"}),
+        ("stream", "examples/demo.py", "Box(1, 2)", set()),
+        ("stream", "benchmarks/bench_demo.py", "Box(1, b=2)", set()),
+        ("stream", "src/repro/user.py", "Box(1)", {"Box.b"}),
+        ("stream", "tests/test_demo.py", "Box(1, b=2)", {"Box.b"}),
+        ("stream", "src/repro/stream/mod.py", "Box(1, b=2)", {"Box.b"}),
+        ("stream", "src/repro/cps/sub.py", _SUBCLASS, set()),
+        ("cps", "tests/test_demo.py", "Box(1, b=2)", {"Box.b"}),
+        ("stream", "examples/demo.py",
+         "import repro.stream.mod as mod\nmod.Box(1, b=2)", set()),
+        ("stream", "tests/test_sub.py", _SUBCLASS, {"Box.b"}),
+        ("stream", "src/repro/cps/sub.py",
+         _SUBCLASS.replace("(Box)", "(Other)"), {"Box.b"}),
+        ("stream", "src/repro/cps/sub.py",
+         _SUBCLASS.replace("(1, b=2)", "(1, 2)"), set()),
     ],
     ids=["positional", "keyword", "default-only", "tests-only",
-         "own-module"],
+         "own-module", "super-init", "other-package", "module-attribute",
+         "super-init-in-tests", "super-init-of-another-base",
+         "super-init-by-position"],
 )
 def test_the_scan_counts_setters_where_it_searches(
-    tmp_path, caller, text, flagged
+    tmp_path, module, caller, text, flagged
 ):
     files = {
-        "src/repro/stream/mod.py": '__all__ = ["Box"]\n\n\nclass Box:\n'
+        f"src/repro/{module}/mod.py": '__all__ = ["Box"]\n\n\nclass Box:\n'
         "    def __init__(self, a, b=1):\n        pass\n"
     }
     files[caller] = files.get(caller, "") + text + "\n"
