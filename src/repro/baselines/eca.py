@@ -4,7 +4,7 @@ McCarthy & Dayal's ECA model, as characterized in Section 2: "the event
 is generated by a single event source ... at a point in time" — no
 composition, no intervals, no spatial constraints.  The engine fires a
 rule whenever a single input entity satisfies the rule's *condition*
-(a predicate over that one entity's attributes) and records the firing.
+(a predicate over that one entity's attributes) and returns the firing.
 
 The baseline-comparison benchmark (E8) runs this engine on workloads
 whose target events need temporal or spatial composition; the expressiveness
@@ -14,7 +14,7 @@ event by firing on one of its constituents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.entity import Entity, numeric_attribute
@@ -33,7 +33,6 @@ class EcaTrigger:
     points.
     """
 
-    rule_name: str
     entity: Entity
     time: TimePoint
 
@@ -53,7 +52,6 @@ class EcaRule:
     attribute: str
     op: RelationalOp
     constant: float
-    fired: list[EcaTrigger] = field(default_factory=list, init=False)
 
     def matches(self, entity: Entity) -> bool:
         """Whether the single-entity condition holds."""
@@ -75,23 +73,15 @@ class EcaEngine:
         self.rules = list(rules)
 
     def submit(self, entity: Entity, now: int) -> list[EcaTrigger]:
-        """Feed one entity; fire every rule whose condition holds.
+        """Feed one entity; return one trigger per rule whose condition
+        holds, in rule order.
 
         The trigger time is ``now`` — ECA events "occur" when the system
         processes them, which is exactly the limitation interval-based
         models fix.
         """
-        triggers: list[EcaTrigger] = []
-        for rule in self.rules:
-            if rule.matches(entity):
-                trigger = EcaTrigger(rule.name, entity, TimePoint(now))
-                rule.fired.append(trigger)
-                triggers.append(trigger)
-        return triggers
-
-    def fired(self, rule_name: str) -> list[EcaTrigger]:
-        """All firings of one rule."""
-        for rule in self.rules:
-            if rule.name == rule_name:
-                return list(rule.fired)
-        return []
+        return [
+            EcaTrigger(entity, TimePoint(now))
+            for rule in self.rules
+            if rule.matches(entity)
+        ]

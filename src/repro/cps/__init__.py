@@ -1,7 +1,7 @@
 """CPS architecture components (Section 3, Figure 1)."""
 
 from repro.cps.actions import ActionRule, ActuatorCommand
-from repro.cps.actuator import Actuator, ExecutedCommand
+from repro.cps.actuator import Actuator
 from repro.cps.bus import EventBus, Subscription
 from repro.cps.ccu import ControlUnit
 from repro.cps.component import CPSComponent, ObserverComponent
@@ -18,7 +18,6 @@ __all__ = [
     "Sensor",
     "RangeSensor",
     "Actuator",
-    "ExecutedCommand",
     "SensorMote",
     "ActorMote",
     "IntervalEventConfig",

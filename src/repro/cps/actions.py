@@ -80,7 +80,6 @@ class ActionRule:
         self.factory = factory
         self.cooldown = cooldown
         self._last_fired: int | None = None
-        self.fired_count = 0
 
     def consider(
         self, instance: EventInstance, tick: int
@@ -96,5 +95,4 @@ class ActionRule:
         commands = list(self.factory(instance, tick) or [])
         if commands:
             self._last_fired = tick
-            self.fired_count += 1
         return commands

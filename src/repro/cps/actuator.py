@@ -10,22 +10,11 @@ keeps scenario physics in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.errors import ComponentError
 from repro.cps.actions import ActuatorCommand
 from repro.physical.world import PhysicalWorld
 
-__all__ = ["ExecutedCommand", "Actuator"]
-
-
-@dataclass(frozen=True)
-class ExecutedCommand:
-    """Record of one executed command (for the executed-commands
-    publication in Figure 1)."""
-
-    command: ActuatorCommand
-    executed_tick: int
+__all__ = ["Actuator"]
 
 
 class Actuator:
@@ -39,7 +28,6 @@ class Actuator:
     def __init__(self, actuator_id: str, kind: str):
         self.actuator_id = actuator_id
         self.kind = kind
-        self.executed: list[ExecutedCommand] = []
 
     def can_execute(self, command: ActuatorCommand) -> bool:
         """Whether this actuator handles the command's kind."""
@@ -47,8 +35,10 @@ class Actuator:
 
     def execute(
         self, command: ActuatorCommand, world: PhysicalWorld, tick: int
-    ) -> ExecutedCommand:
-        """Apply the command's physical effect and record it.
+    ) -> None:
+        """Apply the command's physical effect.  (The actor mote traces
+        each execution as a ``command.executed`` row: Figure 1's
+        executed-commands publication.)
 
         Raises:
             ComponentError: If the command kind does not match.
@@ -59,6 +49,3 @@ class Actuator:
                 f"execute {command.kind!r}"
             )
         world.apply_actuation(command.kind, command.payload, tick)
-        record = ExecutedCommand(command, tick)
-        self.executed.append(record)
-        return record

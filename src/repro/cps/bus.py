@@ -34,7 +34,6 @@ Callback = Callable[[EventInstance], None]
 class Subscription:
     """One standing interest registration on the bus."""
 
-    subscriber: str
     callback: Callback
     event_ids: frozenset[str] | None
     layers: frozenset[EventLayer] | None
@@ -78,7 +77,6 @@ class EventBus:
 
     def subscribe(
         self,
-        subscriber: str,
         callback: Callback,
         event_ids: Iterable[str] | None = None,
         layers: Iterable[EventLayer] | None = None,
@@ -87,7 +85,6 @@ class EventBus:
     ) -> Subscription:
         """Register interest; returns the live subscription object."""
         subscription = Subscription(
-            subscriber=subscriber,
             callback=callback,
             event_ids=frozenset(event_ids) if event_ids is not None else None,
             layers=frozenset(layers) if layers is not None else None,

@@ -45,7 +45,7 @@ from repro.cps.component import ObserverComponent
 from repro.cps.sensor import Sensor
 from repro.detect.confidence import confidence_from_margin
 from repro.detect.engine import DetectionEngine
-from repro.detect.interval_builder import IntervalBuilder, TransitionKind
+from repro.detect.interval_builder import IntervalBuilder
 from repro.network.fabric import WirelessNetwork
 from repro.network.packet import PacketKind
 from repro.physical.world import PhysicalWorld
@@ -205,10 +205,9 @@ class SensorMote(ObserverComponent):
             active = config.op.apply(value, config.threshold)
             if active:
                 self._active_values[config.event_id] = value
-            builder = self._builders[config.event_id]
-            for transition in builder.update(config.event_id, active, tick):
-                if transition.kind is TransitionKind.CLOSED:
-                    self._emit_interval(config, transition.interval, value)
+            closed = self._builders[config.event_id].update(active, tick)
+            if closed is not None:
+                self._emit_interval(config, closed, value)
 
     def _emit_interval(
         self,

@@ -223,7 +223,6 @@ class CPSSystem:
             trace=self.trace,
         )
         self.bus.subscribe(
-            name,
             ccu.receive_instance,
             event_ids=subscribe_event_ids,
             layers=(EventLayer.CYBER_PHYSICAL, EventLayer.CYBER),
@@ -296,7 +295,7 @@ class CPSSystem:
         if name in self.databases:
             raise ComponentError(f"database {name!r} already exists")
         database = DatabaseServer(name, self.sim, transfer_delay)
-        self.bus.subscribe(name, database.store)
+        self.bus.subscribe(database.store)
         self.databases[name] = database
         return database
 

@@ -1,6 +1,6 @@
 """Detection engine: role windows, plans, intervals, localization."""
 
-from repro.detect.compiler import CompiledCondition, compile_condition
+from repro.detect.compiler import compile_condition
 from repro.detect.confidence import FUSION_METHODS, confidence_from_margin, fuse
 from repro.detect.engine import DetectionEngine, EngineStats, Match
 from repro.detect.planner import (
@@ -10,11 +10,7 @@ from repro.detect.planner import (
     RegionClause,
     compile_plan,
 )
-from repro.detect.interval_builder import (
-    IntervalBuilder,
-    Transition,
-    TransitionKind,
-)
+from repro.detect.interval_builder import IntervalBuilder
 from repro.detect.localize import (
     centroid_estimate,
     trilaterate,
@@ -29,7 +25,6 @@ __all__ = [
     "Match",
     "build_instance",
     "InstanceLog",
-    "CompiledCondition",
     "compile_condition",
     "RoleWindow",
     "EvaluationPlan",
@@ -38,8 +33,6 @@ __all__ = [
     "OrderClause",
     "compile_plan",
     "IntervalBuilder",
-    "Transition",
-    "TransitionKind",
     "confidence_from_margin",
     "fuse",
     "FUSION_METHODS",

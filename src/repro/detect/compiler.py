@@ -44,8 +44,6 @@ observable behavior is identical to the interpreter's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.composite import And, ConditionNode, Leaf, Not, Or
 from repro.core.conditions import Binding, Condition, LoweredPredicate
 from repro.core.errors import (
@@ -55,30 +53,10 @@ from repro.core.errors import (
     TemporalError,
 )
 
-__all__ = ["CompiledCondition", "compile_condition"]
+__all__ = ["compile_condition"]
 
 #: Error classes the engine treats as "binding is a non-match".
 EVALUATION_ERRORS = (BindingError, ConditionError, TemporalError, SpatialError)
-
-
-@dataclass(frozen=True)
-class CompiledCondition:
-    """A condition tree lowered to one flat evaluator closure.
-
-    Attributes:
-        fn: The evaluator; call as ``fn(binding)``.
-        cost: Total static cost rank (sum of leaf costs).
-        conjunction_order: When the root is a conjunction: the flattened
-            conjunct descriptions in *evaluation* (cheapest-first) order,
-            for tracing and tests.  ``None`` otherwise.
-    """
-
-    fn: LoweredPredicate
-    cost: float
-    conjunction_order: tuple[str, ...] | None = None
-
-    def __call__(self, binding: Binding) -> bool:
-        return self.fn(binding)
 
 
 def _flatten_and(node: And) -> list[ConditionNode]:
@@ -170,21 +148,13 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
     raise ConditionError(f"cannot compile non-condition node {node!r}")
 
 
-def compile_condition(node: ConditionNode | Condition) -> CompiledCondition:
-    """Compile a condition tree into one flat evaluator closure.
+def compile_condition(node: ConditionNode | Condition) -> LoweredPredicate:
+    """Compile a condition tree into one flat evaluator closure; call it
+    as ``fn(binding)``.
 
     Accepts a bare leaf :class:`~repro.core.conditions.Condition` as a
     convenience (mirroring :func:`repro.core.composite.as_node`).
     """
     if isinstance(node, Condition):
         node = Leaf(node)
-    fn, cost = _compile(node, lenient=True)
-    conjunction_order: tuple[str, ...] | None = None
-    if isinstance(node, And):
-        # Derive the order from the same cost ranking _compile used
-        # (per-conjunct recompilation is cheap and cannot drift).
-        conjuncts = _flatten_and(node)
-        costs = [_compile(child, True)[1] for child in conjuncts]
-        order = sorted(range(len(conjuncts)), key=lambda i: (costs[i], i))
-        conjunction_order = tuple(conjuncts[i].describe() for i in order)
-    return CompiledCondition(fn=fn, cost=cost, conjunction_order=conjunction_order)
+    return _compile(node, lenient=True)[0]

@@ -73,7 +73,7 @@ from repro.core.checkpoint import (
     declared,
     shaped,
 )
-from repro.core.conditions import Binding
+from repro.core.conditions import Binding, LoweredPredicate
 from repro.core.entity import Entity, entity_key
 from repro.core.errors import (
     BindingError,
@@ -85,7 +85,7 @@ from repro.core.errors import (
 from repro.core.event import Event
 from repro.core.instance import EventInstance, PhysicalObservation
 from repro.core.spec import EventSpecification
-from repro.detect.compiler import CompiledCondition, compile_condition
+from repro.detect.compiler import compile_condition
 from repro.detect.planner import EvaluationPlan, Survivors, compile_plan
 from repro.detect.role_window import RoleWindow
 
@@ -288,7 +288,7 @@ class DetectionEngine:
         self._seen: dict[str, dict[tuple, int]] = {}
         self._last_match: dict[str, int] = {}
         self._plans: dict[str, EvaluationPlan] = {}
-        self._compiled: dict[str, CompiledCondition] = {}
+        self._compiled: dict[str, LoweredPredicate] = {}
         self._identity: dict[str, Callable[[Binding], tuple | None]] = {}
         self._volatile: dict[str, dict[str, frozenset[str]]] = {}
         self._watermark: int | None = None
@@ -341,13 +341,6 @@ class DetectionEngine:
         """Compiled evaluation plan of an installed specification."""
         try:
             return self._plans[event_id]
-        except KeyError:
-            raise ObserverError(f"no specification {event_id!r}") from None
-
-    def compiled(self, event_id: str) -> CompiledCondition:
-        """Compiled condition evaluator of an installed specification."""
-        try:
-            return self._compiled[event_id]
         except KeyError:
             raise ObserverError(f"no specification {event_id!r}") from None
 
@@ -484,7 +477,7 @@ class DetectionEngine:
         # The planner path evaluates through the compiled flat closure
         # (pre-resolved operators, cheapest conjunct first); the naive
         # path keeps interpreting the raw tree as the differential baseline.
-        evaluator = self._compiled[spec.event_id].fn if self.use_planner else None
+        evaluator = self._compiled[spec.event_id] if self.use_planner else None
         decisive = self.use_planner and self._plans[spec.event_id].decisive
         identify = self._identity[spec.event_id]
         matches: list[Match] = []

@@ -104,8 +104,8 @@ class WirelessNetwork:
 
     # -- sending -------------------------------------------------------
 
-    def send_to_root(self, src: str, payload: object, kind: PacketKind,
-                     size_bytes: int = 32) -> Packet:
+    def send_to_root(self, src: str, payload: object,
+                     kind: PacketKind) -> Packet:
         """Converge-cast: send along the routing tree to the node's root."""
         if self.routing is None:
             raise NetworkError("send_to_root requires a routing tree")
@@ -116,14 +116,13 @@ class WirelessNetwork:
             kind=kind,
             payload=payload,
             created_tick=self.sim.tick,
-            size_bytes=size_bytes,
             packet_id=next(self._packet_seq),
         )
         self._transmit(packet, path)
         return packet
 
-    def unicast(self, src: str, dst: str, payload: object, kind: PacketKind,
-                size_bytes: int = 32) -> Packet:
+    def unicast(self, src: str, dst: str, payload: object,
+                kind: PacketKind) -> Packet:
         """Point-to-point send along the cheapest path."""
         if self.routing is None:
             raise NetworkError("unicast requires a routing tree")
@@ -134,7 +133,6 @@ class WirelessNetwork:
             kind=kind,
             payload=payload,
             created_tick=self.sim.tick,
-            size_bytes=size_bytes,
             packet_id=next(self._packet_seq),
         )
         self._transmit(packet, path)
@@ -226,8 +224,8 @@ class WiredBackbone:
         """Install the receive callback for a backbone endpoint."""
         self._handlers[name] = handler
 
-    def send(self, src: str, dst: str, payload: object, kind: PacketKind,
-             size_bytes: int = 256) -> Packet:
+    def send(self, src: str, dst: str, payload: object,
+             kind: PacketKind) -> Packet:
         """Deliver reliably one tick later."""
         if dst not in self._handlers:
             raise NetworkError(f"unknown backbone endpoint {dst!r}")
@@ -237,7 +235,6 @@ class WiredBackbone:
             kind=kind,
             payload=payload,
             created_tick=self.sim.tick,
-            size_bytes=size_bytes,
             packet_id=next(self._packet_seq),
         )
 

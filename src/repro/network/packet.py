@@ -4,9 +4,9 @@ Everything that travels between components — sensor event instances
 going up to sinks, cyber-physical instances going to CCUs, actuator
 commands coming back down (Figure 1) — is wrapped in a :class:`Packet`.
 Packets are plain data; the payload is an in-memory object (an
-:class:`~repro.core.instance.EventInstance`, a command, ...) and the
-``size_bytes`` field feeds the link model's transmission-delay
-calculation without actually serializing anything.
+:class:`~repro.core.instance.EventInstance`, a command, ...), never
+serialized.  A packet has no size: the link model charges every hop a
+fixed number of transmission ticks.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class Packet:
         kind: Traffic class.
         payload: The carried object.
         created_tick: Tick the packet was handed to the network.
-        size_bytes: Nominal on-air size used for transmission delay.
     """
 
     src: str
@@ -47,7 +46,6 @@ class Packet:
     kind: PacketKind
     payload: object
     created_tick: int
-    size_bytes: int = 32
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     hops: list[str] = field(default_factory=list)
 

@@ -166,10 +166,6 @@ class ShardedDetectionEngine(Restorable):
         """Compiled evaluation plan of an installed specification."""
         return self._engines[0].plan(event_id)
 
-    def compiled(self, event_id: str):
-        """Compiled condition evaluator of an installed specification."""
-        return self._engines[0].compiled(event_id)
-
     # -- shard introspection -------------------------------------------
 
     @property

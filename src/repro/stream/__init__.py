@@ -47,7 +47,6 @@ from repro.stream.admission import (
     AdmissionController,
     AdmissionLimits,
     AdmissionSnapshot,
-    Backpressure,
     PacedSource,
 )
 from repro.stream.capture import StreamTap
@@ -96,7 +95,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionLimits",
     "AdmissionSnapshot",
-    "Backpressure",
     "PacedSource",
     "FaultPlan",
     "FaultySource",

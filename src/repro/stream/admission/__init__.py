@@ -4,7 +4,7 @@ A mempool-style admission front end: per-source token-bucket rate
 limiting (:mod:`~repro.stream.admission.limiter`), an occupancy cap on
 the reorder buffer enforced by one of two shedding rules
 (``drop_oldest_late`` evicts the event-time-oldest buffered item,
-``drop_lowest_priority`` sheds the arrival), backpressure signaling to
+``drop_lowest_priority`` sheds the arrival), backpressure on
 cooperating sources (:mod:`~repro.stream.admission.backpressure`), and
 the controller tying them together
 (:mod:`~repro.stream.admission.controller`).  Every observation is in
@@ -17,7 +17,7 @@ observation and costs nothing per step.  Every shed, deferral and
 backpressure event is an explicit, counted decision.
 """
 
-from repro.stream.admission.backpressure import Backpressure, PacedSource
+from repro.stream.admission.backpressure import PacedSource
 from repro.stream.admission.controller import (
     AdmissionController,
     AdmissionLimits,
@@ -29,7 +29,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionLimits",
     "AdmissionSnapshot",
-    "Backpressure",
     "PacedSource",
     "TokenBucket",
 ]

@@ -1,12 +1,13 @@
-"""Backpressure: the runtime's pressure signal and a source that honors it.
+"""Cooperative backpressure: a source that slows down when asked.
 
 When the watermark cannot keep up — buffered disorder approaches the
 occupancy cap, or rate-limited arrivals pile up in the deferral queue —
-the runtime raises a :class:`Backpressure` signal.  Sources that expose
-a ``throttle(signal)`` method are handed the signal by
-:meth:`~repro.stream.runtime.StreamingDetectionRuntime.run` after every
-pressured delivery step; a cooperating producer slows down instead of
-forcing the admission layer to shed.
+admission is engaged
+(:meth:`~repro.stream.admission.AdmissionController.engaged`).  A source
+that exposes a ``throttle()`` method is called by
+:meth:`~repro.stream.runtime.StreamingDetectionRuntime.run` once after
+every engaged delivery step; a cooperating producer slows down instead
+of forcing the admission layer to shed.
 
 :class:`PacedSource` is the reference cooperating producer: it wraps
 any :class:`~repro.stream.source.ObservationSource` and responds to
@@ -19,35 +20,14 @@ the admission benchmarks measure as "paced vs unpaced" shedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator
 
+from repro.core.checkpoint import is_count
 from repro.core.errors import ObserverError
 from repro.stream.source import ObservationSource, StreamItem
 
-__all__ = ["Backpressure", "PacedSource"]
-
-
-@dataclass(frozen=True)
-class Backpressure:
-    """One snapshot of ingestion pressure, handed to producers.
-
-    Args:
-        engaged: Whether producers should slow down *now*.
-        level: Pressure in ``[0, 1]`` — occupancy against the pending
-            cap, or deferral depth against its cap, whichever is worse.
-        occupancy: Reorder-buffer items currently held.
-        pending_limit: The occupancy cap (``None`` = unbounded).
-        deferred: Rate-limited items waiting in the deferral queue.
-        watermark: The merged release frontier at signal time.
-    """
-
-    engaged: bool
-    level: float
-    occupancy: int
-    pending_limit: int | None
-    deferred: int
-    watermark: int | None
+__all__ = ["PacedSource"]
 
 
 class PacedSource:
@@ -71,8 +51,10 @@ class PacedSource:
         base: ObservationSource,
         slowdown: int = 1,
     ):
-        if slowdown < 1:
-            raise ObserverError(f"slowdown must be >= 1 tick: {slowdown}")
+        if not is_count(slowdown) or slowdown < 1:
+            raise ObserverError(
+                f"slowdown must be an int >= 1 tick: {slowdown!r}"
+            )
         self.name = base.name
         self.slowdown = slowdown
         self.throttle_count = 0
@@ -90,7 +72,7 @@ class PacedSource:
                 )
             yield item
 
-    def throttle(self, signal: Backpressure) -> None:
-        """Honor one backpressure signal: delay everything still queued."""
+    def throttle(self) -> None:
+        """Slow down once: delay everything still queued."""
         self.throttle_count += 1
         self._offset += self.slowdown

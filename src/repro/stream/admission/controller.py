@@ -8,9 +8,8 @@ refills), **shed** (reject, counted, never silent) — with the fourth,
 **late**, decided downstream by the buffer's release frontier.  The
 controller also owns the whole step taken when the buffer is at its
 occupancy cap (:meth:`AdmissionController.make_room`: the shedding
-rule, the eviction, the shed count), and the
-:class:`~repro.stream.admission.backpressure.Backpressure` signal handed
-back to producers.
+rule, the eviction, the shed count), and the test of whether producers
+should slow down (:meth:`AdmissionController.engaged`).
 
 Everything is deterministic (tick-driven buckets, stateless rules) and
 everything is checkpointable: :meth:`AdmissionController.snapshot`
@@ -47,7 +46,6 @@ from repro.core.checkpoint import (
     shaped,
 )
 from repro.core.errors import ObserverError
-from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.limiter import TokenBucket
 from repro.stream.reorder import ReorderBuffer
 from repro.stream.source import STREAM_ITEMS, StreamItem
@@ -64,7 +62,7 @@ offer the arrival in its place, or shed the arrival itself (every
 observation is in one class, so nothing buffered ranks below it)."""
 
 BACKPRESSURE_RATIO = 0.75
-"""Fill fraction at which the backpressure signal engages: of
+"""Fill fraction at which backpressure engages: of
 ``max_pending`` on the occupancy path, of ``max_deferred`` on the
 deferral path."""
 
@@ -304,11 +302,13 @@ class AdmissionController(Restorable):
 
     # -- backpressure --------------------------------------------------
 
-    def _level(self, occupancy: int) -> float:
-        """The worse fill level: occupancy against ``max_pending`` (a cap
-        of 0 sheds every in-order offer: saturated by configuration),
-        deferral depth against ``max_deferred`` (saturated once anything
-        is parked when deferral is unbounded); ``0.0`` with no limits."""
+    def engaged(self, occupancy: int) -> bool:
+        """Whether producers should slow down: the worse fill level —
+        occupancy against ``max_pending`` (a cap of 0 sheds every
+        in-order offer: saturated by configuration), deferral depth
+        against ``max_deferred`` (saturated once anything is parked when
+        deferral is unbounded) — reaches :data:`BACKPRESSURE_RATIO`;
+        never with no limits."""
         level = 0.0
         cap = self.limits.max_pending
         if cap is not None:
@@ -316,26 +316,7 @@ class AdmissionController(Restorable):
         if self._deferred:
             cap = self.limits.max_deferred
             level = max(level, len(self._deferred) / cap if cap else 1.0)
-        return level
-
-    def engaged(self, occupancy: int) -> bool:
-        """Whether :meth:`backpressure` would engage, without building
-        the record (the runtime's per-step test)."""
-        return self._level(occupancy) >= BACKPRESSURE_RATIO
-
-    def backpressure(
-        self, occupancy: int, watermark: int | None
-    ) -> Backpressure:
-        """The pressure signal for the current buffer/deferral state."""
-        level = self._level(occupancy)
-        return Backpressure(
-            engaged=level >= BACKPRESSURE_RATIO,
-            level=min(1.0, level),
-            occupancy=occupancy,
-            pending_limit=self.limits.max_pending,
-            deferred=len(self._deferred),
-            watermark=watermark,
-        )
+        return level >= BACKPRESSURE_RATIO
 
     # -- checkpoint / restore ------------------------------------------
 

@@ -89,9 +89,6 @@ class FaultySource:
         self._offset = 0
         self._last_arrival: int | None = None
         self.crash_count = 0
-        self.reconnect_count = 0
-        self.duplicates_sent = 0
-        self.corruptions_sent = 0
 
     # -- stream identity -----------------------------------------------
 
@@ -144,7 +141,6 @@ class FaultySource:
             if first < target:
                 self._offset += target - first
         self._resume = resume
-        self.reconnect_count += 1
         return resume
 
     # -- iteration with fault injection --------------------------------
@@ -170,7 +166,6 @@ class FaultySource:
             for index in range(min(self.plan.corruptions.get(step, 0),
                                    len(group))):
                 original = group[index]
-                self.corruptions_sent += 1
                 yield self._stamp(
                     replace(
                         original,
@@ -207,7 +202,6 @@ class FaultySource:
             burst = self.plan.duplicates.get(step, 0)
             if burst:
                 for copy in list(self._recent)[-burst:]:
-                    self.duplicates_sent += 1
                     yield self._stamp(copy, arrival)
             step += 1
         self._resume = step

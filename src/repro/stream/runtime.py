@@ -32,9 +32,9 @@ an identical remaining match stream.
 Every delivery step clears admission
 (:class:`~repro.stream.admission.AdmissionController`): per-source
 token-bucket rate limits (with bounded deferral), an occupancy cap on
-the reorder buffer enforced by one of two shedding rules, and a
-:class:`~repro.stream.admission.Backpressure` signal handed to sources
-that expose ``throttle()``.  The controller counts every shed or
+the reorder buffer enforced by one of two shedding rules, and
+backpressure: :meth:`run` calls a source's ``throttle()``, if it has
+one, after each step on which admission is engaged.  The controller counts every shed or
 deferred observation (:attr:`StreamStats.shed_observations`,
 :attr:`StreamStats.deferred_observations`); the default controller sets
 no limits, admits everything and costs nothing per step.
@@ -57,7 +57,6 @@ from repro.core.checkpoint import (
 from repro.core.errors import ObserverError
 from repro.detect.engine import DetectionEngine, Match
 from repro.obs.tracing import Telemetry
-from repro.stream.admission.backpressure import Backpressure
 from repro.stream.admission.controller import AdmissionController
 from repro.stream.reorder import ReorderBuffer
 from repro.stream.source import ObservationSource, StreamItem
@@ -318,16 +317,6 @@ class StreamingDetectionRuntime:
         """Observations released to the engine so far."""
         return self._counts.released_items
 
-    @property
-    def last_backpressure(self) -> Backpressure:
-        """The backpressure signal for the buffer and the deferral queue
-        as they stand, built when read.  Only delivery steps change
-        them, or ``finish`` and ``restore``: a drained stream is under
-        no pressure, whatever its last delivery step left."""
-        return self.admission.backpressure(
-            self.buffer.occupancy, self.tracker.watermark()
-        )
-
     # -- ingestion -----------------------------------------------------
 
     @property
@@ -458,7 +447,7 @@ class StreamingDetectionRuntime:
                 # Cooperative backpressure: a source exposing throttle()
                 # is asked to slow down while pressure is on; sources
                 # without one simply keep the shedding rule busy.
-                throttle(self.last_backpressure)
+                throttle()
         self.finish()
 
     def finish(self) -> None:

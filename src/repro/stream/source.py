@@ -168,7 +168,6 @@ class JitteredSource:
                 f"max_delay must be a non-negative int: {max_delay!r}"
             )
         self.name = base.name
-        self.max_delay = max_delay
         rng = random.Random(seed)
         jittered = [
             replace(

@@ -1,7 +1,5 @@
 """Unit tests for the ECA baseline engine."""
 
-import pytest
-
 from repro.baselines.eca import EcaEngine, EcaRule
 from repro.core.instance import PhysicalObservation
 from repro.core.operators import RelationalOp
@@ -21,7 +19,6 @@ class TestEcaEngine:
         engine = EcaEngine([EcaRule("hot", "temperature", RelationalOp.GT, 50.0)])
         triggers = engine.submit(obs(60.0), now=5)
         assert len(triggers) == 1
-        assert triggers[0].rule_name == "hot"
         assert triggers[0].time == TimePoint(5)
 
     def test_rule_silent_below_threshold(self):
@@ -32,23 +29,14 @@ class TestEcaEngine:
         engine = EcaEngine([EcaRule("hot", "humidity", RelationalOp.GT, 0.0)])
         assert engine.submit(obs(), now=0) == []
 
-    def test_fired_history(self):
-        engine = EcaEngine([EcaRule("hot", "temperature", RelationalOp.GT, 50.0)])
-        engine.submit(obs(60.0), now=0)
-        engine.submit(obs(70.0), now=1)
-        assert len(engine.fired("hot")) == 2
-        assert engine.fired("unknown") == []
-
-    def test_fired_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            EcaRule("hot", "temperature", RelationalOp.GT, 50.0, fired=[])
-
-    def test_each_rule_keeps_its_own_history(self):
+    def test_one_trigger_per_matching_rule(self):
         hot = EcaRule("hot", "temperature", RelationalOp.GT, 50.0)
+        warm = EcaRule("warm", "temperature", RelationalOp.GT, 20.0)
         cold = EcaRule("cold", "temperature", RelationalOp.LT, 50.0)
-        EcaEngine([hot, cold]).submit(obs(60.0), now=2)
-        assert [t.rule_name for t in hot.fired] == ["hot"]
-        assert cold.fired == []
+        engine = EcaEngine([hot, cold, warm])
+        assert len(engine.submit(obs(60.0), now=2)) == 2
+        (trigger,) = engine.submit(obs(10.0), now=3)
+        assert trigger.time == TimePoint(3)
 
     def test_point_semantics_loses_occurrence_time(self):
         # The defining ECA limitation: the trigger time is the processing

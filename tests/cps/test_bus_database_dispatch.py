@@ -53,7 +53,7 @@ class TestEventBus:
         trace = TraceRecorder()
         bus = EventBus(sim, trace=trace)
         got = []
-        bus.subscribe("db", lambda i: got.append((sim.tick, i.event_id)))
+        bus.subscribe(lambda i: got.append((sim.tick, i.event_id)))
         sim.schedule(5, lambda: bus.publish(instance()))
         sim.run()
         assert got == [(6, "hot")]
@@ -64,7 +64,7 @@ class TestEventBus:
         sim = Simulator()
         bus = EventBus(sim)
         got = []
-        bus.subscribe("x", lambda i: got.append(i.event_id), event_ids={"fire"})
+        bus.subscribe(lambda i: got.append(i.event_id), event_ids={"fire"})
         bus.publish(instance("hot"))
         bus.publish(instance("fire", seq=1))
         sim.run()
@@ -75,7 +75,7 @@ class TestEventBus:
         bus = EventBus(sim)
         got = []
         bus.subscribe(
-            "x", lambda i: got.append(i.layer),
+            lambda i: got.append(i.layer),
             layers={EventLayer.CYBER_PHYSICAL},
         )
         bus.publish(instance(layer=EventLayer.SENSOR))
@@ -88,7 +88,7 @@ class TestEventBus:
         bus = EventBus(sim)
         got = []
         bus.subscribe(
-            "x", lambda i: got.append(i.seq),
+            lambda i: got.append(i.seq),
             region=Circle(ORIGIN, 5.0),
         )
         bus.publish(instance(seq=0, x=1.0))
@@ -100,7 +100,7 @@ class TestEventBus:
         sim = Simulator()
         bus = EventBus(sim)
         got = []
-        bus.subscribe("x", lambda i: got.append(i.seq), min_confidence=0.5)
+        bus.subscribe(lambda i: got.append(i.seq), min_confidence=0.5)
         bus.publish(instance(seq=0, rho=0.9))
         bus.publish(instance(seq=1, rho=0.1))
         sim.run()
@@ -109,7 +109,7 @@ class TestEventBus:
     def test_publish_without_a_match_schedules_nothing(self):
         sim = Simulator()
         bus = EventBus(sim)
-        bus.subscribe("x", lambda i: None, event_ids={"fire"})
+        bus.subscribe(lambda i: None, event_ids={"fire"})
         assert bus.publish(instance("hot")) == 0
         assert sim.pending == 0
         assert (bus.published_count, bus.delivered_count) == (1, 0)
@@ -118,7 +118,7 @@ class TestEventBus:
         sim = Simulator()
         bus = EventBus(sim)
         got = []
-        bus.subscribe("db", lambda i: got.append((sim.tick, i.seq)))
+        bus.subscribe(lambda i: got.append((sim.tick, i.seq)))
         sim.schedule(
             3, lambda: [bus.publish(instance(seq=s)) for s in range(3)]
         )
@@ -128,8 +128,8 @@ class TestEventBus:
     def test_publish_returns_match_count(self):
         sim = Simulator()
         bus = EventBus(sim)
-        bus.subscribe("a", lambda i: None)
-        bus.subscribe("b", lambda i: None, event_ids={"other"})
+        bus.subscribe(lambda i: None)
+        bus.subscribe(lambda i: None, event_ids={"other"})
         assert bus.publish(instance()) == 1
 
 

@@ -16,12 +16,12 @@ The hypothesis suite below drives random condition trees against random
 relation.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.composite import And, Leaf, Not, Or, as_node
 from repro.core.conditions import (
     AttributeCondition,
+    Condition,
     AttributeTerm,
     ConfidenceCondition,
     LocationConst,
@@ -221,7 +221,7 @@ class TestDifferential:
     def test_compiled_agrees_with_interpreted(self, tree, binding):
         compiled = compile_condition(tree)
         interpreted = outcome(lambda: tree.evaluate(binding))
-        plain = outcome(lambda: compiled.fn(binding))
+        plain = outcome(lambda: compiled(binding))
 
         kind_i, value_i = interpreted
         kind_c, value_c = plain
@@ -245,50 +245,55 @@ class TestDifferential:
 # compilation structure
 # ----------------------------------------------------------------------
 
+class Counted(Condition):
+    """A leaf of cost rank ``cost`` that returns ``value`` and counts the
+    calls of its lowered predicate."""
+
+    def __init__(self, cost: float, value: bool):
+        self.COST = cost
+        self.value = value
+        self.calls = 0
+
+    def evaluate(self, binding):
+        self.calls += 1
+        return self.value
+
+    @property
+    def roles(self):
+        return frozenset({"x"})
+
+    def describe(self):
+        return f"counted({self.COST}, {self.value})"
+
+
 class TestCompilationStructure:
-    def test_conjunction_ordered_cheapest_first(self):
-        expensive = SpatialCondition(
-            LocationOf("x"), SpatialOp.INSIDE, LocationConst(REGION)
-        )
-        cheap = ConfidenceCondition("x", RelationalOp.GE, 0.5)
-        middle = AttributeCondition(
-            "last", (AttributeTerm("x", "temp"),), RelationalOp.GT, 1.0
-        )
-        compiled = compile_condition(And((Leaf(expensive), Leaf(cheap), Leaf(middle))))
-        assert compiled.conjunction_order == (
-            cheap.describe(),
-            middle.describe(),
-            expensive.describe(),
-        )
+    def test_a_cheap_false_conjunct_short_circuits_an_expensive_one(self):
+        expensive, cheap = Counted(6.0, True), Counted(1.0, False)
+        judge = compile_condition(And((Leaf(expensive), Leaf(cheap))))
+        assert judge({}) is False
+        assert (cheap.calls, expensive.calls) == (1, 0)
 
     def test_nested_conjunctions_flatten(self):
-        cheap = ConfidenceCondition("x", RelationalOp.GE, 0.5)
-        expensive = SpatialCondition(
-            LocationOf("x"), SpatialOp.INSIDE, LocationConst(REGION)
-        )
-        tree = And((And((Leaf(expensive), Leaf(expensive))), Leaf(cheap)))
-        compiled = compile_condition(tree)
-        assert compiled.conjunction_order[0] == cheap.describe()
-        assert len(compiled.conjunction_order) == 3
+        first, second = Counted(6.0, True), Counted(6.0, True)
+        cheap = Counted(1.0, False)
+        tree = And((And((Leaf(first), Leaf(second))), Leaf(cheap)))
+        assert compile_condition(tree)({}) is False
+        assert (cheap.calls, first.calls, second.calls) == (1, 0, 0)
+
+    def test_equal_costs_keep_source_order(self):
+        first, second = Counted(3.0, False), Counted(3.0, True)
+        assert compile_condition(And((Leaf(first), Leaf(second))))({}) is False
+        assert (first.calls, second.calls) == (1, 0)
+
+    def test_an_expensive_false_conjunct_runs_after_every_cheaper_one(self):
+        expensive, cheap = Counted(6.0, False), Counted(1.0, True)
+        assert compile_condition(And((Leaf(expensive), Leaf(cheap))))({}) is False
+        assert (cheap.calls, expensive.calls) == (1, 1)
 
 
 # ----------------------------------------------------------------------
 # engine-level error policy
 # ----------------------------------------------------------------------
-
-def _near_spec(window: int = 0) -> EventSpecification:
-    return EventSpecification(
-        event_id="near_pair",
-        selectors={
-            "x": EntitySelector(kinds={"temp"}),
-            "y": EntitySelector(kinds={"temp"}),
-        },
-        condition=SpatialMeasureCondition(
-            "distance", ("x", "y"), RelationalOp.LT, 5.0
-        ),
-        window=window,
-    )
-
 
 def _obs(mote: str, seq: int, tick: int, x: float, y: float = 0.0):
     return PhysicalObservation(
@@ -316,9 +321,3 @@ class TestEngineErrorPolicy:
             engine = DetectionEngine([spec], use_planner=use_planner)
             assert engine.submit(_obs("a", 0, 0, 0.0), now=0) == []
             assert engine.stats.evaluation_errors == 1
-
-    def test_compiled_accessor(self):
-        engine = DetectionEngine([_near_spec()])
-        assert engine.compiled("near_pair").cost == pytest.approx(5.0)
-        with pytest.raises(Exception):
-            engine.compiled("unknown")

@@ -4,86 +4,74 @@ import pytest
 
 from repro.core.errors import ConditionError
 from repro.core.time_model import TimeInterval, TimePoint
-from repro.detect.interval_builder import IntervalBuilder, TransitionKind
+from repro.detect.interval_builder import IntervalBuilder
 
 
-def feed(builder, key, states, start=0):
-    """Feed a boolean string like '0011100' tick by tick."""
-    transitions = []
+def feed(builder, states, start=0):
+    """Feed a boolean string like '0011100' tick by tick; return the
+    intervals the builder reports."""
+    closed = []
     for offset, ch in enumerate(states):
-        transitions.extend(builder.update(key, ch == "1", start + offset))
-    return transitions
+        interval = builder.update(ch == "1", start + offset)
+        if interval is not None:
+            closed.append(interval)
+    return closed
 
 
 class TestBasicLifecycle:
     def test_open_then_close(self):
         builder = IntervalBuilder()
-        transitions = feed(builder, "k", "0011100")
-        kinds = [t.kind for t in transitions]
-        assert kinds == [TransitionKind.OPENED, TransitionKind.CLOSED]
-        closed = transitions[1].interval
-        assert closed == TimeInterval(TimePoint(2), TimePoint(4))
+        assert feed(builder, "0011100") == [
+            TimeInterval(TimePoint(2), TimePoint(4))
+        ]
 
-    def test_open_transition_has_open_interval(self):
+    def test_an_open_interval_is_not_reported(self):
         builder = IntervalBuilder()
-        transitions = feed(builder, "k", "001")
-        assert transitions[0].kind is TransitionKind.OPENED
-        assert transitions[0].interval.end is None
-        assert transitions[0].interval.start == TimePoint(2)
+        assert feed(builder, "0011") == []
+        assert builder.update(False, 4) == TimeInterval(
+            TimePoint(2), TimePoint(3)
+        )
 
     def test_multiple_intervals(self):
         builder = IntervalBuilder()
-        transitions = feed(builder, "k", "0110011000")
-        closed = [t.interval for t in transitions if t.kind is TransitionKind.CLOSED]
-        assert closed == [
+        assert feed(builder, "0110011000") == [
             TimeInterval(TimePoint(1), TimePoint(2)),
             TimeInterval(TimePoint(5), TimePoint(6)),
         ]
-
-    def test_keys_tracked_independently(self):
-        builder = IntervalBuilder()
-        (opened,) = builder.update("a", True, 0)
-        assert opened.key == "a" and opened.interval.start == TimePoint(0)
-        assert builder.update("b", False, 0) == []
-        (closed,) = builder.update("a", False, 1)
-        assert closed.key == "a" and closed.kind is TransitionKind.CLOSED
 
 
 class TestMinDuration:
     def test_short_interval_discarded(self):
         builder = IntervalBuilder(min_duration=5)
-        transitions = feed(builder, "k", "011100000")
-        kinds = [t.kind for t in transitions]
-        assert kinds == [TransitionKind.OPENED, TransitionKind.DISCARDED]
+        assert feed(builder, "011100000") == []
 
     def test_long_interval_kept(self):
         builder = IntervalBuilder(min_duration=3)
-        transitions = feed(builder, "k", "0111110")
-        assert transitions[-1].kind is TransitionKind.CLOSED
-        assert transitions[-1].interval.duration == 4
+        (closed,) = feed(builder, "0111110")
+        assert closed.duration == 4
 
 
 class TestGapTolerance:
     def test_short_dropout_bridged(self):
         builder = IntervalBuilder(gap_tolerance=2)
-        transitions = feed(builder, "k", "0110110")
-        # One open; the single-tick dropout at tick 3 must not close it.
-        kinds = [t.kind for t in transitions]
-        assert kinds.count(TransitionKind.OPENED) == 1
-        assert kinds.count(TransitionKind.CLOSED) == 0
+        # The single-tick dropout at tick 3 must not close the interval.
+        assert feed(builder, "0110110") == []
+        assert feed(builder, "00", start=7) == [
+            TimeInterval(TimePoint(1), TimePoint(5))
+        ]
 
     def test_long_dropout_closes(self):
         builder = IntervalBuilder(gap_tolerance=2)
-        transitions = feed(builder, "k", "011000001")
-        closed = [t for t in transitions if t.kind is TransitionKind.CLOSED]
-        assert len(closed) == 1
         # Interval ends at the last true tick, not when the gap expired.
-        assert closed[0].interval == TimeInterval(TimePoint(1), TimePoint(2))
+        assert feed(builder, "011000001") == [
+            TimeInterval(TimePoint(1), TimePoint(2))
+        ]
 
     def test_zero_tolerance_closes_immediately(self):
         builder = IntervalBuilder(gap_tolerance=0)
-        transitions = feed(builder, "k", "0110")
-        assert transitions[-1].kind is TransitionKind.CLOSED
+        assert feed(builder, "0110") == [
+            TimeInterval(TimePoint(1), TimePoint(2))
+        ]
 
 
 class TestValidation:

@@ -417,9 +417,9 @@ class TestDecisivePlans:
             def fn(binding):
                 nonlocal calls
                 calls += 1
-                return compiled.fn(binding)
+                return compiled(binding)
 
-            return replace(compiled, fn=fn)
+            return fn
 
         monkeypatch.setattr(engine_module, "compile_condition", counted)
         observations = synthetic_observations(

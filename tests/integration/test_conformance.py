@@ -840,7 +840,9 @@ class TestOverloadSurgeBounded:
         paced = self._replay(AdmissionController(limits), source)
         unpaced_shed = unpaced.runtime.stats.shed_observations
         assert unpaced_shed > 0, "the rate limit never shed: comparing zeros"
-        assert source.throttle_count > 0
+        assert paced.runtime.stats.backpressure_events > 0
+        # One throttle() per delivery step that ended engaged.
+        assert source.throttle_count == paced.runtime.stats.backpressure_events
         assert paced.runtime.stats.shed_observations <= unpaced_shed
 
     def test_sharded_bounded_replay_holds_the_cap(self):

@@ -23,7 +23,7 @@ from repro.core.space_model import Circle, PointLocation, Polygon, convex_hull
 from repro.core.spec import EntitySelector, EventSpecification, OutputPolicy
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.engine import DetectionEngine
-from repro.detect.interval_builder import IntervalBuilder, TransitionKind
+from repro.detect.interval_builder import IntervalBuilder
 from repro.physical.ground_truth import proximity_intervals
 from repro.physical.mobility import WaypointTrajectory
 from repro.physical.objects import PhysicalObject
@@ -147,52 +147,51 @@ class TestNearbyWindowExample:
         assert len(intervals) == 1
         return intervals[0]
 
-    def test_punctual_reading(self):
-        """Punctual: the instant the user is detected entering."""
-        user, window = self.episode()
-        builder = IntervalBuilder()
-        truth = self.ground_truth()
-        opened_at = None
-        for tick in range(0, 600):
-            near = user.distance_to(window, tick) <= self.RADIUS
-            for transition in builder.update("nearby", near, tick):
-                if transition.kind is TransitionKind.OPENED:
-                    opened_at = transition.interval.start
-        assert opened_at == truth.start
-
-    def test_interval_reading(self):
-        """Interval: starts on entering, ends on leaving."""
+    def closed_intervals(self):
+        """Feed the nearby predicate tick by tick; return what closes."""
         user, window = self.episode()
         builder = IntervalBuilder()
         closed = []
         for tick in range(0, 600):
             near = user.distance_to(window, tick) <= self.RADIUS
-            for transition in builder.update("nearby", near, tick):
-                if transition.kind is TransitionKind.CLOSED:
-                    closed.append(transition.interval)
-        truth = self.ground_truth()
-        assert closed == [truth]
+            interval = builder.update(near, tick)
+            if interval is not None:
+                closed.append(interval)
+        return closed
+
+    def test_punctual_reading(self):
+        """Punctual: the instant the user is detected entering."""
+        user, window = self.episode()
+        entered = next(
+            TimePoint(tick)
+            for tick in range(0, 600)
+            if user.distance_to(window, tick) <= self.RADIUS
+        )
+        assert entered == self.ground_truth().start
+        assert self.closed_intervals()[0].start == entered
+
+    def test_interval_reading(self):
+        """Interval: starts on entering, ends on leaving."""
+        assert self.closed_intervals() == [self.ground_truth()]
 
     def test_for_the_last_30_minutes_query(self):
-        """The 'for the last 30 minutes' condition is answerable while
-        the interval is still open (elapsed >= threshold)."""
+        """The 'for the last 30 minutes' condition first holds
+        ``threshold`` ticks into the interval event, which is reported
+        whole once the user leaves."""
         user, window = self.episode()
-        builder = IntervalBuilder()
-        truth = self.ground_truth()
         threshold = 250
-        first_satisfied = None
-        opened = None
+        held_since = first_satisfied = None
         for tick in range(0, 600):
-            near = user.distance_to(window, tick) <= self.RADIUS
-            for transition in builder.update("nearby", near, tick):
-                if transition.kind is TransitionKind.OPENED:
-                    opened = transition.interval
-                else:
-                    opened = None
-            elapsed = None if opened is None else tick - opened.start.tick
-            if elapsed is not None and elapsed >= threshold and first_satisfied is None:
+            if user.distance_to(window, tick) > self.RADIUS:
+                held_since = None
+                continue
+            if held_since is None:
+                held_since = tick
+            if tick - held_since >= threshold and first_satisfied is None:
                 first_satisfied = tick
-        assert first_satisfied == truth.start.tick + threshold
+        (interval,) = self.closed_intervals()
+        assert interval.duration >= threshold
+        assert first_satisfied == interval.start.tick + threshold
 
     def test_classification_of_the_two_readings(self):
         truth = self.ground_truth()

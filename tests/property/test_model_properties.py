@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.composite import And, Leaf, Not, Or
 from repro.core.conditions import Condition
-from repro.detect.interval_builder import IntervalBuilder, TransitionKind
+from repro.detect.interval_builder import IntervalBuilder
 
 
 class _FlagCondition(Condition):
@@ -90,9 +90,9 @@ class TestIntervalBuilderProperties:
         closed = []
         # Trailing False updates past the tolerance close what is open.
         for tick, active in enumerate(stream + [False] * (gap_tolerance + 1)):
-            for transition in builder.update("k", active, tick):
-                if transition.kind is TransitionKind.CLOSED:
-                    closed.append(transition.interval)
+            interval = builder.update(active, tick)
+            if interval is not None:
+                closed.append(interval)
         previous_end = None
         for interval in closed:
             assert interval.end is not None
@@ -109,9 +109,9 @@ class TestIntervalBuilderProperties:
         builder = IntervalBuilder(0, 0)
         intervals = []
         for tick, active in enumerate(stream + [False]):
-            for transition in builder.update("k", active, tick):
-                if transition.kind is TransitionKind.CLOSED:
-                    intervals.append(transition.interval)
+            interval = builder.update(active, tick)
+            if interval is not None:
+                intervals.append(interval)
         # Reconstruct runs of True directly.
         runs = []
         start = None

@@ -61,7 +61,6 @@ class TestSurfaceParity:
         assert [s.event_id for s in engine.specs] == ["pair"]
         assert engine.spec("pair").event_id == "pair"
         assert engine.plan("pair").prunable
-        assert engine.compiled("pair") is not None
         with pytest.raises(ObserverError):
             engine.spec("nope")
 

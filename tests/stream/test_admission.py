@@ -9,7 +9,6 @@ from repro.detect.engine import DetectionEngine
 from repro.stream import (
     AdmissionController,
     AdmissionLimits,
-    Backpressure,
     PacedSource,
     ReplaySource,
     StreamingDetectionRuntime,
@@ -242,41 +241,42 @@ class TestAdmissionController:
         assert len(controller.flush_deferred()) == 2
         assert controller.deferred_depth == 0
 
-    def test_backpressure_levels(self):
+    def test_backpressure_engages_at_three_quarters_occupancy(self):
         controller = AdmissionController(
             AdmissionLimits(max_pending=10)
         )
-        calm = controller.backpressure(occupancy=5, watermark=3)
-        assert not calm.engaged and calm.level == 0.5
-        hot = controller.backpressure(occupancy=9, watermark=3)
-        assert hot.engaged and hot.level == 0.9
-        assert hot.pending_limit == 10 and hot.watermark == 3
+        assert not controller.engaged(occupancy=5)
+        assert not controller.engaged(occupancy=7)
+        assert controller.engaged(occupancy=8)
+        assert controller.engaged(occupancy=9)
+
+    def test_no_limits_never_engage(self):
+        assert not AdmissionController().engaged(occupancy=10**6)
 
     def test_deferral_engages_backpressure(self):
         # Unbounded deferral: any parked item is full pressure (only
         # bucket refill ever drains the queue).
         controller = AdmissionController(AdmissionLimits(rate=1.0, burst=1))
         controller.intake([item(0, seq=s, arrival=0) for s in range(3)])
-        signal = controller.backpressure(occupancy=0, watermark=None)
-        assert signal.engaged and signal.level == 1.0 and signal.deferred == 2
+        assert controller.deferred_depth == 2
+        assert controller.engaged(occupancy=0)
 
     def test_deferral_depth_is_gated_at_three_quarters(self):
         controller = AdmissionController(
             AdmissionLimits(rate=1.0, burst=1, max_deferred=4)
         )
         controller.intake([item(0, seq=s, arrival=0) for s in range(2)])
-        shallow = controller.backpressure(occupancy=0, watermark=None)
-        assert not shallow.engaged and shallow.level == 0.25
+        assert controller.deferred_depth == 1
+        assert not controller.engaged(occupancy=0)
         controller.intake([item(0, seq=s, arrival=0) for s in range(2, 4)])
-        deep = controller.backpressure(occupancy=0, watermark=None)
-        assert deep.engaged and deep.level == 0.75 and deep.deferred == 3
+        assert controller.deferred_depth == 3
+        assert controller.engaged(occupancy=0)
 
     def test_zero_occupancy_cap_reads_saturated(self):
-        # max_pending=0 sheds every in-order offer; the signal must say
-        # so instead of reporting level 0 forever.
+        # max_pending=0 sheds every in-order offer; backpressure must
+        # say so instead of never engaging.
         controller = AdmissionController(AdmissionLimits(max_pending=0))
-        signal = controller.backpressure(occupancy=0, watermark=None)
-        assert signal.engaged and signal.level == 1.0
+        assert controller.engaged(occupancy=0)
 
     def test_snapshot_restore_round_trip(self):
         limits = AdmissionLimits(rate=0.5, burst=2, max_deferred=2)
@@ -435,7 +435,8 @@ class TestBoundedRuntime:
         paced_source = PacedSource(Replay(offered), slowdown=4)
         paced = bounded(paced_source)
         assert paced.stats.backpressure_events > 0
-        assert paced_source.throttle_count > 0
+        # One throttle() per delivery step that ended engaged.
+        assert paced_source.throttle_count == paced.stats.backpressure_events
         # Spacing deliveries gives the token buckets time to refill, so
         # a cooperating producer loses strictly less than a firehose.
         assert paced.stats.shed_observations < unpaced.stats.shed_observations
@@ -456,13 +457,11 @@ class TestBoundedRuntime:
         loaded.register_source("replay")
         for _, group in arrival_groups(iter(self._surge(n=1, per_tick=3))):
             loaded.ingest(group)
-        assert loaded.last_backpressure is not None
-        assert loaded.last_backpressure.engaged
+        assert loaded.admission.engaged(loaded.buffer.occupancy)
         resumed = runtime()
         resumed.restore(loaded.snapshot())
-        assert resumed.last_backpressure is not None
-        assert resumed.last_backpressure.engaged
-        assert resumed.last_backpressure == loaded.last_backpressure
+        assert resumed.buffer.occupancy == loaded.buffer.occupancy
+        assert resumed.admission.engaged(resumed.buffer.occupancy)
 
     def test_checkpoint_through_active_shedding(self):
         limits = AdmissionLimits(max_pending=5, rate=2.0, burst=2)
@@ -520,13 +519,17 @@ class TestPacedSource:
         iterator = iter(paced)
         first = next(iterator)
         assert first.arrival_tick == 0
-        paced.throttle(
-            Backpressure(True, 1.0, 9, 8, 0, None)
-        )
+        paced.throttle()
         rest = list(iterator)
         assert [it.arrival_tick for it in rest] == [4, 5, 6]
         assert paced.throttle_count == 1
 
-    def test_slowdown_validation(self):
+    # Accepted, True would pace by one tick, "3" would fail with a bare
+    # TypeError, and a fractional or nan slowdown would fail mid-stream
+    # at the first throttle.
+    @pytest.mark.parametrize(
+        "slowdown", [True, 2.5, "3", 0, -1, float("nan")]
+    )
+    def test_slowdown_must_be_a_positive_int(self, slowdown):
         with pytest.raises(ObserverError, match="slowdown"):
-            PacedSource(Replay(), slowdown=0)
+            PacedSource(Replay(), slowdown=slowdown)

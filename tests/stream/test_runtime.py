@@ -213,10 +213,10 @@ class TestRuntimeLateness:
 
 
 class TestStepBoundaryRefresh:
-    """Regression: ``finish()`` released items without refreshing the exported occupancy gauge or the backpressure
-    signal, so a drained stream still read full and under pressure; and
-    the exported watermark kept its last value after ``finish()`` had
-    closed every source and left no merged watermark."""
+    """Regression: ``finish()`` released items without refreshing the
+    exported occupancy gauge, so a drained stream still read full and
+    under pressure; and the exported watermark kept its last value after
+    ``finish()`` had closed every source and left no merged watermark."""
 
     @staticmethod
     def exported(runtime, name):
@@ -234,11 +234,11 @@ class TestStepBoundaryRefresh:
         for item in ReplaySource(batches(4), name="t"):
             runtime.ingest([item])
         assert self.exported(runtime, "stream_reorder_occupancy") == 4
-        assert runtime.last_backpressure.engaged
+        assert runtime.admission.engaged(runtime.buffer.occupancy)
         runtime.finish()
         assert runtime.buffer.occupancy == 0
         assert self.exported(runtime, "stream_reorder_occupancy") == 0
-        assert not runtime.last_backpressure.engaged
+        assert not runtime.admission.engaged(runtime.buffer.occupancy)
         # finish() is not a delivery step: the duty cycle's numerator
         # and denominator both stay where the four steps left them.
         assert runtime.stats.delivery_steps == 4
@@ -453,7 +453,6 @@ class TestEveryRuntimeHasTheSameStages:
         assert runtime.stages["telemetry"] is runtime.telemetry
         assert runtime.admission.limits == AdmissionLimits()
         assert not runtime.telemetry.enabled
-        assert not runtime.last_backpressure.engaged
 
 
 _OPTIONAL_PARTS = {

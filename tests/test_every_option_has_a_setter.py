@@ -51,7 +51,6 @@ RECORDS = {
     "Match": "one satisfied binding",
     "EngineStats": "the engine's counters",
     "RouterStats": "the shard router's counters",
-    "CompiledCondition": "a condition tree lowered by compile_condition",
     "EvaluationPlan": "the clauses compile_plan extracted from a spec",
     "ActuatorCommand": "one command a rule's factory issues",
     "Packet": "one unit of network traffic",
