@@ -19,9 +19,9 @@ trace; it keeps no list of its own.
 
 Ingestion is batch-first: :meth:`ObserverComponent.ingest_batch` feeds
 a whole per-tick entity batch to the engine in one
-:meth:`~repro.detect.engine.DetectionEngine.submit_batch` call
-(:meth:`ObserverComponent.ingest` is the single-entity convenience).
-Components fed by per-entity callbacks (packet handlers, bus
+:meth:`~repro.detect.engine.DetectionEngine.submit_batch` call, and it
+is the one intake: what a batch emitted is in :attr:`emitted` and the
+trace.  Components fed by per-entity callbacks (packet handlers, bus
 subscriptions) hand arrivals to :meth:`ObserverComponent.enqueue`:
 entities buffer in an inbox and the first of them schedules a flush at
 :data:`~repro.sim.kernel.PRIORITY_INGEST`.  That coalesces a tick's
@@ -122,30 +122,22 @@ class ObserverComponent(CPSComponent):
         self._stream_tap = None
         self.emitted = InstanceLog.of(self)
 
-    def add_spec(self, spec: EventSpecification) -> None:
-        """Install another event specification at runtime."""
-        self.engine.add_spec(spec)
-
     def next_seq(self, event_id: str) -> int:
         """Next instance sequence number ``i`` for an event id."""
         return self.emitted.next_seq(event_id)
 
-    def ingest(self, entity: Entity) -> list[EventInstance]:
-        """Evaluate one input entity; emit instances for new matches."""
-        return self.ingest_batch((entity,))
-
-    def ingest_batch(self, entities: Sequence[Entity]) -> list[EventInstance]:
+    def ingest_batch(self, entities: Sequence[Entity]) -> None:
         """Evaluate a batch of co-arriving entities in one engine pass.
 
         Window/index maintenance and dedup pruning are amortized across
-        the batch; matches emit in engine order.  This is the preferred
-        entry point for per-tick delivery (sampling rounds, coalesced
-        packet arrivals).
+        the batch; matches emit in engine order, each into a row of
+        :attr:`emitted`.  Every arrival enters here: sampling rounds
+        directly, packets and bus deliveries through :meth:`enqueue`.
         """
         if self._stream_tap is not None:
             self._stream_tap.record(self.sim.tick, entities)
-        matches = self.engine.submit_batch(entities, self.sim.tick)
-        return [self._emit_match(match) for match in matches]
+        for match in self.engine.submit_batch(entities, self.sim.tick):
+            self._emit_match(match)
 
     def attach_stream_tap(self, tap) -> None:
         """Record every engine submission into ``tap`` (one per observer).
@@ -198,9 +190,9 @@ class ObserverComponent(CPSComponent):
     """Hook: ``None``, or ``match -> l_eo`` estimate (``None`` keeps the
     output policy's); a sink's trilateration."""
 
-    def _emit_match(self, match: Match) -> EventInstance:
+    def _emit_match(self, match: Match) -> None:
         self.emitted.write(match, self.locate)
-        return self._publish(self.emitted[-1])
+        self._publish(self.emitted[-1])
 
     def distribute(self, instance: EventInstance) -> None:
         """Hook: where emitted instances go (network, bus, rules)."""
@@ -215,11 +207,10 @@ class ObserverComponent(CPSComponent):
         self.emitted.append(instance)
         self._publish(instance)
 
-    def _publish(self, instance: EventInstance) -> EventInstance:
+    def _publish(self, instance: EventInstance) -> None:
         """Trace the log's last row and distribute its instance."""
         if self.trace is not None:
             self.trace.append(
                 self.sim.tick, "instance.emit", self.name, self.emitted.payload(-1)
             )
         self.distribute(instance)
-        return instance

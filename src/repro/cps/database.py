@@ -145,14 +145,3 @@ class DatabaseServer:
         if isinstance(location, PointLocation):
             return region.contains_point(location)
         return region.intersects(location)
-
-    def count(self, event_id: str | None = None) -> int:
-        """Number of visible instances (optionally of one event id)."""
-        return len(self.query(event_id=event_id))
-
-    def latest(self, event_id: str) -> EventInstance | None:
-        """Most recently generated visible instance of an event id."""
-        matching = self.query(event_id=event_id)
-        if not matching:
-            return None
-        return max(matching, key=lambda i: i.generated_time)

@@ -143,24 +143,12 @@ class SinkNode(ObserverComponent):
         instance = packet.payload
         if not isinstance(instance, EventInstance):
             return
-        self._note_arrival(instance)
-        self.enqueue(instance)
-
-    def receive_instance(self, instance: EventInstance) -> None:
-        """Feed one sensor event instance to the CP-event conditions.
-
-        Synchronous single-entity path (direct wiring and tests); the
-        wireless path batches through :meth:`handle_packet` instead.
-        """
-        self._note_arrival(instance)
-        self.ingest(instance)
-
-    def _note_arrival(self, instance: EventInstance) -> None:
         self.record(
             "sink.receive",
             event_id=instance.event_id,
             from_observer=repr(instance.observer),
         )
+        self.enqueue(instance)
 
     # -- localization -----------------------------------------------------
 

@@ -64,7 +64,7 @@ from repro.core.time_model import EPOCH, TimeInterval, TimePoint
 from repro.detect.confidence import fusion_rule, outside_unit_interval
 from repro.sim.trace import TraceRecord
 
-__all__ = ["build_instance", "InstanceLog", "LogView"]
+__all__ = ["build_instance", "InstanceLog"]
 
 _NAN = math.nan
 
@@ -328,62 +328,7 @@ def _latency(tick: int, when) -> int:
     return TimePoint(tick) - occurred
 
 
-class _Rows(Sequence):
-    """Read access shared by the log and its views: indexing and
-    iteration materialize, a slice is a list of instances, and equality
-    is the equality of the materialized sequences."""
-
-    __slots__ = ()
-
-    def _span(self) -> range:
-        raise NotImplementedError
-
-    def _instance(self, i: int) -> EventInstance:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self._span())
-
-    def __getitem__(self, index):
-        rows = self._span()[index]
-        if isinstance(rows, range):
-            return [self._instance(i) for i in rows]
-        return self._instance(rows)
-
-    def __iter__(self):
-        instance = self._instance
-        for i in self._span():
-            yield instance(i)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_Rows, list, tuple)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class LogView(_Rows):
-    """Rows ``[start, stop)`` of an :class:`InstanceLog`, materialized
-    only when read: what a replay's delivery step returns."""
-
-    __slots__ = ("_log", "_rows")
-
-    def __init__(self, log: "InstanceLog", start: int, stop: int):
-        self._log = log
-        self._rows = range(start, stop)
-
-    def _span(self) -> range:
-        return self._rows
-
-    def _instance(self, i: int) -> EventInstance:
-        return self._log._instance(i)
-
-
-class InstanceLog(_Rows):
+class InstanceLog(Sequence):
     """One observer's emitted instances, as rows across columns.
 
     Owns the emission sequence too: the per-event counters ``i`` of
@@ -439,9 +384,6 @@ class InstanceLog(_Rows):
             observer.observer_id, observer.location, observer.layer,
             observer.instance_cls,
         )
-
-    def _span(self) -> range:
-        return range(len(self._keys))
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -532,12 +474,25 @@ class InstanceLog(_Rows):
             self._sources[i],
         )
 
+    def __getitem__(self, index):
+        """Row ``index`` as an instance; a slice is a list of them."""
+        if isinstance(index, slice):
+            return [self._instance(i) for i in range(len(self))[index]]
+        return self._instance(range(len(self))[index])
+
     def __iter__(self):
         return map(self._row, *self._columns())
 
-    def since(self, start: int) -> LogView:
-        """The rows appended from row ``start`` on, unmaterialized."""
-        return LogView(self, start, len(self))
+    def __eq__(self, other) -> bool:
+        """Equal to a log, list or tuple of equal instances."""
+        if isinstance(other, (InstanceLog, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"InstanceLog({list(self)!r})"
 
     def keys(self) -> list[tuple[str, str, int]]:
         """Every row's instance key ``(str(OB_id), E_id, i)``."""

@@ -2,11 +2,11 @@
 
 Three layers, one import surface:
 
-* :mod:`repro.obs.tracing` — sampled tick-domain stage spans
-  (:class:`StageTrace`,
-  ``ADMISSION → REORDER → WATERMARK_HOLD → ENGINE → MERGE → EMIT``)
-  and their residency histograms, kept by one :class:`Telemetry`
-  object every streaming runtime holds;
+* :mod:`repro.obs.tracing` — sampled tick-domain stage traces (four
+  ticks per observation, spanning
+  ``ADMISSION → REORDER → WATERMARK_HOLD``) and their residency
+  histograms, kept by one :class:`Telemetry` object every streaming
+  runtime holds;
 * :mod:`repro.obs.metrics` — :func:`collect`, which reads every
   exported series from the part that owns it (runtime, engine, merger,
   supervisor, telemetry) when asked;
@@ -34,7 +34,6 @@ from repro.obs.tracing import (
     TRACE_RING,
     Histogram,
     Stage,
-    StageTrace,
     Telemetry,
     TelemetrySnapshot,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "Histogram",
     "MetricSample",
     "Stage",
-    "StageTrace",
     "Telemetry",
     "TelemetrySnapshot",
     "collect",

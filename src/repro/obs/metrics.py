@@ -141,11 +141,11 @@ def collect(runtime) -> list[MetricSample]:
             _sample("obs_traces_sampled_total",
                     "Observations picked for tracing", telemetry.sampled),
             _sample("obs_traces_completed_total",
-                    "Traces that reached EMIT", telemetry.finished),
+                    "Traces closed at release", telemetry.finished),
             *(
                 _sample("obs_traces_discarded_total",
                         "Sampled observations that left the pipeline "
-                        "before EMIT", discarded, reason=reason)
+                        "before release", discarded, reason=reason)
                 for reason, discarded in sorted(telemetry.discarded.items())
             ),
             *(

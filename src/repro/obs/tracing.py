@@ -6,24 +6,24 @@ not say *where inside the runtime* a given observation spent its time.
 Following the value-age argument of Kopetz & Steiner (arXiv
 2409.19309) — temporal consistency is only assessable when the age of
 every value is tracked through each processing stage — this module is
-the measured side of that latency, and a :class:`StageTrace` records
-**tick-domain** enter/exit stamps for each pipeline stage an
-observation crosses:
+the measured side of that latency.  A trace is four **tick-domain**
+stamps of one sampled observation — its arrival tick, the step it
+cleared admission at, its event tick and the step that released it —
+and they fix the three stages it crosses:
 
-``ADMISSION → REORDER → WATERMARK_HOLD → ENGINE → MERGE → EMIT``
+``ADMISSION → REORDER → WATERMARK_HOLD``
 
 * ``ADMISSION`` — arrival tick → the delivery step that cleared
   admission (non-zero residency = token-bucket deferral cost);
-* ``REORDER`` — admission exit → the delivery step whose watermark
-  released the item (reorder-buffer residency);
+* ``REORDER`` — admitted → the delivery step whose watermark released
+  the item (reorder-buffer residency);
 * ``WATERMARK_HOLD`` — the item's *event* tick → release step (the
   value's age when the watermark finally passed it — how long
-  event-time order cost this observation beyond its occurrence);
-* ``ENGINE`` / ``MERGE`` / ``EMIT`` — the release step itself (the
-  engine evaluates, the shard merger arbitrates and matches emit
-  within one step, so these spans are zero-width in the tick domain;
-  they exist so the stage set is closed under future wall-clock
-  tracers).
+  event-time order cost this observation beyond its occurrence).
+
+The engine evaluates, the shard merger arbitrates and matches emit
+within the releasing step, so a trace closes at release
+(:meth:`Telemetry.release`).
 
 Stamps are **ticks, never wall clocks**, and the tracer draws no
 randomness: enabling tracing cannot perturb a golden digest, and two
@@ -54,6 +54,7 @@ from repro.core.checkpoint import (
     NAME,
     NUMBER,
     TICK_OR_NONE,
+    TICK,
     Domain,
     Restorable,
     check,
@@ -72,7 +73,6 @@ __all__ = [
     "TRACE_RING",
     "Histogram",
     "Stage",
-    "StageTrace",
     "Telemetry",
     "TelemetrySnapshot",
 ]
@@ -134,99 +134,33 @@ class Stage(Enum):
     ADMISSION = "ADMISSION"
     REORDER = "REORDER"
     WATERMARK_HOLD = "WATERMARK_HOLD"
-    ENGINE = "ENGINE"
-    MERGE = "MERGE"
-    EMIT = "EMIT"
 
 
 STAGES: tuple[Stage, ...] = tuple(Stage)
 
-# Stamps live in one flat list, two slots per stage (enter, exit), in
-# STAGES order — a single allocation per trace and plain integer
-# indexing on the hot path instead of per-stage dict hashing.
-_STAGE_SLOT: dict[Stage, int] = {
-    stage: 2 * index for index, stage in enumerate(STAGES)
-}
-_STAGE_VALUES: tuple[str, ...] = tuple(stage.value for stage in STAGES)
-_SLOT_COUNT = 2 * len(STAGES)
-_ADMISSION_ENTER = _STAGE_SLOT[Stage.ADMISSION]
-_REORDER_ENTER = _STAGE_SLOT[Stage.REORDER]
-_REORDER_EXIT = _REORDER_ENTER + 1
-_HOLD_ENTER = _STAGE_SLOT[Stage.WATERMARK_HOLD]
-_ENGINE_ENTER = _STAGE_SLOT[Stage.ENGINE]
+TraceRow = tuple[str, int, tuple[tuple[str, int, int], ...]]
+"""``(source, seq, ((stage, enter, exit), ...))``, one triple per stage
+in :data:`STAGES` order."""
 
-TraceRow = tuple[str, int, tuple[tuple[str, int | None, int | None], ...]]
+_ACTIVE_ROWS = tuple_of(
+    shaped(
+        NAME, COUNT, TICK, TICK, text="a (source, seq, arrival, admitted) row"
+    )
+)
 
 
-class StageTrace:
-    """Tick-domain enter/exit stamps of one sampled observation."""
-
-    __slots__ = ("source", "seq", "_stamps")
-
-    def __init__(self, source: str, seq: int):
-        self.source = source
-        self.seq = seq
-        self._stamps: list[int | None] = [None] * _SLOT_COUNT
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.source, self.seq)
-
-    def enter(self, stage: Stage, tick: int) -> None:
-        self._stamps[_STAGE_SLOT[stage]] = tick
-
-    def exit(self, stage: Stage, tick: int) -> None:
-        self._stamps[_STAGE_SLOT[stage] + 1] = tick
-
-    def stamp_admitted(self, arrival_tick: int, now: int | None) -> None:
-        """Fused admission stamps: ADMISSION spans arrival → the clearing
-        step ``now`` (non-zero = deferral cost; no step clock yet = the
-        arrival) and REORDER opens as the item reaches the buffer."""
-        stamps = self._stamps
-        stamps[_ADMISSION_ENTER] = arrival_tick
-        now = arrival_tick if now is None else now
-        stamps[_ADMISSION_ENTER + 1] = stamps[_REORDER_ENTER] = now
-
-    def stamp_released(self, event_tick: int, now: int) -> None:
-        """Fused release stamps: REORDER closes at the releasing step,
-        WATERMARK_HOLD spans the value's age (event tick → release),
-        and ENGINE/MERGE/EMIT are zero-width at the release step."""
-        stamps = self._stamps
-        stamps[_REORDER_EXIT] = now
-        stamps[_HOLD_ENTER] = event_tick
-        stamps[_HOLD_ENTER + 1] = now
-        stamps[_ENGINE_ENTER:] = (now,) * (_SLOT_COUNT - _ENGINE_ENTER)
-
-    def as_row(self) -> TraceRow:
-        """Canonical immutable row: every stage in order, unset = None."""
-        stamps = self._stamps
-        return (
-            self.source,
-            self.seq,
-            tuple(
-                (_STAGE_VALUES[index], stamps[2 * index], stamps[2 * index + 1])
-                for index in range(len(STAGES))
-            ),
-        )
-
-    @classmethod
-    def from_row(cls, row: TraceRow) -> "StageTrace":
-        """The trace :meth:`as_row` wrote."""
-        source, seq, stages = row
-        trace = cls(source, seq)
-        for name, enter, exit_ in stages:
-            trace.enter(Stage(name), enter)
-            trace.exit(Stage(name), exit_)
-        return trace
+def _span(stage: Stage) -> Domain:
+    """``(stage name, enter tick, exit tick)`` of one named stage."""
+    name = stage.value
+    return shaped(Domain(repr(name), lambda v: v == name), TICK, TICK)
 
 
-_STAGE_NAME = Domain("a stage name", lambda name: name in _STAGE_VALUES)
 _TRACE_ROWS = tuple_of(
     shaped(
         NAME,
         COUNT,
-        tuple_of(shaped(_STAGE_NAME, TICK_OR_NONE, TICK_OR_NONE)),
-        text="a (source, seq, stamps) row",
+        shaped(*map(_span, STAGES)),
+        text="a (source, seq, stage spans) row",
     )
 )
 _HISTOGRAM = shaped(
@@ -244,7 +178,9 @@ class TelemetrySnapshot:
 
     trace_every: int = declared(CONFIG)
     offered: int = declared(COUNT)
-    active: tuple[TraceRow, ...] = declared(_TRACE_ROWS)
+    active: tuple[tuple[str, int, int, int], ...] = declared(_ACTIVE_ROWS)
+    """In flight, in admission order: ``(source, seq, arrival,
+    admitted)``."""
     completed: tuple[TraceRow, ...] = declared(_TRACE_ROWS)
     residency: tuple[tuple[tuple[int, ...], int | float, int], ...] = declared(
         shaped(*[_HISTOGRAM] * len(STAGES), text="one histogram per stage")
@@ -302,13 +238,13 @@ class Telemetry(Restorable):
         self.sampled = 0
         """Observations picked for tracing."""
         self.finished = 0
-        """Traces that reached EMIT."""
+        """Traces closed at release."""
         self.discarded: dict[str, int] = {}
-        """Sampled observations that left the pipeline before EMIT, by
-        reason (shed, evicted, late)."""
+        """Sampled observations that left the pipeline before release,
+        by reason (shed, evicted, late)."""
         self._offered = 0
-        self._active: dict[tuple[str, int], StageTrace] = {}
-        self._completed: deque[StageTrace] = deque(maxlen=TRACE_RING)
+        self._active: dict[tuple[str, int], tuple[int, int]] = {}
+        self._completed: deque[TraceRow] = deque(maxlen=TRACE_RING)
 
     @classmethod
     def create(cls, *, trace_every: int = 0) -> "Telemetry":
@@ -325,69 +261,85 @@ class Telemetry(Restorable):
         return len(self._active)
 
     def completed_rows(self) -> tuple[TraceRow, ...]:
-        """The ring buffer's completed traces, oldest first.
-
-        Rows materialize here, not on the hot path: retired traces sit
-        in the ring as-is and only the survivors (at most
-        :data:`TRACE_RING`)
-        ever pay row construction.
-        """
-        return tuple(trace.as_row() for trace in self._completed)
+        """The ring buffer's completed traces, oldest first."""
+        return tuple(self._completed)
 
     def observe_step(self, tick: int) -> None:
-        """Advance the monotone step clock (stage stamps read it)."""
+        """Advance the monotone step clock (admission and release read
+        it)."""
         if self.now is None or tick > self.now:
             self.now = tick
 
     # -- the sampling hot path -----------------------------------------
 
-    def admit(self, item: "StreamItem") -> StageTrace | None:
+    def admit(self, item: "StreamItem") -> None:
         """Sampling decision for one admitted observation.
 
         Disabled telemetry returns after a single integer check;
         sampling telemetry counts every observation (the deterministic
-        cursor) and opens a :class:`StageTrace` for each k-th one,
-        stamped admitted at the step clock.
+        cursor) and opens a trace for each k-th one: its arrival tick
+        and the step clock it cleared admission at (the arrival, before
+        the first step).
         """
         every = self.trace_every
         if not every:
-            return None
+            return
         offered = self._offered
         self._offered = offered + 1
         if offered % every:
-            return None
-        trace = StageTrace(item.source, item.seq)
-        trace.stamp_admitted(item.arrival_tick, self.now)
-        self._active[trace.key] = trace
+            return
+        arrival, now = item.arrival_tick, self.now
+        self._active[(item.source, item.seq)] = (
+            arrival,
+            arrival if now is None else now,
+        )
         self.sampled += 1
-        return trace
-
-    def lookup(self, source: str, seq: int) -> StageTrace | None:
-        """The in-flight trace of ``(source, seq)``, if it was sampled."""
-        return self._active.get((source, seq))
 
     def lost(self, items: Iterable["StreamItem"], reason: str) -> None:
         """Retire the in-flight traces of observations that left the
-        pipeline before EMIT (shed, evicted, late) — each counted under
-        ``reason``, never silently.  An unsampled item has no trace to
-        retire, and with tracing off this returns at once."""
+        pipeline before release (shed, evicted, late) — each counted
+        under ``reason``, never silently.  An unsampled item has no
+        trace to retire, and with tracing off this returns at once."""
         if not self.trace_every:
             return
         for item in items:
             if self._active.pop((item.source, item.seq), None) is not None:
                 self.discarded[reason] = self.discarded.get(reason, 0) + 1
 
-    def complete(self, trace: StageTrace) -> None:
-        """Retire a trace at EMIT: feed histograms, append to the ring."""
-        self._active.pop((trace.source, trace.seq), None)
-        stamps = trace._stamps
-        for index, histogram in enumerate(self.residency):
-            enter = stamps[2 * index]
-            exit_ = stamps[2 * index + 1]
-            if enter is not None and exit_ is not None:
-                histogram.observe(exit_ - enter)
-        self._completed.append(trace)
-        self.finished += 1
+    def release(self, items: Iterable["StreamItem"]) -> None:
+        """Close the sampled traces of one released tick group.
+
+        Each span is a difference of the trace's four ticks: ADMISSION
+        is arrival → admitted, REORDER admitted → released and
+        WATERMARK_HOLD the item's event tick → released, where released
+        is the step clock (the event tick, before the first step).  The
+        spans feed the residency histograms and the row joins the ring.
+        """
+        active = self._active
+        now = self.now
+        admission, reorder, hold = self.residency
+        for item in items:
+            stamps = active.pop((item.source, item.seq), None)
+            if stamps is None:
+                continue
+            arrival, admitted = stamps
+            event = item.event_tick
+            released = event if now is None else now
+            admission.observe(admitted - arrival)
+            reorder.observe(released - admitted)
+            hold.observe(released - event)
+            self._completed.append(
+                (
+                    item.source,
+                    item.seq,
+                    (
+                        ("ADMISSION", arrival, admitted),
+                        ("REORDER", admitted, released),
+                        ("WATERMARK_HOLD", event, released),
+                    ),
+                )
+            )
+            self.finished += 1
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -396,7 +348,8 @@ class Telemetry(Restorable):
             trace_every=self.trace_every,
             offered=self._offered,
             active=tuple(
-                trace.as_row() for trace in self._active.values()
+                (source, seq, arrival, admitted)
+                for (source, seq), (arrival, admitted) in self._active.items()
             ),
             completed=self.completed_rows(),
             residency=tuple(
@@ -417,12 +370,10 @@ class Telemetry(Restorable):
         """Reinstall the exact state of an accepted snapshot."""
         self._offered = snapshot.offered
         self._active = {
-            trace.key: trace
-            for trace in map(StageTrace.from_row, snapshot.active)
+            (source, seq): (arrival, admitted)
+            for source, seq, arrival, admitted in snapshot.active
         }
-        self._completed = deque(
-            map(StageTrace.from_row, snapshot.completed), maxlen=TRACE_RING
-        )
+        self._completed = deque(snapshot.completed, maxlen=TRACE_RING)
         for histogram, (counts, total, count) in zip(
             self.residency, snapshot.residency
         ):

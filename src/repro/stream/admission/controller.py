@@ -163,11 +163,6 @@ class AdmissionController(Restorable):
 
     # -- intake --------------------------------------------------------
 
-    @property
-    def deferred_depth(self) -> int:
-        """Items currently parked in the deferral queue."""
-        return len(self._deferred)
-
     def metrics_view(self) -> dict[str, object]:
         """Controller state as a flat metric mapping (read-only).
 

@@ -100,16 +100,6 @@ class ReorderBuffer(Restorable):
         return len(self._heap)
 
     @property
-    def released_through(self) -> int | None:
-        """Highest watermark released so far (``None`` before the first)."""
-        return self._released_through
-
-    @property
-    def highest_offered(self) -> int | None:
-        """Highest event tick ever offered (``None`` before the first)."""
-        return self._highest_offered
-
-    @property
     def late_count(self) -> int:
         """Exact count of observations beyond the lateness bound.
 

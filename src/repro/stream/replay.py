@@ -34,7 +34,7 @@ from repro.core.instance import EventInstance, ObserverId
 from repro.core.space_model import BoundingBox, PointLocation
 from repro.core.spec import EventSpecification
 from repro.detect.engine import DetectionEngine, Match
-from repro.detect.output import InstanceLog, LogView
+from repro.detect.output import InstanceLog
 from repro.shard.engine import ShardedDetectionEngine
 from repro.sim.trace import TraceRecord
 from repro.stream.admission.controller import AdmissionController
@@ -197,17 +197,13 @@ class ReplayObserver:
         self.runtime.run(source)
         return self.emitted
 
-    def ingest(self, items: Sequence[StreamItem]) -> LogView:
-        """Process one delivery step; return the rows it emitted."""
-        before = len(self.emitted)
+    def ingest(self, items: Sequence[StreamItem]) -> None:
+        """Process one delivery step; its rows join :attr:`emitted`."""
         self.runtime.ingest(items)
-        return self.emitted.since(before)
 
-    def finish(self) -> LogView:
-        """Flush the stream; return the final rows."""
-        before = len(self.emitted)
+    def finish(self) -> None:
+        """Flush the stream; the final rows join :attr:`emitted`."""
         self.runtime.finish()
-        return self.emitted.since(before)
 
     # -- emission ------------------------------------------------------
 

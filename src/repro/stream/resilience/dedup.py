@@ -98,10 +98,6 @@ class RedeliveryDeduper(Restorable):
         self._high[item.source] = high
         return True
 
-    def in_flight(self, source: str) -> int:
-        """Accepted sequence numbers above the source's high water."""
-        return len(self._seen.get(source, ()))
-
     # -- checkpoint / restore ------------------------------------------
 
     def snapshot(self) -> DedupSnapshot:

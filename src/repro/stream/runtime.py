@@ -234,9 +234,8 @@ class StreamingDetectionRuntime:
             retransmission right behind it.
         telemetry: The :class:`~repro.obs.tracing.Telemetry` (stage
             tracer + step clock).  ``None`` (the default) builds
-            ``Telemetry.create()``, which traces nothing.  The runtime
-            stamps sampled
-            :class:`~repro.obs.tracing.StageTrace` spans in the tick
+            ``Telemetry.create()``, which traces nothing.  Sampled
+            traces open at admission and close at release, in the tick
             domain.  Telemetry only *reads* the pipeline — no
             randomness, no ordering effects — so every golden digest is
             reproduced byte-for-byte with it enabled; checkpoints carry
@@ -472,7 +471,7 @@ class StreamingDetectionRuntime:
             counts.released_items += len(group)
             counts.batches_submitted += 1
             if tracing:
-                self._trace_release(telemetry, group)
+                telemetry.release(group)
             batch_matches = self.engine.submit_batch(
                 [item.entity for item in group], tick
             )
@@ -480,28 +479,6 @@ class StreamingDetectionRuntime:
             if self.on_match is not None:
                 for match in batch_matches:
                     self.on_match(match)
-
-    def _trace_release(
-        self, telemetry: Telemetry, group: Sequence[StreamItem]
-    ) -> None:
-        """Close the sampled traces of one released tick group.
-
-        All stamps are ticks: the reorder span closes at the step clock,
-        the watermark-hold span measures the value's age from its event
-        tick to release, and the engine/merge/emit spans are zero-width
-        in the tick domain (evaluation, merge arbitration and emission
-        all happen within the releasing step).
-        """
-        lookup = telemetry.lookup
-        complete = telemetry.complete
-        step_now = telemetry.now
-        for item in group:
-            trace = lookup(item.source, item.seq)
-            if trace is None:
-                continue
-            now = step_now if step_now is not None else item.event_tick
-            trace.stamp_released(item.event_tick, now)
-            complete(trace)
 
     # -- checkpoint / restore ------------------------------------------
 

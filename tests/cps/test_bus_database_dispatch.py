@@ -140,7 +140,7 @@ class TestDatabaseServer:
         db.store(instance("hot", seq=0))
         db.store(instance("fire", seq=1))
         assert len(db) == 2
-        assert db.count("hot") == 1
+        assert len(db.query(event_id="hot")) == 1
         assert [i.event_id for i in db.query(event_id="fire")] == ["fire"]
 
     def test_duplicate_keys_ignored(self):
@@ -154,9 +154,9 @@ class TestDatabaseServer:
         sim = Simulator()
         db = DatabaseServer("DB1", sim, transfer_delay=10)
         db.store(instance())
-        assert db.count() == 0
+        assert len(db.query()) == 0
         sim.run(until=10)
-        assert db.count() == 1
+        assert len(db.query()) == 1
 
     def test_time_range_query(self):
         sim = Simulator()
@@ -195,8 +195,9 @@ class TestDatabaseServer:
         db = DatabaseServer("DB1", sim)
         db.store(instance(seq=0, tick=10))
         db.store(instance(seq=1, tick=30))
-        assert db.latest("hot").seq == 1
-        assert db.latest("missing") is None
+        latest = max(db.query(event_id="hot"), key=lambda i: i.generated_time)
+        assert latest.seq == 1
+        assert db.query(event_id="missing") == []
 
     @pytest.mark.parametrize(
         "value", [-1, True, False, 2.5, 5.0, float("nan"), float("inf"), "5", None]

@@ -74,16 +74,15 @@ class TestCPSComponent:
 class TestObserverComponent:
     def test_ingest_emits_on_match(self):
         observer = make_observer(specs=[spec()])
-        emitted = observer.ingest(obs(60.0))
-        assert len(emitted) == 1
-        instance = emitted[0]
+        observer.ingest_batch([obs(60.0)])
+        (instance,) = observer.emitted
         assert instance.observer == observer.observer_id
         assert instance.generated_location == HERE
-        assert observer.emitted == emitted
 
     def test_ingest_silent_below_threshold(self):
         observer = make_observer(specs=[spec()])
-        assert observer.ingest(obs(40.0)) == []
+        observer.ingest_batch([obs(40.0)])
+        assert observer.emitted == []
 
     def test_seq_counters_per_event_id(self):
         observer = make_observer(specs=[spec("a"), spec("b", threshold=0.0)])
@@ -110,12 +109,12 @@ class TestObserverComponent:
         elsewhere = PhysicalObservation(
             "MT1", "SR1", 1, TimePoint(5), PointLocation(3, 4), {"t": 61.0}
         )
-        first, second = observer.ingest_batch([obs(60.0), elsewhere])
+        observer.ingest_batch([obs(60.0), elsewhere])
         assert [m.entities()[0] for m in seen] == [obs(60.0), elsewhere]
         # A location replaces the policy's; None keeps it.
+        first, second = observer.emitted
         assert first.estimated_location == there
         assert second.estimated_location == PointLocation(3, 4)
-        assert observer.emitted == [first, second]
 
     def test_distribute_hook_called(self):
         distributed = []
@@ -131,8 +130,8 @@ class TestObserverComponent:
             instance_cls=SensorEventInstance,
             specs=[spec()],
         )
-        observer.ingest(obs(60.0))
-        assert len(distributed) == 1
+        observer.ingest_batch([obs(60.0)])
+        assert distributed == [observer.emitted[0]]
 
     def test_emit_direct_traces_and_distributes(self):
         trace = TraceRecorder()
@@ -150,12 +149,6 @@ class TestObserverComponent:
         assert observer.emitted == [instance]
         assert trace.count("instance.emit") == 1
 
-    def test_add_spec_at_runtime(self):
-        observer = make_observer()
-        assert observer.ingest(obs(60.0)) == []
-        observer.add_spec(spec())
-        assert len(observer.ingest(obs(60.0))) == 1
-
 
 class TestBatchedIngestion:
     def test_ingest_batch_emits_for_each_match(self):
@@ -166,8 +159,8 @@ class TestBatchedIngestion:
             )
             for seq in range(3)
         ]
-        emitted = observer.ingest_batch(batch)
-        assert len(emitted) == 3
+        assert observer.ingest_batch(batch) is None
+        assert len(observer.emitted) == 3
         assert observer.engine.stats.batches_submitted == 1
         assert observer.engine.stats.entities_submitted == 3
 

@@ -86,8 +86,8 @@ class TestSinkNode:
         published = []
         sink = SinkNode("S1", ORIGIN, sim, specs=[cp_spec()],
                         publish=published.append)
-        sink.receive_instance(sensor_instance("MT1", x=0.0, tick=10))
-        sink.receive_instance(sensor_instance("MT2", x=5.0, tick=12))
+        sink.ingest_batch([sensor_instance("MT1", x=0.0, tick=10)])
+        sink.ingest_batch([sensor_instance("MT2", x=5.0, tick=12)])
         assert len(sink.emitted) == 1
         instance = sink.emitted[0]
         assert isinstance(instance, CyberPhysicalEventInstance)
@@ -100,15 +100,15 @@ class TestSinkNode:
         sink = SinkNode("S1", ORIGIN, sim, specs=[cp_spec()])
         a = sensor_instance("MT1", x=0.0, tick=10)
         b = sensor_instance("MT2", x=5.0, tick=12)
-        sink.receive_instance(a)
-        sink.receive_instance(b)
+        sink.ingest_batch([a])
+        sink.ingest_batch([b])
         assert set(sink.emitted[0].sources) == {a.key, b.key}
 
     def test_confidence_fused_min(self):
         sim = Simulator()
         sink = SinkNode("S1", ORIGIN, sim, specs=[cp_spec()])
-        sink.receive_instance(sensor_instance("MT1", rho=0.9, tick=10))
-        sink.receive_instance(sensor_instance("MT2", x=3.0, rho=0.6, tick=12))
+        sink.ingest_batch([sensor_instance("MT1", rho=0.9, tick=10)])
+        sink.ingest_batch([sensor_instance("MT2", x=3.0, rho=0.6, tick=12)])
         assert sink.emitted[0].confidence == pytest.approx(0.6)
 
     def test_trilateration_refinement(self):
@@ -131,12 +131,12 @@ class TestSinkNode:
         )
         anchors = [PointLocation(0, 0), PointLocation(10, 0), PointLocation(0, 10)]
         for index, anchor in enumerate(anchors):
-            sink.receive_instance(
+            sink.ingest_batch([
                 sensor_instance(
                     f"MT{index}", seq=index, x=anchor.x, y=anchor.y,
                     range=anchor.distance_to(target),
                 )
-            )
+            ])
         assert sink.emitted
         estimate = sink.emitted[0].estimated_location
         assert estimate.distance_to(target) < 1e-6
@@ -146,8 +146,8 @@ class TestSinkNode:
         sink = SinkNode(
             "S1", ORIGIN, sim, specs=[cp_spec()], trilaterate_attribute="range"
         )
-        sink.receive_instance(sensor_instance("MT1", x=0.0, tick=10, range=5.0))
-        sink.receive_instance(sensor_instance("MT2", x=4.0, tick=12, range=3.0))
+        sink.ingest_batch([sensor_instance("MT1", x=0.0, tick=10, range=5.0)])
+        sink.ingest_batch([sensor_instance("MT2", x=4.0, tick=12, range=3.0)])
         # Two anchors: falls back to the centroid policy.
         assert sink.emitted[0].estimated_location == PointLocation(2, 0)
 

@@ -182,7 +182,7 @@ class TestRuntime:
         system.add_sink("MT0_0", specs=[cp_hot])
         db = system.add_database("DB1")
         system.run(until=200)
-        assert db.count("cp_hot") > 0
+        assert len(db.query(event_id="cp_hot")) > 0
 
     def test_run_is_deterministic_per_seed(self):
         def run(seed):

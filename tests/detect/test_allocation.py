@@ -196,9 +196,13 @@ def test_a_group_row_keeps_the_flat_provenance_tuple():
 def test_rows_share_what_does_not_differ_between_them():
     replayer = ReplayObserver(pair_profile(), lateness=0)
     replayer.runtime.register_source("replay")
-    per_step = [replayer.ingest(group) for group in steps()]
-    per_step.append(replayer.finish())
     log = replayer.emitted
+    sizes = [0]
+    for group in steps():
+        replayer.ingest(group)
+        sizes.append(len(log))
+    replayer.finish()
+    sizes.append(len(log))
     # No output recipe: every row holds the one empty, read-only V.
     empty = log._attributes[0]
     assert len(log) > 20 and not empty
@@ -207,7 +211,7 @@ def test_rows_share_what_does_not_differ_between_them():
         log[0].attributes["v"] = 1.0
     # One generation stamp per tick: a row's t_g (and its point t_eo) is
     # its tick, a plain int, so no row holds a TimePoint of its own.
-    assert any(len(rows) > 1 for rows in per_step)
+    assert any(after - before > 1 for before, after in zip(sizes, sizes[1:]))
     assert [type(tick) for tick in log._ticks] == [int] * len(log)
     assert [type(when) for when in log._times] == [int] * len(log)
     # The computed centroids live in the coordinate columns.
@@ -218,7 +222,7 @@ def test_rows_share_what_does_not_differ_between_them():
     assert first == again and first is not again
     assert first.key is again.key is log.keys()[3]
     assert first.sources is again.sources
-    assert list(log) == [row for rows in per_step for row in rows]
+    assert list(log) == log[:]
 
 
 def rows_of(replayer):

@@ -63,7 +63,7 @@ from repro.core.event import EventLayer
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.cps.component import ObserverComponent
 from repro.detect.output import build_instance
-from repro.obs import Telemetry, collect, to_json, trace_rows_digest
+from repro.obs import Stage, Telemetry, collect, to_json, trace_rows_digest
 from repro.sim.trace import TraceRecord, trace_digest
 from repro.stream import (
     AdmissionController,
@@ -488,10 +488,10 @@ def test_rows_read_back_as_the_instances_build_instance_makes(name, monkeypatch)
     matched: dict[str, list] = {}
 
     def emit_match(self, match, original=ObserverComponent._emit_match):
-        instance = original(self, match)
+        original(self, match)
+        instance = self.emitted[-1]
         matched.setdefault(self.name, []).append((match, instance))
         emitted.setdefault(self.name, []).append(instance)
-        return instance
 
     def emit_direct(self, instance, original=ObserverComponent.emit_direct):
         emitted.setdefault(self.name, []).append(instance)
@@ -858,8 +858,8 @@ class TestOverloadSurgeBounded:
     @pytest.mark.parametrize(
         "policy, shed, export, rows",
         [
-            ("drop_oldest_late", 501, "ba053a83d61d9130", "0c6ff84693f4ccb2"),
-            ("drop_lowest_priority", 158, "f752e042d5914a73", "b4d871789cfcea7a"),
+            ("drop_oldest_late", 501, "4ba69b0ed1a68baf", "1a3454fa57c2774f"),
+            ("drop_lowest_priority", 158, "1d56cdd554f7d128", "bf0580b669b3169f"),
         ],
     )
     def test_tracing_under_a_shedding_cap_changes_nothing(
@@ -883,6 +883,24 @@ class TestOverloadSurgeBounded:
         json_export, ring = _export(traced.runtime)
         assert sha256(json_export.encode()).hexdigest()[:16] == export
         assert trace_rows_digest(ring)[:16] == rows
+
+    def test_every_stage_of_a_rate_limited_trace_takes_ticks(self):
+        """Under a rate limit, deferral, buffering and the watermark each
+        hold a traced observation for some ticks: no stage's residency
+        series may read 0."""
+        traced = self._replay(
+            AdmissionController(
+                AdmissionLimits(rate=3.0, burst=6.0, max_deferred=16)
+            ),
+            telemetry=Telemetry.create(trace_every=1),
+        )
+        residency = {
+            dict(sample.labels)["stage"]: sample.total
+            for sample in collect(traced.runtime)
+            if sample.name == "obs_stage_residency_ticks"
+        }
+        assert list(residency) == [stage.value for stage in Stage]
+        assert all(total > 0 for total in residency.values()), residency
 
 
 def test_flaky_uplink_recovers_identically_after_a_crash_at_any_step():

@@ -109,5 +109,5 @@ class TestDslDrivenSystem:
 
     def test_alarm_reaches_database(self, ran_system):
         db = ran_system.databases["DB1"]
-        assert db.count("alarm") >= 1
-        assert db.count("fire") >= 1
+        assert len(db.query(event_id="alarm")) >= 1
+        assert len(db.query(event_id="fire")) >= 1

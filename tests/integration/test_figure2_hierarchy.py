@@ -221,5 +221,5 @@ class TestProvenance:
 
     def test_database_holds_all_published_layers(self, ran_system):
         db = ran_system.databases["DB1"]
-        assert db.count("fire") > 0
-        assert db.count("alarm") > 0
+        assert len(db.query(event_id="fire")) > 0
+        assert len(db.query(event_id="alarm")) > 0

@@ -118,7 +118,7 @@ class TestCollect:
             if sample.name == "obs_stage_residency_ticks"
         ]
         assert [dict(s.labels)["stage"] for s in residency] == [
-            "ADMISSION", "REORDER", "WATERMARK_HOLD", "ENGINE", "MERGE", "EMIT"
+            "ADMISSION", "REORDER", "WATERMARK_HOLD"
         ]
         assert all(sample.count == 6 for sample in residency)
 

@@ -7,35 +7,18 @@ from collections import namedtuple
 import pytest
 
 from repro.core.errors import ObserverError
-from repro.obs.tracing import TRACE_RING, STAGES, Stage, StageTrace, Telemetry
+from repro.obs.tracing import TRACE_RING, STAGES, Stage, Telemetry
 
-Item = namedtuple("Item", ["source", "seq", "arrival_tick"], defaults=[0])
+Item = namedtuple(
+    "Item", ["source", "seq", "arrival_tick", "event_tick"], defaults=[0, 0]
+)
 
 
-class TestStageTrace:
-    def test_enter_exit_stamps(self):
-        trace = StageTrace("s", 0)
-        trace.enter(Stage.REORDER, 3)
-        trace.exit(Stage.REORDER, 10)
-        stamps = {stage: (enter, exit_) for stage, enter, exit_ in trace.as_row()[2]}
-        assert stamps[Stage.REORDER.value] == (3, 10)
-        assert stamps[Stage.ENGINE.value] == (None, None)
-
-    def test_row_round_trip(self):
-        trace = StageTrace("s", 4)
-        trace.enter(Stage.ADMISSION, 1)
-        trace.exit(Stage.ADMISSION, 1)
-        trace.enter(Stage.REORDER, 1)
-        row = trace.as_row()
-        back = StageTrace.from_row(row)
-        assert back.as_row() == row
-        assert back.key == ("s", 4)
-
-    def test_row_lists_every_stage_in_order(self):
-        row = StageTrace("s", 0).as_row()
-        assert [entry[0] for entry in row[2]] == [
-            stage.value for stage in STAGES
-        ]
+def _sampled(tracer: Telemetry, item: Item) -> bool:
+    """Admit ``item``; whether it opened a trace."""
+    before = tracer.sampled
+    tracer.admit(item)
+    return tracer.sampled > before
 
 
 class TestSampling:
@@ -43,52 +26,78 @@ class TestSampling:
         tracer = Telemetry.create(trace_every=0)
         assert not tracer.enabled
         for seq in range(10):
-            assert tracer.admit(Item("s", seq)) is None
-        assert tracer.active_count == 0
+            tracer.admit(Item("s", seq))
+        assert (tracer.sampled, tracer.active_count) == (0, 0)
 
     def test_trace_every_k_is_deterministic(self):
         tracer = Telemetry.create(trace_every=3)
-        picks = [
-            tracer.admit(Item("s", seq)) is not None for seq in range(9)
-        ]
+        picks = [_sampled(tracer, Item("s", seq)) for seq in range(9)]
         assert picks == [True, False, False] * 3
 
     def test_trace_every_one_samples_everything(self):
         tracer = Telemetry.create(trace_every=1)
-        traces = [tracer.admit(Item("s", seq)) for seq in range(5)]
-        assert all(trace is not None for trace in traces)
+        assert all(_sampled(tracer, Item("s", seq)) for seq in range(5))
         assert tracer.active_count == 5
 
     def test_same_cursor_same_picks_across_runs(self):
         def picks():
             tracer = Telemetry.create(trace_every=4)
-            return [
-                tracer.admit(Item("s", seq)) is not None
-                for seq in range(17)
-            ]
+            return [_sampled(tracer, Item("s", seq)) for seq in range(17)]
 
         assert picks() == picks()
 
 
-class TestLifecycle:
-    def test_complete_feeds_residency_histograms_and_ring(self):
-        tracer = Telemetry.create(trace_every=1)
-        trace = tracer.admit(Item("s", 0))
-        trace.enter(Stage.REORDER, 0)
-        trace.exit(Stage.REORDER, 5)
-        tracer.complete(trace)
-        assert tracer.active_count == 0
-        assert len(tracer.completed_rows()) == 1
-        assert (tracer.sampled, tracer.finished) == (1, 1)
-        histogram = tracer.residency[STAGES.index(Stage.REORDER)]
-        assert histogram.count == 1
-        assert histogram.total == 5
+class TestStages:
+    def test_three_stages_in_pipeline_order(self):
+        assert [stage.value for stage in STAGES] == [
+            "ADMISSION", "REORDER", "WATERMARK_HOLD",
+        ]
+        assert STAGES == tuple(Stage)
 
-    def test_lookup_finds_in_flight_traces(self):
+
+class TestLifecycle:
+    def test_a_trace_is_four_ticks(self):
         tracer = Telemetry.create(trace_every=1)
-        trace = tracer.admit(Item("s", 7))
-        assert tracer.lookup("s", 7) is trace
-        assert tracer.lookup("s", 8) is None
+        tracer.observe_step(5)
+        tracer.admit(Item("s", 0, arrival_tick=3, event_tick=1))
+        assert tracer.snapshot().active == (("s", 0, 3, 5),)
+        tracer.observe_step(9)
+        tracer.release([Item("s", 0, arrival_tick=3, event_tick=1)])
+        assert tracer.completed_rows() == (
+            ("s", 0, (
+                ("ADMISSION", 3, 5),
+                ("REORDER", 5, 9),
+                ("WATERMARK_HOLD", 1, 9),
+            )),
+        )
+        admission, reorder, hold = tracer.residency
+        assert (admission.total, reorder.total, hold.total) == (2, 4, 8)
+        assert [h.count for h in tracer.residency] == [1, 1, 1]
+        assert (tracer.sampled, tracer.finished, tracer.active_count) == (
+            1, 1, 0,
+        )
+
+    def test_before_the_first_step_arrival_and_event_ticks_stand_in(self):
+        tracer = Telemetry.create(trace_every=1)
+        item = Item("s", 0, arrival_tick=2, event_tick=3)
+        tracer.admit(item)
+        tracer.release([item])
+        ((_, _, spans),) = tracer.completed_rows()
+        assert spans == (
+            ("ADMISSION", 2, 2),
+            ("REORDER", 2, 3),
+            ("WATERMARK_HOLD", 3, 3),
+        )
+
+    def test_release_skips_unsampled_items(self):
+        tracer = Telemetry.create(trace_every=2)
+        items = [Item("s", seq) for seq in range(4)]
+        for item in items:
+            tracer.admit(item)  # seqs 0 and 2 are sampled
+        tracer.release(items)
+        assert [row[1] for row in tracer.completed_rows()] == [0, 2]
+        assert tracer.finished == 2
+        assert [h.count for h in tracer.residency] == [2, 2, 2]
 
     def test_lost_counts_per_reason(self):
         tracer = Telemetry.create(trace_every=1)
@@ -99,6 +108,8 @@ class TestLifecycle:
         tracer.lost([items[1]], "late")
         assert tracer.active_count == 0
         assert tracer.discarded == {"shed": 2, "late": 1}
+        tracer.release(items)  # a lost trace never closes
+        assert (tracer.finished, tracer.completed_rows()) == (0, ())
 
     def test_lost_skips_unsampled_items(self):
         tracer = Telemetry.create(trace_every=2)
@@ -118,7 +129,8 @@ class TestLifecycle:
     def test_ring_is_bounded(self):
         tracer = Telemetry.create(trace_every=1)
         for seq in range(TRACE_RING + 3):
-            tracer.complete(tracer.admit(Item("s", seq)))
+            tracer.admit(Item("s", seq))
+            tracer.release([Item("s", seq)])
         rows = tracer.completed_rows()
         assert tracer.finished == TRACE_RING + 3
         # The newest are kept.
@@ -133,32 +145,36 @@ class TestLifecycle:
 class TestSnapshotRestore:
     def test_round_trip_restores_cursor_active_ring_and_tallies(self):
         tracer = Telemetry.create(trace_every=2)
-        done = tracer.admit(Item("s", 0))  # 1st offer: sampled
-        done.stamp_released(0, 3)
-        tracer.complete(done)
-        assert tracer.admit(Item("s", 1)) is None  # 2nd offer: skipped
-        tracer.admit(Item("s", 2))  # 3rd offer: sampled, in flight
-        assert tracer.admit(Item("s", 3)) is None  # 4th offer: skipped
-        assert tracer.admit(Item("s", 4)) is not None  # 5th: sampled
+        tracer.observe_step(3)
+        assert _sampled(tracer, Item("s", 0))  # 1st offer: sampled
+        tracer.release([Item("s", 0)])
+        assert not _sampled(tracer, Item("s", 1))  # 2nd offer: skipped
+        assert _sampled(tracer, Item("s", 2, arrival_tick=2))  # in flight
+        assert not _sampled(tracer, Item("s", 3))  # 4th offer: skipped
+        assert _sampled(tracer, Item("s", 4))  # 5th: sampled
         tracer.lost([Item("s", 4)], "late")
         tracer.observe_step(9)
         snapshot = tracer.snapshot()
+        assert snapshot.active == (("s", 2, 2, 3),)
 
         resumed = Telemetry.create(trace_every=2)
         resumed.restore(snapshot)
         assert resumed.snapshot() == snapshot
         assert resumed.now == 9
         assert resumed.completed_rows() == tracer.completed_rows()
-        assert resumed.lookup("s", 2) is not None
         assert (resumed.sampled, resumed.finished) == (3, 1)
         assert resumed.discarded == {"late": 1}
         assert [h.counts for h in resumed.residency] == [
             h.counts for h in tracer.residency
         ]
-        # Post-restore sampling continues the cursor identically.
+        # The restored in-flight trace closes as the original does, and
+        # post-restore sampling continues the cursor identically.
+        for part in (tracer, resumed):
+            part.release([Item("s", 2, arrival_tick=2, event_tick=1)])
+        assert resumed.snapshot() == tracer.snapshot()
         for seq in range(5, 9):
-            a = tracer.admit(Item("s", seq)) is not None
-            b = resumed.admit(Item("s", seq)) is not None
+            a = _sampled(tracer, Item("s", seq))
+            b = _sampled(resumed, Item("s", seq))
             assert a == b
 
     def test_restore_rejects_trace_every_mismatch(self):

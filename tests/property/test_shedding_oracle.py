@@ -317,9 +317,9 @@ class WhoLoses(RuleBasedStateMachine):
         assert real.peak_occupancy == reference.peak_occupancy
         assert real.late_count == reference.late_count
         assert same_objects(real.late, reference.late)
-        assert real.released_through == reference.released_through
-        assert real.highest_offered == reference.highest_offered
         view = real.metrics_view()
+        assert view["released_through"] == reference.released_through
+        assert view["highest_offered"] == reference.highest_offered
         assert view["occupancy"] == reference.occupancy
         assert view["peak_occupancy"] == reference.peak_occupancy
 

@@ -10,7 +10,8 @@ bools, negatives, floats, strings, ``None`` and the wrong container.
 For every draw the part must raise ``ObserverError`` and keep its
 ``snapshot()``; its own snapshot must still restore into a fresh part
 built the same way, with an equal snapshot.  The admission controller's
-bucket states are fuzzed one level down, tokens and tick apart.
+bucket states are fuzzed one level down, tokens and tick apart, and so
+are the telemetry's trace rows, stamp by stamp.
 """
 
 from __future__ import annotations
@@ -216,6 +217,53 @@ def test_an_out_of_domain_bucket_state_is_refused(spoil, tokens, tick):
         controller.restore(replace(before, buckets={source: state}))
     assert controller.snapshot() == before
     _round_trip("admission", before)
+
+
+_NOT_A_TICK = (
+    st.booleans() | st.floats() | st.text(max_size=3) | st.none() | _CONTAINERS
+)
+_NOT_A_NAME = (
+    st.booleans() | st.floats() | st.integers() | st.none() | _CONTAINERS
+)
+
+
+def _spoil(row: tuple, position: int, bad) -> tuple:
+    return row[:position] + (bad,) + row[position + 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_out_of_domain_trace_row_is_refused(data):
+    """Trace rows are fuzzed one level down: the source, seq and two
+    ticks of an in-flight row, and the stage name and two ticks of each
+    of a completed row's three spans."""
+    telemetry = _telemetry()
+    before = telemetry.snapshot()
+    field = data.draw(st.sampled_from(["active", "completed"]), label="field")
+    (row,) = getattr(before, field)
+    if field == "active":
+        position = data.draw(st.integers(0, 3), label="position")
+        bad = data.draw(
+            (_NOT_A_NAME, BAD["count"], _NOT_A_TICK, _NOT_A_TICK)[position],
+            label="value",
+        )
+        spoiled = _spoil(row, position, bad)
+    else:
+        source, seq, spans = row
+        stage = data.draw(st.integers(0, len(spans) - 1), label="stage")
+        position = data.draw(st.integers(0, 2), label="position")
+        name = spans[stage][0]
+        bad = data.draw(
+            _NOT_A_NAME | st.text(max_size=15).filter(lambda n: n != name)
+            if position == 0 else _NOT_A_TICK,
+            label="value",
+        )
+        spans = _spoil(spans, stage, _spoil(spans[stage], position, bad))
+        spoiled = (source, seq, spans)
+    with pytest.raises(ObserverError, match=f"TelemetrySnapshot.{field} "):
+        telemetry.restore(replace(before, **{field: (spoiled,)}))
+    assert telemetry.snapshot() == before
+    _round_trip("telemetry", before)
 
 
 @pytest.mark.parametrize("name", sorted(PARTS))

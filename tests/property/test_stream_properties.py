@@ -119,7 +119,7 @@ class TestBeyondBound:
         runtime.register_source("s")
         late_checked = 0
         for _, group in arrival_groups(items):
-            before = runtime.buffer.released_through
+            before = runtime.buffer.metrics_view()["released_through"]
             runtime.ingest(group)
             # Every item recorded late in this step arrived with an
             # event tick at or below the frontier released before it.

@@ -217,7 +217,8 @@ class TestAdmissionController:
         controller = AdmissionController(AdmissionLimits(rate=1.0, burst=2))
         first = controller.intake([item(0, seq=s, arrival=0) for s in range(4)])
         assert [i.seq for i in first] == [0, 1]
-        assert controller.deferred_depth == controller.deferred_total == 2
+        assert controller.deferred_total == 2
+        assert controller.metrics_view()["deferred_depth"] == 2
         second = controller.intake([item(0, seq=9, arrival=3)])
         # 3 ticks refill 3 tokens, capped at burst 2: both deferred items
         # drain, the new arrival waits its turn behind them.
@@ -239,7 +240,7 @@ class TestAdmissionController:
         controller = AdmissionController(AdmissionLimits(rate=1.0, burst=1))
         controller.intake([item(0, seq=s, arrival=0) for s in range(3)])
         assert len(controller.flush_deferred()) == 2
-        assert controller.deferred_depth == 0
+        assert controller.metrics_view()["deferred_depth"] == 0
 
     def test_backpressure_engages_at_three_quarters_occupancy(self):
         controller = AdmissionController(
@@ -258,7 +259,7 @@ class TestAdmissionController:
         # bucket refill ever drains the queue).
         controller = AdmissionController(AdmissionLimits(rate=1.0, burst=1))
         controller.intake([item(0, seq=s, arrival=0) for s in range(3)])
-        assert controller.deferred_depth == 2
+        assert controller.metrics_view()["deferred_depth"] == 2
         assert controller.engaged(occupancy=0)
 
     def test_deferral_depth_is_gated_at_three_quarters(self):
@@ -266,10 +267,10 @@ class TestAdmissionController:
             AdmissionLimits(rate=1.0, burst=1, max_deferred=4)
         )
         controller.intake([item(0, seq=s, arrival=0) for s in range(2)])
-        assert controller.deferred_depth == 1
+        assert controller.metrics_view()["deferred_depth"] == 1
         assert not controller.engaged(occupancy=0)
         controller.intake([item(0, seq=s, arrival=0) for s in range(2, 4)])
-        assert controller.deferred_depth == 3
+        assert controller.metrics_view()["deferred_depth"] == 3
         assert controller.engaged(occupancy=0)
 
     def test_zero_occupancy_cap_reads_saturated(self):
@@ -284,7 +285,8 @@ class TestAdmissionController:
         controller.intake([item(0, seq=s, arrival=0) for s in range(5)])
         clone = AdmissionController(limits)
         clone.restore(controller.snapshot())
-        assert clone.deferred_depth == controller.deferred_depth == 2
+        assert clone.metrics_view() == controller.metrics_view()
+        assert clone.metrics_view()["deferred_depth"] == 2
         assert clone.shed_total == controller.shed_total == 1
         assert clone.deferred_total == controller.deferred_total == 2
         left = clone.intake([item(0, seq=50, arrival=10)])

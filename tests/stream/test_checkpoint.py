@@ -642,9 +642,9 @@ def _telemetry():
     telemetry = Telemetry.create(trace_every=1)
     items = [_item(seq) for seq in range(3)]
     telemetry.observe_step(2)
-    traces = [telemetry.admit(item) for item in items]
-    traces[0].stamp_released(0, 2)
-    telemetry.complete(traces[0])
+    for item in items:
+        telemetry.admit(item)
+    telemetry.release(items[:1])
     telemetry.lost(items[1:2], "shed")
     return telemetry
 
@@ -763,21 +763,44 @@ _STAGE_REFUSALS = [
     pytest.param(_telemetry, lambda s: replace(s, discarded=(5,)),
                  "TelemetrySnapshot.discarded",
                  id="telemetry-discarded-not-pairs"),
-    pytest.param(_telemetry, lambda s: replace(s, completed=(("s", -1, ()),)),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, completed=(("s", -1, s.completed[0][2]),)),
                  "TelemetrySnapshot.completed",
                  id="telemetry-completed-row-negative-seq"),
-    pytest.param(_telemetry, lambda s: replace(s, active=((5, 0, ()),)),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, completed=(
+                     ("s", 0, s.completed[0][2][:2]),)),
+                 "TelemetrySnapshot.completed",
+                 id="telemetry-completed-row-a-stage-short"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, completed=(
+                     ("s", 0, s.completed[0][2][::-1]),)),
+                 "TelemetrySnapshot.completed",
+                 id="telemetry-completed-row-stages-out-of-order"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, completed=(
+                     ("s", 0, (("ENGINE", 0, 2),) + s.completed[0][2][1:]),)),
+                 "TelemetrySnapshot.completed",
+                 id="telemetry-completed-row-unknown-stage"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, completed=(
+                     ("s", 0, (("ADMISSION", 0, None),)
+                      + s.completed[0][2][1:]),)),
+                 "TelemetrySnapshot.completed",
+                 id="telemetry-completed-row-stamp-unset"),
+    pytest.param(_telemetry, lambda s: replace(s, active=((5, 2, 2, 2),)),
                  "TelemetrySnapshot.active",
                  id="telemetry-active-row-source-not-a-name"),
-    pytest.param(_telemetry,
-                 lambda s: replace(s, active=(("s", 0, (("nope", 0, 1),)),)),
+    pytest.param(_telemetry, lambda s: replace(s, active=(("s", 2, 2),)),
                  "TelemetrySnapshot.active",
-                 id="telemetry-active-row-unknown-stage"),
-    pytest.param(_telemetry,
-                 lambda s: replace(s, active=(
-                     ("s", 0, ((s.active[0][2][0][0], 0.5, None),)),)),
+                 id="telemetry-active-row-a-tick-short"),
+    pytest.param(_telemetry, lambda s: replace(s, active=(("s", 2, 0.5, 2),)),
                  "TelemetrySnapshot.active",
-                 id="telemetry-active-row-stamp-a-float"),
+                 id="telemetry-active-row-arrival-a-float"),
+    pytest.param(_telemetry,
+                 lambda s: replace(s, active=(("s", 2, 2, None),)),
+                 "TelemetrySnapshot.active",
+                 id="telemetry-active-row-admitted-unset"),
     pytest.param(_admission, lambda s: replace(s, shed_total=-5),
                  "AdmissionSnapshot.shed_total", id="admission-negative-shed"),
     pytest.param(_admission, lambda s: replace(s, deferred_total="x"),

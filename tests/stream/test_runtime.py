@@ -322,7 +322,7 @@ class TestAtomicIngest:
         # Tick 5: one token, so the second item waits in the deferral
         # queue and "a"'s bucket clock stands at 5.
         runtime.ingest([self._stamped(0, 5, 5), self._stamped(9, 5, 5)])
-        assert runtime.admission.deferred_depth == 1
+        assert runtime.admission.metrics_view()["deferred_depth"] == 1
         before = runtime.snapshot()
         bad = [self._stamped(*fields) for fields in step]
         with pytest.raises(ObserverError, match=complaint):

@@ -98,7 +98,7 @@ class TestReorderBuffer:
         released = buffer.release(5)
         assert [i.order_key for i in released] == [(3, 0), (4, 1), (5, 2)]
         assert buffer.occupancy == 1
-        assert buffer.released_through == 5
+        assert buffer.metrics_view()["released_through"] == 5
 
     def test_cross_source_key_ties_never_compare_items(self):
         # Two sources both start at seq 0: identical (event_tick, seq)
@@ -144,7 +144,7 @@ class TestReorderBuffer:
         buffer.offer(item(3, 0))
         buffer.release(10)
         assert buffer.release(7) == []
-        assert buffer.released_through == 10
+        assert buffer.metrics_view()["released_through"] == 10
 
     def test_peak_occupancy_high_water(self):
         buffer = ReorderBuffer()
@@ -229,7 +229,7 @@ class TestReleaseAllFrontierRegression:
         buffer.offer(item(10, 0))
         assert buffer.evict_oldest().event_tick == 10
         assert buffer.release_all() == []
-        assert buffer.released_through == 10
+        assert buffer.metrics_view()["released_through"] == 10
         straggler = item(5, 1, arrival=20)
         assert not buffer.offer(straggler)  # late, not silently in-order
         assert buffer.late_count == 1
@@ -237,7 +237,7 @@ class TestReleaseAllFrontierRegression:
     def test_never_offered_buffer_stays_inert(self):
         buffer = ReorderBuffer()
         assert buffer.release_all() == []
-        assert buffer.released_through is None
+        assert buffer.metrics_view()["released_through"] is None
         assert buffer.offer(item(1, 0))  # a fresh stream can still start
 
     def test_highest_offered_survives_restore_of_emptied_buffer(self):
@@ -247,7 +247,7 @@ class TestReleaseAllFrontierRegression:
         clone = ReorderBuffer()
         clone.restore(buffer.snapshot())
         assert clone.release_all() == []
-        assert clone.released_through == 10
+        assert clone.metrics_view()["released_through"] == 10
 
 
 class TestEvictionHooks:
