@@ -19,19 +19,22 @@ state a consumer must hold to absorb a transport's disorder.  The
 admission layer (:mod:`repro.stream.admission`) additionally caps live
 occupancy via the eviction hook (:meth:`ReorderBuffer.evict_oldest`).
 
-One heap of ``(order_key, insertion counter, item)`` entries holds the
-buffered items.  Offering an item is one push, O(log n) with ``n``
-buffered; releasing or evicting one is one pop, also O(log n) — so
-shedding stays cheap exactly when the buffer is full.  ``pending`` /
-``snapshot`` / ``restore`` sort or rebuild the heap, O(n log n): the
-checkpoint path.
+Buffered items sit in one arrival-order bucket per event tick, beside a
+heap of their ticks.  An offer is one append (one push for a new tick);
+a release pops whole ticks and stably sorts each bucket by ``seq``, so
+ties leave in arrival order; an eviction pops the lowest bucket, put in
+eviction order on its first eviction — so shedding stays O(1) amortised
+exactly when the buffer is full.  ``pending`` / ``snapshot`` /
+``restore`` sort or rebuild everything, O(n log n): the checkpoint path.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort_left
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Sequence
 
 from repro.core.checkpoint import (
     COUNT,
@@ -68,10 +71,10 @@ class ReorderSnapshot:
 
 
 class ReorderBuffer(Restorable):
-    """Min-heap over ``(event_tick, seq)`` with a release frontier.
+    """Tick buckets over a heap of their ticks, with a release frontier.
 
-    Every removal takes the heap's top: :meth:`release` pops while the
-    top is at or below the watermark, :meth:`evict_oldest` pops once.
+    Every removal takes the lowest tick: :meth:`release` pops ticks up
+    to the watermark, :meth:`evict_oldest` takes from the lowest one.
     """
 
     late_retention = DEFAULT_LATE_RETENTION
@@ -79,15 +82,13 @@ class ReorderBuffer(Restorable):
     The exact late count is tracked separately and is never capped."""
 
     def __init__(self):
-        # Heap entries carry an insertion counter after the order key:
-        # ``seq`` is only unique per source, so two sources' items can
-        # tie on (event_tick, seq) and heapq must never fall through to
-        # comparing StreamItems (which define no ordering).  Ties
-        # release in arrival order, deterministically, and of one object
-        # buffered twice (a redelivery with no deduper in front) the
-        # earliest copy leaves first.
-        self._heap: list[tuple[tuple[int, int], int, StreamItem]] = []
-        self._counter = 0
+        # A bucket in ``_evicting`` is in eviction order (descending
+        # ``seq``, ties latest arrival first): ``pop()`` takes the oldest
+        # item and, of one object buffered twice, the earliest copy.
+        self._buckets: dict[int, list[StreamItem]] = {}
+        self._ticks: list[int] = []
+        self._evicting: set[int] = set()
+        self._occupancy = 0
         self._released_through: int | None = None
         self._highest_offered: int | None = None
         self._late_count = 0
@@ -97,7 +98,7 @@ class ReorderBuffer(Restorable):
     @property
     def occupancy(self) -> int:
         """Items currently buffered (excluding lates)."""
-        return len(self._heap)
+        return self._occupancy
 
     @property
     def late_count(self) -> int:
@@ -111,7 +112,7 @@ class ReorderBuffer(Restorable):
     def metrics_view(self) -> dict[str, int | None]:
         """The buffer's state as a flat metric mapping (read-only).
 
-        Reading never touches the heap or the counters.
+        Reading never touches the buckets or the counters.
         """
         return {
             "occupancy": self.occupancy,
@@ -133,19 +134,19 @@ class ReorderBuffer(Restorable):
         """Buffer one arrival; ``False`` if it is late."""
         return not self.offer_many((item,))
 
-    def offer_many(self, items: Iterable[StreamItem]) -> list[StreamItem]:
+    def offer_many(self, items: Sequence[StreamItem]) -> list[StreamItem]:
         """Buffer a run of arrivals, in order; return the late ones.
 
         An item is late when its event tick falls at or below the
         frontier already released — emitting it now would regress the
         consumer's clock.  Late items are counted exactly and retained
         (newest first to go stale) up to the retention window;
-        everything else is heap-ordered for release.  The frontier does
+        everything else is bucketed for release.  The frontier does
         not move while a run is offered, so the run is classified
         exactly as offering its items one by one would classify them.
         """
         frontier = self._released_through
-        heap = self._heap
+        buckets, evicting = self._buckets, self._evicting
         late: list[StreamItem] = []
         for item in items:
             tick = item.event_tick
@@ -154,11 +155,17 @@ class ReorderBuffer(Restorable):
             if frontier is not None and tick <= frontier:
                 late.append(item)
                 continue
-            counter = self._counter
-            self._counter = counter + 1
-            heapq.heappush(heap, (item.order_key, counter, item))
+            bucket = buckets.get(tick)
+            if bucket is None:
+                buckets[tick] = [item]
+                heapq.heappush(self._ticks, tick)
+            elif evicting and tick in evicting:
+                insort_left(bucket, item, key=lambda held: -held.seq)
+            else:
+                bucket.append(item)
+        self._occupancy += len(items) - len(late)
         # Nothing leaves during a run: its last occupancy is its peak.
-        self.peak_occupancy = max(self.peak_occupancy, len(heap))
+        self.peak_occupancy = max(self.peak_occupancy, self._occupancy)
         if late:
             self._late_count += len(late)
             self.late.extend(late)
@@ -175,7 +182,29 @@ class ReorderBuffer(Restorable):
         entirely (it will never be released and is *not* recorded
         late); the caller owns counting it as shed.
         """
-        return heapq.heappop(self._heap)[2] if self._heap else None
+        if not self._ticks:
+            return None
+        tick = self._ticks[0]
+        bucket = self._buckets[tick]
+        if tick not in self._evicting:  # once: reversed, then stably sorted
+            bucket.reverse()
+            bucket.sort(key=attrgetter("seq"), reverse=True)
+            self._evicting.add(tick)
+        victim = bucket.pop()
+        self._occupancy -= 1
+        if not bucket:
+            heapq.heappop(self._ticks)
+            del self._buckets[tick]
+            self._evicting.discard(tick)
+        return victim
+
+    def _ordered(self, tick: int) -> list[StreamItem]:
+        """Tick ``tick``'s bucket in ``(seq, arrival)`` order."""
+        bucket = self._buckets[tick]
+        if tick in self._evicting:
+            return bucket[::-1]
+        bucket.sort(key=attrgetter("seq"))  # stable: harmless in place
+        return bucket
 
     def release(self, watermark: int) -> list[StreamItem]:
         """Remove and return every item with ``event_tick <= watermark``.
@@ -184,16 +213,17 @@ class ReorderBuffer(Restorable):
         in-order stream restricted to the released window.  The frontier
         is monotone: a watermark below a previous release is a no-op.
         """
-        if (
-            self._released_through is not None
-            and watermark <= self._released_through
-        ):
+        frontier = self._released_through
+        if frontier is not None and watermark <= frontier:
             return []
         self._released_through = watermark
         released: list[StreamItem] = []
-        heap = self._heap
-        while heap and heap[0][0][0] <= watermark:
-            released.append(heapq.heappop(heap)[2])
+        while self._ticks and self._ticks[0] <= watermark:
+            tick = heapq.heappop(self._ticks)
+            released += self._ordered(tick)
+            del self._buckets[tick]
+            self._evicting.discard(tick)
+        self._occupancy -= len(released)
         return released
 
     def release_all(self) -> list[StreamItem]:
@@ -212,7 +242,7 @@ class ReorderBuffer(Restorable):
 
     def pending(self) -> list[StreamItem]:
         """Buffered items in event-time order (checkpoint view)."""
-        return [item for _, _, item in sorted(self._heap)]
+        return [i for tick in sorted(self._ticks) for i in self._ordered(tick)]
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -237,15 +267,11 @@ class ReorderBuffer(Restorable):
             )
 
     def install(self, snapshot: ReorderSnapshot) -> None:
-        """Replace everything with an accepted snapshot.  Re-numbering
-        the insertion counters from ``snapshot.pending`` (the order
-        :meth:`pending` produced) keeps the arrival-order tie-break."""
-        self._heap = [
-            (item.order_key, counter, item)
-            for counter, item in enumerate(snapshot.pending)
-        ]
-        heapq.heapify(self._heap)
-        self._counter = len(self._heap)
+        """Replace everything with an accepted snapshot, bucketed in the
+        order :meth:`pending` produced: ties keep their arrival order."""
+        self._buckets, self._ticks, self._evicting = {}, [], set()
+        self._occupancy, self._released_through = 0, None
+        self.offer_many(snapshot.pending)  # no frontier: none is late
         self.late = list(snapshot.late)
         self._late_count = snapshot.late_count
         self._released_through = snapshot.released_through

@@ -192,10 +192,9 @@ class ReplayObserver:
 
     def replay(
         self, source: ObservationSource | Iterable[StreamItem]
-    ) -> InstanceLog:
-        """Drain a source end-to-end; return the emission log."""
+    ) -> None:
+        """Drain a source end-to-end; its rows join :attr:`emitted`."""
         self.runtime.run(source)
-        return self.emitted
 
     def ingest(self, items: Sequence[StreamItem]) -> None:
         """Process one delivery step; its rows join :attr:`emitted`."""

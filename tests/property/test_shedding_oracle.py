@@ -32,8 +32,8 @@ with them the arrival-order tie-break, before and after a restore.
 A redelivery offers an already buffered object again, so the *same
 object* is buffered twice.  Each removal must take its earliest copy:
 the reference's ``min`` breaks the tie by arrival, and the real
-buffer's heap top is that copy.  The rule is also pinned by example at
-the bottom.
+buffer's stable sorts keep that copy ahead.  The rule is also pinned by
+example at the bottom.
 """
 
 from hypothesis import settings, strategies as st

@@ -102,8 +102,8 @@ class TestReorderBuffer:
 
     def test_cross_source_key_ties_never_compare_items(self):
         # Two sources both start at seq 0: identical (event_tick, seq)
-        # keys must fall back to the insertion counter, not to
-        # comparing StreamItems (which define no ordering).
+        # keys must release in arrival order, never by comparing
+        # StreamItems (which define no ordering).
         buffer = ReorderBuffer()
         first = item(5, 0, source="a")
         second = item(5, 0, source="b")
@@ -260,3 +260,59 @@ class TestEvictionHooks:
         assert buffer.late_count == 0  # evicted, not late
         assert [i.event_tick for i in buffer.release_all()] == [5, 8]
         assert buffer.evict_oldest() is None
+
+    def test_an_offer_mid_eviction_keeps_seq_then_arrival_order(self):
+        buffer = ReorderBuffer()
+        a, b = item(5, 4, source="a"), item(5, 4, source="b")
+        buffer.offer_many([item(5, 6), a, item(5, 2), item(9, 0)])
+        assert buffer.evict_oldest().seq == 2  # tick 5 now in eviction order
+        # Into the bucket being evicted: a lower seq, an equal-seq tie
+        # that arrived after ``a``, a higher seq.
+        c = item(5, 1)
+        buffer.offer_many([c, b, item(5, 8)])
+        assert buffer.evict_oldest() is c
+        assert buffer.evict_oldest() is a  # the tie leaves in arrival order
+        assert [(i.seq, i.source) for i in buffer.release(9)] == [
+            (4, "b"), (6, "s"), (8, "s"), (0, "s"),
+        ]
+        assert buffer.occupancy == 0
+
+    def test_a_snapshot_mid_eviction_restores_the_same_next_victim(self):
+        buffer = ReorderBuffer()
+        twice = item(4, 3)
+        buffer.offer_many([item(4, 5), twice, item(4, 1), item(2, 7), twice])
+        assert buffer.evict_oldest().event_tick == 2
+        assert buffer.evict_oldest().seq == 1  # tick 4 in eviction order
+        buffer.offer_many([item(4, 3, source="late-twin"), item(4, 0)])
+        clone = ReorderBuffer()
+        clone.restore(buffer.snapshot())
+        assert list(map(id, clone.pending())) == list(map(id, buffer.pending()))
+        victims = []
+        while buffer.occupancy:
+            victims.append(buffer.evict_oldest())
+            assert clone.evict_oldest() is victims[-1]
+        assert clone.evict_oldest() is None
+        assert [(i.seq, i.source) for i in victims] == [
+            (0, "s"), (3, "s"), (3, "s"), (3, "late-twin"), (5, "s"),
+        ]
+
+    def test_occupancy_and_peak_stay_exact_over_mixed_runs(self):
+        buffer = ReorderBuffer()
+        buffer.offer_many([item(t, t) for t in (4, 2, 6, 2)])
+        assert (buffer.occupancy, buffer.peak_occupancy) == (4, 4)
+        assert len(buffer.release(3)) == 2
+        # Two late (ticks 1 and 3), three in order, one of them on a
+        # tick already buffered.
+        late = buffer.offer_many(
+            [item(1, 10), item(6, 11), item(3, 12), item(7, 13), item(8, 14)]
+        )
+        assert [i.seq for i in late] == [10, 12]
+        assert (buffer.occupancy, buffer.peak_occupancy) == (5, 5)
+        assert buffer.evict_oldest().event_tick == 4
+        late = buffer.offer_many([item(2, 15), item(9, 16)])
+        assert [i.seq for i in late] == [15]
+        assert (buffer.occupancy, buffer.peak_occupancy) == (5, 5)
+        assert buffer.metrics_view()["occupancy"] == 5
+        assert len(buffer.release_all()) == buffer.peak_occupancy
+        assert (buffer.occupancy, buffer.peak_occupancy) == (0, 5)
+        assert buffer.late_count == 3
