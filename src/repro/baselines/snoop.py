@@ -72,10 +72,6 @@ class EventNode(ABC):
     def feed(self, occurrence: Occurrence, name: str, context: str) -> list[Occurrence]:
         """Propagate a primitive occurrence; return completions here."""
 
-    @abstractmethod
-    def reset(self) -> None:
-        """Drop buffered partial detections."""
-
 
 class Primitive(EventNode):
     """Leaf: matches primitive occurrences by name."""
@@ -88,9 +84,6 @@ class Primitive(EventNode):
     def feed(self, occurrence: Occurrence, name: str, context: str) -> list[Occurrence]:
         return [occurrence] if name == self.name else []
 
-    def reset(self) -> None:  # leaves keep no state
-        pass
-
 
 class Conj(EventNode):
     """Conjunction: both sides occur, in any order."""
@@ -100,12 +93,6 @@ class Conj(EventNode):
         self.right = right
         self._left_buffer: list[Occurrence] = []
         self._right_buffer: list[Occurrence] = []
-
-    def reset(self) -> None:
-        self._left_buffer.clear()
-        self._right_buffer.clear()
-        self.left.reset()
-        self.right.reset()
 
     @staticmethod
     def _select(buffer: list[Occurrence], context: str) -> list[Occurrence]:
@@ -176,8 +163,3 @@ class SnoopEngine:
         completions = self.root.feed(occurrence, name, self.context)
         self.detections.extend(completions)
         return completions
-
-    def reset(self) -> None:
-        """Drop all partial and completed detections."""
-        self.root.reset()
-        self.detections.clear()

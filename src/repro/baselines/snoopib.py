@@ -66,10 +66,6 @@ class IntervalNode(ABC):
     ) -> list[IntervalOccurrence]:
         """Propagate a primitive occurrence; return completions here."""
 
-    @abstractmethod
-    def reset(self) -> None:
-        """Drop buffered partial detections."""
-
 
 class IntervalPrimitive(IntervalNode):
     """Leaf: matches primitive interval occurrences by name."""
@@ -81,9 +77,6 @@ class IntervalPrimitive(IntervalNode):
 
     def feed(self, occurrence, name):
         return [occurrence] if name == self.name else []
-
-    def reset(self) -> None:
-        pass
 
 
 class IntervalRelation(IntervalNode):
@@ -102,12 +95,6 @@ class IntervalRelation(IntervalNode):
         self.relations = frozenset(relations)
         self._left_buffer: list[IntervalOccurrence] = []
         self._right_buffer: list[IntervalOccurrence] = []
-
-    def reset(self) -> None:
-        self._left_buffer.clear()
-        self._right_buffer.clear()
-        self.left.reset()
-        self.right.reset()
 
     def feed(self, occurrence, name):
         completions: list[IntervalOccurrence] = []
@@ -144,8 +131,3 @@ class SnoopIBEngine:
         completions = self.root.feed(occurrence, name)
         self.detections.extend(completions)
         return completions
-
-    def reset(self) -> None:
-        """Drop all partial and completed detections."""
-        self.root.reset()
-        self.detections.clear()

@@ -7,8 +7,7 @@ temporal and spatial conditions with the logical operators ``OP_L``
     {Eid, (g_v ... OP_L ...) OP_L (g_t ... OP_L ...) OP_L (g_s ...)}
 
 This module provides the condition tree — :class:`Leaf`, :class:`And`,
-:class:`Or`, :class:`Not` — with evaluation over bindings, negation
-normal form (for the logical-equivalence property tests), and the
+:class:`Or`, :class:`Not` — with evaluation over bindings and the
 convenience constructor :func:`all_of`.  Trees are immutable and
 hashable so specifications can be deduplicated and used as dictionary
 keys.
@@ -46,22 +45,6 @@ class ConditionNode(ABC):
     def roles(self) -> frozenset[str]:
         """All role names referenced anywhere in the subtree."""
 
-    @abstractmethod
-    def describe(self) -> str:
-        """Parenthesized rendering of the subtree."""
-
-    @abstractmethod
-    def nnf(self, negate: bool = False) -> "ConditionNode":
-        """Negation normal form: NOT pushed to the leaves via De Morgan.
-
-        Leaves cannot be negated further, so a negated leaf stays as a
-        ``Not(Leaf)``; every other ``Not`` disappears.
-        """
-
-    @abstractmethod
-    def leaves(self) -> tuple[Condition, ...]:
-        """Every leaf condition in the subtree, left to right."""
-
     def __and__(self, other: "ConditionNode") -> "ConditionNode":
         return And((self, as_node(other)))
 
@@ -70,9 +53,6 @@ class ConditionNode(ABC):
 
     def __invert__(self) -> "ConditionNode":
         return Not(self)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.describe()}>"
 
 
 def as_node(value: "ConditionNode | Condition") -> ConditionNode:
@@ -97,15 +77,6 @@ class Leaf(ConditionNode):
     def roles(self) -> frozenset[str]:
         return self.condition.roles
 
-    def describe(self) -> str:
-        return self.condition.describe()
-
-    def nnf(self, negate: bool = False) -> ConditionNode:
-        return Not(self) if negate else self
-
-    def leaves(self) -> tuple[Condition, ...]:
-        return (self.condition,)
-
 
 @dataclass(frozen=True)
 class And(ConditionNode):
@@ -128,18 +99,6 @@ class And(ConditionNode):
     @property
     def roles(self) -> frozenset[str]:
         return frozenset().union(*(child.roles for child in self.children))
-
-    def describe(self) -> str:
-        return "(" + " AND ".join(child.describe() for child in self.children) + ")"
-
-    def nnf(self, negate: bool = False) -> ConditionNode:
-        children = tuple(child.nnf(negate) for child in self.children)
-        return Or(children) if negate else And(children)
-
-    def leaves(self) -> tuple[Condition, ...]:
-        return tuple(
-            leaf for child in self.children for leaf in child.leaves()
-        )
 
 
 @dataclass(frozen=True)
@@ -164,18 +123,6 @@ class Or(ConditionNode):
     def roles(self) -> frozenset[str]:
         return frozenset().union(*(child.roles for child in self.children))
 
-    def describe(self) -> str:
-        return "(" + " OR ".join(child.describe() for child in self.children) + ")"
-
-    def nnf(self, negate: bool = False) -> ConditionNode:
-        children = tuple(child.nnf(negate) for child in self.children)
-        return And(children) if negate else Or(children)
-
-    def leaves(self) -> tuple[Condition, ...]:
-        return tuple(
-            leaf for child in self.children for leaf in child.leaves()
-        )
-
 
 @dataclass(frozen=True)
 class Not(ConditionNode):
@@ -192,15 +139,6 @@ class Not(ConditionNode):
     @property
     def roles(self) -> frozenset[str]:
         return self.child.roles
-
-    def describe(self) -> str:
-        return f"NOT {self.child.describe()}"
-
-    def nnf(self, negate: bool = False) -> ConditionNode:
-        return self.child.nnf(not negate)
-
-    def leaves(self) -> tuple[Condition, ...]:
-        return self.child.leaves()
 
 
 def all_of(*conditions: "ConditionNode | Condition") -> ConditionNode:

@@ -124,13 +124,6 @@ class Condition(ABC):
         """
         return self.evaluate
 
-    @abstractmethod
-    def describe(self) -> str:
-        """Human-readable rendering close to the paper's notation."""
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.describe()}>"
-
 
 # ----------------------------------------------------------------------
 # attribute-based event conditions (Eq. 4.2)
@@ -154,9 +147,6 @@ class AttributeTerm:
             numeric_attribute(entity, self.attribute)
             for entity in entities_for(self.role, binding)
         ]
-
-    def describe(self) -> str:
-        return f"{self.role}.{self.attribute}"
 
 
 @dataclass(frozen=True)
@@ -212,10 +202,6 @@ class AttributeCondition(Condition):
     def roles(self) -> frozenset[str]:
         return frozenset(term.role for term in self.terms)
 
-    def describe(self) -> str:
-        args = ", ".join(term.describe() for term in self.terms)
-        return f"{self.aggregate}({args}) {self.op.value} {self.constant:g}"
-
 
 # ----------------------------------------------------------------------
 # temporal expressions and conditions (Eq. 4.3)
@@ -234,9 +220,6 @@ class TimeExpr(ABC):
     @property
     @abstractmethod
     def roles(self) -> frozenset[str]: ...
-
-    @abstractmethod
-    def describe(self) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -289,12 +272,6 @@ class TimeOf(TimeExpr):
     def roles(self) -> frozenset[str]:
         return frozenset({self.role})
 
-    def describe(self) -> str:
-        shift = f" + {self.offset}" if self.offset > 0 else (
-            f" - {-self.offset}" if self.offset < 0 else ""
-        )
-        return f"t({self.role}){shift}"
-
 
 @dataclass(frozen=True)
 class TimeConst(TimeExpr):
@@ -308,9 +285,6 @@ class TimeConst(TimeExpr):
     @property
     def roles(self) -> frozenset[str]:
         return frozenset()
-
-    def describe(self) -> str:
-        return repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -348,9 +322,6 @@ class TimeAgg(TimeExpr):
     @property
     def roles(self) -> frozenset[str]:
         return frozenset(self.arg_roles)
-
-    def describe(self) -> str:
-        return f"{self.aggregate}({', '.join(f't({r})' for r in self.arg_roles)})"
 
 
 @dataclass(frozen=True)
@@ -393,9 +364,6 @@ class TemporalCondition(Condition):
     @property
     def roles(self) -> frozenset[str]:
         return self.lhs.roles | self.rhs.roles
-
-    def describe(self) -> str:
-        return f"{self.lhs.describe()} {self.op.value} {self.rhs.describe()}"
 
 
 @dataclass(frozen=True)
@@ -446,10 +414,6 @@ class TemporalMeasureCondition(Condition):
     def roles(self) -> frozenset[str]:
         return frozenset(self.arg_roles)
 
-    def describe(self) -> str:
-        args = ", ".join(f"t({r})" for r in self.arg_roles)
-        return f"{self.measure}({args}) {self.op.value} {self.constant:g}"
-
 
 # ----------------------------------------------------------------------
 # spatial expressions and conditions (Eq. 4.4)
@@ -468,9 +432,6 @@ class SpaceExpr(ABC):
     @property
     @abstractmethod
     def roles(self) -> frozenset[str]: ...
-
-    @abstractmethod
-    def describe(self) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -506,9 +467,6 @@ class LocationOf(SpaceExpr):
     def roles(self) -> frozenset[str]:
         return frozenset({self.role})
 
-    def describe(self) -> str:
-        return f"l({self.role})"
-
 
 @dataclass(frozen=True)
 class LocationConst(SpaceExpr):
@@ -522,9 +480,6 @@ class LocationConst(SpaceExpr):
     @property
     def roles(self) -> frozenset[str]:
         return frozenset()
-
-    def describe(self) -> str:
-        return repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -565,9 +520,6 @@ class SpaceAgg(SpaceExpr):
     def roles(self) -> frozenset[str]:
         return frozenset(self.arg_roles)
 
-    def describe(self) -> str:
-        return f"{self.aggregate}({', '.join(f'l({r})' for r in self.arg_roles)})"
-
 
 @dataclass(frozen=True)
 class SpatialCondition(Condition):
@@ -607,9 +559,6 @@ class SpatialCondition(Condition):
     @property
     def roles(self) -> frozenset[str]:
         return self.lhs.roles | self.rhs.roles
-
-    def describe(self) -> str:
-        return f"{self.lhs.describe()} {self.op.value} {self.rhs.describe()}"
 
 
 @dataclass(frozen=True)
@@ -663,10 +612,6 @@ class SpatialMeasureCondition(Condition):
     def roles(self) -> frozenset[str]:
         return frozenset(self.arg_roles)
 
-    def describe(self) -> str:
-        args = [f"l({r})" for r in self.arg_roles]
-        return f"{self.measure}({', '.join(args)}) {self.op.value} {self.constant:g}"
-
 
 # ----------------------------------------------------------------------
 # confidence conditions (over rho, Eq. 4.7)
@@ -705,6 +650,3 @@ class ConfidenceCondition(Condition):
     @property
     def roles(self) -> frozenset[str]:
         return frozenset({self.role})
-
-    def describe(self) -> str:
-        return f"rho({self.role}) {self.op.value} {self.constant:g}"

@@ -154,23 +154,6 @@ class Event:
         """Whether this is a point or a field event."""
         return spatial_class_of(self.occurrence_location)
 
-    @property
-    def layer(self) -> EventLayer:
-        """Model layer; generic events default to the physical layer."""
-        return EventLayer.PHYSICAL
-
-    def attribute(self, name: str, default: object = None) -> object:
-        """Value of one occurrence attribute (``V[name]``)."""
-        return self.attributes.get(name, default)
-
-    def describe(self) -> str:
-        """One-line human-readable rendering of the event tuple."""
-        return (
-            f"{self.kind}#{self.event_id} "
-            f"{{t_o={self.occurrence_time!r}, l_o={self.occurrence_location!r}, "
-            f"V={dict(self.attributes)!r}}}"
-        )
-
 
 _physical_ids = itertools.count(1)
 
@@ -184,10 +167,6 @@ class PhysicalEvent(Event):
     extractor produces them so detection accuracy can be scored against
     reality.
     """
-
-    @property
-    def layer(self) -> EventLayer:
-        return EventLayer.PHYSICAL
 
     @staticmethod
     def fresh_id() -> str:

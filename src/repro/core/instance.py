@@ -144,22 +144,6 @@ class PhysicalObservation:
         """Raw observations carry no observer judgement; confidence 1."""
         return 1.0
 
-    def value(self, name: str | None = None) -> object:
-        """The sampled value (single-attribute shortcut).
-
-        Args:
-            name: Attribute to read; when ``None`` the observation must
-                carry exactly one attribute.
-        """
-        if name is not None:
-            return self.attributes[name]
-        if len(self.attributes) != 1:
-            raise ObserverError(
-                f"observation {self.key} has {len(self.attributes)} attributes; "
-                "specify which to read"
-            )
-        return next(iter(self.attributes.values()))
-
     def __repr__(self) -> str:
         return f"O({self.mote_id},{self.sensor_id},{self.seq})@{self.time!r}"
 

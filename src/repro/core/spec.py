@@ -313,7 +313,3 @@ class EventSpecification:
         if all(check is None for _, check in entries):
             return (tuple(role for role, _ in entries), None)
         return (None, tuple(entries))
-
-    def describe(self) -> str:
-        """Rendering close to the paper's ``{Eid, (...)}`` notation."""
-        return f"{{{self.event_id}, {self.condition.describe()}}}"

@@ -353,11 +353,3 @@ class Clock:
     def seconds(self, ticks: int) -> float:
         """Wall-clock seconds represented by ``ticks``."""
         return ticks * self.tick_seconds
-
-    def point(self, seconds: float) -> TimePoint:
-        """Time point at ``seconds`` from the epoch."""
-        return TimePoint(self.ticks(seconds))
-
-    def interval(self, start_seconds: float, end_seconds: float) -> TimeInterval:
-        """Closed interval between two wall-clock offsets."""
-        return TimeInterval(self.point(start_seconds), self.point(end_seconds))

@@ -7,9 +7,8 @@ certain time for later retrieval."
 
 :class:`DatabaseServer` subscribes to the event bus (or receives
 instances directly), stores them indexed by event id and layer, and
-answers retrieval queries over the model's native dimensions: event
-kind, time range of the estimated occurrence, spatial region, layer,
-observer and minimum confidence.  A configurable ``transfer_delay``
+answers retrieval queries by event kind, layer, observer and minimum
+confidence.  A configurable ``transfer_delay``
 models the paper's "after a certain time": instances become queryable
 only once that delay has elapsed.
 """
@@ -21,8 +20,6 @@ from bisect import bisect_right
 from repro.core.errors import DatabaseError
 from repro.core.event import EventLayer
 from repro.core.instance import EventInstance, ObserverId
-from repro.core.space_model import Field, PointLocation
-from repro.core.time_model import TimeInterval, TimePoint
 from repro.sim.kernel import Simulator
 
 __all__ = ["DatabaseServer"]
@@ -91,8 +88,6 @@ class DatabaseServer:
         self,
         event_id: str | None = None,
         layer: EventLayer | None = None,
-        time_range: TimeInterval | None = None,
-        region: Field | None = None,
         observer: ObserverId | None = None,
         min_confidence: float = 0.0,
     ) -> list[EventInstance]:
@@ -101,10 +96,6 @@ class DatabaseServer:
         Args:
             event_id: Exact event identifier.
             layer: Hierarchy layer.
-            time_range: The instance's estimated occurrence must fall
-                within (points: containment; intervals: overlap).
-            region: The estimated occurrence location must fall inside
-                (points) or intersect (fields).
             observer: Exact emitting observer.
             min_confidence: Least acceptable ``rho``.
         """
@@ -118,30 +109,5 @@ class DatabaseServer:
                 continue
             if instance.confidence < min_confidence:
                 continue
-            if time_range is not None and not self._time_matches(
-                instance, time_range
-            ):
-                continue
-            if region is not None and not self._region_matches(instance, region):
-                continue
             results.append(instance)
         return results
-
-    @staticmethod
-    def _time_matches(instance: EventInstance, window: TimeInterval) -> bool:
-        when = instance.estimated_time
-        if isinstance(when, TimePoint):
-            return window.contains_point(when)
-        if when.end is None:
-            # Open interval: overlaps if it started before the window end.
-            return window.end is None or when.start <= window.end
-        from repro.core.time_model import intersect
-
-        return intersect(when, window) is not None
-
-    @staticmethod
-    def _region_matches(instance: EventInstance, region: Field) -> bool:
-        location = instance.estimated_location
-        if isinstance(location, PointLocation):
-            return region.contains_point(location)
-        return region.intersects(location)

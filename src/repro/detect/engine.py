@@ -354,13 +354,6 @@ class DetectionEngine:
         in installation order; they sum to :attr:`stats`' two counts."""
         return {event_id: tuple(t) for event_id, t in self._tallies.items()}
 
-    def spec(self, event_id: str) -> EventSpecification:
-        """Installed specification by event id."""
-        try:
-            return self._specs[event_id]
-        except KeyError:
-            raise ObserverError(f"no specification {event_id!r}") from None
-
     # -- evaluation ----------------------------------------------------
 
     def submit(self, entity: Entity, now: int) -> list[Match]:

@@ -525,10 +525,6 @@ class InstanceLog(Sequence):
         for column in self._columns():
             del column[count:]
 
-    def clear(self) -> None:
-        """Drop every row (the counters stay)."""
-        self.truncate(0)
-
     def _columns(self) -> tuple:
         """Every column, in :meth:`_row`'s argument order."""
         return (

@@ -61,11 +61,6 @@ class PhysicalWorld:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def tick(self) -> int:
-        """Tick the world dynamics have been advanced to."""
-        return self._tick
-
     def field(self, quantity: str) -> ScalarField:
         """The field backing a quantity."""
         try:
@@ -88,11 +83,6 @@ class PhysicalWorld:
             raise ReproError(
                 f"no object named {name!r}; known: {sorted(self._objects)}"
             ) from None
-
-    @property
-    def objects(self) -> tuple[PhysicalObject, ...]:
-        """All tracked objects."""
-        return tuple(self._objects.values())
 
     # -- dynamics --------------------------------------------------------
 

@@ -37,11 +37,3 @@ class RngStreams:
         stream = random.Random(int.from_bytes(digest[:8], "big"))
         self._streams[name] = stream
         return stream
-
-    def gauss(self, name: str, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """One Gaussian draw from the named stream."""
-        return self.stream(name).gauss(mu, sigma)
-
-    def uniform(self, name: str, a: float = 0.0, b: float = 1.0) -> float:
-        """One uniform draw from the named stream."""
-        return self.stream(name).uniform(a, b)

@@ -53,10 +53,6 @@ class TraceRecord:
     source: str
     payload: Mapping[str, object] = field(default_factory=dict)
 
-    def value(self, key: str, default: object = None) -> object:
-        """One payload field."""
-        return self.payload.get(key, default)
-
 
 def _record(row: tuple) -> TraceRecord:
     return TraceRecord(row[0], row[1], row[2], dict(zip(row[3], row[4:])))
@@ -109,20 +105,6 @@ class TraceRecorder:
         """All records whose category is in ``categories``, in time order."""
         wanted = frozenset(categories)
         return [_record(r) for r in self._rows if r[1] in wanted]
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._rows.clear()
-
-    def replay(self, records: Iterable[TraceRecord]) -> None:
-        """Append pre-built records (a loaded trace).
-
-        Lets trace consumers (analysis, summaries) run against a trace
-        saved by :func:`to_jsonl` exactly as they would against a live
-        run.
-        """
-        for rec in records:
-            self.append(rec.tick, rec.category, rec.source, rec.payload)
 
     def to_jsonl(self, categories: Iterable[str] | None = None) -> str:
         """Canonical JSON Lines serialization of the (filtered) trace."""

@@ -77,14 +77,6 @@ class Scenario:
     params: Mapping[str, object]
     handles: dict[str, object] = field(default_factory=dict)
 
-    @property
-    def sim(self):
-        return self.system.sim
-
-    @property
-    def world(self):
-        return self.system.world
-
 
 class Command(NamedTuple):
     """The actuation that closes a family's loop (an Event-Action rule).

@@ -88,13 +88,6 @@ class TestEngineHousekeeping:
         engine.submit("a", 2)
         assert len(engine.detections) == 2
 
-    def test_reset(self):
-        engine = SnoopEngine(Conj(Primitive("a"), Primitive("b")))
-        engine.submit("a", 1)
-        engine.reset()
-        assert engine.submit("b", 5) == []
-        assert engine.detections == []
-
     def test_unknown_context_rejected(self):
         with pytest.raises(ConditionError):
             SnoopEngine(Primitive("a"), context="psychic")

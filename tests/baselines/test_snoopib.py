@@ -109,11 +109,3 @@ class TestIntervalRelation:
                 IntervalPrimitive("a"), IntervalPrimitive("b"), set()
             )
 
-
-class TestHousekeeping:
-    def test_reset(self):
-        engine = relation(TemporalRelation.BEFORE)
-        engine.submit("a", 1, 2)
-        engine.reset()
-        assert engine.submit("b", 5, 6) == []
-        assert engine.detections == []

@@ -87,46 +87,9 @@ class TestStructure:
         node = Or((And((Leaf(HOT), Leaf(HUMID))), Not(Leaf(DARK))))
         assert node.roles == {"x", "y", "z"}
 
-    def test_leaves_in_order(self):
-        node = Or((And((Leaf(HOT), Leaf(HUMID))), Not(Leaf(DARK))))
-        assert node.leaves() == (HOT, HUMID, DARK)
-
-    def test_describe_parenthesized(self):
-        node = And((Leaf(HOT), Or((Leaf(HUMID), Leaf(DARK)))))
-        text = node.describe()
-        assert text.startswith("(") and " AND " in text and " OR " in text
-
     def test_empty_children_rejected(self):
         with pytest.raises(ConditionError):
             And(())
         with pytest.raises(ConditionError):
             Or(())
 
-
-class TestNegationNormalForm:
-    def test_de_morgan_and(self):
-        node = Not(And((Leaf(HOT), Leaf(HUMID))))
-        nnf = node.nnf()
-        assert isinstance(nnf, Or)
-        assert all(isinstance(child, Not) for child in nnf.children)
-
-    def test_de_morgan_or(self):
-        node = Not(Or((Leaf(HOT), Leaf(HUMID))))
-        nnf = node.nnf()
-        assert isinstance(nnf, And)
-
-    def test_double_negation_cancels(self):
-        node = Not(Not(Leaf(HOT)))
-        assert node.nnf() == Leaf(HOT)
-
-    def test_nnf_preserves_semantics(self):
-        node = Not(And((Leaf(HOT), Not(Or((Leaf(HUMID), Leaf(DARK)))))))
-        nnf = node.nnf()
-        for kwargs in (
-            dict(t=60, h=90, lux=5),
-            dict(t=60, h=10, lux=50),
-            dict(t=10, h=90, lux=5),
-            dict(t=10, h=10, lux=50),
-        ):
-            b = binding(**kwargs)
-            assert node.evaluate(b) == nnf.evaluate(b)

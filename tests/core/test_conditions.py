@@ -114,7 +114,7 @@ class TestAttributeCondition:
         with pytest.raises(ConditionError):
             AttributeCondition("avg", (), RelationalOp.GT, 0)
 
-    def test_roles_and_describe(self):
+    def test_roles(self):
         cond = AttributeCondition(
             "avg",
             (AttributeTerm("x", "v"), AttributeTerm("y", "v")),
@@ -122,7 +122,6 @@ class TestAttributeCondition:
             5.0,
         )
         assert cond.roles == {"x", "y"}
-        assert "avg(x.v, y.v) > 5" in cond.describe()
 
 
 class TestTemporalCondition:
@@ -168,10 +167,6 @@ class TestTemporalCondition:
         )
         assert cond.evaluate({"x": obs(tick=3), "y": obs(mote="MT2", tick=9)})
         assert cond.roles == {"x", "y"}
-
-    def test_describe(self):
-        cond = TemporalCondition(TimeOf("x", 5), TemporalOp.BEFORE, TimeOf("y"))
-        assert cond.describe() == "t(x) + 5 before t(y)"
 
 
 class TestTemporalMeasureCondition:

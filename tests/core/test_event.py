@@ -47,31 +47,12 @@ class TestEvent:
         with pytest.raises(TypeError):
             event.attributes["v"] = 2
 
-    def test_attribute_accessor(self):
-        event = make_event(TimePoint(0), PointLocation(0, 0))
-        assert event.attribute("v") == 1
-        assert event.attribute("missing", 42) == 42
-
-    def test_describe_mentions_tuple_parts(self):
-        text = make_event(TimePoint(3), PointLocation(1, 2)).describe()
-        assert "test#e1" in text
-        assert "t_o" in text and "l_o" in text and "V=" in text
-
-    def test_generic_event_is_physical_layer(self):
-        assert make_event(TimePoint(0), PointLocation(0, 0)).layer is EventLayer.PHYSICAL
-
 
 class TestPhysicalEvent:
     def test_fresh_ids_unique(self):
         ids = {PhysicalEvent.fresh_id() for _ in range(100)}
         assert len(ids) == 100
         assert all(i.startswith("P") for i in ids)
-
-    def test_layer(self):
-        event = PhysicalEvent(
-            "fire", PhysicalEvent.fresh_id(), TimePoint(1), PointLocation(0, 0)
-        )
-        assert event.layer is EventLayer.PHYSICAL
 
 
 class TestEventLayer:

@@ -61,18 +61,6 @@ class TestPhysicalObservation:
         assert obs.occurrence_location == PointLocation(1, 2)
         assert obs.confidence == 1.0
 
-    def test_value_single_attribute(self):
-        assert observation(value=25.0).value() == 25.0
-        assert observation().value("temperature") == 21.5
-
-    def test_value_ambiguous_without_name(self):
-        obs = PhysicalObservation(
-            "MT1", "SR1", 0, TimePoint(0), PointLocation(0, 0),
-            {"a": 1, "b": 2},
-        )
-        with pytest.raises(ObserverError):
-            obs.value()
-
     def test_attributes_read_only(self):
         with pytest.raises(TypeError):
             observation().attributes["temperature"] = 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.composite import Leaf
 from repro.core.conditions import AttributeCondition, AttributeTerm
 from repro.core.errors import SpecificationError
 from repro.core.event import EventLayer
@@ -129,7 +130,6 @@ class TestEventSpecification:
             window=10,
         )
         assert spec.roles == ("x",)
-        assert "{hot, " in spec.describe()
 
     def test_condition_roles_must_be_declared(self):
         with pytest.raises(SpecificationError, match="undeclared"):
@@ -210,7 +210,7 @@ class TestEventSpecification:
             selectors={"x": EntitySelector()},
             condition=SIMPLE_CONDITION,
         )
-        assert spec.condition.leaves() == (SIMPLE_CONDITION,)
+        assert spec.condition == Leaf(SIMPLE_CONDITION)
 
 
 class TestSelectorRouting:

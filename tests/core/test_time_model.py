@@ -187,11 +187,6 @@ class TestClock:
         assert clock.ticks(10.0) == 20
         assert clock.seconds(20) == 10.0
 
-    def test_point_and_interval(self):
-        clock = Clock(tick_seconds=2.0)
-        assert clock.point(10.0) == TimePoint(5)
-        assert clock.interval(2.0, 10.0) == iv(1, 5)
-
     def test_negative_seconds_clamped(self):
         assert Clock().ticks(-5.0) == 0
 

@@ -11,7 +11,7 @@ from repro.core.instance import (
     SensorEventInstance,
 )
 from repro.core.space_model import Circle, PointLocation
-from repro.core.time_model import TimeInterval, TimePoint
+from repro.core.time_model import TimePoint
 from repro.cps.actions import ActuatorCommand
 from repro.cps.bus import EventBus
 from repro.cps.database import DatabaseServer
@@ -158,22 +158,6 @@ class TestDatabaseServer:
         sim.run(until=10)
         assert len(db.query()) == 1
 
-    def test_time_range_query(self):
-        sim = Simulator()
-        db = DatabaseServer("DB1", sim)
-        db.store(instance(seq=0, tick=10))   # t_eo = 8
-        db.store(instance(seq=1, tick=50))   # t_eo = 48
-        window = TimeInterval(TimePoint(0), TimePoint(20))
-        assert [i.seq for i in db.query(time_range=window)] == [0]
-
-    def test_region_query(self):
-        sim = Simulator()
-        db = DatabaseServer("DB1", sim)
-        db.store(instance(seq=0, x=1.0))
-        db.store(instance(seq=1, x=50.0))
-        rows = db.query(region=Circle(ORIGIN, 5.0))
-        assert [i.seq for i in rows] == [0]
-
     def test_layer_and_confidence_query(self):
         sim = Simulator()
         db = DatabaseServer("DB1", sim)
@@ -244,7 +228,7 @@ class TestDispatchNode:
         sim.run()
         [record] = trace
         assert record.category == "dispatch.no_targets"
-        assert record.value("kind") == "open"
+        assert record.payload["kind"] == "open"
 
     def test_unconnected_target_traced_not_raised(self):
         sim = Simulator()
@@ -256,7 +240,7 @@ class TestDispatchNode:
         sim.run()
         assert len(receiver.commands) == 1
         [record] = trace.by_category("dispatch.unreachable")
-        assert record.value("target") == "AM2"
+        assert record.payload["target"] == "AM2"
 
     def test_backbone_handler_filters_kinds(self):
         sim = Simulator()

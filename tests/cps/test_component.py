@@ -68,7 +68,7 @@ class TestCPSComponent:
         records = [r for r in trace if r.source == "C1"]
         assert len(records) == 1
         assert records[0].tick == 7
-        assert records[0].value("value") == 3
+        assert records[0].payload["value"] == 3
 
 
 class TestObserverComponent:

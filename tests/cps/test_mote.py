@@ -220,8 +220,8 @@ class TestActorMote:
         sim.run()
         (record,) = trace.by_category("command.executed")
         assert record.tick == 9
-        assert record.value("issued") == 4
-        assert record.value("latency") == 5
+        assert record.payload["issued"] == 4
+        assert record.payload["latency"] == 5
 
     def test_unsupported_command_ignored(self):
         sim = Simulator()
@@ -234,7 +234,7 @@ class TestActorMote:
         sim.run()
         (record,) = trace
         assert record.category == "command.unsupported"
-        assert record.value("kind") == "close"
+        assert record.payload["kind"] == "close"
 
     def test_needs_actuators(self):
         with pytest.raises(ComponentError):

@@ -31,7 +31,7 @@ class TestSensor:
         sensor = Sensor("SR1", "temperature", random.Random(0))
         obs = sensor.sample(world_with_temp(21.0), "MT1", HERE, 5)
         assert obs is not None
-        assert obs.value("temperature") == 21.0
+        assert obs.attributes["temperature"] == 21.0
         assert obs.time == TimePoint(5)
         assert obs.location == HERE
         assert obs.key == ("MT1", "SR1", 0)
@@ -41,7 +41,7 @@ class TestSensor:
         # No offset and no quantization: the reading is the field's value.
         sensor = Sensor("SR1", "temperature", random.Random(0))
         obs = sensor.sample(world_with_temp(value), "MT1", HERE, 0)
-        assert obs.value("temperature") == value
+        assert obs.attributes["temperature"] == value
 
     def test_sequence_numbers_increment(self):
         sensor = Sensor("SR1", "temperature", random.Random(0))
@@ -56,7 +56,7 @@ class TestSensor:
         )
         world = world_with_temp(50.0)
         values = [
-            sensor.sample(world, "MT1", HERE, t).value("temperature")
+            sensor.sample(world, "MT1", HERE, t).attributes["temperature"]
             for t in range(500)
         ]
         mean = sum(values) / len(values)
@@ -96,7 +96,7 @@ class TestRangeSensor:
     def test_measures_distance(self):
         sensor = RangeSensor("SRr", "userA", random.Random(0))
         obs = sensor.sample(self.make_world(), "MT1", HERE, 0)
-        assert obs.value("range:userA") == pytest.approx(5.0)
+        assert obs.attributes["range:userA"] == pytest.approx(5.0)
 
     def test_out_of_range_yields_nothing(self):
         sensor = RangeSensor("SRr", "userA", random.Random(0), max_range=10.0)
@@ -109,7 +109,7 @@ class TestRangeSensor:
         world = PhysicalWorld()
         world.add_object(PhysicalObject("userA", PointLocation(0.1, 0)))
         values = [
-            sensor.sample(world, "MT1", HERE, t).value("range:userA")
+            sensor.sample(world, "MT1", HERE, t).attributes["range:userA"]
             for t in range(100)
         ]
         assert all(v >= 0.0 for v in values)

@@ -287,7 +287,7 @@ class TestControlUnit:
         assert len(dispatched) == 1
         assert dispatched[0].kind == "siren"
         assert [
-            (r.value("kind"), r.value("command_id"), r.value("cause_event"))
+            (r.payload["kind"], r.payload["command_id"], r.payload["cause_event"])
             for r in trace.by_category("ccu.command")
         ] == [(c.kind, c.command_id, "alarm") for c in dispatched]
 

@@ -108,7 +108,7 @@ class TestActorWiring:
             node.dispatch(ActuatorCommand("open", {}, ("AM1",), 0))
         system.sim.run()
         direct = system.trace.by_category("dispatch.direct")
-        assert [(r.source, r.value("target")) for r in direct] == [
+        assert [(r.source, r.payload["target"]) for r in direct] == [
             ("D1", "AM1"), ("D2", "AM1")
         ]
         assert [r.source for r in system.trace.by_category("command.executed")] == [
@@ -126,7 +126,7 @@ class TestActorWiring:
         assert system.trace.count("dispatch.direct") == 0
         assert opened == []
         [record] = system.trace.by_category("dispatch.unreachable")
-        assert record.value("target") == "AM1"
+        assert record.payload["target"] == "AM1"
 
 
 class TestRuntime:

@@ -262,9 +262,6 @@ class Counted(Condition):
     def roles(self):
         return frozenset({"x"})
 
-    def describe(self):
-        return f"counted({self.COST}, {self.value})"
-
 
 class TestCompilationStructure:
     def test_a_cheap_false_conjunct_short_circuits_an_expensive_one(self):

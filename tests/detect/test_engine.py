@@ -359,12 +359,6 @@ class TestErrorPolicy:
         with pytest.raises(ObserverError):
             engine.add_spec(hot_spec())
 
-    def test_spec_lookup(self):
-        engine = DetectionEngine([hot_spec()])
-        assert engine.spec("hot").event_id == "hot"
-        with pytest.raises(ObserverError):
-            engine.spec("ghost")
-
     def test_clear_resets_state(self):
         engine = DetectionEngine([pair_spec(window=50)])
         engine.submit(obs("MT1", tick=1), now=1)

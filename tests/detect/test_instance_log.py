@@ -8,7 +8,7 @@ the ``locate`` hook's estimate when there is one), every finished
 instance appended as it is.  Whatever the log is asked to do — write a
 row from a match with or without a location hook, append an interval
 instance, refuse a match it cannot emit, truncate to a checkpoint's
-count, clear — every read (index, slice, iteration, keys, trace rows)
+count — every read (index, slice, iteration, keys, trace rows)
 must give what the list gives: equal instances (``==``) of the same
 class, with the same ``sources`` and the same key.  The trace rows'
 oracle reads each instance's fields by name.
@@ -267,16 +267,11 @@ class LogAgainstAList(RuleBasedStateMachine):
     def truncate(self, data):
         count, counters = data.draw(st.sampled_from(self.checkpoints))
         if count > len(self.model):
-            return  # a checkpoint from before a clear
+            return  # a checkpoint past an earlier truncation
         self.log.truncate(count)
         self.log.counters = dict(counters)
         del self.model[count:]
         self.counters = dict(counters)
-
-    @rule()
-    def clear(self):
-        self.log.clear()
-        self.model.clear()
 
     @rule(data=st.data())
     def read_a_slice(self, data):

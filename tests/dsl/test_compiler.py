@@ -36,31 +36,31 @@ def obs(mote="MT1", seq=0, tick=0, x=0.0, y=0.0, **attrs):
 class TestPredicateFamilies:
     def test_attribute_condition(self):
         spec = compile_one("EVENT e WHEN x: v IF avg(x.v) > 5")
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert isinstance(leaf, AttributeCondition)
         assert leaf.evaluate({"x": obs(v=6.0)})
         assert not leaf.evaluate({"x": obs(v=4.0)})
 
     def test_spatial_measure_condition(self):
         spec = compile_one("EVENT e WHEN x: v, y: v IF distance(x, y) < 5")
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert isinstance(leaf, SpatialMeasureCondition)
 
     def test_temporal_measure_condition(self):
         spec = compile_one("EVENT e WHEN x: v IF duration(x) >= 100")
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert isinstance(leaf, TemporalMeasureCondition)
 
     def test_confidence_condition(self):
         spec = compile_one("EVENT e WHEN x: v IF rho(x) >= 0.8")
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert isinstance(leaf, ConfidenceCondition)
 
     def test_temporal_relation(self):
         spec = compile_one(
             "EVENT e WHEN x: v, y: v IF time(x) + 5 BEFORE time(y)"
         )
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert isinstance(leaf, TemporalCondition)
         assert leaf.op is TemporalOp.BEFORE
         assert leaf.evaluate({"x": obs(tick=0), "y": obs(mote="M2", tick=9)})
@@ -70,7 +70,7 @@ class TestPredicateFamilies:
         spec = compile_one(
             "EVENT e WHEN x: v IF time(x) WITHIN interval(10, 20)"
         )
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert leaf.evaluate({"x": obs(tick=15)})
         assert not leaf.evaluate({"x": obs(tick=25)})
 
@@ -79,7 +79,7 @@ class TestPredicateFamilies:
             "EVENT e WHEN x: v IF location(x) INSIDE region(zone)",
             env={"zone": ZONE},
         )
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert isinstance(leaf, SpatialCondition)
         assert leaf.op is SpatialOp.INSIDE
         assert leaf.evaluate({"x": obs(x=1, y=1)})
@@ -89,7 +89,7 @@ class TestPredicateFamilies:
         spec = compile_one(
             "EVENT e WHEN x: v IF location(x) EQUAL_TO point(3, 4)"
         )
-        (leaf,) = spec.condition.leaves()
+        leaf = spec.condition.condition
         assert leaf.evaluate({"x": obs(x=3, y=4)})
 
     def test_centroid_aggregate(self):
@@ -104,11 +104,11 @@ class TestPredicateFamilies:
         temporal = compile_one(
             "EVENT e WHEN x: v, y: v IF time(x) CONTAINS time(y)"
         )
-        assert isinstance(temporal.condition.leaves()[0], TemporalCondition)
+        assert isinstance(temporal.condition.condition, TemporalCondition)
         spatial = compile_one(
             "EVENT e WHEN x: v, y: v IF location(x) CONTAINS location(y)"
         )
-        assert isinstance(spatial.condition.leaves()[0], SpatialCondition)
+        assert isinstance(spatial.condition.condition, SpatialCondition)
 
 
 class TestSpecAssembly:

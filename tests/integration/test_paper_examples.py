@@ -67,11 +67,6 @@ class TestConditionS1:
         }
         assert not self.s1().evaluate(binding)
 
-    def test_notation_renders_like_paper(self):
-        text = self.s1().describe()
-        assert "t(x) before t(y)" in text
-        assert "distance(l(x), l(y)) < 5" in text
-
 
 class TestOffsetExample:
     """Section 4.1: "every event instance of event x must occur AFTER 5

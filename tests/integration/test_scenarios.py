@@ -42,18 +42,6 @@ class TestIntrusionScenario:
         layers = ran.system.instances_by_layer()
         assert layers.get(EventLayer.CYBER, 0) >= 1
 
-    def test_database_queryable_by_region(self, ran):
-        from repro.core.space_model import BoundingBox
-
-        db = ran.system.databases["DB1"]
-        everywhere = db.query(event_id="intruder_track")
-        assert everywhere
-        nowhere = db.query(
-            event_id="intruder_track",
-            region=BoundingBox(1000, 1000, 1001, 1001),
-        )
-        assert nowhere == []
-
     def test_determinism(self):
         def run(seed):
             scenario = build_scenario(

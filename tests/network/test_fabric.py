@@ -141,8 +141,8 @@ class TestWirelessNetwork:
         sim.run()
         records = trace.by_category("net.deliver")
         assert len(records) == 1
-        assert records[0].value("latency") == sim.tick
-        assert records[0].value("hops") == 2
+        assert records[0].payload["latency"] == sim.tick
+        assert records[0].payload["hops"] == 2
 
 
 class TestWiredBackbone:
@@ -175,8 +175,8 @@ class TestWiredBackbone:
         sim.run()
         (record,) = trace.by_category("backbone.deliver")
         assert record.tick == 5
-        assert record.value("src") == "sink"
-        assert record.value("kind") == PacketKind.COMMAND.value
+        assert record.payload["src"] == "sink"
+        assert record.payload["kind"] == PacketKind.COMMAND.value
 
     def test_unknown_endpoint_rejected(self):
         backbone = WiredBackbone(Simulator())

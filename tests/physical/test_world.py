@@ -43,7 +43,6 @@ class TestPhysicalWorld:
         obj = PhysicalObject("userA", PointLocation(1, 1))
         world.add_object(obj)
         assert world.object("userA") is obj
-        assert world.objects == (obj,)
         with pytest.raises(ReproError):
             world.add_object(PhysicalObject("userA", PointLocation(0, 0)))
         with pytest.raises(ReproError):
@@ -60,7 +59,6 @@ class TestPhysicalWorld:
 
         world.add_field("t", Probe(1.0))
         world.step(5)
-        assert world.tick == 5
         assert Probe.ticks == [5]
 
     def test_actuation_dispatch(self):
@@ -151,5 +149,5 @@ class TestMakePhysicalEvent:
         )
         assert event.kind == "fire"
         assert event.occurrence_time == iv(1, 9)
-        assert event.attribute("peak") == 400.0
+        assert event.attributes["peak"] == 400.0
         assert event.event_id.startswith("P")

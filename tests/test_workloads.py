@@ -58,7 +58,7 @@ class TestSyntheticObservations:
             2000, rate=1.0, bounds=BOUNDS, rng=random.Random(5),
             mean=50.0, sigma=5.0,
         )
-        values = [o.value("value") for o in observations]
+        values = [o.attributes["value"] for o in observations]
         mean = sum(values) / len(values)
         assert 49.0 < mean < 51.0
 
@@ -88,7 +88,7 @@ class TestScenarioBuilders:
             approach_tick=50, leave_tick=200, horizon=400,
         )
         assert scenario.params["stay_ticks"] == 100
-        assert "userA" in [o.name for o in scenario.world.objects]
+        assert scenario.system.world.object("userA").name == "userA"
         assert scenario.system.sinks
         assert scenario.system.ccus
 
