@@ -158,6 +158,39 @@ class TestDatabaseServer:
         sim.run(until=10)
         assert len(db.query()) == 1
 
+    def test_transfer_delay_reveals_rows_as_time_passes(self):
+        sim = Simulator()
+        db = DatabaseServer("DB1", sim, transfer_delay=5)
+        db.store(instance(seq=0))                            # visible at 5
+        sim.schedule(3, lambda: db.store(instance(seq=1)))   # visible at 8
+        sim.run(until=5)
+        assert [i.seq for i in db.query()] == [0]
+        sim.run(until=8)
+        assert [i.seq for i in db.query()] == [0, 1]
+
+    def test_a_lowered_transfer_delay_keeps_rows_in_visible_order(self):
+        sim = Simulator()
+        db = DatabaseServer("DB1", sim, transfer_delay=10)
+        db.store(instance(seq=0))   # visible at 10
+        db.transfer_delay = 2
+        db.store(instance(seq=1))   # visible at 2, so it goes first
+        sim.run(until=2)
+        assert [i.seq for i in db.query()] == [1]
+        sim.run(until=10)
+        assert [i.seq for i in db.query()] == [1, 0]
+
+    def test_filters_combine(self):
+        sim = Simulator()
+        db = DatabaseServer("DB1", sim)
+        db.store(instance("hot", seq=0, rho=0.9))
+        db.store(instance("hot", seq=1, rho=0.3))
+        db.store(instance("fire", seq=2, rho=0.9))
+        db.store(instance("hot", seq=3, layer=EventLayer.CYBER_PHYSICAL))
+        rows = db.query(
+            event_id="hot", layer=EventLayer.SENSOR, min_confidence=0.5
+        )
+        assert [i.seq for i in rows] == [0]
+
     def test_layer_and_confidence_query(self):
         sim = Simulator()
         db = DatabaseServer("DB1", sim)

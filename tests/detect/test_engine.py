@@ -359,6 +359,12 @@ class TestErrorPolicy:
         with pytest.raises(ObserverError):
             engine.add_spec(hot_spec())
 
+    def test_specs_listed_in_installation_order(self):
+        engine = DetectionEngine([pair_spec()])
+        engine.add_spec(hot_spec())
+        assert [spec.event_id for spec in engine.specs] == ["pair", "hot"]
+        assert list(engine.tallies()) == ["pair", "hot"]
+
     def test_clear_resets_state(self):
         engine = DetectionEngine([pair_spec(window=50)])
         engine.submit(obs("MT1", tick=1), now=1)

@@ -42,6 +42,15 @@ class TestIntrusionScenario:
         layers = ran.system.instances_by_layer()
         assert layers.get(EventLayer.CYBER, 0) >= 1
 
+    def test_database_logs_every_track_the_sink_emitted(self, ran):
+        sink = ran.system.sinks["MT0_0"]
+        emitted = {
+            i.key for i in sink.emitted if i.event_id == "intruder_track"
+        }
+        logged = ran.system.databases["DB1"].query(event_id="intruder_track")
+        assert emitted
+        assert {i.key for i in logged} == emitted
+
     def test_determinism(self):
         def run(seed):
             scenario = build_scenario(

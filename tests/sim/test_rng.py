@@ -1,5 +1,9 @@
 """Unit tests for named reproducible random streams."""
 
+import os
+import subprocess
+import sys
+
 from repro.sim.rng import RngStreams
 
 
@@ -32,3 +36,25 @@ class TestRngStreams:
         streams = RngStreams(0)
         assert streams.stream("x") is streams.stream("x")
 
+    def test_different_seeds_differ(self):
+        a = RngStreams(1).stream("noise")
+        b = RngStreams(2).stream("noise")
+        assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+
+    def test_streams_do_not_depend_on_the_string_hash_seed(self):
+        # The per-name seed comes from a stable digest, not hash(), so
+        # another process with another PYTHONHASHSEED draws the same.
+        draw = (
+            "from repro.sim.rng import RngStreams; "
+            "print(repr(RngStreams(7).stream('noise').random()))"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run(
+                [sys.executable, "-c", draw], env=env, capture_output=True,
+                text=True, check=True, timeout=60,
+            )
+            outputs.add(done.stdout.strip())
+        assert outputs == {repr(RngStreams(7).stream("noise").random())}

@@ -3,11 +3,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tests.census import (
     ALLOWED,
     CONFIGURATION,
+    HOOK,
     INPUT_ERROR,
     ITEM,
     REFERENCE,
@@ -16,6 +21,7 @@ from tests.census import (
     definitions,
     disagreements,
     entered,
+    entry_points,
     functions,
     reason_problems,
 )
@@ -93,8 +99,8 @@ assert not thread.is_alive()
 
 
 @pytest.fixture(scope="module")
-def tiny(tmp_path_factory):
-    """``(defined, reached, failures)`` of one census over the package."""
+def tiny_root(tmp_path_factory):
+    """A directory holding the package under ``src/`` and ``main.py``."""
     root = tmp_path_factory.mktemp("tiny")
     write_tree(root, {
         "src/pkg/__init__.py": "",
@@ -102,6 +108,13 @@ def tiny(tmp_path_factory):
         "src/pkg/skipped/__init__.py": "def elsewhere():\n    return 0\n",
         "main.py": _MAIN,
     })
+    return root
+
+
+@pytest.fixture(scope="module")
+def tiny(tiny_root):
+    """``(defined, reached, failures)`` of one census over the package."""
+    root = tiny_root
     defined = definitions(root / "src", excluded=("skipped",))
     reached, failures = entered([("main.py",)], root, root / "src")
     return defined, reached, failures
@@ -232,3 +245,214 @@ def test_every_allowed_entry_names_a_function_and_a_valid_reason():
     defined = set(definitions(ROOT / "src").values())
     assert sorted(ALLOWED.keys() - defined) == []
     assert reason_problems(ALLOWED) == []
+
+
+def test_two_runs_enter_the_same_functions(tiny, tiny_root):
+    defined, reached, _ = tiny
+    again, failures = entered([("main.py",)], tiny_root, tiny_root / "src")
+    assert failures == []
+    assert defined.keys() & again == defined.keys() & reached
+
+
+def test_a_function_is_matched_by_position_not_by_name(tmp_path):
+    # A name scan passes B.run because A.run is called; the census does
+    # not.
+    write_tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/mod.py": (
+            "class A:\n"
+            "    def run(self):\n"
+            "        return 1\n"
+            "\n"
+            "\n"
+            "class B:\n"
+            "    def run(self):\n"
+            "        return 2\n"
+        ),
+        "main.py": "from pkg import mod\nmod.A().run()\n",
+    })
+    defined = definitions(tmp_path / "src")
+    reached, failures = entered([("main.py",)], tmp_path, tmp_path / "src")
+    assert failures == []
+    assert disagreements(defined, reached, {})["never entered"] == [
+        "pkg.mod.B.run"
+    ]
+
+
+def test_the_census_follows_a_child_of_a_child(tmp_path):
+    spawn = (
+        "import subprocess, sys\n"
+        "subprocess.run([sys.executable, {script!r}], check=True)\n"
+    )
+    write_tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/mod.py": "def grandchild_only():\n    return 1\n",
+        "main.py": spawn.format(script="child.py"),
+        "child.py": spawn.format(script="grandchild.py"),
+        "grandchild.py": "from pkg import mod\nmod.grandchild_only()\n",
+    })
+    defined = definitions(tmp_path / "src")
+    reached, failures = entered([("main.py",)], tmp_path, tmp_path / "src")
+    assert failures == []
+    assert disagreements(defined, reached, {})["never entered"] == []
+
+
+def test_a_run_that_exits_non_zero_is_reported(tmp_path):
+    write_tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "ok.py": "",
+        "bad.py": (
+            "import sys\n"
+            "print('boom', file=sys.stderr)\n"
+            "sys.exit(3)\n"
+        ),
+    })
+    _, failures = entered(
+        [("ok.py",), ("bad.py",)], tmp_path, tmp_path / "src"
+    )
+    assert failures == ["bad.py exited 3: boom"]
+
+
+@pytest.mark.parametrize("switched_on", [False, True], ids=["off", "on"])
+def test_the_hook_runs_only_when_the_environment_names_an_output(
+    tmp_path, switched_on
+):
+    (tmp_path / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    env = {
+        key: value for key, value in os.environ.items()
+        if key != "REPRO_CENSUS_OUT"
+    }
+    env["PYTHONPATH"] = str(tmp_path)
+    if switched_on:
+        env["REPRO_CENSUS_OUT"] = str(out)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.getprofile() is None)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == str(not switched_on)
+    assert len(list(out.iterdir())) == int(switched_on)
+
+
+def test_methods_are_named_by_their_classes(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import sys\n"
+        "\n"
+        "\n"
+        "class Outer:\n"
+        "    def method(self):\n"
+        "        return 1\n"
+        "\n"
+        "    class Inner:\n"
+        "        def method(self):\n"
+        "            return 2\n"
+        "\n"
+        "\n"
+        "async def fetch():\n"
+        "    return 3\n"
+        "\n"
+        "\n"
+        "if sys.platform:\n"
+        "    def _private():\n"
+        "        return 4\n",
+        encoding="utf-8",
+    )
+    assert sorted(functions(path, "mod").values()) == [
+        "mod.Outer.Inner.method", "mod.Outer.method", "mod._private",
+        "mod.fetch",
+    ]
+
+
+@pytest.mark.parametrize(
+    "spelling", ["abc.abstractmethod", "abstractmethod"],
+    ids=["qualified", "bare"],
+)
+def test_an_abstract_method_is_exempt_however_it_is_imported(
+    tmp_path, spelling
+):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import abc\n"
+        "from abc import abstractmethod\n"
+        "\n"
+        "\n"
+        "class Base(abc.ABC):\n"
+        f"    @{spelling}\n"
+        "    def run(self):\n"
+        "        return 0\n",
+        encoding="utf-8",
+    )
+    assert functions(path, "mod") == {}
+
+
+def test_definitions_name_packages_and_skip_only_top_level_subpackages(
+    tmp_path,
+):
+    write_tree(tmp_path, {
+        "pkg/__init__.py": "def top():\n    return 0\n",
+        "pkg/sub/__init__.py": "",
+        "pkg/sub/mod.py": "def deep():\n    return 1\n",
+        "pkg/skipped/__init__.py": "",
+        "pkg/skipped/mod.py": "def gone():\n    return 2\n",
+        "pkg/sub/skipped/__init__.py": "",
+        "pkg/sub/skipped/mod.py": "def kept():\n    return 3\n",
+    })
+    assert sorted(definitions(tmp_path, excluded=("skipped",)).values()) == [
+        "pkg.sub.mod.deep", "pkg.sub.skipped.mod.kept", "pkg.top",
+    ]
+
+
+def test_the_entry_points_are_examples_report_formats_workloads_and_suite(
+    tmp_path,
+):
+    write_tree(tmp_path, {
+        "BENCHMARK.json": '{"workloads": [{"name": "w1"}, {"name": "w2"}]}',
+        "examples/b.py": "",
+        "examples/a.py": "",
+        "examples/notes.txt": "",
+    })
+    run = ("--preset", "small", "--seconds", "0.5", "--trace", "1")
+    assert entry_points(tmp_path) == [
+        ("examples/a.py",),
+        ("examples/b.py",),
+        ("-m", "repro.obs.report", "--format", "text"),
+        ("-m", "repro.obs.report", "--format", "json"),
+        ("-m", "repro.obs.report", "--format", "prometheus"),
+        ("benchmarks/ledger/run.py", "--workload", "w1", *run),
+        ("benchmarks/ledger/run.py", "--workload", "w2", *run),
+        ("-m", "pytest", "benchmarks/", "-q", "--quick",
+         "-p", "no:cacheprovider"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "test, exists",
+    [
+        ("tests/test_a.py::test_one", True),
+        ("tests/test_a.py::TestGroup::test_two", True),
+        ("tests/test_a.py::test_one[case]", True),
+        ("tests/test_a.py::TestGroup::test_gone", False),
+        ("tests/test_gone.py::test_one", False),
+        ("tests/test_a.py", False),
+        (None, False),
+    ],
+    ids=["function", "method", "parametrized", "missing-name",
+         "missing-file", "no-scope", "none"],
+)
+def test_a_named_test_must_exist(tmp_path, test, exists):
+    write_tree(tmp_path, {
+        "tests/test_a.py": (
+            "def test_one():\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class TestGroup:\n"
+            "    def test_two(self):\n"
+            "        pass\n"
+        ),
+    })
+    reason = Reason(CONFIGURATION, "why", test=test)
+    expected = [] if exists else [f"f: no test {test!r}"]
+    assert reason_problems({"f": reason}, root=tmp_path) == expected
