@@ -6,11 +6,10 @@ network are automatically transferred to the database server after a
 certain time for later retrieval."
 
 :class:`DatabaseServer` subscribes to the event bus (or receives
-instances directly), stores them indexed by event id and layer, and
-answers retrieval queries by event kind, layer, observer and minimum
-confidence.  A configurable ``transfer_delay``
-models the paper's "after a certain time": instances become queryable
-only once that delay has elapsed.
+instances directly), stores them in the order they become visible,
+and answers retrieval queries by event kind.  A configurable
+``transfer_delay`` models the paper's "after a certain time": instances
+become queryable only once that delay has elapsed.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.core.errors import DatabaseError
-from repro.core.event import EventLayer
-from repro.core.instance import EventInstance, ObserverId
+from repro.core.instance import EventInstance
 from repro.sim.kernel import Simulator
 
 __all__ = ["DatabaseServer"]
@@ -84,30 +82,13 @@ class DatabaseServer:
     def _visible(self) -> list[EventInstance]:
         return self._instances[: bisect_right(self._ticks, self.sim.tick)]
 
-    def query(
-        self,
-        event_id: str | None = None,
-        layer: EventLayer | None = None,
-        observer: ObserverId | None = None,
-        min_confidence: float = 0.0,
-    ) -> list[EventInstance]:
-        """Retrieve visible instances matching every given filter.
+    def query(self, event_id: str | None = None) -> list[EventInstance]:
+        """Retrieve visible instances, in visible order.
 
         Args:
-            event_id: Exact event identifier.
-            layer: Hierarchy layer.
-            observer: Exact emitting observer.
-            min_confidence: Least acceptable ``rho``.
+            event_id: Exact event identifier (``None``: every instance).
         """
-        results: list[EventInstance] = []
-        for instance in self._visible():
-            if event_id is not None and instance.event_id != event_id:
-                continue
-            if layer is not None and instance.layer is not layer:
-                continue
-            if observer is not None and instance.observer != observer:
-                continue
-            if instance.confidence < min_confidence:
-                continue
-            results.append(instance)
-        return results
+        visible = self._visible()
+        if event_id is None:
+            return visible
+        return [i for i in visible if i.event_id == event_id]

@@ -28,7 +28,13 @@ scalability benchmarks use as the comparison baseline).  The masks
 reject, prove or leave to the judge: a *decisive* plan (the S1 pair
 shape, see :mod:`repro.detect.planner`) matches a candidate whose
 columns satisfy every clause without running the compiled condition
-(``stats.bindings_proven``); every other binding is judged by it.
+(``stats.bindings_proven``); every other binding is judged by it.  A
+decisive plan's arrival also runs its own loop over the window's
+columns: the arrival's key is computed once, each candidate's comes
+from the window's key column, and the distinctness and dedup tests run
+on the identity tuple before any binding dict exists, so a dict and a
+:class:`Match` are built only for a new binding that holds (or that the
+judge must see).
 
 Evaluation properties worth knowing:
 
@@ -59,6 +65,7 @@ Evaluation properties worth knowing:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.checkpoint import (
@@ -86,7 +93,7 @@ from repro.core.event import Event
 from repro.core.instance import EventInstance, PhysicalObservation
 from repro.core.spec import EventSpecification
 from repro.detect.compiler import compile_condition
-from repro.detect.planner import EvaluationPlan, Survivors, compile_plan
+from repro.detect.planner import EvaluationPlan, compile_plan
 from repro.detect.role_window import RoleWindow
 
 __all__ = [
@@ -459,7 +466,6 @@ class DetectionEngine:
         candidate_roles: tuple[str, ...],
         now: int,
     ) -> list[Match]:
-        seen = self._seen[spec.event_id]
         last = self._last_match.get(spec.event_id)
         if (
             spec.cooldown
@@ -467,42 +473,35 @@ class DetectionEngine:
             and now - last < spec.cooldown
         ):
             return []
+        if self.use_planner and self._plans[spec.event_id].decisive:
+            return self._evaluate_pair(spec, entity, candidate_roles, now)
+        seen = self._seen[spec.event_id]
         # The planner path evaluates through the compiled flat closure
         # (pre-resolved operators, cheapest conjunct first); the naive
         # path keeps interpreting the raw tree as the differential baseline.
         evaluator = self._compiled[spec.event_id] if self.use_planner else None
-        decisive = self.use_planner and self._plans[spec.event_id].decisive
         identify = self._identity[spec.event_id]
         matches: list[Match] = []
-        evaluated = proven = 0
+        evaluated = 0
         cooling = False
         for target_role in candidate_roles:
-            if decisive:
-                bindings, proof = self._pair_bindings(spec, target_role, entity)
-            else:
-                bindings, proof = self._enumerate(spec, target_role, entity), None
-            for position, binding in enumerate(bindings):
+            for binding in self._enumerate(spec, target_role, entity):
                 key = identify(binding)
                 if key is None or key in seen:
                     continue
                 evaluated += 1
-                if proof is not None and proof.proves(position):
-                    # The columns settle every clause: the judge would agree.
-                    proven += 1
-                    holds = True
-                else:
-                    try:
-                        if evaluator is not None:
-                            holds = evaluator(binding)
-                        else:
-                            holds = spec.condition.evaluate(binding)
-                    except (BindingError, ConditionError, TemporalError, SpatialError):
-                        # A binding the condition cannot judge (missing
-                        # attribute, open interval in a closed-interval
-                        # relation, ...) is a non-match, not an observer
-                        # crash; the tally keeps it visible.
-                        self.stats.evaluation_errors += 1
-                        continue
+                try:
+                    if evaluator is not None:
+                        holds = evaluator(binding)
+                    else:
+                        holds = spec.condition.evaluate(binding)
+                except (BindingError, ConditionError, TemporalError, SpatialError):
+                    # A binding the condition cannot judge (missing
+                    # attribute, open interval in a closed-interval
+                    # relation, ...) is a non-match, not an observer
+                    # crash; the tally keeps it visible.
+                    self.stats.evaluation_errors += 1
+                    continue
                 if holds:
                     seen[key] = now
                     matches.append(Match(spec, binding, now, key))
@@ -515,10 +514,91 @@ class DetectionEngine:
                         break
             if cooling:
                 break
+        self._count(spec, evaluated, 0, len(matches))
+        return matches
+
+    def _evaluate_pair(
+        self,
+        spec: EventSpecification,
+        entity: Entity,
+        candidate_roles: tuple[str, ...],
+        now: int,
+    ) -> list[Match]:
+        """:meth:`_evaluate_spec` for a decisive plan, in one loop over
+        window columns.
+
+        The same bindings in the same order as :meth:`_enumerate`, with
+        the same counts: the target role holds ``entity``, the other role
+        each surviving row of its window in arrival order.  The identity
+        ``(first key, second key)`` is built from the entity's key and
+        the window's key column, and the distinctness and dedup tests
+        run on it; a binding dict exists only for a new, distinct binding
+        the judge must see or that holds.
+        """
+        event_id = spec.event_id
+        seen = self._seen[event_id]
+        judge = self._compiled[event_id]
+        pools = self._pools[event_id]
+        first, second = spec.roles
+        pinned = entity_key(entity)
+        probe = self._plans[event_id].pin(entity)
+        stats = self.stats
+        cooldown = spec.cooldown
+        matches: list[Match] = []
+        evaluated = proven = 0
+        for target_role in candidate_roles:
+            leads = target_role == first
+            window = pools[second if leads else first]
+            size = len(window)
+            if not size:
+                continue
+            rows, proofs = probe.candidates(target_role, window)
+            keys, entities = window.keys(), window.entities()
+            if rows is None:
+                rows = range(size)
+            else:
+                stats.candidates_pruned += size - len(rows)
+            for row, proof in zip(rows, proofs or repeat(False)):
+                key = keys[row]
+                if key == pinned:
+                    continue  # one entity in both roles
+                key = (pinned, key) if leads else (key, pinned)
+                if key in seen:
+                    continue
+                evaluated += 1
+                choice = entities[row]
+                binding = (
+                    {first: entity, second: choice}
+                    if leads
+                    else {first: choice, second: entity}
+                )
+                if proof:
+                    # The columns settle every clause: the judge would agree.
+                    proven += 1
+                else:
+                    try:
+                        if not judge(binding):
+                            continue
+                    except (BindingError, ConditionError, TemporalError, SpatialError):
+                        stats.evaluation_errors += 1  # as in _evaluate_spec
+                        continue
+                seen[key] = now
+                matches.append(Match(spec, binding, now, key))
+                if cooldown:
+                    break  # cooling: the rest of this arrival waits
+            if matches and cooldown:
+                break
+        if matches:
+            self._last_match[event_id] = now
+        self._count(spec, evaluated, proven, len(matches))
+        return matches
+
+    def _count(
+        self, spec: EventSpecification, evaluated: int, proven: int, found: int
+    ) -> None:
+        """Add one call's counts to the stats and the spec's tally: once
+        per call, not per binding."""
         if evaluated:
-            # Counted once per call, not per binding: the engine-wide
-            # stats and this spec's tally take the same two numbers.
-            found = len(matches)
             stats = self.stats
             stats.bindings_evaluated += evaluated
             stats.bindings_proven += proven
@@ -526,38 +606,6 @@ class DetectionEngine:
             tally = self._tallies[spec.event_id]
             tally[0] += evaluated
             tally[1] += found
-        return matches
-
-    def _pair_bindings(
-        self,
-        spec: EventSpecification,
-        target_role: str,
-        entity: Entity,
-    ) -> tuple[Iterable[dict[str, Entity]], Survivors | None]:
-        """:meth:`_enumerate` for a decisive plan's two roles, plus the
-        candidates when they can prove (else ``None``).
-
-        The same bindings in the same order, with the same pruning
-        count: the target's role holds ``entity``, the other role each
-        candidate of its window in arrival order.
-        """
-        first, second = spec.roles
-        other = second if target_role == first else first
-        window = self._pools[spec.event_id][other]
-        if not len(window):
-            return (), None
-        found = self._plans[spec.event_id].candidates(
-            other, {target_role: entity}, window
-        )
-        if found is None:
-            found = window.entities()
-        else:
-            self.stats.candidates_pruned += len(window) - len(found)
-        if target_role == first:
-            bindings = ({first: entity, second: choice} for choice in found)
-        else:
-            bindings = ({first: choice, second: entity} for choice in found)
-        return bindings, found if isinstance(found, Survivors) else None
 
     def _enumerate(
         self,

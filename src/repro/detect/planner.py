@@ -36,19 +36,23 @@ never changes the match set, only the number of bindings evaluated
 A plan is **decisive** when its clauses are the whole condition: two
 single roles, no group role, and an ``AND`` / leaf tree in which every
 leaf became a within, beyond or order clause (the paper's S1 pair
-shape).  Its candidates then also say which survivors satisfy *every*
-clause on the columns alone — a distance clear of the radius by the
-reject masks' margin, an order between known, closed tick bounds —
-and the engine matches those without running the compiled condition.
-Any other survivor, and every binding of every other plan, is judged
-exactly as before.
+shape).  The engine then pins each arrival once (:meth:`EvaluationPlan.pin`)
+and its :class:`PairProbe` gives, per role the arrival fills, the other
+role's surviving rows together with a list of proof flags: which of
+them satisfy *every* clause on the columns alone — a distance clear of
+the radius by the reject masks' margin, an order between known, closed
+tick bounds — so the engine matches those without running the compiled
+condition.  The flags come from the same pass as the masks: one array
+of squared distances per window and arrival, shared by both roles when
+they read one window.  Any other survivor, and every binding of every
+other plan, is judged exactly as before.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Mapping, Sequence
 
@@ -75,7 +79,7 @@ __all__ = [
     "RegionClause",
     "OrderClause",
     "EvaluationPlan",
-    "Survivors",
+    "PairProbe",
     "compile_plan",
 ]
 
@@ -126,51 +130,6 @@ def _conjunction_only(node: ConditionNode) -> bool:
     return isinstance(node, And) and all(map(_conjunction_only, node.children))
 
 
-class Survivors(list):
-    """A decisive plan's candidates: the window rows no clause rejects,
-    in arrival order, which can also say which of them satisfy every
-    clause.
-
-    The proof is worked out on the first :meth:`proves` call, over the
-    survivors only, from the squared distances the reject masks already
-    computed — so an enumeration whose bindings all fall to identity or
-    dedup never pays for it.
-    """
-
-    __slots__ = ("_window", "_rows", "_distances", "_ordered", "_proven")
-
-    def __init__(
-        self,
-        window: RoleWindow,
-        rows: np.ndarray,
-        distances: list[tuple[np.ndarray, float, bool]],
-        ordered: bool,
-    ):
-        super().__init__(window.take(rows))
-        self._window = window
-        self._rows = rows
-        # (squared distances over the live slice, proof bound, within?)
-        self._distances = distances
-        self._ordered = ordered
-        self._proven: list[bool] | None = None
-
-    def proves(self, position: int) -> bool:
-        """Whether the survivor at ``position`` satisfies every clause."""
-        proven = self._proven
-        if proven is None:
-            rows = self._rows
-            holds = (
-                self._window.closed(rows)
-                if self._ordered
-                else np.ones(len(rows), dtype=bool)
-            )
-            for squared, bound, within in self._distances:
-                kept = squared[rows]
-                holds &= kept < bound if within else kept > bound
-            proven = self._proven = holds.tolist()
-        return proven[position]
-
-
 def _conjunctive_leaves(node: ConditionNode) -> list[Condition]:
     """Leaf conditions that must hold for *any* satisfying binding."""
     if isinstance(node, Leaf):
@@ -197,8 +156,8 @@ class EvaluationPlan:
 
     Both are superset guards: an entity is excluded only when a
     conjunctively-necessary clause provably cannot hold for it.  A
-    ``decisive`` plan's candidates are :class:`Survivors`, which also
-    prove (module docstring).
+    ``decisive`` plan's arrivals go through :meth:`pin` instead, whose
+    :class:`PairProbe` also proves (module docstring).
     """
 
     spec: EventSpecification
@@ -342,51 +301,34 @@ class EvaluationPlan:
         window's live rows; the masks are OR-ed and the rows left
         standing are returned in arrival order, so pruned enumeration
         visits the same bindings as exhaustive enumeration, minus
-        provable non-matches.  A decisive plan returns them as
-        :class:`Survivors` when every clause can be proven against the
-        pinned entity: a point anchor, and known, closed tick bounds.
+        provable non-matches.  A decisive plan's arrivals go through
+        :meth:`pin` instead, which also proves.
         """
         masks = []
-        # Proof material, kept for decisive plans only; None once some
-        # clause cannot be proven against this pinned entity.
-        proofs: list[tuple[np.ndarray, float, bool]] | None = (
-            [] if self.decisive else None
-        )
         for clauses, within in ((self.distances, True), (self.beyonds, False)):
             for clause in clauses:
                 if role not in (clause.role_a, clause.role_b):
-                    proofs = None
                     continue
                 other = pinned.get(clause.other(role))
                 if other is None:
-                    proofs = None
                     continue
                 anchor = other.occurrence_location
                 if not isinstance(anchor, PointLocation):
-                    proofs = None
                     continue  # field anchor: distance bound not point-reducible
-                # One distance pass serves the reject and the proof side.
                 squared = window.distance_sq(anchor)
-                radius = clause.radius
                 if within:
-                    masks.append(squared > farther_sq(radius))
+                    masks.append(squared > farther_sq(clause.radius))
                 else:
-                    masks.append(squared < nearer_sq(radius))
-                if proofs is not None:
-                    bound = nearer_sq(radius) if within else farther_sq(radius)
-                    proofs.append((squared, bound, within))
+                    masks.append(squared < nearer_sq(clause.radius))
         regions = [c.region for c in self.regions if c.role == role]
         for region in regions:
             masks.append(window.outside(region.bounding_box()))
 
         # Temporal ordering constraints against pinned roles compare the
         # candidates' tick-bound columns with the pinned entity's bounds.
-        # An order mask is exact on known, closed rows, so a survivor it
-        # kept is proven once its own bounds are known and closed — if
-        # the pinned entity's are too (an open one makes the relation raise).
         for clause in self.orders:
             if clause.earlier == role and clause.later in pinned:
-                pinned_lo, pinned_hi = tick_bounds(pinned[clause.later])
+                pinned_lo, _ = tick_bounds(pinned[clause.later])
                 if pinned_lo is not None:
                     masks.append(window.not_over_before(pinned_lo - clause.slack))
             elif clause.later == role and clause.earlier in pinned:
@@ -397,18 +339,9 @@ class EvaluationPlan:
                     # Open interval pinned as the earlier operand: Before
                     # can never hold, so no candidate can complete a match.
                     return ()
-            else:
-                pinned_hi = None
-            if pinned_hi is None:
-                proofs = None
         if not masks:
             return None
-        rejected = reduce(or_, masks)
-        if proofs is not None:
-            return Survivors(
-                window, np.flatnonzero(~rejected), proofs, bool(self.orders)
-            )
-        survivors = window.surviving(rejected)
+        survivors = window.surviving(reduce(or_, masks))
         for region in regions:
             # The box mask is only the cheap first cut; field-located
             # entities are the exact condition's to judge, not ours.
@@ -419,6 +352,107 @@ class EvaluationPlan:
                 or region.contains_point(entity.occurrence_location)
             ]
         return survivors
+
+    def pin(self, entity: Entity) -> "PairProbe":
+        """A decisive plan's candidates for one arrival (:class:`PairProbe`)."""
+        return PairProbe(self, entity)
+
+    @cached_property
+    def _thresholds(self) -> tuple[tuple[float, float, bool], ...]:
+        """Per distance clause: (reject bound, proof bound, within?)."""
+        return (
+            *((farther_sq(c.radius), nearer_sq(c.radius), True) for c in self.distances),
+            *((nearer_sq(c.radius), farther_sq(c.radius), False) for c in self.beyonds),
+        )
+
+
+class PairProbe:
+    """One arrival's candidates under a decisive plan.
+
+    ``entity`` has just arrived; for each role it is pinned to,
+    :meth:`candidates` returns the other role's window rows that no
+    clause rejects, in arrival order, and which of them satisfy every
+    clause on the columns alone.  The masks are those of
+    :meth:`EvaluationPlan.candidates`, worked out in one pass per
+    window: every distance clause reads one squared-distance array from
+    the entity's location, and when both roles read one window (twin
+    selectors) that array, its reject mask and its proof mask serve both
+    pinned roles.  A probe lives for one arrival, so nothing it caches
+    outlives a change to a window.
+    """
+
+    __slots__ = ("_plan", "_anchor", "_lo", "_hi", "_window", "_spatial")
+
+    def __init__(self, plan: EvaluationPlan, entity: Entity):
+        self._plan = plan
+        location = entity.occurrence_location
+        self._anchor = location if isinstance(location, PointLocation) else None
+        self._lo, self._hi = tick_bounds(entity)
+        self._window: RoleWindow | None = None
+        self._spatial: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
+
+    def _masks(self, window: RoleWindow) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The distance clauses' reject mask over ``window``'s live rows
+        (``None``: none rejects) and the rows they, and the closed tick
+        bounds an order clause needs, prove (``None``: nothing proves)."""
+        if window is self._window:
+            return self._spatial
+        plan = self._plan
+        thresholds = plan._thresholds
+        rejected = proven = None
+        if self._anchor is not None and thresholds:
+            squared = window.distance_sq(self._anchor)
+            for reject, prove, within in thresholds:
+                # NaN rows compare False both ways: kept, and unproven.
+                if within:
+                    no, yes = squared > reject, squared < prove
+                else:
+                    no, yes = squared < reject, squared > prove
+                rejected = no if rejected is None else rejected | no
+                proven = yes if proven is None else proven & yes
+        if (self._anchor is None and thresholds) or (
+            plan.orders and self._hi is None
+        ):
+            proven = None  # a field anchor, or no closed pinned ticks
+        elif plan.orders:
+            closed = window.closed()
+            proven = closed if proven is None else proven & closed
+        self._window, self._spatial = window, (rejected, proven)
+        return rejected, proven
+
+    def candidates(
+        self, role: str, window: RoleWindow
+    ) -> tuple[list[int] | None, list[bool] | None]:
+        """``(rows, proofs)`` of the other role's ``window`` with the
+        entity pinned to ``role``.
+
+        ``rows`` are live row numbers in arrival order, ``None`` when no
+        clause restricts the role (every row stands); ``proofs`` are
+        aligned with them, ``None`` when the entity's own location or
+        ticks leave every row to the compiled condition.
+        """
+        rejected, proven = self._masks(window)
+        lo, hi = self._lo, self._hi
+        for clause in self._plan.orders:
+            if clause.earlier == role:  # the candidate is the later one
+                if hi is not None:
+                    mask = window.not_begun_after(hi + clause.slack)
+                elif lo is not None:
+                    return [], None  # open and earlier: Before never holds
+                else:
+                    continue
+            elif lo is not None:  # the candidate is the earlier one
+                mask = window.not_over_before(lo - clause.slack)
+            else:
+                continue
+            # Never in place: the twin role reads the cached mask too.
+            rejected = mask if rejected is None else rejected | mask
+        if rejected is None:
+            return None, None
+        rows = (~rejected).nonzero()[0]  # np.flatnonzero's result, minus its wrapper
+        # A proven row is one the reject masks kept: the proof bounds lie
+        # inside the reject bounds, and an order mask is exact on it.
+        return rows.tolist(), None if proven is None else proven[rows].tolist()
 
 
 def compile_plan(spec: EventSpecification) -> EvaluationPlan:

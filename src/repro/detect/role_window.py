@@ -5,8 +5,11 @@ Observers evaluate conditions over recent entities; a
 specification (roles whose selectors compare equal share it) and is,
 at the same time, the structure the planner
 (:mod:`repro.detect.planner`) prunes candidates with.  Slot ``i`` of the
-entity list is row ``i`` of four columns:
+entity list is row ``i`` of a key list and five numpy columns, each
+computed once, when the entity is added:
 
+* ``keys`` — the entity's :func:`~repro.core.entity.entity_key`, so a
+  binding's identity is built from stored keys;
 * ``x`` / ``y`` — the occurrence location when it is a
   :class:`~repro.core.space_model.PointLocation`, each coordinate
   ``NaN`` when it cannot be squared without overflow; both ``NaN`` for
@@ -14,7 +17,9 @@ entity list is row ``i`` of four columns:
 * ``lo`` / ``hi`` — the earliest / latest possible occurrence tick as
   ``int64``.  An open interval has ``hi = INT64_MAX``; an entity whose
   bounds are unknown (or do not fit in 64 bits) has ``lo = INT64_MAX,
-  hi = INT64_MIN``.
+  hi = INT64_MIN``;
+* ``closed`` — whether ``lo`` / ``hi`` are known, closed bounds: the
+  rows on which an order comparison is exact.
 
 Every query returns a boolean **reject mask** over the live slice — one
 vectorised comparison per clause instead of one Python call per entry.
@@ -31,9 +36,11 @@ so one :meth:`RoleWindow.distance_sq` array answers a distance clause
 three ways — provably outside (reject), provably inside (prove), or
 too close to the radius to tell (left to the compiled condition).  An
 order comparison is exact wherever :meth:`RoleWindow.closed` holds.
+Every read returns the live slice, so row ``i`` of a mask, of
+:meth:`RoleWindow.keys` and of :meth:`RoleWindow.entities` is one entity.
 
-Arrival order is slot order: :meth:`RoleWindow.surviving` maps
-``np.flatnonzero`` of the kept rows back to entities, which is why
+Arrival order is slot order: :meth:`RoleWindow.surviving` maps the
+kept rows' numbers back to entities, which is why
 pruned enumeration is always an ordered subsequence of the exhaustive
 one.  Eviction is strictly FIFO (arrival ticks never decrease), done by
 advancing a head offset; dead rows are reclaimed by compaction when the
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.entity import Entity
+from repro.core.entity import Entity, entity_key
 from repro.core.errors import ConditionError
 from repro.core.space_model import EPS, BoundingBox, PointLocation
 from repro.core.time_model import TimeInterval, TimePoint
@@ -120,11 +127,13 @@ class RoleWindow:
         # the head, and any tick the engine accepts must fit.
         self._ticks: list[int] = []
         self._entities: list[Entity] = []
+        self._keys: list[object] = []  # entity_key of each slot
         self._head = 0  # first live slot
         self._x = np.empty(_INITIAL_CAPACITY, np.float64)
         self._y = np.empty(_INITIAL_CAPACITY, np.float64)
         self._lo = np.empty(_INITIAL_CAPACITY, np.int64)
         self._hi = np.empty(_INITIAL_CAPACITY, np.int64)
+        self._closed = np.empty(_INITIAL_CAPACITY, np.bool_)
 
     # -- maintenance ---------------------------------------------------
 
@@ -139,34 +148,42 @@ class RoleWindow:
             slot = len(self._entities)
         location = entity.occurrence_location
         if isinstance(location, PointLocation):
-            self._x[slot] = _squarable(location.x)
-            self._y[slot] = _squarable(location.y)
+            # _squarable, inlined: this runs once per row of every window.
+            x, y = location.x, location.y
+            self._x[slot] = x if -_COORD_LIMIT <= x <= _COORD_LIMIT else np.nan
+            self._y[slot] = y if -_COORD_LIMIT <= y <= _COORD_LIMIT else np.nan
         else:
             self._x[slot] = self._y[slot] = np.nan
         lo, hi = tick_bounds(entity)
+        closed = False
         if lo is None or not (
             _INT64_MIN < lo <= (lo if hi is None else hi) < _INT64_MAX
         ):
             lo, hi = _INT64_MAX, _INT64_MIN  # unknown: no order mask rejects it
         elif hi is None:
             hi = _INT64_MAX  # open interval: never over
+        else:
+            closed = True
         self._lo[slot] = lo
         self._hi[slot] = hi
+        self._closed[slot] = closed
         self._ticks.append(tick)
         self._entities.append(entity)
+        self._keys.append(entity_key(entity))
 
     def _make_room(self) -> None:
         """Reclaim evicted rows, or double the columns when most are live."""
         head, size = self._head, len(self._entities)
         live = size - head
         capacity = size if head >= live else 2 * size
-        for name in ("_x", "_y", "_lo", "_hi"):
+        for name in ("_x", "_y", "_lo", "_hi", "_closed"):
             old = getattr(self, name)
             new = old if capacity == size else np.empty(capacity, old.dtype)
             new[:live] = old[head:size]
             setattr(self, name, new)
         del self._ticks[:head]
         del self._entities[:head]
+        del self._keys[:head]
         self._head = 0
 
     def evict(self, now: int) -> None:
@@ -185,6 +202,7 @@ class RoleWindow:
         """Drop everything."""
         self._ticks.clear()
         self._entities.clear()
+        self._keys.clear()
         self._head = 0
 
     # -- reads ---------------------------------------------------------
@@ -192,6 +210,11 @@ class RoleWindow:
     def entities(self) -> list[Entity]:
         """Live entities in arrival order (a fresh list)."""
         return self._entities[self._head:]
+
+    def keys(self) -> list[object]:
+        """The live entities' :func:`~repro.core.entity.entity_key` s, in
+        arrival order (a fresh list)."""
+        return self._keys[self._head:]
 
     def entries(self) -> tuple[tuple[int, Entity], ...]:
         """Live ``(tick, entity)`` pairs in arrival order.
@@ -213,7 +236,10 @@ class RoleWindow:
         live = slice(self._head, len(self._entities))
         dx = self._x[live] - _squarable(point.x)
         dy = self._y[live] - _squarable(point.y)
-        return dx * dx + dy * dy
+        dx *= dx  # in place: the differences are fresh arrays
+        dy *= dy
+        dx += dy
+        return dx
 
     def outside(self, box: BoundingBox) -> np.ndarray:
         """Rows provably outside ``box`` padded by the containment tolerance.
@@ -241,18 +267,13 @@ class RoleWindow:
         floor = max(_INT64_MIN, min(floor, _INT64_MAX - 1))
         return self._lo[self._head:len(self._entities)] <= floor
 
-    def closed(self, rows: np.ndarray) -> np.ndarray:
-        """Which of the live ``rows`` have known, closed tick bounds: the
-        rows an order comparison decides exactly (the unknown and open
-        sentinels sit on its admitting side)."""
-        lo, hi = self._lo[self._head:][rows], self._hi[self._head:][rows]
-        return (lo <= hi) & (hi < _INT64_MAX)
+    def closed(self) -> np.ndarray:
+        """Rows with known, closed tick bounds: the rows an order
+        comparison decides exactly (the unknown and open sentinels sit
+        on its admitting side).  A view of the column: read it only."""
+        return self._closed[self._head:len(self._entities)]
 
     def surviving(self, rejected: np.ndarray) -> list[Entity]:
         """Live entities a reject mask left standing, in arrival order."""
-        return self.take(np.flatnonzero(~rejected))
-
-    def take(self, rows: np.ndarray) -> list[Entity]:
-        """The entities of the live ``rows``, in the order given."""
         entities, head = self._entities, self._head
-        return [entities[head + i] for i in rows.tolist()]
+        return [entities[head + i] for i in (~rejected).nonzero()[0].tolist()]

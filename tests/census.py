@@ -5,13 +5,15 @@ user.  This script runs the program's entry points (:func:`entry_points`:
 the examples, the report CLI in each format, every ledger workload and
 the benchmark smoke suite) with a profile hook in every Python process
 they start, child processes and threads included, and records the
-``(file, first line)`` of each code object entered under ``src/repro``.
-It compares those positions with every ``def`` under ``src/repro``
-outside the packages in :data:`EXCLUDED`.  Matching positions rather
-than names means a function cannot pass because something else of the
-same name runs.  A decorated function's code starts at its first
-decorator, so a ``def`` is keyed on the smallest line of its decorators
-and its ``def``.
+``(file, first line, name)`` of each code object entered under
+``src/repro``.  It compares those with every ``def`` under
+``src/repro`` outside the packages in :data:`EXCLUDED`.  Matching the
+position means a function cannot pass because something else of the
+same name runs; matching the name too means it cannot pass because
+another code object starting on its line runs (a generator expression
+in a default argument, a lambda in a decorator's arguments).  A
+decorated function's code starts at its first decorator, so a ``def``
+is keyed on the smallest line of its decorators and its ``def``.
 
 Dunders, ``@abstractmethod`` s and interface stubs (a body that is only
 a docstring, ``...``, ``pass`` or ``raise NotImplementedError``) are
@@ -60,15 +62,17 @@ if _OUT:
     def _profile(frame, event, arg, _add=_entered.add):
         if event == "call":
             code = frame.f_code
-            _add((code.co_filename, code.co_firstlineno))
+            _add((code.co_filename, code.co_firstlineno, code.co_name))
 
     def _dump():
         sys.setprofile(None)
         threading.setprofile(None)
         path = os.path.join(_OUT, f"{os.getpid()}.tsv")
         with open(path, "w", encoding="utf-8") as handle:
-            for filename, line in sorted(_entered):
-                handle.write(f"{os.path.abspath(filename)}\\t{line}\\n")
+            for filename, line, name in sorted(_entered):
+                handle.write(
+                    f"{os.path.abspath(filename)}\\t{line}\\t{name}\\n"
+                )
 
     atexit.register(_dump)
     threading.setprofile(_profile)
@@ -404,12 +408,12 @@ def _exempt(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return dunder or abstract or _is_stub(node)
 
 
-def functions(path: Path, module: str) -> dict[tuple[str, int], str]:
-    """``(file, first line) -> dotted name`` for each non-exempt ``def``
+def functions(path: Path, module: str) -> dict[tuple[str, int, str], str]:
+    """``(file, first line, name) -> dotted name`` for each non-exempt ``def``
     in the module at ``path``, nested ones included.  A name defined
     again in the same scope (a closure per branch) gets ``#2``, ``#3``,
     ... in source order."""
-    found: dict[tuple[str, int], str] = {}
+    found: dict[tuple[str, int, str], str] = {}
     seen: dict[str, int] = {}
 
     def visit(node: ast.AST, prefix: str) -> None:
@@ -426,7 +430,7 @@ def functions(path: Path, module: str) -> dict[tuple[str, int], str]:
                         [child.lineno]
                         + [item.lineno for item in child.decorator_list]
                     )
-                    found[(str(path), first)] = name
+                    found[(str(path), first, child.name)] = name
                 visit(child, name)
             else:
                 visit(child, prefix)
@@ -437,10 +441,10 @@ def functions(path: Path, module: str) -> dict[tuple[str, int], str]:
 
 def definitions(
     src: Path, excluded: Sequence[str] = tuple(EXCLUDED)
-) -> dict[tuple[str, int], str]:
+) -> dict[tuple[str, int, str], str]:
     """:func:`functions` over every module of every package under
     ``src``, except the subpackages named in ``excluded``."""
-    found: dict[tuple[str, int], str] = {}
+    found: dict[tuple[str, int, str], str] = {}
     for path in sorted(src.resolve().rglob("*.py")):
         parts = path.relative_to(src.resolve()).with_suffix("").parts
         if len(parts) > 1 and parts[1] in excluded:
@@ -453,15 +457,15 @@ def definitions(
 
 def entered(
     commands: Sequence[Sequence[str]], cwd: Path, src: Path
-) -> tuple[set[tuple[str, int]], list[str]]:
+) -> tuple[set[tuple[str, int, str]], list[str]]:
     """Run each of ``commands`` (arguments to the interpreter) in ``cwd``
     with ``src`` on the path and the hook switched on.
 
-    Returns every ``(file, first line)`` entered in any process they
+    Returns every ``(file, first line, name)`` entered in any process they
     started, and one line per command that exited non-zero.
     """
     failures: list[str] = []
-    positions: set[tuple[str, int]] = set()
+    positions: set[tuple[str, int, str]] = set()
     with tempfile.TemporaryDirectory(prefix="census-") as scratch:
         hook, out = Path(scratch, "hook"), Path(scratch, "out")
         hook.mkdir()
@@ -485,14 +489,14 @@ def entered(
                 )
         for dump in out.iterdir():
             for line in dump.read_text(encoding="utf-8").splitlines():
-                filename, first = line.rsplit("\t", 1)
-                positions.add((filename, int(first)))
+                filename, first, name = line.rsplit("\t", 2)
+                positions.add((filename, int(first), name))
     return positions, failures
 
 
 def disagreements(
-    defined: dict[tuple[str, int], str],
-    reached: set[tuple[str, int]],
+    defined: dict[tuple[str, int, str], str],
+    reached: set[tuple[str, int, str]],
     allowed: dict[str, Reason],
 ) -> dict[str, list[str]]:
     """Where the unentered functions and ``allowed`` differ, both ways."""

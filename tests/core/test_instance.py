@@ -245,6 +245,4 @@ class TestObserverId:
         assert not database.store(again)  # the same key, a different object
         assert database.store(other)
         assert len(database) == 2
-        assert database.query(observer=ObserverId(ObserverKind.SINK_NODE, "S2")) == [
-            other
-        ]
+        assert database.query() == [first, other]

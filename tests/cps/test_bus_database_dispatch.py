@@ -179,34 +179,6 @@ class TestDatabaseServer:
         sim.run(until=10)
         assert [i.seq for i in db.query()] == [1, 0]
 
-    def test_filters_combine(self):
-        sim = Simulator()
-        db = DatabaseServer("DB1", sim)
-        db.store(instance("hot", seq=0, rho=0.9))
-        db.store(instance("hot", seq=1, rho=0.3))
-        db.store(instance("fire", seq=2, rho=0.9))
-        db.store(instance("hot", seq=3, layer=EventLayer.CYBER_PHYSICAL))
-        rows = db.query(
-            event_id="hot", layer=EventLayer.SENSOR, min_confidence=0.5
-        )
-        assert [i.seq for i in rows] == [0]
-
-    def test_layer_and_confidence_query(self):
-        sim = Simulator()
-        db = DatabaseServer("DB1", sim)
-        db.store(instance(seq=0, layer=EventLayer.SENSOR, rho=0.9))
-        db.store(instance(seq=1, layer=EventLayer.CYBER_PHYSICAL, rho=0.4))
-        assert len(db.query(layer=EventLayer.SENSOR)) == 1
-        assert len(db.query(min_confidence=0.5)) == 1
-
-    def test_observer_query(self):
-        sim = Simulator()
-        db = DatabaseServer("DB1", sim)
-        db.store(instance(seq=0))
-        rows = db.query(observer=ObserverId(ObserverKind.SENSOR_MOTE, "N1"))
-        assert len(rows) == 1
-        assert db.query(observer=ObserverId(ObserverKind.CCU, "Z")) == []
-
     def test_latest(self):
         sim = Simulator()
         db = DatabaseServer("DB1", sim)

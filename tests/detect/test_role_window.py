@@ -13,7 +13,8 @@ kept in this file:
   (and everything it cannot judge: field locations, huge coordinates,
   open or exotic occurrence times) is left standing;
 * **proof** — a decisive plan's survivor is proven only where the
-  scalar condition holds, and evaluates without raising.
+  scalar condition holds, and evaluates without raising; the probe that
+  proves keeps the rows :meth:`EvaluationPlan.candidates` keeps.
 
 The whole module runs with warnings as errors: a mask that overflows or
 compares invalid values on its way to the right answer is a defect.
@@ -36,7 +37,7 @@ from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.compiler import compile_condition
 from repro.detect.engine import DetectionEngine, binding_identity
-from repro.detect.planner import Survivors, compile_plan
+from repro.detect.planner import compile_plan
 from repro.detect.role_window import RoleWindow, farther_sq, nearer_sq, tick_bounds
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -335,13 +336,19 @@ class TestSoundness:
         plan = compile_plan(spec)
         window, live = replay(*history)
         role = "b" if pinned == "a" else "a"
+        rows, proofs = plan.pin(anchor).candidates(pinned, window)
         found = plan.candidates(role, {pinned: anchor}, window)
-        if not isinstance(found, Survivors):
+        if rows is None:
+            assert found is None
             return
+        assert [live[row] for row in rows] == list(found)
+        if proofs is None:
+            return
+        assert len(proofs) == len(rows)
         judge = compile_condition(spec.condition)
-        for position, entity in enumerate(found):
-            if found.proves(position):
-                binding = {pinned: anchor, role: entity}
+        for row, proof in zip(rows, proofs):
+            if proof:
+                binding = {pinned: anchor, role: live[row]}
                 assert spec.condition.evaluate(binding) is True
                 assert judge(binding) is True
 
@@ -367,17 +374,17 @@ class TestSoundness:
         plan = compile_plan(spec)
         pinned = at(0, 0, tick=5, name=0)
 
-        def proven(role, other):
-            found = plan.candidates(role, {other: pinned}, window)
-            return {e.name for i, e in enumerate(found) if found.proves(i)}
+        def proven(other):
+            rows, proofs = plan.pin(pinned).candidates(other, window)
+            live = window.entities()
+            return {live[row].name for row, p in zip(rows, proofs) if p}
 
-        assert proven("a", "b") == {1, 7}
-        assert proven("b", "a") == {2}
+        assert proven("b") == {1, 7}
+        assert proven("a") == {2}
         # An open or unknown pinned entity proves nothing.
         for when in (TimeInterval(TimePoint(0), None), "whenever"):
             ongoing = Stub(PointLocation(0, 0), when, 0)
-            found = plan.candidates("b", {"a": ongoing}, window)
-            assert not isinstance(found, Survivors)
+            assert plan.pin(ongoing).candidates("a", window)[1] is None
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +430,9 @@ class TestAtTheRadius:
         assert len(names) <= 2 * len(TRIANGLES)
         # The ring at the radius is left to the judge under every
         # operator; the matching ring clear of it is proven.
-        assert isinstance(survivors, Survivors)
-        proven = {
-            entity.name
-            for position, entity in enumerate(survivors)
-            if survivors.proves(position)
-        }
+        rows, proofs = plan.pin(anchor).candidates("a", window)
+        assert [ring[row] for row in rows] == survivors
+        proven = {ring[row].name for row, p in zip(rows, proofs) if p}
         at_radius = set(range(len(TRIANGLES), 2 * len(TRIANGLES)))
         assert proven == set(names) - at_radius
 

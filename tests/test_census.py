@@ -153,7 +153,7 @@ def test_dunders_abstract_methods_stubs_and_excluded_packages_are_exempt(
 
 def test_a_decorated_function_is_keyed_on_its_first_decorator(tiny):
     defined, _, _ = tiny
-    lines = {name: line for (_, line), name in defined.items()}
+    lines = {name: line for (_, line, _), name in defined.items()}
     source = _MODULE.splitlines()
     assert source[lines["pkg.mod.decorated"] - 1].startswith("@functools")
     assert source[lines["pkg.mod.decorated_unreached"] - 1].startswith(
@@ -276,6 +276,39 @@ def test_a_function_is_matched_by_position_not_by_name(tmp_path):
     assert failures == []
     assert disagreements(defined, reached, {})["never entered"] == [
         "pkg.mod.B.run"
+    ]
+
+
+def test_another_code_object_on_a_def_line_does_not_enter_it(tmp_path):
+    # A generator expression in a default argument runs when the module
+    # is imported, and a lambda in a decorator's arguments when the
+    # decorator calls it; each starts on its function's first line.
+    write_tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/mod.py": (
+            "def register(check):\n"
+            "    check()\n"
+            "    return lambda function: function\n"
+            "\n"
+            "\n"
+            "def never(xs=tuple(i for i in range(3))):\n"
+            "    return xs\n"
+            "\n"
+            "\n"
+            "@register(lambda: 0)\n"
+            "def also_never():\n"
+            "    return 1\n"
+        ),
+        "main.py": "from pkg import mod\n",
+    })
+    defined = definitions(tmp_path / "src")
+    reached, failures = entered([("main.py",)], tmp_path, tmp_path / "src")
+    assert failures == []
+    assert {(line, name) for _, line, name in reached} >= {
+        (6, "<genexpr>"), (10, "<lambda>"), (1, "register"),
+    }
+    assert disagreements(defined, reached, {})["never entered"] == [
+        "pkg.mod.also_never", "pkg.mod.never",
     ]
 
 
