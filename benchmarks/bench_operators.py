@@ -27,6 +27,7 @@ from repro.core.space_model import (
     spatial_relation,
 )
 from repro.core.time_model import TimeInterval, TimePoint, temporal_relation
+from repro.detect import compile_condition
 
 POINT_A = TimePoint(100)
 POINT_B = TimePoint(205)
@@ -100,4 +101,4 @@ class TestE10FullCondition:
                 "MT2", "SR", 0, TimePoint(3), PointLocation(2, 0), {"v": 14.0}
             ),
         }
-        assert benchmark(condition.evaluate, binding)
+        assert benchmark(compile_condition(condition), binding)

@@ -23,6 +23,7 @@ from repro.core.instance import PhysicalObservation
 from repro.core.operators import RelationalOp, TemporalOp
 from repro.core.space_model import PointLocation
 from repro.core.time_model import TimePoint
+from repro.detect import compile_condition
 from repro.metrics import interval_iou, region_iou
 from repro.physical import proximity_intervals
 from repro.workloads import build_scenario
@@ -104,8 +105,10 @@ class TestE4ConditionS1:
             )
             pairs.append({"x": a, "y": b})
 
+        judge = compile_condition(condition)
+
         def evaluate_all():
-            return sum(1 for binding in pairs if condition.evaluate(binding))
+            return sum(1 for binding in pairs if judge(binding))
 
         positives = benchmark(evaluate_all)
         report(

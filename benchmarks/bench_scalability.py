@@ -7,11 +7,12 @@ cost in the number of candidate specs; window width inflates the
 binding cross-product for multi-role specs; whole-system wall time grows
 roughly linearly in the instance volume.
 
-``TestE9IndexedVsNaive`` compares the plan-driven indexed engine
-(default) against brute-force enumeration (``use_planner=False``) on the
-same workload: identical match sets, with the indexed engine evaluating
-a fraction of the bindings for spatially/temporally selective specs, and
-batched submission amortizing per-entity overhead on top.
+``TestE9Pruning`` reads the plan-driven engine's own counters on a
+spatially and temporally selective pair spec: the candidates its masks
+reject unevaluated (``candidates_pruned``) against the bindings it
+judges (``bindings_evaluated``), and batched submission amortizing
+per-entity overhead on top.  That pruning never changes a match set is
+the test suite's differential against its naive reference engine.
 """
 
 import itertools
@@ -133,38 +134,29 @@ def match_keys(engine, matches):
     }
 
 
-class TestE9IndexedVsNaive:
-    """Plan-driven pruning vs brute force at identical semantics."""
+class TestE9Pruning:
+    """Plan-driven pruning, read from the engine's own counters."""
 
     def test_indexed_engine_prunes_bindings(self, benchmark, report, scale):
         observations = stream(count=scale(1500, 600))
         specs = [pair_spec(40)]
 
-        def run(use_planner):
-            engine = DetectionEngine(specs, use_planner=use_planner)
-            keys = set()
+        def run():
+            engine = DetectionEngine(specs)
             for obs in observations:
-                keys |= match_keys(engine, engine.submit(obs, obs.time.tick))
-            return engine.stats, keys
+                engine.submit(obs, obs.time.tick)
+            return engine.stats
 
-        naive_stats, naive_keys = run(False)
-        indexed_stats, indexed_keys = benchmark.pedantic(
-            run, args=(True,), rounds=1, iterations=1
-        )
-        reduction = naive_stats.bindings_evaluated / max(
-            1, indexed_stats.bindings_evaluated
-        )
+        stats = benchmark.pedantic(run, rounds=1, iterations=1)
         report(
-            f"[E9] naive   bindings={naive_stats.bindings_evaluated} "
-            f"matches={naive_stats.matches}",
-            f"[E9] indexed bindings={indexed_stats.bindings_evaluated} "
-            f"matches={indexed_stats.matches} "
-            f"pruned={indexed_stats.candidates_pruned}",
-            f"[E9] bindings-evaluated reduction: {reduction:.1f}x",
+            f"[E9] indexed bindings={stats.bindings_evaluated} "
+            f"matches={stats.matches} pruned={stats.candidates_pruned} "
+            f"pruned_ratio={stats.pruned_ratio:.3f}",
         )
-        assert indexed_keys == naive_keys
-        assert indexed_stats.bindings_evaluated < naive_stats.bindings_evaluated
-        assert reduction >= 2.0
+        assert stats.matches > 0
+        # The masks reject at least half of the candidates they consider.
+        assert stats.candidates_pruned >= stats.bindings_evaluated > 0
+        assert stats.pruned_ratio >= 0.5
 
     def test_batched_submission_amortizes(self, benchmark, report, scale):
         from dataclasses import replace

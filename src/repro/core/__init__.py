@@ -78,7 +78,7 @@ from repro.core.instance import (
     PhysicalObservation,
     SensorEventInstance,
 )
-from repro.core.operators import LogicalOp, RelationalOp, SpatialOp, TemporalOp
+from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import (
     BoundingBox,
     Circle,
@@ -128,7 +128,7 @@ __all__ = [
     # entity access
     "Entity", "confidence_of", "entity_key",
     # operators
-    "RelationalOp", "TemporalOp", "SpatialOp", "LogicalOp",
+    "RelationalOp", "TemporalOp", "SpatialOp",
     # aggregates
     "VALUE_AGGREGATES", "TIME_AGGREGATES", "TIME_MEASURES",
     "SPACE_AGGREGATES", "SPACE_MEASURES",

@@ -7,10 +7,12 @@ temporal and spatial conditions with the logical operators ``OP_L``
     {Eid, (g_v ... OP_L ...) OP_L (g_t ... OP_L ...) OP_L (g_s ...)}
 
 This module provides the condition tree — :class:`Leaf`, :class:`And`,
-:class:`Or`, :class:`Not` — with evaluation over bindings and the
-convenience constructor :func:`all_of`.  Trees are immutable and
-hashable so specifications can be deduplicated and used as dictionary
-keys.
+:class:`Or`, :class:`Not` — and the convenience constructor
+:func:`all_of`.  A tree is data: :func:`repro.detect.compiler.compile_condition`
+gives it its meaning, one ``binding -> bool`` closure, and the test
+suite's reference semantics (``tests/reference``) states the same
+meaning as a function over the tree.  Trees are immutable and hashable
+so specifications can be deduplicated and used as dictionary keys.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.core.conditions import Binding, Condition
+from repro.core.conditions import Condition
 from repro.core.errors import ConditionError
-from repro.core.operators import LogicalOp
 
 __all__ = [
     "ConditionNode",
@@ -35,10 +36,6 @@ __all__ = [
 
 class ConditionNode(ABC):
     """A node of the composite condition tree."""
-
-    @abstractmethod
-    def evaluate(self, binding: Binding) -> bool:
-        """Whether the (sub)tree holds under ``binding``."""
 
     @property
     @abstractmethod
@@ -70,9 +67,6 @@ class Leaf(ConditionNode):
 
     condition: Condition
 
-    def evaluate(self, binding: Binding) -> bool:
-        return self.condition.evaluate(binding)
-
     @property
     def roles(self) -> frozenset[str]:
         return self.condition.roles
@@ -89,11 +83,6 @@ class And(ConditionNode):
             raise ConditionError("AND needs at least one child")
         object.__setattr__(
             self, "children", tuple(as_node(c) for c in self.children)
-        )
-
-    def evaluate(self, binding: Binding) -> bool:
-        return LogicalOp.AND.apply(
-            *(child.evaluate(binding) for child in self.children)
         )
 
     @property
@@ -114,11 +103,6 @@ class Or(ConditionNode):
             self, "children", tuple(as_node(c) for c in self.children)
         )
 
-    def evaluate(self, binding: Binding) -> bool:
-        return LogicalOp.OR.apply(
-            *(child.evaluate(binding) for child in self.children)
-        )
-
     @property
     def roles(self) -> frozenset[str]:
         return frozenset().union(*(child.roles for child in self.children))
@@ -132,9 +116,6 @@ class Not(ConditionNode):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "child", as_node(self.child))
-
-    def evaluate(self, binding: Binding) -> bool:
-        return LogicalOp.NOT.apply(self.child.evaluate(binding))
 
     @property
     def roles(self) -> frozenset[str]:

@@ -23,12 +23,14 @@ Both sides of temporal and spatial conditions are *expressions*: an
 entity's time/location (optionally shifted, supporting the paper's
 ``t_x + 5 Before t_y``), a constant, or an aggregate over several roles.
 
-Every condition additionally knows how to **lower** itself
-(:meth:`Condition.lower`) into a pre-bound closure for the compiled
-evaluation path (:mod:`repro.detect.compiler`): aggregate and operator
-lookups are resolved once at specification-install time instead of once
-per binding.  Lowered evaluators are semantically equivalent to
-:meth:`Condition.evaluate` — same booleans, same raised error classes.
+A condition's semantics is what it **lowers** to (:meth:`Condition.lower`):
+a pre-bound ``binding -> bool`` closure, compiled into the specification's
+evaluator by :mod:`repro.detect.compiler`, with aggregate and operator
+lookups resolved once at specification-install time instead of once per
+binding.  The test suite states the same semantics independently, as one
+function over the condition tree (``tests/reference``), and checks that
+every lowered closure returns the same booleans and raises the same
+error classes.
 """
 
 from __future__ import annotations
@@ -48,12 +50,7 @@ from repro.core.entity import Entity, confidence_of, numeric_attribute
 from repro.core.errors import BindingError, ConditionError
 from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import SpatialEntity, spatial_relation
-from repro.core.time_model import (
-    TemporalEntity,
-    TimeInterval,
-    TimePoint,
-    temporal_relation,
-)
+from repro.core.time_model import TemporalEntity, TimeInterval, temporal_relation
 
 __all__ = [
     "Binding",
@@ -106,23 +103,15 @@ class Condition(ABC):
     #: cheapest-first by this (see :mod:`repro.detect.compiler`).
     COST = 10.0
 
-    @abstractmethod
-    def evaluate(self, binding: Binding) -> bool:
-        """Whether the condition holds under ``binding``."""
-
     @property
     @abstractmethod
     def roles(self) -> frozenset[str]:
         """Role names the condition references."""
 
+    @abstractmethod
     def lower(self) -> LoweredPredicate:
-        """Lower to a pre-bound ``binding -> bool`` closure.
-
-        The default is :meth:`evaluate` itself (correct for any
-        subclass); the built-in condition types override it to resolve
-        aggregates/operators once.
-        """
-        return self.evaluate
+        """Lower to a pre-bound ``binding -> bool`` closure: whether the
+        condition holds under the binding."""
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +129,6 @@ class AttributeTerm:
 
     role: str
     attribute: str
-
-    def values(self, binding: Binding) -> list[float]:
-        """Numeric attribute values contributed by this term."""
-        return [
-            numeric_attribute(entity, self.attribute)
-            for entity in entities_for(self.role, binding)
-        ]
 
 
 @dataclass(frozen=True)
@@ -176,13 +158,6 @@ class AttributeCondition(Condition):
             raise ConditionError("attribute condition needs at least one term")
         value_aggregate(self.aggregate)  # validate the name eagerly
 
-    def evaluate(self, binding: Binding) -> bool:
-        values: list[float] = []
-        for term in self.terms:
-            values.extend(term.values(binding))
-        aggregated = value_aggregate(self.aggregate)(values)
-        return self.op.apply(aggregated, self.constant)
-
     def lower(self) -> LoweredPredicate:
         aggregate = value_aggregate(self.aggregate)
         compare = self.op.resolve()
@@ -211,11 +186,8 @@ class TimeExpr(ABC):
     """A temporal expression: resolves to a point or interval."""
 
     @abstractmethod
-    def resolve(self, binding: Binding) -> TemporalEntity: ...
-
     def lower(self) -> Callable[[Binding], TemporalEntity]:
-        """Pre-bound resolver (default: :meth:`resolve` itself)."""
-        return self.resolve
+        """Pre-bound resolver: ``binding -> time``."""
 
     @property
     @abstractmethod
@@ -232,21 +204,6 @@ class TimeOf(TimeExpr):
 
     role: str
     offset: int = 0
-
-    def resolve(self, binding: Binding) -> TemporalEntity:
-        entities = entities_for(self.role, binding)
-        times = [entity.occurrence_time for entity in entities]
-        if len(times) == 1:
-            when = times[0]
-        else:
-            when = time_aggregate("span")(times)
-        if self.offset:
-            when = (
-                when.shift(self.offset)
-                if isinstance(when, TimeInterval)
-                else when + self.offset
-            )
-        return when
 
     def lower(self) -> Callable[[Binding], TemporalEntity]:
         role, offset = self.role, self.offset
@@ -279,8 +236,9 @@ class TimeConst(TimeExpr):
 
     value: TemporalEntity
 
-    def resolve(self, binding: Binding) -> TemporalEntity:
-        return self.value
+    def lower(self) -> Callable[[Binding], TemporalEntity]:
+        value = self.value
+        return lambda binding: value
 
     @property
     def roles(self) -> frozenset[str]:
@@ -298,12 +256,6 @@ class TimeAgg(TimeExpr):
         if not self.arg_roles:
             raise ConditionError("time aggregate needs at least one role")
         time_aggregate(self.aggregate)
-
-    def resolve(self, binding: Binding) -> TemporalEntity:
-        times: list[TemporalEntity] = []
-        for role in self.arg_roles:
-            times.extend(e.occurrence_time for e in entities_for(role, binding))
-        return time_aggregate(self.aggregate)(times)
 
     def lower(self) -> Callable[[Binding], TemporalEntity]:
         aggregate = time_aggregate(self.aggregate)
@@ -339,9 +291,6 @@ class TemporalCondition(Condition):
     rhs: TimeExpr
 
     COST = 4.0
-
-    def evaluate(self, binding: Binding) -> bool:
-        return self.op.apply(self.lhs.resolve(binding), self.rhs.resolve(binding))
 
     def lower(self) -> LoweredPredicate:
         resolve_lhs = self.lhs.lower()
@@ -387,13 +336,6 @@ class TemporalMeasureCondition(Condition):
             raise ConditionError("temporal measure needs at least one role")
         time_measure(self.measure)
 
-    def evaluate(self, binding: Binding) -> bool:
-        times: list[TemporalEntity] = []
-        for role in self.arg_roles:
-            times.extend(e.occurrence_time for e in entities_for(role, binding))
-        value = time_measure(self.measure)(times)
-        return self.op.apply(value, self.constant)
-
     def lower(self) -> LoweredPredicate:
         measure = time_measure(self.measure)
         compare = self.op.resolve()
@@ -423,11 +365,8 @@ class SpaceExpr(ABC):
     """A spatial expression: resolves to a point or field."""
 
     @abstractmethod
-    def resolve(self, binding: Binding) -> SpatialEntity: ...
-
     def lower(self) -> Callable[[Binding], SpatialEntity]:
-        """Pre-bound resolver (default: :meth:`resolve` itself)."""
-        return self.resolve
+        """Pre-bound resolver: ``binding -> location``."""
 
     @property
     @abstractmethod
@@ -443,13 +382,6 @@ class LocationOf(SpaceExpr):
     """
 
     role: str
-
-    def resolve(self, binding: Binding) -> SpatialEntity:
-        entities = entities_for(self.role, binding)
-        locations = [entity.occurrence_location for entity in entities]
-        if len(locations) == 1:
-            return locations[0]
-        return space_aggregate("hull")(locations)
 
     def lower(self) -> Callable[[Binding], SpatialEntity]:
         role = self.role
@@ -474,8 +406,9 @@ class LocationConst(SpaceExpr):
 
     value: SpatialEntity
 
-    def resolve(self, binding: Binding) -> SpatialEntity:
-        return self.value
+    def lower(self) -> Callable[[Binding], SpatialEntity]:
+        value = self.value
+        return lambda binding: value
 
     @property
     def roles(self) -> frozenset[str]:
@@ -493,14 +426,6 @@ class SpaceAgg(SpaceExpr):
         if not self.arg_roles:
             raise ConditionError("space aggregate needs at least one role")
         space_aggregate(self.aggregate)
-
-    def resolve(self, binding: Binding) -> SpatialEntity:
-        locations: list[SpatialEntity] = []
-        for role in self.arg_roles:
-            locations.extend(
-                e.occurrence_location for e in entities_for(role, binding)
-            )
-        return space_aggregate(self.aggregate)(locations)
 
     def lower(self) -> Callable[[Binding], SpatialEntity]:
         aggregate = space_aggregate(self.aggregate)
@@ -536,9 +461,6 @@ class SpatialCondition(Condition):
     rhs: SpaceExpr
 
     COST = 6.0
-
-    def evaluate(self, binding: Binding) -> bool:
-        return self.op.apply(self.lhs.resolve(binding), self.rhs.resolve(binding))
 
     def lower(self) -> LoweredPredicate:
         resolve_lhs = self.lhs.lower()
@@ -583,15 +505,6 @@ class SpatialMeasureCondition(Condition):
             raise ConditionError("spatial measure needs at least one role")
         space_measure(self.measure)
 
-    def evaluate(self, binding: Binding) -> bool:
-        locations: list[SpatialEntity] = []
-        for role in self.arg_roles:
-            locations.extend(
-                e.occurrence_location for e in entities_for(role, binding)
-            )
-        value = space_measure(self.measure)(locations)
-        return self.op.apply(value, self.constant)
-
     def lower(self) -> LoweredPredicate:
         measure = space_measure(self.measure)
         compare = self.op.resolve()
@@ -631,10 +544,6 @@ class ConfidenceCondition(Condition):
     constant: float
 
     COST = 1.0
-
-    def evaluate(self, binding: Binding) -> bool:
-        rho = min(confidence_of(e) for e in entities_for(self.role, binding))
-        return self.op.apply(rho, self.constant)
 
     def lower(self) -> LoweredPredicate:
         role = self.role

@@ -10,7 +10,8 @@ operators plus logical connectives:
 * **spatial operators** ``OP_S`` ("Inside, Outside, Joint") constrain
   occurrence locations (Eq. 4.4);
 * **logical operators** ``OP_L`` ("AND, OR, NOT") combine conditions
-  into composite event conditions (Eq. 4.5).
+  into composite event conditions (Eq. 4.5); they are the node classes
+  of :mod:`repro.core.composite`.
 
 Temporal and spatial operators are *sets of admissible relations*: the
 relation between two entities is computed exactly once (by
@@ -29,10 +30,10 @@ import operator
 from typing import Callable
 
 from repro.core.errors import ConditionError
-from repro.core.space_model import SpatialEntity, SpatialRelation, spatial_relation
-from repro.core.time_model import TemporalEntity, TemporalRelation, temporal_relation
+from repro.core.space_model import SpatialRelation
+from repro.core.time_model import TemporalRelation
 
-__all__ = ["RelationalOp", "TemporalOp", "SpatialOp", "LogicalOp"]
+__all__ = ["RelationalOp", "TemporalOp", "SpatialOp"]
 
 _R = TemporalRelation
 _S = SpatialRelation
@@ -130,10 +131,6 @@ class TemporalOp(enum.Enum):
         """The temporal relations under which this operator holds."""
         return _TEMPORAL_ADMITS[self]
 
-    def apply(self, a: TemporalEntity, b: TemporalEntity) -> bool:
-        """Whether the operator holds between two temporal entities."""
-        return temporal_relation(a, b) in self.admits
-
 
 _TEMPORAL_ADMITS: dict[TemporalOp, frozenset[TemporalRelation]] = {
     TemporalOp.BEFORE: frozenset({_R.BEFORE}),
@@ -185,10 +182,6 @@ class SpatialOp(enum.Enum):
         """The spatial relations under which this operator holds."""
         return _SPATIAL_ADMITS[self]
 
-    def apply(self, a: SpatialEntity, b: SpatialEntity) -> bool:
-        """Whether the operator holds between two spatial entities."""
-        return spatial_relation(a, b) in self.admits
-
 
 _SPATIAL_ADMITS: dict[SpatialOp, frozenset[SpatialRelation]] = {
     SpatialOp.EQUAL_TO: frozenset({_S.EQUAL_TO}),
@@ -201,22 +194,3 @@ _SPATIAL_ADMITS: dict[SpatialOp, frozenset[SpatialRelation]] = {
     SpatialOp.DISJOINT: frozenset({_S.DISJOINT, _S.OUTSIDE, _S.DISTINCT}),
 }
 
-
-class LogicalOp(enum.Enum):
-    """``OP_L`` — connectives for composite event conditions (Eq. 4.5)."""
-
-    AND = "and"
-    OR = "or"
-    NOT = "not"
-
-    def apply(self, *operands: bool) -> bool:
-        """Evaluate the connective over boolean operands."""
-        if self is LogicalOp.NOT:
-            if len(operands) != 1:
-                raise ConditionError("NOT takes exactly one operand")
-            return not operands[0]
-        if not operands:
-            raise ConditionError(f"{self.name} needs at least one operand")
-        if self is LogicalOp.AND:
-            return all(operands)
-        return any(operands)

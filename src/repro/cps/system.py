@@ -56,19 +56,9 @@ class CPSSystem:
 
     Args:
         seed: Root random seed (all component streams derive from it).
-        use_planner: Evaluation mode of every observer's
-            :class:`~repro.detect.engine.DetectionEngine` (motes, sinks
-            and CCUs alike).  ``False`` runs the exhaustive baseline;
-            behavior is identical either way — the conformance harness
-            compares the two.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        use_planner: bool = True,
-    ):
-        self.use_planner = use_planner
+    def __init__(self, seed: int = 0):
         self.sim = Simulator(seed)
         self.trace = TraceRecorder()
         self.world = PhysicalWorld()
@@ -166,7 +156,7 @@ class CPSSystem:
             specs=specs,
             interval_events=interval_events,
             sampling_offset=sampling_offset,
-            engine=DetectionEngine(use_planner=self.use_planner),
+            engine=DetectionEngine(),
             trace=self.trace,
         )
         self.motes[name] = mote
@@ -192,7 +182,7 @@ class CPSSystem:
             network=self.sensor_network,
             publish=self.bus.publish,
             trilaterate_attribute=trilaterate_attribute,
-            engine=DetectionEngine(use_planner=self.use_planner),
+            engine=DetectionEngine(),
             trace=self.trace,
         )
         self.sinks[name] = sink
@@ -219,7 +209,7 @@ class CPSSystem:
             publish=self.bus.publish,
             dispatch=self._make_dispatch_callback(name),
             processing_ticks=processing_ticks,
-            engine=DetectionEngine(use_planner=self.use_planner),
+            engine=DetectionEngine(),
             trace=self.trace,
         )
         self.bus.subscribe(

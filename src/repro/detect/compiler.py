@@ -14,23 +14,25 @@ closure-based evaluator:
   cheapest-first by each leaf's static
   :attr:`~repro.core.conditions.Condition.COST` rank.
 
-The closures are the *judge*: whatever the planner's masks let through
-and a decisive plan does not prove is decided here, one binding at a
-time, by the same scalar arithmetic the interpreted tree uses.
+The closures are the *judge*, and the one evaluator the program ships:
+whatever the planner's masks let through and a decisive plan does not
+prove is decided here, one binding at a time.
 
-Semantics versus the interpreted tree (``ConditionNode.evaluate``,
-the ``use_planner=False`` differential baseline):
+Semantics versus the reference semantics the test suite states as a
+function over the tree (``tests/reference``: every ``AND`` / ``OR``
+child evaluated in source order, no short-circuit), which the naive
+engine of the conformance and planner differentials judges with:
 
-* a compiled evaluator returns ``True`` exactly when the interpreted
-  tree returns ``True`` — match sets are always identical (verified per
-  scenario by the PR 2 conformance goldens);
-* when the compiled evaluator raises, the interpreted tree raises the
-  same exception class on the same binding;
+* a compiled evaluator returns ``True`` exactly when the reference
+  returns ``True`` — match sets are always identical (checked per
+  scenario by the conformance goldens' naive leg);
+* when the compiled evaluator raises, the reference raises the same
+  exception class on the same binding;
 * the single permitted divergence: a short-circuiting conjunction may
-  return ``False`` where the interpreted (non-short-circuiting) tree
-  raises, because a cheap conjunct disproved the binding before an
-  expensive erroring conjunct ran.  The engine treats both outcomes as
-  a non-match, so this only moves the ``evaluation_errors`` tally.
+  return ``False`` where the reference raises, because a cheap conjunct
+  disproved the binding before an expensive erroring conjunct ran.  The
+  engine treats both outcomes as a non-match, so this only moves the
+  ``evaluation_errors`` tally.
 
 Short-circuiting with reordering is only sound where ``False`` and
 "raise" are interchangeable outcomes.  That holds at the condition root
@@ -39,7 +41,7 @@ children, but *not* under ``OR`` or ``NOT`` (a swallowed error could
 flip the overall result to ``True``).  The compiler therefore tracks a
 ``lenient`` flag: conjunctions in lenient positions flatten, reorder and
 short-circuit; everything else compiles to exact-order evaluators whose
-observable behavior is identical to the interpreter's.
+observable behavior is the reference's.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
         compiled = [_compile(child, False) for child in node.children]
         fns = tuple(fn for fn, _ in compiled)
 
-        # Mirrors the interpreter exactly: every child evaluates in
-        # source order (no short-circuit), so the first raising child
-        # propagates regardless of earlier ``True`` children.
+        # Every child evaluates in source order (no short-circuit), so
+        # the first raising child propagates regardless of earlier
+        # ``True`` children.
         def run_or(binding: Binding) -> bool:
             result = False
             for fn in fns:
@@ -118,7 +120,7 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
         # Lenient position: evaluate cheapest-first and stop at the
         # first False.  Evaluation errors are deferred so that, when no
         # conjunct disproves the binding, the raised error is the same
-        # one (same source-order conjunct, same class) the interpreter
+        # one (same source-order conjunct, same class) the reference
         # raises.
         order = sorted(
             range(len(compiled)), key=lambda i: (compiled[i][1], i)
@@ -141,9 +143,6 @@ def _compile(node: ConditionNode, lenient: bool) -> tuple[LoweredPredicate, floa
             return True
 
         return run_and, total
-
-    if isinstance(node, ConditionNode):  # user-defined node type
-        return node.evaluate, 10.0
 
     raise ConditionError(f"cannot compile non-condition node {node!r}")
 

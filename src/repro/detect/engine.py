@@ -22,10 +22,11 @@ boolean masks over the columns of each role's
 :class:`~repro.detect.role_window.RoleWindow` instead of judging every
 window entry in Python.  Specifications with no prunable clause
 fall back to exhaustive enumeration with identical semantics; pruning
-never changes the match set, only ``stats.bindings_evaluated``
-(pass ``use_planner=False`` to force the brute-force path, which the
-scalability benchmarks use as the comparison baseline).  The masks
-reject, prove or leave to the judge: a *decisive* plan (the S1 pair
+never changes the match set, only ``stats.bindings_evaluated`` (the
+test suite's naive engine, ``tests/reference``, enumerates every
+binding and judges it with the reference semantics, and the
+differentials compare the two).  The masks reject, prove or leave to
+the judge: a *decisive* plan (the S1 pair
 shape, see :mod:`repro.detect.planner`) matches a candidate whose
 columns satisfy every clause without running the compiled condition
 (``stats.bindings_proven``); every other binding is judged by it.  A
@@ -273,19 +274,9 @@ class DetectionEngine:
 
     Args:
         specs: The event specifications to watch for.
-        use_planner: Evaluate through compiled
-            :class:`~repro.detect.planner.EvaluationPlan` pruning
-            (default).  ``False`` forces exhaustive enumeration — same
-            match sets, more bindings evaluated — which the benchmarks
-            use as the naive baseline.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[EventSpecification] = (),
-        *,
-        use_planner: bool = True,
-    ):
+    def __init__(self, specs: Sequence[EventSpecification] = ()):
         self._specs: dict[str, EventSpecification] = {}
         # Per spec: role -> its window, and the distinct windows keyed by
         # the first role that selects into each (roles whose selectors
@@ -299,7 +290,6 @@ class DetectionEngine:
         self._identity: dict[str, Callable[[Binding], tuple | None]] = {}
         self._volatile: dict[str, dict[str, frozenset[str]]] = {}
         self._watermark: int | None = None
-        self.use_planner = use_planner
         self.stats = EngineStats()
         self._tallies: dict[str, list[int]] = {}
         for spec in specs:
@@ -334,7 +324,7 @@ class DetectionEngine:
         # Per target role, the roles whose candidates depend on the partial
         # binding: a prunable clause ties them to an earlier single role.
         volatile = self._volatile[spec.event_id] = dict.fromkeys(spec.roles, frozenset())
-        if self.use_planner and len(spec.roles) > 2:  # else there is no such role
+        if len(spec.roles) > 2:  # else there is no such role
             singles = [r for r in spec.roles if r not in spec.group_roles]
             for target in spec.roles:
                 earlier = [r for r in singles if r != target]
@@ -446,9 +436,7 @@ class DetectionEngine:
                 window.evict(now)  # one eviction sweep per batch
             # Two windows on, a binding can never be enumerated again.
             horizon = now - 2 * (spec.window + 1)
-            drop_expired_prefix(
-                self._seen[spec.event_id], lambda tick: tick < horizon
-            )
+            drop_expired_prefix(self._seen[spec.event_id], horizon)
             for entity, roles, run in staged:
                 for role in roles:
                     # A twin role's window is its first twin's: added to once.
@@ -473,13 +461,12 @@ class DetectionEngine:
             and now - last < spec.cooldown
         ):
             return []
-        if self.use_planner and self._plans[spec.event_id].decisive:
+        if self._plans[spec.event_id].decisive:
             return self._evaluate_pair(spec, entity, candidate_roles, now)
         seen = self._seen[spec.event_id]
-        # The planner path evaluates through the compiled flat closure
-        # (pre-resolved operators, cheapest conjunct first); the naive
-        # path keeps interpreting the raw tree as the differential baseline.
-        evaluator = self._compiled[spec.event_id] if self.use_planner else None
+        # The compiled flat closure: pre-resolved operators, cheapest
+        # conjunct first.
+        evaluator = self._compiled[spec.event_id]
         identify = self._identity[spec.event_id]
         matches: list[Match] = []
         evaluated = 0
@@ -491,10 +478,7 @@ class DetectionEngine:
                     continue
                 evaluated += 1
                 try:
-                    if evaluator is not None:
-                        holds = evaluator(binding)
-                    else:
-                        holds = spec.condition.evaluate(binding)
+                    holds = evaluator(binding)
                 except (BindingError, ConditionError, TemporalError, SpatialError):
                     # A binding the condition cannot judge (missing
                     # attribute, open interval in a closed-interval
@@ -625,8 +609,8 @@ class DetectionEngine:
         """
         pools = self._pools[spec.event_id]
         plan = self._plans[spec.event_id]
-        planned = self.use_planner and plan.prunable
-        if planned and not plan.target_feasible(target_role, entity):
+        prunable = plan.prunable
+        if prunable and not plan.target_feasible(target_role, entity):
             full = 1
             for role in spec.roles:
                 if role == target_role or role in spec.group_roles:
@@ -648,7 +632,7 @@ class DetectionEngine:
             window = pools[role]
             if not len(window):
                 return None
-            if planned:
+            if prunable:
                 pruned = plan.candidates(role, pinned, window)
                 if pruned is not None:
                     self.stats.candidates_pruned += len(window) - len(pruned)
@@ -880,13 +864,13 @@ def binding_identity(spec: EventSpecification) -> Callable[[Binding], tuple | No
     return identity
 
 
-def drop_expired_prefix(entries: dict, expired: Callable[[object], bool]) -> None:
+def drop_expired_prefix(entries: dict, horizon: int) -> None:
     """Drop the leading entries of an insertion-ordered dict whose value
-    ``expired`` accepts, in one scan per call: popping the head entry by
+    is below ``horizon``, in one scan per call: popping the head entry by
     entry re-walks, per pop, the slots earlier pops left in the dict."""
     doomed = []
     for key, value in entries.items():
-        if not expired(value):
+        if value >= horizon:
             break
         doomed.append(key)
     for key in doomed:

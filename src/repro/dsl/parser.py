@@ -77,8 +77,8 @@ _SPATIAL_CALLS = {"location", "region", "point", "centroid", "hull", "box"}
 MAX_NESTING = 100
 """Deepest ``NOT`` / parenthesis nesting a condition may have.  Far above
 any real specification, and low enough that neither this parser nor the
-recursive walks behind it (DSL compiler, condition compiler,
-``ConditionNode.evaluate``) can exhaust the interpreter stack."""
+recursive walks behind it (DSL compiler, condition compiler, the test
+suite's reference ``evaluate``) can exhaust the interpreter stack."""
 
 
 class _Parser:

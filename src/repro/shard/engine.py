@@ -60,7 +60,6 @@ from repro.detect.engine import (
     EngineSnapshot,
     EngineStats,
     Match,
-    drop_expired_prefix,
 )
 from repro.shard.merger import MatchMerger
 from repro.shard.partitioner import WorldPartitioner
@@ -107,9 +106,6 @@ class ShardedDetectionEngine(Restorable):
             :class:`~repro.shard.partitioner.WorldPartitioner`; any box
             covering the bulk of observed locations is correct).
         shards: Number of spatial shards (>= 1), tiled as a grid.
-        use_planner: Evaluation mode of the per-shard engines (the
-            compiled/planned path by default; ``False`` runs every
-            shard on the exhaustive baseline — still exact).
     """
 
     def __init__(
@@ -118,14 +114,11 @@ class ShardedDetectionEngine(Restorable):
         *,
         bounds: BoundingBox,
         shards: int = 4,
-        use_planner: bool = True,
     ):
         self.partitioner = WorldPartitioner(bounds, shards)
         self.router = ObservationRouter(self.partitioner)
-        self.use_planner = use_planner
         self._engines = tuple(
-            DetectionEngine(use_planner=use_planner)
-            for _ in range(self.partitioner.shard_count)
+            DetectionEngine() for _ in range(self.partitioner.shard_count)
         )
         self.merger = MatchMerger()
         self._originals: dict[str, EventSpecification] = {}
@@ -290,7 +283,14 @@ class ShardedDetectionEngine(Restorable):
         submission before it can ever be looked up.
         """
         horizon = now - (self._max_window + 1)
-        drop_expired_prefix(self._seq_map, lambda stamp: stamp[1] < horizon)
+        seq_map = self._seq_map
+        doomed = []
+        for key, (_, tick) in seq_map.items():
+            if tick >= horizon:
+                break
+            doomed.append(key)
+        for key in doomed:
+            del seq_map[key]
 
     # -- event-time progress -------------------------------------------
 

@@ -1,8 +1,8 @@
 """Replaying an observer's feed through the streaming runtime.
 
 An :class:`ObserverProfile` is the *configuration* of a live observer —
-identity, position, layer, instance class, specifications, engine mode
-and location hook — everything that, together with the observer's input
+identity, position, layer, instance class, specifications and
+location hook — everything that, together with the observer's input
 stream, determines its emitted instances.  :func:`profile_of` extracts
 it from a running :class:`~repro.cps.component.ObserverComponent`.
 
@@ -66,7 +66,6 @@ class ObserverProfile:
     layer: EventLayer
     instance_cls: type[EventInstance]
     specs: tuple[EventSpecification, ...]
-    use_planner: bool
     locate: Locator | None
 
 
@@ -80,7 +79,6 @@ def profile_of(observer) -> ObserverProfile:
     """
     from repro.cps.sink import SinkNode, trilaterated_location
 
-    engine = observer.engine
     locate: Locator | None = None
     if isinstance(observer, SinkNode) and observer.trilaterate_attribute:
         attribute = observer.trilaterate_attribute
@@ -95,8 +93,7 @@ def profile_of(observer) -> ObserverProfile:
         location=observer.location,
         layer=observer.layer,
         instance_cls=observer.instance_cls,
-        specs=tuple(engine.specs),
-        use_planner=engine.use_planner,
+        specs=tuple(observer.engine.specs),
         locate=locate,
     )
 
@@ -164,7 +161,7 @@ class ReplayObserver:
         if type(shards) is not int or shards < 1:
             raise ObserverError(f"shards must be an int >= 1, got {shards!r}")
         if shards == 1:
-            engine = DetectionEngine(profile.specs, use_planner=profile.use_planner)
+            engine = DetectionEngine(profile.specs)
         elif self.bounds is None:
             raise ObserverError(f"shards={shards} needs bounds to tile")
         else:
@@ -172,7 +169,6 @@ class ReplayObserver:
                 profile.specs,
                 bounds=self.bounds,
                 shards=shards,
-                use_planner=profile.use_planner,
             )
         self.emitted = InstanceLog.of(profile)
         on_match = self.emitted.write

@@ -249,16 +249,14 @@ def _compile(text: str) -> tuple:
     return tuple(compile_source(text)) if text else ()
 
 
-def deploy(
-    plan: Plan, params: Mapping[str, object], seed: int, use_planner: bool
-) -> Scenario:
+def deploy(plan: Plan, params: Mapping[str, object], seed: int) -> Scenario:
     """Wire one family's deployment into a runnable Figure 1 loop.
 
     World → actuation effect → mote grid and fabric → motes → sinks →
     CCU with its rule → dispatch → actor mote → database, in that order
     for every family.
     """
-    system = CPSSystem(seed=seed, use_planner=use_planner)
+    system = CPSSystem(seed=seed)
     d = plan(SimpleNamespace(**params), system.sim.rng)
     command = d.command
     for obj in d.objects:

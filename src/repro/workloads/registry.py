@@ -59,7 +59,6 @@ def build_scenario(
     name: str,
     preset: str = "small",
     seed: int | None = None,
-    use_planner: bool = True,
     **overrides: object,
 ) -> Scenario:
     """Build one registered scenario at a size preset.
@@ -69,8 +68,6 @@ def build_scenario(
         preset: Size preset (``small`` / ``medium`` / ``large``).
         seed: Root random seed; defaults to the family's registered
             deterministic seed.
-        use_planner: Evaluation mode of every observer's engine (handed
-            straight to :class:`~repro.cps.system.CPSSystem`).
         overrides: Parameter values layered over the preset; a name the
             family does not declare is refused before anything is built.
     """
@@ -80,7 +77,7 @@ def build_scenario(
     params.update(overrides)
     if seed is None:
         seed = spec.default_seed
-    return deploy(spec.plan, params, seed, use_planner)
+    return deploy(spec.plan, params, seed)
 
 
 for _spec in FAMILIES:

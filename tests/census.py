@@ -205,36 +205,27 @@ ALLOWED: dict[str, Reason] = {
         "repro.core.aggregates._enclosing_box",
         "repro.core.aggregates._identity_location",
         "repro.core.aggregates._total_area",
-        "repro.core.composite.Or.evaluate",
         "repro.core.composite.Or.roles",
-        "repro.core.composite.Not.evaluate",
         "repro.core.composite.Not.roles",
-        "repro.core.conditions.TimeExpr.lower",
-        "repro.core.conditions.TimeConst.resolve",
+        "repro.core.conditions.TimeConst.lower",
         "repro.core.conditions.TimeConst.roles",
-        "repro.core.conditions.TimeAgg.resolve",
         "repro.core.conditions.TimeAgg.lower",
         "repro.core.conditions.TimeAgg.lower.resolve",
         "repro.core.conditions.TimeAgg.roles",
-        "repro.core.conditions.SpaceExpr.lower",
-        "repro.core.conditions.LocationOf.resolve",
         "repro.core.conditions.LocationOf.lower",
         "repro.core.conditions.LocationOf.lower.resolve",
         "repro.core.conditions.LocationOf.roles",
-        "repro.core.conditions.LocationConst.resolve",
+        "repro.core.conditions.LocationConst.lower",
         "repro.core.conditions.LocationConst.roles",
-        "repro.core.conditions.SpaceAgg.resolve",
         "repro.core.conditions.SpaceAgg.lower",
         "repro.core.conditions.SpaceAgg.lower.resolve",
         "repro.core.conditions.SpaceAgg.roles",
-        "repro.core.conditions.SpatialCondition.evaluate",
         "repro.core.conditions.SpatialCondition.lower",
         "repro.core.conditions.SpatialCondition.lower.run",
         "repro.core.conditions.SpatialCondition.roles",
         "repro.core.operators._close_eq",
         "repro.core.operators._close_ne",
         "repro.core.operators.SpatialOp.admits",
-        "repro.core.operators.SpatialOp.apply",
         "repro.core.space_model._on_segment",
         "repro.core.space_model.BoundingBox.bounding_box",
         "repro.core.space_model.BoundingBox.centroid",
@@ -334,16 +325,6 @@ ALLOWED: dict[str, Reason] = {
             "::test_resumed_sharded_matches_uninterrupted",
         ),
         "repro.core.checkpoint.Restorable.restore",
-    ),
-    **_allow(
-        Reason(
-            CONFIGURATION,
-            "a condition class of the caller's own that does not lower "
-            "itself",
-            test="tests/detect/test_condition_compiler.py"
-            "::TestCompilationStructure::test_nested_conjunctions_flatten",
-        ),
-        "repro.core.conditions.Condition.lower",
     ),
     **_allow(
         Reason(

@@ -9,6 +9,7 @@ from repro.core.instance import PhysicalObservation
 from repro.core.operators import RelationalOp
 from repro.core.space_model import PointLocation
 from repro.core.time_model import TimePoint
+from repro.detect.compiler import compile_condition
 
 
 def threshold(role, attr, op, constant):
@@ -37,42 +38,42 @@ def binding(t=60.0, h=90.0, lux=5.0):
 
 class TestEvaluation:
     def test_leaf(self):
-        assert Leaf(HOT).evaluate(binding(t=60))
-        assert not Leaf(HOT).evaluate(binding(t=40))
+        assert compile_condition(Leaf(HOT))(binding(t=60))
+        assert not compile_condition(Leaf(HOT))(binding(t=40))
 
     def test_and(self):
         node = And((Leaf(HOT), Leaf(HUMID)))
-        assert node.evaluate(binding())
-        assert not node.evaluate(binding(h=10))
+        assert compile_condition(node)(binding())
+        assert not compile_condition(node)(binding(h=10))
 
     def test_or(self):
         node = Or((Leaf(HOT), Leaf(HUMID)))
-        assert node.evaluate(binding(t=10, h=90))
-        assert not node.evaluate(binding(t=10, h=10))
+        assert compile_condition(node)(binding(t=10, h=90))
+        assert not compile_condition(node)(binding(t=10, h=10))
 
     def test_not(self):
         node = Not(Leaf(HOT))
-        assert node.evaluate(binding(t=10))
-        assert not node.evaluate(binding(t=90))
+        assert compile_condition(node)(binding(t=10))
+        assert not compile_condition(node)(binding(t=90))
 
     def test_nested_tree_matches_eq_45_shape(self):
         # (g1 AND g2) OR (NOT g3) — attribute/temporal/spatial leaves mix freely
         node = Or((And((Leaf(HOT), Leaf(HUMID))), Not(Leaf(DARK))))
-        assert node.evaluate(binding(t=60, h=90, lux=5))
-        assert node.evaluate(binding(t=10, h=10, lux=50))
-        assert not node.evaluate(binding(t=10, h=90, lux=5))
+        assert compile_condition(node)(binding(t=60, h=90, lux=5))
+        assert compile_condition(node)(binding(t=10, h=10, lux=50))
+        assert not compile_condition(node)(binding(t=10, h=90, lux=5))
 
 
 class TestOperatorSugar:
     def test_and_or_invert(self):
         node = (Leaf(HOT) & Leaf(HUMID)) | ~Leaf(DARK)
         assert isinstance(node, Or)
-        assert node.evaluate(binding())
+        assert compile_condition(node)(binding())
 
     def test_bare_conditions_accepted(self):
         node = all_of(HOT, HUMID)
         assert isinstance(node, And)
-        assert node.evaluate(binding())
+        assert compile_condition(node)(binding())
 
     def test_single_condition_passthrough(self):
         assert isinstance(all_of(HOT), Leaf)

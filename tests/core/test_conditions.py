@@ -79,30 +79,30 @@ class TestAttributeCondition:
             5.0,
         )
         binding = {"x": obs(v=4.0), "y": obs(mote="MT2", v=8.0)}
-        assert cond.evaluate(binding)       # avg 6 > 5
+        assert cond.lower()(binding)       # avg 6 > 5
         binding = {"x": obs(v=1.0), "y": obs(mote="MT2", v=2.0)}
-        assert not cond.evaluate(binding)
+        assert not cond.lower()(binding)
 
     def test_group_terms_flatten(self):
         cond = AttributeCondition(
             "count", (AttributeTerm("g", "v"),), RelationalOp.GE, 3
         )
-        assert cond.evaluate({"g": tuple(obs(seq=i) for i in range(3))})
-        assert not cond.evaluate({"g": tuple(obs(seq=i) for i in range(2))})
+        assert cond.lower()({"g": tuple(obs(seq=i) for i in range(3))})
+        assert not cond.lower()({"g": tuple(obs(seq=i) for i in range(2))})
 
     def test_missing_attribute_raises_binding_error(self):
         cond = AttributeCondition(
             "max", (AttributeTerm("x", "humidity"),), RelationalOp.GT, 0
         )
         with pytest.raises(BindingError):
-            cond.evaluate({"x": obs(v=1.0)})
+            cond.lower()({"x": obs(v=1.0)})
 
     def test_non_numeric_attribute_rejected(self):
         cond = AttributeCondition(
             "max", (AttributeTerm("x", "label"),), RelationalOp.GT, 0
         )
         with pytest.raises(BindingError):
-            cond.evaluate({"x": obs(label="hot")})
+            cond.lower()({"x": obs(label="hot")})
 
     def test_unknown_aggregate_fails_eagerly(self):
         with pytest.raises(ConditionError):
@@ -130,26 +130,26 @@ class TestTemporalCondition:
         cond = TemporalCondition(
             TimeOf("x", offset=5), TemporalOp.BEFORE, TimeOf("y")
         )
-        assert cond.evaluate({"x": obs(tick=1), "y": obs(mote="MT2", tick=10)})
-        assert not cond.evaluate({"x": obs(tick=1), "y": obs(mote="MT2", tick=6)})
+        assert cond.lower()({"x": obs(tick=1), "y": obs(mote="MT2", tick=10)})
+        assert not cond.lower()({"x": obs(tick=1), "y": obs(mote="MT2", tick=6)})
 
     def test_negative_offset(self):
         cond = TemporalCondition(
             TimeOf("x", offset=-5), TemporalOp.AFTER, TimeOf("y")
         )
-        assert cond.evaluate({"x": obs(tick=20), "y": obs(mote="MT2", tick=10)})
+        assert cond.lower()({"x": obs(tick=20), "y": obs(mote="MT2", tick=10)})
 
     def test_against_constant_interval(self):
         window = TimeConst(TimeInterval(TimePoint(10), TimePoint(20)))
         cond = TemporalCondition(TimeOf("x"), TemporalOp.DURING, window)
-        assert cond.evaluate({"x": obs(tick=15)})
-        assert not cond.evaluate({"x": obs(tick=25)})
+        assert cond.lower()({"x": obs(tick=15)})
+        assert not cond.lower()({"x": obs(tick=25)})
 
     def test_interval_entity_offset_shifts_whole_interval(self):
         cond = TemporalCondition(
             TimeOf("e", offset=10), TemporalOp.AFTER, TimeConst(TimePoint(30))
         )
-        assert cond.evaluate({"e": interval_instance(start=25, end=28)})
+        assert cond.lower()({"e": interval_instance(start=25, end=28)})
 
     def test_group_role_resolves_to_span(self):
         cond = TemporalCondition(
@@ -157,7 +157,7 @@ class TestTemporalCondition:
             TimeConst(TimeInterval(TimePoint(2), TimePoint(8))),
         )
         group = (obs(tick=2), obs(seq=1, tick=8))
-        assert cond.evaluate({"g": group})
+        assert cond.lower()({"g": group})
 
     def test_time_agg_expression(self):
         cond = TemporalCondition(
@@ -165,7 +165,7 @@ class TestTemporalCondition:
             TemporalOp.BEFORE,
             TimeConst(TimePoint(5)),
         )
-        assert cond.evaluate({"x": obs(tick=3), "y": obs(mote="MT2", tick=9)})
+        assert cond.lower()({"x": obs(tick=3), "y": obs(mote="MT2", tick=9)})
         assert cond.roles == {"x", "y"}
 
 
@@ -175,15 +175,15 @@ class TestTemporalMeasureCondition:
         cond = TemporalMeasureCondition(
             "duration", ("e",), RelationalOp.GE, 15
         )
-        assert cond.evaluate({"e": interval_instance(start=5, end=25)})
-        assert not cond.evaluate({"e": interval_instance(start=5, end=10)})
+        assert cond.lower()({"e": interval_instance(start=5, end=25)})
+        assert not cond.lower()({"e": interval_instance(start=5, end=10)})
 
     def test_spread_over_two_roles(self):
         cond = TemporalMeasureCondition(
             "spread", ("x", "y"), RelationalOp.LE, 10
         )
-        assert cond.evaluate({"x": obs(tick=5), "y": obs(mote="MT2", tick=12)})
-        assert not cond.evaluate({"x": obs(tick=5), "y": obs(mote="MT2", tick=30)})
+        assert cond.lower()({"x": obs(tick=5), "y": obs(mote="MT2", tick=12)})
+        assert not cond.lower()({"x": obs(tick=5), "y": obs(mote="MT2", tick=30)})
 
     def test_validation(self):
         with pytest.raises(ConditionError):
@@ -208,8 +208,8 @@ class TestSpatialCondition:
         cond = SpatialCondition(
             LocationOf("x"), SpatialOp.INSIDE, LocationOf("y")
         )
-        assert cond.evaluate({"x": obs(x=3, y=3), "y": field_instance})
-        assert not cond.evaluate({"x": obs(x=30, y=3), "y": field_instance})
+        assert cond.lower()({"x": obs(x=3, y=3), "y": field_instance})
+        assert not cond.lower()({"x": obs(x=30, y=3), "y": field_instance})
 
     def test_against_constant_region(self):
         cond = SpatialCondition(
@@ -217,8 +217,8 @@ class TestSpatialCondition:
             SpatialOp.INSIDE,
             LocationConst(Circle(PointLocation(0, 0), 5)),
         )
-        assert cond.evaluate({"x": obs(x=1, y=1)})
-        assert not cond.evaluate({"x": obs(x=9, y=9)})
+        assert cond.lower()({"x": obs(x=1, y=1)})
+        assert not cond.lower()({"x": obs(x=9, y=9)})
 
     def test_space_agg_centroid(self):
         cond = SpatialCondition(
@@ -227,7 +227,7 @@ class TestSpatialCondition:
             LocationConst(Circle(PointLocation(2, 0), 1)),
         )
         binding = {"a": obs(x=0, y=0), "b": obs(mote="MT2", x=4, y=0)}
-        assert cond.evaluate(binding)
+        assert cond.lower()(binding)
 
     def test_group_resolves_to_hull(self):
         cond = SpatialCondition(
@@ -236,7 +236,7 @@ class TestSpatialCondition:
             LocationConst(Circle(PointLocation(2, 2), 10)),
         )
         group = (obs(x=0, y=0), obs(seq=1, x=4, y=0), obs(seq=2, x=2, y=4))
-        assert cond.evaluate({"g": group})
+        assert cond.lower()({"g": group})
 
 
 class TestSpatialMeasureCondition:
@@ -245,8 +245,8 @@ class TestSpatialMeasureCondition:
         cond = SpatialMeasureCondition(
             "distance", ("x", "y"), RelationalOp.LT, 5.0
         )
-        assert cond.evaluate({"x": obs(x=0, y=0), "y": obs(mote="MT2", x=3, y=0)})
-        assert not cond.evaluate({"x": obs(x=0, y=0), "y": obs(mote="MT2", x=9, y=0)})
+        assert cond.lower()({"x": obs(x=0, y=0), "y": obs(mote="MT2", x=3, y=0)})
+        assert not cond.lower()({"x": obs(x=0, y=0), "y": obs(mote="MT2", x=9, y=0)})
 
     def test_diameter_three_roles(self):
         cond = SpatialMeasureCondition(
@@ -257,20 +257,20 @@ class TestSpatialMeasureCondition:
             "b": obs(mote="MT2", x=3, y=0),
             "c": obs(mote="MT3", x=0, y=4),
         }
-        assert cond.evaluate(binding)
+        assert cond.lower()(binding)
 
 
 class TestConfidenceCondition:
     def test_single_entity(self):
         cond = ConfidenceCondition("e", RelationalOp.GE, 0.5)
-        assert cond.evaluate({"e": interval_instance(rho=0.8)})
-        assert not cond.evaluate({"e": interval_instance(rho=0.2)})
+        assert cond.lower()({"e": interval_instance(rho=0.8)})
+        assert not cond.lower()({"e": interval_instance(rho=0.2)})
 
     def test_group_uses_weakest_link(self):
         cond = ConfidenceCondition("g", RelationalOp.GE, 0.5)
         group = (interval_instance(rho=0.9), interval_instance(rho=0.3))
-        assert not cond.evaluate({"g": group})
+        assert not cond.lower()({"g": group})
 
     def test_observations_have_full_confidence(self):
         cond = ConfidenceCondition("x", RelationalOp.GE, 1.0)
-        assert cond.evaluate({"x": obs()})
+        assert cond.lower()({"x": obs()})

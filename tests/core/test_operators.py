@@ -1,11 +1,30 @@
-"""Unit tests for the four operator families (Definition 4.2)."""
+"""Unit tests for the operator families of Definition 4.2.
+
+A temporal or spatial operator is judged as it ships: lowered inside a
+condition between two constants (``OP_L`` is the condition tree, see
+``test_composite.py``)."""
 
 import pytest
 
+from repro.core.conditions import (
+    LocationConst,
+    SpatialCondition,
+    TemporalCondition,
+    TimeConst,
+)
 from repro.core.errors import ConditionError
-from repro.core.operators import LogicalOp, RelationalOp, SpatialOp, TemporalOp
+from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import Circle, PointLocation, Polygon
 from repro.core.time_model import TimeInterval, TimePoint
+
+
+def holds(op, a, b):
+    """Whether ``a op b``, through the lowered condition."""
+    if isinstance(op, TemporalOp):
+        condition = TemporalCondition(TimeConst(a), op, TimeConst(b))
+    else:
+        condition = SpatialCondition(LocationConst(a), op, LocationConst(b))
+    return condition.lower()({})
 
 
 def iv(a, b):
@@ -51,40 +70,40 @@ class TestRelationalOp:
 
 class TestTemporalOp:
     def test_before_after_points(self):
-        assert TemporalOp.BEFORE.apply(TimePoint(1), TimePoint(2))
-        assert TemporalOp.AFTER.apply(TimePoint(2), TimePoint(1))
-        assert not TemporalOp.BEFORE.apply(TimePoint(2), TimePoint(2))
+        assert holds(TemporalOp.BEFORE, TimePoint(1), TimePoint(2))
+        assert holds(TemporalOp.AFTER, TimePoint(2), TimePoint(1))
+        assert not holds(TemporalOp.BEFORE, TimePoint(2), TimePoint(2))
 
     def test_paper_begin_end_operators(self):
         interval = iv(10, 20)
-        assert TemporalOp.BEGINS.apply(TimePoint(10), interval)
-        assert TemporalOp.ENDS.apply(TimePoint(20), interval)
-        assert not TemporalOp.BEGINS.apply(TimePoint(11), interval)
+        assert holds(TemporalOp.BEGINS, TimePoint(10), interval)
+        assert holds(TemporalOp.ENDS, TimePoint(20), interval)
+        assert not holds(TemporalOp.BEGINS, TimePoint(11), interval)
 
     def test_during_strict(self):
-        assert TemporalOp.DURING.apply(TimePoint(15), iv(10, 20))
-        assert not TemporalOp.DURING.apply(TimePoint(10), iv(10, 20))
-        assert TemporalOp.DURING.apply(iv(12, 14), iv(10, 20))
+        assert holds(TemporalOp.DURING, TimePoint(15), iv(10, 20))
+        assert not holds(TemporalOp.DURING, TimePoint(10), iv(10, 20))
+        assert holds(TemporalOp.DURING, iv(12, 14), iv(10, 20))
 
     def test_within_includes_boundaries(self):
-        assert TemporalOp.WITHIN.apply(TimePoint(10), iv(10, 20))
-        assert TemporalOp.WITHIN.apply(TimePoint(20), iv(10, 20))
-        assert TemporalOp.WITHIN.apply(iv(10, 15), iv(10, 20))
-        assert not TemporalOp.WITHIN.apply(TimePoint(21), iv(10, 20))
+        assert holds(TemporalOp.WITHIN, TimePoint(10), iv(10, 20))
+        assert holds(TemporalOp.WITHIN, TimePoint(20), iv(10, 20))
+        assert holds(TemporalOp.WITHIN, iv(10, 15), iv(10, 20))
+        assert not holds(TemporalOp.WITHIN, TimePoint(21), iv(10, 20))
 
     def test_overlaps(self):
-        assert TemporalOp.OVERLAPS.apply(iv(1, 5), iv(3, 8))
-        assert TemporalOp.OVERLAPPED_BY.apply(iv(3, 8), iv(1, 5))
-        assert not TemporalOp.OVERLAPS.apply(iv(1, 2), iv(5, 8))
+        assert holds(TemporalOp.OVERLAPS, iv(1, 5), iv(3, 8))
+        assert holds(TemporalOp.OVERLAPPED_BY, iv(3, 8), iv(1, 5))
+        assert not holds(TemporalOp.OVERLAPS, iv(1, 2), iv(5, 8))
 
     def test_intersects_excludes_only_disjoint(self):
-        assert TemporalOp.INTERSECTS.apply(iv(1, 4), iv(4, 8))   # touching
-        assert TemporalOp.INTERSECTS.apply(iv(1, 9), iv(3, 5))
-        assert not TemporalOp.INTERSECTS.apply(iv(1, 2), iv(5, 8))
+        assert holds(TemporalOp.INTERSECTS, iv(1, 4), iv(4, 8))   # touching
+        assert holds(TemporalOp.INTERSECTS, iv(1, 9), iv(3, 5))
+        assert not holds(TemporalOp.INTERSECTS, iv(1, 2), iv(5, 8))
 
     def test_simultaneous_covers_equal_intervals(self):
-        assert TemporalOp.SIMULTANEOUS.apply(TimePoint(3), TimePoint(3))
-        assert TemporalOp.EQUALS.apply(iv(1, 5), iv(1, 5))
+        assert holds(TemporalOp.SIMULTANEOUS, TimePoint(3), TimePoint(3))
+        assert holds(TemporalOp.EQUALS, iv(1, 5), iv(1, 5))
 
     def test_admits_sets_are_disjoint_for_strict_ops(self):
         strict = [
@@ -100,53 +119,32 @@ class TestTemporalOp:
 class TestSpatialOp:
     def test_inside_outside_point_field(self):
         region = square()
-        assert SpatialOp.INSIDE.apply(PointLocation(2, 2), region)
-        assert SpatialOp.OUTSIDE.apply(PointLocation(9, 9), region)
-        assert not SpatialOp.INSIDE.apply(PointLocation(9, 9), region)
+        assert holds(SpatialOp.INSIDE, PointLocation(2, 2), region)
+        assert holds(SpatialOp.OUTSIDE, PointLocation(9, 9), region)
+        assert not holds(SpatialOp.INSIDE, PointLocation(9, 9), region)
 
     def test_inside_field_field(self):
-        assert SpatialOp.INSIDE.apply(square(1, 1, 2), square(0, 0, 10))
-        assert SpatialOp.CONTAINS.apply(square(0, 0, 10), square(1, 1, 2))
+        assert holds(SpatialOp.INSIDE, square(1, 1, 2), square(0, 0, 10))
+        assert holds(SpatialOp.CONTAINS, square(0, 0, 10), square(1, 1, 2))
 
     def test_joint_includes_containment_and_equality(self):
-        assert SpatialOp.JOINT.apply(square(), square(2, 2))
-        assert SpatialOp.JOINT.apply(square(1, 1, 2), square(0, 0, 10))
-        assert SpatialOp.JOINT.apply(square(), square())
+        assert holds(SpatialOp.JOINT, square(), square(2, 2))
+        assert holds(SpatialOp.JOINT, square(1, 1, 2), square(0, 0, 10))
+        assert holds(SpatialOp.JOINT, square(), square())
 
     def test_disjoint(self):
-        assert SpatialOp.DISJOINT.apply(square(), square(10, 10))
-        assert SpatialOp.DISJOINT.apply(PointLocation(9, 9), square())
-        assert not SpatialOp.DISJOINT.apply(square(), square(2, 2))
+        assert holds(SpatialOp.DISJOINT, square(), square(10, 10))
+        assert holds(SpatialOp.DISJOINT, PointLocation(9, 9), square())
+        assert not holds(SpatialOp.DISJOINT, square(), square(2, 2))
 
     def test_equal_to_points(self):
-        assert SpatialOp.EQUAL_TO.apply(PointLocation(1, 1), PointLocation(1, 1))
-        assert not SpatialOp.EQUAL_TO.apply(
+        assert holds(SpatialOp.EQUAL_TO, PointLocation(1, 1), PointLocation(1, 1))
+        assert not holds(SpatialOp.EQUAL_TO, 
             PointLocation(1, 1), PointLocation(2, 2)
         )
 
     def test_outside_point_cases(self):
         circle = Circle(PointLocation(0, 0), 2)
-        assert SpatialOp.OUTSIDE.apply(PointLocation(5, 5), circle)
-        assert SpatialOp.OUTSIDE.apply(PointLocation(1, 1), PointLocation(2, 2))
+        assert holds(SpatialOp.OUTSIDE, PointLocation(5, 5), circle)
+        assert holds(SpatialOp.OUTSIDE, PointLocation(1, 1), PointLocation(2, 2))
 
-
-class TestLogicalOp:
-    def test_and_or(self):
-        assert LogicalOp.AND.apply(True, True)
-        assert not LogicalOp.AND.apply(True, False)
-        assert LogicalOp.OR.apply(False, True)
-        assert not LogicalOp.OR.apply(False, False)
-
-    def test_not(self):
-        assert LogicalOp.NOT.apply(False)
-        assert not LogicalOp.NOT.apply(True)
-
-    def test_not_arity_enforced(self):
-        with pytest.raises(ConditionError):
-            LogicalOp.NOT.apply(True, False)
-
-    def test_empty_operands_rejected(self):
-        with pytest.raises(ConditionError):
-            LogicalOp.AND.apply()
-        with pytest.raises(ConditionError):
-            LogicalOp.OR.apply()

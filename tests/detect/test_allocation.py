@@ -62,6 +62,8 @@ from repro.stream import (
 from repro.stream.runtime import arrival_groups
 from repro.workloads import build_scenario
 
+from tests.reference import NaiveEngine
+
 SINK = ObserverId(ObserverKind.SINK_NODE, "SK")
 
 
@@ -93,17 +95,19 @@ def spec_of(roles, groups=(), window=6):
     )
 
 
-@pytest.mark.parametrize("use_planner", [True, False], ids=["planned", "naive"])
+@pytest.mark.parametrize(
+    "engine_class", [DetectionEngine, NaiveEngine], ids=["planned", "naive"]
+)
 @pytest.mark.parametrize(
     "roles, groups, window",
     [(("a", "b"), (), 6), (("a", "b", "c"), ("g",), 1)],
     ids=["two-roles", "three-roles-and-a-group"],
 )
 def test_enumeration_leaves_nothing_for_the_collector(
-    roles, groups, window, use_planner
+    roles, groups, window, engine_class
 ):
     spec = spec_of(roles, groups, window)
-    engine = DetectionEngine([spec], use_planner=use_planner)
+    engine = engine_class([spec])
     entities = [obs(i, i // 4) for i in range(200)]
     gc.collect()
     gc.disable()
@@ -126,7 +130,6 @@ def pair_profile():
         layer=EventLayer.CYBER_PHYSICAL,
         instance_cls=CyberPhysicalEventInstance,
         specs=(spec_of(("a", "b")),),
-        use_planner=True,
         locate=None,
     )
 
@@ -396,7 +399,7 @@ def test_expired_prefix_is_dropped_in_one_scan_per_call():
         counted[i] = reference[i] = tick
         if i % 5 == 0:
             horizon = tick - 40
-            drop_expired_prefix(counted, lambda value: value < horizon)
+            drop_expired_prefix(counted, horizon)
             head_pop(reference, horizon)
             calls += 1
             assert len(counted) == len(reference)

@@ -1,14 +1,15 @@
 """Compiled condition evaluation: differential equivalence.
 
-The compiled evaluator's contract against the interpreted tree
-(:mod:`repro.detect.compiler` module docstring):
+The compiled evaluator's contract against the reference semantics
+(``tests.reference.evaluate``; :mod:`repro.detect.compiler` module
+docstring):
 
-* ``True`` if and only if the interpreted tree returns ``True``
-  (match sets can never diverge);
-* when the compiled evaluator raises, the interpreted tree raises the
-  same exception class;
+* ``True`` if and only if the reference returns ``True`` (match sets
+  can never diverge);
+* when the compiled evaluator raises, the reference raises the same
+  exception class;
 * a short-circuiting conjunction may return ``False`` where the
-  interpreter raises (a cheap conjunct disproved the binding before an
+  reference raises (a cheap conjunct disproved the binding before an
   expensive erroring conjunct ran) — the engine maps both to non-match.
 
 The hypothesis suite below drives random condition trees against random
@@ -51,6 +52,8 @@ from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.compiler import EVALUATION_ERRORS, compile_condition
 from repro.detect.engine import DetectionEngine
+
+from tests.reference import NaiveEngine, evaluate
 
 ROLES = ("x", "y")
 OBSERVER = ObserverId(ObserverKind.SENSOR_MOTE, "ob")
@@ -218,26 +221,26 @@ def outcome(thunk):
 class TestDifferential:
     @settings(max_examples=400, deadline=None)
     @given(tree=trees(), binding=bindings())
-    def test_compiled_agrees_with_interpreted(self, tree, binding):
+    def test_compiled_agrees_with_reference(self, tree, binding):
         compiled = compile_condition(tree)
-        interpreted = outcome(lambda: tree.evaluate(binding))
+        expected = outcome(lambda: evaluate(tree, binding))
         plain = outcome(lambda: compiled(binding))
 
-        kind_i, value_i = interpreted
+        kind_i, value_i = expected
         kind_c, value_c = plain
         # Match sets can never diverge.
         assert (kind_c == "ok" and value_c is True) == (
             kind_i == "ok" and value_i is True
         )
         if kind_i == "ok":
-            # The interpreter judged the binding: exact agreement.
-            assert plain == interpreted
+            # The reference judged the binding: exact agreement.
+            assert plain == expected
         elif kind_c == "err":
             # Both raised: identical error classification.
             assert value_c is value_i
         else:
             # The one permitted divergence: a conjunction short-circuit
-            # returned False where the interpreter raised.
+            # returned False where the reference raised.
             assert value_c is False
 
 
@@ -254,9 +257,12 @@ class Counted(Condition):
         self.value = value
         self.calls = 0
 
-    def evaluate(self, binding):
-        self.calls += 1
-        return self.value
+    def lower(self):
+        def run(binding):
+            self.calls += 1
+            return self.value
+
+        return run
 
     @property
     def roles(self):
@@ -304,9 +310,9 @@ def _obs(mote: str, seq: int, tick: int, x: float, y: float = 0.0):
 
 
 class TestEngineErrorPolicy:
-    def test_compiled_error_policy_matches_interpreted(self):
+    def test_compiled_error_policy_matches_reference(self):
         # A binding the condition cannot judge is a counted non-match
-        # on both paths (the engine-level error contract).
+        # in both engines (the engine-level error contract).
         spec = EventSpecification(
             event_id="broken",
             selectors={"x": EntitySelector()},
@@ -314,7 +320,7 @@ class TestEngineErrorPolicy:
                 "last", (AttributeTerm("x", "absent"),), RelationalOp.GT, 0
             ),
         )
-        for use_planner in (True, False):
-            engine = DetectionEngine([spec], use_planner=use_planner)
+        for engine_class in (DetectionEngine, NaiveEngine):
+            engine = engine_class([spec])
             assert engine.submit(_obs("a", 0, 0, 0.0), now=0) == []
             assert engine.stats.evaluation_errors == 1

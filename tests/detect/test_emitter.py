@@ -471,7 +471,7 @@ def test_the_emitter_is_compiled_once_per_specification():
     log = InstanceLog.of(
         ObserverProfile(
             "MT", MOTE, PointLocation(0.0, 0.0), EventLayer.SENSOR,
-            SensorEventInstance, (spec,), True, None,
+            SensorEventInstance, (spec,), None,
         )
     )
     log.write(match)

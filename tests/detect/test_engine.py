@@ -535,13 +535,6 @@ class TestEngineEdgeCases:
             engine.submit_batch(batch, 5, evaluate=flags)
         assert engine.snapshot() == before
 
-    def test_planner_disabled_engine_never_prunes(self):
-        engine = DetectionEngine([pair_spec(window=10)], use_planner=False)
-        assert len(engine.submit(obs("MT1", tick=0), now=0)) == 0
-        assert len(engine.submit(obs("MT2", tick=1, x=2.0), now=1)) == 1
-        assert engine.submit(obs("MT3", tick=2, x=90.0), now=2) == []
-        assert engine.stats.candidates_pruned == 0
-
     def test_plan_accessor(self):
         engine = DetectionEngine([pair_spec(window=10)])
         assert engine.plan("pair").prunable

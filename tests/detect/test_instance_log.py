@@ -363,7 +363,7 @@ def test_a_supervised_replay_ends_with_the_unfaulted_rows(case):
             build_instance(match, SINK, seq, TimePoint(match.tick), HERE, LAYER, CLS)
         )
 
-    profile = ObserverProfile("SK", SINK, HERE, LAYER, CLS, (spec,), True, None)
+    profile = ObserverProfile("SK", SINK, HERE, LAYER, CLS, (spec,), None)
     replayer = ReplayObserver(profile, lateness=0, dedup=RedeliveryDeduper())
     supervisor = SupervisedRuntime(
         replayer, checkpoints=CheckpointPolicy(every_steps=every)

@@ -8,9 +8,10 @@ change a match, a counter or a resumed tail.  Histories draw window
 widths and cooldowns from 0 up, a region or near-point gate (so the
 planner's ``target_feasible`` rejects and counts), coordinates up to
 1e300, and redelivered copies of earlier entities; the planned engine
-fed in batches must agree with per-entity :meth:`submit`, with
-``use_planner=False`` and with the reference below, and a checkpoint
-cut anywhere must resume with the identical tail.
+fed in batches must agree with per-entity :meth:`submit`, with the
+naive reference engine (``tests.reference``) and with the by-hand rules
+below, and a checkpoint cut anywhere must resume with the identical
+tail.
 """
 
 from dataclasses import replace
@@ -36,6 +37,7 @@ from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.role_window import RoleWindow
 
 from tests.integration.test_conformance import _run
+from tests.reference import NaiveEngine, evaluate
 
 
 def hot(role):
@@ -134,7 +136,7 @@ def reference(specs, batches):
                 key = (entity.key,)
                 if keys.get(key, horizon - 1) >= horizon:
                     continue
-                if spec.condition.evaluate({"e": entity}):
+                if evaluate(spec.condition, {"e": entity}):
                     keys[key] = tick
                     last[spec.event_id] = tick
                     out[spec.event_id].append((tick, key))
@@ -155,7 +157,7 @@ class TestOneRoleDifferential:
     def test_batched_planned_equals_single_naive_and_reference(self, specs, batches):
         batched = DetectionEngine(specs)
         single = DetectionEngine(specs)
-        naive = DetectionEngine(specs, use_planner=False)
+        naive = NaiveEngine(specs)
         matched = feed(batched, batches)
         assert matched == feed(single, one_by_one(batches))
         assert matched == feed(naive, batches)

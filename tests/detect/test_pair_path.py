@@ -6,8 +6,9 @@ clause: the paper's S1 pair shape) is evaluated by
 over window columns that builds a binding's identity from the window's
 key column, tests distinctness and dedup on it, and matches the rows the
 columns prove without the judge.  Whatever it does must give the match
-stream of an engine with ``use_planner=False``: the same matches in the
-same order, the same ``match.key``, and the same per-spec match tallies.
+stream of the naive reference engine (``tests.reference``): the same
+matches in the same order, the same ``match.key``, and the same
+per-spec match tallies.
 Against the general planned loop (the same plan with ``decisive`` off)
 it must also keep every counter.
 
@@ -38,6 +39,8 @@ from repro.core.time_model import TimeInterval, TimePoint
 from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.planner import compile_plan
 from repro.detect.role_window import RoleWindow, tick_bounds
+
+from tests.reference import NaiveEngine
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -181,7 +184,7 @@ def counts(engine):
 @given(spec=pair_specs(), batches=histories())
 def test_the_pair_loop_matches_exhaustive_enumeration(spec, batches):
     planned = DetectionEngine([spec])
-    naive = DetectionEngine([spec], use_planner=False)
+    naive = NaiveEngine([spec])
     matched = feed(planned, batches)
     assert matched == feed(naive, batches)
     assert planned.tallies()["pair"][1] == naive.tallies()["pair"][1] == len(matched)

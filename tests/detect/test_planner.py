@@ -2,7 +2,8 @@
 
 The load-bearing property is *semantic transparency*: for any
 specification and any workload, the plan-driven engine must produce
-exactly the match set of brute-force enumeration — pruning may only
+exactly the match set of brute-force enumeration (the naive reference
+engine of ``tests.reference``) — pruning may only
 skip bindings that provably cannot match.  The differential tests below
 check that on randomized workloads across every clause family the
 planner knows how to extract, plus shapes it must refuse to prune
@@ -33,6 +34,8 @@ from repro.detect.compiler import compile_condition
 from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.planner import compile_plan
 from repro.workloads import build_scenario, scenario_names, synthetic_observations
+
+from tests.reference import NaiveEngine
 
 BOUNDS = BoundingBox(0, 0, 100, 100)
 
@@ -179,8 +182,8 @@ class TestPlanCompilation:
 def run_engines(specs, observations):
     """Match-key sets and stats for planned vs exhaustive evaluation."""
     results = []
-    for use_planner in (True, False):
-        engine = DetectionEngine(specs, use_planner=use_planner)
+    for engine_class in (DetectionEngine, NaiveEngine):
+        engine = engine_class(specs)
         keys = set()
         for obs in observations:
             for match in engine.submit(obs, obs.time.tick):
@@ -439,8 +442,8 @@ class TestDecisivePlans:
         )
         assert compile_plan(spec).decisive
         streams, stats = [], []
-        for use_planner in (True, False):
-            engine = DetectionEngine([spec], use_planner=use_planner)
+        for engine_class in (DetectionEngine, NaiveEngine):
+            engine = engine_class([spec])
             identify = binding_identity(spec)
             streams.append(
                 [

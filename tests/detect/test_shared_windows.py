@@ -5,8 +5,9 @@ equal selectors and see the same entities at the same ticks.  The engine
 keeps one :class:`~repro.detect.role_window.RoleWindow` per distinct
 selector of a specification, so such an entity's row is computed and
 stored once, not once per role.  Counted here on the live sink feeds of
-two registered scenarios (no clock), with the planned and the naive
-engine emitting the identical match stream.
+two registered scenarios (no clock), with the planned engine and the
+naive reference engine (``tests.reference``) emitting the identical
+match stream.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from repro.detect.engine import DetectionEngine, binding_identity
 from repro.detect.role_window import RoleWindow
 
 from tests.integration.test_conformance import _run
+from tests.reference import NaiveEngine
 
 
-def replay(monkeypatch, spec, batches, use_planner):
+def replay(monkeypatch, spec, batches, engine_class):
     """Window adds and match stream of one engine fed ``batches``."""
     adds = 0
     add = RoleWindow.add
@@ -30,7 +32,7 @@ def replay(monkeypatch, spec, batches, use_planner):
         add(window, entity, tick)
 
     monkeypatch.setattr(RoleWindow, "add", counted)
-    engine = DetectionEngine([spec], use_planner=use_planner)
+    engine = engine_class([spec])
     identify = binding_identity(spec)
     matches = [
         (match.tick, identify(match.binding))
@@ -69,7 +71,7 @@ def test_one_add_per_entity_per_distinct_selector(
         ]
         # Each selected entity binds every role: once per role before.
         assert all(len(spec.candidate_roles(e)) == roles for e in selected)
-        planned_adds, planned = replay(monkeypatch, spec, batches, True)
-        naive_adds, naive = replay(monkeypatch, spec, batches, False)
+        planned_adds, planned = replay(monkeypatch, spec, batches, DetectionEngine)
+        naive_adds, naive = replay(monkeypatch, spec, batches, NaiveEngine)
         assert planned_adds == naive_adds == len(selected) > 0
         assert planned and planned == naive

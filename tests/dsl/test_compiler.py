@@ -15,6 +15,7 @@ from repro.core.instance import PhysicalObservation
 from repro.core.operators import SpatialOp, TemporalOp
 from repro.core.space_model import Circle, PointLocation
 from repro.core.time_model import TimePoint
+from repro.detect.compiler import compile_condition
 from repro.dsl.compiler import compile_source
 
 ZONE = Circle(PointLocation(0, 0), 10.0)
@@ -38,8 +39,8 @@ class TestPredicateFamilies:
         spec = compile_one("EVENT e WHEN x: v IF avg(x.v) > 5")
         leaf = spec.condition.condition
         assert isinstance(leaf, AttributeCondition)
-        assert leaf.evaluate({"x": obs(v=6.0)})
-        assert not leaf.evaluate({"x": obs(v=4.0)})
+        assert leaf.lower()({"x": obs(v=6.0)})
+        assert not leaf.lower()({"x": obs(v=4.0)})
 
     def test_spatial_measure_condition(self):
         spec = compile_one("EVENT e WHEN x: v, y: v IF distance(x, y) < 5")
@@ -63,16 +64,16 @@ class TestPredicateFamilies:
         leaf = spec.condition.condition
         assert isinstance(leaf, TemporalCondition)
         assert leaf.op is TemporalOp.BEFORE
-        assert leaf.evaluate({"x": obs(tick=0), "y": obs(mote="M2", tick=9)})
-        assert not leaf.evaluate({"x": obs(tick=0), "y": obs(mote="M2", tick=3)})
+        assert leaf.lower()({"x": obs(tick=0), "y": obs(mote="M2", tick=9)})
+        assert not leaf.lower()({"x": obs(tick=0), "y": obs(mote="M2", tick=3)})
 
     def test_temporal_constants(self):
         spec = compile_one(
             "EVENT e WHEN x: v IF time(x) WITHIN interval(10, 20)"
         )
         leaf = spec.condition.condition
-        assert leaf.evaluate({"x": obs(tick=15)})
-        assert not leaf.evaluate({"x": obs(tick=25)})
+        assert leaf.lower()({"x": obs(tick=15)})
+        assert not leaf.lower()({"x": obs(tick=25)})
 
     def test_spatial_relation_with_region(self):
         spec = compile_one(
@@ -82,15 +83,15 @@ class TestPredicateFamilies:
         leaf = spec.condition.condition
         assert isinstance(leaf, SpatialCondition)
         assert leaf.op is SpatialOp.INSIDE
-        assert leaf.evaluate({"x": obs(x=1, y=1)})
-        assert not leaf.evaluate({"x": obs(x=50, y=50)})
+        assert leaf.lower()({"x": obs(x=1, y=1)})
+        assert not leaf.lower()({"x": obs(x=50, y=50)})
 
     def test_point_literal(self):
         spec = compile_one(
             "EVENT e WHEN x: v IF location(x) EQUAL_TO point(3, 4)"
         )
         leaf = spec.condition.condition
-        assert leaf.evaluate({"x": obs(x=3, y=4)})
+        assert leaf.lower()({"x": obs(x=3, y=4)})
 
     def test_centroid_aggregate(self):
         spec = compile_one(
@@ -98,7 +99,7 @@ class TestPredicateFamilies:
             env={"zone": ZONE},
         )
         binding = {"a": obs(x=-5), "b": obs(mote="M2", x=5)}
-        assert spec.condition.evaluate(binding)
+        assert compile_condition(spec.condition)(binding)
 
     def test_contains_disambiguated_by_family(self):
         temporal = compile_one(

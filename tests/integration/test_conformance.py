@@ -4,14 +4,15 @@ The paper's claim is that every observer turns the same inputs into the
 same event instances.  This module pins it for *every* scenario in the
 registry (small preset, registered seed) as a few invariants checked
 over tables of configurations.  All of them read one capture per
-``(scenario, use_planner, seed)``: a whole-system run with a
+``(scenario, engine, seed)``: a whole-system run with a
 :class:`~repro.stream.capture.StreamTap` on every sink's and CCU's
 engine feed.  Taps only observe, so the tapped run is the live golden
 run as well.
 
 * **live legs** (:data:`LIVE`) — the system on the planned engine and
-  on the exhaustive baseline reproduces the checked-in golden digest
-  and the baseline's match set.  Pruning may only reduce
+  on the naive reference engine (``tests.reference``: exhaustive
+  enumeration judged by the reference semantics) reproduces the
+  checked-in golden digest and the reference's match set.  Pruning may only reduce
   ``bindings_evaluated``; engine counters and instance fields keep
   their structural laws; every layer is reached and the loop is closed
   by an actuation.
@@ -62,6 +63,7 @@ import pytest
 from repro.core.event import EventLayer
 from repro.core.time_model import TimeInterval, TimePoint
 from repro.cps.component import ObserverComponent
+from repro.detect.engine import DetectionEngine
 from repro.detect.output import build_instance
 from repro.obs import Stage, Telemetry, collect, to_json, trace_rows_digest
 from repro.sim.trace import TraceRecord, trace_digest
@@ -81,6 +83,8 @@ from repro.stream import (
 )
 from repro.stream.runtime import arrival_groups
 from repro.workloads import build_scenario, scenario_names
+
+from tests.reference import NaiveEngine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -105,9 +109,10 @@ small enough that every crash lands several steps past a checkpoint."""
 
 NAMES = scenario_names()
 
-LIVE = (True, False)
-"""The live legs, as ``use_planner``: every registered scenario runs
-whole on the planned engine and on the exhaustive baseline."""
+LIVE = {"planned": DetectionEngine, "naive": NaiveEngine}
+"""The live legs, as the engine class every observer of the system
+runs: every registered scenario runs whole on the planned engine and on
+the naive reference engine."""
 
 
 @dataclass(frozen=True)
@@ -278,16 +283,20 @@ def _plan_for(scenario_name: str, tap_name: str, steps: int) -> FaultPlan:
 _captures: dict[tuple, tuple] = {}
 
 
-def _run(name: str, use_planner: bool = True, seed: int | None = None):
-    """Build, tap and run one registered scenario (memoized per session).
+def _run(name: str, engine: str = "planned", seed: int | None = None):
+    """Build, tap and run one registered scenario on the :data:`LIVE`
+    engine ``engine`` (memoized per session).
 
     Returns ``(scenario, taps)``, the taps keyed by observer name.
     """
-    key = (name, use_planner, seed)
+    key = (name, engine, seed)
     if key not in _captures:
-        scenario = build_scenario(
-            name, preset="small", seed=seed, use_planner=use_planner
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.cps.system.DetectionEngine", LIVE[engine])
+            scenario = build_scenario(name, preset="small", seed=seed)
+        assert {
+            type(observer.engine) for observer in _observers(scenario.system)
+        } == {LIVE[engine]}
         taps = scenario.system.attach_stream_taps()
         scenario.system.run(until=scenario.params["horizon"])
         _captures[key] = (scenario, taps)
@@ -352,26 +361,26 @@ def replay(name: str, leg: Leg) -> dict[str, ReplayObserver]:
 # -- live legs, goldens, determinism -----------------------------------
 
 
-@pytest.mark.parametrize("use_planner", LIVE, ids=["planned", "naive"])
+@pytest.mark.parametrize("engine", LIVE)
 @pytest.mark.parametrize("name", NAMES)
-def test_live_leg(name, use_planner):
-    scenario, _ = _run(name, use_planner)
-    baseline, _ = _run(name, False)
+def test_live_leg(name, engine):
+    scenario, _ = _run(name, engine)
+    baseline, _ = _run(name, "naive")
     assert _behavior_digest(scenario) == _golden_digest(name), (
-        f"use_planner={use_planner} diverged from the golden trace of "
+        f"the {engine} engine diverged from the golden trace of "
         f"{name!r}; the planner may only prune detection, never change it"
     )
     assert _match_set(scenario) == _match_set(baseline)
 
 
-@pytest.mark.parametrize("use_planner", LIVE, ids=["planned", "naive"])
+@pytest.mark.parametrize("engine", LIVE)
 @pytest.mark.parametrize("name", NAMES)
-def test_live_leg_laws(name, use_planner):
+def test_live_leg_laws(name, engine):
     """Engine counters and instance fields keep their structural laws
-    against the exhaustive baseline; every layer is reached and the loop
-    is closed by an actuation."""
-    scenario, _ = _run(name, use_planner)
-    baseline, _ = _run(name, False)
+    against the naive reference; every layer is reached and the loop is
+    closed by an actuation."""
+    scenario, _ = _run(name, engine)
+    baseline, _ = _run(name, "naive")
     for observer, reference in zip(
         _observers(scenario.system), _observers(baseline.system), strict=True
     ):
@@ -382,7 +391,7 @@ def test_live_leg_laws(name, use_planner):
         assert stats.entities_submitted == exhaustive.entities_submitted
         assert stats.evaluation_errors == 0
         assert stats.bindings_evaluated <= exhaustive.bindings_evaluated
-        if not use_planner:
+        if engine == "naive":
             assert stats.candidates_pruned == 0
         for instance in observer.emitted:
             assert 0.0 <= instance.confidence <= 1.0

@@ -22,6 +22,7 @@ from repro.core.operators import RelationalOp, SpatialOp, TemporalOp
 from repro.core.space_model import Circle, PointLocation, Polygon, convex_hull
 from repro.core.spec import EntitySelector, EventSpecification, OutputPolicy
 from repro.core.time_model import TimeInterval, TimePoint
+from repro.detect.compiler import compile_condition
 from repro.detect.engine import DetectionEngine
 from repro.detect.interval_builder import IntervalBuilder
 from repro.physical.ground_truth import proximity_intervals
@@ -51,21 +52,21 @@ class TestConditionS1:
             "x": obs("MT1", 10, 0.0, 0.0, v=1),
             "y": obs("MT2", 12, 3.0, 0.0, v=1),
         }
-        assert self.s1().evaluate(binding)
+        assert compile_condition(self.s1())(binding)
 
     def test_violated_on_time(self):
         binding = {
             "x": obs("MT1", 12, 0.0, 0.0, v=1),
             "y": obs("MT2", 10, 3.0, 0.0, v=1),
         }
-        assert not self.s1().evaluate(binding)
+        assert not compile_condition(self.s1())(binding)
 
     def test_violated_on_space(self):
         binding = {
             "x": obs("MT1", 10, 0.0, 0.0, v=1),
             "y": obs("MT2", 12, 30.0, 0.0, v=1),
         }
-        assert not self.s1().evaluate(binding)
+        assert not compile_condition(self.s1())(binding)
 
 
 class TestOffsetExample:
@@ -76,10 +77,10 @@ class TestOffsetExample:
         condition = TemporalCondition(
             TimeOf("x", offset=5), TemporalOp.BEFORE, TimeOf("y")
         )
-        assert condition.evaluate(
+        assert condition.lower()(
             {"x": obs("MT1", 10, 0, 0), "y": obs("MT2", 16, 0, 0)}
         )
-        assert not condition.evaluate(
+        assert not condition.lower()(
             {"x": obs("MT1", 10, 0, 0), "y": obs("MT2", 15, 0, 0)}
         )
 
@@ -104,10 +105,10 @@ class TestInsideExample:
             estimated_location=Circle(PointLocation(0, 0), 10.0),
             layer=EventLayer.CYBER_PHYSICAL,
         )
-        assert condition.evaluate(
+        assert condition.lower()(
             {"x": obs("MT1", 1, 2.0, 2.0), "y": field_event}
         )
-        assert not condition.evaluate(
+        assert not condition.lower()(
             {"x": obs("MT1", 1, 20.0, 2.0), "y": field_event}
         )
 
@@ -267,9 +268,9 @@ class TestAverageExample:
             RelationalOp.GT,
             50.0,
         )
-        assert condition.evaluate(
+        assert condition.lower()(
             {"x": obs("MT1", 1, 0, 0, v=40.0), "y": obs("MT2", 2, 1, 0, v=70.0)}
         )
-        assert not condition.evaluate(
+        assert not condition.lower()(
             {"x": obs("MT1", 1, 0, 0, v=40.0), "y": obs("MT2", 2, 1, 0, v=50.0)}
         )

@@ -31,6 +31,8 @@ from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine, binding_identity
 
+from tests.reference import NaiveEngine
+
 NEAR = 12.0
 
 
@@ -121,7 +123,7 @@ def fired(engine, batches):
 def test_redelivered_copies_never_pair_never_refire(history, data):
     spec, batches = history
     planned = fired(DetectionEngine([spec]), batches)
-    naive = fired(DetectionEngine([spec], use_planner=False), batches)
+    naive = fired(NaiveEngine([spec]), batches)
     assert [(i, t) for i, t, _ in planned] == [(i, t) for i, t, _ in naive]
 
     singles = [role for role in spec.roles if role not in spec.group_roles]

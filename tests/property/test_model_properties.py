@@ -5,17 +5,19 @@ from hypothesis import given, strategies as st
 
 from repro.core.composite import And, Leaf, Not, Or
 from repro.core.conditions import Condition
+from repro.detect.compiler import compile_condition
 from repro.detect.interval_builder import IntervalBuilder
 
 
 class _FlagCondition(Condition):
-    """Test stub: evaluates to the value bound to its flag name."""
+    """Test stub: holds when the value bound to its flag name is true."""
 
     def __init__(self, name):
         self.name = name
 
-    def evaluate(self, binding):
-        return bool(binding[self.name])
+    def lower(self):
+        name = self.name
+        return lambda binding: bool(binding[name])
 
     @property
     def roles(self):
@@ -51,14 +53,14 @@ class TestCompositeProperties:
     def test_double_negation_preserves_semantics(self, tree):
         double = Not(Not(tree))
         for binding in all_bindings():
-            assert tree.evaluate(binding) == double.evaluate(binding)
+            assert compile_condition(tree)(binding) == compile_condition(double)(binding)
 
     @given(condition_trees(), condition_trees())
     def test_de_morgan(self, a, b):
         left = Not(And((a, b)))
         right = Or((Not(a), Not(b)))
         for binding in all_bindings():
-            assert left.evaluate(binding) == right.evaluate(binding)
+            assert compile_condition(left)(binding) == compile_condition(right)(binding)
 
     @given(condition_trees())
     def test_roles_cover_leaves(self, tree):

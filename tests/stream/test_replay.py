@@ -39,7 +39,6 @@ PROFILE = ObserverProfile(
     layer=EventLayer.CYBER_PHYSICAL,
     instance_cls=CyberPhysicalEventInstance,
     specs=(),
-    use_planner=False,
     locate=None,
 )
 
@@ -58,14 +57,12 @@ def test_sharded_replay_needs_bounds():
 def test_shard_count_picks_the_engine_class():
     single = ReplayObserver(PROFILE, lateness=2).runtime.engine
     assert type(single) is DetectionEngine
-    assert single.use_planner is False
     sharded = ReplayObserver(
         PROFILE, lateness=2, shards=6, bounds=BOUNDS
     ).runtime.engine
     assert type(sharded) is ShardedDetectionEngine
     assert sharded.shard_count == 6
     assert sharded.partitioner.bounds == BOUNDS
-    assert sharded.use_planner is False
 
 
 # -- a checkpoint is trusted only with counts a replay could have made ------

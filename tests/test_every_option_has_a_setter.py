@@ -65,7 +65,7 @@ RECORDS = {
 ALLOWED: dict[str, str] = {}
 
 
-OPTION_BUDGET = 129
+OPTION_BUDGET = 126
 """The most defaulted ``repro`` constructor options there may be.  A
 change that needs another option raises this in its own diff."""
 

@@ -162,31 +162,36 @@ class TestLookupAndBuild:
         assert rule.event_id in {s.event_id for s in ccu.engine.specs}
         assert len(system.actor_motes) == 1
 
-    @pytest.mark.parametrize(
-        "use_planner", [True, False], ids=["default", "naive"]
-    )
-    def test_engine_config_reaches_every_engine(self, use_planner):
-        system = build_scenario(
-            "intrusion", preset="small", use_planner=use_planner
-        ).system
-        motes = list(system.motes.values())
-        hubs = [*system.sinks.values(), *system.ccus.values()]
-        assert motes and hubs
-        for observer in [*motes, *hubs]:
-            assert type(observer.engine) is DetectionEngine
-            assert observer.engine.use_planner is use_planner
+    def test_engine_config_reaches_every_engine(self, monkeypatch):
+        # Every observer's engine is built from the one name the system
+        # module binds, so a test can run a whole system on another
+        # engine class (the conformance suite's naive leg does).
+        class Substitute(DetectionEngine):
+            pass
+
+        def engine_types():
+            system = build_scenario("intrusion", preset="small").system
+            motes = list(system.motes.values())
+            hubs = [*system.sinks.values(), *system.ccus.values()]
+            assert motes and hubs
+            return {type(observer.engine) for observer in [*motes, *hubs]}
+
+        assert engine_types() == {DetectionEngine}
+        monkeypatch.setattr("repro.cps.system.DetectionEngine", Substitute)
+        assert engine_types() == {Substitute}
 
 
 THREADED = ("planner", "shard", "partition", "cell_size")
-"""Marks of engine-choice keywords (and of any respelling of them):
-only the three entry points below take one, ``use_planner``."""
+"""Marks of engine-choice keywords (and of any respelling of them): no
+entry point below takes one, since a system runs the one engine."""
 
 
 def test_engine_choice_is_not_threaded_through_signatures():
     plans = [get_scenario(name).plan for name in scenario_names()]
-    entry_points = (CPSSystem.__init__, build_scenario, deploy)
     for fn in (
-        *entry_points,
+        CPSSystem.__init__,
+        build_scenario,
+        deploy,
         CPSSystem.add_mote,
         CPSSystem.add_sink,
         CPSSystem.add_ccu,
@@ -201,8 +206,7 @@ def test_engine_choice_is_not_threaded_through_signatures():
             for name in inspect.signature(fn).parameters
             if any(mark in name for mark in THREADED)
         ]
-        expected = ["use_planner"] if fn in entry_points else []
-        assert threaded == expected, f"{fn.__qualname__} takes {threaded}"
+        assert threaded == [], f"{fn.__qualname__} takes {threaded}"
     # A plan describes a deployment; it never sees the engine choice.
     for plan in plans:
         assert list(inspect.signature(plan).parameters) == ["p", "rng"], plan
