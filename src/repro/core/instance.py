@@ -38,6 +38,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.core.construction import slot_init
 from repro.core.errors import ObserverError
 from repro.core.event import (
     EventLayer,
@@ -98,6 +99,7 @@ class ObserverId:
         return self._text
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PhysicalObservation:
     """A physical observation ``O(MT_id, SR_id, i) {t_o, l_o, V}`` (Eq. 5.2).
@@ -156,6 +158,7 @@ INSTANCE_LAYERS = (
 """Layers at which observers emit event instances (Figure 2)."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class EventInstance:
     """An event instance ``E(OB_id, E_id, i)`` with its 6-tuple (Eq. 4.7).
@@ -269,6 +272,7 @@ class EventInstance:
         return f"E({self.observer!r},{self.event_id},{self.seq})"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SensorEventInstance(EventInstance):
     """A sensor event ``S(MT_id, S_id, i)`` (Eq. 5.3).
@@ -280,6 +284,7 @@ class SensorEventInstance(EventInstance):
     layer: EventLayer = EventLayer.SENSOR
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CyberPhysicalEventInstance(EventInstance):
     """A cyber-physical event ``CP(MT_id, CP_id, i)`` (Eq. 5.4).
@@ -291,6 +296,7 @@ class CyberPhysicalEventInstance(EventInstance):
     layer: EventLayer = EventLayer.CYBER_PHYSICAL
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CyberEventInstance(EventInstance):
     """A cyber event ``E(CCU_id, E_id, i)`` (Eq. 5.5).

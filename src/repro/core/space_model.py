@@ -32,6 +32,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from repro.core.construction import slot_init
 from repro.core.errors import SpatialError
 
 __all__ = [
@@ -53,6 +54,7 @@ EPS = 1e-9
 """Tolerance used for floating-point coincidence tests."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PointLocation:
     """A location point ``(x, y)`` in the 2-D Cartesian plane."""

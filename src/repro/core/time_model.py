@@ -34,6 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
+from repro.core.construction import slot_init
 from repro.core.errors import TemporalError
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 
+@slot_init
 @dataclass(frozen=True, order=True, slots=True)
 class TimePoint:
     """A single discrete instant: the ``tick``-th step of the global clock.

@@ -40,6 +40,11 @@ __all__ = ["ControlUnit"]
 PublishCallback = Callable[[EventInstance], None]
 DispatchCallback = Callable[[ActuatorCommand], None]
 
+# An arrival's trace row names its layer.  ``EventLayer.name`` runs
+# ``enum``'s Python-level descriptor on every read; a layer hashes as
+# its int.
+_LAYER_NAMES = {layer: layer.name for layer in EventLayer}
+
 
 class ControlUnit(ObserverComponent):
     """Highest-level observer plus the Event-Action decision point.
@@ -112,7 +117,7 @@ class ControlUnit(ObserverComponent):
             "ccu.receive",
             event_id=instance.event_id,
             from_observer=repr(instance.observer),
-            layer=instance.layer.name,
+            layer=_LAYER_NAMES[instance.layer],
         )
         self.enqueue(instance)
 

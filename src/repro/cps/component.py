@@ -10,11 +10,13 @@ plumbing.  :class:`ObserverComponent` adds the observer machinery: a
 detection engine loaded with event specifications, and the emit path.
 Each match becomes one row of the observer's
 :class:`~repro.detect.output.InstanceLog`, written by
-:meth:`~repro.detect.output.InstanceLog.write` exactly as a replay
+:meth:`~repro.detect.output.InstanceLog.emit` exactly as a replay
 writes it (a sink's trilateration enters as the :attr:`locate` hook's
-estimate); the ``instance.emit`` trace row is rendered from that row,
-and the Eq. 4.7 instance read back from it goes to the concrete
-component's distribution logic.  What an observer received is in the
+estimate); the same call returns the Eq. 4.7 instance built from the
+values it wrote, sharing the row's key tuple, so the observer never
+reads its row back.  The ``instance.emit`` trace row is rendered from
+that row, and the instance goes to the concrete component's
+distribution logic.  What an observer received is in the
 trace; it keeps no list of its own.
 
 Ingestion is batch-first: :meth:`ObserverComponent.ingest_batch` feeds
@@ -191,8 +193,7 @@ class ObserverComponent(CPSComponent):
     output policy's); a sink's trilateration."""
 
     def _emit_match(self, match: Match) -> None:
-        self.emitted.write(match, self.locate)
-        self._publish(self.emitted[-1])
+        self._publish(self.emitted.emit(match, self.locate))
 
     def distribute(self, instance: EventInstance) -> None:
         """Hook: where emitted instances go (network, bus, rules)."""

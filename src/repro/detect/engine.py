@@ -82,6 +82,7 @@ from repro.core.checkpoint import (
     shaped,
 )
 from repro.core.conditions import Binding, LoweredPredicate
+from repro.core.construction import slot_init
 from repro.core.entity import Entity, entity_key
 from repro.core.errors import (
     BindingError,
@@ -107,6 +108,7 @@ __all__ = [
 ]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Match:
     """One satisfied binding of a specification.

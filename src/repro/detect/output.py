@@ -29,10 +29,14 @@ a group role keeps the engine's binding identity (``match.key``) as the
 row's ``sources``, so the dedup map and the log hold one tuple.
 :func:`build_instance`, ``log[i]``, slices and iteration build the
 :class:`~repro.core.instance.EventInstance` from those fields, so two
-reads of a row are equal, distinct objects; a live component reads its
-new row back to distribute it.  :meth:`InstanceLog.append` turns a
-finished instance into a row (the mote's interval tracker, which has no
-match).  Keys, trace rows and per-layer counts read the columns.
+reads of a row are equal, distinct objects.  A live component writes
+through :meth:`InstanceLog.emit`, which appends the row as
+:meth:`~InstanceLog.write` does and returns the instance built from the
+values it just wrote, sharing the row's key tuple: the live observer
+never reads its own row back, and a replay builds no instance.
+:meth:`InstanceLog.append` turns a finished instance into a row (the
+mote's interval tracker, which has no match).  Keys, trace rows and
+per-layer counts read the columns.
 
 The row writer keeps every check the object path makes: the fusion
 rule's ``[0, 1]`` range and the finiteness of a computed centroid per
@@ -362,6 +366,7 @@ class InstanceLog(Sequence):
         self.observer_id = observer_id
         self.location = location
         self.layer = layer
+        self._layer_name = layer.name  # every trace row's "layer"
         self.instance_cls = instance_cls
         self.counters: dict[str, int] = {}
         self._stamp = self._when = EPOCH
@@ -396,10 +401,12 @@ class InstanceLog(Sequence):
         self.counters[event_id] = seq + 1
         return seq
 
-    def write(self, match, locate=None) -> None:
+    def write(self, match, locate=None) -> tuple:
         """Append the row of one match, generated at the match's tick,
-        without building an instance.  A point ``locate(match)`` returns
-        is the row's ``l_eo``; ``None`` keeps the output policy's."""
+        without building an instance, and return the row as its columns
+        hold it (``x`` / ``y`` as floats), in :meth:`_row`'s argument
+        order.  A point ``locate(match)`` returns is the row's ``l_eo``;
+        ``None`` keeps the output policy's."""
         spec = match.spec
         when, x, y, place, attributes, rho, sources = _emitter_of(spec)(match)
         if locate is not None:
@@ -410,15 +417,26 @@ class InstanceLog(Sequence):
         counters = self.counters
         seq = counters.get(event_id, 0)
         counters[event_id] = seq + 1
-        self._keys.append((self.observer_id._text, event_id, seq))
-        self._ticks.append(match.tick)
-        self._times.append(when.tick if type(when) is TimePoint else when)
+        key = (self.observer_id._text, event_id, seq)
+        tick = match.tick
+        if type(when) is TimePoint:
+            when = when.tick
+        self._keys.append(key)
+        self._ticks.append(tick)
+        self._times.append(when)
         self._x.append(x)
         self._y.append(y)
         self._places.append(place)
         self._attributes.append(attributes)
         self._rhos.append(rho)
         self._sources.append(sources)
+        return key, tick, when, float(x), float(y), place, attributes, rho, sources
+
+    def emit(self, match, locate=None) -> EventInstance:
+        """:meth:`write` the row of one match and return its instance,
+        built from the values just written: equal to reading the row
+        back, and carrying the row's own key tuple."""
+        return self._row(*self.write(match, locate))
 
     def append(self, instance: EventInstance) -> None:
         """Append a finished instance as a row.  It must be this log's
@@ -467,18 +485,12 @@ class InstanceLog(Sequence):
         object.__setattr__(instance, "key", key)  # equal; now shared
         return instance
 
-    def _instance(self, i: int) -> EventInstance:
-        return self._row(
-            self._keys[i], self._ticks[i], self._times[i], self._x[i],
-            self._y[i], self._places[i], self._attributes[i], self._rhos[i],
-            self._sources[i],
-        )
-
     def __getitem__(self, index):
         """Row ``index`` as an instance; a slice is a list of them."""
         if isinstance(index, slice):
-            return [self._instance(i) for i in range(len(self))[index]]
-        return self._instance(range(len(self))[index])
+            return list(map(self._row, *(column[index] for column in self._columns())))
+        i = range(len(self))[index]
+        return self._row(*(column[i] for column in self._columns()))
 
     def __iter__(self):
         return map(self._row, *self._columns())
@@ -505,7 +517,7 @@ class InstanceLog(Sequence):
         return {
             "event_id": key[1],
             "seq": key[2],
-            "layer": self.layer.name,
+            "layer": self._layer_name,
             "edl": _latency(self._ticks[i], self._times[i]),
             "rho": self._rhos[i],
         }

@@ -45,8 +45,10 @@ from repro.core.spec import EntitySelector, EventSpecification
 from repro.core.time_model import TimePoint
 from repro.detect.engine import DetectionEngine, drop_expired_prefix
 from repro.detect.output import InstanceLog, build_instance
+from repro.cps.ccu import ControlUnit
 from repro.cps.component import ObserverComponent
 from repro.cps.database import DatabaseServer
+from repro.cps.sink import SinkNode
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.stream import (
@@ -647,6 +649,46 @@ def test_a_live_run_retains_few_tracked_objects_per_instance(live_run):
     # ObserverId and trace rows were records.
     rows = sum(len(o.emitted) for o in observers_of(system))
     assert retained / rows <= 5.0
+
+
+def test_a_live_observer_builds_each_instance_once_and_reads_no_row_back(
+    constructions, monkeypatch
+):
+    built = build_scenario("high_density", "small", seed=0)
+    system = built.system
+    reads = []
+    read = InstanceLog.__getitem__
+    monkeypatch.setattr(
+        InstanceLog, "__getitem__",
+        lambda log, index: reads.append(index) or read(log, index),
+    )
+    sent = {}
+    for cls in (SinkNode, ControlUnit):
+        def recorded(component, instance, distribute=cls.distribute):
+            sent.setdefault(component.name, []).append(instance)
+            distribute(component, instance)
+
+        monkeypatch.setattr(cls, "distribute", recorded)
+    constructions.start()
+    system.run(until=built.params["horizon"])
+    # The emit path hands out the instance its write built: no log is
+    # indexed during the run, and every emitted row was built exactly
+    # once (the motes' interval instances included).
+    assert reads == []
+    rows = sum(len(o.emitted) for o in observers_of(system))
+    assert constructions[EventInstance] == rows
+    observers = [*system.sinks.values(), *system.ccus.values()]
+    assert sum(len(o.emitted) for o in system.sinks.values()) > 20
+    assert sum(len(o.emitted) for o in system.ccus.values()) > 0
+    for observer in observers:
+        log, distributed = observer.emitted, sent.get(observer.name, [])
+        keys = log.keys()
+        assert len(distributed) == len(log)
+        for i, instance in enumerate(distributed):
+            again = log[i]
+            assert instance == again and type(instance) is type(again)
+            assert instance.sources == again.sources
+            assert instance.key is keys[i] is again.key
 
 
 def observations_alive():

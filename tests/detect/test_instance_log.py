@@ -76,6 +76,7 @@ CLS = CyberPhysicalEventInstance
 
 coordinates = st.floats(-1e3, 1e3, allow_nan=False)
 points = st.builds(PointLocation, coordinates, coordinates)
+whole = st.integers(-999, 999)  # a hook's estimate in int coordinates
 locations = points | st.builds(Circle, points, st.floats(0.5, 20.0))
 ticks = st.integers(0, 60)
 
@@ -195,10 +196,15 @@ class LogAgainstAList(RuleBasedStateMachine):
         self.log.write(match)
         self.model.append(want)
 
-    @rule(match=matches(), moved=st.none() | points)
-    def write_located(self, match, moved):
+    @rule(
+        match=matches(),
+        moved=st.none() | points | st.builds(PointLocation, whole, whole),
+        live=st.booleans(),
+    )
+    def write_located(self, match, moved, live):
         # What a live sink does: write the row with its trilateration's
-        # estimate, or with the policy's location when it has none.
+        # estimate, or with the policy's location when it has none, and
+        # take the row's instance from the same call (emit).
         asked = []
 
         def locate(m):
@@ -213,16 +219,30 @@ class LogAgainstAList(RuleBasedStateMachine):
         except ConditionError:
             before = list(self.log), dict(self.log.counters)
             with pytest.raises(ConditionError):
-                self.log.write(match, locate)
+                (self.log.emit if live else self.log.write)(match, locate)
             assert (list(self.log), dict(self.log.counters)) == before
             assert asked == []
             return
-        self.log.write(match, locate)
+        if live:
+            got = self.log.emit(match, locate)
+        else:
+            self.log.write(match, locate)
         assert len(asked) == 1 and asked[0] is match
         self.next_seq(match.spec.event_id)
         if moved is not None:
             want = replace(want, estimated_location=moved)
         self.model.append(want)
+        if live:
+            # The instance of the row just written: what reading it back
+            # gives, down to the float type of a computed l_eo, carrying
+            # the row's own key tuple.
+            again = self.log[-1]
+            assert got == want == again and type(got) is CLS
+            assert got.key is self.log.keys()[-1] is again.key
+            assert got.sources == again.sources
+            assert type(got.estimated_location) is type(again.estimated_location)
+            if type(got.estimated_location) is PointLocation:
+                assert tuple(map(type, got.estimated_location)) == (float, float)
 
     @rule(start=ticks, length=st.none() | st.integers(0, 9), tick=ticks)
     def append_interval(self, start, length, tick):
